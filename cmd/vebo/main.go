@@ -23,10 +23,10 @@
 //
 // While serving it exposes the observability endpoints on -http (default: an
 // ephemeral localhost port, printed at startup): /metrics (Prometheus text),
-// /metrics.json, /trace (the epoch-lifecycle event ring) and /debug/pprof.
-// A stats line prints every -stats interval, and SIGINT/SIGTERM stops the
-// ingest gracefully, prints the summary and flushes the final metrics and
-// trace snapshot to stdout.
+// /metrics.json, /spans (the causal span ring as Chrome Trace Event JSON)
+// and /debug/pprof. A stats line prints every -stats interval, and
+// SIGINT/SIGTERM stops the ingest gracefully, prints the summary and
+// flushes the final metrics and span trace to stdout.
 package main
 
 import (
@@ -162,7 +162,7 @@ func runServe(args []string) error {
 	noreuse := fs.Bool("noreuse", false, "rebuild engines from scratch every epoch instead of patching")
 	pace := fs.Duration("pace", 0, "delay between ingestion batches (0: ingest at full speed)")
 	seed := fs.Int64("seed", 42, "generator seed")
-	httpAddr := fs.String("http", "127.0.0.1:0", "address serving /metrics, /metrics.json, /trace and /debug/pprof (empty: disabled)")
+	httpAddr := fs.String("http", "127.0.0.1:0", "address serving /metrics, /metrics.json, /spans and /debug/pprof (empty: disabled)")
 	statsEvery := fs.Duration("stats", 5*time.Second, "interval between periodic stats lines (0: disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -219,15 +219,15 @@ func runServe(args []string) error {
 		return err
 	}
 
-	// Observability endpoints: the dynamic graph's registry and tracer plus
-	// the standard pprof handlers, on an ephemeral port by default.
+	// Observability endpoints: the dynamic graph's registry and span ring
+	// plus the standard pprof handlers, on an ephemeral port by default.
 	if *httpAddr != "" {
 		ln, lerr := net.Listen("tcp", *httpAddr)
 		if lerr != nil {
 			return fmt.Errorf("serve: -http listen: %w", lerr)
 		}
 		mux := http.NewServeMux()
-		obs.Register(mux, d.Metrics(), d.Trace(), d.Spans())
+		obs.Register(mux, d.Metrics(), d.Spans())
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -236,11 +236,11 @@ func runServe(args []string) error {
 		srv := &http.Server{Handler: mux}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (and /metrics.json, /trace, /spans, /debug/pprof)\n", ln.Addr())
+		fmt.Printf("observability: http://%s/metrics (and /metrics.json, /spans, /debug/pprof)\n", ln.Addr())
 	}
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the ingest loop at the next
-	// batch boundary; the summary and a final metrics+trace flush follow.
+	// batch boundary; the summary and a final metrics+spans flush follow.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -404,8 +404,8 @@ func runServe(args []string) error {
 		if err := d.Metrics().WritePrometheus(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Println("--- final trace (json) ---")
-		if err := d.Trace().WriteJSON(os.Stdout); err != nil {
+		fmt.Println("--- final spans (chrome trace json) ---")
+		if err := d.Spans().WriteChromeTrace(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -52,7 +52,8 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 32})
+	opts := EngineOptions{Sockets: 2, ThreadsPerSocket: 2, Partitions: 32}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,9 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 		t.Fatal("snapshot and freshly built graph differ structurally")
 	}
 
-	opts := EngineOptions{Sockets: 2, ThreadsPerSocket: 2, Partitions: 32}
 	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-		// Engine over the dynamic view (reordered snapshot, live bounds),
-		// via the deprecated shim this test exists to cover.
-		//lint:ignore SA1019 the shim's compatibility contract is under test
-		de, err := d.NewEngine(sys, opts)
+		// The view's cached engine (reordered snapshot, live bounds).
+		de, err := d.View().Engine(sys)
 		if err != nil {
 			t.Fatalf("%v: dynamic engine: %v", sys, err)
 		}

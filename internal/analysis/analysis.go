@@ -11,7 +11,7 @@
 //     ordering results).
 //   - lockedfield: fields annotated //vebo:guardedby mu may only be touched
 //     while the named sibling mutex is held (allocator and registry maps).
-//   - obshandle: obs metric/trace handles come from the nil-safe
+//   - obshandle: obs metric/span handles come from the nil-safe
 //     constructors, and registered metric names follow the canonical
 //     vebo_* vocabulary.
 //

@@ -9,8 +9,8 @@ import (
 )
 
 // Obshandle enforces the observability-facade contract (DESIGN.md §6):
-// metric, trace and span handles come from the nil-safe constructors
-// (obs.NewRegistry, obs.NewTracer, obs.NewSpans, Spans.Start) or from
+// metric and span handles come from the nil-safe constructors
+// (obs.NewRegistry, obs.NewSpans, Spans.Start) or from
 // registry getters — a raw composite literal skips map/ring initialization
 // and breaks the documented "nil receiver is a no-op" property. Registered
 // series must also follow the canonical naming vocabulary so dashboards
@@ -33,7 +33,7 @@ var Obshandle = &Analyzer{
 
 var (
 	obsHandleTypes = map[string]bool{
-		"Registry": true, "Tracer": true, "Counter": true,
+		"Registry": true, "Counter": true,
 		"Gauge": true, "Histogram": true,
 		"Spans": true, "ActiveSpan": true,
 	}

@@ -4,10 +4,8 @@ package a
 
 import "repro/internal/obs"
 
-func handles() (*obs.Registry, obs.Tracer) {
-	r := &obs.Registry{} // want `raw obs\.Registry literal`
-	t := obs.Tracer{}    // want `raw obs\.Tracer literal`
-	return r, t
+func handles() *obs.Registry {
+	return &obs.Registry{} // want `raw obs\.Registry literal`
 }
 
 func spanHandles() (*obs.Spans, *obs.ActiveSpan) {

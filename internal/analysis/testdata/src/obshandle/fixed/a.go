@@ -5,9 +5,9 @@ package fixed
 
 import "repro/internal/obs"
 
-func handles() (*obs.Registry, *obs.Tracer, *obs.Spans, *obs.ActiveSpan) {
+func handles() (*obs.Registry, *obs.Spans, *obs.ActiveSpan) {
 	s := obs.NewSpans(0)
-	return obs.NewRegistry(), obs.NewTracer(0), s, s.Start("batch", "ingest", 0, obs.SpanContext{})
+	return obs.NewRegistry(), s, s.Start("batch", "ingest", 0, obs.SpanContext{})
 }
 
 func names(r *obs.Registry) {

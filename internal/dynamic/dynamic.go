@@ -157,12 +157,8 @@ type Config struct {
 	// latency histograms (the vebo_* series; see DESIGN.md §6). Nil disables
 	// metric collection at zero cost: the handles degrade to no-ops.
 	Metrics *obs.Registry
-	// Tracer, when set, receives one structured event per lifecycle step
-	// (batch, repair, rebuild, grow, resort, compact) with the cause and
-	// wall-clock duration alongside the modeled work counts. Nil disables
-	// tracing.
-	Tracer *obs.Tracer
-	// Spans, when set, receives causal spans for the same lifecycle steps:
+	// Spans, when set, receives one causal span per lifecycle step, with
+	// its cause and wall-clock duration alongside the modeled work counts:
 	// each batch opens an "ingest" span, maintenance work (repair, rebuild,
 	// grow, spill, resort, compact) files child spans of the batch that
 	// triggered it, and the facade layer parents publish and query spans
@@ -386,14 +382,8 @@ type Graph struct {
 	members [][]graph.VertexID
 
 	// resortNext is the round-robin cursor of the background segment
-	// re-sort; resortPending records an out-of-band disturbance of the
-	// intra-segment order since the last re-sort opportunity. Headroom
-	// admissions do not set it — they append in degree-sorted position —
-	// so today only the swap/rotation counters trigger re-sorts, but the
-	// flag stays as the hook for any future order-decaying path that runs
-	// outside a batch.
-	resortNext    int
-	resortPending bool
+	// re-sort.
+	resortNext int
 
 	// View-delta accumulators, drained by DrainViewDelta.
 	viewNet   map[graph.Edge]int64
@@ -402,10 +392,8 @@ type Graph struct {
 	viewPlace bool
 
 	// m holds the metric handles (no-ops when Config.Metrics is nil — the
-	// struct is always populated so call sites never nil-check) and tr the
-	// lifecycle tracer (nil-tolerant itself).
-	m  dynMetrics
-	tr *obs.Tracer
+	// struct is always populated so call sites never nil-check).
+	m dynMetrics
 
 	// sp collects causal spans (nil-tolerant); curBatch is the in-flight
 	// batch span maintenance steps parent onto, lastBatch the context of the
@@ -447,10 +435,7 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	d.stats.Placements = int64(d.n)
 	d.snapCache, d.snapEpoch = g, 0
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
-	d.tr = cfg.Tracer
 	d.sp = cfg.Spans
-	d.tr.Emit(obs.Event{Kind: "graph", Cause: "build", N: map[string]int64{
-		"vertices": int64(d.n), "edges": d.liveEdges, "partitions": int64(cfg.Partitions)}})
 	d.syncGauges()
 	return d, nil
 }
@@ -589,7 +574,7 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 	if d.cfg.AutoGrow {
 		// Admit for the whole batch up front: one Grow call claims headroom
 		// slots for every arrival in the batch (batched per-partition
-		// admission, one trace event and one gauge sync per batch instead of
+		// admission, one grow span and one gauge sync per batch instead of
 		// per out-of-range update). The admissions stand even if a later
 		// update aborts the batch, like any update applied before the
 		// failure.
@@ -693,11 +678,11 @@ func (d *Graph) refreshGranularity() {
 	d.adaptNext = d.stats.Updates + step
 }
 
-// finishBatch runs the end-of-batch maintenance and fills the result, emitting
-// the lifecycle trace events that answer "what did this epoch do, and why":
-// a "repair" event (cause "threshold-trip") when a gate fired, a "rebuild"
-// event whose cause names which escape hatch forced it, and one "batch"
-// event summarizing the epoch.
+// finishBatch runs the end-of-batch maintenance and fills the result, filing
+// the spans that answer "what did this epoch do, and why": a "repair" span
+// (cause "threshold-trip") when a gate fired, a "rebuild" span whose cause
+// names which escape hatch forced it, a "resort" span when swaps decayed a
+// segment's order, and the "batch" span summarizing the epoch.
 func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	preMoves := d.stats.Swaps + d.stats.Rotations
 	if d.overThreshold() {
@@ -717,15 +702,13 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 		d.sp.Record(obs.Span{
 			Parent: d.curBatch.Context().ID, Name: "repair", Kind: "maintain",
 			Cause: "threshold-trip", Epoch: d.epoch, Start: rstart, Dur: rdur,
-			Attrs: map[string]int64{"swaps": swaps, "rotations": rots, "stalled": b2i(stalled)},
-		})
-		d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "repair", Cause: "threshold-trip", Dur: rdur,
-			N: map[string]int64{
+			Attrs: map[string]int64{
 				"delta_before": preDelta, "delta_after": d.EdgeImbalance(),
 				"vertex_before": preVert, "vertex_after": d.VertexImbalance(),
 				"threshold": d.effEdgeThreshold(), "swaps": swaps, "rotations": rots,
 				"stalled": b2i(stalled),
-			}})
+			},
+		})
 		if d.overThreshold() {
 			// The repair could not pull the imbalances back under their
 			// gates; name why before falling back to the full reorder.
@@ -747,14 +730,12 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			d.sp.Record(obs.Span{
 				Parent: d.curBatch.Context().ID, Name: "rebuild", Kind: "maintain",
 				Cause: cause, Epoch: d.epoch, Start: bstart, Dur: bdur,
-				Attrs: map[string]int64{"placements": int64(d.n)},
-			})
-			d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "rebuild", Cause: cause, Dur: bdur,
-				N: map[string]int64{
+				Attrs: map[string]int64{
 					"placements":   int64(d.n),
 					"delta_after":  d.EdgeImbalance(),
 					"vertex_after": d.VertexImbalance(),
-				}})
+				},
+			})
 		}
 	}
 	// Swaps and rotations decay the degree-descending order inside
@@ -763,40 +744,30 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	// not disturbances — they append in sorted position. A rebuild just
 	// re-established the order everywhere.
 	if !res.Rebuilt && d.cfg.Repair == RepairPreserve && !d.cfg.DisableSegmentResort &&
-		(d.resortPending || d.stats.Swaps+d.stats.Rotations > preMoves) {
+		d.stats.Swaps+d.stats.Rotations > preMoves {
 		sstart := time.Now()
-		d.resortSegment()
+		q, moved := d.resortSegment()
 		d.sp.Record(obs.Span{
 			Parent: d.curBatch.Context().ID, Name: "resort", Kind: "maintain",
-			Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
+			Cause: "locality-decay", Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
+			Attrs: map[string]int64{"partition": int64(q), "moved": moved},
 		})
 	}
-	d.resortPending = false
 	if d.PendingOps() >= d.compactBound() {
-		cstart := time.Now()
 		d.Compact()
 		res.Compacted = true
-		d.sp.Record(obs.Span{
-			Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
-			Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
-		})
 	}
 	res.EdgeImbalance = d.EdgeImbalance()
 	res.VertexImbalance = d.VertexImbalance()
 	d.m.batches.Inc()
 	d.m.batchNS.ObserveSince(start)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "batch", Dur: time.Since(start),
-		N: map[string]int64{
-			"applied": int64(res.Applied), "admitted": int64(res.Admitted),
-			"edge_imbalance": res.EdgeImbalance, "vertex_imbalance": res.VertexImbalance,
-			"repaired": b2i(res.Repaired), "rebuilt": b2i(res.Rebuilt),
-			"compacted": b2i(res.Compacted),
-		}})
 	// Close out the epoch's causal root. The post-batch epoch is what views
 	// of this batch will be pinned to, so the span settles there.
 	d.curBatch.SetEpoch(d.epoch).
 		Attr("applied", int64(res.Applied)).Attr("admitted", int64(res.Admitted)).
 		Attr("repaired", b2i(res.Repaired)).Attr("rebuilt", b2i(res.Rebuilt)).
+		Attr("compacted", b2i(res.Compacted)).
+		Attr("edge_imbalance", res.EdgeImbalance).Attr("vertex_imbalance", res.VertexImbalance).
 		End()
 	d.lastBatch = d.curBatch.Context()
 	d.curBatch = nil
@@ -874,10 +845,10 @@ func (d *Graph) Grow(count int) graph.VertexID {
 	}
 	d.stats.Admitted += int64(count)
 	d.stats.Placements += int64(count)
-	// No resortPending: a headroom admission appends a zero-degree vertex
+	// No re-sort is owed: a headroom admission appends a zero-degree vertex
 	// with the largest ID at its segment's occupied tail, which is exactly
 	// where the degree-descending (ID-ascending on ties) order wants it —
-	// admissions no longer decay the layout the background re-sort repairs.
+	// admissions do not decay the layout the background re-sort repairs.
 	d.touch()
 	cause := "growth-headroom"
 	if spills > 0 {
@@ -886,13 +857,11 @@ func (d *Graph) Grow(count int) graph.VertexID {
 	free, _ := d.Headroom()
 	d.m.admitted.Add(int64(count))
 	d.m.growNS.ObserveSince(gstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "grow", Cause: cause, Dur: time.Since(gstart),
-		N: map[string]int64{"admitted": int64(count), "vertices": int64(d.n),
-			"spills": spills, "headroom_free": free}})
 	d.sp.Record(obs.Span{
 		Parent: d.curBatch.Context().ID, Name: "grow", Kind: "maintain",
 		Cause: cause, Epoch: d.epoch, Start: gstart, Dur: time.Since(gstart),
-		Attrs: map[string]int64{"admitted": int64(count), "spills": spills, "headroom_free": free},
+		Attrs: map[string]int64{"admitted": int64(count), "vertices": int64(d.n),
+			"spills": spills, "headroom_free": free},
 	})
 	d.syncGauges()
 	return first
@@ -965,7 +934,7 @@ func (d *Graph) SlotCounts() []int64 {
 	return append([]int64(nil), d.segCap...)
 }
 
-// b2i renders a bool as a trace count.
+// b2i renders a bool as a span attribute count.
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -980,15 +949,16 @@ func b2i(b bool) int64 {
 // tail, so segments slowly lose the layout that gives dense traversal its
 // locality; the re-sort is a segment-local permutation — exactly the shape
 // the engine patch paths already handle — recorded in the view delta's
-// moved set like any swap.
-func (d *Graph) resortSegment() {
+// moved set like any swap. Returns the re-sorted partition and how many of
+// its vertices moved.
+func (d *Graph) resortSegment() (q int, moves int64) {
 	d.ensureOrdering()
 	d.ensureMembers()
-	q := d.resortNext % d.cfg.Partitions
+	q = d.resortNext % d.cfg.Partitions
 	d.resortNext++
 	l := d.members[q]
 	if len(l) < 2 {
-		return
+		return q, 0
 	}
 	byPos := append([]graph.VertexID(nil), l...)
 	sort.Slice(byPos, func(i, j int) bool { return d.ordPerm[byPos[i]] < d.ordPerm[byPos[j]] })
@@ -1006,7 +976,7 @@ func (d *Graph) resortSegment() {
 		}
 	}
 	if len(moved) == 0 {
-		return
+		return q, 0
 	}
 	pos := make([]graph.VertexID, len(byPos))
 	for i, v := range byPos {
@@ -1025,8 +995,7 @@ func (d *Graph) resortSegment() {
 	d.stats.Resorts++
 	d.stats.ResortedVertices += int64(len(moved))
 	d.m.resorts.Inc()
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "resort", Cause: "locality-decay",
-		N: map[string]int64{"partition": int64(q), "moved": int64(len(moved))}})
+	return q, int64(len(moved))
 }
 
 func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
@@ -1660,14 +1629,18 @@ func (d *Graph) placementChanged() {
 	d.members = nil
 }
 
-// Rebuild forces a full reorder regardless of the thresholds.
+// Rebuild forces a full reorder regardless of the thresholds. It runs
+// outside any batch, so its "rebuild" span has no parent.
 func (d *Graph) Rebuild() {
 	bstart := time.Now()
 	d.rebuild()
 	d.m.rebuildForced.Inc()
 	d.m.rebuildNS.ObserveSince(bstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "rebuild", Cause: "forced", Dur: time.Since(bstart),
-		N: map[string]int64{"placements": int64(d.n)}})
+	d.sp.Record(obs.Span{
+		Name: "rebuild", Kind: "maintain",
+		Cause: "forced", Epoch: d.epoch, Start: bstart, Dur: time.Since(bstart),
+		Attrs: map[string]int64{"placements": int64(d.n)},
+	})
 	d.syncGauges()
 }
 
@@ -1794,7 +1767,9 @@ func (d *Graph) Snapshot() *graph.Graph {
 
 // Compact promotes the current snapshot to the new base graph and clears the
 // delta log. Engines holding older snapshots (and views holding older
-// freezes) are unaffected: the old base and log prefix stay immutable.
+// freezes) are unaffected: the old base and log prefix stay immutable. The
+// "compact" span parents onto the batch whose log bound triggered it, or
+// onto nothing for a direct call.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
@@ -1807,8 +1782,11 @@ func (d *Graph) Compact() {
 	d.stats.Compactions++
 	d.m.compactions.Inc()
 	d.m.compactNS.ObserveSince(cstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "compact", Cause: "log-bound", Dur: time.Since(cstart),
-		N: map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges}})
+	d.sp.Record(obs.Span{
+		Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
+		Cause: "log-bound", Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
+		Attrs: map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges},
+	})
 }
 
 // ensureOrdering makes the cached permutation current. The full

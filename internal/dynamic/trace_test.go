@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"sort"
 	"strconv"
 	"testing"
 
@@ -8,45 +9,59 @@ import (
 	"repro/internal/obs"
 )
 
-// instrumented builds a dynamic graph with a live registry and tracer, the
-// configuration every trace regression below scrapes.
-func instrumented(t *testing.T, g *graph.Graph, cfg Config) (*Graph, *obs.Registry, *obs.Tracer) {
+// instrumented builds a dynamic graph with a live registry and span ring,
+// the configuration every span regression below scrapes.
+func instrumented(t *testing.T, g *graph.Graph, cfg Config) (*Graph, *obs.Registry, *obs.Spans) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(256)
+	sp := obs.NewSpans(256)
 	cfg.Metrics = reg
-	cfg.Tracer = tr
+	cfg.Spans = sp
 	d, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, reg, tr
+	return d, reg, sp
 }
 
-// findEvent returns the last trace event matching kind (and cause, when
-// non-empty).
-func findEvent(evs []obs.Event, kind, cause string) *obs.Event {
-	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].Kind == kind && (cause == "" || evs[i].Cause == cause) {
-			return &evs[i]
+// findSpan returns the last retained span named name (and carrying cause,
+// when non-empty).
+func findSpan(spans []obs.Span, name, cause string) *obs.Span {
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Name == name && (cause == "" || spans[i].Cause == cause) {
+			return &spans[i]
 		}
 	}
 	return nil
 }
 
+// epochStory returns the retained spans pinned to epoch in causal order
+// (span IDs are assigned at start, so a parent precedes its children and
+// maintenance steps appear in the order they ran).
+func epochStory(sp *obs.Spans, epoch int64) []obs.Span {
+	var story []obs.Span
+	for _, s := range sp.Snapshot() {
+		if s.Epoch == epoch {
+			story = append(story, s)
+		}
+	}
+	sort.Slice(story, func(i, j int) bool { return story[i].ID < story[j].ID })
+	return story
+}
+
 // TestTraceThresholdTrip pins the first required cause annotation: a
-// Δ(n)-gated repair must leave a "repair" event with cause "threshold-trip"
+// Δ(n)-gated repair must leave a "repair" span with cause "threshold-trip"
 // carrying the before/after imbalances, so the epoch's story is readable
-// from the trace alone.
+// from the span ring alone. The swaps it performs decay the segment order,
+// so the batch also files a "resort" span with cause "locality-decay".
 func TestTraceThresholdTrip(t *testing.T) {
 	const D = 10
 	g := hostileDegreeGraph(t)
-	d, reg, tr := instrumented(t, g, Config{
+	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               3,
 		RebuildThreshold:         D/2 + 1,
 		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
-		DisableSegmentResort:     true,
 	})
 	// Same overload as TestSwapRepairRotationFallback: one coarse-class
 	// vertex gains exactly D in-edges, which the pair search cannot fix but
@@ -80,31 +95,43 @@ func TestTraceThresholdTrip(t *testing.T) {
 		t.Fatalf("expected a pure repair batch, got %+v", res)
 	}
 
-	ev := findEvent(tr.Events(), "repair", "threshold-trip")
-	if ev == nil {
-		t.Fatalf("no repair/threshold-trip event in trace: %+v", tr.Events())
+	spans := sp.Snapshot()
+	rep := findSpan(spans, "repair", "threshold-trip")
+	if rep == nil {
+		t.Fatalf("no repair/threshold-trip span: %+v", spans)
 	}
-	if ev.Epoch != d.Epoch() {
-		t.Fatalf("repair event epoch %d, graph epoch %d", ev.Epoch, d.Epoch())
+	if rep.Epoch != d.Epoch() {
+		t.Fatalf("repair span epoch %d, graph epoch %d", rep.Epoch, d.Epoch())
 	}
-	if ev.N["delta_before"] <= ev.N["threshold"] {
-		t.Fatalf("repair event claims gate did not trip: %+v", ev.N)
+	if rep.Attrs["delta_before"] <= rep.Attrs["threshold"] {
+		t.Fatalf("repair span claims gate did not trip: %+v", rep.Attrs)
 	}
-	if ev.N["delta_after"] >= ev.N["delta_before"] {
-		t.Fatalf("repair event shows no improvement: %+v", ev.N)
+	if rep.Attrs["delta_after"] >= rep.Attrs["delta_before"] {
+		t.Fatalf("repair span shows no improvement: %+v", rep.Attrs)
 	}
-	if ev.N["rotations"] == 0 || ev.N["stalled"] != 0 {
-		t.Fatalf("hostile-degree repair should rotate without stalling: %+v", ev.N)
+	if rep.Attrs["rotations"] == 0 || rep.Attrs["stalled"] != 0 {
+		t.Fatalf("hostile-degree repair should rotate without stalling: %+v", rep.Attrs)
 	}
-	if ev.Dur <= 0 {
-		t.Fatalf("repair event missing wall-clock duration")
+	if rep.Dur <= 0 {
+		t.Fatalf("repair span missing wall-clock duration")
 	}
-	// The batch summary event closes the epoch.
-	if be := findEvent(tr.Events(), "batch", ""); be == nil || be.N["repaired"] != 1 {
-		t.Fatalf("batch event missing or not marked repaired: %+v", be)
+	// The batch span closes the epoch and parents its maintenance.
+	be := findSpan(spans, "batch", "")
+	if be == nil || be.Attrs["repaired"] != 1 || be.Attrs["edge_imbalance"] != d.EdgeImbalance() {
+		t.Fatalf("batch span missing or not marked repaired: %+v", be)
+	}
+	if rep.Parent != be.ID {
+		t.Fatalf("repair span parent %d, want batch %d", rep.Parent, be.ID)
+	}
+	rs := findSpan(spans, "resort", "locality-decay")
+	if rs == nil || rs.Parent != be.ID {
+		t.Fatalf("swapping batch filed no resort/locality-decay child: %+v", rs)
+	}
+	if _, ok := rs.Attrs["partition"]; !ok || rs.Attrs["moved"] < 0 {
+		t.Fatalf("resort span attrs = %+v", rs.Attrs)
 	}
 
-	// Registry counters mirror the trace.
+	// Registry counters mirror the spans.
 	if got := reg.Counter("vebo_repairs_total").Value(); got != 1 {
 		t.Fatalf("vebo_repairs_total = %d", got)
 	}
@@ -120,14 +147,15 @@ func TestTraceThresholdTrip(t *testing.T) {
 // TestTraceRotationStall pins the second required cause annotation: when the
 // pair search finds nothing and no intermediate partition exists (P=2), the
 // repair stalls and the forced full rebuild must be annotated
-// "rotation-stall" — the trace alone answers "why did epoch E rebuild
-// instead of patch".
+// "rotation-stall" — the span ring alone answers "why did epoch E rebuild
+// instead of patch". Direct Rebuild and Compact calls, which run outside
+// any batch, file parentless "forced" and "log-bound" spans.
 func TestTraceRotationStall(t *testing.T) {
 	g, err := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, reg, tr := instrumented(t, g, Config{
+	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               2,
 		RebuildThreshold:         1,
 		VertexRebuildThreshold:   1 << 40,
@@ -149,23 +177,29 @@ func TestTraceRotationStall(t *testing.T) {
 		t.Fatalf("scenario no longer forces a rebuild: %+v", res)
 	}
 
-	evs := tr.Events()
-	reb := findEvent(evs, "rebuild", "")
+	reb := findSpan(sp.Snapshot(), "rebuild", "")
 	if reb == nil {
-		t.Fatalf("no rebuild event in trace: %+v", evs)
+		t.Fatalf("no rebuild span: %+v", sp.Snapshot())
 	}
 	if reb.Cause != "rotation-stall" {
 		t.Fatalf("rebuild cause = %q, want rotation-stall", reb.Cause)
 	}
-	// The full epoch story: EventsForEpoch(E) alone explains the rebuild —
-	// a gated repair that stalled, then the rebuild naming the stall.
-	story := tr.EventsForEpoch(reb.Epoch)
-	rep := findEvent(story, "repair", "threshold-trip")
-	if rep == nil || rep.N["stalled"] != 1 {
+	// The full epoch story: the spans pinned to E, in ID order, alone
+	// explain the rebuild — the batch, a gated repair that stalled, then the
+	// rebuild naming the stall.
+	story := epochStory(sp, reb.Epoch)
+	if len(story) != 3 || story[0].Name != "batch" {
+		t.Fatalf("epoch %d story = %+v, want batch, repair, rebuild", reb.Epoch, story)
+	}
+	rep := findSpan(story, "repair", "threshold-trip")
+	if rep == nil || rep.Attrs["stalled"] != 1 {
 		t.Fatalf("epoch %d story lacks a stalled repair: %+v", reb.Epoch, story)
 	}
-	if rep.Seq >= reb.Seq {
-		t.Fatalf("repair (seq %d) not ordered before rebuild (seq %d)", rep.Seq, reb.Seq)
+	if rep.ID >= reb.ID {
+		t.Fatalf("repair (span %d) not ordered before rebuild (span %d)", rep.ID, reb.ID)
+	}
+	if reb.Attrs["delta_after"] != d.EdgeImbalance() || reb.Attrs["vertex_after"] != d.VertexImbalance() {
+		t.Fatalf("rebuild span attrs %+v disagree with the graph", reb.Attrs)
 	}
 
 	if got := reg.Counter("vebo_rebuilds_total", "cause", "rotation-stall").Value(); got != 1 {
@@ -173,6 +207,78 @@ func TestTraceRotationStall(t *testing.T) {
 	}
 	if st := d.Stats(); st.RotationStalls == 0 {
 		t.Fatalf("RotationStalls = 0, want > 0 (stats: %+v)", st)
+	}
+
+	pending := d.PendingOps()
+	d.Rebuild()
+	d.Compact()
+	forced := findSpan(sp.Snapshot(), "rebuild", "forced")
+	if forced == nil || forced.Parent != 0 || forced.Attrs["placements"] != int64(d.NumVertices()) {
+		t.Fatalf("direct Rebuild filed %+v, want a parentless rebuild/forced span", forced)
+	}
+	if got := reg.Counter("vebo_rebuilds_total", "cause", "forced").Value(); got != 1 {
+		t.Fatalf("vebo_rebuilds_total{cause=forced} = %d", got)
+	}
+	cs := findSpan(sp.Snapshot(), "compact", "log-bound")
+	if cs == nil || cs.Parent != 0 || cs.Attrs["pending_ops"] != pending || cs.Attrs["base_edges"] != d.NumEdges() {
+		t.Fatalf("direct Compact filed %+v, want compact/log-bound with pending_ops=%d base_edges=%d",
+			cs, pending, d.NumEdges())
+	}
+}
+
+// TestTraceRebuildCauses pins the remaining batch rebuild causes: a δ(n)
+// gate that a swap repair (which never changes vertex counts) cannot close
+// is "vertex-threshold", and a replace-mode repair that leaves Δ(n) over
+// its gate is "repair-shortfall".
+func TestTraceRebuildCauses(t *testing.T) {
+	// Vertex 0 takes four in-edges, the other four vertices one each, so
+	// VEBO places 0 alone against the rest: δ(n)=3 at Δ(n)=0.
+	var star []graph.Edge
+	for v := graph.VertexID(1); v <= 4; v++ {
+		star = append(star, graph.Edge{Src: v, Dst: 0, Weight: 1}, graph.Edge{Src: 0, Dst: v, Weight: 1})
+	}
+	g1, err := graph.FromEdges(5, star, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pile []graph.EdgeUpdate
+	for i := 0; i < 10; i++ {
+		pile = append(pile, graph.EdgeUpdate{Src: graph.VertexID(1 + i%3), Dst: 0})
+	}
+	for _, tc := range []struct {
+		cause string
+		g     *graph.Graph
+		cfg   Config
+		batch []graph.EdgeUpdate
+	}{
+		{"vertex-threshold", g1, Config{
+			Partitions: 2, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1,
+			DisableAdaptiveThreshold: true, DisableSegmentResort: true,
+		}, []graph.EdgeUpdate{{Src: 1, Dst: 2}}},
+		{"repair-shortfall", g2, Config{
+			Partitions: 2, RebuildThreshold: 1, VertexRebuildThreshold: 1 << 40,
+			DisableAdaptiveThreshold: true, Repair: RepairReplace,
+		}, pile},
+	} {
+		d, reg, sp := instrumented(t, tc.g, tc.cfg)
+		res, err := d.ApplyBatch(tc.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Rebuilt {
+			t.Fatalf("%s: scenario no longer forces a rebuild: %+v", tc.cause, res)
+		}
+		reb := findSpan(sp.Snapshot(), "rebuild", "")
+		if reb == nil || reb.Cause != tc.cause {
+			t.Fatalf("rebuild span = %+v, want cause %s", reb, tc.cause)
+		}
+		if got := reg.Counter("vebo_rebuilds_total", "cause", tc.cause).Value(); got != 1 {
+			t.Fatalf("vebo_rebuilds_total{cause=%s} = %d", tc.cause, got)
+		}
 	}
 }
 
@@ -189,25 +295,31 @@ func TestTraceGrowthSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, reg, tr := instrumented(t, g, Config{Partitions: 4})
+	d, reg, sp := instrumented(t, g, Config{Partitions: 4})
+	// Cache the compact ordering first, as a published view does, so the
+	// first growth has to relabel it into slotted form.
+	d.Ordering()
 	if first := d.Grow(3); first != 12 {
 		t.Fatalf("first admitted ID %d, want 12", first)
 	}
-	ev := findEvent(tr.Events(), "grow", "")
-	if ev == nil {
-		t.Fatalf("no grow event in trace: %+v", tr.Events())
+	gs := findSpan(sp.Snapshot(), "grow", "")
+	if gs == nil {
+		t.Fatalf("no grow span: %+v", sp.Snapshot())
 	}
-	if ev.Cause != "growth-headroom" {
-		t.Fatalf("grow cause = %q, want growth-headroom (N=%+v)", ev.Cause, ev.N)
+	if gs.Cause != "growth-headroom" {
+		t.Fatalf("grow cause = %q, want growth-headroom (attrs %+v)", gs.Cause, gs.Attrs)
 	}
-	if ev.N["admitted"] != 3 || ev.N["vertices"] != 15 || ev.N["spills"] != 0 {
-		t.Fatalf("grow event N = %+v", ev.N)
+	if gs.Attrs["admitted"] != 3 || gs.Attrs["vertices"] != 15 || gs.Attrs["spills"] != 0 {
+		t.Fatalf("grow span attrs = %+v", gs.Attrs)
 	}
 	free, capacity := d.Headroom()
-	if capacity == 0 || ev.N["headroom_free"] != free {
-		t.Fatalf("Headroom() = (%d, %d), event free %d", free, capacity, ev.N["headroom_free"])
+	if capacity == 0 || gs.Attrs["headroom_free"] != free {
+		t.Fatalf("Headroom() = (%d, %d), span free %d", free, capacity, gs.Attrs["headroom_free"])
 	}
 	// The conversion of a compact lineage to a slotted one is not a spill.
+	if s := findSpan(sp.Snapshot(), "spill", ""); s == nil || s.Cause != "first-growth" {
+		t.Fatalf("slotting spill span = %+v, want cause first-growth", s)
+	}
 	if got := reg.Counter("vebo_headroom_spill_total").Value(); got != 0 {
 		t.Fatalf("vebo_headroom_spill_total = %d after headroom admissions", got)
 	}
@@ -227,14 +339,17 @@ func TestTraceGrowthSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, reg2, tr2 := instrumented(t, g2, Config{Partitions: 2, MinHeadroom: 1, HeadroomFrac: -1})
+	d2, reg2, sp2 := instrumented(t, g2, Config{Partitions: 2, MinHeadroom: 1, HeadroomFrac: -1})
 	d2.Grow(3)
-	ev2 := findEvent(tr2.Events(), "grow", "")
-	if ev2 == nil || ev2.Cause != "growth-spill" {
-		t.Fatalf("exhausted grow cause = %+v, want growth-spill", ev2)
+	gs2 := findSpan(sp2.Snapshot(), "grow", "")
+	if gs2 == nil || gs2.Cause != "growth-spill" {
+		t.Fatalf("exhausted grow span = %+v, want growth-spill", gs2)
 	}
-	if ev2.N["spills"] != 1 {
-		t.Fatalf("spill grow event N = %+v", ev2.N)
+	if gs2.Attrs["spills"] != 1 {
+		t.Fatalf("spill grow span attrs = %+v", gs2.Attrs)
+	}
+	if s := findSpan(sp2.Snapshot(), "spill", "headroom-exhausted"); s == nil {
+		t.Fatalf("no spill/headroom-exhausted span: %+v", sp2.Snapshot())
 	}
 	if got := reg2.Counter("vebo_headroom_spill_total").Value(); got != 1 {
 		t.Fatalf("vebo_headroom_spill_total = %d, want 1", got)

@@ -6,14 +6,13 @@ import "net/http"
 //
 //	/metrics      — Prometheus text exposition of the registry
 //	/metrics.json — the same registry as a JSON array
-//	/trace        — the tracer's retained events as JSON
 //	/spans        — the causal span ring as Chrome Trace Event JSON
 //	                (load in Perfetto or chrome://tracing)
 //
-// Any argument may be nil (the endpoint then renders empty). A
+// Either argument may be nil (the endpoint then renders empty). A
 // RuntimeSampler is attached to r: each /metrics and /metrics.json scrape
 // refreshes the go_* process-health series before rendering.
-func Register(mux *http.ServeMux, r *Registry, t *Tracer, s *Spans) {
+func Register(mux *http.ServeMux, r *Registry, s *Spans) {
 	rt := NewRuntimeSampler(r)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		rt.Sample()
@@ -25,10 +24,6 @@ func Register(mux *http.ServeMux, r *Registry, t *Tracer, s *Spans) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = t.WriteJSON(w)
-	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = s.WriteChromeTrace(w)
@@ -36,8 +31,8 @@ func Register(mux *http.ServeMux, r *Registry, t *Tracer, s *Spans) {
 }
 
 // Handler returns an http.Handler serving the Register endpoints.
-func Handler(r *Registry, t *Tracer, s *Spans) http.Handler {
+func Handler(r *Registry, s *Spans) http.Handler {
 	mux := http.NewServeMux()
-	Register(mux, r, t, s)
+	Register(mux, r, s)
 	return mux
 }

@@ -1,16 +1,16 @@
 // Package obs is the zero-dependency observability substrate of the serving
 // stack: a race-safe metrics registry (atomic counters, gauges and
 // log-bucketed latency histograms, with optional label sets per series) and
-// an epoch-lifecycle tracer (a bounded ring buffer of structured events
-// recording, per epoch, what the ingest/repair/publish/patch pipeline did
-// and why). Both sides are deliberately nil-tolerant: every method is a
-// no-op on a nil receiver, so instrumented packages thread handles through
-// unconditionally and pay nothing when observability is disabled.
+// a causal span ring (a bounded ring of parent-linked spans recording, per
+// epoch, what the ingest/repair/publish/patch pipeline did and why). Both
+// sides are deliberately nil-tolerant: every method is a no-op on a nil
+// receiver, so instrumented packages thread handles through unconditionally
+// and pay nothing when observability is disabled.
 //
 // Metric names follow the Prometheus convention (snake_case, `_total`
 // suffix on counters); WritePrometheus renders the registry in the
 // Prometheus text exposition format with histograms as quantile summaries.
-// See DESIGN.md §6 for the metric and trace vocabulary the system emits.
+// See DESIGN.md §6 for the metric and span vocabulary the system emits.
 package obs
 
 import (

@@ -28,9 +28,10 @@ type SpanContext struct {
 // the batch that tripped it, a query span is a child of the publish span
 // of the epoch it read — and Epoch pins the span to the mutation epoch it
 // acted on. Kind buckets spans onto exporter tracks ("ingest", "maintain",
-// "publish", "build", "query"); Cause carries the decision vocabulary the
-// tracer already uses (rebuild causes, refine answer paths); see DESIGN.md
-// §6.
+// "publish", "build", "query"); Name says what happened and Cause why
+// (rebuild causes, growth causes, refine answer paths); Attrs carries the
+// modeled work counts next to the wall-clock Dur. See DESIGN.md §6 for the
+// vocabulary.
 type Span struct {
 	ID     SpanID           `json:"id"`
 	Parent SpanID           `json:"parent,omitempty"`
@@ -115,8 +116,8 @@ func (s *Spans) file(sp Span) {
 		s.buf = append(s.buf, sp)
 		return
 	}
-	// Overwrite the oldest slot, like the tracer ring: completion order is
-	// the ring order.
+	// Overwrite the oldest slot (the ring index is the filing count modulo
+	// capacity): completion order is the ring order.
 	s.buf[int((s.recorded-1)%uint64(cap(s.buf)))] = sp
 }
 

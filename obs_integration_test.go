@@ -119,7 +119,7 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 		}
 	}
 
-	// /metrics.json round-trips, and /trace serves the epoch event ring.
+	// /metrics.json round-trips.
 	var series []struct {
 		Name  string `json:"name"`
 		Value int64  `json:"value"`
@@ -129,15 +129,5 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	}
 	if len(series) == 0 {
 		t.Fatalf("/metrics.json empty")
-	}
-	var snap struct {
-		Emitted uint64            `json:"emitted"`
-		Events  []json.RawMessage `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(scrape(t, srv.URL, "/trace")), &snap); err != nil {
-		t.Fatalf("/trace invalid: %v", err)
-	}
-	if snap.Emitted == 0 || len(snap.Events) == 0 {
-		t.Fatalf("/trace has no events: %+v", snap)
 	}
 }

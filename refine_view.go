@@ -153,10 +153,9 @@ const prScratchIters = 400
 const DefaultRefineEps = 1e-9
 
 // observeRefine records one Refine* query: per-(alg, path) counters, a
-// per-(alg, sys) latency histogram, a "refine" trace event, a staleness
-// sample, and a "query" span child-linked to the publish span of v's epoch
-// whose cause names the answer path (cached/scratch-seed/refined/
-// scratch-fallback).
+// per-(alg, sys) latency histogram, a staleness sample, and a "query" span
+// child-linked to the publish span of v's epoch whose cause names the
+// answer path (cached/scratch-seed/refined/scratch-fallback).
 func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Time, st RefineStats) {
 	since := time.Since(start)
 	w.reg.Counter("vebo_refine_total", "alg", alg, "path", st.Path).Inc()
@@ -164,11 +163,6 @@ func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Tim
 	w.reg.Counter("vebo_refine_vertices_total", "kind", "reset").Add(int64(st.ResetVertices))
 	w.reg.Counter("vebo_refine_vertices_total", "kind", "frontier").Add(int64(st.FrontierVertices))
 	w.epochAge.Observe(int64(time.Since(v.published)))
-	w.tr.Emit(obs.Event{Epoch: v.epoch, Kind: "refine", Cause: st.Path, Sys: sys.String(),
-		Dur: since, N: map[string]int64{
-			"reset": int64(st.ResetVertices), "frontier": int64(st.FrontierVertices),
-			"seed_epoch": st.SeedEpoch,
-		}})
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "query:refine-" + alg, Kind: "query", Cause: st.Path,
 		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since,

@@ -103,6 +103,69 @@ func TestQuerySpansLinkToPublish(t *testing.T) {
 	}
 }
 
+// TestSpanBuildQueryVocabulary checks that every graph/engine construction
+// cause and every refine answer path of the DESIGN.md §6 vocabulary is filed
+// as a span, and that publish spans carry their lineage attributes. The
+// maintenance causes are pinned in internal/dynamic's span tests.
+func TestSpanBuildQueryVocabulary(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.03, 3000, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epoch 0 builds everything from scratch and seeds a refine capture,
+	// which a second identical query then answers from cache.
+	query := func(v *View) {
+		t.Helper()
+		v.Snapshot()
+		for _, sys := range []System{Ligra, GraphGrind} {
+			if _, err := v.BFS(sys, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := v.RefineBFS(Ligra, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query(d.View())
+	if _, _, err := d.View().RefineBFS(Ligra, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A small batch: the next view patches its graphs and engines and
+	// refines from the capture.
+	applyStream(t, d, updates[:64], 64)
+	query(d.View())
+	// A huge batch: refinement falls back to scratch.
+	applyStream(t, d, updates[64:], len(updates))
+	if _, _, err := d.View().RefineBFS(Ligra, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make(map[string]bool)
+	for _, sp := range d.Spans().Snapshot() {
+		seen[sp.Name+"/"+sp.Cause] = true
+		if sp.Kind == "publish" {
+			if _, ok := sp.Attrs["renum_epoch"]; !ok {
+				t.Fatalf("publish span of epoch %d lacks renum_epoch: %+v", sp.Epoch, sp.Attrs)
+			}
+		}
+	}
+	for _, want := range []string{
+		"graph/snapshot-build", "graph/snapshot-patch", "graph/reorder-build", "graph/reorder-patch",
+		"engine/build", "engine/patch", "engine/rebind",
+		"query:bfs/full",
+		"query:refine-bfs/" + RefineScratchSeed, "query:refine-bfs/" + RefineCached,
+		"query:refine-bfs/" + RefineRefined, "query:refine-bfs/" + RefineScratchFallback,
+	} {
+		if !seen[want] {
+			t.Errorf("no %s span filed", want)
+		}
+	}
+}
+
 // TestEpochAgeGrowsBetweenPublishes is the staleness regression test:
 // vebo_epoch_age_ns samples grow monotonically while no new epoch is
 // published, then drop once a fresh view supersedes the stale one.

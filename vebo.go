@@ -294,16 +294,13 @@ type DynamicOptions struct {
 	// epoch's. Exists for the engine-build amortization experiment
 	// (bench -exp view).
 	DisableViewReuse bool
-	// TraceCapacity sizes the epoch-lifecycle trace ring (number of retained
-	// events; default obs.DefaultTraceCapacity). The tracer and the metrics
-	// registry are always on — both are lock-free atomics on the hot paths —
-	// and reachable via Metrics, Trace and ObsHandler.
-	TraceCapacity int
 	// SpanCapacity sizes the causal span ring (number of retained spans;
-	// default obs.DefaultSpanCapacity). Spans link each query to the publish
-	// span of the epoch it read and each maintenance step to the batch that
-	// triggered it; reachable via Spans and exported as Chrome Trace Event
-	// JSON on the /spans endpoint of ObsHandler and serve -http.
+	// default obs.DefaultSpanCapacity). The span ring and the metrics
+	// registry are always on. Spans record every lifecycle step with its
+	// cause, linking each query to the publish span of the epoch it read and
+	// each maintenance step to the batch that triggered it; reachable via
+	// Spans and exported as Chrome Trace Event JSON on the /spans endpoint of
+	// ObsHandler and serve -http.
 	SpanCapacity int
 }
 
@@ -320,7 +317,6 @@ type Dynamic struct {
 	reuse   bool
 	work    *viewWork
 	reg     *obs.Registry
-	tracer  *obs.Tracer
 	spans   *obs.Spans
 	cur     atomic.Pointer[View]
 
@@ -345,7 +341,6 @@ type Dynamic struct {
 // and publishing the epoch-0 view.
 func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(opts.TraceCapacity)
 	spans := obs.NewSpans(opts.SpanCapacity)
 	inner, err := dynamic.New(g, dynamic.Config{
 		Partitions:               opts.Partitions,
@@ -359,7 +354,6 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		HeadroomFrac:             opts.HeadroomFrac,
 		DisableSegmentResort:     opts.DisableSegmentResort,
 		Metrics:                  reg,
-		Tracer:                   tracer,
 		Spans:                    spans,
 	})
 	if err != nil {
@@ -369,9 +363,8 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		inner:   inner,
 		engOpts: opts.Engine,
 		reuse:   !opts.DisableViewReuse,
-		work:    newViewWork(reg, tracer, spans),
+		work:    newViewWork(reg, spans),
 		reg:     reg,
-		tracer:  tracer,
 		spans:   spans,
 	}
 	d.publish(time.Now())
@@ -381,12 +374,6 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 // MetricsRegistry re-exports the observability registry type; see
 // internal/obs and DESIGN.md §6 for the metric vocabulary.
 type MetricsRegistry = obs.Registry
-
-// Tracer re-exports the epoch-lifecycle tracer type.
-type Tracer = obs.Tracer
-
-// TraceEvent re-exports one structured epoch-lifecycle trace event.
-type TraceEvent = obs.Event
 
 // SpanCollector re-exports the causal span ring: completed spans linking
 // each query to the publish span of the epoch it read, and each
@@ -401,23 +388,18 @@ type SpanEvent = obs.Span
 // Safe from any goroutine.
 func (d *Dynamic) Metrics() *MetricsRegistry { return d.reg }
 
-// Trace returns the epoch-lifecycle tracer: a bounded ring of structured
-// events recording, per epoch, what the pipeline did and why (batch applied,
-// threshold tripped, repair vs rotation vs rebuild, growth admission, engine
-// patched vs rebuilt). Safe from any goroutine.
-func (d *Dynamic) Trace() *Tracer { return d.tracer }
-
-// Spans returns the causal span ring. Every batch, maintenance step,
-// publish and query files a span; parent links encode the causality
+// Spans returns the causal span ring: per epoch, what the pipeline did and
+// why. Every batch, maintenance step (threshold-tripped repair, rebuild and
+// its cause, growth admission), publish, graph/engine build (patched vs
+// rebuilt) and query files a span; parent links encode the causality
 // (batch → repair/rebuild/grow → publish → query). Safe from any
 // goroutine; export via SpanCollector.WriteChromeTrace or the /spans
 // endpoint.
 func (d *Dynamic) Spans() *SpanCollector { return d.spans }
 
 // ObsHandler returns an http.Handler serving /metrics (Prometheus text),
-// /metrics.json, /trace and /spans (Chrome Trace Event JSON) for this
-// graph.
-func (d *Dynamic) ObsHandler() http.Handler { return obs.Handler(d.reg, d.tracer, d.spans) }
+// /metrics.json and /spans (Chrome Trace Event JSON) for this graph.
+func (d *Dynamic) ObsHandler() http.Handler { return obs.Handler(d.reg, d.spans) }
 
 // ApplyBatch applies the updates in order, runs the threshold-gated
 // incremental ordering maintenance at the end of the batch, and publishes a
@@ -538,38 +520,6 @@ func (d *Dynamic) Headroom() (free, capacity int64) { return d.inner.Headroom() 
 
 // Compact promotes the current snapshot to the new delta-log base.
 func (d *Dynamic) Compact() { d.inner.Compact() }
-
-// NewEngine builds the selected framework model over the current view's
-// snapshot, reordered with its VEBO ordering and partitioned on its
-// boundaries. The engine keeps traversing its epoch even while the dynamic
-// graph continues to mutate.
-//
-// Deprecated: use View().Engine (or the View algorithm methods), which
-// additionally caches engines per epoch and patches them incrementally
-// across epochs. NewEngine remains as a thin shim for callers that need
-// non-default per-call EngineOptions; it reuses the view's cached relabeled
-// graph but constructs a fresh engine every call.
-func (d *Dynamic) NewEngine(sys System, opts EngineOptions) (Engine, error) {
-	v := d.View()
-	rg, err := v.Reordered()
-	if err != nil {
-		return nil, err
-	}
-	r := v.Ordering()
-	if opts.Bounds == nil {
-		switch sys {
-		case Polymer:
-			// Polymer wants one partition per socket.
-			opts.Bounds = core.CoarsenBounds(r.Boundaries(), opts.topology().Sockets)
-		default:
-			opts.Bounds = r.Boundaries()
-			if opts.Partitions == 0 {
-				opts.Partitions = d.inner.Partitions()
-			}
-		}
-	}
-	return NewEngine(sys, rg, opts)
-}
 
 // GenerateStream builds the named recipe graph and a derived churn stream of
 // ops timestamped edge updates whose deletion rate and attachment skew match

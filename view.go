@@ -106,11 +106,10 @@ func (s *engineSlot) peek() Engine {
 // lifetime; readers add to it from whichever goroutine triggers a lazy build.
 // The counters live in the Dynamic's metrics registry (the vebo_view_* and
 // vebo_query_* series), so the modeled work units and the wall-clock
-// latencies land side by side in one scrape; the tracer receives one event
-// per graph/engine build or patch with the decision's cause.
+// latencies land side by side in one scrape; the span ring receives one
+// span per graph/engine build or patch with the decision's cause.
 type viewWork struct {
 	reg *obs.Registry
-	tr  *obs.Tracer
 	sp  *obs.Spans
 
 	// The staleness plane (DESIGN.md §6): epochAge samples, at query time,
@@ -137,11 +136,10 @@ type viewWork struct {
 }
 
 // newViewWork wires the work counters into reg (nil-tolerant: a nil registry
-// yields no-op handles, a nil tracer drops events).
-func newViewWork(reg *obs.Registry, tr *obs.Tracer, sp *obs.Spans) *viewWork {
+// yields no-op handles, a nil span ring drops spans).
+func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
 	return &viewWork{
 		reg:           reg,
-		tr:            tr,
 		sp:            sp,
 		epochAge:      reg.Histogram("vebo_epoch_age_ns"),
 		publishLag:    reg.Histogram("vebo_publish_lag_ns"),
@@ -180,12 +178,10 @@ func (w *viewWork) observeQuery(v *View, alg, path string, sys System, start tim
 }
 
 // emitGraph records one snapshot/relabeled-graph materialization decision:
-// the per-cause latency histogram sample, a "graph" trace event, and a
-// "build" span child-linked to v's publish span.
+// the per-cause latency histogram sample and a "graph" build span
+// child-linked to v's publish span.
 func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, reused int64) {
 	w.reg.Histogram("vebo_graph_build_ns", "cause", cause).ObserveSince(start)
-	w.tr.Emit(obs.Event{Epoch: v.epoch, Kind: "graph", Cause: cause, Dur: time.Since(start),
-		N: map[string]int64{"edges_touched": touched, "edges_reused": reused}})
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "graph", Kind: "build", Cause: cause,
 		Epoch: v.epoch, Start: start, Dur: time.Since(start),
@@ -194,13 +190,10 @@ func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, re
 }
 
 // emitEngine records one engine construction decision ("patch"/"rebind"
-// versus "build"): the per-(mode, sys) latency histogram sample, an
-// "engine" trace event, and a "build" span child-linked to v's publish
-// span.
+// versus "build"): the per-(mode, sys) latency histogram sample and an
+// "engine" build span child-linked to v's publish span.
 func (w *viewWork) emitEngine(v *View, cause string, sys System, start time.Time) {
 	w.reg.Histogram("vebo_engine_build_ns", "mode", cause, "sys", sys.String()).ObserveSince(start)
-	w.tr.Emit(obs.Event{Epoch: v.epoch, Kind: "engine", Cause: cause, Sys: sys.String(),
-		Dur: time.Since(start)})
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "engine", Kind: "build", Cause: cause,
 		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: time.Since(start),
@@ -361,14 +354,8 @@ func (d *Dynamic) publish(received time.Time) {
 	if basis != nil {
 		basisEpoch = basis.epoch
 	}
-	d.work.tr.Emit(obs.Event{Epoch: v.epoch, Kind: "publish", Dur: lag,
-		N: map[string]int64{
-			"renum_epoch": v.renumEpoch, "basis_epoch": basisEpoch,
-			"delta_net": int64(len(v.delta.Net)), "delta_moved": int64(len(v.delta.Moved)),
-			"delta_grown": v.delta.GrownTotal(),
-		}})
-	psp.Attr("basis_epoch", basisEpoch).Attr("delta_backlog", backlog).
-		Attr("publish_lag_ns", int64(lag)).End()
+	psp.Attr("renum_epoch", v.renumEpoch).Attr("basis_epoch", basisEpoch).
+		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
 }
 
 // registerMaterialized below and the basis tracking in publish treat a view
