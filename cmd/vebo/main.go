@@ -119,8 +119,8 @@ func runStream(args []string) error {
 	fmt.Printf("maintenance: %d repairs (%d vertices), %d full rebuilds, %d compactions\n",
 		st.Repairs, st.RepairedVertices, st.FullRebuilds, st.Compactions)
 	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d index fallbacks, %d stalls\n",
-			st.RotationAttempts, st.RotationFallbacks, st.RotationStalls)
+		fmt.Printf("rotation search: %d attempts, %d stalls\n",
+			st.RotationAttempts, st.RotationStalls)
 	}
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()
@@ -157,7 +157,6 @@ func runServe(args []string) error {
 	system := fs.String("system", "graphgrind", "framework model serving queries: ligra, polymer or graphgrind")
 	threshold := fs.Int64("threshold", 0, "Δ(n) maintenance threshold (0: default, scaled adaptively with the degree spread)")
 	vthreshold := fs.Int64("vthreshold", 0, "δ(n) maintenance threshold (0: default)")
-	repairMode := fs.String("repair", "preserve", "maintenance strategy: preserve (segment-local swaps, engines stay patchable) or replace (legacy greedy re-placement)")
 	grow := fs.Float64("grow", 0, "per-insertion vertex-arrival probability (new vertices are admitted on the fly)")
 	noreuse := fs.Bool("noreuse", false, "rebuild engines from scratch every epoch instead of patching")
 	pace := fs.Duration("pace", 0, "delay between ingestion batches (0: ingest at full speed)")
@@ -189,15 +188,6 @@ func runServe(args []string) error {
 	default:
 		return fmt.Errorf("serve: unknown query workload %q", *alg)
 	}
-	var repair vebo.RepairMode
-	switch *repairMode {
-	case "preserve":
-		repair = vebo.RepairPreserve
-	case "replace":
-		repair = vebo.RepairReplace
-	default:
-		return fmt.Errorf("serve: unknown repair mode %q (preserve or replace)", *repairMode)
-	}
 
 	g, updates, err := gen.StreamFromRecipeOpts(*recipe, *scale, *ops, *seed,
 		gen.RecipeStreamOptions{GrowFrac: *grow})
@@ -211,7 +201,6 @@ func runServe(args []string) error {
 		Partitions:             *parts,
 		RebuildThreshold:       *threshold,
 		VertexRebuildThreshold: *vthreshold,
-		Repair:                 repair,
 		AutoGrow:               *grow > 0,
 		DisableViewReuse:       *noreuse,
 	})
@@ -380,8 +369,8 @@ func runServe(args []string) error {
 	fmt.Printf("maintenance: %d repairs (%d swaps, %d rotations), %d segment re-sorts, %d full rebuilds\n",
 		st.Repairs, st.Swaps, st.Rotations, st.Resorts, st.FullRebuilds)
 	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d index fallbacks, %d stalls\n",
-			st.RotationAttempts, st.RotationFallbacks, st.RotationStalls)
+		fmt.Printf("rotation search: %d attempts, %d stalls\n",
+			st.RotationAttempts, st.RotationStalls)
 	}
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -211,9 +212,14 @@ func Refine(cfg Config) error {
 	if cfg.Quick {
 		for _, g := range gates {
 			if !g.Pass {
-				return fmt.Errorf("refine: %s = %.2f× regressed to <= 1× — refinement no longer beats scratch at batch %d", g.Name, g.Value, small)
+				return fmt.Errorf("refine: %s = %.2f× regressed to <= 1× at batch %d: %w", g.Name, g.Value, small, errRefineGate)
 			}
 		}
 	}
 	return nil
 }
+
+// errRefineGate is wrapped by Refine's quick-mode speedup gate failure. The
+// report is written before the gate is checked, so a caller can tell a
+// wall-clock gate miss from a broken run.
+var errRefineGate = errors.New("refinement no longer beats scratch")

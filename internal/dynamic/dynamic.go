@@ -19,23 +19,18 @@
 //
 //   - Incremental ordering maintenance, gated on the imbalances. The gate
 //     (Δ(n) over the effective rebuild threshold, which scales with the
-//     graph's degree granularity unless disabled) triggers a repair whose
-//     strategy is the configured RepairMode. The default, RepairPreserve,
-//     fixes the edge balance with vertex swaps: a vertex of the most-loaded
-//     partition trades places — partition AND new ID — with a lower-degree
-//     vertex of the least-loaded one, so per-partition vertex counts, the
-//     segment boundaries of the ordering, and the new IDs of every unmoved
-//     vertex are all invariant. When no improving pair exists, a three-way
-//     rotation through an intermediate partition is tried before giving up.
-//     The legacy RepairReplace re-runs the paper's Algorithm 2 greedy
-//     placement over the vertices whose in-degree class changed
-//     (O(k log k + kP) for k dirty vertices), followed by a vertex-balance
-//     pass; it reaches slightly tighter balance but renumbers the whole
-//     ordering. Either way, if the repair cannot pull the imbalances back
-//     under their thresholds the subsystem falls back to a full
-//     core.ReorderDegrees rebuild. A background re-sort additionally
-//     restores the degree-descending order inside one partition segment
-//     after each batch whose repairs or admissions disturbed it.
+//     graph's degree granularity unless disabled) triggers a swap repair
+//     that fixes the edge balance with vertex exchanges: a vertex of the
+//     most-loaded partition trades places — partition AND new ID — with a
+//     lower-degree vertex of the least-loaded one, so per-partition vertex
+//     counts, the segment boundaries of the ordering, and the new IDs of
+//     every unmoved vertex are all invariant. When no improving pair exists,
+//     a three-way rotation through an intermediate partition is tried before
+//     giving up. If the repair cannot pull the imbalances back under their
+//     thresholds the subsystem falls back to a full core.ReorderDegrees
+//     rebuild. A background re-sort additionally restores the
+//     degree-descending order inside one partition segment after each batch
+//     whose swaps or rotations disturbed it.
 //
 //   - A growable vertex space. Grow (and AutoGrow, for dense-ID streams;
 //     see Allocator for sparse external IDs) admits zero-degree vertices to
@@ -73,45 +68,23 @@ import (
 	"repro/internal/obs"
 )
 
-// RepairMode selects how threshold-gated maintenance restores balance.
-type RepairMode int
-
-const (
-	// RepairPreserve (the default) repairs the edge balance with vertex
-	// swaps that keep per-partition vertex counts — and therefore the
-	// partition segment boundaries of the ordering — fixed. Only the swapped
-	// vertices change new IDs (a segment-local permutation), so engine-side
-	// structures of untouched partitions stay patchable across repair
-	// epochs. δ(n) cannot drift in this mode: every move is a 1-for-1
-	// exchange.
-	RepairPreserve RepairMode = iota
-	// RepairReplace is the legacy mode: Algorithm 2's greedy placement
-	// re-runs over the dirty vertices, followed by a vertex-balance pass.
-	// It converges to slightly better Δ(n) on hostile streams but moves
-	// vertices across partitions freely, renumbering the whole ordering and
-	// invalidating every cached engine.
-	RepairReplace
-)
-
 // Config tunes a dynamic graph. The zero value selects the defaults below.
 type Config struct {
 	// Partitions is the VEBO partition count P (default 64).
 	Partitions int
 	// RebuildThreshold is the Δ(n) value above which maintenance runs: first
-	// the incremental repair (swap-based by default, see RepairMode), then —
-	// if an imbalance is still above its threshold — a full reorder.
+	// the swap repair, then — if an imbalance is still above its threshold —
+	// a full reorder.
 	// Default 2, the paper's power-law bound (Theorem 1 gives Δ ≤ 1; one
 	// in-flight batch may add one more). Unless DisableAdaptiveThreshold is
 	// set, the effective threshold additionally scales with the graph's
 	// degree spread: see EffectiveRebuildThreshold.
 	RebuildThreshold int64
 	// VertexRebuildThreshold is the δ(n) value above which maintenance runs.
-	// Replace-mode repair placement balances edges first, so δ(n) drifts
-	// under edge-only gating (to ~35 on the 100k-update powerlaw stream);
-	// gating on δ(n) too bounds it. Default 4 (2× Theorem 2's δ ≤ ~1 static
-	// bound, with slack for in-flight batches). In RepairPreserve mode δ(n)
-	// is frozen at its initial value, so this gate never fires between full
-	// rebuilds.
+	// Default 4 (2× Theorem 2's δ ≤ ~1 static bound, with slack for
+	// in-flight batches). Swap repairs exchange vertices 1-for-1, so between
+	// full rebuilds δ(n) moves only through admissions (Grow places each on
+	// the least-vertex partition with free headroom).
 	VertexRebuildThreshold int64
 	// CompactEvery bounds the delta log: once the number of pending
 	// insertions plus pending deletions reaches it, ApplyBatch compacts the
@@ -119,8 +92,6 @@ type Config struct {
 	// max(8192, liveEdges/8): compaction costs O(m), so a fixed small bound
 	// would pay it every few batches on large graphs.
 	CompactEvery int
-	// Repair selects the maintenance strategy (default RepairPreserve).
-	Repair RepairMode
 	// DisableAdaptiveThreshold pins the Δ(n) gate to RebuildThreshold
 	// exactly instead of scaling it with the degree spread. Repairs move
 	// whole vertices, so the achievable Δ(n) is bounded below by the
@@ -134,11 +105,6 @@ type Config struct {
 	// dense, so callers feeding sparse external IDs should map them through
 	// an Allocator first; deletions never grow.
 	AutoGrow bool
-	// DisableSegmentResort turns off the background segment re-sort that
-	// restores degree-descending order inside one partition segment after
-	// batches whose repairs or admissions disturbed it (RepairPreserve
-	// only). Exists for the locality-decay ablation.
-	DisableSegmentResort bool
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
 	// space starts growing, every full ordering sort reserves
@@ -234,26 +200,21 @@ type Stats struct {
 	// including the initial full ordering and any full rebuilds. A swap
 	// counts as two placements (both ends are re-placed).
 	Placements int64
-	// Repairs is the number of incremental repair passes (swap-based or
-	// dirty-vertex, per the configured RepairMode).
+	// Repairs is the number of swap repair passes.
 	Repairs int64
 	// RepairedVertices is the number of placements done by repairs alone.
 	RepairedVertices int64
-	// Swaps is the number of placement-preserving vertex pair exchanges
-	// performed by RepairPreserve passes.
+	// Swaps is the number of placement-preserving vertex pair exchanges.
 	Swaps int64
 	// Rotations is the number of three-way placement-preserving exchanges
 	// performed when no improving pair swap existed.
 	Rotations int64
 	// RotationAttempts counts rotation searches started (one per repair step
-	// that found no improving pair swap); RotationFallbacks counts the ones
-	// where the degree-indexed candidate scan found no positive-gain rotation
-	// and the exhaustive sweep ran; RotationStalls counts the ones where even
-	// the exhaustive sweep found nothing — the step that forces the caller's
-	// full-rebuild fallback.
-	RotationAttempts  int64
-	RotationFallbacks int64
-	RotationStalls    int64
+	// that found no improving pair swap); RotationStalls counts the ones
+	// where the degree-indexed candidate scan found no positive-gain
+	// rotation — the step that forces the caller's full-rebuild fallback.
+	RotationAttempts int64
+	RotationStalls   int64
 	// Admitted is the number of vertices added to the graph after
 	// construction (Grow and AutoGrow admissions).
 	Admitted int64
@@ -265,9 +226,6 @@ type Stats struct {
 	// at least one vertex; ResortedVertices counts the moved vertices.
 	Resorts          int64
 	ResortedVertices int64
-	// VertexMoves is the number of single-vertex moves performed by the
-	// δ(n) vertex-balance repair.
-	VertexMoves int64
 	// FullRebuilds is the number of full Algorithm 2 re-runs (not counting
 	// the initial ordering).
 	FullRebuilds int64
@@ -330,9 +288,6 @@ type Graph struct {
 	// maintained incrementally.
 	partEdges []int64
 	partVerts []int64
-	// dirty holds the vertices whose in-degree class changed since they were
-	// last placed.
-	dirty map[graph.VertexID]struct{}
 
 	stats Stats
 
@@ -341,12 +296,14 @@ type Graph struct {
 	snapCache *graph.Graph
 	snapEpoch int64
 
-	// placeEpoch increments whenever any vertex changes partition (repair or
-	// rebuild). renumEpoch increments only when the whole numbering is
-	// invalidated (full rebuild or a replace-mode repair): swap repairs bump
-	// placeEpoch but not renumEpoch, because they permute IDs only inside
-	// the affected partitions' segments and the rest of the numbering
-	// survives. The cached permutation is stable across epochs that only
+	// placeEpoch increments whenever any vertex changes partition or
+	// position (repair, re-sort, admission or rebuild). renumEpoch
+	// increments only when the whole numbering is invalidated (a full
+	// rebuild or a spillRelabel — headroom exhaustion, or the first growth
+	// converting the ordering to slotted form): swap repairs bump placeEpoch
+	// but not
+	// renumEpoch, because they permute IDs only inside the affected
+	// partitions' segments and the rest of the numbering survives. The cached permutation is stable across epochs that only
 	// change degrees and is maintained copy-on-write across swap repairs,
 	// which is what makes engine-side patching possible.
 	placeEpoch int64
@@ -406,9 +363,6 @@ type Graph struct {
 
 // New wraps g in a dynamic graph, computing the initial VEBO ordering.
 func New(g *graph.Graph, cfg Config) (*Graph, error) {
-	if cfg.Repair != RepairPreserve && cfg.Repair != RepairReplace {
-		return nil, fmt.Errorf("dynamic: unknown repair mode %d", cfg.Repair)
-	}
 	cfg = cfg.withDefaults()
 	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
 	if err != nil {
@@ -427,7 +381,6 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		assign:    make([]uint32, g.NumVertices()),
 		partEdges: append([]int64(nil), r.EdgeCounts...),
 		partVerts: append([]int64(nil), r.VertexCounts...),
-		dirty:     make(map[graph.VertexID]struct{}),
 		viewNet:   make(map[graph.Edge]int64),
 		viewMoved: make(map[graph.VertexID]struct{}),
 	}
@@ -484,8 +437,8 @@ func (d *Graph) Epoch() int64 { return d.epoch }
 func (d *Graph) PlaceEpoch() int64 { return d.placeEpoch }
 
 // RenumEpoch returns the renumbering epoch, incremented only when the whole
-// ordering is invalidated (full rebuild or replace-mode repair). Swap
-// repairs preserve it: between equal renumbering epochs, new IDs of all
+// ordering is invalidated (full rebuild or relabeling spill). Swap repairs,
+// re-sorts and headroom admissions preserve it: between equal renumbering epochs, new IDs of all
 // vertices outside the drained ViewDelta.Moved set are identical.
 func (d *Graph) RenumEpoch() int64 { return d.renumEpoch }
 
@@ -688,13 +641,7 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	if d.overThreshold() {
 		preDelta, preVert := d.EdgeImbalance(), d.VertexImbalance()
 		rstart := time.Now()
-		var swaps, rots int64
-		var stalled bool
-		if d.cfg.Repair == RepairPreserve {
-			swaps, rots, stalled = d.swapRepair()
-		} else {
-			d.repair()
-		}
+		swaps, rots, stalled := d.swapRepair()
 		rdur := time.Since(rstart)
 		d.m.repairs.Inc()
 		d.m.repairNS.Observe(int64(rdur))
@@ -713,13 +660,11 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			// The repair could not pull the imbalances back under their
 			// gates; name why before falling back to the full reorder.
 			cause, ctr := "repair-shortfall", d.m.rebuildShortfall
-			if d.cfg.Repair == RepairPreserve {
-				switch {
-				case stalled:
-					cause, ctr = "rotation-stall", d.m.rebuildRotStall
-				case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
-					cause, ctr = "vertex-threshold", d.m.rebuildVertex
-				}
+			switch {
+			case stalled:
+				cause, ctr = "rotation-stall", d.m.rebuildRotStall
+			case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
+				cause, ctr = "vertex-threshold", d.m.rebuildVertex
 			}
 			bstart := time.Now()
 			d.rebuild()
@@ -743,8 +688,7 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	// re-sort one segment per disturbing batch. Headroom admissions are
 	// not disturbances — they append in sorted position. A rebuild just
 	// re-established the order everywhere.
-	if !res.Rebuilt && d.cfg.Repair == RepairPreserve && !d.cfg.DisableSegmentResort &&
-		d.stats.Swaps+d.stats.Rotations > preMoves {
+	if !res.Rebuilt && d.stats.Swaps+d.stats.Rotations > preMoves {
 		sstart := time.Now()
 		q, moved := d.resortSegment()
 		d.sp.Record(obs.Span{
@@ -1006,7 +950,6 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 	d.liveEdges++
 	d.degIn[dst]++
 	d.partEdges[d.assign[dst]]++
-	d.markDirty(dst)
 	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: w}, +1)
 	d.touch()
 	d.stats.Updates++
@@ -1061,7 +1004,6 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	d.liveEdges--
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
-	d.markDirty(dst)
 	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: died}, -1)
 	d.touch()
 	d.stats.Updates++
@@ -1131,15 +1073,6 @@ func (d *Graph) touch() {
 	d.epoch++
 }
 
-// markDirty records that dst's in-degree class changed. Only the
-// replace-mode repair consumes the dirty set; the swap repair picks movers
-// by current load, so preserve mode skips the bookkeeping.
-func (d *Graph) markDirty(dst graph.VertexID) {
-	if d.cfg.Repair == RepairReplace {
-		d.dirty[dst] = struct{}{}
-	}
-}
-
 // ensureMembers (re)builds the per-partition member lists when stale.
 func (d *Graph) ensureMembers() {
 	if d.members != nil {
@@ -1157,8 +1090,7 @@ func (d *Graph) ensureMembers() {
 // 8× as many index slots scanned past skipped pmax/pmin residents). The
 // candidates nearest deg(a) carry almost all the gain — anything further
 // disturbs the intermediate partition more — so a short window finds the
-// same rotations the exhaustive pmin×P sweep does in practice, and the
-// sweep remains as a fallback when the window finds none.
+// same rotations an exhaustive pmin×P sweep does in practice.
 const rotScanK = 12
 
 // swapRepair pulls Δ(n) back under the effective threshold without moving
@@ -1336,38 +1268,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 			}
 		}
 		if bestQ < 0 {
-			// The indexed scan found no positive-gain rotation; fall back to
-			// the exhaustive pmin×P sweep so repair capability never
-			// regresses relative to the unindexed search.
-			d.stats.RotationFallbacks++
-			d.m.rotFallbacks.Inc()
-			for q := 0; q < p; q++ {
-				if q == pmax || q == pmin || len(lists[q]) == 0 {
-					continue
-				}
-				sortList(q)
-				lq := lists[q]
-				for ci, c := range lmin {
-					target := d.degIn[c] + (gap+1)/2
-					ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-					for _, aj := range [2]int{ai - 1, ai} {
-						if aj < 0 || aj >= len(lmax) {
-							continue
-						}
-						a := lmax[aj]
-						// b ideally matches deg(a) so q's load barely moves.
-						bi := sort.Search(len(lq), func(i int) bool { return d.degIn[lq[i]] >= d.degIn[a] })
-						for _, bj := range [2]int{bi - 1, bi} {
-							if bj < 0 || bj >= len(lq) {
-								continue
-							}
-							consider(q, aj, bj, ci)
-						}
-					}
-				}
-			}
-		}
-		if bestQ < 0 {
 			d.stats.RotationStalls++
 			d.m.rotStalls.Inc()
 			return false
@@ -1473,120 +1373,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 	return swaps, rots, stalled
 }
 
-// repair re-runs Algorithm 2's greedy placement over the dirty vertices
-// only: each is removed from its partition and re-placed in decreasing live
-// degree order onto the currently least-loaded partition — least edges for
-// non-zero-degree vertices (phase 1), least vertices for zero-degree
-// vertices (phase 2).
-func (d *Graph) repair() {
-	if len(d.dirty) == 0 {
-		return
-	}
-	verts := make([]graph.VertexID, 0, len(d.dirty))
-	for v := range d.dirty {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool {
-		if d.degIn[verts[i]] != d.degIn[verts[j]] {
-			return d.degIn[verts[i]] > d.degIn[verts[j]]
-		}
-		return verts[i] < verts[j]
-	})
-	for _, v := range verts {
-		p := d.assign[v]
-		d.partEdges[p] -= d.degIn[v]
-		d.partVerts[p]--
-	}
-	for _, v := range verts {
-		var q int
-		if d.degIn[v] > 0 {
-			// Least-edges placement as in phase 1, but ties broken toward the
-			// least-vertex partition: repairs run continuously, and an
-			// edge-only arg-min lets δ(n) drift batch over batch (ROADMAP's
-			// δ-drift item) while the tie-break keeps it near the static
-			// bound at no cost to Δ(n).
-			q = argMin2(d.partEdges, d.partVerts)
-		} else {
-			q = argMin2(d.partVerts, d.partEdges)
-		}
-		d.assign[v] = uint32(q)
-		d.partEdges[q] += d.degIn[v]
-		d.partVerts[q]++
-	}
-	d.stats.Repairs++
-	d.stats.RepairedVertices += int64(len(verts))
-	d.stats.Placements += int64(len(verts))
-	d.dirty = make(map[graph.VertexID]struct{})
-	d.placementChanged()
-	if d.VertexImbalance() > d.cfg.VertexRebuildThreshold {
-		d.vertexRepair()
-	}
-}
-
-// vertexRepair pulls δ(n) back under its threshold by moving the
-// lowest-degree vertices of overfull partitions onto the least-vertex
-// partition. Edge-focused repairs run continuously and place by least-edges,
-// so vertex counts drift batch over batch (the ROADMAP δ-drift item); this
-// pass corrects them directly, preferring zero-degree vertices whose move
-// cannot disturb Δ(n). If it runs out of useful moves the caller's
-// threshold check falls through to a full rebuild.
-func (d *Graph) vertexRepair() {
-	th := d.cfg.VertexRebuildThreshold
-	p := d.cfg.Partitions
-	lists := make([][]graph.VertexID, p)
-	for v := 0; v < d.n; v++ {
-		q := d.assign[v]
-		lists[q] = append(lists[q], graph.VertexID(v))
-	}
-	// Bucketing is O(n); sorting is deferred until a partition actually
-	// becomes the overfull donor, so a typical invocation sorts one or two
-	// partitions (O(n/P log n/P)) instead of all of them.
-	sorted := make([]bool, p)
-	ptr := make([]int, p)
-	var moves int64
-	for i := 0; i < d.n; i++ {
-		pmax := argMin2Neg(d.partVerts)
-		pmin := argMin2(d.partVerts, d.partEdges)
-		if d.partVerts[pmax]-d.partVerts[pmin] <= th {
-			break
-		}
-		if !sorted[pmax] {
-			l := lists[pmax]
-			sort.Slice(l, func(i, j int) bool {
-				if d.degIn[l[i]] != d.degIn[l[j]] {
-					return d.degIn[l[i]] < d.degIn[l[j]]
-				}
-				return l[i] < l[j]
-			})
-			sorted[pmax] = true
-		}
-		var v graph.VertexID
-		found := false
-		for ptr[pmax] < len(lists[pmax]) {
-			cand := lists[pmax][ptr[pmax]]
-			ptr[pmax]++
-			if d.assign[cand] == uint32(pmax) {
-				v, found = cand, true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		d.assign[v] = uint32(pmin)
-		d.partVerts[pmax]--
-		d.partVerts[pmin]++
-		d.partEdges[pmax] -= d.degIn[v]
-		d.partEdges[pmin] += d.degIn[v]
-		moves++
-	}
-	if moves > 0 {
-		d.stats.Placements += moves
-		d.stats.VertexMoves += moves
-		d.placementChanged()
-	}
-}
-
 // argMin2Neg returns the index of the maximum value (lowest index wins ties).
 func argMin2Neg(xs []int64) int {
 	best := 0
@@ -1608,7 +1394,6 @@ func (d *Graph) rebuild() {
 	copy(d.assign, r.PartitionOf)
 	copy(d.partEdges, r.EdgeCounts)
 	copy(d.partVerts, r.VertexCounts)
-	d.dirty = make(map[graph.VertexID]struct{})
 	d.stats.FullRebuilds++
 	d.stats.Placements += int64(d.n)
 	d.placementChanged()
@@ -1791,7 +1576,7 @@ func (d *Graph) Compact() {
 
 // ensureOrdering makes the cached permutation current. The full
 // (partition, degree desc, ID) sort runs only when the numbering lineage
-// broke (initial call, full rebuild, replace-mode repair, headroom spill);
+// broke (initial call, full rebuild, relabeling spill);
 // swap repairs update the cached permutation copy-on-write themselves, and
 // Grow extends it in place, so between renumbering events the new IDs of
 // unmoved vertices never change. Once the vertex space has started growing,
@@ -1850,8 +1635,8 @@ func (d *Graph) ensureOrdering() {
 // renumbers vertices so each partition owns a contiguous new-ID range, with
 // vertices in decreasing degree order (as of the last renumbering event)
 // inside it, as Algorithm 2's phase 3 does. The permutation is recomputed
-// only when the numbering lineage breaks (full rebuild or replace-mode
-// repair); swap repairs permute it copy-on-write at exactly the swapped
+// only when the numbering lineage breaks (full rebuild or relabeling
+// spill); swap repairs permute it copy-on-write at exactly the swapped
 // positions, and degree-only epochs keep the exact numbering — which is
 // what lets engine-side structures of unchanged partitions be reused —
 // while the returned per-partition counts are always current. Once the
@@ -1882,7 +1667,8 @@ type ViewDelta struct {
 	// multiplicity change since the last drain. Entries are never zero.
 	Net map[graph.Edge]int64
 	// Moved holds the original-ID vertices repositioned by
-	// placement-preserving swap repairs since the last drain: their
+	// placement-preserving swaps, rotations and re-sorts since the last
+	// drain: their
 	// partition and new ID changed, but the partition segment boundaries
 	// did not, and every vertex outside the set kept its exact new ID. The
 	// set may over-approximate after window arithmetic (an entry whose
@@ -1890,8 +1676,8 @@ type ViewDelta struct {
 	// permutation entry is the identity).
 	Moved map[graph.VertexID]struct{}
 	// PlacementChanged reports whether the whole numbering was invalidated
-	// since the last drain (full rebuild or replace-mode repair); swap
-	// repairs set Moved instead.
+	// since the last drain (full rebuild or relabeling spill); swap repairs
+	// and re-sorts set Moved instead.
 	PlacementChanged bool
 	// Grown is the per-partition count of vertices admitted since the last
 	// drain (nil when none): partition p absorbed Grown[p] admissions into
@@ -2032,13 +1818,13 @@ func (vd ViewDelta) Subtract(prefix ViewDelta) ViewDelta {
 // with a nil registry (every handle is then a nil no-op), so instrumented
 // paths never branch on whether metrics are enabled.
 type dynMetrics struct {
-	batches, inserts, deletes            *obs.Counter
-	repairs, swaps, rotations            *obs.Counter
-	rotAttempts, rotFallbacks, rotStalls *obs.Counter
-	rebuildRotStall, rebuildVertex       *obs.Counter
-	rebuildShortfall, rebuildForced      *obs.Counter
-	resorts, compactions                 *obs.Counter
-	admitted, headroomSpills             *obs.Counter
+	batches, inserts, deletes       *obs.Counter
+	repairs, swaps, rotations       *obs.Counter
+	rotAttempts, rotStalls          *obs.Counter
+	rebuildRotStall, rebuildVertex  *obs.Counter
+	rebuildShortfall, rebuildForced *obs.Counter
+	resorts, compactions            *obs.Counter
+	admitted, headroomSpills        *obs.Counter
 
 	batchNS, repairNS, rebuildNS *obs.Histogram
 	growNS, compactNS            *obs.Histogram
@@ -2064,7 +1850,6 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		swaps:            r.Counter("vebo_swaps_total"),
 		rotations:        r.Counter("vebo_rotations_total"),
 		rotAttempts:      r.Counter("vebo_rotation_search_total", "result", "attempt"),
-		rotFallbacks:     r.Counter("vebo_rotation_search_total", "result", "fallback"),
 		rotStalls:        r.Counter("vebo_rotation_search_total", "result", "stall"),
 		rebuildRotStall:  r.Counter("vebo_rebuilds_total", "cause", "rotation-stall"),
 		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),

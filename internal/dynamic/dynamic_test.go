@@ -466,13 +466,12 @@ func TestVertexImbalanceBounded(t *testing.T) {
 	}
 }
 
-// TestSwapRepairPreservesPlacementShape is the placement-preserving repair
-// invariant test: under the default (preserve) mode, per-partition vertex
-// counts — and therefore the ordering's segment boundaries — never change
-// between full rebuilds, repairs are pure ID swaps (RenumEpoch stays at its
-// initial value), and the edge balance still lands under the effective
-// threshold.
-func TestSwapRepairPreservesPlacementShape(t *testing.T) {
+// TestSwapRepairKeepsPlacementShape is the placement-preserving repair
+// invariant test: per-partition vertex counts — and therefore the
+// ordering's segment boundaries — never change between full rebuilds,
+// repairs are pure ID swaps (RenumEpoch stays at its initial value), and the
+// edge balance still lands under the effective threshold.
+func TestSwapRepairKeepsPlacementShape(t *testing.T) {
 	const batch = 256
 	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 20_000, 42)
 	if err != nil {
@@ -494,7 +493,7 @@ func TestSwapRepairPreservesPlacementShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Rebuilt {
-			t.Fatalf("batch at %d fell back to a full rebuild in preserve mode", lo)
+			t.Fatalf("batch at %d fell back to a full rebuild", lo)
 		}
 		counts := d.VertexCounts()
 		for p := range counts {
@@ -509,7 +508,7 @@ func TestSwapRepairPreservesPlacementShape(t *testing.T) {
 		t.Fatal("stream triggered no swap repairs; the test exercises nothing")
 	}
 	if st.FullRebuilds != 0 {
-		t.Fatalf("preserve mode fell back to %d full rebuilds", st.FullRebuilds)
+		t.Fatalf("swap repair fell back to %d full rebuilds", st.FullRebuilds)
 	}
 	if d.RenumEpoch() != initRenum {
 		t.Fatalf("renumbering epoch moved %d -> %d without a rebuild", initRenum, d.RenumEpoch())
@@ -639,18 +638,5 @@ func TestAdaptiveThresholdUniformDegrees(t *testing.T) {
 	}
 	if got := dp.EffectiveRebuildThreshold(); got != 2 {
 		t.Fatalf("powerlaw effective threshold = %d, want the configured 2", got)
-	}
-}
-
-// TestNewRejectsUnknownRepairMode guards the mode dispatch: an undefined
-// RepairMode must fail construction instead of silently degrading to
-// rebuild-per-batch.
-func TestNewRejectsUnknownRepairMode(t *testing.T) {
-	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(g, Config{Partitions: 2, Repair: RepairMode(7)}); err == nil {
-		t.Fatal("expected error for unknown repair mode")
 	}
 }

@@ -293,7 +293,6 @@ func TestSwapRepairRotationFallback(t *testing.T) {
 		RebuildThreshold:         D/2 + 1,
 		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
-		DisableSegmentResort:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,27 +393,5 @@ func TestSegmentResortRestoresDegreeOrder(t *testing.T) {
 					p, i-1, i, d.InDegree(prev), d.InDegree(cur))
 			}
 		}
-	}
-}
-
-// TestDisableSegmentResort pins the ablation switch.
-func TestDisableSegmentResort(t *testing.T) {
-	g, err := gen.ErdosRenyi(400, 4000, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	updates, err := gen.EdgeStream(g, gen.StreamConfig{
-		Ops: 6000, DeleteFrac: 0.3, PreferentialFrac: 0.6, Seed: 18,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(g, Config{Partitions: 8, DisableSegmentResort: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyStream(t, d, updates, 64)
-	if st := d.Stats(); st.Resorts != 0 {
-		t.Fatalf("re-sorts fired despite DisableSegmentResort: %d", st.Resorts)
 	}
 }

@@ -160,7 +160,6 @@ func TestTraceRotationStall(t *testing.T) {
 		RebuildThreshold:         1,
 		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
-		DisableSegmentResort:     true,
 	})
 	// Pile all new mass on vertex 0: every candidate transfer is 0 or the
 	// whole gap, so no swap strictly improves, and with P=2 there is no
@@ -226,10 +225,9 @@ func TestTraceRotationStall(t *testing.T) {
 	}
 }
 
-// TestTraceRebuildCauses pins the remaining batch rebuild causes: a δ(n)
-// gate that a swap repair (which never changes vertex counts) cannot close
-// is "vertex-threshold", and a replace-mode repair that leaves Δ(n) over
-// its gate is "repair-shortfall".
+// TestTraceRebuildCauses pins the remaining reachable batch rebuild cause: a
+// δ(n) gate that a swap repair (which never changes vertex counts) cannot
+// close is "vertex-threshold".
 func TestTraceRebuildCauses(t *testing.T) {
 	// Vertex 0 takes four in-edges, the other four vertices one each, so
 	// VEBO places 0 alone against the rest: δ(n)=3 at Δ(n)=0.
@@ -237,48 +235,27 @@ func TestTraceRebuildCauses(t *testing.T) {
 	for v := graph.VertexID(1); v <= 4; v++ {
 		star = append(star, graph.Edge{Src: v, Dst: 0, Weight: 1}, graph.Edge{Src: 0, Dst: v, Weight: 1})
 	}
-	g1, err := graph.FromEdges(5, star, false)
+	g, err := graph.FromEdges(5, star, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
+	d, reg, sp := instrumented(t, g, Config{
+		Partitions: 2, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1,
+		DisableAdaptiveThreshold: true,
+	})
+	res, err := d.ApplyBatch([]graph.EdgeUpdate{{Src: 1, Dst: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pile []graph.EdgeUpdate
-	for i := 0; i < 10; i++ {
-		pile = append(pile, graph.EdgeUpdate{Src: graph.VertexID(1 + i%3), Dst: 0})
+	if !res.Rebuilt {
+		t.Fatalf("scenario no longer forces a rebuild: %+v", res)
 	}
-	for _, tc := range []struct {
-		cause string
-		g     *graph.Graph
-		cfg   Config
-		batch []graph.EdgeUpdate
-	}{
-		{"vertex-threshold", g1, Config{
-			Partitions: 2, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1,
-			DisableAdaptiveThreshold: true, DisableSegmentResort: true,
-		}, []graph.EdgeUpdate{{Src: 1, Dst: 2}}},
-		{"repair-shortfall", g2, Config{
-			Partitions: 2, RebuildThreshold: 1, VertexRebuildThreshold: 1 << 40,
-			DisableAdaptiveThreshold: true, Repair: RepairReplace,
-		}, pile},
-	} {
-		d, reg, sp := instrumented(t, tc.g, tc.cfg)
-		res, err := d.ApplyBatch(tc.batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Rebuilt {
-			t.Fatalf("%s: scenario no longer forces a rebuild: %+v", tc.cause, res)
-		}
-		reb := findSpan(sp.Snapshot(), "rebuild", "")
-		if reb == nil || reb.Cause != tc.cause {
-			t.Fatalf("rebuild span = %+v, want cause %s", reb, tc.cause)
-		}
-		if got := reg.Counter("vebo_rebuilds_total", "cause", tc.cause).Value(); got != 1 {
-			t.Fatalf("vebo_rebuilds_total{cause=%s} = %d", tc.cause, got)
-		}
+	reb := findSpan(sp.Snapshot(), "rebuild", "")
+	if reb == nil || reb.Cause != "vertex-threshold" {
+		t.Fatalf("rebuild span = %+v, want cause vertex-threshold", reb)
+	}
+	if got := reg.Counter("vebo_rebuilds_total", "cause", "vertex-threshold").Value(); got != 1 {
+		t.Fatalf("vebo_rebuilds_total{cause=vertex-threshold} = %d", got)
 	}
 }
 

@@ -206,10 +206,11 @@ func TestRefineCachedOnSameView(t *testing.T) {
 }
 
 // TestRefineNeverServesStaleAfterRebuild is the invalidation regression: a
-// converged result is captured, then edge deletions — across epochs that
-// renumber the whole vertex space (RepairReplace renumbers on every repair)
-// — must never be answered with the pre-deletion values. Hand-crafted path
-// topology makes staleness detectable at specific vertices.
+// converged result is captured, then edge deletions — across an epoch that
+// renumbers the whole vertex space (the lineage's first admission relabels
+// the ordering into slotted form) — must never be answered with the
+// pre-deletion values. Hand-crafted path topology makes staleness
+// detectable at specific vertices.
 func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 	const n = 64
 	var edges []Edge
@@ -221,7 +222,7 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 8, Repair: RepairReplace, Engine: viewTestOpts,
+		Partitions: 8, AutoGrow: true, Engine: viewTestOpts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,20 +261,25 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		t.Fatalf("cut segment still reachable: depth[15] = %d", depths[15])
 	}
 
-	// Epoch 3: heavy skewed churn to force maintenance (a renumbering
-	// rebuild-cause epoch under RepairReplace), plus another cut at 25→26.
+	// Epoch 3: heavy skewed churn to force maintenance, another cut at
+	// 25→26, and one admission (vertex n) whose first-growth relabel makes
+	// this a renumbering epoch.
 	churn := []EdgeUpdate{{Time: 3, Src: 25, Dst: 26, Del: true}}
 	tm := int64(4)
 	for i := 0; i < 300; i++ {
 		churn = append(churn, EdgeUpdate{Time: tm, Src: VertexID(40 + i%4), Dst: VertexID(i % n), Weight: 1})
 		tm++
 	}
+	churn = append(churn, EdgeUpdate{Time: tm, Src: 30, Dst: n, Weight: 1})
 	if _, err := d.ApplyBatch(churn); err != nil {
 		t.Fatal(err)
 	}
 	v3 := d.View()
 	if st := d.Stats(); st.Repairs == 0 && st.FullRebuilds == 0 {
 		t.Fatal("churn epoch triggered no maintenance; rebuild-cause staleness not exercised")
+	}
+	if d.inner.RenumEpoch() == 0 {
+		t.Fatal("churn epoch did not renumber; renumbering staleness not exercised")
 	}
 	depths, st, err = v3.RefineBFS(Ligra, 0)
 	if err != nil {

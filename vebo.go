@@ -231,18 +231,6 @@ type DynamicStats = dynamic.Stats
 // DynamicBatchResult re-exports the per-batch maintenance report.
 type DynamicBatchResult = dynamic.BatchResult
 
-// RepairMode selects the maintenance strategy of a Dynamic graph.
-type RepairMode = dynamic.RepairMode
-
-const (
-	// RepairPreserve (default) repairs balance with segment-local vertex
-	// swaps, keeping cached view engines patchable across repair epochs.
-	RepairPreserve = dynamic.RepairPreserve
-	// RepairReplace is the legacy dirty-vertex greedy re-placement, which
-	// renumbers the vertex space on every repair.
-	RepairReplace = dynamic.RepairReplace
-)
-
 // DynamicOptions tunes a dynamic graph. The zero value selects the defaults
 // documented in internal/dynamic.Config.
 type DynamicOptions struct {
@@ -256,8 +244,6 @@ type DynamicOptions struct {
 	// CompactEvery bounds the delta log before compaction (default:
 	// adaptive, max(8192, liveEdges/8)).
 	CompactEvery int
-	// Repair selects the maintenance strategy (default RepairPreserve).
-	Repair RepairMode
 	// DisableAdaptiveThreshold pins the Δ(n) gate to RebuildThreshold
 	// instead of scaling it with the degree spread; see
 	// internal/dynamic.Config.
@@ -281,10 +267,6 @@ type DynamicOptions struct {
 	// 0.125). Negative disables the proportional term, leaving the
 	// MinHeadroom floor only.
 	HeadroomFrac float64
-	// DisableSegmentResort turns off the background one-segment-per-batch
-	// re-sort that counters intra-segment locality decay under
-	// placement-preserving maintenance; see internal/dynamic.Config.
-	DisableSegmentResort bool
 	// Engine configures the engines cached on published views: the virtual
 	// NUMA topology and GraphGrind's COO order. Partition counts and bounds
 	// come from the live ordering and are not configurable here.
@@ -347,12 +329,10 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		RebuildThreshold:         opts.RebuildThreshold,
 		VertexRebuildThreshold:   opts.VertexRebuildThreshold,
 		CompactEvery:             opts.CompactEvery,
-		Repair:                   opts.Repair,
 		DisableAdaptiveThreshold: opts.DisableAdaptiveThreshold,
 		AutoGrow:                 opts.AutoGrow,
 		MinHeadroom:              opts.MinHeadroom,
 		HeadroomFrac:             opts.HeadroomFrac,
-		DisableSegmentResort:     opts.DisableSegmentResort,
 		Metrics:                  reg,
 		Spans:                    spans,
 	})
