@@ -59,8 +59,6 @@ package dynamic
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -166,28 +164,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// headroom returns the number of reserved tail slots for a segment holding
-// occ vertices: max(MinHeadroom, HeadroomFrac·occ).
-func (c Config) headroom(occ int64) int64 {
-	h := int64(float64(occ) * c.HeadroomFrac)
-	if h < c.MinHeadroom {
-		h = c.MinHeadroom
-	}
-	return h
-}
-
-// compactBound is the current delta-log size triggering compaction.
-func (d *Graph) compactBound() int64 {
-	if d.cfg.CompactEvery > 0 {
-		return int64(d.cfg.CompactEvery)
-	}
-	b := d.liveEdges / 8
-	if b < 8192 {
-		b = 8192
-	}
-	return b
-}
-
 // Stats counts the work the subsystem has done, in units comparable with a
 // full reorder (one placement = one arg-min probe + assignment, the unit
 // Algorithm 2 performs n of).
@@ -243,17 +219,6 @@ type BatchResult struct {
 	Compacted       bool
 	EdgeImbalance   int64
 	VertexImbalance int64
-}
-
-type edgeKey uint64
-
-func keyOf(s, d graph.VertexID) edgeKey { return edgeKey(s)<<32 | edgeKey(d) }
-
-// wkey addresses one (src,dst,weight) edge class; weights are stored
-// normalized (1 on unweighted graphs and for zero input weights).
-type wkey struct {
-	k edgeKey
-	w int32
 }
 
 // Graph is a mutable graph with an incrementally maintained VEBO ordering.
@@ -455,58 +420,6 @@ func (d *Graph) EffectiveRebuildThreshold() int64 { return d.effEdgeThreshold() 
 // pending deletions against the base graph).
 func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd)) + d.pendingDels }
 
-// baseMultiplicity counts edge (s,d) occurrences in the base graph via
-// binary search over s's sorted out-neighbour list. Vertices admitted after
-// the base was compacted have no base row.
-func (d *Graph) baseMultiplicity(s, dst graph.VertexID) int64 {
-	if int(s) >= d.base.NumVertices() {
-		return 0
-	}
-	nbrs := d.base.OutNeighbors(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	var c int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		c++
-	}
-	return c
-}
-
-// baseMultiplicityW counts base occurrences of (s,d) with exactly weight w.
-func (d *Graph) baseMultiplicityW(s, dst graph.VertexID, w int32) int64 {
-	if int(s) >= d.base.NumVertices() {
-		return 0
-	}
-	nbrs := d.base.OutNeighbors(s)
-	ws := d.base.OutWeights(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	var c int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		if ws[i] == w {
-			c++
-		}
-	}
-	return c
-}
-
-// liveMultiplicity counts the surviving occurrences of edge (s,d).
-func (d *Graph) liveMultiplicity(s, dst graph.VertexID) int64 {
-	k := keyOf(s, dst)
-	return d.baseMultiplicity(s, dst) + int64(len(d.addAlive[k])) - d.delPair[k]
-}
-
-// HasEdge reports whether at least one live (s,d) edge exists.
-func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
-	return d.liveMultiplicity(s, dst) > 0
-}
-
-// normWeight maps an input weight to its stored form.
-func (d *Graph) normWeight(w int32) int32 {
-	if !d.weighted || w == 0 {
-		return 1
-	}
-	return w
-}
-
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the
 // end of the batch. An invalid update (vertex out of range without
@@ -562,73 +475,6 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 		res.Applied++
 	}
 	return d.finishBatch(res, start), nil
-}
-
-// overThreshold reports whether either tracked imbalance exceeds its
-// maintenance threshold.
-func (d *Graph) overThreshold() bool {
-	return d.EdgeImbalance() > d.effEdgeThreshold() ||
-		d.VertexImbalance() > d.cfg.VertexRebuildThreshold
-}
-
-// adaptCap bounds the degree histogram used for the granularity quantile;
-// a granularity estimate above it is clamped (the threshold is then 2×cap,
-// which only an extremely dense uniform-degree graph reaches).
-const adaptCap = 1024
-
-// effEdgeThreshold returns the Δ(n) gate currently in force, refreshing the
-// cached granularity estimate when enough updates have landed since the
-// last computation (the degree distribution drifts slowly, and the O(n)
-// quantile should not be paid per batch).
-func (d *Graph) effEdgeThreshold() int64 {
-	t := d.cfg.RebuildThreshold
-	if d.cfg.DisableAdaptiveThreshold {
-		return t
-	}
-	if d.adaptNext == 0 || d.stats.Updates >= d.adaptNext {
-		d.refreshGranularity()
-	}
-	if a := 2 * d.adaptGran; a > t {
-		t = a
-	}
-	return t
-}
-
-// refreshGranularity recomputes the repair granularity: the 10th percentile
-// of the nonzero live in-degrees. Power-law graphs keep it at 1 (degree-1
-// vertices are abundant, so repairs can fine-tune the balance in steps of
-// 1); near-uniform-degree graphs (usaroad sits at 4) push it to the common
-// degree, the smallest imbalance a whole-vertex move can express.
-func (d *Graph) refreshGranularity() {
-	hist := make([]int64, adaptCap+1)
-	var nonzero int64
-	for _, deg := range d.degIn {
-		if deg <= 0 {
-			continue
-		}
-		nonzero++
-		if deg > adaptCap {
-			deg = adaptCap
-		}
-		hist[deg]++
-	}
-	d.adaptGran = 0
-	if nonzero > 0 {
-		tenth := (nonzero + 9) / 10
-		var cum int64
-		for b := int64(1); b <= adaptCap; b++ {
-			cum += hist[b]
-			if cum >= tenth {
-				d.adaptGran = b
-				break
-			}
-		}
-	}
-	step := int64(d.n) / 2
-	if step < 4096 {
-		step = 4096
-	}
-	d.adaptNext = d.stats.Updates + step
 }
 
 // finishBatch runs the end-of-batch maintenance and fills the result, filing
@@ -724,1189 +570,10 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 // collector). The facade parents each epoch's publish span onto it.
 func (d *Graph) LastBatchSpan() obs.SpanContext { return d.lastBatch }
 
-// Grow admits count new zero-degree vertices, returning the first new
-// internal ID (they are assigned densely: first, first+1, …). Each admitted
-// vertex goes to the partition holding the fewest vertices among those with
-// free headroom — Algorithm 1's least-loaded-bin rule applied incrementally,
-// the same rule phase 2 uses for zero-degree vertices — and fills the next
-// reserved slot at that partition's segment tail. The first Grow in a
-// numbering lineage converts the cached ordering to slotted form (a
-// relabeling epoch that reserves max(MinHeadroom, HeadroomFrac·occupied)
-// free slots at every segment tail; see Config); after that, admissions
-// extend the ordering in place — no copy, no shift of later segments — so
-// pre-existing vertices keep their exact new IDs, the old→new injection
-// across a growth epoch is the identity, and engine-side patching is
-// O(delta). Only when every partition's headroom is exhausted does Grow
-// spill to another relabeling epoch (Stats.HeadroomSpills,
-// vebo_headroom_spill_total), which reserves fresh headroom everywhere —
-// amortized O(1) per admission, vector-doubling style. The per-partition
-// admission counts are accumulated into the view delta's growth vector.
-func (d *Graph) Grow(count int) graph.VertexID {
-	first := graph.VertexID(d.n)
-	if count <= 0 {
-		return first
-	}
-	gstart := time.Now()
-	d.growing = true
-	d.ensureOrdering()
-	if d.segCap == nil {
-		// First growth in this lineage: the cached ordering predates growing
-		// and has no reserved slots. Relabel into slotted form.
-		d.spillRelabel()
-	}
-	p := d.cfg.Partitions
-	grow := make([]int64, p)
-	spills := int64(0)
-	for i := 0; i < count; i++ {
-		q := d.admitTarget()
-		if q < 0 {
-			d.spillRelabel()
-			spills++
-			q = d.admitTarget()
-		}
-		// The admission occupies the next free slot of q's segment: appends
-		// only, never a rewrite of an occupied position, so readers sharing
-		// the published slices (bounded by their own lengths) are unaffected.
-		slot := graph.VertexID(d.slotBase[q] + d.partVerts[q])
-		d.ordPerm = append(d.ordPerm, slot)
-		d.ordPartOf = append(d.ordPartOf, uint32(q))
-		d.assign = append(d.assign, uint32(q))
-		d.degIn = append(d.degIn, 0)
-		if d.members != nil {
-			d.members[q] = append(d.members[q], graph.VertexID(d.n))
-		}
-		d.partVerts[q]++
-		grow[q]++
-		d.n++
-	}
-	d.placeEpoch++
-	d.ordPlace = d.placeEpoch
-	if d.viewGrow == nil {
-		d.viewGrow = make([]int64, p)
-	}
-	for q, c := range grow {
-		d.viewGrow[q] += c
-	}
-	d.stats.Admitted += int64(count)
-	d.stats.Placements += int64(count)
-	// No re-sort is owed: a headroom admission appends a zero-degree vertex
-	// with the largest ID at its segment's occupied tail, which is exactly
-	// where the degree-descending (ID-ascending on ties) order wants it —
-	// admissions do not decay the layout the background re-sort repairs.
-	d.touch()
-	cause := "growth-headroom"
-	if spills > 0 {
-		cause = "growth-spill"
-	}
-	free, _ := d.Headroom()
-	d.m.admitted.Add(int64(count))
-	d.m.growNS.ObserveSince(gstart)
-	d.sp.Record(obs.Span{
-		Parent: d.curBatch.Context().ID, Name: "grow", Kind: "maintain",
-		Cause: cause, Epoch: d.epoch, Start: gstart, Dur: time.Since(gstart),
-		Attrs: map[string]int64{"admitted": int64(count), "vertices": int64(d.n),
-			"spills": spills, "headroom_free": free},
-	})
-	d.syncGauges()
-	return first
-}
-
-// admitTarget returns the partition the next admission should fill: the
-// fewest-vertices partition among those with free headroom, ties broken by
-// edge load. Returns -1 when every partition's headroom is exhausted (or the
-// ordering is not slotted yet).
-func (d *Graph) admitTarget() int {
-	if d.segCap == nil {
-		return -1
-	}
-	best := -1
-	for q := range d.partVerts {
-		if d.partVerts[q] >= d.segCap[q] {
-			continue
-		}
-		if best < 0 || d.partVerts[q] < d.partVerts[best] ||
-			(d.partVerts[q] == d.partVerts[best] && d.partEdges[q] < d.partEdges[best]) {
-			best = q
-		}
-	}
-	return best
-}
-
-// spillRelabel converts the ordering to freshly slotted form through a
-// relabeling epoch: the numbering lineage breaks (placementChanged), and the
-// rebuilt ordering reserves headroom at every segment tail, guaranteeing
-// admitTarget succeeds. Called on the first growth of a lineage and on
-// headroom exhaustion; only the latter counts as a spill.
-func (d *Graph) spillRelabel() {
-	spill := d.segCap != nil
-	if spill {
-		d.stats.HeadroomSpills++
-		d.m.headroomSpills.Inc()
-	}
-	sstart := time.Now()
-	d.placementChanged()
-	d.ensureOrdering()
-	d.sp.Record(obs.Span{
-		Parent: d.curBatch.Context().ID, Name: "spill", Kind: "maintain",
-		Cause: map[bool]string{true: "headroom-exhausted", false: "first-growth"}[spill],
-		Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
-	})
-}
-
-// Headroom reports the admission headroom of the cached slotted ordering:
-// free reserved slots and total slot capacity, summed over partitions. Both
-// are zero while the ordering is compact (no Grow yet) or stale (a
-// renumbering is pending and the next ensureOrdering re-reserves).
-func (d *Graph) Headroom() (free, capacity int64) {
-	if d.segCap == nil || d.ordPlace != d.placeEpoch {
-		return 0, 0
-	}
-	for q, c := range d.segCap {
-		capacity += c
-		free += c - d.partVerts[q]
-	}
-	return free, capacity
-}
-
-// SlotCounts returns a copy of the per-partition slot capacities of the
-// cached slotted ordering (occupied plus reserved headroom), or nil while
-// the ordering is compact.
-func (d *Graph) SlotCounts() []int64 {
-	if d.segCap == nil {
-		return nil
-	}
-	return append([]int64(nil), d.segCap...)
-}
-
 // b2i renders a bool as a span attribute count.
 func b2i(b bool) int64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// resortSegment restores the degree-descending (ID-ascending on ties) order
-// phase 3 establishes inside one partition's segment, advancing a
-// round-robin cursor one partition per call. Preserve-mode swaps park a
-// moved vertex at its partner's old position and admissions append at the
-// tail, so segments slowly lose the layout that gives dense traversal its
-// locality; the re-sort is a segment-local permutation — exactly the shape
-// the engine patch paths already handle — recorded in the view delta's
-// moved set like any swap. Returns the re-sorted partition and how many of
-// its vertices moved.
-func (d *Graph) resortSegment() (q int, moves int64) {
-	d.ensureOrdering()
-	d.ensureMembers()
-	q = d.resortNext % d.cfg.Partitions
-	d.resortNext++
-	l := d.members[q]
-	if len(l) < 2 {
-		return q, 0
-	}
-	byPos := append([]graph.VertexID(nil), l...)
-	sort.Slice(byPos, func(i, j int) bool { return d.ordPerm[byPos[i]] < d.ordPerm[byPos[j]] })
-	want := append([]graph.VertexID(nil), l...)
-	sort.Slice(want, func(i, j int) bool {
-		if d.degIn[want[i]] != d.degIn[want[j]] {
-			return d.degIn[want[i]] > d.degIn[want[j]]
-		}
-		return want[i] < want[j]
-	})
-	var moved []graph.VertexID
-	for i := range want {
-		if want[i] != byPos[i] {
-			moved = append(moved, want[i])
-		}
-	}
-	if len(moved) == 0 {
-		return q, 0
-	}
-	pos := make([]graph.VertexID, len(byPos))
-	for i, v := range byPos {
-		pos[i] = d.ordPerm[v]
-	}
-	perm := append([]graph.VertexID(nil), d.ordPerm...) // copy-on-write
-	for i, v := range want {
-		perm[v] = pos[i]
-	}
-	d.ordPerm = perm
-	d.placeEpoch++
-	d.ordPlace = d.placeEpoch
-	for _, v := range moved {
-		d.viewMoved[v] = struct{}{}
-	}
-	d.stats.Resorts++
-	d.stats.ResortedVertices += int64(len(moved))
-	d.m.resorts.Inc()
-	return q, int64(len(moved))
-}
-
-func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
-	w = d.normWeight(w)
-	k := keyOf(s, dst)
-	d.pendingAdd = append(d.pendingAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
-	d.addAlive[k] = append(d.addAlive[k], w)
-	d.liveEdges++
-	d.degIn[dst]++
-	d.partEdges[d.assign[dst]]++
-	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: w}, +1)
-	d.touch()
-	d.stats.Updates++
-	d.stats.Inserts++
-	d.m.inserts.Inc()
-}
-
-// deleteEdge cancels one live (s,dst) occurrence. A non-zero wSel on a
-// weighted graph selects among parallel edges: only an occurrence carrying
-// exactly that weight may die. With no selector (wSel == 0, or any value on
-// unweighted graphs) the most recent pending log insertion dies first, else
-// the earliest surviving base occurrence — deterministic either way, and the
-// resolved weight is recorded so snapshots and view deltas agree
-// edge-for-edge.
-func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
-	k := keyOf(s, dst)
-	if !d.weighted {
-		wSel = 0
-	}
-	var died int32
-	if wSel == 0 {
-		if alive := d.addAlive[k]; len(alive) > 0 {
-			died = alive[len(alive)-1]
-			d.popAlive(k, len(alive)-1)
-		} else {
-			w, ok := d.earliestLiveBase(s, dst)
-			if !ok {
-				return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
-			}
-			died = w
-			d.cancelBase(k, w)
-		}
-	} else {
-		alive := d.addAlive[k]
-		i := len(alive) - 1
-		for ; i >= 0; i-- {
-			if alive[i] == wSel {
-				break
-			}
-		}
-		switch {
-		case i >= 0:
-			died = wSel
-			d.popAlive(k, i)
-		case d.baseMultiplicityW(s, dst, wSel)-d.delBase[wkey{k, wSel}] > 0:
-			died = wSel
-			d.cancelBase(k, wSel)
-		default:
-			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
-		}
-	}
-	d.liveEdges--
-	d.degIn[dst]--
-	d.partEdges[d.assign[dst]]--
-	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: died}, -1)
-	d.touch()
-	d.stats.Updates++
-	d.stats.Deletes++
-	d.m.deletes.Inc()
-	return nil
-}
-
-// popAlive removes index i from pair k's surviving-pending weight list.
-func (d *Graph) popAlive(k edgeKey, i int) {
-	alive := d.addAlive[k]
-	alive = append(alive[:i], alive[i+1:]...)
-	if len(alive) == 0 {
-		delete(d.addAlive, k)
-	} else {
-		d.addAlive[k] = alive
-	}
-	// The log entry itself is dropped lazily at snapshot/compaction.
-}
-
-// cancelBase records a deletion against a base occurrence of (k, w).
-func (d *Graph) cancelBase(k edgeKey, w int32) {
-	d.delBase[wkey{k, w}]++
-	d.delPair[k]++
-	d.pendingDels++
-}
-
-// earliestLiveBase locates the earliest base occurrence of (s,dst) not yet
-// cancelled and returns its weight. Cancellations are per-weight prefixes of
-// the parallel-edge run, so an occurrence is live iff the number of
-// same-weight occurrences before it covers the weight's cancellation count.
-func (d *Graph) earliestLiveBase(s, dst graph.VertexID) (int32, bool) {
-	if int(s) >= d.base.NumVertices() {
-		return 0, false
-	}
-	nbrs := d.base.OutNeighbors(s)
-	ws := d.base.OutWeights(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	k := keyOf(s, dst)
-	var seen map[int32]int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		w := ws[i]
-		cancelled := d.delBase[wkey{k, w}]
-		if cancelled == 0 {
-			return w, true
-		}
-		if seen == nil {
-			seen = make(map[int32]int64, 4)
-		}
-		if seen[w] >= cancelled {
-			return w, true
-		}
-		seen[w]++
-	}
-	return 0, false
-}
-
-// noteChange accumulates the view delta for one resolved edge change.
-func (d *Graph) noteChange(e graph.Edge, sign int64) {
-	d.viewNet[e] += sign
-	if d.viewNet[e] == 0 {
-		delete(d.viewNet, e)
-	}
-}
-
-func (d *Graph) touch() {
-	d.epoch++
-}
-
-// ensureMembers (re)builds the per-partition member lists when stale.
-func (d *Graph) ensureMembers() {
-	if d.members != nil {
-		return
-	}
-	d.members = make([][]graph.VertexID, d.cfg.Partitions)
-	for v := 0; v < d.n; v++ {
-		q := d.assign[v]
-		d.members[q] = append(d.members[q], graph.VertexID(v))
-	}
-}
-
-// rotScanK bounds the degree-indexed rotation search: per (receiver,donor)
-// pair, at most this many valid intermediates are gain-evaluated (and at most
-// 8× as many index slots scanned past skipped pmax/pmin residents). The
-// candidates nearest deg(a) carry almost all the gain — anything further
-// disturbs the intermediate partition more — so a short window finds the
-// same rotations an exhaustive pmin×P sweep does in practice.
-const rotScanK = 12
-
-// swapRepair pulls Δ(n) back under the effective threshold without moving
-// the partition segment boundaries: each step exchanges a vertex v of the
-// most-loaded partition with a lower-degree vertex u of the least-loaded
-// one, transferring deg(v)−deg(u) edges while both vertex counts stay
-// fixed. The pair is chosen to maximize the edge-balance gain (transfer
-// closest to half the gap), breaking ties toward the lowest-degree u. The
-// two vertices exchange new IDs, so the ordering permutation changes at
-// exactly the swapped positions — a segment-local permutation the view
-// layer can patch engines across (ViewDelta.Moved). The shared cached
-// permutation is never mutated: a repair pass that swaps clones it once
-// (copy-on-write) so views pinned to earlier epochs keep their numbering.
-//
-// The return reports the pass outcome: the exchange counts, and stalled —
-// the pass ended with the gap still over threshold and neither an improving
-// pair swap nor a positive-gain rotation left, the state that forces the
-// caller's full-rebuild fallback.
-func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
-	th := d.effEdgeThreshold()
-	if core.Spread(d.partEdges) <= th {
-		return 0, 0, false
-	}
-	d.ensureOrdering()
-	d.ensureMembers()
-	p := d.cfg.Partitions
-	lists := d.members
-	// Partition member lists are sorted by ascending live degree lazily, on
-	// first use as a donor or receiver in this pass (degrees drift between
-	// passes, so sortedness never carries over); a typical pass touches a
-	// handful of partitions, not all P.
-	sorted := make([]bool, p)
-	byDeg := func(l []graph.VertexID) func(i, j int) bool {
-		return func(i, j int) bool {
-			if d.degIn[l[i]] != d.degIn[l[j]] {
-				return d.degIn[l[i]] < d.degIn[l[j]]
-			}
-			return l[i] < l[j]
-		}
-	}
-	sortList := func(q int) {
-		if !sorted[q] {
-			sort.Slice(lists[q], byDeg(lists[q]))
-			sorted[q] = true
-		}
-	}
-	// insertSorted keeps a sorted list sorted after adding w.
-	insertSorted := func(q int, w graph.VertexID) {
-		l := lists[q]
-		i := sort.Search(len(l), func(i int) bool {
-			if d.degIn[l[i]] != d.degIn[w] {
-				return d.degIn[l[i]] > d.degIn[w]
-			}
-			return l[i] >= w
-		})
-		l = append(l, 0)
-		copy(l[i+1:], l[i:])
-		l[i] = w
-		lists[q] = l
-	}
-	var perm []graph.VertexID
-	var partOf []uint32
-	var moved []graph.VertexID
-	// cow clones the shared cached permutation once per pass, so views
-	// pinned to earlier epochs keep their numbering.
-	cow := func() {
-		if perm == nil {
-			perm = append([]graph.VertexID(nil), d.ordPerm...)
-			partOf = append([]uint32(nil), d.ordPartOf...)
-		}
-	}
-	// rotIdx is the degree-indexed rotation candidate index: every vertex,
-	// sorted by (live in-degree, ID). Degrees are fixed within a pass, so it
-	// is built lazily on the first rotation attempt and shared by the rest of
-	// the pass. It lets the search find intermediate vertices b with degree
-	// near deg(a) — the choice that least disturbs b's partition — by binary
-	// search plus a short two-sided scan, instead of probing every partition.
-	var rotIdx []graph.VertexID
-	ensureRotIdx := func() {
-		if rotIdx != nil {
-			return
-		}
-		rotIdx = make([]graph.VertexID, d.n)
-		for v := range rotIdx {
-			rotIdx[v] = graph.VertexID(v)
-		}
-		sort.Slice(rotIdx, func(i, j int) bool {
-			if d.degIn[rotIdx[i]] != d.degIn[rotIdx[j]] {
-				return d.degIn[rotIdx[i]] < d.degIn[rotIdx[j]]
-			}
-			return rotIdx[i] < rotIdx[j]
-		})
-	}
-	// rotate attempts a three-way exchange when no improving pair swap
-	// exists: a ∈ pmax moves to an intermediate partition q, b ∈ q moves to
-	// pmin, and c ∈ pmin moves to pmax, the three exchanging new IDs
-	// cyclically so all vertex counts and segment boundaries stay fixed.
-	// Per-pair transfers that are individually too coarse (deg(a)−deg(c)
-	// ∉ (0, gap) for every direct pair) can compose into a fine-grained
-	// net flow through q. The rotation is accepted only if it strictly
-	// decreases the sum of squared loads of the three partitions, which
-	// bounds the repair loop the same way pair swaps do.
-	rotate := func(pmax, pmin int, gap int64) bool {
-		d.stats.RotationAttempts++
-		d.m.rotAttempts.Inc()
-		lmax, lmin := lists[pmax], lists[pmin]
-		bestQ, bestA, bestB, bestC := -1, -1, -1, -1
-		var bestGain int64
-		// Gain of moving loads x→x+t is −(2xt+t²) summed over the three
-		// partitions; positive gain = smaller Σ load².
-		gainOf := func(load, t int64) int64 { return -(2*load*t + t*t) }
-		consider := func(q, aj, bj, ci int) {
-			a, b, c := lmax[aj], lists[q][bj], lmin[ci]
-			da, db, dc := d.degIn[a], d.degIn[b], d.degIn[c]
-			gain := gainOf(d.partEdges[pmax], dc-da) +
-				gainOf(d.partEdges[q], da-db) +
-				gainOf(d.partEdges[pmin], db-dc)
-			if gain > bestGain {
-				bestQ, bestA, bestB, bestC, bestGain = q, aj, bj, ci, gain
-			}
-		}
-		// Indexed search: for each receiver c, take the donors a bracketing
-		// the ideal transfer (as the pair search does) and probe the degree
-		// index around deg(a) for intermediates b, nearest degree first.
-		ensureRotIdx()
-		posInList := func(q int, b graph.VertexID) int {
-			sortList(q)
-			l := lists[q]
-			return sort.Search(len(l), func(i int) bool {
-				if d.degIn[l[i]] != d.degIn[b] {
-					return d.degIn[l[i]] > d.degIn[b]
-				}
-				return l[i] >= b
-			})
-		}
-		probe := func(aj, ci int) {
-			da := d.degIn[lmax[aj]]
-			i0 := sort.Search(len(rotIdx), func(i int) bool { return d.degIn[rotIdx[i]] >= da })
-			taken, scanned := 0, 0
-			for lo, hi := i0-1, i0; taken < rotScanK && scanned < 8*rotScanK && (lo >= 0 || hi < len(rotIdx)); {
-				var b graph.VertexID
-				// Expand toward whichever side's next candidate is nearer
-				// in degree.
-				switch {
-				case lo < 0:
-					b = rotIdx[hi]
-					hi++
-				case hi >= len(rotIdx):
-					b = rotIdx[lo]
-					lo--
-				case da-d.degIn[rotIdx[lo]] <= d.degIn[rotIdx[hi]]-da:
-					b = rotIdx[lo]
-					lo--
-				default:
-					b = rotIdx[hi]
-					hi++
-				}
-				scanned++
-				q := int(d.assign[b])
-				if q == pmax || q == pmin {
-					continue
-				}
-				consider(q, aj, posInList(q, b), ci)
-				taken++
-			}
-		}
-		for ci, c := range lmin {
-			target := d.degIn[c] + (gap+1)/2
-			ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-			for _, aj := range [2]int{ai - 1, ai} {
-				if aj < 0 || aj >= len(lmax) {
-					continue
-				}
-				probe(aj, ci)
-			}
-		}
-		if bestQ < 0 {
-			d.stats.RotationStalls++
-			d.m.rotStalls.Inc()
-			return false
-		}
-		q := bestQ
-		a, b, c := lists[pmax][bestA], lists[q][bestB], lists[pmin][bestC]
-		cow()
-		da, db, dc := d.degIn[a], d.degIn[b], d.degIn[c]
-		d.assign[a], d.assign[b], d.assign[c] = uint32(q), uint32(pmin), uint32(pmax)
-		partOf[a], partOf[b], partOf[c] = uint32(q), uint32(pmin), uint32(pmax)
-		d.partEdges[pmax] += dc - da
-		d.partEdges[q] += da - db
-		d.partEdges[pmin] += db - dc
-		// a takes b's position, b takes c's, c takes a's.
-		perm[a], perm[b], perm[c] = perm[b], perm[c], perm[a]
-		moved = append(moved, a, b, c)
-		rots++
-		lists[pmax] = append(lists[pmax][:bestA], lists[pmax][bestA+1:]...)
-		lists[q] = append(lists[q][:bestB], lists[q][bestB+1:]...)
-		lists[pmin] = append(lists[pmin][:bestC], lists[pmin][bestC+1:]...)
-		insertSorted(q, a)
-		insertSorted(pmin, b)
-		insertSorted(pmax, c)
-		return true
-	}
-	for iter := 0; iter < d.n; iter++ {
-		pmax := argMin2Neg(d.partEdges)
-		pmin := argMin2(d.partEdges, d.partVerts)
-		gap := d.partEdges[pmax] - d.partEdges[pmin]
-		if gap <= th {
-			break
-		}
-		sortList(pmax)
-		sortList(pmin)
-		lmax, lmin := lists[pmax], lists[pmin]
-		// Best pair: minimize |transfer − gap/2| over transfers in (0, gap),
-		// which strictly shrinks this pair's imbalance (and the sum of
-		// squared loads, so the loop terminates). For each candidate u the
-		// two donors bracketing the ideal degree suffice, since degrees are
-		// sorted.
-		bestV, bestU := -1, -1
-		var bestScore int64
-		for ui, u := range lmin {
-			target := d.degIn[u] + (gap+1)/2
-			i := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-			for _, j := range [2]int{i - 1, i} {
-				if j < 0 || j >= len(lmax) {
-					continue
-				}
-				t := d.degIn[lmax[j]] - d.degIn[u]
-				if t <= 0 || t >= gap {
-					continue
-				}
-				score := gap - 2*t
-				if score < 0 {
-					score = -score
-				}
-				if bestV < 0 || score < bestScore {
-					bestV, bestU, bestScore = j, ui, score
-				}
-			}
-		}
-		if bestV < 0 {
-			// No improving pair exchange exists; try a three-way rotation
-			// through an intermediate partition before giving up (the
-			// caller falls back to a full rebuild).
-			if !rotate(pmax, pmin, gap) {
-				stalled = true
-				break
-			}
-			continue
-		}
-		v, u := lmax[bestV], lmin[bestU]
-		cow()
-		dv, du := d.degIn[v], d.degIn[u]
-		d.assign[v], d.assign[u] = uint32(pmin), uint32(pmax)
-		partOf[v], partOf[u] = uint32(pmin), uint32(pmax)
-		d.partEdges[pmax] += du - dv
-		d.partEdges[pmin] += dv - du
-		perm[v], perm[u] = perm[u], perm[v]
-		moved = append(moved, v, u)
-		swaps++
-		lists[pmax] = append(lmax[:bestV], lmax[bestV+1:]...)
-		lists[pmin] = append(lmin[:bestU], lmin[bestU+1:]...)
-		insertSorted(pmax, u)
-		insertSorted(pmin, v)
-	}
-	if swaps > 0 || rots > 0 {
-		d.ordPerm, d.ordPartOf = perm, partOf
-		d.placeEpoch++
-		d.ordPlace = d.placeEpoch
-		for _, w := range moved {
-			d.viewMoved[w] = struct{}{}
-		}
-		d.stats.Swaps += swaps
-		d.stats.Rotations += rots
-		d.stats.Placements += 2*swaps + 3*rots
-		d.stats.RepairedVertices += 2*swaps + 3*rots
-		d.m.swaps.Add(swaps)
-		d.m.rotations.Add(rots)
-	}
-	d.stats.Repairs++
-	return swaps, rots, stalled
-}
-
-// argMin2Neg returns the index of the maximum value (lowest index wins ties).
-func argMin2Neg(xs []int64) int {
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// rebuild runs the full Algorithm 2 over the live degree array.
-func (d *Graph) rebuild() {
-	r, err := core.ReorderDegrees(d.degIn, d.cfg.Partitions, core.Options{})
-	if err != nil {
-		// Unreachable: the config validated P at New time.
-		panic(err)
-	}
-	copy(d.assign, r.PartitionOf)
-	copy(d.partEdges, r.EdgeCounts)
-	copy(d.partVerts, r.VertexCounts)
-	d.stats.FullRebuilds++
-	d.stats.Placements += int64(d.n)
-	d.placementChanged()
-}
-
-// placementChanged invalidates everything keyed to the placement: the cached
-// permutation and the patchability of engine-side structures. Swap repairs
-// do NOT go through here — they maintain the permutation copy-on-write and
-// record their moves in viewMoved instead, keeping the numbering lineage
-// (renumEpoch) intact.
-func (d *Graph) placementChanged() {
-	d.placeEpoch++
-	d.renumEpoch++
-	d.viewPlace = true
-	// Per-vertex move tracking is moot once the whole numbering changed,
-	// and the swap repair's member lists no longer match the assignment.
-	d.viewMoved = make(map[graph.VertexID]struct{})
-	d.members = nil
-}
-
-// Rebuild forces a full reorder regardless of the thresholds. It runs
-// outside any batch, so its "rebuild" span has no parent.
-func (d *Graph) Rebuild() {
-	bstart := time.Now()
-	d.rebuild()
-	d.m.rebuildForced.Inc()
-	d.m.rebuildNS.ObserveSince(bstart)
-	d.sp.Record(obs.Span{
-		Name: "rebuild", Kind: "maintain",
-		Cause: "forced", Epoch: d.epoch, Start: bstart, Dur: time.Since(bstart),
-		Attrs: map[string]int64{"placements": int64(d.n)},
-	})
-	d.syncGauges()
-}
-
-// argMin2 returns the index minimizing primary, breaking ties by secondary.
-func argMin2(primary, secondary []int64) int {
-	best := 0
-	for i := 1; i < len(primary); i++ {
-		if primary[i] < primary[best] ||
-			(primary[i] == primary[best] && secondary[i] < secondary[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// Frozen is an immutable capture of the live edge multiset at one epoch. It
-// shares the base graph and the append-only prefix of the pending log with
-// the live structure and copies only the (small) cancellation bookkeeping,
-// so freezing costs O(pending) regardless of graph size. A Frozen may be
-// materialized from any goroutine, concurrently with further ApplyBatch
-// calls on the source graph.
-//
-//vebo:frozen
-type Frozen struct {
-	n         int
-	weighted  bool
-	epoch     int64
-	liveEdges int64
-	base      *graph.Graph
-	pending   []graph.Edge
-	needW     map[wkey]int64 // surviving pending insertions per (s,d,w)
-	delBase   map[wkey]int64 // base cancellations per (s,d,w)
-}
-
-// Freeze captures the current live edge multiset.
-func (d *Graph) Freeze() Frozen {
-	f := Frozen{
-		n:         d.n,
-		weighted:  d.weighted,
-		epoch:     d.epoch,
-		liveEdges: d.liveEdges,
-		base:      d.base,
-		pending:   d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
-	}
-	if len(d.addAlive) > 0 {
-		f.needW = make(map[wkey]int64, len(d.addAlive))
-		for k, alive := range d.addAlive {
-			for _, w := range alive {
-				f.needW[wkey{k, w}]++
-			}
-		}
-	}
-	if len(d.delBase) > 0 {
-		f.delBase = make(map[wkey]int64, len(d.delBase))
-		for k, c := range d.delBase {
-			f.delBase[k] = c
-		}
-	}
-	return f
-}
-
-// Epoch returns the mutation epoch the capture was taken at.
-func (f Frozen) Epoch() int64 { return f.epoch }
-
-// NumVertices reports the vertex count.
-func (f Frozen) NumVertices() int { return f.n }
-
-// NumEdges reports the live edge count of the capture.
-func (f Frozen) NumEdges() int64 { return f.liveEdges }
-
-// Materialize builds the captured edge multiset as an immutable CSR+CSC
-// graph, in deterministic order: base edges in CSR order with cancellations
-// consuming the earliest same-weight occurrences, then surviving log
-// insertions in arrival order.
-func (f Frozen) Materialize() *graph.Graph {
-	edges := make([]graph.Edge, 0, f.liveEdges)
-	var dels map[wkey]int64
-	if len(f.delBase) > 0 {
-		dels = make(map[wkey]int64, len(f.delBase))
-		for k, c := range f.delBase {
-			dels[k] = c
-		}
-	}
-	for _, e := range f.base.Edges() {
-		k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-		if dels[k] > 0 {
-			dels[k]--
-			continue
-		}
-		edges = append(edges, e)
-	}
-	if len(f.pending) > 0 {
-		emitted := make(map[wkey]int64, len(f.needW))
-		for _, e := range f.pending {
-			k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-			if emitted[k] >= f.needW[k] {
-				continue // cancelled by a later deletion
-			}
-			emitted[k]++
-			edges = append(edges, e)
-		}
-	}
-	g, err := graph.FromEdges(f.n, edges, f.weighted)
-	if err != nil {
-		// Unreachable: every applied update was range-checked.
-		panic(err)
-	}
-	return g
-}
-
-// Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph
-// the processing engines can traverse. The result is cached until the next
-// mutation; callers must not retain it across ApplyBatch if they need the
-// newest state, but may keep using an old snapshot safely (it is never
-// mutated).
-func (d *Graph) Snapshot() *graph.Graph {
-	if d.snapCache != nil && d.snapEpoch == d.epoch {
-		return d.snapCache
-	}
-	g := d.Freeze().Materialize()
-	d.snapCache, d.snapEpoch = g, d.epoch
-	return g
-}
-
-// Compact promotes the current snapshot to the new base graph and clears the
-// delta log. Engines holding older snapshots (and views holding older
-// freezes) are unaffected: the old base and log prefix stay immutable. The
-// "compact" span parents onto the batch whose log bound triggered it, or
-// onto nothing for a direct call.
-func (d *Graph) Compact() {
-	cstart := time.Now()
-	pending := d.PendingOps()
-	d.base = d.Snapshot()
-	d.pendingAdd = nil
-	d.addAlive = make(map[edgeKey][]int32)
-	d.delBase = make(map[wkey]int64)
-	d.delPair = make(map[edgeKey]int64)
-	d.pendingDels = 0
-	d.stats.Compactions++
-	d.m.compactions.Inc()
-	d.m.compactNS.ObserveSince(cstart)
-	d.sp.Record(obs.Span{
-		Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
-		Cause: "log-bound", Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
-		Attrs: map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges},
-	})
-}
-
-// ensureOrdering makes the cached permutation current. The full
-// (partition, degree desc, ID) sort runs only when the numbering lineage
-// broke (initial call, full rebuild, relabeling spill);
-// swap repairs update the cached permutation copy-on-write themselves, and
-// Grow extends it in place, so between renumbering events the new IDs of
-// unmoved vertices never change. Once the vertex space has started growing,
-// the sort produces a slotted ordering: each partition's segment is followed
-// by reserved headroom slots (Config.headroom) that future admissions fill
-// without renumbering anything; before the first Grow the ordering stays
-// compact, so non-growing workloads see exact permutations.
-func (d *Graph) ensureOrdering() {
-	if d.ordPerm != nil && d.ordPlace == d.placeEpoch {
-		return
-	}
-	order := make([]int, d.n)
-	for v := range order {
-		order[v] = v
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if d.assign[a] != d.assign[b] {
-			return d.assign[a] < d.assign[b]
-		}
-		if d.degIn[a] != d.degIn[b] {
-			return d.degIn[a] > d.degIn[b]
-		}
-		return a < b
-	})
-	perm := make([]graph.VertexID, d.n)
-	if d.growing {
-		p := d.cfg.Partitions
-		d.segCap = make([]int64, p)
-		d.slotBase = make([]int64, p+1)
-		for q := 0; q < p; q++ {
-			d.segCap[q] = d.partVerts[q] + d.cfg.headroom(d.partVerts[q])
-			d.slotBase[q+1] = d.slotBase[q] + d.segCap[q]
-		}
-		next := append([]int64(nil), d.slotBase[:p]...)
-		// order is sorted by partition first, so assigning sequentially from
-		// each partition's slot base keeps the occupied positions a
-		// contiguous prefix of every segment.
-		for _, v := range order {
-			q := d.assign[v]
-			perm[v] = graph.VertexID(next[q])
-			next[q]++
-		}
-	} else {
-		d.segCap, d.slotBase = nil, nil
-		for newID, v := range order {
-			perm[v] = graph.VertexID(newID)
-		}
-	}
-	d.ordPerm = perm
-	d.ordPartOf = append([]uint32(nil), d.assign...)
-	d.ordPlace = d.placeEpoch
-}
-
-// Ordering returns the current placement as a core.Result: the permutation
-// renumbers vertices so each partition owns a contiguous new-ID range, with
-// vertices in decreasing degree order (as of the last renumbering event)
-// inside it, as Algorithm 2's phase 3 does. The permutation is recomputed
-// only when the numbering lineage breaks (full rebuild or relabeling
-// spill); swap repairs permute it copy-on-write at exactly the swapped
-// positions, and degree-only epochs keep the exact numbering — which is
-// what lets engine-side structures of unchanged partitions be reused —
-// while the returned per-partition counts are always current. Once the
-// vertex space has grown, the result is slotted (SlotCounts non-nil): each
-// segment carries reserved headroom slots after its occupied prefix, the
-// permutation is an injection into the slot space, and admissions fill
-// slots without renumbering anyone. The Perm and PartitionOf slices are
-// shared and immutable; callers must not modify them.
-func (d *Graph) Ordering() *core.Result {
-	d.ensureOrdering()
-	return &core.Result{
-		P:            d.cfg.Partitions,
-		Perm:         d.ordPerm,
-		PartitionOf:  d.ordPartOf,
-		VertexCounts: d.VertexCounts(),
-		EdgeCounts:   d.EdgeCounts(),
-		SlotCounts:   d.SlotCounts(),
-	}
-}
-
-// ViewDelta describes everything that changed between two drains: the net
-// resolved edge changes and whether the placement moved. The facade
-// publishes one view per drain and uses the delta to patch engine-side
-// structures instead of rebuilding them; the exact set of dirty partitions
-// is derived from the delta's destination endpoints.
-type ViewDelta struct {
-	// Net maps an edge triple (Src, Dst, normalized Weight) to its net
-	// multiplicity change since the last drain. Entries are never zero.
-	Net map[graph.Edge]int64
-	// Moved holds the original-ID vertices repositioned by
-	// placement-preserving swaps, rotations and re-sorts since the last
-	// drain: their
-	// partition and new ID changed, but the partition segment boundaries
-	// did not, and every vertex outside the set kept its exact new ID. The
-	// set may over-approximate after window arithmetic (an entry whose
-	// endpoint positions turn out equal is harmless — its segment
-	// permutation entry is the identity).
-	Moved map[graph.VertexID]struct{}
-	// PlacementChanged reports whether the whole numbering was invalidated
-	// since the last drain (full rebuild or relabeling spill); swap repairs
-	// and re-sorts set Moved instead.
-	PlacementChanged bool
-	// Grown is the per-partition count of vertices admitted since the last
-	// drain (nil when none): partition p absorbed Grown[p] admissions into
-	// its reserved headroom slots, leaving every pre-existing vertex's new
-	// ID unchanged — the cross-epoch injection is the identity on the old
-	// vertices. Internal IDs are append-only, so the admitted vertices are
-	// exactly the IDs in [n − GrownTotal(), n) of the drained epoch's
-	// space; their new IDs are scattered per-partition tail slots, not a
-	// contiguous range. A spill (headroom exhaustion) renumbers instead and
-	// sets PlacementChanged.
-	Grown []int64
-	// Updates counts the net edge changes covered by this delta.
-	Updates int64
-}
-
-// GrownTotal returns the number of vertices admitted in the delta's window.
-func (vd ViewDelta) GrownTotal() int64 {
-	var t int64
-	for _, c := range vd.Grown {
-		t += c
-	}
-	return t
-}
-
-// addGrown adds sign×b into a elementwise, allocating on first use; a nil
-// result stands for the zero vector.
-func addGrown(a, b []int64, sign int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if a == nil {
-		a = make([]int64, len(b))
-	}
-	for p, c := range b {
-		a[p] += sign * c
-	}
-	return a
-}
-
-// DrainViewDelta returns the accumulated delta and resets the accumulators.
-// Single-writer: call only from the goroutine that applies batches.
-func (d *Graph) DrainViewDelta() ViewDelta {
-	vd := ViewDelta{
-		Net:              d.viewNet,
-		Moved:            d.viewMoved,
-		PlacementChanged: d.viewPlace,
-		Grown:            d.viewGrow,
-	}
-	for _, c := range vd.Net {
-		if c > 0 {
-			vd.Updates += c
-		} else {
-			vd.Updates -= c
-		}
-	}
-	d.viewNet = make(map[graph.Edge]int64)
-	d.viewMoved = make(map[graph.VertexID]struct{})
-	d.viewGrow = nil
-	d.viewPlace = false
-	return vd
-}
-
-// mergeMoved unions two moved sets; a nil result stands for the empty set.
-func mergeMoved(a, b map[graph.VertexID]struct{}) map[graph.VertexID]struct{} {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make(map[graph.VertexID]struct{}, len(a)+len(b))
-	for v := range a {
-		out[v] = struct{}{}
-	}
-	for v := range b {
-		out[v] = struct{}{}
-	}
-	return out
-}
-
-// Merge combines vd (earlier) with later into a fresh delta covering both
-// windows. Moved is the union even when the combined window contains a
-// renumbering (PlacementChanged): a later re-anchor onto a view published
-// after the rebuild clears PlacementChanged again, and the swaps that
-// landed after the rebuild must still be there for it to trim against —
-// dropping them would leave the delta claiming an identity permutation
-// across a real move. Neither input is mutated.
-func (vd ViewDelta) Merge(later ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:              make(map[graph.Edge]int64, len(vd.Net)+len(later.Net)),
-		Moved:            mergeMoved(vd.Moved, later.Moved),
-		PlacementChanged: vd.PlacementChanged || later.PlacementChanged,
-		Grown:            addGrown(addGrown(nil, vd.Grown, 1), later.Grown, 1),
-		Updates:          vd.Updates + later.Updates,
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range later.Net {
-		out.Net[e] += c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
-		}
-	}
-	return out
-}
-
-// Subtract returns the delta covering this delta's window minus a prefix of
-// it: Net is the exact multiset difference; Moved is the union of both
-// windows' sets (a safe over-approximation — the caller can trim entries
-// whose endpoint positions agree); PlacementChanged is left for the caller
-// to set from renumbering epochs. Neither input is mutated.
-func (vd ViewDelta) Subtract(prefix ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:   make(map[graph.Edge]int64, len(vd.Net)),
-		Moved: mergeMoved(vd.Moved, prefix.Moved),
-		// Admissions are cumulative and prefix-closed: the prefix's
-		// admissions are a per-partition prefix of this window's.
-		Grown: addGrown(addGrown(nil, vd.Grown, 1), prefix.Grown, -1),
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range prefix.Net {
-		out.Net[e] -= c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
-		}
-	}
-	for _, c := range out.Net {
-		if c > 0 {
-			out.Updates += c
-		} else {
-			out.Updates -= c
-		}
-	}
-	return out
-}
-
-// dynMetrics bundles the subsystem's metric handles. It is populated even
-// with a nil registry (every handle is then a nil no-op), so instrumented
-// paths never branch on whether metrics are enabled.
-type dynMetrics struct {
-	batches, inserts, deletes       *obs.Counter
-	repairs, swaps, rotations       *obs.Counter
-	rotAttempts, rotStalls          *obs.Counter
-	rebuildRotStall, rebuildVertex  *obs.Counter
-	rebuildShortfall, rebuildForced *obs.Counter
-	resorts, compactions            *obs.Counter
-	admitted, headroomSpills        *obs.Counter
-
-	batchNS, repairNS, rebuildNS *obs.Histogram
-	growNS, compactNS            *obs.Histogram
-
-	epoch, vertices, liveEdges  *obs.Gauge
-	edgeImb, vertImb, effThresh *obs.Gauge
-	pendingOps                  *obs.Gauge
-	// headroomSlots[q] tracks partition q's free reserved admission slots
-	// (vebo_headroom_slots{partition=q}); zero while the ordering is compact.
-	headroomSlots []*obs.Gauge
-}
-
-func newDynMetrics(r *obs.Registry, p int) dynMetrics {
-	slots := make([]*obs.Gauge, p)
-	for q := range slots {
-		slots[q] = r.Gauge("vebo_headroom_slots", "partition", strconv.Itoa(q))
-	}
-	return dynMetrics{
-		batches:          r.Counter("vebo_batches_total"),
-		inserts:          r.Counter("vebo_updates_total", "op", "insert"),
-		deletes:          r.Counter("vebo_updates_total", "op", "delete"),
-		repairs:          r.Counter("vebo_repairs_total"),
-		swaps:            r.Counter("vebo_swaps_total"),
-		rotations:        r.Counter("vebo_rotations_total"),
-		rotAttempts:      r.Counter("vebo_rotation_search_total", "result", "attempt"),
-		rotStalls:        r.Counter("vebo_rotation_search_total", "result", "stall"),
-		rebuildRotStall:  r.Counter("vebo_rebuilds_total", "cause", "rotation-stall"),
-		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),
-		rebuildShortfall: r.Counter("vebo_rebuilds_total", "cause", "repair-shortfall"),
-		rebuildForced:    r.Counter("vebo_rebuilds_total", "cause", "forced"),
-		resorts:          r.Counter("vebo_resorts_total"),
-		compactions:      r.Counter("vebo_compactions_total"),
-		admitted:         r.Counter("vebo_admitted_total"),
-		headroomSpills:   r.Counter("vebo_headroom_spill_total"),
-		batchNS:          r.Histogram("vebo_batch_ns"),
-		repairNS:         r.Histogram("vebo_repair_ns"),
-		rebuildNS:        r.Histogram("vebo_rebuild_ns"),
-		growNS:           r.Histogram("vebo_grow_ns"),
-		compactNS:        r.Histogram("vebo_compact_ns"),
-		epoch:            r.Gauge("vebo_epoch"),
-		vertices:         r.Gauge("vebo_vertices"),
-		liveEdges:        r.Gauge("vebo_live_edges"),
-		edgeImb:          r.Gauge("vebo_edge_imbalance"),
-		vertImb:          r.Gauge("vebo_vertex_imbalance"),
-		effThresh:        r.Gauge("vebo_effective_threshold"),
-		pendingOps:       r.Gauge("vebo_pending_ops"),
-		headroomSlots:    slots,
-	}
-}
-
-// syncGauges refreshes the instantaneous-state gauges after a lifecycle step.
-func (d *Graph) syncGauges() {
-	if d.m.epoch == nil {
-		return
-	}
-	d.m.epoch.Set(d.epoch)
-	d.m.vertices.Set(int64(d.n))
-	d.m.liveEdges.Set(d.liveEdges)
-	d.m.edgeImb.Set(d.EdgeImbalance())
-	d.m.vertImb.Set(d.VertexImbalance())
-	d.m.effThresh.Set(d.effEdgeThreshold())
-	d.m.pendingOps.Set(d.PendingOps())
-	slotted := d.segCap != nil && d.ordPlace == d.placeEpoch
-	for q, g := range d.m.headroomSlots {
-		var free int64
-		if slotted {
-			free = d.segCap[q] - d.partVerts[q]
-		}
-		g.Set(free)
-	}
-}
-
-// AddsDels expands the net delta into explicit insertion and deletion lists
-// (multiplicities unrolled).
-func (vd ViewDelta) AddsDels() (adds, dels []graph.Edge) {
-	for e, c := range vd.Net {
-		for ; c > 0; c-- {
-			adds = append(adds, e)
-		}
-		for ; c < 0; c++ {
-			dels = append(dels, e)
-		}
-	}
-	return adds, dels
 }
