@@ -219,7 +219,6 @@ func Refine(cfg Config) error {
 	return nil
 }
 
-// errRefineGate is wrapped by Refine's quick-mode speedup gate failure. The
-// report is written before the gate is checked, so a caller can tell a
-// wall-clock gate miss from a broken run.
+// errRefineGate marks a quick-mode speedup gate miss, returned after the
+// report is written, so callers can tell it from a broken run.
 var errRefineGate = errors.New("refinement no longer beats scratch")

@@ -72,11 +72,10 @@ type Config struct {
 	Partitions int
 	// RebuildThreshold is the Δ(n) value above which maintenance runs: first
 	// the swap repair, then — if an imbalance is still above its threshold —
-	// a full reorder.
-	// Default 2, the paper's power-law bound (Theorem 1 gives Δ ≤ 1; one
-	// in-flight batch may add one more). Unless DisableAdaptiveThreshold is
-	// set, the effective threshold additionally scales with the graph's
-	// degree spread: see EffectiveRebuildThreshold.
+	// a full reorder. Default 2, the paper's power-law bound (Theorem 1 gives
+	// Δ ≤ 1; one in-flight batch may add one more). Unless
+	// DisableAdaptiveThreshold is set, the effective threshold additionally
+	// scales with the graph's degree spread: see EffectiveRebuildThreshold.
 	RebuildThreshold int64
 	// VertexRebuildThreshold is the δ(n) value above which maintenance runs.
 	// Default 4 (2× Theorem 2's δ ≤ ~1 static bound, with slack for

@@ -436,10 +436,10 @@ func TestWeightedDeleteSelectorValidation(t *testing.T) {
 	}
 }
 
-// TestVertexImbalanceBounded is the δ(n)-gating regression test: under
-// edge-only gating the 100k-update powerlaw stream drifted to δ(n) ≈ 35
-// while Δ(n) stayed ≤ 2 (the ROADMAP item); with the δ gate and the
-// vertex-balance repair the post-stream δ(n) is bounded by the threshold.
+// TestVertexImbalanceBounded is the δ(n) regression test on the
+// 100k-update powerlaw stream: swap repairs exchange vertices 1-for-1, so
+// the post-stream δ(n) stays bounded by the gate threshold while Δ(n) stays
+// near the edge threshold.
 func TestVertexImbalanceBounded(t *testing.T) {
 	const batch = 1024
 	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, 100_000, 42)

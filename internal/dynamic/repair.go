@@ -78,10 +78,9 @@ func (d *Graph) refreshGranularity() {
 
 // resortSegment restores the degree-descending (ID-ascending on ties) order
 // phase 3 establishes inside one partition's segment, advancing a
-// round-robin cursor one partition per call. Preserve-mode swaps park a
-// moved vertex at its partner's old position and admissions append at the
-// tail, so segments slowly lose the layout that gives dense traversal its
-// locality; the re-sort is a segment-local permutation — exactly the shape
+// round-robin cursor one partition per call. Swaps and rotations park a
+// moved vertex at its partner's old position, so segments slowly lose the
+// layout that gives dense traversal its locality; the re-sort is a segment-local permutation — exactly the shape
 // the engine patch paths already handle — recorded in the view delta's
 // moved set like any swap. Returns the re-sorted partition and how many of
 // its vertices moved.
@@ -175,13 +174,12 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 	}
 	d.ensureOrdering()
 	d.ensureMembers()
-	p := d.cfg.Partitions
 	lists := d.members
 	// Partition member lists are sorted by ascending live degree lazily, on
 	// first use as a donor or receiver in this pass (degrees drift between
 	// passes, so sortedness never carries over); a typical pass touches a
 	// handful of partitions, not all P.
-	sorted := make([]bool, p)
+	sorted := make([]bool, d.cfg.Partitions)
 	byDeg := func(l []graph.VertexID) func(i, j int) bool {
 		return func(i, j int) bool {
 			if d.degIn[l[i]] != d.degIn[l[j]] {
@@ -261,16 +259,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 		// Gain of moving loads x→x+t is −(2xt+t²) summed over the three
 		// partitions; positive gain = smaller Σ load².
 		gainOf := func(load, t int64) int64 { return -(2*load*t + t*t) }
-		consider := func(q, aj, bj, ci int) {
-			a, b, c := lmax[aj], lists[q][bj], lmin[ci]
-			da, db, dc := d.degIn[a], d.degIn[b], d.degIn[c]
-			gain := gainOf(d.partEdges[pmax], dc-da) +
-				gainOf(d.partEdges[q], da-db) +
-				gainOf(d.partEdges[pmin], db-dc)
-			if gain > bestGain {
-				bestQ, bestA, bestB, bestC, bestGain = q, aj, bj, ci, gain
-			}
-		}
 		// Indexed search: for each receiver c, take the donors a bracketing
 		// the ideal transfer (as the pair search does) and probe the degree
 		// index around deg(a) for intermediates b, nearest degree first.
@@ -286,7 +274,7 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 			})
 		}
 		probe := func(aj, ci int) {
-			da := d.degIn[lmax[aj]]
+			da, dc := d.degIn[lmax[aj]], d.degIn[lmin[ci]]
 			i0 := sort.Search(len(rotIdx), func(i int) bool { return d.degIn[rotIdx[i]] >= da })
 			taken, scanned := 0, 0
 			for lo, hi := i0-1, i0; taken < rotScanK && scanned < 8*rotScanK && (lo >= 0 || hi < len(rotIdx)); {
@@ -312,7 +300,13 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 				if q == pmax || q == pmin {
 					continue
 				}
-				consider(q, aj, posInList(q, b), ci)
+				bj, db := posInList(q, b), d.degIn[b]
+				gain := gainOf(d.partEdges[pmax], dc-da) +
+					gainOf(d.partEdges[q], da-db) +
+					gainOf(d.partEdges[pmin], db-dc)
+				if gain > bestGain {
+					bestQ, bestA, bestB, bestC, bestGain = q, aj, bj, ci, gain
+				}
 				taken++
 			}
 		}
