@@ -80,10 +80,10 @@ func (d *Graph) refreshGranularity() {
 // phase 3 establishes inside one partition's segment, advancing a
 // round-robin cursor one partition per call. Swaps and rotations park a
 // moved vertex at its partner's old position, so segments slowly lose the
-// layout that gives dense traversal its locality; the re-sort is a segment-local permutation — exactly the shape
-// the engine patch paths already handle — recorded in the view delta's
-// moved set like any swap. Returns the re-sorted partition and how many of
-// its vertices moved.
+// layout that gives dense traversal its locality; the re-sort is a
+// segment-local permutation — exactly the shape the engine patch paths
+// already handle — recorded in the view delta's moved set like any swap.
+// Returns the re-sorted partition and how many of its vertices moved.
 func (d *Graph) resortSegment() (q int, moves int64) {
 	d.ensureOrdering()
 	d.ensureMembers()
