@@ -12,6 +12,7 @@ package vebo_test
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	vebo "repro"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/numa"
 	"repro/internal/order"
+	"repro/internal/partition"
 )
 
 // benchConfig is the reduced-scale configuration used by the per-experiment
@@ -132,6 +134,115 @@ func BenchmarkCSRCOOBuild(b *testing.B) {
 		if _, err := layout.Build(g, layout.CSROrder); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Layer micro-benchmarks of the per-epoch patch path: one dirty-partition
+// COO rebuild, a GraphGrind engine patch and a graph row patch, each at a
+// fixed delta size.
+
+// BenchmarkBuildRange builds one GraphGrind-sized partition's COO (the
+// middle partition of an edge-balanced 384-way split).
+func BenchmarkBuildRange(b *testing.B) {
+	g := benchGraph(b)
+	parts, err := partition.ByDestination(g, graphgrind.DefaultPartitions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := parts[len(parts)/2]
+	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+		b.Run(o.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := layout.BuildRange(g, pt.Lo, pt.Hi, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pt.Edges), "edges")
+		})
+	}
+}
+
+// benchDelta draws half adds and half deletions of live edges, with the
+// deletions named through perm (nil = identity) as a patch expects.
+func benchDelta(g *graph.Graph, updates int, perm []graph.VertexID, seed int64) (adds, dels []graph.Edge) {
+	rng := rand.New(rand.NewSource(seed))
+	n := g.NumVertices()
+	live := g.Edges()
+	for i := 0; i < updates/2; i++ {
+		e := live[rng.Intn(len(live))]
+		if perm != nil {
+			e.Src, e.Dst = perm[e.Src], perm[e.Dst]
+		}
+		dels = append(dels, e)
+		adds = append(adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: 1})
+	}
+	return adds, dels
+}
+
+// BenchmarkGraphGrindPatch patches a 64-partition GraphGrind engine after a
+// 32-update delta: the partitions owning a touched destination are rebuilt,
+// the rest are shared.
+func BenchmarkGraphGrindPatch(b *testing.B) {
+	g := benchGraph(b)
+	gg, err := graphgrind.New(g, graphgrind.Config{
+		Engine:     engine.Config{Topology: numa.Default()},
+		Partitions: 64,
+		Order:      layout.CSROrder,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	adds, dels := benchDelta(g, 32, nil, 1)
+	g2, _, err := g.PatchEdges(adds, dels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	touched := append(adds, dels...)
+	dirty := func(lo, hi graph.VertexID) bool {
+		for _, e := range touched {
+			if e.Dst >= lo && e.Dst < hi {
+				return true
+			}
+		}
+		return false
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := gg.Patch(g2, nil, nil, dirty, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPatchEdgesPermN patches a graph with a 128-update delta, on the
+// identity numbering and under eight swapped vertex pairs (the shape a swap
+// repair leaves).
+func BenchmarkPatchEdgesPermN(b *testing.B) {
+	g := benchGraph(b)
+	n := g.NumVertices()
+	swaps := make([]graph.VertexID, n)
+	for v := range swaps {
+		swaps[v] = graph.VertexID(v)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		a, c := rng.Intn(n), rng.Intn(n)
+		swaps[a], swaps[c] = swaps[c], swaps[a]
+	}
+	for _, tc := range []struct {
+		name string
+		perm []graph.VertexID
+	}{{"identity", nil}, {"swaps", swaps}} {
+		b.Run(tc.name, func(b *testing.B) {
+			adds, dels := benchDelta(g, 128, tc.perm, 3)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -253,13 +253,16 @@ func max(a, b int) int {
 }
 
 // BuildPartitionCOOs materializes one COO per destination range in the given
-// order, in parallel.
+// order, in parallel. Each worker keeps one layout.Builder, so its sort
+// scratch is allocated once per call, not once per range.
 func BuildPartitionCOOs(g *graph.Graph, ranges []Range, o layout.Order, workers int) ([]*layout.COO, error) {
 	coos := make([]*layout.COO, len(ranges))
+	workers = max(min(workers, len(ranges)), 1)
+	builders := make([]layout.Builder, workers)
 	var mu sync.Mutex
 	var firstErr error
-	sched.DynamicItems(workers, len(ranges), func(_, i int) {
-		c, err := layout.BuildRange(g, ranges[i].Lo, ranges[i].Hi, o)
+	sched.DynamicItems(workers, len(ranges), func(w, i int) {
+		c, err := builders[w].BuildRange(g, ranges[i].Lo, ranges[i].Hi, o)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

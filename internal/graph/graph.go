@@ -98,6 +98,10 @@ func (g *Graph) OutEdgeTargets() []VertexID { return g.outDst }
 // InEdgeSources exposes the flat CSC source array. Read-only.
 func (g *Graph) InEdgeSources() []VertexID { return g.inSrc }
 
+// InEdgeWeights exposes the flat CSC weight array, parallel to
+// InEdgeSources. Read-only.
+func (g *Graph) InEdgeWeights() []int32 { return g.inW }
+
 // MaxInDegree returns the largest in-degree in the graph.
 func (g *Graph) MaxInDegree() int64 {
 	var m int64

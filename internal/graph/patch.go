@@ -161,26 +161,14 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 	perm, inv, moved []VertexID, refRows func(VertexID) []VertexID,
 	st *PatchStats,
 ) ([]int64, []VertexID, []int32, error) {
-	type entry struct {
-		id VertexID
-		w  int32
-	}
 	normW := func(w int32) int32 {
 		if !weighted || w == 0 {
 			return 1
 		}
 		return w
 	}
-	rowAdds := make(map[VertexID][]entry)
-	for _, e := range adds {
-		v, nb := key(e)
-		rowAdds[v] = append(rowAdds[v], entry{nb, normW(e.Weight)})
-	}
-	rowDels := make(map[VertexID][]entry)
-	for _, e := range dels {
-		v, nb := key(e)
-		rowDels[v] = append(rowDels[v], entry{nb, normW(e.Weight)})
-	}
+	rowAdds := bucketRows(n, adds, key, normW)
+	rowDels := bucketRows(n, dels, key, normW)
 
 	// Remap-dirty rows, in post-perm IDs: rows owned by moved vertices
 	// (their content relocates and may self-reference) and rows whose lists
@@ -189,14 +177,14 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 	// vertex after the first grown partition shifts — locating referencing
 	// rows through the reverse adjacency costs as much as flagging
 	// everything, so flag everything.
-	var remap map[VertexID]struct{}
+	var remap []bool
 	allRemap := perm != nil && 2*len(moved) > nOld
 	if !allRemap && len(moved) > 0 {
-		remap = make(map[VertexID]struct{}, 2*len(moved))
+		remap = make([]bool, n)
 		for _, a := range moved {
-			remap[perm[a]] = struct{}{}
+			remap[perm[a]] = true
 			for _, r := range refRows(a) {
-				remap[perm[r]] = struct{}{}
+				remap[perm[r]] = true
 			}
 		}
 	}
@@ -220,7 +208,7 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 		if u := oldRow(VertexID(v)); int(u) < nOld {
 			deg = off[u+1] - off[u]
 		}
-		deg += int64(len(rowAdds[VertexID(v)])) - int64(len(rowDels[VertexID(v)]))
+		deg += int64(len(rowAdds.row(v))) - int64(len(rowDels.row(v)))
 		if deg < 0 {
 			return nil, nil, nil, fmt.Errorf("row %d: more deletions than edges", v)
 		}
@@ -233,8 +221,8 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 		u := oldRow(VertexID(v))
 		dst := newIDs[newOff[v]:newOff[v+1]]
 		dw := newWs[newOff[v]:newOff[v+1]]
-		va := rowAdds[VertexID(v)]
-		vd := rowDels[VertexID(v)]
+		va := rowAdds.row(v)
+		vd := rowDels.row(v)
 		if int(u) >= nOld {
 			// Appended vertex: no base row, only additions.
 			if len(vd) > 0 {
@@ -250,11 +238,7 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 			continue
 		}
 		if len(va) == 0 && len(vd) == 0 {
-			dirty := allRemap
-			if !dirty {
-				_, dirty = remap[VertexID(v)]
-			}
-			if !dirty {
+			if !allRemap && (remap == nil || !remap[v]) {
 				// Clean rows are owned by unmoved vertices (u == v) and
 				// mention only unmoved neighbors, so the stored IDs are
 				// still valid.
@@ -295,9 +279,12 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 		// Merge the dirty row: remap surviving neighbors through perm, drop
 		// one occurrence per deletion, append the additions, and re-sort by
 		// (neighbor, weight).
-		pending := make(map[entry]int, len(vd))
-		for _, e := range vd {
-			pending[e]++
+		var pending map[entry]int
+		if len(vd) > 0 {
+			pending = make(map[entry]int, len(vd))
+			for _, e := range vd {
+				pending[e]++
+			}
 		}
 		k := 0
 		for i := off[u]; i < off[u+1]; i++ {
@@ -332,4 +319,48 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 		st.EdgesMerged += int64(k)
 	}
 	return newOff, newIDs, newWs, nil
+}
+
+type entry struct {
+	id VertexID
+	w  int32
+}
+
+// rowBuckets groups a patch's edges by row owner in CSR form: the entries of
+// row v are ents[off[v]:off[v+1]], in input order. A nil off means no edges.
+type rowBuckets struct {
+	off  []int
+	ents []entry
+}
+
+// bucketRows is a stable counting sort of es by row owner over n rows,
+// O(n + len(es)).
+func bucketRows(n int, es []Edge, key func(Edge) (VertexID, VertexID), normW func(int32) int32) rowBuckets {
+	if len(es) == 0 {
+		return rowBuckets{}
+	}
+	// Count into off[v], prefix-sum to each row's end, then place edges back
+	// to front so each off[v] steps down to its row's start.
+	off := make([]int, n+1)
+	for _, e := range es {
+		v, _ := key(e)
+		off[v]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	ents := make([]entry, len(es))
+	for i := len(es) - 1; i >= 0; i-- {
+		v, nb := key(es[i])
+		off[v]--
+		ents[off[v]] = entry{nb, normW(es[i].Weight)}
+	}
+	return rowBuckets{off: off, ents: ents}
+}
+
+func (b rowBuckets) row(v int) []entry {
+	if b.off == nil {
+		return nil
+	}
+	return b.ents[b.off[v]:b.off[v+1]]
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,6 +92,89 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 					st.EdgesCopied+st.EdgesMerged, patched.NumEdges())
 			}
 			g = patched // chain patches across trials
+		}
+	}
+}
+
+// sameBytes reports whether a and b are byte-identical: vertex count,
+// weightedness, and every CSR and CSC array.
+func sameBytes(a, b *Graph) bool {
+	return a.n == b.n && a.weighted == b.weighted &&
+		slices.Equal(a.outOff, b.outOff) && slices.Equal(a.outDst, b.outDst) && slices.Equal(a.outW, b.outW) &&
+		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.inSrc, b.inSrc) && slices.Equal(a.inW, b.inW)
+}
+
+// TestPatchEdgesByteIdentical patches batches in which rows 0, n-1 and a
+// middle row each get several adds and deletes (parallel edges with
+// differing weights included), some of which grow the space with appended
+// rows that receive adds, and checks both adjacency directions are
+// byte-identical to FromEdges on the same multiset — on the identity
+// numbering and under a swap of the first and last vertex.
+func TestPatchEdgesByteIdentical(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		for _, swapEnds := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(13))
+			const n = 25
+			var edges []Edge
+			for i := 0; i < 150; i++ {
+				edges = append(edges, Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: int32(1 + rng.Intn(3))})
+			}
+			for _, h := range []VertexID{0, n / 2, n - 1} {
+				for w := int32(1); w <= 3; w++ {
+					edges = append(edges, Edge{Src: h, Dst: 3, Weight: w}, Edge{Src: 5, Dst: h, Weight: w})
+				}
+			}
+			g, err := FromEdges(n, edges, weighted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 8; trial++ {
+				nOld := g.NumVertices()
+				nNew := nOld + trial%3
+				var perm []VertexID
+				if swapEnds {
+					perm = make([]VertexID, nOld)
+					for v := range perm {
+						perm[v] = VertexID(v)
+					}
+					perm[0], perm[nOld-1] = perm[nOld-1], perm[0]
+				}
+				hot := []VertexID{0, VertexID(nOld / 2), VertexID(nOld - 1)}
+				isHot := func(v VertexID) bool { return slices.Contains(hot, v) }
+				var dels, kept []Edge
+				for _, e := range g.Edges() {
+					if perm != nil {
+						e.Src, e.Dst = perm[e.Src], perm[e.Dst]
+					}
+					if (isHot(e.Src) || isHot(e.Dst)) && len(dels) < 12 && rng.Intn(2) == 0 {
+						dels = append(dels, e)
+					} else {
+						kept = append(kept, e)
+					}
+				}
+				var adds []Edge
+				for _, h := range hot {
+					x := VertexID(rng.Intn(nNew))
+					for w := int32(1); w <= 3; w++ {
+						adds = append(adds, Edge{Src: h, Dst: x, Weight: w}, Edge{Src: x, Dst: h, Weight: w})
+					}
+				}
+				for v := nOld; v < nNew; v++ {
+					adds = append(adds, Edge{Src: VertexID(v), Dst: 0, Weight: 2}, Edge{Src: VertexID(nNew - 1), Dst: VertexID(v), Weight: 1})
+				}
+				patched, _, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+				if err != nil {
+					t.Fatalf("weighted=%v swap=%v trial %d: %v", weighted, swapEnds, trial, err)
+				}
+				want, err := FromEdges(nNew, append(kept, adds...), weighted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBytes(patched, want) {
+					t.Fatalf("weighted=%v swap=%v trial %d: patched graph is not byte-identical to FromEdges", weighted, swapEnds, trial)
+				}
+				g = patched
+			}
 		}
 	}
 }

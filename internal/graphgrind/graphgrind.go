@@ -129,32 +129,17 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int6
 	}
 	parts := make([]partition.Partition, len(gg.parts))
 	coos := make([]*layout.COO, len(gg.coos))
-	rebuild := func(i int, lo, hi graph.VertexID) error {
-		np := partition.Partition{Lo: lo, Hi: hi}
-		for v := lo; v < hi; v++ {
-			np.Edges += g.InDegree(v)
-		}
-		c, err := layout.BuildRange(g, lo, hi, gg.cfg.Order)
-		if err != nil {
-			return err
-		}
-		parts[i] = np
-		coos[i] = c
-		st.PartsRebuilt++
-		st.EdgesRebuilt += np.Edges
-		return nil
-	}
+	var rebuild []int // built in one parallel pass below, as New builds
 	for i, pt := range gg.parts {
 		newLo, newHi := pt.Lo, pt.Hi
 		if bounds != nil {
 			newLo, newHi = graph.VertexID(bounds[i]), graph.VertexID(bounds[i+1])
 		}
+		parts[i] = partition.Partition{Lo: newLo, Hi: newHi, Edges: pt.Edges}
 		shifted := newLo != pt.Lo
 		grown := newHi-newLo != pt.Hi-pt.Lo
 		if dirty(newLo, newHi) || grown || (shifted && perm == nil) {
-			if err := rebuild(i, newLo, newHi); err != nil {
-				return nil, st, err
-			}
+			rebuild = append(rebuild, i)
 			continue
 		}
 		if perm != nil && (shifted || (srcMoved != nil && srcMoved(newLo, newHi))) {
@@ -163,22 +148,33 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int6
 				// A destination moved (or a vertex was admitted) inside a
 				// partition the caller claimed clean; rebuild defensively
 				// rather than trust the contract.
-				if err := rebuild(i, newLo, newHi); err != nil {
-					return nil, st, err
-				}
+				rebuild = append(rebuild, i)
 				continue
 			}
-			parts[i] = partition.Partition{Lo: newLo, Hi: newHi, Edges: pt.Edges}
 			coos[i] = c
 			st.PartsRemapped++
 			st.EdgesRemapped += rewritten
 			st.EdgesReused += pt.Edges - rewritten
 			continue
 		}
-		parts[i] = pt
 		coos[i] = gg.coos[i]
 		st.PartsReused++
 		st.EdgesReused += pt.Edges
+	}
+	rebuildRanges := make([]engine.Range, len(rebuild))
+	for j, i := range rebuild {
+		rebuildRanges[j] = engine.Range{Lo: parts[i].Lo, Hi: parts[i].Hi}
+	}
+	built, err := engine.BuildPartitionCOOs(g, rebuildRanges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads())
+	if err != nil {
+		return nil, st, err
+	}
+	off := g.InOffsets()
+	for j, i := range rebuild {
+		parts[i].Edges = off[parts[i].Hi] - off[parts[i].Lo]
+		coos[i] = built[j]
+		st.PartsRebuilt++
+		st.EdgesRebuilt += parts[i].Edges
 	}
 	ranges := gg.ranges
 	partOf := gg.partOf

@@ -6,8 +6,10 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hilbert"
@@ -46,8 +48,6 @@ type COO struct {
 	Src, Dst []graph.VertexID
 	Weight   []int32
 	Ordering Order
-
-	keys []uint64 // scratch Hilbert keys, non-nil only during sorting
 }
 
 // Len returns the number of edges.
@@ -55,107 +55,103 @@ func (c *COO) Len() int { return len(c.Src) }
 
 // Build materializes g's edges as a COO in the requested order.
 func Build(g *graph.Graph, o Order) (*COO, error) {
-	m := int(g.NumEdges())
-	c := &COO{
-		Src:      make([]graph.VertexID, 0, m),
-		Dst:      make([]graph.VertexID, 0, m),
-		Weight:   make([]int32, 0, m),
-		Ordering: o,
-	}
-	// Start from CSC order (destination-major) since engines partition by
-	// destination; re-sort as requested.
-	for v := 0; v < g.NumVertices(); v++ {
-		ws := g.InWeights(graph.VertexID(v))
-		for i, s := range g.InNeighbors(graph.VertexID(v)) {
-			c.Src = append(c.Src, s)
-			c.Dst = append(c.Dst, graph.VertexID(v))
-			c.Weight = append(c.Weight, ws[i])
-		}
-	}
-	switch o {
-	case CSCOrder:
-		// already destination-major with ascending sources within a
-		// destination
-	case CSROrder:
-		c.sortBy(func(i, j int) bool {
-			if c.Src[i] != c.Src[j] {
-				return c.Src[i] < c.Src[j]
-			}
-			return c.Dst[i] < c.Dst[j]
-		})
-	case HilbertOrder:
-		k := hilbert.OrderFor(g.NumVertices())
-		keys := make([]uint64, m)
-		for i := range keys {
-			keys[i] = hilbert.XY2D(k, uint32(c.Src[i]), uint32(c.Dst[i]))
-		}
-		c.keys = keys
-		c.sortBy(func(i, j int) bool { return keys[i] < keys[j] })
-		c.keys = nil
-	default:
-		return nil, fmt.Errorf("layout: unknown order %v", o)
-	}
-	return c, nil
+	return BuildRange(g, 0, graph.VertexID(g.NumVertices()), o)
 }
 
 // BuildRange materializes the in-edges of the destination range [lo, hi) in
 // the requested order. GraphGrind builds one COO per partition.
 func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
+	var b Builder
+	return b.BuildRange(g, lo, hi, o)
+}
+
+// Builder materializes COOs, keeping its sort scratch across calls so a
+// worker that builds many partitions allocates it once. The zero value is
+// ready to use; a Builder must not be used by two goroutines at once.
+type Builder struct {
+	keys  []uint64         // CSR order: src<<32 | position
+	hkeys []hilbertKey     // Hilbert order: (curve index, position)
+	dstAt []graph.VertexID // destination of each position
+}
+
+type hilbertKey struct {
+	d   uint64
+	pos uint32
+}
+
+// BuildRange is the package-level BuildRange using b's scratch.
+//
+// A position indexes the range's in-edges in CSC order: destination-major,
+// and by (source, weight) within a destination. Every order is the stable
+// sort of that sequence by the order's key, so parallel edges keep their
+// weight order. CSR order sorts src<<32|position, which is exactly the
+// stable (src, dst) order because positions are destination-major; Hilbert
+// order sorts (curve index, position) pairs. Both then gather the COO in
+// one pass from the graph's CSC arrays.
+func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
 	if lo > hi || int(hi) > g.NumVertices() {
 		return nil, fmt.Errorf("layout: invalid range [%d,%d)", lo, hi)
 	}
-	c := &COO{Ordering: o}
+	off := g.InOffsets()
+	base, end := off[lo], off[hi]
+	m := end - base
+	if m > math.MaxUint32 {
+		return nil, fmt.Errorf("layout: range [%d,%d) has %d edges, more than a position holds", lo, hi, m)
+	}
+	srcs, ws := g.InEdgeSources()[base:end], g.InEdgeWeights()[base:end]
+	b.dstAt = resize(b.dstAt, int(m))
 	for v := lo; v < hi; v++ {
-		ws := g.InWeights(v)
-		for i, s := range g.InNeighbors(v) {
-			c.Src = append(c.Src, s)
-			c.Dst = append(c.Dst, v)
-			c.Weight = append(c.Weight, ws[i])
+		for i := off[v] - base; i < off[v+1]-base; i++ {
+			b.dstAt[i] = v
 		}
+	}
+	c := &COO{
+		Src:      make([]graph.VertexID, m),
+		Dst:      make([]graph.VertexID, m),
+		Weight:   make([]int32, m),
+		Ordering: o,
 	}
 	switch o {
 	case CSCOrder:
+		copy(c.Src, srcs)
+		copy(c.Dst, b.dstAt)
+		copy(c.Weight, ws)
 	case CSROrder:
-		c.sortBy(func(i, j int) bool {
-			if c.Src[i] != c.Src[j] {
-				return c.Src[i] < c.Src[j]
-			}
-			return c.Dst[i] < c.Dst[j]
-		})
+		b.keys = resize(b.keys, int(m))
+		for i, s := range srcs {
+			b.keys[i] = uint64(s)<<32 | uint64(i)
+		}
+		slices.Sort(b.keys)
+		for i, k := range b.keys {
+			p := uint32(k)
+			c.Src[i], c.Dst[i], c.Weight[i] = graph.VertexID(k>>32), b.dstAt[p], ws[p]
+		}
 	case HilbertOrder:
 		k := hilbert.OrderFor(g.NumVertices())
-		keys := make([]uint64, c.Len())
-		for i := range keys {
-			keys[i] = hilbert.XY2D(k, uint32(c.Src[i]), uint32(c.Dst[i]))
+		b.hkeys = resize(b.hkeys, int(m))
+		for i, s := range srcs {
+			b.hkeys[i] = hilbertKey{hilbert.XY2D(k, s, b.dstAt[i]), uint32(i)}
 		}
-		c.keys = keys
-		c.sortBy(func(i, j int) bool { return keys[i] < keys[j] })
-		c.keys = nil
+		slices.SortFunc(b.hkeys, func(x, y hilbertKey) int {
+			if x.d != y.d {
+				return cmp.Compare(x.d, y.d)
+			}
+			return cmp.Compare(x.pos, y.pos)
+		})
+		for i, e := range b.hkeys {
+			c.Src[i], c.Dst[i], c.Weight[i] = srcs[e.pos], b.dstAt[e.pos], ws[e.pos]
+		}
 	default:
 		return nil, fmt.Errorf("layout: unknown order %v", o)
 	}
 	return c, nil
 }
 
-type cooSorter struct {
-	c    *COO
-	less func(i, j int) bool
-}
-
-func (s cooSorter) Len() int           { return s.c.Len() }
-func (s cooSorter) Less(i, j int) bool { return s.less(i, j) }
-func (s cooSorter) Swap(i, j int) {
-	c := s.c
-	c.Src[i], c.Src[j] = c.Src[j], c.Src[i]
-	c.Dst[i], c.Dst[j] = c.Dst[j], c.Dst[i]
-	c.Weight[i], c.Weight[j] = c.Weight[j], c.Weight[i]
-	if c.keys != nil {
-		c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
+// resize returns s resliced to length n, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-}
-
-// keys is scratch space used while sorting by Hilbert index.
-// It is nil outside Build/BuildRange.
-func (c *COO) sortBy(less func(i, j int) bool) {
-	sort.Stable(cooSorter{c: c, less: less})
+	return s[:n]
 }

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -146,6 +148,83 @@ func TestBuildRangeWholeGraphMatchesBuild(t *testing.T) {
 		if a.Src[i] != b.Src[i] || a.Dst[i] != b.Dst[i] {
 			t.Fatalf("edge %d differs: (%d,%d) vs (%d,%d)",
 				i, a.Src[i], a.Dst[i], b.Src[i], b.Dst[i])
+		}
+	}
+}
+
+// referenceBuildRange is the comparison-sort construction the key-sort
+// kernels replace: gather the range's in-edges destination-major, then
+// sort.Stable by the order's comparator.
+func referenceBuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) []graph.Edge {
+	var es []graph.Edge
+	for v := lo; v < hi; v++ {
+		ws := g.InWeights(v)
+		for i, s := range g.InNeighbors(v) {
+			es = append(es, graph.Edge{Src: s, Dst: v, Weight: ws[i]})
+		}
+	}
+	k := hilbert.OrderFor(g.NumVertices())
+	sort.SliceStable(es, func(i, j int) bool {
+		a, b := es[i], es[j]
+		switch o {
+		case CSROrder:
+			if a.Src != b.Src {
+				return a.Src < b.Src
+			}
+			return a.Dst < b.Dst
+		case HilbertOrder:
+			return hilbert.XY2D(k, a.Src, a.Dst) < hilbert.XY2D(k, b.Src, b.Dst)
+		}
+		return false // CSC: the gather order already is destination-major
+	})
+	return es
+}
+
+// TestBuildRangeMatchesStableSort pins BuildRange entry for entry to the
+// stable comparison sort, for every order, on random weighted and
+// unweighted multigraphs dense in parallel edges of differing weights, over
+// random, empty and end-of-space ranges. One Builder serves every call, so
+// scratch left over from a larger range must not leak into a smaller one.
+func TestBuildRangeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b Builder
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(150)
+		weighted := trial%2 == 0
+		edges := make([]graph.Edge, rng.Intn(6*n))
+		for i := range edges {
+			// Few distinct endpoints per edge count: many duplicate (src, dst).
+			edges[i] = graph.Edge{
+				Src:    graph.VertexID(rng.Intn(1 + n/3)),
+				Dst:    graph.VertexID(rng.Intn(n)),
+				Weight: int32(rng.Intn(4)),
+			}
+		}
+		g, err := graph.FromEdges(n, edges, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := graph.VertexID(rng.Intn(n + 1))
+		c := graph.VertexID(rng.Intn(n + 1))
+		nv := graph.VertexID(n)
+		ranges := [][2]graph.VertexID{{min(a, c), max(a, c)}, {0, nv}, {0, 0}, {nv, nv}, {a, nv}}
+		for _, r := range ranges {
+			for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+				want := referenceBuildRange(g, r[0], r[1], o)
+				got, err := b.BuildRange(g, r[0], r[1], o)
+				if err != nil {
+					t.Fatalf("trial %d %v [%d,%d): %v", trial, o, r[0], r[1], err)
+				}
+				if got.Len() != len(want) || len(got.Dst) != len(want) || len(got.Weight) != len(want) {
+					t.Fatalf("trial %d %v [%d,%d): %d edges, want %d", trial, o, r[0], r[1], got.Len(), len(want))
+				}
+				for i, e := range want {
+					if got.Src[i] != e.Src || got.Dst[i] != e.Dst || got.Weight[i] != e.Weight {
+						t.Fatalf("trial %d %v [%d,%d) entry %d: (%d,%d,%d), want (%d,%d,%d)",
+							trial, o, r[0], r[1], i, got.Src[i], got.Dst[i], got.Weight[i], e.Src, e.Dst, e.Weight)
+					}
+				}
+			}
 		}
 	}
 }
