@@ -18,6 +18,7 @@ import (
 	vebo "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dynamic"
 	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/gen"
@@ -137,9 +138,9 @@ func BenchmarkCSRCOOBuild(b *testing.B) {
 	}
 }
 
-// Layer micro-benchmarks of the per-epoch patch path: one dirty-partition
-// COO rebuild, a GraphGrind engine patch and a graph row patch, each at a
-// fixed delta size.
+// Layer micro-benchmarks of the per-epoch path: one dirty-partition COO
+// rebuild, a GraphGrind engine patch and a graph row patch, each at a fixed
+// delta size, then epoch capture and publication at a fixed delta-log size.
 
 // BenchmarkBuildRange builds one GraphGrind-sized partition's COO (the
 // middle partition of an edge-balanced 384-way split).
@@ -243,6 +244,80 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchInserts draws batches of random edge insertions over n vertices.
+func benchInserts(n, batches, size int, seed int64) [][]graph.EdgeUpdate {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]graph.EdgeUpdate, batches)
+	for i := range out {
+		out[i] = make([]graph.EdgeUpdate, size)
+		for j := range out[i] {
+			out[i][j] = graph.EdgeUpdate{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n))}
+		}
+	}
+	return out
+}
+
+// pendingLog64k is the delta-log size the epoch-publication benchmarks run
+// at; their CompactEvery sits far above it, so no compaction resets the log
+// while they measure.
+const pendingLog64k = 64 << 10
+
+var benchFrozen dynamic.Frozen
+
+// BenchmarkFreeze captures, and separately materializes, a dynamic graph
+// holding a 64k-entry pending delta log.
+func BenchmarkFreeze(b *testing.B) {
+	g := benchGraph(b)
+	d, err := dynamic.New(g, dynamic.Config{Partitions: 64, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ups := range benchInserts(g.NumVertices(), pendingLog64k/1024, 1024, 5) {
+		if _, err := d.ApplyBatch(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("freeze", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			benchFrozen = d.Freeze()
+		}
+	})
+	b.Run("materialize", func(b *testing.B) {
+		f := d.Freeze()
+		b.ReportAllocs()
+		for b.Loop() {
+			f.Materialize()
+		}
+		b.ReportMetric(float64(f.NumEdges()), "edges")
+	})
+}
+
+// BenchmarkPublish times one facade ApplyBatch of 1024 insertions — delta
+// apply, maintenance and view publication — on a Dynamic whose pending log
+// holds 64k entries and which no reader queries.
+func BenchmarkPublish(b *testing.B) {
+	g := benchGraph(b)
+	d, err := vebo.NewDynamic(g, vebo.DynamicOptions{Partitions: 64, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ups := range benchInserts(g.NumVertices(), pendingLog64k/1024, 1024, 6) {
+		if _, err := d.ApplyBatch(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ring := benchInserts(g.NumVertices(), 16, 1024, 7)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := d.ApplyBatch(ring[i%len(ring)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
 	}
 }
 

@@ -5,12 +5,14 @@
 // The design has four parts:
 //
 //   - Delta-log storage. The last compacted graph.Graph is kept immutable;
-//     inserted edges accumulate in an append-only log and deletions in a
-//     cancellation multiset keyed by (src,dst,weight). Snapshot materializes
-//     the surviving edge set into a fresh CSR/CSC graph on demand (cached per
-//     mutation epoch) and Compact promotes that snapshot to the new base.
-//     Freeze captures the same state immutably so concurrent readers can
-//     materialize a snapshot without touching the live structures.
+//     inserted edges accumulate in an append-only log and deletions, each
+//     resolved to the (src,dst,weight) occurrence that died, in two more:
+//     kills of pending insertions and cancellations of base edges.
+//     Snapshot materializes the surviving edge set by row-patching the base
+//     (cached per mutation epoch) and Compact promotes that snapshot to the
+//     new base. Freeze captures the same state in O(1) — prefixes of the
+//     three logs — so concurrent readers can materialize a snapshot without
+//     touching the live structures.
 //
 //   - Incremental balance accounting. Per-partition in-edge counts (the
 //     paper's w[p]) and vertex counts (u[p]) are updated in O(1) per edge
@@ -229,10 +231,17 @@ type Graph struct {
 	n        int
 	weighted bool
 
-	// base is the last compacted immutable graph; pendingAdd and the
-	// cancellation counts below are the delta log on top of it.
+	// base is the last compacted immutable graph; three append-only logs
+	// are the delta on top of it, each entry carrying the resolved stored
+	// weight: pendingAdd holds every insertion in arrival order, killedAdd
+	// the deletions that killed a pending insertion, and cancelLog those
+	// that cancelled a base occurrence. Freeze shares capped prefixes of
+	// all three; only Compact starts fresh ones.
 	base       *graph.Graph
 	pendingAdd []graph.Edge
+	killedAdd  []graph.Edge
+	cancelLog  []graph.Edge
+	// The indexes below resolve deletions and never leave the writer.
 	// addAlive[k] holds the weights of the surviving pending insertions of
 	// pair k in insertion order (top = most recent). Its length is the
 	// surviving pending multiplicity of the pair.
@@ -240,10 +249,9 @@ type Graph struct {
 	// delBase[{k,w}] counts pending deletions cancelling base occurrences of
 	// (k, weight w), earliest-in-CSR-order first; delPair[k] is the per-pair
 	// total of those counts.
-	delBase     map[wkey]int64
-	delPair     map[edgeKey]int64
-	pendingDels int64
-	liveEdges   int64
+	delBase   map[wkey]int64
+	delPair   map[edgeKey]int64
+	liveEdges int64
 
 	// Live per-vertex in-degrees and the current placement.
 	degIn  []int64
@@ -417,7 +425,7 @@ func (d *Graph) EffectiveRebuildThreshold() int64 { return d.effEdgeThreshold() 
 
 // PendingOps reports the current delta-log size (pending insertions plus
 // pending deletions against the base graph).
-func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd)) + d.pendingDels }
+func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd) + len(d.cancelLog)) }
 
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the

@@ -211,7 +211,8 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 }
 
 // TestGrowViewDeltaVector checks the drained growth vector: per-partition
-// counts sum to the admissions of the window and Merge/Subtract compose it.
+// counts sum to the admissions of the window, Fold composes it with sign +1
+// and −1, and Clone shares nothing with its source.
 func TestGrowViewDeltaVector(t *testing.T) {
 	g, err := gen.ErdosRenyi(120, 700, 2)
 	if err != nil {
@@ -232,13 +233,19 @@ func TestGrowViewDeltaVector(t *testing.T) {
 	if second.GrownTotal() != 2 {
 		t.Fatalf("GrownTotal=%d, want 2", second.GrownTotal())
 	}
-	merged := first.Merge(second)
-	if merged.GrownTotal() != 5 {
-		t.Fatalf("merged GrownTotal=%d, want 5", merged.GrownTotal())
+	var fold ViewDelta
+	fold.Fold(first, 1)
+	fold.Fold(second, 1)
+	if fold.GrownTotal() != 5 {
+		t.Fatalf("folded GrownTotal=%d, want 5", fold.GrownTotal())
 	}
-	back := merged.Subtract(first)
-	if back.GrownTotal() != 2 {
-		t.Fatalf("subtracted GrownTotal=%d, want 2", back.GrownTotal())
+	if first.GrownTotal() != 3 || second.GrownTotal() != 2 {
+		t.Fatal("Fold mutated its argument")
+	}
+	back := fold.Clone()
+	back.Fold(first, -1)
+	if back.GrownTotal() != 2 || fold.GrownTotal() != 5 {
+		t.Fatalf("subtracted GrownTotal=%d (clone source %d), want 2 (5)", back.GrownTotal(), fold.GrownTotal())
 	}
 	for p, c := range back.Grown {
 		if c != second.Grown[p] {

@@ -114,15 +114,14 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	var died int32
 	if wSel == 0 {
 		if alive := d.addAlive[k]; len(alive) > 0 {
-			died = alive[len(alive)-1]
-			d.popAlive(k, len(alive)-1)
+			died = d.killPending(s, dst, len(alive)-1)
 		} else {
 			w, ok := d.earliestLiveBase(s, dst)
 			if !ok {
 				return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
 			}
 			died = w
-			d.cancelBase(k, w)
+			d.cancelBase(s, dst, w)
 		}
 	} else {
 		alive := d.addAlive[k]
@@ -134,11 +133,10 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 		}
 		switch {
 		case i >= 0:
-			died = wSel
-			d.popAlive(k, i)
+			died = d.killPending(s, dst, i)
 		case d.baseMultiplicityW(s, dst, wSel)-d.delBase[wkey{k, wSel}] > 0:
 			died = wSel
-			d.cancelBase(k, wSel)
+			d.cancelBase(s, dst, wSel)
 		default:
 			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
 		}
@@ -154,23 +152,29 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	return nil
 }
 
-// popAlive removes index i from pair k's surviving-pending weight list.
-func (d *Graph) popAlive(k edgeKey, i int) {
+// killPending removes index i from pair (s,dst)'s surviving-pending weight
+// list, logs the kill with that weight and returns it. The insertion's own
+// log entry stays; Materialize nets kills against insertions.
+func (d *Graph) killPending(s, dst graph.VertexID, i int) int32 {
+	k := keyOf(s, dst)
 	alive := d.addAlive[k]
+	w := alive[i]
 	alive = append(alive[:i], alive[i+1:]...)
 	if len(alive) == 0 {
 		delete(d.addAlive, k)
 	} else {
 		d.addAlive[k] = alive
 	}
-	// The log entry itself is dropped lazily at snapshot/compaction.
+	d.killedAdd = append(d.killedAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
+	return w
 }
 
-// cancelBase records a deletion against a base occurrence of (k, w).
-func (d *Graph) cancelBase(k edgeKey, w int32) {
+// cancelBase records a deletion against a base occurrence of (s,dst,w).
+func (d *Graph) cancelBase(s, dst graph.VertexID, w int32) {
+	k := keyOf(s, dst)
 	d.delBase[wkey{k, w}]++
 	d.delPair[k]++
-	d.pendingDels++
+	d.cancelLog = append(d.cancelLog, graph.Edge{Src: s, Dst: dst, Weight: w})
 }
 
 // earliestLiveBase locates the earliest base occurrence of (s,dst) not yet
@@ -208,49 +212,35 @@ func (d *Graph) touch() {
 }
 
 // Frozen is an immutable capture of the live edge multiset at one epoch. It
-// shares the base graph and the append-only prefix of the pending log with
-// the live structure and copies only the (small) cancellation bookkeeping,
-// so freezing costs O(pending) regardless of graph size. A Frozen may be
+// shares the base graph and capped prefixes of the three append-only delta
+// logs with the live structure and copies nothing else, so freezing is O(1)
+// and allocation-free regardless of graph or log size. A Frozen may be
 // materialized from any goroutine, concurrently with further ApplyBatch
-// calls on the source graph.
+// calls on the source graph: the writer only appends past the prefixes, or
+// starts fresh logs at compaction.
 //
 //vebo:frozen
 type Frozen struct {
 	n         int
-	weighted  bool
 	epoch     int64
 	liveEdges int64
 	base      *graph.Graph
-	pending   []graph.Edge
-	needW     map[wkey]int64 // surviving pending insertions per (s,d,w)
-	delBase   map[wkey]int64 // base cancellations per (s,d,w)
+	pending   []graph.Edge // insertions, in arrival order
+	killed    []graph.Edge // deletions that killed a pending insertion
+	cancels   []graph.Edge // deletions that cancelled a base occurrence
 }
 
 // Freeze captures the current live edge multiset.
 func (d *Graph) Freeze() Frozen {
-	f := Frozen{
+	return Frozen{
 		n:         d.n,
-		weighted:  d.weighted,
 		epoch:     d.epoch,
 		liveEdges: d.liveEdges,
 		base:      d.base,
 		pending:   d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
+		killed:    d.killedAdd[:len(d.killedAdd):len(d.killedAdd)],
+		cancels:   d.cancelLog[:len(d.cancelLog):len(d.cancelLog)],
 	}
-	if len(d.addAlive) > 0 {
-		f.needW = make(map[wkey]int64, len(d.addAlive))
-		for k, alive := range d.addAlive {
-			for _, w := range alive {
-				f.needW[wkey{k, w}]++
-			}
-		}
-	}
-	if len(d.delBase) > 0 {
-		f.delBase = make(map[wkey]int64, len(d.delBase))
-		for k, c := range d.delBase {
-			f.delBase[k] = c
-		}
-	}
-	return f
 }
 
 // Epoch returns the mutation epoch the capture was taken at.
@@ -263,40 +253,36 @@ func (f Frozen) NumVertices() int { return f.n }
 func (f Frozen) NumEdges() int64 { return f.liveEdges }
 
 // Materialize builds the captured edge multiset as an immutable CSR+CSC
-// graph, in deterministic order: base edges in CSR order with cancellations
-// consuming the earliest same-weight occurrences, then surviving log
-// insertions in arrival order.
+// graph by row-patching the base: the cancellations are removed and the
+// surviving insertions — per (src,dst,weight), the earliest arrivals not
+// netted out by kills — are merged in. Rows are sorted by (neighbor,
+// weight), so the result is byte-identical to graph.FromEdges over the same
+// multiset. With nothing to patch it returns the (immutable) base itself.
 func (f Frozen) Materialize() *graph.Graph {
-	edges := make([]graph.Edge, 0, f.liveEdges)
-	var dels map[wkey]int64
-	if len(f.delBase) > 0 {
-		dels = make(map[wkey]int64, len(f.delBase))
-		for k, c := range f.delBase {
-			dels[k] = c
-		}
-	}
-	for _, e := range f.base.Edges() {
-		k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-		if dels[k] > 0 {
-			dels[k]--
-			continue
-		}
-		edges = append(edges, e)
-	}
+	var adds []graph.Edge
 	if len(f.pending) > 0 {
-		emitted := make(map[wkey]int64, len(f.needW))
+		need := make(map[graph.Edge]int64, len(f.pending))
 		for _, e := range f.pending {
-			k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-			if emitted[k] >= f.needW[k] {
-				continue // cancelled by a later deletion
+			need[e]++
+		}
+		for _, e := range f.killed {
+			need[e]--
+		}
+		adds = make([]graph.Edge, 0, len(f.pending)-len(f.killed))
+		for _, e := range f.pending {
+			if need[e] > 0 {
+				need[e]--
+				adds = append(adds, e)
 			}
-			emitted[k]++
-			edges = append(edges, e)
 		}
 	}
-	g, err := graph.FromEdges(f.n, edges, f.weighted)
+	if len(adds) == 0 && len(f.cancels) == 0 && f.n == f.base.NumVertices() {
+		return f.base
+	}
+	g, _, err := f.base.PatchEdgesN(f.n, adds, f.cancels)
 	if err != nil {
-		// Unreachable: every applied update was range-checked.
+		// Unreachable: every applied update was range-checked and every
+		// cancellation names a live base occurrence.
 		panic(err)
 	}
 	return g
@@ -325,11 +311,10 @@ func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
 	d.base = d.Snapshot()
-	d.pendingAdd = nil
+	d.pendingAdd, d.killedAdd, d.cancelLog = nil, nil, nil
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)
 	d.delPair = make(map[edgeKey]int64)
-	d.pendingDels = 0
 	d.stats.Compactions++
 	d.m.compactions.Inc()
 	d.m.compactNS.ObserveSince(cstart)

@@ -1,0 +1,152 @@
+package dynamic
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// sameArrays reports whether two graphs are identical in every CSR and CSC
+// array, weights included. graph.Equal compares only the CSR side.
+func sameArrays(a, b *graph.Graph) bool {
+	return a.NumVertices() == b.NumVertices() &&
+		slices.Equal(a.OutOffsets(), b.OutOffsets()) &&
+		slices.Equal(a.Edges(), b.Edges()) &&
+		slices.Equal(a.InOffsets(), b.InOffsets()) &&
+		slices.Equal(a.InEdgeSources(), b.InEdgeSources()) &&
+		slices.Equal(a.InEdgeWeights(), b.InEdgeWeights())
+}
+
+// TestFrozenStaysPinned freezes a weighted multigraph at several epochs and
+// keeps mutating it — selector deletes hitting both pending insertions and
+// base edges, growth, and compactions, automatic and direct — then requires
+// every earlier capture to still materialize exactly the snapshot taken at
+// its epoch, which in turn equals FromEdges over the reference multiset.
+func TestFrozenStaysPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 40
+	var live []graph.Edge
+	for i := 0; i < 300; i++ {
+		e := graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: int32(1 + rng.Intn(3))}
+		live = append(live, e)
+		if i%10 == 0 {
+			// Parallel edges, same and different weights.
+			live = append(live, e, graph.Edge{Src: e.Src, Dst: e.Dst, Weight: 1 + e.Weight%3})
+		}
+	}
+	g, err := graph.FromEdges(n, live, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(g, Config{Partitions: 4, CompactEvery: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type capture struct {
+		f    Frozen
+		snap *graph.Graph
+	}
+	var caps []capture
+	checkAll := func(when string) {
+		t.Helper()
+		for _, c := range caps {
+			if !sameArrays(c.f.Materialize(), c.snap) {
+				t.Fatalf("%s: capture of epoch %d no longer materializes its snapshot", when, c.f.Epoch())
+			}
+		}
+	}
+	const compactAt = 20
+	var recent []graph.Edge
+	for batch := 0; batch < 40; batch++ {
+		if batch%7 == 3 {
+			d.Grow(2)
+			n += 2
+		}
+		var ups []graph.EdgeUpdate
+		for i := 0; i < 25; i++ {
+			r := rng.Intn(10)
+			if batch == compactAt+1 {
+				r = 9 // deletions only: a capture of cancellations alone
+			}
+			switch {
+			case r < 4 && len(recent) > 0:
+				// Parallel copy of a recent insertion, likely still pending.
+				e := recent[rng.Intn(len(recent))]
+				live = append(live, e)
+				recent = append(recent, e)
+				ups = append(ups, graph.EdgeUpdate{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
+			case r < 7:
+				e := graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: int32(1 + rng.Intn(3))}
+				live = append(live, e)
+				recent = append(recent, e)
+				ups = append(ups, graph.EdgeUpdate{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
+			default:
+				// Selector delete of any live edge: base or pending.
+				j := rng.Intn(len(live))
+				e := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				ups = append(ups, graph.EdgeUpdate{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Del: true})
+			}
+		}
+		if _, err := d.ApplyBatch(ups); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if batch == compactAt {
+			d.Compact()
+			checkAll("after direct compaction")
+		}
+		if batch%3 == 0 {
+			want, err := graph.FromEdges(n, live, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := d.Snapshot()
+			if !sameArrays(snap, want) {
+				t.Fatalf("batch %d: snapshot differs from FromEdges over the live multiset", batch)
+			}
+			caps = append(caps, capture{d.Freeze(), snap})
+		}
+		checkAll("after batch")
+	}
+	if d.Stats().Compactions < 3 {
+		t.Fatalf("only %d compactions; the test must cross several", d.Stats().Compactions)
+	}
+}
+
+var frozenSink Frozen
+
+// TestFreezeAllocFree pins Freeze at O(1): with a pending log of more than
+// 10k entries it allocates nothing.
+func TestFreezeAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 2000
+	var edges []graph.Edge
+	for i := 0; i < 8000; i++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: 1})
+	}
+	g, err := graph.FromEdges(n, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(g, Config{Partitions: 8, CompactEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []graph.EdgeUpdate
+	for i := 0; i < 12000; i++ {
+		ups = append(ups, graph.EdgeUpdate{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n))})
+	}
+	for _, e := range edges[:2000] {
+		ups = append(ups, graph.EdgeUpdate{Src: e.Src, Dst: e.Dst, Del: true})
+	}
+	applyStream(t, d, ups, 1024)
+	if d.PendingOps() < 10_000 {
+		t.Fatalf("pending log holds %d entries, want ≥ 10k", d.PendingOps())
+	}
+	if a := testing.AllocsPerRun(100, func() { frozenSink = d.Freeze() }); a != 0 {
+		t.Fatalf("Freeze allocates %v times per call", a)
+	}
+}

@@ -55,8 +55,8 @@ func (p RefinePlan) Touched() int {
 }
 
 // DeriveRefinePlan reshapes a view's lineage delta into a refinement plan.
-// The delta's Net map is exact over the basis→view window (Subtract keeps
-// the edge multiset exact through re-anchoring), so the plan is too.
+// The delta's Net map is exact over the basis→view window (Fold keeps the
+// edge multiset exact through re-anchoring), so the plan is too.
 func DeriveRefinePlan(vd ViewDelta) RefinePlan {
 	p := RefinePlan{GrownTotal: vd.GrownTotal()}
 	if len(vd.Net) > 0 {

@@ -1,6 +1,9 @@
 package dynamic
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -44,8 +47,6 @@ type ViewDelta struct {
 	// contiguous range. A spill (headroom exhaustion) renumbers instead and
 	// sets PlacementChanged.
 	Grown []int64
-	// Updates counts the net edge changes covered by this delta.
-	Updates int64
 }
 
 // GrownTotal returns the number of vertices admitted in the delta's window.
@@ -81,13 +82,6 @@ func (d *Graph) DrainViewDelta() ViewDelta {
 		PlacementChanged: d.viewPlace,
 		Grown:            d.viewGrow,
 	}
-	for _, c := range vd.Net {
-		if c > 0 {
-			vd.Updates += c
-		} else {
-			vd.Updates -= c
-		}
-	}
 	d.viewNet = make(map[graph.Edge]int64)
 	d.viewMoved = make(map[graph.VertexID]struct{})
 	d.viewGrow = nil
@@ -95,78 +89,47 @@ func (d *Graph) DrainViewDelta() ViewDelta {
 	return vd
 }
 
-// mergeMoved unions two moved sets; a nil result stands for the empty set.
-func mergeMoved(a, b map[graph.VertexID]struct{}) map[graph.VertexID]struct{} {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
+// Fold folds another window's delta into vd in place: sign +1 appends a
+// later window, −1 removes a prefix window folded in earlier. Net and Grown
+// add exactly (zero Net entries are dropped). Moved becomes the union either
+// way — after a removal that over-approximates, and the caller trims entries
+// whose positions agree. It stays the union across a renumbering
+// (PlacementChanged) too: a later re-anchor onto a view published after the
+// renumbering clears the flag again and must still see the moves that
+// landed after it to trim against. PlacementChanged is or-ed on +1 and left
+// for the caller to set from renumbering epochs on −1. vd must own its maps
+// and Grown slice (a Clone, or a fold started from the zero value); other is
+// not mutated.
+func (vd *ViewDelta) Fold(other ViewDelta, sign int64) {
+	if len(other.Net) > 0 && vd.Net == nil {
+		vd.Net = make(map[graph.Edge]int64, len(other.Net))
 	}
-	out := make(map[graph.VertexID]struct{}, len(a)+len(b))
-	for v := range a {
-		out[v] = struct{}{}
-	}
-	for v := range b {
-		out[v] = struct{}{}
-	}
-	return out
-}
-
-// Merge combines vd (earlier) with later into a fresh delta covering both
-// windows. Moved is the union even when the combined window contains a
-// renumbering (PlacementChanged): a later re-anchor onto a view published
-// after the rebuild clears PlacementChanged again, and the swaps that
-// landed after the rebuild must still be there for it to trim against —
-// dropping them would leave the delta claiming an identity permutation
-// across a real move. Neither input is mutated.
-func (vd ViewDelta) Merge(later ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:              make(map[graph.Edge]int64, len(vd.Net)+len(later.Net)),
-		Moved:            mergeMoved(vd.Moved, later.Moved),
-		PlacementChanged: vd.PlacementChanged || later.PlacementChanged,
-		Grown:            addGrown(addGrown(nil, vd.Grown, 1), later.Grown, 1),
-		Updates:          vd.Updates + later.Updates,
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range later.Net {
-		out.Net[e] += c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
-		}
-	}
-	return out
-}
-
-// Subtract returns the delta covering this delta's window minus a prefix of
-// it: Net is the exact multiset difference; Moved is the union of both
-// windows' sets (a safe over-approximation — the caller can trim entries
-// whose endpoint positions agree); PlacementChanged is left for the caller
-// to set from renumbering epochs. Neither input is mutated.
-func (vd ViewDelta) Subtract(prefix ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:   make(map[graph.Edge]int64, len(vd.Net)),
-		Moved: mergeMoved(vd.Moved, prefix.Moved),
-		// Admissions are cumulative and prefix-closed: the prefix's
-		// admissions are a per-partition prefix of this window's.
-		Grown: addGrown(addGrown(nil, vd.Grown, 1), prefix.Grown, -1),
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range prefix.Net {
-		out.Net[e] -= c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
-		}
-	}
-	for _, c := range out.Net {
-		if c > 0 {
-			out.Updates += c
+	for e, c := range other.Net {
+		now := vd.Net[e] + sign*c
+		if now == 0 {
+			delete(vd.Net, e)
 		} else {
-			out.Updates -= c
+			vd.Net[e] = now
 		}
 	}
-	return out
+	if len(other.Moved) > 0 && vd.Moved == nil {
+		vd.Moved = make(map[graph.VertexID]struct{}, len(other.Moved))
+	}
+	for v := range other.Moved {
+		vd.Moved[v] = struct{}{}
+	}
+	vd.Grown = addGrown(vd.Grown, other.Grown, sign)
+	if sign > 0 {
+		vd.PlacementChanged = vd.PlacementChanged || other.PlacementChanged
+	}
+}
+
+// Clone returns a copy of vd that shares no map or slice with it.
+func (vd ViewDelta) Clone() ViewDelta {
+	vd.Net = maps.Clone(vd.Net)
+	vd.Moved = maps.Clone(vd.Moved)
+	vd.Grown = slices.Clone(vd.Grown)
+	return vd
 }
 
 // AddsDels expands the net delta into explicit insertion and deletion lists

@@ -30,8 +30,9 @@ import (
 // Soundness rests on two invariants the rest of the module maintains:
 // internal (original) vertex IDs are append-only — so a basis result array
 // indexed by original IDs is prefix-valid at any later epoch, even across
-// full renumberings — and View.delta exactly covers the basis→view window
-// (the publish-side re-anchoring arithmetic keeps the edge multiset exact).
+// full renumberings — and View.deltaView() exactly covers the basis→view
+// window (the publish-side re-anchoring arithmetic keeps the edge multiset
+// exact).
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -116,7 +117,7 @@ func (c *refineCache) put(k refineKey, r *Refined) {
 // is no basis (scratch epochs, reuse disabled, delta outgrew the anchor) or
 // the capture cannot seed this view. The epoch and length guards make
 // staleness structurally impossible: a capture seeds refinement only when it
-// is pinned to the exact anchor point v.delta measures from — any
+// is pinned to the exact anchor point v.deltaView() measures from — any
 // rebuild-cause epoch in between published a fresh view whose delta still
 // spans basis→view, so the refinement replays it rather than serving the
 // old values.
@@ -402,7 +403,7 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 	if cap_ == nil {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.delta)
+	plan := dynamic.DeriveRefinePlan(v.deltaView())
 	if plan.Empty() {
 		r := &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: cap_.vals}
 		v.ref.put(key, r)
@@ -556,7 +557,7 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	if cap_ == nil || cap_.eps > eps {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.delta)
+	plan := dynamic.DeriveRefinePlan(v.deltaView())
 	if plan.Empty() {
 		r := &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: cap_.ranks, eps: cap_.eps}
 		v.ref.put(key, r)

@@ -303,14 +303,19 @@ type Dynamic struct {
 	cur     atomic.Pointer[View]
 
 	// Writer-side basis tracking (see publish in view.go): the delta
-	// accumulated since the current anchor point, the lineage it belongs
-	// to, and the materialized view at that point, if any. latestMat is the
+	// accumulated since the current anchor point — a running fold the
+	// writer owns and updates in place — the lineage it belongs to, and the
+	// materialized view at that point, if any. window holds the drained
+	// chunks the fold was built from (views share capped prefixes of it);
+	// windowEntries is their total Net+Moved size. latestMat is the
 	// reader-to-writer channel: the newest view whose relabeled graph was
 	// built.
-	anchorID    int64
-	sinceAnchor dynamic.ViewDelta
-	basisView   *View
-	latestMat   atomic.Pointer[View]
+	anchorID      int64
+	sinceAnchor   dynamic.ViewDelta
+	window        []dynamic.ViewDelta
+	windowEntries int64
+	basisView     *View
+	latestMat     atomic.Pointer[View]
 
 	// alloc maps external vertex IDs onto the dense internal space; nil
 	// until the first IngestBatch call (dense-ID callers never pay for it).

@@ -51,13 +51,16 @@ type View struct {
 	ord        *core.Result // shared immutable Perm/PartitionOf, counts frozen at publish
 	frozen     dynamic.Frozen
 	opts       EngineOptions
-	delta      dynamic.ViewDelta    // changes since the basis (== the anchor point)
+	window     []dynamic.ViewDelta  // deltas drained since the anchor point, oldest first
 	basis      atomic.Pointer[View] // materialized view at the anchor point; nil forces scratch builds
 	d          *Dynamic
 	work       *viewWork
 	ref        *refineCache    // lineage-keyed Refined captures (refine_view.go)
 	published  time.Time       // publication instant — the base of the staleness clock
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
+
+	deltaOnce sync.Once
+	delta     dynamic.ViewDelta // window folded: the changes since the basis
 
 	snapOnce sync.Once
 	snapP    atomic.Pointer[Graph]
@@ -250,18 +253,6 @@ func (d *Dynamic) View() *View {
 // ViewWork returns the accumulated engine-construction work counters.
 func (d *Dynamic) ViewWork() ViewWork { return d.work.snapshot() }
 
-// publish captures the post-batch state as a fresh View and swaps it in.
-// Called only from the ingest (writer) side.
-//
-// Basis tracking: the writer accumulates the delta since an anchor point —
-// the publish instant of basisView, the newest view known to have
-// materialized its relabeled graph. Readers register views they materialize
-// in latestMat; at each publish the writer re-anchors onto the newest one by
-// subtracting that view's own anchor-relative delta (exact for the edge
-// multiset, superset for dirty partitions). This keeps patching available no
-// matter how many epochs pass between queries, while a reader that never
-// comes back costs only the bounded sinceAnchor map — which resets, dropping
-// the basis, if it ever outgrows the delta-log compaction bound.
 // buildView assembles the next epoch's View. It is the type's one builder
 // (frozenwrite enforces that): the returned value is fully initialized
 // before publish stores it, and nothing mutates it afterwards outside the
@@ -276,7 +267,7 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 		ord:        d.inner.Ordering(),
 		frozen:     d.inner.Freeze(),
 		opts:       d.engOpts,
-		delta:      d.sinceAnchor,
+		window:     d.window[:len(d.window):len(d.window)],
 		d:          d,
 		work:       d.work,
 		ref:        newRefineCache(),
@@ -290,10 +281,29 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 	return v
 }
 
-// publish's received argument is the wall-clock instant the triggering
-// batch was handed to the facade (ApplyBatch/IngestBatch entry); the gap
-// to view publication is the vebo_publish_lag_ns sample — the freshness
-// cost one batch pays end to end.
+// publish captures the post-batch state as a fresh View and swaps it in.
+// Called only from the ingest (writer) side. received is the wall-clock
+// instant the triggering batch was handed to the facade
+// (ApplyBatch/IngestBatch entry); the gap to view publication is the
+// vebo_publish_lag_ns sample — the freshness cost one batch pays end to
+// end.
+//
+// Basis tracking: the writer accumulates the delta since an anchor point —
+// the publish instant of basisView, the newest view known to have
+// materialized its relabeled graph. Readers register views they materialize
+// in latestMat; at each publish the writer re-anchors onto the newest one by
+// subtracting that view's own anchor-relative delta (exact for the edge
+// multiset, superset for dirty partitions). This keeps patching available no
+// matter how many epochs pass between queries, while a reader that never
+// comes back costs only the bounded sinceAnchor fold — which resets, dropping
+// the basis, if it ever outgrows the delta-log compaction bound.
+//
+// A publish costs O(batch), not O(backlog). The writer folds each drained
+// delta into sinceAnchor in place and appends it to window, the chunks
+// drained since the anchor; a re-anchor restarts window with one head chunk
+// holding the re-anchored fold. A view keeps a capped prefix of window and
+// folds it once, when a patch, predicate or refine plan first needs it
+// (deltaView), so epochs nobody queries never fold.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
@@ -302,17 +312,19 @@ func (d *Dynamic) publish(received time.Time) {
 	drained := d.inner.DrainViewDelta()
 	var basis *View
 	if d.reuse {
-		d.sinceAnchor = d.sinceAnchor.Merge(drained)
+		d.sinceAnchor.Fold(drained, 1)
+		d.window = append(d.window, drained)
+		d.windowEntries += int64(len(drained.Net) + len(drained.Moved))
 		if m := d.latestMat.Load(); m != nil && m.anchorID == d.anchorID &&
 			(d.basisView == nil || m.epoch > d.basisView.epoch) {
-			d.sinceAnchor = d.sinceAnchor.Subtract(m.delta)
+			d.sinceAnchor.Fold(m.deltaView(), -1)
 			d.sinceAnchor.PlacementChanged = d.inner.RenumEpoch() != m.renumEpoch
 			if d.sinceAnchor.PlacementChanged {
 				d.sinceAnchor.Moved = nil
 			} else if len(d.sinceAnchor.Moved) > 0 {
-				// Subtract over-approximates Moved with the union of both
-				// windows; the numbering lineage is intact, so trim it to
-				// the vertices whose position actually differs from m's.
+				// The subtraction over-approximates Moved with the union of
+				// both windows; the numbering lineage is intact, so trim it
+				// to the vertices whose position actually differs from m's.
 				// Vertices admitted after m published have no position in
 				// m's space; growth accounting covers them, not Moved.
 				cur := d.inner.Ordering().Perm
@@ -330,13 +342,21 @@ func (d *Dynamic) publish(received time.Time) {
 			// m patches from its own basis only while building artifacts it
 			// hasn't built yet; dropping the link bounds the retained chain.
 			m.basis.Store(nil)
+			d.restartWindow()
 		}
-		if int64(len(d.sinceAnchor.Net))+int64(len(d.sinceAnchor.Moved)) > d.inner.NumEdges()/4+8192 {
+		held := int64(len(d.sinceAnchor.Net) + len(d.sinceAnchor.Moved))
+		if held > d.inner.NumEdges()/4+8192 {
 			// No reader has materialized a view for a long stretch; give up
 			// on the stale basis rather than hold an ever-growing delta.
 			d.anchorID++
 			d.basisView = nil
 			d.sinceAnchor = dynamic.ViewDelta{}
+			d.window, d.windowEntries = nil, 0
+		} else if d.windowEntries > 4*held+8192 {
+			// Churn that cancels itself keeps the fold small while its
+			// chunks pile up; restarting from the fold keeps the window
+			// within a constant factor of it at amortized O(batch) cost.
+			d.restartWindow()
 		}
 		if d.basisView != nil &&
 			(d.basisView.rgp.Load() != nil || d.basisView.snapP.Load() != nil) {
@@ -348,7 +368,7 @@ func (d *Dynamic) publish(received time.Time) {
 	d.cur.Store(v)
 	lag := time.Since(received)
 	d.work.publishLag.Observe(int64(lag))
-	backlog := int64(len(v.delta.Net)) + int64(len(v.delta.Moved)) + v.delta.GrownTotal()
+	backlog := int64(len(d.sinceAnchor.Net)+len(d.sinceAnchor.Moved)) + d.sinceAnchor.GrownTotal()
 	d.work.backlog.Set(backlog)
 	basisEpoch := int64(-1)
 	if basis != nil {
@@ -356,6 +376,38 @@ func (d *Dynamic) publish(received time.Time) {
 	}
 	psp.Attr("renum_epoch", v.renumEpoch).Attr("basis_epoch", basisEpoch).
 		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
+}
+
+// restartWindow replaces the window with one head chunk holding a copy of
+// the writer's fold; views published afterwards fold from it.
+func (d *Dynamic) restartWindow() {
+	d.window = []dynamic.ViewDelta{d.sinceAnchor.Clone()}
+	d.windowEntries = int64(len(d.sinceAnchor.Net) + len(d.sinceAnchor.Moved))
+}
+
+// deltaView returns the view's delta over its basis — its window folded —
+// computing it on first use. Window chunks are immutable, so a one-chunk
+// window is returned as is; longer ones fold into a map sized for all their
+// entries up front, sparing the first query the rehashing of a growing map.
+func (v *View) deltaView() dynamic.ViewDelta {
+	v.deltaOnce.Do(func() {
+		switch len(v.window) {
+		case 0:
+		case 1:
+			v.delta = v.window[0]
+		default:
+			size := 0
+			for _, c := range v.window {
+				size += len(c.Net)
+			}
+			vd := dynamic.ViewDelta{Net: make(map[graph.Edge]int64, size)}
+			for _, c := range v.window {
+				vd.Fold(c, 1)
+			}
+			v.delta = vd
+		}
+	})
+	return v.delta
 }
 
 // registerMaterialized below and the basis tracking in publish treat a view
@@ -450,7 +502,7 @@ func (v *View) Snapshot() *Graph {
 		start := time.Now()
 		if b := v.basis.Load(); b != nil {
 			if bs := b.snapP.Load(); bs != nil {
-				adds, dels := v.delta.AddsDels()
+				adds, dels := v.deltaView().AddsDels()
 				if s, st, err := bs.PatchEdgesN(v.nverts, adds, dels); err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
@@ -486,7 +538,7 @@ func (v *View) Snapshot() *Graph {
 // numbering lineage is intact (!delta.PlacementChanged).
 func (v *View) segPerm(b *View) []VertexID {
 	v.segOnce.Do(func() {
-		if len(v.delta.Moved) == 0 {
+		if len(v.deltaView().Moved) == 0 {
 			return
 		}
 		// Internal IDs are append-only, so the basis's internal space is
@@ -538,9 +590,9 @@ func (v *View) segPerm(b *View) []VertexID {
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		start := time.Now()
-		if b := v.basis.Load(); b != nil && !v.delta.PlacementChanged {
+		if b := v.basis.Load(); b != nil && !v.deltaView().PlacementChanged {
 			if brg := b.rgp.Load(); brg != nil {
-				adds, dels := v.delta.AddsDels()
+				adds, dels := v.deltaView().AddsDels()
 				perm := v.ord.Perm
 				mapEndpoints(adds, perm)
 				mapEndpoints(dels, perm)
@@ -621,19 +673,20 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
 	v.dirtyOnce.Do(func() {
 		perm := v.ord.Perm
-		grown := int(v.delta.GrownTotal())
-		seen := make(map[VertexID]struct{}, len(v.delta.Net)+len(v.delta.Moved)+grown)
-		dirty := make([]VertexID, 0, len(v.delta.Net)+len(v.delta.Moved)+grown)
+		vd := v.deltaView()
+		grown := int(vd.GrownTotal())
+		seen := make(map[VertexID]struct{}, len(vd.Net)+len(vd.Moved)+grown)
+		dirty := make([]VertexID, 0, len(vd.Net)+len(vd.Moved)+grown)
 		add := func(id VertexID) {
 			if _, ok := seen[id]; !ok {
 				seen[id] = struct{}{}
 				dirty = append(dirty, id)
 			}
 		}
-		for e := range v.delta.Net {
+		for e := range vd.Net {
 			add(perm[e.Dst])
 		}
-		for w := range v.delta.Moved {
+		for w := range vd.Moved {
 			add(perm[w])
 		}
 		// Admissions are append-only in the internal space, so the vertices
@@ -659,13 +712,14 @@ func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
 // this set empty and every clean partition's COO is shared outright.
 func (v *View) srcMovedPredicate(rg *Graph) func(lo, hi VertexID) bool {
 	v.srcOnce.Do(func() {
-		if len(v.delta.Moved) == 0 {
+		moved := v.deltaView().Moved
+		if len(moved) == 0 {
 			return
 		}
 		perm := v.ord.Perm
 		seen := make(map[VertexID]struct{})
 		var list []VertexID
-		for w := range v.delta.Moved {
+		for w := range moved {
 			for _, t := range rg.OutNeighbors(perm[w]) {
 				if _, ok := seen[t]; !ok {
 					seen[t] = struct{}{}
@@ -725,7 +779,7 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	// Ligra keeps no ID-bearing partitioned state, so its rebind survives
 	// even full renumberings; the partitioned engines patch only while the
 	// numbering lineage is intact (segment-local moves at most).
-	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.delta.PlacementChanged) {
+	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.deltaView().PlacementChanged) {
 		if be := b.eng[sys].peek(); be != nil {
 			if e, ok := v.patchEngine(sys, b, be, rg); ok {
 				cause := "patch"

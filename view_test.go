@@ -1,6 +1,7 @@
 package vebo
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -116,20 +117,29 @@ func TestViewAlgorithmsMatchStatic(t *testing.T) {
 }
 
 // TestViewPatchedMatchesScratch runs the same stream through a reusing
-// Dynamic and a reuse-disabled one, querying every epoch, and requires
-// identical results — the patched relabeled graph and patched engines must
-// be indistinguishable from scratch-built ones. Thresholds are raised so the
-// placement stays fixed and the patch path actually runs.
+// Dynamic and a reuse-disabled one, querying every stride-th epoch, and
+// requires identical results — the patched relabeled graph and patched
+// engines must be indistinguishable from scratch-built ones. Thresholds are
+// raised so the placement stays fixed and the patch path actually runs.
+// Stride 1 re-anchors every epoch; stride 5 leaves unqueried epochs in
+// between, so each patch folds a multi-chunk window and re-anchors after a
+// gap.
 func TestViewPatchedMatchesScratch(t *testing.T) {
 	// powerlaw is unweighted; orkut is weighted with parallel edges, so its
 	// SPMV results are only reproducible if patched rows are byte-identical
 	// to scratch-built ones (weight-aware row ordering).
 	for _, recipe := range []string{"powerlaw", "orkut"} {
-		t.Run(recipe, func(t *testing.T) { testPatchedMatchesScratch(t, recipe) })
+		t.Run(recipe, func(t *testing.T) {
+			for _, stride := range []int{1, 5} {
+				t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
+					testPatchedMatchesScratch(t, recipe, stride)
+				})
+			}
+		})
 	}
 }
 
-func testPatchedMatchesScratch(t *testing.T, recipe string) {
+func testPatchedMatchesScratch(t *testing.T, recipe string, stride int) {
 	g, updates, err := GenerateStream(recipe, 0.04, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +179,9 @@ func testPatchedMatchesScratch(t *testing.T, recipe string) {
 		}
 		if _, err := ds.ApplyBatch(updates[lo:hi]); err != nil {
 			t.Fatal(err)
+		}
+		if (lo/batch)%stride != 0 {
+			continue
 		}
 		vp, vs := dp.View(), ds.View()
 		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
@@ -221,6 +234,48 @@ func testPatchedMatchesScratch(t *testing.T, recipe string) {
 	if work.RebuildEdges+work.PatchedEdges >= sw.RebuildEdges {
 		t.Fatalf("patching saved no work: patched run %d+%d edges, scratch run %d",
 			work.RebuildEdges, work.PatchedEdges, sw.RebuildEdges)
+	}
+}
+
+// TestViewWindowBoundedUnderCancellingChurn deletes edges in one batch and
+// re-inserts them in the next, with no reader after the first epoch: the
+// writer's fold stays near empty while drained chunks keep arriving, so the
+// window must restart from the fold instead of retaining every chunk, and
+// the eventual query must still patch from the old basis correctly.
+func TestViewWindowBoundedUnderCancellingChurn(t *testing.T) {
+	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.View().Reordered(); err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()
+	const batches = 400
+	for i := 0; i < batches; i++ {
+		ups := make([]EdgeUpdate, 0, 64)
+		for _, e := range edges[(i/2)*64%(len(edges)-64):][:64] {
+			ups = append(ups, EdgeUpdate{Src: e.Src, Dst: e.Dst, Del: i%2 == 0})
+		}
+		if _, err := d.ApplyBatch(ups); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if len(d.window) >= batches/2 {
+		t.Fatalf("window kept %d chunks over %d batches", len(d.window), batches)
+	}
+	before := d.ViewWork().GraphPatches
+	snap := d.View().Snapshot()
+	if d.ViewWork().GraphPatches != before+1 {
+		t.Fatal("final snapshot was not patched from the basis")
+	}
+	want := d.Snapshot()
+	if !graph.Equal(snap, want) || !graph.Equal(snap.Transpose(), want.Transpose()) {
+		t.Fatal("patched snapshot differs from the live graph")
 	}
 }
 
