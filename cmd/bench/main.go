@@ -4,15 +4,14 @@
 //
 //	bench -exp table3 -scale 0.2 -seed 42 -partitions 384
 //	bench -exp all
-//	bench -wall -quick -json out/
+//	bench -exp view -quick -json out/
 //
-// -wall is shorthand for -exp wall, the wall-clock latency harness: real
-// (not modeled) ingest and query latencies with p50/p95/p99, written as
-// BENCH_wall.json when -json names a directory. -exp refine measures
-// refined-vs-scratch query latency across ingest batch sizes (View.Refine*,
-// DESIGN.md §5d) and fails in -quick mode when refinement stops beating
-// scratch at the smallest batch. See DESIGN.md §3 for the experiment index
-// and §6 for the JSON report schema.
+// -exp refine measures refined-vs-scratch query latency across ingest batch
+// sizes (View.Refine*, DESIGN.md §5d) and fails in -quick mode when
+// refinement stops beating scratch at the smallest batch. Wall-clock
+// serving numbers come from the separate benchmark module (see
+// benchmark/README.md). See DESIGN.md §3 for the experiment index and §6 for
+// the JSON report schema.
 package main
 
 import (
@@ -33,14 +32,9 @@ func main() {
 	sockets := flag.Int("sockets", 4, "modeled NUMA sockets")
 	threads := flag.Int("threads", 12, "modeled threads per socket")
 	quick := flag.Bool("quick", false, "CI smoke mode: small graphs, few streaming batches, and fail on gate regressions (view work ratio ≤ 1×, refine speedup ≤ 1×)")
-	wall := flag.Bool("wall", false, "shorthand for -exp wall: measure real ingest/query latency (p50/p95/p99) instead of modeled work")
 	jsonDir := flag.String("json", "", "directory receiving BENCH_<experiment>.json reports (empty: no JSON)")
 	baseline := flag.String("baseline", "", "directory of recorded BENCH_*.json baselines (e.g. bench-records/): after the run, compare the -json reports against them (tolerances.json honored) and exit 1 on regressions; use -exp none to compare without re-running")
 	flag.Parse()
-
-	if *wall {
-		*exp = "wall"
-	}
 
 	if *quick {
 		scaleSet := false

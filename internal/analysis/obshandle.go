@@ -20,8 +20,8 @@ import (
 // pairs. The staleness-plane series additionally carry a pinned contract:
 // vebo_epoch_age_ns and vebo_publish_lag_ns are unlabeled histograms,
 // vebo_delta_backlog an unlabeled gauge, vebo_query_ns a histogram labeled
-// exactly {alg, sys} — serve's [stats] line, bench -wall and the baseline
-// gate all read these series by that shape.
+// exactly {alg, sys} — serve's [stats] line and shutdown summary and the
+// /metrics scrape tests read these series by that shape.
 //
 // The obs package itself (and its tests) is exempt from the literal rule:
 // it is the one place allowed to build handles by hand.
@@ -41,9 +41,9 @@ var (
 )
 
 // metricContracts pins registration kind and exact label-key sets for the
-// series the serving plane, bench -wall and the baseline gate consume by
-// name; a registration with the wrong kind or label shape would silently
-// split or empty those series.
+// series the serving plane and the /metrics scrape tests consume by name; a
+// registration with the wrong kind or label shape would silently split or
+// empty those series.
 var metricContracts = map[string]struct {
 	kind   string
 	labels []string // sorted; nil means "no labels"

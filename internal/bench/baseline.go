@@ -78,16 +78,13 @@ const DefaultBaselinePct = 15
 
 // defaultDirection infers a metric's regression direction from its name,
 // mirroring the repo's metric vocabulary (DESIGN.md §6): ratios and
-// speedups regress downward, latency-like values upward, fractions and
-// deterministic counts by drifting, and the wall gates — pure
-// machine-clock population checks — are tracked but never failed.
+// speedups regress downward, latency-like values upward, and fractions and
+// deterministic counts by drifting.
 func defaultDirection(name string) string {
 	base := strings.TrimPrefix(strings.TrimPrefix(name, "gate:"), "modeled:")
 	switch {
 	case strings.Contains(base, "ratio"), strings.Contains(base, "speedup"):
 		return "higher"
-	case strings.HasPrefix(base, "p99_populated"):
-		return "ignore"
 	case strings.Contains(base, "relabeled"):
 		return "lower"
 	case strings.HasSuffix(base, "_frac"):
@@ -246,7 +243,7 @@ func CompareBaseline(currentDir, baselineDir string, out io.Writer) (*BaselineRe
 	rep := &BaselineReport{BaselineDir: baselineDir, GeneratedUnix: time.Now().Unix()}
 	for _, p := range paths {
 		name := filepath.Base(p)
-		if name == "BENCH_baseline_diff.json" || strings.Contains(name, "_trace") {
+		if name == "BENCH_baseline_diff.json" {
 			continue
 		}
 		base, err := loadReport(p)

@@ -176,7 +176,7 @@ func TestCompareBaselineMissingAndSkippedFiles(t *testing.T) {
 	// Riders that must be ignored, not treated as baselines: the comparator's
 	// own output, a trace export, and a non-report JSON file.
 	writeJSON(t, baseDir, "BENCH_baseline_diff.json", BaselineReport{})
-	writeJSON(t, baseDir, "BENCH_wall_trace.json", map[string]any{"traceEvents": []any{}})
+	writeJSON(t, baseDir, "BENCH_run_trace.json", map[string]any{"traceEvents": []any{}})
 	writeJSON(t, baseDir, "BENCH_notes.json", map[string]string{"note": "not a report"})
 
 	var out bytes.Buffer
@@ -197,7 +197,9 @@ func TestCompareBaselineMissingAndSkippedFiles(t *testing.T) {
 	if !found {
 		t.Fatalf("missing-report note absent from diffs: %+v", rep.Diffs)
 	}
-	if !strings.Contains(out.String(), "skipping BENCH_notes.json") {
-		t.Errorf("non-report baseline not announced as skipped:\n%s", out.String())
+	for _, name := range []string{"BENCH_run_trace.json", "BENCH_notes.json"} {
+		if !strings.Contains(out.String(), "skipping "+name) {
+			t.Errorf("non-report baseline %s not announced as skipped:\n%s", name, out.String())
+		}
 	}
 }

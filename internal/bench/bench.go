@@ -44,7 +44,7 @@ type Config struct {
 	// (i.e. when engine patching stops applying under active maintenance).
 	Quick bool
 	// JSONDir, when non-empty, receives one BENCH_<experiment>.json report
-	// per JSON-emitting experiment (wall, view, grow); see Report for the
+	// per JSON-emitting experiment (view, grow, refine); see Report for the
 	// schema. Empty disables emission.
 	JSONDir string
 }
@@ -71,7 +71,7 @@ func (c Config) WithDefaults() Config {
 
 // Experiments lists the available experiment names in paper order.
 func Experiments() []string {
-	return []string{"fig1", "table1", "table3", "table4", "fig4", "fig5", "table5", "fig6", "table6", "partitioners", "dynamic", "view", "grow", "refine", "wall"}
+	return []string{"fig1", "table1", "table3", "table4", "fig4", "fig5", "table5", "fig6", "table6", "partitioners", "dynamic", "view", "grow", "refine"}
 }
 
 // Run executes the named experiment ("all" runs every one).
@@ -106,8 +106,6 @@ func Run(name string, cfg Config) error {
 		return Grow(cfg)
 	case "refine":
 		return Refine(cfg)
-	case "wall":
-		return Wall(cfg)
 	case "all":
 		for _, e := range Experiments() {
 			if err := Run(e, cfg); err != nil {

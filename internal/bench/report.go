@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Report is the machine-readable result record shared by every experiment
-// that emits JSON (wall, view, grow). CI parses these files, so the schema is
-// append-only: new fields may be added, existing ones keep their names.
+// that emits JSON (view, grow, refine). CI parses these files, so the schema
+// is append-only: new fields may be added, existing ones keep their names.
 type Report struct {
 	Experiment    string          `json:"experiment"`
 	GeneratedUnix int64           `json:"generated_unix"`
@@ -34,14 +32,13 @@ type ReportConfig struct {
 	Quick bool    `json:"quick"`
 }
 
-// LatencySeries is one measured operation stream: ingest batches or queries
-// of one algorithm on one framework model. Latencies are wall-clock
-// milliseconds from the obs registry's log-bucketed histograms (2× quantile
-// error bound).
+// LatencySeries is one measured operation stream: the queries of one
+// algorithm and strategy on one framework model. Latencies are wall-clock
+// milliseconds taken from the exact per-query samples.
 type LatencySeries struct {
-	Op        string  `json:"op"`                // "ingest" or "query"
-	Alg       string  `json:"alg,omitempty"`     // query algorithm, empty for ingest
-	System    string  `json:"system,omitempty"`  // framework model, empty for ingest
+	Op        string  `json:"op"`                // operation kind ("query")
+	Alg       string  `json:"alg,omitempty"`     // query algorithm
+	System    string  `json:"system,omitempty"`  // framework model
 	Variant   string  `json:"variant,omitempty"` // query strategy (refine: "refined" vs "scratch")
 	Batch     int     `json:"batch,omitempty"`   // ingest batch size shaping the series, when varied
 	Count     int64   `json:"count"`
@@ -59,21 +56,6 @@ type Gate struct {
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	Pass      bool    `json:"pass"`
-}
-
-// seriesFromHistogram converts an obs histogram (nanosecond observations)
-// into a LatencySeries over the given wall-clock window.
-func seriesFromHistogram(op, alg, system string, h *obs.Histogram, elapsed time.Duration) LatencySeries {
-	s := LatencySeries{Op: op, Alg: alg, System: system, Count: h.Count()}
-	if elapsed > 0 {
-		s.OpsPerSec = float64(s.Count) / elapsed.Seconds()
-	}
-	const ms = 1e6
-	s.P50Ms = float64(h.Quantile(0.50)) / ms
-	s.P95Ms = float64(h.Quantile(0.95)) / ms
-	s.P99Ms = float64(h.Quantile(0.99)) / ms
-	s.MeanMs = h.Mean() / ms
-	return s
 }
 
 // writeReport writes BENCH_<experiment>.json into cfg.JSONDir; an empty

@@ -49,7 +49,9 @@ func metricValue(t *testing.T, text, name string) int64 {
 
 // TestObsHandlerLiveScrape is the serve-mode integration test: a Dynamic
 // under concurrent ingest and queries exposes /metrics, and successive
-// scrapes show the epoch counter and per-algorithm latency series advancing.
+// scrapes show the epoch counter, the per-batch ingest latency and the
+// per-(algorithm, system) query latency series advancing for BFS and
+// PageRank on all three framework models.
 func TestObsHandlerLiveScrape(t *testing.T) {
 	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 1024, 7)
 	if err != nil {
@@ -67,6 +69,7 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 		t.Fatalf("first scrape (%s) lacks vebo_epoch:\n%s", ct, first)
 	}
 	epoch0 := metricValue(t, first, "vebo_epoch")
+	systems := []System{Ligra, Polymer, GraphGrind}
 
 	// Ingest on one goroutine, query on another, scrape from the test body —
 	// the topology `vebo serve` runs.
@@ -87,9 +90,16 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := d.View().BFS(GraphGrind, 0); err != nil {
-				errs <- err
-				return
+			for _, sys := range systems {
+				v := d.View()
+				if _, err := v.BFS(sys, 0); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := v.PageRank(sys, 5); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
@@ -106,16 +116,25 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	if got := metricValue(t, second, "vebo_batches_total"); got != 8 {
 		t.Fatalf("vebo_batches_total = %d, want 8", got)
 	}
-	// The per-algorithm latency summary for the queried (alg, sys) pair must
-	// be populated with all three quantiles plus sum/count.
-	for _, want := range []string{
-		`vebo_query_ns{alg="bfs",sys="graphgrind",quantile="0.5"}`,
-		`vebo_query_ns{alg="bfs",sys="graphgrind",quantile="0.99"}`,
-		`vebo_query_ns_count{alg="bfs",sys="graphgrind"} 3`,
-		`vebo_queries_total{alg="bfs",sys="graphgrind"} 3`,
-	} {
-		if !strings.Contains(second, want) {
-			t.Fatalf("scrape missing %q:\n%s", want, second)
+	if got := metricValue(t, second, "vebo_batch_ns_count"); got != 8 {
+		t.Fatalf("vebo_batch_ns_count = %d, want 8", got)
+	}
+	// Every queried (alg, sys) pair has a populated latency summary: a
+	// non-zero p50 and p99 and a count matching the queries run.
+	for _, sys := range systems {
+		for _, alg := range []string{"bfs", "pagerank"} {
+			labels := `alg="` + alg + `",sys="` + sys.String() + `"`
+			for _, q := range []string{"0.5", "0.99"} {
+				name := `vebo_query_ns{` + labels + `,quantile="` + q + `"}`
+				if metricValue(t, second, name) <= 0 {
+					t.Fatalf("%s not populated", name)
+				}
+			}
+			for _, name := range []string{"vebo_query_ns_count", "vebo_queries_total"} {
+				if got := metricValue(t, second, name+"{"+labels+"}"); got != 3 {
+					t.Fatalf("%s{%s} = %d, want 3", name, labels, got)
+				}
+			}
 		}
 	}
 

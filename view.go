@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graphgrind"
-	"repro/internal/layout"
 	"repro/internal/ligra"
 	"repro/internal/obs"
 	"repro/internal/polymer"
@@ -791,27 +790,19 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 			}
 		}
 	}
-	ecfg := engine.Config{Topology: v.opts.topology()}
 	defer v.work.emitEngine(v, "build", sys, start)
+	v.work.engineBuilds.Add(1)
+	opts := v.opts
+	opts.Partitions = v.parts
 	switch sys {
-	case Ligra:
-		v.work.engineBuilds.Add(1)
-		return ligra.New(rg, ligra.Config{Engine: ecfg}), nil
 	case Polymer:
-		v.work.engineBuilds.Add(1)
 		v.work.rebuildEdges.Add(rg.NumEdges())
-		bounds := core.CoarsenBounds(v.ord.Boundaries(), v.opts.topology().Sockets)
-		return polymer.New(rg, polymer.Config{Engine: ecfg, Bounds: bounds})
-	default:
-		v.work.engineBuilds.Add(1)
+		opts.Bounds = core.CoarsenBounds(v.ord.Boundaries(), opts.topology().Sockets)
+	case GraphGrind:
 		v.work.rebuildEdges.Add(rg.NumEdges())
-		return graphgrind.New(rg, graphgrind.Config{
-			Engine:     ecfg,
-			Partitions: v.parts,
-			Order:      v.cooOrder(),
-			Bounds:     v.ord.Boundaries(),
-		})
+		opts.Bounds = v.ord.Boundaries()
 	}
+	return NewEngine(sys, rg, opts)
 }
 
 // patchEngine derives this view's engine from the basis view b's by
@@ -877,29 +868,14 @@ func (v *View) buildTransposeEngine(sys System) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg := engine.Config{Topology: v.opts.topology()}
 	v.work.engineBuilds.Add(1)
-	switch sys {
-	case Ligra:
-		return ligra.New(rgT, ligra.Config{Engine: ecfg}), nil
-	case Polymer:
+	if sys != Ligra {
 		v.work.rebuildEdges.Add(rgT.NumEdges())
-		return polymer.New(rgT, polymer.Config{Engine: ecfg})
-	default:
-		v.work.rebuildEdges.Add(rgT.NumEdges())
-		return graphgrind.New(rgT, graphgrind.Config{
-			Engine:     ecfg,
-			Partitions: v.parts,
-			Order:      v.cooOrder(),
-		})
 	}
-}
-
-func (v *View) cooOrder() layout.Order {
-	if v.opts.HilbertCOO {
-		return layout.HilbertOrder
-	}
-	return layout.CSROrder
+	opts := v.opts
+	opts.Partitions = v.parts
+	opts.Bounds = nil
+	return NewEngine(sys, rgT, opts)
 }
 
 // slots returns the size of the view's engine vertex space: the slot count
