@@ -164,14 +164,18 @@ func BenchmarkBuildRange(b *testing.B) {
 	}
 }
 
-// benchDelta draws half adds and half deletions of live edges, with the
-// deletions named through perm (nil = identity) as a patch expects.
+// benchDelta draws half adds and half deletions of distinct live edge
+// occurrences, with the deletions named through perm (nil = identity) as a
+// patch expects.
 func benchDelta(g *graph.Graph, updates int, perm []graph.VertexID, seed int64) (adds, dels []graph.Edge) {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumVertices()
 	live := g.Edges()
 	for i := 0; i < updates/2; i++ {
-		e := live[rng.Intn(len(live))]
+		j := rng.Intn(len(live))
+		e := live[j]
+		live[j] = live[len(live)-1]
+		live = live[:len(live)-1]
 		if perm != nil {
 			e.Src, e.Dst = perm[e.Src], perm[e.Dst]
 		}
@@ -218,7 +222,9 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 
 // BenchmarkPatchEdgesPermN patches a graph with a 128-update delta, on the
 // identity numbering and under eight swapped vertex pairs (the shape a swap
-// repair leaves).
+// repair leaves); with a 16k-update delta, the write-heavy shape in which
+// most rows merge; and with that dense delta on a weighted copy of the
+// graph.
 func BenchmarkPatchEdgesPermN(b *testing.B) {
 	g := benchGraph(b)
 	n := g.NumVertices()
@@ -231,15 +237,30 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 		a, c := rng.Intn(n), rng.Intn(n)
 		swaps[a], swaps[c] = swaps[c], swaps[a]
 	}
+	es := g.Edges()
+	for i := range es {
+		es[i].Weight = int32(1 + rng.Intn(100))
+	}
+	wg, err := graph.FromEdges(n, es, true)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		perm []graph.VertexID
-	}{{"identity", nil}, {"swaps", swaps}} {
+		name    string
+		g       *graph.Graph
+		updates int
+		perm    []graph.VertexID
+	}{
+		{"identity", g, 128, nil},
+		{"swaps", g, 128, swaps},
+		{"dense", g, 16 << 10, nil},
+		{"weighted", wg, 16 << 10, nil},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			adds, dels := benchDelta(g, 128, tc.perm, 3)
+			adds, dels := benchDelta(tc.g, tc.updates, tc.perm, 3)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
+				if _, _, err := tc.g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
 					b.Fatal(err)
 				}
 			}

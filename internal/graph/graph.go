@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,9 +29,14 @@ type Edge struct {
 // Graph is a directed graph stored simultaneously in CSR (out-edges, grouped
 // by source) and CSC (in-edges, grouped by destination) form. Both views are
 // built once at construction and are immutable afterwards; the processing
-// engines read whichever view suits the traversal direction.
+// engines read whichever view suits the traversal direction. Every
+// constructor leaves each row sorted by (neighbor, weight).
 //
-//vebo:frozen allow=sortAdjacency
+// Unweighted graphs store no weight arrays: outW and inW are nil, and the
+// weight accessors return a prefix of ones, one all-ones slice as long as
+// the largest row and shared by every graph patched from the same basis.
+//
+//vebo:frozen
 type Graph struct {
 	n int // number of vertices
 
@@ -38,13 +44,15 @@ type Graph struct {
 	// outDst[outOff[v]:outOff[v+1]] with weights outW at the same indices.
 	outOff []int64
 	outDst []VertexID
-	outW   []int32
+	outW   []int32 // nil when !weighted
 
 	// CSC: in-edges. inOff has n+1 entries; the in-neighbours (sources of
 	// edges pointing at v) are inSrc[inOff[v]:inOff[v+1]].
 	inOff []int64
 	inSrc []VertexID
-	inW   []int32
+	inW   []int32 // nil when !weighted
+
+	ones []int32 // unweighted: all ones, at least as long as the largest row
 
 	weighted bool
 }
@@ -76,14 +84,27 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inSrc[g.inOff[v]:g.inOff[v+1]]
 }
 
-// OutWeights returns the weights parallel to OutNeighbors(v).
+// OutWeights returns the weights parallel to OutNeighbors(v). The slice
+// aliases internal storage (all ones on unweighted graphs) and must not be
+// modified.
 func (g *Graph) OutWeights(v VertexID) []int32 {
-	return g.outW[g.outOff[v]:g.outOff[v+1]]
+	return g.weights(g.outW, g.outOff[v], g.outOff[v+1])
 }
 
-// InWeights returns the weights parallel to InNeighbors(v).
+// InWeights returns the weights parallel to InNeighbors(v). The slice
+// aliases internal storage (all ones on unweighted graphs) and must not be
+// modified.
 func (g *Graph) InWeights(v VertexID) []int32 {
-	return g.inW[g.inOff[v]:g.inOff[v+1]]
+	return g.weights(g.inW, g.inOff[v], g.inOff[v+1])
+}
+
+// weights is the one weight accessor: entries [lo, hi) of the weight array
+// ws, or ones for an unweighted graph's nil array.
+func (g *Graph) weights(ws []int32, lo, hi int64) []int32 {
+	if ws == nil {
+		return g.ones[: hi-lo : hi-lo]
+	}
+	return ws[lo:hi]
 }
 
 // OutOffsets exposes the CSR offset array (length n+1). Read-only.
@@ -99,7 +120,8 @@ func (g *Graph) OutEdgeTargets() []VertexID { return g.outDst }
 func (g *Graph) InEdgeSources() []VertexID { return g.inSrc }
 
 // InEdgeWeights exposes the flat CSC weight array, parallel to
-// InEdgeSources. Read-only.
+// InEdgeSources; it is nil on an unweighted graph, whose weights are all 1.
+// Read-only.
 func (g *Graph) InEdgeWeights() []int32 { return g.inW }
 
 // MaxInDegree returns the largest in-degree in the graph.
@@ -169,8 +191,9 @@ func (g *Graph) OutDegrees() []int64 {
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, len(g.outDst))
 	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			edges = append(edges, Edge{Src: VertexID(v), Dst: g.outDst[i], Weight: g.outW[i]})
+		ws := g.OutWeights(VertexID(v))
+		for i, d := range g.OutNeighbors(VertexID(v)) {
+			edges = append(edges, Edge{Src: VertexID(v), Dst: d, Weight: ws[i]})
 		}
 	}
 	return edges
@@ -197,74 +220,111 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 		g.outOff[e.Src+1]++
 		g.inOff[e.Dst+1]++
 	}
+	var maxRow int64
 	for v := 0; v < n; v++ {
+		maxRow = max(maxRow, g.outOff[v+1], g.inOff[v+1])
 		g.outOff[v+1] += g.outOff[v]
 		g.inOff[v+1] += g.inOff[v]
 	}
 	m := int64(len(edges))
 	g.outDst = make([]VertexID, m)
-	g.outW = make([]int32, m)
 	g.inSrc = make([]VertexID, m)
-	g.inW = make([]int32, m)
+	if weighted {
+		g.outW = make([]int32, m)
+		g.inW = make([]int32, m)
+	} else {
+		g.ones = onesFor(nil, maxRow)
+	}
 	outNext := make([]int64, n)
 	inNext := make([]int64, n)
 	copy(outNext, g.outOff[:n])
 	copy(inNext, g.inOff[:n])
 	for _, e := range edges {
-		w := e.Weight
-		if !weighted || w == 0 {
-			w = 1
-		}
-		oi := outNext[e.Src]
+		oi, ii := outNext[e.Src], inNext[e.Dst]
 		g.outDst[oi] = e.Dst
-		g.outW[oi] = w
-		outNext[e.Src]++
-		ii := inNext[e.Dst]
 		g.inSrc[ii] = e.Src
-		g.inW[ii] = w
+		if weighted {
+			w := e.Weight
+			if w == 0 {
+				w = 1
+			}
+			g.outW[oi] = w
+			g.inW[ii] = w
+		}
+		outNext[e.Src]++
 		inNext[e.Dst]++
 	}
-	// Keep neighbour lists sorted for deterministic traversal and binary
-	// searchability.
-	g.sortAdjacency()
+	// Keep neighbour lists sorted by (neighbor, weight) for deterministic
+	// traversal and binary searchability. Ordering parallel edges by weight
+	// too makes row content a pure function of the edge multiset, so graphs
+	// built here and graphs patched row-wise by PatchEdges are byte-identical
+	// for identical multisets.
+	var rs rowSorter
+	for v := 0; v < n; v++ {
+		lo, hi := g.outOff[v], g.outOff[v+1]
+		rs.sort(g.outDst[lo:hi], sub(g.outW, lo, hi))
+		lo, hi = g.inOff[v], g.inOff[v+1]
+		rs.sort(g.inSrc[lo:hi], sub(g.inW, lo, hi))
+	}
 	return g, nil
 }
 
-// sortAdjacency sorts each vertex's out- and in-neighbour list ascending by
-// (neighbor, weight), keeping weights parallel. Ordering parallel edges by
-// weight too makes row content a pure function of the edge multiset, so
-// graphs built by FromEdges and graphs patched row-wise by PatchEdges are
-// byte-identical for identical multisets.
-func (g *Graph) sortAdjacency() {
-	for v := 0; v < g.n; v++ {
-		sortAdjRange(g.outDst, g.outW, g.outOff[v], g.outOff[v+1])
-		sortAdjRange(g.inSrc, g.inW, g.inOff[v], g.inOff[v+1])
+// sub returns ws[lo:hi], or nil for an unweighted graph's nil array.
+func sub(ws []int32, lo, hi int64) []int32 {
+	if ws == nil {
+		return nil
 	}
+	return ws[lo:hi]
 }
 
-func sortAdjRange(ids []VertexID, ws []int32, lo, hi int64) {
-	if hi-lo < 2 {
+// onesFor returns an all-ones slice of at least d entries: have itself when
+// it is long enough, so patched graphs share their basis's slice.
+func onesFor(have []int32, d int64) []int32 {
+	if int64(len(have)) >= d {
+		return have
+	}
+	ones := make([]int32, d)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return ones
+}
+
+// rowKey packs an adjacency entry so that uint64 order is (neighbor,
+// weight) order: the sign bit of the weight is flipped so negative weights
+// sort first.
+func rowKey(id VertexID, w int32) uint64 {
+	return uint64(id)<<32 | uint64(uint32(w)^0x80000000)
+}
+
+// keyEntry unpacks a rowKey.
+func keyEntry(k uint64) (VertexID, int32) {
+	return VertexID(k >> 32), int32(uint32(k) ^ 0x80000000)
+}
+
+// rowSorter is the one adjacency-row sort: it orders a row by rowKey,
+// keeping its key scratch across calls. A nil ws marks an unweighted row,
+// whose IDs sort directly.
+type rowSorter struct {
+	keys []uint64
+}
+
+func (s *rowSorter) sort(ids []VertexID, ws []int32) {
+	if len(ids) < 2 {
 		return
 	}
-	seg := adjSegment{ids: ids[lo:hi], ws: ws[lo:hi]}
-	sort.Sort(seg)
-}
-
-type adjSegment struct {
-	ids []VertexID
-	ws  []int32
-}
-
-func (s adjSegment) Len() int { return len(s.ids) }
-func (s adjSegment) Less(i, j int) bool {
-	if s.ids[i] != s.ids[j] {
-		return s.ids[i] < s.ids[j]
+	if ws == nil {
+		slices.Sort(ids)
+		return
 	}
-	return s.ws[i] < s.ws[j]
-}
-func (s adjSegment) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
+	s.keys = s.keys[:0]
+	for i, id := range ids {
+		s.keys = append(s.keys, rowKey(id, ws[i]))
+	}
+	slices.Sort(s.keys)
+	for i, k := range s.keys {
+		ids[i], ws[i] = keyEntry(k)
+	}
 }
 
 // Transpose returns the graph with every edge reversed.
@@ -278,6 +338,7 @@ func (g *Graph) Transpose() *Graph {
 		inOff:    g.outOff,
 		inSrc:    g.outDst,
 		inW:      g.outW,
+		ones:     g.ones,
 	}
 	return t
 }
@@ -296,17 +357,7 @@ func (g *Graph) Relabel(perm []VertexID) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			edges = append(edges, Edge{
-				Src:    perm[v],
-				Dst:    perm[g.outDst[i]],
-				Weight: g.outW[i],
-			})
-		}
-	}
-	return FromEdges(g.n, edges, g.weighted)
+	return FromEdges(g.n, g.relabeledEdges(perm), g.weighted)
 }
 
 // RelabelInto relabels g into a vertex space of size nNew ≥ n through the
@@ -328,17 +379,16 @@ func (g *Graph) RelabelInto(nNew int, perm []VertexID) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			edges = append(edges, Edge{
-				Src:    perm[v],
-				Dst:    perm[g.outDst[i]],
-				Weight: g.outW[i],
-			})
-		}
+	return FromEdges(nNew, g.relabeledEdges(perm), g.weighted)
+}
+
+// relabeledEdges returns g's edges with both endpoints mapped through perm.
+func (g *Graph) relabeledEdges(perm []VertexID) []Edge {
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].Src, edges[i].Dst = perm[edges[i].Src], perm[edges[i].Dst]
 	}
-	return FromEdges(nNew, edges, g.weighted)
+	return edges
 }
 
 // DegreeHistogramIn returns counts[d] = number of vertices with in-degree d,
@@ -389,23 +439,13 @@ func (g *Graph) Characterize() Stats {
 	return s
 }
 
-// Equal reports whether two graphs have identical vertex counts and identical
-// sorted adjacency structure (weights included).
+// Equal reports whether two graphs have identical vertex counts,
+// weightedness and sorted adjacency structure (weights included), in both
+// the CSR and the CSC direction.
 func Equal(a, b *Graph) bool {
-	if a.n != b.n || len(a.outDst) != len(b.outDst) {
-		return false
-	}
-	for v := 0; v <= a.n; v++ {
-		if a.outOff[v] != b.outOff[v] {
-			return false
-		}
-	}
-	for i := range a.outDst {
-		if a.outDst[i] != b.outDst[i] || a.outW[i] != b.outW[i] {
-			return false
-		}
-	}
-	return true
+	return a.n == b.n && a.weighted == b.weighted &&
+		slices.Equal(a.outOff, b.outOff) && slices.Equal(a.outDst, b.outDst) && slices.Equal(a.outW, b.outW) &&
+		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.inSrc, b.inSrc) && slices.Equal(a.inW, b.inW)
 }
 
 // IsIsomorphicUnder verifies that h is the image of g under the vertex
@@ -421,18 +461,14 @@ func IsIsomorphicUnder(g, h *Graph, perm []VertexID) bool {
 		w    int32
 	}
 	counts := make(map[key]int, g.NumEdges())
-	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			counts[key{perm[v], perm[g.outDst[i]], g.outW[i]}]++
-		}
+	for _, e := range g.Edges() {
+		counts[key{perm[e.Src], perm[e.Dst], e.Weight}]++
 	}
-	for v := 0; v < h.n; v++ {
-		for i := h.outOff[v]; i < h.outOff[v+1]; i++ {
-			k := key{VertexID(v), h.outDst[i], h.outW[i]}
-			counts[k]--
-			if counts[k] == 0 {
-				delete(counts, k)
-			}
+	for _, e := range h.Edges() {
+		k := key{e.Src, e.Dst, e.Weight}
+		counts[k]--
+		if counts[k] == 0 {
+			delete(counts, k)
 		}
 	}
 	return len(counts) == 0

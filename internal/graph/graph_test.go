@@ -261,6 +261,114 @@ func TestEdgeListIORoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFormatsFixed pins the serialized bytes of one unweighted and
+// one weighted graph, so the weight storage behind them can change without
+// changing the files.
+func TestWriteFormatsFixed(t *testing.T) {
+	wg, err := FromEdges(4, []Edge{{2, 1, 7}, {0, 3, -2}, {2, 1, 3}, {3, 0, 0}, {0, 1, 5}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		g         *Graph
+		adj, list string
+	}{
+		{"unweighted", fig3Graph(t),
+			"AdjacencyGraph\n6\n14\n0\n3\n6\n8\n10\n12\n1\n4\n5\n0\n2\n4\n1\n5\n2\n4\n3\n5\n3\n4\n",
+			"0 1\n0 4\n0 5\n1 0\n1 2\n1 4\n2 1\n2 5\n3 2\n3 4\n4 3\n4 5\n5 3\n5 4\n"},
+		{"weighted", wg,
+			"WeightedAdjacencyGraph\n4\n5\n0\n2\n2\n4\n1\n3\n1\n1\n0\n5\n-2\n3\n7\n1\n",
+			"0 1 5\n0 3 -2\n2 1 3\n2 1 7\n3 0 1\n"},
+	} {
+		var adj, list bytes.Buffer
+		if err := WriteAdjacency(&adj, tc.g); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteEdgeList(&list, tc.g); err != nil {
+			t.Fatal(err)
+		}
+		if adj.String() != tc.adj {
+			t.Errorf("%s: WriteAdjacency = %q, want %q", tc.name, adj.String(), tc.adj)
+		}
+		if list.String() != tc.list {
+			t.Errorf("%s: WriteEdgeList = %q, want %q", tc.name, list.String(), tc.list)
+		}
+	}
+}
+
+// TestUnweightedStorage pins the storage contract of unweighted graphs from
+// every constructor: no weight arrays, and weight accessors that read as
+// all ones of row length.
+func TestUnweightedStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	g, err := FromEdges(n, randomEdges(rng, n, 300), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := randomPerm(rng, n)
+	relabeled, err := g.Relabel(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	into := make([]VertexID, n)
+	for v := range into {
+		into[v] = VertexID(2 * v)
+	}
+	grown, err := g.RelabelInto(2*n, into)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A patch with growth and swaps: 0<->1 and 5<->9 exchange IDs, two new
+	// vertices get edges, and one edge of each swapped row goes.
+	swaps := make([]VertexID, n)
+	for v := range swaps {
+		swaps[v] = VertexID(v)
+	}
+	swaps[0], swaps[1], swaps[5], swaps[9] = 1, 0, 9, 5
+	var dels []Edge
+	for _, v := range []VertexID{0, 5} {
+		if nb := g.OutNeighbors(v); len(nb) > 0 {
+			dels = append(dels, Edge{Src: swaps[v], Dst: swaps[nb[0]], Weight: 1})
+		}
+	}
+	adds := []Edge{{n, 3, 1}, {2, n + 1, 1}, {n + 1, n, 1}, {1, 1, 1}}
+	patched, _, err := g.PatchEdgesPermN(n+2, adds, dels, swaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"FromEdges", g}, {"Relabel", relabeled}, {"RelabelInto", grown},
+		{"PatchEdgesPermN", patched}, {"Transpose", patched.Transpose()},
+	} {
+		h := tc.g
+		if h.outW != nil || h.inW != nil || h.InEdgeWeights() != nil {
+			t.Errorf("%s: unweighted graph stores weight arrays", tc.name)
+		}
+		for v := VertexID(0); int(v) < h.NumVertices(); v++ {
+			ow, iw := h.OutWeights(v), h.InWeights(v)
+			if int64(len(ow)) != h.OutDegree(v) || int64(len(iw)) != h.InDegree(v) {
+				t.Fatalf("%s: vertex %d: weight rows of length %d/%d, degrees %d/%d",
+					tc.name, v, len(ow), len(iw), h.OutDegree(v), h.InDegree(v))
+			}
+			for _, w := range append(ow, iw...) {
+				if w != 1 {
+					t.Fatalf("%s: vertex %d: weight %d, want 1", tc.name, v, w)
+				}
+			}
+		}
+		for _, e := range h.Edges() {
+			if e.Weight != 1 {
+				t.Fatalf("%s: edge %+v: weight is not 1", tc.name, e)
+			}
+		}
+	}
+}
+
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# comment\n% other comment\n0 1\n\n1 2\n"
 	g, err := ReadEdgeList(bytes.NewReader([]byte(in)))

@@ -48,9 +48,11 @@ func WriteAdjacency(w io.Writer, g *Graph) error {
 		}
 	}
 	if g.weighted {
-		for _, wt := range g.outW {
-			if _, err := fmt.Fprintf(bw, "%d\n", wt); err != nil {
-				return err
+		for v := 0; v < g.n; v++ {
+			for _, wt := range g.OutWeights(VertexID(v)) {
+				if _, err := fmt.Fprintf(bw, "%d\n", wt); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -154,12 +156,13 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
+		ws := g.OutWeights(VertexID(v))
+		for i, d := range g.OutNeighbors(VertexID(v)) {
 			var err error
 			if g.weighted {
-				_, err = fmt.Fprintf(bw, "%d %d %d\n", v, g.outDst[i], g.outW[i])
+				_, err = fmt.Fprintf(bw, "%d %d %d\n", v, d, ws[i])
 			} else {
-				_, err = fmt.Fprintf(bw, "%d %d\n", v, g.outDst[i])
+				_, err = fmt.Fprintf(bw, "%d %d\n", v, d)
 			}
 			if err != nil {
 				return err

@@ -7,7 +7,9 @@ import (
 // FuzzPatchEdgesPermN drives the grown-injection contract with fuzzed
 // graphs, injections, swaps and edge churn, using relabel+rebuild over the
 // grown space as the oracle. Invalid shapes the fuzzer produces must be
-// rejected with an error, never a panic or a silently wrong graph.
+// rejected with an error, never a panic or a silently wrong graph. One
+// input in four (by length) also retries its patch with one extra deletion
+// of an edge that is not live, which must fail.
 func FuzzPatchEdgesPermN(f *testing.F) {
 	f.Add(uint8(8), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(1), uint8(1), []byte{0, 0, 0})
@@ -17,6 +19,9 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 	// the identity-outside-grown-segment injection.
 	f.Add(uint8(12), uint8(4), []byte{2, 1, 2, 3, 4, 0, 5, 6, 7, 8, 9})
 	f.Add(uint8(6), uint8(2), []byte{1, 3, 1, 2, 0, 4, 6, 1})
+	// Extra-deletion seeds (length 6 or 7 mod 8), unweighted and weighted.
+	f.Add(uint8(4), uint8(1), []byte{6, 0, 1, 1, 2, 2, 3, 3, 0, 1, 5, 0, 1, 2, 3})
+	f.Add(uint8(3), uint8(0), []byte{5, 1, 0, 1, 2, 1, 1, 3, 2, 2, 1, 2, 0, 9})
 	f.Fuzz(func(t *testing.T, nOldB, growB uint8, data []byte) {
 		next := byteStream(data)
 		nOld := 1 + int(nOldB%32)
@@ -116,6 +121,33 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 		}
 		if identity && st.EdgesRemapped != 0 {
 			t.Fatalf("identity injection remapped %d edges; the O(delta) fast path was skipped", st.EdgesRemapped)
+		}
+
+		// An extra deletion of an edge with no live occurrence: the first
+		// (src, dst) pair from a byte-chosen start that has none at the
+		// chosen weight.
+		if len(data)%8 >= 6 {
+			left := make(map[Edge]int)
+			for _, e := range want.Edges() {
+				left[e]++
+			}
+			w := int32(1)
+			if weighted {
+				w = int32(next()%4) + 1
+			}
+			start := int(next()) + int(next())*nNew
+			for i := 0; i < nNew*nNew; i++ {
+				p := (start + i) % (nNew * nNew)
+				ghost := Edge{Src: VertexID(p / nNew), Dst: VertexID(p % nNew), Weight: w}
+				if left[ghost] > 0 {
+					continue
+				}
+				extra := append(append([]Edge(nil), dels...), ghost)
+				if _, _, err := g.PatchEdgesPermN(nNew, adds, extra, perm); err == nil {
+					t.Fatalf("deletion of non-live edge %+v accepted", ghost)
+				}
+				break
+			}
 		}
 
 		// The validation surface: malformed injections must error out.

@@ -96,14 +96,6 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 	}
 }
 
-// sameBytes reports whether a and b are byte-identical: vertex count,
-// weightedness, and every CSR and CSC array.
-func sameBytes(a, b *Graph) bool {
-	return a.n == b.n && a.weighted == b.weighted &&
-		slices.Equal(a.outOff, b.outOff) && slices.Equal(a.outDst, b.outDst) && slices.Equal(a.outW, b.outW) &&
-		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.inSrc, b.inSrc) && slices.Equal(a.inW, b.inW)
-}
-
 // TestPatchEdgesByteIdentical patches batches in which rows 0, n-1 and a
 // middle row each get several adds and deletes (parallel edges with
 // differing weights included), some of which grow the space with appended
@@ -170,7 +162,7 @@ func TestPatchEdgesByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameBytes(patched, want) {
+				if !Equal(patched, want) {
 					t.Fatalf("weighted=%v swap=%v trial %d: patched graph is not byte-identical to FromEdges", weighted, swapEnds, trial)
 				}
 				g = patched
@@ -204,7 +196,8 @@ func TestPatchEdgesSortedRows(t *testing.T) {
 }
 
 // TestPatchEdgesErrors checks range validation and deletion of missing
-// edges, including the weighted exact-match rule.
+// edges, including the weighted exact-match rule, and that every way a
+// row merge can fail to match a deletion returns an error, never a panic.
 func TestPatchEdgesErrors(t *testing.T) {
 	g, err := FromEdges(3, []Edge{{0, 1, 5}}, true)
 	if err != nil {
@@ -233,6 +226,41 @@ func TestPatchEdgesErrors(t *testing.T) {
 	}
 	if _, _, err := ug.PatchEdges(nil, []Edge{{0, 1, 9}}); err != nil {
 		t.Errorf("unweighted delete should ignore weights: %v", err)
+	}
+
+	// Row 0 is [(5,1) (6,1)], row 1 is [(3,1) (3,1) (4,1)] and row 2 is
+	// [(1,5) (2,3)]. Under swap12, 1 and 2 exchange IDs, so new row 1 is
+	// [(1,3) (2,5)].
+	mg, err := FromEdges(10, []Edge{
+		{0, 5, 1}, {0, 6, 1}, {1, 3, 1}, {1, 3, 1}, {1, 4, 1}, {2, 1, 5}, {2, 2, 3},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap12 := []VertexID{0, 2, 1, 3, 4, 5, 6, 7, 8, 9}
+	for _, tc := range []struct {
+		name       string
+		adds, dels []Edge
+		perm       []VertexID
+	}{
+		// The adds sort first and fill the row's slot before the deletion
+		// can be found unmatched.
+		{"unmatched deletion overruns a row with adds",
+			[]Edge{{0, 1, 1}, {0, 2, 1}}, []Edge{{0, 9, 1}}, nil},
+		{"deletion after the row's last entry",
+			nil, []Edge{{0, 9, 1}}, nil},
+		{"deletion after the last entry, adds after it too",
+			[]Edge{{0, 9, 2}}, []Edge{{0, 7, 1}}, nil},
+		{"parallel edge deleted once more than its multiplicity",
+			nil, []Edge{{1, 3, 1}, {1, 3, 1}, {1, 3, 1}}, nil},
+		{"weight mismatch in a row the perm remaps",
+			nil, []Edge{{1, 2, 4}}, swap12},
+		{"weight mismatch in a remapped row with adds",
+			[]Edge{{1, 0, 1}}, []Edge{{1, 1, 5}}, swap12},
+	} {
+		if _, _, err := mg.PatchEdgesPerm(tc.adds, tc.dels, tc.perm); err == nil {
+			t.Errorf("%s: expected missing-edge error", tc.name)
+		}
 	}
 }
 

@@ -98,7 +98,11 @@ func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*C
 	if m > math.MaxUint32 {
 		return nil, fmt.Errorf("layout: range [%d,%d) has %d edges, more than a position holds", lo, hi, m)
 	}
-	srcs, ws := g.InEdgeSources()[base:end], g.InEdgeWeights()[base:end]
+	srcs := g.InEdgeSources()[base:end]
+	ws := g.InEdgeWeights() // nil on an unweighted graph: every weight is 1
+	if ws != nil {
+		ws = ws[base:end]
+	}
 	b.dstAt = resize(b.dstAt, int(m))
 	for v := lo; v < hi; v++ {
 		for i := off[v] - base; i < off[v+1]-base; i++ {
@@ -110,6 +114,11 @@ func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*C
 		Dst:      make([]graph.VertexID, m),
 		Weight:   make([]int32, m),
 		Ordering: o,
+	}
+	if ws == nil {
+		for i := range c.Weight {
+			c.Weight[i] = 1
+		}
 	}
 	switch o {
 	case CSCOrder:
@@ -124,7 +133,10 @@ func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*C
 		slices.Sort(b.keys)
 		for i, k := range b.keys {
 			p := uint32(k)
-			c.Src[i], c.Dst[i], c.Weight[i] = graph.VertexID(k>>32), b.dstAt[p], ws[p]
+			c.Src[i], c.Dst[i] = graph.VertexID(k>>32), b.dstAt[p]
+			if ws != nil {
+				c.Weight[i] = ws[p]
+			}
 		}
 	case HilbertOrder:
 		k := hilbert.OrderFor(g.NumVertices())
@@ -139,7 +151,10 @@ func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*C
 			return cmp.Compare(x.pos, y.pos)
 		})
 		for i, e := range b.hkeys {
-			c.Src[i], c.Dst[i], c.Weight[i] = srcs[e.pos], b.dstAt[e.pos], ws[e.pos]
+			c.Src[i], c.Dst[i] = srcs[e.pos], b.dstAt[e.pos]
+			if ws != nil {
+				c.Weight[i] = ws[e.pos]
+			}
 		}
 	default:
 		return nil, fmt.Errorf("layout: unknown order %v", o)
