@@ -10,7 +10,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // This file implements result patching across epochs (DESIGN.md §5d): a
@@ -152,25 +151,6 @@ const prScratchIters = 400
 // compound across refinement chains, and a tight ε keeps chains of any
 // practical length well inside test tolerances.
 const DefaultRefineEps = 1e-9
-
-// observeRefine records one Refine* query: per-(alg, path) counters, a
-// per-(alg, sys) latency histogram, a staleness sample, and a "query" span
-// child-linked to the publish span of v's epoch whose cause names the
-// answer path (cached/scratch-seed/refined/scratch-fallback).
-func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Time, st RefineStats) {
-	since := time.Since(start)
-	w.reg.Counter("vebo_refine_total", "alg", alg, "path", st.Path).Inc()
-	w.reg.Histogram("vebo_refine_ns", "alg", alg, "sys", sys.String()).Observe(int64(since))
-	w.reg.Counter("vebo_refine_vertices_total", "kind", "reset").Add(int64(st.ResetVertices))
-	w.reg.Counter("vebo_refine_vertices_total", "kind", "frontier").Add(int64(st.FrontierVertices))
-	w.epochAge.Observe(int64(time.Since(v.published)))
-	w.sp.Record(obs.Span{
-		Parent: v.pubSpan.ID, Name: "query:refine-" + alg, Kind: "query", Cause: st.Path,
-		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since,
-		Attrs: map[string]int64{"reset": int64(st.ResetVertices),
-			"frontier": int64(st.FrontierVertices), "seed_epoch": st.SeedEpoch},
-	})
-}
 
 // extendVals copies a basis result array into this view's (longer or equal)
 // original-ID space; fill supplies the value of each admitted vertex.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/dynamic"
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graphgrind"
 	"repro/internal/ligra"
@@ -104,143 +103,6 @@ func (s *engineSlot) peek() Engine {
 	return nil
 }
 
-// viewWork accumulates engine-construction work counters across a Dynamic's
-// lifetime; readers add to it from whichever goroutine triggers a lazy build.
-// The counters live in the Dynamic's metrics registry (the vebo_view_* and
-// vebo_query_* series), so the modeled work units and the wall-clock
-// latencies land side by side in one scrape; the span ring receives one
-// span per graph/engine build or patch with the decision's cause.
-type viewWork struct {
-	reg *obs.Registry
-	sp  *obs.Spans
-
-	// The staleness plane (DESIGN.md §6): epochAge samples, at query time,
-	// how old the queried view's epoch is (vebo_epoch_age_ns); publishLag
-	// measures batch receipt → view publication (vebo_publish_lag_ns);
-	// backlog gauges the delta the newest view carries over its basis
-	// (vebo_delta_backlog).
-	epochAge   *obs.Histogram
-	publishLag *obs.Histogram
-	backlog    *obs.Gauge
-
-	epochs        *obs.Counter
-	graphBuilds   *obs.Counter
-	graphPatches  *obs.Counter
-	engineBuilds  *obs.Counter
-	enginePatches *obs.Counter
-	rebuildEdges  *obs.Counter
-	patchedEdges  *obs.Counter
-	reusedEdges   *obs.Counter
-	relabelEdges  *obs.Counter
-	partsRebuilt  *obs.Counter
-	partsReused   *obs.Counter
-	partsRelabel  *obs.Counter
-}
-
-// newViewWork wires the work counters into reg (nil-tolerant: a nil registry
-// yields no-op handles, a nil span ring drops spans).
-func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
-	return &viewWork{
-		reg:           reg,
-		sp:            sp,
-		epochAge:      reg.Histogram("vebo_epoch_age_ns"),
-		publishLag:    reg.Histogram("vebo_publish_lag_ns"),
-		backlog:       reg.Gauge("vebo_delta_backlog"),
-		epochs:        reg.Counter("vebo_view_epochs_total"),
-		graphBuilds:   reg.Counter("vebo_view_graph_total", "path", "build"),
-		graphPatches:  reg.Counter("vebo_view_graph_total", "path", "patch"),
-		engineBuilds:  reg.Counter("vebo_view_engine_total", "path", "build"),
-		enginePatches: reg.Counter("vebo_view_engine_total", "path", "patch"),
-		rebuildEdges:  reg.Counter("vebo_view_edges_total", "path", "rebuild"),
-		patchedEdges:  reg.Counter("vebo_view_edges_total", "path", "patched"),
-		reusedEdges:   reg.Counter("vebo_view_edges_total", "path", "reused"),
-		relabelEdges:  reg.Counter("vebo_view_edges_total", "path", "relabeled"),
-		partsRebuilt:  reg.Counter("vebo_view_partitions_total", "path", "rebuilt"),
-		partsReused:   reg.Counter("vebo_view_partitions_total", "path", "reused"),
-		partsRelabel:  reg.Counter("vebo_view_partitions_total", "path", "relabeled"),
-	}
-}
-
-// observeQuery records one algorithm run against v: a per-(alg, sys)
-// latency histogram sample (vebo_query_ns) and count (vebo_queries_total),
-// a staleness sample (vebo_epoch_age_ns — how old v's epoch was when this
-// query read it), and a "query" span child-linked to the publish span of
-// v's epoch carrying {alg, sys, path, epoch}. The measured span is the
-// whole user-visible call, including any lazy engine build it triggered;
-// path distinguishes full runs from the refine answer paths.
-func (w *viewWork) observeQuery(v *View, alg, path string, sys System, start time.Time) {
-	since := time.Since(start)
-	w.reg.Histogram("vebo_query_ns", "alg", alg, "sys", sys.String()).Observe(int64(since))
-	w.reg.Counter("vebo_queries_total", "alg", alg, "sys", sys.String()).Inc()
-	w.epochAge.Observe(int64(time.Since(v.published)))
-	w.sp.Record(obs.Span{
-		Parent: v.pubSpan.ID, Name: "query:" + alg, Kind: "query", Cause: path,
-		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since,
-	})
-}
-
-// emitGraph records one snapshot/relabeled-graph materialization decision:
-// the per-cause latency histogram sample and a "graph" build span
-// child-linked to v's publish span.
-func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, reused int64) {
-	w.reg.Histogram("vebo_graph_build_ns", "cause", cause).ObserveSince(start)
-	w.sp.Record(obs.Span{
-		Parent: v.pubSpan.ID, Name: "graph", Kind: "build", Cause: cause,
-		Epoch: v.epoch, Start: start, Dur: time.Since(start),
-		Attrs: map[string]int64{"edges_touched": touched, "edges_reused": reused},
-	})
-}
-
-// emitEngine records one engine construction decision ("patch"/"rebind"
-// versus "build"): the per-(mode, sys) latency histogram sample and an
-// "engine" build span child-linked to v's publish span.
-func (w *viewWork) emitEngine(v *View, cause string, sys System, start time.Time) {
-	w.reg.Histogram("vebo_engine_build_ns", "mode", cause, "sys", sys.String()).ObserveSince(start)
-	w.sp.Record(obs.Span{
-		Parent: v.pubSpan.ID, Name: "engine", Kind: "build", Cause: cause,
-		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: time.Since(start),
-	})
-}
-
-// ViewWork is a snapshot of the engine-construction work a Dynamic's views
-// have done. Edges are the unit: RebuildEdges counts edges processed by
-// from-scratch construction (snapshot materialization, relabeling, COO and
-// partition builds), PatchedEdges counts edges reprocessed by the patch
-// paths (merged adjacency rows, rebuilt dirty partitions), RelabeledEdges
-// counts edges rewritten by segment-local renumbering remaps after a
-// placement-preserving repair (a linear ID rewrite, cheaper than a patch
-// merge), and ReusedEdges counts edges carried over untouched (shared COO
-// pointers, block-copied rows) — work avoided relative to rebuilding.
-type ViewWork struct {
-	Epochs                      int64
-	GraphBuilds, GraphPatches   int64
-	EngineBuilds, EnginePatches int64
-	RebuildEdges                int64
-	PatchedEdges                int64
-	RelabeledEdges              int64
-	ReusedEdges                 int64
-	PartitionsRebuilt           int64
-	PartitionsReused            int64
-	PartitionsRelabeled         int64
-}
-
-func (w *viewWork) snapshot() ViewWork {
-	return ViewWork{
-		Epochs:              w.epochs.Value(),
-		GraphBuilds:         w.graphBuilds.Value(),
-		GraphPatches:        w.graphPatches.Value(),
-		EngineBuilds:        w.engineBuilds.Value(),
-		EnginePatches:       w.enginePatches.Value(),
-		RebuildEdges:        w.rebuildEdges.Value(),
-		PatchedEdges:        w.patchedEdges.Value(),
-		RelabeledEdges:      w.relabelEdges.Value(),
-		ReusedEdges:         w.reusedEdges.Value(),
-		PartitionsRebuilt:   w.partsRebuilt.Value(),
-		PartitionsReused:    w.partsReused.Value(),
-		PartitionsRelabeled: w.partsRelabel.Value(),
-	}
-}
-
 // View returns the most recently published epoch-pinned view. The call is a
 // single atomic load and never blocks the ingest side; it is safe from any
 // goroutine. Successive calls may return different views as batches land;
@@ -248,9 +110,6 @@ func (w *viewWork) snapshot() ViewWork {
 func (d *Dynamic) View() *View {
 	return d.cur.Load()
 }
-
-// ViewWork returns the accumulated engine-construction work counters.
-func (d *Dynamic) ViewWork() ViewWork { return d.work.snapshot() }
 
 // buildView assembles the next epoch's View. It is the type's one builder
 // (frozenwrite enforces that): the returned value is fully initialized
@@ -851,16 +710,6 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		v.recordPatch(st)
 		return e, true
 	}
-}
-
-func (v *View) recordPatch(st engine.PatchStats) {
-	v.work.enginePatches.Add(1)
-	v.work.patchedEdges.Add(st.EdgesRebuilt)
-	v.work.reusedEdges.Add(st.EdgesReused)
-	v.work.relabelEdges.Add(st.EdgesRemapped)
-	v.work.partsRebuilt.Add(int64(st.PartsRebuilt))
-	v.work.partsReused.Add(int64(st.PartsReused))
-	v.work.partsRelabel.Add(int64(st.PartsRemapped))
 }
 
 func (v *View) buildTransposeEngine(sys System) (Engine, error) {
