@@ -2,7 +2,7 @@
 // edge insertions and deletions, so that engines never pay a full
 // O(n log P) reorder plus O(m) CSR/CSC rebuild per update batch.
 //
-// The design has four parts:
+// The design has five parts:
 //
 //   - Delta-log storage. The last compacted graph.Graph is kept immutable;
 //     inserted edges accumulate in an append-only log and deletions, each
@@ -45,16 +45,15 @@
 //     across growth epochs is O(delta). Exhausted headroom spills to a
 //     relabeling epoch that reserves fresh slots everywhere.
 //
-//   - View-delta tracking. Between drains (one per published facade view)
-//     the subsystem records the net resolved edge changes, the set of
-//     vertices repositioned by placement-preserving swaps, rotations and
-//     re-sorts (Moved), the per-partition admission counts (Grown), and
-//     whether the whole numbering was invalidated (PlacementChanged). The
-//     facade derives the exact set of dirty partitions from the delta's
-//     destination endpoints plus the moved and admitted positions, builds
-//     the segment-local injection from the two epochs' orderings, and
-//     patches engine-side structures for unchanged partitions instead of
-//     rebuilding them (see the vebo.View API).
+//   - View deltas from log cursors. A Frozen capture pins O(1) prefixes of
+//     the three logs, so the net edge change between two captures at most
+//     one compaction apart is a pure function of the pair (Frozen.Since):
+//     the log suffix between them, netted with one sort. Nothing is
+//     accumulated on the update path. The facade reads the rest of a view's
+//     delta off the two views' orderings — the vertices whose position
+//     differs, the admission count, and whether the renumbering epoch
+//     changed — and patches engine-side structures for unchanged
+//     partitions instead of rebuilding them (see the vebo.View API).
 //
 // See DESIGN.md §5 for how this subsystem fits the rest of the system.
 package dynamic
@@ -236,11 +235,16 @@ type Graph struct {
 	// weight: pendingAdd holds every insertion in arrival order, killedAdd
 	// the deletions that killed a pending insertion, and cancelLog those
 	// that cancelled a base occurrence. Freeze shares capped prefixes of
-	// all three; only Compact starts fresh ones.
-	base       *graph.Graph
-	pendingAdd []graph.Edge
-	killedAdd  []graph.Edge
-	cancelLog  []graph.Edge
+	// all three; only Compact starts fresh ones, moving the retired logs to
+	// the prev* fields and bumping the generation gen.
+	base        *graph.Graph
+	pendingAdd  []graph.Edge
+	killedAdd   []graph.Edge
+	cancelLog   []graph.Edge
+	gen         int64
+	prevPending []graph.Edge
+	prevKilled  []graph.Edge
+	prevCancels []graph.Edge
 	// The indexes below resolve deletions and never leave the writer.
 	// addAlive[k] holds the weights of the surviving pending insertions of
 	// pair k in insertion order (top = most recent). Its length is the
@@ -314,12 +318,6 @@ type Graph struct {
 	// re-sort.
 	resortNext int
 
-	// View-delta accumulators, drained by DrainViewDelta.
-	viewNet   map[graph.Edge]int64
-	viewMoved map[graph.VertexID]struct{}
-	viewGrow  []int64
-	viewPlace bool
-
 	// m holds the metric handles (no-ops when Config.Metrics is nil — the
 	// struct is always populated so call sites never nil-check).
 	m dynMetrics
@@ -353,8 +351,6 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		assign:    make([]uint32, g.NumVertices()),
 		partEdges: append([]int64(nil), r.EdgeCounts...),
 		partVerts: append([]int64(nil), r.VertexCounts...),
-		viewNet:   make(map[graph.Edge]int64),
-		viewMoved: make(map[graph.VertexID]struct{}),
 	}
 	copy(d.assign, r.PartitionOf)
 	d.stats.Placements = int64(d.n)
@@ -410,8 +406,10 @@ func (d *Graph) PlaceEpoch() int64 { return d.placeEpoch }
 
 // RenumEpoch returns the renumbering epoch, incremented only when the whole
 // ordering is invalidated (full rebuild or relabeling spill). Swap repairs,
-// re-sorts and headroom admissions preserve it: between equal renumbering epochs, new IDs of all
-// vertices outside the drained ViewDelta.Moved set are identical.
+// re-sorts and headroom admissions preserve it: between two orderings of
+// equal renumbering epochs, a vertex's new ID either stayed put or moved
+// within the closed set of positions whose occupant changed, so diffing
+// the two permutations (ViewDelta.Moved) finds every move.
 func (d *Graph) RenumEpoch() int64 { return d.renumEpoch }
 
 // EffectiveRebuildThreshold returns the Δ(n) gate currently in force:

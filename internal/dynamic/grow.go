@@ -32,8 +32,7 @@ func (c Config) headroom(occ int64) int64 {
 // O(delta). Only when every partition's headroom is exhausted does Grow
 // spill to another relabeling epoch (Stats.HeadroomSpills,
 // vebo_headroom_spill_total), which reserves fresh headroom everywhere —
-// amortized O(1) per admission, vector-doubling style. The per-partition
-// admission counts are accumulated into the view delta's growth vector.
+// amortized O(1) per admission, vector-doubling style.
 func (d *Graph) Grow(count int) graph.VertexID {
 	first := graph.VertexID(d.n)
 	if count <= 0 {
@@ -47,8 +46,6 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		// and has no reserved slots. Relabel into slotted form.
 		d.spillRelabel()
 	}
-	p := d.cfg.Partitions
-	grow := make([]int64, p)
 	spills := int64(0)
 	for i := 0; i < count; i++ {
 		q := d.admitTarget()
@@ -69,17 +66,10 @@ func (d *Graph) Grow(count int) graph.VertexID {
 			d.members[q] = append(d.members[q], graph.VertexID(d.n))
 		}
 		d.partVerts[q]++
-		grow[q]++
 		d.n++
 	}
 	d.placeEpoch++
 	d.ordPlace = d.placeEpoch
-	if d.viewGrow == nil {
-		d.viewGrow = make([]int64, p)
-	}
-	for q, c := range grow {
-		d.viewGrow[q] += c
-	}
 	d.stats.Admitted += int64(count)
 	d.stats.Placements += int64(count)
 	// No re-sort is owed: a headroom admission appends a zero-degree vertex

@@ -210,53 +210,6 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGrowViewDeltaVector checks the drained growth vector: per-partition
-// counts sum to the admissions of the window, Fold composes it with sign +1
-// and −1, and Clone shares nothing with its source.
-func TestGrowViewDeltaVector(t *testing.T) {
-	g, err := gen.ErdosRenyi(120, 700, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(g, Config{Partitions: 4, AutoGrow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.DrainViewDelta() // clear the initial window
-	d.Grow(3)
-	first := d.DrainViewDelta()
-	if first.GrownTotal() != 3 {
-		t.Fatalf("GrownTotal=%d, want 3", first.GrownTotal())
-	}
-	d.Grow(2)
-	second := d.DrainViewDelta()
-	if second.GrownTotal() != 2 {
-		t.Fatalf("GrownTotal=%d, want 2", second.GrownTotal())
-	}
-	var fold ViewDelta
-	fold.Fold(first, 1)
-	fold.Fold(second, 1)
-	if fold.GrownTotal() != 5 {
-		t.Fatalf("folded GrownTotal=%d, want 5", fold.GrownTotal())
-	}
-	if first.GrownTotal() != 3 || second.GrownTotal() != 2 {
-		t.Fatal("Fold mutated its argument")
-	}
-	back := fold.Clone()
-	back.Fold(first, -1)
-	if back.GrownTotal() != 2 || fold.GrownTotal() != 5 {
-		t.Fatalf("subtracted GrownTotal=%d (clone source %d), want 2 (5)", back.GrownTotal(), fold.GrownTotal())
-	}
-	for p, c := range back.Grown {
-		if c != second.Grown[p] {
-			t.Fatalf("partition %d: subtracted growth %d, want %d", p, c, second.Grown[p])
-		}
-	}
-	if d.DrainViewDelta().Grown != nil {
-		t.Fatal("drain did not reset the growth vector")
-	}
-}
-
 // hostileDegreeGraph builds the degree distribution on which the greedy
 // donor/receiver pair search provably stalls: with P=3, in-degrees come in
 // one coarse class D (eight vertices — Algorithm 2 balances them 3/3/2) and

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,7 +94,6 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 	d.liveEdges++
 	d.degIn[dst]++
 	d.partEdges[d.assign[dst]]++
-	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: w}, +1)
 	d.touch()
 	d.stats.Updates++
 	d.stats.Inserts++
@@ -104,23 +105,21 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 // exactly that weight may die. With no selector (wSel == 0, or any value on
 // unweighted graphs) the most recent pending log insertion dies first, else
 // the earliest surviving base occurrence — deterministic either way, and the
-// resolved weight is recorded so snapshots and view deltas agree
+// resolved weight is logged so snapshots and view deltas agree
 // edge-for-edge.
 func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	k := keyOf(s, dst)
 	if !d.weighted {
 		wSel = 0
 	}
-	var died int32
 	if wSel == 0 {
 		if alive := d.addAlive[k]; len(alive) > 0 {
-			died = d.killPending(s, dst, len(alive)-1)
+			d.killPending(s, dst, len(alive)-1)
 		} else {
 			w, ok := d.earliestLiveBase(s, dst)
 			if !ok {
 				return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
 			}
-			died = w
 			d.cancelBase(s, dst, w)
 		}
 	} else {
@@ -133,9 +132,8 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 		}
 		switch {
 		case i >= 0:
-			died = d.killPending(s, dst, i)
+			d.killPending(s, dst, i)
 		case d.baseMultiplicityW(s, dst, wSel)-d.delBase[wkey{k, wSel}] > 0:
-			died = wSel
 			d.cancelBase(s, dst, wSel)
 		default:
 			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
@@ -144,7 +142,6 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	d.liveEdges--
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
-	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: died}, -1)
 	d.touch()
 	d.stats.Updates++
 	d.stats.Deletes++
@@ -153,9 +150,9 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 }
 
 // killPending removes index i from pair (s,dst)'s surviving-pending weight
-// list, logs the kill with that weight and returns it. The insertion's own
-// log entry stays; Materialize nets kills against insertions.
-func (d *Graph) killPending(s, dst graph.VertexID, i int) int32 {
+// list and logs the kill with that weight. The insertion's own log entry
+// stays; Materialize nets kills against insertions.
+func (d *Graph) killPending(s, dst graph.VertexID, i int) {
 	k := keyOf(s, dst)
 	alive := d.addAlive[k]
 	w := alive[i]
@@ -166,7 +163,6 @@ func (d *Graph) killPending(s, dst graph.VertexID, i int) int32 {
 		d.addAlive[k] = alive
 	}
 	d.killedAdd = append(d.killedAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
-	return w
 }
 
 // cancelBase records a deletion against a base occurrence of (s,dst,w).
@@ -225,21 +221,30 @@ type Frozen struct {
 	epoch     int64
 	liveEdges int64
 	base      *graph.Graph
+	gen       int64        // compaction generation the logs belong to
 	pending   []graph.Edge // insertions, in arrival order
 	killed    []graph.Edge // deletions that killed a pending insertion
 	cancels   []graph.Edge // deletions that cancelled a base occurrence
+	// The previous generation's full logs — the ones Compact folded into
+	// base — so Since can span one compaction. The retired base itself is
+	// not kept.
+	prevPending, prevKilled, prevCancels []graph.Edge
 }
 
 // Freeze captures the current live edge multiset.
 func (d *Graph) Freeze() Frozen {
 	return Frozen{
-		n:         d.n,
-		epoch:     d.epoch,
-		liveEdges: d.liveEdges,
-		base:      d.base,
-		pending:   d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
-		killed:    d.killedAdd[:len(d.killedAdd):len(d.killedAdd)],
-		cancels:   d.cancelLog[:len(d.cancelLog):len(d.cancelLog)],
+		n:           d.n,
+		epoch:       d.epoch,
+		liveEdges:   d.liveEdges,
+		base:        d.base,
+		gen:         d.gen,
+		pending:     d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
+		killed:      d.killedAdd[:len(d.killedAdd):len(d.killedAdd)],
+		cancels:     d.cancelLog[:len(d.cancelLog):len(d.cancelLog)],
+		prevPending: d.prevPending,
+		prevKilled:  d.prevKilled,
+		prevCancels: d.prevCancels,
 	}
 }
 
@@ -253,39 +258,115 @@ func (f Frozen) NumVertices() int { return f.n }
 func (f Frozen) NumEdges() int64 { return f.liveEdges }
 
 // Materialize builds the captured edge multiset as an immutable CSR+CSC
-// graph by row-patching the base: the cancellations are removed and the
-// surviving insertions — per (src,dst,weight), the earliest arrivals not
-// netted out by kills — are merged in. Rows are sorted by (neighbor,
-// weight), so the result is byte-identical to graph.FromEdges over the same
-// multiset. With nothing to patch it returns the (immutable) base itself.
+// graph by row-patching the base with the netted logs: the surviving
+// insertions merged in, the cancellations removed. Rows are sorted by
+// (neighbor, weight), so the result is byte-identical to graph.FromEdges
+// over the same multiset. With nothing to patch it returns the (immutable)
+// base itself.
 func (f Frozen) Materialize() *graph.Graph {
-	var adds []graph.Edge
-	if len(f.pending) > 0 {
-		need := make(map[graph.Edge]int64, len(f.pending))
-		for _, e := range f.pending {
-			need[e]++
-		}
-		for _, e := range f.killed {
-			need[e]--
-		}
-		adds = make([]graph.Edge, 0, len(f.pending)-len(f.killed))
-		for _, e := range f.pending {
-			if need[e] > 0 {
-				need[e]--
-				adds = append(adds, e)
-			}
-		}
-	}
-	if len(adds) == 0 && len(f.cancels) == 0 && f.n == f.base.NumVertices() {
+	adds, dels := netEdges([][]graph.Edge{f.pending}, [][]graph.Edge{f.killed, f.cancels})
+	if len(adds) == 0 && len(dels) == 0 && f.n == f.base.NumVertices() {
 		return f.base
 	}
-	g, _, err := f.base.PatchEdgesN(f.n, adds, f.cancels)
+	g, _, err := f.base.PatchEdgesN(f.n, adds, dels)
 	if err != nil {
 		// Unreachable: every applied update was range-checked and every
 		// cancellation names a live base occurrence.
 		panic(err)
 	}
 	return g
+}
+
+// Since returns the net edge change from the earlier capture b to f, as
+// sorted insertion and deletion lists with multiplicities unrolled: the log
+// entries f holds past b (insertions, minus kills and cancellations), netted
+// per (Src, Dst, Weight). It spans at most one compaction; ok is false when
+// b predates f's previous generation or was captured after f.
+func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
+	plus, minus, ok := f.logsSince(b)
+	if !ok {
+		return nil, nil, false
+	}
+	adds, dels = netEdges(plus, minus)
+	return adds, dels, true
+}
+
+// EntriesSince counts the raw log entries Since would net, in O(1); ok as
+// for Since.
+func (f Frozen) EntriesSince(b Frozen) (int64, bool) {
+	plus, minus, ok := f.logsSince(b)
+	var c int
+	for _, r := range append(plus, minus...) {
+		c += len(r)
+	}
+	return int64(c), ok
+}
+
+// logsSince returns the log runs f holds past b: b's unseen tail of its own
+// generation's logs, followed — when f is one compaction later — by f's
+// whole logs.
+func (f Frozen) logsSince(b Frozen) (plus, minus [][]graph.Edge, ok bool) {
+	if b.epoch > f.epoch {
+		return nil, nil, false
+	}
+	switch f.gen - b.gen {
+	case 0:
+		return [][]graph.Edge{f.pending[len(b.pending):]},
+			[][]graph.Edge{f.killed[len(b.killed):], f.cancels[len(b.cancels):]}, true
+	case 1:
+		return [][]graph.Edge{f.prevPending[len(b.pending):], f.pending},
+			[][]graph.Edge{f.prevKilled[len(b.killed):], f.prevCancels[len(b.cancels):], f.killed, f.cancels}, true
+	}
+	return nil, nil, false
+}
+
+// netEdges nets signed edge runs into their multiset difference: one sort
+// of every entry by (Src, Dst, Weight), then per triple the summed sign,
+// unrolled into sorted adds (positive) and dels (negative).
+func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
+	type signed struct {
+		key  uint64 // Src<<32 | Dst
+		w    int32
+		sign int32
+	}
+	total := 0
+	for _, r := range append(plus, minus...) {
+		total += len(r)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	es := make([]signed, 0, total)
+	put := func(runs [][]graph.Edge, sign int32) {
+		for _, r := range runs {
+			for _, e := range r {
+				es = append(es, signed{uint64(e.Src)<<32 | uint64(e.Dst), e.Weight, sign})
+			}
+		}
+	}
+	put(plus, 1)
+	put(minus, -1)
+	slices.SortFunc(es, func(a, b signed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	for i := 0; i < len(es); {
+		c, j := int32(0), i
+		for ; j < len(es) && es[j].key == es[i].key && es[j].w == es[i].w; j++ {
+			c += es[j].sign
+		}
+		e := graph.Edge{Src: graph.VertexID(es[i].key >> 32), Dst: graph.VertexID(uint32(es[i].key)), Weight: es[i].w}
+		for ; c > 0; c-- {
+			adds = append(adds, e)
+		}
+		for ; c < 0; c++ {
+			dels = append(dels, e)
+		}
+		i = j
+	}
+	return adds, dels
 }
 
 // Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph
@@ -302,16 +383,20 @@ func (d *Graph) Snapshot() *graph.Graph {
 	return g
 }
 
-// Compact promotes the current snapshot to the new base graph and clears the
-// delta log. Engines holding older snapshots (and views holding older
-// freezes) are unaffected: the old base and log prefix stay immutable. The
+// Compact promotes the current snapshot to the new base graph and starts a
+// new log generation, keeping the retired logs as the previous generation
+// for Frozen.Since. Engines holding older snapshots (and views holding
+// older freezes) are unaffected: the old base and log prefix stay
+// immutable. The
 // "compact" span parents onto the batch whose log bound triggered it, or
 // onto nothing for a direct call.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
 	d.base = d.Snapshot()
+	d.prevPending, d.prevKilled, d.prevCancels = d.pendingAdd, d.killedAdd, d.cancelLog
 	d.pendingAdd, d.killedAdd, d.cancelLog = nil, nil, nil
+	d.gen++
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)
 	d.delPair = make(map[edgeKey]int64)

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,11 +20,72 @@ func sameArrays(a, b *graph.Graph) bool {
 		slices.Equal(a.InEdgeWeights(), b.InEdgeWeights())
 }
 
+// frozenCapture pairs a capture with the snapshot materialized at its epoch.
+type frozenCapture struct {
+	f    Frozen
+	snap *graph.Graph
+}
+
+func edgeCmp(a, b graph.Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Weight, b.Weight)
+}
+
+// checkSince requires Since to bridge every ordered capture pair at most
+// one compaction apart — the netted lists are sorted, share no edge, and
+// patch the earlier snapshot into exactly the later one — and to refuse
+// pairs further apart. It returns how many pairs fell on each side.
+func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
+	t.Helper()
+	for i, b := range caps {
+		for _, c := range caps[i:] {
+			adds, dels, ok := c.f.Since(b.f)
+			if _, okE := c.f.EntriesSince(b.f); okE != ok {
+				t.Fatalf("epochs %d→%d: EntriesSince ok=%v, Since ok=%v", b.f.epoch, c.f.epoch, okE, ok)
+			}
+			if c.f.gen-b.f.gen > 1 {
+				if ok {
+					t.Fatalf("epochs %d→%d: Since bridged %d compactions", b.f.epoch, c.f.epoch, c.f.gen-b.f.gen)
+				}
+				refused++
+				continue
+			}
+			if !ok {
+				t.Fatalf("epochs %d→%d: Since refused a pair %d compaction(s) apart", b.f.epoch, c.f.epoch, c.f.gen-b.f.gen)
+			}
+			if !slices.IsSortedFunc(adds, edgeCmp) || !slices.IsSortedFunc(dels, edgeCmp) {
+				t.Fatalf("epochs %d→%d: netted lists are not sorted", b.f.epoch, c.f.epoch)
+			}
+			for _, e := range adds {
+				if _, found := slices.BinarySearchFunc(dels, e, edgeCmp); found {
+					t.Fatalf("epochs %d→%d: %v both added and deleted", b.f.epoch, c.f.epoch, e)
+				}
+			}
+			got, _, err := b.snap.PatchEdgesN(c.f.n, adds, dels)
+			if err != nil {
+				t.Fatalf("epochs %d→%d: patching with Since: %v", b.f.epoch, c.f.epoch, err)
+			}
+			if !sameArrays(got, c.snap) {
+				t.Fatalf("epochs %d→%d: snapshot patched with Since differs from the later snapshot", b.f.epoch, c.f.epoch)
+			}
+			bridged++
+		}
+	}
+	return bridged, refused
+}
+
 // TestFrozenStaysPinned freezes a weighted multigraph at several epochs and
 // keeps mutating it — selector deletes hitting both pending insertions and
 // base edges, growth, and compactions, automatic and direct — then requires
 // every earlier capture to still materialize exactly the snapshot taken at
 // its epoch, which in turn equals FromEdges over the reference multiset.
+// Across the captures, Since must bridge every pair at most one compaction
+// apart and refuse the rest (checkSince).
 func TestFrozenStaysPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 40
@@ -44,11 +106,7 @@ func TestFrozenStaysPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type capture struct {
-		f    Frozen
-		snap *graph.Graph
-	}
-	var caps []capture
+	var caps []frozenCapture
 	checkAll := func(when string) {
 		t.Helper()
 		for _, c := range caps {
@@ -107,12 +165,15 @@ func TestFrozenStaysPinned(t *testing.T) {
 			if !sameArrays(snap, want) {
 				t.Fatalf("batch %d: snapshot differs from FromEdges over the live multiset", batch)
 			}
-			caps = append(caps, capture{d.Freeze(), snap})
+			caps = append(caps, frozenCapture{d.Freeze(), snap})
 		}
 		checkAll("after batch")
 	}
 	if d.Stats().Compactions < 3 {
 		t.Fatalf("only %d compactions; the test must cross several", d.Stats().Compactions)
+	}
+	if bridged, refused := checkSince(t, caps); bridged == 0 || refused == 0 {
+		t.Fatalf("Since checked on %d bridged and %d refused pairs; the test must cover both", bridged, refused)
 	}
 }
 

@@ -1,7 +1,7 @@
 package dynamic
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -27,59 +27,50 @@ type RefinePlan struct {
 	// sorted. Their results are untouched by the move (original-ID space),
 	// but refinement seeds them into the repair frontier conservatively.
 	Moved []graph.VertexID
-	// GrownTotal counts the vertices admitted in the delta's window; they
-	// occupy the tail of the view's original-ID space.
-	GrownTotal int64
+	// Grown counts the vertices admitted since the basis; they occupy the
+	// tail of the view's original-ID space.
+	Grown int64
 }
 
 // Empty reports whether the plan carries no change at all, in which case the
 // basis result is the view's result verbatim.
 func (p RefinePlan) Empty() bool {
-	return len(p.Adds) == 0 && len(p.Dels) == 0 && len(p.Moved) == 0 && p.GrownTotal == 0
+	return len(p.Adds) == 0 && len(p.Dels) == 0 && len(p.Moved) == 0 && p.Grown == 0
 }
 
 // Touched returns the number of distinct endpoints the edge delta touches —
 // the input to the scratch-fallback gate (a delta touching a large fraction
 // of the graph refines slower than a cold start).
 func (p RefinePlan) Touched() int {
-	seen := make(map[graph.VertexID]struct{}, 2*(len(p.Adds)+len(p.Dels)))
-	for _, e := range p.Adds {
-		seen[e.Src] = struct{}{}
-		seen[e.Dst] = struct{}{}
+	ends := make([]graph.VertexID, 0, 2*(len(p.Adds)+len(p.Dels)))
+	for _, es := range [][]graph.Edge{p.Adds, p.Dels} {
+		for _, e := range es {
+			ends = append(ends, e.Src, e.Dst)
+		}
 	}
-	for _, e := range p.Dels {
-		seen[e.Src] = struct{}{}
-		seen[e.Dst] = struct{}{}
-	}
-	return len(seen)
+	slices.Sort(ends)
+	return len(slices.Compact(ends))
 }
 
 // DeriveRefinePlan reshapes a view's lineage delta into a refinement plan.
-// The delta's Net map is exact over the basis→view window (Fold keeps the
-// edge multiset exact through re-anchoring), so the plan is too.
+// The delta's edge lists are exact over the basis→view span (Frozen.Since
+// nets the logs between the two captures), so the plan is too. Adds and
+// Dels are copies the caller may rewrite in place.
 func DeriveRefinePlan(vd ViewDelta) RefinePlan {
-	p := RefinePlan{GrownTotal: vd.GrownTotal()}
-	if len(vd.Net) > 0 {
-		p.OutDegDelta = make(map[graph.VertexID]int64, len(vd.Net))
+	p := RefinePlan{
+		Adds:  slices.Clone(vd.Adds),
+		Dels:  slices.Clone(vd.Dels),
+		Moved: vd.Moved,
+		Grown: vd.Grown,
 	}
-	for e, c := range vd.Net {
-		if c == 0 {
-			continue
-		}
-		p.OutDegDelta[e.Src] += c
-		for i := c; i > 0; i-- {
-			p.Adds = append(p.Adds, e)
-		}
-		for i := c; i < 0; i++ {
-			p.Dels = append(p.Dels, e)
-		}
+	if len(vd.Adds)+len(vd.Dels) > 0 {
+		p.OutDegDelta = make(map[graph.VertexID]int64)
 	}
-	if len(vd.Moved) > 0 {
-		p.Moved = make([]graph.VertexID, 0, len(vd.Moved))
-		for w := range vd.Moved {
-			p.Moved = append(p.Moved, w)
-		}
-		sort.Slice(p.Moved, func(i, j int) bool { return p.Moved[i] < p.Moved[j] })
+	for _, e := range vd.Adds {
+		p.OutDegDelta[e.Src]++
+	}
+	for _, e := range vd.Dels {
+		p.OutDegDelta[e.Src]--
 	}
 	return p
 }

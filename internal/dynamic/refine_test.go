@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,19 +11,16 @@ func TestDeriveRefinePlanUnrollsMultiplicities(t *testing.T) {
 	e2 := graph.Edge{Src: 1, Dst: 3, Weight: 1}
 	e3 := graph.Edge{Src: 4, Dst: 1, Weight: 7}
 	vd := ViewDelta{
-		Net:   map[graph.Edge]int64{e1: 2, e2: -1, e3: -3},
-		Moved: map[graph.VertexID]struct{}{9: {}, 5: {}},
-		Grown: []int64{1, 0, 2},
+		Adds:  []graph.Edge{e1, e1},
+		Dels:  []graph.Edge{e2, e3, e3, e3},
+		Moved: []graph.VertexID{5, 9},
+		Grown: 3,
 	}
 	p := DeriveRefinePlan(vd)
-
 	if len(p.Adds) != 2 || p.Adds[0] != e1 || p.Adds[1] != e1 {
 		t.Fatalf("Adds = %v, want [%v %v]", p.Adds, e1, e1)
 	}
-	dels := append([]graph.Edge(nil), p.Dels...)
-	sort.Slice(dels, func(i, j int) bool {
-		return dels[i].Src < dels[j].Src || (dels[i].Src == dels[j].Src && dels[i].Dst < dels[j].Dst)
-	})
+	dels := p.Dels
 	if len(dels) != 4 || dels[0] != e2 || dels[1] != e3 || dels[2] != e3 || dels[3] != e3 {
 		t.Fatalf("Dels = %v, want [%v %v %v %v]", dels, e2, e3, e3, e3)
 	}
@@ -34,8 +30,13 @@ func TestDeriveRefinePlanUnrollsMultiplicities(t *testing.T) {
 	if len(p.Moved) != 2 || p.Moved[0] != 5 || p.Moved[1] != 9 {
 		t.Fatalf("Moved = %v, want sorted [5 9]", p.Moved)
 	}
-	if p.GrownTotal != 3 {
-		t.Fatalf("GrownTotal = %d, want 3", p.GrownTotal)
+	if p.Grown != 3 {
+		t.Fatalf("Grown = %d, want 3", p.Grown)
+	}
+	// The plan's edge lists are the caller's to rewrite in place.
+	p.Adds[0].Src = 7
+	if vd.Adds[0] != e1 {
+		t.Fatal("DeriveRefinePlan shares its edge lists with the delta")
 	}
 	if p.Empty() {
 		t.Fatal("plan with changes reports Empty")
@@ -48,7 +49,7 @@ func TestDeriveRefinePlanKeepsNetZeroDegreeSources(t *testing.T) {
 	// did not, and PageRank's contribution sweep keys off that map.
 	a := graph.Edge{Src: 2, Dst: 5, Weight: 1}
 	b := graph.Edge{Src: 2, Dst: 6, Weight: 1}
-	p := DeriveRefinePlan(ViewDelta{Net: map[graph.Edge]int64{a: 1, b: -1}})
+	p := DeriveRefinePlan(ViewDelta{Adds: []graph.Edge{a}, Dels: []graph.Edge{b}})
 	if dd, ok := p.OutDegDelta[2]; !ok || dd != 0 {
 		t.Fatalf("OutDegDelta[2] = %d (present=%v), want 0 present", dd, ok)
 	}

@@ -82,7 +82,7 @@ func (d *Graph) refreshGranularity() {
 // moved vertex at its partner's old position, so segments slowly lose the
 // layout that gives dense traversal its locality; the re-sort is a
 // segment-local permutation — exactly the shape the engine patch paths
-// already handle — recorded in the view delta's moved set like any swap.
+// already handle, like any swap.
 // Returns the re-sorted partition and how many of its vertices moved.
 func (d *Graph) resortSegment() (q int, moves int64) {
 	d.ensureOrdering()
@@ -122,9 +122,6 @@ func (d *Graph) resortSegment() (q int, moves int64) {
 	d.ordPerm = perm
 	d.placeEpoch++
 	d.ordPlace = d.placeEpoch
-	for _, v := range moved {
-		d.viewMoved[v] = struct{}{}
-	}
 	d.stats.Resorts++
 	d.stats.ResortedVertices += int64(len(moved))
 	d.m.resorts.Inc()
@@ -210,7 +207,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 	}
 	var perm []graph.VertexID
 	var partOf []uint32
-	var moved []graph.VertexID
 	// cow clones the shared cached permutation once per pass, so views
 	// pinned to earlier epochs keep their numbering.
 	cow := func() {
@@ -336,7 +332,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 		d.partEdges[pmin] += db - dc
 		// a takes b's position, b takes c's, c takes a's.
 		perm[a], perm[b], perm[c] = perm[b], perm[c], perm[a]
-		moved = append(moved, a, b, c)
 		rots++
 		lists[pmax] = append(lists[pmax][:bestA], lists[pmax][bestA+1:]...)
 		lists[q] = append(lists[q][:bestB], lists[q][bestB+1:]...)
@@ -401,7 +396,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 		d.partEdges[pmax] += du - dv
 		d.partEdges[pmin] += dv - du
 		perm[v], perm[u] = perm[u], perm[v]
-		moved = append(moved, v, u)
 		swaps++
 		lists[pmax] = append(lmax[:bestV], lmax[bestV+1:]...)
 		lists[pmin] = append(lmin[:bestU], lmin[bestU+1:]...)
@@ -412,9 +406,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 		d.ordPerm, d.ordPartOf = perm, partOf
 		d.placeEpoch++
 		d.ordPlace = d.placeEpoch
-		for _, w := range moved {
-			d.viewMoved[w] = struct{}{}
-		}
 		d.stats.Swaps += swaps
 		d.stats.Rotations += rots
 		d.stats.Placements += 2*swaps + 3*rots
@@ -454,16 +445,12 @@ func (d *Graph) rebuild() {
 
 // placementChanged invalidates everything keyed to the placement: the cached
 // permutation and the patchability of engine-side structures. Swap repairs
-// do NOT go through here — they maintain the permutation copy-on-write and
-// record their moves in viewMoved instead, keeping the numbering lineage
-// (renumEpoch) intact.
+// do NOT go through here — they maintain the permutation copy-on-write,
+// keeping the numbering lineage (renumEpoch) intact.
 func (d *Graph) placementChanged() {
 	d.placeEpoch++
 	d.renumEpoch++
-	d.viewPlace = true
-	// Per-vertex move tracking is moot once the whole numbering changed,
-	// and the swap repair's member lists no longer match the assignment.
-	d.viewMoved = make(map[graph.VertexID]struct{})
+	// The swap repair's member lists no longer match the assignment.
 	d.members = nil
 }
 

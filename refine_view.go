@@ -29,9 +29,9 @@ import (
 // Soundness rests on two invariants the rest of the module maintains:
 // internal (original) vertex IDs are append-only — so a basis result array
 // indexed by original IDs is prefix-valid at any later epoch, even across
-// full renumberings — and View.deltaView() exactly covers the basis→view
-// window (the publish-side re-anchoring arithmetic keeps the edge multiset
-// exact).
+// full renumberings — and View.deltaOver(b) exactly covers the span from
+// the basis b to the view (Frozen.Since nets the log entries between the
+// two captures, so the edge multiset is exact).
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -112,24 +112,24 @@ func (c *refineCache) put(k refineKey, r *Refined) {
 	c.m[k] = r
 }
 
-// basisCapture returns the basis view's capture for key, or nil when there
-// is no basis (scratch epochs, reuse disabled, delta outgrew the anchor) or
-// the capture cannot seed this view. The epoch and length guards make
-// staleness structurally impossible: a capture seeds refinement only when it
-// is pinned to the exact anchor point v.deltaView() measures from — any
-// rebuild-cause epoch in between published a fresh view whose delta still
-// spans basis→view, so the refinement replays it rather than serving the
-// old values.
-func (v *View) basisCapture(key refineKey) *Refined {
+// basisCapture returns the basis view b and its capture for key, or nil
+// when there is no basis (scratch epochs, reuse disabled, basis more than
+// one compaction back) or the capture cannot seed this view. The epoch and
+// length guards make staleness structurally impossible: a capture seeds
+// refinement only when it is pinned to the exact view v.deltaOver(b)
+// measures from — any rebuild-cause epoch in between published a fresh
+// view whose delta still spans basis→view, so the refinement replays it
+// rather than serving the old values.
+func (v *View) basisCapture(key refineKey) (*Refined, *View) {
 	b := v.basis.Load()
 	if b == nil {
-		return nil
+		return nil, nil
 	}
 	r := b.ref.get(key)
 	if r == nil || r.epoch != b.epoch || r.n != b.nverts {
-		return nil
+		return nil, nil
 	}
-	return r
+	return r, b
 }
 
 // Fallback gating: refinement resets at most n/refineConeDenom vertices
@@ -345,7 +345,7 @@ func (v *View) refineRelax(e Engine, seed []int64, plan dynamic.RefinePlan, spec
 		}
 	}
 	if spec.grownJoins {
-		for o := v.nverts - int(plan.GrownTotal); o < v.nverts; o++ {
+		for o := v.nverts - int(plan.Grown); o < v.nverts; o++ {
 			mark(perm[o])
 		}
 	}
@@ -379,11 +379,11 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 		v.work.observeRefine(v, alg, sys, start, st)
 		return vals, st, nil
 	}
-	cap_ := v.basisCapture(key)
+	cap_, b := v.basisCapture(key)
 	if cap_ == nil {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.deltaView())
+	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
 	if plan.Empty() {
 		r := &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: cap_.vals}
 		v.ref.put(key, r)
@@ -533,11 +533,11 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 		v.work.observeRefine(v, "pagerank", sys, start, st)
 		return ranks, st, nil
 	}
-	cap_ := v.basisCapture(key)
+	cap_, b := v.basisCapture(key)
 	if cap_ == nil || cap_.eps > eps {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.deltaView())
+	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
 	if plan.Empty() {
 		r := &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: cap_.ranks, eps: cap_.eps}
 		v.ref.put(key, r)

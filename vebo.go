@@ -302,20 +302,10 @@ type Dynamic struct {
 	spans   *obs.Spans
 	cur     atomic.Pointer[View]
 
-	// Writer-side basis tracking (see publish in view.go): the delta
-	// accumulated since the current anchor point — a running fold the
-	// writer owns and updates in place — the lineage it belongs to, and the
-	// materialized view at that point, if any. window holds the drained
-	// chunks the fold was built from (views share capped prefixes of it);
-	// windowEntries is their total Net+Moved size. latestMat is the
-	// reader-to-writer channel: the newest view whose relabeled graph was
-	// built.
-	anchorID      int64
-	sinceAnchor   dynamic.ViewDelta
-	window        []dynamic.ViewDelta
-	windowEntries int64
-	basisView     *View
-	latestMat     atomic.Pointer[View]
+	// latestMat is the reader-to-writer channel for basis choice (see
+	// publish in view.go): the newest view that materialized a patchable
+	// artifact.
+	latestMat atomic.Pointer[View]
 
 	// alloc maps external vertex IDs onto the dense internal space; nil
 	// until the first IngestBatch call (dense-ID callers never pay for it).

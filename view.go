@@ -2,6 +2,7 @@ package vebo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,15 +43,13 @@ import (
 type View struct {
 	epoch      int64
 	renumEpoch int64 // numbering lineage (dynamic.RenumEpoch) at publish
-	anchorID   int64 // delta lineage the view was published under
 	nverts     int
 	parts      int
 	exts       []uint64     // internal → external IDs (nil without external ingest)
 	ord        *core.Result // shared immutable Perm/PartitionOf, counts frozen at publish
 	frozen     dynamic.Frozen
 	opts       EngineOptions
-	window     []dynamic.ViewDelta  // deltas drained since the anchor point, oldest first
-	basis      atomic.Pointer[View] // materialized view at the anchor point; nil forces scratch builds
+	basis      atomic.Pointer[View] // materialized view this one patches from; nil forces scratch builds
 	d          *Dynamic
 	work       *viewWork
 	ref        *refineCache    // lineage-keyed Refined captures (refine_view.go)
@@ -58,7 +57,7 @@ type View struct {
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
 
 	deltaOnce sync.Once
-	delta     dynamic.ViewDelta // window folded: the changes since the basis
+	delta     dynamic.ViewDelta // the changes since the basis (deltaOver)
 
 	snapOnce sync.Once
 	snapP    atomic.Pointer[Graph]
@@ -119,13 +118,11 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 	v := &View{
 		epoch:      d.inner.Epoch(),
 		renumEpoch: d.inner.RenumEpoch(),
-		anchorID:   d.anchorID,
 		nverts:     d.inner.NumVertices(),
 		parts:      d.inner.Partitions(),
 		ord:        d.inner.Ordering(),
 		frozen:     d.inner.Freeze(),
 		opts:       d.engOpts,
-		window:     d.window[:len(d.window):len(d.window)],
 		d:          d,
 		work:       d.work,
 		ref:        newRefineCache(),
@@ -146,79 +143,30 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 // vebo_publish_lag_ns sample — the freshness cost one batch pays end to
 // end.
 //
-// Basis tracking: the writer accumulates the delta since an anchor point —
-// the publish instant of basisView, the newest view known to have
-// materialized its relabeled graph. Readers register views they materialize
-// in latestMat; at each publish the writer re-anchors onto the newest one by
-// subtracting that view's own anchor-relative delta (exact for the edge
-// multiset, superset for dirty partitions). This keeps patching available no
-// matter how many epochs pass between queries, while a reader that never
-// comes back costs only the bounded sinceAnchor fold — which resets, dropping
-// the basis, if it ever outgrows the delta-log compaction bound.
-//
-// A publish costs O(batch), not O(backlog). The writer folds each drained
-// delta into sinceAnchor in place and appends it to window, the chunks
-// drained since the anchor; a re-anchor restarts window with one head chunk
-// holding the re-anchored fold. A view keeps a capped prefix of window and
-// folds it once, when a patch, predicate or refine plan first needs it
-// (deltaView), so epochs nobody queries never fold.
+// Basis choice: readers register the views they materialize in latestMat,
+// and the new view patches from the newest of them when its capture is at
+// most one compaction back — the span Frozen.Since nets. Otherwise there is
+// no basis and the view builds from scratch. One compaction generation
+// holds at most the delta-log bound, max(8192, liveEdges/8) entries, so a
+// view never nets more than about liveEdges/4 + 8192 raw log entries. The
+// view's delta over its basis is a pure function of the two views,
+// computed on first use (deltaOver), so a publish costs O(1) beyond the
+// Freeze and epochs nobody queries never compute one.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
 	// queries against the view then child-link to the publish span.
 	psp := d.spans.Start("publish", "publish", d.inner.Epoch(), d.inner.LastBatchSpan())
-	drained := d.inner.DrainViewDelta()
 	var basis *View
-	if d.reuse {
-		d.sinceAnchor.Fold(drained, 1)
-		d.window = append(d.window, drained)
-		d.windowEntries += int64(len(drained.Net) + len(drained.Moved))
-		if m := d.latestMat.Load(); m != nil && m.anchorID == d.anchorID &&
-			(d.basisView == nil || m.epoch > d.basisView.epoch) {
-			d.sinceAnchor.Fold(m.deltaView(), -1)
-			d.sinceAnchor.PlacementChanged = d.inner.RenumEpoch() != m.renumEpoch
-			if d.sinceAnchor.PlacementChanged {
-				d.sinceAnchor.Moved = nil
-			} else if len(d.sinceAnchor.Moved) > 0 {
-				// The subtraction over-approximates Moved with the union of
-				// both windows; the numbering lineage is intact, so trim it
-				// to the vertices whose position actually differs from m's.
-				// Vertices admitted after m published have no position in
-				// m's space; growth accounting covers them, not Moved.
-				cur := d.inner.Ordering().Perm
-				base := m.ord.Perm
-				for w := range d.sinceAnchor.Moved {
-					if int(w) >= len(base) {
-						delete(d.sinceAnchor.Moved, w)
-					} else if cur[w] == base[w] {
-						delete(d.sinceAnchor.Moved, w)
-					}
-				}
-			}
-			d.anchorID++
-			d.basisView = m
-			// m patches from its own basis only while building artifacts it
-			// hasn't built yet; dropping the link bounds the retained chain.
+	var backlog int64
+	if m := d.latestMat.Load(); d.reuse && m != nil {
+		if entries, ok := d.inner.Freeze().EntriesSince(m.frozen); ok {
+			basis = m
+			backlog = entries + int64(d.inner.NumVertices()-m.nverts)
+			// m patches from its own basis only while building artifacts
+			// it hasn't built yet; dropping the link bounds the retained
+			// chain.
 			m.basis.Store(nil)
-			d.restartWindow()
-		}
-		held := int64(len(d.sinceAnchor.Net) + len(d.sinceAnchor.Moved))
-		if held > d.inner.NumEdges()/4+8192 {
-			// No reader has materialized a view for a long stretch; give up
-			// on the stale basis rather than hold an ever-growing delta.
-			d.anchorID++
-			d.basisView = nil
-			d.sinceAnchor = dynamic.ViewDelta{}
-			d.window, d.windowEntries = nil, 0
-		} else if d.windowEntries > 4*held+8192 {
-			// Churn that cancels itself keeps the fold small while its
-			// chunks pile up; restarting from the fold keeps the window
-			// within a constant factor of it at amortized O(batch) cost.
-			d.restartWindow()
-		}
-		if d.basisView != nil &&
-			(d.basisView.rgp.Load() != nil || d.basisView.snapP.Load() != nil) {
-			basis = d.basisView
 		}
 	}
 	v := d.buildView(basis, psp.Context())
@@ -226,7 +174,6 @@ func (d *Dynamic) publish(received time.Time) {
 	d.cur.Store(v)
 	lag := time.Since(received)
 	d.work.publishLag.Observe(int64(lag))
-	backlog := int64(len(d.sinceAnchor.Net)+len(d.sinceAnchor.Moved)) + d.sinceAnchor.GrownTotal()
 	d.work.backlog.Set(backlog)
 	basisEpoch := int64(-1)
 	if basis != nil {
@@ -236,33 +183,28 @@ func (d *Dynamic) publish(received time.Time) {
 		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
 }
 
-// restartWindow replaces the window with one head chunk holding a copy of
-// the writer's fold; views published afterwards fold from it.
-func (d *Dynamic) restartWindow() {
-	d.window = []dynamic.ViewDelta{d.sinceAnchor.Clone()}
-	d.windowEntries = int64(len(d.sinceAnchor.Net) + len(d.sinceAnchor.Moved))
-}
-
-// deltaView returns the view's delta over its basis — its window folded —
-// computing it on first use. Window chunks are immutable, so a one-chunk
-// window is returned as is; longer ones fold into a map sized for all their
-// entries up front, sparing the first query the rehashing of a growing map.
-func (v *View) deltaView() dynamic.ViewDelta {
+// deltaOver returns the view's delta over its basis b, computing it on
+// first use: the edge change netted from the two captures' log cursors,
+// the pre-existing vertices whose position differs (nil across a
+// renumbering), the admission count and the lineage break. Callers pass
+// the basis they loaded; the basis link only ever goes from one view to
+// nil, so every caller passes the same b.
+func (v *View) deltaOver(b *View) dynamic.ViewDelta {
 	v.deltaOnce.Do(func() {
-		switch len(v.window) {
-		case 0:
-		case 1:
-			v.delta = v.window[0]
-		default:
-			size := 0
-			for _, c := range v.window {
-				size += len(c.Net)
-			}
-			vd := dynamic.ViewDelta{Net: make(map[graph.Edge]int64, size)}
-			for _, c := range v.window {
-				vd.Fold(c, 1)
-			}
-			v.delta = vd
+		adds, dels, ok := v.frozen.Since(b.frozen)
+		if !ok {
+			// Unreachable: publish pairs a view only with a basis at most
+			// one compaction back.
+			panic("vebo: view basis is more than one compaction back")
+		}
+		v.delta = dynamic.ViewDelta{
+			Adds:             adds,
+			Dels:             dels,
+			PlacementChanged: v.renumEpoch != b.renumEpoch,
+			Grown:            int64(v.nverts - b.nverts),
+		}
+		if !v.delta.PlacementChanged {
+			v.delta.Moved = dynamic.MovedBetween(b.ord.Perm, v.ord.Perm)
 		}
 	})
 	return v.delta
@@ -360,8 +302,8 @@ func (v *View) Snapshot() *Graph {
 		start := time.Now()
 		if b := v.basis.Load(); b != nil {
 			if bs := b.snapP.Load(); bs != nil {
-				adds, dels := v.deltaView().AddsDels()
-				if s, st, err := bs.PatchEdgesN(v.nverts, adds, dels); err == nil {
+				vd := v.deltaOver(b)
+				if s, st, err := bs.PatchEdgesN(v.nverts, vd.Adds, vd.Dels); err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
 					v.work.relabelEdges.Add(st.EdgesRemapped)
@@ -396,7 +338,7 @@ func (v *View) Snapshot() *Graph {
 // numbering lineage is intact (!delta.PlacementChanged).
 func (v *View) segPerm(b *View) []VertexID {
 	v.segOnce.Do(func() {
-		if len(v.deltaView().Moved) == 0 {
+		if len(v.deltaOver(b).Moved) == 0 {
 			return
 		}
 		// Internal IDs are append-only, so the basis's internal space is
@@ -448,9 +390,10 @@ func (v *View) segPerm(b *View) []VertexID {
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		start := time.Now()
-		if b := v.basis.Load(); b != nil && !v.deltaView().PlacementChanged {
+		if b := v.basis.Load(); b != nil && !v.deltaOver(b).PlacementChanged {
 			if brg := b.rgp.Load(); brg != nil {
-				adds, dels := v.deltaView().AddsDels()
+				vd := v.deltaOver(b)
+				adds, dels := slices.Clone(vd.Adds), slices.Clone(vd.Dels)
 				perm := v.ord.Perm
 				mapEndpoints(adds, perm)
 				mapEndpoints(dels, perm)
@@ -528,32 +471,26 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 // position set — a swap, rotation or re-sort always parks an incoming
 // vertex where an outgoing one sat — so flagging the current positions
 // covers every partition whose membership changed.)
-func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
+func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 	v.dirtyOnce.Do(func() {
 		perm := v.ord.Perm
-		vd := v.deltaView()
-		grown := int(vd.GrownTotal())
-		seen := make(map[VertexID]struct{}, len(vd.Net)+len(vd.Moved)+grown)
-		dirty := make([]VertexID, 0, len(vd.Net)+len(vd.Moved)+grown)
-		add := func(id VertexID) {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				dirty = append(dirty, id)
+		vd := v.deltaOver(b)
+		dirty := make([]VertexID, 0, len(vd.Adds)+len(vd.Dels)+len(vd.Moved)+int(vd.Grown))
+		for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
+			for _, e := range es {
+				dirty = append(dirty, perm[e.Dst])
 			}
 		}
-		for e := range vd.Net {
-			add(perm[e.Dst])
-		}
-		for w := range vd.Moved {
-			add(perm[w])
+		for _, w := range vd.Moved {
+			dirty = append(dirty, perm[w])
 		}
 		// Admissions are append-only in the internal space, so the vertices
-		// admitted in the delta's window are exactly the internal tail.
-		for w := v.nverts - grown; w < v.nverts; w++ {
-			add(perm[w])
+		// admitted since the basis are exactly the internal tail.
+		for w := v.nverts - int(vd.Grown); w < v.nverts; w++ {
+			dirty = append(dirty, perm[w])
 		}
-		sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-		v.dirtyIDs = dirty
+		slices.Sort(dirty)
+		v.dirtyIDs = slices.Compact(dirty)
 	})
 	return rangePredicate(v.dirtyIDs)
 }
@@ -568,25 +505,15 @@ func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
 // Growth does not enter: admissions fill reserved headroom slots, so no
 // pre-existing source ID ever shifts — a grown epoch without repairs leaves
 // this set empty and every clean partition's COO is shared outright.
-func (v *View) srcMovedPredicate(rg *Graph) func(lo, hi VertexID) bool {
+func (v *View) srcMovedPredicate(b *View, rg *Graph) func(lo, hi VertexID) bool {
 	v.srcOnce.Do(func() {
-		moved := v.deltaView().Moved
-		if len(moved) == 0 {
-			return
-		}
 		perm := v.ord.Perm
-		seen := make(map[VertexID]struct{})
 		var list []VertexID
-		for w := range moved {
-			for _, t := range rg.OutNeighbors(perm[w]) {
-				if _, ok := seen[t]; !ok {
-					seen[t] = struct{}{}
-					list = append(list, t)
-				}
-			}
+		for _, w := range v.deltaOver(b).Moved {
+			list = append(list, rg.OutNeighbors(perm[w])...)
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		v.srcDirty = list
+		slices.Sort(list)
+		v.srcDirty = slices.Compact(list)
 	})
 	return rangePredicate(v.srcDirty)
 }
@@ -637,7 +564,7 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	// Ligra keeps no ID-bearing partitioned state, so its rebind survives
 	// even full renumberings; the partitioned engines patch only while the
 	// numbering lineage is intact (segment-local moves at most).
-	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.deltaView().PlacementChanged) {
+	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.deltaOver(b).PlacementChanged) {
 		if be := b.eng[sys].peek(); be != nil {
 			if e, ok := v.patchEngine(sys, b, be, rg); ok {
 				cause := "patch"
@@ -692,7 +619,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate())
+		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b))
 		if err != nil {
 			return nil, false
 		}
@@ -703,7 +630,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(), v.srcMovedPredicate(rg))
+		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
 		if err != nil {
 			return nil, false
 		}
@@ -844,13 +771,13 @@ func (v *View) CC(sys System) ([]uint32, error) {
 // SPMV multiplies the adjacency matrix with x; both x and the result are
 // indexed by original vertex ID.
 func (v *View) SPMV(sys System, x []float64) ([]float64, error) {
+	if len(x) != v.nverts {
+		return nil, fmt.Errorf("vebo: SPMV input length %d != n %d", len(x), v.nverts)
+	}
 	start := time.Now()
 	e, err := v.Engine(sys)
 	if err != nil {
 		return nil, err
-	}
-	if len(x) != v.nverts {
-		return nil, fmt.Errorf("vebo: SPMV input length %d != n %d", len(x), v.nverts)
 	}
 	y := unpermute(v.ord.Perm, algorithms.SPMV(e, permuteIn(v.ord.Perm, x, v.slots())))
 	v.work.observeQuery(v, "spmv", "full", sys, start)
@@ -897,13 +824,13 @@ func (v *View) BC(sys System, root VertexID) ([]float64, error) {
 // BP runs the belief-propagation workload for iters iterations; prior and
 // the result are indexed by original vertex ID.
 func (v *View) BP(sys System, iters int, prior []float64) ([]float64, error) {
+	if len(prior) != v.nverts {
+		return nil, fmt.Errorf("vebo: BP prior length %d != n %d", len(prior), v.nverts)
+	}
 	start := time.Now()
 	e, err := v.Engine(sys)
 	if err != nil {
 		return nil, err
-	}
-	if len(prior) != v.nverts {
-		return nil, fmt.Errorf("vebo: BP prior length %d != n %d", len(prior), v.nverts)
 	}
 	beliefs := unpermute(v.ord.Perm, algorithms.BP(e, iters, permuteIn(v.ord.Perm, prior, v.slots())))
 	v.work.observeQuery(v, "bp", "full", sys, start)

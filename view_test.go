@@ -121,9 +121,9 @@ func TestViewAlgorithmsMatchStatic(t *testing.T) {
 // requires identical results — the patched relabeled graph and patched
 // engines must be indistinguishable from scratch-built ones. Thresholds are
 // raised so the placement stays fixed and the patch path actually runs.
-// Stride 1 re-anchors every epoch; stride 5 leaves unqueried epochs in
-// between, so each patch folds a multi-chunk window and re-anchors after a
-// gap.
+// Stride 1 patches from the previous epoch; stride 5 leaves unqueried
+// epochs in between, so each patch nets several batches' log entries
+// against a basis several epochs back.
 func TestViewPatchedMatchesScratch(t *testing.T) {
 	// powerlaw is unweighted; orkut is weighted with parallel edges, so its
 	// SPMV results are only reproducible if patched rows are byte-identical
@@ -237,12 +237,63 @@ func testPatchedMatchesScratch(t *testing.T, recipe string, stride int) {
 	}
 }
 
-// TestViewWindowBoundedUnderCancellingChurn deletes edges in one batch and
-// re-inserts them in the next, with no reader after the first epoch: the
-// writer's fold stays near empty while drained chunks keep arriving, so the
-// window must restart from the fold instead of retaining every chunk, and
-// the eventual query must still patch from the old basis correctly.
-func TestViewWindowBoundedUnderCancellingChurn(t *testing.T) {
+// TestViewPatchesAcrossOneCompaction deletes edges in one batch and
+// re-inserts them in the next, with no reader after the first epoch, and
+// compacts the delta log in between. A view whose basis is one compaction
+// back nets the log cursors between the two and patches its snapshot; past
+// a second compaction the basis is dropped and the snapshot is a scratch
+// build. Either way it must equal the live graph.
+func TestViewPatchesAcrossOneCompaction(t *testing.T) {
+	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()
+	for _, compactions := range []int{1, 2} {
+		d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts, CompactEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.View().Reordered(); err != nil {
+			t.Fatal(err)
+		}
+		batch := 0
+		churn := func(batches int) {
+			for ; batches > 0; batches-- {
+				ups := make([]EdgeUpdate, 0, 64)
+				for _, e := range edges[(batch/2)*64%(len(edges)-64):][:64] {
+					ups = append(ups, EdgeUpdate{Src: e.Src, Dst: e.Dst, Del: batch%2 == 0})
+				}
+				if _, err := d.ApplyBatch(ups); err != nil {
+					t.Fatalf("batch %d: %v", batch, err)
+				}
+				batch++
+			}
+		}
+		churn(100)
+		for c := 0; c < compactions; c++ {
+			d.Compact()
+			churn(100)
+		}
+		before := d.ViewWork()
+		snap := d.View().Snapshot()
+		after := d.ViewWork()
+		if compactions == 1 && after.GraphPatches != before.GraphPatches+1 {
+			t.Fatal("snapshot one compaction past its basis was not patched")
+		}
+		if compactions == 2 && after.GraphBuilds != before.GraphBuilds+1 {
+			t.Fatal("snapshot two compactions past the last materialized view was not a scratch build")
+		}
+		want := d.Snapshot()
+		if !graph.Equal(snap, want) || !graph.Equal(snap.Transpose(), want.Transpose()) {
+			t.Fatalf("%d compaction(s): snapshot differs from the live graph", compactions)
+		}
+	}
+}
+
+// TestViewInputLengthCheckedFirst checks that SPMV and BP reject a
+// wrong-length input before paying a lazy engine build.
+func TestViewInputLengthCheckedFirst(t *testing.T) {
 	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -251,31 +302,19 @@ func TestViewWindowBoundedUnderCancellingChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.View().Reordered(); err != nil {
-		t.Fatal(err)
-	}
-	edges := g.Edges()
-	const batches = 400
-	for i := 0; i < batches; i++ {
-		ups := make([]EdgeUpdate, 0, 64)
-		for _, e := range edges[(i/2)*64%(len(edges)-64):][:64] {
-			ups = append(ups, EdgeUpdate{Src: e.Src, Dst: e.Dst, Del: i%2 == 0})
+	v := d.View()
+	short := make([]float64, v.NumVertices()-1)
+	before := d.ViewWork().EngineBuilds
+	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+		if _, err := v.SPMV(sys, short); err == nil {
+			t.Fatalf("%v: SPMV accepted an input of length %d, n=%d", sys, len(short), v.NumVertices())
 		}
-		if _, err := d.ApplyBatch(ups); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
+		if _, err := v.BP(sys, 2, short); err == nil {
+			t.Fatalf("%v: BP accepted a prior of length %d, n=%d", sys, len(short), v.NumVertices())
 		}
 	}
-	if len(d.window) >= batches/2 {
-		t.Fatalf("window kept %d chunks over %d batches", len(d.window), batches)
-	}
-	before := d.ViewWork().GraphPatches
-	snap := d.View().Snapshot()
-	if d.ViewWork().GraphPatches != before+1 {
-		t.Fatal("final snapshot was not patched from the basis")
-	}
-	want := d.Snapshot()
-	if !graph.Equal(snap, want) || !graph.Equal(snap.Transpose(), want.Transpose()) {
-		t.Fatal("patched snapshot differs from the live graph")
+	if got := d.ViewWork().EngineBuilds; got != before {
+		t.Fatalf("malformed calls built %d engines", got-before)
 	}
 }
 
@@ -585,13 +624,12 @@ func TestViewSnapshotPatchedMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestViewPatchedAfterRebuildEpoch pins the rebuild→swap window accounting:
-// when a full rebuild (lineage break) and a later swap repair land in the
-// same anchor window, re-anchoring onto a post-rebuild view must not lose
-// the swap — the delta's Moved set survives the merge even though the
-// window's PlacementChanged was true. A uniform-degree stream with the
-// adaptive gate disabled forces rebuilds; interleaved drifting churn then
-// forces swaps right after them.
+// TestViewPatchedAfterRebuildEpoch pins the rebuild→swap accounting: a view
+// right after a full rebuild (lineage break) builds its relabeled artifacts
+// from scratch, and the swap repairs that follow must show up in the next
+// views' Moved sets, diffed against the post-rebuild basis. A
+// uniform-degree stream with the adaptive gate disabled forces rebuilds;
+// interleaved drifting churn then forces swaps right after them.
 func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 	const n = 600
 	edges := make([]Edge, 0, n*5)
