@@ -295,11 +295,16 @@ func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
 // for Since.
 func (f Frozen) EntriesSince(b Frozen) (int64, bool) {
 	plus, minus, ok := f.logsSince(b)
-	var c int
-	for _, r := range append(plus, minus...) {
+	return int64(entries(plus) + entries(minus)), ok
+}
+
+// entries counts the edges in runs.
+func entries(runs [][]graph.Edge) int {
+	c := 0
+	for _, r := range runs {
 		c += len(r)
 	}
-	return int64(c), ok
+	return c
 }
 
 // logsSince returns the log runs f holds past b: b's unseen tail of its own
@@ -329,10 +334,7 @@ func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
 		w    int32
 		sign int32
 	}
-	total := 0
-	for _, r := range append(plus, minus...) {
-		total += len(r)
-	}
+	total := entries(plus) + entries(minus)
 	if total == 0 {
 		return nil, nil
 	}
