@@ -118,7 +118,7 @@ func BenchmarkApplyPermutation(b *testing.B) {
 	}
 }
 
-func BenchmarkHilbertCOOBuild(b *testing.B) {
+func BenchmarkHilbertOrderBuild(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

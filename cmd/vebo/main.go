@@ -118,10 +118,6 @@ func runStream(args []string) error {
 		float64(st.Updates)/elapsed.Seconds())
 	fmt.Printf("maintenance: %d repairs (%d vertices), %d full rebuilds, %d compactions\n",
 		st.Repairs, st.RepairedVertices, st.FullRebuilds, st.Compactions)
-	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d stalls\n",
-			st.RotationAttempts, st.RotationStalls)
-	}
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()
 		fmt.Printf("admitted %d vertices (n now %d); headroom %d/%d slots occupied, %d relabeling spills\n",
@@ -366,12 +362,8 @@ func runServe(args []string) error {
 	fmt.Printf("construction edges: %d rebuilt, %d patched, %d relabeled, %d reused\n",
 		work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, work.ReusedEdges)
 	st := d.Stats()
-	fmt.Printf("maintenance: %d repairs (%d swaps, %d rotations), %d segment re-sorts, %d full rebuilds\n",
-		st.Repairs, st.Swaps, st.Rotations, st.Resorts, st.FullRebuilds)
-	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d stalls\n",
-			st.RotationAttempts, st.RotationStalls)
-	}
+	fmt.Printf("maintenance: %d repairs (%d swaps), %d segment re-sorts, %d full rebuilds\n",
+		st.Repairs, st.Swaps, st.Resorts, st.FullRebuilds)
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()
 		fmt.Printf("admitted %d vertices (n now %d); headroom %d/%d slots occupied, %d relabeling spills\n",

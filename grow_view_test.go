@@ -352,7 +352,6 @@ func TestGrowthEpochSkipsRelabel(t *testing.T) {
 	d, err := NewDynamic(g, DynamicOptions{
 		Partitions: 32, AutoGrow: true, Engine: viewTestOpts,
 		RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true,
 	})
 	if err != nil {
 		t.Fatal(err)

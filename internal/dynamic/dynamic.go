@@ -21,18 +21,16 @@
 //
 //   - Incremental ordering maintenance, gated on the imbalances. The gate
 //     (Δ(n) over the effective rebuild threshold, which scales with the
-//     graph's degree granularity unless disabled) triggers a swap repair
-//     that fixes the edge balance with vertex exchanges: a vertex of the
-//     most-loaded partition trades places — partition AND new ID — with a
-//     lower-degree vertex of the least-loaded one, so per-partition vertex
-//     counts, the segment boundaries of the ordering, and the new IDs of
-//     every unmoved vertex are all invariant. When no improving pair exists,
-//     a three-way rotation through an intermediate partition is tried before
-//     giving up. If the repair cannot pull the imbalances back under their
-//     thresholds the subsystem falls back to a full core.ReorderDegrees
-//     rebuild. A background re-sort additionally restores the
-//     degree-descending order inside one partition segment after each batch
-//     whose swaps or rotations disturbed it.
+//     graph's degree granularity) triggers a swap repair that fixes the
+//     edge balance with vertex exchanges: a vertex of the most-loaded
+//     partition trades places — partition AND new ID — with a lower-degree
+//     vertex of the least-loaded one, so per-partition vertex counts, the
+//     segment boundaries of the ordering, and the new IDs of every unmoved
+//     vertex are all invariant. If no improving pair is left and the
+//     imbalances are still over their thresholds, the subsystem falls back
+//     to a full core.ReorderDegrees rebuild. A background re-sort
+//     additionally restores the degree-descending order inside one
+//     partition segment after each batch whose swaps disturbed it.
 //
 //   - A growable vertex space. Grow (and AutoGrow, for dense-ID streams;
 //     see Allocator for sparse external IDs) admits zero-degree vertices to
@@ -74,9 +72,9 @@ type Config struct {
 	// RebuildThreshold is the Δ(n) value above which maintenance runs: first
 	// the swap repair, then — if an imbalance is still above its threshold —
 	// a full reorder. Default 2, the paper's power-law bound (Theorem 1 gives
-	// Δ ≤ 1; one in-flight batch may add one more). Unless
-	// DisableAdaptiveThreshold is set, the effective threshold additionally
-	// scales with the graph's degree spread: see EffectiveRebuildThreshold.
+	// Δ ≤ 1; one in-flight batch may add one more). The effective threshold
+	// additionally scales with the graph's degree spread: see
+	// EffectiveRebuildThreshold.
 	RebuildThreshold int64
 	// VertexRebuildThreshold is the δ(n) value above which maintenance runs.
 	// Default 4 (2× Theorem 2's δ ≤ ~1 static bound, with slack for
@@ -90,13 +88,6 @@ type Config struct {
 	// max(8192, liveEdges/8): compaction costs O(m), so a fixed small bound
 	// would pay it every few batches on large graphs.
 	CompactEvery int
-	// DisableAdaptiveThreshold pins the Δ(n) gate to RebuildThreshold
-	// exactly instead of scaling it with the degree spread. Repairs move
-	// whole vertices, so the achievable Δ(n) is bounded below by the
-	// in-degrees of the vertices available to move: on near-uniform-degree
-	// graphs (usaroad) a fixed threshold below that granularity forces a
-	// futile full rebuild every batch. Exists for the adaptivity ablation.
-	DisableAdaptiveThreshold bool
 	// AutoGrow admits vertices on demand: an insertion whose endpoint is at
 	// or beyond the current vertex count grows the vertex space (via Grow)
 	// up to that endpoint instead of failing the batch. Internal IDs are
@@ -182,15 +173,6 @@ type Stats struct {
 	RepairedVertices int64
 	// Swaps is the number of placement-preserving vertex pair exchanges.
 	Swaps int64
-	// Rotations is the number of three-way placement-preserving exchanges
-	// performed when no improving pair swap existed.
-	Rotations int64
-	// RotationAttempts counts rotation searches started (one per repair step
-	// that found no improving pair swap); RotationStalls counts the ones
-	// where the degree-indexed candidate scan found no positive-gain
-	// rotation — the step that forces the caller's full-rebuild fallback.
-	RotationAttempts int64
-	RotationStalls   int64
 	// Admitted is the number of vertices added to the graph after
 	// construction (Grow and AutoGrow admissions).
 	Admitted int64
@@ -488,11 +470,11 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 // names which escape hatch forced it, a "resort" span when swaps decayed a
 // segment's order, and the "batch" span summarizing the epoch.
 func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
-	preMoves := d.stats.Swaps + d.stats.Rotations
+	preSwaps := d.stats.Swaps
 	if d.overThreshold() {
 		preDelta, preVert := d.EdgeImbalance(), d.VertexImbalance()
 		rstart := time.Now()
-		swaps, rots, stalled := d.swapRepair()
+		swaps := d.swapRepair()
 		rdur := time.Since(rstart)
 		d.m.repairs.Inc()
 		d.m.repairNS.Observe(int64(rdur))
@@ -503,18 +485,14 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			Attrs: map[string]int64{
 				"delta_before": preDelta, "delta_after": d.EdgeImbalance(),
 				"vertex_before": preVert, "vertex_after": d.VertexImbalance(),
-				"threshold": d.effEdgeThreshold(), "swaps": swaps, "rotations": rots,
-				"stalled": b2i(stalled),
+				"threshold": d.effEdgeThreshold(), "swaps": swaps,
 			},
 		})
 		if d.overThreshold() {
 			// The repair could not pull the imbalances back under their
 			// gates; name why before falling back to the full reorder.
 			cause, ctr := "repair-shortfall", d.m.rebuildShortfall
-			switch {
-			case stalled:
-				cause, ctr = "rotation-stall", d.m.rebuildRotStall
-			case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
+			if d.VertexImbalance() > d.cfg.VertexRebuildThreshold {
 				cause, ctr = "vertex-threshold", d.m.rebuildVertex
 			}
 			bstart := time.Now()
@@ -534,12 +512,12 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			})
 		}
 	}
-	// Swaps and rotations decay the degree-descending order inside
-	// segments (a moved vertex parks at its partner's old position);
-	// re-sort one segment per disturbing batch. Headroom admissions are
-	// not disturbances — they append in sorted position. A rebuild just
-	// re-established the order everywhere.
-	if !res.Rebuilt && d.stats.Swaps+d.stats.Rotations > preMoves {
+	// Swaps decay the degree-descending order inside segments (a moved
+	// vertex parks at its partner's old position); re-sort one segment per
+	// disturbing batch. Headroom admissions are not disturbances — they
+	// append in sorted position. A rebuild just re-established the order
+	// everywhere.
+	if !res.Rebuilt && d.stats.Swaps > preSwaps {
 		sstart := time.Now()
 		q, moved := d.resortSegment()
 		d.sp.Record(obs.Span{

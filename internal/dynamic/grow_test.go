@@ -210,15 +210,12 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 	}
 }
 
-// hostileDegreeGraph builds the degree distribution on which the greedy
-// donor/receiver pair search provably stalls: with P=3, in-degrees come in
-// one coarse class D (eight vertices — Algorithm 2 balances them 3/3/2) and
-// one mid class D/2 (two vertices, both placed on the 2-count partition,
-// equalizing every load at exactly 3D), plus zero-degree sources. After a
-// batch raises one partition's load by exactly D, every direct max→min
-// transfer is deg(a)−deg(u) ∈ {0, D, 2D} — never strictly inside (0, gap=D)
-// — while the isolated D/2 class on the third partition admits a
-// D → D/2 → 0 rotation with strictly positive gain.
+// hostileDegreeGraph builds a coarse-degree graph: with P=3, in-degrees
+// come in one coarse class D (eight vertices — Algorithm 2 balances them
+// 3/3/2) and one mid class D/2 (two vertices, both placed on the 2-count
+// partition, equalizing every load at exactly 3D), plus zero-degree sources.
+// The 10th-percentile in-degree is D/2, so the adaptive Δ(n) gate is D, and
+// every pair transfer between coarse-class partitions is a multiple of D.
 func hostileDegreeGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	const D = 10
@@ -239,72 +236,6 @@ func hostileDegreeGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-// TestSwapRepairRotationFallback pins the hostile-degree regression: when no
-// donor/receiver pair offers a transfer inside (0, gap), the repair must fix
-// the imbalance with a three-way rotation instead of falling back to a full
-// rebuild.
-func TestSwapRepairRotationFallback(t *testing.T) {
-	const D = 10
-	g := hostileDegreeGraph(t)
-	d, err := New(g, Config{
-		Partitions:               3,
-		RebuildThreshold:         D/2 + 1,
-		VertexRebuildThreshold:   1 << 40,
-		DisableAdaptiveThreshold: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.EdgeImbalance() != 0 {
-		t.Fatalf("construction assumes equal initial loads, got Δ(n)=%d", d.EdgeImbalance())
-	}
-	// The D/2 class lives together on one partition (qmid). Overload a
-	// different partition X by exactly D (one vertex D→2D), and nudge qmid
-	// by one edge so the remaining partition is the unambiguous arg-min —
-	// the pair search then faces only {2D, D, 0} vs {D, 0} movers.
-	qmid := int(d.PartitionOf(8))
-	if int(d.PartitionOf(9)) != qmid {
-		t.Fatalf("mid-degree class split across partitions %d and %d", qmid, d.PartitionOf(9))
-	}
-	X := -1
-	var target, qv graph.VertexID
-	for v := graph.VertexID(0); v < 8; v++ {
-		switch int(d.PartitionOf(v)) {
-		case qmid:
-			qv = v
-		default:
-			if X < 0 {
-				X = int(d.PartitionOf(v))
-			}
-			if int(d.PartitionOf(v)) == X {
-				target = v
-			}
-		}
-	}
-	var batch []graph.EdgeUpdate
-	for i := 0; i < D; i++ {
-		batch = append(batch, graph.EdgeUpdate{Src: graph.VertexID(10 + i), Dst: target})
-	}
-	batch = append(batch, graph.EdgeUpdate{Src: 20, Dst: qv})
-	res, err := d.ApplyBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	if !res.Repaired {
-		t.Fatalf("repair did not run: %+v", res)
-	}
-	if st.FullRebuilds != 0 {
-		t.Fatalf("fell back to a full rebuild (rotations=%d swaps=%d)", st.Rotations, st.Swaps)
-	}
-	if st.Rotations == 0 {
-		t.Fatalf("pair search should have failed and rotated: %+v", st)
-	}
-	if d.EdgeImbalance() > d.EffectiveRebuildThreshold() {
-		t.Fatalf("rotation left Δ(n)=%d above threshold %d", d.EdgeImbalance(), d.EffectiveRebuildThreshold())
-	}
 }
 
 // TestSegmentResortRestoresDegreeOrder checks the background re-sort: after

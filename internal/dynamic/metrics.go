@@ -11,9 +11,7 @@ import (
 // paths never branch on whether metrics are enabled.
 type dynMetrics struct {
 	batches, inserts, deletes       *obs.Counter
-	repairs, swaps, rotations       *obs.Counter
-	rotAttempts, rotStalls          *obs.Counter
-	rebuildRotStall, rebuildVertex  *obs.Counter
+	repairs, swaps, rebuildVertex   *obs.Counter
 	rebuildShortfall, rebuildForced *obs.Counter
 	resorts, compactions            *obs.Counter
 	admitted, headroomSpills        *obs.Counter
@@ -40,10 +38,6 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		deletes:          r.Counter("vebo_updates_total", "op", "delete"),
 		repairs:          r.Counter("vebo_repairs_total"),
 		swaps:            r.Counter("vebo_swaps_total"),
-		rotations:        r.Counter("vebo_rotations_total"),
-		rotAttempts:      r.Counter("vebo_rotation_search_total", "result", "attempt"),
-		rotStalls:        r.Counter("vebo_rotation_search_total", "result", "stall"),
-		rebuildRotStall:  r.Counter("vebo_rebuilds_total", "cause", "rotation-stall"),
 		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),
 		rebuildShortfall: r.Counter("vebo_rebuilds_total", "cause", "repair-shortfall"),
 		rebuildForced:    r.Counter("vebo_rebuilds_total", "cause", "forced"),

@@ -27,9 +27,6 @@ const adaptCap = 1024
 // quantile should not be paid per batch).
 func (d *Graph) effEdgeThreshold() int64 {
 	t := d.cfg.RebuildThreshold
-	if d.cfg.DisableAdaptiveThreshold {
-		return t
-	}
 	if d.adaptNext == 0 || d.stats.Updates >= d.adaptNext {
 		d.refreshGranularity()
 	}
@@ -78,11 +75,10 @@ func (d *Graph) refreshGranularity() {
 
 // resortSegment restores the degree-descending (ID-ascending on ties) order
 // phase 3 establishes inside one partition's segment, advancing a
-// round-robin cursor one partition per call. Swaps and rotations park a
-// moved vertex at its partner's old position, so segments slowly lose the
-// layout that gives dense traversal its locality; the re-sort is a
-// segment-local permutation — exactly the shape the engine patch paths
-// already handle, like any swap.
+// round-robin cursor one partition per call. Swaps park a moved vertex at
+// its partner's old position, so segments slowly lose the layout that gives
+// dense traversal its locality; the re-sort is a segment-local permutation
+// — exactly the shape the engine patch paths already handle, like any swap.
 // Returns the re-sorted partition and how many of its vertices moved.
 func (d *Graph) resortSegment() (q int, moves int64) {
 	d.ensureOrdering()
@@ -140,14 +136,6 @@ func (d *Graph) ensureMembers() {
 	}
 }
 
-// rotScanK bounds the degree-indexed rotation search: per (receiver,donor)
-// pair, at most this many valid intermediates are gain-evaluated (and at most
-// 8× as many index slots scanned past skipped pmax/pmin residents). The
-// candidates nearest deg(a) carry almost all the gain — anything further
-// disturbs the intermediate partition more — so a short window finds the
-// same rotations an exhaustive pmin×P sweep does in practice.
-const rotScanK = 12
-
 // swapRepair pulls Δ(n) back under the effective threshold without moving
 // the partition segment boundaries: each step exchanges a vertex v of the
 // most-loaded partition with a lower-degree vertex u of the least-loaded
@@ -160,14 +148,13 @@ const rotScanK = 12
 // permutation is never mutated: a repair pass that swaps clones it once
 // (copy-on-write) so views pinned to earlier epochs keep their numbering.
 //
-// The return reports the pass outcome: the exchange counts, and stalled —
-// the pass ended with the gap still over threshold and neither an improving
-// pair swap nor a positive-gain rotation left, the state that forces the
-// caller's full-rebuild fallback.
-func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
+// The pass ends when the gap is under threshold or no improving pair is
+// left; the caller then falls back to a full rebuild if Δ(n) is still over
+// its gate. Returns the number of swaps.
+func (d *Graph) swapRepair() (swaps int64) {
 	th := d.effEdgeThreshold()
 	if core.Spread(d.partEdges) <= th {
-		return 0, 0, false
+		return 0
 	}
 	d.ensureOrdering()
 	d.ensureMembers()
@@ -207,140 +194,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 	}
 	var perm []graph.VertexID
 	var partOf []uint32
-	// cow clones the shared cached permutation once per pass, so views
-	// pinned to earlier epochs keep their numbering.
-	cow := func() {
-		if perm == nil {
-			perm = append([]graph.VertexID(nil), d.ordPerm...)
-			partOf = append([]uint32(nil), d.ordPartOf...)
-		}
-	}
-	// rotIdx is the degree-indexed rotation candidate index: every vertex,
-	// sorted by (live in-degree, ID). Degrees are fixed within a pass, so it
-	// is built lazily on the first rotation attempt and shared by the rest of
-	// the pass. It lets the search find intermediate vertices b with degree
-	// near deg(a) — the choice that least disturbs b's partition — by binary
-	// search plus a short two-sided scan, instead of probing every partition.
-	var rotIdx []graph.VertexID
-	ensureRotIdx := func() {
-		if rotIdx != nil {
-			return
-		}
-		rotIdx = make([]graph.VertexID, d.n)
-		for v := range rotIdx {
-			rotIdx[v] = graph.VertexID(v)
-		}
-		sort.Slice(rotIdx, func(i, j int) bool {
-			if d.degIn[rotIdx[i]] != d.degIn[rotIdx[j]] {
-				return d.degIn[rotIdx[i]] < d.degIn[rotIdx[j]]
-			}
-			return rotIdx[i] < rotIdx[j]
-		})
-	}
-	// rotate attempts a three-way exchange when no improving pair swap
-	// exists: a ∈ pmax moves to an intermediate partition q, b ∈ q moves to
-	// pmin, and c ∈ pmin moves to pmax, the three exchanging new IDs
-	// cyclically so all vertex counts and segment boundaries stay fixed.
-	// Per-pair transfers that are individually too coarse (deg(a)−deg(c)
-	// ∉ (0, gap) for every direct pair) can compose into a fine-grained
-	// net flow through q. The rotation is accepted only if it strictly
-	// decreases the sum of squared loads of the three partitions, which
-	// bounds the repair loop the same way pair swaps do.
-	rotate := func(pmax, pmin int, gap int64) bool {
-		d.stats.RotationAttempts++
-		d.m.rotAttempts.Inc()
-		lmax, lmin := lists[pmax], lists[pmin]
-		bestQ, bestA, bestB, bestC := -1, -1, -1, -1
-		var bestGain int64
-		// Gain of moving loads x→x+t is −(2xt+t²) summed over the three
-		// partitions; positive gain = smaller Σ load².
-		gainOf := func(load, t int64) int64 { return -(2*load*t + t*t) }
-		// Indexed search: for each receiver c, take the donors a bracketing
-		// the ideal transfer (as the pair search does) and probe the degree
-		// index around deg(a) for intermediates b, nearest degree first.
-		ensureRotIdx()
-		posInList := func(q int, b graph.VertexID) int {
-			sortList(q)
-			l := lists[q]
-			return sort.Search(len(l), func(i int) bool {
-				if d.degIn[l[i]] != d.degIn[b] {
-					return d.degIn[l[i]] > d.degIn[b]
-				}
-				return l[i] >= b
-			})
-		}
-		probe := func(aj, ci int) {
-			da, dc := d.degIn[lmax[aj]], d.degIn[lmin[ci]]
-			i0 := sort.Search(len(rotIdx), func(i int) bool { return d.degIn[rotIdx[i]] >= da })
-			taken, scanned := 0, 0
-			for lo, hi := i0-1, i0; taken < rotScanK && scanned < 8*rotScanK && (lo >= 0 || hi < len(rotIdx)); {
-				var b graph.VertexID
-				// Expand toward whichever side's next candidate is nearer
-				// in degree.
-				switch {
-				case lo < 0:
-					b = rotIdx[hi]
-					hi++
-				case hi >= len(rotIdx):
-					b = rotIdx[lo]
-					lo--
-				case da-d.degIn[rotIdx[lo]] <= d.degIn[rotIdx[hi]]-da:
-					b = rotIdx[lo]
-					lo--
-				default:
-					b = rotIdx[hi]
-					hi++
-				}
-				scanned++
-				q := int(d.assign[b])
-				if q == pmax || q == pmin {
-					continue
-				}
-				bj, db := posInList(q, b), d.degIn[b]
-				gain := gainOf(d.partEdges[pmax], dc-da) +
-					gainOf(d.partEdges[q], da-db) +
-					gainOf(d.partEdges[pmin], db-dc)
-				if gain > bestGain {
-					bestQ, bestA, bestB, bestC, bestGain = q, aj, bj, ci, gain
-				}
-				taken++
-			}
-		}
-		for ci, c := range lmin {
-			target := d.degIn[c] + (gap+1)/2
-			ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-			for _, aj := range [2]int{ai - 1, ai} {
-				if aj < 0 || aj >= len(lmax) {
-					continue
-				}
-				probe(aj, ci)
-			}
-		}
-		if bestQ < 0 {
-			d.stats.RotationStalls++
-			d.m.rotStalls.Inc()
-			return false
-		}
-		q := bestQ
-		a, b, c := lists[pmax][bestA], lists[q][bestB], lists[pmin][bestC]
-		cow()
-		da, db, dc := d.degIn[a], d.degIn[b], d.degIn[c]
-		d.assign[a], d.assign[b], d.assign[c] = uint32(q), uint32(pmin), uint32(pmax)
-		partOf[a], partOf[b], partOf[c] = uint32(q), uint32(pmin), uint32(pmax)
-		d.partEdges[pmax] += dc - da
-		d.partEdges[q] += da - db
-		d.partEdges[pmin] += db - dc
-		// a takes b's position, b takes c's, c takes a's.
-		perm[a], perm[b], perm[c] = perm[b], perm[c], perm[a]
-		rots++
-		lists[pmax] = append(lists[pmax][:bestA], lists[pmax][bestA+1:]...)
-		lists[q] = append(lists[q][:bestB], lists[q][bestB+1:]...)
-		lists[pmin] = append(lists[pmin][:bestC], lists[pmin][bestC+1:]...)
-		insertSorted(q, a)
-		insertSorted(pmin, b)
-		insertSorted(pmax, c)
-		return true
-	}
 	for iter := 0; iter < d.n; iter++ {
 		pmax := argMin2Neg(d.partEdges)
 		pmin := argMin2(d.partEdges, d.partVerts)
@@ -379,17 +232,16 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 			}
 		}
 		if bestV < 0 {
-			// No improving pair exchange exists; try a three-way rotation
-			// through an intermediate partition before giving up (the
-			// caller falls back to a full rebuild).
-			if !rotate(pmax, pmin, gap) {
-				stalled = true
-				break
-			}
-			continue
+			// No improving pair exchange exists.
+			break
 		}
 		v, u := lmax[bestV], lmin[bestU]
-		cow()
+		if perm == nil {
+			// Clone the shared cached permutation once per pass, so views
+			// pinned to earlier epochs keep their numbering.
+			perm = append([]graph.VertexID(nil), d.ordPerm...)
+			partOf = append([]uint32(nil), d.ordPartOf...)
+		}
 		dv, du := d.degIn[v], d.degIn[u]
 		d.assign[v], d.assign[u] = uint32(pmin), uint32(pmax)
 		partOf[v], partOf[u] = uint32(pmin), uint32(pmax)
@@ -402,19 +254,17 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 		insertSorted(pmax, u)
 		insertSorted(pmin, v)
 	}
-	if swaps > 0 || rots > 0 {
+	if swaps > 0 {
 		d.ordPerm, d.ordPartOf = perm, partOf
 		d.placeEpoch++
 		d.ordPlace = d.placeEpoch
 		d.stats.Swaps += swaps
-		d.stats.Rotations += rots
-		d.stats.Placements += 2*swaps + 3*rots
-		d.stats.RepairedVertices += 2*swaps + 3*rots
+		d.stats.Placements += 2 * swaps
+		d.stats.RepairedVertices += 2 * swaps
 		d.m.swaps.Add(swaps)
-		d.m.rotations.Add(rots)
 	}
 	d.stats.Repairs++
-	return swaps, rots, stalled
+	return swaps
 }
 
 // argMin2Neg returns the index of the maximum value (lowest index wins ties).

@@ -58,14 +58,17 @@ func TestTraceThresholdTrip(t *testing.T) {
 	const D = 10
 	g := hostileDegreeGraph(t)
 	d, reg, sp := instrumented(t, g, Config{
-		Partitions:               3,
-		RebuildThreshold:         D/2 + 1,
-		VertexRebuildThreshold:   1 << 40,
-		DisableAdaptiveThreshold: true,
+		Partitions:             3,
+		VertexRebuildThreshold: 1 << 40,
 	})
-	// Same overload as TestSwapRepairRotationFallback: one coarse-class
-	// vertex gains exactly D in-edges, which the pair search cannot fix but
-	// a three-way rotation can.
+	if got := d.EffectiveRebuildThreshold(); got != D {
+		t.Fatalf("adaptive gate = %d, want %d", got, D)
+	}
+	// One coarse-class vertex of a partition X gains 2D in-edges, a gap of
+	// 2D over the gate D; trading a D-degree vertex of X for a zero-degree
+	// one of the least-loaded partition moves D and closes it. The D/2
+	// class lives together on qmid, which takes one more edge so the
+	// remaining partition is the unambiguous arg-min.
 	qmid := int(d.PartitionOf(8))
 	X := -1
 	var target, qv graph.VertexID
@@ -83,10 +86,10 @@ func TestTraceThresholdTrip(t *testing.T) {
 		}
 	}
 	var batch []graph.EdgeUpdate
-	for i := 0; i < D; i++ {
+	for i := 0; i < 2*D; i++ {
 		batch = append(batch, graph.EdgeUpdate{Src: graph.VertexID(10 + i), Dst: target})
 	}
-	batch = append(batch, graph.EdgeUpdate{Src: 20, Dst: qv})
+	batch = append(batch, graph.EdgeUpdate{Src: 30, Dst: qv})
 	res, err := d.ApplyBatch(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +112,8 @@ func TestTraceThresholdTrip(t *testing.T) {
 	if rep.Attrs["delta_after"] >= rep.Attrs["delta_before"] {
 		t.Fatalf("repair span shows no improvement: %+v", rep.Attrs)
 	}
-	if rep.Attrs["rotations"] == 0 || rep.Attrs["stalled"] != 0 {
-		t.Fatalf("hostile-degree repair should rotate without stalling: %+v", rep.Attrs)
+	if rep.Attrs["swaps"] == 0 || rep.Attrs["delta_after"] > rep.Attrs["threshold"] {
+		t.Fatalf("repair should swap Δ(n) back under the gate: %+v", rep.Attrs)
 	}
 	if rep.Dur <= 0 {
 		t.Fatalf("repair span missing wall-clock duration")
@@ -135,35 +138,32 @@ func TestTraceThresholdTrip(t *testing.T) {
 	if got := reg.Counter("vebo_repairs_total").Value(); got != 1 {
 		t.Fatalf("vebo_repairs_total = %d", got)
 	}
-	if got := reg.Counter("vebo_rotation_search_total", "result", "attempt").Value(); got == 0 {
-		t.Fatalf("rotation attempts not counted")
+	if got, want := reg.Counter("vebo_swaps_total").Value(), rep.Attrs["swaps"]; got != want {
+		t.Fatalf("vebo_swaps_total = %d, repair span swaps = %d", got, want)
 	}
-	st := d.Stats()
-	if st.RotationAttempts == 0 || st.RotationStalls != 0 {
-		t.Fatalf("rotation stats = %+v", st)
+	if st := d.Stats(); st.Swaps != rep.Attrs["swaps"] || st.FullRebuilds != 0 {
+		t.Fatalf("stats = %+v, want %d swaps and no rebuild", st, rep.Attrs["swaps"])
 	}
 }
 
-// TestTraceRotationStall pins the second required cause annotation: when the
-// pair search finds nothing and no intermediate partition exists (P=2), the
-// repair stalls and the forced full rebuild must be annotated
-// "rotation-stall" — the span ring alone answers "why did epoch E rebuild
-// instead of patch". Direct Rebuild and Compact calls, which run outside
-// any batch, file parentless "forced" and "log-bound" spans.
-func TestTraceRotationStall(t *testing.T) {
+// TestTraceRepairShortfall pins the second required cause annotation: when
+// the pair search finds no improving swap, the repair leaves Δ(n) over its
+// gate and the full rebuild must be annotated "repair-shortfall" — the span
+// ring alone answers "why did epoch E rebuild instead of patch". Direct
+// Rebuild and Compact calls, which run outside any batch, file parentless
+// "forced" and "log-bound" spans.
+func TestTraceRepairShortfall(t *testing.T) {
 	g, err := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, reg, sp := instrumented(t, g, Config{
-		Partitions:               2,
-		RebuildThreshold:         1,
-		VertexRebuildThreshold:   1 << 40,
-		DisableAdaptiveThreshold: true,
+		Partitions:             2,
+		RebuildThreshold:       1,
+		VertexRebuildThreshold: 1 << 40,
 	})
 	// Pile all new mass on vertex 0: every candidate transfer is 0 or the
-	// whole gap, so no swap strictly improves, and with P=2 there is no
-	// intermediate partition to rotate through.
+	// whole gap, so no swap strictly improves.
 	var batch []graph.EdgeUpdate
 	for i := 0; i < 10; i++ {
 		batch = append(batch, graph.EdgeUpdate{Src: graph.VertexID(1 + i%3), Dst: 0})
@@ -180,19 +180,19 @@ func TestTraceRotationStall(t *testing.T) {
 	if reb == nil {
 		t.Fatalf("no rebuild span: %+v", sp.Snapshot())
 	}
-	if reb.Cause != "rotation-stall" {
-		t.Fatalf("rebuild cause = %q, want rotation-stall", reb.Cause)
+	if reb.Cause != "repair-shortfall" {
+		t.Fatalf("rebuild cause = %q, want repair-shortfall", reb.Cause)
 	}
 	// The full epoch story: the spans pinned to E, in ID order, alone
-	// explain the rebuild — the batch, a gated repair that stalled, then the
-	// rebuild naming the stall.
+	// explain the rebuild — the batch, a gated repair that fell short, then
+	// the rebuild naming the shortfall.
 	story := epochStory(sp, reb.Epoch)
 	if len(story) != 3 || story[0].Name != "batch" {
 		t.Fatalf("epoch %d story = %+v, want batch, repair, rebuild", reb.Epoch, story)
 	}
 	rep := findSpan(story, "repair", "threshold-trip")
-	if rep == nil || rep.Attrs["stalled"] != 1 {
-		t.Fatalf("epoch %d story lacks a stalled repair: %+v", reb.Epoch, story)
+	if rep == nil || rep.Attrs["swaps"] != 0 || rep.Attrs["delta_after"] <= rep.Attrs["threshold"] {
+		t.Fatalf("epoch %d story lacks a repair that fell short: %+v", reb.Epoch, story)
 	}
 	if rep.ID >= reb.ID {
 		t.Fatalf("repair (span %d) not ordered before rebuild (span %d)", rep.ID, reb.ID)
@@ -201,11 +201,8 @@ func TestTraceRotationStall(t *testing.T) {
 		t.Fatalf("rebuild span attrs %+v disagree with the graph", reb.Attrs)
 	}
 
-	if got := reg.Counter("vebo_rebuilds_total", "cause", "rotation-stall").Value(); got != 1 {
-		t.Fatalf("vebo_rebuilds_total{cause=rotation-stall} = %d", got)
-	}
-	if st := d.Stats(); st.RotationStalls == 0 {
-		t.Fatalf("RotationStalls = 0, want > 0 (stats: %+v)", st)
+	if got := reg.Counter("vebo_rebuilds_total", "cause", "repair-shortfall").Value(); got != 1 {
+		t.Fatalf("vebo_rebuilds_total{cause=repair-shortfall} = %d", got)
 	}
 
 	pending := d.PendingOps()
@@ -241,7 +238,6 @@ func TestTraceRebuildCauses(t *testing.T) {
 	}
 	d, reg, sp := instrumented(t, g, Config{
 		Partitions: 2, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1,
-		DisableAdaptiveThreshold: true,
 	})
 	res, err := d.ApplyBatch([]graph.EdgeUpdate{{Src: 1, Dst: 2}})
 	if err != nil {

@@ -15,7 +15,7 @@ type ViewDelta struct {
 	Adds, Dels []graph.Edge
 	// Moved holds, sorted, the pre-existing vertices (IDs below the basis
 	// vertex count) whose new ID differs between the two orderings:
-	// repositioned by placement-preserving swaps, rotations and re-sorts,
+	// repositioned by placement-preserving swaps and re-sorts,
 	// which move vertices within a closed set of positions and leave the
 	// partition segment boundaries alone. Nil when PlacementChanged.
 	Moved []graph.VertexID

@@ -386,9 +386,27 @@ func TestReadAdjacencyRejectsGarbage(t *testing.T) {
 		"AdjacencyGraph\n2\n1\n0\n0\n7\n", // target out of range
 		"AdjacencyGraph\n2\n1\n5\n0\n0\n", // non-monotonic offsets
 		"AdjacencyGraph\n2\n",             // truncated
+		// Header sizes far beyond the input must fail at EOF, not allocate.
+		"AdjacencyGraph\n4294967297\n1\n",                  // n beyond VertexID
+		"AdjacencyGraph\n4294967296\n0\n",                  // n at the limit, no offsets
+		"AdjacencyGraph\n1\n100000000000\n0\n",             // m with no targets
+		"WeightedAdjacencyGraph\n1\n1\n0\n0\n9999999999\n", // weight beyond int32
+		"AdjacencyGraph\n2\n2\n1\n2\n0\n1\n",               // offsets not starting at 0
 	}
 	for i, c := range cases {
 		if _, err := ReadAdjacency(bytes.NewReader([]byte(c))); err == nil {
+			t.Errorf("case %d: expected parse error", i)
+		}
+	}
+}
+
+func TestReadEdgeListRejectsGarbage(t *testing.T) {
+	cases := []string{
+		"0 4294967296\n", // dst beyond VertexID
+		"4294967296 0\n", // src beyond VertexID
+	}
+	for i, c := range cases {
+		if _, err := ReadEdgeList(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -25,6 +26,9 @@ const (
 	headerAdjacency         = "AdjacencyGraph"
 	headerWeightedAdjacency = "WeightedAdjacencyGraph"
 )
+
+// maxVertices is the largest vertex count VertexID can address.
+const maxVertices = math.MaxUint32 + 1
 
 // WriteAdjacency serializes g in (Weighted)AdjacencyGraph format. The CSR
 // view (out-edges) is written.
@@ -73,12 +77,12 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 		}
 		return sc.Text(), nil
 	}
-	nextInt := func() (int64, error) {
+	nextInt := func(bits int) (int64, error) {
 		tok, err := next()
 		if err != nil {
 			return 0, err
 		}
-		return strconv.ParseInt(tok, 10, 64)
+		return strconv.ParseInt(tok, 10, bits)
 	}
 
 	header, err := next()
@@ -93,59 +97,62 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown header %q", header)
 	}
-	n64, err := nextInt()
+	n64, err := nextInt(64)
 	if err != nil {
 		return nil, err
 	}
-	m, err := nextInt()
+	m, err := nextInt(64)
 	if err != nil {
 		return nil, err
 	}
+	if n64 < 0 || n64 > maxVertices || m < 0 {
+		return nil, fmt.Errorf("graph: invalid sizes n=%d m=%d", n64, m)
+	}
+	// The header sizes are untrusted: every slice grows as its tokens are
+	// read, so a short input claiming a huge n or m fails at EOF instead of
+	// allocating up front.
 	n := int(n64)
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: invalid sizes n=%d m=%d", n, m)
-	}
-	off := make([]int64, n+1)
+	var off []int64
 	for v := 0; v < n; v++ {
-		off[v], err = nextInt()
+		o, err := nextInt(64)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading offset %d: %w", v, err)
 		}
-	}
-	off[n] = m
-	for v := 0; v < n; v++ {
-		if off[v] > off[v+1] || off[v] < 0 {
-			return nil, fmt.Errorf("graph: non-monotonic offset at vertex %d", v)
+		if (v == 0 && o != 0) || (v > 0 && o < off[v-1]) || o > m {
+			return nil, fmt.Errorf("graph: offset %d of vertex %d out of order", o, v)
 		}
+		off = append(off, o)
 	}
-	edges := make([]Edge, 0, m)
-	dsts := make([]VertexID, m)
+	off = append(off, m)
+	var dsts []VertexID
 	for i := int64(0); i < m; i++ {
-		d, err := nextInt()
+		d, err := nextInt(64)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading target %d: %w", i, err)
 		}
 		if d < 0 || d >= n64 {
 			return nil, fmt.Errorf("graph: target %d out of range", d)
 		}
-		dsts[i] = VertexID(d)
+		dsts = append(dsts, VertexID(d))
 	}
-	weights := make([]int32, m)
-	for i := range weights {
-		weights[i] = 1
-	}
+	var weights []int32
 	if weighted {
 		for i := int64(0); i < m; i++ {
-			w, err := nextInt()
+			w, err := nextInt(32)
 			if err != nil {
 				return nil, fmt.Errorf("graph: reading weight %d: %w", i, err)
 			}
-			weights[i] = int32(w)
+			weights = append(weights, int32(w))
 		}
 	}
+	edges := make([]Edge, 0, m)
 	for v := 0; v < n; v++ {
 		for i := off[v]; i < off[v+1]; i++ {
-			edges = append(edges, Edge{Src: VertexID(v), Dst: dsts[i], Weight: weights[i]})
+			w := int32(1)
+			if weighted {
+				w = weights[i]
+			}
+			edges = append(edges, Edge{Src: VertexID(v), Dst: dsts[i], Weight: w})
 		}
 	}
 	return FromEdges(n, edges, weighted)
@@ -200,8 +207,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 		}
-		if s < 0 || d < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+		if s < 0 || d < 0 || s >= maxVertices || d >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex id out of range", lineNo)
 		}
 		w := int64(1)
 		if len(fields) >= 3 {

@@ -147,9 +147,6 @@ type EngineOptions struct {
 	// Bounds supplies explicit partition boundaries (e.g.
 	// Result.Boundaries()); nil selects the paper's Algorithm 1.
 	Bounds []int64
-	// HilbertCOO selects Hilbert-ordered COO for GraphGrind's dense
-	// traversal instead of the default CSR order.
-	HilbertCOO bool
 }
 
 func (o EngineOptions) topology() numa.Topology {
@@ -172,14 +169,10 @@ func NewEngine(sys System, g *Graph, opts EngineOptions) (Engine, error) {
 	case Polymer:
 		return polymer.New(g, polymer.Config{Engine: ecfg, Bounds: opts.Bounds})
 	case GraphGrind:
-		o := layout.CSROrder
-		if opts.HilbertCOO {
-			o = layout.HilbertOrder
-		}
 		return graphgrind.New(g, graphgrind.Config{
 			Engine:     ecfg,
 			Partitions: opts.Partitions,
-			Order:      o,
+			Order:      layout.CSROrder,
 			Bounds:     opts.Bounds,
 		})
 	default:
@@ -244,10 +237,6 @@ type DynamicOptions struct {
 	// CompactEvery bounds the delta log before compaction (default:
 	// adaptive, max(8192, liveEdges/8)).
 	CompactEvery int
-	// DisableAdaptiveThreshold pins the Δ(n) gate to RebuildThreshold
-	// instead of scaling it with the degree spread; see
-	// internal/dynamic.Config.
-	DisableAdaptiveThreshold bool
 	// AutoGrow admits vertices on demand: an inserted edge whose endpoint
 	// is at or beyond the current vertex count grows the vertex space with
 	// zero-degree vertices (assigned to the least-loaded partitions)
@@ -268,8 +257,8 @@ type DynamicOptions struct {
 	// MinHeadroom floor only.
 	HeadroomFrac float64
 	// Engine configures the engines cached on published views: the virtual
-	// NUMA topology and GraphGrind's COO order. Partition counts and bounds
-	// come from the live ordering and are not configurable here.
+	// NUMA topology. Partition counts and bounds come from the live ordering
+	// and are not configurable here.
 	Engine EngineOptions
 	// DisableViewReuse forces every view to rebuild its relabeled graph and
 	// engines from scratch instead of patching them from the previous
@@ -320,16 +309,15 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 	reg := obs.NewRegistry()
 	spans := obs.NewSpans(opts.SpanCapacity)
 	inner, err := dynamic.New(g, dynamic.Config{
-		Partitions:               opts.Partitions,
-		RebuildThreshold:         opts.RebuildThreshold,
-		VertexRebuildThreshold:   opts.VertexRebuildThreshold,
-		CompactEvery:             opts.CompactEvery,
-		DisableAdaptiveThreshold: opts.DisableAdaptiveThreshold,
-		AutoGrow:                 opts.AutoGrow,
-		MinHeadroom:              opts.MinHeadroom,
-		HeadroomFrac:             opts.HeadroomFrac,
-		Metrics:                  reg,
-		Spans:                    spans,
+		Partitions:             opts.Partitions,
+		RebuildThreshold:       opts.RebuildThreshold,
+		VertexRebuildThreshold: opts.VertexRebuildThreshold,
+		CompactEvery:           opts.CompactEvery,
+		AutoGrow:               opts.AutoGrow,
+		MinHeadroom:            opts.MinHeadroom,
+		HeadroomFrac:           opts.HeadroomFrac,
+		Metrics:                reg,
+		Spans:                  spans,
 	})
 	if err != nil {
 		return nil, err

@@ -333,7 +333,7 @@ func (v *View) Snapshot() *Graph {
 // basis position keeps its ID — identity outside the grown segments, and
 // the identity on them too (admitted slots have no basis preimage; their
 // content arrives as explicit adds). Only placement-preserving moves (swap
-// repairs, rotations, segment re-sorts) yield a real map: identity
+// repairs and segment re-sorts) yield a real map: identity
 // everywhere except the moved vertices' positions. Valid only while the
 // numbering lineage is intact (!delta.PlacementChanged).
 func (v *View) segPerm(b *View) []VertexID {
@@ -468,7 +468,7 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 // so the exact dirty set is the net delta's destination endpoints, the
 // moved vertices' positions and the admitted vertices' positions, mapped
 // into the view's relabeled space. (Moves permute IDs within a closed
-// position set — a swap, rotation or re-sort always parks an incoming
+// position set — a swap or re-sort always parks an incoming
 // vertex where an outgoing one sat — so flagging the current positions
 // covers every partition whose membership changed.)
 func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {

@@ -627,9 +627,10 @@ func TestViewSnapshotPatchedMatchesMaterialized(t *testing.T) {
 // TestViewPatchedAfterRebuildEpoch pins the rebuild→swap accounting: a view
 // right after a full rebuild (lineage break) builds its relabeled artifacts
 // from scratch, and the swap repairs that follow must show up in the next
-// views' Moved sets, diffed against the post-rebuild basis. A
-// uniform-degree stream with the adaptive gate disabled forces rebuilds;
-// interleaved drifting churn then forces swaps right after them.
+// views' Moved sets, diffed against the post-rebuild basis. Forced rebuilds
+// every few batches break the lineage; the drifting churn between them
+// moves two in-edges per step, enough to clear the adaptive gate (twice the
+// uniform in-degree) and force swaps right after each rebuild.
 func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 	const n = 600
 	edges := make([]Edge, 0, n*5)
@@ -642,20 +643,19 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic churn: delete an edge, insert one at a shifted dst.
-	// One pass over the vertex space so no edge is deleted twice.
+	// Deterministic churn: delete two in-edges of v, insert them at a
+	// shifted dst. One pass over the vertex space so no edge is deleted
+	// twice.
 	var updates []EdgeUpdate
 	for i := 0; i < n; i++ {
 		v := (i * 7) % n
-		updates = append(updates,
-			EdgeUpdate{Src: VertexID((v + 1) % n), Dst: VertexID(v), Del: true},
-			EdgeUpdate{Src: VertexID((v + 1) % n), Dst: VertexID((v + 13) % n)})
+		for j := 1; j <= 2; j++ {
+			updates = append(updates,
+				EdgeUpdate{Src: VertexID((v + j) % n), Dst: VertexID(v), Del: true},
+				EdgeUpdate{Src: VertexID((v + j) % n), Dst: VertexID((v + 13) % n)})
+		}
 	}
-	opts := DynamicOptions{
-		Partitions:               16,
-		DisableAdaptiveThreshold: true,
-		Engine:                   viewTestOpts,
-	}
+	opts := DynamicOptions{Partitions: 16, Engine: viewTestOpts}
 	scratchOpts := opts
 	scratchOpts.DisableViewReuse = true
 	dp, err := NewDynamic(g, opts)
@@ -666,12 +666,21 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batch = 50
-	rebuilds, repairs := 0, 0
+	const batch, rebuildEvery = 50, 3
+	// swapsAfterRebuild counts repair batches whose view diffs against a
+	// post-rebuild basis.
+	rebuilds, repairs, swapsAfterRebuild := 0, 0, 0
+	prevRebuilt := false
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
+		}
+		forced := lo/batch%rebuildEvery == rebuildEvery-1
+		if forced {
+			dp.inner.Rebuild()
+			ds.inner.Rebuild()
+			rebuilds++
 		}
 		rp, err := dp.ApplyBatch(updates[lo:hi])
 		if err != nil {
@@ -684,7 +693,11 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 			rebuilds++
 		} else if rp.Repaired {
 			repairs++
+			if prevRebuilt {
+				swapsAfterRebuild++
+			}
 		}
+		prevRebuilt = forced || rp.Rebuilt
 		vp, vs := dp.View(), ds.View()
 		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
 			cp, err := vp.CC(sys)
@@ -717,7 +730,8 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 			}
 		}
 	}
-	if rebuilds == 0 || repairs == 0 {
-		t.Fatalf("stream exercised rebuilds=%d repairs=%d; need both to pin the window accounting", rebuilds, repairs)
+	if rebuilds == 0 || repairs == 0 || swapsAfterRebuild == 0 {
+		t.Fatalf("stream exercised rebuilds=%d repairs=%d (%d right after a rebuild); need both to pin the window accounting",
+			rebuilds, repairs, swapsAfterRebuild)
 	}
 }
