@@ -199,7 +199,7 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	adds, dels := benchDelta(g, 32, nil, 1)
-	g2, _, err := g.PatchEdges(adds, dels)
+	g2, _, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

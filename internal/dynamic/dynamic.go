@@ -382,10 +382,6 @@ func (d *Graph) Stats() Stats { return d.stats }
 // Epoch returns the mutation epoch, incremented on every applied update.
 func (d *Graph) Epoch() int64 { return d.epoch }
 
-// PlaceEpoch returns the placement epoch, incremented whenever any vertex
-// changes partition.
-func (d *Graph) PlaceEpoch() int64 { return d.placeEpoch }
-
 // RenumEpoch returns the renumbering epoch, incremented only when the whole
 // ordering is invalidated (full rebuild or relabeling spill). Swap repairs,
 // re-sorts and headroom admissions preserve it: between two orderings of

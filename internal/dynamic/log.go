@@ -268,7 +268,7 @@ func (f Frozen) Materialize() *graph.Graph {
 	if len(adds) == 0 && len(dels) == 0 && f.n == f.base.NumVertices() {
 		return f.base
 	}
-	g, _, err := f.base.PatchEdgesN(f.n, adds, dels)
+	g, _, err := f.base.PatchEdgesPermN(f.n, adds, dels, nil)
 	if err != nil {
 		// Unreachable: every applied update was range-checked and every
 		// cancellation names a live base occurrence.

@@ -66,7 +66,7 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 					t.Fatalf("epochs %d→%d: %v both added and deleted", b.f.epoch, c.f.epoch, e)
 				}
 			}
-			got, _, err := b.snap.PatchEdgesN(c.f.n, adds, dels)
+			got, _, err := b.snap.PatchEdgesPermN(c.f.n, adds, dels, nil)
 			if err != nil {
 				t.Fatalf("epochs %d→%d: patching with Since: %v", b.f.epoch, c.f.epoch, err)
 			}

@@ -113,9 +113,6 @@ func (g *Graph) OutOffsets() []int64 { return g.outOff }
 // InOffsets exposes the CSC offset array (length n+1). Read-only.
 func (g *Graph) InOffsets() []int64 { return g.inOff }
 
-// OutEdgeTargets exposes the flat CSR destination array. Read-only.
-func (g *Graph) OutEdgeTargets() []VertexID { return g.outDst }
-
 // InEdgeSources exposes the flat CSC source array. Read-only.
 func (g *Graph) InEdgeSources() []VertexID { return g.inSrc }
 
@@ -173,15 +170,6 @@ func (g *Graph) InDegrees() []int64 {
 	d := make([]int64, g.n)
 	for v := 0; v < g.n; v++ {
 		d[v] = g.inOff[v+1] - g.inOff[v]
-	}
-	return d
-}
-
-// OutDegrees returns a freshly allocated slice of all out-degrees.
-func (g *Graph) OutDegrees() []int64 {
-	d := make([]int64, g.n)
-	for v := 0; v < g.n; v++ {
-		d[v] = g.outOff[v+1] - g.outOff[v]
 	}
 	return d
 }
@@ -257,8 +245,8 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	// Keep neighbour lists sorted by (neighbor, weight) for deterministic
 	// traversal and binary searchability. Ordering parallel edges by weight
 	// too makes row content a pure function of the edge multiset, so graphs
-	// built here and graphs patched row-wise by PatchEdges are byte-identical
-	// for identical multisets.
+	// built here and graphs patched row-wise by PatchEdgesPermN are
+	// byte-identical for identical multisets.
 	var rs rowSorter
 	for v := 0; v < n; v++ {
 		lo, hi := g.outOff[v], g.outOff[v+1]

@@ -246,21 +246,6 @@ func TestWeightedAdjacencyIORoundTrip(t *testing.T) {
 	}
 }
 
-func TestEdgeListIORoundTrip(t *testing.T) {
-	g := fig3Graph(t)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	h, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatalf("ReadEdgeList: %v", err)
-	}
-	if !Equal(g, h) {
-		t.Error("edge-list round-trip changed the graph")
-	}
-}
-
 // TestWriteFormatsFixed pins the serialized bytes of one unweighted and
 // one weighted graph, so the weight storage behind them can change without
 // changing the files.
@@ -270,29 +255,21 @@ func TestWriteFormatsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		g         *Graph
-		adj, list string
+		name string
+		g    *Graph
+		adj  string
 	}{
 		{"unweighted", fig3Graph(t),
-			"AdjacencyGraph\n6\n14\n0\n3\n6\n8\n10\n12\n1\n4\n5\n0\n2\n4\n1\n5\n2\n4\n3\n5\n3\n4\n",
-			"0 1\n0 4\n0 5\n1 0\n1 2\n1 4\n2 1\n2 5\n3 2\n3 4\n4 3\n4 5\n5 3\n5 4\n"},
+			"AdjacencyGraph\n6\n14\n0\n3\n6\n8\n10\n12\n1\n4\n5\n0\n2\n4\n1\n5\n2\n4\n3\n5\n3\n4\n"},
 		{"weighted", wg,
-			"WeightedAdjacencyGraph\n4\n5\n0\n2\n2\n4\n1\n3\n1\n1\n0\n5\n-2\n3\n7\n1\n",
-			"0 1 5\n0 3 -2\n2 1 3\n2 1 7\n3 0 1\n"},
+			"WeightedAdjacencyGraph\n4\n5\n0\n2\n2\n4\n1\n3\n1\n1\n0\n5\n-2\n3\n7\n1\n"},
 	} {
-		var adj, list bytes.Buffer
+		var adj bytes.Buffer
 		if err := WriteAdjacency(&adj, tc.g); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteEdgeList(&list, tc.g); err != nil {
 			t.Fatal(err)
 		}
 		if adj.String() != tc.adj {
 			t.Errorf("%s: WriteAdjacency = %q, want %q", tc.name, adj.String(), tc.adj)
-		}
-		if list.String() != tc.list {
-			t.Errorf("%s: WriteEdgeList = %q, want %q", tc.name, list.String(), tc.list)
 		}
 	}
 }
@@ -369,17 +346,6 @@ func TestUnweightedStorage(t *testing.T) {
 	}
 }
 
-func TestReadEdgeListComments(t *testing.T) {
-	in := "# comment\n% other comment\n0 1\n\n1 2\n"
-	g, err := ReadEdgeList(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatalf("ReadEdgeList: %v", err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 2 {
-		t.Fatalf("got %d vertices %d edges", g.NumVertices(), g.NumEdges())
-	}
-}
-
 func TestReadAdjacencyRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"NotAHeader\n1\n0\n0\n",
@@ -395,18 +361,6 @@ func TestReadAdjacencyRejectsGarbage(t *testing.T) {
 	}
 	for i, c := range cases {
 		if _, err := ReadAdjacency(bytes.NewReader([]byte(c))); err == nil {
-			t.Errorf("case %d: expected parse error", i)
-		}
-	}
-}
-
-func TestReadEdgeListRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"0 4294967296\n", // dst beyond VertexID
-		"4294967296 0\n", // src beyond VertexID
-	}
-	for i, c := range cases {
-		if _, err := ReadEdgeList(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // The text formats implemented here mirror the Ligra adjacency format used by
@@ -18,9 +17,7 @@ import (
 //	<offset 0> ... <offset n-1>
 //	<target 0> ... <target m-1>
 //
-// WeightedAdjacencyGraph appends m weights after the targets. An edge-list
-// format ("<src> <dst> [weight]" per line) is also supported for
-// interoperability with SNAP-style downloads.
+// WeightedAdjacencyGraph appends m weights after the targets.
 
 const (
 	headerAdjacency         = "AdjacencyGraph"
@@ -156,78 +153,4 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 		}
 	}
 	return FromEdges(n, edges, weighted)
-}
-
-// WriteEdgeList serializes g as "<src> <dst> <weight>" lines (weight omitted
-// for unweighted graphs).
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for v := 0; v < g.n; v++ {
-		ws := g.OutWeights(VertexID(v))
-		for i, d := range g.OutNeighbors(VertexID(v)) {
-			var err error
-			if g.weighted {
-				_, err = fmt.Fprintf(bw, "%d %d %d\n", v, d, ws[i])
-			} else {
-				_, err = fmt.Fprintf(bw, "%d %d\n", v, d)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses whitespace-separated "<src> <dst> [weight]" lines.
-// Lines beginning with '#' or '%' are comments. The vertex count is one more
-// than the largest ID seen.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var edges []Edge
-	weighted := false
-	maxID := int64(-1)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: need at least 2 fields", lineNo)
-		}
-		s, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		d, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		if s < 0 || d < 0 || s >= maxVertices || d >= maxVertices {
-			return nil, fmt.Errorf("graph: line %d: vertex id out of range", lineNo)
-		}
-		w := int64(1)
-		if len(fields) >= 3 {
-			w, err = strconv.ParseInt(fields[2], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-			}
-			weighted = true
-		}
-		if s > maxID {
-			maxID = s
-		}
-		if d > maxID {
-			maxID = d
-		}
-		edges = append(edges, Edge{Src: VertexID(s), Dst: VertexID(d), Weight: int32(w)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return FromEdges(int(maxID+1), edges, weighted)
 }

@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// PatchStats reports how much construction work a PatchEdges call did, in
+// PatchStats reports how much construction work a PatchEdgesPermN call did, in
 // edges. Merged edges are written by a row's linear merge of its sorted
 // basis row with its sorted adds and deletions; remapped edges are entries
 // whose stored neighbor ID was rewritten through the permutation (the
@@ -23,56 +23,32 @@ type PatchStats struct {
 	EdgesCopied   int64 // edges block-copied unchanged (both directions)
 }
 
-// PatchEdges returns a new graph equal to g with dels removed and adds
-// inserted, without rebuilding untouched adjacency rows: only the rows of
-// vertices incident to a change are merged, everything else is block-copied.
+// PatchEdgesPermN returns a new graph equal to g relabeled by perm, then
+// patched with dels removed and adds inserted (both given in post-perm IDs),
+// without rebuilding untouched adjacency rows. The result has nNew ≥
+// g.NumVertices() vertices; perm (length g.NumVertices()) maps each of g's
+// vertex IDs to its new ID and must be injective into [0, nNew), and nil
+// selects the identity. New IDs without a preimage under perm start with
+// empty rows (plus whatever adds reference them). The receiver is not
+// modified.
+//
 // Each deletion removes one occurrence of exactly (Src, Dst, Weight) as
 // stored — i.e. with weights normalized the way FromEdges stores them (1 on
 // unweighted graphs and for zero input weights); it is an error if no such
-// occurrence exists. The receiver is not modified. Every row of the result
-// is sorted by (neighbor, weight), as FromEdges leaves it, so a patch is
-// byte-identical to a scratch build of the same edge multiset.
-func (g *Graph) PatchEdges(adds, dels []Edge) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(g.n, adds, dels, nil)
-}
-
-// PatchEdgesN is PatchEdges over a grown vertex space: the result has
-// nNew ≥ g.NumVertices() vertices, the appended vertices starting with
-// empty adjacency rows (plus whatever adds reference them). This is the
-// snapshot-growth contract: original vertex IDs are append-only, so a
-// snapshot of a graph that admitted vertices patches from an older
-// snapshot by row-array extension, never by re-materialization.
-func (g *Graph) PatchEdgesN(nNew int, adds, dels []Edge) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(nNew, adds, dels, nil)
-}
-
-// PatchEdgesPerm generalizes PatchEdges with a segment-local renumbering:
-// the result equals g relabeled by perm, then patched with dels removed and
-// adds inserted (both given in post-perm IDs). perm maps each of g's vertex
-// IDs to its new ID and must be a permutation of [0, n); nil selects the
-// identity. The cost scales with the change, not the graph: only rows owned
-// by or referencing a moved vertex (perm[v] != v), plus rows incident to an
+// occurrence exists. Every row of the result is sorted by (neighbor,
+// weight), as FromEdges leaves it, so a patch is byte-identical to a
+// scratch build of the same edge multiset.
+//
+// The cost scales with the change, not the graph: only rows owned by or
+// referencing a moved vertex (perm[v] != v), plus rows incident to an
 // explicit add or delete, are merged or remapped — everything else is
-// block-copied. This is the patch-path contract behind placement-preserving
-// repair: a swap exchanges two IDs, so perm differs from the identity at
-// exactly the swapped positions and the rest of the graph is reused
-// wholesale.
-func (g *Graph) PatchEdgesPerm(adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(g.n, adds, dels, perm)
-}
-
-// PatchEdgesPermN is PatchEdgesPerm over a grown vertex space. The result
-// has nNew vertices; perm (length g.NumVertices()) must be injective into
-// [0, nNew), and new IDs without a preimage under perm start with empty
-// rows. This is the segment-growth contract: admissions land in reserved
-// headroom slots at their partition segment's tail, so the injection is the
-// identity outside the grown segments — typically the identity everywhere,
-// since the pre-existing vertices keep their slots. An identity injection
-// (no vertex moved) is detected and takes the nil-perm path: no remap row
-// class at all, every untouched row block-copies, and the patch cost is
-// O(delta). Only maintenance that actually relocates vertices (swap repair,
-// segment re-sorts, spill relabeling) produces non-identity injections, and
-// those remap exactly the rows owned by or referencing a moved vertex.
+// block-copied. An identity injection (nil, or no vertex moved — headroom
+// admissions fill reserved slots, so pre-existing vertices keep theirs) is
+// detected and takes the nil-perm path: no remap row class at all, every
+// untouched row block-copies, and the patch cost is O(delta). Only
+// maintenance that actually relocates vertices (swap repair, segment
+// re-sorts) produces non-identity injections, and those remap exactly the
+// rows owned by or referencing a moved vertex.
 func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var st PatchStats
 	if nNew < g.n {

@@ -70,7 +70,7 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 					Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w,
 				})
 			}
-			patched, st, err := g.PatchEdges(adds, dels)
+			patched, st, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, nil)
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -178,7 +178,7 @@ func TestPatchEdgesSortedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := g.PatchEdges([]Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, []Edge{{0, 4, 1}})
+	p, _, err := g.PatchEdgesPermN(g.NumVertices(), []Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, []Edge{{0, 4, 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,20 +203,20 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdges([]Edge{{0, 9, 1}}, nil); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), []Edge{{0, 9, 1}}, nil, nil); err == nil {
 		t.Error("expected range error for add")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{9, 0, 1}}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{9, 0, 1}}, nil); err == nil {
 		t.Error("expected range error for delete")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 2, 1}}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 2, 1}}, nil); err == nil {
 		t.Error("expected missing-edge error")
 	}
 	// Weight must match exactly as stored.
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 1, 4}}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 1, 4}}, nil); err == nil {
 		t.Error("expected weight-mismatch error")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 1, 5}}); err != nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 1, 5}}, nil); err != nil {
 		t.Errorf("exact-weight delete failed: %v", err)
 	}
 	// Unweighted graphs normalize all weights to 1.
@@ -224,7 +224,7 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ug.PatchEdges(nil, []Edge{{0, 1, 9}}); err != nil {
+	if _, _, err := ug.PatchEdgesPermN(ug.NumVertices(), nil, []Edge{{0, 1, 9}}, nil); err != nil {
 		t.Errorf("unweighted delete should ignore weights: %v", err)
 	}
 
@@ -258,7 +258,7 @@ func TestPatchEdgesErrors(t *testing.T) {
 		{"weight mismatch in a remapped row with adds",
 			[]Edge{{1, 0, 1}}, []Edge{{1, 1, 5}}, swap12},
 	} {
-		if _, _, err := mg.PatchEdgesPerm(tc.adds, tc.dels, tc.perm); err == nil {
+		if _, _, err := mg.PatchEdgesPermN(mg.NumVertices(), tc.adds, tc.dels, tc.perm); err == nil {
 			t.Errorf("%s: expected missing-edge error", tc.name)
 		}
 	}
@@ -273,7 +273,7 @@ func applyPermToEdges(edges []Edge, perm []VertexID) []Edge {
 	return out
 }
 
-// TestPatchEdgesPermMatchesRelabel drives PatchEdgesPerm with random
+// TestPatchEdgesPermMatchesRelabel drives PatchEdgesPermN with random
 // swap-product permutations (the shape placement-preserving repair emits)
 // combined with random adds and deletes, and checks the result is
 // byte-identical to relabeling from scratch and rebuilding: same offsets,
@@ -327,7 +327,7 @@ func TestPatchEdgesPermMatchesRelabel(t *testing.T) {
 					Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w,
 				})
 			}
-			patched, st, err := g.PatchEdgesPerm(adds, dels, perm)
+			patched, st, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, perm)
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -356,7 +356,7 @@ func TestPatchEdgesPermPure(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := []VertexID{0, 1, 2, 4, 3, 5} // swap 3 and 4
-	patched, st, err := g.PatchEdgesPerm(nil, nil, perm)
+	patched, st, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +375,11 @@ func TestPatchEdgesPermPure(t *testing.T) {
 	}
 }
 
-// TestPatchEdgesNGrowth checks identity-map growth: the patched graph equals
-// rebuilding from scratch over the larger vertex space, appended rows start
-// empty unless adds reference them, and untouched rows block-copy.
-func TestPatchEdgesNGrowth(t *testing.T) {
+// TestPatchEdgesIdentityGrowth checks identity-map growth (a nil perm into a
+// larger vertex space): the patched graph equals rebuilding from scratch over
+// the larger vertex space, appended rows start empty unless adds reference
+// them, and untouched rows block-copy.
+func TestPatchEdgesIdentityGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n, nNew = 40, 55
 	edges := make([]Edge, 0, 300)
@@ -391,7 +392,7 @@ func TestPatchEdgesNGrowth(t *testing.T) {
 	}
 	adds := []Edge{{Src: 41, Dst: 3, Weight: 1}, {Src: 2, Dst: 50, Weight: 1}, {Src: 54, Dst: 54, Weight: 1}}
 	dels := []Edge{g.Edges()[0]}
-	patched, st, err := g.PatchEdgesN(nNew, adds, dels)
+	patched, st, err := g.PatchEdgesPermN(nNew, adds, dels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,11 +414,11 @@ func TestPatchEdgesNGrowth(t *testing.T) {
 		t.Fatal("appended vertex without adds should have empty rows")
 	}
 	// Deleting from an appended (empty) row must fail.
-	if _, _, err := g.PatchEdgesN(nNew, nil, []Edge{{Src: 50, Dst: 0, Weight: 1}}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(nNew, nil, []Edge{{Src: 50, Dst: 0, Weight: 1}}, nil); err == nil {
 		t.Error("expected missing-edge error for appended-row delete")
 	}
 	// Shrinking is rejected.
-	if _, _, err := g.PatchEdgesN(n-1, nil, nil); err == nil {
+	if _, _, err := g.PatchEdgesPermN(n-1, nil, nil, nil); err == nil {
 		t.Error("expected shrink error")
 	}
 }
@@ -543,13 +544,13 @@ func TestPatchEdgesPermErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdgesPerm(nil, nil, []VertexID{0, 1}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1}); err == nil {
 		t.Error("expected length error")
 	}
-	if _, _, err := g.PatchEdgesPerm(nil, nil, []VertexID{0, 1, 1}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1, 1}); err == nil {
 		t.Error("expected non-permutation error")
 	}
-	if _, _, err := g.PatchEdgesPerm(nil, nil, []VertexID{0, 1, 3}); err == nil {
+	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1, 3}); err == nil {
 		t.Error("expected out-of-range error")
 	}
 }

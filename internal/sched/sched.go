@@ -1,103 +1,35 @@
-// Package sched provides the parallel-loop schedulers that differentiate the
-// three graph-processing frameworks in the paper's evaluation:
+// Package sched provides the two parallel loops the engines execute their
+// traversals with: DynamicChunks, work-sharing over fixed-size chunks pulled
+// from an atomic counter, and DynamicItems, the same over single items
+// (partitions or scheduling units rather than vertex ranges).
 //
-//   - StaticBlocks — Polymer-style static scheduling: the iteration space is
-//     cut into one contiguous block per worker up front, so loop time is the
-//     time of the slowest block (maximally sensitive to load imbalance).
-//   - DynamicChunks — work-sharing over fixed-size chunks pulled from an
-//     atomic counter (GraphGrind's intra-socket scheduling).
-//   - RecursiveSplit — Cilk-style recursive halving of the range down to a
-//     grain size, with work stealing approximated by goroutine scheduling
-//     (Ligra's scheduling model).
-//   - StaticItems / DynamicItems — the same two policies over an explicit
-//     item list (used for partitions rather than vertex ranges).
-//
-// Every scheduler reports per-worker busy time so the benchmarks can
-// reproduce the paper's load-balance figures.
+// The three scheduling policies the paper's evaluation compares — Polymer's
+// static blocks, Ligra's Cilk work stealing and GraphGrind's grouped
+// static-then-dynamic scheme — are modeled, not executed: their loop times
+// come from engine.MakespanStatic, MakespanDynamic and MakespanGrouped over
+// deterministic per-unit costs (DESIGN.md §1).
 package sched
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Stats captures per-worker busy time for one parallel loop.
-type Stats struct {
-	// Busy[w] is the total time worker w spent inside the loop body.
-	Busy []time.Duration
-}
-
-// Imbalance returns max(Busy)/mean(Busy), the paper's notion of load
-// imbalance under static scheduling (1.0 = perfect). Returns 0 for empty
-// stats.
-func (s *Stats) Imbalance() float64 {
-	if len(s.Busy) == 0 {
-		return 0
-	}
-	var sum, max time.Duration
-	for _, b := range s.Busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(s.Busy))
-	return float64(max) / mean
-}
-
-// StaticBlocks runs fn over [0, n) cut into workers contiguous blocks, one
-// goroutine per worker. fn receives its worker index and the block range.
-func StaticBlocks(workers, n int, fn func(worker, lo, hi int)) *Stats {
-	if workers < 1 {
-		workers = 1
-	}
-	st := &Stats{Busy: make([]time.Duration, workers)}
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			start := time.Now()
-			if lo < hi {
-				fn(w, lo, hi)
-			}
-			st.Busy[w] = time.Since(start)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return st
-}
 
 // DynamicChunks runs fn over [0, n) in chunks of the given size, pulled
 // dynamically by the workers from a shared counter.
-func DynamicChunks(workers, n, chunk int, fn func(worker, lo, hi int)) *Stats {
+func DynamicChunks(workers, n, chunk int, fn func(worker, lo, hi int)) {
 	if workers < 1 {
 		workers = 1
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	st := &Stats{Busy: make([]time.Duration, workers)}
 	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			start := time.Now()
 			for {
 				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
 				if lo >= n {
@@ -109,120 +41,16 @@ func DynamicChunks(workers, n, chunk int, fn func(worker, lo, hi int)) *Stats {
 				}
 				fn(w, lo, hi)
 			}
-			st.Busy[w] = time.Since(start)
 		}(w)
 	}
 	wg.Wait()
-	return st
-}
-
-// RecursiveSplit runs fn over [0, n) by recursively halving the range until
-// it is at most grain, spawning a goroutine for one half at each split, as a
-// Cilk parallel-for would. Worker identity is not exposed (Cilk workers are
-// anonymous); concurrency is bounded by maxPar simultaneous goroutines.
-func RecursiveSplit(maxPar, n, grain int, fn func(lo, hi int)) {
-	if grain < 1 {
-		grain = 1
-	}
-	if maxPar < 1 {
-		maxPar = 1
-	}
-	sem := make(chan struct{}, maxPar)
-	var split func(lo, hi int, wg *sync.WaitGroup)
-	split = func(lo, hi int, wg *sync.WaitGroup) {
-		for hi-lo > grain {
-			mid := (lo + hi) / 2
-			select {
-			case sem <- struct{}{}:
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					split(lo, hi, wg)
-					<-sem
-				}(mid, hi)
-				hi = mid
-			default:
-				// no worker slot free: keep splitting sequentially to
-				// preserve grain-sized work units
-				split(mid, hi, wg)
-				hi = mid
-			}
-		}
-		if lo < hi {
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	split(0, n, &wg)
-	wg.Wait()
-}
-
-// StaticItems distributes items [0, n) blockwise over workers, like
-// StaticBlocks but invoking fn once per item.
-func StaticItems(workers, n int, fn func(worker, item int)) *Stats {
-	return StaticBlocks(workers, n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-	})
 }
 
 // DynamicItems lets workers pull single items from a shared queue.
-func DynamicItems(workers, n int, fn func(worker, item int)) *Stats {
-	return DynamicChunks(workers, n, 1, func(w, lo, hi int) {
+func DynamicItems(workers, n int, fn func(worker, item int)) {
+	DynamicChunks(workers, n, 1, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(w, i)
 		}
 	})
-}
-
-// GroupedStatic runs nested scheduling as GraphGrind does: items are first
-// distributed statically over groups (sockets), then within each group the
-// group's workers pull items dynamically. groupOf maps an item to its group;
-// items must be pre-sorted so that each group's items are contiguous.
-func GroupedStatic(groups, workersPerGroup, n int, groupOf func(item int) int, fn func(worker, item int)) *Stats {
-	if groups < 1 {
-		groups = 1
-	}
-	st := &Stats{Busy: make([]time.Duration, groups*workersPerGroup)}
-	// find contiguous item ranges per group by binary search on group starts
-	bounds := make([]int, groups+1)
-	for g := 1; g < groups; g++ {
-		// first item whose group >= g
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if groupOf(mid) < g {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		bounds[g] = lo
-	}
-	bounds[0], bounds[groups] = 0, n
-
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		lo, hi := bounds[g], bounds[g+1]
-		var next int64 = int64(lo)
-		for w := 0; w < workersPerGroup; w++ {
-			wid := g*workersPerGroup + w
-			wg.Add(1)
-			go func(wid int) {
-				defer wg.Done()
-				start := time.Now()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= hi {
-						break
-					}
-					fn(wid, i)
-				}
-				st.Busy[wid] = time.Since(start)
-			}(wid)
-		}
-	}
-	wg.Wait()
-	return st
 }

@@ -1,12 +1,10 @@
 package sched
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // coverage collects which indices were visited and how often.
@@ -36,34 +34,6 @@ func (c *coverage) exactlyOnce() bool {
 	return true
 }
 
-func TestStaticBlocksCoversExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1000} {
-		for _, w := range []int{1, 3, 8, 48} {
-			cov := newCoverage(n)
-			st := StaticBlocks(w, n, func(_, lo, hi int) { cov.markRange(lo, hi) })
-			if !cov.exactlyOnce() {
-				t.Fatalf("n=%d w=%d: not exactly-once coverage", n, w)
-			}
-			if len(st.Busy) != w {
-				t.Fatalf("stats for %d workers, want %d", len(st.Busy), w)
-			}
-		}
-	}
-}
-
-func TestStaticBlocksWorkerBlocksAreContiguous(t *testing.T) {
-	var mu sync.Mutex
-	got := map[int][2]int{}
-	StaticBlocks(4, 100, func(w, lo, hi int) {
-		mu.Lock()
-		got[w] = [2]int{lo, hi}
-		mu.Unlock()
-	})
-	if got[0] != [2]int{0, 25} || got[3] != [2]int{75, 100} {
-		t.Errorf("unexpected block layout: %v", got)
-	}
-}
-
 func TestDynamicChunksCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 13, 500} {
 		for _, chunk := range []int{1, 7, 64} {
@@ -76,40 +46,9 @@ func TestDynamicChunksCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRecursiveSplitCoversExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 9, 257, 4096} {
-		cov := newCoverage(n)
-		RecursiveSplit(8, n, 16, func(lo, hi int) { cov.markRange(lo, hi) })
-		if !cov.exactlyOnce() {
-			t.Fatalf("n=%d: not exactly-once coverage", n)
-		}
-	}
-}
-
-func TestRecursiveSplitRespectsGrain(t *testing.T) {
-	var maxSeen int64
-	RecursiveSplit(4, 1000, 32, func(lo, hi int) {
-		sz := int64(hi - lo)
-		for {
-			cur := atomic.LoadInt64(&maxSeen)
-			if sz <= cur || atomic.CompareAndSwapInt64(&maxSeen, cur, sz) {
-				break
-			}
-		}
-	})
-	if maxSeen > 32 {
-		t.Errorf("range of size %d exceeds grain 32", maxSeen)
-	}
-}
-
-func TestStaticItemsAndDynamicItems(t *testing.T) {
+func TestDynamicItemsCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 17, 300} {
 		cov := newCoverage(n)
-		StaticItems(5, n, func(_, i int) { cov.markRange(i, i+1) })
-		if !cov.exactlyOnce() {
-			t.Fatalf("StaticItems n=%d: bad coverage", n)
-		}
-		cov = newCoverage(n)
 		DynamicItems(5, n, func(_, i int) { cov.markRange(i, i+1) })
 		if !cov.exactlyOnce() {
 			t.Fatalf("DynamicItems n=%d: bad coverage", n)
@@ -117,121 +56,15 @@ func TestStaticItemsAndDynamicItems(t *testing.T) {
 	}
 }
 
-func TestGroupedStaticCoversExactlyOnce(t *testing.T) {
-	const n = 384
-	const groups = 4
-	cov := newCoverage(n)
-	st := GroupedStatic(groups, 3, n, func(i int) int { return i * groups / n },
-		func(_, i int) { cov.markRange(i, i+1) })
-	if !cov.exactlyOnce() {
-		t.Fatal("GroupedStatic: bad coverage")
-	}
-	if len(st.Busy) != groups*3 {
-		t.Fatalf("stats for %d workers", len(st.Busy))
-	}
-}
-
-func TestGroupedStaticConfinesWorkToGroups(t *testing.T) {
-	const n = 100
-	const groups = 4
-	const wpg = 2
-	groupOf := func(i int) int { return i * groups / n }
-	var mu sync.Mutex
-	bad := false
-	GroupedStatic(groups, wpg, n, groupOf, func(worker, item int) {
-		if worker/wpg != groupOf(item) {
-			mu.Lock()
-			bad = true
-			mu.Unlock()
-		}
-	})
-	if bad {
-		t.Error("item processed by a worker outside its group")
-	}
-}
-
-func TestStatsImbalance(t *testing.T) {
-	s := &Stats{Busy: []time.Duration{100, 100, 100, 100}}
-	if got := s.Imbalance(); got != 1.0 {
-		t.Errorf("balanced imbalance = %v, want 1.0", got)
-	}
-	s = &Stats{Busy: []time.Duration{300, 100, 100, 100}}
-	if got := s.Imbalance(); got != 2.0 {
-		t.Errorf("imbalance = %v, want 2.0", got)
-	}
-	empty := &Stats{}
-	if empty.Imbalance() != 0 {
-		t.Error("empty stats should report 0")
-	}
-	zero := &Stats{Busy: []time.Duration{0, 0}}
-	if zero.Imbalance() != 1 {
-		t.Error("all-zero stats should report 1")
-	}
-}
-
-func TestStaticSchedulingIsSensitiveToImbalance(t *testing.T) {
-	// The property the paper's evaluation rests on: under static scheduling
-	// the loop takes as long as its slowest worker, so clustering all the
-	// expensive items into one worker's block serializes them; dynamic
-	// scheduling spreads them. Items 0..7 are 60x more expensive than the
-	// rest, and static blocking with 8 workers over 64 items puts all eight
-	// into worker 0's block.
-	// The host may have a single CPU, so wall-clock cannot expose the
-	// effect; assert it on per-worker accumulated cost, which is what the
-	// engines' modeled-time accounting uses.
-	cost := func(i int) int64 {
-		if i < 8 {
-			return 60
-		}
-		return 1
-	}
-	maxWorkerCost := func(st *Stats, record []int64) int64 {
-		var m int64
-		for _, c := range record {
-			if c > m {
-				m = c
-			}
-		}
-		_ = st
-		return m
-	}
-
-	staticCost := make([]int64, 8)
-	st := StaticItems(8, 64, func(w, i int) { atomic.AddInt64(&staticCost[w], cost(i)) })
-	dynCost := make([]int64, 8)
-	sd := DynamicItems(8, 64, func(w, i int) {
-		atomic.AddInt64(&dynCost[w], cost(i))
-		// yield so that all workers share the queue even on a single-CPU
-		// host, mimicking truly concurrent workers
-		runtime.Gosched()
-	})
-	if maxWorkerCost(st, staticCost) <= maxWorkerCost(sd, dynCost) {
-		t.Errorf("static max worker cost %d not worse than dynamic %d on skewed load",
-			maxWorkerCost(st, staticCost), maxWorkerCost(sd, dynCost))
-	}
-}
-
-//go:noinline
-func busyWork() {
-	x := 0
-	for i := 0; i < 50_000; i++ {
-		x += i
-	}
-	sink = x
-}
-
-var sink int
-
-// Property: all schedulers perform the same total amount of work.
+// Property: both loops perform exactly the requested amount of work.
 func TestSchedulerTotalsQuick(t *testing.T) {
 	f := func(n8 uint8, w8 uint8) bool {
 		n := int(n8)
 		w := int(w8)%8 + 1
-		var a, b, c int64
-		StaticBlocks(w, n, func(_, lo, hi int) { atomic.AddInt64(&a, int64(hi-lo)) })
-		DynamicChunks(w, n, 3, func(_, lo, hi int) { atomic.AddInt64(&b, int64(hi-lo)) })
-		RecursiveSplit(w, n, 4, func(lo, hi int) { atomic.AddInt64(&c, int64(hi-lo)) })
-		return a == int64(n) && b == int64(n) && c == int64(n)
+		var a, b int64
+		DynamicChunks(w, n, 3, func(_, lo, hi int) { atomic.AddInt64(&a, int64(hi-lo)) })
+		DynamicItems(w, n, func(_, _ int) { atomic.AddInt64(&b, 1) })
+		return a == int64(n) && b == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -134,7 +134,7 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	if _, _, err := d.View().RefineBFS(Ligra, 0); err != nil {
 		t.Fatal(err)
 	}
-	// A small batch: the next view patches its graphs and engines and
+	// A small batch: the next view patches its relabeled graph and engines and
 	// refines from the capture.
 	applyStream(t, d, updates[:64], 64)
 	query(d.View())
@@ -154,7 +154,7 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"graph/snapshot-build", "graph/snapshot-patch", "graph/reorder-build", "graph/reorder-patch",
+		"graph/snapshot-build", "graph/reorder-build", "graph/reorder-patch",
 		"engine/build", "engine/patch", "engine/rebind",
 		"query:bfs/full",
 		"query:refine-bfs/" + RefineScratchSeed, "query:refine-bfs/" + RefineCached,

@@ -292,8 +292,8 @@ type Dynamic struct {
 	cur     atomic.Pointer[View]
 
 	// latestMat is the reader-to-writer channel for basis choice (see
-	// publish in view.go): the newest view that materialized a patchable
-	// artifact.
+	// publish in view_publish.go): the newest view that built its relabeled
+	// graph.
 	latestMat atomic.Pointer[View]
 
 	// alloc maps external vertex IDs onto the dense internal space; nil

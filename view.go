@@ -28,10 +28,10 @@ import (
 // segment-local permutation, and per-partition engine structures
 // (GraphGrind COOs, Polymer scheduling units, partition metadata) are
 // rebuilt only for partitions whose edge content changed or that touch a
-// moved vertex. The snapshot in original vertex IDs is likewise patched
-// from the basis view's snapshot (original IDs never change, so snapshot
-// patching survives even full renumberings). ViewWork reports the
-// resulting rebuild-versus-patch-versus-relabel work split.
+// moved vertex. The relabeled graph is the only artifact patched across
+// epochs; the snapshot in original vertex IDs is materialized from the
+// view's own capture. ViewWork reports the resulting
+// rebuild-versus-patch-versus-relabel work split.
 //
 //vebo:frozen
 type View struct {
@@ -54,15 +54,11 @@ type View struct {
 	delta     dynamic.ViewDelta // the changes since the basis (deltaOver)
 
 	snapOnce sync.Once
-	snapP    atomic.Pointer[Graph]
+	snap     *Graph
 
 	rgOnce sync.Once
-	rgp    atomic.Pointer[Graph]
+	rgp    atomic.Pointer[Graph] // read by later views choosing what to patch from
 	rgErr  error
-
-	rgTOnce sync.Once
-	rgT     *Graph
-	rgTErr  error
 
 	invOnce sync.Once
 	inv     []VertexID // new ID -> original ID

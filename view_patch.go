@@ -13,39 +13,18 @@ import (
 )
 
 // Snapshot materializes (once, lazily) the view's graph in original vertex
-// IDs. When the basis view already materialized its snapshot, this view's
-// is patched from it row-wise through the identity ordering — original IDs
-// never change and admitted vertices only extend the row array, so snapshot
-// patching works across repair, growth and even rebuild epochs — instead of
-// being materialized from the delta log in O(m). The result is immutable
-// and safe to share.
+// IDs. Frozen.Materialize is already a row patch of the capture's
+// compaction base with the netted delta log, so this is one O(m) copy. The
+// result is immutable and safe to share.
 func (v *View) Snapshot() *Graph {
 	v.snapOnce.Do(func() {
 		start := time.Now()
-		if b := v.basis.Load(); b != nil {
-			if bs := b.snapP.Load(); bs != nil {
-				vd := v.deltaOver(b)
-				if s, st, err := bs.PatchEdgesN(v.nverts, vd.Adds, vd.Dels); err == nil {
-					v.work.graphPatches.Add(1)
-					v.work.patchedEdges.Add(st.EdgesMerged)
-					v.work.relabelEdges.Add(st.EdgesRemapped)
-					v.work.reusedEdges.Add(st.EdgesCopied)
-					v.snapP.Store(s)
-					v.work.emitGraph(v, "snapshot-patch", start, st.EdgesMerged, st.EdgesCopied)
-					return
-				}
-				// Unreachable for deltas recorded by the dynamic subsystem;
-				// fall back to a scratch materialization if it ever happens.
-			}
-		}
-		v.snapP.Store(v.frozen.Materialize())
+		v.snap = v.frozen.Materialize()
 		v.work.rebuildEdges.Add(v.frozen.NumEdges())
 		v.work.graphBuilds.Add(1)
 		v.work.emitGraph(v, "snapshot-build", start, v.frozen.NumEdges(), 0)
 	})
-	snap := v.snapP.Load()
-	v.d.registerMaterialized(v)
-	return snap
+	return v.snap
 }
 
 // segPerm returns the segment-local injection mapping the basis view's
@@ -156,21 +135,6 @@ func mapEndpoints(edges []graph.Edge, perm []VertexID) {
 		edges[i].Src = perm[edges[i].Src]
 		edges[i].Dst = perm[edges[i].Dst]
 	}
-}
-
-// transposed returns (building once, lazily) the transpose of the reordered
-// graph, which BC's backward sweep traverses. Transposition shares the CSR
-// and CSC arrays, so this costs O(1) on top of Reordered.
-func (v *View) transposed() (*Graph, error) {
-	v.rgTOnce.Do(func() {
-		rg, err := v.Reordered()
-		if err != nil {
-			v.rgTErr = err
-			return
-		}
-		v.rgT = rg.Transpose()
-	})
-	return v.rgT, v.rgTErr
 }
 
 // rangePredicate turns a sorted ID list into a "does [lo, hi) contain any
@@ -325,10 +289,12 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 }
 
 func (v *View) buildTransposeEngine(sys System) (Engine, error) {
-	rgT, err := v.transposed()
+	rg, err := v.Reordered()
 	if err != nil {
 		return nil, err
 	}
+	// Transposition shares the CSR and CSC arrays: an O(1) header swap.
+	rgT := rg.Transpose()
 	v.work.engineBuilds.Add(1)
 	if sys != Ligra {
 		v.work.rebuildEdges.Add(rgT.NumEdges())

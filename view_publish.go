@@ -40,15 +40,15 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 // vebo_publish_lag_ns sample — the freshness cost one batch pays end to
 // end.
 //
-// Basis choice: readers register the views they materialize in latestMat,
-// and the new view patches from the newest of them when its capture is at
-// most one compaction back — the span Frozen.Since nets. Otherwise there is
-// no basis and the view builds from scratch. One compaction generation
-// holds at most the delta-log bound, max(8192, liveEdges/8) entries, so a
-// view never nets more than about liveEdges/4 + 8192 raw log entries. The
-// view's delta over its basis is a pure function of the two views,
-// computed on first use (deltaOver), so a publish costs O(1) beyond the
-// Freeze and epochs nobody queries never compute one.
+// Basis choice: readers register the views whose relabeled graph they
+// built in latestMat, and the new view patches from the newest of them when
+// its capture is at most one compaction back — the span Frozen.Since nets.
+// Otherwise there is no basis and the view builds from scratch. One
+// compaction generation holds at most the delta-log bound, max(8192,
+// liveEdges/8) entries, so a view never nets more than about liveEdges/4 +
+// 8192 raw log entries. The view's delta over its basis is a pure function
+// of the two views, computed on first use (deltaOver), so a publish costs
+// O(1) beyond the Freeze and epochs nobody queries never compute one.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
@@ -107,25 +107,12 @@ func (v *View) deltaOver(b *View) dynamic.ViewDelta {
 	return v.delta
 }
 
-// registerMaterialized below and the basis tracking in publish treat a view
-// as a patching basis once it built either its relabeled graph or its
-// original-ID snapshot; whichever artifacts the basis actually holds are
-// patched, the rest build from scratch.
-
-// registerMaterialized records that v built a patchable artifact (relabeled
-// graph or snapshot), making it a basis candidate for future epochs. Keeps
-// the newest such view, but never trades a basis holding the relabeled
-// graph for a snapshot-only one: engine patching would silently degrade to
-// scratch builds in workloads that interleave snapshot-only readers with
-// engine readers. (If v builds its relabeled graph later, Reordered
-// re-registers it.)
+// registerMaterialized records that v built its relabeled graph, making it
+// a basis candidate for future epochs; the newest such view wins.
 func (d *Dynamic) registerMaterialized(v *View) {
 	for {
 		m := d.latestMat.Load()
 		if m != nil && m.epoch >= v.epoch {
-			return
-		}
-		if m != nil && m.rgp.Load() != nil && v.rgp.Load() == nil {
 			return
 		}
 		if d.latestMat.CompareAndSwap(m, v) {

@@ -3,6 +3,7 @@ package vebo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -240,9 +241,10 @@ func testPatchedMatchesScratch(t *testing.T, recipe string, stride int) {
 // TestViewPatchesAcrossOneCompaction deletes edges in one batch and
 // re-inserts them in the next, with no reader after the first epoch, and
 // compacts the delta log in between. A view whose basis is one compaction
-// back nets the log cursors between the two and patches its snapshot; past
-// a second compaction the basis is dropped and the snapshot is a scratch
-// build. Either way it must equal the live graph.
+// back nets the log cursors between the two and patches its relabeled
+// graph; past a second compaction the basis is dropped and the relabeled
+// graph is a scratch build (snapshot plus relabel). Either way it must equal
+// the live graph relabeled by the view's ordering.
 func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
 	if err != nil {
@@ -275,18 +277,83 @@ func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 			d.Compact()
 			churn(100)
 		}
+		v := d.View()
 		before := d.ViewWork()
-		snap := d.View().Snapshot()
+		rg, err := v.Reordered()
+		if err != nil {
+			t.Fatal(err)
+		}
 		after := d.ViewWork()
 		if compactions == 1 && after.GraphPatches != before.GraphPatches+1 {
-			t.Fatal("snapshot one compaction past its basis was not patched")
+			t.Fatal("relabeled graph one compaction past its basis was not patched")
 		}
-		if compactions == 2 && after.GraphBuilds != before.GraphBuilds+1 {
-			t.Fatal("snapshot two compactions past the last materialized view was not a scratch build")
+		if compactions == 2 && after.GraphBuilds != before.GraphBuilds+2 {
+			t.Fatal("relabeled graph two compactions past the last materialized view was not a scratch build")
 		}
-		want := d.Snapshot()
-		if !graph.Equal(snap, want) || !graph.Equal(snap.Transpose(), want.Transpose()) {
-			t.Fatalf("%d compaction(s): snapshot differs from the live graph", compactions)
+		want, err := v.Ordering().Apply(d.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graph.Equal(rg, want) || !graph.Equal(rg.Transpose(), want.Transpose()) {
+			t.Fatalf("%d compaction(s): relabeled graph differs from the relabeled live graph", compactions)
+		}
+	}
+}
+
+// TestSnapshotReadersKeepBasis pins the basis rule: only a view that built
+// its relabeled graph becomes a patching basis. Epochs read only through
+// Snapshot() sit between epochs that run BFS, so each BFS epoch's basis is
+// the last BFS epoch and every Reordered after epoch 0 must patch (no
+// reorder-build span) and equal a scratch relabel of the view's snapshot.
+func TestSnapshotReadersKeepBasis(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.03, 1536, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.View().BFS(GraphGrind, 0); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 128
+	var bfsEpochs []int64
+	for i, lo := 1, 0; lo < len(updates); i, lo = i+1, lo+batch {
+		applyInBatches(t, d, updates[lo:min(lo+batch, len(updates))], batch)
+		v := d.View()
+		if i%3 != 0 {
+			v.Snapshot()
+			continue
+		}
+		if _, err := v.BFS(GraphGrind, 0); err != nil {
+			t.Fatal(err)
+		}
+		rg, err := v.Reordered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.Ordering().Apply(v.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graph.Equal(rg, want) {
+			t.Fatalf("epoch %d: patched relabeled graph differs from a scratch relabel", v.Epoch())
+		}
+		bfsEpochs = append(bfsEpochs, v.Epoch())
+	}
+	if st := d.Stats(); st.FullRebuilds != 0 {
+		t.Fatalf("stream broke the numbering lineage (%d full rebuilds); the basis rule is untested", st.FullRebuilds)
+	}
+	causes := make(map[int64][]string)
+	for _, sp := range d.Spans().Snapshot() {
+		if sp.Name == "graph" {
+			causes[sp.Epoch] = append(causes[sp.Epoch], sp.Cause)
+		}
+	}
+	for _, e := range bfsEpochs {
+		if got := causes[e]; !slices.Contains(got, "reorder-patch") || slices.Contains(got, "reorder-build") {
+			t.Errorf("epoch %d: graph spans %v, want a reorder-patch and no reorder-build", e, got)
 		}
 	}
 }
@@ -572,55 +639,6 @@ func TestViewPatchedAcrossRepairEpochs(t *testing.T) {
 	if work.RebuildEdges+work.PatchedEdges+work.RelabeledEdges >= sw.RebuildEdges {
 		t.Fatalf("patching across repair epochs saved no work: %d+%d+%d vs %d",
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
-	}
-}
-
-// TestViewSnapshotPatchedMatchesMaterialized checks the snapshot patch
-// path: View.Snapshot() derives from the basis view's snapshot via
-// graph.PatchEdges on the identity ordering instead of materializing from
-// the delta log in O(m), and the result is identical to the materialized
-// snapshot — across repair epochs too, since original IDs never move.
-func TestViewSnapshotPatchedMatchesMaterialized(t *testing.T) {
-	g, updates, err := GenerateStream("orkut", 0.04, 3000, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratchOpts := DynamicOptions{Partitions: 32, Engine: viewTestOpts, DisableViewReuse: true}
-	ds, err := NewDynamic(g, scratchOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 128
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := dp.ApplyBatch(updates[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ds.ApplyBatch(updates[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		// Only snapshots are queried, so every patch counted below came
-		// from the snapshot path, not the relabeled graph.
-		sp := dp.View().Snapshot()
-		ss := ds.View().Snapshot()
-		if !graph.Equal(sp, ss) {
-			t.Fatalf("epoch %d: patched snapshot differs from materialized (%d vs %d edges)",
-				dp.View().Epoch(), sp.NumEdges(), ss.NumEdges())
-		}
-	}
-	work := dp.ViewWork()
-	if work.GraphPatches == 0 {
-		t.Fatalf("snapshot path never patched: %+v", work)
-	}
-	if sw := ds.ViewWork(); sw.GraphPatches != 0 {
-		t.Fatalf("DisableViewReuse snapshots patched anyway: %+v", sw)
 	}
 }
 
