@@ -5,8 +5,8 @@ import (
 	"slices"
 )
 
-// PatchStats reports how much construction work a PatchEdgesPermN call did, in
-// edges. Merged edges are written by a row's linear merge of its sorted
+// PatchStats reports how much construction work a PatchEdgesPermN call did,
+// in edges. Merged edges are written by a row's linear merge of its sorted
 // basis row with its sorted adds and deletions; remapped edges are entries
 // whose stored neighbor ID was rewritten through the permutation (the
 // affected row is re-sorted only when the rewrite broke its order); copied
