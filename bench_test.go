@@ -186,38 +186,84 @@ func benchDelta(g *graph.Graph, updates int, perm []graph.VertexID, seed int64) 
 }
 
 // BenchmarkGraphGrindPatch patches a 64-partition GraphGrind engine after a
-// 32-update delta: the partitions owning a touched destination are rebuilt,
-// the rest are shared.
+// 32-update delta: on the identity numbering, the partitions owning a
+// touched destination are rebuilt and the rest are shared; under eight
+// swapped vertex pairs (the shape a swap repair leaves), the partitions
+// whose COOs name a moved source are remapped too. new is the scratch
+// build the patches replace.
 func BenchmarkGraphGrindPatch(b *testing.B) {
 	g := benchGraph(b)
-	gg, err := graphgrind.New(g, graphgrind.Config{
+	n := g.NumVertices()
+	cfg := graphgrind.Config{
 		Engine:     engine.Config{Topology: numa.Default()},
 		Partitions: 64,
 		Order:      layout.CSROrder,
-	})
+	}
+	gg, err := graphgrind.New(g, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	adds, dels := benchDelta(g, 32, nil, 1)
-	g2, _, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, nil)
-	if err != nil {
-		b.Fatal(err)
+	swaps := make([]graph.VertexID, n)
+	for v := range swaps {
+		swaps[v] = graph.VertexID(v)
 	}
-	touched := append(adds, dels...)
-	dirty := func(lo, hi graph.VertexID) bool {
-		for _, e := range touched {
-			if e.Dst >= lo && e.Dst < hi {
-				return true
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		a, c := rng.Intn(n), rng.Intn(n)
+		swaps[a], swaps[c] = swaps[c], swaps[a]
+	}
+	// anyIn is a range predicate over a vertex set, by prefix counts.
+	anyIn := func(set []bool) func(lo, hi graph.VertexID) bool {
+		cnt := make([]int, n+1)
+		for v, in := range set {
+			cnt[v+1] = cnt[v]
+			if in {
+				cnt[v+1]++
 			}
 		}
-		return false
+		return func(lo, hi graph.VertexID) bool { return cnt[hi] > cnt[lo] }
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, err := gg.Patch(g2, nil, nil, dirty, nil); err != nil {
+	for _, perm := range [][]graph.VertexID{nil, swaps} {
+		adds, dels := benchDelta(g, 32, perm, 1)
+		g2, _, err := g.PatchEdgesPermN(n, adds, dels, perm)
+		if err != nil {
 			b.Fatal(err)
 		}
+		dirtyAt := make([]bool, n)
+		srcAt := make([]bool, n)
+		for _, e := range append(adds, dels...) {
+			dirtyAt[e.Dst] = true
+		}
+		for v := range perm {
+			if perm[v] != graph.VertexID(v) {
+				dirtyAt[v] = true
+				for _, d := range g2.OutNeighbors(graph.VertexID(v)) {
+					srcAt[d] = true
+				}
+			}
+		}
+		dirty, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
+		name := "identity"
+		if perm != nil {
+			name = "swaps"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := gg.Patch(g2, perm, dirty, srcMoved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := graphgrind.New(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPatchEdgesPermN patches a graph with a 128-update delta, on the

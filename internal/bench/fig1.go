@@ -40,13 +40,9 @@ func pearson(xs, ys []float64) float64 {
 // fig1Partition replays one PR iteration over parts in Hilbert-ordered COO
 // (the Figure 1 configuration) and reports per-partition cycles.
 func fig1Cycles(cfg Config, g *graph.Graph, parts []partition.Partition) ([]float64, error) {
-	coos := make([]*layout.COO, len(parts))
-	for i, pt := range parts {
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, layout.HilbertOrder)
-		if err != nil {
-			return nil, err
-		}
-		coos[i] = c
+	coos, err := partitionCOOs(g, parts, layout.HilbertOrder)
+	if err != nil {
+		return nil, err
 	}
 	// Small cache geometry: match the paper's per-partition footprint to
 	// LLC ratio (see fig6Machine); with a relatively large cache the

@@ -50,12 +50,9 @@ func hybridTime(cfg Config, v fig5Variant, algo string, root graph.VertexID) (in
 	if err != nil {
 		return 0, err
 	}
-	coos := make([]*layout.COO, len(parts))
-	for i, pt := range parts {
-		coos[i], err = layout.BuildRange(v.g, pt.Lo, pt.Hi, v.coo)
-		if err != nil {
-			return 0, err
-		}
+	coos, err := partitionCOOs(v.g, parts, v.coo)
+	if err != nil {
+		return 0, err
 	}
 	m, err := memsim.New(memsim.Config{}, cfg.Topology)
 	if err != nil {

@@ -19,16 +19,23 @@ import (
 // 256 KiB model every partition fits and edge-order effects vanish.
 var fig6Machine = memsim.Config{LLCBytes: 32 << 10, TLBEntries: 8}
 
+// partitionCOOs builds one COO per partition in order o with one
+// layout.BuildRanges call, so a CSR-order build is one pass over the edges.
+func partitionCOOs(g *graph.Graph, parts []partition.Partition, o layout.Order) ([]*layout.COO, error) {
+	ranges := make([]layout.Range, len(parts))
+	for i, pt := range parts {
+		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
+	}
+	coos, _, err := layout.BuildRanges(g, ranges, o, 1, nil)
+	return coos, err
+}
+
 // fig6Replay builds per-partition COOs in the given order and replays one PR
 // iteration, returning per-partition cycles.
 func fig6Replay(cfg Config, g *graph.Graph, parts []partition.Partition, o layout.Order) ([]float64, error) {
-	coos := make([]*layout.COO, len(parts))
-	for i, pt := range parts {
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, o)
-		if err != nil {
-			return nil, err
-		}
-		coos[i] = c
+	coos, err := partitionCOOs(g, parts, o)
+	if err != nil {
+		return nil, err
 	}
 	// Single-socket machine model: Figure 6 isolates the effect of edge
 	// ordering on cache behaviour; a multi-socket model would overlay a

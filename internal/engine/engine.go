@@ -293,9 +293,9 @@ func MakespanGrouped(costs []int64, groups, workersPerGroup int) int64 {
 // scheduling units) were carried over from the previous epoch's engine
 // versus rebuilt, and the edges owned by each group. Remapped partitions
 // sit in between: their edge content is unchanged but a segment-local
-// renumbering moved some referenced vertex IDs, so their structures were
-// copied with IDs rewritten — a single linear pass, cheaper than the
-// gather-and-sort of a rebuild.
+// renumbering moved some referenced vertex IDs. Only the entries naming a
+// moved vertex count as EdgesRemapped, the modeled cost of rewriting them;
+// the rest count as reused, however the engine materializes the result.
 type PatchStats struct {
 	PartsRebuilt, PartsReused int
 	PartsRemapped             int

@@ -89,7 +89,7 @@ func TestMakespanBoundsQuick(t *testing.T) {
 
 func TestSplitRange(t *testing.T) {
 	units := SplitRange(10, 3)
-	want := []Range{{0, 3}, {3, 6}, {6, 9}, {9, 10}}
+	want := []Range{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: 9}, {Lo: 9, Hi: 10}}
 	if !reflect.DeepEqual(units, want) {
 		t.Errorf("SplitRange = %v", units)
 	}
@@ -102,14 +102,14 @@ func TestSplitRange(t *testing.T) {
 }
 
 func TestSubdivideByCount(t *testing.T) {
-	sub := SubdivideByCount([]Range{{0, 10}, {10, 12}}, 3)
+	sub := SubdivideByCount([]Range{{Lo: 0, Hi: 10}, {Lo: 10, Hi: 12}}, 3)
 	// first range: 4+4+2, second: 1+1
-	want := []Range{{0, 4}, {4, 8}, {8, 10}, {10, 11}, {11, 12}}
+	want := []Range{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}, {Lo: 8, Hi: 10}, {Lo: 10, Hi: 11}, {Lo: 11, Hi: 12}}
 	if !reflect.DeepEqual(sub, want) {
 		t.Errorf("SubdivideByCount = %v, want %v", sub, want)
 	}
 	// empty ranges disappear
-	if got := SubdivideByCount([]Range{{5, 5}}, 4); len(got) != 0 {
+	if got := SubdivideByCount([]Range{{Lo: 5, Hi: 5}}, 4); len(got) != 0 {
 		t.Errorf("empty range subdivided into %v", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestSparsePushVisitsFrontierEdges(t *testing.T) {
 func TestDenseCOOMatchesDensePull(t *testing.T) {
 	g := testGraph(t)
 	units := SplitRange(g.NumVertices(), 100)
-	coos, err := BuildPartitionCOOs(g, units, layout.HilbertOrder, 1)
+	coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 				return counts, out
 			default:
 				units := SplitRange(n, 16)
-				coos, err := BuildPartitionCOOs(g, units, layout.HilbertOrder, 2)
+				coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 2, nil)
 				if err != nil {
 					return nil, nil
 				}

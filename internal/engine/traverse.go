@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/frontier"
@@ -12,9 +11,8 @@ import (
 )
 
 // Range is a half-open destination-vertex range used as a scheduling unit.
-type Range struct {
-	Lo, Hi graph.VertexID
-}
+// It is layout's range type, so a unit list is also a list of COO ranges.
+type Range = layout.Range
 
 // SplitRange cuts [0, n) into units of the given size.
 func SplitRange(n, unit int) []Range {
@@ -27,7 +25,7 @@ func SplitRange(n, unit int) []Range {
 		if hi > n {
 			hi = n
 		}
-		out = append(out, Range{graph.VertexID(lo), graph.VertexID(hi)})
+		out = append(out, Range{Lo: graph.VertexID(lo), Hi: graph.VertexID(hi)})
 	}
 	return out
 }
@@ -50,7 +48,7 @@ func SubdivideByCount(ranges []Range, k int) []Range {
 			if hi > n {
 				hi = n
 			}
-			out = append(out, Range{r.Lo + graph.VertexID(lo), r.Lo + graph.VertexID(hi)})
+			out = append(out, Range{Lo: r.Lo + graph.VertexID(lo), Hi: r.Lo + graph.VertexID(hi)})
 		}
 	}
 	return out
@@ -76,7 +74,7 @@ func SubdivideByEdges(g *graph.Graph, ranges []Range, k int) []Range {
 		emitted := 0
 		for v := r.Lo; v < r.Hi; v++ {
 			if acc >= target && target > 0 && emitted < k-1 {
-				out = append(out, Range{lo, v})
+				out = append(out, Range{Lo: lo, Hi: v})
 				lo = v
 				acc = 0
 				emitted++
@@ -84,7 +82,7 @@ func SubdivideByEdges(g *graph.Graph, ranges []Range, k int) []Range {
 			acc += g.InDegree(v)
 		}
 		if lo < r.Hi {
-			out = append(out, Range{lo, r.Hi})
+			out = append(out, Range{Lo: lo, Hi: r.Hi})
 		}
 	}
 	return out
@@ -243,38 +241,4 @@ func VertexMapStatic(g *graph.Graph, f *frontier.Frontier, fn func(v graph.Verte
 		unitCosts[u] = cost
 	})
 	return frontier.FromDense(g, out), unitCosts
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// BuildPartitionCOOs materializes one COO per destination range in the given
-// order, in parallel. Each worker keeps one layout.Builder, so its sort
-// scratch is allocated once per call, not once per range.
-func BuildPartitionCOOs(g *graph.Graph, ranges []Range, o layout.Order, workers int) ([]*layout.COO, error) {
-	coos := make([]*layout.COO, len(ranges))
-	workers = max(min(workers, len(ranges)), 1)
-	builders := make([]layout.Builder, workers)
-	var mu sync.Mutex
-	var firstErr error
-	sched.DynamicItems(workers, len(ranges), func(w, i int) {
-		c, err := builders[w].BuildRange(g, ranges[i].Lo, ranges[i].Hi, o)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		coos[i] = c
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return coos, nil
 }

@@ -221,7 +221,7 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 		g.outW = make([]int32, m)
 		g.inW = make([]int32, m)
 	} else {
-		g.ones = onesFor(nil, maxRow)
+		g.ones = OnesFor(nil, maxRow)
 	}
 	outNext := make([]int64, n)
 	inNext := make([]int64, n)
@@ -265,9 +265,10 @@ func sub(ws []int32, lo, hi int64) []int32 {
 	return ws[lo:hi]
 }
 
-// onesFor returns an all-ones slice of at least d entries: have itself when
-// it is long enough, so patched graphs share their basis's slice.
-func onesFor(have []int32, d int64) []int32 {
+// OnesFor returns an all-ones slice of at least d entries: have itself when
+// it is long enough, so patched graphs share their basis's slice (and a
+// lineage of COOs built from them shares one weight slice).
+func OnesFor(have []int32, d int64) []int32 {
 	if int64(len(have)) >= d {
 		return have
 	}

@@ -132,7 +132,7 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 		return nil, st, fmt.Errorf("graph: patch in-edges: %w", err)
 	}
 	if !g.weighted {
-		out.ones = onesFor(g.ones, max(outMax, inMax))
+		out.ones = OnesFor(g.ones, max(outMax, inMax))
 	}
 	return out, st, nil
 }

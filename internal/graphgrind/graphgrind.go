@@ -10,6 +10,7 @@ package graphgrind
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/frontier"
@@ -42,6 +43,7 @@ type GraphGrind struct {
 	parts   []partition.Partition
 	ranges  []engine.Range
 	coos    []*layout.COO
+	ones    []int32  // unweighted: all ones; the lineage's COO weights are its prefixes
 	partOf  []uint32 // destination vertex -> partition index
 	metrics engine.Metrics
 }
@@ -70,7 +72,7 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 	for i, pt := range parts {
 		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
-	coos, err := engine.BuildPartitionCOOs(g, ranges, cfg.Order, cfg.Engine.Topology.Threads())
+	coos, ones, err := layout.BuildRanges(g, ranges, cfg.Order, cfg.Engine.Topology.Threads(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,167 +82,86 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 			partOf[v] = uint32(i)
 		}
 	}
-	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, partOf: partOf}, nil
+	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
 }
 
 // Patch builds a GraphGrind engine over g — a graph whose edge content
 // differs from gg's only inside partitions for which dirty reports true —
 // reusing gg's materialized per-partition COOs and metadata for every clean
-// partition. The caller guarantees that gg's partition structure still
-// applies to g in one of two shapes. With bounds == nil, g has the same
-// vertex count and the boundaries are unchanged: either the vertex
-// placement did not change between the two graphs (perm == nil), or it
-// changed by a segment-local permutation perm (old ID → new ID, identity
-// outside the moved vertices) that kept every partition's vertex count —
-// and therefore the boundaries — fixed. Headroom growth (dynamic.Graph
-// admitting vertices into reserved slots at a segment's tail) is the
-// bounds == nil, perm == nil case: the slot-space boundaries are constant
-// across the lineage and the admitted rows appear inside their partition's
-// fixed range, so only the grown partitions are dirty and the COO rewrite
-// is confined to them — every other partition shares its COO outright with
-// no remap pass. With non-nil bounds (len(parts)+1 entries), the vertex
-// space may additionally have grown with moved boundaries: bounds are the
-// new partition boundaries, perm is an injection of the old ID space into
-// [0, bounds[last]) (the pre-headroom segment-growth shape: a
-// per-partition shift plus swaps), and g has bounds[last] vertices. The
-// caller must flag partitions owning a moved or admitted vertex as dirty,
-// and partitions whose COO references a moved source vertex via srcMoved
-// (nil = none). Dirty and grown partitions are rebuilt from g; partitions
-// that merely shifted or hold stale source references are remapped — a
-// linear copy with IDs rewritten through perm — and everything else shares
-// the previous epoch's structures outright.
+// partition. g has gg's vertex count and partition boundaries: either the
+// vertex placement did not change (perm == nil), or it changed by a
+// segment-local permutation perm (old ID → new ID, identity outside the
+// moved vertices) that kept every partition's vertex count. Headroom growth
+// is the perm == nil case: admitted rows appear inside their partition's
+// fixed slot range, so only the grown partitions are dirty. The caller must
+// flag partitions owning a moved or admitted vertex as dirty, and
+// partitions whose COO references a moved source vertex via srcMoved (nil =
+// none).
 //
-// Remapped COOs keep their entry order, so a Hilbert- or CSR-ordered COO is
-// no longer strictly sorted at the handful of rewritten entries. Entry
-// order only shapes the modeled memory-access locality (dense traversal
-// applies the kernel per edge regardless of order), so correctness is
-// unaffected; the order fully heals at the partition's next rebuild.
-func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int64, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, engine.PatchStats, error) {
+// Dirty partitions count as rebuilt. A source-stale partition (srcMoved,
+// not dirty) counts as remapped: its edge content is unchanged, and only
+// its entries naming a moved source count as EdgesRemapped, the modeled
+// cost of rewriting them through perm. Both are re-gathered from g in one
+// layout.BuildRanges pass (a source-stale partition with no such entry
+// needs none), and every other partition shares gg's COO, so the patched
+// engine is byte-identical to New over g.
+func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, engine.PatchStats, error) {
 	var st engine.PatchStats
-	nNew := gg.g.NumVertices()
-	if bounds != nil {
-		if len(bounds) != len(gg.parts)+1 {
-			return nil, st, fmt.Errorf("graphgrind: patch bounds must have %d entries, got %d", len(gg.parts)+1, len(bounds))
-		}
-		nNew = int(bounds[len(bounds)-1])
+	if g.NumVertices() != gg.g.NumVertices() {
+		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), gg.g.NumVertices())
 	}
-	if g.NumVertices() != nNew {
-		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), nNew)
+	if perm != nil && len(perm) != g.NumVertices() {
+		return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), g.NumVertices())
 	}
-	parts := make([]partition.Partition, len(gg.parts))
-	coos := make([]*layout.COO, len(gg.coos))
-	var rebuild []int // built in one parallel pass below, as New builds
-	for i, pt := range gg.parts {
-		newLo, newHi := pt.Lo, pt.Hi
-		if bounds != nil {
-			newLo, newHi = graph.VertexID(bounds[i]), graph.VertexID(bounds[i+1])
-		}
-		parts[i] = partition.Partition{Lo: newLo, Hi: newHi, Edges: pt.Edges}
-		shifted := newLo != pt.Lo
-		grown := newHi-newLo != pt.Hi-pt.Lo
-		if dirty(newLo, newHi) || grown || (shifted && perm == nil) {
-			rebuild = append(rebuild, i)
-			continue
-		}
-		if perm != nil && (shifted || (srcMoved != nil && srcMoved(newLo, newHi))) {
-			c, rewritten, ok := remapCOO(gg.coos[i], perm, int64(newLo)-int64(pt.Lo))
-			if !ok {
-				// A destination moved (or a vertex was admitted) inside a
-				// partition the caller claimed clean; rebuild defensively
-				// rather than trust the contract.
-				rebuild = append(rebuild, i)
-				continue
+	off := g.InOffsets()
+	parts := slices.Clone(gg.parts)
+	coos := slices.Clone(gg.coos)
+	var gather []int // partitions re-gathered from g
+	for i, pt := range parts {
+		switch {
+		case dirty(pt.Lo, pt.Hi):
+			parts[i].Edges = off[pt.Hi] - off[pt.Lo]
+			st.PartsRebuilt++
+			st.EdgesRebuilt += parts[i].Edges
+			gather = append(gather, i)
+		case perm != nil && srcMoved != nil && srcMoved(pt.Lo, pt.Hi):
+			var stale int64
+			for _, s := range gg.coos[i].Src {
+				if perm[s] != s {
+					stale++
+				}
 			}
-			coos[i] = c
 			st.PartsRemapped++
-			st.EdgesRemapped += rewritten
-			st.EdgesReused += pt.Edges - rewritten
-			continue
+			st.EdgesRemapped += stale
+			st.EdgesReused += pt.Edges - stale
+			if stale > 0 {
+				gather = append(gather, i)
+			}
+		default:
+			st.PartsReused++
+			st.EdgesReused += pt.Edges
 		}
-		coos[i] = gg.coos[i]
-		st.PartsReused++
-		st.EdgesReused += pt.Edges
 	}
-	rebuildRanges := make([]engine.Range, len(rebuild))
-	for j, i := range rebuild {
-		rebuildRanges[j] = engine.Range{Lo: parts[i].Lo, Hi: parts[i].Hi}
+	ranges := make([]engine.Range, len(gather))
+	for j, i := range gather {
+		ranges[j] = gg.ranges[i]
 	}
-	built, err := engine.BuildPartitionCOOs(g, rebuildRanges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads())
+	built, ones, err := layout.BuildRanges(g, ranges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads(), gg.ones)
 	if err != nil {
 		return nil, st, err
 	}
-	off := g.InOffsets()
-	for j, i := range rebuild {
-		parts[i].Edges = off[parts[i].Hi] - off[parts[i].Lo]
+	for j, i := range gather {
 		coos[i] = built[j]
-		st.PartsRebuilt++
-		st.EdgesRebuilt += parts[i].Edges
-	}
-	ranges := gg.ranges
-	partOf := gg.partOf
-	if bounds != nil {
-		ranges = make([]engine.Range, len(parts))
-		partOf = make([]uint32, nNew)
-		for i, pt := range parts {
-			ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
-			for v := pt.Lo; v < pt.Hi; v++ {
-				partOf[v] = uint32(i)
-			}
-		}
 	}
 	return &GraphGrind{
 		g:      g,
 		cfg:    gg.cfg,
 		parts:  parts,
-		ranges: ranges,
+		ranges: gg.ranges,
 		coos:   coos,
-		partOf: partOf,
+		ones:   ones,
+		partOf: gg.partOf,
 	}, st, nil
-}
-
-// remapCOO copies c with stale endpoint IDs rewritten through perm. A clean
-// partition's in-edge content is unchanged, so its destinations must map
-// uniformly by the partition's shift delta (a swapped or admitted
-// destination would mean the content changed); ok=false reports a violation
-// so the caller can rebuild. Source vertices may move arbitrarily.
-// rewritten counts the entries whose stored IDs actually changed — with a
-// zero delta that is only the entries referencing a moved source, and the
-// rewrite is restricted to them: identity entries block-copy, the
-// destination array is shared, and a COO with no stale entry at all is
-// shared outright without allocating. The weight array is always shared
-// with c, which is immutable.
-func remapCOO(c *layout.COO, perm []graph.VertexID, delta int64) (*layout.COO, int64, bool) {
-	for _, d := range c.Dst {
-		if int(d) >= len(perm) || int64(perm[d]) != int64(d)+delta {
-			return nil, 0, false
-		}
-	}
-	var stale int64
-	for _, s := range c.Src {
-		if int(s) >= len(perm) {
-			return nil, 0, false
-		}
-		if perm[s] != s {
-			stale++
-		}
-	}
-	if delta == 0 && stale == 0 {
-		return c, 0, true
-	}
-	src := make([]graph.VertexID, len(c.Src))
-	for i, s := range c.Src {
-		src[i] = perm[s]
-	}
-	dst := c.Dst
-	rewritten := stale
-	if delta != 0 {
-		dst = make([]graph.VertexID, len(c.Dst))
-		for i, d := range c.Dst {
-			dst[i] = graph.VertexID(int64(d) + delta)
-		}
-		rewritten = int64(len(c.Src))
-	}
-	return &layout.COO{Src: src, Dst: dst, Weight: c.Weight, Ordering: c.Ordering}, rewritten, true
 }
 
 // Name implements Engine.

@@ -1,0 +1,247 @@
+package graphgrind
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/layout"
+)
+
+// checkPatch patches New(g, bounds) to the graph that deletes dels (named in
+// new IDs) from g relabeled through perm (nil = identity) and adds adds,
+// with the dirty and srcMoved predicates the facade derives. It checks that
+// every patched COO equals New's over the new graph entry for entry,
+// weights included, and that the stats are exactly the classification the
+// predicates imply.
+func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, adds, dels []graph.Edge, perm []graph.VertexID) {
+	t.Helper()
+	n := g.NumVertices()
+	live := g.Edges()
+	if perm != nil {
+		for i := range live {
+			live[i].Src, live[i].Dst = perm[live[i].Src], perm[live[i].Dst]
+		}
+	}
+	for _, d := range dels {
+		i := slices.Index(live, d)
+		if i < 0 {
+			t.Fatalf("deletion %+v is not live", d)
+		}
+		live = slices.Delete(live, i, i+1)
+	}
+	g2, err := graph.FromEdges(n, append(live, adds...), g.Weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The predicates' vertex sets, in new IDs: destinations of the delta and
+	// moved vertices are dirty; destinations of moved vertices' out-edges
+	// hold stale source references.
+	dirtyAt := make([]bool, n)
+	srcAt := make([]bool, n)
+	for _, e := range append(slices.Clone(adds), dels...) {
+		dirtyAt[e.Dst] = true
+	}
+	moved := func(v graph.VertexID) bool { return perm != nil && perm[v] != v }
+	for v := range graph.VertexID(n) {
+		if moved(v) {
+			dirtyAt[v] = true
+			for _, d := range g2.OutNeighbors(v) {
+				srcAt[d] = true
+			}
+		}
+	}
+	anyIn := func(set []bool) func(lo, hi graph.VertexID) bool {
+		return func(lo, hi graph.VertexID) bool { return slices.Contains(set[lo:hi], true) }
+	}
+	dirty, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
+
+	cfg := Config{Engine: engine.Config{Topology: top}, Partitions: len(bounds) - 1, Order: o, Bounds: bounds}
+	gg, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := gg.Patch(g2, perm, dirty, srcMoved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(g2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gg.Patch(g2, make([]graph.VertexID, n+1), dirty, srcMoved); err == nil {
+		t.Fatal("a permutation of the wrong length was accepted")
+	}
+
+	var wantSt engine.PatchStats
+	for i, pt := range gg.parts {
+		switch {
+		case dirty(pt.Lo, pt.Hi):
+			wantSt.PartsRebuilt++
+			wantSt.EdgesRebuilt += want.parts[i].Edges
+		case perm != nil && srcMoved(pt.Lo, pt.Hi):
+			var stale int64
+			for _, s := range gg.coos[i].Src {
+				if moved(s) {
+					stale++
+				}
+			}
+			wantSt.PartsRemapped++
+			wantSt.EdgesRemapped += stale
+			wantSt.EdgesReused += pt.Edges - stale
+		default:
+			wantSt.PartsReused++
+			wantSt.EdgesReused += pt.Edges
+		}
+	}
+	if st != wantSt {
+		t.Fatalf("%v: stats %+v, want %+v", o, st, wantSt)
+	}
+	if parts := st.PartsRebuilt + st.PartsRemapped + st.PartsReused; parts != len(gg.parts) {
+		t.Fatalf("%v: stats cover %d of %d partitions", o, parts, len(gg.parts))
+	}
+	if edges := st.EdgesRebuilt + st.EdgesRemapped + st.EdgesReused; edges != g2.NumEdges() {
+		t.Fatalf("%v: stats cover %d of %d edges", o, edges, g2.NumEdges())
+	}
+	if !slices.Equal(got.parts, want.parts) || !slices.Equal(got.ranges, want.ranges) || !slices.Equal(got.partOf, want.partOf) {
+		t.Fatalf("%v: partition metadata differs from New", o)
+	}
+	for i, c := range got.coos {
+		w := want.coos[i]
+		if c.Ordering != w.Ordering || !slices.Equal(c.Src, w.Src) || !slices.Equal(c.Dst, w.Dst) || !slices.Equal(c.Weight, w.Weight) {
+			t.Fatalf("%v: partition %d [%d,%d) COO differs from New (%d vs %d edges)",
+				o, i, gg.parts[i].Lo, gg.parts[i].Hi, c.Len(), w.Len())
+		}
+	}
+}
+
+// swapPerm returns the permutation exchanging each byte-chosen pair, or nil
+// for none.
+func swapPerm(n, pairs int, pick func() int) []graph.VertexID {
+	if pairs == 0 {
+		return nil
+	}
+	perm := make([]graph.VertexID, n)
+	for v := range perm {
+		perm[v] = graph.VertexID(v)
+	}
+	for range pairs {
+		a, b := pick()%n, pick()%n
+		perm[a], perm[b] = perm[b], perm[a]
+	}
+	return perm
+}
+
+// TestPatchMatchesNew patches a VEBO-partitioned power-law graph, weighted
+// and unweighted, after a 32-update delta, with and without eight swapped
+// vertex pairs (the shape a swap repair leaves), in both COO orders.
+func TestPatchMatchesNew(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		g0, err := gen.PowerLaw(gen.PowerLawConfig{N: 2000, S: 1.0, MaxDegree: 100, ZeroInFrac: 0.1, Seed: 6, Weighted: weighted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Reorder(g0, 32, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := core.Apply(g0, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumVertices()
+		for _, pairs := range []int{0, 8} {
+			rng := rand.New(rand.NewSource(int64(pairs) + 1))
+			perm := swapPerm(n, pairs, rng.Int)
+			live := g.Edges()
+			var adds, dels []graph.Edge
+			for range 16 {
+				j := rng.Intn(len(live))
+				e := live[j]
+				live = slices.Delete(live, j, j+1)
+				if perm != nil {
+					e.Src, e.Dst = perm[e.Src], perm[e.Dst]
+				}
+				dels = append(dels, e)
+				adds = append(adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: int32(1 + rng.Intn(9))})
+			}
+			if !weighted {
+				for i := range adds {
+					adds[i].Weight = 1
+				}
+			}
+			for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+				checkPatch(t, g, r.Boundaries(), o, adds, dels, perm)
+			}
+		}
+	}
+}
+
+// FuzzGraphGrindPatch patches engines over random multigraphs, weighted and
+// unweighted, with random partition bounds, random additions and deletions
+// and random swapped vertex pairs, in both COO orders (see checkPatch).
+func FuzzGraphGrindPatch(f *testing.F) {
+	f.Add(uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint8(1), []byte{0, 0, 0})
+	f.Add(uint8(31), []byte{0xff, 0x80, 0x40, 0x20, 0x10, 8, 4, 2, 1, 0, 3, 3, 3})
+	f.Add(uint8(20), []byte{40, 1, 2, 1, 2, 1, 2, 3, 4, 5, 2, 9, 9, 1, 7, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(func(t *testing.T, nB uint8, data []byte) {
+		i := 0
+		next := func() int {
+			if i >= len(data) {
+				return 0
+			}
+			i++
+			return int(data[i-1])
+		}
+		n := 1 + int(nB%48)
+		weighted := len(data)%2 == 0
+		weight := func() int32 {
+			if weighted {
+				return int32(next()%4) - 1 // negative and zero weights too
+			}
+			return 1
+		}
+		// Few distinct sources: many parallel edges of differing weights.
+		edges := make([]graph.Edge, next()%128)
+		for j := range edges {
+			edges[j] = graph.Edge{Src: graph.VertexID(next() % (1 + n/3)), Dst: graph.VertexID(next() % n), Weight: weight()}
+		}
+		g, err := graph.FromEdges(n, edges, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := []int64{0}
+		for int(bounds[len(bounds)-1]) < n {
+			step := int64(next() % 8) // 0: an empty partition
+			if i == len(data) {
+				step = int64(n)
+			}
+			bounds = append(bounds, min(int64(n), bounds[len(bounds)-1]+step))
+		}
+		perm := swapPerm(n, next()%5, next)
+		live := g.Edges()
+		var dels []graph.Edge
+		for k := next() % 8; k > 0 && len(live) > 0; k-- {
+			j := next() % len(live)
+			e := live[j]
+			live = slices.Delete(live, j, j+1)
+			if perm != nil {
+				e.Src, e.Dst = perm[e.Src], perm[e.Dst]
+			}
+			dels = append(dels, e)
+		}
+		var adds []graph.Edge
+		for k := next() % 8; k > 0; k-- {
+			adds = append(adds, graph.Edge{Src: graph.VertexID(next() % n), Dst: graph.VertexID(next() % n), Weight: weight()})
+		}
+		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+			checkPatch(t, g, bounds, o, adds, dels, perm)
+		}
+	})
+}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hilbert"
+	"repro/internal/sched"
 )
 
 // Order selects a COO edge ordering.
@@ -53,23 +54,140 @@ type COO struct {
 // Len returns the number of edges.
 func (c *COO) Len() int { return len(c.Src) }
 
+// Range is a half-open destination-vertex range [Lo, Hi).
+type Range struct {
+	Lo, Hi graph.VertexID
+}
+
 // Build materializes g's edges as a COO in the requested order.
 func Build(g *graph.Graph, o Order) (*COO, error) {
 	return BuildRange(g, 0, graph.VertexID(g.NumVertices()), o)
 }
 
 // BuildRange materializes the in-edges of the destination range [lo, hi) in
-// the requested order. GraphGrind builds one COO per partition.
+// the requested order: BuildRanges over the one range.
 func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
-	var b Builder
-	return b.BuildRange(g, lo, hi, o)
+	cs, _, err := BuildRanges(g, []Range{{lo, hi}}, o, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return cs[0], nil
 }
 
-// Builder materializes COOs, keeping its sort scratch across calls so a
-// worker that builds many partitions allocates it once. The zero value is
-// ready to use; a Builder must not be used by two goroutines at once.
-type Builder struct {
-	keys  []uint64         // CSR order: src<<32 | position
+// BuildRanges materializes the in-edges of each of the disjoint destination
+// ranges as one COO in order o. GraphGrind builds one COO per partition.
+//
+// Every order is the stable sort, by the order's key, of the range's
+// in-edges in CSC order (destination-major, and by (source, weight) within
+// a destination), so parallel edges keep their weight order. CSR order needs
+// no sort: g's out-edge rows list their destinations by (destination,
+// weight), so scattering the rows of increasing sources into the COOs of the
+// ranges their destinations fall in writes every COO in (source,
+// destination, weight) order. That is one serial pass over the out-edges,
+// whatever the number of ranges. CSC order copies the CSC arrays, and
+// Hilbert order sorts (curve index, position) pairs range by range, on up to
+// workers goroutines.
+//
+// The COOs of an unweighted graph take their weights as prefixes of one
+// all-ones slice: ones when it is long enough, otherwise a fresh, longer one.
+// The slice in use is returned, so the builds of one engine lineage share it.
+func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []int32) ([]*COO, []int32, error) {
+	off := g.InOffsets()
+	var longest int64
+	for _, r := range ranges {
+		if r.Lo > r.Hi || int(r.Hi) > g.NumVertices() {
+			return nil, nil, fmt.Errorf("layout: invalid range [%d,%d)", r.Lo, r.Hi)
+		}
+		longest = max(longest, off[r.Hi]-off[r.Lo])
+	}
+	if o == HilbertOrder && longest > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("layout: a range has %d edges, more than a position holds", longest)
+	}
+	var unit []int32 // the weights of every COO; nil: each COO has its own
+	if g.InEdgeWeights() == nil {
+		ones = graph.OnesFor(ones, longest)
+		unit = ones
+	}
+	coos := make([]*COO, len(ranges))
+	switch o {
+	case CSROrder:
+		if err := gatherCSR(g, ranges, coos, unit); err != nil {
+			return nil, nil, err
+		}
+	case CSCOrder, HilbertOrder:
+		builders := make([]builder, max(min(workers, len(ranges)), 1))
+		sched.DynamicItems(len(builders), len(ranges), func(w, i int) {
+			coos[i] = builders[w].build(g, ranges[i], o, unit)
+		})
+	default:
+		return nil, nil, fmt.Errorf("layout: unknown order %v", o)
+	}
+	return coos, ones, nil
+}
+
+// newCOO allocates an m-edge COO whose weights are unit's prefix, or an
+// array of their own when unit is nil.
+func newCOO(m int64, o Order, unit []int32) *COO {
+	ids := make([]graph.VertexID, 2*m)
+	c := &COO{Src: ids[:m:m], Dst: ids[m:], Ordering: o}
+	if unit != nil {
+		c.Weight = unit[:m:m]
+	} else {
+		c.Weight = make([]int32, m)
+	}
+	return c
+}
+
+// gatherCSR fills the CSR-order COOs of ranges in one pass over g's
+// out-edge rows (see BuildRanges), each row clipped by binary search to the
+// span of the ranges.
+func gatherCSR(g *graph.Graph, ranges []Range, coos []*COO, unit []int32) error {
+	if len(ranges) == 0 {
+		return nil
+	}
+	off := g.InOffsets()
+	// owner[v] is 1 + the index of v's range, or 0 for none; [lo, hi) is
+	// the span of the non-empty ranges.
+	owner := make([]int32, g.NumVertices())
+	lo, hi := graph.VertexID(g.NumVertices()), graph.VertexID(0)
+	for i, r := range ranges {
+		coos[i] = newCOO(off[r.Hi]-off[r.Lo], CSROrder, unit)
+		if r.Lo < r.Hi {
+			lo, hi = min(lo, r.Lo), max(hi, r.Hi)
+		}
+		for v := r.Lo; v < r.Hi; v++ {
+			if owner[v] != 0 {
+				return fmt.Errorf("layout: ranges [%d,%d) and [%d,%d) overlap", ranges[owner[v]-1].Lo, ranges[owner[v]-1].Hi, r.Lo, r.Hi)
+			}
+			owner[v] = int32(i + 1)
+		}
+	}
+	next := make([]int64, len(ranges))
+	weighted := unit == nil
+	for s := range graph.VertexID(g.NumVertices()) {
+		row, ws := g.OutNeighbors(s), g.OutWeights(s)
+		j, _ := slices.BinarySearch(row, lo)
+		for ; j < len(row) && row[j] < hi; j++ {
+			d := row[j]
+			r := owner[d] - 1
+			if r < 0 {
+				continue
+			}
+			c, p := coos[r], next[r]
+			c.Src[p], c.Dst[p] = s, d
+			if weighted {
+				c.Weight[p] = ws[j]
+			}
+			next[r] = p + 1
+		}
+	}
+	return nil
+}
+
+// builder builds one range's COO at a time in CSC or Hilbert order, keeping
+// its scratch across calls so a worker that builds many ranges allocates it
+// once. The zero value is ready to use.
+type builder struct {
 	hkeys []hilbertKey     // Hilbert order: (curve index, position)
 	dstAt []graph.VertexID // destination of each position
 }
@@ -79,87 +197,48 @@ type hilbertKey struct {
 	pos uint32
 }
 
-// BuildRange is the package-level BuildRange using b's scratch.
-//
-// A position indexes the range's in-edges in CSC order: destination-major,
-// and by (source, weight) within a destination. Every order is the stable
-// sort of that sequence by the order's key, so parallel edges keep their
-// weight order. CSR order sorts src<<32|position, which is exactly the
-// stable (src, dst) order because positions are destination-major; Hilbert
-// order sorts (curve index, position) pairs. Both then gather the COO in
-// one pass from the graph's CSC arrays.
-func (b *Builder) BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
-	if lo > hi || int(hi) > g.NumVertices() {
-		return nil, fmt.Errorf("layout: invalid range [%d,%d)", lo, hi)
-	}
+// build materializes r's in-edges in order o, which is CSCOrder or
+// HilbertOrder. A position indexes the range's in-edges in CSC order.
+func (b *builder) build(g *graph.Graph, r Range, o Order, unit []int32) *COO {
 	off := g.InOffsets()
-	base, end := off[lo], off[hi]
+	base, end := off[r.Lo], off[r.Hi]
 	m := end - base
-	if m > math.MaxUint32 {
-		return nil, fmt.Errorf("layout: range [%d,%d) has %d edges, more than a position holds", lo, hi, m)
-	}
 	srcs := g.InEdgeSources()[base:end]
 	ws := g.InEdgeWeights() // nil on an unweighted graph: every weight is 1
 	if ws != nil {
 		ws = ws[base:end]
 	}
 	b.dstAt = resize(b.dstAt, int(m))
-	for v := lo; v < hi; v++ {
+	for v := r.Lo; v < r.Hi; v++ {
 		for i := off[v] - base; i < off[v+1]-base; i++ {
 			b.dstAt[i] = v
 		}
 	}
-	c := &COO{
-		Src:      make([]graph.VertexID, m),
-		Dst:      make([]graph.VertexID, m),
-		Weight:   make([]int32, m),
-		Ordering: o,
-	}
-	if ws == nil {
-		for i := range c.Weight {
-			c.Weight[i] = 1
-		}
-	}
-	switch o {
-	case CSCOrder:
+	c := newCOO(m, o, unit)
+	if o == CSCOrder {
 		copy(c.Src, srcs)
 		copy(c.Dst, b.dstAt)
 		copy(c.Weight, ws)
-	case CSROrder:
-		b.keys = resize(b.keys, int(m))
-		for i, s := range srcs {
-			b.keys[i] = uint64(s)<<32 | uint64(i)
-		}
-		slices.Sort(b.keys)
-		for i, k := range b.keys {
-			p := uint32(k)
-			c.Src[i], c.Dst[i] = graph.VertexID(k>>32), b.dstAt[p]
-			if ws != nil {
-				c.Weight[i] = ws[p]
-			}
-		}
-	case HilbertOrder:
-		k := hilbert.OrderFor(g.NumVertices())
-		b.hkeys = resize(b.hkeys, int(m))
-		for i, s := range srcs {
-			b.hkeys[i] = hilbertKey{hilbert.XY2D(k, s, b.dstAt[i]), uint32(i)}
-		}
-		slices.SortFunc(b.hkeys, func(x, y hilbertKey) int {
-			if x.d != y.d {
-				return cmp.Compare(x.d, y.d)
-			}
-			return cmp.Compare(x.pos, y.pos)
-		})
-		for i, e := range b.hkeys {
-			c.Src[i], c.Dst[i] = srcs[e.pos], b.dstAt[e.pos]
-			if ws != nil {
-				c.Weight[i] = ws[e.pos]
-			}
-		}
-	default:
-		return nil, fmt.Errorf("layout: unknown order %v", o)
+		return c
 	}
-	return c, nil
+	k := hilbert.OrderFor(g.NumVertices())
+	b.hkeys = resize(b.hkeys, int(m))
+	for i, s := range srcs {
+		b.hkeys[i] = hilbertKey{hilbert.XY2D(k, s, b.dstAt[i]), uint32(i)}
+	}
+	slices.SortFunc(b.hkeys, func(x, y hilbertKey) int {
+		if x.d != y.d {
+			return cmp.Compare(x.d, y.d)
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	for i, e := range b.hkeys {
+		c.Src[i], c.Dst[i] = srcs[e.pos], b.dstAt[e.pos]
+		if ws != nil {
+			c.Weight[i] = ws[e.pos]
+		}
+	}
+	return c
 }
 
 // resize returns s resliced to length n, reallocating only when its capacity

@@ -180,14 +180,15 @@ func referenceBuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) []graph
 	return es
 }
 
-// TestBuildRangeMatchesStableSort pins BuildRange entry for entry to the
-// stable comparison sort, for every order, on random weighted and
-// unweighted multigraphs dense in parallel edges of differing weights, over
-// random, empty and end-of-space ranges. One Builder serves every call, so
-// scratch left over from a larger range must not leak into a smaller one.
+// TestBuildRangeMatchesStableSort pins BuildRange and BuildRanges entry for
+// entry to the stable comparison sort, for every order, on random weighted
+// and unweighted multigraphs dense in parallel edges of differing weights,
+// over random, empty and end-of-space ranges. The multi-range call takes a
+// random subset of a random cut of the vertex space, shuffled, so one
+// worker's scratch left over from a larger range must not leak into a
+// smaller one and the CSR gather must not depend on the ranges' order.
 func TestBuildRangeMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var b Builder
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(150)
 		weighted := trial%2 == 0
@@ -204,24 +205,95 @@ func TestBuildRangeMatchesStableSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check := func(o Order, r Range, got *COO) {
+			t.Helper()
+			want := referenceBuildRange(g, r.Lo, r.Hi, o)
+			if got.Len() != len(want) || len(got.Dst) != len(want) || len(got.Weight) != len(want) {
+				t.Fatalf("trial %d %v [%d,%d): %d edges, want %d", trial, o, r.Lo, r.Hi, got.Len(), len(want))
+			}
+			for i, e := range want {
+				if got.Src[i] != e.Src || got.Dst[i] != e.Dst || got.Weight[i] != e.Weight {
+					t.Fatalf("trial %d %v [%d,%d) entry %d: (%d,%d,%d), want (%d,%d,%d)",
+						trial, o, r.Lo, r.Hi, i, got.Src[i], got.Dst[i], got.Weight[i], e.Src, e.Dst, e.Weight)
+				}
+			}
+		}
 		a := graph.VertexID(rng.Intn(n + 1))
 		c := graph.VertexID(rng.Intn(n + 1))
 		nv := graph.VertexID(n)
-		ranges := [][2]graph.VertexID{{min(a, c), max(a, c)}, {0, nv}, {0, 0}, {nv, nv}, {a, nv}}
-		for _, r := range ranges {
-			for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
-				want := referenceBuildRange(g, r[0], r[1], o)
-				got, err := b.BuildRange(g, r[0], r[1], o)
+		var cut []Range
+		for lo := 0; lo < n; {
+			hi := lo + 1 + rng.Intn(n-lo)
+			if rng.Intn(3) > 0 {
+				cut = append(cut, Range{graph.VertexID(lo), graph.VertexID(hi)})
+			}
+			lo = hi
+		}
+		rng.Shuffle(len(cut), func(i, j int) { cut[i], cut[j] = cut[j], cut[i] })
+		for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+			for _, r := range []Range{{min(a, c), max(a, c)}, {0, nv}, {0, 0}, {nv, nv}, {a, nv}} {
+				got, err := BuildRange(g, r.Lo, r.Hi, o)
 				if err != nil {
-					t.Fatalf("trial %d %v [%d,%d): %v", trial, o, r[0], r[1], err)
+					t.Fatalf("trial %d %v [%d,%d): %v", trial, o, r.Lo, r.Hi, err)
 				}
-				if got.Len() != len(want) || len(got.Dst) != len(want) || len(got.Weight) != len(want) {
-					t.Fatalf("trial %d %v [%d,%d): %d edges, want %d", trial, o, r[0], r[1], got.Len(), len(want))
+				check(o, r, got)
+			}
+			got, _, err := BuildRanges(g, cut, o, 2, nil)
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, o, err)
+			}
+			for i, r := range cut {
+				check(o, r, got[i])
+			}
+		}
+	}
+}
+
+func TestBuildRangesRejectsOverlap(t *testing.T) {
+	g := testGraph(t)
+	if _, _, err := BuildRanges(g, []Range{{10, 20}, {15, 30}}, CSROrder, 1, nil); err == nil {
+		t.Error("expected error for overlapping ranges")
+	}
+}
+
+// TestUnweightedCOOsShareUnitWeights pins the weight sharing of unweighted
+// COOs: every COO of a build reads a prefix of one all-ones slice, a later
+// build handed that slice reuses it, and weighted COOs keep arrays of their
+// own.
+func TestUnweightedCOOsShareUnitWeights(t *testing.T) {
+	edges := make([]graph.Edge, 0, 400)
+	for i := range 400 {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(i % 37), Dst: graph.VertexID(i % 100), Weight: 7})
+	}
+	ranges := []Range{{0, 30}, {30, 70}, {70, 100}}
+	for _, weighted := range []bool{false, true} {
+		g, err := graph.FromEdges(100, edges, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+			coos, ones, err := BuildRanges(g, ranges, o, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, ones2, err := BuildRanges(g, ranges[1:], o, 1, ones)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !weighted && (len(ones) == 0 || &ones2[0] != &ones[0]) {
+				t.Fatalf("%v: the second build did not reuse the lineage's ones", o)
+			}
+			for _, c := range append(coos, again...) {
+				shared := len(ones) > 0 && c.Len() > 0 && &c.Weight[0] == &ones[0]
+				if shared == weighted {
+					t.Fatalf("%v weighted=%v: COO weights shared=%v", o, weighted, shared)
 				}
-				for i, e := range want {
-					if got.Src[i] != e.Src || got.Dst[i] != e.Dst || got.Weight[i] != e.Weight {
-						t.Fatalf("trial %d %v [%d,%d) entry %d: (%d,%d,%d), want (%d,%d,%d)",
-							trial, o, r[0], r[1], i, got.Src[i], got.Dst[i], got.Weight[i], e.Src, e.Dst, e.Weight)
+				if cap(c.Weight) != c.Len() {
+					t.Fatalf("%v: weight capacity %d exceeds the COO's %d edges", o, cap(c.Weight), c.Len())
+				}
+				for _, w := range c.Weight {
+					if want := map[bool]int32{false: 1, true: 7}[weighted]; w != want {
+						t.Fatalf("%v weighted=%v: weight %d, want %d", o, weighted, w, want)
 					}
 				}
 			}

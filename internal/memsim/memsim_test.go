@@ -263,13 +263,13 @@ func TestSummarizeSkipsIdleThreads(t *testing.T) {
 
 func buildCOOs(t *testing.T, g *graph.Graph, parts []partition.Partition, o layout.Order) []*layout.COO {
 	t.Helper()
-	coos := make([]*layout.COO, len(parts))
+	ranges := make([]layout.Range, len(parts))
 	for i, pt := range parts {
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coos[i] = c
+		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
+	}
+	coos, _, err := layout.BuildRanges(g, ranges, o, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return coos
 }

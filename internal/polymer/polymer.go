@@ -66,50 +66,33 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 // Patch builds a Polymer engine over g — a graph whose edge content differs
 // from p's only inside socket partitions for which dirty reports true —
 // reusing p's partition metadata and edge-balanced thread sub-ranges for
-// every clean partition. The caller guarantees that p's partition structure
-// still applies to g in one of two shapes. With bounds == nil, g has the
-// same vertex count and the boundaries are unchanged: either the vertex
-// placement did not change (perm == nil), or it changed by a segment-local
-// permutation perm (old ID → new ID, identity outside the moved vertices)
-// that kept the boundaries fixed. Headroom growth is the perm == nil case:
-// admitted vertices fill reserved slots inside their socket's fixed
-// capacity range, so only grown sockets are dirty and every other socket
-// reuses its sub-ranges with no sliding at all. With non-nil bounds
-// (sockets+1 entries), the vertex space may additionally have grown with
-// moved boundaries: bounds are the new socket boundaries, perm is an
-// injection of the old ID space into [0, bounds[last]) and g has
-// bounds[last] vertices. Polymer's
+// every clean partition. g has p's vertex count and socket boundaries:
+// either the vertex placement did not change (perm == nil), or it changed
+// by a segment-local permutation perm (old ID → new ID, identity outside
+// the moved vertices) that kept the boundaries fixed. Headroom growth is
+// the perm == nil case: admitted vertices fill reserved slots inside their
+// socket's fixed range, so only grown sockets are dirty. Polymer's
 // per-partition state — edge counts and thread sub-ranges — stores no
-// neighbor IDs, so a partition whose range merely shifted is remapped by
-// sliding its sub-ranges; a partition containing a moved or admitted vertex
-// is upgraded to dirty (its per-vertex in-degree layout changed), whether
-// or not the caller flagged it. Dirty partitions are re-scanned and
-// re-subdivided.
-func (p *Polymer) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int64, dirty func(lo, hi graph.VertexID) bool) (*Polymer, engine.PatchStats, error) {
+// neighbor IDs, so only a partition containing a moved or admitted vertex
+// changes; it is upgraded to dirty whether or not the caller flagged it.
+// Dirty partitions are re-scanned and re-subdivided.
+func (p *Polymer) Patch(g *graph.Graph, perm []graph.VertexID, dirty func(lo, hi graph.VertexID) bool) (*Polymer, engine.PatchStats, error) {
 	var st engine.PatchStats
-	nNew := p.g.NumVertices()
-	if bounds != nil {
-		if len(bounds) != len(p.parts)+1 {
-			return nil, st, fmt.Errorf("polymer: patch bounds must have %d entries, got %d", len(p.parts)+1, len(bounds))
-		}
-		nNew = int(bounds[len(bounds)-1])
-	}
-	if g.NumVertices() != nNew {
-		return nil, st, fmt.Errorf("polymer: patch vertex count %d != %d", g.NumVertices(), nNew)
+	if g.NumVertices() != p.g.NumVertices() {
+		return nil, st, fmt.Errorf("polymer: patch vertex count %d != %d", g.NumVertices(), p.g.NumVertices())
 	}
 	// The facade's dirty predicate already flags ranges containing moved or
 	// admitted vertices, so this scan is pure defense for other callers of
 	// the public API. It only runs over ranges claimed clean, costs one
 	// linear pass of integer compares per patch — noise next to
 	// re-subdividing even a single socket partition — and keeps Patch
-	// self-sufficiently correct when the caller's predicate under-reports:
-	// a clean partition's old range must map uniformly by its shift delta.
-	uniformShift := func(lo, hi graph.VertexID, delta int64) bool {
+	// self-sufficiently correct when the caller's predicate under-reports.
+	unmoved := func(lo, hi graph.VertexID) bool {
 		if perm == nil {
-			return delta == 0
+			return true
 		}
 		for v := lo; v < hi; v++ {
-			if int64(perm[v]) != int64(v)+delta {
+			if perm[v] != v {
 				return false
 			}
 		}
@@ -124,37 +107,19 @@ func (p *Polymer) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int64, d
 		for ui < len(p.units) && p.units[ui].Lo >= pt.Lo && p.units[ui].Lo < pt.Hi {
 			ui++
 		}
-		newLo, newHi := pt.Lo, pt.Hi
-		if bounds != nil {
-			newLo, newHi = graph.VertexID(bounds[i]), graph.VertexID(bounds[i+1])
-		}
-		delta := int64(newLo) - int64(pt.Lo)
-		if !dirty(newLo, newHi) && newHi-newLo == pt.Hi-pt.Lo && uniformShift(pt.Lo, pt.Hi, delta) {
-			if delta == 0 {
-				parts[i] = pt
-				units = append(units, p.units[lo:ui]...)
-				st.PartsReused++
-			} else {
-				// Pure shift: slide the partition and its sub-ranges; the
-				// per-vertex in-degree layout inside is unchanged.
-				parts[i] = partition.Partition{Lo: newLo, Hi: newHi, Edges: pt.Edges}
-				for _, u := range p.units[lo:ui] {
-					units = append(units, engine.Range{
-						Lo: graph.VertexID(int64(u.Lo) + delta),
-						Hi: graph.VertexID(int64(u.Hi) + delta),
-					})
-				}
-				st.PartsRemapped++
-			}
+		if !dirty(pt.Lo, pt.Hi) && unmoved(pt.Lo, pt.Hi) {
+			parts[i] = pt
+			units = append(units, p.units[lo:ui]...)
+			st.PartsReused++
 			st.EdgesReused += pt.Edges
 			continue
 		}
-		np := partition.Partition{Lo: newLo, Hi: newHi}
-		for v := newLo; v < newHi; v++ {
+		np := partition.Partition{Lo: pt.Lo, Hi: pt.Hi}
+		for v := pt.Lo; v < pt.Hi; v++ {
 			np.Edges += g.InDegree(v)
 		}
 		parts[i] = np
-		units = append(units, engine.SubdivideByEdges(g, []engine.Range{{Lo: newLo, Hi: newHi}}, tps)...)
+		units = append(units, engine.SubdivideByEdges(g, []engine.Range{{Lo: pt.Lo, Hi: pt.Hi}}, tps)...)
 		st.PartsRebuilt++
 		st.EdgesRebuilt += np.Edges
 	}

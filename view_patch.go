@@ -242,13 +242,13 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 
 // patchEngine derives this view's engine from the basis view b's by
 // rebuilding only dirty partitions, remapping partitions whose stored
-// source IDs moved, and sharing the rest. Partition boundaries are always
-// passed as nil ("unchanged"): within a numbering lineage the slot space is
-// fixed — admissions fill reserved headroom slots inside existing segment
-// boundaries — so the engines share ranges and partition lookup tables
-// outright even across grown epochs, and only a spill (which breaks the
-// lineage and forces scratch builds) ever changes the boundaries. Reports
-// ok=false to fall back to a scratch build.
+// source IDs moved, and sharing the rest. Partition boundaries never
+// change: within a numbering lineage the slot space is fixed — admissions
+// fill reserved headroom slots inside existing segment boundaries — so the
+// engines share ranges and partition lookup tables outright even across
+// grown epochs, and only a spill (which breaks the lineage and forces
+// scratch builds) ever changes the boundaries. Reports ok=false to fall
+// back to a scratch build.
 func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine, bool) {
 	switch sys {
 	case Ligra:
@@ -268,7 +268,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b))
+		e, st, err := pe.Patch(rg, v.segPerm(b), v.dirtyPredicate(b))
 		if err != nil {
 			return nil, false
 		}
@@ -279,7 +279,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
+		e, st, err := ge.Patch(rg, v.segPerm(b), v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
 		if err != nil {
 			return nil, false
 		}
