@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -531,10 +532,7 @@ func BenchmarkAblationFrontierDensity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kernel := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return false },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return false },
-	}
+	kernel := enginetest.Const(false)
 	for _, frac := range []int{1000, 100, 10, 1} {
 		b.Run(fmt.Sprintf("active=1/%d", frac), func(b *testing.B) {
 			var vs []graph.VertexID

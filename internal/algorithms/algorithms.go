@@ -11,9 +11,12 @@
 //	BF    Bellman-Ford single-source shortest paths (vertex-oriented)
 //	BP    belief propagation, fixed iterations (edge-oriented, dense)
 //
-// Push-mode (sparse) updates use the lock-free primitives in
-// internal/atomicf; pull-mode (dense) updates rely on the engines'
-// guarantee that a single worker owns each destination.
+// Every kernel comes in the three engine.EdgeKernel forms: a Pull over one
+// destination's in-row, a Scatter over one partition COO, and a per-edge
+// UpdateAtomic for sparse push. The dense forms rely on the engines'
+// guarantee that a single worker owns each destination, and each does the
+// same operations in the same order as the per-edge update would; the push
+// form uses the lock-free primitives in internal/atomicf.
 package algorithms
 
 import (
@@ -49,16 +52,7 @@ func PageRankN(e engine.Engine, iters, nReal int) []float64 {
 	for v := 0; v < n; v++ {
 		rank[v] = 1.0 / float64(nReal)
 	}
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			acc[d] = atomicf.F64Bits(atomicf.F64From(acc[d]) + contrib[s])
-			return true
-		},
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
-			atomicf.AddF64(&acc[d], contrib[s])
-			return true
-		},
-	}
+	kernel := rankKernel(acc, contrib)
 	all := frontier.All(g)
 	for it := 0; it < iters; it++ {
 		for v := 0; v < n; v++ {
@@ -76,6 +70,41 @@ func PageRankN(e engine.Engine, iters, nReal int) []float64 {
 		})
 	}
 	return rank
+}
+
+// rankKernel sums contrib[s] into acc[d] (float64 bits) over every edge with
+// an active source and activates every destination it reaches: the edgemap
+// of PageRank, PageRankDelta and PageRankResume.
+func rankKernel(acc []uint64, contrib []float64) engine.EdgeKernel {
+	return engine.EdgeKernel{
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			sum := atomicf.F64From(acc[d])
+			active := false
+			for _, s := range srcs {
+				if in[s] {
+					sum += contrib[s]
+					active = true
+				}
+			}
+			if active {
+				acc[d] = atomicf.F64Bits(sum)
+			}
+			return len(srcs), active
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
+			src = src[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] {
+					acc[d] = atomicf.F64Bits(atomicf.F64From(acc[d]) + contrib[s])
+					out[d] = true
+				}
+			}
+		},
+		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
+			atomicf.AddF64(&acc[d], contrib[s])
+			return true
+		},
+	}
 }
 
 // PageRankDelta runs the delta-update PageRank variant: only vertices whose
@@ -104,16 +133,7 @@ func PageRankDeltaN(e engine.Engine, iters int, eps float64, nReal int) []float6
 		delta[v] = (1 - damping) / float64(nReal)
 		rank[v] = delta[v]
 	}
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			acc[d] = atomicf.F64Bits(atomicf.F64From(acc[d]) + contrib[s])
-			return true
-		},
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
-			atomicf.AddF64(&acc[d], contrib[s])
-			return true
-		},
-	}
+	kernel := rankKernel(acc, contrib)
 	f := frontier.All(g)
 	all := frontier.All(g)
 	for it := 0; it < iters && !f.IsEmpty(); it++ {
@@ -148,26 +168,48 @@ func BFS(e engine.Engine, root graph.VertexID) []int32 {
 		parent[i] = -1
 	}
 	parent[root] = int32(root)
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			if parent[d] < 0 {
-				parent[d] = int32(s)
-				return true
-			}
-			return false
-		},
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
-			return atomicf.CASI32(&parent[d], -1, int32(s))
-		},
-		// Sparse pushes race Cond against other workers' CAS on the same
-		// destination; the atomic load keeps that benign check race-free.
-		Cond: func(d graph.VertexID) bool { return atomic.LoadInt32(&parent[d]) < 0 },
-	}
+	kernel := BFSKernel(parent)
 	f := frontier.FromVertex(g, root)
 	for !f.IsEmpty() {
 		f = e.EdgeMap(f, kernel)
 	}
 	return parent
+}
+
+// BFSKernel is BFS's edgemap over a parent array (-1 = unvisited): an
+// unvisited destination takes the first active source that reaches it as
+// its parent and becomes active. A destination stops accepting updates once
+// it has a parent, so Pull stops its row scan there.
+func BFSKernel(parent []int32) engine.EdgeKernel {
+	return engine.EdgeKernel{
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			if parent[d] >= 0 {
+				return 0, false
+			}
+			for i, s := range srcs {
+				if in[s] {
+					parent[d] = int32(s)
+					return i + 1, true
+				}
+			}
+			return len(srcs), false
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
+			src = src[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] && parent[d] < 0 {
+					parent[d] = int32(s)
+					out[d] = true
+				}
+			}
+		},
+		// Sparse pushes race the visited check against other workers' CAS
+		// on the same destination; the atomic load keeps that benign check
+		// race-free.
+		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
+			return atomic.LoadInt32(&parent[d]) < 0 && atomicf.CASI32(&parent[d], -1, int32(s))
+		},
+	}
 }
 
 // Depths derives BFS depths from a parent array (root depth 0, -1 for
@@ -214,13 +256,32 @@ func CC(e engine.Engine) []uint32 {
 	// label — a stale read only defers the propagation to the next round,
 	// where the lowered source re-enters the frontier.
 	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			ls := atomic.LoadUint32(&label[s])
-			if ls < atomic.LoadUint32(&label[d]) {
-				atomic.StoreUint32(&label[d], ls)
-				return true
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			ld := atomic.LoadUint32(&label[d])
+			active := false
+			for _, s := range srcs {
+				if in[s] {
+					if ls := atomic.LoadUint32(&label[s]); ls < ld {
+						ld = ls
+						active = true
+					}
+				}
 			}
-			return false
+			if active {
+				atomic.StoreUint32(&label[d], ld)
+			}
+			return len(srcs), active
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
+			src = src[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] {
+					if ls := atomic.LoadUint32(&label[s]); ls < atomic.LoadUint32(&label[d]) {
+						atomic.StoreUint32(&label[d], ls)
+						out[d] = true
+					}
+				}
+			}
 		},
 		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
 			return atomicf.MinU32(&label[d], atomic.LoadUint32(&label[s]))
@@ -240,9 +301,24 @@ func SPMV(e engine.Engine, x []float64) []float64 {
 	n := g.NumVertices()
 	y := make([]uint64, n)
 	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, w int32) bool {
-			y[d] = atomicf.F64Bits(atomicf.F64From(y[d]) + float64(w)*x[s])
-			return false
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (int, bool) {
+			ws = ws[:len(srcs)]
+			sum := atomicf.F64From(y[d])
+			for i, s := range srcs {
+				if in[s] {
+					sum += float64(ws[i]) * x[s]
+				}
+			}
+			y[d] = atomicf.F64Bits(sum)
+			return len(srcs), false
+		},
+		Scatter: func(src, dst []graph.VertexID, ws []int32, in, _ []bool) {
+			src, ws = src[:len(dst)], ws[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] {
+					y[d] = atomicf.F64Bits(atomicf.F64From(y[d]) + float64(ws[i])*x[s])
+				}
+			}
 		},
 		UpdateAtomic: func(s, d graph.VertexID, w int32) bool {
 			atomicf.AddF64(&y[d], float64(w)*x[s])
@@ -262,41 +338,18 @@ func SPMV(e engine.Engine, x []float64) []float64 {
 func BellmanFord(e engine.Engine, root graph.VertexID) []int64 {
 	g := e.Graph()
 	n := g.NumVertices()
-	const inf = math.MaxInt64 / 4
 	dist := make([]int64, n)
 	for i := range dist {
-		dist[i] = inf
+		dist[i] = RelaxInf
 	}
 	dist[root] = 0
-	// As in CC, source distances may be lowered concurrently by the worker
-	// owning that vertex as a destination; atomic loads keep the relaxation
-	// race-free, and a stale read only postpones the relaxation to the next
-	// round.
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, w int32) bool {
-			if nd := atomic.LoadInt64(&dist[s]) + int64(w); nd < atomic.LoadInt64(&dist[d]) {
-				atomic.StoreInt64(&dist[d], nd)
-				return true
-			}
-			return false
-		},
-		UpdateAtomic: func(s, d graph.VertexID, w int32) bool {
-			return atomicf.MinI64(&dist[d], atomic.LoadInt64(&dist[s])+int64(w))
-		},
-	}
-	f := frontier.FromVertex(g, root)
-	for round := 0; round < n && !f.IsEmpty(); round++ {
-		f = e.EdgeMap(f, kernel)
-	}
-	out := make([]int64, n)
+	BellmanFordResume(e, dist, frontier.FromVertex(g, root))
 	for i, d := range dist {
-		if d >= inf {
-			out[i] = math.MaxInt64
-		} else {
-			out[i] = d
+		if d >= RelaxInf {
+			dist[i] = Unreached
 		}
 	}
-	return out
+	return dist
 }
 
 // Unreached is the distance BellmanFord reports for unreachable vertices.
@@ -322,16 +375,42 @@ func BC(e, eT engine.Engine, root graph.VertexID) []float64 {
 	visited[root] = true
 	depth[root] = 0
 
+	// Only unvisited destinations accept path counts; visited is set
+	// between edgemaps, never during one.
 	fwd := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			sigma[d] = atomicf.F64Bits(atomicf.F64From(sigma[d]) + atomicf.F64From(sigma[s]))
-			return !visited[d]
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			if visited[d] {
+				return 0, false
+			}
+			sum := atomicf.F64From(sigma[d])
+			active := false
+			for _, s := range srcs {
+				if in[s] {
+					sum += atomicf.F64From(sigma[s])
+					active = true
+				}
+			}
+			if active {
+				sigma[d] = atomicf.F64Bits(sum)
+			}
+			return len(srcs), active
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
+			src = src[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] && !visited[d] {
+					sigma[d] = atomicf.F64Bits(atomicf.F64From(sigma[d]) + atomicf.F64From(sigma[s]))
+					out[d] = true
+				}
+			}
 		},
 		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
+			if visited[d] {
+				return false
+			}
 			atomicf.AddF64(&sigma[d], atomicf.F64From(sigma[s]))
-			return !visited[d]
+			return true
 		},
-		Cond: func(d graph.VertexID) bool { return !visited[d] },
 	}
 
 	var levels []*frontier.Frontier
@@ -353,14 +432,34 @@ func BC(e, eT engine.Engine, root graph.VertexID) []float64 {
 	// Backward sweep: dependency delta flows from a vertex v to its BFS
 	// predecessors u (edge u→v in g, i.e. v→u in the transpose).
 	delta := make([]uint64, n)
+	// Sources sit one level below their destinations, so a row reads the
+	// delta of vertices no worker writes in this edgemap; Pull stores only
+	// the destinations it changed.
 	bwd := engine.EdgeKernel{
-		Update: func(v, u graph.VertexID, _ int32) bool {
-			if depth[u] == depth[v]-1 {
-				add := atomicf.F64From(sigma[u]) / atomicf.F64From(sigma[v]) *
-					(1 + atomicf.F64From(delta[v]))
-				delta[u] = atomicf.F64Bits(atomicf.F64From(delta[u]) + add)
+		Pull: func(u graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			du := atomicf.F64From(delta[u])
+			changed := false
+			for _, v := range srcs {
+				if in[v] && depth[u] == depth[v]-1 {
+					du += atomicf.F64From(sigma[u]) / atomicf.F64From(sigma[v]) *
+						(1 + atomicf.F64From(delta[v]))
+					changed = true
+				}
 			}
-			return false
+			if changed {
+				delta[u] = atomicf.F64Bits(du)
+			}
+			return len(srcs), false
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, _ []bool) {
+			src = src[:len(dst)]
+			for i, u := range dst {
+				if v := src[i]; in[v] && depth[u] == depth[v]-1 {
+					add := atomicf.F64From(sigma[u]) / atomicf.F64From(sigma[v]) *
+						(1 + atomicf.F64From(delta[v]))
+					delta[u] = atomicf.F64Bits(atomicf.F64From(delta[u]) + add)
+				}
+			}
 		},
 		UpdateAtomic: func(v, u graph.VertexID, _ int32) bool {
 			if depth[u] == depth[v]-1 {
@@ -407,10 +506,30 @@ func BP(e engine.Engine, iters int, prior []float64) []float64 {
 		norm[v] = 1 + sum
 	}
 	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, w int32) bool {
-			evidence[d] = atomicf.F64Bits(atomicf.F64From(evidence[d]) +
-				float64(w)*math.Tanh(belief[s]))
-			return true
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (int, bool) {
+			ws = ws[:len(srcs)]
+			sum := atomicf.F64From(evidence[d])
+			active := false
+			for i, s := range srcs {
+				if in[s] {
+					sum += float64(ws[i]) * math.Tanh(belief[s])
+					active = true
+				}
+			}
+			if active {
+				evidence[d] = atomicf.F64Bits(sum)
+			}
+			return len(srcs), active
+		},
+		Scatter: func(src, dst []graph.VertexID, ws []int32, in, out []bool) {
+			src, ws = src[:len(dst)], ws[:len(dst)]
+			for i, d := range dst {
+				if s := src[i]; in[s] {
+					evidence[d] = atomicf.F64Bits(atomicf.F64From(evidence[d]) +
+						float64(ws[i])*math.Tanh(belief[s]))
+					out[d] = true
+				}
+			}
 		},
 		UpdateAtomic: func(s, d graph.VertexID, w int32) bool {
 			atomicf.AddF64(&evidence[d], float64(w)*math.Tanh(belief[s]))

@@ -35,39 +35,80 @@ const RelaxInf = math.MaxInt64 / 4
 // returned.
 func RelaxResume(e engine.Engine, val []int64, weighted bool, f *frontier.Frontier) []int64 {
 	n := e.Graph().NumVertices()
-	step := func(w int32) int64 {
-		if weighted {
-			return int64(w)
-		}
-		return 1
+	kernel := relaxKernel(val, weighted)
+	for round := 0; round < n && !f.IsEmpty(); round++ {
+		f = e.EdgeMap(f, kernel)
 	}
-	// Source values may be lowered concurrently by the worker owning that
-	// vertex as a destination (the BellmanFord race); atomic loads keep the
-	// relaxation race-free, and a stale read only defers it one round.
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, w int32) bool {
-			sv := atomic.LoadInt64(&val[s])
-			if sv >= RelaxInf {
-				return false
+	return val
+}
+
+// relaxKernel is RelaxResume's edgemap: val[d] = min(val[d], val[s]+step)
+// over every edge with an active, reached source, activating the
+// destinations it lowers. The step is the edge weight when weighted, else 1.
+//
+// Source values may be lowered concurrently by the worker owning that vertex
+// as a destination (the BellmanFord race); atomic loads keep the relaxation
+// race-free, and a stale read only defers it one round.
+func relaxKernel(val []int64, weighted bool) engine.EdgeKernel {
+	return engine.EdgeKernel{
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (int, bool) {
+			ws = ws[:len(srcs)]
+			cur := atomic.LoadInt64(&val[d])
+			active := false
+			for i, s := range srcs {
+				if !in[s] {
+					continue
+				}
+				sv := atomic.LoadInt64(&val[s])
+				if sv >= RelaxInf {
+					continue
+				}
+				nd := sv + 1
+				if weighted {
+					nd = sv + int64(ws[i])
+				}
+				if nd < cur {
+					cur = nd
+					active = true
+				}
 			}
-			if nd := sv + step(w); nd < atomic.LoadInt64(&val[d]) {
-				atomic.StoreInt64(&val[d], nd)
-				return true
+			if active {
+				atomic.StoreInt64(&val[d], cur)
 			}
-			return false
+			return len(srcs), active
+		},
+		Scatter: func(src, dst []graph.VertexID, ws []int32, in, out []bool) {
+			src, ws = src[:len(dst)], ws[:len(dst)]
+			for i, d := range dst {
+				s := src[i]
+				if !in[s] {
+					continue
+				}
+				sv := atomic.LoadInt64(&val[s])
+				if sv >= RelaxInf {
+					continue
+				}
+				nd := sv + 1
+				if weighted {
+					nd = sv + int64(ws[i])
+				}
+				if nd < atomic.LoadInt64(&val[d]) {
+					atomic.StoreInt64(&val[d], nd)
+					out[d] = true
+				}
+			}
 		},
 		UpdateAtomic: func(s, d graph.VertexID, w int32) bool {
 			sv := atomic.LoadInt64(&val[s])
 			if sv >= RelaxInf {
 				return false
 			}
-			return atomicf.MinI64(&val[d], sv+step(w))
+			if weighted {
+				return atomicf.MinI64(&val[d], sv+int64(w))
+			}
+			return atomicf.MinI64(&val[d], sv+1)
 		},
 	}
-	for round := 0; round < n && !f.IsEmpty(); round++ {
-		f = e.EdgeMap(f, kernel)
-	}
-	return val
 }
 
 // BFSDepthsResume resumes a BFS-depth computation from a seed depth array
@@ -246,16 +287,7 @@ func PageRankResume(e engine.Engine, rank []float64, d RankDelta, iters int, eps
 
 	contrib := make([]float64, n)
 	acc := make([]uint64, n)
-	kernel := engine.EdgeKernel{
-		Update: func(s, dst graph.VertexID, _ int32) bool {
-			acc[dst] = atomicf.F64Bits(atomicf.F64From(acc[dst]) + contrib[s])
-			return true
-		},
-		UpdateAtomic: func(s, dst graph.VertexID, _ int32) bool {
-			atomicf.AddF64(&acc[dst], contrib[s])
-			return true
-		},
-	}
+	kernel := rankKernel(acc, contrib)
 	// Apply the initial delta and keep only material perturbations active.
 	f := applyDelta(g, rank, delta, touchList, eps)
 	for it := 0; it < iters && !f.IsEmpty(); it++ {

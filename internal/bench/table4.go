@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algorithms"
-	"repro/internal/atomicf"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/frontier"
@@ -23,19 +22,7 @@ func bfsFrontiers(eng engine.Engine, root graph.VertexID) []*frontier.Frontier {
 		parent[i] = -1
 	}
 	parent[root] = int32(root)
-	kernel := engine.EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			if parent[d] < 0 {
-				parent[d] = int32(s)
-				return true
-			}
-			return false
-		},
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
-			return atomicf.CASI32(&parent[d], -1, int32(s))
-		},
-		Cond: func(d graph.VertexID) bool { return parent[d] < 0 },
-	}
+	kernel := algorithms.BFSKernel(parent)
 	var fronts []*frontier.Frontier
 	f := frontier.FromVertex(g, root)
 	for !f.IsEmpty() {

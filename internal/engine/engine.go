@@ -10,6 +10,13 @@
 //   - VertexMap(frontier, fn): apply fn to every active vertex, returning
 //     the frontier of vertices for which fn returned true.
 //
+// An EdgeKernel comes in three forms, one per traversal: Pull takes one
+// destination's whole in-row (DensePull: Ligra and Polymer), Scatter one
+// partition's COO (DenseCOO: GraphGrind), and UpdateAtomic one edge
+// (SparsePush). The dense forms take rows rather than edges because that is
+// how real Ligra gets its speed: C++ templates inline the update into
+// edgeMapDense, and handing a Go kernel the whole row is the equivalent.
+//
 // # Modeled time
 //
 // The paper's results are wall-clock measurements on a 48-thread NUMA
@@ -43,23 +50,32 @@ const (
 	CostVertex = 4
 )
 
-// EdgeKernel is the per-edge computation supplied by an algorithm.
+// EdgeKernel is the computation an algorithm supplies to EdgeMap, in one
+// form per traversal. The dense forms take a whole row or partition, so the
+// update is compiled into the kernel's own loop: the per-edge work is not an
+// indirect call, and a destination's running value stays in a register for
+// its whole in-row. All three forms must apply the same update to the same
+// edges; they differ only in how those edges are handed over.
 type EdgeKernel struct {
-	// Update applies edge (s→d) with weight w; it returns true if d became
-	// newly active. Called in pull (dense) traversal where a single worker
-	// owns d, so it may be non-atomic.
-	Update func(s, d graph.VertexID, w int32) bool
-	// UpdateAtomic is the thread-safe variant used in push (sparse)
-	// traversal where multiple workers may target d concurrently.
+	// Pull applies destination d's in-row in dense pull traversal: srcs
+	// and ws are d's in-neighbours and weights, in is the input frontier's
+	// bitmap. It visits srcs in order, skips sources not active in in, and
+	// stores d's value once. It returns whether d became active and the
+	// number of edges scanned, which DensePull charges: len(srcs), or for
+	// a kernel with an early exit the index of the edge after which d
+	// stops accepting updates plus one, and 0 if d accepts none. A single
+	// worker owns d, so the store may be non-atomic.
+	Pull func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (scanned int, active bool)
+	// Scatter applies one GraphGrind partition COO (parallel src, dst and
+	// weight slices) in its stored order, skipping sources not active in
+	// in, and sets out[d] for every destination it activates. Partitions
+	// own disjoint destinations, so the updates may be non-atomic.
+	Scatter func(src, dst []graph.VertexID, ws []int32, in, out []bool)
+	// UpdateAtomic applies edge (s→d) with weight w in sparse push
+	// traversal, where several workers may target d concurrently; it
+	// returns true if d became newly active. It also carries any check that
+	// d still accepts updates.
 	UpdateAtomic func(s, d graph.VertexID, w int32) bool
-	// Cond reports whether destination d still accepts updates; dense
-	// traversal stops scanning d's in-edges once it returns false. A nil
-	// Cond means "always true".
-	Cond func(d graph.VertexID) bool
-}
-
-func (k EdgeKernel) cond(d graph.VertexID) bool {
-	return k.Cond == nil || k.Cond(d)
 }
 
 // Engine is the interface all three framework models implement, and the

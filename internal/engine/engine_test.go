@@ -123,23 +123,10 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// countKernel counts how many times each destination receives an update from
-// an active source; used to validate traversal coverage.
-func countKernel(n int) (EdgeKernel, []int64) {
-	counts := make([]int64, n)
-	k := EdgeKernel{
-		Update: func(s, d graph.VertexID, _ int32) bool {
-			counts[d]++
-			return true
-		},
-	}
-	k.UpdateAtomic = k.Update // tests run single-threaded workers below
-	return k, counts
-}
-
 func TestDensePullVisitsEveryEdgeOnce(t *testing.T) {
 	g := testGraph(t)
-	k, counts := countKernel(g.NumVertices())
+	counts := make([]int64, g.NumVertices())
+	k := countKernel(counts)
 	units := SplitRange(g.NumVertices(), 64)
 	out, costs := DensePull(g, frontier.All(g), k, units, 1)
 	for v := 0; v < g.NumVertices(); v++ {
@@ -162,7 +149,8 @@ func TestDensePullVisitsEveryEdgeOnce(t *testing.T) {
 
 func TestSparsePushVisitsFrontierEdges(t *testing.T) {
 	g := testGraph(t)
-	k, counts := countKernel(g.NumVertices())
+	counts := make([]int64, g.NumVertices())
+	k := countKernel(counts)
 	srcs := []graph.VertexID{1, 5, 9}
 	f := frontier.FromVertices(g, srcs)
 	out, _ := SparsePush(g, f, k, 2, 1)
@@ -191,27 +179,47 @@ func TestDenseCOOMatchesDensePull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, c1 := countKernel(g.NumVertices())
-	DensePull(g, frontier.All(g), k1, units, 1)
-	k2, c2 := countKernel(g.NumVertices())
-	DenseCOO(g, frontier.All(g), k2, coos, units, 1)
+	c1 := make([]int64, g.NumVertices())
+	DensePull(g, frontier.All(g), countKernel(c1), units, 1)
+	c2 := make([]int64, g.NumVertices())
+	DenseCOO(g, frontier.All(g), countKernel(c2), coos, units, 1)
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatal("DenseCOO and DensePull disagree on update counts")
 	}
 }
 
-func TestDensePullRespectsCond(t *testing.T) {
+// DensePull charges each destination CostVertex plus the edges its Pull
+// reports scanned, hands every destination to Pull exactly once, and
+// activates only what Pull activates.
+func TestDensePullChargesScannedEdges(t *testing.T) {
 	g := testGraph(t)
-	// Cond rejects everything: no updates at all.
-	called := false
-	k := EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { called = true; return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { called = true; return true },
-		Cond:         func(d graph.VertexID) bool { return false },
+	pulls := make([]int, g.NumVertices())
+	// Even destinations stop after at most two edges (an early exit); odd
+	// ones accept no updates at all.
+	k := EdgeKernel{Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, _ []bool) (int, bool) {
+		pulls[d]++
+		if d%2 == 1 {
+			return 0, false
+		}
+		return min(len(srcs), 2), false
+	}}
+	units := SplitRange(g.NumVertices(), 64)
+	out, costs := DensePull(g, frontier.All(g), k, units, 2)
+	for u, r := range units {
+		want := int64(CostVertex) * int64(r.Hi-r.Lo)
+		for d := r.Lo; d < r.Hi; d++ {
+			if d%2 == 0 {
+				want += min(g.InDegree(d), 2) * CostEdge
+			}
+		}
+		if costs[u] != want {
+			t.Fatalf("unit %d cost %d, want %d", u, costs[u], want)
+		}
 	}
-	out, _ := DensePull(g, frontier.All(g), k, SplitRange(g.NumVertices(), 64), 1)
-	if called {
-		t.Error("kernel called despite Cond == false")
+	for d, c := range pulls {
+		if c != 1 {
+			t.Fatalf("destination %d pulled %d times", d, c)
+		}
 	}
 	if !out.IsEmpty() {
 		t.Error("output frontier not empty")
@@ -225,10 +233,7 @@ func TestSparsePushDeduplicatesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := EdgeKernel{}
-	k.Update = func(s, d graph.VertexID, _ int32) bool { return true }
-	k.UpdateAtomic = k.Update
-	out, _ := SparsePush(g, frontier.FromVertices(g, []graph.VertexID{0, 1}), k, 1, 2)
+	out, _ := SparsePush(g, frontier.FromVertices(g, []graph.VertexID{0, 1}), countKernel(make([]int64, 3)), 1, 2)
 	if out.Count() != 1 || !out.Has(2) {
 		t.Fatalf("out frontier = %v vertices", out.Count())
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -12,6 +11,37 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 )
+
+// countKernel adds one to counts[d] for every edge (s→d) with an active
+// source and activates every destination it reaches, in all three kernel
+// forms. (enginetest.Count is the same kernel for other packages; this
+// package's tests cannot import it.)
+func countKernel(counts []int64) EdgeKernel {
+	return EdgeKernel{
+		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
+			var c int64
+			for _, s := range srcs {
+				if in[s] {
+					c++
+				}
+			}
+			counts[d] += c
+			return len(srcs), c > 0
+		},
+		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
+			for i, d := range dst {
+				if in[src[i]] {
+					counts[d]++
+					out[d] = true
+				}
+			}
+		},
+		UpdateAtomic: func(_, d graph.VertexID, _ int32) bool {
+			atomic.AddInt64(&counts[d], 1)
+			return true
+		},
+	}
+}
 
 // TestPushPullEquivalenceQuick is the central traversal invariant: for any
 // graph, any frontier and an order-insensitive kernel, sparse push, dense
@@ -38,13 +68,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 
 		run := func(mode int) ([]int64, *frontier.Frontier) {
 			counts := make([]int64, n)
-			k := EdgeKernel{
-				Update: func(s, d graph.VertexID, _ int32) bool {
-					atomic.AddInt64(&counts[d], 1)
-					return true
-				},
-			}
-			k.UpdateAtomic = k.Update
+			k := countKernel(counts)
 			fr := frontier.FromVertices(g, append([]graph.VertexID(nil), vs...))
 			switch mode {
 			case 0:
@@ -85,7 +109,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// Concurrency smoke: a racy counting kernel under real goroutine workers
+// Concurrency smoke: a counting kernel under real goroutine workers
 // must still count every edge exactly once (engine-side dedup and chunking
 // must not lose or duplicate work).
 func TestSparsePushParallelExactness(t *testing.T) {
@@ -93,20 +117,9 @@ func TestSparsePushParallelExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
 	perDst := make([]int64, g.NumVertices())
-	var mu sync.Mutex
-	k := EdgeKernel{
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool {
-			atomic.AddInt64(&total, 1)
-			mu.Lock()
-			perDst[d]++
-			mu.Unlock()
-			return false
-		},
-	}
-	k.Update = k.UpdateAtomic
-	SparsePush(g, frontier.All(g), k, 7, 8)
+	SparsePush(g, frontier.All(g), countKernel(perDst), 7, 8)
+	total := Sum(perDst)
 	if total != g.NumEdges() {
 		t.Fatalf("kernel applied %d times, want %d", total, g.NumEdges())
 	}

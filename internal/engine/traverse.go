@@ -89,31 +89,23 @@ func SubdivideByEdges(g *graph.Graph, ranges []Range, k int) []Range {
 }
 
 // DensePull performs a pull-direction edgemap: every destination in every
-// unit scans its in-neighbours for active sources while the kernel's Cond
-// holds. Units own disjoint destination ranges, so the non-atomic
-// kernel.Update is safe. Workers execute units with real goroutines;
-// unitCosts are returned for makespan modeling.
+// unit hands its in-row to the kernel's Pull, which scans it for active
+// sources. Each destination costs CostVertex plus CostEdge per edge Pull
+// reports scanned. Units own disjoint destination ranges, so Pull's stores
+// may be non-atomic. Workers execute units with real goroutines; unitCosts
+// are returned for makespan modeling.
 func DensePull(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, units []Range, workers int) (*frontier.Frontier, []int64) {
 	in := f.Dense()
 	out := make([]bool, g.NumVertices())
 	unitCosts := make([]int64, len(units))
 	sched.DynamicItems(workers, len(units), func(_, u int) {
 		r := units[u]
-		var cost int64
+		cost := int64(CostVertex) * int64(r.Hi-r.Lo)
 		for d := r.Lo; d < r.Hi; d++ {
-			cost += CostVertex
-			if !k.cond(d) {
-				continue
-			}
-			ws := g.InWeights(d)
-			for i, s := range g.InNeighbors(d) {
-				cost += CostEdge
-				if in[s] && k.Update(s, d, ws[i]) {
-					out[d] = true
-				}
-				if !k.cond(d) {
-					break
-				}
+			scanned, active := k.Pull(d, g.InNeighbors(d), g.InWeights(d), in)
+			cost += int64(scanned) * CostEdge
+			if active {
+				out[d] = true
 			}
 		}
 		unitCosts[u] = cost
@@ -122,29 +114,20 @@ func DensePull(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, units []Range
 }
 
 // DenseCOO performs GraphGrind's dense edgemap: each unit is a
-// pre-materialized COO of one partition's in-edges, traversed in its stored
-// order (CSR or Hilbert). ranges supplies the destination-vertex range of
-// each partition: per-unit cost charges every owned vertex (the engine also
-// walks per-partition vertex state) plus every edge. Partitions own disjoint
-// destination sets, so the non-atomic kernel is safe.
+// pre-materialized COO of one partition's in-edges, handed whole to the
+// kernel's Scatter, which traverses it in its stored order (CSR or
+// Hilbert). ranges supplies the destination-vertex range of each partition:
+// per-unit cost charges every owned vertex (the engine also walks
+// per-partition vertex state) plus every edge. Partitions own disjoint
+// destination sets, so Scatter's stores may be non-atomic.
 func DenseCOO(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, coos []*layout.COO, ranges []Range, workers int) (*frontier.Frontier, []int64) {
 	in := f.Dense()
 	out := make([]bool, g.NumVertices())
 	unitCosts := make([]int64, len(coos))
 	sched.DynamicItems(workers, len(coos), func(_, u int) {
 		c := coos[u]
-		cost := int64(CostVertex) * int64(ranges[u].Hi-ranges[u].Lo)
-		for i := 0; i < c.Len(); i++ {
-			cost += CostEdge
-			d := c.Dst[i]
-			if !in[c.Src[i]] || !k.cond(d) {
-				continue
-			}
-			if k.Update(c.Src[i], d, c.Weight[i]) {
-				out[d] = true
-			}
-		}
-		unitCosts[u] = cost
+		k.Scatter(c.Src, c.Dst, c.Weight, in, out)
+		unitCosts[u] = int64(CostVertex)*int64(ranges[u].Hi-ranges[u].Lo) + int64(c.Len())*CostEdge
 	})
 	return frontier.FromDense(g, out), unitCosts
 }
@@ -166,9 +149,6 @@ func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, w
 			ws := g.OutWeights(s)
 			for i, d := range g.OutNeighbors(s) {
 				cost += CostEdge
-				if !k.cond(d) {
-					continue
-				}
 				if k.UpdateAtomic(s, d, ws[i]) {
 					if atomic.CompareAndSwapUint32(&flags[d], 0, 1) {
 						local = append(local, d)

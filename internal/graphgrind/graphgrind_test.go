@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -65,10 +66,7 @@ func TestBoundsValidation(t *testing.T) {
 func TestDenseEdgeMapRecordsPartitionCosts(t *testing.T) {
 	g := testGraph(t)
 	gg := newEngine(t, g, 16, layout.CSROrder, nil)
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return true },
-	}
+	k := enginetest.Const(true)
 	gg.EdgeMap(frontier.All(g), k)
 	step := gg.Metrics().LastStep()
 	if step.Kind != engine.StepEdgeMapDense {
@@ -85,10 +83,7 @@ func TestDenseEdgeMapRecordsPartitionCosts(t *testing.T) {
 func TestSparseEdgeMapUsed(t *testing.T) {
 	g := testGraph(t)
 	gg := newEngine(t, g, 16, layout.CSROrder, nil)
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return false },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return false },
-	}
+	k := enginetest.Const(false)
 	gg.EdgeMap(frontier.FromVertex(g, 5), k)
 	if got := gg.Metrics().LastStep().Kind; got != engine.StepEdgeMapSparse {
 		t.Fatalf("tiny frontier used %v", got)
@@ -108,10 +103,7 @@ func TestVEBOBalancesPartitionCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return true },
-	}
+	k := enginetest.Const(true)
 
 	spread := func(gg *GraphGrind, g *graph.Graph) float64 {
 		gg.EdgeMap(frontier.All(g), k)
@@ -145,10 +137,7 @@ func TestHilbertAndCSRProduceSameResults(t *testing.T) {
 	g := testGraph(t)
 	counts := func(o layout.Order) []int64 {
 		c := make([]int64, g.NumVertices())
-		k := engine.EdgeKernel{
-			Update: func(s, d graph.VertexID, _ int32) bool { c[d]++; return false },
-		}
-		k.UpdateAtomic = k.Update
+		k := enginetest.Count(c)
 		gg := newEngine(t, g, 8, o, nil)
 		gg.EdgeMap(frontier.All(g), k)
 		return c

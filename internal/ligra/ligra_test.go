@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -35,10 +36,7 @@ func TestNewGrainDefault(t *testing.T) {
 func TestDirectionOptimization(t *testing.T) {
 	g := testGraph(t)
 	l := New(g, Config{Engine: engine.Config{Topology: top}})
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return false },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return false },
-	}
+	k := enginetest.Const(false)
 	l.EdgeMap(frontier.All(g), k)
 	if got := l.Metrics().LastStep().Kind; got != engine.StepEdgeMapDense {
 		t.Fatalf("full frontier used %v", got)
@@ -54,10 +52,7 @@ func TestDenseMakespanIsDynamic(t *testing.T) {
 	// bound rather than the static max-block cost.
 	g := testGraph(t)
 	l := New(g, Config{Engine: engine.Config{Topology: top}, Grain: 100})
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return true },
-	}
+	k := enginetest.Const(true)
 	l.EdgeMap(frontier.All(g), k)
 	step := l.Metrics().LastStep()
 	var maxUnit int64

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -49,10 +50,7 @@ func TestPartitionCostsCoverTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return true },
-	}
+	k := enginetest.Const(true)
 	p.EdgeMap(frontier.All(g), k)
 	step := p.Metrics().LastStep()
 	if step.Kind != engine.StepEdgeMapDense {
@@ -82,10 +80,7 @@ func TestVEBOImprovesStaticMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := engine.EdgeKernel{
-		Update:       func(s, d graph.VertexID, _ int32) bool { return true },
-		UpdateAtomic: func(s, d graph.VertexID, _ int32) bool { return true },
-	}
+	k := enginetest.Const(true)
 	run := func(g *graph.Graph, bounds []int64) int64 {
 		p, err := New(g, Config{Engine: engine.Config{Topology: top}, Bounds: bounds})
 		if err != nil {
