@@ -75,6 +75,12 @@ func PageRankN(e engine.Engine, iters, nReal int) []float64 {
 // rankKernel sums contrib[s] into acc[d] (float64 bits) over every edge with
 // an active source and activates every destination it reaches: the edgemap
 // of PageRank, PageRankDelta and PageRankResume.
+//
+// The kernel constructors are kept out of line: when the compiler inlines a
+// function that returns closures, its copies of those closures do not inline
+// their own calls, which put a call to atomicf's bit casts on every edge.
+//
+//go:noinline
 func rankKernel(acc []uint64, contrib []float64) engine.EdgeKernel {
 	return engine.EdgeKernel{
 		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
@@ -179,7 +185,10 @@ func BFS(e engine.Engine, root graph.VertexID) []int32 {
 // BFSKernel is BFS's edgemap over a parent array (-1 = unvisited): an
 // unvisited destination takes the first active source that reaches it as
 // its parent and becomes active. A destination stops accepting updates once
-// it has a parent, so Pull stops its row scan there.
+// it has a parent, so Pull stops its row scan there. Kept out of line for
+// the reason rankKernel gives.
+//
+//go:noinline
 func BFSKernel(parent []int32) engine.EdgeKernel {
 	return engine.EdgeKernel{
 		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {

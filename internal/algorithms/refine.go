@@ -48,7 +48,10 @@ func RelaxResume(e engine.Engine, val []int64, weighted bool, f *frontier.Fronti
 //
 // Source values may be lowered concurrently by the worker owning that vertex
 // as a destination (the BellmanFord race); atomic loads keep the relaxation
-// race-free, and a stale read only defers it one round.
+// race-free, and a stale read only defers it one round. Kept out of line
+// for the reason rankKernel gives.
+//
+//go:noinline
 func relaxKernel(val []int64, weighted bool) engine.EdgeKernel {
 	return engine.EdgeKernel{
 		Pull: func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (int, bool) {
