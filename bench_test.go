@@ -406,17 +406,31 @@ func BenchmarkPageRankIteration(b *testing.B) {
 	}
 }
 
+// benchmarkPerSystem runs query once per iteration on each framework model
+// over g.
+func benchmarkPerSystem(b *testing.B, g *graph.Graph, query func(eng vebo.Engine)) {
+	for _, sys := range []vebo.System{vebo.Ligra, vebo.Polymer, vebo.GraphGrind} {
+		b.Run(sys.String(), func(b *testing.B) {
+			eng, err := vebo.NewEngine(sys, g, vebo.EngineOptions{Partitions: 384})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(eng)
+			}
+		})
+	}
+}
+
 func BenchmarkBFS(b *testing.B) {
 	g := benchGraph(b)
-	eng, err := vebo.NewEngine(vebo.GraphGrind, g, vebo.EngineOptions{Partitions: 384})
-	if err != nil {
-		b.Fatal(err)
-	}
 	root := pickHighDegree(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vebo.BFS(eng, root)
-	}
+	benchmarkPerSystem(b, g, func(eng vebo.Engine) { vebo.BFS(eng, root) })
+}
+
+func BenchmarkCC(b *testing.B) {
+	benchmarkPerSystem(b, benchGraph(b), func(eng vebo.Engine) { vebo.CC(eng) })
 }
 
 func pickHighDegree(g *graph.Graph) graph.VertexID {

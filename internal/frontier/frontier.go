@@ -89,7 +89,9 @@ func (f *Frontier) OutEdges() int64 { return f.outEdges }
 // IsEmpty reports whether no vertex is active.
 func (f *Frontier) IsEmpty() bool { return f.count == 0 }
 
-// IsDense reports the current representation.
+// IsDense reports whether the current representation is the bitmap: true
+// for a frontier built dense or last read through Dense, false for one built
+// sparse or last read through Sparse.
 func (f *Frontier) IsDense() bool { return f.isDense }
 
 // ShouldBeDense applies the direction-optimization heuristic given the
@@ -98,10 +100,10 @@ func (f *Frontier) ShouldBeDense(totalEdges int64) bool {
 	return f.count+f.outEdges > totalEdges/DenseThresholdDenominator
 }
 
-// Has reports whether v is active. Works on both representations; on a
-// sparse frontier it binary-searches the sorted list.
+// Has reports whether v is active. It reads the bitmap once one is built,
+// and otherwise binary-searches the sorted list.
 func (f *Frontier) Has(v graph.VertexID) bool {
-	if f.isDense {
+	if f.dense != nil {
 		return f.dense[v]
 	}
 	lo, hi := 0, len(f.sparse)
@@ -116,22 +118,24 @@ func (f *Frontier) Has(v graph.VertexID) bool {
 	return lo < len(f.sparse) && f.sparse[lo] == v
 }
 
-// Dense returns the bitmap view, converting if necessary.
+// Dense returns the bitmap view, building it on first use. A frontier is an
+// immutable set, so it keeps both representations once built: alternating
+// Dense and Sparse calls convert at most once each way.
 func (f *Frontier) Dense() []bool {
-	if !f.isDense {
+	if f.dense == nil {
 		f.dense = make([]bool, f.n)
 		for _, v := range f.sparse {
 			f.dense[v] = true
 		}
-		f.isDense = true
-		f.sparse = nil
 	}
+	f.isDense = true
 	return f.dense
 }
 
-// Sparse returns the sorted active-vertex list, converting if necessary.
+// Sparse returns the sorted active-vertex list, building it on first use
+// (see Dense).
 func (f *Frontier) Sparse() []graph.VertexID {
-	if f.isDense {
+	if f.sparse == nil && f.dense != nil {
 		vs := make([]graph.VertexID, 0, f.count)
 		for v, b := range f.dense {
 			if b {
@@ -139,9 +143,8 @@ func (f *Frontier) Sparse() []graph.VertexID {
 			}
 		}
 		f.sparse = vs
-		f.isDense = false
-		f.dense = nil
 	}
+	f.isDense = false
 	return f.sparse
 }
 

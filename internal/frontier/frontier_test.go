@@ -133,3 +133,36 @@ func TestDensity(t *testing.T) {
 		t.Error("zero-edge graph density should be 0")
 	}
 }
+
+// A frontier keeps both representations once built, so alternating Dense
+// and Sparse calls (Ligra's VertexMap reads PageRank's all-vertices frontier
+// sparse, its next dense EdgeMap reads it dense) allocate nothing after the
+// first conversion each way.
+func TestAlternatingConversionsAllocateOnce(t *testing.T) {
+	g := testGraph(t)
+	for name, f := range map[string]*Frontier{
+		"dense":  All(g),
+		"sparse": FromVertices(g, []graph.VertexID{1, 2, 50}),
+		"empty":  NewEmpty(g.NumVertices()),
+	} {
+		want := f.Count()
+		if allocs := testing.AllocsPerRun(10, func() {
+			f.Sparse()
+			f.Dense()
+		}); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per alternation after the first", name, allocs)
+		}
+		if int64(len(f.Sparse())) != want {
+			t.Errorf("%s: sparse view has %d vertices, want %d", name, len(f.Sparse()), want)
+		}
+		var set int64
+		for _, b := range f.Dense() {
+			if b {
+				set++
+			}
+		}
+		if set != want {
+			t.Errorf("%s: dense view has %d vertices, want %d", name, set, want)
+		}
+	}
+}
