@@ -362,8 +362,8 @@ func runServe(args []string) error {
 	fmt.Printf("construction edges: %d rebuilt, %d patched, %d relabeled, %d reused\n",
 		work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, work.ReusedEdges)
 	st := d.Stats()
-	fmt.Printf("maintenance: %d repairs (%d swaps), %d segment re-sorts, %d full rebuilds\n",
-		st.Repairs, st.Swaps, st.Resorts, st.FullRebuilds)
+	fmt.Printf("maintenance: %d repairs (%d swaps), %d full rebuilds\n",
+		st.Repairs, st.Swaps, st.FullRebuilds)
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()
 		fmt.Printf("admitted %d vertices (n now %d); headroom %d/%d slots occupied, %d relabeling spills\n",

@@ -44,7 +44,7 @@ func Grow(cfg Config) error {
 		ops = 4 * growBatch
 	}
 	if cfg.Quick {
-		// Long enough to amortize the maintained row's warm-up re-sorts;
+		// Long enough to amortize the maintained row's warm-up repairs;
 		// shorter streams under-report its steady-state work ratio.
 		ops = 24 * growBatch
 	}
@@ -93,7 +93,7 @@ func Grow(cfg Config) error {
 	// Same three configurations as the view experiment, all admitting
 	// vertices on demand: placement frozen (maximum reuse), scratch rebuilds
 	// (the baseline the ratios divide by), and default-threshold maintenance
-	// (repairs, re-sorts and growth all active at once).
+	// (repairs and growth active at once).
 	stable := vebo.DynamicOptions{
 		Partitions:             64,
 		RebuildThreshold:       1 << 40,

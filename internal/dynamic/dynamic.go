@@ -28,9 +28,7 @@
 //     segment boundaries of the ordering, and the new IDs of every unmoved
 //     vertex are all invariant. If no improving pair is left and the
 //     imbalances are still over their thresholds, the subsystem falls back
-//     to a full core.ReorderDegrees rebuild. A background re-sort
-//     additionally restores the degree-descending order inside one
-//     partition segment after each batch whose swaps disturbed it.
+//     to a full core.ReorderDegrees rebuild.
 //
 //   - A growable vertex space. Grow (and AutoGrow, for dense-ID streams;
 //     see Allocator for sparse external IDs) admits zero-degree vertices to
@@ -115,8 +113,8 @@ type Config struct {
 	// Spans, when set, receives one causal span per lifecycle step, with
 	// its cause and wall-clock duration alongside the modeled work counts:
 	// each batch opens an "ingest" span, maintenance work (repair, rebuild,
-	// grow, spill, resort, compact) files child spans of the batch that
-	// triggered it, and the facade layer parents publish and query spans
+	// grow, spill, compact) files child spans of the batch that triggered
+	// it, and the facade layer parents publish and query spans
 	// onto the batch chain (LastBatchSpan). Nil disables span collection.
 	Spans *obs.Spans
 }
@@ -180,8 +178,8 @@ type Stats struct {
 	// partition's reserved headroom exhausted and forced a relabeling epoch
 	// (which reserves fresh headroom everywhere); see Grow.
 	HeadroomSpills int64
-	// Resorts is the number of background segment re-sort passes that moved
-	// at least one vertex; ResortedVertices counts the moved vertices.
+	// Resorts and ResortedVertices are always 0; kept only for the
+	// benchmark harness.
 	Resorts          int64
 	ResortedVertices int64
 	// FullRebuilds is the number of full Algorithm 2 re-runs (not counting
@@ -255,7 +253,7 @@ type Graph struct {
 	snapEpoch int64
 
 	// placeEpoch increments whenever any vertex changes partition or
-	// position (repair, re-sort, admission or rebuild). renumEpoch
+	// position (repair, admission or rebuild). renumEpoch
 	// increments only when the whole numbering is invalidated (a full
 	// rebuild or a spillRelabel — headroom exhaustion, or the first growth
 	// converting the ordering to slotted form): swap repairs bump placeEpoch
@@ -295,10 +293,6 @@ type Graph struct {
 	// O(n) re-bucketing per pass in the serving regime, where repairs fire
 	// almost every batch.
 	members [][]graph.VertexID
-
-	// resortNext is the round-robin cursor of the background segment
-	// re-sort.
-	resortNext int
 
 	// m holds the metric handles (no-ops when Config.Metrics is nil — the
 	// struct is always populated so call sites never nil-check).
@@ -383,8 +377,8 @@ func (d *Graph) Stats() Stats { return d.stats }
 func (d *Graph) Epoch() int64 { return d.epoch }
 
 // RenumEpoch returns the renumbering epoch, incremented only when the whole
-// ordering is invalidated (full rebuild or relabeling spill). Swap repairs,
-// re-sorts and headroom admissions preserve it: between two orderings of
+// ordering is invalidated (full rebuild or relabeling spill). Swap repairs
+// and headroom admissions preserve it: between two orderings of
 // equal renumbering epochs, a vertex's new ID either stayed put or moved
 // within the closed set of positions whose occupant changed, so diffing
 // the two permutations (ViewDelta.Moved) finds every move.
@@ -463,10 +457,9 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 // finishBatch runs the end-of-batch maintenance and fills the result, filing
 // the spans that answer "what did this epoch do, and why": a "repair" span
 // (cause "threshold-trip") when a gate fired, a "rebuild" span whose cause
-// names which escape hatch forced it, a "resort" span when swaps decayed a
-// segment's order, and the "batch" span summarizing the epoch.
+// names which escape hatch forced it, and the "batch" span summarizing the
+// epoch.
 func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
-	preSwaps := d.stats.Swaps
 	if d.overThreshold() {
 		preDelta, preVert := d.EdgeImbalance(), d.VertexImbalance()
 		rstart := time.Now()
@@ -507,20 +500,6 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 				},
 			})
 		}
-	}
-	// Swaps decay the degree-descending order inside segments (a moved
-	// vertex parks at its partner's old position); re-sort one segment per
-	// disturbing batch. Headroom admissions are not disturbances — they
-	// append in sorted position. A rebuild just re-established the order
-	// everywhere.
-	if !res.Rebuilt && d.stats.Swaps > preSwaps {
-		sstart := time.Now()
-		q, moved := d.resortSegment()
-		d.sp.Record(obs.Span{
-			Parent: d.curBatch.Context().ID, Name: "resort", Kind: "maintain",
-			Cause: "locality-decay", Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
-			Attrs: map[string]int64{"partition": int64(q), "moved": moved},
-		})
 	}
 	if d.PendingOps() >= d.compactBound() {
 		d.Compact()

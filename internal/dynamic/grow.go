@@ -72,10 +72,9 @@ func (d *Graph) Grow(count int) graph.VertexID {
 	d.ordPlace = d.placeEpoch
 	d.stats.Admitted += int64(count)
 	d.stats.Placements += int64(count)
-	// No re-sort is owed: a headroom admission appends a zero-degree vertex
-	// with the largest ID at its segment's occupied tail, which is exactly
-	// where the degree-descending (ID-ascending on ties) order wants it —
-	// admissions do not decay the layout the background re-sort repairs.
+	// A headroom admission appends a zero-degree vertex with the largest ID
+	// at its segment's occupied tail, which is exactly where the
+	// degree-descending (ID-ascending on ties) order wants it.
 	d.touch()
 	cause := "growth-headroom"
 	if spills > 0 {

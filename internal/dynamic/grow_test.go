@@ -237,52 +237,3 @@ func hostileDegreeGraph(t *testing.T) *graph.Graph {
 	}
 	return g
 }
-
-// TestSegmentResortRestoresDegreeOrder checks the background re-sort: after
-// churn and swap repairs decay the intra-segment degree order, repeated
-// batches re-establish degree-descending layout segment by segment, via
-// segment-local permutations only (no renumbering epoch change).
-func TestSegmentResortRestoresDegreeOrder(t *testing.T) {
-	g, err := gen.ErdosRenyi(400, 4000, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	updates, err := gen.EdgeStream(g, gen.StreamConfig{
-		Ops: 6000, DeleteFrac: 0.3, PreferentialFrac: 0.6, Seed: 18,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(g, Config{Partitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyStream(t, d, updates, 64)
-	st := d.Stats()
-	if st.Resorts == 0 {
-		t.Skipf("no re-sorts fired (swaps=%d); stream too calm for the property", st.Swaps)
-	}
-	if d.RenumEpoch() != 0 {
-		t.Fatalf("re-sorts must preserve the numbering lineage, RenumEpoch=%d", d.RenumEpoch())
-	}
-	// Quiesce: with no further churn, P consecutive disturbance-free batches
-	// leave nothing to re-sort, so force one pass over every segment.
-	for p := 0; p < d.Partitions(); p++ {
-		d.resortSegment()
-	}
-	ord := d.Ordering()
-	pos := make([]graph.VertexID, d.NumVertices()) // new ID -> vertex
-	for v, nw := range ord.Perm {
-		pos[nw] = graph.VertexID(v)
-	}
-	bounds := ord.Boundaries()
-	for p := 0; p < d.Partitions(); p++ {
-		for i := bounds[p] + 1; i < bounds[p+1]; i++ {
-			prev, cur := pos[i-1], pos[i]
-			if d.InDegree(prev) < d.InDegree(cur) {
-				t.Fatalf("partition %d: degree order broken at new IDs %d,%d (%d < %d)",
-					p, i-1, i, d.InDegree(prev), d.InDegree(cur))
-			}
-		}
-	}
-}

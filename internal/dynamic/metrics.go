@@ -10,11 +10,10 @@ import (
 // with a nil registry (every handle is then a nil no-op), so instrumented
 // paths never branch on whether metrics are enabled.
 type dynMetrics struct {
-	batches, inserts, deletes       *obs.Counter
-	repairs, swaps, rebuildVertex   *obs.Counter
-	rebuildShortfall, rebuildForced *obs.Counter
-	resorts, compactions            *obs.Counter
-	admitted, headroomSpills        *obs.Counter
+	batches, inserts, deletes             *obs.Counter
+	repairs, swaps, rebuildVertex         *obs.Counter
+	rebuildShortfall, rebuildForced       *obs.Counter
+	compactions, admitted, headroomSpills *obs.Counter
 
 	batchNS, repairNS, rebuildNS *obs.Histogram
 	growNS, compactNS            *obs.Histogram
@@ -41,7 +40,6 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),
 		rebuildShortfall: r.Counter("vebo_rebuilds_total", "cause", "repair-shortfall"),
 		rebuildForced:    r.Counter("vebo_rebuilds_total", "cause", "forced"),
-		resorts:          r.Counter("vebo_resorts_total"),
 		compactions:      r.Counter("vebo_compactions_total"),
 		admitted:         r.Counter("vebo_admitted_total"),
 		headroomSpills:   r.Counter("vebo_headroom_spill_total"),

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -73,57 +74,6 @@ func (d *Graph) refreshGranularity() {
 	d.adaptNext = d.stats.Updates + step
 }
 
-// resortSegment restores the degree-descending (ID-ascending on ties) order
-// phase 3 establishes inside one partition's segment, advancing a
-// round-robin cursor one partition per call. Swaps park a moved vertex at
-// its partner's old position, so segments slowly lose the layout that gives
-// dense traversal its locality; the re-sort is a segment-local permutation
-// — exactly the shape the engine patch paths already handle, like any swap.
-// Returns the re-sorted partition and how many of its vertices moved.
-func (d *Graph) resortSegment() (q int, moves int64) {
-	d.ensureOrdering()
-	d.ensureMembers()
-	q = d.resortNext % d.cfg.Partitions
-	d.resortNext++
-	l := d.members[q]
-	if len(l) < 2 {
-		return q, 0
-	}
-	byPos := append([]graph.VertexID(nil), l...)
-	sort.Slice(byPos, func(i, j int) bool { return d.ordPerm[byPos[i]] < d.ordPerm[byPos[j]] })
-	want := append([]graph.VertexID(nil), l...)
-	sort.Slice(want, func(i, j int) bool {
-		if d.degIn[want[i]] != d.degIn[want[j]] {
-			return d.degIn[want[i]] > d.degIn[want[j]]
-		}
-		return want[i] < want[j]
-	})
-	var moved []graph.VertexID
-	for i := range want {
-		if want[i] != byPos[i] {
-			moved = append(moved, want[i])
-		}
-	}
-	if len(moved) == 0 {
-		return q, 0
-	}
-	pos := make([]graph.VertexID, len(byPos))
-	for i, v := range byPos {
-		pos[i] = d.ordPerm[v]
-	}
-	perm := append([]graph.VertexID(nil), d.ordPerm...) // copy-on-write
-	for i, v := range want {
-		perm[v] = pos[i]
-	}
-	d.ordPerm = perm
-	d.placeEpoch++
-	d.ordPlace = d.placeEpoch
-	d.stats.Resorts++
-	d.stats.ResortedVertices += int64(len(moved))
-	d.m.resorts.Inc()
-	return q, int64(len(moved))
-}
-
 // ensureMembers (re)builds the per-partition member lists when stale.
 func (d *Graph) ensureMembers() {
 	if d.members != nil {
@@ -164,19 +114,22 @@ func (d *Graph) swapRepair() (swaps int64) {
 	// passes, so sortedness never carries over); a typical pass touches a
 	// handful of partitions, not all P.
 	sorted := make([]bool, d.cfg.Partitions)
-	byDeg := func(l []graph.VertexID) func(i, j int) bool {
-		return func(i, j int) bool {
-			if d.degIn[l[i]] != d.degIn[l[j]] {
-				return d.degIn[l[i]] < d.degIn[l[j]]
-			}
-			return l[i] < l[j]
-		}
-	}
+	var keys []uint64
 	sortList := func(q int) {
-		if !sorted[q] {
-			sort.Slice(lists[q], byDeg(lists[q]))
-			sorted[q] = true
+		if sorted[q] {
+			return
 		}
+		// One packed degree<<32|ID key per member (in-degrees fit in 32
+		// bits): uint64 order is degree-ascending, ID-ascending order.
+		keys = keys[:0]
+		for _, v := range lists[q] {
+			keys = append(keys, uint64(d.degIn[v])<<32|uint64(v))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			lists[q][i] = graph.VertexID(uint32(k))
+		}
+		sorted[q] = true
 	}
 	// insertSorted keeps a sorted list sorted after adding w.
 	insertSorted := func(q int, w graph.VertexID) {

@@ -15,9 +15,9 @@ type ViewDelta struct {
 	Adds, Dels []graph.Edge
 	// Moved holds, sorted, the pre-existing vertices (IDs below the basis
 	// vertex count) whose new ID differs between the two orderings:
-	// repositioned by placement-preserving swaps and re-sorts,
-	// which move vertices within a closed set of positions and leave the
-	// partition segment boundaries alone. Nil when PlacementChanged.
+	// repositioned by placement-preserving swaps, which move vertices
+	// within a closed set of positions and leave the partition segment
+	// boundaries alone. Nil when PlacementChanged.
 	Moved []graph.VertexID
 	// PlacementChanged reports whether the whole numbering was invalidated
 	// in between (full rebuild or relabeling spill): the renumbering epochs

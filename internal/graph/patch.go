@@ -46,9 +46,9 @@ type PatchStats struct {
 // admissions fill reserved slots, so pre-existing vertices keep theirs) is
 // detected and takes the nil-perm path: no remap row class at all, every
 // untouched row block-copies, and the patch cost is O(delta). Only
-// maintenance that actually relocates vertices (swap repair, segment
-// re-sorts) produces non-identity injections, and those remap exactly the
-// rows owned by or referencing a moved vertex.
+// maintenance that actually relocates vertices (swap repair) produces
+// non-identity injections, and those remap exactly the rows owned by or
+// referencing a moved vertex.
 func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var st PatchStats
 	if nNew < g.n {

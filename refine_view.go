@@ -112,6 +112,30 @@ func (c *refineCache) put(k refineKey, r *Refined) {
 	c.m[k] = r
 }
 
+// keep stores a capture on v, then drops v's basis if that capture was the
+// last thing the basis could seed.
+func (v *View) keep(key refineKey, r *Refined) {
+	v.ref.put(key, r)
+	v.dropSpentBasis()
+}
+
+// covers reports whether c holds a capture for every key o holds. It never
+// holds both locks at once.
+func (c *refineCache) covers(o *refineCache) bool {
+	o.mu.Lock()
+	keys := make([]refineKey, 0, len(o.m))
+	for k := range o.m {
+		keys = append(keys, k)
+	}
+	o.mu.Unlock()
+	for _, k := range keys {
+		if c.get(k) == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // basisCapture returns the basis view b and its capture for key, or nil
 // when there is no basis (scratch epochs, reuse disabled, basis more than
 // one compaction back) or the capture cannot seed this view. The epoch and
@@ -374,7 +398,7 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 	}
 	cold := func(path string) ([]int64, RefineStats, error) {
 		vals := unpermute(v.ord.Perm, scratch(e))
-		v.ref.put(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
+		v.keep(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
 		st := RefineStats{Path: path, SeedEpoch: -1}
 		v.work.observeRefine(v, alg, sys, start, st)
 		return vals, st, nil
@@ -386,7 +410,7 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
 	if plan.Empty() {
 		r := &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: cap_.vals}
-		v.ref.put(key, r)
+		v.keep(key, r)
 		st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch}
 		v.work.observeRefine(v, alg, sys, start, st)
 		return r.vals, st, nil
@@ -400,7 +424,7 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 		return cold(RefineScratchFallback)
 	}
 	vals := unpermute(v.ord.Perm, seed)
-	v.ref.put(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
+	v.keep(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
 	st.SeedEpoch = cap_.epoch
 	v.work.observeRefine(v, alg, sys, start, st)
 	return vals, st, nil
@@ -528,7 +552,7 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	}
 	cold := func(path string) ([]float64, RefineStats, error) {
 		ranks := unpermute(v.ord.Perm, algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts))
-		v.ref.put(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: ranks, eps: eps})
+		v.keep(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: ranks, eps: eps})
 		st := RefineStats{Path: path, SeedEpoch: -1}
 		v.work.observeRefine(v, "pagerank", sys, start, st)
 		return ranks, st, nil
@@ -540,7 +564,7 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
 	if plan.Empty() {
 		r := &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: cap_.ranks, eps: cap_.eps}
-		v.ref.put(key, r)
+		v.keep(key, r)
 		st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch}
 		v.work.observeRefine(v, "pagerank", sys, start, st)
 		return r.ranks, st, nil
@@ -568,7 +592,7 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 			NOld: cap_.n, NNew: v.nverts, Grown: grown},
 		prScratchIters, eps)
 	out := unpermute(perm, ranks)
-	v.ref.put(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: out, eps: eps})
+	v.keep(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: out, eps: eps})
 	st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch, FrontierVertices: touched}
 	v.work.observeRefine(v, "pagerank", sys, start, st)
 	return out, st, nil

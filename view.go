@@ -168,6 +168,7 @@ func (v *View) Engine(sys System) (Engine, error) {
 		s.built, s.err = v.buildEngine(sys)
 		if s.err == nil {
 			s.val.Store(s.built)
+			v.dropSpentBasis()
 		}
 	})
 	return s.built, s.err

@@ -34,9 +34,9 @@ func (v *View) Snapshot() *Graph {
 // basis position keeps its ID — identity outside the grown segments, and
 // the identity on them too (admitted slots have no basis preimage; their
 // content arrives as explicit adds). Only placement-preserving moves (swap
-// repairs and segment re-sorts) yield a real map: identity
-// everywhere except the moved vertices' positions. Valid only while the
-// numbering lineage is intact (!delta.PlacementChanged).
+// repairs) yield a real map: identity everywhere except the moved
+// vertices' positions. Valid only while the numbering lineage is intact
+// (!delta.PlacementChanged).
 func (v *View) segPerm(b *View) []VertexID {
 	v.segOnce.Do(func() {
 		if len(v.deltaOver(b).Moved) == 0 {
@@ -124,9 +124,32 @@ func (v *View) Reordered() (*Graph, error) {
 	})
 	if rg := v.rgp.Load(); rg != nil {
 		v.d.registerMaterialized(v)
+		v.dropSpentBasis()
 		return rg, nil
 	}
 	return nil, v.rgErr
+}
+
+// dropSpentBasis drops the basis link once this view holds everything the
+// basis could seed: its own relabeled graph, every engine the basis built
+// and every result capture the basis holds. Until then the link keeps the
+// basis's graph, engines and captures live; without this they would stay
+// live until the next publish, so a view being queried would hold two
+// epochs of artifacts. Transposed engines never patch, so they do not
+// count.
+func (v *View) dropSpentBasis() {
+	b := v.basis.Load()
+	if b == nil || v.rgp.Load() == nil {
+		return
+	}
+	for sys := range b.eng {
+		if b.eng[sys].peek() != nil && v.eng[sys].peek() == nil {
+			return
+		}
+	}
+	if v.ref.covers(b.ref) {
+		v.basis.CompareAndSwap(b, nil)
+	}
 }
 
 // mapEndpoints rewrites edge endpoints through a permutation in place.
@@ -154,9 +177,9 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 // so the exact dirty set is the net delta's destination endpoints, the
 // moved vertices' positions and the admitted vertices' positions, mapped
 // into the view's relabeled space. (Moves permute IDs within a closed
-// position set — a swap or re-sort always parks an incoming
-// vertex where an outgoing one sat — so flagging the current positions
-// covers every partition whose membership changed.)
+// position set — a swap always parks an incoming vertex where an
+// outgoing one sat — so flagging the current positions covers every
+// partition whose membership changed.)
 func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 	v.dirtyOnce.Do(func() {
 		perm := v.ord.Perm

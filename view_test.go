@@ -358,6 +358,54 @@ func TestSnapshotReadersKeepBasis(t *testing.T) {
 	}
 }
 
+// TestViewDropsSpentBasis pins when a view lets go of its basis: only once
+// it has its own relabeled graph, every engine the basis built and every
+// capture the basis holds. Until then later queries still patch or refine
+// from the basis; after that the link is nil, so the basis's artifacts are
+// not kept live by a view that can no longer use them.
+func TestViewDropsSpentBasis(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.02, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := d.View()
+	if _, err := v0.BFS(GraphGrind, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v0.RefineBFS(Ligra, 0); err != nil {
+		t.Fatal(err)
+	}
+	applyInBatches(t, d, updates, len(updates))
+	v1 := d.View()
+	if v1.basis.Load() != v0 {
+		t.Fatal("the queried epoch is not the next view's basis")
+	}
+	if _, err := v1.BFS(GraphGrind, 0); err != nil {
+		t.Fatal(err)
+	}
+	if v1.basis.Load() != v0 {
+		t.Fatal("basis dropped while its Ligra engine and BFS capture could still seed the view")
+	}
+	if _, err := v1.Engine(Ligra); err != nil {
+		t.Fatal(err)
+	}
+	if v1.basis.Load() != v0 {
+		t.Fatal("basis dropped while its BFS capture could still seed the view")
+	}
+	if _, st, err := v1.RefineBFS(Ligra, 0); err != nil {
+		t.Fatal(err)
+	} else if st.Path != RefineRefined {
+		t.Fatalf("RefineBFS path = %s, want %s from the basis capture", st.Path, RefineRefined)
+	}
+	if v1.basis.Load() != nil {
+		t.Fatal("basis kept after the view derived everything it could seed")
+	}
+}
+
 // TestViewInputLengthCheckedFirst checks that SPMV and BP reject a
 // wrong-length input before paying a lazy engine build.
 func TestViewInputLengthCheckedFirst(t *testing.T) {
@@ -426,7 +474,8 @@ func TestViewAcrossEpochsStaysPinned(t *testing.T) {
 // TestViewConcurrentIngestQuery is the concurrency stress test: one ingest
 // goroutine streams batches while N reader goroutines continuously pin views
 // and run algorithms on all three models (including BC's lazily built
-// transpose engines). Run with -race; correctness here is absence of races
+// transpose engines and RefineBFS, whose captures decide when a view drops
+// its basis). Run with -race; correctness here is absence of races
 // plus per-view internal consistency.
 func TestViewConcurrentIngestQuery(t *testing.T) {
 	const readers = 4
@@ -453,7 +502,7 @@ func TestViewConcurrentIngestQuery(t *testing.T) {
 				default:
 				}
 				v := d.View()
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					ranks, err := v.PageRank(sys, 2)
 					if err != nil || len(ranks) != n {
@@ -470,6 +519,12 @@ func TestViewConcurrentIngestQuery(t *testing.T) {
 					bc, err := v.BC(sys, VertexID(i%n))
 					if err != nil || len(bc) != n {
 						t.Errorf("reader %d: BC: len %d err %v", r, len(bc), err)
+						return
+					}
+				case 3:
+					depths, _, err := v.RefineBFS(sys, 0)
+					if err != nil || len(depths) != n {
+						t.Errorf("reader %d: RefineBFS: len %d err %v", r, len(depths), err)
 						return
 					}
 				}
