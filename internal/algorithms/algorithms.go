@@ -352,7 +352,7 @@ func BellmanFord(e engine.Engine, root graph.VertexID) []int64 {
 		dist[i] = RelaxInf
 	}
 	dist[root] = 0
-	BellmanFordResume(e, dist, frontier.FromVertex(g, root))
+	RelaxResume(e, dist, true, frontier.FromVertex(g, root))
 	for i, d := range dist {
 		if d >= RelaxInf {
 			dist[i] = Unreached

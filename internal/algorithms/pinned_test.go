@@ -106,11 +106,11 @@ func TestModeledStepsPinned(t *testing.T) {
 	// A resume delta over g itself: three edges with distinct sources
 	// treated as inserted since the basis.
 	var adds []graph.Edge
-	oldDeg := map[graph.VertexID]int64{}
+	seen := map[graph.VertexID]bool{}
 	for _, e := range g.Edges() {
-		if _, dup := oldDeg[e.Src]; !dup && len(adds) < 3 {
+		if !seen[e.Src] && len(adds) < 3 {
 			adds = append(adds, e)
-			oldDeg[e.Src] = g.OutDegree(e.Src) - 1
+			seen[e.Src] = true
 		}
 	}
 
@@ -134,7 +134,7 @@ func TestModeledStepsPinned(t *testing.T) {
 		{"pagerankresume", func(e, _ engine.Engine) []uint64 {
 			rank := PageRankDelta(e, 30, 1e-6)
 			e.Metrics().Reset()
-			PageRankResume(e, rank, RankDelta{Adds: adds, OldOutDeg: oldDeg, NOld: n}, 30, 1e-6)
+			PageRankResume(e, rank, RankDelta{Adds: adds, NOld: n}, 30, 1e-6)
 			return nil
 		}},
 	}

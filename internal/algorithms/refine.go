@@ -32,7 +32,9 @@ const RelaxInf = math.MaxInt64 / 4
 // "unknown" — and the frontier must contain the source of every edge the
 // seed leaves violated (val[d] > val[s]+step); under those preconditions the
 // returned array is the exact fixpoint. val is mutated in place and
-// returned.
+// returned. Callers that reset values by invalidation reasoning rely on
+// non-negative weights (every stored weight in this module is ≥ 1; see
+// dynamic.Graph's weight normalization).
 func RelaxResume(e engine.Engine, val []int64, weighted bool, f *frontier.Frontier) []int64 {
 	n := e.Graph().NumVertices()
 	kernel := relaxKernel(val, weighted)
@@ -114,15 +116,6 @@ func relaxKernel(val []int64, weighted bool) engine.EdgeKernel {
 	}
 }
 
-// BFSDepthsResume resumes a BFS-depth computation from a seed depth array
-// (RelaxInf = unreached) and an initial frontier; see RelaxResume for the
-// seed/frontier contract. Depths — unlike parent arrays — are a canonical
-// function of the graph, which is what makes them refinable and comparable
-// across epochs.
-func BFSDepthsResume(e engine.Engine, depth []int64, f *frontier.Frontier) []int64 {
-	return RelaxResume(e, depth, false, f)
-}
-
 // BFSDepths computes BFS depths from root from scratch in the refinable
 // representation (RelaxInf = unreached). Equivalent to Depths(BFS(e, root))
 // with RelaxInf in place of -1.
@@ -133,7 +126,7 @@ func BFSDepths(e engine.Engine, root graph.VertexID) []int64 {
 		depth[i] = RelaxInf
 	}
 	depth[root] = 0
-	return BFSDepthsResume(e, depth, frontier.FromVertex(g, root))
+	return RelaxResume(e, depth, false, frontier.FromVertex(g, root))
 }
 
 // PackCC packs a canonical CC propagation state: the component label (the
@@ -152,12 +145,6 @@ func UnpackCCLabel(state int64) uint32 {
 	return uint32(state >> 32)
 }
 
-// CCSeededResume resumes canonical-label propagation from a seed of packed
-// (label, hops) states; see RelaxResume for the seed/frontier contract.
-func CCSeededResume(e engine.Engine, state []int64, f *frontier.Frontier) []int64 {
-	return RelaxResume(e, state, false, f)
-}
-
 // CCSeeded computes canonical connected-component labels from scratch in the
 // refinable representation: every vertex injects its own initial label
 // (init[v], the vertex's original ID in the View API) and the fixpoint holds
@@ -171,32 +158,22 @@ func CCSeeded(e engine.Engine, init []uint32) []int64 {
 	for v := 0; v < n; v++ {
 		state[v] = PackCC(init[v], 0)
 	}
-	return CCSeededResume(e, state, frontier.All(g))
-}
-
-// BellmanFordResume resumes a single-source shortest-path relaxation from a
-// seed distance array (RelaxInf = unreached); see RelaxResume for the
-// seed/frontier contract. Edge weights must be non-negative for the caller's
-// invalidation reasoning to be sound (every stored weight in this module is
-// ≥ 1; see dynamic.Graph's weight normalization).
-func BellmanFordResume(e engine.Engine, dist []int64, f *frontier.Frontier) []int64 {
-	return RelaxResume(e, dist, true, f)
+	return RelaxResume(e, state, false, frontier.All(g))
 }
 
 // RankDelta describes the perturbation between a converged basis PageRank
 // vector and the queried epoch's graph, in the queried engine's vertex
-// space: the edge changes (multiplicities unrolled), the prior out-degree of
-// every source whose out-edge set changed, the basis and current real vertex
-// counts (for the (1-damping)/n base-term shift) and the engine positions of
-// the vertices admitted since the basis (which seed with rank 0 and take the
-// full new base term — engine orderings scatter them, so they are a list,
-// not an index range). len(Grown) must equal NNew − NOld. NNew is the real
-// vertex count, which on slotted engines is smaller than the engine's ID
-// space (reserved headroom rows are not vertices); NNew == 0 means the
-// engine is compact and g.NumVertices() is the count.
+// space: the edge changes (multiplicities unrolled; PageRankResume derives
+// each changed source's old out-degree from them), the basis and current
+// real vertex counts (for the (1-damping)/n base-term shift) and the engine
+// positions of the vertices admitted since the basis (which seed with rank
+// 0 and take the full new base term — engine orderings scatter them, so
+// they are a list, not an index range). len(Grown) must equal NNew − NOld.
+// NNew is the real vertex count, which on slotted engines is smaller than
+// the engine's ID space (reserved headroom rows are not vertices); NNew == 0
+// means the engine is compact and g.NumVertices() is the count.
 type RankDelta struct {
 	Adds, Dels []graph.Edge
-	OldOutDeg  map[graph.VertexID]int64
 	NOld, NNew int
 	Grown      []graph.VertexID
 }
@@ -259,9 +236,27 @@ func PageRankResume(e engine.Engine, rank []float64, d RankDelta, iters int, eps
 	// edges up to rank[s]/odNew (+rank[s]/odOld) and deleted ones down by
 	// their old contribution (−rank[s]/odOld). rank here is the seed vector,
 	// which grown sources hold at 0 — their mass arrives through the
-	// propagation rounds with the correct new degrees.
-	for s, odOld := range d.OldOutDeg {
-		odNew := g.OutDegree(s)
+	// propagation rounds with the correct new degrees. odOld is the current
+	// degree less the source's insertions plus its deletions; sources are
+	// swept in first-appearance order over Adds then Dels, so the float
+	// accumulation order — and the result — is deterministic.
+	oldDeg := make(map[graph.VertexID]int64)
+	var srcs []graph.VertexID
+	count := func(s graph.VertexID, dd int64) {
+		if _, ok := oldDeg[s]; !ok {
+			oldDeg[s] = g.OutDegree(s)
+			srcs = append(srcs, s)
+		}
+		oldDeg[s] += dd
+	}
+	for _, ed := range d.Adds {
+		count(ed.Src, -1)
+	}
+	for _, ed := range d.Dels {
+		count(ed.Src, 1)
+	}
+	for _, s := range srcs {
+		odNew, odOld := g.OutDegree(s), oldDeg[s]
 		var cNew, cOld float64
 		if odNew > 0 {
 			cNew = rank[s] / float64(odNew)
@@ -276,7 +271,7 @@ func PageRankResume(e engine.Engine, rank []float64, d RankDelta, iters int, eps
 		}
 	}
 	oldContrib := func(s graph.VertexID) float64 {
-		if od := d.OldOutDeg[s]; od > 0 {
+		if od := oldDeg[s]; od > 0 {
 			return rank[s] / float64(od)
 		}
 		return 0

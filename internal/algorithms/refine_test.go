@@ -2,10 +2,15 @@ package algorithms
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/frontier"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ligra"
+	"repro/internal/numa"
 )
 
 // seqBFSDepths is a sequential oracle for BFSDepths.
@@ -86,7 +91,7 @@ func TestRelaxResumeAfterInsertions(t *testing.T) {
 		val := make([]int64, n)
 		copy(val, seedDepth)
 		srcs := []graph.VertexID{0, graph.VertexID(n / 3), graph.VertexID(n - 1)}
-		got := BFSDepthsResume(e, val, frontier.FromVertices(g2, srcs))
+		got := RelaxResume(e, val, false, frontier.FromVertices(g2, srcs))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: resumed depth[%d] = %d, want %d", e.Name(), v, got[v], want[v])
@@ -147,49 +152,53 @@ func TestPageRankResumeMatchesCold(t *testing.T) {
 	}
 
 	// New graph: two vertices admitted, a handful of edges inserted (some
-	// from grown vertices) and the first out-edge of a high-degree vertex
-	// deleted.
+	// from grown vertices), the first out-edge of a high-degree vertex
+	// deleted, and one more source that gains an edge and loses another —
+	// its out-degree is unchanged though its edge set is not.
 	n2 := n + 2
-	edges := g.Edges()
-	var dels []graph.Edge
 	var hub graph.VertexID
 	for v := 1; v < n; v++ {
 		if g.OutDegree(graph.VertexID(v)) > g.OutDegree(hub) {
 			hub = graph.VertexID(v)
 		}
 	}
-	victim := graph.Edge{Src: hub, Dst: g.OutNeighbors(hub)[0], Weight: g.OutWeights(hub)[0]}
-	kept := edges[:0]
-	for _, e := range edges {
-		if e != victim || len(dels) > 0 {
-			kept = append(kept, e)
-		} else {
-			dels = append(dels, e)
+	const swap = graph.VertexID(17)
+	if swap == hub || g.OutDegree(swap) == 0 || g.HasEdge(swap, 3) {
+		t.Fatalf("vertex %d cannot serve as the net-zero-degree source", swap)
+	}
+	first := func(s graph.VertexID) graph.Edge {
+		return graph.Edge{Src: s, Dst: g.OutNeighbors(s)[0], Weight: g.OutWeights(s)[0]}
+	}
+	dels := []graph.Edge{first(hub), first(swap)}
+	var kept []graph.Edge
+	pending := slices.Clone(dels)
+	for _, e := range g.Edges() {
+		if i := slices.Index(pending, e); i >= 0 {
+			pending = slices.Delete(pending, i, i+1)
+			continue
 		}
+		kept = append(kept, e)
 	}
 	adds := []graph.Edge{
 		{Src: graph.VertexID(n), Dst: 0, Weight: 1},
 		{Src: 4, Dst: graph.VertexID(n + 1), Weight: 1},
 		{Src: graph.VertexID(n + 1), Dst: 9, Weight: 1},
 		{Src: 9, Dst: 2, Weight: 1},
+		{Src: swap, Dst: 3, Weight: 1},
 	}
 	g2, err := graph.FromEdges(n2, append(kept, adds...), g.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	oldDeg := map[graph.VertexID]int64{
-		hub:                   int64(g.OutDegree(hub)),
-		4:                     int64(g.OutDegree(4)),
-		9:                     int64(g.OutDegree(9)),
-		graph.VertexID(n):     0,
-		graph.VertexID(n + 1): 0,
+	if g2.OutDegree(swap) != g.OutDegree(swap) {
+		t.Fatalf("vertex %d changed degree %d -> %d", swap, g.OutDegree(swap), g2.OutDegree(swap))
 	}
+
 	for _, e := range engines(t, g2) {
 		rank := make([]float64, n2)
 		copy(rank, seed)
 		got := PageRankResume(e, rank, RankDelta{
-			Adds: adds, Dels: dels, OldOutDeg: oldDeg, NOld: n,
+			Adds: adds, Dels: dels, NOld: n,
 			Grown: []graph.VertexID{graph.VertexID(n), graph.VertexID(n + 1)},
 		}, 400, eps)
 		want := PageRankDelta(e, 400, eps)
@@ -198,5 +207,131 @@ func TestPageRankResumeMatchesCold(t *testing.T) {
 				t.Fatalf("%s: resumed rank[%d] = %.12g, want %.12g", e.Name(), v, got[v], want[v])
 			}
 		}
+	}
+}
+
+// TestPageRankResumeDeterministic runs the same resume repeatedly on a
+// single-threaded engine, where nothing but PageRankResume's own sweep
+// order can vary, and requires identical result bits. Two hundred sources
+// each gain an edge to one vertex with no in-edges, so that vertex's small
+// rank absorbs the sum of two hundred retained-edge shifts, whose rounding
+// depends on the order they are added in.
+func TestPageRankResumeDeterministic(t *testing.T) {
+	const eps = 1e-9
+	g := testGraph(t)
+	n := g.NumVertices()
+	seed := PageRankDelta(ligra.New(g, ligra.Config{Engine: engine.Config{Topology: smallTopology}}), 400, eps)
+	tgt := graph.VertexID(0)
+	for g.InDegree(tgt) > 0 {
+		tgt++
+	}
+	var adds []graph.Edge
+	for s := graph.VertexID(1); len(adds) < 200; s += 5 {
+		if g.OutDegree(s) > 0 && s != tgt {
+			adds = append(adds, graph.Edge{Src: s, Dst: tgt, Weight: 1})
+		}
+	}
+	g2, err := graph.FromEdges(n, append(g.Edges(), adds...), g.Weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ligra.New(g2, ligra.Config{Engine: engine.Config{Topology: numa.Topology{Sockets: 1, ThreadsPerSocket: 1}}})
+	var first []float64
+	for run := 0; run < 8; run++ {
+		got := PageRankResume(e, slices.Clone(seed), RankDelta{Adds: adds, NOld: n}, 400, eps)
+		if first == nil {
+			first = got
+			continue
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(first[v]) {
+				t.Fatalf("run %d: rank[%d] bits %x, run 0 %x", run, v, math.Float64bits(got[v]), math.Float64bits(first[v]))
+			}
+		}
+	}
+}
+
+// resumeBench is the epoch step the resume benchmarks time: a 20k-vertex
+// weighted power-law graph g, the graph g2 after 64 insertions and 64
+// deletions spread over the vertex space, and the delta between them.
+func resumeBench(b *testing.B) (g, g2 *graph.Graph, adds, dels []graph.Edge) {
+	b.Helper()
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		N: 20_000, S: 1.0, MaxDegree: 1000, ZeroInFrac: 0.14, Weighted: true,
+		SourceSkew: 0.6, IDCorrelation: 0.5, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumVertices()
+	edges := g.Edges()
+	stride := len(edges) / 64
+	var kept []graph.Edge
+	for i, e := range edges {
+		if i%stride == 0 && len(dels) < 64 {
+			dels = append(dels, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		adds = append(adds, graph.Edge{
+			Src: graph.VertexID(i * 7919 % n), Dst: graph.VertexID((i*104729 + 13) % n), Weight: int32(1 + i%100),
+		})
+	}
+	g2, err = graph.FromEdges(n, append(kept, adds...), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, g2, adds, dels
+}
+
+// BenchmarkRelaxResume times one refinement of converged shortest-path
+// distances after the insertions: the seed is g's fixpoint, which stays a
+// valid upper bound on g2's insert-only graph, and the frontier is the
+// inserted edges' sources.
+func BenchmarkRelaxResume(b *testing.B) {
+	g, _, adds, _ := resumeBench(b)
+	g2, err := graph.FromEdges(g.NumVertices(), append(g.Edges(), adds...), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ligra.Config{Engine: engine.Config{Topology: smallTopology}}
+	seed := make([]int64, g.NumVertices())
+	for i := range seed {
+		seed[i] = RelaxInf
+	}
+	seed[0] = 0
+	RelaxResume(ligra.New(g, cfg), seed, true, frontier.FromVertex(g, 0))
+	e := ligra.New(g2, cfg)
+	var srcs []graph.VertexID
+	for _, ed := range adds {
+		srcs = append(srcs, ed.Src)
+	}
+	slices.Sort(srcs)
+	srcs = slices.Compact(srcs)
+	val := make([]int64, len(seed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(val, seed)
+		RelaxResume(e, val, true, frontier.FromVertices(g2, srcs))
+	}
+}
+
+// BenchmarkPageRankResume times one PageRank refinement across the
+// insertions and deletions from g's converged vector.
+func BenchmarkPageRankResume(b *testing.B) {
+	const eps = 1e-9
+	g, g2, adds, dels := resumeBench(b)
+	cfg := ligra.Config{Engine: engine.Config{Topology: smallTopology}}
+	seed := PageRankDelta(ligra.New(g, cfg), 400, eps)
+	e := ligra.New(g2, cfg)
+	rank := make([]float64, len(seed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rank, seed)
+		PageRankResume(e, rank, RankDelta{Adds: adds, Dels: dels, NOld: g.NumVertices()}, 400, eps)
 	}
 }

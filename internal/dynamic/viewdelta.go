@@ -1,13 +1,20 @@
 package dynamic
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // ViewDelta describes everything that changed between a basis view and a
 // later one of the same graph. The facade derives it from the two views
 // alone — Frozen.Since for the edges, the two orderings for the rest — and
 // uses it to patch engine-side structures instead of rebuilding them; the
 // exact set of dirty partitions is derived from the delta's destination
-// endpoints plus the moved and admitted positions.
+// endpoints plus the moved and admitted positions. Result refinement
+// (View.Refine*, DESIGN.md §5d) reads it as is: everything is in
+// original-ID space, the space algorithm results live in, so a delta stays
+// applicable even across full renumbering epochs.
 type ViewDelta struct {
 	// Adds and Dels are the net edge changes, sorted by (Src, Dst, Weight)
 	// with multiplicities unrolled: original-ID endpoints, normalized
@@ -28,6 +35,27 @@ type ViewDelta struct {
 	// later view's space; within a numbering lineage they fill reserved
 	// headroom slots and every pre-existing vertex keeps its new ID.
 	Grown int64
+}
+
+// Empty reports whether the delta changes no algorithm result: no edge
+// change, no moved vertex, no admission. A placement-only delta is empty —
+// results live in original-ID space, which renumbering leaves alone.
+func (d ViewDelta) Empty() bool {
+	return len(d.Adds) == 0 && len(d.Dels) == 0 && len(d.Moved) == 0 && d.Grown == 0
+}
+
+// Touched returns the number of distinct endpoints the edge delta touches —
+// the input to refinement's scratch-fallback gate (a delta touching a large
+// fraction of the graph refines slower than a cold start).
+func (d ViewDelta) Touched() int {
+	ends := make([]graph.VertexID, 0, 2*(len(d.Adds)+len(d.Dels)))
+	for _, es := range [][]graph.Edge{d.Adds, d.Dels} {
+		for _, e := range es {
+			ends = append(ends, e.Src, e.Dst)
+		}
+	}
+	slices.Sort(ends)
+	return len(slices.Compact(ends))
 }
 
 // MovedBetween returns, sorted, the vertices w < len(base) whose position

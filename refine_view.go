@@ -1,8 +1,9 @@
 package vebo
 
 import (
+	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,24 +15,30 @@ import (
 
 // This file implements result patching across epochs (DESIGN.md §5d): a
 // query on epoch E seeds from the basis view's converged result — cached in
-// a lineage-keyed Refined capture — extends the array for vertices admitted
-// since, and refines only the region the ViewDelta can have affected. The
-// monotone algorithms (BFS depths, canonical CC labels, Bellman-Ford
-// distances) take the KickStarter-style route: conservatively reset the
+// a lineage-keyed Refined capture — and refines only the region the
+// ViewDelta can have affected. Every Refine* query runs through one driver,
+// refine, which owns the shared decisions — cache hit, scratch seed,
+// unchanged delta, the touched-endpoint fallback gate, storing the capture
+// and observing the query — and reads the view's own ViewDelta as is. Each
+// query supplies only a cold run and a warm step. The monotone algorithms
+// (BFS depths, canonical CC labels, Bellman-Ford distances) share
+// refineRelax, the KickStarter-style route: conservatively reset the
 // delta-reachable dependence cone, then re-relax it from its intact rim plus
-// the inserted-edge sources. PageRank takes the GraphBolt-style route: the
-// recurrence is linear, so the exact correction is the initial residual of
-// the graph delta propagated with dirty-vertex frontiers until it falls
-// under ε everywhere. Both routes fall back to a cold start when the delta
-// touches more than a gated fraction of the graph, where refinement would
-// cost more than it saves.
+// the inserted-edge sources. PageRank's warm step is the GraphBolt-style
+// algorithms.PageRankResume: the recurrence is linear, so the exact
+// correction is the initial residual of the graph delta propagated with
+// dirty-vertex frontiers until it falls under ε everywhere. Both fall back
+// to a cold start when the delta touches more than a gated fraction of the
+// graph, where refinement would cost more than it saves.
 //
 // Soundness rests on two invariants the rest of the module maintains:
 // internal (original) vertex IDs are append-only — so a basis result array
 // indexed by original IDs is prefix-valid at any later epoch, even across
 // full renumberings — and View.deltaOver(b) exactly covers the span from
 // the basis b to the view (Frozen.Since nets the log entries between the
-// two captures, so the edge multiset is exact).
+// two captures, so the edge multiset is exact). The delta is shared by
+// every consumer of the view; warm steps read it through relabeled copies
+// and never rewrite it.
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -82,9 +89,12 @@ type Refined struct {
 	root  VertexID
 	epoch int64
 	n     int
-	vals  []int64   // BFS depths / packed CC states / SSSP distances
-	ranks []float64 // PageRank
-	eps   float64   // the convergence threshold the ranks satisfy
+	// vals holds []int64 BFS depths / packed CC states / SSSP distances, or
+	// []float64 PageRank ranks.
+	vals any
+	// eps is the convergence threshold vals satisfy: 0 for the exact
+	// monotone algorithms, so every threshold check passes for them.
+	eps float64
 }
 
 // refineCache holds a view's captures. It hangs off the frozen View behind a
@@ -175,17 +185,6 @@ const prScratchIters = 400
 // compound across refinement chains, and a tight ε keeps chains of any
 // practical length well inside test tolerances.
 const DefaultRefineEps = 1e-9
-
-// extendVals copies a basis result array into this view's (longer or equal)
-// original-ID space; fill supplies the value of each admitted vertex.
-func extendVals(vals []int64, n int, fill func(orig int) int64) []int64 {
-	out := make([]int64, n)
-	copy(out, vals)
-	for o := len(vals); o < n; o++ {
-		out[o] = fill(o)
-	}
-	return out
-}
 
 // coneHeap is a binary min-heap of (value, vertex) candidates; processing
 // candidates in value order is what makes the alternate-supporter pruning in
@@ -306,11 +305,64 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 	return cone, true
 }
 
+// warmStep refines an engine-space seed — the basis capture permuted in,
+// zero at admitted vertices — in place by the view's delta. ok=false means
+// the step's own fallback gate tripped.
+type warmStep[T any] func(e Engine, seed []T, vd dynamic.ViewDelta) (st RefineStats, ok bool)
+
+// refine drives every Refine* query end to end: cache hit, scratch seed,
+// unchanged delta, gated fallback or refinement. cold computes the
+// engine-space result from scratch; warm refines a seed by the delta. A
+// capture serves or seeds the query only if it is converged at least as
+// tightly as eps. Returns the original-ID result, shared with the stored
+// capture — callers convert, never mutate.
+func refine[T int64 | float64](v *View, sys System, key refineKey, eps float64,
+	cold func(e Engine) []T, warm warmStep[T]) ([]T, RefineStats, error) {
+	start := time.Now()
+	done := func(vals []T, st RefineStats) ([]T, RefineStats, error) {
+		v.work.observeRefine(v, key.alg, sys, start, st)
+		return vals, st, nil
+	}
+	store := func(vals []T, valsEps float64, st RefineStats) ([]T, RefineStats, error) {
+		v.keep(key, &Refined{alg: key.alg, root: key.root, epoch: v.epoch, n: v.nverts, vals: vals, eps: valsEps})
+		return done(vals, st)
+	}
+	if r := v.ref.get(key); r != nil && r.eps <= eps {
+		return done(r.vals.([]T), RefineStats{Path: RefineCached, SeedEpoch: r.epoch})
+	}
+	e, err := v.Engine(sys)
+	if err != nil {
+		return nil, RefineStats{}, err
+	}
+	scratch := func(path string) ([]T, RefineStats, error) {
+		return store(unpermute(v.ord.Perm, cold(e)), eps, RefineStats{Path: path, SeedEpoch: -1})
+	}
+	cap_, b := v.basisCapture(key)
+	if cap_ == nil || cap_.eps > eps {
+		return scratch(RefineScratchSeed)
+	}
+	vd := v.deltaOver(b)
+	if vd.Empty() {
+		return store(cap_.vals.([]T), cap_.eps, RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch})
+	}
+	if vd.Touched() > v.nverts/refineConeDenom {
+		return scratch(RefineScratchFallback)
+	}
+	seed := permuteIn(v.ord.Perm, cap_.vals.([]T), v.slots())
+	st, ok := warm(e, seed, vd)
+	if !ok {
+		return scratch(RefineScratchFallback)
+	}
+	st.Path, st.SeedEpoch = RefineRefined, cap_.epoch
+	return store(unpermute(v.ord.Perm, seed), eps, st)
+}
+
 // refineSpec parameterizes refineRelax per monotone algorithm.
 type refineSpec struct {
 	weighted bool
-	// resetVal is the value a cone member falls back to: "unknown" for the
-	// rooted traversals, the vertex's own injection for CC.
+	// resetVal is the value a cone member falls back to and an admitted
+	// vertex starts from: "unknown" for the rooted traversals, the vertex's
+	// own injection for CC.
 	resetVal func(eng VertexID) int64
 	// resetJoins/grownJoins: whether reset members / admitted vertices carry
 	// their own injection into the initial frontier (CC does; the rooted
@@ -318,116 +370,68 @@ type refineSpec struct {
 	resetJoins, grownJoins bool
 }
 
-// refineRelax is the shared monotone-refinement route: invalidate the
-// deletion cone, reset it, assemble the repair frontier (the cone's intact
-// rim, the inserted-edge sources, the moved vertices, plus the per-spec
-// injections) and relax to fixpoint. seed is engine-space and mutated in
-// place. ok=false means the fallback gate tripped and the caller should
-// compute cold.
-func (v *View) refineRelax(e Engine, seed []int64, plan dynamic.RefinePlan, spec refineSpec) (RefineStats, bool) {
-	rg := e.Graph()
-	perm := v.ord.Perm
-	mapEndpoints(plan.Adds, perm)
-	mapEndpoints(plan.Dels, perm)
-	budget := int64(refineBudgetMin)
-	if m := rg.NumEdges() / 4; m > budget {
-		budget = m
-	}
-	cone, ok := invalidationCone(rg, seed, plan.Dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
-	if !ok {
-		return RefineStats{}, false
-	}
-	for _, u := range cone {
-		seed[u] = spec.resetVal(u)
-	}
-	fr := make([]bool, len(seed))
-	var list []VertexID
-	mark := func(u VertexID) {
-		if !fr[u] {
-			fr[u] = true
-			list = append(list, u)
+// refineRelax returns the monotone algorithms' warm step: start the
+// admitted vertices from their reset value, invalidate the deletion cone,
+// reset it, assemble the repair frontier (the cone's intact rim, the
+// inserted-edge sources, the moved vertices, plus the per-spec injections)
+// and relax to fixpoint. ok=false means the fallback gate tripped and the
+// driver computes cold.
+func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
+	return func(e Engine, seed []int64, vd dynamic.ViewDelta) (RefineStats, bool) {
+		rg := e.Graph()
+		perm := v.ord.Perm
+		grown := perm[v.nverts-int(vd.Grown) : v.nverts]
+		for _, u := range grown {
+			seed[u] = spec.resetVal(u)
 		}
-	}
-	for _, u := range cone {
-		if spec.resetJoins {
-			mark(u)
+		budget := int64(refineBudgetMin)
+		if m := rg.NumEdges() / 4; m > budget {
+			budget = m
 		}
-		for _, q := range rg.InNeighbors(u) {
-			if seed[q] < algorithms.RelaxInf {
-				mark(q)
+		cone, ok := invalidationCone(rg, seed, relabel(vd.Dels, perm), spec.weighted, v.nverts/refineConeDenom+1, budget)
+		if !ok {
+			return RefineStats{}, false
+		}
+		for _, u := range cone {
+			seed[u] = spec.resetVal(u)
+		}
+		fr := make([]bool, len(seed))
+		var list []VertexID
+		mark := func(u VertexID) {
+			if !fr[u] {
+				fr[u] = true
+				list = append(list, u)
 			}
 		}
-	}
-	for _, ed := range plan.Adds {
-		if seed[ed.Src] < algorithms.RelaxInf {
-			mark(ed.Src)
+		for _, u := range cone {
+			if spec.resetJoins {
+				mark(u)
+			}
+			for _, q := range rg.InNeighbors(u) {
+				if seed[q] < algorithms.RelaxInf {
+					mark(q)
+				}
+			}
 		}
-	}
-	for _, w := range plan.Moved {
-		if u := perm[w]; seed[u] < algorithms.RelaxInf {
-			mark(u)
+		for _, ed := range vd.Adds {
+			if u := perm[ed.Src]; seed[u] < algorithms.RelaxInf {
+				mark(u)
+			}
 		}
-	}
-	if spec.grownJoins {
-		for o := v.nverts - int(plan.Grown); o < v.nverts; o++ {
-			mark(perm[o])
+		for _, w := range vd.Moved {
+			if u := perm[w]; seed[u] < algorithms.RelaxInf {
+				mark(u)
+			}
 		}
+		if spec.grownJoins {
+			for _, u := range grown {
+				mark(u)
+			}
+		}
+		slices.Sort(list)
+		algorithms.RelaxResume(e, seed, spec.weighted, frontier.FromVertices(rg, list))
+		return RefineStats{ResetVertices: len(cone), FrontierVertices: len(list)}, true
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	algorithms.RelaxResume(e, seed, spec.weighted, frontier.FromVertices(rg, list))
-	return RefineStats{Path: RefineRefined, ResetVertices: len(cone), FrontierVertices: len(list)}, true
-}
-
-// refineMonotone drives one monotone Refine* query end to end: cache hit,
-// scratch seed, delta refinement or gated fallback. scratch computes the
-// engine-space result cold; extendFill supplies admitted vertices' seeds.
-// Returns the original-ID result (shared with the stored capture — callers
-// convert, never mutate).
-func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refineSpec,
-	scratch func(e Engine) []int64, extendFill func(orig int) int64) ([]int64, RefineStats, error) {
-	start := time.Now()
-	key := refineKey{alg: alg, root: root}
-	if r := v.ref.get(key); r != nil {
-		st := RefineStats{Path: RefineCached, SeedEpoch: r.epoch}
-		v.work.observeRefine(v, alg, sys, start, st)
-		return r.vals, st, nil
-	}
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	cold := func(path string) ([]int64, RefineStats, error) {
-		vals := unpermute(v.ord.Perm, scratch(e))
-		v.keep(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
-		st := RefineStats{Path: path, SeedEpoch: -1}
-		v.work.observeRefine(v, alg, sys, start, st)
-		return vals, st, nil
-	}
-	cap_, b := v.basisCapture(key)
-	if cap_ == nil {
-		return cold(RefineScratchSeed)
-	}
-	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
-	if plan.Empty() {
-		r := &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: cap_.vals}
-		v.keep(key, r)
-		st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch}
-		v.work.observeRefine(v, alg, sys, start, st)
-		return r.vals, st, nil
-	}
-	if plan.Touched() > v.nverts/refineConeDenom {
-		return cold(RefineScratchFallback)
-	}
-	seed := permuteIn(v.ord.Perm, extendVals(cap_.vals, v.nverts, extendFill), v.slots())
-	st, ok := v.refineRelax(e, seed, plan, spec)
-	if !ok {
-		return cold(RefineScratchFallback)
-	}
-	vals := unpermute(v.ord.Perm, seed)
-	v.keep(key, &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: vals})
-	st.SeedEpoch = cap_.epoch
-	v.work.observeRefine(v, alg, sys, start, st)
-	return vals, st, nil
 }
 
 // RefineBFS answers a BFS-depth query (depth from root, -1 unreached,
@@ -440,10 +444,9 @@ func (v *View) RefineBFS(sys System, root VertexID) ([]int32, RefineStats, error
 	if err := v.checkRoot(root); err != nil {
 		return nil, RefineStats{}, err
 	}
-	inf := func(int) int64 { return algorithms.RelaxInf }
-	spec := refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}
-	vals, st, err := v.refineMonotone(sys, "bfs", root, spec,
-		func(e Engine) []int64 { return algorithms.BFSDepths(e, v.ord.Perm[root]) }, inf)
+	vals, st, err := refine(v, sys, refineKey{alg: "bfs", root: root}, 0,
+		func(e Engine) []int64 { return algorithms.BFSDepths(e, v.ord.Perm[root]) },
+		v.refineRelax(refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}))
 	if err != nil {
 		return nil, st, err
 	}
@@ -466,12 +469,7 @@ func (v *View) RefineBFS(sys System, root VertexID) ([]int32, RefineStats, error
 // structure BFS has.
 func (v *View) RefineCC(sys System) ([]uint32, RefineStats, error) {
 	inv := v.invPerm()
-	spec := refineSpec{
-		resetVal:   func(u VertexID) int64 { return algorithms.PackCC(uint32(inv[u]), 0) },
-		resetJoins: true,
-		grownJoins: true,
-	}
-	vals, st, err := v.refineMonotone(sys, "cc", 0, spec,
+	vals, st, err := refine(v, sys, refineKey{alg: "cc"}, 0,
 		func(e Engine) []int64 {
 			// init spans the engine's slot space; reserved headroom slots
 			// seed with inv's zero entry, which is inert — they have no
@@ -483,7 +481,11 @@ func (v *View) RefineCC(sys System) ([]uint32, RefineStats, error) {
 			}
 			return algorithms.CCSeeded(e, init)
 		},
-		func(orig int) int64 { return algorithms.PackCC(uint32(orig), 0) })
+		v.refineRelax(refineSpec{
+			resetVal:   func(u VertexID) int64 { return algorithms.PackCC(uint32(inv[u]), 0) },
+			resetJoins: true,
+			grownJoins: true,
+		}))
 	if err != nil {
 		return nil, st, err
 	}
@@ -502,18 +504,16 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 	if err := v.checkRoot(root); err != nil {
 		return nil, RefineStats{}, err
 	}
-	inf := func(int) int64 { return algorithms.RelaxInf }
-	spec := refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}
-	vals, st, err := v.refineMonotone(sys, "sssp", root, spec,
+	vals, st, err := refine(v, sys, refineKey{alg: "sssp", root: root}, 0,
 		func(e Engine) []int64 {
-			rg := e.Graph()
 			dist := make([]int64, v.slots())
 			for i := range dist {
 				dist[i] = algorithms.RelaxInf
 			}
 			dist[v.ord.Perm[root]] = 0
-			return algorithms.BellmanFordResume(e, dist, frontier.FromVertex(rg, v.ord.Perm[root]))
-		}, inf)
+			return algorithms.RelaxResume(e, dist, true, frontier.FromVertex(e.Graph(), v.ord.Perm[root]))
+		},
+		v.refineRelax(refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}))
 	if err != nil {
 		return nil, st, err
 	}
@@ -529,71 +529,29 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 }
 
 // RefinePageRank answers a PageRank query converged to within eps (eps <= 0
-// selects DefaultRefineEps; ranks indexed by original vertex ID) by resuming
-// the iteration from the basis view's converged vector with dirty-vertex
-// frontiers. Cold starts use the delta-update formulation with the same
-// convergence threshold, so both paths approximate the same fixpoint — the
-// honest comparison baseline, unlike the fixed-iteration PageRank. The
-// returned slice is shared with the cache; callers must not mutate it.
+// selects DefaultRefineEps; NaN is an error; ranks indexed by original
+// vertex ID) by resuming the iteration from the basis view's converged
+// vector with dirty-vertex frontiers. Cold starts use the delta-update
+// formulation with the same convergence threshold, so both paths
+// approximate the same fixpoint — the honest comparison baseline, unlike
+// the fixed-iteration PageRank. The returned slice is shared with the
+// cache; callers must not mutate it.
 func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, error) {
+	if math.IsNaN(eps) {
+		return nil, RefineStats{}, errors.New("vebo: RefinePageRank eps is NaN")
+	}
 	if eps <= 0 {
 		eps = DefaultRefineEps
 	}
-	start := time.Now()
-	key := refineKey{alg: "pagerank"}
-	if r := v.ref.get(key); r != nil && r.eps <= eps {
-		st := RefineStats{Path: RefineCached, SeedEpoch: r.epoch}
-		v.work.observeRefine(v, "pagerank", sys, start, st)
-		return r.ranks, st, nil
-	}
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	cold := func(path string) ([]float64, RefineStats, error) {
-		ranks := unpermute(v.ord.Perm, algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts))
-		v.keep(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: ranks, eps: eps})
-		st := RefineStats{Path: path, SeedEpoch: -1}
-		v.work.observeRefine(v, "pagerank", sys, start, st)
-		return ranks, st, nil
-	}
-	cap_, b := v.basisCapture(key)
-	if cap_ == nil || cap_.eps > eps {
-		return cold(RefineScratchSeed)
-	}
-	plan := dynamic.DeriveRefinePlan(v.deltaOver(b))
-	if plan.Empty() {
-		r := &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: cap_.ranks, eps: cap_.eps}
-		v.keep(key, r)
-		st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch}
-		v.work.observeRefine(v, "pagerank", sys, start, st)
-		return r.ranks, st, nil
-	}
-	touched := plan.Touched()
-	if touched > v.nverts/refineConeDenom {
-		return cold(RefineScratchFallback)
-	}
 	perm := v.ord.Perm
-	rg := e.Graph()
-	mapEndpoints(plan.Adds, perm)
-	mapEndpoints(plan.Dels, perm)
-	odOld := make(map[VertexID]int64, len(plan.OutDegDelta))
-	for s, dd := range plan.OutDegDelta {
-		odOld[perm[s]] = rg.OutDegree(perm[s]) - dd
-	}
-	seed := make([]float64, v.nverts)
-	copy(seed, cap_.ranks)
-	var grown []VertexID
-	for o := cap_.n; o < v.nverts; o++ {
-		grown = append(grown, perm[o])
-	}
-	ranks := algorithms.PageRankResume(e, permuteIn(perm, seed, v.slots()),
-		algorithms.RankDelta{Adds: plan.Adds, Dels: plan.Dels, OldOutDeg: odOld,
-			NOld: cap_.n, NNew: v.nverts, Grown: grown},
-		prScratchIters, eps)
-	out := unpermute(perm, ranks)
-	v.keep(key, &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: out, eps: eps})
-	st := RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch, FrontierVertices: touched}
-	v.work.observeRefine(v, "pagerank", sys, start, st)
-	return out, st, nil
+	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
+		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
+		func(e Engine, seed []float64, vd dynamic.ViewDelta) (RefineStats, bool) {
+			nOld := v.nverts - int(vd.Grown)
+			algorithms.PageRankResume(e, seed, algorithms.RankDelta{
+				Adds: relabel(vd.Adds, perm), Dels: relabel(vd.Dels, perm),
+				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
+			}, prScratchIters, eps)
+			return RefineStats{FrontierVertices: vd.Touched()}, true
+		})
 }

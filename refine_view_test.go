@@ -2,7 +2,10 @@ package vebo
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // refSeqDepths is a sequential BFS-depth oracle over a snapshot (-1
@@ -328,5 +331,138 @@ func TestRefineFallbackGate(t *testing.T) {
 		if depths[i] != want {
 			t.Fatalf("fallback depth[%d] = %d, want %d", i, depths[i], want)
 		}
+	}
+}
+
+// TestRefinePageRankRejectsNaNEps: a NaN threshold fails every ordered
+// comparison, so it would pass the eps <= 0 default check, stop the cold run
+// after one round and, once cached, let the next epoch refine from that
+// unconverged vector. It must be an error that caches nothing.
+func TestRefinePageRankRejectsNaNEps(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.03, 500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyBatch(updates[:250]); err != nil {
+		t.Fatal(err)
+	}
+	v := d.View()
+	// Materialize v so it becomes the next view's basis.
+	if _, err := v.Reordered(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.RefinePageRank(Ligra, math.NaN()); err == nil {
+		t.Fatal("RefinePageRank accepted eps = NaN")
+	}
+	if _, err := d.ApplyBatch(updates[250:]); err != nil {
+		t.Fatal(err)
+	}
+	v2 := d.View()
+	ranks, st, err := v2.RefinePageRank(Ligra, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Path != RefineScratchSeed {
+		t.Fatalf("next-epoch path = %s, want scratch-seed (the NaN query cached a capture)", st.Path)
+	}
+	want, err := v2.PageRankDelta(Ligra, 400, DefaultRefineEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(ranks[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
+			t.Fatalf("rank[%d] = %.12g, want %.12g", i, ranks[i], want[i])
+		}
+	}
+}
+
+// TestRefineLeavesViewDeltaIntact runs refinement before the engine patch
+// that reads the same view's delta: RefineSSSP and RefinePageRank refine on
+// Ligra, then the view patches its GraphGrind engine from the basis's,
+// choosing dirty partitions from the delta's endpoints. The patched engine
+// must compute what a reuse-disabled twin's scratch engine does, and the
+// relabeled graph must equal a scratch relabel of the snapshot — neither
+// holds if a warm step rewrote the shared delta in place.
+func TestRefineLeavesViewDeltaIntact(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.04, 2000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable := DynamicOptions{
+		Partitions:             64,
+		RebuildThreshold:       1 << 40,
+		VertexRebuildThreshold: 1 << 40,
+		Engine:                 viewTestOpts,
+	}
+	scratchOpts := stable
+	scratchOpts.DisableViewReuse = true
+	dp, err := NewDynamic(g, stable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDynamic(g, scratchOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, g.NumVertices())
+	for i := range x {
+		x[i] = 1 / float64(i+1)
+	}
+	refined := 0
+	const batch = 64
+	for lo := 0; lo < len(updates); lo += batch {
+		hi := min(lo+batch, len(updates))
+		if _, err := dp.ApplyBatch(updates[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.ApplyBatch(updates[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		vp, vs := dp.View(), ds.View()
+		_, sst, err := vp.RefineSSSP(Ligra, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pst, err := vp.RefinePageRank(Ligra, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sst.Path == RefineRefined && pst.Path == RefineRefined {
+			refined++
+		}
+		yp, err := vp.SPMV(GraphGrind, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys, err := vs.SPMV(GraphGrind, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range yp {
+			if yp[i] != ys[i] {
+				t.Fatalf("epoch %d: GraphGrind SPMV after refinement diverges at %d: %v vs %v", vp.Epoch(), i, yp[i], ys[i])
+			}
+		}
+		rg, err := vp.Reordered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Apply(vp.Snapshot(), vp.ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rg.Edges(), want.Edges()) {
+			t.Fatalf("epoch %d: relabeled graph after refinement differs from a scratch relabel", vp.Epoch())
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no epoch refined both queries; the warm steps never ran")
+	}
+	if dp.ViewWork().EnginePatches == 0 {
+		t.Fatal("GraphGrind was never patched; the delta's engine consumer never ran")
 	}
 }

@@ -229,12 +229,14 @@ func unpermute[T any](perm []VertexID, res []T) []T {
 }
 
 // permuteIn reindexes an original-ID value array into an engine space of n
-// positions (≥ len(xs) on slotted orderings). Reserved headroom slots take
-// the zero value; callers for whom zero is not inert must overwrite them.
+// positions (≥ len(perm) on slotted orderings). xs may be shorter than perm
+// — a basis result misses the vertices admitted since — and those vertices'
+// positions, like reserved headroom slots, take the zero value; callers for
+// whom zero is not inert must overwrite them.
 func permuteIn[T any](perm []VertexID, xs []T, n int) []T {
 	out := make([]T, n)
-	for old, nw := range perm {
-		out[nw] = xs[old]
+	for old, x := range xs {
+		out[perm[old]] = x
 	}
 	return out
 }

@@ -94,10 +94,7 @@ func (v *View) Reordered() (*Graph, error) {
 		if b := v.basis.Load(); b != nil && !v.deltaOver(b).PlacementChanged {
 			if brg := b.rgp.Load(); brg != nil {
 				vd := v.deltaOver(b)
-				adds, dels := slices.Clone(vd.Adds), slices.Clone(vd.Dels)
-				perm := v.ord.Perm
-				mapEndpoints(adds, perm)
-				mapEndpoints(dels, perm)
+				adds, dels := relabel(vd.Adds, v.ord.Perm), relabel(vd.Dels, v.ord.Perm)
 				rg, st, err := brg.PatchEdgesPermN(v.slots(), adds, dels, v.segPerm(b))
 				if err == nil {
 					v.work.graphPatches.Add(1)
@@ -152,12 +149,16 @@ func (v *View) dropSpentBasis() {
 	}
 }
 
-// mapEndpoints rewrites edge endpoints through a permutation in place.
-func mapEndpoints(edges []graph.Edge, perm []VertexID) {
-	for i := range edges {
-		edges[i].Src = perm[edges[i].Src]
-		edges[i].Dst = perm[edges[i].Dst]
+// relabel returns a copy of a delta edge list with its endpoints mapped
+// through a permutation. The delta is shared by every consumer of the view,
+// so it is never rewritten in place.
+func relabel(edges []graph.Edge, perm []VertexID) []graph.Edge {
+	out := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		e.Src, e.Dst = perm[e.Src], perm[e.Dst]
+		out[i] = e
 	}
+	return out
 }
 
 // rangePredicate turns a sorted ID list into a "does [lo, hi) contain any
