@@ -140,8 +140,9 @@ func BenchmarkCSRCOOBuild(b *testing.B) {
 }
 
 // Layer micro-benchmarks of the per-epoch path: one dirty-partition COO
-// rebuild, a GraphGrind engine patch and a graph row patch, each at a fixed
-// delta size, then epoch capture and publication at a fixed delta-log size.
+// rebuild, a GraphGrind engine patch, the Ligra and Polymer scratch builds
+// and a graph row patch, each at a fixed delta size, then epoch capture and
+// publication at a fixed delta-log size.
 
 // BenchmarkBuildRange builds one GraphGrind-sized partition's COO (the
 // middle partition of an edge-balanced 384-way split).
@@ -265,6 +266,22 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkNewEngine builds the Ligra and Polymer engines a view derives
+// from scratch on every epoch, over BenchmarkGraphGrindPatch's graph.
+func BenchmarkNewEngine(b *testing.B) {
+	g := benchGraph(b)
+	for _, sys := range []vebo.System{vebo.Ligra, vebo.Polymer} {
+		b.Run(sys.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := vebo.NewEngine(sys, g, vebo.EngineOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPatchEdgesPermN patches a graph with a 128-update delta, on the

@@ -124,6 +124,7 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 		t.Fatalf("patching across growth epochs saved no work: %d+%d+%d vs %d",
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
 	}
+	assertNoFallbacks(t, dp)
 }
 
 // TestViewSnapshotCanonicalAcrossGrowth checks view snapshots over a growing

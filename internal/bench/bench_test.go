@@ -40,6 +40,7 @@ func TestGrowSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.Quick = true
+	cfg.JSONDir = t.TempDir()
 	if err := Run("grow", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +48,38 @@ func TestGrowSmoke(t *testing.T) {
 	for _, want := range []string{"vertex arrivals", "patched", "rebuild", "maintained", "work ratio"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	assertConstructionEdges(t, readReport(t, cfg.JSONDir, "grow"), 4997400, 2235795, 2278640)
+}
+
+// readReport parses the BENCH_<exp>.json an experiment wrote into dir.
+func readReport(t *testing.T, dir, exp string) Report {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+exp+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatalf("BENCH_%s.json invalid: %v", exp, err)
+	}
+	return r
+}
+
+// assertConstructionEdges pins a quick-mode report's modeled construction
+// edges exactly. The modeled plane is deterministic, so a simplification of
+// the view's build paths must leave these unchanged; the baseline's
+// tolerance alone would let them drift.
+func assertConstructionEdges(t *testing.T, r Report, rebuild, patched, maintained float64) {
+	t.Helper()
+	for name, want := range map[string]float64{
+		"rebuild_construction_edges":    rebuild,
+		"patched_construction_edges":    patched,
+		"maintained_construction_edges": maintained,
+	} {
+		if got := r.Modeled[name]; got != want {
+			t.Errorf("%s %s = %v, want %v", r.Experiment, name, got, want)
 		}
 	}
 }
@@ -65,14 +98,7 @@ func TestRefineSmoke(t *testing.T) {
 	if err := Run("refine", cfg); err != nil && !errors.Is(err, errRefineGate) {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_refine.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("BENCH_refine.json invalid: %v", err)
-	}
+	r := readReport(t, cfg.JSONDir, "refine")
 	if r.Experiment != "refine" || r.GeneratedUnix == 0 {
 		t.Fatalf("report header = %+v", r)
 	}
@@ -118,14 +144,7 @@ func TestViewQuickEmitsJSON(t *testing.T) {
 	if err := Run("view", cfg); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_view.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("BENCH_view.json invalid: %v", err)
-	}
+	r := readReport(t, cfg.JSONDir, "view")
 	if len(r.Gates) != 1 || r.Gates[0].Name != "work_ratio_maintained" {
 		t.Fatalf("gates = %+v", r.Gates)
 	}
@@ -135,6 +154,7 @@ func TestViewQuickEmitsJSON(t *testing.T) {
 	if r.Modeled["work_ratio_patched"] <= 0 {
 		t.Errorf("modeled work_ratio_patched missing: %+v", r.Modeled)
 	}
+	assertConstructionEdges(t, r, 621312, 381652, 386555)
 }
 
 func TestViewSmoke(t *testing.T) {

@@ -304,31 +304,6 @@ func MakespanGrouped(costs []int64, groups, workersPerGroup int) int64 {
 	return max
 }
 
-// PatchStats reports how much of an engine rebuild was avoided by patching:
-// partitions whose materialized structures (COOs, partition metadata,
-// scheduling units) were carried over from the previous epoch's engine
-// versus rebuilt, and the edges owned by each group. Remapped partitions
-// sit in between: their edge content is unchanged but a segment-local
-// renumbering moved some referenced vertex IDs. Only the entries naming a
-// moved vertex count as EdgesRemapped, the modeled cost of rewriting them;
-// the rest count as reused, however the engine materializes the result.
-type PatchStats struct {
-	PartsRebuilt, PartsReused int
-	PartsRemapped             int
-	EdgesRebuilt, EdgesReused int64
-	EdgesRemapped             int64
-}
-
-// Add accumulates other into s.
-func (s *PatchStats) Add(other PatchStats) {
-	s.PartsRebuilt += other.PartsRebuilt
-	s.PartsReused += other.PartsReused
-	s.PartsRemapped += other.PartsRemapped
-	s.EdgesRebuilt += other.EdgesRebuilt
-	s.EdgesReused += other.EdgesReused
-	s.EdgesRemapped += other.EdgesRemapped
-}
-
 // Config carries the knobs shared by the three engines.
 type Config struct {
 	// Topology is the virtual NUMA machine; the zero value selects the

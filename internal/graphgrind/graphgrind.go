@@ -85,6 +85,21 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
 }
 
+// PatchStats reports how much of an engine rebuild Patch avoided:
+// partitions whose COOs and metadata were carried over from the previous
+// epoch's engine versus rebuilt, and the edges owned by each group.
+// Remapped partitions sit in between: their edge content is unchanged but a
+// segment-local renumbering moved some referenced source IDs. Only the
+// entries naming a moved vertex count as EdgesRemapped, the modeled cost of
+// rewriting them; the rest count as reused, however the result is
+// materialized.
+type PatchStats struct {
+	PartsRebuilt, PartsReused int
+	PartsRemapped             int
+	EdgesRebuilt, EdgesReused int64
+	EdgesRemapped             int64
+}
+
 // Patch builds a GraphGrind engine over g — a graph whose edge content
 // differs from gg's only inside partitions for which dirty reports true —
 // reusing gg's materialized per-partition COOs and metadata for every clean
@@ -105,8 +120,8 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 // layout.BuildRanges pass (a source-stale partition with no such entry
 // needs none), and every other partition shares gg's COO, so the patched
 // engine is byte-identical to New over g.
-func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, engine.PatchStats, error) {
-	var st engine.PatchStats
+func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, PatchStats, error) {
+	var st PatchStats
 	if g.NumVertices() != gg.g.NumVertices() {
 		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), gg.g.NumVertices())
 	}

@@ -78,7 +78,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 		t.Fatal("a permutation of the wrong length was accepted")
 	}
 
-	var wantSt engine.PatchStats
+	var wantSt PatchStats
 	for i, pt := range gg.parts {
 		switch {
 		case dirty(pt.Lo, pt.Hi):

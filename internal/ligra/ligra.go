@@ -46,25 +46,6 @@ func New(g *graph.Graph, cfg Config) *Ligra {
 	}
 }
 
-// Rebind returns a Ligra engine over g reusing l's configuration and dense
-// scheduling units (which depend only on the vertex count). Ligra keeps no
-// partitioned per-edge structures — no stored vertex IDs at all beyond the
-// graph itself — so "patching" it across epochs is just a rebind of the
-// graph pointer with fresh metrics, valid under any renumbering of the
-// vertex space: identical ordering, a segment-local permutation from a
-// placement-preserving repair, a full rebuild, or a grown vertex count
-// alike. A changed vertex count re-derives the scheduling units (an
-// O(n/grain) range split); everything else carries over. Under headroom
-// growth the slot space — and with it the unit split — is constant across
-// a lineage, so admissions take the sharing path; the count only changes
-// at a relabeling spill, which rebuilds from scratch anyway.
-func (l *Ligra) Rebind(g *graph.Graph) *Ligra {
-	if g.NumVertices() != l.g.NumVertices() {
-		return New(g, l.cfg)
-	}
-	return &Ligra{g: g, cfg: l.cfg, units: l.units}
-}
-
 // Name implements Engine.
 func (l *Ligra) Name() string { return "ligra" }
 

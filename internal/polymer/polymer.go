@@ -63,69 +63,6 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 	}, nil
 }
 
-// Patch builds a Polymer engine over g — a graph whose edge content differs
-// from p's only inside socket partitions for which dirty reports true —
-// reusing p's partition metadata and edge-balanced thread sub-ranges for
-// every clean partition. g has p's vertex count and socket boundaries:
-// either the vertex placement did not change (perm == nil), or it changed
-// by a segment-local permutation perm (old ID → new ID, identity outside
-// the moved vertices) that kept the boundaries fixed. Headroom growth is
-// the perm == nil case: admitted vertices fill reserved slots inside their
-// socket's fixed range, so only grown sockets are dirty. Polymer's
-// per-partition state — edge counts and thread sub-ranges — stores no
-// neighbor IDs, so only a partition containing a moved or admitted vertex
-// changes; it is upgraded to dirty whether or not the caller flagged it.
-// Dirty partitions are re-scanned and re-subdivided.
-func (p *Polymer) Patch(g *graph.Graph, perm []graph.VertexID, dirty func(lo, hi graph.VertexID) bool) (*Polymer, engine.PatchStats, error) {
-	var st engine.PatchStats
-	if g.NumVertices() != p.g.NumVertices() {
-		return nil, st, fmt.Errorf("polymer: patch vertex count %d != %d", g.NumVertices(), p.g.NumVertices())
-	}
-	// The facade's dirty predicate already flags ranges containing moved or
-	// admitted vertices, so this scan is pure defense for other callers of
-	// the public API. It only runs over ranges claimed clean, costs one
-	// linear pass of integer compares per patch — noise next to
-	// re-subdividing even a single socket partition — and keeps Patch
-	// self-sufficiently correct when the caller's predicate under-reports.
-	unmoved := func(lo, hi graph.VertexID) bool {
-		if perm == nil {
-			return true
-		}
-		for v := lo; v < hi; v++ {
-			if perm[v] != v {
-				return false
-			}
-		}
-		return true
-	}
-	tps := p.cfg.Engine.Topology.ThreadsPerSocket
-	parts := make([]partition.Partition, len(p.parts))
-	units := make([]engine.Range, 0, len(p.units))
-	ui := 0
-	for i, pt := range p.parts {
-		lo := ui
-		for ui < len(p.units) && p.units[ui].Lo >= pt.Lo && p.units[ui].Lo < pt.Hi {
-			ui++
-		}
-		if !dirty(pt.Lo, pt.Hi) && unmoved(pt.Lo, pt.Hi) {
-			parts[i] = pt
-			units = append(units, p.units[lo:ui]...)
-			st.PartsReused++
-			st.EdgesReused += pt.Edges
-			continue
-		}
-		np := partition.Partition{Lo: pt.Lo, Hi: pt.Hi}
-		for v := pt.Lo; v < pt.Hi; v++ {
-			np.Edges += g.InDegree(v)
-		}
-		parts[i] = np
-		units = append(units, engine.SubdivideByEdges(g, []engine.Range{{Lo: pt.Lo, Hi: pt.Hi}}, tps)...)
-		st.PartsRebuilt++
-		st.EdgesRebuilt += np.Edges
-	}
-	return &Polymer{g: g, cfg: p.cfg, parts: parts, units: units}, st, nil
-}
-
 // Name implements Engine.
 func (p *Polymer) Name() string { return "polymer" }
 

@@ -155,7 +155,7 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	}
 	for _, want := range []string{
 		"graph/snapshot-build", "graph/reorder-build", "graph/reorder-patch",
-		"engine/build", "engine/patch", "engine/rebind",
+		"engine/build", "engine/patch",
 		"query:bfs/full",
 		"query:refine-bfs/" + RefineScratchSeed, "query:refine-bfs/" + RefineCached,
 		"query:refine-bfs/" + RefineRefined, "query:refine-bfs/" + RefineScratchFallback,

@@ -25,12 +25,12 @@ import (
 // placement, or a placement-preserving swap repair that only permuted IDs
 // inside the affected partitions' segments (dynamic.ViewDelta.Moved) — its
 // relabeled graph is patched row-wise from the predecessor's through the
-// segment-local permutation, and per-partition engine structures
-// (GraphGrind COOs, Polymer scheduling units, partition metadata) are
+// segment-local permutation, and GraphGrind's per-partition COOs are
 // rebuilt only for partitions whose edge content changed or that touch a
-// moved vertex. The relabeled graph is the only artifact patched across
-// epochs; the snapshot in original vertex IDs is materialized from the
-// view's own capture. ViewWork reports the resulting
+// moved vertex. Ligra and Polymer engines are built from scratch over the
+// relabeled graph: their scheduling state derives from the vertex count and
+// degree offsets alone. The snapshot in original vertex IDs is materialized
+// from the view's own capture. ViewWork reports the resulting
 // rebuild-versus-patch-versus-relabel work split.
 //
 //vebo:frozen
@@ -62,12 +62,6 @@ type View struct {
 
 	invOnce sync.Once
 	inv     []VertexID // new ID -> original ID
-
-	dirtyOnce sync.Once
-	dirtyIDs  []VertexID // sorted dirty destinations + moved positions, relabeled space
-
-	srcOnce  sync.Once
-	srcDirty []VertexID // sorted dests of edges whose source moved, relabeled space
 
 	segOnce sync.Once
 	seg     []VertexID // basis new-ID -> this view's new-ID; nil when nothing moved
@@ -155,9 +149,9 @@ func (v *View) Ordering() *Result { return &Result{inner: v.ord} }
 
 // Engine returns (building once, lazily) the cached engine for the selected
 // framework model. The engine traverses the reordered graph, partitioned on
-// the view's VEBO boundaries (coarsened per socket for Polymer). When the
-// basis view already built the same engine and the placement is unchanged,
-// the engine is patched: structures of clean partitions are shared, dirty
+// the view's VEBO boundaries (coarsened per socket for Polymer). A
+// GraphGrind engine is patched when the basis view already built one and
+// the numbering lineage is intact: clean partitions' COOs are shared, dirty
 // ones rebuilt.
 func (v *View) Engine(sys System) (Engine, error) {
 	if sys < Ligra || sys > GraphGrind {

@@ -3,7 +3,7 @@ package vebo
 import (
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/graphgrind"
 	"repro/internal/obs"
 )
 
@@ -38,6 +38,12 @@ type viewWork struct {
 	partsRebuilt  *obs.Counter
 	partsReused   *obs.Counter
 	partsRelabel  *obs.Counter
+
+	// Scratch builds taken because a patch the lineage allows failed. The
+	// dynamic subsystem never records a delta that makes one fail, so any
+	// non-zero value is a broken contract, not a slow path.
+	fallbackReorder *obs.Counter
+	fallbackEngine  *obs.Counter
 }
 
 // newViewWork wires the work counters into reg (nil-tolerant: a nil registry
@@ -61,6 +67,9 @@ func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
 		partsRebuilt:  reg.Counter("vebo_view_partitions_total", "path", "rebuilt"),
 		partsReused:   reg.Counter("vebo_view_partitions_total", "path", "reused"),
 		partsRelabel:  reg.Counter("vebo_view_partitions_total", "path", "relabeled"),
+
+		fallbackReorder: reg.Counter("vebo_view_fallbacks_total", "path", "reorder"),
+		fallbackEngine:  reg.Counter("vebo_view_fallbacks_total", "path", "engine"),
 	}
 }
 
@@ -94,8 +103,8 @@ func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, re
 	})
 }
 
-// emitEngine records one engine construction decision ("patch"/"rebind"
-// versus "build"): the per-(mode, sys) latency histogram sample and an
+// emitEngine records one engine construction decision ("patch" versus
+// "build"): the per-(mode, sys) latency histogram sample and an
 // "engine" build span child-linked to v's publish span.
 func (w *viewWork) emitEngine(v *View, cause string, sys System, start time.Time) {
 	w.reg.Histogram("vebo_engine_build_ns", "mode", cause, "sys", sys.String()).ObserveSince(start)
@@ -107,13 +116,17 @@ func (w *viewWork) emitEngine(v *View, cause string, sys System, start time.Time
 
 // ViewWork is a snapshot of the engine-construction work a Dynamic's views
 // have done. Edges are the unit: RebuildEdges counts edges processed by
-// from-scratch construction (snapshot materialization, relabeling, COO and
-// partition builds), PatchedEdges counts edges reprocessed by the patch
-// paths (merged adjacency rows, rebuilt dirty partitions), RelabeledEdges
-// counts edges rewritten by segment-local renumbering remaps after a
-// placement-preserving repair (a linear ID rewrite, cheaper than a patch
-// merge), and ReusedEdges counts edges carried over untouched (shared COO
-// pointers, block-copied rows) — work avoided relative to rebuilding.
+// from-scratch construction (snapshot materialization, relabeling, Polymer
+// and GraphGrind engine builds; a Ligra build traverses the relabeled graph
+// as-is and adds none), PatchedEdges counts edges reprocessed by the patch
+// paths (merged adjacency rows, rebuilt dirty GraphGrind partitions),
+// RelabeledEdges counts edges rewritten by segment-local renumbering remaps
+// after a placement-preserving repair (a linear ID rewrite, cheaper than a
+// patch merge), and ReusedEdges counts edges carried over untouched (shared
+// COO pointers, block-copied rows) — work avoided relative to rebuilding.
+// GraphGrind is the only engine patched from a basis, so EnginePatches and
+// the Partitions* counts are GraphGrind's alone; every Ligra and Polymer
+// engine counts in EngineBuilds.
 type ViewWork struct {
 	Epochs                      int64
 	GraphBuilds, GraphPatches   int64
@@ -166,7 +179,7 @@ func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Tim
 	})
 }
 
-func (v *View) recordPatch(st engine.PatchStats) {
+func (v *View) recordPatch(st graphgrind.PatchStats) {
 	v.work.enginePatches.Add(1)
 	v.work.patchedEdges.Add(st.EdgesRebuilt)
 	v.work.reusedEdges.Add(st.EdgesReused)

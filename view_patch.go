@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graphgrind"
-	"repro/internal/ligra"
-	"repro/internal/polymer"
 )
 
 // Snapshot materializes (once, lazily) the view's graph in original vertex
@@ -107,6 +105,7 @@ func (v *View) Reordered() (*Graph, error) {
 				}
 				// Unreachable for deltas recorded by the dynamic subsystem;
 				// fall back to a scratch build if it ever happens.
+				v.work.fallbackReorder.Inc()
 			}
 		}
 		rg, err := core.Apply(v.Snapshot(), v.ord)
@@ -128,21 +127,19 @@ func (v *View) Reordered() (*Graph, error) {
 }
 
 // dropSpentBasis drops the basis link once this view holds everything the
-// basis could seed: its own relabeled graph, every engine the basis built
-// and every result capture the basis holds. Until then the link keeps the
-// basis's graph, engines and captures live; without this they would stay
-// live until the next publish, so a view being queried would hold two
-// epochs of artifacts. Transposed engines never patch, so they do not
-// count.
+// basis could seed: its own relabeled graph, its GraphGrind engine if the
+// basis built one, and every result capture the basis holds. Until then the
+// link keeps the basis's graph, engine and captures live; without this they
+// would stay live until the next publish, so a view being queried would
+// hold two epochs of artifacts. Ligra, Polymer and transposed engines are
+// always built from scratch, so they do not count.
 func (v *View) dropSpentBasis() {
 	b := v.basis.Load()
 	if b == nil || v.rgp.Load() == nil {
 		return
 	}
-	for sys := range b.eng {
-		if b.eng[sys].peek() != nil && v.eng[sys].peek() == nil {
-			return
-		}
+	if b.eng[GraphGrind].peek() != nil && v.eng[GraphGrind].peek() == nil {
+		return
 	}
 	if v.ref.covers(b.ref) {
 		v.basis.CompareAndSwap(b, nil)
@@ -173,36 +170,33 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 // dirtyPredicate reports whether a destination-vertex range owns any edge
 // that changed since the basis view, contains a vertex repositioned by a
 // placement-preserving repair, or contains a vertex admitted since the
-// basis. Destination-partitioned engine structures (COOs, partition
-// metadata, scheduling units) depend only on the in-edges of their range,
-// so the exact dirty set is the net delta's destination endpoints, the
-// moved vertices' positions and the admitted vertices' positions, mapped
-// into the view's relabeled space. (Moves permute IDs within a closed
-// position set — a swap always parks an incoming vertex where an
-// outgoing one sat — so flagging the current positions covers every
-// partition whose membership changed.)
+// basis. GraphGrind's destination-partitioned structures (COOs, partition
+// metadata) depend only on the in-edges of their range, so the exact dirty
+// set is the net delta's destination endpoints, the moved vertices'
+// positions and the admitted vertices' positions, mapped into the view's
+// relabeled space. (Moves permute IDs within a closed position set — a
+// swap always parks an incoming vertex where an outgoing one sat — so
+// flagging the current positions covers every partition whose membership
+// changed.)
 func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
-	v.dirtyOnce.Do(func() {
-		perm := v.ord.Perm
-		vd := v.deltaOver(b)
-		dirty := make([]VertexID, 0, len(vd.Adds)+len(vd.Dels)+len(vd.Moved)+int(vd.Grown))
-		for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
-			for _, e := range es {
-				dirty = append(dirty, perm[e.Dst])
-			}
+	perm := v.ord.Perm
+	vd := v.deltaOver(b)
+	dirty := make([]VertexID, 0, len(vd.Adds)+len(vd.Dels)+len(vd.Moved)+int(vd.Grown))
+	for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
+		for _, e := range es {
+			dirty = append(dirty, perm[e.Dst])
 		}
-		for _, w := range vd.Moved {
-			dirty = append(dirty, perm[w])
-		}
-		// Admissions are append-only in the internal space, so the vertices
-		// admitted since the basis are exactly the internal tail.
-		for w := v.nverts - int(vd.Grown); w < v.nverts; w++ {
-			dirty = append(dirty, perm[w])
-		}
-		slices.Sort(dirty)
-		v.dirtyIDs = slices.Compact(dirty)
-	})
-	return rangePredicate(v.dirtyIDs)
+	}
+	for _, w := range vd.Moved {
+		dirty = append(dirty, perm[w])
+	}
+	// Admissions are append-only in the internal space, so the vertices
+	// admitted since the basis are exactly the internal tail.
+	for w := v.nverts - int(vd.Grown); w < v.nverts; w++ {
+		dirty = append(dirty, perm[w])
+	}
+	slices.Sort(dirty)
+	return rangePredicate(slices.Compact(dirty))
 }
 
 // srcMovedPredicate reports whether a destination-vertex range owns an edge
@@ -216,37 +210,42 @@ func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 // pre-existing source ID ever shifts — a grown epoch without repairs leaves
 // this set empty and every clean partition's COO is shared outright.
 func (v *View) srcMovedPredicate(b *View, rg *Graph) func(lo, hi VertexID) bool {
-	v.srcOnce.Do(func() {
-		perm := v.ord.Perm
-		var list []VertexID
-		for _, w := range v.deltaOver(b).Moved {
-			list = append(list, rg.OutNeighbors(perm[w])...)
-		}
-		slices.Sort(list)
-		v.srcDirty = slices.Compact(list)
-	})
-	return rangePredicate(v.srcDirty)
+	perm := v.ord.Perm
+	var list []VertexID
+	for _, w := range v.deltaOver(b).Moved {
+		list = append(list, rg.OutNeighbors(perm[w])...)
+	}
+	slices.Sort(list)
+	return rangePredicate(slices.Compact(list))
 }
 
+// buildEngine builds the view's engine for sys over its relabeled graph.
+// Ligra's scheduling units and Polymer's socket partitions depend only on
+// the vertex count and degree offsets, so both are always one NewEngine.
+// GraphGrind's per-partition COOs are derived from the basis view's engine
+// while the numbering lineage is intact: dirty partitions are re-gathered,
+// partitions whose stored source IDs moved are remapped, and the rest are
+// shared. Partition boundaries never change within a lineage — the slot
+// space is fixed and admissions fill reserved headroom slots inside existing
+// segment boundaries — so only a spill, which breaks the lineage, changes
+// them.
 func (v *View) buildEngine(sys System) (Engine, error) {
 	rg, err := v.Reordered()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	// Ligra keeps no ID-bearing partitioned state, so its rebind survives
-	// even full renumberings; the partitioned engines patch only while the
-	// numbering lineage is intact (segment-local moves at most).
-	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.deltaOver(b).PlacementChanged) {
-		if be := b.eng[sys].peek(); be != nil {
-			if e, ok := v.patchEngine(sys, b, be, rg); ok {
-				cause := "patch"
-				if sys == Ligra {
-					cause = "rebind"
-				}
-				v.work.emitEngine(v, cause, sys, start)
+	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver(b).PlacementChanged {
+		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
+			e, st, err := be.Patch(rg, v.segPerm(b), v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
+			if err == nil {
+				v.recordPatch(st)
+				v.work.emitEngine(v, "patch", sys, start)
 				return e, nil
 			}
+			// Unreachable for deltas recorded by the dynamic subsystem;
+			// fall back to a scratch build if it ever happens.
+			v.work.fallbackEngine.Inc()
 		}
 	}
 	defer v.work.emitEngine(v, "build", sys, start)
@@ -262,54 +261,6 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 		opts.Bounds = v.ord.Boundaries()
 	}
 	return NewEngine(sys, rg, opts)
-}
-
-// patchEngine derives this view's engine from the basis view b's by
-// rebuilding only dirty partitions, remapping partitions whose stored
-// source IDs moved, and sharing the rest. Partition boundaries never
-// change: within a numbering lineage the slot space is fixed — admissions
-// fill reserved headroom slots inside existing segment boundaries — so the
-// engines share ranges and partition lookup tables outright even across
-// grown epochs, and only a spill (which breaks the lineage and forces
-// scratch builds) ever changes the boundaries. Reports ok=false to fall
-// back to a scratch build.
-func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine, bool) {
-	switch sys {
-	case Ligra:
-		le, ok := base.(*ligra.Ligra)
-		if !ok {
-			return nil, false
-		}
-		// Ligra has no partitioned state: reuse the relabeled graph and the
-		// vertex-count-derived scheduling units as-is (the slot space is
-		// constant within a lineage, so Rebind reuses the units even across
-		// grown epochs).
-		v.work.enginePatches.Add(1)
-		v.work.reusedEdges.Add(rg.NumEdges())
-		return le.Rebind(rg), true
-	case Polymer:
-		pe, ok := base.(*polymer.Polymer)
-		if !ok {
-			return nil, false
-		}
-		e, st, err := pe.Patch(rg, v.segPerm(b), v.dirtyPredicate(b))
-		if err != nil {
-			return nil, false
-		}
-		v.recordPatch(st)
-		return e, true
-	default:
-		ge, ok := base.(*graphgrind.GraphGrind)
-		if !ok {
-			return nil, false
-		}
-		e, st, err := ge.Patch(rg, v.segPerm(b), v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
-		if err != nil {
-			return nil, false
-		}
-		v.recordPatch(st)
-		return e, true
-	}
 }
 
 func (v *View) buildTransposeEngine(sys System) (Engine, error) {

@@ -359,12 +359,12 @@ func TestSnapshotReadersKeepBasis(t *testing.T) {
 }
 
 // TestViewDropsSpentBasis pins when a view lets go of its basis: only once
-// it has its own relabeled graph, every engine the basis built and every
-// capture the basis holds. Until then later queries still patch or refine
+// it has its own relabeled graph, its own GraphGrind engine if the basis
+// built one, and every capture the basis holds. Until then later queries still patch or refine
 // from the basis; after that the link is nil, so the basis's artifacts are
 // not kept live by a view that can no longer use them.
 func TestViewDropsSpentBasis(t *testing.T) {
-	g, updates, err := GenerateStream("powerlaw", 0.02, 64, 7)
+	g, updates, err := GenerateStream("powerlaw", 0.02, 128, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,16 +379,13 @@ func TestViewDropsSpentBasis(t *testing.T) {
 	if _, _, err := v0.RefineBFS(Ligra, 0); err != nil {
 		t.Fatal(err)
 	}
-	applyInBatches(t, d, updates, len(updates))
+	applyInBatches(t, d, updates[:64], 64)
 	v1 := d.View()
 	if v1.basis.Load() != v0 {
 		t.Fatal("the queried epoch is not the next view's basis")
 	}
 	if _, err := v1.BFS(GraphGrind, 0); err != nil {
 		t.Fatal(err)
-	}
-	if v1.basis.Load() != v0 {
-		t.Fatal("basis dropped while its Ligra engine and BFS capture could still seed the view")
 	}
 	if _, err := v1.Engine(Ligra); err != nil {
 		t.Fatal(err)
@@ -403,6 +400,27 @@ func TestViewDropsSpentBasis(t *testing.T) {
 	}
 	if v1.basis.Load() != nil {
 		t.Fatal("basis kept after the view derived everything it could seed")
+	}
+
+	// Ligra and Polymer engines never seed the next view, so a basis that
+	// built only those is spent once the view holds its relabeled graph.
+	applyInBatches(t, d, updates[64:96], 32)
+	v2 := d.View()
+	for _, sys := range []System{Ligra, Polymer} {
+		if _, err := v2.Engine(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyInBatches(t, d, updates[96:], 32)
+	v3 := d.View()
+	if v3.basis.Load() != v2 {
+		t.Fatal("the queried epoch is not the next view's basis")
+	}
+	if _, err := v3.Reordered(); err != nil {
+		t.Fatal(err)
+	}
+	if v3.basis.Load() != nil {
+		t.Fatal("basis kept for Ligra and Polymer engines that cannot seed the view")
 	}
 }
 
@@ -694,6 +712,18 @@ func TestViewPatchedAcrossRepairEpochs(t *testing.T) {
 	if work.RebuildEdges+work.PatchedEdges+work.RelabeledEdges >= sw.RebuildEdges {
 		t.Fatalf("patching across repair epochs saved no work: %d+%d+%d vs %d",
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
+	}
+	assertNoFallbacks(t, dp)
+}
+
+// assertNoFallbacks checks that no patch the lineage allowed fell back to a
+// scratch build.
+func assertNoFallbacks(t *testing.T, d *Dynamic) {
+	t.Helper()
+	for _, path := range []string{"reorder", "engine"} {
+		if n := d.Metrics().Counter("vebo_view_fallbacks_total", "path", path).Value(); n != 0 {
+			t.Errorf("vebo_view_fallbacks_total{path=%s} = %d, want 0", path, n)
+		}
 	}
 }
 
