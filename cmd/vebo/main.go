@@ -10,8 +10,8 @@
 // balance and the new ID of the tracked vertex.
 //
 // The stream subcommand replays a synthetic edge-update stream against a
-// workload recipe graph through the dynamic subsystem (internal/dynamic),
-// reporting maintenance work and the final balance next to a full reorder:
+// workload recipe graph through the dynamic graph (vebo.Dynamic), reporting
+// maintenance work and the final balance next to a full reorder:
 //
 //	vebo stream -recipe powerlaw -scale 0.2 -ops 100000 -batch 1024 -p 64
 //
@@ -89,15 +89,16 @@ func runStream(args []string) error {
 		*recipe, g.NumVertices(), g.NumEdges(), len(updates))
 
 	start := time.Now()
-	d, err := dynamic.New(g, dynamic.Config{
+	d, err := vebo.NewDynamic(g, vebo.DynamicOptions{
 		Partitions: *parts, RebuildThreshold: *threshold, CompactEvery: *compactEvery,
-		AutoGrow: *grow > 0,
 	})
 	if err != nil {
 		return err
 	}
+	edge, vert := d.Imbalance()
 	fmt.Printf("initial ordering in %v: Δ(n)=%d δ(n)=%d over %d partitions\n",
-		time.Since(start).Round(time.Millisecond), d.EdgeImbalance(), d.VertexImbalance(), *parts)
+		time.Since(start).Round(time.Millisecond), edge, vert, *parts)
+	apply := batchFunc(d, *grow > 0)
 
 	start = time.Now()
 	batches := 0
@@ -106,7 +107,7 @@ func runStream(args []string) error {
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := apply(updates[lo:hi]); err != nil {
 			return err
 		}
 		batches++
@@ -123,8 +124,8 @@ func runStream(args []string) error {
 		fmt.Printf("admitted %d vertices (n now %d); headroom %d/%d slots occupied, %d relabeling spills\n",
 			st.Admitted, d.NumVertices(), capacity-free, capacity, st.HeadroomSpills)
 	}
-	fmt.Printf("final Δ(n)=%d δ(n)=%d, live edges %d\n",
-		d.EdgeImbalance(), d.VertexImbalance(), d.NumEdges())
+	edge, vert = d.Imbalance()
+	fmt.Printf("final Δ(n)=%d δ(n)=%d, live edges %d\n", edge, vert, d.View().NumEdges())
 
 	// Compare against a from-scratch reorder of the post-stream graph.
 	start = time.Now()
@@ -139,6 +140,23 @@ func runStream(args []string) error {
 	fmt.Printf("work: %d incremental placements vs %d for reorder-every-batch (%.1f× less)\n",
 		st.Placements, rebuildEvery, float64(rebuildEvery)/float64(st.Placements))
 	return nil
+}
+
+// batchFunc returns how a replay feeds d one batch: through IngestBatch,
+// the only path that admits vertices, when the stream grows (-grow).
+func batchFunc(d *vebo.Dynamic, grow bool) func([]vebo.EdgeUpdate) (vebo.DynamicBatchResult, error) {
+	if !grow {
+		return d.ApplyBatch
+	}
+	return func(updates []vebo.EdgeUpdate) (vebo.DynamicBatchResult, error) {
+		ext := make([]vebo.ExternalEdgeUpdate, len(updates))
+		for i, u := range updates {
+			ext[i] = vebo.ExternalEdgeUpdate{
+				Time: u.Time, Src: uint64(u.Src), Dst: uint64(u.Dst), Weight: u.Weight, Del: u.Del,
+			}
+		}
+		return d.IngestBatch(ext)
+	}
 }
 
 func runServe(args []string) error {
@@ -197,7 +215,6 @@ func runServe(args []string) error {
 		Partitions:             *parts,
 		RebuildThreshold:       *threshold,
 		VertexRebuildThreshold: *vthreshold,
-		AutoGrow:               *grow > 0,
 		DisableViewReuse:       *noreuse,
 	})
 	if err != nil {
@@ -307,6 +324,7 @@ func runServe(args []string) error {
 		}()
 	}
 
+	apply := batchFunc(d, *grow > 0)
 	start := time.Now()
 	batches, ingested := 0, 0
 	interrupted := false
@@ -321,7 +339,7 @@ func runServe(args []string) error {
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := apply(updates[lo:hi]); err != nil {
 			close(done)
 			wg.Wait()
 			return err

@@ -18,7 +18,7 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DynamicOptions{Partitions: 64, AutoGrow: true, Engine: viewTestOpts}
+	opts := DynamicOptions{Partitions: 64, Engine: viewTestOpts}
 	scratchOpts := opts
 	scratchOpts.DisableViewReuse = true
 	dp, err := NewDynamic(g, opts)
@@ -33,16 +33,17 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 	const batch = 64
 	growthEpochs := 0
 	n := g.NumVertices()
+	ext := external(updates)
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		rp, err := dp.ApplyBatch(updates[lo:hi])
+		rp, err := dp.IngestBatch(ext[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := ds.ApplyBatch(updates[lo:hi])
+		rs, err := ds.IngestBatch(ext[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,17 +136,18 @@ func TestViewSnapshotCanonicalAcrossGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewDynamic(g, DynamicOptions{Partitions: 32, AutoGrow: true, Engine: viewTestOpts})
+	dp, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const batch = 128
+	ext := external(updates)
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		if _, err := dp.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := dp.IngestBatch(ext[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		v := dp.View()
@@ -259,28 +261,55 @@ func TestIngestBatchExternalIDs(t *testing.T) {
 	}
 }
 
-// TestIngestBatchRejectsMixedAdmission pins the admission-path exclusivity:
-// a vertex admitted by dense AutoGrow has no external ID, so a later
-// IngestBatch must refuse rather than hand its internal ID to a fresh
-// external.
-func TestIngestBatchRejectsMixedAdmission(t *testing.T) {
-	g, err := Generate("powerlaw", 0.02, 5)
+// external converts a dense-ID stream into IngestBatch updates, the only
+// path that admits vertices.
+func external(updates []EdgeUpdate) []ExternalEdgeUpdate {
+	ext := make([]ExternalEdgeUpdate, len(updates))
+	for i, u := range updates {
+		ext[i] = ExternalEdgeUpdate{
+			Time: u.Time, Src: uint64(u.Src), Dst: uint64(u.Dst), Weight: u.Weight, Del: u.Del,
+		}
+	}
+	return ext
+}
+
+// TestIngestBatchKeepsGrowthStreamIDs pins the property the growth tests
+// and experiments rely on when they feed a GrowFrac stream through
+// IngestBatch: the stream mints new IDs n, n+1, … in order, each first named
+// by the update that introduces it, so the identity-seeded allocator admits
+// every vertex under the internal ID equal to its stream ID.
+func TestIngestBatchKeepsGrowthStreamIDs(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 3000, 11, StreamOptions{GrowFrac: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, AutoGrow: true, Engine: viewTestOpts})
+	maxID := g.NumVertices() - 1
+	for _, u := range updates {
+		maxID = max(maxID, int(u.Src), int(u.Dst))
+	}
+	if maxID < g.NumVertices() {
+		t.Fatal("stream admits no vertices")
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.IngestBatch([]ExternalEdgeUpdate{{Src: 1 << 40, Dst: 0}}); err != nil {
-		t.Fatalf("first ingest should succeed: %v", err)
+	ext := external(updates)
+	const batch = 100
+	for lo := 0; lo < len(ext); lo += batch {
+		if _, err := d.IngestBatch(ext[lo:min(lo+batch, len(ext))]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	n := graph.VertexID(d.NumVertices())
-	if _, err := d.ApplyBatch([]EdgeUpdate{{Src: n, Dst: 0}}); err != nil {
-		t.Fatalf("dense AutoGrow admission failed: %v", err)
+	v := d.View()
+	if d.NumVertices() != maxID+1 || v.NumVertices() != maxID+1 {
+		t.Fatalf("NumVertices %d (view %d), want highest stream ID + 1 = %d",
+			d.NumVertices(), v.NumVertices(), maxID+1)
 	}
-	if _, err := d.IngestBatch([]ExternalEdgeUpdate{{Src: 1 << 41, Dst: 0}}); err == nil {
-		t.Fatal("expected mixed-admission error")
+	for x := 0; x < v.NumVertices(); x++ {
+		if id, ok := v.Resolve(uint64(x)); !ok || int(id) != x {
+			t.Fatalf("Resolve(%d) = %d, %v; want %d", x, id, ok, x)
+		}
 	}
 }
 
@@ -348,19 +377,20 @@ func TestGrowthEpochSkipsRelabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 32, AutoGrow: true, Engine: viewTestOpts,
+		Partitions: 32, Engine: viewTestOpts,
 		RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const batch = 128
+	ext := external(updates)
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := d.IngestBatch(ext[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		// Materialize the epoch's engine so the patch-vs-rebuild decision is
@@ -395,7 +425,7 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DynamicOptions{
-		Partitions: 16, AutoGrow: true, Engine: viewTestOpts,
+		Partitions: 16, Engine: viewTestOpts,
 		MinHeadroom: 1, HeadroomFrac: -1,
 	}
 	scratchOpts := opts
@@ -411,16 +441,17 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 	const batch = 64
 	growthEpochs := 0
 	n := g.NumVertices()
+	ext := external(updates)
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		rp, err := dp.ApplyBatch(updates[lo:hi])
+		rp, err := dp.IngestBatch(ext[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := ds.IngestBatch(ext[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		if rp.Admitted > 0 {

@@ -90,26 +90,26 @@ func Grow(cfg Config) error {
 		Sockets:          cfg.Topology.Sockets,
 		ThreadsPerSocket: cfg.Topology.ThreadsPerSocket,
 	}
-	// Same three configurations as the view experiment, all admitting
-	// vertices on demand: placement frozen (maximum reuse), scratch rebuilds
-	// (the baseline the ratios divide by), and default-threshold maintenance
-	// (repairs and growth active at once).
+	// Same three configurations as the view experiment, all ingesting the
+	// stream through IngestBatch (see external): placement frozen (maximum
+	// reuse), scratch rebuilds (the baseline the ratios divide by), and
+	// default-threshold maintenance (repairs and growth active at once).
 	stable := vebo.DynamicOptions{
 		Partitions:             64,
 		RebuildThreshold:       1 << 40,
 		VertexRebuildThreshold: 1 << 40,
-		AutoGrow:               true,
 		Engine:                 engOpts,
 	}
 	scratch := stable
 	scratch.DisableViewReuse = true
-	maintained := vebo.DynamicOptions{Partitions: 64, AutoGrow: true, Engine: engOpts}
+	maintained := vebo.DynamicOptions{Partitions: 64, Engine: engOpts}
 
 	type row struct {
 		name    string
 		work    vebo.ViewWork
 		elapsed time.Duration
 	}
+	ext := external(updates)
 	run := func(name string, opts vebo.DynamicOptions) (row, error) {
 		start := time.Now()
 		d, err := vebo.NewDynamic(g, opts)
@@ -121,7 +121,7 @@ func Grow(cfg Config) error {
 			if hi > len(updates) {
 				hi = len(updates)
 			}
-			if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+			if _, err := d.IngestBatch(ext[lo:hi]); err != nil {
 				return row{}, err
 			}
 			v := d.View()
@@ -215,4 +215,16 @@ func Grow(cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// external converts a gen growth stream into IngestBatch updates, which
+// admit its vertices under internal IDs equal to their stream IDs.
+func external(updates []graph.EdgeUpdate) []vebo.ExternalEdgeUpdate {
+	ext := make([]vebo.ExternalEdgeUpdate, len(updates))
+	for i, u := range updates {
+		ext[i] = vebo.ExternalEdgeUpdate{
+			Time: u.Time, Src: uint64(u.Src), Dst: uint64(u.Dst), Weight: u.Weight, Del: u.Del,
+		}
+	}
+	return ext
 }

@@ -73,9 +73,7 @@ func Refine(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		d, err := vebo.NewDynamic(g, vebo.DynamicOptions{
-			Partitions: 64, AutoGrow: true, Engine: engOpts,
-		})
+		d, err := vebo.NewDynamic(g, vebo.DynamicOptions{Partitions: 64, Engine: engOpts})
 		if err != nil {
 			return err
 		}
@@ -86,13 +84,14 @@ func Refine(cfg Config) error {
 			paths:   map[string]int{},
 			totalOp: len(updates),
 		}
+		ext := external(updates)
 		epoch := 0
 		for lo := 0; lo < len(updates); lo += batch {
 			hi := lo + batch
 			if hi > len(updates) {
 				hi = len(updates)
 			}
-			if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+			if _, err := d.IngestBatch(ext[lo:hi]); err != nil {
 				return err
 			}
 			v := d.View()

@@ -236,10 +236,8 @@ func ReorderDegrees(degrees []int64, p int, opts Options) (*Result, error) {
 // (isomorphic) graph. For slotted orderings the result spans the slot space:
 // reserved headroom positions become empty rows.
 func Apply(g *graph.Graph, r *Result) (*graph.Graph, error) {
-	if slots := r.Slots(); int(slots) > g.NumVertices() {
-		return g.RelabelInto(int(slots), r.Perm)
-	}
-	return g.Relabel(r.Perm)
+	rg, _, err := g.PatchEdgesPermN(int(r.Slots()), nil, nil, r.Perm)
+	return rg, err
 }
 
 // sortByDegreeDesc returns the vertex IDs sorted by decreasing degree using

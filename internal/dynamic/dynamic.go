@@ -30,9 +30,9 @@
 //     imbalances are still over their thresholds, the subsystem falls back
 //     to a full core.ReorderDegrees rebuild.
 //
-//   - A growable vertex space. Grow (and AutoGrow, for dense-ID streams;
-//     see Allocator for sparse external IDs) admits zero-degree vertices to
-//     the least-vertex partitions, filling reserved headroom slots at each
+//   - A growable vertex space. Grow (driven by the facade's external-ID
+//     ingest through an Allocator) admits zero-degree vertices to the
+//     least-vertex partitions, filling reserved headroom slots at each
 //     partition segment's tail: internal IDs are append-only, the cached
 //     ordering is extended in place (the first admission in a lineage
 //     converts it to slotted form with amortized per-segment headroom), and
@@ -86,12 +86,6 @@ type Config struct {
 	// max(8192, liveEdges/8): compaction costs O(m), so a fixed small bound
 	// would pay it every few batches on large graphs.
 	CompactEvery int
-	// AutoGrow admits vertices on demand: an insertion whose endpoint is at
-	// or beyond the current vertex count grows the vertex space (via Grow)
-	// up to that endpoint instead of failing the batch. Internal IDs are
-	// dense, so callers feeding sparse external IDs should map them through
-	// an Allocator first; deletions never grow.
-	AutoGrow bool
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
 	// space starts growing, every full ordering sort reserves
@@ -172,7 +166,7 @@ type Stats struct {
 	// Swaps is the number of placement-preserving vertex pair exchanges.
 	Swaps int64
 	// Admitted is the number of vertices added to the graph after
-	// construction (Grow and AutoGrow admissions).
+	// construction (Grow admissions).
 	Admitted int64
 	// HeadroomSpills is the number of times an admission found every
 	// partition's reserved headroom exhausted and forced a relabeling epoch
@@ -192,7 +186,8 @@ type Stats struct {
 // BatchResult reports what one ApplyBatch call did.
 type BatchResult struct {
 	Applied int
-	// Admitted is the number of vertices auto-admitted by this batch.
+	// Admitted is the number of vertices the facade's IngestBatch admitted
+	// for this batch (ApplyBatch itself admits none).
 	Admitted        int
 	Repaired        bool
 	Rebuilt         bool
@@ -337,9 +332,9 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	return d, nil
 }
 
-// NumVertices reports the current vertex count; Grow and AutoGrow
-// admissions raise it, and internal IDs are append-only (an ID, once
-// assigned, always names the same vertex).
+// NumVertices reports the current vertex count; Grow admissions raise it,
+// and internal IDs are append-only (an ID, once assigned, always names the
+// same vertex).
 func (d *Graph) NumVertices() int { return d.n }
 
 // NumEdges reports the number of live edges (base − pending deletions +
@@ -399,45 +394,18 @@ func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd) + len(d.canc
 
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the
-// end of the batch. An invalid update (vertex out of range without
-// AutoGrow, deletion of a non-existent edge) stops processing and returns
-// an error; updates before it remain applied. With AutoGrow, insertions
-// mentioning endpoints at or beyond the current vertex count admit the
-// missing dense IDs as zero-degree vertices (see Grow) at the start of the
-// batch — one Grow call covers every arrival, and the admissions stand
-// like any applied update even if a later update aborts the batch.
+// end of the batch. An invalid update (an endpoint at or beyond the current
+// vertex count, deletion of a non-existent edge) stops processing and
+// returns an error; updates before it remain applied. Vertices enter only
+// through Grow, called before the batch that names them.
 func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 	start := time.Now()
 	// The batch span is the causal root of this epoch: maintenance spans
-	// (repair, rebuild, grow, spill) file as its children, and the facade's
+	// (repair, rebuild, compact) file as its children, and the facade's
 	// publish span links to it via LastBatchSpan. finishBatch ends it on
 	// every return path, error or not.
 	d.curBatch = d.sp.Start("batch", "ingest", d.epoch, obs.SpanContext{})
 	var res BatchResult
-	if d.cfg.AutoGrow {
-		// Admit for the whole batch up front: one Grow call claims headroom
-		// slots for every arrival in the batch (batched per-partition
-		// admission, one grow span and one gauge sync per batch instead of
-		// per out-of-range update). The admissions stand even if a later
-		// update aborts the batch, like any update applied before the
-		// failure.
-		mx := d.n - 1
-		for _, u := range updates {
-			if u.Del {
-				continue
-			}
-			if int(u.Src) > mx {
-				mx = int(u.Src)
-			}
-			if int(u.Dst) > mx {
-				mx = int(u.Dst)
-			}
-		}
-		if k := mx + 1 - d.n; k > 0 {
-			d.Grow(k)
-			res.Admitted += k
-		}
-	}
 	for i, u := range updates {
 		if int(u.Src) >= d.n || int(u.Dst) >= d.n {
 			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range n=%d", i, u.Src, u.Dst, d.n)

@@ -106,29 +106,41 @@ func TestGrowOrderingSegmentTails(t *testing.T) {
 	}
 }
 
-// TestAutoGrowApplyBatch checks the dense-ID auto-admission path: inserts
-// mentioning out-of-range endpoints grow the graph, deletions never do, and
-// the snapshot matches a scratch rebuild over the grown space.
-func TestAutoGrowApplyBatch(t *testing.T) {
+// TestApplyBatchAfterGrow checks that ApplyBatch admits nothing itself:
+// inserts mentioning out-of-range endpoints fail, and once Grow has admitted
+// the new IDs the same inserts land and the snapshot matches a scratch
+// rebuild over the grown space.
+func TestApplyBatchAfterGrow(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 600, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(g, Config{Partitions: 8, AutoGrow: true})
+	d, err := New(g, Config{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Out-of-range inserts fail without growing.
+	if _, err := d.ApplyBatch([]graph.EdgeUpdate{{Src: 100, Dst: 0}}); err == nil {
+		t.Fatal("expected error for out-of-range insertion")
+	}
+	if d.NumVertices() != 100 {
+		t.Fatalf("rejected insertion grew the graph to %d", d.NumVertices())
+	}
+	if first := d.Grow(4); first != 100 {
+		t.Fatalf("first admitted ID %d, want 100", first)
+	}
 	res, err := d.ApplyBatch([]graph.EdgeUpdate{
-		{Src: 100, Dst: 3},   // one new vertex as source
-		{Src: 4, Dst: 103},   // three more, 101..103
+		{Src: 100, Dst: 3},   // an admitted vertex as source
+		{Src: 4, Dst: 103},   // and as destination
 		{Src: 103, Dst: 100}, // edge between admitted vertices
 		{Src: 100, Dst: 3, Del: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted != 4 || d.NumVertices() != 104 {
-		t.Fatalf("admitted %d (n=%d), want 4 (104)", res.Admitted, d.NumVertices())
+	if res.Admitted != 0 || d.Stats().Admitted != 4 || d.NumVertices() != 104 {
+		t.Fatalf("batch admitted %d, stats %d (n=%d), want 0, 4 (104)",
+			res.Admitted, d.Stats().Admitted, d.NumVertices())
 	}
 	want, err := graph.FromEdges(104, append(g.Edges(),
 		graph.Edge{Src: 4, Dst: 103, Weight: 1},
@@ -137,7 +149,7 @@ func TestAutoGrowApplyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !graph.Equal(d.Snapshot(), want) {
-		t.Fatal("snapshot after auto-growth differs from scratch rebuild")
+		t.Fatal("snapshot after growth differs from scratch rebuild")
 	}
 	// Deleting through an out-of-range endpoint must not grow.
 	if _, err := d.ApplyBatch([]graph.EdgeUpdate{{Src: 500, Dst: 0, Del: true}}); err == nil {
@@ -146,13 +158,22 @@ func TestAutoGrowApplyBatch(t *testing.T) {
 	if d.NumVertices() != 104 {
 		t.Fatalf("deletion grew the graph to %d", d.NumVertices())
 	}
-	// Without AutoGrow, out-of-range inserts still fail.
-	d2, err := New(g, Config{Partitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.ApplyBatch([]graph.EdgeUpdate{{Src: 100, Dst: 0}}); err == nil {
-		t.Fatal("expected error without AutoGrow")
+}
+
+// applyGrowing replays a dense-ID growth stream in batches, admitting each
+// batch's new vertices with one Grow call before applying it.
+func applyGrowing(t *testing.T, d *Graph, updates []graph.EdgeUpdate, batch int) {
+	t.Helper()
+	for lo := 0; lo < len(updates); lo += batch {
+		hi := min(lo+batch, len(updates))
+		n := d.NumVertices()
+		for _, u := range updates[lo:hi] {
+			n = max(n, int(u.Src)+1, int(u.Dst)+1)
+		}
+		d.Grow(n - d.NumVertices())
+		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+			t.Fatalf("ApplyBatch(%d:%d): %v", lo, hi, err)
+		}
 	}
 }
 
@@ -171,11 +192,11 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(g, Config{Partitions: 16, AutoGrow: true, CompactEvery: 700})
+	d, err := New(g, Config{Partitions: 16, CompactEvery: 700})
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyStream(t, d, updates, 128)
+	applyGrowing(t, d, updates, 128)
 	if d.Stats().Admitted == 0 {
 		t.Fatal("stream admitted no vertices; growth not exercised")
 	}

@@ -42,8 +42,9 @@ type StreamConfig struct {
 	// the base graph (n, n+1, …), arrive as one endpoint of their first
 	// edge (source or destination with equal probability, the other
 	// endpoint drawn as usual), and participate in later churn like any
-	// other vertex. Consumers must admit out-of-range endpoints (the
-	// dynamic subsystem's AutoGrow). In [0,1); incompatible with Mirror.
+	// other vertex. Consumers must admit out-of-range endpoints: the
+	// facade's Dynamic.IngestBatch admits each under its stream ID. In
+	// [0,1); incompatible with Mirror.
 	GrowFrac float64
 	Seed     int64
 }

@@ -334,50 +334,11 @@ func (g *Graph) Transpose() *Graph {
 
 // Relabel returns a new graph in which every vertex v of g becomes perm[v].
 // perm must be a permutation of [0, n). Edge (u,v) becomes
-// (perm[u], perm[v]); the result is isomorphic to g.
+// (perm[u], perm[v]); the result is isomorphic to g. It is the pure
+// renumbering case of PatchEdgesPermN.
 func (g *Graph) Relabel(perm []VertexID) (*Graph, error) {
-	if len(perm) != g.n {
-		return nil, fmt.Errorf("graph: permutation length %d != n %d", len(perm), g.n)
-	}
-	seen := make([]bool, g.n)
-	for _, p := range perm {
-		if int(p) >= g.n || seen[p] {
-			return nil, fmt.Errorf("graph: perm is not a permutation (value %d)", p)
-		}
-		seen[p] = true
-	}
-	return FromEdges(g.n, g.relabeledEdges(perm), g.weighted)
-}
-
-// RelabelInto relabels g into a vertex space of size nNew ≥ n through the
-// injection perm (length n, injective into [0, nNew)). New IDs with no
-// preimage become isolated vertices — empty adjacency rows. With nNew == n
-// this is exactly Relabel; larger spaces are how slotted VEBO orderings
-// (core.Result.SlotCounts) materialize reserved headroom positions.
-func (g *Graph) RelabelInto(nNew int, perm []VertexID) (*Graph, error) {
-	if nNew < g.n {
-		return nil, fmt.Errorf("graph: relabel target %d smaller than n %d", nNew, g.n)
-	}
-	if len(perm) != g.n {
-		return nil, fmt.Errorf("graph: injection length %d != n %d", len(perm), g.n)
-	}
-	seen := make([]bool, nNew)
-	for _, p := range perm {
-		if int(p) >= nNew || seen[p] {
-			return nil, fmt.Errorf("graph: perm is not injective into [0, %d) (value %d)", nNew, p)
-		}
-		seen[p] = true
-	}
-	return FromEdges(nNew, g.relabeledEdges(perm), g.weighted)
-}
-
-// relabeledEdges returns g's edges with both endpoints mapped through perm.
-func (g *Graph) relabeledEdges(perm []VertexID) []Edge {
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].Src, edges[i].Dst = perm[edges[i].Src], perm[edges[i].Dst]
-	}
-	return edges
+	h, _, err := g.PatchEdgesPermN(g.n, nil, nil, perm)
+	return h, err
 }
 
 // DegreeHistogramIn returns counts[d] = number of vertices with in-degree d,

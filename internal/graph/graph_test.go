@@ -293,7 +293,7 @@ func TestUnweightedStorage(t *testing.T) {
 	for v := range into {
 		into[v] = VertexID(2 * v)
 	}
-	grown, err := g.RelabelInto(2*n, into)
+	grown, _, err := g.PatchEdgesPermN(2*n, nil, nil, into)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestUnweightedStorage(t *testing.T) {
 		name string
 		g    *Graph
 	}{
-		{"FromEdges", g}, {"Relabel", relabeled}, {"RelabelInto", grown},
+		{"FromEdges", g}, {"Relabel", relabeled}, {"PatchEdgesPermN into 2n", grown},
 		{"PatchEdgesPermN", patched}, {"Transpose", patched.Transpose()},
 	} {
 		h := tc.g

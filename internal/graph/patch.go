@@ -16,8 +16,6 @@ import (
 // building a graph from scratch (which counting-sorts and scatters every
 // edge twice, then sorts every row).
 type PatchStats struct {
-	RowsMerged    int   // dirty CSR rows + dirty CSC rows rebuilt via merge
-	RowsRemapped  int   // rows with at least one entry rewritten, or relocated
 	EdgesMerged   int64 // edges written through row merges (both directions)
 	EdgesRemapped int64 // entries rewritten through the permutation (both directions)
 	EdgesCopied   int64 // edges block-copied unchanged (both directions)
@@ -48,7 +46,8 @@ type PatchStats struct {
 // untouched row block-copies, and the patch cost is O(delta). Only
 // maintenance that actually relocates vertices (swap repair) produces
 // non-identity injections, and those remap exactly the rows owned by or
-// referencing a moved vertex.
+// referencing a moved vertex. A pure renumbering of most vertices (a fresh
+// ordering) is two sort-free O(n + m) passes instead (see renumber).
 func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var st PatchStats
 	if nNew < g.n {
@@ -100,6 +99,10 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 			}
 		}
 	}
+	if 2*len(moved) > g.n && len(adds) == 0 && len(dels) == 0 {
+		out, st := g.renumber(nNew, perm, inv)
+		return out, st, nil
+	}
 	m := g.NumEdges() + int64(len(adds)) - int64(len(dels))
 	if m < 0 {
 		return nil, st, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(dels), g.NumEdges(), len(adds))
@@ -137,6 +140,60 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 	return out, st, nil
 }
 
+// renumber is PatchEdgesPermN's pure renumbering of most vertices (a fresh
+// ordering), where the row path would re-sort nearly every row. Each side
+// is filled by visiting the new IDs in increasing order and appending each
+// to the rows of its other-side neighbors' images, so rows come out in
+// (neighbor, weight) order unsorted: entries arrive by increasing neighbor,
+// parallel ones in their basis row's weight order. An entry counts as
+// remapped when its neighbor moved, as on the row path.
+func (g *Graph) renumber(nNew int, perm, inv []VertexID) (*Graph, PatchStats) {
+	out := &Graph{n: nNew, weighted: g.weighted, ones: g.ones}
+	out.outOff, out.outDst, out.outW = scatterRows(nNew, perm, inv, g.outOff, g.inOff, g.inSrc, g.inW)
+	out.inOff, out.inSrc, out.inW = scatterRows(nNew, perm, inv, g.inOff, g.outOff, g.outDst, g.outW)
+	var st PatchStats
+	for u, v := range perm {
+		if VertexID(u) != v {
+			st.EdgesRemapped += g.InDegree(VertexID(u)) + g.OutDegree(VertexID(u))
+		}
+	}
+	st.EdgesCopied = 2*g.NumEdges() - st.EdgesRemapped
+	return out, st
+}
+
+// scatterRows builds one side of a renumbered graph from the basis's row
+// offsets on that side and its other side (from, ids, ws), whose row u
+// lists the vertices whose rows on this side mention u.
+func scatterRows(nNew int, perm, inv []VertexID, off, from []int64, ids []VertexID, ws []int32) ([]int64, []VertexID, []int32) {
+	newOff := make([]int64, nNew+1)
+	for u, v := range perm {
+		newOff[v+1] = off[u+1] - off[u]
+	}
+	for v := 0; v < nNew; v++ {
+		newOff[v+1] += newOff[v]
+	}
+	newIDs := make([]VertexID, newOff[nNew])
+	var newWs []int32
+	if ws != nil {
+		newWs = make([]int32, newOff[nNew])
+	}
+	next := slices.Clone(newOff[:nNew])
+	for d, u := range inv {
+		if int(u) >= len(perm) {
+			continue // a hole: no basis row
+		}
+		for k := from[u]; k < from[u+1]; k++ {
+			r := perm[ids[k]]
+			newIDs[next[r]] = VertexID(d)
+			if newWs != nil {
+				newWs[next[r]] = ws[k]
+			}
+			next[r]++
+		}
+	}
+	return newOff, newIDs, newWs
+}
+
 // sidePatch rebuilds one adjacency direction of a patch. Rows fall into
 // three classes: rows with explicit adds or deletions are merged, rows
 // merely owned by or referencing a moved vertex are remapped (linear ID
@@ -152,10 +209,7 @@ type sidePatch struct {
 
 	perm, inv []VertexID // nil when no vertex moved / the space is unchanged
 
-	// Remap-dirty rows, in post-perm IDs: remapAll flags every row,
-	// otherwise remap[v] (nil: none).
-	remapAll bool
-	remap    []bool
+	remap []bool // remap-dirty rows, in post-perm IDs (nil: none)
 
 	adds, dels rowBuckets
 
@@ -174,16 +228,9 @@ type patchScratch struct {
 // relocates and may self-reference) and the rows whose lists mention a
 // moved vertex (their stored neighbor IDs went stale). refRows returns the
 // rows (in pre-perm IDs) whose lists mention a given pre-perm vertex, so
-// they are found without scanning the graph. When most of the graph moved
-// — the segment-growth regime, where every vertex after the first grown
-// partition shifts — locating referencing rows through the reverse
-// adjacency costs as much as flagging everything, so everything is flagged.
+// they are found without scanning the graph.
 func (p *sidePatch) flagRemaps(moved []VertexID, refRows func(VertexID) []VertexID) {
 	if p.perm == nil {
-		return
-	}
-	if 2*len(moved) > p.g.n {
-		p.remapAll = true
 		return
 	}
 	p.remap = make([]bool, p.n)
@@ -204,7 +251,7 @@ func (p *sidePatch) oldRow(v int) int {
 }
 
 func (p *sidePatch) remapped(v int) bool {
-	return p.remapAll || (p.remap != nil && p.remap[v])
+	return p.remap != nil && p.remap[v]
 }
 
 // clean reports whether new row v is basis row v unchanged. A row whose
@@ -279,7 +326,6 @@ func (p *sidePatch) build(st *PatchStats) ([]int64, []VertexID, []int32, int64, 
 				if !sorted {
 					scr.rs.sort(dst, dw)
 				}
-				st.RowsRemapped++
 				st.EdgesRemapped += rewritten
 				st.EdgesCopied += int64(len(base)) - rewritten
 				v++
@@ -304,7 +350,6 @@ func (p *sidePatch) build(st *PatchStats) ([]int64, []VertexID, []int32, int64, 
 		if err := mergeRow(dst, dw, base, bw, va, vd); err != nil {
 			return nil, nil, nil, 0, fmt.Errorf("row %d: %w", v, err)
 		}
-		st.RowsMerged++
 		st.EdgesMerged += int64(len(dst))
 		v++
 	}

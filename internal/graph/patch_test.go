@@ -84,7 +84,7 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 			}
 			// CSC must mirror CSR.
 			sameMultiset(t, edgeMultiset(patched.Transpose()), edgeMultiset(want.Transpose()))
-			if st.RowsMerged == 0 || st.EdgesMerged == 0 {
+			if st.EdgesMerged == 0 {
 				t.Fatalf("patch stats recorded no merge work: %+v", st)
 			}
 			if st.EdgesCopied+st.EdgesMerged < patched.NumEdges() {
@@ -348,8 +348,8 @@ func TestPatchEdgesPermMatchesRelabel(t *testing.T) {
 }
 
 // TestPatchEdgesPermPure checks a pure renumbering (no adds or deletes)
-// equals Relabel, and that rows untouched by the permutation are copied,
-// not merged.
+// equals a scratch build of the mapped edge list, and that rows untouched
+// by the permutation are copied, not merged.
 func TestPatchEdgesPermPure(t *testing.T) {
 	g, err := FromEdges(6, []Edge{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}, {4, 5, 1}, {5, 0, 1}}, false)
 	if err != nil {
@@ -360,11 +360,13 @@ func TestPatchEdgesPermPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := g.Relabel(perm)
+	want, err := FromEdges(g.NumVertices(), applyPermToEdges(g.Edges(), perm), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMultiset(t, edgeMultiset(patched), edgeMultiset(want))
+	if !Equal(patched, want) {
+		t.Fatal("pure renumbering differs from a scratch build of the mapped edges")
+	}
 	if st.EdgesCopied == 0 {
 		t.Fatalf("pure swap should block-copy untouched rows: %+v", st)
 	}
@@ -372,6 +374,57 @@ func TestPatchEdgesPermPure(t *testing.T) {
 	// them); the 0->1->2 chain is untouched and nothing needs a merge.
 	if st.EdgesRemapped == 0 || st.EdgesMerged != 0 {
 		t.Fatalf("unexpected rewrite split: %+v", st)
+	}
+}
+
+// TestPatchEdgesPermNRenumber checks the pure-renumbering path (no adds or
+// deletes, most vertices moved: what core.Apply and Relabel run) against a
+// scratch build of the mapped edge list, on multigraphs with self-loops and
+// parallel edges of distinct weights, for permutations and for injections
+// into a larger space with holes; and its stats against the row path's
+// accounting, where an entry counts as remapped when its neighbor moved.
+func TestPatchEdgesPermNRenumber(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(60)
+		nNew := n + rng.Intn(3)*rng.Intn(20)
+		weighted := trial%2 == 0
+		edges := randomEdges(rng, n, rng.Intn(8*n))
+		for i := 0; i < len(edges)/4; i++ { // parallel copies, new weights
+			e := edges[rng.Intn(len(edges))]
+			e.Weight = int32(rng.Intn(100) + 1)
+			edges = append(edges, e)
+		}
+		g, err := FromEdges(n, edges, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := randomPerm(rng, nNew)[:n]
+		got, st, err := g.PatchEdgesPermN(nNew, nil, nil, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FromEdges(nNew, applyPermToEdges(g.Edges(), perm), weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want) {
+			t.Fatalf("trial %d (n=%d nNew=%d weighted=%v): renumbering differs from a scratch build",
+				trial, n, nNew, weighted)
+		}
+		var rewritten int64
+		for _, e := range g.Edges() {
+			if perm[e.Dst] != e.Dst {
+				rewritten++ // the out-row entry of e.Src
+			}
+			if perm[e.Src] != e.Src {
+				rewritten++ // the in-row entry of e.Dst
+			}
+		}
+		wantSt := PatchStats{EdgesRemapped: rewritten, EdgesCopied: 2*g.NumEdges() - rewritten}
+		if st != wantSt {
+			t.Fatalf("trial %d: stats %+v, want %+v", trial, st, wantSt)
+		}
 	}
 }
 

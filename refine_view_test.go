@@ -123,7 +123,7 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 64, AutoGrow: true, Engine: viewTestOpts})
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 64, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,13 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 	systems := []System{Ligra, Polymer, GraphGrind}
 	growthEpochs, refined := 0, 0
 	epoch := 0
+	ext := external(updates)
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := lo + batch
 		if hi > len(updates) {
 			hi = len(updates)
 		}
-		r, err := d.ApplyBatch(updates[lo:hi])
+		r, err := d.IngestBatch(ext[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +225,7 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 8, AutoGrow: true, Engine: viewTestOpts,
-	})
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		tm++
 	}
 	churn = append(churn, EdgeUpdate{Time: tm, Src: 30, Dst: n, Weight: 1})
-	if _, err := d.ApplyBatch(churn); err != nil {
+	if _, err := d.IngestBatch(external(churn)); err != nil {
 		t.Fatal(err)
 	}
 	v3 := d.View()

@@ -237,14 +237,6 @@ type DynamicOptions struct {
 	// CompactEvery bounds the delta log before compaction (default:
 	// adaptive, max(8192, liveEdges/8)).
 	CompactEvery int
-	// AutoGrow admits vertices on demand: an inserted edge whose endpoint
-	// is at or beyond the current vertex count grows the vertex space with
-	// zero-degree vertices (assigned to the least-loaded partitions)
-	// instead of failing the batch. Set it for dense-ID ApplyBatch streams
-	// that introduce vertices; sparse external IDs go through IngestBatch
-	// instead, which admits unseen vertices itself — the two admission
-	// paths cannot be mixed on one Dynamic (see IngestBatch).
-	AutoGrow bool
 	// MinHeadroom is the floor on the growth headroom reserved at each
 	// partition segment's tail whenever an ordering is (re)built while the
 	// graph is growing (default 4). Admissions fill these pre-reserved
@@ -313,7 +305,6 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		RebuildThreshold:       opts.RebuildThreshold,
 		VertexRebuildThreshold: opts.VertexRebuildThreshold,
 		CompactEvery:           opts.CompactEvery,
-		AutoGrow:               opts.AutoGrow,
 		MinHeadroom:            opts.MinHeadroom,
 		HeadroomFrac:           opts.HeadroomFrac,
 		Metrics:                reg,
@@ -355,9 +346,9 @@ func (d *Dynamic) Metrics() *MetricsRegistry { return d.reg }
 // why. Every batch, maintenance step (threshold-tripped repair, rebuild and
 // its cause, growth admission), publish, graph/engine build (patched vs
 // rebuilt) and query files a span; parent links encode the causality
-// (batch → repair/rebuild/grow → publish → query). Safe from any
-// goroutine; export via SpanCollector.WriteChromeTrace or the /spans
-// endpoint.
+// (batch → repair/rebuild → publish → query; growth spans are parentless).
+// Safe from any goroutine; export via SpanCollector.WriteChromeTrace or the
+// /spans endpoint.
 func (d *Dynamic) Spans() *SpanCollector { return d.spans }
 
 // ObsHandler returns an http.Handler serving /metrics (Prometheus text),
@@ -366,7 +357,9 @@ func (d *Dynamic) ObsHandler() http.Handler { return obs.Handler(d.reg, d.spans)
 
 // ApplyBatch applies the updates in order, runs the threshold-gated
 // incremental ordering maintenance at the end of the batch, and publishes a
-// fresh View of the post-batch epoch. Single-writer.
+// fresh View of the post-batch epoch. Every endpoint must already exist
+// (below NumVertices); new vertices enter through IngestBatch.
+// Single-writer.
 func (d *Dynamic) ApplyBatch(updates []EdgeUpdate) (DynamicBatchResult, error) {
 	received := time.Now()
 	res, err := d.inner.ApplyBatch(updates)
@@ -401,11 +394,12 @@ type ExternalEdgeUpdate struct {
 // result arrays stay indexed by internal ID, whose external key is stable
 // across epochs because internal IDs are append-only.
 //
-// IngestBatch and dense-ID AutoGrow admissions cannot be mixed on one
-// Dynamic: a vertex admitted by ApplyBatch has no external ID, so a later
-// IngestBatch would hand its internal ID to a fresh external. Once
-// external ingest has begun, an IngestBatch that finds such vertices
-// returns an error without applying anything.
+// IngestBatch is the only way a vertex enters the graph; ApplyBatch rejects
+// an endpoint at or beyond NumVertices. The allocator is seeded with the
+// identity on the vertices present at the first call, so a dense-ID stream
+// that mints new IDs in order (n, n+1, …, each first named by the update
+// that introduces it, as GenerateStreamOpts's GrowFrac streams do) keeps
+// internal ID = stream ID.
 func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult, error) {
 	received := time.Now()
 	alloc := d.alloc.Load()
@@ -415,10 +409,6 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 		// external identity.
 		alloc.SeedIdentity(d.inner.NumVertices())
 		d.alloc.Store(alloc)
-	} else if alloc.Len() < d.inner.NumVertices() {
-		return DynamicBatchResult{}, fmt.Errorf(
-			"vebo: %d vertices were admitted outside external ingest (dense AutoGrow); IngestBatch and AutoGrow cannot be mixed",
-			d.inner.NumVertices()-alloc.Len())
 	}
 	ups := make([]EdgeUpdate, 0, len(updates))
 	var ingestErr error
@@ -459,8 +449,8 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 // and never mutated afterwards.
 func (d *Dynamic) Snapshot() *Graph { return d.inner.Snapshot() }
 
-// NumVertices reports the current vertex count; IngestBatch and AutoGrow
-// admissions raise it.
+// NumVertices reports the current vertex count; IngestBatch admissions
+// raise it.
 func (d *Dynamic) NumVertices() int { return d.inner.NumVertices() }
 
 // Imbalance returns the incrementally tracked Δ(n) (edge) and δ(n) (vertex)
@@ -496,9 +486,10 @@ func GenerateStream(recipe string, scale float64, ops int, seed int64) (*Graph, 
 type StreamOptions = gen.RecipeStreamOptions
 
 // GenerateStreamOpts is GenerateStream with extra options. With a non-zero
-// GrowFrac the stream interleaves vertex arrivals with the edge churn; feed
-// it to a Dynamic configured with AutoGrow (new vertices take dense IDs
-// beyond the base graph).
+// GrowFrac the stream interleaves vertex arrivals with the edge churn: new
+// vertices take dense IDs beyond the base graph, in order, so feed it
+// through Dynamic.IngestBatch (each update's endpoints as external IDs),
+// which admits them under internal IDs equal to their stream IDs.
 func GenerateStreamOpts(recipe string, scale float64, ops int, seed int64, opts StreamOptions) (*Graph, []EdgeUpdate, error) {
 	return gen.StreamFromRecipeOpts(recipe, scale, ops, seed, opts)
 }

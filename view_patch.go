@@ -45,9 +45,11 @@ func (v *View) segPerm(b *View) []VertexID {
 		// two orderings over it yields the basis-position → this-position
 		// map directly. The map spans the basis engine's whole slot space:
 		// reserved-headroom holes carry empty rows but still need injective
-		// targets — identity where free (in-lineage moves only exchange
-		// occupied positions, so it always is), matched to leftover free
-		// slots otherwise.
+		// targets — identity where that slot is still free, a leftover free
+		// slot otherwise. A hole's own slot is not always free: a vertex
+		// admitted since the basis fills a basis hole, and a swap repair
+		// that pairs it with a basis vertex moves the basis vertex into
+		// that slot, so the hole must take one of the slots left over.
 		bSlots := int(b.ord.Slots())
 		vSlots := int(v.ord.Slots())
 		seg := make([]VertexID, bSlots)
