@@ -25,11 +25,6 @@ func LoadF64(p *uint64) float64 {
 	return math.Float64frombits(atomic.LoadUint64(p))
 }
 
-// StoreF64 atomically stores v into *p.
-func StoreF64(p *uint64, v float64) {
-	atomic.StoreUint64(p, math.Float64bits(v))
-}
-
 // F64Bits converts a float64 slice-compatible value for initialization.
 func F64Bits(v float64) uint64 { return math.Float64bits(v) }
 

@@ -27,8 +27,7 @@ func TestAddF64Concurrent(t *testing.T) {
 }
 
 func TestStoreLoadF64(t *testing.T) {
-	var bits uint64
-	StoreF64(&bits, -3.25)
+	bits := F64Bits(-3.25)
 	if got := LoadF64(&bits); got != -3.25 {
 		t.Fatalf("got %v", got)
 	}

@@ -6,13 +6,13 @@
 //
 //   - Delta-log storage. The last compacted graph.Graph is kept immutable;
 //     inserted edges accumulate in an append-only log and deletions, each
-//     resolved to the (src,dst,weight) occurrence that died, in two more:
-//     kills of pending insertions and cancellations of base edges.
-//     Snapshot materializes the surviving edge set by row-patching the base
-//     (cached per mutation epoch) and Compact promotes that snapshot to the
-//     new base. Freeze captures the same state in O(1) — prefixes of the
-//     three logs — so concurrent readers can materialize a snapshot without
-//     touching the live structures.
+//     resolved to the (src,dst,weight) occurrence that died — a pending
+//     insertion or a base edge — in a second one. Snapshot materializes the
+//     surviving edge set by row-patching the base (cached per mutation
+//     epoch) and Compact promotes that snapshot to the new base. Freeze
+//     captures the same state in O(1) — prefixes of the two logs — so
+//     concurrent readers can materialize a snapshot without touching the
+//     live structures.
 //
 //   - Incremental balance accounting. Per-partition in-edge counts (the
 //     paper's w[p]) and vertex counts (u[p]) are updated in O(1) per edge
@@ -42,7 +42,7 @@
 //     relabeling epoch that reserves fresh slots everywhere.
 //
 //   - View deltas from log cursors. A Frozen capture pins O(1) prefixes of
-//     the three logs, so the net edge change between two captures at most
+//     the two logs, so the net edge change between two captures at most
 //     one compaction apart is a pure function of the pair (Frozen.Since):
 //     the log suffix between them, netted with one sort. Nothing is
 //     accumulated on the update path. The facade reads the rest of a view's
@@ -50,6 +50,9 @@
 //     differs, the admission count, and whether the renumbering epoch
 //     changed — and patches engine-side structures for unchanged
 //     partitions instead of rebuilding them (see the vebo.View API).
+//
+// Every work count lives once, in the metrics registry (the vebo_* series);
+// Stats reads it back.
 //
 // See DESIGN.md §5 for how this subsystem fits the rest of the system.
 package dynamic
@@ -100,9 +103,10 @@ type Config struct {
 	// Negative disables the proportional term, leaving MinHeadroom alone —
 	// the knob spill tests use to force headroom exhaustion quickly.
 	HeadroomFrac float64
-	// Metrics, when set, receives the subsystem's counters, gauges and
-	// latency histograms (the vebo_* series; see DESIGN.md §6). Nil disables
-	// metric collection at zero cost: the handles degrade to no-ops.
+	// Metrics receives the subsystem's counters, gauges and latency
+	// histograms (the vebo_* series; see DESIGN.md §6). The counters are the
+	// only record of the work done — Stats reads them — so a nil Metrics
+	// gets a private registry.
 	Metrics *obs.Registry
 	// Spans, when set, receives one causal span per lifecycle step, with
 	// its cause and wall-clock duration alongside the modeled work counts:
@@ -144,12 +148,15 @@ func (c Config) withDefaults() Config {
 	if c.HeadroomFrac == 0 {
 		c.HeadroomFrac = DefaultHeadroomFrac
 	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
+	}
 	return c
 }
 
 // Stats counts the work the subsystem has done, in units comparable with a
 // full reorder (one placement = one arg-min probe + assignment, the unit
-// Algorithm 2 performs n of).
+// Algorithm 2 performs n of). It is a read of the registry's counters.
 type Stats struct {
 	// Updates is the number of edge updates applied (inserts + deletes).
 	Updates int64
@@ -159,7 +166,8 @@ type Stats struct {
 	// including the initial full ordering and any full rebuilds. A swap
 	// counts as two placements (both ends are re-placed).
 	Placements int64
-	// Repairs is the number of swap repair passes.
+	// Repairs is the number of maintenance threshold trips, each running
+	// one swap repair pass.
 	Repairs int64
 	// RepairedVertices is the number of placements done by repairs alone.
 	RepairedVertices int64
@@ -205,34 +213,34 @@ type Graph struct {
 	n        int
 	weighted bool
 
-	// base is the last compacted immutable graph; three append-only logs
-	// are the delta on top of it, each entry carrying the resolved stored
-	// weight: pendingAdd holds every insertion in arrival order, killedAdd
-	// the deletions that killed a pending insertion, and cancelLog those
-	// that cancelled a base occurrence. Freeze shares capped prefixes of
-	// all three; only Compact starts fresh ones, moving the retired logs to
-	// the prev* fields and bumping the generation gen.
+	// base is the last compacted immutable graph; two append-only logs are
+	// the delta on top of it, each entry carrying the resolved stored
+	// weight: pendingAdd holds every insertion in arrival order and delLog
+	// every deletion, whether it killed a pending insertion or cancelled a
+	// base occurrence. The live edge count is base + len(pendingAdd) −
+	// len(delLog). Freeze shares capped prefixes of both; only Compact
+	// starts fresh ones, moving the retired logs to the prev* fields and
+	// bumping the generation gen.
 	base        *graph.Graph
 	pendingAdd  []graph.Edge
-	killedAdd   []graph.Edge
-	cancelLog   []graph.Edge
+	delLog      []graph.Edge
 	gen         int64
 	prevPending []graph.Edge
-	prevKilled  []graph.Edge
-	prevCancels []graph.Edge
+	prevDels    []graph.Edge
 	// The indexes below resolve deletions and never leave the writer.
 	// addAlive[k] holds the weights of the surviving pending insertions of
 	// pair k in insertion order (top = most recent). Its length is the
 	// surviving pending multiplicity of the pair.
 	addAlive map[edgeKey][]int32
 	// delBase[{k,w}] counts pending deletions cancelling base occurrences of
-	// (k, weight w), earliest-in-CSR-order first; delPair[k] is the per-pair
-	// total of those counts.
-	delBase   map[wkey]int64
-	delPair   map[edgeKey]int64
-	liveEdges int64
+	// (k, weight w), earliest-in-CSR-order first; cancels is their total,
+	// the deletion half of PendingOps.
+	delBase map[wkey]int64
+	cancels int64
 
-	// Live per-vertex in-degrees and the current placement.
+	// Live per-vertex in-degrees and the current placement. assign is
+	// copy-on-write — swap repairs write a per-pass clone, rebuilds replace
+	// it, Grow only appends — so Ordering publishes it as PartitionOf.
 	degIn  []int64
 	assign []uint32
 	// partEdges[p] and partVerts[p] are the paper's w[p] and u[p],
@@ -240,28 +248,22 @@ type Graph struct {
 	partEdges []int64
 	partVerts []int64
 
-	stats Stats
-
 	// epoch increments on every mutation; snapCache is valid for snapEpoch.
 	epoch     int64
 	snapCache *graph.Graph
 	snapEpoch int64
 
-	// placeEpoch increments whenever any vertex changes partition or
-	// position (repair, admission or rebuild). renumEpoch
-	// increments only when the whole numbering is invalidated (a full
-	// rebuild or a spillRelabel — headroom exhaustion, or the first growth
-	// converting the ordering to slotted form): swap repairs bump placeEpoch
-	// but not
-	// renumEpoch, because they permute IDs only inside the affected
-	// partitions' segments and the rest of the numbering survives. The cached permutation is stable across epochs that only
-	// change degrees and is maintained copy-on-write across swap repairs,
-	// which is what makes engine-side patching possible.
-	placeEpoch int64
+	// ordPerm caches the ordering permutation; nil when a placement change
+	// invalidated it. renumEpoch increments only when the whole numbering
+	// is invalidated (a full rebuild or a spillRelabel — headroom
+	// exhaustion, or the first growth converting the ordering to slotted
+	// form): swap repairs keep it, because they permute IDs only inside the
+	// affected partitions' segments and the rest of the numbering survives.
+	// The cached permutation is stable across epochs that only change
+	// degrees and is maintained copy-on-write across swap repairs, which is
+	// what makes engine-side patching possible.
 	renumEpoch int64
 	ordPerm    []graph.VertexID
-	ordPartOf  []uint32
-	ordPlace   int64
 
 	// segCap[q] is partition q's slot capacity in the cached slotted
 	// ordering — the occupied prefix plus reserved admission headroom — and
@@ -276,8 +278,8 @@ type Graph struct {
 	growing  bool
 
 	// adaptGran caches the repair granularity estimate (a low quantile of
-	// the nonzero in-degrees); adaptNext is the Updates count at which it is
-	// recomputed.
+	// the nonzero in-degrees); adaptNext is the update count (Stats.Updates)
+	// at which it is recomputed.
 	adaptGran int64
 	adaptNext int64
 
@@ -289,8 +291,8 @@ type Graph struct {
 	// almost every batch.
 	members [][]graph.VertexID
 
-	// m holds the metric handles (no-ops when Config.Metrics is nil — the
-	// struct is always populated so call sites never nil-check).
+	// m holds the metric handles; their counters are the work counts Stats
+	// reports.
 	m dynMetrics
 
 	// sp collects causal spans (nil-tolerant); curBatch is the in-flight
@@ -316,17 +318,14 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		base:      g,
 		addAlive:  make(map[edgeKey][]int32),
 		delBase:   make(map[wkey]int64),
-		delPair:   make(map[edgeKey]int64),
-		liveEdges: g.NumEdges(),
 		degIn:     g.InDegrees(),
-		assign:    make([]uint32, g.NumVertices()),
-		partEdges: append([]int64(nil), r.EdgeCounts...),
-		partVerts: append([]int64(nil), r.VertexCounts...),
+		assign:    r.PartitionOf,
+		partEdges: r.EdgeCounts,
+		partVerts: r.VertexCounts,
 	}
-	copy(d.assign, r.PartitionOf)
-	d.stats.Placements = int64(d.n)
 	d.snapCache, d.snapEpoch = g, 0
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
+	d.m.placements.Add(int64(d.n))
 	d.sp = cfg.Spans
 	d.syncGauges()
 	return d, nil
@@ -339,7 +338,9 @@ func (d *Graph) NumVertices() int { return d.n }
 
 // NumEdges reports the number of live edges (base − pending deletions +
 // pending insertions).
-func (d *Graph) NumEdges() int64 { return d.liveEdges }
+func (d *Graph) NumEdges() int64 {
+	return d.base.NumEdges() + int64(len(d.pendingAdd)-len(d.delLog))
+}
 
 // Weighted reports whether the graph carries non-unit edge weights.
 func (d *Graph) Weighted() bool { return d.weighted }
@@ -365,8 +366,27 @@ func (d *Graph) PartitionOf(v graph.VertexID) uint32 { return d.assign[v] }
 // InDegree returns the live in-degree of v.
 func (d *Graph) InDegree(v graph.VertexID) int64 { return d.degIn[v] }
 
-// Stats returns the accumulated work counters.
-func (d *Graph) Stats() Stats { return d.stats }
+// Stats returns the accumulated work counters, read from the registry.
+func (d *Graph) Stats() Stats {
+	m := &d.m
+	ins, del, swaps := m.inserts.Value(), m.deletes.Value(), m.swaps.Value()
+	return Stats{
+		Updates:          ins + del,
+		Inserts:          ins,
+		Deletes:          del,
+		Placements:       m.placements.Value(),
+		Repairs:          m.repairs.Value(),
+		RepairedVertices: 2 * swaps,
+		Swaps:            swaps,
+		Admitted:         m.admitted.Value(),
+		HeadroomSpills:   m.headroomSpills.Value(),
+		FullRebuilds:     m.rebuildVertex.Value() + m.rebuildShortfall.Value() + m.rebuildForced.Value(),
+		Compactions:      m.compactions.Value(),
+	}
+}
+
+// updates is the number of edge updates applied, Stats().Updates.
+func (d *Graph) updates() int64 { return d.m.inserts.Value() + d.m.deletes.Value() }
 
 // Epoch returns the mutation epoch, incremented on every applied update.
 func (d *Graph) Epoch() int64 { return d.epoch }
@@ -390,7 +410,7 @@ func (d *Graph) EffectiveRebuildThreshold() int64 { return d.effEdgeThreshold() 
 
 // PendingOps reports the current delta-log size (pending insertions plus
 // pending deletions against the base graph).
-func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd) + len(d.cancelLog)) }
+func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd)) + d.cancels }
 
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the

@@ -59,7 +59,6 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		// the published slices (bounded by their own lengths) are unaffected.
 		slot := graph.VertexID(d.slotBase[q] + d.partVerts[q])
 		d.ordPerm = append(d.ordPerm, slot)
-		d.ordPartOf = append(d.ordPartOf, uint32(q))
 		d.assign = append(d.assign, uint32(q))
 		d.degIn = append(d.degIn, 0)
 		if d.members != nil {
@@ -68,10 +67,7 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		d.partVerts[q]++
 		d.n++
 	}
-	d.placeEpoch++
-	d.ordPlace = d.placeEpoch
-	d.stats.Admitted += int64(count)
-	d.stats.Placements += int64(count)
+	d.m.placements.Add(int64(count))
 	// A headroom admission appends a zero-degree vertex with the largest ID
 	// at its segment's occupied tail, which is exactly where the
 	// degree-descending (ID-ascending on ties) order wants it.
@@ -122,7 +118,6 @@ func (d *Graph) admitTarget() int {
 func (d *Graph) spillRelabel() {
 	spill := d.segCap != nil
 	if spill {
-		d.stats.HeadroomSpills++
 		d.m.headroomSpills.Inc()
 	}
 	sstart := time.Now()
@@ -140,7 +135,7 @@ func (d *Graph) spillRelabel() {
 // are zero while the ordering is compact (no Grow yet) or stale (a
 // renumbering is pending and the next ensureOrdering re-reserves).
 func (d *Graph) Headroom() (free, capacity int64) {
-	if d.segCap == nil || d.ordPlace != d.placeEpoch {
+	if d.segCap == nil || d.ordPerm == nil {
 		return 0, 0
 	}
 	for q, c := range d.segCap {

@@ -16,7 +16,7 @@ func (d *Graph) compactBound() int64 {
 	if d.cfg.CompactEvery > 0 {
 		return int64(d.cfg.CompactEvery)
 	}
-	b := d.liveEdges / 8
+	b := d.NumEdges() / 8
 	if b < 8192 {
 		b = 8192
 	}
@@ -32,22 +32,6 @@ func keyOf(s, d graph.VertexID) edgeKey { return edgeKey(s)<<32 | edgeKey(d) }
 type wkey struct {
 	k edgeKey
 	w int32
-}
-
-// baseMultiplicity counts edge (s,d) occurrences in the base graph via
-// binary search over s's sorted out-neighbour list. Vertices admitted after
-// the base was compacted have no base row.
-func (d *Graph) baseMultiplicity(s, dst graph.VertexID) int64 {
-	if int(s) >= d.base.NumVertices() {
-		return 0
-	}
-	nbrs := d.base.OutNeighbors(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	var c int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		c++
-	}
-	return c
 }
 
 // baseMultiplicityW counts base occurrences of (s,d) with exactly weight w.
@@ -67,10 +51,27 @@ func (d *Graph) baseMultiplicityW(s, dst graph.VertexID, w int32) int64 {
 	return c
 }
 
-// liveMultiplicity counts the surviving occurrences of edge (s,d).
+// liveMultiplicity counts the surviving occurrences of edge (s,d): its
+// surviving pending insertions plus its base run, less the cancellations of
+// each weight in the run. Base rows are sorted by (neighbor, weight), so
+// every weight's cancellations are subtracted once, where its sub-run
+// starts.
 func (d *Graph) liveMultiplicity(s, dst graph.VertexID) int64 {
 	k := keyOf(s, dst)
-	return d.baseMultiplicity(s, dst) + int64(len(d.addAlive[k])) - d.delPair[k]
+	c := int64(len(d.addAlive[k]))
+	if int(s) >= d.base.NumVertices() {
+		return c
+	}
+	nbrs := d.base.OutNeighbors(s)
+	ws := d.base.OutWeights(s)
+	lo := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
+	for i := lo; i < len(nbrs) && nbrs[i] == dst; i++ {
+		c++
+		if i == lo || ws[i] != ws[i-1] {
+			c -= d.delBase[wkey{k, ws[i]}]
+		}
+	}
+	return c
 }
 
 // HasEdge reports whether at least one live (s,d) edge exists.
@@ -91,12 +92,9 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 	k := keyOf(s, dst)
 	d.pendingAdd = append(d.pendingAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
 	d.addAlive[k] = append(d.addAlive[k], w)
-	d.liveEdges++
 	d.degIn[dst]++
 	d.partEdges[d.assign[dst]]++
 	d.touch()
-	d.stats.Updates++
-	d.stats.Inserts++
 	d.m.inserts.Inc()
 }
 
@@ -139,19 +137,16 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
 		}
 	}
-	d.liveEdges--
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
 	d.touch()
-	d.stats.Updates++
-	d.stats.Deletes++
 	d.m.deletes.Inc()
 	return nil
 }
 
 // killPending removes index i from pair (s,dst)'s surviving-pending weight
-// list and logs the kill with that weight. The insertion's own log entry
-// stays; Materialize nets kills against insertions.
+// list and logs the deletion with that weight. The insertion's own log entry
+// stays; Materialize nets the deletion against it.
 func (d *Graph) killPending(s, dst graph.VertexID, i int) {
 	k := keyOf(s, dst)
 	alive := d.addAlive[k]
@@ -162,15 +157,14 @@ func (d *Graph) killPending(s, dst graph.VertexID, i int) {
 	} else {
 		d.addAlive[k] = alive
 	}
-	d.killedAdd = append(d.killedAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
+	d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
 }
 
 // cancelBase records a deletion against a base occurrence of (s,dst,w).
 func (d *Graph) cancelBase(s, dst graph.VertexID, w int32) {
-	k := keyOf(s, dst)
-	d.delBase[wkey{k, w}]++
-	d.delPair[k]++
-	d.cancelLog = append(d.cancelLog, graph.Edge{Src: s, Dst: dst, Weight: w})
+	d.delBase[wkey{keyOf(s, dst), w}]++
+	d.cancels++
+	d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
 }
 
 // earliestLiveBase locates the earliest base occurrence of (s,dst) not yet
@@ -208,7 +202,7 @@ func (d *Graph) touch() {
 }
 
 // Frozen is an immutable capture of the live edge multiset at one epoch. It
-// shares the base graph and capped prefixes of the three append-only delta
+// shares the base graph and capped prefixes of the two append-only delta
 // logs with the live structure and copies nothing else, so freezing is O(1)
 // and allocation-free regardless of graph or log size. A Frozen may be
 // materialized from any goroutine, concurrently with further ApplyBatch
@@ -217,18 +211,16 @@ func (d *Graph) touch() {
 //
 //vebo:frozen
 type Frozen struct {
-	n         int
-	epoch     int64
-	liveEdges int64
-	base      *graph.Graph
-	gen       int64        // compaction generation the logs belong to
-	pending   []graph.Edge // insertions, in arrival order
-	killed    []graph.Edge // deletions that killed a pending insertion
-	cancels   []graph.Edge // deletions that cancelled a base occurrence
+	n       int
+	epoch   int64
+	base    *graph.Graph
+	gen     int64        // compaction generation the logs belong to
+	pending []graph.Edge // insertions, in arrival order
+	dels    []graph.Edge // deletions, of pending insertions or base edges
 	// The previous generation's full logs — the ones Compact folded into
 	// base — so Since can span one compaction. The retired base itself is
 	// not kept.
-	prevPending, prevKilled, prevCancels []graph.Edge
+	prevPending, prevDels []graph.Edge
 }
 
 // Freeze captures the current live edge multiset.
@@ -236,15 +228,12 @@ func (d *Graph) Freeze() Frozen {
 	return Frozen{
 		n:           d.n,
 		epoch:       d.epoch,
-		liveEdges:   d.liveEdges,
 		base:        d.base,
 		gen:         d.gen,
 		pending:     d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
-		killed:      d.killedAdd[:len(d.killedAdd):len(d.killedAdd)],
-		cancels:     d.cancelLog[:len(d.cancelLog):len(d.cancelLog)],
+		dels:        d.delLog[:len(d.delLog):len(d.delLog)],
 		prevPending: d.prevPending,
-		prevKilled:  d.prevKilled,
-		prevCancels: d.prevCancels,
+		prevDels:    d.prevDels,
 	}
 }
 
@@ -255,16 +244,18 @@ func (f Frozen) Epoch() int64 { return f.epoch }
 func (f Frozen) NumVertices() int { return f.n }
 
 // NumEdges reports the live edge count of the capture.
-func (f Frozen) NumEdges() int64 { return f.liveEdges }
+func (f Frozen) NumEdges() int64 {
+	return f.base.NumEdges() + int64(len(f.pending)-len(f.dels))
+}
 
 // Materialize builds the captured edge multiset as an immutable CSR+CSC
 // graph by row-patching the base with the netted logs: the surviving
-// insertions merged in, the cancellations removed. Rows are sorted by
-// (neighbor, weight), so the result is byte-identical to graph.FromEdges
+// insertions merged in, the cancelled base edges removed. Rows are sorted
+// by (neighbor, weight), so the result is byte-identical to graph.FromEdges
 // over the same multiset. With nothing to patch it returns the (immutable)
 // base itself.
 func (f Frozen) Materialize() *graph.Graph {
-	adds, dels := netEdges([][]graph.Edge{f.pending}, [][]graph.Edge{f.killed, f.cancels})
+	adds, dels := netEdges([][]graph.Edge{f.pending}, [][]graph.Edge{f.dels})
 	if len(adds) == 0 && len(dels) == 0 && f.n == f.base.NumVertices() {
 		return f.base
 	}
@@ -279,9 +270,9 @@ func (f Frozen) Materialize() *graph.Graph {
 
 // Since returns the net edge change from the earlier capture b to f, as
 // sorted insertion and deletion lists with multiplicities unrolled: the log
-// entries f holds past b (insertions, minus kills and cancellations), netted
-// per (Src, Dst, Weight). It spans at most one compaction; ok is false when
-// b predates f's previous generation or was captured after f.
+// entries f holds past b (insertions minus deletions), netted per (Src,
+// Dst, Weight). It spans at most one compaction; ok is false when b
+// predates f's previous generation or was captured after f.
 func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
 	plus, minus, ok := f.logsSince(b)
 	if !ok {
@@ -316,11 +307,10 @@ func (f Frozen) logsSince(b Frozen) (plus, minus [][]graph.Edge, ok bool) {
 	}
 	switch f.gen - b.gen {
 	case 0:
-		return [][]graph.Edge{f.pending[len(b.pending):]},
-			[][]graph.Edge{f.killed[len(b.killed):], f.cancels[len(b.cancels):]}, true
+		return [][]graph.Edge{f.pending[len(b.pending):]}, [][]graph.Edge{f.dels[len(b.dels):]}, true
 	case 1:
 		return [][]graph.Edge{f.prevPending[len(b.pending):], f.pending},
-			[][]graph.Edge{f.prevKilled[len(b.killed):], f.prevCancels[len(b.cancels):], f.killed, f.cancels}, true
+			[][]graph.Edge{f.prevDels[len(b.dels):], f.dels}, true
 	}
 	return nil, nil, false
 }
@@ -396,18 +386,17 @@ func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
 	d.base = d.Snapshot()
-	d.prevPending, d.prevKilled, d.prevCancels = d.pendingAdd, d.killedAdd, d.cancelLog
-	d.pendingAdd, d.killedAdd, d.cancelLog = nil, nil, nil
+	d.prevPending, d.prevDels = d.pendingAdd, d.delLog
+	d.pendingAdd, d.delLog = nil, nil
 	d.gen++
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)
-	d.delPair = make(map[edgeKey]int64)
-	d.stats.Compactions++
+	d.cancels = 0
 	d.m.compactions.Inc()
 	d.m.compactNS.ObserveSince(cstart)
 	d.sp.Record(obs.Span{
 		Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
 		Cause: "log-bound", Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
-		Attrs: map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges},
+		Attrs: map[string]int64{"pending_ops": pending, "base_edges": d.base.NumEdges()},
 	})
 }

@@ -11,11 +11,16 @@ import (
 // multigraph whose log bound also compacts automatically. Every step is
 // captured with the snapshot Materialize builds at its epoch, and
 // checkSince holds Since against those snapshots: exact for capture pairs
-// at most one compaction apart, refused beyond.
+// at most one compaction apart, refused beyond. After every step the live
+// edge count must agree across the graph, its capture and the snapshot, and
+// HasEdge must agree with the snapshot on the pair the step touched.
 func FuzzFrozenSince(f *testing.F) {
 	f.Add([]byte{6, 8, 1, 2, 1, 3, 4, 2, 0, 0, 1, 2, 3, 1, 6, 0, 0, 2, 5, 9, 3, 6, 0, 1, 1})
 	f.Add([]byte{9, 3, 0, 1, 1, 0, 1, 1, 0, 1, 2, 3, 0, 0, 3, 1, 3, 4, 0, 2, 0, 3, 1})
 	f.Add([]byte{4, 20, 1, 1, 3, 2, 2, 2, 0, 3, 3, 5, 1, 6, 6, 2, 4, 6, 3, 5, 2, 7, 1})
+	// Three parallel (0,0) insertions compacted into the base, then one of
+	// them deleted: HasEdge must count the weight's cancellation once.
+	f.Add([]byte("0000000000000007$"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		i := 0
 		next := func() byte {
@@ -43,6 +48,7 @@ func FuzzFrozenSince(f *testing.F) {
 		}
 		caps := []frozenCapture{{d.Freeze(), d.Snapshot()}}
 		for step := 0; step < 48 && i < len(data); step++ {
+			var touched *graph.EdgeUpdate
 			switch op := next() % 8; {
 			case op < 4:
 				u := graph.EdgeUpdate{
@@ -52,6 +58,7 @@ func FuzzFrozenSince(f *testing.F) {
 				if _, err := d.ApplyBatch([]graph.EdgeUpdate{u}); err != nil {
 					t.Fatal(err)
 				}
+				touched = &u
 			case op < 6:
 				// Delete a live edge; a zero selector lets the graph pick
 				// the occurrence.
@@ -67,12 +74,21 @@ func FuzzFrozenSince(f *testing.F) {
 				if _, err := d.ApplyBatch([]graph.EdgeUpdate{u}); err != nil {
 					t.Fatal(err)
 				}
+				touched = &u
 			case op == 6:
 				d.Grow(1 + int(next()%3))
 			default:
 				d.Compact()
 			}
-			caps = append(caps, frozenCapture{d.Freeze(), d.Snapshot()})
+			f, snap := d.Freeze(), d.Snapshot()
+			if m := d.NumEdges(); f.NumEdges() != m || snap.NumEdges() != m {
+				t.Fatalf("step %d: NumEdges graph %d, capture %d, snapshot %d", step, m, f.NumEdges(), snap.NumEdges())
+			}
+			if u := touched; u != nil && d.HasEdge(u.Src, u.Dst) != snap.HasEdge(u.Src, u.Dst) {
+				t.Fatalf("step %d: HasEdge(%d,%d) = %v, snapshot says %v",
+					step, u.Src, u.Dst, d.HasEdge(u.Src, u.Dst), snap.HasEdge(u.Src, u.Dst))
+			}
+			caps = append(caps, frozenCapture{f, snap})
 		}
 		checkSince(t, caps)
 	})

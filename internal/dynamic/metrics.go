@@ -6,11 +6,11 @@ import (
 	"repro/internal/obs"
 )
 
-// dynMetrics bundles the subsystem's metric handles. It is populated even
-// with a nil registry (every handle is then a nil no-op), so instrumented
-// paths never branch on whether metrics are enabled.
+// dynMetrics bundles the subsystem's metric handles. Its counters are the
+// subsystem's only work counts: Stats reads them back.
 type dynMetrics struct {
 	batches, inserts, deletes             *obs.Counter
+	placements                            *obs.Counter
 	repairs, swaps, rebuildVertex         *obs.Counter
 	rebuildShortfall, rebuildForced       *obs.Counter
 	compactions, admitted, headroomSpills *obs.Counter
@@ -35,6 +35,7 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		batches:          r.Counter("vebo_batches_total"),
 		inserts:          r.Counter("vebo_updates_total", "op", "insert"),
 		deletes:          r.Counter("vebo_updates_total", "op", "delete"),
+		placements:       r.Counter("vebo_placements_total"),
 		repairs:          r.Counter("vebo_repairs_total"),
 		swaps:            r.Counter("vebo_swaps_total"),
 		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),
@@ -61,17 +62,14 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 
 // syncGauges refreshes the instantaneous-state gauges after a lifecycle step.
 func (d *Graph) syncGauges() {
-	if d.m.epoch == nil {
-		return
-	}
 	d.m.epoch.Set(d.epoch)
 	d.m.vertices.Set(int64(d.n))
-	d.m.liveEdges.Set(d.liveEdges)
+	d.m.liveEdges.Set(d.NumEdges())
 	d.m.edgeImb.Set(d.EdgeImbalance())
 	d.m.vertImb.Set(d.VertexImbalance())
 	d.m.effThresh.Set(d.effEdgeThreshold())
 	d.m.pendingOps.Set(d.PendingOps())
-	slotted := d.segCap != nil && d.ordPlace == d.placeEpoch
+	slotted := d.segCap != nil && d.ordPerm != nil
 	for q, g := range d.m.headroomSlots {
 		var free int64
 		if slotted {

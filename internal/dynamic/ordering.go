@@ -18,7 +18,7 @@ import (
 // without renumbering anything; before the first Grow the ordering stays
 // compact, so non-growing workloads see exact permutations.
 func (d *Graph) ensureOrdering() {
-	if d.ordPerm != nil && d.ordPlace == d.placeEpoch {
+	if d.ordPerm != nil {
 		return
 	}
 	order := make([]int, d.n)
@@ -60,8 +60,6 @@ func (d *Graph) ensureOrdering() {
 		}
 	}
 	d.ordPerm = perm
-	d.ordPartOf = append([]uint32(nil), d.assign...)
-	d.ordPlace = d.placeEpoch
 }
 
 // Ordering returns the current placement as a core.Result: the permutation
@@ -83,7 +81,7 @@ func (d *Graph) Ordering() *core.Result {
 	return &core.Result{
 		P:            d.cfg.Partitions,
 		Perm:         d.ordPerm,
-		PartitionOf:  d.ordPartOf,
+		PartitionOf:  d.assign,
 		VertexCounts: d.VertexCounts(),
 		EdgeCounts:   d.EdgeCounts(),
 		SlotCounts:   d.SlotCounts(),

@@ -28,7 +28,7 @@ const adaptCap = 1024
 // quantile should not be paid per batch).
 func (d *Graph) effEdgeThreshold() int64 {
 	t := d.cfg.RebuildThreshold
-	if d.adaptNext == 0 || d.stats.Updates >= d.adaptNext {
+	if d.adaptNext == 0 || d.updates() >= d.adaptNext {
 		d.refreshGranularity()
 	}
 	if a := 2 * d.adaptGran; a > t {
@@ -71,7 +71,7 @@ func (d *Graph) refreshGranularity() {
 	if step < 4096 {
 		step = 4096
 	}
-	d.adaptNext = d.stats.Updates + step
+	d.adaptNext = d.updates() + step
 }
 
 // ensureMembers (re)builds the per-partition member lists when stale.
@@ -95,8 +95,9 @@ func (d *Graph) ensureMembers() {
 // two vertices exchange new IDs, so the ordering permutation changes at
 // exactly the swapped positions — a segment-local permutation the view
 // layer can patch engines across (ViewDelta.Moved). The shared cached
-// permutation is never mutated: a repair pass that swaps clones it once
-// (copy-on-write) so views pinned to earlier epochs keep their numbering.
+// permutation and assignment are never mutated: a repair pass that swaps
+// clones them once (copy-on-write) so views pinned to earlier epochs keep
+// their numbering.
 //
 // The pass ends when the gap is under threshold or no improving pair is
 // left; the caller then falls back to a full rebuild if Δ(n) is still over
@@ -190,13 +191,12 @@ func (d *Graph) swapRepair() (swaps int64) {
 		}
 		v, u := lmax[bestV], lmin[bestU]
 		if perm == nil {
-			// Clone the shared cached permutation once per pass, so views
-			// pinned to earlier epochs keep their numbering.
+			// Clone the shared permutation and assignment once per pass, so
+			// views pinned to earlier epochs keep their numbering.
 			perm = append([]graph.VertexID(nil), d.ordPerm...)
-			partOf = append([]uint32(nil), d.ordPartOf...)
+			partOf = append([]uint32(nil), d.assign...)
 		}
 		dv, du := d.degIn[v], d.degIn[u]
-		d.assign[v], d.assign[u] = uint32(pmin), uint32(pmax)
 		partOf[v], partOf[u] = uint32(pmin), uint32(pmax)
 		d.partEdges[pmax] += du - dv
 		d.partEdges[pmin] += dv - du
@@ -208,15 +208,10 @@ func (d *Graph) swapRepair() (swaps int64) {
 		insertSorted(pmin, v)
 	}
 	if swaps > 0 {
-		d.ordPerm, d.ordPartOf = perm, partOf
-		d.placeEpoch++
-		d.ordPlace = d.placeEpoch
-		d.stats.Swaps += swaps
-		d.stats.Placements += 2 * swaps
-		d.stats.RepairedVertices += 2 * swaps
+		d.ordPerm, d.assign = perm, partOf
 		d.m.swaps.Add(swaps)
+		d.m.placements.Add(2 * swaps)
 	}
-	d.stats.Repairs++
 	return swaps
 }
 
@@ -238,11 +233,8 @@ func (d *Graph) rebuild() {
 		// Unreachable: the config validated P at New time.
 		panic(err)
 	}
-	copy(d.assign, r.PartitionOf)
-	copy(d.partEdges, r.EdgeCounts)
-	copy(d.partVerts, r.VertexCounts)
-	d.stats.FullRebuilds++
-	d.stats.Placements += int64(d.n)
+	d.assign, d.partEdges, d.partVerts = r.PartitionOf, r.EdgeCounts, r.VertexCounts
+	d.m.placements.Add(int64(d.n))
 	d.placementChanged()
 }
 
@@ -251,7 +243,7 @@ func (d *Graph) rebuild() {
 // do NOT go through here — they maintain the permutation copy-on-write,
 // keeping the numbering lineage (renumEpoch) intact.
 func (d *Graph) placementChanged() {
-	d.placeEpoch++
+	d.ordPerm = nil
 	d.renumEpoch++
 	// The swap repair's member lists no longer match the assignment.
 	d.members = nil

@@ -2,22 +2,27 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 // FuzzSwapRepair decodes bytes into a partition count P ∈ [2,8], an
-// unweighted multigraph of at most 64 vertices and a sequence of
-// insertion/deletion batches, all under the default maintenance config.
-// After every batch it holds the balance bookkeeping against a recount
-// (in-degrees against a flat edge-list model, per-partition counts against
-// PartitionOf and InDegree), the ordering against its contract (a
-// permutation in which every partition owns one contiguous segment), and
-// the maintenance gates: a batch that did not rebuild leaves Δ(n) and δ(n)
-// within their gates. Every rebuild span must name why the swap repair
-// fell short.
+// unweighted multigraph of at most 64 vertices and a sequence of steps —
+// insertion/deletion batches, Grow admissions and forced Rebuilds — all
+// under the default maintenance config. After every step it holds the
+// balance bookkeeping against a recount (in-degrees against a flat
+// edge-list model, per-partition counts against PartitionOf and InDegree),
+// the ordering against its contract (an injection in which every partition
+// owns the occupied prefix of one contiguous segment), every earlier
+// Ordering against the copy taken when it was published (the permutation
+// and assignment are copy-on-write), and Stats against the spans: one
+// repair, rebuild and compact span per counted event. After a batch that
+// did not rebuild, Δ(n) and δ(n) must be within their gates. Every batch
+// rebuild span must name why the swap repair fell short.
 func FuzzSwapRepair(f *testing.F) {
 	// Random seeds: with few vertices per partition, uniform churn trips the
 	// gate often enough to exercise swaps and both rebuild causes.
@@ -51,7 +56,21 @@ func FuzzSwapRepair(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var pins []pinnedOrdering
 		for step := 0; step < 32 && i < len(data); step++ {
+			switch next() % 16 {
+			case 14:
+				d.Grow(1 + next()%3)
+				n = d.NumVertices()
+				checkBalance(t, d, live)
+				pins = checkPinned(t, d, sp, pins)
+				continue
+			case 15:
+				d.Rebuild()
+				checkBalance(t, d, live)
+				pins = checkPinned(t, d, sp, pins)
+				continue
+			}
 			var batch []graph.EdgeUpdate
 			for k := 1 + next()%16; k > 0; k-- {
 				op := next()
@@ -72,6 +91,7 @@ func FuzzSwapRepair(f *testing.F) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			checkBalance(t, d, live)
+			pins = checkPinned(t, d, sp, pins)
 			if res.EdgeImbalance != d.EdgeImbalance() || res.VertexImbalance != d.VertexImbalance() {
 				t.Fatalf("step %d: batch reports Δ=%d δ=%d, graph Δ=%d δ=%d",
 					step, res.EdgeImbalance, res.VertexImbalance, d.EdgeImbalance(), d.VertexImbalance())
@@ -86,16 +106,52 @@ func FuzzSwapRepair(f *testing.F) {
 			}
 		}
 		for _, s := range sp.Snapshot() {
-			if s.Name == "rebuild" && s.Cause != "repair-shortfall" && s.Cause != "vertex-threshold" {
-				t.Fatalf("rebuild span with cause %q", s.Cause)
+			batch := s.Parent != 0
+			if s.Name == "rebuild" && batch != (s.Cause == "repair-shortfall" || s.Cause == "vertex-threshold") {
+				t.Fatalf("rebuild span (batch=%v) with cause %q", batch, s.Cause)
 			}
 		}
 	})
 }
 
+// pinnedOrdering is a published Ordering with copies of its slices taken
+// when it was published.
+type pinnedOrdering struct {
+	ord    *core.Result
+	perm   []graph.VertexID
+	partOf []uint32
+}
+
+// checkPinned holds every earlier published ordering against its copies,
+// holds Stats against the span ring, and returns pins extended with the
+// current ordering.
+func checkPinned(t *testing.T, d *Graph, sp *obs.Spans, pins []pinnedOrdering) []pinnedOrdering {
+	t.Helper()
+	for k, pin := range pins {
+		if !slices.Equal(pin.ord.Perm, pin.perm) || !slices.Equal(pin.ord.PartitionOf, pin.partOf) {
+			t.Fatalf("ordering %d of %d was rewritten after it was published", k, len(pins))
+		}
+	}
+	if sp.Dropped() != 0 {
+		t.Fatalf("span ring dropped %d spans", sp.Dropped())
+	}
+	spans := map[string]int64{}
+	for _, s := range sp.Snapshot() {
+		spans[s.Name]++
+	}
+	st := d.Stats()
+	if st.Repairs != spans["repair"] || st.FullRebuilds != spans["rebuild"] || st.Compactions != spans["compact"] {
+		t.Fatalf("Stats counts %d repairs, %d rebuilds, %d compactions; spans %d, %d, %d",
+			st.Repairs, st.FullRebuilds, st.Compactions, spans["repair"], spans["rebuild"], spans["compact"])
+	}
+	ord := d.Ordering()
+	return append(pins, pinnedOrdering{ord, slices.Clone(ord.Perm), slices.Clone(ord.PartitionOf)})
+}
+
 // checkBalance recounts the tracked in-degrees from live and the
 // per-partition counts from the placement, and checks that the ordering is
-// a permutation giving each partition one contiguous new-ID segment.
+// an injection giving each partition the occupied prefix of one contiguous
+// new-ID segment (the whole segment while the ordering is compact).
 func checkBalance(t *testing.T, d *Graph, live []graph.Edge) {
 	t.Helper()
 	n, p := d.NumVertices(), d.Partitions()
@@ -125,16 +181,16 @@ func checkBalance(t *testing.T, d *Graph, live []graph.Edge) {
 	}
 	ord := d.Ordering()
 	b := ord.Boundaries()
-	seen := make([]bool, n)
+	seen := make([]bool, ord.Slots())
 	for v, id := range ord.Perm {
 		q := d.PartitionOf(graph.VertexID(v))
-		if int(id) >= n || seen[id] {
-			t.Fatalf("Perm is not a permutation: vertex %d → %d", v, id)
+		if int64(id) >= ord.Slots() || seen[id] {
+			t.Fatalf("Perm is not an injection: vertex %d → %d", v, id)
 		}
 		seen[id] = true
-		if ord.PartitionOf[v] != q || int64(id) < b[q] || int64(id) >= b[q+1] {
+		if hi := b[q] + ord.VertexCounts[q]; ord.PartitionOf[v] != q || int64(id) < b[q] || int64(id) >= hi {
 			t.Fatalf("vertex %d of partition %d (ordering says %d) has new ID %d outside segment [%d,%d)",
-				v, q, ord.PartitionOf[v], id, b[q], b[q+1])
+				v, q, ord.PartitionOf[v], id, b[q], hi)
 		}
 	}
 }

@@ -253,6 +253,43 @@ func TestTraceRebuildCauses(t *testing.T) {
 	}
 }
 
+// TestTraceVertexOnlyTripCounts pins one count per threshold trip when only
+// δ(n) fires: the swap repair has no edge gap to close and returns at once,
+// yet Stats().Repairs, vebo_repairs_total and the "repair" spans must agree.
+func TestTraceVertexOnlyTripCounts(t *testing.T) {
+	// Vertex 0 takes ten in-edges, vertices 1..10 one each, so VEBO places 0
+	// alone against the rest: Δ(n)=0 at δ(n)=9, over the default gate 4.
+	var star []graph.Edge
+	for v := graph.VertexID(1); v <= 10; v++ {
+		star = append(star, graph.Edge{Src: v, Dst: 0, Weight: 1}, graph.Edge{Src: 0, Dst: v, Weight: 1})
+	}
+	g, err := graph.FromEdges(11, star, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, reg, sp := instrumented(t, g, Config{Partitions: 2})
+	if d.EdgeImbalance() != 0 || d.VertexImbalance() != 9 {
+		t.Fatalf("scenario drifted: Δ(n)=%d δ(n)=%d, want 0 and 9", d.EdgeImbalance(), d.VertexImbalance())
+	}
+	res, err := d.ApplyBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Repaired {
+		t.Fatalf("δ(n)=9 did not trip the gate: %+v", res)
+	}
+	var spans int64
+	for _, s := range sp.Snapshot() {
+		if s.Name == "repair" {
+			spans++
+		}
+	}
+	st := d.Stats()
+	if ctr := reg.Counter("vebo_repairs_total").Value(); st.Repairs != 1 || ctr != 1 || spans != 1 {
+		t.Fatalf("Stats().Repairs=%d, vebo_repairs_total=%d, repair spans=%d; want 1 each", st.Repairs, ctr, spans)
+	}
+}
+
 // TestTraceGrowthSpill pins the third required cause annotation: admissions
 // served entirely from reserved headroom slots are annotated
 // "growth-headroom"; a batch forced through a relabeling epoch because every

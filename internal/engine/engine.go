@@ -175,28 +175,6 @@ func (m *Metrics) LastStep() *Step {
 	return &m.Steps[len(m.Steps)-1]
 }
 
-// EdgeMapTime returns the modeled time spent in edgemap steps.
-func (m *Metrics) EdgeMapTime() int64 {
-	var t int64
-	for _, s := range m.Steps {
-		if s.Kind != StepVertexMap {
-			t += s.Makespan
-		}
-	}
-	return t
-}
-
-// VertexMapTime returns the modeled time spent in vertexmap steps.
-func (m *Metrics) VertexMapTime() int64 {
-	var t int64
-	for _, s := range m.Steps {
-		if s.Kind == StepVertexMap {
-			t += s.Makespan
-		}
-	}
-	return t
-}
-
 // MakespanStatic models a statically scheduled parallel loop: the units are
 // cut into `workers` contiguous blocks with equal unit counts (the loop
 // bounds are divided up front, blind to cost), and the loop takes as long as
@@ -304,23 +282,21 @@ func MakespanGrouped(costs []int64, groups, workersPerGroup int) int64 {
 	return max
 }
 
+// SparseChunk is the number of frontier vertices per dynamic scheduling
+// unit in the engines' sparse traversals.
+const SparseChunk = 64
+
 // Config carries the knobs shared by the three engines.
 type Config struct {
 	// Topology is the virtual NUMA machine; the zero value selects the
 	// paper's 4×12 topology.
 	Topology numa.Topology
-	// SparseChunk is the number of frontier vertices per dynamic scheduling
-	// unit in sparse traversal (default 64).
-	SparseChunk int
 }
 
 // WithDefaults fills zero-valued fields with the paper's defaults.
 func (c Config) WithDefaults() Config {
 	if c.Topology.Sockets == 0 {
 		c.Topology = numa.Default()
-	}
-	if c.SparseChunk <= 0 {
-		c.SparseChunk = 64
 	}
 	return c
 }

@@ -101,19 +101,6 @@ func TestSplitRange(t *testing.T) {
 	}
 }
 
-func TestSubdivideByCount(t *testing.T) {
-	sub := SubdivideByCount([]Range{{Lo: 0, Hi: 10}, {Lo: 10, Hi: 12}}, 3)
-	// first range: 4+4+2, second: 1+1
-	want := []Range{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 8}, {Lo: 8, Hi: 10}, {Lo: 10, Hi: 11}, {Lo: 11, Hi: 12}}
-	if !reflect.DeepEqual(sub, want) {
-		t.Errorf("SubdivideByCount = %v, want %v", sub, want)
-	}
-	// empty ranges disappear
-	if got := SubdivideByCount([]Range{{Lo: 5, Hi: 5}}, 4); len(got) != 0 {
-		t.Errorf("empty range subdivided into %v", got)
-	}
-}
-
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 500, S: 1.0, MaxDegree: 50, Seed: 3})
@@ -272,9 +259,6 @@ func TestMetricsAccumulation(t *testing.T) {
 	if m.ModelTime != 15 {
 		t.Errorf("ModelTime = %d", m.ModelTime)
 	}
-	if m.EdgeMapTime() != 10 || m.VertexMapTime() != 5 {
-		t.Errorf("split times wrong: %d/%d", m.EdgeMapTime(), m.VertexMapTime())
-	}
 	if m.LastStep().Kind != StepVertexMap {
 		t.Error("LastStep wrong")
 	}
@@ -288,8 +272,5 @@ func TestConfigWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.Topology.Threads() != 48 {
 		t.Errorf("default topology has %d threads", c.Topology.Threads())
-	}
-	if c.SparseChunk != 64 {
-		t.Errorf("default chunk = %d", c.SparseChunk)
 	}
 }

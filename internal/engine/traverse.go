@@ -30,30 +30,6 @@ func SplitRange(n, unit int) []Range {
 	return out
 }
 
-// SubdivideByCount splits each range into k sub-ranges of near-equal vertex
-// count, preserving order (Polymer's intra-socket static split).
-func SubdivideByCount(ranges []Range, k int) []Range {
-	if k < 1 {
-		k = 1
-	}
-	out := make([]Range, 0, len(ranges)*k)
-	for _, r := range ranges {
-		n := int(r.Hi - r.Lo)
-		per := (n + k - 1) / k
-		if per == 0 {
-			per = 1
-		}
-		for lo := 0; lo < n; lo += per {
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			out = append(out, Range{Lo: r.Lo + graph.VertexID(lo), Hi: r.Lo + graph.VertexID(hi)})
-		}
-	}
-	return out
-}
-
 // SubdivideByEdges splits each range into at most k sub-ranges of
 // near-equal in-edge count (Algorithm-1-style greedy chunking), preserving
 // order. This is Polymer's intra-socket work division: threads receive

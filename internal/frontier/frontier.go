@@ -24,11 +24,6 @@ type Frontier struct {
 	outEdges int64            // sum of out-degrees of active vertices
 }
 
-// NewEmpty returns an empty frontier over n vertices.
-func NewEmpty(n int) *Frontier {
-	return &Frontier{n: n}
-}
-
 // FromVertex returns a frontier containing only v.
 func FromVertex(g *graph.Graph, v graph.VertexID) *Frontier {
 	return &Frontier{

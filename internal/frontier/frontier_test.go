@@ -16,16 +16,6 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func TestNewEmpty(t *testing.T) {
-	f := NewEmpty(10)
-	if !f.IsEmpty() || f.Count() != 0 || f.OutEdges() != 0 {
-		t.Fatal("NewEmpty not empty")
-	}
-	if f.Has(3) {
-		t.Fatal("empty frontier claims membership")
-	}
-}
-
 func TestFromVertex(t *testing.T) {
 	g := testGraph(t)
 	f := FromVertex(g, 7)
@@ -116,7 +106,7 @@ func TestFromDense(t *testing.T) {
 func TestShouldBeDense(t *testing.T) {
 	g := testGraph(t)
 	m := g.NumEdges()
-	if NewEmpty(g.NumVertices()).ShouldBeDense(m) {
+	if FromVertices(g, nil).ShouldBeDense(m) {
 		t.Error("empty frontier should not be dense")
 	}
 	if !All(g).ShouldBeDense(m) {
@@ -129,7 +119,7 @@ func TestDensity(t *testing.T) {
 	if Density(All(g), g.NumEdges()) <= 1.0 {
 		t.Error("full frontier density should exceed 1 (vertices + edges)")
 	}
-	if Density(NewEmpty(10), 0) != 0 {
+	if Density(FromVertices(g, nil), 0) != 0 {
 		t.Error("zero-edge graph density should be 0")
 	}
 }
@@ -143,7 +133,7 @@ func TestAlternatingConversionsAllocateOnce(t *testing.T) {
 	for name, f := range map[string]*Frontier{
 		"dense":  All(g),
 		"sparse": FromVertices(g, []graph.VertexID{1, 2, 50}),
-		"empty":  NewEmpty(g.NumVertices()),
+		"empty":  FromVertices(g, nil),
 	} {
 		want := f.Count()
 		if allocs := testing.AllocsPerRun(10, func() {

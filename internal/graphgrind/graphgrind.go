@@ -191,9 +191,6 @@ func (gg *GraphGrind) Metrics() *engine.Metrics { return &gg.metrics }
 // Partitions returns the partition list.
 func (gg *GraphGrind) Partitions() []partition.Partition { return gg.parts }
 
-// EdgeOrder returns the dense-traversal COO order in use.
-func (gg *GraphGrind) EdgeOrder() layout.Order { return gg.cfg.Order }
-
 // EdgeMap implements Engine. Dense frontiers traverse per-partition COOs
 // with two-level (static-across-sockets, dynamic-within) scheduling; sparse
 // frontiers push with intra-socket dynamic scheduling.
@@ -219,7 +216,7 @@ func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *fronti
 	// exactly the effect the paper's Table IV measures — VEBO's uniform
 	// distribution of high- and low-degree vertices over partitions raises
 	// the per-partition minimum and cuts the spread.
-	out, _ := engine.SparsePush(gg.g, f, k, gg.cfg.Engine.SparseChunk, top.Threads())
+	out, _ := engine.SparsePush(gg.g, f, k, engine.SparseChunk, top.Threads())
 	partCosts := make([]int64, len(gg.parts))
 	for _, s := range f.Sparse() {
 		for _, d := range gg.g.OutNeighbors(s) {

@@ -50,9 +50,6 @@ func TestNewDefaults(t *testing.T) {
 	if gg.Name() != "graphgrind" {
 		t.Fatal("wrong name")
 	}
-	if gg.EdgeOrder() != layout.CSROrder {
-		t.Fatalf("default order = %v", gg.EdgeOrder())
-	}
 }
 
 func TestBoundsValidation(t *testing.T) {

@@ -16,10 +16,6 @@ import (
 // Config parameterizes the Ligra model.
 type Config struct {
 	Engine engine.Config
-	// Grain is the number of vertices per Cilk leaf task in dense
-	// traversal; 0 selects n/384 (clamped to ≥ 64), mirroring the implicit
-	// partitioning the paper observes for Cilk loops.
-	Grain int
 }
 
 // Ligra is an Engine with Ligra's scheduling policy.
@@ -30,19 +26,16 @@ type Ligra struct {
 	metrics engine.Metrics
 }
 
-// New builds a Ligra engine over g.
+// New builds a Ligra engine over g. Dense traversal splits the vertex
+// range into Cilk leaf tasks of n/384 vertices (at least 64), mirroring the
+// implicit partitioning the paper observes for Cilk loops.
 func New(g *graph.Graph, cfg Config) *Ligra {
 	cfg.Engine = cfg.Engine.WithDefaults()
-	if cfg.Grain <= 0 {
-		cfg.Grain = g.NumVertices() / 384
-		if cfg.Grain < 64 {
-			cfg.Grain = 64
-		}
-	}
+	grain := max(g.NumVertices()/384, 64)
 	return &Ligra{
 		g:     g,
 		cfg:   cfg,
-		units: engine.SplitRange(g.NumVertices(), cfg.Grain),
+		units: engine.SplitRange(g.NumVertices(), grain),
 	}
 }
 
@@ -70,7 +63,7 @@ func (l *Ligra) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Fro
 		})
 		return out
 	}
-	out, costs := engine.SparsePush(l.g, f, k, l.cfg.Engine.SparseChunk, threads)
+	out, costs := engine.SparsePush(l.g, f, k, engine.SparseChunk, threads)
 	l.metrics.Add(engine.Step{
 		Kind:           engine.StepEdgeMapSparse,
 		ActiveVertices: f.Count(),
@@ -85,7 +78,7 @@ func (l *Ligra) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Fro
 // VertexMap implements Engine with dynamic chunking over active vertices.
 func (l *Ligra) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
 	threads := l.cfg.Engine.Topology.Threads()
-	out, costs := engine.VertexMapDynamic(l.g, f, fn, l.cfg.Engine.SparseChunk, threads)
+	out, costs := engine.VertexMapDynamic(l.g, f, fn, engine.SparseChunk, threads)
 	l.metrics.Add(engine.Step{
 		Kind:           engine.StepVertexMap,
 		ActiveVertices: f.Count(),

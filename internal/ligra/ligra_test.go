@@ -25,8 +25,8 @@ func testGraph(t *testing.T) *graph.Graph {
 func TestNewGrainDefault(t *testing.T) {
 	g := testGraph(t)
 	l := New(g, Config{Engine: engine.Config{Topology: top}})
-	if l.cfg.Grain != 64 { // n/384 < 64 → clamped
-		t.Fatalf("grain = %d, want 64", l.cfg.Grain)
+	if u := l.units[0]; u.Hi-u.Lo != 64 { // n/384 < 64 → clamped
+		t.Fatalf("grain = %d, want 64", u.Hi-u.Lo)
 	}
 	if l.Name() != "ligra" || l.Graph() != g {
 		t.Fatal("identity accessors wrong")
@@ -51,7 +51,7 @@ func TestDenseMakespanIsDynamic(t *testing.T) {
 	// With dynamic list scheduling, the makespan must respect Graham's
 	// bound rather than the static max-block cost.
 	g := testGraph(t)
-	l := New(g, Config{Engine: engine.Config{Topology: top}, Grain: 100})
+	l := New(g, Config{Engine: engine.Config{Topology: top}})
 	k := enginetest.Const(true)
 	l.EdgeMap(frontier.All(g), k)
 	step := l.Metrics().LastStep()

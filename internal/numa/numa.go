@@ -53,39 +53,3 @@ func (t Topology) SocketOfPartition(p, numPartitions int) int {
 	}
 	return s
 }
-
-// PartitionRangeOfSocket returns the partitions [lo, hi) homed on socket s.
-func (t Topology) PartitionRangeOfSocket(s, numPartitions int) (lo, hi int) {
-	per := (numPartitions + t.Sockets - 1) / t.Sockets
-	lo = s * per
-	hi = lo + per
-	if lo > numPartitions {
-		lo = numPartitions
-	}
-	if hi > numPartitions {
-		hi = numPartitions
-	}
-	return lo, hi
-}
-
-// ThreadsOfSocket returns the logical thread IDs [lo, hi) on socket s.
-func (t Topology) ThreadsOfSocket(s int) (lo, hi int) {
-	return s * t.ThreadsPerSocket, (s + 1) * t.ThreadsPerSocket
-}
-
-// HomeOfVertex returns the socket owning destination-vertex data for v,
-// given the partition boundaries in the (reordered) ID space. bounds has
-// P+1 entries. Vertex data is homed with its partition.
-func (t Topology) HomeOfVertex(v int64, bounds []int64) int {
-	// binary search for the partition containing v
-	lo, hi := 0, len(bounds)-2
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v >= bounds[mid+1] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return t.SocketOfPartition(lo, len(bounds)-1)
-}

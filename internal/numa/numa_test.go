@@ -59,52 +59,3 @@ func TestSocketOfPartition(t *testing.T) {
 		t.Errorf("empty partitioning -> socket %d", got)
 	}
 }
-
-func TestPartitionRangeOfSocketTilesAll(t *testing.T) {
-	top := Default()
-	for _, np := range []int{1, 3, 4, 48, 384, 385} {
-		covered := 0
-		prevHi := 0
-		for s := 0; s < top.Sockets; s++ {
-			lo, hi := top.PartitionRangeOfSocket(s, np)
-			if lo != prevHi {
-				t.Fatalf("np=%d socket %d: lo=%d, want %d", np, s, lo, prevHi)
-			}
-			for p := lo; p < hi; p++ {
-				if top.SocketOfPartition(p, np) != s {
-					t.Fatalf("np=%d: partition %d not homed on socket %d", np, p, s)
-				}
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != np {
-			t.Fatalf("np=%d: covered %d partitions", np, covered)
-		}
-	}
-}
-
-func TestThreadsOfSocket(t *testing.T) {
-	top := Default()
-	lo, hi := top.ThreadsOfSocket(2)
-	if lo != 24 || hi != 36 {
-		t.Errorf("ThreadsOfSocket(2) = [%d,%d), want [24,36)", lo, hi)
-	}
-}
-
-func TestHomeOfVertex(t *testing.T) {
-	top := Topology{Sockets: 2, ThreadsPerSocket: 2}
-	bounds := []int64{0, 10, 20, 30, 40} // 4 partitions
-	// partitions 0,1 -> socket 0; partitions 2,3 -> socket 1
-	cases := []struct {
-		v    int64
-		want int
-	}{
-		{0, 0}, {9, 0}, {10, 0}, {19, 0}, {20, 1}, {39, 1},
-	}
-	for _, c := range cases {
-		if got := top.HomeOfVertex(c.v, bounds); got != c.want {
-			t.Errorf("HomeOfVertex(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}

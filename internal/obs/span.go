@@ -186,25 +186,6 @@ func (a *ActiveSpan) Attr(key string, val int64) *ActiveSpan {
 	return a
 }
 
-// SetCause records why the span's work happened (rebuild cause, growth
-// cause, refine answer path).
-func (a *ActiveSpan) SetCause(cause string) *ActiveSpan {
-	if a == nil {
-		return nil
-	}
-	a.sp.Cause = cause
-	return a
-}
-
-// SetSys records the framework model a build/query span acted for.
-func (a *ActiveSpan) SetSys(sys string) *ActiveSpan {
-	if a == nil {
-		return nil
-	}
-	a.sp.Sys = sys
-	return a
-}
-
 // SetEpoch re-pins the span to epoch — batch spans start before the
 // updates apply and settle on the post-batch epoch at End.
 func (a *ActiveSpan) SetEpoch(epoch int64) *ActiveSpan {

@@ -68,7 +68,7 @@ func TestSpansNilSafety(t *testing.T) {
 		t.Fatalf("nil ActiveSpan Context = %+v, want zero", ctx)
 	}
 	// The chained mutators and End must all tolerate nil.
-	a.Attr("k", 1).SetCause("c").SetSys("s").SetEpoch(2).End()
+	a.Attr("k", 1).SetEpoch(2).End()
 }
 
 func TestActiveSpanLifecycle(t *testing.T) {
@@ -78,7 +78,7 @@ func TestActiveSpanLifecycle(t *testing.T) {
 		t.Fatal("Start did not assign an ID before End")
 	}
 	child := s.Start("repair", "maintain", 3, parent.Context())
-	child.Attr("swaps", 7).SetCause("threshold-trip").End()
+	child.Attr("swaps", 7).End()
 	parent.SetEpoch(4).Attr("applied", 64).End()
 
 	snap := s.Snapshot()
@@ -93,8 +93,8 @@ func TestActiveSpanLifecycle(t *testing.T) {
 	if c.Parent != p.ID {
 		t.Errorf("child.Parent = %d, want parent ID %d", c.Parent, p.ID)
 	}
-	if c.Attrs["swaps"] != 7 || c.Cause != "threshold-trip" {
-		t.Errorf("child attrs/cause not retained: %+v", c)
+	if c.Attrs["swaps"] != 7 {
+		t.Errorf("child attrs not retained: %+v", c)
 	}
 	if p.Epoch != 4 {
 		t.Errorf("SetEpoch not applied: epoch = %d", p.Epoch)

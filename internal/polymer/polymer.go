@@ -113,7 +113,7 @@ func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.F
 		})
 		return out
 	}
-	out, costs := engine.SparsePush(p.g, f, k, p.cfg.Engine.SparseChunk, threads)
+	out, costs := engine.SparsePush(p.g, f, k, engine.SparseChunk, threads)
 	p.metrics.Add(engine.Step{
 		Kind:           engine.StepEdgeMapSparse,
 		ActiveVertices: f.Count(),

@@ -1,9 +1,9 @@
 // Package stats provides the summary statistics the paper's tables report:
-// min, median, standard deviation, max (Table IV), spreads and speedups.
+// min, median, standard deviation, max (Table IV), spreads and geometric
+// means.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -71,26 +71,6 @@ func (s Summary) Spread() float64 {
 	return s.Max / s.Min
 }
 
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
 // GeoMean returns the geometric mean of positive values; zero or negative
 // entries are skipped.
 func GeoMean(xs []float64) float64 {
@@ -106,26 +86,4 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(logs / float64(n))
-}
-
-// Speedup formats a baseline/variant ratio: >1 means the variant is faster.
-func Speedup(baseline, variant float64) float64 {
-	if variant == 0 {
-		return math.Inf(1)
-	}
-	return baseline / variant
-}
-
-// FormatDuration renders a modeled time (arbitrary units) compactly.
-func FormatDuration(units int64) string {
-	switch {
-	case units >= 1_000_000_000:
-		return fmt.Sprintf("%.3fG", float64(units)/1e9)
-	case units >= 1_000_000:
-		return fmt.Sprintf("%.3fM", float64(units)/1e6)
-	case units >= 1_000:
-		return fmt.Sprintf("%.1fk", float64(units)/1e3)
-	default:
-		return fmt.Sprintf("%d", units)
-	}
 }

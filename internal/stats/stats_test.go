@@ -54,51 +54,12 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Errorf("p100 = %v", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("empty percentile = %v", p)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
 		t.Errorf("geomean = %v", g)
 	}
 	if g := GeoMean([]float64{0, -1}); g != 0 {
 		t.Errorf("degenerate geomean = %v", g)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if s := Speedup(10, 5); s != 2 {
-		t.Errorf("speedup = %v", s)
-	}
-	if s := Speedup(10, 0); !math.IsInf(s, 1) {
-		t.Errorf("zero-variant speedup = %v", s)
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{5, "5"}, {1500, "1.5k"}, {2_500_000, "2.500M"}, {3_000_000_000, "3.000G"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.in); got != c.want {
-			t.Errorf("FormatDuration(%d) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }
 

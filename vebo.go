@@ -462,7 +462,8 @@ func (d *Dynamic) Imbalance() (edge, vertex int64) {
 // Ordering returns the current VEBO ordering of the live graph.
 func (d *Dynamic) Ordering() *Result { return &Result{inner: d.inner.Ordering()} }
 
-// Stats returns the accumulated maintenance work counters.
+// Stats returns the accumulated maintenance work counters: a read of the
+// vebo_* counters in Metrics().
 func (d *Dynamic) Stats() DynamicStats { return d.inner.Stats() }
 
 // Headroom reports the growth headroom of the current ordering: the number
