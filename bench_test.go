@@ -288,7 +288,9 @@ func BenchmarkNewEngine(b *testing.B) {
 // identity numbering and under eight swapped vertex pairs (the shape a swap
 // repair leaves); with a 16k-update delta, the write-heavy shape in which
 // most rows merge; and with that dense delta on a weighted copy of the
-// graph.
+// graph. lineage derives 64 graphs in a chain, each from the last by a
+// 128-update delta on the identity numbering, the shape of an ingest
+// stream's epochs, so the cost of the folds a chain takes is amortised in.
 func BenchmarkPatchEdgesPermN(b *testing.B) {
 	g := benchGraph(b)
 	n := g.NumVertices()
@@ -330,6 +332,30 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 			}
 		})
 	}
+	b.Run("lineage", func(b *testing.B) {
+		const steps, updates = 64, 128
+		adds, dels := make([][]graph.Edge, steps), make([][]graph.Edge, steps)
+		live := g.Edges()
+		for i := range steps {
+			for range updates / 2 {
+				j := rng.Intn(len(live))
+				dels[i] = append(dels[i], live[j])
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				adds[i] = append(adds[i], graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: 1})
+			}
+			live = append(live, adds[i]...)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			h := g
+			for i := range steps {
+				if h, _, err = h.PatchEdgesPermN(n, adds[i], dels[i], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // benchInserts draws batches of random edge insertions over n vertices.

@@ -315,21 +315,40 @@ func (l *Loader) LoadDir(dir, asPath string) ([]*Package, error) {
 	if len(extFiles) > 0 {
 		// External test files import the base package; make that import
 		// resolve to the in-package test variant just checked, so helpers
-		// exported via _test.go files are visible.
-		prev, hadPrev := l.imports[asPath]
-		l.imports[asPath] = basePkg
-		extPkg, extInfo, extErrs := l.check(asPath+"_test", extFiles)
-		if hadPrev {
-			l.imports[asPath] = prev
-		} else {
-			delete(l.imports, asPath)
+		// exported via _test.go files are visible. As under go test, every
+		// module package that depends on the base package is checked
+		// afresh against that variant, so a type reached through such a
+		// dependency is the same type.
+		saved := l.imports
+		l.imports = map[string]*types.Package{asPath: basePkg}
+		for path, pkg := range saved {
+			if path != asPath && !dependsOn(pkg, asPath, map[*types.Package]bool{}) {
+				l.imports[path] = pkg
+			}
 		}
+		extPkg, extInfo, extErrs := l.check(asPath+"_test", extFiles)
+		l.imports = saved
 		pkgs = append(pkgs, &Package{
 			Path: asPath + "_test", Name: baseName + "_test", Fset: l.Fset,
 			Files: extFiles, Types: extPkg, Info: extInfo, TypeErrors: extErrs,
 		})
 	}
 	return pkgs, nil
+}
+
+// dependsOn reports whether pkg imports the package at path, directly or
+// through other imports; seen marks the packages already walked.
+func dependsOn(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[pkg] {
+		return false
+	}
+	seen[pkg] = true
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || dependsOn(imp, path, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // Load expands go-style package patterns (".", "./...", "./internal/obs",

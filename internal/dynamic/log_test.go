@@ -9,17 +9,6 @@ import (
 	"repro/internal/graph"
 )
 
-// sameArrays reports whether two graphs are identical in every CSR and CSC
-// array, weights included. graph.Equal compares only the CSR side.
-func sameArrays(a, b *graph.Graph) bool {
-	return a.NumVertices() == b.NumVertices() &&
-		slices.Equal(a.OutOffsets(), b.OutOffsets()) &&
-		slices.Equal(a.Edges(), b.Edges()) &&
-		slices.Equal(a.InOffsets(), b.InOffsets()) &&
-		slices.Equal(a.InEdgeSources(), b.InEdgeSources()) &&
-		slices.Equal(a.InEdgeWeights(), b.InEdgeWeights())
-}
-
 // frozenCapture pairs a capture with the snapshot materialized at its epoch.
 type frozenCapture struct {
 	f    Frozen
@@ -70,7 +59,7 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 			if err != nil {
 				t.Fatalf("epochs %d→%d: patching with Since: %v", b.f.epoch, c.f.epoch, err)
 			}
-			if !sameArrays(got, c.snap) {
+			if !graph.Equal(got, c.snap) {
 				t.Fatalf("epochs %d→%d: snapshot patched with Since differs from the later snapshot", b.f.epoch, c.f.epoch)
 			}
 			bridged++
@@ -110,7 +99,7 @@ func TestFrozenStaysPinned(t *testing.T) {
 	checkAll := func(when string) {
 		t.Helper()
 		for _, c := range caps {
-			if !sameArrays(c.f.Materialize(), c.snap) {
+			if !graph.Equal(c.f.Materialize(), c.snap) {
 				t.Fatalf("%s: capture of epoch %d no longer materializes its snapshot", when, c.f.Epoch())
 			}
 		}
@@ -162,7 +151,7 @@ func TestFrozenStaysPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := d.Snapshot()
-			if !sameArrays(snap, want) {
+			if !graph.Equal(snap, want) {
 				t.Fatalf("batch %d: snapshot differs from FromEdges over the live multiset", batch)
 			}
 			caps = append(caps, frozenCapture{d.Freeze(), snap})

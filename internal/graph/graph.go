@@ -3,6 +3,11 @@
 // sparse column (CSC, in-edges) and coordinate (COO) forms, together with
 // construction, transposition, relabelling and characterization utilities.
 //
+// A Graph is immutable once built. PatchEdgesPermN derives a new graph from
+// an old one at the cost of what changed: the two share every unchanged
+// adjacency row, and the derivation writes its changed rows into storage
+// of its own, so older graphs stay valid while newer ones are derived.
+//
 // Vertex identifiers are dense uint32 values in [0, NumVertices). Edge counts
 // use int64 so that graphs larger than 2^31 edges remain representable even
 // though the test workloads are far smaller.
@@ -32,100 +37,134 @@ type Edge struct {
 // engines read whichever view suits the traversal direction. Every
 // constructor leaves each row sorted by (neighbor, weight).
 //
-// Unweighted graphs store no weight arrays: outW and inW are nil, and the
-// weight accessors return a prefix of ones, one all-ones slice as long as
-// the largest row and shared by every graph patched from the same basis.
+// Each side stores its rows as extents into immutable edge chunks (see
+// adj), so a graph derived by PatchEdgesPermN shares every row it did not
+// change with its basis and writes only its changed rows. FromEdges, a
+// renumbering and a fold write one chunk in row order.
+//
+// Unweighted graphs store no weight chunks, and the weight accessors return
+// a prefix of ones, one all-ones slice as long as the largest row and
+// shared by every graph patched from the same basis.
 //
 //vebo:frozen
 type Graph struct {
 	n int // number of vertices
 
-	// CSR: out-edges. outOff has n+1 entries; the out-neighbours of v are
-	// outDst[outOff[v]:outOff[v+1]] with weights outW at the same indices.
-	outOff []int64
-	outDst []VertexID
-	outW   []int32 // nil when !weighted
-
-	// CSC: in-edges. inOff has n+1 entries; the in-neighbours (sources of
-	// edges pointing at v) are inSrc[inOff[v]:inOff[v+1]].
-	inOff []int64
-	inSrc []VertexID
-	inW   []int32 // nil when !weighted
+	out adj // CSR: row v lists the destinations of v's out-edges
+	in  adj // CSC: row v lists the sources of v's in-edges
 
 	ones []int32 // unweighted: all ones, at least as long as the largest row
 
 	weighted bool
 }
 
+// Extents pack a row's chunk index above extShift and its start within the
+// chunk below.
+const (
+	extShift = 40
+	extMask  = 1<<extShift - 1
+)
+
+// adj is one side of a Graph. off is the degree prefix (n+1 entries): row v
+// has off[v+1]-off[v] entries, starting at its packed extent ext[v] in
+// chunk ids[ext[v]>>extShift], with its weights at the same place in
+// ws[ext[v]>>extShift]. Chunks are never written once their graph is built,
+// and a derivation writes only a chunk it allocated, so the graphs of one
+// lineage share chunks freely. A graph whose one chunk holds its rows in
+// order has ext == off[:n]: every extent is then its row's offset.
+type adj struct {
+	off []int64
+	ext []int64
+	ids [][]VertexID
+	ws  [][]int32 // nil when unweighted
+}
+
+// flatAdj is the one-chunk side whose rows lie in order in ids (and ws,
+// nil when unweighted) at the offsets off.
+func flatAdj(off []int64, ids []VertexID, ws []int32) adj {
+	a := adj{off: off, ext: off[: len(off)-1 : len(off)-1], ids: [][]VertexID{ids}}
+	if ws != nil {
+		a.ws = [][]int32{ws}
+	}
+	return a
+}
+
+func (a *adj) deg(v VertexID) int64 { return a.off[v+1] - a.off[v] }
+
+// row returns row v's entries.
+func (a *adj) row(v VertexID) []VertexID {
+	e := a.ext[v]
+	lo := e & extMask
+	return a.ids[e>>extShift][lo : lo+a.deg(v)]
+}
+
+// weights returns row v's weights, a prefix of ones when unweighted.
+func (a *adj) weights(v VertexID, ones []int32) []int32 {
+	d := a.deg(v)
+	if a.ws == nil {
+		return ones[:d:d]
+	}
+	e := a.ext[v]
+	lo := e & extMask
+	return a.ws[e>>extShift][lo : lo+d]
+}
+
+// equal reports whether a and b hold the same rows, weights included.
+func (a *adj) equal(b *adj, n int, ones []int32) bool {
+	if !slices.Equal(a.off, b.off) {
+		return false
+	}
+	for v := range VertexID(n) {
+		if !slices.Equal(a.row(v), b.row(v)) || a.ws != nil && !slices.Equal(a.weights(v, ones), b.weights(v, ones)) {
+			return false
+		}
+	}
+	return true
+}
+
 // NumVertices reports the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges reports the number of directed edges.
-func (g *Graph) NumEdges() int64 { return int64(len(g.outDst)) }
+func (g *Graph) NumEdges() int64 { return g.out.off[g.n] }
 
 // Weighted reports whether the graph carries non-unit edge weights.
 func (g *Graph) Weighted() bool { return g.weighted }
 
 // OutDegree reports the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int64 { return g.outOff[v+1] - g.outOff[v] }
+func (g *Graph) OutDegree(v VertexID) int64 { return g.out.deg(v) }
 
 // InDegree reports the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int64 { return g.inOff[v+1] - g.inOff[v] }
+func (g *Graph) InDegree(v VertexID) int64 { return g.in.deg(v) }
 
 // OutNeighbors returns the slice of destinations of v's out-edges. The slice
 // aliases internal storage and must not be modified.
-func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	return g.outDst[g.outOff[v]:g.outOff[v+1]]
-}
+func (g *Graph) OutNeighbors(v VertexID) []VertexID { return g.out.row(v) }
 
 // InNeighbors returns the slice of sources of v's in-edges. The slice aliases
 // internal storage and must not be modified.
-func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	return g.inSrc[g.inOff[v]:g.inOff[v+1]]
-}
+func (g *Graph) InNeighbors(v VertexID) []VertexID { return g.in.row(v) }
 
 // OutWeights returns the weights parallel to OutNeighbors(v). The slice
 // aliases internal storage (all ones on unweighted graphs) and must not be
 // modified.
-func (g *Graph) OutWeights(v VertexID) []int32 {
-	return g.weights(g.outW, g.outOff[v], g.outOff[v+1])
-}
+func (g *Graph) OutWeights(v VertexID) []int32 { return g.out.weights(v, g.ones) }
 
 // InWeights returns the weights parallel to InNeighbors(v). The slice
 // aliases internal storage (all ones on unweighted graphs) and must not be
 // modified.
-func (g *Graph) InWeights(v VertexID) []int32 {
-	return g.weights(g.inW, g.inOff[v], g.inOff[v+1])
-}
+func (g *Graph) InWeights(v VertexID) []int32 { return g.in.weights(v, g.ones) }
 
-// weights is the one weight accessor: entries [lo, hi) of the weight array
-// ws, or ones for an unweighted graph's nil array.
-func (g *Graph) weights(ws []int32, lo, hi int64) []int32 {
-	if ws == nil {
-		return g.ones[: hi-lo : hi-lo]
-	}
-	return ws[lo:hi]
-}
-
-// OutOffsets exposes the CSR offset array (length n+1). Read-only.
-func (g *Graph) OutOffsets() []int64 { return g.outOff }
-
-// InOffsets exposes the CSC offset array (length n+1). Read-only.
-func (g *Graph) InOffsets() []int64 { return g.inOff }
-
-// InEdgeSources exposes the flat CSC source array. Read-only.
-func (g *Graph) InEdgeSources() []VertexID { return g.inSrc }
-
-// InEdgeWeights exposes the flat CSC weight array, parallel to
-// InEdgeSources; it is nil on an unweighted graph, whose weights are all 1.
-// Read-only.
-func (g *Graph) InEdgeWeights() []int32 { return g.inW }
+// InOffsets exposes the CSC degree prefix (length n+1): vertex v has
+// InOffsets()[v+1]-InOffsets()[v] in-edges, and a destination range [lo, hi)
+// has InOffsets()[hi]-InOffsets()[lo]. Read-only.
+func (g *Graph) InOffsets() []int64 { return g.in.off }
 
 // MaxInDegree returns the largest in-degree in the graph.
 func (g *Graph) MaxInDegree() int64 {
 	var m int64
-	for v := 0; v < g.n; v++ {
-		if d := g.inOff[v+1] - g.inOff[v]; d > m {
+	for v := range VertexID(g.n) {
+		if d := g.in.deg(v); d > m {
 			m = d
 		}
 	}
@@ -135,8 +174,8 @@ func (g *Graph) MaxInDegree() int64 {
 // MaxOutDegree returns the largest out-degree in the graph.
 func (g *Graph) MaxOutDegree() int64 {
 	var m int64
-	for v := 0; v < g.n; v++ {
-		if d := g.outOff[v+1] - g.outOff[v]; d > m {
+	for v := range VertexID(g.n) {
+		if d := g.out.deg(v); d > m {
 			m = d
 		}
 	}
@@ -146,8 +185,8 @@ func (g *Graph) MaxOutDegree() int64 {
 // CountZeroInDegree returns the number of vertices with in-degree zero.
 func (g *Graph) CountZeroInDegree() int {
 	c := 0
-	for v := 0; v < g.n; v++ {
-		if g.inOff[v+1] == g.inOff[v] {
+	for v := range VertexID(g.n) {
+		if g.in.deg(v) == 0 {
 			c++
 		}
 	}
@@ -157,8 +196,8 @@ func (g *Graph) CountZeroInDegree() int {
 // CountZeroOutDegree returns the number of vertices with out-degree zero.
 func (g *Graph) CountZeroOutDegree() int {
 	c := 0
-	for v := 0; v < g.n; v++ {
-		if g.outOff[v+1] == g.outOff[v] {
+	for v := range VertexID(g.n) {
+		if g.out.deg(v) == 0 {
 			c++
 		}
 	}
@@ -168,8 +207,8 @@ func (g *Graph) CountZeroOutDegree() int {
 // InDegrees returns a freshly allocated slice of all in-degrees.
 func (g *Graph) InDegrees() []int64 {
 	d := make([]int64, g.n)
-	for v := 0; v < g.n; v++ {
-		d[v] = g.inOff[v+1] - g.inOff[v]
+	for v := range VertexID(g.n) {
+		d[v] = g.in.deg(v)
 	}
 	return d
 }
@@ -177,7 +216,7 @@ func (g *Graph) InDegrees() []int64 {
 // Edges materializes the edge list in CSR order (sorted by source, then by
 // the order destinations appear in the CSR arrays).
 func (g *Graph) Edges() []Edge {
-	edges := make([]Edge, 0, len(g.outDst))
+	edges := make([]Edge, 0, g.NumEdges())
 	for v := 0; v < g.n; v++ {
 		ws := g.OutWeights(VertexID(v))
 		for i, d := range g.OutNeighbors(VertexID(v)) {
@@ -201,43 +240,41 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.Src, e.Dst, n)
 		}
 	}
-	g := &Graph{n: n, weighted: weighted}
-	g.outOff = make([]int64, n+1)
-	g.inOff = make([]int64, n+1)
+	outOff := make([]int64, n+1)
+	inOff := make([]int64, n+1)
 	for _, e := range edges {
-		g.outOff[e.Src+1]++
-		g.inOff[e.Dst+1]++
+		outOff[e.Src+1]++
+		inOff[e.Dst+1]++
 	}
 	var maxRow int64
 	for v := 0; v < n; v++ {
-		maxRow = max(maxRow, g.outOff[v+1], g.inOff[v+1])
-		g.outOff[v+1] += g.outOff[v]
-		g.inOff[v+1] += g.inOff[v]
+		maxRow = max(maxRow, outOff[v+1], inOff[v+1])
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
 	}
 	m := int64(len(edges))
-	g.outDst = make([]VertexID, m)
-	g.inSrc = make([]VertexID, m)
+	outDst := make([]VertexID, m)
+	inSrc := make([]VertexID, m)
+	var outW, inW, ones []int32
 	if weighted {
-		g.outW = make([]int32, m)
-		g.inW = make([]int32, m)
+		outW = make([]int32, m)
+		inW = make([]int32, m)
 	} else {
-		g.ones = OnesFor(nil, maxRow)
+		ones = OnesFor(nil, maxRow)
 	}
-	outNext := make([]int64, n)
-	inNext := make([]int64, n)
-	copy(outNext, g.outOff[:n])
-	copy(inNext, g.inOff[:n])
+	outNext := slices.Clone(outOff[:n])
+	inNext := slices.Clone(inOff[:n])
 	for _, e := range edges {
 		oi, ii := outNext[e.Src], inNext[e.Dst]
-		g.outDst[oi] = e.Dst
-		g.inSrc[ii] = e.Src
+		outDst[oi] = e.Dst
+		inSrc[ii] = e.Src
 		if weighted {
 			w := e.Weight
 			if w == 0 {
 				w = 1
 			}
-			g.outW[oi] = w
-			g.inW[ii] = w
+			outW[oi] = w
+			inW[ii] = w
 		}
 		outNext[e.Src]++
 		inNext[e.Dst]++
@@ -245,16 +282,20 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	// Keep neighbour lists sorted by (neighbor, weight) for deterministic
 	// traversal and binary searchability. Ordering parallel edges by weight
 	// too makes row content a pure function of the edge multiset, so graphs
-	// built here and graphs patched row-wise by PatchEdgesPermN are
-	// byte-identical for identical multisets.
+	// built here and graphs patched row-wise by PatchEdgesPermN are equal
+	// for identical multisets.
 	var rs rowSorter
 	for v := 0; v < n; v++ {
-		lo, hi := g.outOff[v], g.outOff[v+1]
-		rs.sort(g.outDst[lo:hi], sub(g.outW, lo, hi))
-		lo, hi = g.inOff[v], g.inOff[v+1]
-		rs.sort(g.inSrc[lo:hi], sub(g.inW, lo, hi))
+		lo, hi := outOff[v], outOff[v+1]
+		rs.sort(outDst[lo:hi], sub(outW, lo, hi))
+		lo, hi = inOff[v], inOff[v+1]
+		rs.sort(inSrc[lo:hi], sub(inW, lo, hi))
 	}
-	return g, nil
+	return &Graph{
+		n: n, weighted: weighted, ones: ones,
+		out: flatAdj(outOff, outDst, outW),
+		in:  flatAdj(inOff, inSrc, inW),
+	}, nil
 }
 
 // sub returns ws[lo:hi], or nil for an unweighted graph's nil array.
@@ -318,18 +359,7 @@ func (s *rowSorter) sort(ids []VertexID, ws []int32) {
 
 // Transpose returns the graph with every edge reversed.
 func (g *Graph) Transpose() *Graph {
-	t := &Graph{
-		n:        g.n,
-		weighted: g.weighted,
-		outOff:   g.inOff,
-		outDst:   g.inSrc,
-		outW:     g.inW,
-		inOff:    g.outOff,
-		inSrc:    g.outDst,
-		inW:      g.outW,
-		ones:     g.ones,
-	}
-	return t
+	return &Graph{n: g.n, weighted: g.weighted, out: g.in, in: g.out, ones: g.ones}
 }
 
 // Relabel returns a new graph in which every vertex v of g becomes perm[v].
@@ -346,8 +376,8 @@ func (g *Graph) Relabel(perm []VertexID) (*Graph, error) {
 func (g *Graph) DegreeHistogramIn() []int64 {
 	maxd := g.MaxInDegree()
 	counts := make([]int64, maxd+1)
-	for v := 0; v < g.n; v++ {
-		counts[g.inOff[v+1]-g.inOff[v]]++
+	for v := range VertexID(g.n) {
+		counts[g.in.deg(v)]++
 	}
 	return counts
 }
@@ -390,12 +420,11 @@ func (g *Graph) Characterize() Stats {
 }
 
 // Equal reports whether two graphs have identical vertex counts,
-// weightedness and sorted adjacency structure (weights included), in both
-// the CSR and the CSC direction.
+// weightedness and sorted adjacency rows (weights included), in both the
+// CSR and the CSC direction, however their rows are stored.
 func Equal(a, b *Graph) bool {
 	return a.n == b.n && a.weighted == b.weighted &&
-		slices.Equal(a.outOff, b.outOff) && slices.Equal(a.outDst, b.outDst) && slices.Equal(a.outW, b.outW) &&
-		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.inSrc, b.inSrc) && slices.Equal(a.inW, b.inW)
+		a.out.equal(&b.out, a.n, a.ones) && a.in.equal(&b.in, a.n, a.ones)
 }
 
 // IsIsomorphicUnder verifies that h is the image of g under the vertex

@@ -323,7 +323,7 @@ func TestUnweightedStorage(t *testing.T) {
 		{"PatchEdgesPermN", patched}, {"Transpose", patched.Transpose()},
 	} {
 		h := tc.g
-		if h.outW != nil || h.inW != nil || h.InEdgeWeights() != nil {
+		if h.out.ws != nil || h.in.ws != nil {
 			t.Errorf("%s: unweighted graph stores weight arrays", tc.name)
 		}
 		for v := VertexID(0); int(v) < h.NumVertices(); v++ {

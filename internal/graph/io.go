@@ -39,18 +39,20 @@ func WriteAdjacency(w io.Writer, g *Graph) error {
 		return err
 	}
 	for v := 0; v < g.n; v++ {
-		if _, err := fmt.Fprintf(bw, "%d\n", g.outOff[v]); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d\n", g.out.off[v]); err != nil {
 			return err
 		}
 	}
-	for _, d := range g.outDst {
-		if _, err := fmt.Fprintf(bw, "%d\n", d); err != nil {
-			return err
+	for v := range VertexID(g.n) {
+		for _, d := range g.OutNeighbors(v) {
+			if _, err := fmt.Fprintf(bw, "%d\n", d); err != nil {
+				return err
+			}
 		}
 	}
 	if g.weighted {
-		for v := 0; v < g.n; v++ {
-			for _, wt := range g.OutWeights(VertexID(v)) {
+		for v := range VertexID(g.n) {
+			for _, wt := range g.OutWeights(v) {
 				if _, err := fmt.Fprintf(bw, "%d\n", wt); err != nil {
 					return err
 				}

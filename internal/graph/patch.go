@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -8,18 +9,31 @@ import (
 // PatchStats reports how much construction work a PatchEdgesPermN call did,
 // in edges. Merged edges are written by a row's linear merge of its sorted
 // basis row with its sorted adds and deletions; remapped edges are entries
-// whose stored neighbor ID was rewritten through the permutation (the
-// affected row is re-sorted only when the rewrite broke its order); copied
-// edges are memcpy — runs of untouched rows, one copy per run, and the
-// unchanged entries of remap-only rows, including rows that merely
-// relocated to a new index — an order of magnitude cheaper per edge than
-// building a graph from scratch (which counting-sorts and scatters every
-// edge twice, then sorts every row).
+// whose stored neighbor ID was rewritten through the permutation (and
+// merged back into their row's order); copied
+// edges are carried over unchanged — untouched rows, and the unchanged
+// entries of remap-only rows, including rows that merely relocated to a new
+// index — whether the result shares them with its basis or a fold rewrites
+// them. Both are an order of magnitude cheaper per edge than building a
+// graph from scratch (which counting-sorts and scatters every edge twice,
+// then sorts every row).
 type PatchStats struct {
 	EdgesMerged   int64 // edges written through row merges (both directions)
 	EdgesRemapped int64 // entries rewritten through the permutation (both directions)
-	EdgesCopied   int64 // edges block-copied unchanged (both directions)
+	EdgesCopied   int64 // edges carried over unchanged (both directions)
 }
+
+// The fold rule: a derivation writes every row into one fresh chunk, instead
+// of sharing its basis's chunks, when the chunks it would reference hold
+// more than foldDeadPct dead edges per 100 live ones, or when it would
+// reference more than maxChunks chunks. Dead edges are the entries of
+// rewritten rows still held by older chunks. The bounds keep a lineage
+// within 1.1× its live edges, and a dense pass over a graph at either
+// within 1% of its cost over a flat graph (TestChunkedRowLocality).
+const (
+	foldDeadPct = 10
+	maxChunks   = 16
+)
 
 // PatchEdgesPermN returns a new graph equal to g relabeled by perm, then
 // patched with dels removed and adds inserted (both given in post-perm IDs),
@@ -34,20 +48,24 @@ type PatchStats struct {
 // stored — i.e. with weights normalized the way FromEdges stores them (1 on
 // unweighted graphs and for zero input weights); it is an error if no such
 // occurrence exists. Every row of the result is sorted by (neighbor,
-// weight), as FromEdges leaves it, so a patch is byte-identical to a
-// scratch build of the same edge multiset.
+// weight), as FromEdges leaves it, so a patch is Equal to a scratch build of
+// the same edge multiset.
 //
 // The cost scales with the change, not the graph: only rows owned by or
 // referencing a moved vertex (perm[v] != v), plus rows incident to an
-// explicit add or delete, are merged or remapped — everything else is
-// block-copied. An identity injection (nil, or no vertex moved — headroom
-// admissions fill reserved slots, so pre-existing vertices keep theirs) is
-// detected and takes the nil-perm path: no remap row class at all, every
-// untouched row block-copies, and the patch cost is O(delta). Only
-// maintenance that actually relocates vertices (swap repair) produces
-// non-identity injections, and those remap exactly the rows owned by or
-// referencing a moved vertex. A pure renumbering of most vertices (a fresh
-// ordering) is two sort-free O(n + m) passes instead (see renumber).
+// explicit add or delete, are merged or remapped, into one new chunk; every
+// other row shares its basis's storage, so beyond the change a patch costs
+// a new degree prefix and extent array per side. An identity injection
+// (nil, or no vertex moved — headroom admissions fill reserved slots, so
+// pre-existing vertices keep theirs) is detected and takes the nil-perm
+// path: no remap row class at all. Only maintenance that actually relocates
+// vertices (swap repair) produces non-identity injections, and those remap
+// exactly the rows owned by or referencing a moved vertex; a relocated row
+// whose entries did not change shares its storage too. When sharing would
+// leave too many dead edges or chunks behind (see foldDeadPct), the patch
+// folds: it writes every row into one fresh chunk, O(n + m). A pure
+// renumbering of most vertices (a fresh ordering) is two sort-free
+// O(n + m) passes instead (see renumber).
 func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var st PatchStats
 	if nNew < g.n {
@@ -63,74 +81,69 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 			return nil, st, fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
 		}
 	}
-	var inv, moved []VertexID
+	var moved []VertexID
+	var taken []uint64 // bit v: new ID v has a preimage
 	if perm != nil {
 		if len(perm) != g.n {
 			return nil, st, fmt.Errorf("graph: patch perm length %d != n %d", len(perm), g.n)
 		}
-		inv = make([]VertexID, nNew)
-		for i := range inv {
-			inv[i] = VertexID(g.n) // sentinel: no preimage
-		}
+		taken = make([]uint64, (nNew+63)/64)
 		for old, nw := range perm {
-			if int(nw) >= nNew || inv[nw] != VertexID(g.n) {
+			if int(nw) >= nNew || taken[nw/64]&(1<<(nw%64)) != 0 {
 				return nil, st, fmt.Errorf("graph: patch perm is not injective at %d -> %d", old, nw)
 			}
-			inv[nw] = VertexID(old)
+			taken[nw/64] |= 1 << (nw % 64)
 			if VertexID(old) != nw {
 				moved = append(moved, VertexID(old))
 			}
 		}
 		if len(moved) == 0 {
-			// Identity injection (headroom growth without relocation): inv is
-			// the identity prefix the nil-perm branch below would build, so
-			// drop perm entirely — no remap row class, clean rows block-copy.
+			// Identity injection (headroom growth without relocation): every
+			// basis row keeps its index, so drop perm — no remap row class.
 			perm = nil
-		}
-	} else if nNew > g.n {
-		// Identity map into a larger space: preimages are the identity
-		// prefix, appended rows have none.
-		inv = make([]VertexID, nNew)
-		for i := range inv {
-			if i < g.n {
-				inv[i] = VertexID(i)
-			} else {
-				inv[i] = VertexID(g.n)
-			}
 		}
 	}
 	if 2*len(moved) > g.n && len(adds) == 0 && len(dels) == 0 {
-		out, st := g.renumber(nNew, perm, inv)
+		out, st := g.renumber(nNew, perm)
 		return out, st, nil
 	}
 	m := g.NumEdges() + int64(len(adds)) - int64(len(dels))
 	if m < 0 {
 		return nil, st, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(dels), g.NumEdges(), len(adds))
 	}
+	// The slots whose basis row is not their own: each moved vertex's new
+	// slot, and the slot it left when no other vertex took it.
+	var relocs []reloc
+	for _, a := range moved {
+		relocs = append(relocs, reloc{to: perm[a], from: a})
+		if taken[a/64]&(1<<(a%64)) == 0 {
+			relocs = append(relocs, reloc{to: a, from: VertexID(g.n)})
+		}
+	}
+	slices.SortFunc(relocs, func(x, y reloc) int { return cmp.Compare(x.to, y.to) })
+
 	out := &Graph{n: nNew, weighted: g.weighted}
 	scr := &patchScratch{}
 	bySrc := func(e Edge) (VertexID, VertexID) { return e.Src, e.Dst }
 	byDst := func(e Edge) (VertexID, VertexID) { return e.Dst, e.Src }
 	outSide := sidePatch{
-		g: g, n: nNew, off: g.outOff, ids: g.outDst, ws: g.outW, perm: perm, inv: inv,
-		adds: bucketRows(nNew, adds, g.weighted, bySrc), dels: bucketRows(nNew, dels, g.weighted, bySrc),
-		scratch: scr,
+		g: g, basis: &g.out, n: nNew, perm: perm, relocs: relocs,
+		adds: scr.sortDelta(adds, nNew, g.weighted, bySrc), dels: scr.sortDelta(dels, nNew, g.weighted, bySrc),
+		remap: remapRows(relocs, moved, perm, g.InNeighbors), scratch: scr,
 	}
-	outSide.flagRemaps(moved, g.InNeighbors)
 	inSide := sidePatch{
-		g: g, n: nNew, off: g.inOff, ids: g.inSrc, ws: g.inW, perm: perm, inv: inv,
-		adds: bucketRows(nNew, adds, g.weighted, byDst), dels: bucketRows(nNew, dels, g.weighted, byDst),
-		scratch: scr,
+		g: g, basis: &g.in, n: nNew, perm: perm, relocs: relocs,
+		adds: scr.sortDelta(adds, nNew, g.weighted, byDst), dels: scr.sortDelta(dels, nNew, g.weighted, byDst),
+		remap: remapRows(relocs, moved, perm, g.OutNeighbors), scratch: scr,
 	}
-	inSide.flagRemaps(moved, g.OutNeighbors)
 
 	var err error
 	var outMax, inMax int64
-	out.outOff, out.outDst, out.outW, outMax, err = outSide.build(&st)
+	out.out, outMax, err = outSide.build(&st)
 	if err != nil {
 		return nil, st, fmt.Errorf("graph: patch out-edges: %w", err)
 	}
-	out.inOff, out.inSrc, out.inW, inMax, err = inSide.build(&st)
+	out.in, inMax, err = inSide.build(&st)
 	if err != nil {
 		return nil, st, fmt.Errorf("graph: patch in-edges: %w", err)
 	}
@@ -140,6 +153,12 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 	return out, st, nil
 }
 
+// reloc names the basis row, from (g.n: none), of a new slot to that is
+// not its own.
+type reloc struct {
+	to, from VertexID
+}
+
 // renumber is PatchEdgesPermN's pure renumbering of most vertices (a fresh
 // ordering), where the row path would re-sort nearly every row. Each side
 // is filled by visiting the new IDs in increasing order and appending each
@@ -147,10 +166,17 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 // (neighbor, weight) order unsorted: entries arrive by increasing neighbor,
 // parallel ones in their basis row's weight order. An entry counts as
 // remapped when its neighbor moved, as on the row path.
-func (g *Graph) renumber(nNew int, perm, inv []VertexID) (*Graph, PatchStats) {
+func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats) {
+	inv := make([]VertexID, nNew)
+	for i := range inv {
+		inv[i] = VertexID(g.n) // no preimage
+	}
+	for u, v := range perm {
+		inv[v] = VertexID(u)
+	}
 	out := &Graph{n: nNew, weighted: g.weighted, ones: g.ones}
-	out.outOff, out.outDst, out.outW = scatterRows(nNew, perm, inv, g.outOff, g.inOff, g.inSrc, g.inW)
-	out.inOff, out.inSrc, out.inW = scatterRows(nNew, perm, inv, g.inOff, g.outOff, g.outDst, g.outW)
+	out.out = scatterRows(nNew, perm, inv, g.out.off, &g.in, g.ones)
+	out.in = scatterRows(nNew, perm, inv, g.in.off, &g.out, g.ones)
 	var st PatchStats
 	for u, v := range perm {
 		if VertexID(u) != v {
@@ -161,10 +187,10 @@ func (g *Graph) renumber(nNew int, perm, inv []VertexID) (*Graph, PatchStats) {
 	return out, st
 }
 
-// scatterRows builds one side of a renumbered graph from the basis's row
-// offsets on that side and its other side (from, ids, ws), whose row u
-// lists the vertices whose rows on this side mention u.
-func scatterRows(nNew int, perm, inv []VertexID, off, from []int64, ids []VertexID, ws []int32) ([]int64, []VertexID, []int32) {
+// scatterRows builds one side of a renumbered graph, as one chunk, from the
+// basis's degree prefix off on that side and its other side from, whose row
+// u lists the vertices whose rows on this side mention u.
+func scatterRows(nNew int, perm, inv []VertexID, off []int64, from *adj, ones []int32) adj {
 	newOff := make([]int64, nNew+1)
 	for u, v := range perm {
 		newOff[v+1] = off[u+1] - off[u]
@@ -174,7 +200,7 @@ func scatterRows(nNew int, perm, inv []VertexID, off, from []int64, ids []Vertex
 	}
 	newIDs := make([]VertexID, newOff[nNew])
 	var newWs []int32
-	if ws != nil {
+	if from.ws != nil {
 		newWs = make([]int32, newOff[nNew])
 	}
 	next := slices.Clone(newOff[:nNew])
@@ -182,8 +208,9 @@ func scatterRows(nNew int, perm, inv []VertexID, off, from []int64, ids []Vertex
 		if int(u) >= len(perm) {
 			continue // a hole: no basis row
 		}
-		for k := from[u]; k < from[u+1]; k++ {
-			r := perm[ids[k]]
+		ws := from.weights(u, ones)
+		for k, s := range from.row(u) {
+			r := perm[s]
 			newIDs[next[r]] = VertexID(d)
 			if newWs != nil {
 				newWs[next[r]] = ws[k]
@@ -191,192 +218,400 @@ func scatterRows(nNew int, perm, inv []VertexID, off, from []int64, ids []Vertex
 			next[r]++
 		}
 	}
-	return newOff, newIDs, newWs
+	return flatAdj(newOff, newIDs, newWs)
 }
 
-// sidePatch rebuilds one adjacency direction of a patch. Rows fall into
+// sidePatch derives one adjacency direction of a patch. Rows fall into
 // three classes: rows with explicit adds or deletions are merged, rows
-// merely owned by or referencing a moved vertex are remapped (linear ID
-// rewrite, re-sorted only if the rewrite broke the order — segment shifts
-// are monotone and preserve it), and every other row is clean and copied.
-// adds and dels are in post-perm IDs, each row's entries sorted by rowKey.
+// merely owned by or referencing a moved vertex are remapped (see
+// remapRow), and every other row is clean: it is its basis row at its own
+// index. Clean rows, and remapped rows none of whose entries changed,
+// share their basis row's storage; the rest are written into one chunk of
+// the derivation's own. adds and dels are in post-perm IDs.
 type sidePatch struct {
-	g   *Graph // the basis
-	n   int    // vertex count of the result
-	off []int64
-	ids []VertexID
-	ws  []int32 // nil: unweighted
+	g     *Graph // the basis
+	basis *adj   // the basis's side
+	n     int    // vertex count of the result
 
-	perm, inv []VertexID // nil when no vertex moved / the space is unchanged
+	perm   []VertexID // nil when no vertex moved
+	relocs []reloc    // the slots whose basis row is not their own, by slot
 
-	remap []bool // remap-dirty rows, in post-perm IDs (nil: none)
+	remap []VertexID // remap-dirty rows, in post-perm IDs, sorted
 
-	adds, dels rowBuckets
+	adds, dels rowDelta
 
 	scratch *patchScratch
 }
 
-// patchScratch is the per-patch reusable scratch: the row sorter's keys and
-// the remapped basis of a merged row.
+// patchScratch is the per-patch reusable scratch: the radix sort's second
+// buffer, a merged row's sorted adds and deletions, the rewritten entries
+// of a remapped row, and the remapped basis of a merged row.
 type patchScratch struct {
-	rs  rowSorter
-	ids []VertexID
-	ws  []int32
+	tmp        []uint64
+	adds, dels []uint64
+	keys       []uint64
+	ids        []VertexID
+	ws         []int32
 }
 
-// flagRemaps marks the rows owned by moved vertices (their content
-// relocates and may self-reference) and the rows whose lists mention a
-// moved vertex (their stored neighbor IDs went stale). refRows returns the
-// rows (in pre-perm IDs) whose lists mention a given pre-perm vertex, so
-// they are found without scanning the graph.
-func (p *sidePatch) flagRemaps(moved []VertexID, refRows func(VertexID) []VertexID) {
-	if p.perm == nil {
-		return
+// remapRows returns, sorted and without repeats, the new IDs of the rows
+// whose basis row is not their own (relocs: a moved vertex's row relocates
+// and may self-reference, and a slot it left may be empty) and of the rows
+// whose lists mention a moved vertex (their stored neighbor IDs went
+// stale). refRows returns the rows (in pre-perm IDs) whose lists mention a
+// given pre-perm vertex, so they are found without scanning the graph.
+func remapRows(relocs []reloc, moved, perm []VertexID, refRows func(VertexID) []VertexID) []VertexID {
+	var rows []VertexID
+	for _, r := range relocs {
+		rows = append(rows, r.to)
 	}
-	p.remap = make([]bool, p.n)
 	for _, a := range moved {
-		p.remap[p.perm[a]] = true
 		for _, r := range refRows(a) {
-			p.remap[p.perm[r]] = true
+			rows = append(rows, perm[r])
 		}
 	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
-// oldRow returns the basis row of new row v; g.n or more means none.
-func (p *sidePatch) oldRow(v int) int {
-	if p.inv == nil {
-		return v
+// dirtyRow is a row of the result that need not be its basis row at its own
+// index: its basis row (g.n: none), its adds and deletions, and whether it
+// is remap-dirty.
+type dirtyRow struct {
+	v, old     VertexID
+	adds, dels span
+	remap      bool
+}
+
+// dirtyRows walks a side's dirty rows in increasing order — the rows of its
+// adds, deletions and remaps, merged — without storing them, so a delta
+// that dirties most rows costs no list.
+type dirtyRows struct {
+	p          *sidePatch
+	a, d, r, k int // the next add, deletion, remap and relocation
+}
+
+func (p *sidePatch) dirty() *dirtyRows { return &dirtyRows{p: p} }
+
+// next returns the next dirty row, or false after the last.
+func (it *dirtyRows) next() (dirtyRow, bool) {
+	p := it.p
+	if it.a == p.adds.len() && it.d == p.dels.len() && it.r == len(p.remap) {
+		return dirtyRow{}, false
 	}
-	return int(p.inv[v])
+	v := VertexID(p.n)
+	if it.a < p.adds.len() {
+		v = p.adds.row(it.a)
+	}
+	if it.d < p.dels.len() {
+		v = min(v, p.dels.row(it.d))
+	}
+	if it.r < len(p.remap) {
+		v = min(v, p.remap[it.r])
+	}
+	row := dirtyRow{v: v, old: min(v, VertexID(p.g.n))}
+	for it.k < len(p.relocs) && p.relocs[it.k].to < v {
+		it.k++
+	}
+	if it.k < len(p.relocs) && p.relocs[it.k].to == v {
+		row.old = p.relocs[it.k].from
+	}
+	row.adds, row.dels = p.adds.run(it.a, v), p.dels.run(it.d, v)
+	it.a, it.d = row.adds.hi, row.dels.hi
+	if it.r < len(p.remap) && p.remap[it.r] == v {
+		row.remap = true
+		it.r++
+	}
+	return row, true
 }
 
-func (p *sidePatch) remapped(v int) bool {
-	return p.remap != nil && p.remap[v]
+// writes reports whether the derivation writes dirty row d: every row with
+// adds or deletions, and a remapped row when remapping changes an entry.
+// A remapped row at its own index is remap-dirty only because it mentions
+// a moved vertex, so only a relocated row's entries need a look.
+func (p *sidePatch) writes(d *dirtyRow) bool {
+	return d.adds.n()+d.dels.n() > 0 || d.remap && (d.old == d.v || p.rewrites(d.old))
 }
 
-// clean reports whether new row v is basis row v unchanged. A row whose
-// basis row is another vertex's has a moved owner and is flagged for
-// remap, so a clean row sits at its own index in both graphs.
-func (p *sidePatch) clean(v int) bool {
-	return !p.remapped(v) && p.adds.len(v) == 0 && p.dels.len(v) == 0 && p.oldRow(v) < p.g.n
+// basisRow returns basis row u with its weights (ones when unweighted), or
+// nothing when u is g.n.
+func (p *sidePatch) basisRow(u VertexID) ([]VertexID, []int32) {
+	if int(u) >= p.g.n {
+		return nil, nil
+	}
+	return p.basis.row(u), p.basis.weights(u, p.g.ones)
 }
 
-// basis returns basis row u with its weights (ones when unweighted).
-func (p *sidePatch) basis(u int) ([]VertexID, []int32) {
-	lo, hi := p.off[u], p.off[u+1]
-	return p.ids[lo:hi], p.g.weights(p.ws, lo, hi)
-}
-
-// build writes the side's new offsets, IDs and weights (nil when
-// unweighted) and returns its largest row.
-func (p *sidePatch) build(st *PatchStats) ([]int64, []VertexID, []int32, int64, error) {
-	n := p.n
-	newOff := make([]int64, n+1)
-	var maxRow int64
-	for v := 0; v < n; v++ {
-		var deg int64
-		if u := p.oldRow(v); u < p.g.n {
-			deg = p.off[u+1] - p.off[u]
+// rewrites reports whether remapping basis row u changes any of its
+// entries.
+func (p *sidePatch) rewrites(u VertexID) bool {
+	ids, _ := p.basisRow(u)
+	for _, id := range ids {
+		if p.perm[id] != id {
+			return true
 		}
-		deg += int64(p.adds.len(v) - p.dels.len(v))
-		if deg < 0 {
-			return nil, nil, nil, 0, fmt.Errorf("row %d: more deletions than edges", v)
-		}
-		maxRow = max(maxRow, deg)
-		newOff[v+1] = newOff[v] + deg
 	}
-	newIDs := make([]VertexID, newOff[n])
-	var newWs []int32
-	if p.ws != nil {
-		newWs = make([]int32, newOff[n])
+	return false
+}
+
+// build derives the side and returns it with its largest written row; every
+// other row is a basis row, no longer than the basis's ones. Its only O(n)
+// work is the degree prefix and the extent array, each a copy of the
+// basis's adjusted at the dirty rows; the rows it writes go into one new
+// chunk, unless the fold rule sends every row there.
+func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
+	b := p.basis
+	off, maxRow, fresh, err := p.prefix()
+	if err != nil {
+		return adj{}, 0, err
+	}
+	live, held := off[p.n], fresh
+	for _, c := range b.ids {
+		held += int64(len(c))
+	}
+	if 100*(held-live) > foldDeadPct*live || len(b.ids)+1 > maxChunks {
+		a, err := p.fold(st, off)
+		return a, maxRow, err
 	}
 
-	scr := p.scratch
-	for v := 0; v < n; {
-		if p.clean(v) {
-			// Copy the maximal run of clean rows starting at v at once.
-			w := v + 1
-			for w < n && p.clean(w) {
-				w++
+	ext := grown(b.ext, p.n)
+	ids := make([]VertexID, fresh)
+	var ws []int32
+	if b.ws != nil {
+		ws = make([]int32, fresh)
+	}
+	c := int64(len(b.ids))
+	copied := live
+	var pos int64
+	for it := p.dirty(); ; {
+		d, ok := it.next()
+		if !ok {
+			break
+		}
+		if !p.writes(&d) {
+			if d.old != d.v {
+				ext[d.v] = 0 // an empty row: any valid extent
+				if int(d.old) < p.g.n {
+					ext[d.v] = b.ext[d.old]
+				}
 			}
-			lo, hi := p.off[v], p.off[w]
-			copy(newIDs[newOff[v]:newOff[w]], p.ids[lo:hi])
-			if newWs != nil {
-				copy(newWs[newOff[v]:newOff[w]], p.ws[lo:hi])
-			}
-			st.EdgesCopied += hi - lo
-			v = w
 			continue
 		}
-		dst := newIDs[newOff[v]:newOff[v+1]]
-		dw := sub(newWs, newOff[v], newOff[v+1])
-		va, vd := p.adds.row(v), p.dels.row(v)
-		var base []VertexID
-		var bw []int32
-		if u := p.oldRow(v); u < p.g.n {
-			base, bw = p.basis(u)
-			if len(va) == 0 && len(vd) == 0 {
-				// Remap-only row: content unchanged, stale IDs rewritten
-				// through perm. Entries whose neighbor did not move copy
-				// through unchanged — a row that merely relocated is a copy
-				// at a new index — so only rewritten entries count as remap
-				// work.
-				rewritten, sorted := remapRow(dst, base, bw, p.perm)
-				copy(dw, bw)
-				if !sorted {
-					scr.rs.sort(dst, dw)
-				}
-				st.EdgesRemapped += rewritten
-				st.EdgesCopied += int64(len(base)) - rewritten
-				v++
-				continue
-			}
-			if p.remapped(v) {
-				// A dirty row that references a moved vertex: remap its
-				// basis into scratch, restoring its order if needed.
-				scr.ids = resize(scr.ids, len(base))
-				if _, sorted := remapRow(scr.ids, base, bw, p.perm); !sorted {
-					var sw []int32 // nil: an unweighted row sorts its IDs alone
-					if p.ws != nil {
-						scr.ws = append(scr.ws[:0], bw...)
-						sw, bw = scr.ws, scr.ws
-					}
-					scr.rs.sort(scr.ids, sw)
-				}
-				base = scr.ids
-			}
+		end := pos + off[d.v+1] - off[d.v]
+		if err := p.writeRow(st, &d, ids[pos:end], sub(ws, pos, end)); err != nil {
+			return adj{}, 0, err
 		}
-		// A merged row, or an appended vertex (no basis row, only adds).
-		if err := mergeRow(dst, dw, base, bw, va, vd); err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("row %d: %w", v, err)
+		copied -= end - pos
+		ext[d.v] = 0
+		if end > pos {
+			ext[d.v] = c<<extShift | pos
 		}
-		st.EdgesMerged += int64(len(dst))
-		v++
+		pos = end
 	}
-	return newOff, newIDs, newWs, maxRow, nil
+	st.EdgesCopied += copied
+	a := adj{off: off, ext: ext, ids: b.ids, ws: b.ws}
+	if fresh > 0 {
+		a.ids = append(b.ids[:c:c], ids)
+		if ws != nil {
+			a.ws = append(b.ws[:c:c], ws)
+		}
+	}
+	return a, maxRow, nil
 }
 
-// remapRow writes src's IDs mapped through perm into dst and reports how
-// many changed and whether dst is still in (neighbor, weight) order, ws
-// being the row's weights. The basis row was sorted, so only pairs next to
-// a rewritten entry can be out of order, and only those are compared.
-func remapRow(dst, src []VertexID, ws []int32, perm []VertexID) (rewritten int64, sorted bool) {
-	dst = dst[:len(src)]
-	sorted = true
-	prevMoved := false
-	for k, id := range src {
-		nid := perm[id]
-		dst[k] = nid
-		moved := nid != id
-		if moved {
-			rewritten++
-		}
-		if (moved || prevMoved) && k > 0 && (nid < dst[k-1] || nid == dst[k-1] && ws[k] < ws[k-1]) {
-			sorted = false
-		}
-		prevMoved = moved
+// prefix returns the side's degree prefix, its largest dirty row and the
+// edges of the rows the derivation writes. It starts from the basis's
+// prefix, extended flat over appended rows: every row that is not dirty is
+// its basis row at its own index, or an empty appended row, so only the
+// dirty rows change a degree, and each change shifts every later entry.
+func (p *sidePatch) prefix() (off []int64, maxRow, fresh int64, err error) {
+	b, gn := p.basis, p.g.n
+	off = grown(b.off, p.n+1)
+	for v := gn + 1; v <= p.n; v++ {
+		off[v] = b.off[gn]
 	}
-	return rewritten, sorted
+	var shift int64
+	next := 1 // the first entry not yet shifted
+	for it := p.dirty(); ; {
+		d, ok := it.next()
+		if !ok {
+			break
+		}
+		addTo(off[next:d.v+1], shift)
+		var deg int64
+		if int(d.old) < gn {
+			deg = b.deg(d.old)
+		}
+		deg += int64(d.adds.n() - d.dels.n())
+		if deg < 0 {
+			return nil, 0, 0, fmt.Errorf("row %d: more deletions than edges", d.v)
+		}
+		maxRow = max(maxRow, deg)
+		if p.writes(&d) {
+			fresh += deg
+		}
+		shift = off[d.v] + deg - off[d.v+1]
+		off[d.v+1] += shift
+		next = int(d.v) + 2
+	}
+	addTo(off[min(next, p.n+1):], shift)
+	return off, maxRow, fresh, nil
+}
+
+// grown returns a copy of s extended with zeros to length n ≥ len(s).
+func grown(s []int64, n int) []int64 {
+	return append(append(s[:0:0], s...), make([]int64, n-len(s))...)
+}
+
+// addTo adds x to every entry of s.
+func addTo(s []int64, x int64) {
+	if x == 0 {
+		return
+	}
+	for i := range s {
+		s[i] += x
+	}
+}
+
+// fold writes every row of the side, in order, into one fresh chunk: the
+// dirty rows through writeRow, and each maximal run of the other rows that
+// lie back to back in one basis chunk as one copy.
+func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
+	b, live := p.basis, off[p.n]
+	ids := make([]VertexID, live)
+	var ws []int32
+	if b.ws != nil {
+		ws = make([]int32, live)
+	}
+	var from, to, size int64 // the pending run: extent, offset and length
+	flush := func() {
+		c, lo := from>>extShift, from&extMask
+		copy(ids[to:to+size], b.ids[c][lo:lo+size])
+		if ws != nil {
+			copy(ws[to:to+size], b.ws[c][lo:lo+size])
+		}
+		st.EdgesCopied += size
+		size = 0
+	}
+	it := p.dirty()
+	d, ok := it.next()
+	for v := range VertexID(p.n) {
+		u := min(v, VertexID(p.g.n))
+		if ok && d.v == v {
+			if p.writes(&d) {
+				flush()
+				lo, hi := off[v], off[v+1]
+				if err := p.writeRow(st, &d, ids[lo:hi], sub(ws, lo, hi)); err != nil {
+					return adj{}, err
+				}
+				d, ok = it.next()
+				continue
+			}
+			u = d.old
+			d, ok = it.next()
+		}
+		if int(u) >= p.g.n || b.deg(u) == 0 {
+			continue
+		}
+		if e := b.ext[u]; size == 0 || e != from+size || to+size != off[v] {
+			flush()
+			from, to = e, off[v]
+		}
+		size += b.deg(u)
+	}
+	flush()
+	return flatAdj(off, ids, ws), nil
+}
+
+// writeRow writes dirty row d into dst, and its weights into dw unless it
+// is nil: a remap-only row through remapRow, any other through mergeRow.
+func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []int32) error {
+	scr := p.scratch
+	base, bw := p.basisRow(d.old)
+	if base != nil && d.adds.n() == 0 && d.dels.n() == 0 {
+		// Remap-only row: content unchanged, stale IDs rewritten through
+		// perm. Entries whose neighbor did not move carry over unchanged,
+		// so only rewritten entries count as remap work.
+		rewritten := scr.remapRow(dst, dw, base, bw, p.perm)
+		st.EdgesRemapped += rewritten
+		st.EdgesCopied += int64(len(base)) - rewritten
+		return nil
+	}
+	if d.remap && base != nil {
+		// A dirty row that references a moved vertex: remap its basis into
+		// scratch first. An unweighted row keeps its weights, all ones.
+		scr.ids = resize(scr.ids, len(base))
+		var sw []int32
+		if p.basis.ws != nil {
+			scr.ws = resize(scr.ws, len(base))
+			sw = scr.ws
+		}
+		scr.remapRow(scr.ids, sw, base, bw, p.perm)
+		base = scr.ids
+		if sw != nil {
+			bw = sw
+		}
+	}
+	// A merged row, or an appended vertex (no basis row, only adds).
+	scr.adds = p.adds.keys(d.adds, scr.adds)
+	scr.dels = p.dels.keys(d.dels, scr.dels)
+	if err := mergeRow(dst, dw, base, bw, scr.adds, scr.dels); err != nil {
+		return fmt.Errorf("row %d: %w", d.v, err)
+	}
+	st.EdgesMerged += int64(len(dst))
+	return nil
+}
+
+// remapRow writes the row (src, ws) with its IDs mapped through perm into
+// dst, and its weights into dw unless it is nil, in (neighbor, weight)
+// order, and returns how many IDs changed. The runs of entries whose
+// neighbor did not move are copied in order; the rewritten entries are
+// sorted apart and merged in from the back, so a row with k rewritten
+// entries costs one scan, k+1 copies and O(k log k).
+func (s *patchScratch) remapRow(dst []VertexID, dw []int32, src []VertexID, ws []int32, perm []VertexID) int64 {
+	s.keys = s.keys[:0]
+	keep, from := 0, 0
+	for k, id := range src {
+		if nid := perm[id]; nid != id {
+			keep += copyRun(dst[keep:], dw, keep, src[from:k], ws[from:k])
+			s.keys = append(s.keys, rowKey(nid, ws[k]))
+			from = k + 1
+		}
+	}
+	keep += copyRun(dst[keep:], dw, keep, src[from:], ws[from:])
+	if len(s.keys) == 0 {
+		return 0
+	}
+	slices.Sort(s.keys)
+	i, j := keep-1, len(s.keys)-1
+	for o := len(src) - 1; j >= 0; o-- {
+		id, w := keyEntry(s.keys[j])
+		if i >= 0 && rowKey(dst[i], weightAt(dw, i)) > s.keys[j] {
+			id, w = dst[i], weightAt(dw, i)
+			i--
+		} else {
+			j--
+		}
+		put(dst, dw, o, id, w)
+	}
+	return int64(len(s.keys))
+}
+
+// copyRun copies the entries ids, and their weights ws into dw at offset at
+// unless dw is nil, to the front of dst and returns how many it copied.
+func copyRun(dst []VertexID, dw []int32, at int, ids []VertexID, ws []int32) int {
+	if dw != nil {
+		copy(dw[at:], ws)
+	}
+	return copy(dst, ids)
+}
+
+// weightAt returns dw[i], or 1 when dw is nil (an unweighted row).
+func weightAt(dw []int32, i int) int32 {
+	if dw == nil {
+		return 1
+	}
+	return dw[i]
 }
 
 // mergeRow writes the basis row (base, bw) minus one occurrence per deletion
@@ -445,62 +680,85 @@ func unmatched(base []VertexID, bw []int32, dels []uint64) error {
 	return fmt.Errorf("deletion of non-existent edge to %d (weight %d)", id, w)
 }
 
-// rowBuckets groups a patch's edges by row owner in CSR form: the entries
-// of row v are keys[off[v]:off[v+1]], rowKey-packed and sorted. A nil off
-// means no edges.
-type rowBuckets struct {
-	off  []int
-	keys []uint64
+// rowDelta is one direction's view of a patch's adds or deletions: the
+// edges es, each owned by the row key gives it, in the order of order, whose
+// entries are row<<32 | index into es, sorted by row.
+type rowDelta struct {
+	es       []Edge
+	key      func(Edge) (VertexID, VertexID) // (row owner, stored neighbor)
+	weighted bool
+	order    []uint64
 }
 
-// bucketRows is a counting sort of es by row owner over n rows followed by
-// a sort of each row's keys, O(n + len(es) log(row length)). key maps an
-// edge to its (row owner, stored neighbor) for one direction; weights are
-// normalized the way FromEdges stores them.
-func bucketRows(n int, es []Edge, weighted bool, key func(Edge) (VertexID, VertexID)) rowBuckets {
-	if len(es) == 0 {
-		return rowBuckets{}
+func (d *rowDelta) len() int { return len(d.order) }
+
+// row returns the row of entry i.
+func (d *rowDelta) row(i int) VertexID { return VertexID(d.order[i] >> 32) }
+
+// run returns the entries of row v starting at entry i, where every earlier
+// row ends.
+func (d *rowDelta) run(i int, v VertexID) span {
+	j := i
+	for j < d.len() && d.row(j) == v {
+		j++
 	}
-	// Count into off[v], prefix-sum to each row's end, then place edges back
-	// to front so each off[v] steps down to its row's start.
-	off := make([]int, n+1)
-	for _, e := range es {
-		v, _ := key(e)
-		off[v]++
-	}
-	for v := 1; v <= n; v++ {
-		off[v] += off[v-1]
-	}
-	keys := make([]uint64, len(es))
-	for i := len(es) - 1; i >= 0; i-- {
-		v, nb := key(es[i])
-		w := es[i].Weight
-		if !weighted || w == 0 {
+	return span{i, j}
+}
+
+// keys returns the rowKey-packed entries of sp, sorted, in buf's storage.
+// Weights are normalized the way FromEdges stores them.
+func (d *rowDelta) keys(sp span, buf []uint64) []uint64 {
+	buf = buf[:0]
+	for _, o := range d.order[sp.lo:sp.hi] {
+		e := d.es[uint32(o)]
+		_, nb := d.key(e)
+		w := e.Weight
+		if !d.weighted || w == 0 {
 			w = 1
 		}
-		off[v]--
-		keys[off[v]] = rowKey(nb, w)
+		buf = append(buf, rowKey(nb, w))
 	}
-	for v := 0; v < n; v++ {
-		if off[v+1]-off[v] > 1 {
-			slices.Sort(keys[off[v]:off[v+1]])
+	slices.Sort(buf)
+	return buf
+}
+
+// span is a range [lo, hi) of a rowDelta's entries.
+type span struct{ lo, hi int }
+
+func (sp span) n() int { return sp.hi - sp.lo }
+
+// sortDelta sorts es by row owner: a stable radix sort of (row, index)
+// pairs on the row's bytes, O(b) per byte for b edges. Every row owner is
+// below n.
+func (s *patchScratch) sortDelta(es []Edge, n int, weighted bool, key func(Edge) (VertexID, VertexID)) rowDelta {
+	d := rowDelta{es: es, key: key, weighted: weighted}
+	if len(es) == 0 {
+		return d
+	}
+	order, tmp := make([]uint64, len(es)), resize(s.tmp, len(es))
+	for i, e := range es {
+		v, _ := key(e)
+		order[i] = uint64(v)<<32 | uint64(i)
+	}
+	for shift := 32; shift < 64 && (n-1)>>(shift-32) != 0; shift += 8 {
+		var count [256]int
+		for _, x := range order {
+			count[byte(x>>shift)]++
 		}
+		sum := 0
+		for i, c := range count {
+			count[i], sum = sum, sum+c
+		}
+		for _, x := range order {
+			d := byte(x >> shift)
+			tmp[count[d]] = x
+			count[d]++
+		}
+		order, tmp = tmp, order
 	}
-	return rowBuckets{off: off, keys: keys}
-}
-
-func (b rowBuckets) row(v int) []uint64 {
-	if b.off == nil {
-		return nil
-	}
-	return b.keys[b.off[v]:b.off[v+1]]
-}
-
-func (b rowBuckets) len(v int) int {
-	if b.off == nil {
-		return 0
-	}
-	return b.off[v+1] - b.off[v]
+	s.tmp = tmp // the buffer not holding the result
+	d.order = order
+	return d
 }
 
 // resize returns s resliced to length n, reallocating only when its capacity

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -180,4 +181,112 @@ func byteStream(data []byte) func() byte {
 		i++
 		return b
 	}
+}
+
+// FuzzPatchLineage drives chains of up to 48 derivations, each patching the
+// previous one's output: edge churn on the identity numbering, swap
+// injections with churn, headroom growth and write-heavy churn. The input
+// bytes pick the operations and their sizes; a generator seeded from them
+// picks the edges. Small deltas on a base graph of up to 1018 vertices and
+// 64–2104 edges leave folding to the chunk count, and the rare write-heavy
+// steps cross the dead-edge threshold. After every step the result must equal a
+// FromEdges build of the oracle multiset and respect the fold rule, and at
+// the end every graph of the chain must still equal the scratch build taken
+// when it was derived: a derivation never writes storage another graph
+// reads.
+func FuzzPatchLineage(f *testing.F) {
+	f.Add(uint8(20), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint8(9), []byte{1, 7, 2, 1, 5, 0, 3, 3, 9, 8, 0, 2, 4, 6, 1, 1, 2, 7})
+	f.Add(uint8(200), []byte{3, 200, 17, 40, 3, 9, 40, 2, 3, 5, 1, 0, 0, 3, 255, 1})
+	f.Add(uint8(127), []byte{0xff, 0x80, 0x40, 0x20, 0x10, 8, 4, 2, 1, 0, 0x11, 0x22, 0x33})
+	f.Fuzz(func(t *testing.T, nB uint8, data []byte) {
+		next := byteStream(data)
+		rng := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
+		n := 2 + 8*int(nB%128)
+		weighted := nB&0x80 != 0
+		randEdge := func(n int) Edge {
+			w := int32(1)
+			if weighted {
+				w = 1 + rng.Int31n(4)
+			}
+			return Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w}
+		}
+		live := make([]Edge, 64+8*int(next()))
+		for i := range live {
+			live[i] = randEdge(n)
+		}
+		g, err := FromEdges(n, live, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, copies := []*Graph{g}, []*Graph{g}
+		steps := int(next()) % 49
+		for step := 0; step < steps; step++ {
+			op := next() % 16
+			nNew := n
+			var perm []VertexID
+			churn := int(next()) % 3
+			switch op {
+			case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9: // churn on the identity numbering
+			case 10, 11, 12: // swap injection
+				perm = make([]VertexID, n)
+				for v := range perm {
+					perm[v] = VertexID(v)
+				}
+				for s := 1 + int(next())%3; s > 0; s-- {
+					a, b := rng.Intn(n), rng.Intn(n)
+					perm[a], perm[b] = perm[b], perm[a]
+				}
+				live = applyPermToEdges(live, perm)
+			case 13, 14: // headroom growth: new rows past n, reached only by adds
+				nNew = n + 1 + int(next())%4
+			default: // write-heavy churn
+				churn = len(live)/2 + int(next())%16
+			}
+			var adds, dels []Edge
+			for i := 0; i < churn && len(live) > 0; i++ {
+				j := rng.Intn(len(live))
+				dels = append(dels, live[j])
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			for i := 0; i < churn; i++ {
+				adds = append(adds, randEdge(nNew))
+			}
+			h, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+			if err != nil {
+				t.Fatalf("step %d: valid patch rejected: %v", step, err)
+			}
+			live = append(live, adds...)
+			want, err := FromEdges(nNew, live, weighted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(h, want) {
+				t.Fatalf("step %d (op %d): derived graph differs from a scratch build", step, op)
+			}
+			if covered := st.EdgesCopied + st.EdgesMerged + st.EdgesRemapped; covered < 2*h.NumEdges() {
+				t.Fatalf("step %d: stats cover %d of %d edges", step, covered, 2*h.NumEdges())
+			}
+			for _, a := range []*adj{&h.out, &h.in} {
+				if len(a.ids) > maxChunks {
+					t.Fatalf("step %d: %d chunks, more than %d", step, len(a.ids), maxChunks)
+				}
+				var held int64
+				for _, c := range a.ids {
+					held += int64(len(c))
+				}
+				if live := a.off[nNew]; 100*(held-live) > foldDeadPct*live {
+					t.Fatalf("step %d: %d dead edges for %d live ones", step, held-live, live)
+				}
+			}
+			chain, copies = append(chain, h), append(copies, want)
+			g, n = h, nNew
+		}
+		for i := range chain {
+			if !Equal(chain[i], copies[i]) {
+				t.Fatalf("graph %d of the chain changed after it was derived", i)
+			}
+		}
+	})
 }

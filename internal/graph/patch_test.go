@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -605,5 +606,64 @@ func TestPatchEdgesPermErrors(t *testing.T) {
 	}
 	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1, 3}); err == nil {
 		t.Error("expected out-of-range error")
+	}
+}
+
+// TestPatchAllocatesPerDelta bounds what one derivation allocates on a
+// 50k-vertex, 1M-edge graph: a 128-update patch on the identity numbering
+// and under eight swapped vertex pairs may allocate a few words per vertex
+// (the degree prefix and extent array of each side, and the inverse
+// injection) plus a constant per delta edge, not a copy of the edges. A
+// derivation that copies its basis's rows allocates 10 MB here.
+func TestPatchAllocatesPerDelta(t *testing.T) {
+	const n, m, updates = 50_000, 1_000_000, 128
+	rng := rand.New(rand.NewSource(9))
+	g, err := FromEdges(n, randomEdges(rng, n, m), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps := make([]VertexID, n)
+	for v := range swaps {
+		swaps[v] = VertexID(v)
+	}
+	for range 8 {
+		a, b := rng.Intn(n), rng.Intn(n)
+		swaps[a], swaps[b] = swaps[b], swaps[a]
+	}
+	live := g.Edges()
+	for _, tc := range []struct {
+		name string
+		perm []VertexID
+	}{{"identity", nil}, {"swaps", swaps}} {
+		var adds, dels []Edge
+		for range updates / 2 {
+			j := rng.Intn(len(live))
+			e := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if tc.perm != nil {
+				e.Src, e.Dst = tc.perm[e.Src], tc.perm[e.Dst]
+			}
+			dels = append(dels, e)
+			adds = append(adds, Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: 1})
+		}
+		limit := uint64(6*8*(n+1) + 1024*(len(adds)+len(dels)))
+		// The least of a few runs: a concurrent allocation elsewhere in the
+		// test binary can only add to one run's count.
+		least := uint64(1 << 62)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, _, err := g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d bytes allocated, limit %d", tc.name, least, limit)
+		if least > limit {
+			t.Errorf("%s: a %d-update patch allocated %d bytes, want ≤ %d (6 words per vertex + 1 KiB per delta edge)",
+				tc.name, len(adds)+len(dels), least, limit)
+		}
 	}
 }

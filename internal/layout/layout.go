@@ -104,7 +104,7 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []in
 		return nil, nil, fmt.Errorf("layout: a range has %d edges, more than a position holds", longest)
 	}
 	var unit []int32 // the weights of every COO; nil: each COO has its own
-	if g.InEdgeWeights() == nil {
+	if !g.Weighted() {
 		ones = graph.OnesFor(ones, longest)
 		unit = ones
 	}
@@ -189,7 +189,9 @@ func gatherCSR(g *graph.Graph, ranges []Range, coos []*COO, unit []int32) error 
 // once. The zero value is ready to use.
 type builder struct {
 	hkeys []hilbertKey     // Hilbert order: (curve index, position)
-	dstAt []graph.VertexID // destination of each position
+	srcAt []graph.VertexID // Hilbert order: source of each position
+	dstAt []graph.VertexID // Hilbert order: destination of each position
+	wAt   []int32          // Hilbert order, weighted: weight of each position
 }
 
 type hilbertKey struct {
@@ -201,29 +203,22 @@ type hilbertKey struct {
 // HilbertOrder. A position indexes the range's in-edges in CSC order.
 func (b *builder) build(g *graph.Graph, r Range, o Order, unit []int32) *COO {
 	off := g.InOffsets()
-	base, end := off[r.Lo], off[r.Hi]
-	m := end - base
-	srcs := g.InEdgeSources()[base:end]
-	ws := g.InEdgeWeights() // nil on an unweighted graph: every weight is 1
-	if ws != nil {
-		ws = ws[base:end]
-	}
-	b.dstAt = resize(b.dstAt, int(m))
-	for v := r.Lo; v < r.Hi; v++ {
-		for i := off[v] - base; i < off[v+1]-base; i++ {
-			b.dstAt[i] = v
-		}
-	}
+	m := off[r.Hi] - off[r.Lo]
 	c := newCOO(m, o, unit)
+	weighted := unit == nil
 	if o == CSCOrder {
-		copy(c.Src, srcs)
-		copy(c.Dst, b.dstAt)
-		copy(c.Weight, ws)
+		gatherCSC(g, r, c.Src, c.Dst, c.Weight, weighted)
 		return c
 	}
+	b.srcAt = resize(b.srcAt, int(m))
+	b.dstAt = resize(b.dstAt, int(m))
+	if weighted {
+		b.wAt = resize(b.wAt, int(m))
+	}
+	gatherCSC(g, r, b.srcAt, b.dstAt, b.wAt, weighted)
 	k := hilbert.OrderFor(g.NumVertices())
 	b.hkeys = resize(b.hkeys, int(m))
-	for i, s := range srcs {
+	for i, s := range b.srcAt {
 		b.hkeys[i] = hilbertKey{hilbert.XY2D(k, s, b.dstAt[i]), uint32(i)}
 	}
 	slices.SortFunc(b.hkeys, func(x, y hilbertKey) int {
@@ -233,12 +228,30 @@ func (b *builder) build(g *graph.Graph, r Range, o Order, unit []int32) *COO {
 		return cmp.Compare(x.pos, y.pos)
 	})
 	for i, e := range b.hkeys {
-		c.Src[i], c.Dst[i] = srcs[e.pos], b.dstAt[e.pos]
-		if ws != nil {
-			c.Weight[i] = ws[e.pos]
+		c.Src[i], c.Dst[i] = b.srcAt[e.pos], b.dstAt[e.pos]
+		if weighted {
+			c.Weight[i] = b.wAt[e.pos]
 		}
 	}
 	return c
+}
+
+// gatherCSC writes r's in-edges in CSC order into srcs and dsts, and their
+// weights into ws when weighted, reading g's in-rows one destination at a
+// time.
+func gatherCSC(g *graph.Graph, r Range, srcs, dsts []graph.VertexID, ws []int32, weighted bool) {
+	i := 0
+	for v := r.Lo; v < r.Hi; v++ {
+		row := g.InNeighbors(v)
+		copy(srcs[i:], row)
+		for k := range row {
+			dsts[i+k] = v
+		}
+		if weighted {
+			copy(ws[i:], g.InWeights(v))
+		}
+		i += len(row)
+	}
 }
 
 // resize returns s resliced to length n, reallocating only when its capacity

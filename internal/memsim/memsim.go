@@ -218,6 +218,15 @@ func homeOf(top numa.Topology, parts []partition.Partition, v graph.VertexID) in
 // with their partition; source values are homed with the partition owning
 // the source vertex; per-partition index structures are local.
 func (m *Machine) EdgeMapPull(g *graph.Graph, parts []partition.Partition) (*EdgeMapResult, error) {
+	return m.EdgeMapPullRows(g, parts, nil)
+}
+
+// EdgeMapPullRows replays EdgeMapPull with every in-row read at its storage
+// address: entry k of destination d's in-row is element rowAt(d)+k of the
+// edge index, 4 bytes per entry, so rows stored apart cost what their
+// distance costs. A nil rowAt streams each partition's in-edges through an
+// index array of its own, as EdgeMapPull does.
+func (m *Machine) EdgeMapPullRows(g *graph.Graph, parts []partition.Partition, rowAt func(graph.VertexID) int64) (*EdgeMapResult, error) {
 	threads := m.top.Threads()
 	if len(parts) < threads {
 		return nil, fmt.Errorf("memsim: %d partitions for %d threads", len(parts), threads)
@@ -245,10 +254,14 @@ func (m *Machine) EdgeMapPull(g *graph.Graph, parts []partition.Partition) (*Edg
 				m.access(t, arrDstValues, int64(d), elem, m.top.SocketOfPartition(p, len(parts)))
 				deg := g.InDegree(d)
 				m.cnt[t].BranchMiss += m.lps[t].observe(deg)
-				for _, s := range g.InNeighbors(d) {
+				at := int64(p)<<24 + idx
+				if rowAt != nil {
+					at = rowAt(d)
+				}
+				for k, s := range g.InNeighbors(d) {
 					m.cnt[t].Instructions += m.cfg.InstrPerEdge
-					// streaming index structure: local to the partition
-					m.access(t, arrIndex, int64(p)<<24+idx, 4, socket)
+					// the index structure: local to the partition
+					m.access(t, arrIndex, at+int64(k), 4, socket)
 					idx++
 					// source value: homed with the source's partition
 					m.access(t, arrSrcValues, int64(s), elem, homeOf(m.top, parts, s))

@@ -12,8 +12,9 @@ import (
 
 // Snapshot materializes (once, lazily) the view's graph in original vertex
 // IDs. Frozen.Materialize is already a row patch of the capture's
-// compaction base with the netted delta log, so this is one O(m) copy. The
-// result is immutable and safe to share.
+// compaction base with the netted delta log: it shares the base's clean
+// rows and writes only the rows the log touches. The result is immutable
+// and safe to share.
 func (v *View) Snapshot() *Graph {
 	v.snapOnce.Do(func() {
 		start := time.Now()
