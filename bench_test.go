@@ -214,37 +214,21 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 		a, c := rng.Intn(n), rng.Intn(n)
 		swaps[a], swaps[c] = swaps[c], swaps[a]
 	}
-	// anyIn is a range predicate over a vertex set, by prefix counts.
-	anyIn := func(set []bool) func(lo, hi graph.VertexID) bool {
-		cnt := make([]int, n+1)
-		for v, in := range set {
-			cnt[v+1] = cnt[v]
-			if in {
-				cnt[v+1]++
-			}
-		}
-		return func(lo, hi graph.VertexID) bool { return cnt[hi] > cnt[lo] }
-	}
 	for _, perm := range [][]graph.VertexID{nil, swaps} {
 		adds, dels := benchDelta(g, 32, perm, 1)
 		g2, _, err := g.PatchEdgesPermN(n, adds, dels, perm)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dirtyAt := make([]bool, n)
-		srcAt := make([]bool, n)
+		var dirty []graph.VertexID
 		for _, e := range append(adds, dels...) {
-			dirtyAt[e.Dst] = true
+			dirty = append(dirty, e.Dst)
 		}
 		for v := range perm {
 			if perm[v] != graph.VertexID(v) {
-				dirtyAt[v] = true
-				for _, d := range g2.OutNeighbors(graph.VertexID(v)) {
-					srcAt[d] = true
-				}
+				dirty = append(dirty, graph.VertexID(v))
 			}
 		}
-		dirty, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
 		name := "identity"
 		if perm != nil {
 			name = "swaps"
@@ -252,7 +236,7 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := gg.Patch(g2, perm, dirty, srcMoved); err != nil {
+				if _, _, err := gg.Patch(g2, perm, dirty); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package vebo
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,54 +61,7 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 		// Root from the batch so traversals reach fresh structure; results
 		// are indexed by original ID, so arrays extend epoch over epoch.
 		root := VertexID(int(updates[lo].Dst) % n)
-		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-			cp, err := vp.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := vs.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cp) != vp.NumVertices() {
-				t.Fatalf("CC result length %d != n %d", len(cp), vp.NumVertices())
-			}
-			for i := range cp {
-				if cp[i] != cs[i] {
-					t.Fatalf("epoch %d %v: patched CC diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, cp[i], cs[i])
-				}
-			}
-			bp, err := vp.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs, err := vs.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range bp {
-				if bp[i] != bs[i] {
-					t.Fatalf("epoch %d %v: patched BellmanFord diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, bp[i], bs[i])
-				}
-			}
-			pp, err := vp.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := vs.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, ls := bfsLevels(t, pp, root), bfsLevels(t, ps, root)
-			for i := range lp {
-				if lp[i] != ls[i] {
-					t.Fatalf("epoch %d %v: patched BFS level diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, lp[i], ls[i])
-				}
-			}
-		}
+		assertViewsAgree(t, vp, vs, root)
 	}
 
 	if growthEpochs < 3 {
@@ -459,51 +413,7 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 		}
 		vp, vs := dp.View(), ds.View()
 		root := VertexID(int(updates[lo].Dst) % n)
-		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-			cp, err := vp.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := vs.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range cp {
-				if cp[i] != cs[i] {
-					t.Fatalf("epoch %d %v: patched CC diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, cp[i], cs[i])
-				}
-			}
-			bp, err := vp.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs, err := vs.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range bp {
-				if bp[i] != bs[i] {
-					t.Fatalf("epoch %d %v: patched BellmanFord diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, bp[i], bs[i])
-				}
-			}
-			pp, err := vp.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := vs.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, ls := bfsLevels(t, pp, root), bfsLevels(t, ps, root)
-			for i := range lp {
-				if lp[i] != ls[i] {
-					t.Fatalf("epoch %d %v: patched BFS level diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, lp[i], ls[i])
-				}
-			}
-		}
+		assertViewsAgree(t, vp, vs, root)
 	}
 	if growthEpochs < 3 {
 		t.Fatalf("only %d growth epochs; the property was not exercised", growthEpochs)
@@ -511,4 +421,50 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 	if st := dp.Stats(); st.HeadroomSpills == 0 {
 		t.Fatalf("minimal headroom never spilled (admitted %d): %+v", st.Admitted, st)
 	}
+}
+
+// TestViewPatchesMoverIntoHole covers the swap that moves a basis vertex
+// into a basis hole: a vertex admitted since the basis fills a reserved
+// slot, and a swap repair in the same batch pairs it with a basis vertex,
+// which takes that slot. The hole has no image left, so the view's seg
+// maps it to NoVertex. Small headroom and a vertex-heavy stream make the
+// case recur; every epoch is queried on both sides, so each view patches
+// from its predecessor, and patched results must equal scratch builds on
+// all three framework models without a scratch fallback.
+func TestViewPatchesMoverIntoHole(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 600, 1, StreamOptions{GrowFrac: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DynamicOptions{Partitions: 8, Engine: viewTestOpts, MinHeadroom: 2, HeadroomFrac: -1}
+	scratchOpts := opts
+	scratchOpts.DisableViewReuse = true
+	dp, err := NewDynamic(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDynamic(g, scratchOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holes := 0
+	ext := external(updates)
+	for lo := 0; lo < len(ext); lo += 32 {
+		hi := min(lo+32, len(ext))
+		if _, err := dp.IngestBatch(ext[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.IngestBatch(ext[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		vp, vs := dp.View(), ds.View()
+		assertViewsAgree(t, vp, vs, VertexID(int(updates[lo].Dst)%g.NumVertices()))
+		if slices.Contains(vp.slot.seg, graph.NoVertex) {
+			holes++
+		}
+	}
+	if holes == 0 {
+		t.Fatal("no swap moved a basis vertex into a basis hole; the case was not exercised")
+	}
+	assertNoFallbacks(t, dp)
 }

@@ -50,7 +50,18 @@ func TestGrowSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	assertConstructionEdges(t, readReport(t, cfg.JSONDir, "grow"), 4997400, 2235795, 2278640)
+	assertConstructionEdges(t, readReport(t, cfg.JSONDir, "grow"), 4997400, 2235795, 2278640, map[string]float64{
+		"patched_engine_patches":          23,
+		"patched_partitions_rebuilt":      944,
+		"patched_partitions_reused":       528,
+		"patched_partitions_relabeled":    0,
+		"patched_relabeled_edges":         0,
+		"maintained_engine_patches":       23,
+		"maintained_partitions_rebuilt":   996,
+		"maintained_partitions_reused":    406,
+		"maintained_partitions_relabeled": 70,
+		"maintained_relabeled_edges":      613,
+	})
 }
 
 // readReport parses the BENCH_<exp>.json an experiment wrote into dir.
@@ -68,18 +79,23 @@ func readReport(t *testing.T, dir, exp string) Report {
 }
 
 // assertConstructionEdges pins a quick-mode report's modeled construction
-// edges exactly. The modeled plane is deterministic, so a simplification of
+// edges, and the GraphGrind patch accounting of its patched and maintained
+// rows, exactly. The modeled plane is deterministic, so a simplification of
 // the view's build paths must leave these unchanged; the baseline's
 // tolerance alone would let them drift.
-func assertConstructionEdges(t *testing.T, r Report, rebuild, patched, maintained float64) {
+func assertConstructionEdges(t *testing.T, r Report, rebuild, patched, maintained float64, accounting map[string]float64) {
 	t.Helper()
-	for name, want := range map[string]float64{
+	want := map[string]float64{
 		"rebuild_construction_edges":    rebuild,
 		"patched_construction_edges":    patched,
 		"maintained_construction_edges": maintained,
-	} {
-		if got := r.Modeled[name]; got != want {
-			t.Errorf("%s %s = %v, want %v", r.Experiment, name, got, want)
+	}
+	for name, v := range accounting {
+		want[name] = v
+	}
+	for name, v := range want {
+		if got, ok := r.Modeled[name]; !ok || got != v {
+			t.Errorf("%s %s = %v, want %v", r.Experiment, name, got, v)
 		}
 	}
 }
@@ -154,7 +170,18 @@ func TestViewQuickEmitsJSON(t *testing.T) {
 	if r.Modeled["work_ratio_patched"] <= 0 {
 		t.Errorf("modeled work_ratio_patched missing: %+v", r.Modeled)
 	}
-	assertConstructionEdges(t, r, 621312, 381652, 386555)
+	assertConstructionEdges(t, r, 621312, 381652, 386555, map[string]float64{
+		"patched_engine_patches":          2,
+		"patched_partitions_rebuilt":      81,
+		"patched_partitions_reused":       47,
+		"patched_partitions_relabeled":    0,
+		"patched_relabeled_edges":         0,
+		"maintained_engine_patches":       2,
+		"maintained_partitions_rebuilt":   87,
+		"maintained_partitions_reused":    36,
+		"maintained_partitions_relabeled": 5,
+		"maintained_relabeled_edges":      46,
+	})
 }
 
 func TestViewSmoke(t *testing.T) {

@@ -194,12 +194,12 @@ func Grow(cfg Config) error {
 			{Name: "work_ratio_maintained", Value: maintainedRatio, Threshold: 2, Pass: maintainedRatio > 2},
 			{Name: "odelta_relabeled_edges_patched", Value: float64(patchedRelabeled), Threshold: 0, Pass: patchedRelabeled == 0},
 		},
-		Modeled: map[string]float64{
+		Modeled: patchAccounting(map[string]float64{
 			"work_ratio_patched":            ratio,
 			"rebuild_construction_edges":    float64(rebuildWork),
 			"patched_construction_edges":    float64(constructionWork(rows[0])),
 			"maintained_construction_edges": float64(constructionWork(rows[2])),
-		},
+		}, map[string]vebo.ViewWork{"patched": rows[0].work, "maintained": rows[2].work}),
 	}); err != nil {
 		return err
 	}

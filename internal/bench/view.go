@@ -147,12 +147,12 @@ func View(cfg Config) error {
 		Gates: []Gate{
 			{Name: "work_ratio_maintained", Value: maintainedRatio, Threshold: 1, Pass: maintainedRatio > 1},
 		},
-		Modeled: map[string]float64{
+		Modeled: patchAccounting(map[string]float64{
 			"work_ratio_patched":            ratio,
 			"rebuild_construction_edges":    float64(rebuildWork),
 			"patched_construction_edges":    float64(constructionWork(rows[0])),
 			"maintained_construction_edges": float64(constructionWork(rows[2])),
-		},
+		}, map[string]vebo.ViewWork{"patched": rows[0].work, "maintained": rows[2].work}),
 	}); err != nil {
 		return err
 	}
@@ -160,4 +160,17 @@ func View(cfg Config) error {
 		return fmt.Errorf("view: maintained-row work ratio %.2f× regressed to <= 1× — engine patching no longer applies under default-threshold maintenance", maintainedRatio)
 	}
 	return nil
+}
+
+// patchAccounting adds each named row's GraphGrind patch accounting to a
+// report's modeled values, as <row>_<counter>, and returns them.
+func patchAccounting(modeled map[string]float64, rows map[string]vebo.ViewWork) map[string]float64 {
+	for name, w := range rows {
+		modeled[name+"_engine_patches"] = float64(w.EnginePatches)
+		modeled[name+"_partitions_rebuilt"] = float64(w.PartitionsRebuilt)
+		modeled[name+"_partitions_reused"] = float64(w.PartitionsReused)
+		modeled[name+"_partitions_relabeled"] = float64(w.PartitionsRelabeled)
+		modeled[name+"_relabeled_edges"] = float64(w.RelabeledEdges)
+	}
+	return modeled
 }

@@ -191,11 +191,11 @@ type Stats struct {
 	Compactions int64
 }
 
-// BatchResult reports what one ApplyBatch call did.
+// BatchResult reports what one ApplyBatch or AdmitBatch call did.
 type BatchResult struct {
 	Applied int
-	// Admitted is the number of vertices the facade's IngestBatch admitted
-	// for this batch (ApplyBatch itself admits none).
+	// Admitted is the number of vertices AdmitBatch admitted for this batch
+	// (ApplyBatch admits none).
 	Admitted        int
 	Repaired        bool
 	Rebuilt         bool
@@ -417,15 +417,23 @@ func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd)) + d.cancels
 // end of the batch. An invalid update (an endpoint at or beyond the current
 // vertex count, deletion of a non-existent edge) stops processing and
 // returns an error; updates before it remain applied. Vertices enter only
-// through Grow, called before the batch that names them.
+// through Grow, which AdmitBatch calls before the updates that name them.
 func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
+	return d.AdmitBatch(0, updates)
+}
+
+// AdmitBatch is ApplyBatch preceded by Grow(admit), admit ≥ 0, inside the
+// same batch: the admissions count in the batch's time and result, and
+// their grow and spill spans are the batch span's children.
+func (d *Graph) AdmitBatch(admit int, updates []graph.EdgeUpdate) (BatchResult, error) {
 	start := time.Now()
 	// The batch span is the causal root of this epoch: maintenance spans
-	// (repair, rebuild, compact) file as its children, and the facade's
-	// publish span links to it via LastBatchSpan. finishBatch ends it on
-	// every return path, error or not.
+	// (grow, spill, repair, rebuild, compact) file as its children, and the
+	// facade's publish span links to it via LastBatchSpan. finishBatch ends
+	// it on every return path, error or not.
 	d.curBatch = d.sp.Start("batch", "ingest", d.epoch, obs.SpanContext{})
-	var res BatchResult
+	d.Grow(admit)
+	res := BatchResult{Admitted: admit}
 	for i, u := range updates {
 		if int(u.Src) >= d.n || int(u.Dst) >= d.n {
 			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range n=%d", i, u.Src, u.Dst, d.n)

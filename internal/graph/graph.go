@@ -23,6 +23,10 @@ import (
 // [0, Graph.NumVertices()) names a vertex.
 type VertexID = uint32
 
+// NoVertex is the largest VertexID, read as "no vertex" where a slot may be
+// empty: a PatchEdgesPermN permutation maps a dropped row to it.
+const NoVertex = ^VertexID(0)
+
 // Edge is a single directed edge with an optional weight. Unweighted graphs
 // carry Weight 1 on every edge.
 type Edge struct {

@@ -40,9 +40,11 @@ const (
 // without rebuilding untouched adjacency rows. The result has nNew ≥
 // g.NumVertices() vertices; perm (length g.NumVertices()) maps each of g's
 // vertex IDs to its new ID and must be injective into [0, nNew), and nil
-// selects the identity. New IDs without a preimage under perm start with
-// empty rows (plus whatever adds reference them). The receiver is not
-// modified.
+// selects the identity. An entry NoVertex drops a row that is empty on both
+// sides instead of mapping it, and is an error on any other row: a slot
+// space hole whose slot another vertex now takes has no image left. New IDs
+// without a preimage under perm start with empty rows (plus whatever adds
+// reference them). The receiver is not modified.
 //
 // Each deletion removes one occurrence of exactly (Src, Dst, Weight) as
 // stored — i.e. with weights normalized the way FromEdges stores them (1 on
@@ -89,6 +91,12 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 		}
 		taken = make([]uint64, (nNew+63)/64)
 		for old, nw := range perm {
+			if nw == NoVertex {
+				if g.OutDegree(VertexID(old))+g.InDegree(VertexID(old)) != 0 {
+					return nil, st, fmt.Errorf("graph: patch perm drops non-empty row %d", old)
+				}
+				continue
+			}
 			if int(nw) >= nNew || taken[nw/64]&(1<<(nw%64)) != 0 {
 				return nil, st, fmt.Errorf("graph: patch perm is not injective at %d -> %d", old, nw)
 			}
@@ -172,7 +180,9 @@ func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats) {
 		inv[i] = VertexID(g.n) // no preimage
 	}
 	for u, v := range perm {
-		inv[v] = VertexID(u)
+		if v != NoVertex {
+			inv[v] = VertexID(u)
+		}
 	}
 	out := &Graph{n: nNew, weighted: g.weighted, ones: g.ones}
 	out.out = scatterRows(nNew, perm, inv, g.out.off, &g.in, g.ones)
@@ -193,7 +203,9 @@ func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats) {
 func scatterRows(nNew int, perm, inv []VertexID, off []int64, from *adj, ones []int32) adj {
 	newOff := make([]int64, nNew+1)
 	for u, v := range perm {
-		newOff[v+1] = off[u+1] - off[u]
+		if v != NoVertex {
+			newOff[v+1] = off[u+1] - off[u]
+		}
 	}
 	for v := 0; v < nNew; v++ {
 		newOff[v+1] += newOff[v]

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,6 +149,34 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 					t.Fatalf("deletion of non-live edge %+v accepted", ghost)
 				}
 				break
+			}
+		}
+
+		// A dropped row: NoVertex is accepted for a row empty on both sides,
+		// whose slot then starts empty like any slot without a preimage,
+		// and is an error on any other row. Without the churn, a shift that
+		// moves most vertices takes the sort-free renumbering path.
+		drop := slices.Clone(perm)
+		v := VertexID(int(next()) % nOld)
+		drop[v] = NoVertex
+		relabeled, err := FromEdges(nNew, applyPermToEdges(g.Edges(), perm), weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			adds, dels []Edge
+			want       *Graph
+		}{{adds, dels, want}, {nil, nil, relabeled}} {
+			dropped, _, err := g.PatchEdgesPermN(nNew, c.adds, c.dels, drop)
+			switch {
+			case g.OutDegree(v)+g.InDegree(v) != 0:
+				if err == nil {
+					t.Fatalf("dropping non-empty row %d accepted", v)
+				}
+			case err != nil:
+				t.Fatalf("dropping empty row %d rejected: %v", v, err)
+			case !Equal(dropped, c.want):
+				t.Fatalf("dropping empty row %d changed the patch", v)
 			}
 		}
 

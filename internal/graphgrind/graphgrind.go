@@ -69,20 +69,39 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 		return nil, err
 	}
 	ranges := make([]engine.Range, len(parts))
-	for i, pt := range parts {
-		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
-	}
-	coos, ones, err := layout.BuildRanges(g, ranges, cfg.Order, cfg.Engine.Topology.Threads(), nil)
-	if err != nil {
-		return nil, err
-	}
+	all := make([]int, len(parts)) // New is the all-dirty patch
 	partOf := make([]uint32, g.NumVertices())
 	for i, pt := range parts {
+		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
+		all[i] = i
 		for v := pt.Lo; v < pt.Hi; v++ {
 			partOf[v] = uint32(i)
 		}
 	}
-	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
+	gg := &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: make([]*layout.COO, len(parts)), partOf: partOf}
+	if err := gg.gather(all, nil); err != nil {
+		return nil, err
+	}
+	return gg, nil
+}
+
+// gather materializes the COOs of the listed partitions from gg.g in one
+// layout.BuildRanges pass, their weights as prefixes of ones (nil: none yet)
+// on an unweighted graph.
+func (gg *GraphGrind) gather(parts []int, ones []int32) error {
+	ranges := make([]engine.Range, len(parts))
+	for j, i := range parts {
+		ranges[j] = gg.ranges[i]
+	}
+	built, ones, err := layout.BuildRanges(gg.g, ranges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads(), ones)
+	if err != nil {
+		return err
+	}
+	for j, i := range parts {
+		gg.coos[i] = built[j]
+	}
+	gg.ones = ones
+	return nil
 }
 
 // PatchStats reports how much of an engine rebuild Patch avoided:
@@ -100,83 +119,83 @@ type PatchStats struct {
 	EdgesRemapped             int64
 }
 
-// Patch builds a GraphGrind engine over g — a graph whose edge content
-// differs from gg's only inside partitions for which dirty reports true —
-// reusing gg's materialized per-partition COOs and metadata for every clean
-// partition. g has gg's vertex count and partition boundaries: either the
-// vertex placement did not change (perm == nil), or it changed by a
-// segment-local permutation perm (old ID → new ID, identity outside the
-// moved vertices) that kept every partition's vertex count. Headroom growth
-// is the perm == nil case: admitted rows appear inside their partition's
-// fixed slot range, so only the grown partitions are dirty. The caller must
-// flag partitions owning a moved or admitted vertex as dirty, and
-// partitions whose COO references a moved source vertex via srcMoved (nil =
-// none).
+// Patch builds a GraphGrind engine over g, a graph derived from gg's,
+// reusing gg's materialized per-partition COOs and metadata for every
+// partition whose in-edges g left alone. g has gg's vertex count and
+// partition boundaries: either the vertex placement did not change (perm ==
+// nil), or it changed by a segment-local permutation perm (old ID → new ID,
+// identity outside the moved vertices) that kept every partition's vertex
+// count; an entry graph.NoVertex marks an old hole, an empty row whose slot
+// a moved vertex took. Headroom growth is the perm == nil case: admitted
+// rows appear inside their partition's fixed slot range. dirty lists, in
+// g's IDs, every vertex whose in-edges or occupant changed: the
+// destinations of added and deleted edges and the positions of moved and
+// admitted vertices.
 //
-// Dirty partitions count as rebuilt. A source-stale partition (srcMoved,
-// not dirty) counts as remapped: its edge content is unchanged, and only
-// its entries naming a moved source count as EdgesRemapped, the modeled
-// cost of rewriting them through perm. Both are re-gathered from g in one
-// layout.BuildRanges pass (a source-stale partition with no such entry
-// needs none), and every other partition shares gg's COO, so the patched
-// engine is byte-identical to New over g.
-func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, PatchStats, error) {
+// A partition owning a dirty vertex counts as rebuilt. A clean partition
+// whose COO names a moved source counts as remapped: its edge content is
+// unchanged, and only its entries naming a moved source count as
+// EdgesRemapped, the modeled cost of rewriting them through perm. Those
+// entries are found from gg's graph, whose out-rows of the moved sources
+// name every such entry's partition. Rebuilt and remapped partitions are
+// re-gathered from g in one layout.BuildRanges pass, and every other
+// partition shares gg's COO, so the patched engine is byte-identical to New
+// over g.
+func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*GraphGrind, PatchStats, error) {
 	var st PatchStats
-	if g.NumVertices() != gg.g.NumVertices() {
-		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), gg.g.NumVertices())
+	n := g.NumVertices()
+	if n != gg.g.NumVertices() {
+		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", n, gg.g.NumVertices())
 	}
-	if perm != nil && len(perm) != g.NumVertices() {
-		return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), g.NumVertices())
+	if perm != nil && len(perm) != n {
+		return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), n)
+	}
+	rebuilt := make([]bool, len(gg.parts))
+	for _, v := range dirty {
+		if int(v) >= n {
+			return nil, st, fmt.Errorf("graphgrind: patch dirty vertex %d out of range n=%d", v, n)
+		}
+		rebuilt[gg.partOf[v]] = true
+	}
+	stale := make([]int64, len(gg.parts)) // entries naming a moved source
+	for s, t := range perm {
+		if t != graph.VertexID(s) && t != graph.NoVertex {
+			for _, d := range gg.g.OutNeighbors(graph.VertexID(s)) {
+				stale[gg.partOf[d]]++
+			}
+		}
 	}
 	off := g.InOffsets()
-	parts := slices.Clone(gg.parts)
-	coos := slices.Clone(gg.coos)
+	out := &GraphGrind{
+		g:      g,
+		cfg:    gg.cfg,
+		parts:  slices.Clone(gg.parts),
+		ranges: gg.ranges,
+		coos:   slices.Clone(gg.coos),
+		partOf: gg.partOf,
+	}
 	var gather []int // partitions re-gathered from g
-	for i, pt := range parts {
+	for i, pt := range out.parts {
 		switch {
-		case dirty(pt.Lo, pt.Hi):
-			parts[i].Edges = off[pt.Hi] - off[pt.Lo]
+		case rebuilt[i]:
+			out.parts[i].Edges = off[pt.Hi] - off[pt.Lo]
 			st.PartsRebuilt++
-			st.EdgesRebuilt += parts[i].Edges
+			st.EdgesRebuilt += out.parts[i].Edges
 			gather = append(gather, i)
-		case perm != nil && srcMoved != nil && srcMoved(pt.Lo, pt.Hi):
-			var stale int64
-			for _, s := range gg.coos[i].Src {
-				if perm[s] != s {
-					stale++
-				}
-			}
+		case stale[i] > 0:
 			st.PartsRemapped++
-			st.EdgesRemapped += stale
-			st.EdgesReused += pt.Edges - stale
-			if stale > 0 {
-				gather = append(gather, i)
-			}
+			st.EdgesRemapped += stale[i]
+			st.EdgesReused += pt.Edges - stale[i]
+			gather = append(gather, i)
 		default:
 			st.PartsReused++
 			st.EdgesReused += pt.Edges
 		}
 	}
-	ranges := make([]engine.Range, len(gather))
-	for j, i := range gather {
-		ranges[j] = gg.ranges[i]
-	}
-	built, ones, err := layout.BuildRanges(g, ranges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads(), gg.ones)
-	if err != nil {
+	if err := out.gather(gather, gg.ones); err != nil {
 		return nil, st, err
 	}
-	for j, i := range gather {
-		coos[i] = built[j]
-	}
-	return &GraphGrind{
-		g:      g,
-		cfg:    gg.cfg,
-		parts:  parts,
-		ranges: gg.ranges,
-		coos:   coos,
-		ones:   ones,
-		partOf: gg.partOf,
-	}, st, nil
+	return out, st, nil
 }
 
 // Name implements Engine.

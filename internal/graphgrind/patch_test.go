@@ -13,11 +13,14 @@ import (
 )
 
 // checkPatch patches New(g, bounds) to the graph that deletes dels (named in
-// new IDs) from g relabeled through perm (nil = identity) and adds adds,
-// with the dirty and srcMoved predicates the facade derives. It checks that
-// every patched COO equals New's over the new graph entry for entry,
-// weights included, and that the stats are exactly the classification the
-// predicates imply.
+// new IDs) from g relabeled through perm (nil = identity; NoVertex drops an
+// empty row) and adds adds, with the dirty vertices the facade derives. It
+// checks that every patched COO equals New's over the new graph entry for
+// entry, weights included, and that the stats are exactly the
+// classification of the range predicates Patch once took: a partition is
+// dirty when it holds a delta destination or a moved position, and
+// source-stale when it holds a destination of a moved vertex's out-edge in
+// the new graph, counting its COO entries whose source moved.
 func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, adds, dels []graph.Edge, perm []graph.VertexID) {
 	t.Helper()
 	n := g.NumVertices()
@@ -42,14 +45,17 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	// The predicates' vertex sets, in new IDs: destinations of the delta and
 	// moved vertices are dirty; destinations of moved vertices' out-edges
 	// hold stale source references.
+	var dirty []graph.VertexID
 	dirtyAt := make([]bool, n)
 	srcAt := make([]bool, n)
 	for _, e := range append(slices.Clone(adds), dels...) {
+		dirty = append(dirty, e.Dst)
 		dirtyAt[e.Dst] = true
 	}
 	moved := func(v graph.VertexID) bool { return perm != nil && perm[v] != v }
 	for v := range graph.VertexID(n) {
 		if moved(v) {
+			dirty = append(dirty, v)
 			dirtyAt[v] = true
 			for _, d := range g2.OutNeighbors(v) {
 				srcAt[d] = true
@@ -59,14 +65,14 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	anyIn := func(set []bool) func(lo, hi graph.VertexID) bool {
 		return func(lo, hi graph.VertexID) bool { return slices.Contains(set[lo:hi], true) }
 	}
-	dirty, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
+	dirtyIn, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
 
 	cfg := Config{Engine: engine.Config{Topology: top}, Partitions: len(bounds) - 1, Order: o, Bounds: bounds}
 	gg, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := gg.Patch(g2, perm, dirty, srcMoved)
+	got, st, err := gg.Patch(g2, perm, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +80,17 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gg.Patch(g2, make([]graph.VertexID, n+1), dirty, srcMoved); err == nil {
+	if _, _, err := gg.Patch(g2, make([]graph.VertexID, n+1), dirty); err == nil {
 		t.Fatal("a permutation of the wrong length was accepted")
+	}
+	if _, _, err := gg.Patch(g2, perm, append(slices.Clone(dirty), graph.VertexID(n))); err == nil {
+		t.Fatal("an out-of-range dirty vertex was accepted")
 	}
 
 	var wantSt PatchStats
 	for i, pt := range gg.parts {
 		switch {
-		case dirty(pt.Lo, pt.Hi):
+		case dirtyIn(pt.Lo, pt.Hi):
 			wantSt.PartsRebuilt++
 			wantSt.EdgesRebuilt += want.parts[i].Edges
 		case perm != nil && srcMoved(pt.Lo, pt.Hi):
@@ -184,7 +193,8 @@ func TestPatchMatchesNew(t *testing.T) {
 
 // FuzzGraphGrindPatch patches engines over random multigraphs, weighted and
 // unweighted, with random partition bounds, random additions and deletions
-// and random swapped vertex pairs, in both COO orders (see checkPatch).
+// and random swapped vertex pairs, some edgeless movers dropped as holes, in
+// both COO orders (see checkPatch).
 func FuzzGraphGrindPatch(f *testing.F) {
 	f.Add(uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(1), []byte{0, 0, 0})
@@ -239,6 +249,12 @@ func FuzzGraphGrindPatch(f *testing.F) {
 		var adds []graph.Edge
 		for k := next() % 8; k > 0; k-- {
 			adds = append(adds, graph.Edge{Src: graph.VertexID(next() % n), Dst: graph.VertexID(next() % n), Weight: weight()})
+		}
+		// A moved vertex with no edges may stand for a hole a mover took.
+		for v, to := range perm {
+			if to != graph.VertexID(v) && g.OutDegree(graph.VertexID(v))+g.InDegree(graph.VertexID(v)) == 0 && next()%2 == 0 {
+				perm[v] = graph.NoVertex
+			}
 		}
 		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
 			checkPatch(t, g, bounds, o, adds, dels, perm)

@@ -1,7 +1,6 @@
 // Package layout materializes COO (coordinate-format) edge arrays in the
 // traversal orders studied in Section V-G of the paper: CSR order (edges
-// sorted by source vertex), CSC/destination order, and Hilbert space-filling
-// curve order. GraphGrind-style engines traverse the COO directly for dense
+// sorted by source vertex) and Hilbert space-filling curve order. GraphGrind-style engines traverse the COO directly for dense
 // frontiers, so the edge order determines the memory-access pattern.
 package layout
 
@@ -23,9 +22,6 @@ const (
 	// CSROrder sorts edges by (source, destination): the traversal order of
 	// a CSR walk by increasing source ID.
 	CSROrder Order = iota
-	// CSCOrder sorts edges by (destination, source): the traversal order of
-	// a CSC walk by increasing destination ID.
-	CSCOrder
 	// HilbertOrder sorts edges by their position along the Hilbert curve
 	// over the (source, destination) grid.
 	HilbertOrder
@@ -35,8 +31,6 @@ func (o Order) String() string {
 	switch o {
 	case CSROrder:
 		return "csr"
-	case CSCOrder:
-		return "csc"
 	case HilbertOrder:
 		return "hilbert"
 	default:
@@ -84,9 +78,8 @@ func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
 // weight), so scattering the rows of increasing sources into the COOs of the
 // ranges their destinations fall in writes every COO in (source,
 // destination, weight) order. That is one serial pass over the out-edges,
-// whatever the number of ranges. CSC order copies the CSC arrays, and
-// Hilbert order sorts (curve index, position) pairs range by range, on up to
-// workers goroutines.
+// whatever the number of ranges. Hilbert order sorts (curve index,
+// position) pairs range by range, on up to workers goroutines.
 //
 // The COOs of an unweighted graph take their weights as prefixes of one
 // all-ones slice: ones when it is long enough, otherwise a fresh, longer one.
@@ -114,10 +107,10 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []in
 		if err := gatherCSR(g, ranges, coos, unit); err != nil {
 			return nil, nil, err
 		}
-	case CSCOrder, HilbertOrder:
+	case HilbertOrder:
 		builders := make([]builder, max(min(workers, len(ranges)), 1))
 		sched.DynamicItems(len(builders), len(ranges), func(w, i int) {
-			coos[i] = builders[w].build(g, ranges[i], o, unit)
+			coos[i] = builders[w].build(g, ranges[i], unit)
 		})
 	default:
 		return nil, nil, fmt.Errorf("layout: unknown order %v", o)
@@ -184,14 +177,14 @@ func gatherCSR(g *graph.Graph, ranges []Range, coos []*COO, unit []int32) error 
 	return nil
 }
 
-// builder builds one range's COO at a time in CSC or Hilbert order, keeping
-// its scratch across calls so a worker that builds many ranges allocates it
+// builder builds one range's COO at a time in Hilbert order, keeping its
+// scratch across calls so a worker that builds many ranges allocates it
 // once. The zero value is ready to use.
 type builder struct {
-	hkeys []hilbertKey     // Hilbert order: (curve index, position)
-	srcAt []graph.VertexID // Hilbert order: source of each position
-	dstAt []graph.VertexID // Hilbert order: destination of each position
-	wAt   []int32          // Hilbert order, weighted: weight of each position
+	hkeys []hilbertKey     // (curve index, position)
+	srcAt []graph.VertexID // source of each position
+	dstAt []graph.VertexID // destination of each position
+	wAt   []int32          // weighted: weight of each position
 }
 
 type hilbertKey struct {
@@ -199,17 +192,13 @@ type hilbertKey struct {
 	pos uint32
 }
 
-// build materializes r's in-edges in order o, which is CSCOrder or
-// HilbertOrder. A position indexes the range's in-edges in CSC order.
-func (b *builder) build(g *graph.Graph, r Range, o Order, unit []int32) *COO {
+// build materializes r's in-edges in Hilbert order. A position indexes the
+// range's in-edges in CSC order.
+func (b *builder) build(g *graph.Graph, r Range, unit []int32) *COO {
 	off := g.InOffsets()
 	m := off[r.Hi] - off[r.Lo]
-	c := newCOO(m, o, unit)
+	c := newCOO(m, HilbertOrder, unit)
 	weighted := unit == nil
-	if o == CSCOrder {
-		gatherCSC(g, r, c.Src, c.Dst, c.Weight, weighted)
-		return c
-	}
 	b.srcAt = resize(b.srcAt, int(m))
 	b.dstAt = resize(b.dstAt, int(m))
 	if weighted {

@@ -31,7 +31,7 @@ func edgeMultiset(c *COO) map[[3]int64]int {
 func TestBuildPreservesEdgeMultiset(t *testing.T) {
 	g := testGraph(t)
 	var ref map[[3]int64]int
-	for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+	for _, o := range []Order{CSROrder, HilbertOrder} {
 		c, err := Build(g, o)
 		if err != nil {
 			t.Fatalf("Build(%v): %v", o, err)
@@ -66,19 +66,6 @@ func TestCSROrderSorted(t *testing.T) {
 			(c.Src[i-1] == c.Src[i] && c.Dst[i-1] > c.Dst[i]) {
 			t.Fatalf("CSR order violated at %d: (%d,%d) > (%d,%d)",
 				i, c.Src[i-1], c.Dst[i-1], c.Src[i], c.Dst[i])
-		}
-	}
-}
-
-func TestCSCOrderSorted(t *testing.T) {
-	g := testGraph(t)
-	c, err := Build(g, CSCOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < c.Len(); i++ {
-		if c.Dst[i-1] > c.Dst[i] {
-			t.Fatalf("CSC order violated at %d", i)
 		}
 	}
 }
@@ -166,16 +153,13 @@ func referenceBuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) []graph
 	k := hilbert.OrderFor(g.NumVertices())
 	sort.SliceStable(es, func(i, j int) bool {
 		a, b := es[i], es[j]
-		switch o {
-		case CSROrder:
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.Dst < b.Dst
-		case HilbertOrder:
+		if o == HilbertOrder {
 			return hilbert.XY2D(k, a.Src, a.Dst) < hilbert.XY2D(k, b.Src, b.Dst)
 		}
-		return false // CSC: the gather order already is destination-major
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.Dst < b.Dst
 	})
 	return es
 }
@@ -230,7 +214,7 @@ func TestBuildRangeMatchesStableSort(t *testing.T) {
 			lo = hi
 		}
 		rng.Shuffle(len(cut), func(i, j int) { cut[i], cut[j] = cut[j], cut[i] })
-		for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+		for _, o := range []Order{CSROrder, HilbertOrder} {
 			for _, r := range []Range{{min(a, c), max(a, c)}, {0, nv}, {0, 0}, {nv, nv}, {a, nv}} {
 				got, err := BuildRange(g, r.Lo, r.Hi, o)
 				if err != nil {
@@ -271,7 +255,7 @@ func TestUnweightedCOOsShareUnitWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range []Order{CSROrder, CSCOrder, HilbertOrder} {
+		for _, o := range []Order{CSROrder, HilbertOrder} {
 			coos, ones, err := BuildRanges(g, ranges, o, 2, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -302,7 +286,7 @@ func TestUnweightedCOOsShareUnitWeights(t *testing.T) {
 }
 
 func TestOrderString(t *testing.T) {
-	if CSROrder.String() != "csr" || CSCOrder.String() != "csc" || HilbertOrder.String() != "hilbert" {
+	if CSROrder.String() != "csr" || HilbertOrder.String() != "hilbert" {
 		t.Error("Order.String labels wrong")
 	}
 	if Order(99).String() == "" {

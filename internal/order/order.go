@@ -1,9 +1,8 @@
 // Package order implements the vertex-reordering baselines the paper
 // compares VEBO against: the original (identity) order, a uniformly random
-// permutation, plain degree sorting, Reverse Cuthill-McKee (RCM) and Gorder,
-// plus a SlashBurn-style hub ordering as an extension. Every algorithm
-// returns a permutation perm with perm[old] = new, the same convention as
-// internal/core.
+// permutation, plain degree sorting, Reverse Cuthill-McKee (RCM) and Gorder.
+// Every algorithm returns a permutation perm with perm[old] = new, the same
+// convention as internal/core.
 package order
 
 import (
@@ -281,129 +280,6 @@ func (h *lazyMaxHeap) greater(a, b int) bool {
 		return h.items[a].score > h.items[b].score
 	}
 	return h.items[a].v < h.items[b].v
-}
-
-// SlashBurn computes a SlashBurn-style hub ordering (Lim et al.): repeatedly
-// move the k highest-degree vertices ("hubs") to the front of the order and
-// the vertices of all non-giant connected components ("spokes") to the back,
-// then recurse on the giant component. Provided as a related-work extension;
-// not part of the paper's main comparison.
-func SlashBurn(g *graph.Graph, k int) ([]graph.VertexID, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("order: SlashBurn k must be positive, got %d", k)
-	}
-	n := g.NumVertices()
-	deg := make([]int64, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.InDegree(graph.VertexID(v)) + g.OutDegree(graph.VertexID(v))
-	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := n
-	front := make([]graph.VertexID, 0, n)
-	back := make([]graph.VertexID, 0, n)
-
-	comp := make([]int, n)
-	queue := make([]graph.VertexID, 0, 1024)
-	for aliveCount > 0 {
-		// 1. slash: take the k highest-degree alive vertices as hubs.
-		hubs := topKAlive(deg, alive, k)
-		for _, h := range hubs {
-			alive[h] = false
-			aliveCount--
-			front = append(front, h)
-		}
-		if aliveCount == 0 {
-			break
-		}
-		// 2. find connected components of the remainder (undirected view).
-		for i := range comp {
-			comp[i] = -1
-		}
-		compSizes := []int{}
-		for v := 0; v < n; v++ {
-			if !alive[v] || comp[v] >= 0 {
-				continue
-			}
-			id := len(compSizes)
-			size := 0
-			comp[v] = id
-			queue = append(queue[:0], graph.VertexID(v))
-			for len(queue) > 0 {
-				u := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				size++
-				for _, w := range g.OutNeighbors(u) {
-					if alive[w] && comp[w] < 0 {
-						comp[w] = id
-						queue = append(queue, w)
-					}
-				}
-				for _, w := range g.InNeighbors(u) {
-					if alive[w] && comp[w] < 0 {
-						comp[w] = id
-						queue = append(queue, w)
-					}
-				}
-			}
-			compSizes = append(compSizes, size)
-		}
-		// 3. burn: giant component stays; all other components go to the
-		// back of the order.
-		giant := 0
-		for id, sz := range compSizes {
-			if sz > compSizes[giant] {
-				giant = id
-			}
-		}
-		for v := n - 1; v >= 0; v-- {
-			if alive[v] && comp[v] != giant {
-				alive[v] = false
-				aliveCount--
-				back = append(back, graph.VertexID(v))
-			}
-		}
-	}
-	perm := make([]graph.VertexID, n)
-	i := 0
-	for _, v := range front {
-		perm[v] = graph.VertexID(i)
-		i++
-	}
-	for j := len(back) - 1; j >= 0; j-- {
-		perm[back[j]] = graph.VertexID(i)
-		i++
-	}
-	return perm, nil
-}
-
-func topKAlive(deg []int64, alive []bool, k int) []graph.VertexID {
-	type dv struct {
-		d int64
-		v graph.VertexID
-	}
-	cand := make([]dv, 0, len(deg))
-	for v, a := range alive {
-		if a {
-			cand = append(cand, dv{deg[v], graph.VertexID(v)})
-		}
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].d != cand[b].d {
-			return cand[a].d > cand[b].d
-		}
-		return cand[a].v < cand[b].v
-	})
-	if k > len(cand) {
-		k = len(cand)
-	}
-	out := make([]graph.VertexID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cand[i].v
-	}
-	return out
 }
 
 // Compose returns the permutation equivalent to applying first then second:

@@ -204,47 +204,6 @@ func TestGorderDisconnected(t *testing.T) {
 	}
 }
 
-func TestSlashBurnIsPermutation(t *testing.T) {
-	g := testGraph(t)
-	perm, err := SlashBurn(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsPermutation(perm) {
-		t.Fatal("SlashBurn not a permutation")
-	}
-	if _, err := SlashBurn(g, 0); err == nil {
-		t.Error("expected error for k=0")
-	}
-}
-
-func TestSlashBurnPutsHubsFirst(t *testing.T) {
-	g := testGraph(t)
-	perm, err := SlashBurn(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// the global top-3 degree vertices must receive new IDs 0..2
-	deg := make([]int64, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		deg[v] = g.InDegree(graph.VertexID(v)) + g.OutDegree(graph.VertexID(v))
-	}
-	hubs := topKAlive(deg, allTrue(g.NumVertices()), 3)
-	for _, h := range hubs {
-		if perm[h] > 2 {
-			t.Errorf("hub %d (deg %d) got new ID %d, want < 3", h, deg[h], perm[h])
-		}
-	}
-}
-
-func allTrue(n int) []bool {
-	b := make([]bool, n)
-	for i := range b {
-		b[i] = true
-	}
-	return b
-}
-
 func TestCompose(t *testing.T) {
 	first := []graph.VertexID{1, 2, 0}
 	second := []graph.VertexID{2, 0, 1}
@@ -291,11 +250,6 @@ func TestAllOrderingsValidQuick(t *testing.T) {
 			DegreeSort(g),
 			RCM(g),
 			Gorder(g, GorderConfig{Window: 3}),
-		}
-		if sb, err := SlashBurn(g, 2); err == nil {
-			perms = append(perms, sb)
-		} else {
-			return false
 		}
 		for _, p := range perms {
 			if !IsPermutation(p) {

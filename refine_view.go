@@ -37,8 +37,8 @@ import (
 // full renumberings — and View.deltaOver(b) exactly covers the span from
 // the basis b to the view (Frozen.Since nets the log entries between the
 // two captures, so the edge multiset is exact). The delta is shared by
-// every consumer of the view; warm steps read it through relabeled copies
-// and never rewrite it.
+// every consumer of the view; warm steps read its slot-space copy
+// (slotDeltaOver), relabeled once per view, and never rewrite either.
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -306,9 +306,10 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 }
 
 // warmStep refines an engine-space seed — the basis capture permuted in,
-// zero at admitted vertices — in place by the view's delta. ok=false means
-// the step's own fallback gate tripped.
-type warmStep[T any] func(e Engine, seed []T, vd dynamic.ViewDelta) (st RefineStats, ok bool)
+// zero at admitted vertices — in place by the view's delta, given both in
+// original IDs and in slots. ok=false means the step's own fallback gate
+// tripped.
+type warmStep[T any] func(e Engine, seed []T, vd dynamic.ViewDelta, sd *slotDelta) (st RefineStats, ok bool)
 
 // refine drives every Refine* query end to end: cache hit, scratch seed,
 // unchanged delta, gated fallback or refinement. cold computes the
@@ -349,7 +350,7 @@ func refine[T int64 | float64](v *View, sys System, key refineKey, eps float64,
 		return scratch(RefineScratchFallback)
 	}
 	seed := permuteIn(v.ord.Perm, cap_.vals.([]T), v.slots())
-	st, ok := warm(e, seed, vd)
+	st, ok := warm(e, seed, vd, v.slotDeltaOver(b))
 	if !ok {
 		return scratch(RefineScratchFallback)
 	}
@@ -377,7 +378,7 @@ type refineSpec struct {
 // and relax to fixpoint. ok=false means the fallback gate tripped and the
 // driver computes cold.
 func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
-	return func(e Engine, seed []int64, vd dynamic.ViewDelta) (RefineStats, bool) {
+	return func(e Engine, seed []int64, vd dynamic.ViewDelta, sd *slotDelta) (RefineStats, bool) {
 		rg := e.Graph()
 		perm := v.ord.Perm
 		grown := perm[v.nverts-int(vd.Grown) : v.nverts]
@@ -388,7 +389,7 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 		if m := rg.NumEdges() / 4; m > budget {
 			budget = m
 		}
-		cone, ok := invalidationCone(rg, seed, relabel(vd.Dels, perm), spec.weighted, v.nverts/refineConeDenom+1, budget)
+		cone, ok := invalidationCone(rg, seed, sd.dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
 		if !ok {
 			return RefineStats{}, false
 		}
@@ -413,9 +414,9 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 				}
 			}
 		}
-		for _, ed := range vd.Adds {
-			if u := perm[ed.Src]; seed[u] < algorithms.RelaxInf {
-				mark(u)
+		for _, ed := range sd.adds {
+			if seed[ed.Src] < algorithms.RelaxInf {
+				mark(ed.Src)
 			}
 		}
 		for _, w := range vd.Moved {
@@ -546,10 +547,10 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	perm := v.ord.Perm
 	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
 		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
-		func(e Engine, seed []float64, vd dynamic.ViewDelta) (RefineStats, bool) {
+		func(e Engine, seed []float64, vd dynamic.ViewDelta, sd *slotDelta) (RefineStats, bool) {
 			nOld := v.nverts - int(vd.Grown)
 			algorithms.PageRankResume(e, seed, algorithms.RankDelta{
-				Adds: relabel(vd.Adds, perm), Dels: relabel(vd.Dels, perm),
+				Adds: sd.adds, Dels: sd.dels,
 				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
 			}, prScratchIters, eps)
 			return RefineStats{FrontierVertices: vd.Touched()}, true

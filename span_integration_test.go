@@ -250,3 +250,57 @@ func TestSpansEndpoint(t *testing.T) {
 		t.Fatal("go_goroutines not sampled on scrape")
 	}
 }
+
+// TestIngestBatchParentsGrowthSpans checks that IngestBatch admits inside
+// its batch: every grow and spill span an IngestBatch call files is a child
+// of that call's batch span. Minimal headroom makes the stream spill both
+// ways (slotting the ordering on the first admission, then re-laying
+// exhausted headroom).
+func TestIngestBatchParentsGrowthSpans(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1500, 19, StreamOptions{GrowFrac: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, MinHeadroom: 1, HeadroomFrac: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := external(updates)
+	causes := make(map[string]int)
+	var seen obs.SpanID // the largest span ID of earlier calls
+	for lo := 0; lo < len(ext); lo += 64 {
+		if _, err := d.IngestBatch(ext[lo:min(lo+64, len(ext))]); err != nil {
+			t.Fatal(err)
+		}
+		var batch obs.SpanID
+		var growth []obs.Span
+		last := seen
+		for _, sp := range d.Spans().Snapshot() {
+			last = max(last, sp.ID)
+			if sp.ID <= seen {
+				continue
+			}
+			switch sp.Name {
+			case "batch":
+				batch = sp.ID
+			case "grow", "spill":
+				growth = append(growth, sp)
+			}
+		}
+		if batch == 0 {
+			t.Fatalf("IngestBatch at update %d filed no batch span", lo)
+		}
+		for _, sp := range growth {
+			if sp.Parent != batch {
+				t.Fatalf("%s span (cause %q) parents span %d, want its batch span %d", sp.Name, sp.Cause, sp.Parent, batch)
+			}
+			causes[sp.Name+"/"+sp.Cause]++
+		}
+		seen = last
+	}
+	for _, c := range []string{"grow/growth-headroom", "grow/growth-spill", "spill/first-growth", "spill/headroom-exhausted"} {
+		if causes[c] == 0 {
+			t.Errorf("no %s span; filed: %v", c, causes)
+		}
+	}
+}

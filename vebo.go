@@ -431,12 +431,7 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 	}
 	// Admit every interned vertex even when a later update failed, keeping
 	// the allocator and the graph's vertex space in lockstep.
-	admitted := alloc.Len() - d.inner.NumVertices()
-	if admitted > 0 {
-		d.inner.Grow(admitted)
-	}
-	res, err := d.inner.ApplyBatch(ups)
-	res.Admitted += admitted
+	res, err := d.inner.AdmitBatch(alloc.Len()-d.inner.NumVertices(), ups)
 	d.publish(received)
 	if err == nil {
 		err = ingestErr

@@ -63,8 +63,8 @@ type View struct {
 	invOnce sync.Once
 	inv     []VertexID // new ID -> original ID
 
-	segOnce sync.Once
-	seg     []VertexID // basis new-ID -> this view's new-ID; nil when nothing moved
+	slotOnce sync.Once
+	slot     slotDelta // the delta over the basis in slot space (slotDeltaOver)
 
 	eng  [3]engineSlot
 	engT [3]engineSlot

@@ -1,8 +1,6 @@
 package vebo
 
 import (
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -26,61 +24,76 @@ func (v *View) Snapshot() *Graph {
 	return v.snap
 }
 
-// segPerm returns the segment-local injection mapping the basis view's
-// new-ID space into this view's, or nil for the identity. Growth alone no
-// longer produces an injection at all: within a numbering lineage the slot
-// space is fixed and admissions fill reserved headroom slots, so every
-// basis position keeps its ID — identity outside the grown segments, and
-// the identity on them too (admitted slots have no basis preimage; their
-// content arrives as explicit adds). Only placement-preserving moves (swap
-// repairs) yield a real map: identity everywhere except the moved
-// vertices' positions. Valid only while the numbering lineage is intact
+// slotDelta is a view's delta over its basis in the view's slot space,
+// computed once (slotDeltaOver) and read as is by every derivation: the
+// graph patch, the GraphGrind patch and the refine warm steps. seg and
+// dirty are set only while the numbering lineage is intact
 // (!delta.PlacementChanged).
-func (v *View) segPerm(b *View) []VertexID {
-	v.segOnce.Do(func() {
-		if len(v.deltaOver(b).Moved) == 0 {
+type slotDelta struct {
+	// adds and dels are the net edge change with endpoints relabeled into
+	// the view's slots; the view's ViewDelta keeps the original-ID copy.
+	adds, dels []graph.Edge
+	// seg maps each basis slot to its slot in this view: C.Perm[w] at
+	// B.Perm[w] for each moved vertex w, graph.NoVertex at a basis hole a
+	// mover now occupies, and the identity elsewhere. Nil when nothing
+	// moved.
+	seg []VertexID
+	// dirty lists (unsorted, repeats allowed) the view slots whose in-edges
+	// or occupant changed: the destinations of adds and dels and the
+	// positions of the moved and admitted vertices.
+	dirty []VertexID
+}
+
+// slotDeltaOver returns the view's slot-space delta over its basis b,
+// computing it on first use from deltaOver(b).
+//
+// Within a numbering lineage the slot space is fixed: admissions fill
+// reserved headroom slots, so every basis position keeps its ID and an
+// admitted slot has no basis preimage (its content arrives as adds). Only
+// swap repairs move vertices, each within a closed set of positions, so
+// seg is the identity outside the moved vertices' positions. A basis hole
+// is an empty row: when a swap pairs a vertex admitted into it with a basis
+// vertex, the basis vertex takes the hole's slot and the hole has no image
+// left, which NoVertex says.
+func (v *View) slotDeltaOver(b *View) *slotDelta {
+	v.slotOnce.Do(func() {
+		vd := v.deltaOver(b)
+		perm := v.ord.Perm
+		sd := &v.slot
+		sd.adds, sd.dels = relabel(vd.Adds, perm), relabel(vd.Dels, perm)
+		if vd.PlacementChanged {
 			return
 		}
-		// Internal IDs are append-only, so the basis's internal space is
-		// exactly the prefix [0, b.nverts) of this view's; composing the
-		// two orderings over it yields the basis-position → this-position
-		// map directly. The map spans the basis engine's whole slot space:
-		// reserved-headroom holes carry empty rows but still need injective
-		// targets — identity where that slot is still free, a leftover free
-		// slot otherwise. A hole's own slot is not always free: a vertex
-		// admitted since the basis fills a basis hole, and a swap repair
-		// that pairs it with a basis vertex moves the basis vertex into
-		// that slot, so the hole must take one of the slots left over.
-		bSlots := int(b.ord.Slots())
-		vSlots := int(v.ord.Slots())
-		seg := make([]VertexID, bSlots)
-		src := make([]bool, bSlots)
-		taken := make([]bool, vSlots)
-		for w := 0; w < b.nverts; w++ {
-			s, t := b.ord.Perm[w], v.ord.Perm[w]
-			seg[s] = t
-			src[s] = true
-			taken[t] = true
+		if len(vd.Moved) > 0 {
+			sd.seg = make([]VertexID, b.slots())
+			for s := range sd.seg {
+				sd.seg[s] = VertexID(s)
+			}
+			for _, w := range vd.Moved {
+				sd.seg[b.ord.Perm[w]] = perm[w]
+			}
+			// A basis vertex at a mover's new slot moved too, so a slot
+			// there still mapping to itself held no basis vertex: it was a
+			// hole.
+			for _, w := range vd.Moved {
+				if t := perm[w]; sd.seg[t] == t {
+					sd.seg[t] = graph.NoVertex
+				}
+			}
 		}
-		free := 0
-		for s := 0; s < bSlots; s++ {
-			if src[s] {
-				continue
+		for _, es := range [][]graph.Edge{sd.adds, sd.dels} {
+			for _, e := range es {
+				sd.dirty = append(sd.dirty, e.Dst)
 			}
-			if s < vSlots && !taken[s] {
-				seg[s] = VertexID(s)
-				taken[s] = true
-				continue
-			}
-			for taken[free] {
-				free++
-			}
-			seg[s] = VertexID(free)
-			taken[free] = true
 		}
-		v.seg = seg
+		for _, w := range vd.Moved {
+			sd.dirty = append(sd.dirty, perm[w])
+		}
+		// Admissions are append-only in the internal space, so the vertices
+		// admitted since the basis are exactly the internal tail.
+		sd.dirty = append(sd.dirty, perm[v.nverts-int(vd.Grown):v.nverts]...)
 	})
-	return v.seg
+	return &v.slot
 }
 
 // Reordered returns (building once, lazily) the view's graph relabeled with
@@ -94,9 +107,8 @@ func (v *View) Reordered() (*Graph, error) {
 		start := time.Now()
 		if b := v.basis.Load(); b != nil && !v.deltaOver(b).PlacementChanged {
 			if brg := b.rgp.Load(); brg != nil {
-				vd := v.deltaOver(b)
-				adds, dels := relabel(vd.Adds, v.ord.Perm), relabel(vd.Dels, v.ord.Perm)
-				rg, st, err := brg.PatchEdgesPermN(v.slots(), adds, dels, v.segPerm(b))
+				sd := v.slotDeltaOver(b)
+				rg, st, err := brg.PatchEdgesPermN(v.slots(), sd.adds, sd.dels, sd.seg)
 				if err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
@@ -161,67 +173,6 @@ func relabel(edges []graph.Edge, perm []VertexID) []graph.Edge {
 	return out
 }
 
-// rangePredicate turns a sorted ID list into a "does [lo, hi) contain any
-// of them" predicate.
-func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
-	return func(lo, hi VertexID) bool {
-		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= lo })
-		return i < len(ids) && ids[i] < hi
-	}
-}
-
-// dirtyPredicate reports whether a destination-vertex range owns any edge
-// that changed since the basis view, contains a vertex repositioned by a
-// placement-preserving repair, or contains a vertex admitted since the
-// basis. GraphGrind's destination-partitioned structures (COOs, partition
-// metadata) depend only on the in-edges of their range, so the exact dirty
-// set is the net delta's destination endpoints, the moved vertices'
-// positions and the admitted vertices' positions, mapped into the view's
-// relabeled space. (Moves permute IDs within a closed position set — a
-// swap always parks an incoming vertex where an outgoing one sat — so
-// flagging the current positions covers every partition whose membership
-// changed.)
-func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
-	perm := v.ord.Perm
-	vd := v.deltaOver(b)
-	dirty := make([]VertexID, 0, len(vd.Adds)+len(vd.Dels)+len(vd.Moved)+int(vd.Grown))
-	for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
-		for _, e := range es {
-			dirty = append(dirty, perm[e.Dst])
-		}
-	}
-	for _, w := range vd.Moved {
-		dirty = append(dirty, perm[w])
-	}
-	// Admissions are append-only in the internal space, so the vertices
-	// admitted since the basis are exactly the internal tail.
-	for w := v.nverts - int(vd.Grown); w < v.nverts; w++ {
-		dirty = append(dirty, perm[w])
-	}
-	slices.Sort(dirty)
-	return rangePredicate(slices.Compact(dirty))
-}
-
-// srcMovedPredicate reports whether a destination-vertex range owns an edge
-// whose source vertex was repositioned since the basis view. Such a range's
-// in-edge content is unchanged, but engine structures that store source IDs
-// (GraphGrind's COOs) hold stale references and must be remapped through
-// the segment permutation. The set is the destinations of the moved
-// vertices' current out-edges; edges they lost since the basis appear in
-// the net delta and dirty their destinations through dirtyPredicate.
-// Growth does not enter: admissions fill reserved headroom slots, so no
-// pre-existing source ID ever shifts — a grown epoch without repairs leaves
-// this set empty and every clean partition's COO is shared outright.
-func (v *View) srcMovedPredicate(b *View, rg *Graph) func(lo, hi VertexID) bool {
-	perm := v.ord.Perm
-	var list []VertexID
-	for _, w := range v.deltaOver(b).Moved {
-		list = append(list, rg.OutNeighbors(perm[w])...)
-	}
-	slices.Sort(list)
-	return rangePredicate(slices.Compact(list))
-}
-
 // buildEngine builds the view's engine for sys over its relabeled graph.
 // Ligra's scheduling units and Polymer's socket partitions depend only on
 // the vertex count and degree offsets, so both are always one NewEngine.
@@ -240,7 +191,8 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	start := time.Now()
 	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver(b).PlacementChanged {
 		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
-			e, st, err := be.Patch(rg, v.segPerm(b), v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
+			sd := v.slotDeltaOver(b)
+			e, st, err := be.Patch(rg, sd.seg, sd.dirty)
 			if err == nil {
 				v.recordPatch(st)
 				v.work.emitEngine(v, "patch", sys, start)

@@ -647,51 +647,7 @@ func TestViewPatchedAcrossRepairEpochs(t *testing.T) {
 			t.Fatalf("epoch skew: %d vs %d", vp.Epoch(), vs.Epoch())
 		}
 		root := VertexID(int(updates[lo].Dst) % g.NumVertices())
-		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-			cp, err := vp.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := vs.CC(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range cp {
-				if cp[i] != cs[i] {
-					t.Fatalf("epoch %d %v: patched CC diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, cp[i], cs[i])
-				}
-			}
-			bp, err := vp.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs, err := vs.BellmanFord(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range bp {
-				if bp[i] != bs[i] {
-					t.Fatalf("epoch %d %v: patched BellmanFord diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, bp[i], bs[i])
-				}
-			}
-			pp, err := vp.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := vs.BFS(sys, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, ls := bfsLevels(t, pp, root), bfsLevels(t, ps, root)
-			for i := range lp {
-				if lp[i] != ls[i] {
-					t.Fatalf("epoch %d %v: patched BFS level diverges at %d: %d vs %d",
-						vp.Epoch(), sys, i, lp[i], ls[i])
-				}
-			}
-		}
+		assertViewsAgree(t, vp, vs, root)
 	}
 
 	if repairEpochs < 3 {
@@ -714,6 +670,61 @@ func TestViewPatchedAcrossRepairEpochs(t *testing.T) {
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
 	}
 	assertNoFallbacks(t, dp)
+}
+
+// assertViewsAgree checks that a patched view and a scratch-built view of
+// the same epoch answer CC, BellmanFord from root and BFS levels from root
+// identically on all three framework models.
+func assertViewsAgree(t *testing.T, vp, vs *View, root VertexID) {
+	t.Helper()
+	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+		cp, err := vp.CC(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := vs.CC(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp) != vp.NumVertices() {
+			t.Fatalf("CC result length %d != n %d", len(cp), vp.NumVertices())
+		}
+		for i := range cp {
+			if cp[i] != cs[i] {
+				t.Fatalf("epoch %d %v: patched CC diverges at %d: %d vs %d",
+					vp.Epoch(), sys, i, cp[i], cs[i])
+			}
+		}
+		bp, err := vp.BellmanFord(sys, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := vs.BellmanFord(sys, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range bp {
+			if bp[i] != bs[i] {
+				t.Fatalf("epoch %d %v: patched BellmanFord diverges at %d: %d vs %d",
+					vp.Epoch(), sys, i, bp[i], bs[i])
+			}
+		}
+		pp, err := vp.BFS(sys, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := vs.BFS(sys, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, ls := bfsLevels(t, pp, root), bfsLevels(t, ps, root)
+		for i := range lp {
+			if lp[i] != ls[i] {
+				t.Fatalf("epoch %d %v: patched BFS level diverges at %d: %d vs %d",
+					vp.Epoch(), sys, i, lp[i], ls[i])
+			}
+		}
+	}
 }
 
 // assertNoFallbacks checks that no patch the lineage allowed fell back to a
