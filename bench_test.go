@@ -460,6 +460,78 @@ func BenchmarkCC(b *testing.B) {
 	benchmarkPerSystem(b, benchGraph(b), func(eng vebo.Engine) { vebo.CC(eng) })
 }
 
+// BenchmarkRefine times one refined query per op as the grow_refine
+// workload answers them: powerlaw 0.1 at P=64 with 5% vertex arrivals, a
+// 128-update IngestBatch publishing a fresh view before each query, which
+// refines the previous view's capture on Ligra. The ingest and the view's
+// Ligra engine derivation (BenchmarkPatchEdgesPermN, BenchmarkNewEngine)
+// are untimed and their allocations excluded, so an op is the refine
+// driver alone. refined/op is the share of queries the refine path
+// answered rather than a scratch fallback.
+func BenchmarkRefine(b *testing.B) {
+	queries := []struct {
+		name string
+		run  func(v *vebo.View) (vebo.RefineStats, error)
+	}{
+		{"bfs", func(v *vebo.View) (vebo.RefineStats, error) {
+			_, st, err := v.RefineBFS(vebo.Ligra, 0)
+			return st, err
+		}},
+		{"cc", func(v *vebo.View) (vebo.RefineStats, error) {
+			_, st, err := v.RefineCC(vebo.Ligra)
+			return st, err
+		}},
+		{"sssp", func(v *vebo.View) (vebo.RefineStats, error) {
+			_, st, err := v.RefineSSSP(vebo.Ligra, 0)
+			return st, err
+		}},
+	}
+	const batch = 128
+	for _, q := range queries {
+		b.Run(q.name, func(b *testing.B) {
+			g, ups, err := vebo.GenerateStreamOpts("powerlaw", 0.1, batch*(b.N+1), 1, vebo.StreamOptions{GrowFrac: 0.05})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ext := make([]vebo.ExternalEdgeUpdate, len(ups))
+			for i, u := range ups {
+				ext[i] = vebo.ExternalEdgeUpdate{Time: u.Time, Src: uint64(u.Src), Dst: uint64(u.Dst), Weight: u.Weight, Del: u.Del}
+			}
+			d, err := vebo.NewDynamic(g, vebo.DynamicOptions{Partitions: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// query ingests batch i, then answers on the view it published.
+			query := func(i int) vebo.RefineStats {
+				b.StopTimer()
+				if _, err := d.IngestBatch(ext[i*batch : (i+1)*batch]); err != nil {
+					b.Fatal(err)
+				}
+				v := d.View()
+				if _, err := v.Engine(vebo.Ligra); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st, err := q.run(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return st
+			}
+			query(0) // seeds the capture chain
+			refined := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				if query(i).Path == vebo.RefineRefined {
+					refined++
+				}
+			}
+			b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
+		})
+	}
+}
+
 func pickHighDegree(g *graph.Graph) graph.VertexID {
 	var best graph.VertexID
 	var bd int64 = -1

@@ -13,7 +13,7 @@ import (
 // exact set of dirty partitions is derived from the delta's destination
 // endpoints plus the moved and admitted positions. Result refinement
 // (View.Refine*, DESIGN.md §5d) reads it as is: everything is in
-// original-ID space, the space algorithm results live in, so a delta stays
+// original-ID space, the space algorithm answers live in, so a delta stays
 // applicable even across full renumbering epochs.
 type ViewDelta struct {
 	// Adds and Dels are the net edge changes, sorted by (Src, Dst, Weight)
@@ -39,7 +39,7 @@ type ViewDelta struct {
 
 // Empty reports whether the delta changes no algorithm result: no edge
 // change, no moved vertex, no admission. A placement-only delta is empty —
-// results live in original-ID space, which renumbering leaves alone.
+// renumbering moves values between slots but changes none of them.
 func (d ViewDelta) Empty() bool {
 	return len(d.Adds) == 0 && len(d.Dels) == 0 && len(d.Moved) == 0 && d.Grown == 0
 }

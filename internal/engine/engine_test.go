@@ -226,6 +226,49 @@ func TestSparsePushDeduplicatesOutput(t *testing.T) {
 	}
 }
 
+// TestSparsePushDedupsEveryActivation drives SparsePush with a kernel that
+// activates its destination on every edge, as PageRank's does, so workers
+// report each shared destination many times over. The output frontier must
+// still be sorted, duplicate-free and exactly the set of destinations
+// reached, and each chunk must cost its sources and their out-edges.
+func TestSparsePushDedupsEveryActivation(t *testing.T) {
+	g := testGraph(t)
+	rng := rand.New(rand.NewSource(5))
+	var srcs []graph.VertexID
+	for v := 0; v < g.NumVertices(); v++ {
+		if rng.Intn(3) == 0 {
+			srcs = append(srcs, graph.VertexID(v))
+		}
+	}
+	const chunk = 4
+	out, costs := SparsePush(g, frontier.FromVertices(g, srcs), countKernel(make([]int64, g.NumVertices())), chunk, 4)
+	want := make(map[graph.VertexID]bool)
+	wantCosts := make([]int64, (len(srcs)+chunk-1)/chunk)
+	for i, s := range srcs {
+		wantCosts[i/chunk] += CostVertex + CostEdge*g.OutDegree(s)
+		for _, d := range g.OutNeighbors(s) {
+			want[d] = true
+		}
+	}
+	got := out.Sparse()
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("output not sorted and duplicate-free at %d: %d then %d", i, got[i-1], got[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("output has %d vertices, want %d", len(got), len(want))
+	}
+	for _, d := range got {
+		if !want[d] {
+			t.Fatalf("output holds %d, which no active source reaches", d)
+		}
+	}
+	if !reflect.DeepEqual(costs, wantCosts) {
+		t.Fatalf("chunk costs %v, want %v", costs, wantCosts)
+	}
+}
+
 func TestVertexMapVariants(t *testing.T) {
 	g := testGraph(t)
 	f := frontier.FromVertices(g, []graph.VertexID{2, 4, 6, 8})

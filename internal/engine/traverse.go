@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"sort"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/frontier"
 	"repro/internal/graph"
@@ -111,11 +110,13 @@ func DenseCOO(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, coos []*layout
 // SparsePush performs a push-direction edgemap: active sources push along
 // their out-edges using the atomic kernel. The frontier is cut into chunks
 // of chunkSize sources; chunk costs are returned for makespan modeling.
+// Workers append every activation, repeats included; one sort and compact
+// of their lists dedups the output, so a step allocates per edge scanned
+// (at most m/20: the sparse direction's bound) rather than per vertex.
 func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, workers int) (*frontier.Frontier, []int64) {
 	srcs := f.Sparse()
 	nChunks := (len(srcs) + chunkSize - 1) / chunkSize
 	unitCosts := make([]int64, nChunks)
-	flags := make([]uint32, g.NumVertices())
 	outPerWorker := make([][]graph.VertexID, workers)
 	sched.DynamicChunks(workers, len(srcs), chunkSize, func(w, lo, hi int) {
 		var cost int64
@@ -126,25 +127,16 @@ func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, w
 			for i, d := range g.OutNeighbors(s) {
 				cost += CostEdge
 				if k.UpdateAtomic(s, d, ws[i]) {
-					if atomic.CompareAndSwapUint32(&flags[d], 0, 1) {
-						local = append(local, d)
-					}
+					local = append(local, d)
 				}
 			}
 		}
 		outPerWorker[w] = local
 		unitCosts[lo/chunkSize] += cost
 	})
-	var total int
-	for _, l := range outPerWorker {
-		total += len(l)
-	}
-	outs := make([]graph.VertexID, 0, total)
-	for _, l := range outPerWorker {
-		outs = append(outs, l...)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	return frontier.FromVertices(g, outs), unitCosts
+	outs := slices.Concat(outPerWorker...)
+	slices.Sort(outs)
+	return frontier.FromVertices(g, slices.Compact(outs)), unitCosts
 }
 
 // VertexMapDynamic applies fn to the active vertices with dynamic chunking

@@ -31,14 +31,15 @@ import (
 // to a cold start when the delta touches more than a gated fraction of the
 // graph, where refinement would cost more than it saves.
 //
-// Soundness rests on two invariants the rest of the module maintains:
-// internal (original) vertex IDs are append-only — so a basis result array
-// indexed by original IDs is prefix-valid at any later epoch, even across
-// full renumberings — and View.deltaOver(b) exactly covers the span from
-// the basis b to the view (Frozen.Since nets the log entries between the
-// two captures, so the edge multiset is exact). The delta is shared by
-// every consumer of the view; warm steps read its slot-space copy
-// (slotDeltaOver), relabeled once per view, and never rewrite either.
+// Soundness rests on two invariants the rest of the module maintains: a
+// numbering lineage fixes the slot space — swaps permute closed position
+// sets and admissions fill headroom — so a slot-order basis capture is the
+// view's seed up to its moved and admitted slots (seedFrom), and
+// View.deltaOver(b) exactly covers the span from the basis b to the view
+// (Frozen.Since nets the log entries between the two captures, so the edge
+// multiset is exact). The delta is shared by every consumer of the view;
+// warm steps read its slot-space copy (slotDeltaOver), relabeled once per
+// view, and never rewrite either.
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -78,19 +79,15 @@ type refineKey struct {
 }
 
 // Refined is one converged result capture, pinned to the epoch of the view
-// that computed it and stored in original-ID space (length n), which is the
-// representation that survives repair, growth and renumbering epochs.
-// Captures are immutable after construction; their slices are shared, never
-// written.
+// that computed it and stored in that view's slot order (View.slots());
+// values at headroom holes are inert. Captures are immutable after
+// construction; queries gather their answers out of them, never write them.
 //
 //vebo:frozen
 type Refined struct {
-	alg   string
-	root  VertexID
 	epoch int64
-	n     int
 	// vals holds []int64 BFS depths / packed CC states / SSSP distances, or
-	// []float64 PageRank ranks.
+	// []float64 PageRank ranks, indexed by slot.
 	vals any
 	// eps is the convergence threshold vals satisfy: 0 for the exact
 	// monotone algorithms, so every threshold check passes for them.
@@ -148,8 +145,8 @@ func (c *refineCache) covers(o *refineCache) bool {
 
 // basisCapture returns the basis view b and its capture for key, or nil
 // when there is no basis (scratch epochs, reuse disabled, basis more than
-// one compaction back) or the capture cannot seed this view. The epoch and
-// length guards make staleness structurally impossible: a capture seeds
+// one compaction back) or the capture cannot seed this view. The epoch
+// guard makes staleness structurally impossible: a capture seeds
 // refinement only when it is pinned to the exact view v.deltaOver(b)
 // measures from — any rebuild-cause epoch in between published a fresh
 // view whose delta still spans basis→view, so the refinement replays it
@@ -160,7 +157,7 @@ func (v *View) basisCapture(key refineKey) (*Refined, *View) {
 		return nil, nil
 	}
 	r := b.ref.get(key)
-	if r == nil || r.epoch != b.epoch || r.n != b.nverts {
+	if r == nil || r.epoch != b.epoch {
 		return nil, nil
 	}
 	return r, b
@@ -305,27 +302,27 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 	return cone, true
 }
 
-// warmStep refines an engine-space seed — the basis capture permuted in,
-// zero at admitted vertices — in place by the view's delta, given both in
-// original IDs and in slots. ok=false means the step's own fallback gate
-// tripped.
+// warmStep refines an engine-space seed — the basis capture carried into
+// the view's slots, zero at admitted vertices (seedFrom) — in place by the
+// view's delta, given both in original IDs and in slots. ok=false means the
+// step's own fallback gate tripped.
 type warmStep[T any] func(e Engine, seed []T, vd dynamic.ViewDelta, sd *slotDelta) (st RefineStats, ok bool)
 
 // refine drives every Refine* query end to end: cache hit, scratch seed,
 // unchanged delta, gated fallback or refinement. cold computes the
 // engine-space result from scratch; warm refines a seed by the delta. A
 // capture serves or seeds the query only if it is converged at least as
-// tightly as eps. Returns the original-ID result, shared with the stored
-// capture — callers convert, never mutate.
-func refine[T int64 | float64](v *View, sys System, key refineKey, eps float64,
-	cold func(e Engine) []T, warm warmStep[T]) ([]T, RefineStats, error) {
+// tightly as eps. answer gathers the query's result out of the slot-order
+// values on every path, so a capture never escapes to a caller.
+func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps float64,
+	cold func(e Engine) []T, warm warmStep[T], answer func(vals []T) R) (R, RefineStats, error) {
 	start := time.Now()
-	done := func(vals []T, st RefineStats) ([]T, RefineStats, error) {
+	done := func(vals []T, st RefineStats) (R, RefineStats, error) {
 		v.work.observeRefine(v, key.alg, sys, start, st)
-		return vals, st, nil
+		return answer(vals), st, nil
 	}
-	store := func(vals []T, valsEps float64, st RefineStats) ([]T, RefineStats, error) {
-		v.keep(key, &Refined{alg: key.alg, root: key.root, epoch: v.epoch, n: v.nverts, vals: vals, eps: valsEps})
+	store := func(vals []T, valsEps float64, st RefineStats) (R, RefineStats, error) {
+		v.keep(key, &Refined{epoch: v.epoch, vals: vals, eps: valsEps})
 		return done(vals, st)
 	}
 	if r := v.ref.get(key); r != nil && r.eps <= eps {
@@ -333,29 +330,57 @@ func refine[T int64 | float64](v *View, sys System, key refineKey, eps float64,
 	}
 	e, err := v.Engine(sys)
 	if err != nil {
-		return nil, RefineStats{}, err
+		var none R
+		return none, RefineStats{}, err
 	}
-	scratch := func(path string) ([]T, RefineStats, error) {
-		return store(unpermute(v.ord.Perm, cold(e)), eps, RefineStats{Path: path, SeedEpoch: -1})
+	scratch := func(path string) (R, RefineStats, error) {
+		return store(cold(e), eps, RefineStats{Path: path, SeedEpoch: -1})
 	}
 	cap_, b := v.basisCapture(key)
 	if cap_ == nil || cap_.eps > eps {
 		return scratch(RefineScratchSeed)
 	}
 	vd := v.deltaOver(b)
-	if vd.Empty() {
-		return store(cap_.vals.([]T), cap_.eps, RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch})
-	}
-	if vd.Touched() > v.nverts/refineConeDenom {
+	// Touched never exceeds the endpoint count, so a small delta skips its sort.
+	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && vd.Touched() > gate {
 		return scratch(RefineScratchFallback)
 	}
-	seed := permuteIn(v.ord.Perm, cap_.vals.([]T), v.slots())
+	seed := seedFrom(v, b, cap_.vals.([]T), vd)
+	if vd.Empty() {
+		return store(seed, cap_.eps, RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch})
+	}
 	st, ok := warm(e, seed, vd, v.slotDeltaOver(b))
 	if !ok {
 		return scratch(RefineScratchFallback)
 	}
 	st.Path, st.SeedEpoch = RefineRefined, cap_.epoch
-	return store(unpermute(v.ord.Perm, seed), eps, st)
+	return store(seed, eps, st)
+}
+
+// seedFrom returns the basis b's capture bs carried into v's slots, zero at
+// the vertices admitted since. Within a lineage that is a copy of bs fixed
+// at the moved slots (read from bs: a mover's new slot may be another's old
+// one) and the admitted ones, which also covers a vertex a swap moved out of
+// the hole it filled; a slot that stays a hole keeps its inert value.
+// Across a placement change every vertex is gathered through both
+// permutations.
+func seedFrom[T int64 | float64](v, b *View, bs []T, vd dynamic.ViewDelta) []T {
+	perm, bperm := v.ord.Perm, b.ord.Perm
+	if vd.PlacementChanged || len(bs) != v.slots() {
+		seed := make([]T, v.slots())
+		for w, s := range bperm {
+			seed[perm[w]] = bs[s]
+		}
+		return seed
+	}
+	seed := slices.Clone(bs)
+	for _, w := range vd.Moved {
+		seed[perm[w]] = bs[bperm[w]]
+	}
+	for _, s := range perm[v.nverts-int(vd.Grown) : v.nverts] {
+		seed[s] = 0
+	}
+	return seed
 }
 
 // refineSpec parameterizes refineRelax per monotone algorithm.
@@ -396,40 +421,32 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 		for _, u := range cone {
 			seed[u] = spec.resetVal(u)
 		}
-		fr := make([]bool, len(seed))
 		var list []VertexID
-		mark := func(u VertexID) {
-			if !fr[u] {
-				fr[u] = true
-				list = append(list, u)
-			}
-		}
 		for _, u := range cone {
 			if spec.resetJoins {
-				mark(u)
+				list = append(list, u)
 			}
 			for _, q := range rg.InNeighbors(u) {
 				if seed[q] < algorithms.RelaxInf {
-					mark(q)
+					list = append(list, q)
 				}
 			}
 		}
 		for _, ed := range sd.adds {
 			if seed[ed.Src] < algorithms.RelaxInf {
-				mark(ed.Src)
+				list = append(list, ed.Src)
 			}
 		}
 		for _, w := range vd.Moved {
 			if u := perm[w]; seed[u] < algorithms.RelaxInf {
-				mark(u)
+				list = append(list, u)
 			}
 		}
 		if spec.grownJoins {
-			for _, u := range grown {
-				mark(u)
-			}
+			list = append(list, grown...)
 		}
 		slices.Sort(list)
+		list = slices.Compact(list)
 		algorithms.RelaxResume(e, seed, spec.weighted, frontier.FromVertices(rg, list))
 		return RefineStats{ResetVertices: len(cone), FrontierVertices: len(list)}, true
 	}
@@ -445,21 +462,19 @@ func (v *View) RefineBFS(sys System, root VertexID) ([]int32, RefineStats, error
 	if err := v.checkRoot(root); err != nil {
 		return nil, RefineStats{}, err
 	}
-	vals, st, err := refine(v, sys, refineKey{alg: "bfs", root: root}, 0,
+	return refine(v, sys, refineKey{alg: "bfs", root: root}, 0,
 		func(e Engine) []int64 { return algorithms.BFSDepths(e, v.ord.Perm[root]) },
-		v.refineRelax(refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}))
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]int32, len(vals))
-	for i, d := range vals {
-		if d >= algorithms.RelaxInf {
-			out[i] = -1
-		} else {
-			out[i] = int32(d)
-		}
-	}
-	return out, st, nil
+		v.refineRelax(refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
+		func(vals []int64) []int32 {
+			out := make([]int32, v.nverts)
+			for w, s := range v.ord.Perm {
+				out[w] = -1
+				if d := vals[s]; d < algorithms.RelaxInf {
+					out[w] = int32(d)
+				}
+			}
+			return out
+		})
 }
 
 // RefineCC answers a connected-components query with canonical labels (the
@@ -470,12 +485,9 @@ func (v *View) RefineBFS(sys System, root VertexID) ([]int32, RefineStats, error
 // structure BFS has.
 func (v *View) RefineCC(sys System) ([]uint32, RefineStats, error) {
 	inv := v.invPerm()
-	vals, st, err := refine(v, sys, refineKey{alg: "cc"}, 0,
+	return refine(v, sys, refineKey{alg: "cc"}, 0,
 		func(e Engine) []int64 {
-			// init spans the engine's slot space; reserved headroom slots
-			// seed with inv's zero entry, which is inert — they have no
-			// edges, so their label never propagates, and unpermute drops
-			// their state.
+			// Headroom slots seed with inv's zero entry, inert: no edges.
 			init := make([]uint32, v.slots())
 			for eng := range init {
 				init[eng] = uint32(inv[eng])
@@ -486,15 +498,14 @@ func (v *View) RefineCC(sys System) ([]uint32, RefineStats, error) {
 			resetVal:   func(u VertexID) int64 { return algorithms.PackCC(uint32(inv[u]), 0) },
 			resetJoins: true,
 			grownJoins: true,
-		}))
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]uint32, len(vals))
-	for i, s := range vals {
-		out[i] = algorithms.UnpackCCLabel(s)
-	}
-	return out, st, nil
+		}),
+		func(vals []int64) []uint32 {
+			out := make([]uint32, v.nverts)
+			for w, s := range v.ord.Perm {
+				out[w] = algorithms.UnpackCCLabel(vals[s])
+			}
+			return out
+		})
 }
 
 // RefineSSSP answers a single-source shortest-path query (distances from
@@ -505,7 +516,7 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 	if err := v.checkRoot(root); err != nil {
 		return nil, RefineStats{}, err
 	}
-	vals, st, err := refine(v, sys, refineKey{alg: "sssp", root: root}, 0,
+	return refine(v, sys, refineKey{alg: "sssp", root: root}, 0,
 		func(e Engine) []int64 {
 			dist := make([]int64, v.slots())
 			for i := range dist {
@@ -514,19 +525,17 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 			dist[v.ord.Perm[root]] = 0
 			return algorithms.RelaxResume(e, dist, true, frontier.FromVertex(e.Graph(), v.ord.Perm[root]))
 		},
-		v.refineRelax(refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}))
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]int64, len(vals))
-	for i, d := range vals {
-		if d >= algorithms.RelaxInf {
-			out[i] = math.MaxInt64
-		} else {
-			out[i] = d
-		}
-	}
-	return out, st, nil
+		v.refineRelax(refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
+		func(vals []int64) []int64 {
+			out := make([]int64, v.nverts)
+			for w, s := range v.ord.Perm {
+				out[w] = vals[s]
+				if out[w] >= algorithms.RelaxInf {
+					out[w] = math.MaxInt64
+				}
+			}
+			return out
+		})
 }
 
 // RefinePageRank answers a PageRank query converged to within eps (eps <= 0
@@ -535,8 +544,8 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 // vector with dirty-vertex frontiers. Cold starts use the delta-update
 // formulation with the same convergence threshold, so both paths
 // approximate the same fixpoint — the honest comparison baseline, unlike
-// the fixed-iteration PageRank. The returned slice is shared with the
-// cache; callers must not mutate it.
+// the fixed-iteration PageRank. The returned slice is the caller's own,
+// gathered fresh from the capture on every call.
 func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, error) {
 	if math.IsNaN(eps) {
 		return nil, RefineStats{}, errors.New("vebo: RefinePageRank eps is NaN")
@@ -554,5 +563,6 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
 			}, prScratchIters, eps)
 			return RefineStats{FrontierVertices: vd.Touched()}, true
-		})
+		},
+		func(vals []float64) []float64 { return unpermute(perm, vals) })
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // refSeqDepths is a sequential BFS-depth oracle over a snapshot (-1
@@ -162,6 +163,130 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 	}
 	if refined < epoch/2 {
 		t.Fatalf("refine path ran on only %d of %d epochs; basis seeding is broken", refined, epoch)
+	}
+}
+
+// TestRefineSeedFixUps pins the seed rule: within a numbering lineage a
+// refined query copies the basis capture and rewrites only the moved and
+// admitted slots; across a placement change it gathers through both
+// permutations. A small-headroom growth stream with one forced rebuild
+// reaches swap, admission, mover-into-hole, spill and rebuild epochs. Before
+// every query the seed built from each basis capture must equal a full
+// re-permute of the basis result at every occupied slot, and every answer
+// must equal the scratch oracles, on each framework model.
+func TestRefineSeedFixUps(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 600, 1, StreamOptions{GrowFrac: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := external(updates)
+	keys := []refineKey{{alg: "bfs"}, {alg: "cc"}, {alg: "sssp"}, {alg: "pagerank"}}
+	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+		d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts, MinHeadroom: 2, HeadroomFrac: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Epochs seeded from a basis capture, by what the delta holds.
+		var swaps, admits, holes, placement, refined int
+		for i, lo := 0, 0; lo < len(ext); i, lo = i+1, lo+32 {
+			if i == 8 {
+				d.inner.Rebuild()
+			}
+			if _, err := d.IngestBatch(ext[lo:min(lo+32, len(ext))]); err != nil {
+				t.Fatal(err)
+			}
+			v := d.View()
+			for _, key := range keys {
+				c, b := v.basisCapture(key)
+				if c == nil {
+					continue
+				}
+				switch bs := c.vals.(type) {
+				case []int64:
+					assertSeedIsRepermute(t, v, b, key, bs)
+				case []float64:
+					assertSeedIsRepermute(t, v, b, key, bs)
+				}
+				if key.alg != "bfs" {
+					continue
+				}
+				vd := v.deltaOver(b)
+				if vd.PlacementChanged {
+					placement++
+					continue
+				}
+				if len(vd.Moved) > 0 {
+					swaps++
+				}
+				if vd.Grown > 0 {
+					admits++
+				}
+				if slices.Contains(v.slotDeltaOver(b).seg, graph.NoVertex) {
+					holes++
+				}
+			}
+			if bfsPath, _ := checkRefined(t, v, sys, 0); bfsPath == RefineRefined {
+				refined++
+			}
+		}
+		st := d.Stats()
+		t.Logf("%v: seeded %d swap, %d admission, %d mover-into-hole, %d placement-change epochs; refined %d; spills %d",
+			sys, swaps, admits, holes, placement, refined, st.HeadroomSpills)
+		if swaps == 0 || admits == 0 || holes == 0 || placement < 2 || st.HeadroomSpills == 0 || refined == 0 {
+			t.Fatalf("%v: a case was not exercised", sys)
+		}
+	}
+}
+
+// assertSeedIsRepermute checks seedFrom against the full re-permute it
+// replaces: the basis capture gathered back to original IDs, then
+// scattered into the view's slots, zero at vertices admitted since.
+func assertSeedIsRepermute[T int64 | float64](t *testing.T, v, b *View, key refineKey, bs []T) {
+	t.Helper()
+	got := seedFrom(v, b, bs, v.deltaOver(b))
+	want := permuteIn(v.ord.Perm, unpermute(b.ord.Perm, bs), v.slots())
+	for w, s := range v.ord.Perm {
+		if got[s] != want[s] {
+			vd := v.deltaOver(b)
+			t.Fatalf("epoch %d %s: seed at slot %d (vertex %d) = %v, want %v (basis epoch %d, %d moved, %d admitted, placement changed %v)",
+				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.Moved), vd.Grown, vd.PlacementChanged)
+		}
+	}
+}
+
+// TestRefinePageRankReturnsOwnSlice: the ranks RefinePageRank returns are the
+// caller's to write. Overwriting them must not reach the capture, so the
+// next query on the same view is answered from the cache unchanged.
+func TestRefinePageRankReturnsOwnSlice(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.03, 500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyBatch(updates); err != nil {
+		t.Fatal(err)
+	}
+	v := d.View()
+	first, _, err := v.RefinePageRank(Ligra, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(first)
+	for i := range first {
+		first[i] = -1
+	}
+	again, st, err := v.RefinePageRank(Ligra, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Path != RefineCached {
+		t.Fatalf("second query path = %s, want cached", st.Path)
+	}
+	if !slices.Equal(again, want) {
+		t.Fatal("writing a returned rank slice changed the cached answer")
 	}
 }
 

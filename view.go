@@ -223,10 +223,7 @@ func unpermute[T any](perm []VertexID, res []T) []T {
 }
 
 // permuteIn reindexes an original-ID value array into an engine space of n
-// positions (≥ len(perm) on slotted orderings). xs may be shorter than perm
-// — a basis result misses the vertices admitted since — and those vertices'
-// positions, like reserved headroom slots, take the zero value; callers for
-// whom zero is not inert must overwrite them.
+// positions (≥ len(perm) on slotted orderings); headroom slots stay zero.
 func permuteIn[T any](perm []VertexID, xs []T, n int) []T {
 	out := make([]T, n)
 	for old, x := range xs {
