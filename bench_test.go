@@ -272,7 +272,9 @@ func BenchmarkNewEngine(b *testing.B) {
 // identity numbering and under eight swapped vertex pairs (the shape a swap
 // repair leaves); with a 16k-update delta, the write-heavy shape in which
 // most rows merge; and with that dense delta on a weighted copy of the
-// graph. lineage derives 64 graphs in a chain, each from the last by a
+// graph. near-total applies the netted delta of one ingest_heavy queried
+// epoch (ingestEpoch) to its 20k-vertex base, the write-heavy shape in
+// which about 70% of rows merge. lineage derives 64 graphs in a chain, each from the last by a
 // 128-update delta on the identity numbering, the shape of an ingest
 // stream's epochs, so the cost of the folds a chain takes is amortised in.
 func BenchmarkPatchEdgesPermN(b *testing.B) {
@@ -316,6 +318,19 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 			}
 		})
 	}
+	b.Run("near-total", func(b *testing.B) {
+		base, before, after := ingestEpoch(b)
+		adds, dels, _ := after.Since(before)
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := base.PatchEdgesPermN(base.NumVertices(), adds, dels, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(base.NumEdges()), "edges")
+		b.ReportMetric(float64(len(adds)), "adds")
+		b.ReportMetric(float64(len(dels)), "dels")
+	})
 	b.Run("lineage", func(b *testing.B) {
 		const steps, updates = 64, 128
 		adds, dels := make([][]graph.Edge, steps), make([][]graph.Edge, steps)
@@ -389,6 +404,57 @@ func BenchmarkFreeze(b *testing.B) {
 		}
 		b.ReportMetric(float64(f.NumEdges()), "edges")
 	})
+}
+
+// ingestEpoch returns a dynamic graph's base and its captures before and
+// after 32 batches of 1024 updates, the delta of one of ingest_heavy's
+// queried epochs. The updates are the tail of a powerlaw 0.2 stream —
+// ingest_heavy's graph and batch size — and the base is that graph plus
+// the insertions of the stream's first 500k updates, about 1M edges on 20k
+// vertices: ingest_heavy's graph midway through a run.
+func ingestEpoch(b *testing.B) (*graph.Graph, dynamic.Frozen, dynamic.Frozen) {
+	b.Helper()
+	const warm, batches, batch = 500_000, 32, 1024
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, warm+batches*batch, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	es := g.Edges()
+	for _, u := range updates[:warm] {
+		if !u.Del {
+			es = append(es, graph.Edge{Src: u.Src, Dst: u.Dst, Weight: 1})
+		}
+	}
+	// Every edge the stream ever inserted stays, so each deletion in the
+	// tail still finds its edge.
+	if g, err = graph.FromEdges(g.NumVertices(), es, false); err != nil {
+		b.Fatal(err)
+	}
+	d, err := dynamic.New(g, dynamic.Config{Partitions: 64, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := d.Freeze()
+	for lo := warm; lo < len(updates); lo += batch {
+		if _, err := d.ApplyBatch(updates[lo : lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return g, before, d.Freeze()
+}
+
+// BenchmarkFrozenSince nets the 32 × 1024-update log of one ingest_heavy
+// queried epoch (ingestEpoch) into its delta, as a view does before its
+// first derivation.
+func BenchmarkFrozenSince(b *testing.B) {
+	_, before, after := ingestEpoch(b)
+	var adds, dels []graph.Edge
+	b.ReportAllocs()
+	for b.Loop() {
+		adds, dels, _ = after.Since(before)
+	}
+	b.ReportMetric(float64(len(adds)), "adds")
+	b.ReportMetric(float64(len(dels)), "dels")
 }
 
 // BenchmarkPublish times one facade ApplyBatch of 1024 insertions — delta

@@ -252,20 +252,20 @@ func (f Frozen) NumEdges() int64 {
 // graph by row-patching the base with the netted logs: the surviving
 // insertions merged in, the cancelled base edges removed. Rows are sorted
 // by (neighbor, weight), so the result is byte-identical to graph.FromEdges
-// over the same multiset. With nothing to patch it returns the (immutable)
-// base itself.
-func (f Frozen) Materialize() *graph.Graph {
+// over the same multiset, and comes with the patch's stats. With nothing to
+// patch it returns the (immutable) base itself and zero stats.
+func (f Frozen) Materialize() (*graph.Graph, graph.PatchStats) {
 	adds, dels := netEdges([][]graph.Edge{f.pending}, [][]graph.Edge{f.dels})
 	if len(adds) == 0 && len(dels) == 0 && f.n == f.base.NumVertices() {
-		return f.base
+		return f.base, graph.PatchStats{}
 	}
-	g, _, err := f.base.PatchEdgesPermN(f.n, adds, dels, nil)
+	g, st, err := f.base.PatchEdgesPermN(f.n, adds, dels, nil)
 	if err != nil {
 		// Unreachable: every applied update was range-checked and every
 		// cancellation names a live base occurrence.
 		panic(err)
 	}
-	return g
+	return g, st
 }
 
 // Since returns the net edge change from the earlier capture b to f, as
@@ -315,50 +315,34 @@ func (f Frozen) logsSince(b Frozen) (plus, minus [][]graph.Edge, ok bool) {
 	return nil, nil, false
 }
 
-// netEdges nets signed edge runs into their multiset difference: one sort
-// of every entry by (Src, Dst, Weight), then per triple the summed sign,
-// unrolled into sorted adds (positive) and dels (negative).
+// netEdges nets signed edge runs into their multiset difference. The plus
+// and the minus entries, copied into one buffer, are each radix-sorted by
+// (Src, Dst, Weight) (graph.SortEdges, with one more buffer), and one
+// linear merge of the two sorted runs cancels equal entries pairwise: what
+// survives of the plus run, written back over its own part of the buffer,
+// is the sorted adds, and of the minus run the sorted dels.
 func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
-	type signed struct {
-		key  uint64 // Src<<32 | Dst
-		w    int32
-		sign int32
-	}
-	total := entries(plus) + entries(minus)
-	if total == 0 {
-		return nil, nil
-	}
-	es := make([]signed, 0, total)
-	put := func(runs [][]graph.Edge, sign int32) {
-		for _, r := range runs {
-			for _, e := range r {
-				es = append(es, signed{uint64(e.Src)<<32 | uint64(e.Dst), e.Weight, sign})
-			}
+	np, buf := entries(plus), slices.Concat(append(slices.Clip(plus), minus...)...)
+	tmp := make([]graph.Edge, len(buf))
+	p, m := graph.SortEdges(buf[:np:np], tmp[:np:np]), graph.SortEdges(buf[np:], tmp[np:])
+	adds, dels = buf[:0:np], buf[np:np] // the survivors go back into buf
+	i, j := 0, 0
+	for i < len(p) && j < len(m) {
+		switch c := compareEdges(p[i], m[j]); {
+		case c < 0:
+			adds, i = append(adds, p[i]), i+1
+		case c > 0:
+			dels, j = append(dels, m[j]), j+1
+		default:
+			i, j = i+1, j+1
 		}
 	}
-	put(plus, 1)
-	put(minus, -1)
-	slices.SortFunc(es, func(a, b signed) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.w, b.w)
-	})
-	for i := 0; i < len(es); {
-		c, j := int32(0), i
-		for ; j < len(es) && es[j].key == es[i].key && es[j].w == es[i].w; j++ {
-			c += es[j].sign
-		}
-		e := graph.Edge{Src: graph.VertexID(es[i].key >> 32), Dst: graph.VertexID(uint32(es[i].key)), Weight: es[i].w}
-		for ; c > 0; c-- {
-			adds = append(adds, e)
-		}
-		for ; c < 0; c++ {
-			dels = append(dels, e)
-		}
-		i = j
-	}
-	return adds, dels
+	return append(adds, p[i:]...), append(dels, m[j:]...)
+}
+
+// compareEdges orders edges by (Src, Dst, Weight).
+func compareEdges(a, b graph.Edge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
 }
 
 // Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph
@@ -370,7 +354,7 @@ func (d *Graph) Snapshot() *graph.Graph {
 	if d.snapCache != nil && d.snapEpoch == d.epoch {
 		return d.snapCache
 	}
-	g := d.Freeze().Materialize()
+	g, _ := d.Freeze().Materialize()
 	d.snapCache, d.snapEpoch = g, d.epoch
 	return g
 }

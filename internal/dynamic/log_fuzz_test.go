@@ -1,6 +1,9 @@
 package dynamic
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -92,4 +95,83 @@ func FuzzFrozenSince(f *testing.F) {
 		}
 		checkSince(t, caps)
 	})
+}
+
+// FuzzNetEdges holds netEdges against netEdgesOracle, the comparator sort
+// it replaced, element for element. Bytes decode into entries split over
+// two plus and two minus runs, the shape of a delta spanning one
+// compaction, on few endpoints so parallel entries and cancellations are
+// common, with weights from the full int32 range: zero, negative and both
+// extremes.
+func FuzzNetEdges(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 1, 2, 3, 8, 1, 2, 3, 12, 2, 1, 4})
+	f.Add([]byte{1, 0, 0, 5, 9, 0, 0, 5, 3, 0, 0, 6, 2, 0, 0, 7, 5, 3, 3, 2})
+	f.Add([]byte{7, 200, 17, 1, 6, 200, 17, 1, 4, 9, 9, 255, 1, 9, 9, 254, 3, 1, 1, 128})
+	weights := []int32{1, 0, -1, 2, -2, 3, math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1, 1 << 16, -1 << 16}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var plus, minus [2][]graph.Edge
+		for i := 0; i+4 <= len(data); i += 4 {
+			op, b := data[i], data[i+3]
+			w := weights[int(b)%len(weights)]
+			if b >= 128 {
+				w = int32(uint32(b)<<24 | uint32(op)<<8 | uint32(data[i+1]))
+			}
+			e := graph.Edge{Src: graph.VertexID(data[i+1] % 5), Dst: graph.VertexID(data[i+2] % 5), Weight: w}
+			if op&4 != 0 {
+				e.Src |= graph.VertexID(data[i+2]) << 16 // a high-byte ID
+			}
+			if op&1 == 0 {
+				plus[op>>1&1] = append(plus[op>>1&1], e)
+			} else {
+				minus[op>>1&1] = append(minus[op>>1&1], e)
+			}
+		}
+		adds, dels := netEdges(plus[:], minus[:])
+		wantAdds, wantDels := netEdgesOracle(plus[:], minus[:])
+		if !slices.Equal(adds, wantAdds) || !slices.Equal(dels, wantDels) {
+			t.Fatalf("netEdges(%v, %v) = %v, %v; oracle %v, %v", plus, minus, adds, dels, wantAdds, wantDels)
+		}
+	})
+}
+
+// netEdgesOracle is the comparator netting netEdges replaced: one sort of
+// every signed entry by (Src, Dst, Weight), then per triple the summed
+// sign, unrolled into sorted adds (positive) and dels (negative).
+func netEdgesOracle(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
+	type signed struct {
+		key  uint64 // Src<<32 | Dst
+		w    int32
+		sign int32
+	}
+	var es []signed
+	put := func(runs [][]graph.Edge, sign int32) {
+		for _, r := range runs {
+			for _, e := range r {
+				es = append(es, signed{uint64(e.Src)<<32 | uint64(e.Dst), e.Weight, sign})
+			}
+		}
+	}
+	put(plus, 1)
+	put(minus, -1)
+	slices.SortFunc(es, func(a, b signed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	for i := 0; i < len(es); {
+		c, j := int32(0), i
+		for ; j < len(es) && es[j].key == es[i].key && es[j].w == es[i].w; j++ {
+			c += es[j].sign
+		}
+		e := graph.Edge{Src: graph.VertexID(es[i].key >> 32), Dst: graph.VertexID(uint32(es[i].key)), Weight: es[i].w}
+		for ; c > 0; c-- {
+			adds = append(adds, e)
+		}
+		for ; c < 0; c++ {
+			dels = append(dels, e)
+		}
+		i = j
+	}
+	return adds, dels
 }

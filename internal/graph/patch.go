@@ -7,8 +7,8 @@ import (
 )
 
 // PatchStats reports how much construction work a PatchEdgesPermN call did,
-// in edges. Merged edges are written by a row's linear merge of its sorted
-// basis row with its sorted adds and deletions; remapped edges are entries
+// in edges. Merged edges are written by a row's copy-run merge of its
+// sorted basis row with its sorted adds and deletions; remapped edges are entries
 // whose stored neighbor ID was rewritten through the permutation (and
 // merged back into their row's order); copied
 // edges are carried over unchanged — untouched rows, and the unchanged
@@ -21,6 +21,10 @@ type PatchStats struct {
 	EdgesMerged   int64 // edges written through row merges (both directions)
 	EdgesRemapped int64 // entries rewritten through the permutation (both directions)
 	EdgesCopied   int64 // edges carried over unchanged (both directions)
+	EdgesWritten  int64 // edges stored into the result's own chunks (both directions)
+	// Fold is why the first side that folded did (see foldDeadPct): "dead"
+	// edges or "chunks"; empty when neither side folded.
+	Fold string
 }
 
 // The fold rule: a derivation writes every row into one fresh chunk, instead
@@ -132,18 +136,17 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 
 	out := &Graph{n: nNew, weighted: g.weighted}
 	scr := &patchScratch{}
-	bySrc := func(e Edge) (VertexID, VertexID) { return e.Src, e.Dst }
-	byDst := func(e Edge) (VertexID, VertexID) { return e.Dst, e.Src }
 	outSide := sidePatch{
 		g: g, basis: &g.out, n: nNew, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, nNew, g.weighted, bySrc), dels: scr.sortDelta(dels, nNew, g.weighted, bySrc),
+		adds: scr.sortDelta(adds, g.weighted, true), dels: scr.sortDelta(dels, g.weighted, true),
 		remap: remapRows(relocs, moved, perm, g.InNeighbors), scratch: scr,
 	}
 	inSide := sidePatch{
 		g: g, basis: &g.in, n: nNew, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, nNew, g.weighted, byDst), dels: scr.sortDelta(dels, nNew, g.weighted, byDst),
+		adds: scr.sortDelta(adds, g.weighted, false), dels: scr.sortDelta(dels, g.weighted, false),
 		remap: remapRows(relocs, moved, perm, g.OutNeighbors), scratch: scr,
 	}
+	scr.sort = nil // spent: let the collector have it while the rows are written
 
 	var err error
 	var outMax, inMax int64
@@ -194,6 +197,7 @@ func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats) {
 		}
 	}
 	st.EdgesCopied = 2*g.NumEdges() - st.EdgesRemapped
+	st.EdgesWritten = 2 * g.NumEdges()
 	return out, st
 }
 
@@ -255,15 +259,14 @@ type sidePatch struct {
 	scratch *patchScratch
 }
 
-// patchScratch is the per-patch reusable scratch: the radix sort's second
-// buffer, a merged row's sorted adds and deletions, the rewritten entries
-// of a remapped row, and the remapped basis of a merged row.
+// patchScratch is the per-patch reusable scratch: the delta sort's two
+// entry buffers, the rewritten entries of a remapped row, and the remapped
+// basis of a merged row.
 type patchScratch struct {
-	tmp        []uint64
-	adds, dels []uint64
-	keys       []uint64
-	ids        []VertexID
-	ws         []int32
+	sort []Edge
+	keys []uint64
+	ids  []VertexID
+	ws   []int32
 }
 
 // remapRows returns, sorted and without repeats, the new IDs of the rows
@@ -291,7 +294,7 @@ func remapRows(relocs []reloc, moved, perm []VertexID, refRows func(VertexID) []
 // is remap-dirty.
 type dirtyRow struct {
 	v, old     VertexID
-	adds, dels span
+	adds, dels []uint64
 	remap      bool
 }
 
@@ -308,14 +311,14 @@ func (p *sidePatch) dirty() *dirtyRows { return &dirtyRows{p: p} }
 // next returns the next dirty row, or false after the last.
 func (it *dirtyRows) next() (dirtyRow, bool) {
 	p := it.p
-	if it.a == p.adds.len() && it.d == p.dels.len() && it.r == len(p.remap) {
+	if it.a == len(p.adds) && it.d == len(p.dels) && it.r == len(p.remap) {
 		return dirtyRow{}, false
 	}
 	v := VertexID(p.n)
-	if it.a < p.adds.len() {
+	if it.a < len(p.adds) {
 		v = p.adds.row(it.a)
 	}
-	if it.d < p.dels.len() {
+	if it.d < len(p.dels) {
 		v = min(v, p.dels.row(it.d))
 	}
 	if it.r < len(p.remap) {
@@ -328,8 +331,8 @@ func (it *dirtyRows) next() (dirtyRow, bool) {
 	if it.k < len(p.relocs) && p.relocs[it.k].to == v {
 		row.old = p.relocs[it.k].from
 	}
-	row.adds, row.dels = p.adds.run(it.a, v), p.dels.run(it.d, v)
-	it.a, it.d = row.adds.hi, row.dels.hi
+	row.adds, it.a = p.adds.run(it.a, v)
+	row.dels, it.d = p.dels.run(it.d, v)
 	if it.r < len(p.remap) && p.remap[it.r] == v {
 		row.remap = true
 		it.r++
@@ -342,7 +345,7 @@ func (it *dirtyRows) next() (dirtyRow, bool) {
 // A remapped row at its own index is remap-dirty only because it mentions
 // a moved vertex, so only a relocated row's entries need a look.
 func (p *sidePatch) writes(d *dirtyRow) bool {
-	return d.adds.n()+d.dels.n() > 0 || d.remap && (d.old == d.v || p.rewrites(d.old))
+	return len(d.adds)+len(d.dels) > 0 || d.remap && (d.old == d.v || p.rewrites(d.old))
 }
 
 // basisRow returns basis row u with its weights (ones when unweighted), or
@@ -381,10 +384,19 @@ func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
 	for _, c := range b.ids {
 		held += int64(len(c))
 	}
-	if 100*(held-live) > foldDeadPct*live || len(b.ids)+1 > maxChunks {
+	fold := ""
+	switch {
+	case 100*(held-live) > foldDeadPct*live:
+		fold = "dead"
+	case len(b.ids)+1 > maxChunks:
+		fold = "chunks"
+	}
+	if fold != "" {
+		st.Fold, st.EdgesWritten = cmp.Or(st.Fold, fold), st.EdgesWritten+live
 		a, err := p.fold(st, off)
 		return a, maxRow, err
 	}
+	st.EdgesWritten += fresh
 
 	ext := grown(b.ext, p.n)
 	ids := make([]VertexID, fresh)
@@ -454,7 +466,7 @@ func (p *sidePatch) prefix() (off []int64, maxRow, fresh int64, err error) {
 		if int(d.old) < gn {
 			deg = b.deg(d.old)
 		}
-		deg += int64(d.adds.n() - d.dels.n())
+		deg += int64(len(d.adds) - len(d.dels))
 		if deg < 0 {
 			return nil, 0, 0, fmt.Errorf("row %d: more deletions than edges", d.v)
 		}
@@ -540,7 +552,7 @@ func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
 func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []int32) error {
 	scr := p.scratch
 	base, bw := p.basisRow(d.old)
-	if base != nil && d.adds.n() == 0 && d.dels.n() == 0 {
+	if base != nil && len(d.adds) == 0 && len(d.dels) == 0 {
 		// Remap-only row: content unchanged, stale IDs rewritten through
 		// perm. Entries whose neighbor did not move carry over unchanged,
 		// so only rewritten entries count as remap work.
@@ -565,9 +577,7 @@ func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []i
 		}
 	}
 	// A merged row, or an appended vertex (no basis row, only adds).
-	scr.adds = p.adds.keys(d.adds, scr.adds)
-	scr.dels = p.dels.keys(d.dels, scr.dels)
-	if err := mergeRow(dst, dw, base, bw, scr.adds, scr.dels); err != nil {
+	if err := mergeRow(dst, dw, base, bw, d.adds, d.dels); err != nil {
 		return fmt.Errorf("row %d: %w", d.v, err)
 	}
 	st.EdgesMerged += int64(len(dst))
@@ -627,42 +637,50 @@ func weightAt(dw []int32, i int) int32 {
 }
 
 // mergeRow writes the basis row (base, bw) minus one occurrence per deletion
-// plus the additions into dst, and into dw unless it is nil, in one pass
-// over three inputs sorted by rowKey. dst is sized for every deletion
+// plus the additions into dst, and into dw unless it is nil; all three
+// inputs are sorted by rowKey. Each delta key, deletions first on ties,
+// scans the basis forward to its place — IDs first, weights only on ties —
+// and copies the basis run it passed whole, then drops the basis entry it
+// deletes or writes the entry it adds. dst is sized for every deletion
 // matching; when one does not, mergeRow returns an error without writing
 // past dst.
 func mergeRow(dst []VertexID, dw []int32, base []VertexID, bw []int32, adds, dels []uint64) error {
-	k, a, d := 0, 0, 0
-	for i, id := range base {
-		bk := rowKey(id, bw[i])
-		if d < len(dels) && dels[d] <= bk {
-			if dels[d] < bk {
-				return unmatched(base, bw, dels)
-			}
-			d++
-			continue
+	i, k, a, d := 0, 0, 0, 0 // the next basis entry, output slot, add and deletion
+	for a < len(adds) || d < len(dels) {
+		x, del := uint64(0), d < len(dels) && (a == len(adds) || dels[d] <= adds[a])
+		if del {
+			x, d = dels[d], d+1
+		} else {
+			x, a = adds[a], a+1
 		}
-		for ; a < len(adds) && adds[a] < bk; a, k = a+1, k+1 {
-			if k == len(dst) {
+		id, w := keyEntry(x)
+		j := i
+		for j < len(base) && base[j] < id {
+			j++
+		}
+		for j < len(base) && base[j] == id && bw[j] < w {
+			j++
+		}
+		if k+j-i > len(dst) {
+			return unmatched(base, bw, dels)
+		}
+		k += copyRun(dst[k:], dw, k, base[i:j], bw[i:j])
+		i = j
+		if del {
+			if i == len(base) || base[i] != id || bw[i] != w {
 				return unmatched(base, bw, dels)
 			}
-			aid, aw := keyEntry(adds[a])
-			put(dst, dw, k, aid, aw)
+			i++
+			continue
 		}
 		if k == len(dst) {
 			return unmatched(base, bw, dels)
 		}
-		put(dst, dw, k, id, bw[i])
+		put(dst, dw, k, id, w)
 		k++
 	}
-	if d < len(dels) {
-		return unmatched(base, bw, dels)
-	}
-	// Every deletion matched, so the rest of the adds fill dst exactly.
-	for ; a < len(adds); a, k = a+1, k+1 {
-		aid, aw := keyEntry(adds[a])
-		put(dst, dw, k, aid, aw)
-	}
+	// Every deletion matched, so the rest of the basis fills dst exactly.
+	copyRun(dst[k:], dw, k, base[i:], bw[i:])
 	return nil
 }
 
@@ -692,85 +710,107 @@ func unmatched(base []VertexID, bw []int32, dels []uint64) error {
 	return fmt.Errorf("deletion of non-existent edge to %d (weight %d)", id, w)
 }
 
-// rowDelta is one direction's view of a patch's adds or deletions: the
-// edges es, each owned by the row key gives it, in the order of order, whose
-// entries are row<<32 | index into es, sorted by row.
-type rowDelta struct {
-	es       []Edge
-	key      func(Edge) (VertexID, VertexID) // (row owner, stored neighbor)
-	weighted bool
-	order    []uint64
-}
-
-func (d *rowDelta) len() int { return len(d.order) }
-
-// row returns the row of entry i.
-func (d *rowDelta) row(i int) VertexID { return VertexID(d.order[i] >> 32) }
-
-// run returns the entries of row v starting at entry i, where every earlier
-// row ends.
-func (d *rowDelta) run(i int, v VertexID) span {
-	j := i
-	for j < d.len() && d.row(j) == v {
-		j++
-	}
-	return span{i, j}
-}
-
-// keys returns the rowKey-packed entries of sp, sorted, in buf's storage.
+// rowDelta is one direction's view of a patch's adds or deletions, sorted
+// by (row, rowKey): for each row that has entries, in increasing order, a
+// header row<<32 | count followed by the row's count entries as rowKeys.
 // Weights are normalized the way FromEdges stores them.
-func (d *rowDelta) keys(sp span, buf []uint64) []uint64 {
-	buf = buf[:0]
-	for _, o := range d.order[sp.lo:sp.hi] {
-		e := d.es[uint32(o)]
-		_, nb := d.key(e)
-		w := e.Weight
-		if !d.weighted || w == 0 {
-			w = 1
-		}
-		buf = append(buf, rowKey(nb, w))
+type rowDelta []uint64
+
+// row returns the row of the header at i.
+func (d rowDelta) row(i int) VertexID { return VertexID(d[i] >> 32) }
+
+// run returns the entries of row v if the header at i heads them, and the
+// index past them; otherwise none, and i.
+func (d rowDelta) run(i int, v VertexID) ([]uint64, int) {
+	if i == len(d) || d.row(i) != v {
+		return nil, i
 	}
-	slices.Sort(buf)
-	return buf
+	hi := i + 1 + int(uint32(d[i]))
+	return d[i+1 : hi : hi], hi
 }
 
-// span is a range [lo, hi) of a rowDelta's entries.
-type span struct{ lo, hi int }
-
-func (sp span) n() int { return sp.hi - sp.lo }
-
-// sortDelta sorts es by row owner: a stable radix sort of (row, index)
-// pairs on the row's bytes, O(b) per byte for b edges. Every row owner is
-// below n.
-func (s *patchScratch) sortDelta(es []Edge, n int, weighted bool, key func(Edge) (VertexID, VertexID)) rowDelta {
-	d := rowDelta{es: es, key: key, weighted: weighted}
-	if len(es) == 0 {
-		return d
-	}
-	order, tmp := make([]uint64, len(es)), resize(s.tmp, len(es))
+// sortDelta sorts es by out-row (Src) when out is set, else by in-row
+// (Dst), into its rowDelta: SortEdges orders the edges as (row, neighbor,
+// normalized weight) in the scratch's two entry buffers, which a patch's
+// four deltas reuse, so only the key array stays.
+func (s *patchScratch) sortDelta(es []Edge, weighted, out bool) rowDelta {
+	s.sort = resize(s.sort, 2*len(es))
+	xs := s.sort[:len(es)]
 	for i, e := range es {
-		v, _ := key(e)
-		order[i] = uint64(v)<<32 | uint64(i)
+		if !out {
+			e.Src, e.Dst = e.Dst, e.Src
+		}
+		if !weighted || e.Weight == 0 {
+			e.Weight = 1
+		}
+		xs[i] = e
 	}
-	for shift := 32; shift < 64 && (n-1)>>(shift-32) != 0; shift += 8 {
-		var count [256]int
-		for _, x := range order {
-			count[byte(x>>shift)]++
+	xs = SortEdges(xs, s.sort[len(es):])
+	rows := 0
+	for i, x := range xs {
+		if i == 0 || x.Src != xs[i-1].Src {
+			rows++
+		}
+	}
+	d, h := make(rowDelta, 0, rows+len(xs)), 0
+	for i, x := range xs {
+		if i == 0 || x.Src != xs[i-1].Src {
+			h, d = len(d), append(d, uint64(x.Src)<<32)
+		}
+		d[h]++
+		d = append(d, rowKey(x.Dst, x.Weight))
+	}
+	return d
+}
+
+// SortEdges sorts es by (Src, Dst, Weight), Weight signed, with a stable
+// LSD radix sort of its twelve key bytes, and returns the result: es itself
+// or tmp, a buffer of es's length. A byte every edge shares orders nothing,
+// so its pass is skipped: unweighted edges pay no weight pass, and IDs
+// below 2^16 no high-byte pass.
+func SortEdges(es, tmp []Edge) []Edge {
+	or, and := [3]uint32{}, [3]uint32{^uint32(0), ^uint32(0), ^uint32(0)} // per key word
+	for _, e := range es {
+		for f := range or {
+			or[f] |= edgeWord(e, f)
+			and[f] &= edgeWord(e, f)
+		}
+	}
+	for b := range 12 {
+		if byte((or[b>>2]^and[b>>2])>>(8*(b&3))) == 0 {
+			continue // every edge shares byte b
+		}
+		var c [256]int
+		for _, e := range es {
+			c[edgeDigit(e, b)]++
 		}
 		sum := 0
-		for i, c := range count {
-			count[i], sum = sum, sum+c
+		for i, x := range c {
+			c[i], sum = sum, sum+x
 		}
-		for _, x := range order {
-			d := byte(x >> shift)
-			tmp[count[d]] = x
-			count[d]++
+		for _, e := range es {
+			d := edgeDigit(e, b)
+			tmp[c[d]] = e
+			c[d]++
 		}
-		order, tmp = tmp, order
+		es, tmp = tmp, es
 	}
-	s.tmp = tmp // the buffer not holding the result
-	d.order = order
-	return d
+	return es
+}
+
+// edgeDigit returns byte b of e's sort key, least significant first.
+func edgeDigit(e Edge, b int) byte { return byte(edgeWord(e, b>>2) >> (8 * (b & 3))) }
+
+// edgeWord returns word f of e's sort key, least significant first: Weight
+// with its sign bit flipped, then Dst, then Src.
+func edgeWord(e Edge, f int) uint32 {
+	switch f {
+	case 0:
+		return uint32(e.Weight) ^ 1<<31
+	case 1:
+		return uint32(e.Dst)
+	}
+	return uint32(e.Src)
 }
 
 // resize returns s resliced to length n, reallocating only when its capacity

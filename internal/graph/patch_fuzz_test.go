@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -318,4 +320,122 @@ func FuzzPatchLineage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzMergeRow holds mergeRow against mergeRowOracle, the element-wise
+// merge it replaced: on weighted and unweighted rows, with adds equal to
+// deleted keys, runs of duplicate keys and deletions that match nothing,
+// the rows written and the error texts must be equal, and no case may
+// write past dst.
+func FuzzMergeRow(f *testing.F) {
+	f.Add(byte(0), []byte{3, 1, 2, 2, 4, 2, 0, 1, 3, 1, 4, 9})
+	f.Add(byte(1), []byte{5, 1, 3, 2, 4, 1, 5, 0, 0, 2, 1, 1, 2, 2, 3, 3})
+	f.Add(byte(1), []byte{4, 0, 0, 0, 1, 0, 2, 0, 3, 3, 128, 5, 1, 1, 9, 2, 0, 6})
+	f.Add(byte(0), []byte{0, 0, 3, 1, 1, 2})
+	weights := []int32{1, 2, -3, 0, math.MinInt32, math.MaxInt32}
+	f.Fuzz(func(t *testing.T, shape byte, data []byte) {
+		next := byteStream(data)
+		weighted := shape&1 != 0
+		key := func() uint64 {
+			w := int32(1)
+			if weighted {
+				w = weights[int(next())%len(weights)]
+			}
+			return rowKey(VertexID(next()%6), w)
+		}
+		var base []uint64
+		for i := int(next() % 24); i > 0; i-- {
+			base = append(base, key())
+		}
+		slices.Sort(base)
+		var adds, dels []uint64
+		for i := int(next() % 12); i > 0; i-- {
+			switch op := next(); {
+			case op < 96 && len(base) > 0: // a live deletion, maybe a repeat
+				dels = append(dels, base[int(next())%len(base)])
+			case op < 128: // a deletion that may match nothing
+				dels = append(dels, key())
+			case op < 160 && len(dels) > 0: // an add equal to a deleted key
+				adds = append(adds, dels[int(next())%len(dels)])
+			default: // a run of duplicate adds
+				k := key()
+				for r := 1 + int(op%3); r > 0; r-- {
+					adds = append(adds, k)
+				}
+			}
+		}
+		slices.Sort(adds)
+		slices.Sort(dels)
+		n := len(base) + len(adds) - len(dels)
+		if n < 0 {
+			return
+		}
+		ids, ws := make([]VertexID, len(base)), make([]int32, len(base))
+		for i, k := range base {
+			ids[i], ws[i] = keyEntry(k)
+		}
+		const guard = 4 // sentinel entries past dst
+		run := func(merge func([]VertexID, []int32, []VertexID, []int32, []uint64, []uint64) error) ([]VertexID, []int32, error) {
+			dst := slices.Repeat([]VertexID{NoVertex}, n+guard)
+			var dw []int32
+			if weighted {
+				dw = slices.Repeat([]int32{-7}, n+guard)
+			}
+			var cw []int32 // dw capped at dst's length
+			if weighted {
+				cw = dw[:n:n]
+			}
+			err := merge(dst[:n:n], cw, ids, ws, adds, dels)
+			for i := n; i < n+guard; i++ {
+				if dst[i] != NoVertex || weighted && dw[i] != -7 {
+					t.Fatalf("merge wrote past dst at %d", i)
+				}
+			}
+			return dst[:n], sub(dw, 0, int64(n)), err
+		}
+		gotIDs, gotWs, err := run(mergeRow)
+		wantIDs, wantWs, wantErr := run(mergeRowOracle)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("mergeRow error %v, oracle %v", err, wantErr)
+		}
+		if err == nil && (!slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotWs, wantWs)) {
+			t.Fatalf("mergeRow wrote %v %v, oracle %v %v", gotIDs, gotWs, wantIDs, wantWs)
+		}
+	})
+}
+
+// mergeRowOracle is the element-wise merge mergeRow replaced: one pass over
+// the basis row, writing each entry after the adds that sort before it.
+func mergeRowOracle(dst []VertexID, dw []int32, base []VertexID, bw []int32, adds, dels []uint64) error {
+	k, a, d := 0, 0, 0
+	for i, id := range base {
+		bk := rowKey(id, bw[i])
+		if d < len(dels) && dels[d] <= bk {
+			if dels[d] < bk {
+				return unmatched(base, bw, dels)
+			}
+			d++
+			continue
+		}
+		for ; a < len(adds) && adds[a] < bk; a, k = a+1, k+1 {
+			if k == len(dst) {
+				return unmatched(base, bw, dels)
+			}
+			aid, aw := keyEntry(adds[a])
+			put(dst, dw, k, aid, aw)
+		}
+		if k == len(dst) {
+			return unmatched(base, bw, dels)
+		}
+		put(dst, dw, k, id, bw[i])
+		k++
+	}
+	if d < len(dels) {
+		return unmatched(base, bw, dels)
+	}
+	for ; a < len(adds); a, k = a+1, k+1 {
+		aid, aw := keyEntry(adds[a])
+		put(dst, dw, k, aid, aw)
+	}
+	return nil
 }

@@ -422,7 +422,7 @@ func TestPatchEdgesPermNRenumber(t *testing.T) {
 				rewritten++ // the in-row entry of e.Dst
 			}
 		}
-		wantSt := PatchStats{EdgesRemapped: rewritten, EdgesCopied: 2*g.NumEdges() - rewritten}
+		wantSt := PatchStats{EdgesRemapped: rewritten, EdgesCopied: 2*g.NumEdges() - rewritten, EdgesWritten: 2 * g.NumEdges()}
 		if st != wantSt {
 			t.Fatalf("trial %d: stats %+v, want %+v", trial, st, wantSt)
 		}

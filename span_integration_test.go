@@ -166,6 +166,51 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	}
 }
 
+// TestGraphSpansReportFolds pins the fold attributes of the graph build
+// spans: every snapshot-build and reorder-patch span carries fold and
+// written_edges, each span that folded is counted by cause in
+// vebo_graph_folds_total, and a stream whose epochs rewrite many rows
+// folds at least once because of dead edges.
+func TestGraphSpansReportFolds(t *testing.T) {
+	g, updates, err := GenerateStream("powerlaw", 0.03, 2000, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		t.Helper()
+		v := d.View()
+		v.Snapshot()
+		if _, err := v.BFS(Ligra, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query()
+	for lo := 0; lo < len(updates); lo += 250 {
+		applyStream(t, d, updates[lo:lo+250], 250)
+		query()
+	}
+	var spans, folds int64
+	for _, sp := range d.Spans().Snapshot() {
+		if sp.Name != "graph" || sp.Cause == "reorder-build" {
+			continue
+		}
+		fold, ok := sp.Attrs["fold"]
+		if _, written := sp.Attrs["written_edges"]; !ok || !written {
+			t.Fatalf("%s span of epoch %d lacks fold or written_edges: %+v", sp.Cause, sp.Epoch, sp.Attrs)
+		}
+		spans, folds = spans+1, folds+fold
+	}
+	dead := d.Metrics().Counter("vebo_graph_folds_total", "cause", "dead").Value()
+	chunks := d.Metrics().Counter("vebo_graph_folds_total", "cause", "chunks").Value()
+	if dead == 0 || dead+chunks != folds {
+		t.Fatalf("%d of %d spans folded; vebo_graph_folds_total dead=%d chunks=%d", folds, spans, dead, chunks)
+	}
+}
+
 // TestEpochAgeGrowsBetweenPublishes is the staleness regression test:
 // vebo_epoch_age_ns samples grow monotonically while no new epoch is
 // published, then drop once a fresh view supersedes the stale one.

@@ -3,6 +3,7 @@ package vebo
 import (
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/graphgrind"
 	"repro/internal/obs"
 )
@@ -93,13 +94,22 @@ func (w *viewWork) observeQuery(v *View, alg, path string, sys System, start tim
 
 // emitGraph records one snapshot/relabeled-graph materialization decision:
 // the per-cause latency histogram sample and a "graph" build span
-// child-linked to v's publish span.
-func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, reused int64) {
+// child-linked to v's publish span. A row patch's stats st (nil for a
+// scratch build) add whether it folded, counted by cause in
+// vebo_graph_folds_total, and the edges it wrote.
+func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, reused int64, st *graph.PatchStats) {
 	w.reg.Histogram("vebo_graph_build_ns", "cause", cause).ObserveSince(start)
+	attrs := map[string]int64{"edges_touched": touched, "edges_reused": reused}
+	if st != nil {
+		attrs["fold"], attrs["written_edges"] = 0, st.EdgesWritten
+		if st.Fold != "" {
+			attrs["fold"] = 1
+			w.reg.Counter("vebo_graph_folds_total", "cause", st.Fold).Inc()
+		}
+	}
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "graph", Kind: "build", Cause: cause,
-		Epoch: v.epoch, Start: start, Dur: time.Since(start),
-		Attrs: map[string]int64{"edges_touched": touched, "edges_reused": reused},
+		Epoch: v.epoch, Start: start, Dur: time.Since(start), Attrs: attrs,
 	})
 }
 

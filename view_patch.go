@@ -16,10 +16,11 @@ import (
 func (v *View) Snapshot() *Graph {
 	v.snapOnce.Do(func() {
 		start := time.Now()
-		v.snap = v.frozen.Materialize()
+		var st graph.PatchStats
+		v.snap, st = v.frozen.Materialize()
 		v.work.rebuildEdges.Add(v.frozen.NumEdges())
 		v.work.graphBuilds.Add(1)
-		v.work.emitGraph(v, "snapshot-build", start, v.frozen.NumEdges(), 0)
+		v.work.emitGraph(v, "snapshot-build", start, v.frozen.NumEdges(), 0, &st)
 	})
 	return v.snap
 }
@@ -115,7 +116,7 @@ func (v *View) Reordered() (*Graph, error) {
 					v.work.relabelEdges.Add(st.EdgesRemapped)
 					v.work.reusedEdges.Add(st.EdgesCopied)
 					v.rgp.Store(rg)
-					v.work.emitGraph(v, "reorder-patch", start, st.EdgesMerged, st.EdgesCopied)
+					v.work.emitGraph(v, "reorder-patch", start, st.EdgesMerged, st.EdgesCopied, &st)
 					return
 				}
 				// Unreachable for deltas recorded by the dynamic subsystem;
@@ -131,7 +132,7 @@ func (v *View) Reordered() (*Graph, error) {
 		v.work.graphBuilds.Add(1)
 		v.work.rebuildEdges.Add(rg.NumEdges())
 		v.rgp.Store(rg)
-		v.work.emitGraph(v, "reorder-build", start, rg.NumEdges(), 0)
+		v.work.emitGraph(v, "reorder-build", start, rg.NumEdges(), 0, nil)
 	})
 	if rg := v.rgp.Load(); rg != nil {
 		v.d.registerMaterialized(v)
