@@ -459,7 +459,7 @@ func TestViewPatchesMoverIntoHole(t *testing.T) {
 		}
 		vp, vs := dp.View(), ds.View()
 		assertViewsAgree(t, vp, vs, VertexID(int(updates[lo].Dst)%g.NumVertices()))
-		if slices.Contains(vp.slot.seg, graph.NoVertex) {
+		if slices.Contains(vp.delta.seg, graph.NoVertex) {
 			holes++
 		}
 	}

@@ -8,18 +8,15 @@ package core
 type partitionHeap struct {
 	keys []int64 // load per partition, indexed by partition id
 	heap []int   // heap of partition ids
-	pos  []int   // pos[p] = index of partition p in heap
 }
 
 func newPartitionHeap(p int) *partitionHeap {
 	h := &partitionHeap{
 		keys: make([]int64, p),
 		heap: make([]int, p),
-		pos:  make([]int, p),
 	}
 	for i := 0; i < p; i++ {
 		h.heap[i] = i
-		h.pos[i] = i
 	}
 	return h
 }
@@ -61,15 +58,9 @@ func (h *partitionHeap) siftDown(i int) {
 		if smallest == i {
 			return
 		}
-		h.swap(i, smallest)
+		h.heap[i], h.heap[smallest] = h.heap[smallest], h.heap[i]
 		i = smallest
 	}
-}
-
-func (h *partitionHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
 }
 
 // maxKey scans for the maximum key (O(P); used only for reporting).

@@ -165,8 +165,6 @@ func ReorderDegrees(degrees []int64, p int, opts Options) (*Result, error) {
 
 	r := &Result{
 		P:            p,
-		Perm:         make([]graph.VertexID, n),
-		PartitionOf:  make([]uint32, n),
 		VertexCounts: make([]int64, p),
 		EdgeCounts:   make([]int64, p),
 	}
@@ -215,21 +213,38 @@ func ReorderDegrees(degrees []int64, p int, opts Options) (*Result, error) {
 		reassignInBlocks(degrees, order, assign, p)
 	}
 
-	// Phase 3: renumber so that each partition owns a contiguous range of
-	// new IDs and vertices within a partition keep degree-descending order.
-	next := make([]int64, p)
-	var acc int64
-	for pt := 0; pt < p; pt++ {
-		next[pt] = acc
-		acc += r.VertexCounts[pt]
-	}
-	for _, v := range order {
-		pt := assign[v]
-		r.Perm[v] = graph.VertexID(next[pt])
-		next[pt]++
-	}
-	copy(r.PartitionOf, assign)
+	// Phase 3, on the order already sorted.
+	r.Perm = number(order, assign, r.VertexCounts)
+	r.PartitionOf = assign
 	return r, nil
+}
+
+// Number is Algorithm 2's phase 3: it renumbers the vertices so each
+// partition owns a contiguous range of new IDs, in partition order, with its
+// vertices in decreasing degree order (ascending ID on ties) at the start of
+// the range. counts[p] is partition p's slot capacity and must be at least
+// its occupancy: VertexCounts for a compact ordering (the result is then a
+// permutation), occupancy plus reserved headroom for a slotted one (an
+// injection whose unmapped new IDs are the headroom). It is the one
+// numbering rule; the dynamic subsystem numbers every placement through it.
+func Number(degrees []int64, partOf []uint32, counts []int64) []graph.VertexID {
+	return number(sortByDegreeDesc(degrees), partOf, counts)
+}
+
+// number is Number over a vertex order already sorted by decreasing degree
+// (stable by vertex ID).
+func number(order []int, partOf []uint32, counts []int64) []graph.VertexID {
+	next := make([]int64, len(counts))
+	for p := 1; p < len(counts); p++ {
+		next[p] = next[p-1] + counts[p-1]
+	}
+	perm := make([]graph.VertexID, len(order))
+	for _, v := range order {
+		p := partOf[v]
+		perm[v] = graph.VertexID(next[p])
+		next[p]++
+	}
+	return perm
 }
 
 // Apply relabels g with the ordering's permutation, returning the reordered

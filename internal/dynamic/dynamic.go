@@ -7,12 +7,11 @@
 //   - Delta-log storage. The last compacted graph.Graph is kept immutable;
 //     inserted edges accumulate in an append-only log and deletions, each
 //     resolved to the (src,dst,weight) occurrence that died — a pending
-//     insertion or a base edge — in a second one. Snapshot materializes the
-//     surviving edge set by row-patching the base (cached per mutation
-//     epoch) and Compact promotes that snapshot to the new base. Freeze
-//     captures the same state in O(1) — prefixes of the two logs — so
-//     concurrent readers can materialize a snapshot without touching the
-//     live structures.
+//     insertion or a base edge — in a second one. Freeze captures the live
+//     state in O(1) — prefixes of the two logs — so concurrent readers can
+//     materialize a snapshot (the surviving edge set, row-patched onto the
+//     base) without touching the live structures; Compact materializes its
+//     own capture and promotes it to the new base.
 //
 //   - Incremental balance accounting. Per-partition in-edge counts (the
 //     paper's w[p]) and vertex counts (u[p]) are updated in O(1) per edge
@@ -91,7 +90,7 @@ type Config struct {
 	CompactEvery int
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
-	// space starts growing, every full ordering sort reserves
+	// space starts growing, every renumbering reserves
 	// max(MinHeadroom, HeadroomFrac·occupied) free slots at each segment's
 	// tail so admissions land in pre-allocated positions instead of
 	// shifting later segments; see Grow.
@@ -248,34 +247,28 @@ type Graph struct {
 	partEdges []int64
 	partVerts []int64
 
-	// epoch increments on every mutation; snapCache is valid for snapEpoch.
-	epoch     int64
-	snapCache *graph.Graph
-	snapEpoch int64
+	// epoch increments on every mutation.
+	epoch int64
 
-	// ordPerm caches the ordering permutation; nil when a placement change
-	// invalidated it. renumEpoch increments only when the whole numbering
-	// is invalidated (a full rebuild or a spillRelabel — headroom
-	// exhaustion, or the first growth converting the ordering to slotted
-	// form): swap repairs keep it, because they permute IDs only inside the
-	// affected partitions' segments and the rest of the numbering survives.
-	// The cached permutation is stable across epochs that only change
-	// degrees and is maintained copy-on-write across swap repairs, which is
-	// what makes engine-side patching possible.
+	// ordPerm is the ordering permutation, renumbered (number) at every
+	// placement change and never stale. renumEpoch increments only when
+	// the whole numbering is replaced (a full rebuild or a spillRelabel —
+	// headroom exhaustion, or the first growth converting the ordering to
+	// slotted form): swap repairs keep it, because they permute IDs only
+	// inside the affected partitions' segments and the rest of the
+	// numbering survives. The permutation is stable across epochs that only
+	// change degrees and is maintained copy-on-write across swap repairs,
+	// which is what makes engine-side patching possible.
 	renumEpoch int64
 	ordPerm    []graph.VertexID
 
-	// segCap[q] is partition q's slot capacity in the cached slotted
-	// ordering — the occupied prefix plus reserved admission headroom — and
-	// slotBase (len P+1) its cumulative boundaries: partition q owns new
-	// IDs [slotBase[q], slotBase[q+1]), of which [slotBase[q],
-	// slotBase[q]+partVerts[q]) are occupied. Both are nil while the
-	// ordering is compact. growing flips on the first Grow and stays set:
-	// from then on every full ordering sort reserves headroom, so workloads
-	// that never grow keep exact compact permutations.
-	segCap   []int64
+	// slotBase (len P+1) is the slotted ordering's layout: partition q owns
+	// new IDs [slotBase[q], slotBase[q+1]) — the occupied prefix
+	// [slotBase[q], slotBase[q]+partVerts[q]) plus reserved admission
+	// headroom. Nil while the ordering is compact: the first Grow slots it,
+	// and from then on every numbering reserves headroom, so workloads that
+	// never grow keep exact compact permutations.
 	slotBase []int64
-	growing  bool
 
 	// adaptGran caches the repair granularity estimate (a low quantile of
 	// the nonzero in-degrees); adaptNext is the update count (Stats.Updates)
@@ -322,8 +315,10 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		assign:    r.PartitionOf,
 		partEdges: r.EdgeCounts,
 		partVerts: r.VertexCounts,
+		// The initial ordering is compact, so its own phase-3 numbering is
+		// the first; it opens lineage 0.
+		ordPerm: r.Perm,
 	}
-	d.snapCache, d.snapEpoch = g, 0
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
 	d.m.placements.Add(int64(d.n))
 	d.sp = cfg.Spans
@@ -396,7 +391,7 @@ func (d *Graph) Epoch() int64 { return d.epoch }
 // and headroom admissions preserve it: between two orderings of
 // equal renumbering epochs, a vertex's new ID either stayed put or moved
 // within the closed set of positions whose occupant changed, so diffing
-// the two permutations (ViewDelta.Moved) finds every move.
+// the two permutations (MovedBetween) finds every move.
 func (d *Graph) RenumEpoch() int64 { return d.renumEpoch }
 
 // EffectiveRebuildThreshold returns the Δ(n) gate currently in force:

@@ -23,7 +23,7 @@ func (c Config) headroom(occ int64) int64 {
 // free headroom — Algorithm 1's least-loaded-bin rule applied incrementally,
 // the same rule phase 2 uses for zero-degree vertices — and fills the next
 // reserved slot at that partition's segment tail. The first Grow in a
-// numbering lineage converts the cached ordering to slotted form (a
+// numbering lineage converts the ordering to slotted form (a
 // relabeling epoch that reserves max(MinHeadroom, HeadroomFrac·occupied)
 // free slots at every segment tail; see Config); after that, admissions
 // extend the ordering in place — no copy, no shift of later segments — so
@@ -39,11 +39,9 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		return first
 	}
 	gstart := time.Now()
-	d.growing = true
-	d.ensureOrdering()
-	if d.segCap == nil {
-		// First growth in this lineage: the cached ordering predates growing
-		// and has no reserved slots. Relabel into slotted form.
+	if d.slotBase == nil {
+		// First growth in this lineage: the ordering is compact and has no
+		// reserved slots. Relabel into slotted form.
 		d.spillRelabel()
 	}
 	spills := int64(0)
@@ -91,15 +89,11 @@ func (d *Graph) Grow(count int) graph.VertexID {
 
 // admitTarget returns the partition the next admission should fill: the
 // fewest-vertices partition among those with free headroom, ties broken by
-// edge load. Returns -1 when every partition's headroom is exhausted (or the
-// ordering is not slotted yet).
+// edge load. Returns -1 when every partition's headroom is exhausted.
 func (d *Graph) admitTarget() int {
-	if d.segCap == nil {
-		return -1
-	}
 	best := -1
 	for q := range d.partVerts {
-		if d.partVerts[q] >= d.segCap[q] {
+		if d.partVerts[q] >= d.slotBase[q+1]-d.slotBase[q] {
 			continue
 		}
 		if best < 0 || d.partVerts[q] < d.partVerts[best] ||
@@ -110,47 +104,22 @@ func (d *Graph) admitTarget() int {
 	return best
 }
 
-// spillRelabel converts the ordering to freshly slotted form through a
-// relabeling epoch: the numbering lineage breaks (placementChanged), and the
-// rebuilt ordering reserves headroom at every segment tail, guaranteeing
+// spillRelabel renumbers the placement into freshly slotted form through a
+// relabeling epoch: the numbering lineage breaks (RenumEpoch), and the new
+// ordering reserves headroom at every segment tail, guaranteeing
 // admitTarget succeeds. Called on the first growth of a lineage and on
 // headroom exhaustion; only the latter counts as a spill.
 func (d *Graph) spillRelabel() {
-	spill := d.segCap != nil
+	spill := d.slotBase != nil
 	if spill {
 		d.m.headroomSpills.Inc()
 	}
 	sstart := time.Now()
-	d.placementChanged()
-	d.ensureOrdering()
+	d.renumEpoch++
+	d.number(true)
 	d.sp.Record(obs.Span{
 		Parent: d.curBatch.Context().ID, Name: "spill", Kind: "maintain",
 		Cause: map[bool]string{true: "headroom-exhausted", false: "first-growth"}[spill],
 		Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
 	})
-}
-
-// Headroom reports the admission headroom of the cached slotted ordering:
-// free reserved slots and total slot capacity, summed over partitions. Both
-// are zero while the ordering is compact (no Grow yet) or stale (a
-// renumbering is pending and the next ensureOrdering re-reserves).
-func (d *Graph) Headroom() (free, capacity int64) {
-	if d.segCap == nil || d.ordPerm == nil {
-		return 0, 0
-	}
-	for q, c := range d.segCap {
-		capacity += c
-		free += c - d.partVerts[q]
-	}
-	return free, capacity
-}
-
-// SlotCounts returns a copy of the per-partition slot capacities of the
-// cached slotted ordering (occupied plus reserved headroom), or nil while
-// the ordering is compact.
-func (d *Graph) SlotCounts() []int64 {
-	if d.segCap == nil {
-		return nil
-	}
-	return append([]int64(nil), d.segCap...)
 }

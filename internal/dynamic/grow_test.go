@@ -2,11 +2,13 @@ package dynamic
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // TestGrowAdmitsZeroDegreeLeastLoaded checks the admission rule: every
@@ -103,6 +105,33 @@ func TestGrowOrderingSegmentTails(t *testing.T) {
 				t.Fatalf("growth reordered %d and %d within their segment", v, u)
 			}
 		}
+	}
+}
+
+// TestHeadroomAfterRebuild: a rebuild in a growing lineage renumbers into
+// slotted form at once, so right after it — before anyone reads the
+// Ordering — Headroom and the per-partition slot gauges report the fresh
+// headroom, and agree.
+func TestHeadroomAfterRebuild(t *testing.T) {
+	g, err := gen.ErdosRenyi(300, 2500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d, err := New(g, Config{Partitions: 8, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Grow(5)
+	d.Rebuild()
+	free, capacity := d.Headroom()
+	var gaugeFree int64
+	for q := 0; q < d.Partitions(); q++ {
+		gaugeFree += reg.Gauge("vebo_headroom_slots", "partition", strconv.Itoa(q)).Value()
+	}
+	if free <= 0 || free != capacity-int64(d.NumVertices()) || gaugeFree != free {
+		t.Fatalf("after Grow and Rebuild: Headroom() = (%d, %d) with n = %d, gauges sum to %d",
+			free, capacity, d.NumVertices(), gaugeFree)
 	}
 }
 

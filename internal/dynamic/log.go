@@ -271,8 +271,9 @@ func (f Frozen) Materialize() (*graph.Graph, graph.PatchStats) {
 // Since returns the net edge change from the earlier capture b to f, as
 // sorted insertion and deletion lists with multiplicities unrolled: the log
 // entries f holds past b (insertions minus deletions), netted per (Src,
-// Dst, Weight). It spans at most one compaction; ok is false when b
-// predates f's previous generation or was captured after f.
+// Dst, Weight). The lists are freshly allocated and the caller's own to
+// rewrite. It spans at most one compaction; ok is false when b predates f's
+// previous generation or was captured after f.
 func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
 	plus, minus, ok := f.logsSince(b)
 	if !ok {
@@ -346,30 +347,24 @@ func compareEdges(a, b graph.Edge) int {
 }
 
 // Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph
-// the processing engines can traverse. The result is cached until the next
-// mutation; callers must not retain it across ApplyBatch if they need the
-// newest state, but may keep using an old snapshot safely (it is never
-// mutated).
+// the processing engines can traverse: one Freeze().Materialize(). The
+// result is never mutated, so callers may keep using an old snapshot safely
+// across later batches.
 func (d *Graph) Snapshot() *graph.Graph {
-	if d.snapCache != nil && d.snapEpoch == d.epoch {
-		return d.snapCache
-	}
 	g, _ := d.Freeze().Materialize()
-	d.snapCache, d.snapEpoch = g, d.epoch
 	return g
 }
 
-// Compact promotes the current snapshot to the new base graph and starts a
-// new log generation, keeping the retired logs as the previous generation
-// for Frozen.Since. Engines holding older snapshots (and views holding
-// older freezes) are unaffected: the old base and log prefix stay
-// immutable. The
-// "compact" span parents onto the batch whose log bound triggered it, or
-// onto nothing for a direct call.
+// Compact materializes a capture of the live graph as the new base and
+// starts a new log generation, keeping the retired logs as the previous
+// generation for Frozen.Since. Engines holding older snapshots (and views
+// holding older freezes) are unaffected: the old base and log prefix stay
+// immutable. The "compact" span parents onto the batch whose log bound
+// triggered it, or onto nothing for a direct call.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
-	d.base = d.Snapshot()
+	d.base, _ = d.Freeze().Materialize()
 	d.prevPending, d.prevDels = d.pendingAdd, d.delLog
 	d.pendingAdd, d.delLog = nil, nil
 	d.gen++

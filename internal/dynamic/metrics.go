@@ -69,11 +69,10 @@ func (d *Graph) syncGauges() {
 	d.m.vertImb.Set(d.VertexImbalance())
 	d.m.effThresh.Set(d.effEdgeThreshold())
 	d.m.pendingOps.Set(d.PendingOps())
-	slotted := d.segCap != nil && d.ordPerm != nil
 	for q, g := range d.m.headroomSlots {
 		var free int64
-		if slotted {
-			free = d.segCap[q] - d.partVerts[q]
+		if d.slotBase != nil {
+			free = d.slotBase[q+1] - d.slotBase[q] - d.partVerts[q]
 		}
 		g.Set(free)
 	}

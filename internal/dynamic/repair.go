@@ -94,7 +94,7 @@ func (d *Graph) ensureMembers() {
 // closest to half the gap), breaking ties toward the lowest-degree u. The
 // two vertices exchange new IDs, so the ordering permutation changes at
 // exactly the swapped positions — a segment-local permutation the view
-// layer can patch engines across (ViewDelta.Moved). The shared cached
+// layer can patch engines across (MovedBetween). The shared
 // permutation and assignment are never mutated: a repair pass that swaps
 // clones them once (copy-on-write) so views pinned to earlier epochs keep
 // their numbering.
@@ -107,7 +107,6 @@ func (d *Graph) swapRepair() (swaps int64) {
 	if core.Spread(d.partEdges) <= th {
 		return 0
 	}
-	d.ensureOrdering()
 	d.ensureMembers()
 	lists := d.members
 	// Partition member lists are sorted by ascending live degree lazily, on
@@ -226,7 +225,9 @@ func argMin2Neg(xs []int64) int {
 	return best
 }
 
-// rebuild runs the full Algorithm 2 over the live degree array.
+// rebuild runs the full Algorithm 2 over the live degree array and starts a
+// new numbering lineage. The result's compact Perm is dropped: number
+// renumbers the placement, slotted if the vertex space has grown.
 func (d *Graph) rebuild() {
 	r, err := core.ReorderDegrees(d.degIn, d.cfg.Partitions, core.Options{})
 	if err != nil {
@@ -235,16 +236,8 @@ func (d *Graph) rebuild() {
 	}
 	d.assign, d.partEdges, d.partVerts = r.PartitionOf, r.EdgeCounts, r.VertexCounts
 	d.m.placements.Add(int64(d.n))
-	d.placementChanged()
-}
-
-// placementChanged invalidates everything keyed to the placement: the cached
-// permutation and the patchability of engine-side structures. Swap repairs
-// do NOT go through here — they maintain the permutation copy-on-write,
-// keeping the numbering lineage (renumEpoch) intact.
-func (d *Graph) placementChanged() {
-	d.ordPerm = nil
 	d.renumEpoch++
+	d.number(d.slotBase != nil)
 	// The swap repair's member lists no longer match the assignment.
 	d.members = nil
 }

@@ -20,9 +20,11 @@ import (
 // owns the occupied prefix of one contiguous segment), every earlier
 // Ordering against the copy taken when it was published (the permutation
 // and assignment are copy-on-write), and Stats against the spans: one
-// repair, rebuild and compact span per counted event. After a batch that
-// did not rebuild, Δ(n) and δ(n) must be within their gates. Every batch
-// rebuild span must name why the swap repair fell short.
+// repair, rebuild and compact span per counted event. After every step
+// that renumbered (a rebuild, or a Grow that relabeled into fresh
+// headroom) the ordering must equal numberOracle of the live state. After
+// a batch that did not rebuild, Δ(n) and δ(n) must be within their gates.
+// Every batch rebuild span must name why the swap repair fell short.
 func FuzzSwapRepair(f *testing.F) {
 	// Random seeds: with few vertices per partition, uniform churn trips the
 	// gate often enough to exercise swaps and both rebuild causes.
@@ -58,17 +60,22 @@ func FuzzSwapRepair(f *testing.F) {
 		}
 		var pins []pinnedOrdering
 		for step := 0; step < 32 && i < len(data); step++ {
+			renum := d.RenumEpoch()
 			switch next() % 16 {
 			case 14:
 				d.Grow(1 + next()%3)
 				n = d.NumVertices()
 				checkBalance(t, d, live)
 				pins = checkPinned(t, d, sp, pins)
+				if d.RenumEpoch() != renum {
+					checkNumbered(t, d)
+				}
 				continue
 			case 15:
 				d.Rebuild()
 				checkBalance(t, d, live)
 				pins = checkPinned(t, d, sp, pins)
+				checkNumbered(t, d)
 				continue
 			}
 			var batch []graph.EdgeUpdate
@@ -92,6 +99,9 @@ func FuzzSwapRepair(f *testing.F) {
 			}
 			checkBalance(t, d, live)
 			pins = checkPinned(t, d, sp, pins)
+			if res.Rebuilt {
+				checkNumbered(t, d)
+			}
 			if res.EdgeImbalance != d.EdgeImbalance() || res.VertexImbalance != d.VertexImbalance() {
 				t.Fatalf("step %d: batch reports Δ=%d δ=%d, graph Δ=%d δ=%d",
 					step, res.EdgeImbalance, res.VertexImbalance, d.EdgeImbalance(), d.VertexImbalance())

@@ -136,7 +136,6 @@ func BenchmarkSwapRepair(b *testing.B) {
 		}
 		lo += batch
 	}
-	d.ensureOrdering()
 	d.ensureMembers()
 	partEdges := append([]int64(nil), d.partEdges...)
 	members := make([][]graph.VertexID, p)

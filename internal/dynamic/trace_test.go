@@ -304,9 +304,8 @@ func TestTraceGrowthSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, reg, sp := instrumented(t, g, Config{Partitions: 4})
-	// Cache the compact ordering first, as a published view does, so the
-	// first growth has to relabel it into slotted form.
-	d.Ordering()
+	// The ordering starts compact, so the first growth has to relabel it
+	// into slotted form.
 	if first := d.Grow(3); first != 12 {
 		t.Fatalf("first admitted ID %d, want 12", first)
 	}

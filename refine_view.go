@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/algorithms"
-	"repro/internal/dynamic"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 )
@@ -16,10 +15,10 @@ import (
 // This file implements result patching across epochs (DESIGN.md §5d): a
 // query on epoch E seeds from the basis view's converged result — cached in
 // a lineage-keyed Refined capture — and refines only the region the
-// ViewDelta can have affected. Every Refine* query runs through one driver,
+// view's delta can have affected. Every Refine* query runs through one driver,
 // refine, which owns the shared decisions — cache hit, scratch seed,
 // unchanged delta, the touched-endpoint fallback gate, storing the capture
-// and observing the query — and reads the view's own ViewDelta as is. Each
+// and observing the query — and reads the view's own delta as is. Each
 // query supplies only a cold run and a warm step. The monotone algorithms
 // (BFS depths, canonical CC labels, Bellman-Ford distances) share
 // refineRelax, the KickStarter-style route: conservatively reset the
@@ -38,8 +37,8 @@ import (
 // View.deltaOver(b) exactly covers the span from the basis b to the view
 // (Frozen.Since nets the log entries between the two captures, so the edge
 // multiset is exact). The delta is shared by every consumer of the view;
-// warm steps read its slot-space copy (slotDeltaOver), relabeled once per
-// view, and never rewrite either.
+// warm steps read its edges, relabeled into the view's slots once per view,
+// and never rewrite them.
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -304,9 +303,8 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 
 // warmStep refines an engine-space seed — the basis capture carried into
 // the view's slots, zero at admitted vertices (seedFrom) — in place by the
-// view's delta, given both in original IDs and in slots. ok=false means the
-// step's own fallback gate tripped.
-type warmStep[T any] func(e Engine, seed []T, vd dynamic.ViewDelta, sd *slotDelta) (st RefineStats, ok bool)
+// view's delta. ok=false means the step's own fallback gate tripped.
+type warmStep[T any] func(e Engine, seed []T, vd *viewDelta) (st RefineStats, ok bool)
 
 // refine drives every Refine* query end to end: cache hit, scratch seed,
 // unchanged delta, gated fallback or refinement. cold computes the
@@ -341,15 +339,15 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 		return scratch(RefineScratchSeed)
 	}
 	vd := v.deltaOver(b)
-	// Touched never exceeds the endpoint count, so a small delta skips its sort.
-	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && vd.Touched() > gate {
+	// touched never exceeds the endpoint count, so a small delta skips its sort.
+	if gate := v.nverts / refineConeDenom; 2*(len(vd.adds)+len(vd.dels)) > gate && vd.touched() > gate {
 		return scratch(RefineScratchFallback)
 	}
 	seed := seedFrom(v, b, cap_.vals.([]T), vd)
-	if vd.Empty() {
+	if vd.empty() {
 		return store(seed, cap_.eps, RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch})
 	}
-	st, ok := warm(e, seed, vd, v.slotDeltaOver(b))
+	st, ok := warm(e, seed, vd)
 	if !ok {
 		return scratch(RefineScratchFallback)
 	}
@@ -364,9 +362,9 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 // the hole it filled; a slot that stays a hole keeps its inert value.
 // Across a placement change every vertex is gathered through both
 // permutations.
-func seedFrom[T int64 | float64](v, b *View, bs []T, vd dynamic.ViewDelta) []T {
+func seedFrom[T int64 | float64](v, b *View, bs []T, vd *viewDelta) []T {
 	perm, bperm := v.ord.Perm, b.ord.Perm
-	if vd.PlacementChanged || len(bs) != v.slots() {
+	if vd.placementChanged || len(bs) != v.slots() {
 		seed := make([]T, v.slots())
 		for w, s := range bperm {
 			seed[perm[w]] = bs[s]
@@ -374,10 +372,10 @@ func seedFrom[T int64 | float64](v, b *View, bs []T, vd dynamic.ViewDelta) []T {
 		return seed
 	}
 	seed := slices.Clone(bs)
-	for _, w := range vd.Moved {
+	for _, w := range vd.moved {
 		seed[perm[w]] = bs[bperm[w]]
 	}
-	for _, s := range perm[v.nverts-int(vd.Grown) : v.nverts] {
+	for _, s := range perm[v.nverts-int(vd.grown) : v.nverts] {
 		seed[s] = 0
 	}
 	return seed
@@ -403,10 +401,10 @@ type refineSpec struct {
 // and relax to fixpoint. ok=false means the fallback gate tripped and the
 // driver computes cold.
 func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
-	return func(e Engine, seed []int64, vd dynamic.ViewDelta, sd *slotDelta) (RefineStats, bool) {
+	return func(e Engine, seed []int64, vd *viewDelta) (RefineStats, bool) {
 		rg := e.Graph()
 		perm := v.ord.Perm
-		grown := perm[v.nverts-int(vd.Grown) : v.nverts]
+		grown := perm[v.nverts-int(vd.grown) : v.nverts]
 		for _, u := range grown {
 			seed[u] = spec.resetVal(u)
 		}
@@ -414,7 +412,7 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 		if m := rg.NumEdges() / 4; m > budget {
 			budget = m
 		}
-		cone, ok := invalidationCone(rg, seed, sd.dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
+		cone, ok := invalidationCone(rg, seed, vd.dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
 		if !ok {
 			return RefineStats{}, false
 		}
@@ -432,12 +430,12 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 				}
 			}
 		}
-		for _, ed := range sd.adds {
+		for _, ed := range vd.adds {
 			if seed[ed.Src] < algorithms.RelaxInf {
 				list = append(list, ed.Src)
 			}
 		}
-		for _, w := range vd.Moved {
+		for _, w := range vd.moved {
 			if u := perm[w]; seed[u] < algorithms.RelaxInf {
 				list = append(list, u)
 			}
@@ -556,13 +554,13 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	perm := v.ord.Perm
 	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
 		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
-		func(e Engine, seed []float64, vd dynamic.ViewDelta, sd *slotDelta) (RefineStats, bool) {
-			nOld := v.nverts - int(vd.Grown)
+		func(e Engine, seed []float64, vd *viewDelta) (RefineStats, bool) {
+			nOld := v.nverts - int(vd.grown)
 			algorithms.PageRankResume(e, seed, algorithms.RankDelta{
-				Adds: sd.adds, Dels: sd.dels,
+				Adds: vd.adds, Dels: vd.dels,
 				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
 			}, prScratchIters, eps)
-			return RefineStats{FrontierVertices: vd.Touched()}, true
+			return RefineStats{FrontierVertices: vd.touched()}, true
 		},
 		func(vals []float64) []float64 { return unpermute(perm, vals) })
 }

@@ -211,17 +211,17 @@ func TestRefineSeedFixUps(t *testing.T) {
 					continue
 				}
 				vd := v.deltaOver(b)
-				if vd.PlacementChanged {
+				if vd.placementChanged {
 					placement++
 					continue
 				}
-				if len(vd.Moved) > 0 {
+				if len(vd.moved) > 0 {
 					swaps++
 				}
-				if vd.Grown > 0 {
+				if vd.grown > 0 {
 					admits++
 				}
-				if slices.Contains(v.slotDeltaOver(b).seg, graph.NoVertex) {
+				if slices.Contains(vd.seg, graph.NoVertex) {
 					holes++
 				}
 			}
@@ -249,7 +249,7 @@ func assertSeedIsRepermute[T int64 | float64](t *testing.T, v, b *View, key refi
 		if got[s] != want[s] {
 			vd := v.deltaOver(b)
 			t.Fatalf("epoch %d %s: seed at slot %d (vertex %d) = %v, want %v (basis epoch %d, %d moved, %d admitted, placement changed %v)",
-				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.Moved), vd.Grown, vd.PlacementChanged)
+				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.moved), vd.grown, vd.placementChanged)
 		}
 	}
 }
@@ -536,7 +536,7 @@ func TestRefineLeavesViewDeltaIntact(t *testing.T) {
 	for i := range x {
 		x[i] = 1 / float64(i+1)
 	}
-	refined := 0
+	refined, relabeled := 0, 0
 	const batch = 64
 	for lo := 0; lo < len(updates); lo += batch {
 		hi := min(lo+batch, len(updates))
@@ -547,6 +547,7 @@ func TestRefineLeavesViewDeltaIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		vp, vs := dp.View(), ds.View()
+		b := vp.basis.Load()
 		_, sst, err := vp.RefineSSSP(Ligra, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -582,9 +583,34 @@ func TestRefineLeavesViewDeltaIntact(t *testing.T) {
 		if !slices.Equal(rg.Edges(), want.Edges()) {
 			t.Fatalf("epoch %d: relabeled graph after refinement differs from a scratch relabel", vp.Epoch())
 		}
+		if b == nil {
+			continue
+		}
+		// deltaOver relabeled Since's lists in place; the logs behind them
+		// must still net to the original-ID lists.
+		vd := vp.deltaOver(b)
+		adds, dels, _ := vp.frozen.Since(b.frozen)
+		for _, l := range [][2][]graph.Edge{{adds, vd.adds}, {dels, vd.dels}} {
+			orig, slot := l[0], l[1]
+			if len(orig) != len(slot) {
+				t.Fatalf("epoch %d: Since returned %d edges, the view's delta holds %d", vp.Epoch(), len(orig), len(slot))
+			}
+			for i, e := range orig {
+				if e.Src != slot[i].Src || e.Dst != slot[i].Dst {
+					relabeled++
+				}
+				e.Src, e.Dst = vp.ord.Perm[e.Src], vp.ord.Perm[e.Dst]
+				if e != slot[i] {
+					t.Fatalf("epoch %d: Since edge %d relabels to %v, the view's delta holds %v", vp.Epoch(), i, e, slot[i])
+				}
+			}
+		}
 	}
 	if refined == 0 {
 		t.Fatal("no epoch refined both queries; the warm steps never ran")
+	}
+	if relabeled == 0 {
+		t.Fatal("no delta edge changed under the relabel; the in-place rewrite was not observed")
 	}
 	if dp.ViewWork().EnginePatches == 0 {
 		t.Fatal("GraphGrind was never patched; the delta's engine consumer never ran")

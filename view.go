@@ -23,7 +23,7 @@ import (
 // Engine state is reused across epochs: when a new View's numbering lineage
 // is intact relative to the previous materialized View — identical
 // placement, or a placement-preserving swap repair that only permuted IDs
-// inside the affected partitions' segments (dynamic.ViewDelta.Moved) — its
+// inside the affected partitions' segments (viewDelta.moved) — its
 // relabeled graph is patched row-wise from the predecessor's through the
 // segment-local permutation, and GraphGrind's per-partition COOs are
 // rebuilt only for partitions whose edge content changed or that touch a
@@ -51,7 +51,7 @@ type View struct {
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
 
 	deltaOnce sync.Once
-	delta     dynamic.ViewDelta // the changes since the basis (deltaOver)
+	delta     viewDelta // the changes since the basis, in slot space (deltaOver)
 
 	snapOnce sync.Once
 	snap     *Graph
@@ -62,9 +62,6 @@ type View struct {
 
 	invOnce sync.Once
 	inv     []VertexID // new ID -> original ID
-
-	slotOnce sync.Once
-	slot     slotDelta // the delta over the basis in slot space (slotDeltaOver)
 
 	eng  [3]engineSlot
 	engT [3]engineSlot

@@ -25,78 +25,6 @@ func (v *View) Snapshot() *Graph {
 	return v.snap
 }
 
-// slotDelta is a view's delta over its basis in the view's slot space,
-// computed once (slotDeltaOver) and read as is by every derivation: the
-// graph patch, the GraphGrind patch and the refine warm steps. seg and
-// dirty are set only while the numbering lineage is intact
-// (!delta.PlacementChanged).
-type slotDelta struct {
-	// adds and dels are the net edge change with endpoints relabeled into
-	// the view's slots; the view's ViewDelta keeps the original-ID copy.
-	adds, dels []graph.Edge
-	// seg maps each basis slot to its slot in this view: C.Perm[w] at
-	// B.Perm[w] for each moved vertex w, graph.NoVertex at a basis hole a
-	// mover now occupies, and the identity elsewhere. Nil when nothing
-	// moved.
-	seg []VertexID
-	// dirty lists (unsorted, repeats allowed) the view slots whose in-edges
-	// or occupant changed: the destinations of adds and dels and the
-	// positions of the moved and admitted vertices.
-	dirty []VertexID
-}
-
-// slotDeltaOver returns the view's slot-space delta over its basis b,
-// computing it on first use from deltaOver(b).
-//
-// Within a numbering lineage the slot space is fixed: admissions fill
-// reserved headroom slots, so every basis position keeps its ID and an
-// admitted slot has no basis preimage (its content arrives as adds). Only
-// swap repairs move vertices, each within a closed set of positions, so
-// seg is the identity outside the moved vertices' positions. A basis hole
-// is an empty row: when a swap pairs a vertex admitted into it with a basis
-// vertex, the basis vertex takes the hole's slot and the hole has no image
-// left, which NoVertex says.
-func (v *View) slotDeltaOver(b *View) *slotDelta {
-	v.slotOnce.Do(func() {
-		vd := v.deltaOver(b)
-		perm := v.ord.Perm
-		sd := &v.slot
-		sd.adds, sd.dels = relabel(vd.Adds, perm), relabel(vd.Dels, perm)
-		if vd.PlacementChanged {
-			return
-		}
-		if len(vd.Moved) > 0 {
-			sd.seg = make([]VertexID, b.slots())
-			for s := range sd.seg {
-				sd.seg[s] = VertexID(s)
-			}
-			for _, w := range vd.Moved {
-				sd.seg[b.ord.Perm[w]] = perm[w]
-			}
-			// A basis vertex at a mover's new slot moved too, so a slot
-			// there still mapping to itself held no basis vertex: it was a
-			// hole.
-			for _, w := range vd.Moved {
-				if t := perm[w]; sd.seg[t] == t {
-					sd.seg[t] = graph.NoVertex
-				}
-			}
-		}
-		for _, es := range [][]graph.Edge{sd.adds, sd.dels} {
-			for _, e := range es {
-				sd.dirty = append(sd.dirty, e.Dst)
-			}
-		}
-		for _, w := range vd.Moved {
-			sd.dirty = append(sd.dirty, perm[w])
-		}
-		// Admissions are append-only in the internal space, so the vertices
-		// admitted since the basis are exactly the internal tail.
-		sd.dirty = append(sd.dirty, perm[v.nverts-int(vd.Grown):v.nverts]...)
-	})
-	return &v.slot
-}
-
 // Reordered returns (building once, lazily) the view's graph relabeled with
 // its VEBO ordering — the graph the cached engines traverse. When the
 // previous materialized view shares the same numbering lineage (identical
@@ -106,10 +34,10 @@ func (v *View) slotDeltaOver(b *View) *slotDelta {
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		start := time.Now()
-		if b := v.basis.Load(); b != nil && !v.deltaOver(b).PlacementChanged {
+		if b := v.basis.Load(); b != nil && !v.deltaOver(b).placementChanged {
 			if brg := b.rgp.Load(); brg != nil {
-				sd := v.slotDeltaOver(b)
-				rg, st, err := brg.PatchEdgesPermN(v.slots(), sd.adds, sd.dels, sd.seg)
+				vd := v.deltaOver(b)
+				rg, st, err := brg.PatchEdgesPermN(v.slots(), vd.adds, vd.dels, vd.seg)
 				if err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
@@ -162,18 +90,6 @@ func (v *View) dropSpentBasis() {
 	}
 }
 
-// relabel returns a copy of a delta edge list with its endpoints mapped
-// through a permutation. The delta is shared by every consumer of the view,
-// so it is never rewritten in place.
-func relabel(edges []graph.Edge, perm []VertexID) []graph.Edge {
-	out := make([]graph.Edge, len(edges))
-	for i, e := range edges {
-		e.Src, e.Dst = perm[e.Src], perm[e.Dst]
-		out[i] = e
-	}
-	return out
-}
-
 // buildEngine builds the view's engine for sys over its relabeled graph.
 // Ligra's scheduling units and Polymer's socket partitions depend only on
 // the vertex count and degree offsets, so both are always one NewEngine.
@@ -190,10 +106,10 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver(b).PlacementChanged {
+	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver(b).placementChanged {
 		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
-			sd := v.slotDeltaOver(b)
-			e, st, err := be.Patch(rg, sd.seg, sd.dirty)
+			vd := v.deltaOver(b)
+			e, st, err := be.Patch(rg, vd.seg, vd.dirty)
 			if err == nil {
 				v.recordPatch(st)
 				v.work.emitEngine(v, "patch", sys, start)

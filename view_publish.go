@@ -1,9 +1,11 @@
 package vebo
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -80,13 +82,77 @@ func (d *Dynamic) publish(received time.Time) {
 		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
 }
 
+// viewDelta is a view's delta over its basis, computed once (deltaOver)
+// and read as is by every derivation: the graph patch, the GraphGrind patch
+// and the refine warm steps. seg and dirty are set only while the numbering
+// lineage is intact (!placementChanged).
+type viewDelta struct {
+	// adds and dels are the net edge change with multiplicities unrolled —
+	// Frozen.Since's lists, in original (Src, Dst, Weight) order — with
+	// their endpoints relabeled in place into the view's slots.
+	adds, dels []graph.Edge
+	// moved holds, sorted, the pre-existing vertices (original IDs below the
+	// basis vertex count) whose slot differs between the two orderings:
+	// repositioned by swap repairs, which move vertices within a closed set
+	// of positions and leave the segment boundaries alone. Nil when
+	// placementChanged.
+	moved []VertexID
+	// grown is the number of vertices admitted in between. Internal IDs are
+	// append-only, so they are exactly [nverts − grown, nverts).
+	grown int64
+	// placementChanged reports a lineage break in between (full rebuild or
+	// relabeling spill): the renumbering epochs differ.
+	placementChanged bool
+	// seg maps each basis slot to its slot in this view: C.Perm[w] at
+	// B.Perm[w] for each moved vertex w, graph.NoVertex at a basis hole a
+	// mover now occupies, and the identity elsewhere. Nil when nothing
+	// moved.
+	seg []VertexID
+	// dirty lists (unsorted, repeats allowed) the view slots whose in-edges
+	// or occupant changed: the destinations of adds and dels and the
+	// positions of the moved and admitted vertices.
+	dirty []VertexID
+}
+
+// empty reports whether the delta changes no algorithm result: no edge
+// change, no moved vertex, no admission. A placement-only delta is empty —
+// renumbering moves values between slots but changes none of them.
+func (d *viewDelta) empty() bool {
+	return len(d.adds) == 0 && len(d.dels) == 0 && len(d.moved) == 0 && d.grown == 0
+}
+
+// touched returns the number of distinct endpoints the edge delta touches —
+// the input to refinement's scratch-fallback gate (a delta touching a large
+// fraction of the graph refines slower than a cold start). The relabel is
+// injective, so counting slots counts vertices.
+func (d *viewDelta) touched() int {
+	ends := make([]VertexID, 0, 2*(len(d.adds)+len(d.dels)))
+	for _, es := range [][]graph.Edge{d.adds, d.dels} {
+		for _, e := range es {
+			ends = append(ends, e.Src, e.Dst)
+		}
+	}
+	slices.Sort(ends)
+	return len(slices.Compact(ends))
+}
+
 // deltaOver returns the view's delta over its basis b, computing it on
-// first use: the edge change netted from the two captures' log cursors,
-// the pre-existing vertices whose position differs (nil across a
-// renumbering), the admission count and the lineage break. Callers pass
+// first use: the edge change netted from the two captures' log cursors and
+// relabeled into the view's slots, the pre-existing vertices whose position
+// differs (nil across a renumbering), the admission count, the lineage
+// break, and the slot map and dirty slots derived from them. Callers pass
 // the basis they loaded; the basis link only ever goes from one view to
 // nil, so every caller passes the same b.
-func (v *View) deltaOver(b *View) dynamic.ViewDelta {
+//
+// Within a numbering lineage the slot space is fixed: admissions fill
+// reserved headroom slots, so every basis position keeps its ID and an
+// admitted slot has no basis preimage (its content arrives as adds). Only
+// swap repairs move vertices, each within a closed set of positions, so
+// seg is the identity outside the moved vertices' positions. A basis hole
+// is an empty row: when a swap pairs a vertex admitted into it with a basis
+// vertex, the basis vertex takes the hole's slot and the hole has no image
+// left, which NoVertex says.
+func (v *View) deltaOver(b *View) *viewDelta {
 	v.deltaOnce.Do(func() {
 		adds, dels, ok := v.frozen.Since(b.frozen)
 		if !ok {
@@ -94,17 +160,55 @@ func (v *View) deltaOver(b *View) dynamic.ViewDelta {
 			// one compaction back.
 			panic("vebo: view basis is more than one compaction back")
 		}
-		v.delta = dynamic.ViewDelta{
-			Adds:             adds,
-			Dels:             dels,
-			PlacementChanged: v.renumEpoch != b.renumEpoch,
-			Grown:            int64(v.nverts - b.nverts),
+		perm := v.ord.Perm
+		vd := &v.delta
+		vd.adds, vd.dels = relabel(adds, perm), relabel(dels, perm)
+		vd.grown = int64(v.nverts - b.nverts)
+		vd.placementChanged = v.renumEpoch != b.renumEpoch
+		if vd.placementChanged {
+			return
 		}
-		if !v.delta.PlacementChanged {
-			v.delta.Moved = dynamic.MovedBetween(b.ord.Perm, v.ord.Perm)
+		vd.moved = dynamic.MovedBetween(b.ord.Perm, perm)
+		if len(vd.moved) > 0 {
+			vd.seg = make([]VertexID, b.slots())
+			for s := range vd.seg {
+				vd.seg[s] = VertexID(s)
+			}
+			for _, w := range vd.moved {
+				vd.seg[b.ord.Perm[w]] = perm[w]
+			}
+			// A basis vertex at a mover's new slot moved too, so a slot
+			// there still mapping to itself held no basis vertex: it was a
+			// hole.
+			for _, w := range vd.moved {
+				if t := perm[w]; vd.seg[t] == t {
+					vd.seg[t] = graph.NoVertex
+				}
+			}
 		}
+		for _, es := range [][]graph.Edge{vd.adds, vd.dels} {
+			for _, e := range es {
+				vd.dirty = append(vd.dirty, e.Dst)
+			}
+		}
+		for _, w := range vd.moved {
+			vd.dirty = append(vd.dirty, perm[w])
+		}
+		// Admissions are append-only in the internal space, so the vertices
+		// admitted since the basis are exactly the internal tail.
+		vd.dirty = append(vd.dirty, perm[v.nverts-int(vd.grown):v.nverts]...)
 	})
-	return v.delta
+	return &v.delta
+}
+
+// relabel maps a delta edge list's endpoints through a permutation, in
+// place. Frozen.Since allocates its lists for the caller, so rewriting them
+// leaves the captures' logs untouched.
+func relabel(edges []graph.Edge, perm []VertexID) []graph.Edge {
+	for i := range edges {
+		edges[i].Src, edges[i].Dst = perm[edges[i].Src], perm[edges[i].Dst]
+	}
+	return edges
 }
 
 // registerMaterialized records that v built its relabeled graph, making it

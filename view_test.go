@@ -849,3 +849,51 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 			rebuilds, repairs, swapsAfterRebuild)
 	}
 }
+
+func TestViewDeltaEmpty(t *testing.T) {
+	if !(&viewDelta{}).empty() {
+		t.Fatal("zero delta reports non-empty")
+	}
+	// placementChanged alone (pure renumbering) is a no-op for results: it
+	// moves values between slots but changes none of them.
+	if !(&viewDelta{placementChanged: true}).empty() {
+		t.Fatal("placement-only delta reports non-empty")
+	}
+	e := graph.Edge{Src: 1, Dst: 2, Weight: 1}
+	for _, vd := range []viewDelta{
+		{adds: []graph.Edge{e}},
+		{dels: []graph.Edge{e}},
+		{moved: []VertexID{5}},
+		{grown: 1},
+	} {
+		if vd.empty() {
+			t.Fatalf("delta %+v reports empty", vd)
+		}
+	}
+}
+
+func TestViewDeltaTouched(t *testing.T) {
+	// Source 2 gains one edge and loses another: its degree is unchanged but
+	// both destinations count, and 2 counts once.
+	a := graph.Edge{Src: 2, Dst: 5, Weight: 1}
+	b := graph.Edge{Src: 2, Dst: 6, Weight: 1}
+	if got := (&viewDelta{adds: []graph.Edge{a}, dels: []graph.Edge{b}}).touched(); got != 3 {
+		t.Fatalf("touched = %d, want 3 (vertices 2, 5, 6)", got)
+	}
+	// Unrolled multiplicities and endpoints shared across the lists count
+	// once; moved and admitted vertices do not count at all.
+	e1 := graph.Edge{Src: 1, Dst: 2, Weight: 1}
+	e3 := graph.Edge{Src: 4, Dst: 1, Weight: 7}
+	vd := &viewDelta{
+		adds:  []graph.Edge{e1, e1},
+		dels:  []graph.Edge{e3, e3, e3},
+		moved: []VertexID{5, 9},
+		grown: 3,
+	}
+	if got := vd.touched(); got != 3 {
+		t.Fatalf("touched = %d, want 3 (vertices 1, 2, 4)", got)
+	}
+	if (&viewDelta{placementChanged: true, moved: []VertexID{7}}).touched() != 0 {
+		t.Fatal("delta without edge changes touches endpoints")
+	}
+}
