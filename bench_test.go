@@ -526,6 +526,12 @@ func BenchmarkCC(b *testing.B) {
 	benchmarkPerSystem(b, benchGraph(b), func(eng vebo.Engine) { vebo.CC(eng) })
 }
 
+func BenchmarkBellmanFord(b *testing.B) {
+	g := benchGraph(b)
+	root := pickHighDegree(g)
+	benchmarkPerSystem(b, g, func(eng vebo.Engine) { vebo.BellmanFord(eng, root) })
+}
+
 // BenchmarkRefine times one refined query per op as the grow_refine
 // workload answers them: powerlaw 0.1 at P=64 with 5% vertex arrivals, a
 // 128-update IngestBatch publishing a fresh view before each query, which

@@ -203,10 +203,14 @@ func BFSKernel(parent []int32) engine.EdgeKernel {
 			}
 			return len(srcs), false
 		},
+		// Scatter folds the frontier test into the visited test, so a
+		// mixed frontier costs one rarely taken branch per edge, not a
+		// coin flip on in[s].
 		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
 			src = src[:len(dst)]
+			in, out = in[:len(parent)], out[:len(parent)]
 			for i, d := range dst {
-				if s := src[i]; in[s] && parent[d] < 0 {
+				if s := src[i]; b2i(in[s])&b2i(parent[d] < 0) != 0 {
 					parent[d] = int32(s)
 					out[d] = true
 				}
@@ -259,36 +263,64 @@ func CC(e engine.Engine) []uint32 {
 	for i := range label {
 		label[i] = uint32(i)
 	}
-	// Label propagation reads source labels that a concurrently processed
-	// destination may be lowering (the classic Ligra CC race): loads and the
-	// owner's store are atomic so a torn or stale read can never corrupt a
-	// label — a stale read only defers the propagation to the next round,
-	// where the lowered source re-enters the frontier.
-	kernel := engine.EdgeKernel{
+	kernel := ccKernel(label)
+	f := frontier.All(g)
+	for !f.IsEmpty() {
+		f = e.EdgeMap(f, kernel)
+	}
+	return label
+}
+
+// ccKernel is CC's edgemap: label[d] = min(label[d], label[s]) over every
+// edge with an active source, activating the destinations it lowers.
+//
+// Label propagation reads source labels that a concurrently processed
+// destination may be lowering (the classic Ligra CC race): loads and the
+// owner's store are atomic so a torn or stale read can never corrupt a
+// label — a stale read only defers the propagation to the next round, where
+// the lowered source re-enters the frontier.
+//
+// The dense forms load every source's label and mask an inactive one to
+// min's identity, MaxUint32, so the frontier test is a conditional move
+// rather than a branch that a mixed frontier mispredicts. in (and out) cover
+// every vertex, so resliced to label's length they share label[s]'s (and
+// label[d]'s) bounds check. Kept out of line for the reason rankKernel
+// gives.
+//
+//go:noinline
+func ccKernel(label []uint32) engine.EdgeKernel {
+	return engine.EdgeKernel{
 		Pull: func(d graph.VertexID, srcs []graph.VertexID, _ []int32, in []bool) (int, bool) {
-			ld := atomic.LoadUint32(&label[d])
-			active := false
+			in = in[:len(label)]
+			start := atomic.LoadUint32(&label[d])
+			cur := start
 			for _, s := range srcs {
-				if in[s] {
-					if ls := atomic.LoadUint32(&label[s]); ls < ld {
-						ld = ls
-						active = true
-					}
+				ls := atomic.LoadUint32(&label[s])
+				if !in[s] {
+					ls = math.MaxUint32
 				}
+				cur = min(cur, ls)
 			}
+			active := cur < start
 			if active {
-				atomic.StoreUint32(&label[d], ld)
+				atomic.StoreUint32(&label[d], cur)
 			}
 			return len(srcs), active
 		},
+		// Scatter keeps its store conditional: an atomic store per edge
+		// costs more than the branch it would remove.
 		Scatter: func(src, dst []graph.VertexID, _ []int32, in, out []bool) {
 			src = src[:len(dst)]
+			in, out = in[:len(label)], out[:len(label)]
 			for i, d := range dst {
-				if s := src[i]; in[s] {
-					if ls := atomic.LoadUint32(&label[s]); ls < atomic.LoadUint32(&label[d]) {
-						atomic.StoreUint32(&label[d], ls)
-						out[d] = true
-					}
+				s := src[i]
+				ls := atomic.LoadUint32(&label[s])
+				if !in[s] {
+					ls = math.MaxUint32
+				}
+				if ls < atomic.LoadUint32(&label[d]) {
+					atomic.StoreUint32(&label[d], ls)
+					out[d] = true
 				}
 			}
 		},
@@ -296,11 +328,16 @@ func CC(e engine.Engine) []uint32 {
 			return atomicf.MinU32(&label[d], atomic.LoadUint32(&label[s]))
 		},
 	}
-	f := frontier.All(g)
-	for !f.IsEmpty() {
-		f = e.EdgeMap(f, kernel)
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a zero
+// extension of the flag, so the dense kernels combine tests without a
+// branch per test.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return label
+	return 0
 }
 
 // SPMV multiplies the graph's (weighted) adjacency matrix with x in one

@@ -50,52 +50,58 @@ func RelaxResume(e engine.Engine, val []int64, weighted bool, f *frontier.Fronti
 //
 // Source values may be lowered concurrently by the worker owning that vertex
 // as a destination (the BellmanFord race); atomic loads keep the relaxation
-// race-free, and a stale read only defers it one round. Kept out of line
-// for the reason rankKernel gives.
+// race-free, and a stale read only defers it one round.
+//
+// The dense forms load every source's value, read an inactive source as
+// unreached and mask an unreached source's candidate to min's identity,
+// MaxInt64, so neither test is a branch. in (and out) cover every vertex,
+// so resliced to val's length they share val[s]'s (and val[d]'s) bounds
+// check. Kept out of line for the reason rankKernel gives.
 //
 //go:noinline
 func relaxKernel(val []int64, weighted bool) engine.EdgeKernel {
 	return engine.EdgeKernel{
 		Pull: func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (int, bool) {
-			ws = ws[:len(srcs)]
+			ws, in = ws[:len(srcs)], in[:len(val)]
 			cur := atomic.LoadInt64(&val[d])
-			active := false
 			for i, s := range srcs {
-				if !in[s] {
-					continue
-				}
 				sv := atomic.LoadInt64(&val[s])
-				if sv >= RelaxInf {
-					continue
+				if !in[s] {
+					sv = RelaxInf
 				}
 				nd := sv + 1
 				if weighted {
 					nd = sv + int64(ws[i])
 				}
-				if nd < cur {
-					cur = nd
-					active = true
+				if sv >= RelaxInf {
+					nd = math.MaxInt64
 				}
+				cur = min(cur, nd)
 			}
+			// Only this worker writes val[d], so it still holds the start;
+			// reloading it keeps the loop's registers free of spills.
+			active := cur < atomic.LoadInt64(&val[d])
 			if active {
 				atomic.StoreInt64(&val[d], cur)
 			}
 			return len(srcs), active
 		},
+		// Scatter keeps its store conditional, as ccKernel's does.
 		Scatter: func(src, dst []graph.VertexID, ws []int32, in, out []bool) {
 			src, ws = src[:len(dst)], ws[:len(dst)]
+			in, out = in[:len(val)], out[:len(val)]
 			for i, d := range dst {
 				s := src[i]
-				if !in[s] {
-					continue
-				}
 				sv := atomic.LoadInt64(&val[s])
-				if sv >= RelaxInf {
-					continue
+				if !in[s] {
+					sv = RelaxInf
 				}
 				nd := sv + 1
 				if weighted {
 					nd = sv + int64(ws[i])
+				}
+				if sv >= RelaxInf {
+					nd = math.MaxInt64
 				}
 				if nd < atomic.LoadInt64(&val[d]) {
 					atomic.StoreInt64(&val[d], nd)

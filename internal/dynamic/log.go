@@ -360,11 +360,17 @@ func (d *Graph) Snapshot() *graph.Graph {
 // generation for Frozen.Since. Engines holding older snapshots (and views
 // holding older freezes) are unaffected: the old base and log prefix stay
 // immutable. The "compact" span parents onto the batch whose log bound
-// triggered it, or onto nothing for a direct call.
+// triggered it, or onto nothing for a direct call, and carries whether the
+// materialization folded and the edges it wrote.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
-	d.base, _ = d.Freeze().Materialize()
+	var st graph.PatchStats
+	d.base, st = d.Freeze().Materialize()
+	fold := int64(0)
+	if st.Fold != "" {
+		fold = 1
+	}
 	d.prevPending, d.prevDels = d.pendingAdd, d.delLog
 	d.pendingAdd, d.delLog = nil, nil
 	d.gen++
@@ -376,6 +382,9 @@ func (d *Graph) Compact() {
 	d.sp.Record(obs.Span{
 		Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
 		Cause: "log-bound", Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
-		Attrs: map[string]int64{"pending_ops": pending, "base_edges": d.base.NumEdges()},
+		Attrs: map[string]int64{
+			"pending_ops": pending, "base_edges": d.base.NumEdges(),
+			"fold": fold, "written_edges": st.EdgesWritten,
+		},
 	})
 }

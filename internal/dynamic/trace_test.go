@@ -205,6 +205,13 @@ func TestTraceRepairShortfall(t *testing.T) {
 
 	pending := d.PendingOps()
 	d.Rebuild()
+	// Materialize is a pure function of the capture, so this repeat call
+	// reports the stats Compact's own materialization sees.
+	_, mst := d.Freeze().Materialize()
+	fold := int64(0)
+	if mst.Fold != "" {
+		fold = 1
+	}
 	d.Compact()
 	forced := findSpan(sp.Snapshot(), "rebuild", "forced")
 	if forced == nil || forced.Parent != 0 || forced.Attrs["placements"] != int64(d.NumVertices()) {
@@ -217,6 +224,9 @@ func TestTraceRepairShortfall(t *testing.T) {
 	if cs == nil || cs.Parent != 0 || cs.Attrs["pending_ops"] != pending || cs.Attrs["base_edges"] != d.NumEdges() {
 		t.Fatalf("direct Compact filed %+v, want compact/log-bound with pending_ops=%d base_edges=%d",
 			cs, pending, d.NumEdges())
+	}
+	if mst.EdgesWritten == 0 || cs.Attrs["fold"] != fold || cs.Attrs["written_edges"] != mst.EdgesWritten {
+		t.Fatalf("direct Compact filed %+v, want fold=%d written_edges=%d (> 0)", cs, fold, mst.EdgesWritten)
 	}
 }
 

@@ -56,20 +56,28 @@ const (
 // indirect call, and a destination's running value stays in a register for
 // its whole in-row. All three forms must apply the same update to the same
 // edges; they differ only in how those edges are handed over.
+//
+// A dense form may read an inactive source's state, so that the frontier
+// test is a select rather than a branch, but that state must never reach
+// d: the form masks it to the update's identity (min's maximum, say)
+// before it is folded in, and its results, stores and activations equal
+// those of a form that skips the source.
 type EdgeKernel struct {
 	// Pull applies destination d's in-row in dense pull traversal: srcs
 	// and ws are d's in-neighbours and weights, in is the input frontier's
-	// bitmap. It visits srcs in order, skips sources not active in in, and
-	// stores d's value once. It returns whether d became active and the
-	// number of edges scanned, which DensePull charges: len(srcs), or for
-	// a kernel with an early exit the index of the edge after which d
-	// stops accepting updates plus one, and 0 if d accepts none. A single
-	// worker owns d, so the store may be non-atomic.
+	// bitmap over every vertex. It visits srcs in order, applies only the
+	// sources active in in, and stores d's value once. It returns whether
+	// d became active and the number of edges scanned, which DensePull
+	// charges: len(srcs), or for a kernel with an early exit the index of
+	// the edge after which d stops accepting updates plus one, and 0 if d
+	// accepts none. A single worker owns d, so the store may be
+	// non-atomic.
 	Pull func(d graph.VertexID, srcs []graph.VertexID, ws []int32, in []bool) (scanned int, active bool)
 	// Scatter applies one GraphGrind partition COO (parallel src, dst and
-	// weight slices) in its stored order, skipping sources not active in
-	// in, and sets out[d] for every destination it activates. Partitions
-	// own disjoint destinations, so the updates may be non-atomic.
+	// weight slices) in its stored order, applying only the sources active
+	// in in, and sets out[d] for every destination it activates; in and
+	// out are bitmaps over every vertex. Partitions own disjoint
+	// destinations, so the updates may be non-atomic.
 	Scatter func(src, dst []graph.VertexID, ws []int32, in, out []bool)
 	// UpdateAtomic applies edge (s→d) with weight w in sparse push
 	// traversal, where several workers may target d concurrently; it
