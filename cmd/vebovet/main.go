@@ -1,21 +1,17 @@
 // Command vebovet runs the project's static-analysis suite
 // (internal/analysis: atomicfield, frozenwrite, lockedfield, obshandle —
-// the machine-checked forms of the DESIGN.md §5–§7 concurrency contracts).
-//
-// Standalone, from anywhere in the module:
-//
-//	go run ./cmd/vebovet ./...
-//
-// As a go vet tool, which also covers test files of every package:
+// the machine-checked forms of the DESIGN.md §5–§7 concurrency contracts)
+// as a go vet tool, which covers every package's test files too:
 //
 //	go build -o bin/vebovet ./cmd/vebovet
 //	go vet -vettool=$PWD/bin/vebovet ./...
 //
-// In vettool mode the binary speaks go vet's unitchecker protocol: it
-// answers -flags and -V=full probes, fast-exits dependency units marked
+// That is its only mode. The binary speaks go vet's unitchecker protocol:
+// it answers -flags and -V=full probes, fast-exits dependency units marked
 // VetxOnly, and type-checks each analyzed unit against the gc export data
-// go vet hands it (ImportMap/PackageFile), so no reimplementation of the
-// build graph is involved.
+// go vet hands it (ImportMap/PackageFile). Pattern expansion, test
+// variants and build constraints are go vet's; vebovet sees one package
+// per run.
 package main
 
 import (
@@ -51,46 +47,11 @@ func main() {
 			return
 		}
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0]))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v vebovet) [packages]")
+		os.Exit(1)
 	}
-	os.Exit(runStandalone(args))
-}
-
-func runStandalone(patterns []string) int {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return fail(err)
-	}
-	l, err := analysis.NewLoader(cwd)
-	if err != nil {
-		return fail(err)
-	}
-	pkgs, err := l.Load(cwd, patterns...)
-	if err != nil {
-		return fail(err)
-	}
-	bad := 0
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintln(os.Stderr, terr)
-			bad++
-		}
-	}
-	if bad > 0 {
-		return 1
-	}
-	diags, err := analysis.Run(pkgs, analysis.All(), l.Ann)
-	if err != nil {
-		return fail(err)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", l.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	os.Exit(runUnit(args[0]))
 }
 
 func fail(err error) int {
@@ -101,10 +62,10 @@ func fail(err error) int {
 // unitConfig is the subset of go vet's per-package JSON config this tool
 // consumes.
 type unitConfig struct {
-	ID                        string
 	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
+	ModulePath                string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	GoVersion                 string
@@ -184,29 +145,29 @@ func runUnit(cfgPath string) int {
 		return 1
 	}
 
-	modRoot, modPath, err := moduleOf(cfg.Dir)
-	if err != nil {
-		modRoot, modPath = "", "" // outside a module: local annotations only
-	}
-	ann := analysis.NewAnnotations(modRoot, modPath)
+	// Outside a module the root is "" and only local annotations count.
+	ann := analysis.NewAnnotations(moduleRoot(cfg.Dir), cfg.ModulePath)
 	for _, f := range files {
 		ann.AddFile(ipath, f)
 	}
 	ann.MarkScanned(ipath)
 
-	pkg := &analysis.Package{
-		Path: ipath, Name: tpkg.Name(), Fset: fset,
-		Files: files, Types: tpkg, Info: info,
-	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, analysis.All(), ann)
-	if err != nil {
-		return fail(err)
-	}
-	writeVetx()
-	for _, d := range diags {
+	found := false
+	report := func(d analysis.Diagnostic) {
+		found = true
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-	if len(diags) > 0 {
+	for _, a := range analysis.All() {
+		pass := &analysis.Pass{
+			Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info, Ann: ann,
+			Report: report,
+		}
+		if err := a.Run(pass); err != nil {
+			return fail(fmt.Errorf("%s on %s: %w", a.Name, ipath, err))
+		}
+	}
+	writeVetx()
+	if found {
 		return 2
 	}
 	return 0
@@ -227,23 +188,15 @@ func (u *unitImporter) Import(path string) (*types.Package, error) {
 	return u.gc.Import(path)
 }
 
-func moduleOf(dir string) (root, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
+// moduleRoot returns the nearest directory at or above dir holding a
+// go.mod, or "" when there is none.
+func moduleRoot(dir string) string {
 	for d := dir; ; d = filepath.Dir(d) {
-		data, rerr := os.ReadFile(filepath.Join(d, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod: no module directive", d)
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d
 		}
 		if filepath.Dir(d) == d {
-			return "", "", fmt.Errorf("no go.mod above %s", dir)
+			return ""
 		}
 	}
 }

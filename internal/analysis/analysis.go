@@ -1,8 +1,8 @@
 // Package analysis is the project's static-analysis suite: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// core (Analyzer, Pass, a module loader and an analysistest-style harness)
-// plus four project-specific analyzers that turn the prose concurrency
-// contracts of DESIGN.md §5–§7 into machine-checked rules:
+// core (Analyzer, Pass, Diagnostic) plus four project-specific analyzers
+// that turn the prose concurrency contracts of DESIGN.md §5–§7 into
+// machine-checked rules:
 //
 //   - atomicfield: a struct field accessed once through sync/atomic must be
 //     accessed atomically everywhere; plain loads/stores race.
@@ -15,12 +15,13 @@
 //     constructors, and registered metric names follow the canonical
 //     vebo_* vocabulary.
 //
-// The suite runs via cmd/vebovet, either standalone (vebovet ./...) or as a
-// go vet tool (go vet -vettool=$(command -v vebovet) ./...). It is built on
-// the standard library only — go/ast, go/types and the gc export-data
-// importer — because this module deliberately has no third-party
-// dependencies; the x/tools analysis runtime is re-derived here at the
-// scale this suite needs, not vendored.
+// The suite runs one way: as a go vet tool through cmd/vebovet
+// (go vet -vettool=$(command -v vebovet) ./...). go vet loads each package
+// and its test variants and hands the tool gc export data for the imports,
+// so this package holds analyzers only, no loader. It is built on the
+// standard library alone — go/ast and go/types — because this module
+// deliberately has no third-party dependencies; the x/tools analysis
+// runtime is re-derived here at the scale this suite needs, not vendored.
 package analysis
 
 import (
@@ -28,7 +29,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // An Analyzer describes one static check. Run inspects a single package
@@ -41,7 +41,8 @@ type Analyzer struct {
 }
 
 // A Pass is one (analyzer, package) unit of work: the package's syntax,
-// type information and the module-wide annotation index.
+// type information and the module-wide annotation index. Report receives
+// each finding.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -49,8 +50,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Ann      *Annotations
-
-	report func(Diagnostic)
+	Report   func(Diagnostic)
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that produced it.
@@ -62,57 +62,13 @@ type Diagnostic struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // All returns the full vebovet suite, the analyzers CI runs over every
 // package.
 func All() []*Analyzer {
 	return []*Analyzer{Atomicfield, Frozenwrite, Lockedfield, Obshandle}
-}
-
-// Run applies every analyzer to every package and returns the findings in
-// (file, line, column) order. All packages must share one token.FileSet.
-// Analyzer-internal errors abort the run.
-func Run(pkgs []*Package, analyzers []*Analyzer, ann *Annotations) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Ann:      ann,
-				report:   func(d Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	if len(pkgs) > 0 {
-		SortDiagnostics(pkgs[0].Fset, diags)
-	}
-	return diags, nil
-}
-
-// SortDiagnostics orders findings by position then analyzer name.
-func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
 }
 
 // NewInfo returns a types.Info with every map the analyzers rely on.

@@ -38,9 +38,9 @@ type frozenInfo struct {
 	allow map[string]bool // extra same-package functions allowed to mutate
 }
 
-// NewAnnotations returns an empty index rooted at the module. modRoot may
-// be "" when cross-package lazy scanning is unavailable (unit tests on
-// synthetic ASTs).
+// NewAnnotations returns an empty index rooted at the module. modRoot is
+// "" for a package outside any module, which disables cross-package lazy
+// scanning.
 func NewAnnotations(modRoot, modPath string) *Annotations {
 	return &Annotations{
 		modRoot: modRoot,

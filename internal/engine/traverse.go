@@ -73,7 +73,7 @@ func DensePull(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, units []Range
 	in := f.Dense()
 	out := make([]bool, g.NumVertices())
 	unitCosts := make([]int64, len(units))
-	sched.DynamicItems(workers, len(units), func(_, u int) {
+	sched.DynamicChunks(workers, len(units), 1, func(_, u, _ int) {
 		r := units[u]
 		cost := int64(CostVertex) * int64(r.Hi-r.Lo)
 		for d := r.Lo; d < r.Hi; d++ {
@@ -99,7 +99,7 @@ func DenseCOO(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, coos []*layout
 	in := f.Dense()
 	out := make([]bool, g.NumVertices())
 	unitCosts := make([]int64, len(coos))
-	sched.DynamicItems(workers, len(coos), func(_, u int) {
+	sched.DynamicChunks(workers, len(coos), 1, func(_, u, _ int) {
 		c := coos[u]
 		k.Scatter(c.Src, c.Dst, c.Weight, in, out)
 		unitCosts[u] = int64(CostVertex)*int64(ranges[u].Hi-ranges[u].Lo) + int64(c.Len())*CostEdge
@@ -174,7 +174,7 @@ func VertexMapStatic(g *graph.Graph, f *frontier.Frontier, fn func(v graph.Verte
 	out := make([]bool, n)
 	ranges := SplitRange(n, (n+units-1)/max(units, 1))
 	unitCosts := make([]int64, len(ranges))
-	sched.DynamicItems(workers, len(ranges), func(_, u int) {
+	sched.DynamicChunks(workers, len(ranges), 1, func(_, u, _ int) {
 		var cost int64
 		r := ranges[u]
 		for v := r.Lo; v < r.Hi; v++ {

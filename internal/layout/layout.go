@@ -109,7 +109,7 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []in
 		}
 	case HilbertOrder:
 		builders := make([]builder, max(min(workers, len(ranges)), 1))
-		sched.DynamicItems(len(builders), len(ranges), func(w, i int) {
+		sched.DynamicChunks(len(builders), len(ranges), 1, func(w, i, _ int) {
 			coos[i] = builders[w].build(g, ranges[i], unit)
 		})
 	default:

@@ -1,6 +1,6 @@
-// Package sched provides the two parallel loops the engines execute their
+// Package sched provides the parallel loop the engines execute their
 // traversals with: DynamicChunks, work-sharing over fixed-size chunks pulled
-// from an atomic counter, and DynamicItems, the same over single items
+// from an atomic counter. With chunk 1 it hands out single items
 // (partitions or scheduling units rather than vertex ranges).
 //
 // The three scheduling policies the paper's evaluation compares — Polymer's
@@ -16,7 +16,9 @@ import (
 )
 
 // DynamicChunks runs fn over [0, n) in chunks of the given size, pulled
-// dynamically by the workers from a shared counter.
+// dynamically by the workers from a shared counter. Every chunk but the
+// last is exactly chunk long, so with chunk 1 each call covers the single
+// item lo.
 func DynamicChunks(workers, n, chunk int, fn func(worker, lo, hi int)) {
 	if workers < 1 {
 		workers = 1
@@ -44,13 +46,4 @@ func DynamicChunks(workers, n, chunk int, fn func(worker, lo, hi int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// DynamicItems lets workers pull single items from a shared queue.
-func DynamicItems(workers, n int, fn func(worker, item int)) {
-	DynamicChunks(workers, n, 1, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-	})
 }

@@ -46,25 +46,14 @@ func TestDynamicChunksCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestDynamicItemsCoversExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 17, 300} {
-		cov := newCoverage(n)
-		DynamicItems(5, n, func(_, i int) { cov.markRange(i, i+1) })
-		if !cov.exactlyOnce() {
-			t.Fatalf("DynamicItems n=%d: bad coverage", n)
-		}
-	}
-}
-
-// Property: both loops perform exactly the requested amount of work.
+// Property: the loop performs exactly the requested amount of work.
 func TestSchedulerTotalsQuick(t *testing.T) {
 	f := func(n8 uint8, w8 uint8) bool {
 		n := int(n8)
 		w := int(w8)%8 + 1
-		var a, b int64
+		var a int64
 		DynamicChunks(w, n, 3, func(_, lo, hi int) { atomic.AddInt64(&a, int64(hi-lo)) })
-		DynamicItems(w, n, func(_, _ int) { atomic.AddInt64(&b, 1) })
-		return a == int64(n) && b == int64(n)
+		return a == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

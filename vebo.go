@@ -440,8 +440,9 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 }
 
 // Snapshot materializes the live graph as an immutable CSR+CSC Graph any of
-// the three engines can traverse. Snapshots are cached per mutation epoch
-// and never mutated afterwards.
+// the three engines can traverse. Each call freezes the live graph and
+// materializes that capture afresh (nothing is cached); the result is
+// never mutated afterwards.
 func (d *Dynamic) Snapshot() *Graph { return d.inner.Snapshot() }
 
 // NumVertices reports the current vertex count; IngestBatch admissions
@@ -464,7 +465,7 @@ func (d *Dynamic) Stats() DynamicStats { return d.inner.Stats() }
 // Headroom reports the growth headroom of the current ordering: the number
 // of free reserved slots across all partition segments and the total slot
 // capacity. Both are 0 until the first admission converts the lineage to a
-// slotted ordering (and transiently while an ordering rebuild is pending).
+// slotted ordering.
 func (d *Dynamic) Headroom() (free, capacity int64) { return d.inner.Headroom() }
 
 // Compact promotes the current snapshot to the new delta-log base.

@@ -1,7 +1,9 @@
 package vebo
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,8 +245,13 @@ func (v *View) PageRank(sys System, iters int) ([]float64, error) {
 }
 
 // PageRankDelta runs delta-update PageRank; ranks are indexed by original
-// vertex ID.
+// vertex ID. A vertex leaves the frontier once its update is within eps of
+// its rank (relative); eps = NaN is an error, since it fails that test for
+// every vertex and would stop the run after one step.
 func (v *View) PageRankDelta(sys System, iters int, eps float64) ([]float64, error) {
+	if math.IsNaN(eps) {
+		return nil, errors.New("vebo: PageRankDelta eps is NaN")
+	}
 	start := time.Now()
 	e, err := v.Engine(sys)
 	if err != nil {

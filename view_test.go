@@ -451,6 +451,30 @@ func TestViewInputLengthCheckedFirst(t *testing.T) {
 	}
 }
 
+// TestViewPageRankDeltaRejectsNaNEps: a NaN eps fails the frontier test
+// for every vertex, so the run would silently stop after one step. It must
+// be an error, returned before any engine is built.
+func TestViewPageRankDeltaRejectsNaNEps(t *testing.T) {
+	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := d.View()
+	before := d.ViewWork().EngineBuilds
+	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+		if _, err := v.PageRankDelta(sys, 10, math.NaN()); err == nil {
+			t.Fatalf("%v: PageRankDelta accepted eps = NaN", sys)
+		}
+	}
+	if got := d.ViewWork().EngineBuilds; got != before {
+		t.Fatalf("NaN calls built %d engines", got-before)
+	}
+}
+
 // TestViewAcrossEpochsStaysPinned checks that a retained view keeps
 // answering for its epoch while the graph moves on.
 func TestViewAcrossEpochsStaysPinned(t *testing.T) {
