@@ -19,7 +19,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dynamic"
-	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
 	"repro/internal/frontier"
 	"repro/internal/gen"
@@ -197,7 +196,7 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 	g := benchGraph(b)
 	n := g.NumVertices()
 	cfg := graphgrind.Config{
-		Engine:     engine.Config{Topology: numa.Default()},
+		Topology:   numa.Default(),
 		Partitions: 64,
 		Order:      layout.CSROrder,
 	}
@@ -669,7 +668,7 @@ func BenchmarkAblationPartitionCount(b *testing.B) {
 	for _, p := range []int{48, 96, 192, 384, 768} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			eng, err := graphgrind.New(g, graphgrind.Config{
-				Engine:     engine.Config{Topology: numa.Default()},
+				Topology:   numa.Default(),
 				Partitions: p,
 				Order:      layout.CSROrder,
 			})
@@ -694,7 +693,7 @@ func BenchmarkAblationCOOOrder(b *testing.B) {
 	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
 		b.Run(o.String(), func(b *testing.B) {
 			eng, err := graphgrind.New(g, graphgrind.Config{
-				Engine:     engine.Config{Topology: numa.Default()},
+				Topology:   numa.Default(),
 				Partitions: 384,
 				Order:      o,
 			})

@@ -44,6 +44,28 @@ func TestDynamicFacadePipeline(t *testing.T) {
 	}
 }
 
+// TestNewDynamicRejectsEnginePartitioning: views take their partitions and
+// bounds from the live ordering, so engine options setting either would be
+// silently ignored; NewDynamic refuses them instead.
+func TestNewDynamicRejectsEnginePartitioning(t *testing.T) {
+	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []EngineOptions{
+		{Partitions: 7},
+		{Bounds: []int64{0, 1}},
+		{Sockets: 2, ThreadsPerSocket: 2, Partitions: 7, Bounds: []int64{0, 1}},
+	} {
+		if _, err := NewDynamic(g, DynamicOptions{Partitions: 4, Engine: eng}); err == nil {
+			t.Errorf("NewDynamic accepted Engine %+v", eng)
+		}
+	}
+	if _, err := NewDynamic(g, DynamicOptions{Partitions: 4, Engine: viewTestOpts}); err != nil {
+		t.Fatalf("topology-only engine options rejected: %v", err)
+	}
+}
+
 // TestDynamicEnginesMatchFreshGraph is the acceptance check that all three
 // engines produce identical algorithm results on a post-stream snapshot and
 // on a freshly built equivalent graph.
@@ -52,7 +74,7 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := EngineOptions{Sockets: 2, ThreadsPerSocket: 2, Partitions: 32}
+	opts := EngineOptions{Sockets: 2, ThreadsPerSocket: 2}
 	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +105,7 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		fopts := opts
+		fopts.Partitions = 32
 		switch sys {
 		case Polymer:
 			fopts.Bounds = core.CoarsenBounds(r.Boundaries(), 2)

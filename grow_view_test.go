@@ -370,18 +370,15 @@ func TestGrowthEpochSkipsRelabel(t *testing.T) {
 }
 
 // TestViewPatchedAcrossHeadroomSpills forces headroom exhaustion mid-stream
-// (one reserved slot per partition, no proportional term) and checks that
+// (a vertex-heavy stream outruns the reserved slots) and checks that
 // patched and scratch-built views still agree on BFS, CC and BellmanFord for
 // all three framework models across the spill boundaries.
 func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
-	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1500, 19, StreamOptions{GrowFrac: 0.05})
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1500, 19, StreamOptions{GrowFrac: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DynamicOptions{
-		Partitions: 16, Engine: viewTestOpts,
-		MinHeadroom: 1, HeadroomFrac: -1,
-	}
+	opts := DynamicOptions{Partitions: 16, Engine: viewTestOpts}
 	scratchOpts := opts
 	scratchOpts.DisableViewReuse = true
 	dp, err := NewDynamic(g, opts)
@@ -419,7 +416,7 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 		t.Fatalf("only %d growth epochs; the property was not exercised", growthEpochs)
 	}
 	if st := dp.Stats(); st.HeadroomSpills == 0 {
-		t.Fatalf("minimal headroom never spilled (admitted %d): %+v", st.Admitted, st)
+		t.Fatalf("headroom never spilled (admitted %d): %+v", st.Admitted, st)
 	}
 }
 
@@ -427,16 +424,16 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 // into a basis hole: a vertex admitted since the basis fills a reserved
 // slot, and a swap repair in the same batch pairs it with a basis vertex,
 // which takes that slot. The hole has no image left, so the view's seg
-// maps it to NoVertex. Small headroom and a vertex-heavy stream make the
-// case recur; every epoch is queried on both sides, so each view patches
-// from its predecessor, and patched results must equal scratch builds on
-// all three framework models without a scratch fallback.
+// maps it to NoVertex. A vertex-heavy stream makes the case recur; every
+// epoch is queried on both sides, so each view patches from its
+// predecessor, and patched results must equal scratch builds on all three
+// framework models without a scratch fallback.
 func TestViewPatchesMoverIntoHole(t *testing.T) {
 	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 600, 1, StreamOptions{GrowFrac: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DynamicOptions{Partitions: 8, Engine: viewTestOpts, MinHeadroom: 2, HeadroomFrac: -1}
+	opts := DynamicOptions{Partitions: 8, Engine: viewTestOpts}
 	scratchOpts := opts
 	scratchOpts.DisableViewReuse = true
 	dp, err := NewDynamic(g, opts)

@@ -31,14 +31,13 @@ func testGraph(t *testing.T) *graph.Graph {
 // engines builds the three framework models over g.
 func engines(t *testing.T, g *graph.Graph) []engine.Engine {
 	t.Helper()
-	cfg := engine.Config{Topology: smallTopology}
-	l := ligra.New(g, ligra.Config{Engine: cfg})
-	p, err := polymer.New(g, polymer.Config{Engine: cfg})
+	l := ligra.New(g, smallTopology)
+	p, err := polymer.New(g, polymer.Config{Topology: smallTopology})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gg, err := graphgrind.New(g, graphgrind.Config{
-		Engine: cfg, Partitions: 16, Order: layout.CSROrder,
+		Topology: smallTopology, Partitions: 16, Order: layout.CSROrder,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,23 +195,22 @@ func TestBCMatchesReference(t *testing.T) {
 	gt := g.Transpose()
 	root := graph.VertexID(3)
 	want := RefBC(g, root)
-	cfg := engine.Config{Topology: smallTopology}
 	type pair struct{ fwd, bwd engine.Engine }
-	lf := ligra.New(g, ligra.Config{Engine: cfg})
-	lb := ligra.New(gt, ligra.Config{Engine: cfg})
-	pf, err := polymer.New(g, polymer.Config{Engine: cfg})
+	lf := ligra.New(g, smallTopology)
+	lb := ligra.New(gt, smallTopology)
+	pf, err := polymer.New(g, polymer.Config{Topology: smallTopology})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := polymer.New(gt, polymer.Config{Engine: cfg})
+	pb, err := polymer.New(gt, polymer.Config{Topology: smallTopology})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf, err := graphgrind.New(g, graphgrind.Config{Engine: cfg, Partitions: 16, Order: layout.CSROrder})
+	gf, err := graphgrind.New(g, graphgrind.Config{Topology: smallTopology, Partitions: 16, Order: layout.CSROrder})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := graphgrind.New(gt, graphgrind.Config{Engine: cfg, Partitions: 16, Order: layout.CSROrder})
+	gb, err := graphgrind.New(gt, graphgrind.Config{Topology: smallTopology, Partitions: 16, Order: layout.CSROrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +244,7 @@ func TestPageRankDeltaFrontierShrinks(t *testing.T) {
 	// The paper's motivating observation: in PRD, many low-degree vertices
 	// converge early, so the active set shrinks over iterations.
 	g := testGraph(t)
-	e := ligra.New(g, ligra.Config{Engine: engine.Config{Topology: smallTopology}})
+	e := ligra.New(g, smallTopology)
 	PageRankDelta(e, 10, 1e-3)
 	m := e.Metrics()
 	var firstActive, lastActive int64 = -1, -1
@@ -317,8 +315,8 @@ func TestReorderInvariance(t *testing.T) {
 	// reorder with VEBO via the core package
 	r, rg := reorderForTest(t, g, 8)
 
-	e := ligra.New(g, ligra.Config{Engine: engine.Config{Topology: smallTopology}})
-	er := ligra.New(rg, ligra.Config{Engine: engine.Config{Topology: smallTopology}})
+	e := ligra.New(g, smallTopology)
+	er := ligra.New(rg, smallTopology)
 
 	// BFS depths map through the permutation
 	d1 := Depths(BFS(e, root), root)

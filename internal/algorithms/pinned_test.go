@@ -55,13 +55,12 @@ func f64Bits(xs []float64) []uint64 {
 // gt (the BC backward sweep's graph) on topology top.
 func pinnedEngines(t *testing.T, g, gt *graph.Graph, top numa.Topology) [][2]engine.Engine {
 	t.Helper()
-	cfg := engine.Config{Topology: top}
 	var out [][2]engine.Engine
 	for _, build := range []func(*graph.Graph) (engine.Engine, error){
-		func(g *graph.Graph) (engine.Engine, error) { return ligra.New(g, ligra.Config{Engine: cfg}), nil },
-		func(g *graph.Graph) (engine.Engine, error) { return polymer.New(g, polymer.Config{Engine: cfg}) },
+		func(g *graph.Graph) (engine.Engine, error) { return ligra.New(g, top), nil },
+		func(g *graph.Graph) (engine.Engine, error) { return polymer.New(g, polymer.Config{Topology: top}) },
 		func(g *graph.Graph) (engine.Engine, error) {
-			return graphgrind.New(g, graphgrind.Config{Engine: cfg, Partitions: 48, Order: layout.CSROrder})
+			return graphgrind.New(g, graphgrind.Config{Topology: top, Partitions: 48, Order: layout.CSROrder})
 		},
 	} {
 		e, err := build(g)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -220,7 +219,7 @@ func TestPageRankResumeDeterministic(t *testing.T) {
 	const eps = 1e-9
 	g := testGraph(t)
 	n := g.NumVertices()
-	seed := PageRankDelta(ligra.New(g, ligra.Config{Engine: engine.Config{Topology: smallTopology}}), 400, eps)
+	seed := PageRankDelta(ligra.New(g, smallTopology), 400, eps)
 	tgt := graph.VertexID(0)
 	for g.InDegree(tgt) > 0 {
 		tgt++
@@ -235,7 +234,7 @@ func TestPageRankResumeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := ligra.New(g2, ligra.Config{Engine: engine.Config{Topology: numa.Topology{Sockets: 1, ThreadsPerSocket: 1}}})
+	e := ligra.New(g2, numa.Topology{Sockets: 1, ThreadsPerSocket: 1})
 	var first []float64
 	for run := 0; run < 8; run++ {
 		got := PageRankResume(e, slices.Clone(seed), RankDelta{Adds: adds, NOld: n}, 400, eps)
@@ -296,14 +295,13 @@ func BenchmarkRelaxResume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := ligra.Config{Engine: engine.Config{Topology: smallTopology}}
 	seed := make([]int64, g.NumVertices())
 	for i := range seed {
 		seed[i] = RelaxInf
 	}
 	seed[0] = 0
-	RelaxResume(ligra.New(g, cfg), seed, true, frontier.FromVertex(g, 0))
-	e := ligra.New(g2, cfg)
+	RelaxResume(ligra.New(g, smallTopology), seed, true, frontier.FromVertex(g, 0))
+	e := ligra.New(g2, smallTopology)
 	var srcs []graph.VertexID
 	for _, ed := range adds {
 		srcs = append(srcs, ed.Src)
@@ -324,9 +322,8 @@ func BenchmarkRelaxResume(b *testing.B) {
 func BenchmarkPageRankResume(b *testing.B) {
 	const eps = 1e-9
 	g, g2, adds, dels := resumeBench(b)
-	cfg := ligra.Config{Engine: engine.Config{Topology: smallTopology}}
-	seed := PageRankDelta(ligra.New(g, cfg), 400, eps)
-	e := ligra.New(g2, cfg)
+	seed := PageRankDelta(ligra.New(g, smallTopology), 400, eps)
+	e := ligra.New(g2, smallTopology)
 	rank := make([]float64, len(seed))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -60,9 +60,7 @@ func (c Config) WithDefaults() Config {
 	if c.Partitions == 0 {
 		c.Partitions = 384
 	}
-	if c.Topology.Sockets == 0 {
-		c.Topology = numa.Default()
-	}
+	c.Topology = c.Topology.OrDefault()
 	if c.Out == nil {
 		c.Out = io.Discard
 	}
@@ -199,19 +197,18 @@ var systemNames = []string{"ligra", "polymer", "graphgrind"}
 // newEngine constructs the named framework model over g. bounds may be nil
 // (Algorithm 1 partitioning). ggOrder selects GraphGrind's COO edge order.
 func newEngine(sys string, g *graph.Graph, cfg Config, bounds []int64, ggOrder layout.Order, ggParts int) (engine.Engine, error) {
-	ecfg := engine.Config{Topology: cfg.Topology}
 	switch sys {
 	case "ligra":
-		return ligra.New(g, ligra.Config{Engine: ecfg}), nil
+		return ligra.New(g, cfg.Topology), nil
 	case "polymer":
 		var b []int64
 		if bounds != nil {
 			b = core.CoarsenBounds(bounds, cfg.Topology.Sockets)
 		}
-		return polymer.New(g, polymer.Config{Engine: ecfg, Bounds: b})
+		return polymer.New(g, polymer.Config{Topology: cfg.Topology, Bounds: b})
 	case "graphgrind":
 		return graphgrind.New(g, graphgrind.Config{
-			Engine: ecfg, Partitions: ggParts, Order: ggOrder, Bounds: bounds,
+			Topology: cfg.Topology, Partitions: ggParts, Order: ggOrder, Bounds: bounds,
 		})
 	default:
 		return nil, fmt.Errorf("bench: unknown system %q", sys)

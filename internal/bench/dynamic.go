@@ -103,7 +103,7 @@ func Dynamic(cfg Config) error {
 		ldgElapsed.Round(time.Microsecond), int64(final.NumVertices()),
 		core.Spread(ldg.EdgeCounts(final)), core.Spread(ldg.Sizes()))
 	start = time.Now()
-	fen, err := partition.Fennel(final, p, partition.FennelConfig{})
+	fen, err := partition.Fennel(final, p)
 	if err != nil {
 		return err
 	}

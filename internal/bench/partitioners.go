@@ -66,7 +66,7 @@ func Partitioners(cfg Config) error {
 		report("ldg", time.Since(start), ldg)
 
 		start = time.Now()
-		fen, err := partition.Fennel(g, p, partition.FennelConfig{})
+		fen, err := partition.Fennel(g, p)
 		if err != nil {
 			return err
 		}

@@ -66,6 +66,7 @@ import (
 )
 
 // Config tunes a dynamic graph. The zero value selects the defaults below.
+// Admission headroom is a fixed policy, not a setting (see headroom).
 type Config struct {
 	// Partitions is the VEBO partition count P (default 64).
 	Partitions int
@@ -88,20 +89,6 @@ type Config struct {
 	// max(8192, liveEdges/8): compaction costs O(m), so a fixed small bound
 	// would pay it every few batches on large graphs.
 	CompactEvery int
-	// MinHeadroom is the minimum number of reserved admission slots per
-	// partition segment in a slotted ordering (default 4). Once the vertex
-	// space starts growing, every renumbering reserves
-	// max(MinHeadroom, HeadroomFrac·occupied) free slots at each segment's
-	// tail so admissions land in pre-allocated positions instead of
-	// shifting later segments; see Grow.
-	MinHeadroom int64
-	// HeadroomFrac is the fraction of a segment's occupied length reserved
-	// as admission headroom on top of MinHeadroom's floor (default 0.125,
-	// vector-doubling-style amortization: the reservation cost is paid once
-	// per relabeling epoch and covers proportionally many admissions).
-	// Negative disables the proportional term, leaving MinHeadroom alone —
-	// the knob spill tests use to force headroom exhaustion quickly.
-	HeadroomFrac float64
 	// Metrics receives the subsystem's counters, gauges and latency
 	// histograms (the vebo_* series; see DESIGN.md §6). The counters are the
 	// only record of the work done — Stats reads them — so a nil Metrics
@@ -124,13 +111,6 @@ const DefaultPartitions = 64
 // DefaultVertexThreshold is the default δ(n) maintenance threshold.
 const DefaultVertexThreshold = 4
 
-// DefaultMinHeadroom and DefaultHeadroomFrac are the default per-segment
-// admission headroom parameters; see Config.MinHeadroom.
-const (
-	DefaultMinHeadroom  = 4
-	DefaultHeadroomFrac = 0.125
-)
-
 func (c Config) withDefaults() Config {
 	if c.Partitions == 0 {
 		c.Partitions = DefaultPartitions
@@ -140,12 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VertexRebuildThreshold == 0 {
 		c.VertexRebuildThreshold = DefaultVertexThreshold
-	}
-	if c.MinHeadroom == 0 {
-		c.MinHeadroom = DefaultMinHeadroom
-	}
-	if c.HeadroomFrac == 0 {
-		c.HeadroomFrac = DefaultHeadroomFrac
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()

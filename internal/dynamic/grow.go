@@ -8,14 +8,10 @@ import (
 )
 
 // headroom returns the number of reserved tail slots for a segment holding
-// occ vertices: max(MinHeadroom, HeadroomFrac·occ).
-func (c Config) headroom(occ int64) int64 {
-	h := int64(float64(occ) * c.HeadroomFrac)
-	if h < c.MinHeadroom {
-		h = c.MinHeadroom
-	}
-	return h
-}
+// occ vertices: an eighth of its occupancy, at least 4 — vector-doubling
+// amortization, paid once per relabeling epoch for proportionally many
+// admissions.
+func headroom(occ int64) int64 { return max(4, occ/8) }
 
 // Grow admits count new zero-degree vertices, returning the first new
 // internal ID (they are assigned densely: first, first+1, …). Each admitted
@@ -24,8 +20,8 @@ func (c Config) headroom(occ int64) int64 {
 // the same rule phase 2 uses for zero-degree vertices — and fills the next
 // reserved slot at that partition's segment tail. The first Grow in a
 // numbering lineage converts the ordering to slotted form (a
-// relabeling epoch that reserves max(MinHeadroom, HeadroomFrac·occupied)
-// free slots at every segment tail; see Config); after that, admissions
+// relabeling epoch that reserves max(4, occupied/8) free slots at every
+// segment tail; see headroom); after that, admissions
 // extend the ordering in place — no copy, no shift of later segments — so
 // pre-existing vertices keep their exact new IDs, the old→new injection
 // across a growth epoch is the identity, and engine-side patching is

@@ -135,6 +135,46 @@ func TestHeadroomAfterRebuild(t *testing.T) {
 	}
 }
 
+// TestGrowHeadroomPolicy pins the headroom policy: the first Grow reserves
+// max(4, ⌊occ/8⌋) slots after each partition's occ occupied ones (the floor
+// of 4 on the small graph, an eighth, rounded down, on the large one), and
+// Headroom and the per-partition slot gauges report what the admissions
+// left of them.
+func TestGrowHeadroomPolicy(t *testing.T) {
+	for _, c := range []struct {
+		n, parts, grow int
+		m              int64
+	}{{40, 4, 3, 120}, {1000, 4, 7, 6000}} {
+		g, err := gen.ErdosRenyi(c.n, c.m, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		d, err := New(g, Config{Partitions: c.parts, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		occ := d.VertexCounts()
+		d.Grow(c.grow)
+		slots := d.SlotCounts()
+		var capacity, free int64
+		for q, o := range occ {
+			if want := o + max(4, o/8); slots[q] != want {
+				t.Fatalf("n=%d: partition %d holding %d vertices has %d slots, want %d", c.n, q, o, slots[q], want)
+			}
+			capacity += slots[q]
+			gauge := reg.Gauge("vebo_headroom_slots", "partition", strconv.Itoa(q)).Value()
+			if left := slots[q] - d.VertexCounts()[q]; gauge != left {
+				t.Fatalf("n=%d: vebo_headroom_slots{partition=%d} = %d, want %d", c.n, q, gauge, left)
+			}
+			free += gauge
+		}
+		if gf, gc := d.Headroom(); gf != free || gc != capacity || gc-gf != int64(c.n+c.grow) {
+			t.Fatalf("n=%d: Headroom() = (%d, %d), want (%d, %d)", c.n, gf, gc, free, capacity)
+		}
+	}
+}
+
 // TestApplyBatchAfterGrow checks that ApplyBatch admits nothing itself:
 // inserts mentioning out-of-range endpoints fail, and once Grow has admitted
 // the new IDs the same inserts land and the snapshot matches a scratch

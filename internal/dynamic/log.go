@@ -34,49 +34,19 @@ type wkey struct {
 	w int32
 }
 
-// baseMultiplicityW counts base occurrences of (s,d) with exactly weight w.
-func (d *Graph) baseMultiplicityW(s, dst graph.VertexID, w int32) int64 {
+// baseRun returns the weights of the base's parallel (s,dst) edges, in row
+// order: sorted by weight, so each weight's occurrences are one sub-run.
+func (d *Graph) baseRun(s, dst graph.VertexID) []int32 {
 	if int(s) >= d.base.NumVertices() {
-		return 0
+		return nil
 	}
 	nbrs := d.base.OutNeighbors(s)
-	ws := d.base.OutWeights(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	var c int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		if ws[i] == w {
-			c++
-		}
-	}
-	return c
-}
-
-// liveMultiplicity counts the surviving occurrences of edge (s,d): its
-// surviving pending insertions plus its base run, less the cancellations of
-// each weight in the run. Base rows are sorted by (neighbor, weight), so
-// every weight's cancellations are subtracted once, where its sub-run
-// starts.
-func (d *Graph) liveMultiplicity(s, dst graph.VertexID) int64 {
-	k := keyOf(s, dst)
-	c := int64(len(d.addAlive[k]))
-	if int(s) >= d.base.NumVertices() {
-		return c
-	}
-	nbrs := d.base.OutNeighbors(s)
-	ws := d.base.OutWeights(s)
 	lo := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	for i := lo; i < len(nbrs) && nbrs[i] == dst; i++ {
-		c++
-		if i == lo || ws[i] != ws[i-1] {
-			c -= d.delBase[wkey{k, ws[i]}]
-		}
+	hi := lo
+	for hi < len(nbrs) && nbrs[hi] == dst {
+		hi++
 	}
-	return c
-}
-
-// HasEdge reports whether at least one live (s,d) edge exists.
-func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
-	return d.liveMultiplicity(s, dst) > 0
+	return d.base.OutWeights(s)[lo:hi]
 }
 
 // normWeight maps an input weight to its stored form.
@@ -131,7 +101,7 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 		switch {
 		case i >= 0:
 			d.killPending(s, dst, i)
-		case d.baseMultiplicityW(s, dst, wSel)-d.delBase[wkey{k, wSel}] > 0:
+		case int64(countWeight(d.baseRun(s, dst), wSel)) > d.delBase[wkey{k, wSel}]:
 			d.cancelBase(s, dst, wSel)
 		default:
 			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
@@ -172,16 +142,9 @@ func (d *Graph) cancelBase(s, dst graph.VertexID, w int32) {
 // the parallel-edge run, so an occurrence is live iff the number of
 // same-weight occurrences before it covers the weight's cancellation count.
 func (d *Graph) earliestLiveBase(s, dst graph.VertexID) (int32, bool) {
-	if int(s) >= d.base.NumVertices() {
-		return 0, false
-	}
-	nbrs := d.base.OutNeighbors(s)
-	ws := d.base.OutWeights(s)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
 	k := keyOf(s, dst)
 	var seen map[int32]int64
-	for ; i < len(nbrs) && nbrs[i] == dst; i++ {
-		w := ws[i]
+	for _, w := range d.baseRun(s, dst) {
 		cancelled := d.delBase[wkey{k, w}]
 		if cancelled == 0 {
 			return w, true
@@ -195,6 +158,17 @@ func (d *Graph) earliestLiveBase(s, dst graph.VertexID) (int32, bool) {
 		seen[w]++
 	}
 	return 0, false
+}
+
+// countWeight counts the occurrences of w in ws.
+func countWeight(ws []int32, w int32) int {
+	c := 0
+	for _, x := range ws {
+		if x == w {
+			c++
+		}
+	}
+	return c
 }
 
 func (d *Graph) touch() {

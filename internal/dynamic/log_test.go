@@ -25,6 +25,23 @@ func edgeCmp(a, b graph.Edge) int {
 	return cmp.Compare(a.Weight, b.Weight)
 }
 
+// HasEdge reports whether at least one live (s,dst) edge exists, from the
+// writer's own bookkeeping: its surviving pending insertions plus its base
+// run, less each weight's cancellations (subtracted once, where the
+// weight's sub-run starts). Tests hold it against materialized snapshots.
+func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
+	k := keyOf(s, dst)
+	c := int64(len(d.addAlive[k]))
+	ws := d.baseRun(s, dst)
+	for i, w := range ws {
+		c++
+		if i == 0 || w != ws[i-1] {
+			c -= d.delBase[wkey{k, w}]
+		}
+	}
+	return c > 0
+}
+
 // checkSince requires Since to bridge every ordered capture pair at most
 // one compaction apart — the netted lists are sorted, share no edge, and
 // patch the earlier snapshot into exactly the later one — and to refuse

@@ -9,7 +9,7 @@ import "repro/internal/core"
 // repairs permute it copy-on-write themselves and Grow extends it in place,
 // so between renumbering events the new IDs of unmoved vertices never
 // change. A slotted ordering follows each partition's segment with reserved
-// headroom slots (Config.headroom) that future admissions fill without
+// headroom slots (see headroom) that future admissions fill without
 // renumbering anything; it is slotted from the first Grow on, and compact
 // before, so non-growing workloads see exact permutations.
 func (d *Graph) number(slotted bool) {
@@ -19,7 +19,7 @@ func (d *Graph) number(slotted bool) {
 		counts = make([]int64, len(d.partVerts))
 		d.slotBase = make([]int64, len(d.partVerts)+1)
 		for q, occ := range d.partVerts {
-			counts[q] = occ + d.cfg.headroom(occ)
+			counts[q] = occ + headroom(occ)
 			d.slotBase[q+1] = d.slotBase[q] + counts[q]
 		}
 	}

@@ -349,15 +349,15 @@ func TestTraceGrowthSpill(t *testing.T) {
 		t.Fatalf("vebo_headroom_slots sum = %d, Headroom() free = %d", gaugeFree, free)
 	}
 
-	// Minimal headroom (one slot per partition, no proportional term) forces
-	// an exhaustion spill mid-batch: two admissions fill the slots, the third
-	// triggers a relabeling epoch.
+	// A tiny graph gets the minimum headroom (4 slots per partition), so
+	// admissions exhaust it mid-batch: eight admissions fill the slots, the
+	// ninth triggers a relabeling epoch.
 	g2, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, reg2, sp2 := instrumented(t, g2, Config{Partitions: 2, MinHeadroom: 1, HeadroomFrac: -1})
-	d2.Grow(3)
+	d2, reg2, sp2 := instrumented(t, g2, Config{Partitions: 2})
+	d2.Grow(9)
 	gs2 := findSpan(sp2.Snapshot(), "grow", "")
 	if gs2 == nil || gs2.Cause != "growth-spill" {
 		t.Fatalf("exhausted grow span = %+v, want growth-spill", gs2)

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/numa"
 )
 
 // Cost-model weights, in abstract units of one edge scan.
@@ -293,18 +292,3 @@ func MakespanGrouped(costs []int64, groups, workersPerGroup int) int64 {
 // SparseChunk is the number of frontier vertices per dynamic scheduling
 // unit in the engines' sparse traversals.
 const SparseChunk = 64
-
-// Config carries the knobs shared by the three engines.
-type Config struct {
-	// Topology is the virtual NUMA machine; the zero value selects the
-	// paper's 4×12 topology.
-	Topology numa.Topology
-}
-
-// WithDefaults fills zero-valued fields with the paper's defaults.
-func (c Config) WithDefaults() Config {
-	if c.Topology.Sockets == 0 {
-		c.Topology = numa.Default()
-	}
-	return c
-}

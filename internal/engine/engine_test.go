@@ -310,10 +310,3 @@ func TestMetricsAccumulation(t *testing.T) {
 		t.Error("Reset incomplete")
 	}
 }
-
-func TestConfigWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.Topology.Threads() != 48 {
-		t.Errorf("default topology has %d threads", c.Topology.Threads())
-	}
-}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/layout"
+	"repro/internal/numa"
 	"repro/internal/partition"
 )
 
@@ -25,7 +26,9 @@ const DefaultPartitions = 384
 
 // Config parameterizes the GraphGrind model.
 type Config struct {
-	Engine engine.Config
+	// Topology is the virtual NUMA machine; the zero value selects the
+	// paper's 4×12 machine.
+	Topology numa.Topology
 	// Partitions is the partition count (default 384).
 	Partitions int
 	// Order is the COO edge order for dense traversal: layout.HilbertOrder
@@ -50,7 +53,7 @@ type GraphGrind struct {
 
 // New builds a GraphGrind engine, materializing one COO per partition.
 func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
-	cfg.Engine = cfg.Engine.WithDefaults()
+	cfg.Topology = cfg.Topology.OrDefault()
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = DefaultPartitions
 	}
@@ -93,7 +96,7 @@ func (gg *GraphGrind) gather(parts []int, ones []int32) error {
 	for j, i := range parts {
 		ranges[j] = gg.ranges[i]
 	}
-	built, ones, err := layout.BuildRanges(gg.g, ranges, gg.cfg.Order, gg.cfg.Engine.Topology.Threads(), ones)
+	built, ones, err := layout.BuildRanges(gg.g, ranges, gg.cfg.Order, gg.cfg.Topology.Threads(), ones)
 	if err != nil {
 		return err
 	}
@@ -214,7 +217,7 @@ func (gg *GraphGrind) Partitions() []partition.Partition { return gg.parts }
 // with two-level (static-across-sockets, dynamic-within) scheduling; sparse
 // frontiers push with intra-socket dynamic scheduling.
 func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
-	top := gg.cfg.Engine.Topology
+	top := gg.cfg.Topology
 	if f.ShouldBeDense(gg.g.NumEdges()) {
 		out, costs := engine.DenseCOO(gg.g, f, k, gg.coos, gg.ranges, top.Threads())
 		gg.metrics.Add(engine.Step{
@@ -257,7 +260,7 @@ func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *fronti
 // VertexMap implements Engine: iterations spread statically over all
 // threads, as in Polymer.
 func (gg *GraphGrind) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
-	threads := gg.cfg.Engine.Topology.Threads()
+	threads := gg.cfg.Topology.Threads()
 	out, costs := engine.VertexMapStatic(gg.g, f, fn, threads, threads)
 	gg.metrics.Add(engine.Step{
 		Kind:           engine.StepVertexMap,

@@ -27,7 +27,7 @@ func testGraph(t *testing.T) *graph.Graph {
 func newEngine(t *testing.T, g *graph.Graph, parts int, o layout.Order, bounds []int64) *GraphGrind {
 	t.Helper()
 	gg, err := New(g, Config{
-		Engine:     engine.Config{Topology: top},
+		Topology:   top,
 		Partitions: parts,
 		Order:      o,
 		Bounds:     bounds,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/layout"
@@ -67,7 +66,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	}
 	dirtyIn, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
 
-	cfg := Config{Engine: engine.Config{Topology: top}, Partitions: len(bounds) - 1, Order: o, Bounds: bounds}
+	cfg := Config{Topology: top, Partitions: len(bounds) - 1, Order: o, Bounds: bounds}
 	gg, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,30 +11,26 @@ import (
 	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/numa"
 )
-
-// Config parameterizes the Ligra model.
-type Config struct {
-	Engine engine.Config
-}
 
 // Ligra is an Engine with Ligra's scheduling policy.
 type Ligra struct {
 	g       *graph.Graph
-	cfg     Config
+	top     numa.Topology
 	units   []engine.Range
 	metrics engine.Metrics
 }
 
 // New builds a Ligra engine over g. Dense traversal splits the vertex
 // range into Cilk leaf tasks of n/384 vertices (at least 64), mirroring the
-// implicit partitioning the paper observes for Cilk loops.
-func New(g *graph.Graph, cfg Config) *Ligra {
-	cfg.Engine = cfg.Engine.WithDefaults()
+// implicit partitioning the paper observes for Cilk loops. The zero top
+// selects the paper's 4×12 machine.
+func New(g *graph.Graph, top numa.Topology) *Ligra {
 	grain := max(g.NumVertices()/384, 64)
 	return &Ligra{
 		g:     g,
-		cfg:   cfg,
+		top:   top.OrDefault(),
 		units: engine.SplitRange(g.NumVertices(), grain),
 	}
 }
@@ -50,7 +46,7 @@ func (l *Ligra) Metrics() *engine.Metrics { return &l.metrics }
 
 // EdgeMap implements Engine with direction optimization.
 func (l *Ligra) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
-	threads := l.cfg.Engine.Topology.Threads()
+	threads := l.top.Threads()
 	if f.ShouldBeDense(l.g.NumEdges()) {
 		out, costs := engine.DensePull(l.g, f, k, l.units, threads)
 		l.metrics.Add(engine.Step{
@@ -77,7 +73,7 @@ func (l *Ligra) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Fro
 
 // VertexMap implements Engine with dynamic chunking over active vertices.
 func (l *Ligra) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
-	threads := l.cfg.Engine.Topology.Threads()
+	threads := l.top.Threads()
 	out, costs := engine.VertexMapDynamic(l.g, f, fn, engine.SparseChunk, threads)
 	l.metrics.Add(engine.Step{
 		Kind:           engine.StepVertexMap,

@@ -24,7 +24,7 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func TestNewGrainDefault(t *testing.T) {
 	g := testGraph(t)
-	l := New(g, Config{Engine: engine.Config{Topology: top}})
+	l := New(g, top)
 	if u := l.units[0]; u.Hi-u.Lo != 64 { // n/384 < 64 → clamped
 		t.Fatalf("grain = %d, want 64", u.Hi-u.Lo)
 	}
@@ -35,7 +35,7 @@ func TestNewGrainDefault(t *testing.T) {
 
 func TestDirectionOptimization(t *testing.T) {
 	g := testGraph(t)
-	l := New(g, Config{Engine: engine.Config{Topology: top}})
+	l := New(g, top)
 	k := enginetest.Const(false)
 	l.EdgeMap(frontier.All(g), k)
 	if got := l.Metrics().LastStep().Kind; got != engine.StepEdgeMapDense {
@@ -51,7 +51,7 @@ func TestDenseMakespanIsDynamic(t *testing.T) {
 	// With dynamic list scheduling, the makespan must respect Graham's
 	// bound rather than the static max-block cost.
 	g := testGraph(t)
-	l := New(g, Config{Engine: engine.Config{Topology: top}})
+	l := New(g, top)
 	k := enginetest.Const(true)
 	l.EdgeMap(frontier.All(g), k)
 	step := l.Metrics().LastStep()
@@ -69,7 +69,7 @@ func TestDenseMakespanIsDynamic(t *testing.T) {
 
 func TestVertexMapCountsActiveOnly(t *testing.T) {
 	g := testGraph(t)
-	l := New(g, Config{Engine: engine.Config{Topology: top}})
+	l := New(g, top)
 	f := frontier.FromVertices(g, []graph.VertexID{1, 2, 3})
 	visits := 0
 	l.VertexMap(f, func(v graph.VertexID) bool { visits++; return false })

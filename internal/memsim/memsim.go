@@ -23,49 +23,21 @@ import (
 	"repro/internal/partition"
 )
 
-// Config sets the machine geometry. The defaults scale the paper's Xeon
-// E7-4860 v2 (30 MB LLC per socket for graphs of 40M+ vertices) down to the
-// reproduction's ~10^5-vertex graphs.
+// Config sets the machine's cache geometry. The defaults scale the paper's
+// Xeon E7-4860 v2 (30 MB LLC per socket for graphs of 40M+ vertices) down to
+// the reproduction's ~10^5-vertex graphs; the rest of the geometry is fixed
+// (see llcWays, lineBytes and pageBytes).
 type Config struct {
 	LLCBytes   int // per-socket LLC capacity (default 256 KiB)
-	LLCWays    int // associativity (default 16)
-	LineBytes  int // cache line size (default 64)
 	TLBEntries int // per-thread TLB entries (default 64)
-	PageBytes  int // page size (default 4096)
-	// Instruction cost model, used as the MPKI denominator.
-	InstrPerEdge       int64 // default 8
-	InstrPerVertex     int64 // default 12
-	InstrPerMapVertex  int64 // default 6 (vertexmap body)
-	InstrPerMapVisited int64 // default 2 (vertexmap skip of inactive slot)
 }
 
 func (c Config) withDefaults() Config {
 	if c.LLCBytes == 0 {
 		c.LLCBytes = 256 << 10
 	}
-	if c.LLCWays == 0 {
-		c.LLCWays = 16
-	}
-	if c.LineBytes == 0 {
-		c.LineBytes = 64
-	}
 	if c.TLBEntries == 0 {
 		c.TLBEntries = 64
-	}
-	if c.PageBytes == 0 {
-		c.PageBytes = 4096
-	}
-	if c.InstrPerEdge == 0 {
-		c.InstrPerEdge = 8
-	}
-	if c.InstrPerVertex == 0 {
-		c.InstrPerVertex = 12
-	}
-	if c.InstrPerMapVertex == 0 {
-		c.InstrPerMapVertex = 6
-	}
-	if c.InstrPerMapVisited == 0 {
-		c.InstrPerMapVisited = 2
 	}
 	return c
 }
@@ -94,6 +66,21 @@ func (c Counters) LocalMPKI() float64  { return c.MPKI(c.LocalMisses) }
 func (c Counters) RemoteMPKI() float64 { return c.MPKI(c.RemoteMisses) }
 func (c Counters) TLBMKI() float64     { return c.MPKI(c.TLBMisses) }
 func (c Counters) BranchMPKI() float64 { return c.MPKI(c.BranchMiss) }
+
+// Fixed machine geometry: LLC associativity, cache line and page size.
+const (
+	llcWays   = 16
+	lineBytes = 64
+	pageBytes = 4096
+)
+
+// Instruction cost model, the MPKI denominator: per edge, per edgemap
+// destination vertex and per vertexmap vertex.
+const (
+	instrPerEdge      = 8
+	instrPerVertex    = 12
+	instrPerMapVertex = 6
+)
 
 // Latency model (in cycles) used by Cycles. Remote misses cost roughly 3x a
 // local miss on the paper's 4-socket machine.
@@ -128,7 +115,6 @@ func (c *Counters) add(other Counters) {
 
 // Machine is the simulated NUMA machine.
 type Machine struct {
-	cfg  Config
 	top  numa.Topology
 	llcs []*setAssocCache // one per socket
 	tlbs []*setAssocCache // one per thread
@@ -142,12 +128,12 @@ func New(cfg Config, top numa.Topology) (*Machine, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	m := &Machine{cfg: cfg, top: top}
+	m := &Machine{top: top}
 	for s := 0; s < top.Sockets; s++ {
-		m.llcs = append(m.llcs, newSetAssocCache(cfg.LLCBytes, cfg.LLCWays, cfg.LineBytes))
+		m.llcs = append(m.llcs, newSetAssocCache(cfg.LLCBytes, llcWays, lineBytes))
 	}
 	for t := 0; t < top.Threads(); t++ {
-		m.tlbs = append(m.tlbs, newSetAssocCache(cfg.TLBEntries*cfg.PageBytes, 4, cfg.PageBytes))
+		m.tlbs = append(m.tlbs, newSetAssocCache(cfg.TLBEntries*pageBytes, 4, pageBytes))
 		m.lps = append(m.lps, loopPredictor{})
 		m.cnt = append(m.cnt, Counters{})
 	}
@@ -249,7 +235,7 @@ func (m *Machine) EdgeMapPullRows(g *graph.Graph, parts []partition.Partition, r
 			before := m.cnt[t]
 			var idx int64 // streaming position in the partition's index array
 			for d := pt.Lo; d < pt.Hi; d++ {
-				m.cnt[t].Instructions += m.cfg.InstrPerVertex
+				m.cnt[t].Instructions += instrPerVertex
 				// destination value access: home is this partition's socket
 				m.access(t, arrDstValues, int64(d), elem, m.top.SocketOfPartition(p, len(parts)))
 				deg := g.InDegree(d)
@@ -259,7 +245,7 @@ func (m *Machine) EdgeMapPullRows(g *graph.Graph, parts []partition.Partition, r
 					at = rowAt(d)
 				}
 				for k, s := range g.InNeighbors(d) {
-					m.cnt[t].Instructions += m.cfg.InstrPerEdge
+					m.cnt[t].Instructions += instrPerEdge
 					// the index structure: local to the partition
 					m.access(t, arrIndex, at+int64(k), 4, socket)
 					idx++
@@ -319,7 +305,7 @@ func (m *Machine) EdgeMapCOO(g *graph.Graph, parts []partition.Partition, coos [
 			var lastSrc, lastDst graph.VertexID
 			first := true
 			for i := 0; i < c.Len(); i++ {
-				m.cnt[t].Instructions += m.cfg.InstrPerEdge
+				m.cnt[t].Instructions += instrPerEdge
 				// streaming COO arrays: local to the partition
 				m.access(t, arrIndex, int64(p)<<24+int64(i), 8, socket)
 				// Value accesses benefit from register reuse while the
@@ -367,7 +353,7 @@ func (m *Machine) VertexMap(g *graph.Graph, parts []partition.Partition) (*EdgeM
 			hi = n
 		}
 		for v := lo; v < hi; v++ {
-			m.cnt[t].Instructions += m.cfg.InstrPerMapVertex
+			m.cnt[t].Instructions += instrPerMapVertex
 			m.access(t, arrDstValues, int64(v), elem, homeOf(m.top, parts, graph.VertexID(v)))
 		}
 	}

@@ -20,6 +20,15 @@ func Default() Topology {
 	return Topology{Sockets: 4, ThreadsPerSocket: 12}
 }
 
+// OrDefault returns t, or the paper's machine (Default) when t has no
+// sockets: the zero Topology every engine and experiment config accepts.
+func (t Topology) OrDefault() Topology {
+	if t.Sockets == 0 {
+		return Default()
+	}
+	return t
+}
+
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
 	if t.Sockets <= 0 || t.ThreadsPerSocket <= 0 {

@@ -15,6 +15,16 @@ func TestDefaultTopology(t *testing.T) {
 	}
 }
 
+func TestOrDefault(t *testing.T) {
+	if got := (Topology{}).OrDefault(); got != Default() {
+		t.Errorf("zero topology defaults to %+v, want %+v", got, Default())
+	}
+	small := Topology{Sockets: 2, ThreadsPerSocket: 3}
+	if got := small.OrDefault(); got != small {
+		t.Errorf("OrDefault replaced %+v with %+v", small, got)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := (Topology{Sockets: 0, ThreadsPerSocket: 1}).Validate(); err == nil {
 		t.Error("expected error for 0 sockets")

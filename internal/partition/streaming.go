@@ -141,32 +141,20 @@ func LDG(g *graph.Graph, p int) (*Assignment, error) {
 	return a, nil
 }
 
-// FennelConfig tunes the Fennel objective. The zero value selects the
-// paper-recommended γ=1.5 with α = m·(p^(γ-1))/n^γ.
-type FennelConfig struct {
-	Gamma float64 // balance exponent γ (0 → 1.5)
-	Alpha float64 // balance weight α (0 → the Fennel default)
-}
-
 // Fennel runs the Fennel streaming partitioner: vertex v goes to the
 // partition maximizing |N(v) ∩ P_i| − α·γ·|P_i|^(γ−1), interpolating between
-// edge-cut minimization and balance.
-func Fennel(g *graph.Graph, p int, cfg FennelConfig) (*Assignment, error) {
+// edge-cut minimization and balance, with the paper-recommended γ = 1.5 and
+// α = m·p^(γ−1)/n^γ (1 on an edgeless graph).
+func Fennel(g *graph.Graph, p int) (*Assignment, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("partition: Fennel partition count must be positive, got %d", p)
 	}
+	const gamma = 1.5
 	n := g.NumVertices()
 	m := float64(g.NumEdges())
-	gamma := cfg.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 && n > 0 {
+	alpha := 1.0
+	if m > 0 {
 		alpha = m * math.Pow(float64(p), gamma-1) / math.Pow(float64(n), gamma)
-		if alpha == 0 {
-			alpha = 1
-		}
 	}
 	// hard cap to prevent degenerate all-in-one assignments on empty graphs
 	capacity := 2*float64(n)/float64(p) + 1

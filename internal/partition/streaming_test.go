@@ -66,7 +66,7 @@ func TestLDGBasics(t *testing.T) {
 
 func TestFennelBasics(t *testing.T) {
 	g := communityGraph(t)
-	a, err := Fennel(g, 4, FennelConfig{})
+	a, err := Fennel(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFennelBasics(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("total %d", total)
 	}
-	if _, err := Fennel(g, -1, FennelConfig{}); err == nil {
+	if _, err := Fennel(g, -1); err == nil {
 		t.Error("expected error for negative p")
 	}
 }
@@ -99,7 +99,7 @@ func TestStreamingPartitionersCutLessThanRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fennel, err := Fennel(g, 2, FennelConfig{})
+	fennel, err := Fennel(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestVEBOBeatsStreamingOnBalance(t *testing.T) {
 	}
 	for name, build := range map[string]func() (*Assignment, error){
 		"ldg":    func() (*Assignment, error) { return LDG(g, P) },
-		"fennel": func() (*Assignment, error) { return Fennel(g, P, FennelConfig{}) },
+		"fennel": func() (*Assignment, error) { return Fennel(g, P) },
 	} {
 		a, err := build()
 		if err != nil {
@@ -215,7 +215,7 @@ func TestStreamingValidityQuick(t *testing.T) {
 		if err != nil || ldg.Validate() != nil {
 			return false
 		}
-		fen, err := Fennel(g, p, FennelConfig{})
+		fen, err := Fennel(g, p)
 		if err != nil || fen.Validate() != nil {
 			return false
 		}

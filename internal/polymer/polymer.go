@@ -12,12 +12,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/numa"
 	"repro/internal/partition"
 )
 
 // Config parameterizes the Polymer model.
 type Config struct {
-	Engine engine.Config
+	// Topology is the virtual NUMA machine; the zero value selects the
+	// paper's 4×12 machine.
+	Topology numa.Topology
 	// Bounds optionally supplies partition boundaries in vertex-ID space
 	// (P+1 entries, P = sockets), e.g. VEBO's Result.Boundaries. When nil,
 	// the paper's Algorithm 1 (partition.ByDestination) is used.
@@ -27,7 +30,7 @@ type Config struct {
 // Polymer is an Engine with Polymer's partitioning and scheduling policy.
 type Polymer struct {
 	g       *graph.Graph
-	cfg     Config
+	top     numa.Topology
 	parts   []partition.Partition
 	units   []engine.Range // threads-per-socket sub-ranges per partition
 	metrics engine.Metrics
@@ -35,8 +38,8 @@ type Polymer struct {
 
 // New builds a Polymer engine over g with one partition per socket.
 func New(g *graph.Graph, cfg Config) (*Polymer, error) {
-	cfg.Engine = cfg.Engine.WithDefaults()
-	sockets := cfg.Engine.Topology.Sockets
+	top := cfg.Topology.OrDefault()
+	sockets := top.Sockets
 	var parts []partition.Partition
 	var err error
 	if cfg.Bounds != nil {
@@ -57,9 +60,9 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 	}
 	return &Polymer{
 		g:     g,
-		cfg:   cfg,
+		top:   top,
 		parts: parts,
-		units: engine.SubdivideByEdges(g, ranges, cfg.Engine.Topology.ThreadsPerSocket),
+		units: engine.SubdivideByEdges(g, ranges, top.ThreadsPerSocket),
 	}, nil
 }
 
@@ -88,14 +91,14 @@ func (p *Polymer) partitionCosts(unitCosts []int64) []int64 {
 // EdgeMap implements Engine with direction optimization; both directions are
 // statically scheduled.
 func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
-	threads := p.cfg.Engine.Topology.Threads()
+	threads := p.top.Threads()
 	if f.ShouldBeDense(p.g.NumEdges()) {
 		out, costs := engine.DensePull(p.g, f, k, p.units, threads)
 		partCosts := p.partitionCosts(costs)
 		// Polymer statically binds one partition to each socket; the
 		// socket's threads divide the partition's work near-evenly, so the
 		// loop finishes when the most expensive partition does.
-		tps := int64(p.cfg.Engine.Topology.ThreadsPerSocket)
+		tps := int64(p.top.ThreadsPerSocket)
 		var makespan int64
 		for _, c := range partCosts {
 			if t := (c + tps - 1) / tps; t > makespan {
@@ -128,7 +131,7 @@ func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.F
 // VertexMap implements Engine: the full vertex range is statically divided
 // over all threads.
 func (p *Polymer) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
-	threads := p.cfg.Engine.Topology.Threads()
+	threads := p.top.Threads()
 	out, costs := engine.VertexMapStatic(p.g, f, fn, threads, threads)
 	p.metrics.Add(engine.Step{
 		Kind:           engine.StepVertexMap,

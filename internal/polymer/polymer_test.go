@@ -25,7 +25,7 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func TestNewPartitionsPerSocket(t *testing.T) {
 	g := testGraph(t)
-	p, err := New(g, Config{Engine: engine.Config{Topology: top}})
+	p, err := New(g, Config{Topology: top})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,14 @@ func TestNewPartitionsPerSocket(t *testing.T) {
 
 func TestBoundsValidation(t *testing.T) {
 	g := testGraph(t)
-	if _, err := New(g, Config{Engine: engine.Config{Topology: top}, Bounds: []int64{0, 5}}); err == nil {
+	if _, err := New(g, Config{Topology: top, Bounds: []int64{0, 5}}); err == nil {
 		t.Fatal("expected bounds length error")
 	}
 }
 
 func TestPartitionCostsCoverTotal(t *testing.T) {
 	g := testGraph(t)
-	p, err := New(g, Config{Engine: engine.Config{Topology: top}})
+	p, err := New(g, Config{Topology: top})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestVEBOImprovesStaticMakespan(t *testing.T) {
 	}
 	k := enginetest.Const(true)
 	run := func(g *graph.Graph, bounds []int64) int64 {
-		p, err := New(g, Config{Engine: engine.Config{Topology: top}, Bounds: bounds})
+		p, err := New(g, Config{Topology: top, Bounds: bounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestVEBOImprovesStaticMakespan(t *testing.T) {
 
 func TestVertexMapStaticOverFullRange(t *testing.T) {
 	g := testGraph(t)
-	p, err := New(g, Config{Engine: engine.Config{Topology: top}})
+	p, err := New(g, Config{Topology: top})
 	if err != nil {
 		t.Fatal(err)
 	}

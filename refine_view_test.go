@@ -169,30 +169,30 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 // TestRefineSeedFixUps pins the seed rule: within a numbering lineage a
 // refined query copies the basis capture and rewrites only the moved and
 // admitted slots; across a placement change it gathers through both
-// permutations. A small-headroom growth stream with one forced rebuild
+// permutations. A vertex-heavy growth stream with one forced rebuild
 // reaches swap, admission, mover-into-hole, spill and rebuild epochs. Before
 // every query the seed built from each basis capture must equal a full
 // re-permute of the basis result at every occupied slot, and every answer
 // must equal the scratch oracles, on each framework model.
 func TestRefineSeedFixUps(t *testing.T) {
-	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 600, 1, StreamOptions{GrowFrac: 0.1})
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 800, 1, StreamOptions{GrowFrac: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ext := external(updates)
 	keys := []refineKey{{alg: "bfs"}, {alg: "cc"}, {alg: "sssp"}, {alg: "pagerank"}}
 	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-		d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts, MinHeadroom: 2, HeadroomFrac: -1})
+		d, err := NewDynamic(g, DynamicOptions{Partitions: 8, Engine: viewTestOpts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Epochs seeded from a basis capture, by what the delta holds.
 		var swaps, admits, holes, placement, refined int
-		for i, lo := 0, 0; lo < len(ext); i, lo = i+1, lo+32 {
-			if i == 8 {
+		for i, lo := 0, 0; lo < len(ext); i, lo = i+1, lo+64 {
+			if i == 4 {
 				d.inner.Rebuild()
 			}
-			if _, err := d.IngestBatch(ext[lo:min(lo+32, len(ext))]); err != nil {
+			if _, err := d.IngestBatch(ext[lo:min(lo+64, len(ext))]); err != nil {
 				t.Fatal(err)
 			}
 			v := d.View()

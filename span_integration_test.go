@@ -298,15 +298,15 @@ func TestSpansEndpoint(t *testing.T) {
 
 // TestIngestBatchParentsGrowthSpans checks that IngestBatch admits inside
 // its batch: every grow and spill span an IngestBatch call files is a child
-// of that call's batch span. Minimal headroom makes the stream spill both
+// of that call's batch span. A vertex-heavy stream makes it spill both
 // ways (slotting the ordering on the first admission, then re-laying
 // exhausted headroom).
 func TestIngestBatchParentsGrowthSpans(t *testing.T) {
-	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1500, 19, StreamOptions{GrowFrac: 0.05})
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1500, 19, StreamOptions{GrowFrac: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, MinHeadroom: 1, HeadroomFrac: -1})
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,15 +162,15 @@ func (o EngineOptions) topology() numa.Topology {
 
 // NewEngine constructs the selected framework model over g.
 func NewEngine(sys System, g *Graph, opts EngineOptions) (Engine, error) {
-	ecfg := engine.Config{Topology: opts.topology()}
+	top := opts.topology()
 	switch sys {
 	case Ligra:
-		return ligra.New(g, ligra.Config{Engine: ecfg}), nil
+		return ligra.New(g, top), nil
 	case Polymer:
-		return polymer.New(g, polymer.Config{Engine: ecfg, Bounds: opts.Bounds})
+		return polymer.New(g, polymer.Config{Topology: top, Bounds: opts.Bounds})
 	case GraphGrind:
 		return graphgrind.New(g, graphgrind.Config{
-			Engine:     ecfg,
+			Topology:   top,
 			Partitions: opts.Partitions,
 			Order:      layout.CSROrder,
 			Bounds:     opts.Bounds,
@@ -225,7 +225,9 @@ type DynamicStats = dynamic.Stats
 type DynamicBatchResult = dynamic.BatchResult
 
 // DynamicOptions tunes a dynamic graph. The zero value selects the defaults
-// documented in internal/dynamic.Config.
+// documented in internal/dynamic.Config. Growth headroom is not tunable:
+// once the vertex space grows, each partition segment reserves
+// max(4, occupied/8) admission slots at its tail.
 type DynamicOptions struct {
 	// Partitions is the VEBO partition count maintained live (default 64).
 	Partitions int
@@ -237,20 +239,9 @@ type DynamicOptions struct {
 	// CompactEvery bounds the delta log before compaction (default:
 	// adaptive, max(8192, liveEdges/8)).
 	CompactEvery int
-	// MinHeadroom is the floor on the growth headroom reserved at each
-	// partition segment's tail whenever an ordering is (re)built while the
-	// graph is growing (default 4). Admissions fill these pre-reserved
-	// slots, so a growth epoch patches in O(delta); a relabeling epoch only
-	// happens when every segment's headroom is exhausted.
-	MinHeadroom int64
-	// HeadroomFrac is the proportional term of the headroom policy: each
-	// segment reserves max(MinHeadroom, frac·occupied) slots (default
-	// 0.125). Negative disables the proportional term, leaving the
-	// MinHeadroom floor only.
-	HeadroomFrac float64
 	// Engine configures the engines cached on published views: the virtual
-	// NUMA topology. Partition counts and bounds come from the live ordering
-	// and are not configurable here.
+	// NUMA topology only. Partition counts and bounds come from the live
+	// ordering, so NewDynamic rejects options that set them.
 	Engine EngineOptions
 	// DisableViewReuse forces every view to rebuild its relabeled graph and
 	// engines from scratch instead of patching them from the previous
@@ -298,6 +289,9 @@ type Dynamic struct {
 // NewDynamic wraps g for streaming updates, computing the initial ordering
 // and publishing the epoch-0 view.
 func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
+	if opts.Engine.Partitions != 0 || opts.Engine.Bounds != nil {
+		return nil, fmt.Errorf("vebo: DynamicOptions.Engine sets partitions or bounds; views take both from the live ordering")
+	}
 	reg := obs.NewRegistry()
 	spans := obs.NewSpans(opts.SpanCapacity)
 	inner, err := dynamic.New(g, dynamic.Config{
@@ -305,8 +299,6 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		RebuildThreshold:       opts.RebuildThreshold,
 		VertexRebuildThreshold: opts.VertexRebuildThreshold,
 		CompactEvery:           opts.CompactEvery,
-		MinHeadroom:            opts.MinHeadroom,
-		HeadroomFrac:           opts.HeadroomFrac,
 		Metrics:                reg,
 		Spans:                  spans,
 	})
