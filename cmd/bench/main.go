@@ -6,9 +6,12 @@
 //	bench -exp all
 //	bench -exp view -quick -json out/
 //
-// -exp refine measures refined-vs-scratch query latency across ingest batch
-// sizes (View.Refine*, DESIGN.md §5d) and fails in -quick mode when
-// refinement stops beating scratch at the smallest batch. Wall-clock
+// -exp view and -exp grow measure how much engine construction epoch-pinned
+// views save over rebuilding from scratch, on a churn stream without and
+// with vertex arrivals; -exp refine measures refined-vs-scratch query
+// latency across ingest batch sizes (View.Refine*, DESIGN.md §5d). In
+// -quick mode each of the three fails on any of its gates that did not
+// pass. Wall-clock
 // serving numbers come from the separate benchmark module (see
 // benchmark/README.md). See DESIGN.md §3 for the experiment index and §6 for
 // the JSON report schema.
@@ -31,7 +34,7 @@ func main() {
 	partitions := flag.Int("partitions", 384, "GraphGrind partition count")
 	sockets := flag.Int("sockets", 4, "modeled NUMA sockets")
 	threads := flag.Int("threads", 12, "modeled threads per socket")
-	quick := flag.Bool("quick", false, "CI smoke mode: small graphs, few streaming batches, and fail on gate regressions (view work ratio ≤ 1×, refine speedup ≤ 1×)")
+	quick := flag.Bool("quick", false, "CI smoke mode: small graphs, few streaming batches, and fail on any gate that did not pass (view, grow, refine)")
 	jsonDir := flag.String("json", "", "directory receiving BENCH_<experiment>.json reports (empty: no JSON)")
 	baseline := flag.String("baseline", "", "directory of recorded BENCH_*.json baselines (e.g. bench-records/): after the run, compare the -json reports against them (tolerances.json honored) and exit 1 on regressions; use -exp none to compare without re-running")
 	flag.Parse()

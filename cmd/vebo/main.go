@@ -38,6 +38,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,12 +103,8 @@ func runStream(args []string) error {
 
 	start = time.Now()
 	batches := 0
-	for lo := 0; lo < len(updates); lo += *batch {
-		hi := lo + *batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := apply(updates[lo:hi]); err != nil {
+	for b := range slices.Chunk(updates, *batch) {
+		if _, err := apply(b); err != nil {
 			return err
 		}
 		batches++
@@ -328,24 +325,18 @@ func runServe(args []string) error {
 	start := time.Now()
 	batches, ingested := 0, 0
 	interrupted := false
-	for lo := 0; lo < len(updates) && !interrupted; lo += *batch {
-		select {
-		case <-ctx.Done():
+	for b := range slices.Chunk(updates, *batch) {
+		if ctx.Err() != nil {
 			interrupted = true
-			continue
-		default:
+			break
 		}
-		hi := lo + *batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := apply(updates[lo:hi]); err != nil {
+		if _, err := apply(b); err != nil {
 			close(done)
 			wg.Wait()
 			return err
 		}
 		batches++
-		ingested = hi
+		ingested += len(b)
 		if *pace > 0 {
 			time.Sleep(*pace)
 		}

@@ -59,7 +59,7 @@ type BaselineDiff struct {
 	TolerancePct float64 `json:"tolerance_pct"`
 	Regressed    bool    `json:"regressed"`
 	// Note explains skipped or special-cased comparisons (missing current
-	// report, ignored direction, config mismatch).
+	// report or metric, ignored direction, config mismatch).
 	Note string `json:"note,omitempty"`
 }
 
@@ -229,7 +229,8 @@ func compareMetric(exp, name string, baseVal, curVal float64, sameCfg bool, tol 
 // machine-readable BaselineReport is written to
 // currentDir/BENCH_baseline_diff.json and returned. A missing current
 // report for a recorded experiment is noted but is not a regression (CI
-// may run a subset); the caller decides whether Regressions > 0 is fatal.
+// may run a subset); a recorded metric missing from a current report is
+// one. The caller decides whether Regressions > 0 is fatal.
 func CompareBaseline(currentDir, baselineDir string, out io.Writer) (*BaselineReport, error) {
 	tol, err := loadTolerances(baselineDir)
 	if err != nil {
@@ -276,9 +277,13 @@ func CompareBaseline(currentDir, baselineDir string, out io.Writer) (*BaselineRe
 		for _, n := range names {
 			cv, ok := curVals[n]
 			if !ok {
+				// The experiment ran but no longer records this metric: a
+				// dropped gate or modeled value is a regression, not a skip.
+				rep.Compared++
+				rep.Regressions++
 				rep.Diffs = append(rep.Diffs, BaselineDiff{
 					Experiment: base.Experiment, Metric: n, Baseline: baseVals[n],
-					Note: "metric missing from current report",
+					Regressed: true, Note: "metric missing from current report",
 				})
 				continue
 			}
@@ -304,6 +309,8 @@ func CompareBaseline(currentDir, baselineDir string, out io.Writer) (*BaselineRe
 	for _, d := range rep.Diffs {
 		status := "ok"
 		switch {
+		case d.Regressed && d.Note != "":
+			status = "REGRESSED (" + d.Note + ")"
 		case d.Regressed:
 			status = "REGRESSED"
 		case d.Note != "":

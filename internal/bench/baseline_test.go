@@ -203,3 +203,32 @@ func TestCompareBaselineMissingAndSkippedFiles(t *testing.T) {
 		}
 	}
 }
+
+// A recorded metric missing from a report that does exist is a regression:
+// an experiment that stops emitting a gate must not pass the baseline gate.
+func TestCompareBaselineMissingMetricRegresses(t *testing.T) {
+	baseDir, curDir := t.TempDir(), t.TempDir()
+	cfg := ReportConfig{Scale: 0.2, Seed: 42, Ops: 1000, Batch: 64}
+	writeJSON(t, baseDir, "BENCH_grow.json", report("grow", cfg,
+		map[string]float64{"work_ratio_maintained": 2.3, "odelta_relabeled_edges_patched": 0},
+		map[string]float64{"work_ratio_patched": 2.4}))
+	writeJSON(t, curDir, "BENCH_grow.json", report("grow", cfg,
+		map[string]float64{"work_ratio_maintained": 2.3},
+		map[string]float64{"work_ratio_patched": 2.4}))
+
+	var out bytes.Buffer
+	rep, err := CompareBaseline(curDir, baseDir, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Regressions != 1 {
+		t.Fatalf("Regressions = %d, want 1 (the dropped gate)", rep.Regressions)
+	}
+	d := diffByMetric(rep)["gate:odelta_relabeled_edges_patched"]
+	if !d.Regressed || !strings.Contains(d.Note, "missing") {
+		t.Errorf("dropped gate not marked regressed: %+v", d)
+	}
+	if !strings.Contains(out.String(), "REGRESSED") {
+		t.Errorf("table output lacks the REGRESSED row:\n%s", out.String())
+	}
+}

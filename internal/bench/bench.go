@@ -38,10 +38,10 @@ type Config struct {
 	// Out receives the report.
 	Out io.Writer
 	// Quick selects the CI smoke configuration: the streaming experiments
-	// (dynamic, view) replay only a couple of batches so the drivers can't
-	// silently rot, and the view experiment fails — instead of merely
-	// reporting — when the maintained-row work ratio regresses to ≤ 1×
-	// (i.e. when engine patching stops applying under active maintenance).
+	// (dynamic, view, grow, refine) replay only a few batches so the
+	// drivers can't silently rot, and an experiment with gates (view, grow,
+	// refine) fails — instead of merely reporting — when any gate did not
+	// pass.
 	Quick bool
 	// JSONDir, when non-empty, receives one BENCH_<experiment>.json report
 	// per JSON-emitting experiment (view, grow, refine); see Report for the
@@ -99,9 +99,9 @@ func Run(name string, cfg Config) error {
 	case "dynamic":
 		return Dynamic(cfg)
 	case "view":
-		return View(cfg)
+		return viewExp.run(cfg)
 	case "grow":
-		return Grow(cfg)
+		return growExp.run(cfg)
 	case "refine":
 		return Refine(cfg)
 	case "all":

@@ -104,14 +104,14 @@ func assertConstructionEdges(t *testing.T, r Report, rebuild, patched, maintaine
 // BENCH_refine.json carrying both speedup gates and populated refined +
 // scratch series for both gated algorithms at the smallest batch size. The
 // speedups themselves are wall-clock ratios that a loaded parallel test run
-// can push under 1×, so a gate miss (errRefineGate) is tolerated here; the
+// can push under 1×, so a gate miss (errGate) is tolerated here; the
 // CI bench-smoke step enforces them on an otherwise idle runner.
 func TestRefineSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.Quick = true
 	cfg.JSONDir = t.TempDir()
-	if err := Run("refine", cfg); err != nil && !errors.Is(err, errRefineGate) {
+	if err := Run("refine", cfg); err != nil && !errors.Is(err, errGate) {
 		t.Fatal(err)
 	}
 	r := readReport(t, cfg.JSONDir, "refine")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -49,12 +50,8 @@ func Dynamic(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+	for b := range slices.Chunk(updates, batch) {
+		if _, err := d.ApplyBatch(b); err != nil {
 			return err
 		}
 	}
@@ -69,12 +66,8 @@ func Dynamic(cfg Config) error {
 	start = time.Now()
 	deg := g.InDegrees()
 	var scratch *core.Result
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		for _, u := range updates[lo:hi] {
+	for b := range slices.Chunk(updates, batch) {
+		for _, u := range b {
 			if u.Del {
 				deg[u.Dst]--
 			} else {

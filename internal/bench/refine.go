@@ -1,8 +1,8 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,12 +86,8 @@ func Refine(cfg Config) error {
 		}
 		ext := external(updates)
 		epoch := 0
-		for lo := 0; lo < len(updates); lo += batch {
-			hi := lo + batch
-			if hi > len(updates) {
-				hi = len(updates)
-			}
-			if _, err := d.IngestBatch(ext[lo:hi]); err != nil {
+		for b := range slices.Chunk(ext, batch) {
+			if _, err := d.IngestBatch(b); err != nil {
 				return err
 			}
 			v := d.View()
@@ -193,31 +189,15 @@ func Refine(cfg Config) error {
 	}
 
 	small := batches[len(batches)-1]
-	gates := []Gate{
-		{Name: "refine_speedup_bfs", Value: speedup["bfs"], Threshold: 1, Pass: speedup["bfs"] > 1},
-		{Name: "refine_speedup_pagerank", Value: speedup["pagerank"], Threshold: 1, Pass: speedup["pagerank"] > 1},
-	}
-	fmt.Fprintf(w, "refine speedup at batch %d: bfs %.1f× pagerank %.1f× (target > 1×: %v)\n\n",
-		small, speedup["bfs"], speedup["pagerank"],
-		gates[0].Pass && gates[1].Pass)
-	if err := writeReport(cfg, Report{
+	fmt.Fprintf(w, "refine speedup at batch %d: bfs %.1f× pagerank %.1f×\n",
+		small, speedup["bfs"], speedup["pagerank"])
+	return finish(cfg, Report{
 		Experiment: "refine",
 		Config:     ReportConfig{Scale: cfg.Scale, Seed: cfg.Seed, Ops: runs[len(runs)-1].totalOp, Batch: small, Quick: cfg.Quick},
 		Series:     allSeries,
-		Gates:      gates,
-	}); err != nil {
-		return err
-	}
-	if cfg.Quick {
-		for _, g := range gates {
-			if !g.Pass {
-				return fmt.Errorf("refine: %s = %.2f× regressed to <= 1× at batch %d: %w", g.Name, g.Value, small, errRefineGate)
-			}
-		}
-	}
-	return nil
+		Gates: []Gate{
+			{Name: "refine_speedup_bfs", Value: speedup["bfs"], Threshold: 1, Pass: speedup["bfs"] > 1},
+			{Name: "refine_speedup_pagerank", Value: speedup["pagerank"], Threshold: 1, Pass: speedup["pagerank"] > 1},
+		},
+	})
 }
-
-// errRefineGate marks a quick-mode speedup gate miss, returned after the
-// report is written, so callers can tell it from a broken run.
-var errRefineGate = errors.New("refinement no longer beats scratch")

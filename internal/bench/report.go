@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,8 +50,8 @@ type LatencySeries struct {
 	MeanMs    float64 `json:"mean_ms"`
 }
 
-// Gate is a pass/fail check the experiment enforces in Quick mode; CI fails
-// when any emitted gate has pass=false, mirroring the in-process error.
+// Gate is a pass/fail check the experiment enforces in Quick mode (see
+// finish); CI also fails when any emitted gate has pass=false.
 type Gate struct {
 	Name      string  `json:"name"`
 	Value     float64 `json:"value"`
@@ -58,23 +59,40 @@ type Gate struct {
 	Pass      bool    `json:"pass"`
 }
 
-// writeReport writes BENCH_<experiment>.json into cfg.JSONDir; an empty
-// JSONDir disables emission (the library/test default).
-func writeReport(cfg Config, r Report) error {
-	if cfg.JSONDir == "" {
-		return nil
+// errGate marks a Quick-mode gate miss, returned after the report is
+// written, so callers can tell it from a broken run.
+var errGate = errors.New("gate failed")
+
+// finish prints r's gates and writes BENCH_<experiment>.json into
+// cfg.JSONDir (an empty JSONDir disables emission, the library/test
+// default). In Quick mode it then returns errGate for the first gate that
+// did not pass: the gates are the only checks an experiment enforces.
+func finish(cfg Config, r Report) error {
+	for _, g := range r.Gates {
+		fmt.Fprintf(cfg.Out, "gate %s: %.4g (threshold %g, pass %v)\n", g.Name, g.Value, g.Threshold, g.Pass)
 	}
-	if r.GeneratedUnix == 0 {
-		r.GeneratedUnix = time.Now().Unix()
+	fmt.Fprintln(cfg.Out)
+	if cfg.JSONDir != "" {
+		if r.GeneratedUnix == 0 {
+			r.GeneratedUnix = time.Now().Unix()
+		}
+		data, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(cfg.JSONDir, "BENCH_"+r.Experiment+".json")
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			return fmt.Errorf("bench: writing %s: %w", path, err)
+		}
+		fmt.Fprintf(cfg.Out, "wrote %s\n", path)
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if cfg.Quick {
+		for _, g := range r.Gates {
+			if !g.Pass {
+				return fmt.Errorf("%s: gate %s = %.4g missed its threshold %g: %w",
+					r.Experiment, g.Name, g.Value, g.Threshold, errGate)
+			}
+		}
 	}
-	path := filepath.Join(cfg.JSONDir, "BENCH_"+r.Experiment+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	fmt.Fprintf(cfg.Out, "wrote %s\n", path)
 	return nil
 }
