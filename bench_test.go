@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	vebo "repro"
@@ -186,24 +187,17 @@ func benchDelta(g *graph.Graph, updates int, perm []graph.VertexID, seed int64) 
 	return adds, dels
 }
 
-// BenchmarkGraphGrindPatch patches a 64-partition GraphGrind engine after a
-// 32-update delta: on the identity numbering, the partitions owning a
-// touched destination are rebuilt and the rest are shared; under eight
-// swapped vertex pairs (the shape a swap repair leaves), the partitions
-// whose COOs name a moved source are remapped too. new is the scratch
-// build the patches replace.
+// BenchmarkGraphGrindPatch patches a GraphGrind engine, at 64 partitions and
+// at the paper's 384, after a 32-update delta: on the identity numbering,
+// the partitions owning a touched destination are rebuilt and the rest are
+// shared; under eight swapped vertex pairs (the shape a swap repair leaves),
+// the partitions whose COOs name a moved source are remapped too; hub
+// replaces 16 in-edges of the vertex of maximum in-degree, the largest set
+// of runs one dirty destination cuts. new is the scratch build the patches
+// replace.
 func BenchmarkGraphGrindPatch(b *testing.B) {
 	g := benchGraph(b)
 	n := g.NumVertices()
-	cfg := graphgrind.Config{
-		Topology:   numa.Default(),
-		Partitions: 64,
-		Order:      layout.CSROrder,
-	}
-	gg, err := graphgrind.New(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	swaps := make([]graph.VertexID, n)
 	for v := range swaps {
 		swaps[v] = graph.VertexID(v)
@@ -213,42 +207,74 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 		a, c := rng.Intn(n), rng.Intn(n)
 		swaps[a], swaps[c] = swaps[c], swaps[a]
 	}
+	hub := graph.VertexID(0)
+	for v := range graph.VertexID(n) {
+		if g.InDegree(v) > g.InDegree(hub) {
+			hub = v
+		}
+	}
+	type patchCase struct {
+		name       string
+		perm       []graph.VertexID
+		adds, dels []graph.Edge
+	}
+	var cases []patchCase
 	for _, perm := range [][]graph.VertexID{nil, swaps} {
 		adds, dels := benchDelta(g, 32, perm, 1)
-		g2, _, err := g.PatchEdgesPermN(n, adds, dels, perm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dirty []graph.VertexID
-		for _, e := range append(adds, dels...) {
-			dirty = append(dirty, e.Dst)
-		}
-		for v := range perm {
-			if perm[v] != graph.VertexID(v) {
-				dirty = append(dirty, graph.VertexID(v))
-			}
-		}
 		name := "identity"
 		if perm != nil {
 			name = "swaps"
 		}
-		b.Run(name, func(b *testing.B) {
+		cases = append(cases, patchCase{name, perm, adds, dels})
+	}
+	hubCase := patchCase{name: "hub"}
+	for _, s := range g.InNeighbors(hub)[:16] {
+		hubCase.dels = append(hubCase.dels, graph.Edge{Src: s, Dst: hub, Weight: 1})
+		hubCase.adds = append(hubCase.adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: hub, Weight: 1})
+	}
+	cases = append(cases, hubCase)
+	for _, parts := range []int{64, 384} {
+		cfg := graphgrind.Config{
+			Topology:   numa.Default(),
+			Partitions: parts,
+			Order:      layout.CSROrder,
+		}
+		gg, err := graphgrind.New(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tc := range cases {
+			g2, _, err := g.PatchEdgesPermN(n, tc.adds, tc.dels, tc.perm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var dirty []graph.VertexID
+			for _, e := range append(slices.Clone(tc.adds), tc.dels...) {
+				dirty = append(dirty, e.Dst)
+			}
+			for v := range tc.perm {
+				if tc.perm[v] != graph.VertexID(v) {
+					dirty = append(dirty, graph.VertexID(v))
+				}
+			}
+			b.Run(fmt.Sprintf("p%d/%s", parts, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, _, err := gg.Patch(g2, tc.perm, dirty); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("p%d/new", parts), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := gg.Patch(g2, perm, dirty); err != nil {
+				if _, err := graphgrind.New(g, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := graphgrind.New(g, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkNewEngine builds the Ligra and Polymer engines a view derives

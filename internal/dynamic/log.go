@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -303,7 +302,7 @@ func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
 	adds, dels = buf[:0:np], buf[np:np] // the survivors go back into buf
 	i, j := 0, 0
 	for i < len(p) && j < len(m) {
-		switch c := compareEdges(p[i], m[j]); {
+		switch c := graph.CompareEdges(p[i], m[j]); {
 		case c < 0:
 			adds, i = append(adds, p[i]), i+1
 		case c > 0:
@@ -313,11 +312,6 @@ func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
 		}
 	}
 	return append(adds, p[i:]...), append(dels, m[j:]...)
-}
-
-// compareEdges orders edges by (Src, Dst, Weight).
-func compareEdges(a, b graph.Edge) int {
-	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
 }
 
 // Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph

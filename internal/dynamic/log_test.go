@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,16 +12,6 @@ import (
 type frozenCapture struct {
 	f    Frozen
 	snap *graph.Graph
-}
-
-func edgeCmp(a, b graph.Edge) int {
-	if c := cmp.Compare(a.Src, b.Src); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Weight, b.Weight)
 }
 
 // HasEdge reports whether at least one live (s,dst) edge exists, from the
@@ -64,11 +53,11 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 			if !ok {
 				t.Fatalf("epochs %d→%d: Since refused a pair %d compaction(s) apart", b.f.epoch, c.f.epoch, c.f.gen-b.f.gen)
 			}
-			if !slices.IsSortedFunc(adds, edgeCmp) || !slices.IsSortedFunc(dels, edgeCmp) {
+			if !slices.IsSortedFunc(adds, graph.CompareEdges) || !slices.IsSortedFunc(dels, graph.CompareEdges) {
 				t.Fatalf("epochs %d→%d: netted lists are not sorted", b.f.epoch, c.f.epoch)
 			}
 			for _, e := range adds {
-				if _, found := slices.BinarySearchFunc(dels, e, edgeCmp); found {
+				if _, found := slices.BinarySearchFunc(dels, e, graph.CompareEdges); found {
 					t.Fatalf("epochs %d→%d: %v both added and deleted", b.f.epoch, c.f.epoch, e)
 				}
 			}

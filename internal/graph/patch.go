@@ -763,6 +763,12 @@ func (s *patchScratch) sortDelta(es []Edge, weighted, out bool) rowDelta {
 	return d
 }
 
+// CompareEdges orders edges by (Src, Dst, Weight), Weight signed: the
+// order SortEdges leaves.
+func CompareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
+}
+
 // SortEdges sorts es by (Src, Dst, Weight), Weight signed, with a stable
 // LSD radix sort of its twelve key bytes, and returns the result: es itself
 // or tmp, a buffer of es's length. A byte every edge shares orders nothing,

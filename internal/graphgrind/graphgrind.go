@@ -9,6 +9,7 @@
 package graphgrind
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -124,15 +125,15 @@ type PatchStats struct {
 
 // Patch builds a GraphGrind engine over g, a graph derived from gg's,
 // reusing gg's materialized per-partition COOs and metadata for every
-// partition whose in-edges g left alone. g has gg's vertex count and
-// partition boundaries: either the vertex placement did not change (perm ==
-// nil), or it changed by a segment-local permutation perm (old ID → new ID,
-// identity outside the moved vertices) that kept every partition's vertex
-// count; an entry graph.NoVertex marks an old hole, an empty row whose slot
-// a moved vertex took. Headroom growth is the perm == nil case: admitted
-// rows appear inside their partition's fixed slot range. dirty lists, in
-// g's IDs, every vertex whose in-edges or occupant changed: the
-// destinations of added and deleted edges and the positions of moved and
+// partition whose in-edges g left alone. g has gg's vertex count,
+// weightedness and partition boundaries: either the vertex placement did not change
+// (perm == nil), or it changed by a segment-local permutation perm (old ID →
+// new ID, injective, identity outside the moved vertices) that kept every
+// partition's vertex count; an entry graph.NoVertex marks an old hole, an
+// empty row whose slot a moved vertex took. Headroom growth is the perm ==
+// nil case: admitted rows appear inside their partition's fixed slot range.
+// dirty lists, in g's IDs, every vertex whose in-edges or occupant changed:
+// the destinations of added and deleted edges and the positions of moved and
 // admitted vertices.
 //
 // A partition owning a dirty vertex counts as rebuilt. A clean partition
@@ -140,18 +141,37 @@ type PatchStats struct {
 // unchanged, and only its entries naming a moved source count as
 // EdgesRemapped, the modeled cost of rewriting them through perm. Those
 // entries are found from gg's graph, whose out-rows of the moved sources
-// name every such entry's partition. Rebuilt and remapped partitions are
-// re-gathered from g in one layout.BuildRanges pass, and every other
-// partition shares gg's COO, so the patched engine is byte-identical to New
-// over g.
+// name every such entry's partition. Every other partition shares gg's COO.
+// Rebuilt and remapped partitions in CSR order are merged from gg's COOs
+// (see merge); in Hilbert order they are re-gathered from g in one
+// layout.BuildRanges pass. Either way the patched engine is byte-identical
+// to New over g.
 func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*GraphGrind, PatchStats, error) {
 	var st PatchStats
 	n := g.NumVertices()
 	if n != gg.g.NumVertices() {
 		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", n, gg.g.NumVertices())
 	}
-	if perm != nil && len(perm) != n {
-		return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), n)
+	if g.Weighted() != gg.g.Weighted() {
+		return nil, st, fmt.Errorf("graphgrind: patch changes weightedness to %v", g.Weighted())
+	}
+	if perm != nil {
+		if len(perm) != n {
+			return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), n)
+		}
+		taken := make([]bool, n)
+		for s, t := range perm {
+			if t == graph.NoVertex {
+				continue
+			}
+			if int(t) >= n {
+				return nil, st, fmt.Errorf("graphgrind: patch permutation maps %d to %d, out of range n=%d", s, t, n)
+			}
+			if taken[t] {
+				return nil, st, fmt.Errorf("graphgrind: patch permutation is not injective at %d -> %d", s, t)
+			}
+			taken[t] = true
+		}
 	}
 	rebuilt := make([]bool, len(gg.parts))
 	for _, v := range dirty {
@@ -177,28 +197,154 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 		coos:   slices.Clone(gg.coos),
 		partOf: gg.partOf,
 	}
-	var gather []int // partitions re-gathered from g
+	var derive []int // partitions derived afresh
 	for i, pt := range out.parts {
 		switch {
 		case rebuilt[i]:
 			out.parts[i].Edges = off[pt.Hi] - off[pt.Lo]
 			st.PartsRebuilt++
 			st.EdgesRebuilt += out.parts[i].Edges
-			gather = append(gather, i)
+			derive = append(derive, i)
 		case stale[i] > 0:
 			st.PartsRemapped++
 			st.EdgesRemapped += stale[i]
 			st.EdgesReused += pt.Edges - stale[i]
-			gather = append(gather, i)
+			derive = append(derive, i)
 		default:
 			st.PartsReused++
 			st.EdgesReused += pt.Edges
 		}
 	}
-	if err := out.gather(gather, gg.ones); err != nil {
+	var err error
+	if gg.cfg.Order == layout.CSROrder {
+		err = out.merge(gg, derive, perm, dirty)
+	} else {
+		err = out.gather(derive, gg.ones)
+	}
+	if err != nil {
 		return nil, st, err
 	}
 	return out, st, nil
+}
+
+// rowLess orders in-row entries by (source, weight).
+func rowLess(s graph.VertexID, w int32, t graph.VertexID, x int32) bool {
+	return s < t || s == t && w < x
+}
+
+// reach appends s to by[i] for each partition i that the sorted row names a
+// destination of, once per partition.
+func (gg *GraphGrind) reach(by [][]graph.VertexID, row []graph.VertexID, s graph.VertexID) {
+	last := -1
+	for _, d := range row {
+		if i := int(gg.partOf[d]); i != last {
+			by[i], last = append(by[i], s), i
+		}
+	}
+}
+
+// merge derives the CSR-order COOs of the listed partitions from basis's
+// (see Patch). A basis entry carries over unless its source moved or it
+// left the in-row of a dropped destination: a dirty or moved one (holes and
+// movers' new slots included). So each partition's COO is its basis COO less
+// the Src runs of the moved sources that reach it and the entries its
+// dropped destinations lost, merged with the sorted entries they gained and
+// with the out-edges of each mover's new ID into its other destinations.
+// A dropped destination diffs its in-rows in basis and g, whether or not its
+// occupant changed: an entry is keyed by (source, destination, weight), so
+// one in both rows stands for itself. One layout.MergeCSR pass per partition
+// copies every run between those change points whole; a partition that does
+// not come out with g's edge count is an error.
+func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.VertexID) error {
+	g, off := gg.g, gg.g.InOffsets()
+	moved := func(v graph.VertexID) bool { return perm != nil && perm[v] != v }
+	drop := make([]bool, g.NumVertices())
+	for _, v := range dirty {
+		drop[v] = true
+	}
+	// The movers (old IDs with a new one) by the partitions their basis
+	// out-rows reach, whose Src runs are cut, and by those their new
+	// out-rows reach, whose entries are re-keyed.
+	cutBy := make([][]graph.VertexID, len(gg.parts))
+	addBy := make([][]graph.VertexID, len(gg.parts))
+	for s, t := range perm {
+		if t != graph.VertexID(s) {
+			drop[s] = true // a mover's new slot is an injective perm's moved one
+			if t != graph.NoVertex {
+				gg.reach(cutBy, basis.g.OutNeighbors(graph.VertexID(s)), graph.VertexID(s))
+				gg.reach(addBy, g.OutNeighbors(t), graph.VertexID(s))
+			}
+		}
+	}
+	var longest int64
+	for _, i := range parts {
+		longest = max(longest, off[gg.parts[i].Hi]-off[gg.parts[i].Lo])
+	}
+	gg.ones = basis.ones
+	var unit []int32
+	if !g.Weighted() {
+		gg.ones = graph.OnesFor(basis.ones, longest)
+		unit = gg.ones
+	}
+	var cuts []layout.Cut
+	var ins, tmp []graph.Edge
+	var gone []graph.VertexID
+	var goneW []int32
+	for _, i := range parts {
+		pt, bc := gg.parts[i], basis.coos[i]
+		cuts, ins = cuts[:0], ins[:0]
+		for _, s := range cutBy[i] {
+			cuts = append(cuts, bc.SrcCut(s))
+		}
+		for _, s := range addBy[i] {
+			t := perm[s]
+			row, ws := g.OutNeighbors(t), g.OutWeights(t)
+			j, _ := slices.BinarySearch(row, pt.Lo)
+			for ; j < len(row) && row[j] < pt.Hi; j++ {
+				if !drop[row[j]] {
+					ins = append(ins, graph.Edge{Src: t, Dst: row[j], Weight: ws[j]})
+				}
+			}
+		}
+		for d := pt.Lo; d < pt.Hi; d++ {
+			if !drop[d] {
+				continue
+			}
+			// Cut the entries d's in-row lost and insert those it gained. An
+			// entry from a moved old source went with that source's run, so
+			// an entry from a mover's new ID, which matches no entry left,
+			// counts as gained.
+			olds, oldw := basis.g.InNeighbors(d), basis.g.InWeights(d)
+			news, neww := g.InNeighbors(d), g.InWeights(d)
+			gone, goneW = gone[:0], goneW[:0]
+			for i, j := 0, 0; i < len(olds) || j < len(news); {
+				switch {
+				case i < len(olds) && moved(olds[i]):
+					i++
+				case j == len(news) || i < len(olds) && rowLess(olds[i], oldw[i], news[j], neww[j]):
+					gone, goneW = append(gone, olds[i]), append(goneW, oldw[i])
+					i++
+				case i == len(olds) || rowLess(news[j], neww[j], olds[i], oldw[i]):
+					ins = append(ins, graph.Edge{Src: news[j], Dst: d, Weight: neww[j]})
+					j++
+				default: // in both
+					i, j = i+1, j+1
+				}
+			}
+			cuts = bc.EntryCuts(cuts, d, gone, goneW)
+		}
+		slices.SortFunc(cuts, func(a, b layout.Cut) int { return cmp.Compare(a.Lo, b.Lo) })
+		tmp = slices.Grow(tmp[:0], len(ins))[:len(ins)]
+		c, err := layout.MergeCSR(bc, cuts, graph.SortEdges(ins, tmp), unit)
+		if err != nil {
+			return err
+		}
+		if want := off[pt.Hi] - off[pt.Lo]; int64(c.Len()) != want {
+			return fmt.Errorf("graphgrind: partition %d [%d,%d) merged to %d edges, want %d", i, pt.Lo, pt.Hi, c.Len(), want)
+		}
+		gg.coos[i] = c
+	}
+	return nil
 }
 
 // Name implements Engine.

@@ -13,14 +13,18 @@ import (
 
 // checkPatch patches New(g, bounds) to the graph that deletes dels (named in
 // new IDs) from g relabeled through perm (nil = identity; NoVertex drops an
-// empty row) and adds adds, with the dirty vertices the facade derives. It
-// checks that every patched COO equals New's over the new graph entry for
-// entry, weights included, and that the stats are exactly the
-// classification of the range predicates Patch once took: a partition is
-// dirty when it holds a delta destination or a moved position, and
-// source-stale when it holds a destination of a moved vertex's out-edge in
-// the new graph, counting its COO entries whose source moved.
-func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, adds, dels []graph.Edge, perm []graph.VertexID) {
+// empty row) and adds adds, with the dirty vertices the facade derives plus
+// the extra ones, every one listed twice. It checks that every patched COO
+// equals New's over the new graph entry for entry, weights included, and
+// that the stats are exactly the classification of the range predicates
+// Patch once took: a partition is dirty when it holds a delta destination, a
+// moved position or an extra vertex, and source-stale when it holds a
+// destination of a moved vertex's out-edge in the new graph, counting its
+// COO entries whose source moved. Views pinned to the basis engine keep
+// reading it, so it also checks that Patch leaves the basis COOs as they
+// were, that every reused partition shares its basis COO, and that no
+// derived COO aliases a basis array (the shared unit weights aside).
+func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, adds, dels []graph.Edge, perm, extra []graph.VertexID) {
 	t.Helper()
 	n := g.NumVertices()
 	live := g.Edges()
@@ -61,6 +65,10 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 			}
 		}
 	}
+	for _, v := range extra {
+		dirty = append(dirty, v)
+		dirtyAt[v] = true
+	}
 	anyIn := func(set []bool) func(lo, hi graph.VertexID) bool {
 		return func(lo, hi graph.VertexID) bool { return slices.Contains(set[lo:hi], true) }
 	}
@@ -71,7 +79,11 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := gg.Patch(g2, perm, dirty)
+	basis := make([]layout.COO, len(gg.coos))
+	for i, c := range gg.coos {
+		basis[i] = layout.COO{Src: slices.Clone(c.Src), Dst: slices.Clone(c.Dst), Weight: slices.Clone(c.Weight), Ordering: c.Ordering}
+	}
+	got, st, err := gg.Patch(g2, perm, append(slices.Clone(dirty), dirty...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +99,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	}
 
 	var wantSt PatchStats
+	reused := make([]bool, len(gg.parts))
 	for i, pt := range gg.parts {
 		switch {
 		case dirtyIn(pt.Lo, pt.Hi):
@@ -105,6 +118,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 		default:
 			wantSt.PartsReused++
 			wantSt.EdgesReused += pt.Edges
+			reused[i] = true
 		}
 	}
 	if st != wantSt {
@@ -124,6 +138,28 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 		if c.Ordering != w.Ordering || !slices.Equal(c.Src, w.Src) || !slices.Equal(c.Dst, w.Dst) || !slices.Equal(c.Weight, w.Weight) {
 			t.Fatalf("%v: partition %d [%d,%d) COO differs from New (%d vs %d edges)",
 				o, i, gg.parts[i].Lo, gg.parts[i].Hi, c.Len(), w.Len())
+		}
+	}
+
+	// Overwrite every derived COO: a basis array it aliases changes too.
+	for i, c := range got.coos {
+		if reused[i] != (c == gg.coos[i]) {
+			t.Fatalf("%v: partition %d: classified reused=%v, shares the basis COO=%v", o, i, reused[i], c == gg.coos[i])
+		}
+		if reused[i] {
+			continue
+		}
+		for j := range c.Src {
+			c.Src[j], c.Dst[j] = ^c.Src[j], ^c.Dst[j]
+			if g.Weighted() {
+				c.Weight[j] = ^c.Weight[j]
+			}
+		}
+	}
+	for i, c := range gg.coos {
+		b := basis[i]
+		if c.Ordering != b.Ordering || !slices.Equal(c.Src, b.Src) || !slices.Equal(c.Dst, b.Dst) || !slices.Equal(c.Weight, b.Weight) {
+			t.Fatalf("%v: basis partition %d changed: Patch wrote into it, or a derived COO aliases it", o, i)
 		}
 	}
 }
@@ -183,9 +219,103 @@ func TestPatchMatchesNew(t *testing.T) {
 					adds[i].Weight = 1
 				}
 			}
+			extra := []graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))}
 			for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-				checkPatch(t, g, r.Boundaries(), o, adds, dels, perm)
+				checkPatch(t, g, r.Boundaries(), o, adds, dels, perm, extra)
 			}
+		}
+		hubIntoHole(t, g, r.Boundaries())
+	}
+}
+
+// hubIntoHole patches after a delta whose one dirty destination is the
+// vertex of maximum in-degree, the most runs one destination cuts, while a
+// vertex from the first partition moves into a hole in the last: the hole
+// is made by deleting the edges of a vertex there from the basis graph. An
+// extra dirty vertex makes a partition the patch leaves alone rebuilt.
+func hubIntoHole(t *testing.T, g *graph.Graph, bounds []int64) {
+	t.Helper()
+	n := g.NumVertices()
+	hole, mover := graph.VertexID(n-1), graph.VertexID(0)
+	var live []graph.Edge
+	for _, e := range g.Edges() {
+		if e.Src != hole && e.Dst != hole {
+			live = append(live, e)
+		}
+	}
+	g, err := graph.FromEdges(n, live, g.Weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := mover + 1
+	for v := range graph.VertexID(n) {
+		if v != hole && v != mover && g.InDegree(v) > g.InDegree(hub) {
+			hub = v
+		}
+	}
+	if g.InDegree(hub) < 32 {
+		t.Fatalf("hub %d has in-degree %d", hub, g.InDegree(hub))
+	}
+	perm := make([]graph.VertexID, n)
+	for v := range perm {
+		perm[v] = graph.VertexID(v)
+	}
+	perm[mover], perm[hole] = hole, graph.NoVertex
+	rng := rand.New(rand.NewSource(7))
+	var adds, dels []graph.Edge
+	srcs, ws := g.InNeighbors(hub), g.InWeights(hub)
+	for j := range 16 {
+		k := j * len(srcs) / 16
+		dels = append(dels, graph.Edge{Src: perm[srcs[k]], Dst: hub, Weight: ws[k]})
+		adds = append(adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: hub, Weight: 1})
+	}
+	var extra []graph.VertexID
+	for k := range len(bounds) - 1 {
+		lo, hi := graph.VertexID(bounds[k]), graph.VertexID(bounds[k+1])
+		in := func(v graph.VertexID) bool { return lo <= v && v < hi }
+		if lo < hi && !in(hub) && !in(mover) && !in(hole) && !slices.ContainsFunc(g.OutNeighbors(mover), in) {
+			extra = append(extra, lo)
+			break
+		}
+	}
+	if extra == nil {
+		t.Fatal("every partition holds a change")
+	}
+	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+		checkPatch(t, g, bounds, o, adds, dels, perm, extra)
+	}
+}
+
+// TestPatchSwapsMutualPair swaps two vertices that point at each other and
+// at a shared dirty destination, so each dropped destination's new in-row
+// names a source its old in-row named too, through a different vertex: the
+// basis entry went with the moved source's run, and the new one must be
+// inserted, not kept.
+func TestPatchSwapsMutualPair(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		es := []graph.Edge{
+			{Src: 0, Dst: 1, Weight: 3},
+			{Src: 1, Dst: 0, Weight: 3},
+			{Src: 0, Dst: 5, Weight: 2},
+			{Src: 1, Dst: 5, Weight: 2},
+			{Src: 2, Dst: 5, Weight: 1},
+			{Src: 5, Dst: 0, Weight: 4},
+			{Src: 6, Dst: 1, Weight: 4},
+			{Src: 3, Dst: 7, Weight: 1},
+		}
+		if !weighted {
+			for i := range es {
+				es[i].Weight = 1
+			}
+		}
+		g, err := graph.FromEdges(8, es, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := []graph.VertexID{1, 0, 2, 3, 4, 5, 6, 7}
+		adds := []graph.Edge{{Src: 4, Dst: 5, Weight: 1}}
+		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+			checkPatch(t, g, []int64{0, 4, 8}, o, adds, nil, perm, nil)
 		}
 	}
 }
@@ -255,8 +385,44 @@ func FuzzGraphGrindPatch(f *testing.F) {
 				perm[v] = graph.NoVertex
 			}
 		}
+		var extra []graph.VertexID
+		for k := next() % 3; k > 0; k-- {
+			extra = append(extra, graph.VertexID(next()%n))
+		}
 		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-			checkPatch(t, g, bounds, o, adds, dels, perm)
+			checkPatch(t, g, bounds, o, adds, dels, perm, extra)
 		}
 	})
+}
+
+// TestPatchRejectsMalformedPermutation feeds Patch permutations that map a
+// vertex out of range or two vertices to one: each is an error, not a
+// misclassified engine.
+func TestPatchRejectsMalformedPermutation(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 200, S: 1.0, MaxDegree: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+		gg, err := New(g, Config{Topology: top, Partitions: 8, Order: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, bad := range map[string]func(perm []graph.VertexID){
+			"out of range":   func(perm []graph.VertexID) { perm[3] = graph.VertexID(n) },
+			"far off range":  func(perm []graph.VertexID) { perm[3] = graph.VertexID(n + 50) },
+			"not injective":  func(perm []graph.VertexID) { perm[3], perm[150] = 150, 150 },
+			"two into holes": func(perm []graph.VertexID) { perm[3], perm[7], perm[150] = 150, 150, graph.NoVertex },
+		} {
+			perm := make([]graph.VertexID, n)
+			for v := range perm {
+				perm[v] = graph.VertexID(v)
+			}
+			bad(perm)
+			if _, _, err := gg.Patch(g, perm, []graph.VertexID{3, 7, 150}); err == nil {
+				t.Errorf("%v: a permutation %s was accepted", o, name)
+			}
+		}
+	}
 }

@@ -177,6 +177,141 @@ func gatherCSR(g *graph.Graph, ranges []Range, coos []*COO, unit []int32) error 
 	return nil
 }
 
+// Cut is the half-open run [Lo, Hi) of a COO's entries that MergeCSR drops.
+type Cut struct {
+	Lo, Hi int
+}
+
+// SrcCut returns the run of c's entries with source s. c is in CSR order.
+func (c *COO) SrcCut(s graph.VertexID) Cut {
+	lo := gallop(c.Src, s, false)
+	return Cut{lo, lo + gallop(c.Src[lo:], s, true)}
+}
+
+// EntryCuts appends to cuts, in order, a cut of one of c's entries (s, d, w)
+// for each s of srcs and w of ws, which are sorted by (source, weight) as an
+// in-row is: k equal pairs cut k entries. A pair c lacks cuts nothing. Each
+// entry is found by galloping forward from the last, so an in-row costs
+// O(log gap) probes per entry, not a search of the whole COO. c is in CSR
+// order.
+func (c *COO) EntryCuts(cuts []Cut, d graph.VertexID, srcs []graph.VertexID, ws []int32) []Cut {
+	i := 0
+	for j, s := range srcs {
+		e := graph.Edge{Src: s, Dst: d, Weight: ws[j]}
+		i = c.place(i, c.Len(), e)
+		if i < c.Len() && c.Src[i] == s && c.Dst[i] == d && c.Weight[i] == e.Weight {
+			cuts = append(cuts, Cut{i, i + 1})
+			i++
+		}
+	}
+	return cuts
+}
+
+// place returns the index of the first of c's entries in [lo, hi) not
+// ordered before e, searching the Src run of e's source, then the Dst run of
+// its destination, then the weights. c is in CSR order.
+func (c *COO) place(lo, hi int, e graph.Edge) int {
+	lo += gallop(c.Src[lo:hi], e.Src, false)
+	hi = lo + gallop(c.Src[lo:hi], e.Src, true)
+	lo += gallop(c.Dst[lo:hi], e.Dst, false)
+	hi = lo + gallop(c.Dst[lo:hi], e.Dst, true)
+	return lo + gallop(c.Weight[lo:hi], e.Weight, false)
+}
+
+// gallop returns the number of xs's leading entries less than x, or with
+// orEqual, not greater than x; xs is sorted. It probes the 1st, 3rd, 7th,
+// ... entries, then binary-searches the last gap, so an answer k costs
+// O(log k) probes, all near xs's start when k is small.
+func gallop[T cmp.Ordered](xs []T, x T, orEqual bool) int {
+	lo, step := 0, 1 // xs[:lo] are before x
+	for lo+step <= len(xs) {
+		if y := xs[lo+step-1]; y > x || y == x && !orEqual {
+			break
+		}
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(xs))
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if y := xs[h]; y > x || y == x && !orEqual {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
+}
+
+// MergeCSR returns the CSR-order COO of base's entries outside cuts merged
+// with ins, in (source, destination, weight) order: a patched partition's
+// COO derived from its basis's. cuts must be sorted by Lo and may overlap;
+// ins must be sorted by (Src, Dst, Weight), Weight signed, as
+// graph.SortEdges leaves them. One forward pass copies each run of base
+// between change points whole; an insert finds its place by a galloping
+// search from the last change point. The weights are unit's prefix, as in
+// a built COO, when unit is not nil (ins' weights are then taken to be 1),
+// and otherwise an array of the COO's own.
+func MergeCSR(base *COO, cuts []Cut, ins []graph.Edge, unit []int32) (*COO, error) {
+	if base.Ordering != CSROrder {
+		return nil, fmt.Errorf("layout: merge into a %v COO", base.Ordering)
+	}
+	nb, kept, end := base.Len(), base.Len(), 0 // end: the furthest cut so far
+	for i, c := range cuts {
+		if c.Lo < 0 || c.Lo > c.Hi || c.Hi > nb || i > 0 && c.Lo < cuts[i-1].Lo {
+			return nil, fmt.Errorf("layout: cut %d [%d,%d) out of order or range %d", i, c.Lo, c.Hi, nb)
+		}
+		kept -= max(c.Hi, end) - max(c.Lo, end)
+		end = max(end, c.Hi)
+	}
+	for i := 1; i < len(ins); i++ {
+		if graph.CompareEdges(ins[i-1], ins[i]) > 0 {
+			return nil, fmt.Errorf("layout: merge inserts out of order at %d", i)
+		}
+	}
+	m := kept + len(ins)
+	if unit != nil && len(unit) < m {
+		return nil, fmt.Errorf("layout: %d unit weights for a %d-entry COO", len(unit), m)
+	}
+	out := newCOO(int64(m), CSROrder, unit)
+	weighted := unit == nil
+	w := 0 // the next output entry
+	run := func(lo, hi int) {
+		copy(out.Src[w:], base.Src[lo:hi])
+		copy(out.Dst[w:], base.Dst[lo:hi])
+		if weighted {
+			copy(out.Weight[w:], base.Weight[lo:hi])
+		}
+		w += hi - lo
+	}
+	i, k := 0, 0 // the next base entry and insert
+	for c := 0; c <= len(cuts); c++ {
+		// Base's kept entries [i, stop) merge with the inserts placed among
+		// them; an insert placed at stop waits for the run after the cut.
+		stop, skip := nb, nb
+		if c < len(cuts) {
+			stop, skip = max(cuts[c].Lo, i), cuts[c].Hi
+		}
+		for ; k < len(ins); k++ {
+			at := base.place(i, stop, ins[k])
+			if at == stop && c < len(cuts) {
+				break
+			}
+			run(i, at)
+			i = at
+			e := ins[k]
+			out.Src[w], out.Dst[w] = e.Src, e.Dst
+			if weighted {
+				out.Weight[w] = e.Weight
+			}
+			w++
+		}
+		run(i, stop)
+		i = max(stop, skip)
+	}
+	return out, nil
+}
+
 // builder builds one range's COO at a time in Hilbert order, keeping its
 // scratch across calls so a worker that builds many ranges allocates it
 // once. The zero value is ready to use.

@@ -94,9 +94,9 @@ func (v *View) dropSpentBasis() {
 // Ligra's scheduling units and Polymer's socket partitions depend only on
 // the vertex count and degree offsets, so both are always one NewEngine.
 // GraphGrind's per-partition COOs are derived from the basis view's engine
-// while the numbering lineage is intact: dirty partitions are re-gathered,
-// partitions whose stored source IDs moved are remapped, and the rest are
-// shared. Partition boundaries never change within a lineage — the slot
+// while the numbering lineage is intact: dirty partitions, and partitions
+// whose stored source IDs moved, are merged from the basis COOs, and the
+// rest are shared. Partition boundaries never change within a lineage — the slot
 // space is fixed and admissions fill reserved headroom slots inside existing
 // segment boundaries — so only a spill, which breaks the lineage, changes
 // them.
