@@ -3,7 +3,6 @@ package vebo
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -106,12 +105,7 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 		}
 		fopts := opts
 		fopts.Partitions = 32
-		switch sys {
-		case Polymer:
-			fopts.Bounds = core.CoarsenBounds(r.Boundaries(), 2)
-		default:
-			fopts.Bounds = r.Boundaries()
-		}
+		fopts.Bounds = r.Boundaries()
 		fe, err := NewEngine(sys, rg, fopts)
 		if err != nil {
 			t.Fatalf("%v: fresh engine: %v", sys, err)

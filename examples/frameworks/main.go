@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		veboEng, err := vebo.NewEngine(sys, rg, vebo.EngineOptions{
-			Partitions: partitions, Bounds: boundsFor(sys, res),
+			Partitions: partitions, Bounds: res.Boundaries(),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -70,25 +70,4 @@ func main() {
 		}
 	}
 	fmt.Println("\n(times are modeled cost units; see DESIGN.md on the timing substitution)")
-}
-
-// boundsFor adapts VEBO's fine boundaries to each system: Polymer needs one
-// partition per socket, GraphGrind the full set, Ligra none.
-func boundsFor(sys vebo.System, res interface{ Boundaries() []int64 }) []int64 {
-	switch sys {
-	case vebo.GraphGrind:
-		return res.Boundaries()
-	case vebo.Polymer:
-		fine := res.Boundaries()
-		nf := len(fine) - 1
-		const sockets = 4
-		out := make([]int64, sockets+1)
-		for i := 0; i <= sockets; i++ {
-			out[i] = fine[i*nf/sockets]
-		}
-		out[sockets] = fine[nf]
-		return out
-	default:
-		return nil
-	}
 }

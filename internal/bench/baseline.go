@@ -24,7 +24,7 @@ import (
 
 // BaselineTolerances is the optional tolerances.json schema a baseline
 // directory may carry: a default tolerance percentage and per-metric
-// overrides (tolerance and/or regression direction).
+// tolerance overrides. An unknown key is an error, not a silent no-op.
 type BaselineTolerances struct {
 	// DefaultPct is the symmetric tolerance applied when a metric has no
 	// override (default 15 — the "unexplained >15% regression" bar).
@@ -34,16 +34,11 @@ type BaselineTolerances struct {
 	Metrics map[string]MetricTolerance `json:"metrics,omitempty"`
 }
 
-// MetricTolerance is one per-metric override.
+// MetricTolerance is one per-metric override. The regression direction
+// always comes from the metric's name (see defaultDirection).
 type MetricTolerance struct {
 	// Pct widens (or tightens) the tolerance for this metric.
 	Pct float64 `json:"pct,omitempty"`
-	// Direction overrides the regression direction: "higher" (bigger is
-	// better — ratios, speedups), "lower" (smaller is better — latencies,
-	// fallback counts), "equal" (drift either way regresses — deterministic
-	// modeled counts), or "ignore" (tracked but never failed — machine- or
-	// scale-dependent values).
-	Direction string `json:"direction,omitempty"`
 }
 
 // BaselineDiff is one compared metric.
@@ -59,7 +54,7 @@ type BaselineDiff struct {
 	TolerancePct float64 `json:"tolerance_pct"`
 	Regressed    bool    `json:"regressed"`
 	// Note explains skipped or special-cased comparisons (missing current
-	// report or metric, ignored direction, config mismatch).
+	// report or metric, config mismatch).
 	Note string `json:"note,omitempty"`
 }
 
@@ -77,9 +72,11 @@ type BaselineReport struct {
 const DefaultBaselinePct = 15
 
 // defaultDirection infers a metric's regression direction from its name,
-// mirroring the repo's metric vocabulary (DESIGN.md §6): ratios and
-// speedups regress downward, latency-like values upward, and fractions and
-// deterministic counts by drifting.
+// mirroring the repo's metric vocabulary (DESIGN.md §6): "higher" (bigger
+// is better — ratios and speedups), "lower" (smaller is better —
+// latency-like values and relabel counts) or "equal" (drift either way
+// regresses — fractions). Any other name returns "", and compareMetric
+// holds it equal under a matching config.
 func defaultDirection(name string) string {
 	base := strings.TrimPrefix(strings.TrimPrefix(name, "gate:"), "modeled:")
 	switch {
@@ -123,15 +120,21 @@ func loadReport(path string) (*Report, error) {
 
 func loadTolerances(dir string) (BaselineTolerances, error) {
 	tol := BaselineTolerances{DefaultPct: DefaultBaselinePct}
-	data, err := os.ReadFile(filepath.Join(dir, "tolerances.json"))
+	f, err := os.Open(filepath.Join(dir, "tolerances.json"))
 	if os.IsNotExist(err) {
 		return tol, nil
 	}
 	if err != nil {
 		return tol, err
 	}
-	if err := json.Unmarshal(data, &tol); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tol); err != nil {
 		return tol, fmt.Errorf("tolerances.json: %w", err)
+	}
+	if dec.More() {
+		return tol, fmt.Errorf("tolerances.json: data after the top-level object")
 	}
 	if tol.DefaultPct <= 0 {
 		tol.DefaultPct = DefaultBaselinePct
@@ -180,24 +183,15 @@ func compareMetric(exp, name string, baseVal, curVal float64, sameCfg bool, tol 
 		DeltaPct:     deltaPct(baseVal, curVal),
 		TolerancePct: tol.DefaultPct,
 	}
-	if mt, ok := tol.Metrics[name]; ok {
-		if mt.Pct > 0 {
-			d.TolerancePct = mt.Pct
-		}
-		d.Direction = mt.Direction
+	if mt := tol.Metrics[name]; mt.Pct > 0 {
+		d.TolerancePct = mt.Pct
 	}
-	if d.Direction == "" {
-		d.Direction = defaultDirection(name)
-	}
+	d.Direction = defaultDirection(name)
 	if d.Direction == "" {
 		if !sameCfg {
 			return d, false // raw count under a different config: incomparable
 		}
 		d.Direction = "equal"
-	}
-	if d.Direction == "ignore" {
-		d.Note = "tracked, never gated"
-		return d, true
 	}
 	if !sameCfg && !scaleFree(name) {
 		d.Note = "config mismatch, scale-dependent"

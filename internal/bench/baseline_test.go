@@ -104,8 +104,7 @@ func TestCompareBaselineTolerancesOverride(t *testing.T) {
 	writeJSON(t, curDir, "BENCH_refine.json", report("refine", cfg,
 		map[string]float64{"refine_speedup_min": 1.2}, nil))
 
-	// 40% drop: regresses at the default 15%, passes with a 50% override,
-	// and is skipped entirely under direction "ignore".
+	// 40% drop: regresses at the default 15% and passes with a 50% override.
 	rep, err := CompareBaseline(curDir, baseDir, new(bytes.Buffer))
 	if err != nil {
 		t.Fatal(err)
@@ -125,17 +124,27 @@ func TestCompareBaselineTolerancesOverride(t *testing.T) {
 	if rep.Regressions != 0 {
 		t.Fatalf("widened tolerance: Regressions = %d, want 0", rep.Regressions)
 	}
+}
 
-	writeJSON(t, baseDir, "tolerances.json", BaselineTolerances{
-		Metrics: map[string]MetricTolerance{"gate:refine_speedup_min": {Direction: "ignore"}},
-	})
-	rep, err = CompareBaseline(curDir, baseDir, new(bytes.Buffer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := diffByMetric(rep)["gate:refine_speedup_min"]
-	if rep.Regressions != 0 || d.Note != "tracked, never gated" {
-		t.Fatalf("ignore direction not honored: %+v", d)
+// TestCompareBaselineRejectsUnknownTolerances checks that a tolerances.json
+// key the schema does not know, a typo or a retired override, fails the
+// comparison instead of being dropped, as does data after the object.
+func TestCompareBaselineRejectsUnknownTolerances(t *testing.T) {
+	for _, tol := range []string{
+		`{"default_pc": 50}`,
+		`{"metrics": {"gate:refine_speedup_min": {"pct": 50, "direction": "ignore"}}}`,
+		`{"default_pct": 50} {}`,
+	} {
+		baseDir, curDir := t.TempDir(), t.TempDir()
+		cfg := ReportConfig{Scale: 0.2, Seed: 42}
+		writeJSON(t, baseDir, "BENCH_refine.json", report("refine", cfg, map[string]float64{"refine_speedup_min": 2.0}, nil))
+		writeJSON(t, curDir, "BENCH_refine.json", report("refine", cfg, map[string]float64{"refine_speedup_min": 2.0}, nil))
+		if err := os.WriteFile(filepath.Join(baseDir, "tolerances.json"), []byte(tol), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CompareBaseline(curDir, baseDir, new(bytes.Buffer)); err == nil {
+			t.Errorf("tolerances %s were accepted", tol)
+		}
 	}
 }
 

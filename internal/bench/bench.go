@@ -201,11 +201,7 @@ func newEngine(sys string, g *graph.Graph, cfg Config, bounds []int64, ggOrder l
 	case "ligra":
 		return ligra.New(g, cfg.Topology), nil
 	case "polymer":
-		var b []int64
-		if bounds != nil {
-			b = core.CoarsenBounds(bounds, cfg.Topology.Sockets)
-		}
-		return polymer.New(g, polymer.Config{Topology: cfg.Topology, Bounds: b})
+		return polymer.New(g, polymer.Config{Topology: cfg.Topology, Bounds: bounds})
 	case "graphgrind":
 		return graphgrind.New(g, graphgrind.Config{
 			Topology: cfg.Topology, Partitions: ggParts, Order: ggOrder, Bounds: bounds,

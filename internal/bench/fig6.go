@@ -26,7 +26,7 @@ func partitionCOOs(g *graph.Graph, parts []partition.Partition, o layout.Order) 
 	for i, pt := range parts {
 		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
-	coos, _, err := layout.BuildRanges(g, ranges, o, 1, nil)
+	coos, _, err := layout.BuildRanges(g, ranges, o, 1)
 	return coos, err
 }
 

@@ -35,7 +35,7 @@ func denseCOOCycles(t *testing.T, g *graph.Graph, r *core.Result) int64 {
 	for i, pt := range parts {
 		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
-	coos, _, err := layout.BuildRanges(rg, ranges, layout.CSROrder, 1, nil)
+	coos, _, err := layout.BuildRanges(rg, ranges, layout.CSROrder, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

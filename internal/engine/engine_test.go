@@ -162,7 +162,7 @@ func TestSparsePushVisitsFrontierEdges(t *testing.T) {
 func TestDenseCOOMatchesDensePull(t *testing.T) {
 	g := testGraph(t)
 	units := SplitRange(g.NumVertices(), 100)
-	coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 1, nil)
+	coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 				return counts, out
 			default:
 				units := SplitRange(n, 16)
-				coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 2, nil)
+				coos, _, err := layout.BuildRanges(g, units, layout.HilbertOrder, 2)
 				if err != nil {
 					return nil, nil
 				}

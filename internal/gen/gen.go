@@ -378,18 +378,3 @@ func PadIsolated(g *graph.Graph, factor float64, seed int64) (*graph.Graph, erro
 	}
 	return graph.FromEdges(n, edges, g.Weighted())
 }
-
-// Undirected symmetrizes g: for every edge (u,v) the reverse (v,u) is added
-// unless already present. Used for the undirected recipes (Orkut, Yahoo_mem,
-// USAroad, PowerLaw in Table I).
-func Undirected(g *graph.Graph) (*graph.Graph, error) {
-	edges := g.Edges()
-	out := make([]graph.Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, e)
-		if !g.HasEdge(e.Dst, e.Src) {
-			out = append(out, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-		}
-	}
-	return graph.FromEdges(g.NumVertices(), out, g.Weighted())
-}

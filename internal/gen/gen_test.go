@@ -178,25 +178,6 @@ func TestRoadNetworkLocality(t *testing.T) {
 	}
 }
 
-func TestUndirected(t *testing.T) {
-	g, err := PowerLaw(PowerLawConfig{N: 500, S: 1, MaxDegree: 30, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := Undirected(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range u.Edges() {
-		if !u.HasEdge(e.Dst, e.Src) {
-			t.Fatalf("edge (%d,%d) has no reverse after Undirected", e.Src, e.Dst)
-		}
-	}
-	if u.NumEdges() < g.NumEdges() {
-		t.Error("Undirected lost edges")
-	}
-}
-
 func TestRecipesBuildAll(t *testing.T) {
 	for _, r := range Recipes() {
 		r := r

@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -14,9 +13,7 @@ import (
 // closures), with insertion endpoints drawn preferentially toward already
 // popular vertices so the degree distribution keeps its shape.
 type StreamConfig struct {
-	// Ops is the number of logical operations to generate. Without Mirror
-	// one logical operation is one update; with Mirror a non-self-loop
-	// operation emits two paired updates.
+	// Ops is the number of updates to generate.
 	Ops int
 	// DeleteFrac is the probability that an update deletes an existing live
 	// edge instead of inserting a new one (skipped when no live edge
@@ -31,12 +28,6 @@ type StreamConfig struct {
 	// emits deletions carrying the weight of the edge they target, so a
 	// weight-aware consumer can cancel the exact parallel edge.
 	Weighted bool
-	// Mirror emits undirected churn: every insertion or deletion of (u,v)
-	// with u ≠ v is immediately followed by the paired reverse update (v,u)
-	// with the same weight. Requires a symmetric input graph (every edge's
-	// reverse present with equal weight and multiplicity) so that mirrored
-	// deletions always target live edges.
-	Mirror bool
 	// GrowFrac is the probability that an insertion attaches a
 	// never-before-seen vertex: new vertices take the next dense IDs beyond
 	// the base graph (n, n+1, …), arrive as one endpoint of their first
@@ -44,7 +35,7 @@ type StreamConfig struct {
 	// endpoint drawn as usual), and participate in later churn like any
 	// other vertex. Consumers must admit out-of-range endpoints: the
 	// facade's Dynamic.IngestBatch admits each under its stream ID. In
-	// [0,1); incompatible with Mirror.
+	// [0,1).
 	GrowFrac float64
 	Seed     int64
 }
@@ -66,15 +57,9 @@ func EdgeStream(g *graph.Graph, cfg StreamConfig) ([]graph.EdgeUpdate, error) {
 	if cfg.GrowFrac < 0 || cfg.GrowFrac >= 1 {
 		return nil, fmt.Errorf("gen: GrowFrac out of range: %v", cfg.GrowFrac)
 	}
-	if cfg.GrowFrac > 0 && cfg.Mirror {
-		return nil, fmt.Errorf("gen: GrowFrac and Mirror cannot be combined")
-	}
 	n := g.NumVertices()
 	if n == 0 && cfg.Ops > 0 {
 		return nil, fmt.Errorf("gen: cannot stream over an empty graph")
-	}
-	if cfg.Mirror {
-		return mirroredEdgeStream(g, cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// live mirrors the evolving edge multiset; index order is irrelevant
@@ -140,119 +125,6 @@ func EdgeStream(g *graph.Graph, cfg StreamConfig) ([]graph.EdgeUpdate, error) {
 	return updates, nil
 }
 
-// mirroredEdgeStream is the Mirror variant of EdgeStream: the live multiset
-// is tracked in canonical orientation (Src ≤ Dst, one entry per undirected
-// edge) and every operation on (u,v) with u ≠ v emits the paired reverse
-// update, so the live edge set stays symmetric throughout the stream.
-func mirroredEdgeStream(g *graph.Graph, cfg StreamConfig) ([]graph.EdgeUpdate, error) {
-	if err := checkSymmetric(g); err != nil {
-		return nil, fmt.Errorf("gen: Mirror requires a symmetric graph: %w", err)
-	}
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var live []graph.Edge
-	for _, e := range g.Edges() {
-		if e.Src <= e.Dst {
-			live = append(live, e)
-		}
-	}
-	updates := make([]graph.EdgeUpdate, 0, 2*cfg.Ops)
-	t := int64(0)
-	emit := func(u graph.EdgeUpdate) {
-		u.Time = t
-		t++
-		updates = append(updates, u)
-	}
-	for op := 0; op < cfg.Ops; op++ {
-		if len(live) > 0 && rng.Float64() < cfg.DeleteFrac {
-			i := rng.Intn(len(live))
-			e := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			var w int32
-			if cfg.Weighted {
-				w = e.Weight
-			}
-			emit(graph.EdgeUpdate{Src: e.Src, Dst: e.Dst, Weight: w, Del: true})
-			if e.Src != e.Dst {
-				emit(graph.EdgeUpdate{Src: e.Dst, Dst: e.Src, Weight: w, Del: true})
-			}
-			continue
-		}
-		var u, v graph.VertexID
-		if len(live) > 0 && rng.Float64() < cfg.PreferentialFrac {
-			// Degree-proportional endpoint sampling. Entries are stored in
-			// canonical orientation (Src ≤ Dst), so taking a fixed side
-			// would bias toward low (or high) vertex IDs; a coin flip per
-			// sampled edge restores the undirected degree distribution.
-			pick := func() graph.VertexID {
-				e := live[rng.Intn(len(live))]
-				if rng.Intn(2) == 0 {
-					return e.Src
-				}
-				return e.Dst
-			}
-			u, v = pick(), pick()
-		} else {
-			u = graph.VertexID(rng.Intn(n))
-			v = graph.VertexID(rng.Intn(n))
-		}
-		w := int32(1)
-		if cfg.Weighted {
-			w = int32(rng.Intn(100) + 1)
-		}
-		if u > v {
-			u, v = v, u
-		}
-		live = append(live, graph.Edge{Src: u, Dst: v, Weight: w})
-		emit(graph.EdgeUpdate{Src: u, Dst: v, Weight: w})
-		if u != v {
-			emit(graph.EdgeUpdate{Src: v, Dst: u, Weight: w})
-		}
-	}
-	return updates, nil
-}
-
-// checkSymmetric verifies that every adjacency row's reverse content matches:
-// for each vertex, the multiset of (neighbor, weight) out-entries equals the
-// multiset of in-entries.
-func checkSymmetric(g *graph.Graph) error {
-	type entry struct {
-		id graph.VertexID
-		w  int32
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		out := g.OutNeighbors(graph.VertexID(v))
-		in := g.InNeighbors(graph.VertexID(v))
-		if len(out) != len(in) {
-			return fmt.Errorf("vertex %d has out-degree %d but in-degree %d", v, len(out), len(in))
-		}
-		ow, iw := g.OutWeights(graph.VertexID(v)), g.InWeights(graph.VertexID(v))
-		oe := make([]entry, len(out))
-		ie := make([]entry, len(in))
-		for i := range out {
-			oe[i] = entry{out[i], ow[i]}
-			ie[i] = entry{in[i], iw[i]}
-		}
-		less := func(s []entry) func(i, j int) bool {
-			return func(i, j int) bool {
-				if s[i].id != s[j].id {
-					return s[i].id < s[j].id
-				}
-				return s[i].w < s[j].w
-			}
-		}
-		sort.Slice(oe, less(oe))
-		sort.Slice(ie, less(ie))
-		for i := range oe {
-			if oe[i] != ie[i] {
-				return fmt.Errorf("vertex %d edge (%d,%d,w%d) lacks its reverse", v, v, oe[i].id, oe[i].w)
-			}
-		}
-	}
-	return nil
-}
-
 // streamShape maps a workload recipe to the churn profile its real-world
 // counterpart exhibits.
 var streamShape = map[string]struct {
@@ -271,13 +143,9 @@ var streamShape = map[string]struct {
 
 // RecipeStreamOptions tunes StreamFromRecipeOpts beyond the churn profile.
 type RecipeStreamOptions struct {
-	// Mirror emits paired (u,v)/(v,u) updates so the stream preserves the
-	// symmetry of an undirected recipe graph. Only valid for undirected
-	// recipes (orkut, usaroad, powerlaw).
-	Mirror bool
 	// GrowFrac interleaves vertex arrivals with the edge churn: each
 	// insertion mints a never-before-seen vertex with this probability
-	// (see StreamConfig.GrowFrac). Incompatible with Mirror.
+	// (see StreamConfig.GrowFrac).
 	GrowFrac float64
 }
 
@@ -296,9 +164,6 @@ func StreamFromRecipeOpts(name string, scale float64, ops int, seed int64, opts 
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Mirror && r.Directed {
-		return nil, nil, fmt.Errorf("gen: recipe %q is directed; Mirror applies to undirected recipes only", name)
-	}
 	g, err := r.Build(scale, seed)
 	if err != nil {
 		return nil, nil, err
@@ -309,7 +174,6 @@ func StreamFromRecipeOpts(name string, scale float64, ops int, seed int64, opts 
 		DeleteFrac:       shape.deleteFrac,
 		PreferentialFrac: shape.preferentialFrac,
 		Weighted:         g.Weighted(),
-		Mirror:           opts.Mirror,
 		GrowFrac:         opts.GrowFrac,
 		Seed:             seed + 1,
 	})

@@ -151,105 +151,6 @@ func TestStreamFromRecipe(t *testing.T) {
 	}
 }
 
-// TestMirroredStreamSymmetry is the undirected-stream property test: over an
-// undirected recipe, a mirrored stream emits paired (u,v)/(v,u) updates, and
-// replaying it keeps the live edge multiset symmetric at every pair
-// boundary — in particular the final multiset equals its own transpose.
-func TestMirroredStreamSymmetry(t *testing.T) {
-	for _, name := range []string{"powerlaw", "usaroad", "orkut"} {
-		g, updates, err := StreamFromRecipeOpts(name, 0.05, 1500, 7, RecipeStreamOptions{Mirror: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Every non-self-loop update is immediately followed by its mirror.
-		for i := 0; i < len(updates); {
-			u := updates[i]
-			if u.Src == u.Dst {
-				i++
-				continue
-			}
-			if i+1 >= len(updates) {
-				t.Fatalf("%s: update %d (%d,%d) has no paired mirror", name, i, u.Src, u.Dst)
-			}
-			m := updates[i+1]
-			if m.Src != u.Dst || m.Dst != u.Src || m.Del != u.Del || m.Weight != u.Weight {
-				t.Fatalf("%s: update %d mirror mismatch: %+v then %+v", name, i, u, m)
-			}
-			i += 2
-		}
-		// Replay onto the edge multiset and check symmetry of the result.
-		count := make(map[graph.Edge]int64)
-		for _, e := range g.Edges() {
-			count[e]++
-		}
-		for i, u := range updates {
-			e := graph.Edge{Src: u.Src, Dst: u.Dst, Weight: u.Weight}
-			if !g.Weighted() {
-				e.Weight = 1
-			}
-			if u.Del {
-				if count[e] <= 0 {
-					t.Fatalf("%s: update %d deletes non-live edge %+v", name, i, e)
-				}
-				count[e]--
-			} else {
-				count[e]++
-			}
-		}
-		for e, c := range count {
-			rev := graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-			if count[rev] != c {
-				t.Fatalf("%s: final multiset asymmetric: %+v ×%d vs reverse ×%d", name, e, c, count[rev])
-			}
-		}
-	}
-}
-
-// TestMirrorRejectsDirected checks the option is gated to undirected
-// recipes and asymmetric graphs.
-func TestMirrorRejectsDirected(t *testing.T) {
-	if _, _, err := StreamFromRecipeOpts("twitter", 0.05, 100, 1, RecipeStreamOptions{Mirror: true}); err == nil {
-		t.Error("expected error mirroring a directed recipe")
-	}
-	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EdgeStream(g, StreamConfig{Ops: 10, Mirror: true, Seed: 1}); err == nil {
-		t.Error("expected error mirroring an asymmetric graph")
-	}
-}
-
-// TestMirroredStreamDeterminism checks determinism, timestamping and op
-// accounting of the mirrored generator (replay through the dynamic subsystem
-// is covered by the facade view tests).
-func TestMirroredStreamDeterminism(t *testing.T) {
-	_, a, err := StreamFromRecipeOpts("powerlaw", 0.04, 800, 3, RecipeStreamOptions{Mirror: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, b, err := StreamFromRecipeOpts("powerlaw", 0.04, 800, 3, RecipeStreamOptions{Mirror: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("stream not deterministic at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if len(a) < 800 || len(a) > 1600 {
-		t.Fatalf("800 logical ops emitted %d updates (want within [800,1600])", len(a))
-	}
-	for i, u := range a {
-		if u.Time != int64(i) {
-			t.Fatalf("update %d has time %d (want strictly increasing from 0)", i, u.Time)
-		}
-	}
-}
-
 // TestEdgeStreamGrowth checks the vertex-arrival knob: new endpoints appear
 // densely (n, n+1, … with no gaps), every deletion still targets a live
 // edge, arrivals scale with GrowFrac, and a zero knob leaves the stream
@@ -321,8 +222,5 @@ func TestEdgeStreamGrowth(t *testing.T) {
 	// Config validation.
 	if _, err := EdgeStream(g, StreamConfig{Ops: 1, GrowFrac: 1.5}); err == nil {
 		t.Error("expected range error for GrowFrac")
-	}
-	if _, err := EdgeStream(g, StreamConfig{Ops: 1, GrowFrac: 0.1, Mirror: true}); err == nil {
-		t.Error("expected error for GrowFrac+Mirror")
 	}
 }

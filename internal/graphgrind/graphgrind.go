@@ -33,7 +33,8 @@ type Config struct {
 	// Partitions is the partition count (default 384).
 	Partitions int
 	// Order is the COO edge order for dense traversal: layout.HilbertOrder
-	// (GraphGrind's default) or layout.CSROrder (best with VEBO).
+	// (GraphGrind's default) or layout.CSROrder (best with VEBO, and the
+	// only order Patch serves).
 	Order layout.Order
 	// Bounds optionally supplies partition boundaries (Partitions+1
 	// entries), e.g. VEBO's Result.Boundaries; nil selects Algorithm 1.
@@ -73,39 +74,18 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 		return nil, err
 	}
 	ranges := make([]engine.Range, len(parts))
-	all := make([]int, len(parts)) // New is the all-dirty patch
 	partOf := make([]uint32, g.NumVertices())
 	for i, pt := range parts {
 		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
-		all[i] = i
 		for v := pt.Lo; v < pt.Hi; v++ {
 			partOf[v] = uint32(i)
 		}
 	}
-	gg := &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: make([]*layout.COO, len(parts)), partOf: partOf}
-	if err := gg.gather(all, nil); err != nil {
+	coos, ones, err := layout.BuildRanges(g, ranges, cfg.Order, cfg.Topology.Threads())
+	if err != nil {
 		return nil, err
 	}
-	return gg, nil
-}
-
-// gather materializes the COOs of the listed partitions from gg.g in one
-// layout.BuildRanges pass, their weights as prefixes of ones (nil: none yet)
-// on an unweighted graph.
-func (gg *GraphGrind) gather(parts []int, ones []int32) error {
-	ranges := make([]engine.Range, len(parts))
-	for j, i := range parts {
-		ranges[j] = gg.ranges[i]
-	}
-	built, ones, err := layout.BuildRanges(gg.g, ranges, gg.cfg.Order, gg.cfg.Topology.Threads(), ones)
-	if err != nil {
-		return err
-	}
-	for j, i := range parts {
-		gg.coos[i] = built[j]
-	}
-	gg.ones = ones
-	return nil
+	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
 }
 
 // PatchStats reports how much of an engine rebuild Patch avoided:
@@ -142,12 +122,14 @@ type PatchStats struct {
 // EdgesRemapped, the modeled cost of rewriting them through perm. Those
 // entries are found from gg's graph, whose out-rows of the moved sources
 // name every such entry's partition. Every other partition shares gg's COO.
-// Rebuilt and remapped partitions in CSR order are merged from gg's COOs
-// (see merge); in Hilbert order they are re-gathered from g in one
-// layout.BuildRanges pass. Either way the patched engine is byte-identical
-// to New over g.
+// Rebuilt and remapped partitions are merged from gg's COOs (see merge), so
+// the patched engine is byte-identical to New over g. Only CSR-order
+// engines patch; a Hilbert-order gg is an error.
 func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*GraphGrind, PatchStats, error) {
 	var st PatchStats
+	if gg.cfg.Order != layout.CSROrder {
+		return nil, st, fmt.Errorf("graphgrind: patch needs a CSR-order engine, not %v", gg.cfg.Order)
+	}
 	n := g.NumVertices()
 	if n != gg.g.NumVertices() {
 		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", n, gg.g.NumVertices())
@@ -215,13 +197,7 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 			st.EdgesReused += pt.Edges
 		}
 	}
-	var err error
-	if gg.cfg.Order == layout.CSROrder {
-		err = out.merge(gg, derive, perm, dirty)
-	} else {
-		err = out.gather(derive, gg.ones)
-	}
-	if err != nil {
+	if err := out.merge(gg, derive, perm, dirty); err != nil {
 		return nil, st, err
 	}
 	return out, st, nil

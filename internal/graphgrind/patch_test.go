@@ -24,7 +24,7 @@ import (
 // reading it, so it also checks that Patch leaves the basis COOs as they
 // were, that every reused partition shares its basis COO, and that no
 // derived COO aliases a basis array (the shared unit weights aside).
-func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, adds, dels []graph.Edge, perm, extra []graph.VertexID) {
+func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, adds, dels []graph.Edge, perm, extra []graph.VertexID) {
 	t.Helper()
 	n := g.NumVertices()
 	live := g.Edges()
@@ -74,7 +74,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	}
 	dirtyIn, srcMoved := anyIn(dirtyAt), anyIn(srcAt)
 
-	cfg := Config{Topology: top, Partitions: len(bounds) - 1, Order: o, Bounds: bounds}
+	cfg := Config{Topology: top, Partitions: len(bounds) - 1, Order: layout.CSROrder, Bounds: bounds}
 	gg, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,29 +122,29 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 		}
 	}
 	if st != wantSt {
-		t.Fatalf("%v: stats %+v, want %+v", o, st, wantSt)
+		t.Fatalf("stats %+v, want %+v", st, wantSt)
 	}
 	if parts := st.PartsRebuilt + st.PartsRemapped + st.PartsReused; parts != len(gg.parts) {
-		t.Fatalf("%v: stats cover %d of %d partitions", o, parts, len(gg.parts))
+		t.Fatalf("stats cover %d of %d partitions", parts, len(gg.parts))
 	}
 	if edges := st.EdgesRebuilt + st.EdgesRemapped + st.EdgesReused; edges != g2.NumEdges() {
-		t.Fatalf("%v: stats cover %d of %d edges", o, edges, g2.NumEdges())
+		t.Fatalf("stats cover %d of %d edges", edges, g2.NumEdges())
 	}
 	if !slices.Equal(got.parts, want.parts) || !slices.Equal(got.ranges, want.ranges) || !slices.Equal(got.partOf, want.partOf) {
-		t.Fatalf("%v: partition metadata differs from New", o)
+		t.Fatal("partition metadata differs from New")
 	}
 	for i, c := range got.coos {
 		w := want.coos[i]
 		if c.Ordering != w.Ordering || !slices.Equal(c.Src, w.Src) || !slices.Equal(c.Dst, w.Dst) || !slices.Equal(c.Weight, w.Weight) {
-			t.Fatalf("%v: partition %d [%d,%d) COO differs from New (%d vs %d edges)",
-				o, i, gg.parts[i].Lo, gg.parts[i].Hi, c.Len(), w.Len())
+			t.Fatalf("partition %d [%d,%d) COO differs from New (%d vs %d edges)",
+				i, gg.parts[i].Lo, gg.parts[i].Hi, c.Len(), w.Len())
 		}
 	}
 
 	// Overwrite every derived COO: a basis array it aliases changes too.
 	for i, c := range got.coos {
 		if reused[i] != (c == gg.coos[i]) {
-			t.Fatalf("%v: partition %d: classified reused=%v, shares the basis COO=%v", o, i, reused[i], c == gg.coos[i])
+			t.Fatalf("partition %d: classified reused=%v, shares the basis COO=%v", i, reused[i], c == gg.coos[i])
 		}
 		if reused[i] {
 			continue
@@ -159,7 +159,7 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, o layout.Order, ad
 	for i, c := range gg.coos {
 		b := basis[i]
 		if c.Ordering != b.Ordering || !slices.Equal(c.Src, b.Src) || !slices.Equal(c.Dst, b.Dst) || !slices.Equal(c.Weight, b.Weight) {
-			t.Fatalf("%v: basis partition %d changed: Patch wrote into it, or a derived COO aliases it", o, i)
+			t.Fatalf("basis partition %d changed: Patch wrote into it, or a derived COO aliases it", i)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func swapPerm(n, pairs int, pick func() int) []graph.VertexID {
 
 // TestPatchMatchesNew patches a VEBO-partitioned power-law graph, weighted
 // and unweighted, after a 32-update delta, with and without eight swapped
-// vertex pairs (the shape a swap repair leaves), in both COO orders.
+// vertex pairs (the shape a swap repair leaves).
 func TestPatchMatchesNew(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g0, err := gen.PowerLaw(gen.PowerLawConfig{N: 2000, S: 1.0, MaxDegree: 100, ZeroInFrac: 0.1, Seed: 6, Weighted: weighted})
@@ -220,9 +220,7 @@ func TestPatchMatchesNew(t *testing.T) {
 				}
 			}
 			extra := []graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))}
-			for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-				checkPatch(t, g, r.Boundaries(), o, adds, dels, perm, extra)
-			}
+			checkPatch(t, g, r.Boundaries(), adds, dels, perm, extra)
 		}
 		hubIntoHole(t, g, r.Boundaries())
 	}
@@ -281,9 +279,7 @@ func hubIntoHole(t *testing.T, g *graph.Graph, bounds []int64) {
 	if extra == nil {
 		t.Fatal("every partition holds a change")
 	}
-	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-		checkPatch(t, g, bounds, o, adds, dels, perm, extra)
-	}
+	checkPatch(t, g, bounds, adds, dels, perm, extra)
 }
 
 // TestPatchSwapsMutualPair swaps two vertices that point at each other and
@@ -314,16 +310,14 @@ func TestPatchSwapsMutualPair(t *testing.T) {
 		}
 		perm := []graph.VertexID{1, 0, 2, 3, 4, 5, 6, 7}
 		adds := []graph.Edge{{Src: 4, Dst: 5, Weight: 1}}
-		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-			checkPatch(t, g, []int64{0, 4, 8}, o, adds, nil, perm, nil)
-		}
+		checkPatch(t, g, []int64{0, 4, 8}, adds, nil, perm, nil)
 	}
 }
 
 // FuzzGraphGrindPatch patches engines over random multigraphs, weighted and
 // unweighted, with random partition bounds, random additions and deletions
-// and random swapped vertex pairs, some edgeless movers dropped as holes, in
-// both COO orders (see checkPatch).
+// and random swapped vertex pairs, some edgeless movers dropped as holes
+// (see checkPatch).
 func FuzzGraphGrindPatch(f *testing.F) {
 	f.Add(uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(1), []byte{0, 0, 0})
@@ -389,9 +383,7 @@ func FuzzGraphGrindPatch(f *testing.F) {
 		for k := next() % 3; k > 0; k-- {
 			extra = append(extra, graph.VertexID(next()%n))
 		}
-		for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-			checkPatch(t, g, bounds, o, adds, dels, perm, extra)
-		}
+		checkPatch(t, g, bounds, adds, dels, perm, extra)
 	})
 }
 
@@ -404,25 +396,39 @@ func TestPatchRejectsMalformedPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
-		gg, err := New(g, Config{Topology: top, Partitions: 8, Order: o})
-		if err != nil {
-			t.Fatal(err)
+	gg, err := New(g, Config{Topology: top, Partitions: 8, Order: layout.CSROrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(perm []graph.VertexID){
+		"out of range":   func(perm []graph.VertexID) { perm[3] = graph.VertexID(n) },
+		"far off range":  func(perm []graph.VertexID) { perm[3] = graph.VertexID(n + 50) },
+		"not injective":  func(perm []graph.VertexID) { perm[3], perm[150] = 150, 150 },
+		"two into holes": func(perm []graph.VertexID) { perm[3], perm[7], perm[150] = 150, 150, graph.NoVertex },
+	} {
+		perm := make([]graph.VertexID, n)
+		for v := range perm {
+			perm[v] = graph.VertexID(v)
 		}
-		for name, bad := range map[string]func(perm []graph.VertexID){
-			"out of range":   func(perm []graph.VertexID) { perm[3] = graph.VertexID(n) },
-			"far off range":  func(perm []graph.VertexID) { perm[3] = graph.VertexID(n + 50) },
-			"not injective":  func(perm []graph.VertexID) { perm[3], perm[150] = 150, 150 },
-			"two into holes": func(perm []graph.VertexID) { perm[3], perm[7], perm[150] = 150, 150, graph.NoVertex },
-		} {
-			perm := make([]graph.VertexID, n)
-			for v := range perm {
-				perm[v] = graph.VertexID(v)
-			}
-			bad(perm)
-			if _, _, err := gg.Patch(g, perm, []graph.VertexID{3, 7, 150}); err == nil {
-				t.Errorf("%v: a permutation %s was accepted", o, name)
-			}
+		bad(perm)
+		if _, _, err := gg.Patch(g, perm, []graph.VertexID{3, 7, 150}); err == nil {
+			t.Errorf("a permutation %s was accepted", name)
 		}
+	}
+}
+
+// TestPatchRejectsHilbertOrder checks that Patch serves CSR-order engines
+// only: patching a Hilbert-order engine, even by the identity, is an error.
+func TestPatchRejectsHilbertOrder(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 200, S: 1.0, MaxDegree: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gg, err := New(g, Config{Topology: top, Partitions: 8, Order: layout.HilbertOrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gg.Patch(g, nil, nil); err == nil {
+		t.Error("a Hilbert-order engine was patched")
 	}
 }

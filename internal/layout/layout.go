@@ -61,7 +61,7 @@ func Build(g *graph.Graph, o Order) (*COO, error) {
 // BuildRange materializes the in-edges of the destination range [lo, hi) in
 // the requested order: BuildRanges over the one range.
 func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
-	cs, _, err := BuildRanges(g, []Range{{lo, hi}}, o, 1, nil)
+	cs, _, err := BuildRanges(g, []Range{{lo, hi}}, o, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -82,9 +82,9 @@ func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
 // position) pairs range by range, on up to workers goroutines.
 //
 // The COOs of an unweighted graph take their weights as prefixes of one
-// all-ones slice: ones when it is long enough, otherwise a fresh, longer one.
-// The slice in use is returned, so the builds of one engine lineage share it.
-func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []int32) ([]*COO, []int32, error) {
+// all-ones slice, which is returned so that an engine lineage derived from
+// them shares it (nil for a weighted graph).
+func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int) ([]*COO, []int32, error) {
 	off := g.InOffsets()
 	var longest int64
 	for _, r := range ranges {
@@ -98,8 +98,7 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []in
 	}
 	var unit []int32 // the weights of every COO; nil: each COO has its own
 	if !g.Weighted() {
-		ones = graph.OnesFor(ones, longest)
-		unit = ones
+		unit = graph.OnesFor(nil, longest)
 	}
 	coos := make([]*COO, len(ranges))
 	switch o {
@@ -115,7 +114,7 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int, ones []in
 	default:
 		return nil, nil, fmt.Errorf("layout: unknown order %v", o)
 	}
-	return coos, ones, nil
+	return coos, unit, nil
 }
 
 // newCOO allocates an m-edge COO whose weights are unit's prefix, or an

@@ -222,7 +222,7 @@ func TestBuildRangeMatchesStableSort(t *testing.T) {
 				}
 				check(o, r, got)
 			}
-			got, _, err := BuildRanges(g, cut, o, 2, nil)
+			got, _, err := BuildRanges(g, cut, o, 2)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, o, err)
 			}
@@ -235,15 +235,14 @@ func TestBuildRangeMatchesStableSort(t *testing.T) {
 
 func TestBuildRangesRejectsOverlap(t *testing.T) {
 	g := testGraph(t)
-	if _, _, err := BuildRanges(g, []Range{{10, 20}, {15, 30}}, CSROrder, 1, nil); err == nil {
+	if _, _, err := BuildRanges(g, []Range{{10, 20}, {15, 30}}, CSROrder, 1); err == nil {
 		t.Error("expected error for overlapping ranges")
 	}
 }
 
 // TestUnweightedCOOsShareUnitWeights pins the weight sharing of unweighted
-// COOs: every COO of a build reads a prefix of one all-ones slice, a later
-// build handed that slice reuses it, and weighted COOs keep arrays of their
-// own.
+// COOs: every COO of a build reads a prefix of the one all-ones slice the
+// build returns, and weighted COOs keep arrays of their own.
 func TestUnweightedCOOsShareUnitWeights(t *testing.T) {
 	edges := make([]graph.Edge, 0, 400)
 	for i := range 400 {
@@ -256,18 +255,14 @@ func TestUnweightedCOOsShareUnitWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range []Order{CSROrder, HilbertOrder} {
-			coos, ones, err := BuildRanges(g, ranges, o, 2, nil)
+			coos, ones, err := BuildRanges(g, ranges, o, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, ones2, err := BuildRanges(g, ranges[1:], o, 1, ones)
-			if err != nil {
-				t.Fatal(err)
+			if !weighted && len(ones) == 0 {
+				t.Fatalf("%v: an unweighted build returned no ones", o)
 			}
-			if !weighted && (len(ones) == 0 || &ones2[0] != &ones[0]) {
-				t.Fatalf("%v: the second build did not reuse the lineage's ones", o)
-			}
-			for _, c := range append(coos, again...) {
+			for _, c := range coos {
 				shared := len(ones) > 0 && c.Len() > 0 && &c.Weight[0] == &ones[0]
 				if shared == weighted {
 					t.Fatalf("%v weighted=%v: COO weights shared=%v", o, weighted, shared)

@@ -103,16 +103,6 @@ func (c Counters) Cycles() int64 {
 		cyclesBranchMiss*c.BranchMiss
 }
 
-// add accumulates other into c.
-func (c *Counters) add(other Counters) {
-	c.Instructions += other.Instructions
-	c.Hits += other.Hits
-	c.LocalMisses += other.LocalMisses
-	c.RemoteMisses += other.RemoteMisses
-	c.TLBMisses += other.TLBMisses
-	c.BranchMiss += other.BranchMiss
-}
-
 // Machine is the simulated NUMA machine.
 type Machine struct {
 	top  numa.Topology

@@ -267,7 +267,7 @@ func buildCOOs(t *testing.T, g *graph.Graph, parts []partition.Partition, o layo
 	for i, pt := range parts {
 		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
-	coos, _, err := layout.BuildRanges(g, ranges, o, 1, nil)
+	coos, _, err := layout.BuildRanges(g, ranges, o, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package polymer
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/graph"
@@ -21,9 +22,11 @@ type Config struct {
 	// Topology is the virtual NUMA machine; the zero value selects the
 	// paper's 4×12 machine.
 	Topology numa.Topology
-	// Bounds optionally supplies partition boundaries in vertex-ID space
-	// (P+1 entries, P = sockets), e.g. VEBO's Result.Boundaries. When nil,
-	// the paper's Algorithm 1 (partition.ByDestination) is used.
+	// Bounds optionally supplies partition boundaries in vertex-ID space,
+	// e.g. VEBO's Result.Boundaries: at least sockets+1 entries, merged
+	// into one range per socket by core.CoarsenBounds (a list of exactly
+	// sockets+1 entries is used as given). When nil, the paper's
+	// Algorithm 1 (partition.ByDestination) is used.
 	Bounds []int64
 }
 
@@ -43,11 +46,11 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 	var parts []partition.Partition
 	var err error
 	if cfg.Bounds != nil {
-		if len(cfg.Bounds) != sockets+1 {
-			return nil, fmt.Errorf("polymer: bounds must have %d entries, got %d",
+		if len(cfg.Bounds) < sockets+1 {
+			return nil, fmt.Errorf("polymer: bounds must have at least %d entries, got %d",
 				sockets+1, len(cfg.Bounds))
 		}
-		parts, err = partition.ByVertexRanges(g, cfg.Bounds)
+		parts, err = partition.ByVertexRanges(g, core.CoarsenBounds(cfg.Bounds, sockets))
 	} else {
 		parts, err = partition.ByDestination(g, sockets)
 	}

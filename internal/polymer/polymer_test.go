@@ -1,6 +1,7 @@
 package polymer
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -41,6 +42,31 @@ func TestBoundsValidation(t *testing.T) {
 	g := testGraph(t)
 	if _, err := New(g, Config{Topology: top, Bounds: []int64{0, 5}}); err == nil {
 		t.Fatal("expected bounds length error")
+	}
+}
+
+// TestFineBoundsCoarsened checks that a boundary list finer than one range
+// per socket is merged by core.CoarsenBounds.
+func TestFineBoundsCoarsened(t *testing.T) {
+	g := testGraph(t)
+	n := int64(g.NumVertices())
+	fine := make([]int64, 4*top.Sockets+2)
+	for i := range fine {
+		fine[i] = int64(i) * n / int64(len(fine)-1)
+	}
+	p, err := New(g, Config{Topology: top, Bounds: fine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(g, Config{Topology: top, Bounds: core.CoarsenBounds(fine, top.Sockets)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.Partitions(), want.Partitions()) || !slices.Equal(p.units, want.units) {
+		t.Fatalf("partitions %v, want %v", p.Partitions(), want.Partitions())
+	}
+	if len(p.Partitions()) != top.Sockets {
+		t.Fatalf("%d partitions, want one per socket", len(p.Partitions()))
 	}
 }
 

@@ -145,24 +145,21 @@ type EngineOptions struct {
 	// Partitions is GraphGrind's partition count (default 384).
 	Partitions int
 	// Bounds supplies explicit partition boundaries (e.g.
-	// Result.Boundaries()); nil selects the paper's Algorithm 1.
+	// Result.Boundaries()); nil selects the paper's Algorithm 1. GraphGrind
+	// takes Partitions+1 of them; Polymer merges any list of at least
+	// Sockets+1 into one range per socket; Ligra ignores them.
 	Bounds []int64
-}
-
-func (o EngineOptions) topology() numa.Topology {
-	t := numa.Default()
-	if o.Sockets > 0 {
-		t.Sockets = o.Sockets
-	}
-	if o.ThreadsPerSocket > 0 {
-		t.ThreadsPerSocket = o.ThreadsPerSocket
-	}
-	return t
 }
 
 // NewEngine constructs the selected framework model over g.
 func NewEngine(sys System, g *Graph, opts EngineOptions) (Engine, error) {
-	top := opts.topology()
+	top := numa.Default()
+	if opts.Sockets > 0 {
+		top.Sockets = opts.Sockets
+	}
+	if opts.ThreadsPerSocket > 0 {
+		top.ThreadsPerSocket = opts.ThreadsPerSocket
+	}
 	switch sys {
 	case Ligra:
 		return ligra.New(g, top), nil
@@ -471,7 +468,7 @@ func GenerateStream(recipe string, scale float64, ops int, seed int64) (*Graph, 
 }
 
 // StreamOptions tunes GenerateStreamOpts beyond the recipe churn profile:
-// Mirror for undirected symmetry, GrowFrac for vertex arrivals.
+// GrowFrac for vertex arrivals.
 type StreamOptions = gen.RecipeStreamOptions
 
 // GenerateStreamOpts is GenerateStream with extra options. With a non-zero

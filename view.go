@@ -153,32 +153,28 @@ func (v *View) Ordering() *Result { return &Result{inner: v.ord} }
 // the numbering lineage is intact: clean partitions' COOs are shared, dirty
 // ones rebuilt.
 func (v *View) Engine(sys System) (Engine, error) {
-	if sys < Ligra || sys > GraphGrind {
-		return nil, fmt.Errorf("vebo: unknown system %v", sys)
-	}
-	s := &v.eng[sys]
-	s.once.Do(func() {
-		s.built, s.err = v.buildEngine(sys)
-		if s.err == nil {
-			s.val.Store(s.built)
-			v.dropSpentBasis()
-		}
-	})
-	return s.built, s.err
+	return v.engine(&v.eng, sys, v.buildEngine, v.dropSpentBasis)
 }
 
 // TransposeEngine returns (building once, lazily) the cached engine over the
 // transpose of the reordered graph, partitioned by the paper's Algorithm 1
 // (VEBO boundaries balance in-edges, which are out-edges in the transpose).
 func (v *View) TransposeEngine(sys System) (Engine, error) {
+	return v.engine(&v.engT, sys, v.buildTransposeEngine, func() {})
+}
+
+// engine returns sys's engine from slots, building it once with build;
+// built runs after a successful build, once the engine is visible to peek.
+func (v *View) engine(slots *[3]engineSlot, sys System, build func(System) (Engine, error), built func()) (Engine, error) {
 	if sys < Ligra || sys > GraphGrind {
 		return nil, fmt.Errorf("vebo: unknown system %v", sys)
 	}
-	s := &v.engT[sys]
+	s := &slots[sys]
 	s.once.Do(func() {
-		s.built, s.err = v.buildTransposeEngine(sys)
+		s.built, s.err = build(sys)
 		if s.err == nil {
 			s.val.Store(s.built)
+			built()
 		}
 	})
 	return s.built, s.err
@@ -231,17 +227,30 @@ func permuteIn[T any](perm []VertexID, xs []T, n int) []T {
 	return out
 }
 
-// PageRank runs power-method PageRank for iters iterations on the selected
-// framework model; ranks are indexed by original vertex ID.
-func (v *View) PageRank(sys System, iters int) ([]float64, error) {
+// fullQuery runs one full query on sys's engine: run computes the
+// engine-space result, which is reindexed to original IDs, and the whole
+// call, a lazy engine build included, is recorded as query alg.
+func fullQuery[T any](v *View, alg string, sys System, run func(e Engine) ([]T, error)) ([]T, error) {
 	start := time.Now()
 	e, err := v.Engine(sys)
 	if err != nil {
 		return nil, err
 	}
-	ranks := unpermute(v.ord.Perm, algorithms.PageRankN(e, iters, v.nverts))
-	v.work.observeQuery(v, "pagerank", "full", sys, start)
-	return ranks, nil
+	res, err := run(e)
+	if err != nil {
+		return nil, err
+	}
+	out := unpermute(v.ord.Perm, res)
+	v.work.observeQuery(v, alg, sys, start)
+	return out, nil
+}
+
+// PageRank runs power-method PageRank for iters iterations on the selected
+// framework model; ranks are indexed by original vertex ID.
+func (v *View) PageRank(sys System, iters int) ([]float64, error) {
+	return fullQuery(v, "pagerank", sys, func(e Engine) ([]float64, error) {
+		return algorithms.PageRankN(e, iters, v.nverts), nil
+	})
 }
 
 // PageRankDelta runs delta-update PageRank; ranks are indexed by original
@@ -252,14 +261,9 @@ func (v *View) PageRankDelta(sys System, iters int, eps float64) ([]float64, err
 	if math.IsNaN(eps) {
 		return nil, errors.New("vebo: PageRankDelta eps is NaN")
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	ranks := unpermute(v.ord.Perm, algorithms.PageRankDeltaN(e, iters, eps, v.nverts))
-	v.work.observeQuery(v, "pagerankdelta", "full", sys, start)
-	return ranks, nil
+	return fullQuery(v, "pagerankdelta", sys, func(e Engine) ([]float64, error) {
+		return algorithms.PageRankDeltaN(e, iters, eps, v.nverts), nil
+	})
 }
 
 // BFS returns the breadth-first parent array from root; both the indices and
@@ -268,38 +272,28 @@ func (v *View) BFS(sys System, root VertexID) ([]int32, error) {
 	if err := v.checkRoot(root); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	parents := unpermute(v.ord.Perm, algorithms.BFS(e, v.ord.Perm[root]))
-	inv := v.invPerm()
-	for i, p := range parents {
-		if p >= 0 {
-			parents[i] = int32(inv[p])
+	return fullQuery(v, "bfs", sys, func(e Engine) ([]int32, error) {
+		parents, inv := algorithms.BFS(e, v.ord.Perm[root]), v.invPerm()
+		for i, p := range parents {
+			if p >= 0 {
+				parents[i] = int32(inv[p])
+			}
 		}
-	}
-	v.work.observeQuery(v, "bfs", "full", sys, start)
-	return parents, nil
+		return parents, nil
+	})
 }
 
 // CC returns connected-component labels indexed by original vertex ID. Two
 // vertices share a component iff their labels are equal; label values are
 // otherwise opaque.
 func (v *View) CC(sys System) ([]uint32, error) {
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	labels := unpermute(v.ord.Perm, algorithms.CC(e))
-	inv := v.invPerm()
-	for i, l := range labels {
-		labels[i] = inv[l]
-	}
-	v.work.observeQuery(v, "cc", "full", sys, start)
-	return labels, nil
+	return fullQuery(v, "cc", sys, func(e Engine) ([]uint32, error) {
+		labels, inv := algorithms.CC(e), v.invPerm()
+		for i, l := range labels {
+			labels[i] = inv[l]
+		}
+		return labels, nil
+	})
 }
 
 // SPMV multiplies the adjacency matrix with x; both x and the result are
@@ -308,14 +302,9 @@ func (v *View) SPMV(sys System, x []float64) ([]float64, error) {
 	if len(x) != v.nverts {
 		return nil, fmt.Errorf("vebo: SPMV input length %d != n %d", len(x), v.nverts)
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	y := unpermute(v.ord.Perm, algorithms.SPMV(e, permuteIn(v.ord.Perm, x, v.slots())))
-	v.work.observeQuery(v, "spmv", "full", sys, start)
-	return y, nil
+	return fullQuery(v, "spmv", sys, func(e Engine) ([]float64, error) {
+		return algorithms.SPMV(e, permuteIn(v.ord.Perm, x, v.slots())), nil
+	})
 }
 
 // BellmanFord returns single-source shortest-path distances from root,
@@ -324,14 +313,9 @@ func (v *View) BellmanFord(sys System, root VertexID) ([]int64, error) {
 	if err := v.checkRoot(root); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	dists := unpermute(v.ord.Perm, algorithms.BellmanFord(e, v.ord.Perm[root]))
-	v.work.observeQuery(v, "bellmanford", "full", sys, start)
-	return dists, nil
+	return fullQuery(v, "bellmanford", sys, func(e Engine) ([]int64, error) {
+		return algorithms.BellmanFord(e, v.ord.Perm[root]), nil
+	})
 }
 
 // BC returns single-source betweenness-centrality scores from root, indexed
@@ -341,18 +325,13 @@ func (v *View) BC(sys System, root VertexID) ([]float64, error) {
 	if err := v.checkRoot(root); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	eT, err := v.TransposeEngine(sys)
-	if err != nil {
-		return nil, err
-	}
-	scores := unpermute(v.ord.Perm, algorithms.BC(e, eT, v.ord.Perm[root]))
-	v.work.observeQuery(v, "bc", "full", sys, start)
-	return scores, nil
+	return fullQuery(v, "bc", sys, func(e Engine) ([]float64, error) {
+		eT, err := v.TransposeEngine(sys)
+		if err != nil {
+			return nil, err
+		}
+		return algorithms.BC(e, eT, v.ord.Perm[root]), nil
+	})
 }
 
 // BP runs the belief-propagation workload for iters iterations; prior and
@@ -361,12 +340,7 @@ func (v *View) BP(sys System, iters int, prior []float64) ([]float64, error) {
 	if len(prior) != v.nverts {
 		return nil, fmt.Errorf("vebo: BP prior length %d != n %d", len(prior), v.nverts)
 	}
-	start := time.Now()
-	e, err := v.Engine(sys)
-	if err != nil {
-		return nil, err
-	}
-	beliefs := unpermute(v.ord.Perm, algorithms.BP(e, iters, permuteIn(v.ord.Perm, prior, v.slots())))
-	v.work.observeQuery(v, "bp", "full", sys, start)
-	return beliefs, nil
+	return fullQuery(v, "bp", sys, func(e Engine) ([]float64, error) {
+		return algorithms.BP(e, iters, permuteIn(v.ord.Perm, prior, v.slots())), nil
+	})
 }

@@ -78,16 +78,16 @@ func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
 // latency histogram sample (vebo_query_ns) and count (vebo_queries_total),
 // a staleness sample (vebo_epoch_age_ns — how old v's epoch was when this
 // query read it), and a "query" span child-linked to the publish span of
-// v's epoch carrying {alg, sys, path, epoch}. The measured span is the
-// whole user-visible call, including any lazy engine build it triggered;
-// path distinguishes full runs from the refine answer paths.
-func (w *viewWork) observeQuery(v *View, alg, path string, sys System, start time.Time) {
+// v's epoch carrying {alg, sys, epoch} and the cause "full" (a refined
+// answer is recorded by observeRefine). The measured span is the whole
+// user-visible call, including any lazy engine build it triggered.
+func (w *viewWork) observeQuery(v *View, alg string, sys System, start time.Time) {
 	since := time.Since(start)
 	w.reg.Histogram("vebo_query_ns", "alg", alg, "sys", sys.String()).Observe(int64(since))
 	w.reg.Counter("vebo_queries_total", "alg", alg, "sys", sys.String()).Inc()
 	w.epochAge.Observe(int64(time.Since(v.published)))
 	w.sp.Record(obs.Span{
-		Parent: v.pubSpan.ID, Name: "query:" + alg, Kind: "query", Cause: path,
+		Parent: v.pubSpan.ID, Name: "query:" + alg, Kind: "query", Cause: "full",
 		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since,
 	})
 }

@@ -124,11 +124,7 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	v.work.engineBuilds.Add(1)
 	opts := v.opts
 	opts.Partitions = v.parts
-	switch sys {
-	case Polymer:
-		v.work.rebuildEdges.Add(rg.NumEdges())
-		opts.Bounds = core.CoarsenBounds(v.ord.Boundaries(), opts.topology().Sockets)
-	case GraphGrind:
+	if sys != Ligra {
 		v.work.rebuildEdges.Add(rg.NumEdges())
 		opts.Bounds = v.ord.Boundaries()
 	}
