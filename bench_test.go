@@ -440,7 +440,7 @@ func BenchmarkFreeze(b *testing.B) {
 func ingestEpoch(b *testing.B) (*graph.Graph, dynamic.Frozen, dynamic.Frozen) {
 	b.Helper()
 	const warm, batches, batch = 500_000, 32, 1024
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, warm+batches*batch, 1)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, warm+batches*batch, 1, gen.RecipeStreamOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

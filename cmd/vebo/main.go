@@ -81,7 +81,7 @@ func runStream(args []string) error {
 		return fmt.Errorf("stream: -p must be at least 1, got %d", *parts)
 	}
 
-	g, updates, err := gen.StreamFromRecipeOpts(*recipe, *scale, *ops, *seed,
+	g, updates, err := gen.StreamFromRecipe(*recipe, *scale, *ops, *seed,
 		gen.RecipeStreamOptions{GrowFrac: *grow})
 	if err != nil {
 		return err
@@ -200,7 +200,7 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: unknown query workload %q", *alg)
 	}
 
-	g, updates, err := gen.StreamFromRecipeOpts(*recipe, *scale, *ops, *seed,
+	g, updates, err := gen.StreamFromRecipe(*recipe, *scale, *ops, *seed,
 		gen.RecipeStreamOptions{GrowFrac: *grow})
 	if err != nil {
 		return err

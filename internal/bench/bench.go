@@ -11,18 +11,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/graphgrind"
-	"repro/internal/layout"
-	"repro/internal/ligra"
 	"repro/internal/numa"
-	"repro/internal/order"
-	"repro/internal/polymer"
 )
 
 // Config controls an experiment run.
@@ -125,91 +117,8 @@ func buildRecipe(cfg Config, name string) (*graph.Graph, error) {
 	return r.Build(cfg.Scale, cfg.Seed)
 }
 
-// orderingNames is the paper's Table III column order.
-var orderingNames = []string{"orig", "rcm", "gorder", "vebo"}
-
-// ordered holds a reordered graph together with its permutation and, for
-// VEBO, partition boundaries.
-type ordered struct {
-	name   string
-	g      *graph.Graph
-	perm   []graph.VertexID // old -> new
-	bounds map[int][]int64  // VEBO boundaries per partition count (nil otherwise)
-}
-
-// applyOrderings produces the four Table III graph variants. VEBO bounds are
-// computed for each requested partition count.
-func applyOrderings(g *graph.Graph, veboPartitionCounts []int) ([]ordered, error) {
-	out := make([]ordered, 0, 4)
-	out = append(out, ordered{name: "orig", g: g, perm: order.Identity(g)})
-
-	rcmPerm := order.RCM(g)
-	rg, err := g.Relabel(rcmPerm)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ordered{name: "rcm", g: rg, perm: rcmPerm})
-
-	goPerm := order.Gorder(g, order.GorderConfig{MaxSiblingDegree: 64})
-	gg, err := g.Relabel(goPerm)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ordered{name: "gorder", g: gg, perm: goPerm})
-
-	vo, err := veboOrdered(g, veboPartitionCounts)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, *vo)
-	return out, nil
-}
-
-// veboOrdered reorders g with VEBO; the permutation uses the largest
-// partition count, and bounds are recorded for every requested count.
-func veboOrdered(g *graph.Graph, partitionCounts []int) (*ordered, error) {
-	if len(partitionCounts) == 0 {
-		partitionCounts = []int{graphgrind.DefaultPartitions}
-	}
-	counts := append([]int(nil), partitionCounts...)
-	sort.Ints(counts)
-	main := counts[len(counts)-1]
-	r, err := core.Reorder(g, main, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	vg, err := core.Apply(g, r)
-	if err != nil {
-		return nil, err
-	}
-	o := &ordered{name: "vebo", g: vg, perm: r.Perm, bounds: map[int][]int64{main: r.Boundaries()}}
-	for _, p := range counts[:len(counts)-1] {
-		// Coarser partitionings reuse the fine boundaries: merging balanced
-		// fine partitions groupwise keeps both vertex and edge balance.
-		o.bounds[p] = core.CoarsenBounds(o.bounds[main], p)
-	}
-	return o, nil
-}
-
 // systemNames is the paper's framework order.
 var systemNames = []string{"ligra", "polymer", "graphgrind"}
-
-// newEngine constructs the named framework model over g. bounds may be nil
-// (Algorithm 1 partitioning). ggOrder selects GraphGrind's COO edge order.
-func newEngine(sys string, g *graph.Graph, cfg Config, bounds []int64, ggOrder layout.Order, ggParts int) (engine.Engine, error) {
-	switch sys {
-	case "ligra":
-		return ligra.New(g, cfg.Topology), nil
-	case "polymer":
-		return polymer.New(g, polymer.Config{Topology: cfg.Topology, Bounds: bounds})
-	case "graphgrind":
-		return graphgrind.New(g, graphgrind.Config{
-			Topology: cfg.Topology, Partitions: ggParts, Order: ggOrder, Bounds: bounds,
-		})
-	default:
-		return nil, fmt.Errorf("bench: unknown system %q", sys)
-	}
-}
 
 // pickRoot returns the vertex with the highest out-degree, the conventional
 // root for traversal benchmarks on scale-free graphs.

@@ -35,7 +35,7 @@ func Dynamic(cfg Config) error {
 		ops = 3 * batch
 	}
 
-	g, updates, err := gen.StreamFromRecipe("powerlaw", cfg.Scale, ops, cfg.Seed)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", cfg.Scale, ops, cfg.Seed, gen.RecipeStreamOptions{})
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/memsim"
-	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
@@ -25,51 +22,28 @@ func Fig4(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
+	vv, err := veboVariant(g, cfg.Partitions)
 	if err != nil {
 		return err
 	}
-	vg, err := core.Apply(g, r)
-	if err != nil {
-		return err
-	}
-
-	type variant struct {
-		label string
-		g     *graph.Graph
-		parts []partition.Partition
-	}
-	origParts, err := partition.ByDestination(g, cfg.Partitions)
-	if err != nil {
-		return err
-	}
-	vparts, err := partition.ByVertexRanges(vg, r.Boundaries())
-	if err != nil {
-		return err
-	}
-	variants := []variant{{"original", g, origParts}, {"vebo", vg, vparts}}
 
 	fmt.Fprintf(w, "== Figure 4: PR on twitter-like, GraphGrind model, P=%d, %d threads ==\n",
 		cfg.Partitions, cfg.Topology.Threads())
-	for _, v := range variants {
-		m, err := memsim.New(memsim.Config{}, cfg.Topology)
+	for _, v := range []variant{origVariant(g, "original"), vv} {
+		parts, err := v.partitions(cfg.Partitions)
 		if err != nil {
 			return err
 		}
-		// warm-up pass, then measure steady state (the paper averages over
-		// 20 executions)
-		if _, err := m.EdgeMapPull(v.g, v.parts); err != nil {
-			return err
-		}
-		m.Reset()
-		res, err := m.EdgeMapPull(v.g, v.parts)
+		res, err := warmReplay(memsim.Config{}, cfg.Topology, func(m *memsim.Machine) (*memsim.EdgeMapResult, error) {
+			return m.EdgeMapPull(v.g, parts)
+		})
 		if err != nil {
 			return err
 		}
 		var cycles []float64
 		empty := 0
 		for i, c := range res.Partitions {
-			if v.parts[i].Edges == 0 && v.parts[i].Vertices() == 0 {
+			if parts[i].Edges == 0 && parts[i].Vertices() == 0 {
 				empty++
 				continue
 			}

@@ -3,23 +3,11 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/layout"
 	"repro/internal/memsim"
 	"repro/internal/order"
-	"repro/internal/partition"
 )
-
-// fig5Variant is one vertex-ID assignment under test.
-type fig5Variant struct {
-	label  string
-	g      *graph.Graph
-	perm   []graph.VertexID
-	bounds []int64
-	coo    layout.Order
-}
 
 // hybridTime prices an algorithm run on the GraphGrind model with locality
 // awareness: dense edgemap steps cost the grouped makespan of per-partition
@@ -27,12 +15,12 @@ type fig5Variant struct {
 // TLB misses), while sparse and vertexmap steps cost their work-unit
 // makespan calibrated to cycles. Pure work-unit accounting would hide the
 // locality loss that Figure 5's random permutation demonstrates.
-func hybridTime(cfg Config, v fig5Variant, algo string, root graph.VertexID) (int64, error) {
-	eng, err := newEngine("graphgrind", v.g, cfg, v.bounds, v.coo, cfg.Partitions)
+func hybridTime(cfg Config, v variant, algo string, root graph.VertexID) (int64, error) {
+	eng, err := v.engine("graphgrind", cfg)
 	if err != nil {
 		return 0, err
 	}
-	engT, err := newEngine("graphgrind", v.g.Transpose(), cfg, nil, v.coo, cfg.Partitions)
+	engT, err := v.transposeEngine("graphgrind", cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -41,35 +29,18 @@ func hybridTime(cfg Config, v fig5Variant, algo string, root graph.VertexID) (in
 	}
 
 	// memsim replay of one dense COO pass over this variant's partitions
-	var parts []partition.Partition
-	if v.bounds != nil {
-		parts, err = partition.ByVertexRanges(v.g, v.bounds)
-	} else {
-		parts, err = partition.ByDestination(v.g, cfg.Partitions)
-	}
+	parts, err := v.partitions(cfg.Partitions)
 	if err != nil {
 		return 0, err
 	}
-	coos, err := partitionCOOs(v.g, parts, v.coo)
+	fcycles, err := v.denseCycles(parts, v.coo, memsim.Config{}, cfg.Topology)
 	if err != nil {
 		return 0, err
 	}
-	m, err := memsim.New(memsim.Config{}, cfg.Topology)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.EdgeMapCOO(v.g, parts, coos); err != nil {
-		return 0, err
-	}
-	m.Reset()
-	res, err := m.EdgeMapCOO(v.g, parts, coos)
-	if err != nil {
-		return 0, err
-	}
-	cycles := make([]int64, len(parts))
+	cycles := make([]int64, len(fcycles))
 	var sumCycles int64
-	for i, c := range res.Partitions {
-		cycles[i] = c.Cycles()
+	for i, c := range fcycles {
+		cycles[i] = int64(c)
 		sumCycles += cycles[i]
 	}
 	top := cfg.Topology
@@ -121,39 +92,19 @@ func Fig5(cfg Config) error {
 		}
 		root := pickRoot(g)
 
-		var variants []fig5Variant
-		variants = append(variants, fig5Variant{"original", g, order.Identity(g), nil, layout.HilbertOrder})
-
-		rv, err := core.Reorder(g, cfg.Partitions, core.Options{})
+		vv, err := veboVariant(g, cfg.Partitions)
 		if err != nil {
 			return err
 		}
-		vg, err := core.Apply(g, rv)
+		rv, err := relabeled(g, "random", order.Random(g, cfg.Seed+7))
 		if err != nil {
 			return err
 		}
-		variants = append(variants, fig5Variant{"vebo", vg, rv.Perm, rv.Boundaries(), layout.CSROrder})
-
-		randPerm := order.Random(g, cfg.Seed+7)
-		randG, err := g.Relabel(randPerm)
+		rvv, err := veboAfter(rv, cfg.Partitions)
 		if err != nil {
 			return err
 		}
-		variants = append(variants, fig5Variant{"random", randG, randPerm, nil, layout.HilbertOrder})
-
-		rrv, err := core.Reorder(randG, cfg.Partitions, core.Options{})
-		if err != nil {
-			return err
-		}
-		rvg, err := core.Apply(randG, rrv)
-		if err != nil {
-			return err
-		}
-		randVeboPerm, err := order.Compose(randPerm, rrv.Perm)
-		if err != nil {
-			return err
-		}
-		variants = append(variants, fig5Variant{"random+vebo", rvg, randVeboPerm, rrv.Boundaries(), layout.CSROrder})
+		variants := []variant{origVariant(g, "original"), vv, rv, rvv}
 
 		fmt.Fprintf(w, "-- %s --\n%-12s", gname, "order")
 		for _, a := range algos {
@@ -161,14 +112,14 @@ func Fig5(cfg Config) error {
 		}
 		fmt.Fprintln(w)
 		base := map[string]int64{}
-		for _, v := range variants {
+		for i, v := range variants {
 			fmt.Fprintf(w, "%-12s", v.label)
 			for _, a := range algos {
 				t, err := hybridTime(cfg, v, a, v.perm[root])
 				if err != nil {
 					return err
 				}
-				if v.label == "original" {
+				if i == 0 {
 					base[a] = t
 					fmt.Fprintf(w, " %8.2f", 1.0)
 				} else {

@@ -3,13 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/memsim"
 	"repro/internal/numa"
 	"repro/internal/order"
-	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
@@ -18,49 +15,6 @@ import (
 // per-partition footprint of tens of MB vs a 30 MB LLC); with the default
 // 256 KiB model every partition fits and edge-order effects vanish.
 var fig6Machine = memsim.Config{LLCBytes: 32 << 10, TLBEntries: 8}
-
-// partitionCOOs builds one COO per partition in order o with one
-// layout.BuildRanges call, so a CSR-order build is one pass over the edges.
-func partitionCOOs(g *graph.Graph, parts []partition.Partition, o layout.Order) ([]*layout.COO, error) {
-	ranges := make([]layout.Range, len(parts))
-	for i, pt := range parts {
-		ranges[i] = layout.Range{Lo: pt.Lo, Hi: pt.Hi}
-	}
-	coos, _, err := layout.BuildRanges(g, ranges, o, 1)
-	return coos, err
-}
-
-// fig6Replay builds per-partition COOs in the given order and replays one PR
-// iteration, returning per-partition cycles.
-func fig6Replay(cfg Config, g *graph.Graph, parts []partition.Partition, o layout.Order) ([]float64, error) {
-	coos, err := partitionCOOs(g, parts, o)
-	if err != nil {
-		return nil, err
-	}
-	// Single-socket machine model: Figure 6 isolates the effect of edge
-	// ordering on cache behaviour; a multi-socket model would overlay a
-	// NUMA data-skew effect (most vertex data homes on the last socket
-	// under degree-sorted orders) that the paper's figure does not measure.
-	top := numa.Topology{Sockets: 1, ThreadsPerSocket: cfg.Topology.Threads()}
-	m, err := memsim.New(fig6Machine, top)
-	if err != nil {
-		return nil, err
-	}
-	// warm-up pass, then measure steady state
-	if _, err := m.EdgeMapCOO(g, parts, coos); err != nil {
-		return nil, err
-	}
-	m.Reset()
-	res, err := m.EdgeMapCOO(g, parts, coos)
-	if err != nil {
-		return nil, err
-	}
-	cycles := make([]float64, len(parts))
-	for i, c := range res.Partitions {
-		cycles[i] = float64(c.Cycles())
-	}
-	return cycles, nil
-}
 
 // Fig6 regenerates the paper's Figure 6: per-partition processing time of
 // the first PR iteration on the twitter-like graph, comparing (a) a pure
@@ -78,40 +32,37 @@ func Fig6(cfg Config) error {
 		return err
 	}
 
-	// high-to-low degree sort + Algorithm 1
-	hlPerm := order.DegreeSort(g)
-	hl, err := g.Relabel(hlPerm)
+	hl, err := relabeled(g, "high-to-low", order.DegreeSort(g))
 	if err != nil {
 		return err
 	}
-	hlParts, err := partition.ByDestination(hl, cfg.Partitions)
+	hlParts, err := hl.partitions(cfg.Partitions)
 	if err != nil {
 		return err
 	}
-
-	// VEBO
-	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
+	vv, err := veboVariant(g, cfg.Partitions)
 	if err != nil {
 		return err
 	}
-	vg, err := core.Apply(g, r)
-	if err != nil {
-		return err
-	}
-	vparts, err := partition.ByVertexRanges(vg, r.Boundaries())
+	vparts, err := vv.partitions(cfg.Partitions)
 	if err != nil {
 		return err
 	}
 
-	hlHilbert, err := fig6Replay(cfg, hl, hlParts, layout.HilbertOrder)
+	// Single-socket machine model: Figure 6 isolates the effect of edge
+	// ordering on cache behaviour; a multi-socket model would overlay a
+	// NUMA data-skew effect (most vertex data homes on the last socket
+	// under degree-sorted orders) that the paper's figure does not measure.
+	top := numa.Topology{Sockets: 1, ThreadsPerSocket: cfg.Topology.Threads()}
+	hlHilbert, err := hl.denseCycles(hlParts, layout.HilbertOrder, fig6Machine, top)
 	if err != nil {
 		return err
 	}
-	hlCSR, err := fig6Replay(cfg, hl, hlParts, layout.CSROrder)
+	hlCSR, err := hl.denseCycles(hlParts, layout.CSROrder, fig6Machine, top)
 	if err != nil {
 		return err
 	}
-	veboCSR, err := fig6Replay(cfg, vg, vparts, layout.CSROrder)
+	veboCSR, err := vv.denseCycles(vparts, layout.CSROrder, fig6Machine, top)
 	if err != nil {
 		return err
 	}
@@ -126,20 +77,9 @@ func Fig6(cfg Config) error {
 		}
 		return s / float64(hi-lo)
 	}
-	// restrict to non-empty partitions (Algorithm 1 leaves trailing empty
-	// padding at reproduction scale)
-	trim := func(cycles []float64, parts []partition.Partition) []float64 {
-		out := cycles[:0:0]
-		for i := range parts {
-			if parts[i].Edges > 0 {
-				out = append(out, cycles[i])
-			}
-		}
-		return out
-	}
-	hlHilbert = trim(hlHilbert, hlParts)
-	hlCSR = trim(hlCSR, hlParts)
-	veboCSR = trim(veboCSR, vparts)
+	hlHilbert = withEdges(hlHilbert, hlParts)
+	hlCSR = withEdges(hlCSR, hlParts)
+	veboCSR = withEdges(veboCSR, vparts)
 	nh, nv := len(hlHilbert), len(veboCSR)
 
 	fmt.Fprintf(w, "== Figure 6: per-partition PR time, high-to-low order vs VEBO (P=%d) ==\n", cfg.Partitions)

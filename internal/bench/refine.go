@@ -68,7 +68,7 @@ func Refine(cfg Config) error {
 
 	for _, batch := range batches {
 		ops := epochs * batch
-		g, updates, err := gen.StreamFromRecipeOpts("powerlaw", cfg.Scale, ops, cfg.Seed,
+		g, updates, err := gen.StreamFromRecipe("powerlaw", cfg.Scale, ops, cfg.Seed,
 			gen.RecipeStreamOptions{GrowFrac: refineGrowFrac})
 		if err != nil {
 			return err

@@ -69,7 +69,7 @@ func (e reuseExp) run(cfg Config) error {
 	if cfg.Quick {
 		ops = e.quickBatches * reuseBatch
 	}
-	g, updates, err := gen.StreamFromRecipeOpts("powerlaw", cfg.Scale, ops, cfg.Seed,
+	g, updates, err := gen.StreamFromRecipe("powerlaw", cfg.Scale, ops, cfg.Seed,
 		gen.RecipeStreamOptions{GrowFrac: e.growFrac})
 	if err != nil {
 		return err

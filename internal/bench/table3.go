@@ -6,7 +6,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/layout"
+	"repro/internal/order"
 	"repro/internal/stats"
 )
 
@@ -60,6 +60,24 @@ func runAlgorithm(algo string, eng, engT engine.Engine, root graph.VertexID) (in
 	return t, nil
 }
 
+// table3Variants returns the Table III columns: g under its original order,
+// RCM, Gorder and VEBO into p partitions.
+func table3Variants(g *graph.Graph, p int) ([]variant, error) {
+	rcm, err := relabeled(g, "rcm", order.RCM(g))
+	if err != nil {
+		return nil, err
+	}
+	gorder, err := relabeled(g, "gorder", order.Gorder(g, gorderConfig))
+	if err != nil {
+		return nil, err
+	}
+	vebo, err := veboVariant(g, p)
+	if err != nil {
+		return nil, err
+	}
+	return []variant{origVariant(g, "orig"), rcm, gorder, vebo}, nil
+}
+
 // table3Graphs is the Table III row order (all Table I graphs).
 var table3Graphs = []string{
 	"twitter", "friendster", "rmat", "powerlaw", "orkut", "livejournal", "yahoo", "usaroad",
@@ -84,67 +102,51 @@ func Table3(cfg Config) error {
 			return err
 		}
 		root := pickRoot(g)
-		ords, err := applyOrderings(g, []int{cfg.Topology.Sockets, cfg.Partitions})
+		vs, err := table3Variants(g, cfg.Partitions)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "-- %s (n=%d, m=%d) --\n", gname, g.NumVertices(), g.NumEdges())
 		fmt.Fprintf(w, "%-6s %-12s", "algo", "system")
-		for _, on := range orderingNames {
-			fmt.Fprintf(w, " %12s", on)
+		for _, v := range vs {
+			fmt.Fprintf(w, " %12s", v.label)
 		}
 		fmt.Fprintln(w, "  best")
 
-		type cell struct{ times map[string]int64 }
 		for _, sys := range systemNames {
 			// build engines once per ordering and reuse across algorithms
-			engs := map[string]engine.Engine{}
-			engTs := map[string]engine.Engine{}
-			for _, o := range ords {
-				ggOrder := layout.HilbertOrder
-				var bounds []int64
-				if o.name == "vebo" {
-					ggOrder = layout.CSROrder
-					bounds = o.bounds[cfg.Partitions]
-				}
-				e, err := newEngine(sys, o.g, cfg, bounds, ggOrder, cfg.Partitions)
-				if err != nil {
+			engs := make([]engine.Engine, len(vs))
+			engTs := make([]engine.Engine, len(vs))
+			for i, v := range vs {
+				if engs[i], err = v.engine(sys, cfg); err != nil {
 					return err
 				}
-				engs[o.name] = e
-				et, err := newEngine(sys, o.g.Transpose(), cfg, nil, ggOrder, cfg.Partitions)
-				if err != nil {
+				if engTs[i], err = v.transposeEngine(sys, cfg); err != nil {
 					return err
 				}
-				engTs[o.name] = et
 			}
 			for _, algo := range algorithmNames {
 				if algo == "BC" && sys == "polymer" {
 					// Polymer provides no BC implementation (paper §IV).
 					continue
 				}
-				c := cell{times: map[string]int64{}}
-				for _, o := range ords {
-					t, err := runAlgorithm(algo, engs[o.name], engTs[o.name], o.perm[root])
-					if err != nil {
+				times := make([]int64, len(vs))
+				best := 0
+				for i, v := range vs {
+					if times[i], err = runAlgorithm(algo, engs[i], engTs[i], v.perm[root]); err != nil {
 						return err
 					}
-					c.times[o.name] = t
-				}
-				best := orderingNames[0]
-				for _, on := range orderingNames[1:] {
-					if c.times[on] < c.times[best] {
-						best = on
+					if times[i] < times[best] {
+						best = i
 					}
 				}
 				fmt.Fprintf(w, "%-6s %-12s", algo, sys)
-				for _, on := range orderingNames {
-					fmt.Fprintf(w, " %12d", c.times[on])
+				for _, t := range times {
+					fmt.Fprintf(w, " %12d", t)
 				}
-				fmt.Fprintf(w, "  %s\n", best)
-				if c.times["vebo"] > 0 {
-					speedups[sys] = append(speedups[sys],
-						float64(c.times["orig"])/float64(c.times["vebo"]))
+				fmt.Fprintf(w, "  %s\n", vs[best].label)
+				if vebo := times[len(vs)-1]; vebo > 0 {
+					speedups[sys] = append(speedups[sys], float64(times[0])/float64(vebo))
 				}
 			}
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/layout"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
@@ -58,25 +56,11 @@ func Table4(cfg Config) error {
 	}
 	root := pickRoot(g)
 
-	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
+	vv, err := veboVariant(g, cfg.Partitions)
 	if err != nil {
 		return err
 	}
-	vg, err := core.Apply(g, r)
-	if err != nil {
-		return err
-	}
-
-	type variant struct {
-		label  string
-		g      *graph.Graph
-		root   graph.VertexID
-		bounds []int64
-	}
-	variants := []variant{
-		{"orig", g, root, nil},
-		{"vebo", vg, r.Perm[root], r.Boundaries()},
-	}
+	variants := []variant{origVariant(g, "orig"), vv}
 
 	fmt.Fprintf(w, "== Table IV: active edges per partition, sparse BFS iterations (P=%d) ==\n", cfg.Partitions)
 	fmt.Fprintf(w, "%-5s %-6s %12s %12s %10s %10s %10s %10s\n",
@@ -90,20 +74,15 @@ func Table4(cfg Config) error {
 	all := map[string][]iterStats{}
 	maxIters := 0
 	for _, v := range variants {
-		var parts []partition.Partition
-		if v.bounds != nil {
-			parts, err = partition.ByVertexRanges(v.g, v.bounds)
-		} else {
-			parts, err = partition.ByDestination(v.g, cfg.Partitions)
-		}
+		parts, err := v.partitions(cfg.Partitions)
 		if err != nil {
 			return err
 		}
-		eng, err := newEngine("graphgrind", v.g, cfg, v.bounds, layout.CSROrder, cfg.Partitions)
+		eng, err := v.engine("graphgrind", cfg)
 		if err != nil {
 			return err
 		}
-		for _, f := range bfsFrontiers(eng, v.root) {
+		for _, f := range bfsFrontiers(eng, v.perm[root]) {
 			counts := activeEdgesPerPartition(v.g, f, parts)
 			var total int64
 			for _, c := range counts {
@@ -129,7 +108,7 @@ func Table4(cfg Config) error {
 	}
 	// verify sanity: BFS reaches the same set under both orders
 	d1 := algorithms.RefBFSDepths(g, root)
-	d2 := algorithms.RefBFSDepths(vg, r.Perm[root])
+	d2 := algorithms.RefBFSDepths(vv.g, vv.perm[root])
 	reach1, reach2 := 0, 0
 	for v := range d1 {
 		if d1[v] >= 0 {

@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/memsim"
-	"repro/internal/partition"
 )
 
 // Table5 regenerates the paper's Table V: architectural events (LLC misses
@@ -26,34 +23,21 @@ func Table5(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		r, err := core.Reorder(g, cfg.Partitions, core.Options{})
+		vv, err := veboVariant(g, cfg.Partitions)
 		if err != nil {
 			return err
 		}
-		vg, err := core.Apply(g, r)
-		if err != nil {
-			return err
-		}
-		origParts, err := partition.ByDestination(g, cfg.Partitions)
-		if err != nil {
-			return err
-		}
-		vparts, err := partition.ByVertexRanges(vg, r.Boundaries())
-		if err != nil {
-			return err
-		}
-		type variant struct {
-			label string
-			g     *graph.Graph
-			parts []partition.Partition
-		}
-		for _, v := range []variant{{"orig", g, origParts}, {"vebo", vg, vparts}} {
+		for _, v := range []variant{origVariant(g, "orig"), vv} {
+			parts, err := v.partitions(cfg.Partitions)
+			if err != nil {
+				return err
+			}
 			// vertexmap replay
 			mv, err := memsim.New(memsim.Config{}, cfg.Topology)
 			if err != nil {
 				return err
 			}
-			rv, err := mv.VertexMap(v.g, v.parts)
+			rv, err := mv.VertexMap(v.g, parts)
 			if err != nil {
 				return err
 			}
@@ -63,7 +47,7 @@ func Table5(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			re, err := me.EdgeMapPull(v.g, v.parts)
+			re, err := me.EdgeMapPull(v.g, parts)
 			if err != nil {
 				return err
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/order"
 )
@@ -37,65 +36,46 @@ func Table6(cfg Config) error {
 			return time.Since(start).Seconds()
 		}
 		tRCM := timeIt(func() { order.RCM(g) })
-		tGorder := timeIt(func() { order.Gorder(g, order.GorderConfig{MaxSiblingDegree: 64}) })
+		tGorder := timeIt(func() { order.Gorder(g, gorderConfig) })
 		var r *core.Result
 		tVEBO := timeIt(func() { r, err = core.Reorder(g, cfg.Partitions, core.Options{}) })
 		if err != nil {
 			return err
 		}
-		var vg *graph.Graph
-		tApply := timeIt(func() { vg, err = core.Apply(g, r) })
+		var vv variant
+		tApply := timeIt(func() { vv, err = applyVEBO(g, r) })
 		if err != nil {
 			return err
 		}
-		tHilbert := timeIt(func() { _, err = layout.Build(vg, layout.HilbertOrder) })
+		tHilbert := timeIt(func() { _, err = layout.Build(vv.g, layout.HilbertOrder) })
 		if err != nil {
 			return err
 		}
-		tCSR := timeIt(func() { _, err = layout.Build(vg, layout.CSROrder) })
+		tCSR := timeIt(func() { _, err = layout.Build(vv.g, layout.CSROrder) })
 		if err != nil {
 			return err
 		}
 
-		// modeled analysis runtimes on GraphGrind
+		// modeled analysis runtimes on GraphGrind; PR with 50 iterations
+		// scales the 10-iteration model time by 5
 		root := pickRoot(g)
-		model := func(algo string, isVebo bool) int64 {
-			var bounds []int64
-			coo := layout.HilbertOrder
-			gg := g
-			rt := root
-			if isVebo {
-				bounds = r.Boundaries()
-				coo = layout.CSROrder
-				gg = vg
-				rt = r.Perm[root]
+		var bfs, pr50 [2]int64
+		for i, v := range []variant{origVariant(g, "orig"), vv} {
+			eng, err := v.engine("graphgrind", cfg)
+			if err != nil {
+				return err
 			}
-			eng, err2 := newEngine("graphgrind", gg, cfg, bounds, coo, cfg.Partitions)
-			if err2 != nil {
-				err = err2
-				return 0
+			if bfs[i], err = runAlgorithm("BFS", eng, nil, v.perm[root]); err != nil {
+				return err
 			}
-			t, err2 := runAlgorithm(algo, eng, nil, rt)
-			if err2 != nil {
-				err = err2
-				return 0
+			if pr50[i], err = runAlgorithm("PR", eng, nil, v.perm[root]); err != nil {
+				return err
 			}
-			return t
-		}
-		bfsOrig := model("BFS", false)
-		bfsVebo := model("BFS", true)
-		if err != nil {
-			return err
-		}
-		// PR with 50 iterations: scale the 10-iteration model time by 5
-		prOrig := 5 * model("PR", false)
-		prVebo := 5 * model("PR", true)
-		if err != nil {
-			return err
+			pr50[i] *= 5
 		}
 
 		fmt.Fprintf(w, "%-12s %12.3f %12.3f %12.3f %12.3f | %12.3f %12.3f | %14d %14d %14d %14d\n",
-			gname, tRCM, tGorder, tVEBO, tApply, tHilbert, tCSR, bfsOrig, bfsVebo, prOrig, prVebo)
+			gname, tRCM, tGorder, tVEBO, tApply, tHilbert, tCSR, bfs[0], bfs[1], pr50[0], pr50[1])
 		fmt.Fprintf(w, "  speedups: vebo vs rcm %.1fx, vebo vs gorder %.1fx (paper: up to 101x and 1524x)\n",
 			tRCM/tVEBO, tGorder/tVEBO)
 	}

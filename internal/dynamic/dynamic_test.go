@@ -198,7 +198,7 @@ func TestOrderingIsValid(t *testing.T) {
 // every batch.
 func TestIncrementalWithinTwiceOfScratch(t *testing.T) {
 	const batch = 512
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 20_000, 42)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 20_000, 42, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestWeightedDeleteSelectorValidation(t *testing.T) {
 // near the edge threshold.
 func TestVertexImbalanceBounded(t *testing.T) {
 	const batch = 1024
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, 100_000, 42)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, 100_000, 42, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestVertexImbalanceBounded(t *testing.T) {
 // edge balance still lands under the effective threshold.
 func TestSwapRepairKeepsPlacementShape(t *testing.T) {
 	const batch = 256
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 20_000, 42)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 20_000, 42, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestAdaptiveThresholdUniformDegrees(t *testing.T) {
 
 	// The powerlaw recipe keeps granularity 1, so the adaptive gate must
 	// leave its configured threshold alone.
-	pg, _, err := gen.StreamFromRecipe("powerlaw", 0.05, 0, 42)
+	pg, _, err := gen.StreamFromRecipe("powerlaw", 0.05, 0, 42, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

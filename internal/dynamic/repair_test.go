@@ -67,7 +67,7 @@ func denseCOOCycles(t *testing.T, g *graph.Graph, r *core.Result) int64 {
 // the maintained pass may cost at most 1% more simulated cycles.
 func TestMaintainedOrderLocality(t *testing.T) {
 	const p, batch = 64, 1024
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 64*batch, 1)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 64*batch, 1, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMaintainedOrderLocality(t *testing.T) {
 // swaps.
 func BenchmarkSwapRepair(b *testing.B) {
 	const p, batch, warm = 64, 1024, 16
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 64*batch, 1)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 64*batch, 1, gen.RecipeStreamOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,6 +17,10 @@ type Recipe struct {
 	Directed   bool
 	Build      func(scale float64, seed int64) (*graph.Graph, error)
 	PaperStats string // the Table I row being mimicked, for documentation
+
+	// The churn profile of the recipe's real-world counterpart, which
+	// StreamFromRecipe streams with (see StreamConfig).
+	deleteFrac, preferentialFrac float64
 }
 
 // scaled returns max(floor(base*scale), min).
@@ -44,6 +48,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "max in-degree 770155, 14% zero in-degree, directed",
+			deleteFrac: 0.30, preferentialFrac: 0.7, // follow/unfollow churn, strong rich-get-richer
 		},
 		{
 			Name:      "friendster",
@@ -59,6 +64,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "max degree 4223, 48% zero in-degree, directed",
+			deleteFrac: 0.35, preferentialFrac: 0.5, // decaying social network: heavy deletion
 		},
 		{
 			Name:      "orkut",
@@ -72,6 +78,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "undirected, ~0% zero-degree vertices",
+			deleteFrac: 0.30, preferentialFrac: 0.5,
 		},
 		{
 			Name:      "livejournal",
@@ -85,6 +92,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "max degree 13906, 7% zero in-degree, directed",
+			deleteFrac: 0.25, preferentialFrac: 0.6,
 		},
 		{
 			Name:      "yahoo",
@@ -98,6 +106,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "undirected, 0% zero-degree, high skew (the paper's worst balance row: δ=9, Δ=3)",
+			deleteFrac: 0.20, preferentialFrac: 0.7,
 		},
 		{
 			Name:      "usaroad",
@@ -108,6 +117,7 @@ func Recipes() []Recipe {
 				return RoadNetwork(side, side, seed)
 			},
 			PaperStats: "max degree 9, near-uniform degree, undirected, strong spatial locality",
+			deleteFrac: 0.10, preferentialFrac: 0.1, // road openings/closures: rare, spatially uniform
 		},
 		{
 			Name:      "powerlaw",
@@ -122,6 +132,7 @@ func Recipes() []Recipe {
 				})
 			},
 			PaperStats: "synthetic power-law with α=2, undirected",
+			deleteFrac: 0.30, preferentialFrac: 0.6,
 		},
 		{
 			Name:      "rmat",
@@ -150,6 +161,7 @@ func Recipes() []Recipe {
 				return PadIsolated(g, 2.5, seed+1)
 			},
 			PaperStats: "max degree 812983, 69% zero in- and out-degree, directed",
+			deleteFrac: 0.25, preferentialFrac: 0.6,
 		},
 	}
 }

@@ -125,23 +125,7 @@ func EdgeStream(g *graph.Graph, cfg StreamConfig) ([]graph.EdgeUpdate, error) {
 	return updates, nil
 }
 
-// streamShape maps a workload recipe to the churn profile its real-world
-// counterpart exhibits.
-var streamShape = map[string]struct {
-	deleteFrac       float64
-	preferentialFrac float64
-}{
-	"twitter":     {0.30, 0.7}, // follow/unfollow churn, strong rich-get-richer
-	"friendster":  {0.35, 0.5}, // decaying social network: heavy deletion
-	"orkut":       {0.30, 0.5},
-	"livejournal": {0.25, 0.6},
-	"yahoo":       {0.20, 0.7},
-	"usaroad":     {0.10, 0.1}, // road openings/closures: rare, spatially uniform
-	"powerlaw":    {0.30, 0.6},
-	"rmat":        {0.25, 0.6},
-}
-
-// RecipeStreamOptions tunes StreamFromRecipeOpts beyond the churn profile.
+// RecipeStreamOptions tunes StreamFromRecipe beyond the churn profile.
 type RecipeStreamOptions struct {
 	// GrowFrac interleaves vertex arrivals with the edge churn: each
 	// insertion mints a never-before-seen vertex with this probability
@@ -154,12 +138,7 @@ type RecipeStreamOptions struct {
 // attachment skew) follows the recipe's real-world counterpart, and the
 // stream is weighted exactly when the recipe graph is. Both the graph and
 // the stream are deterministic in (scale, seed).
-func StreamFromRecipe(name string, scale float64, ops int, seed int64) (*graph.Graph, []graph.EdgeUpdate, error) {
-	return StreamFromRecipeOpts(name, scale, ops, seed, RecipeStreamOptions{})
-}
-
-// StreamFromRecipeOpts is StreamFromRecipe with extra options.
-func StreamFromRecipeOpts(name string, scale float64, ops int, seed int64, opts RecipeStreamOptions) (*graph.Graph, []graph.EdgeUpdate, error) {
+func StreamFromRecipe(name string, scale float64, ops int, seed int64, opts RecipeStreamOptions) (*graph.Graph, []graph.EdgeUpdate, error) {
 	r, err := RecipeByName(name)
 	if err != nil {
 		return nil, nil, err
@@ -168,11 +147,10 @@ func StreamFromRecipeOpts(name string, scale float64, ops int, seed int64, opts 
 	if err != nil {
 		return nil, nil, err
 	}
-	shape := streamShape[name]
 	updates, err := EdgeStream(g, StreamConfig{
 		Ops:              ops,
-		DeleteFrac:       shape.deleteFrac,
-		PreferentialFrac: shape.preferentialFrac,
+		DeleteFrac:       r.deleteFrac,
+		PreferentialFrac: r.preferentialFrac,
 		Weighted:         g.Weighted(),
 		GrowFrac:         opts.GrowFrac,
 		Seed:             seed + 1,

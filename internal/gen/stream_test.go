@@ -132,7 +132,7 @@ func TestEdgeStreamValidatesConfig(t *testing.T) {
 
 func TestStreamFromRecipe(t *testing.T) {
 	for _, name := range []string{"powerlaw", "usaroad", "twitter"} {
-		g, updates, err := StreamFromRecipe(name, 0.05, 2000, 42)
+		g, updates, err := StreamFromRecipe(name, 0.05, 2000, 42, RecipeStreamOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -146,8 +146,18 @@ func TestStreamFromRecipe(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := StreamFromRecipe("nope", 1, 10, 1); err == nil {
+	if _, _, err := StreamFromRecipe("nope", 1, 10, 1, RecipeStreamOptions{}); err == nil {
 		t.Error("expected error for unknown recipe")
+	}
+}
+
+// TestRecipesHaveChurnProfile: a recipe added without a churn profile would
+// stream with no deletions and uniform attachment.
+func TestRecipesHaveChurnProfile(t *testing.T) {
+	for _, r := range Recipes() {
+		if r.deleteFrac <= 0 || r.deleteFrac >= 1 || r.preferentialFrac <= 0 || r.preferentialFrac > 1 {
+			t.Errorf("%s: churn profile deleteFrac=%v preferentialFrac=%v", r.Name, r.deleteFrac, r.preferentialFrac)
+		}
 	}
 }
 

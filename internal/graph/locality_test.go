@@ -24,7 +24,7 @@ import (
 // same pass over the flat graph with the same rows.
 func TestChunkedRowLocality(t *testing.T) {
 	const p = 64
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256*128, 1)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256*128, 1, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

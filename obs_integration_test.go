@@ -53,7 +53,7 @@ func metricValue(t *testing.T, text, name string) int64 {
 // per-(algorithm, system) query latency series advancing for BFS and
 // PageRank on all three framework models.
 func TestObsHandlerLiveScrape(t *testing.T) {
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 1024, 7)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 1024, 7, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func applyStream(t *testing.T, d *Dynamic, updates []EdgeUpdate, batch int) {
 // read, and every publish span (after the first) parent-links to the ingest
 // batch that produced its epoch.
 func TestQuerySpansLinkToPublish(t *testing.T) {
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 512, 11)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 512, 11, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGraphSpansReportFolds(t *testing.T) {
 // vebo_epoch_age_ns samples grow monotonically while no new epoch is
 // published, then drop once a fresh view supersedes the stale one.
 func TestEpochAgeGrowsBetweenPublishes(t *testing.T) {
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256, 13)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256, 13, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEpochAgeGrowsBetweenPublishes(t *testing.T) {
 // is a loadable Chrome trace carrying the run's spans, and that the runtime
 // sampler feeds go_* series into /metrics on scrape.
 func TestSpansEndpoint(t *testing.T) {
-	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256, 17)
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 256, 17, gen.RecipeStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -464,7 +464,7 @@ func (d *Dynamic) Compact() { d.inner.Compact() }
 // ops timestamped edge updates whose deletion rate and attachment skew match
 // the recipe's real-world counterpart.
 func GenerateStream(recipe string, scale float64, ops int, seed int64) (*Graph, []EdgeUpdate, error) {
-	return gen.StreamFromRecipe(recipe, scale, ops, seed)
+	return gen.StreamFromRecipe(recipe, scale, ops, seed, gen.RecipeStreamOptions{})
 }
 
 // StreamOptions tunes GenerateStreamOpts beyond the recipe churn profile:
@@ -477,7 +477,7 @@ type StreamOptions = gen.RecipeStreamOptions
 // through Dynamic.IngestBatch (each update's endpoints as external IDs),
 // which admits them under internal IDs equal to their stream IDs.
 func GenerateStreamOpts(recipe string, scale float64, ops int, seed int64, opts StreamOptions) (*Graph, []EdgeUpdate, error) {
-	return gen.StreamFromRecipeOpts(recipe, scale, ops, seed, opts)
+	return gen.StreamFromRecipe(recipe, scale, ops, seed, opts)
 }
 
 // Baseline orderings (permutations old ID → new ID), for comparison with
