@@ -34,6 +34,15 @@ func (v *View) Snapshot() *Graph {
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		start := time.Now()
+		if !v.d.reuse {
+			rg, err := v.scratchReordered(start)
+			if err != nil {
+				v.rgErr = err
+				return
+			}
+			v.rgp.Store(rg)
+			return
+		}
 		if b := v.basis.Load(); b != nil && !v.deltaOver(b).placementChanged {
 			if brg := b.rgp.Load(); brg != nil {
 				vd := v.deltaOver(b)
@@ -52,15 +61,12 @@ func (v *View) Reordered() (*Graph, error) {
 				v.work.fallbackReorder.Inc()
 			}
 		}
-		rg, err := core.Apply(v.Snapshot(), v.ord)
+		rg, err := v.scratchReordered(start)
 		if err != nil {
 			v.rgErr = err
 			return
 		}
-		v.work.graphBuilds.Add(1)
-		v.work.rebuildEdges.Add(rg.NumEdges())
 		v.rgp.Store(rg)
-		v.work.emitGraph(v, "reorder-build", start, rg.NumEdges(), 0, nil)
 	})
 	if rg := v.rgp.Load(); rg != nil {
 		v.d.registerMaterialized(v)
@@ -68,6 +74,21 @@ func (v *View) Reordered() (*Graph, error) {
 		return rg, nil
 	}
 	return nil, v.rgErr
+}
+
+// scratchReordered builds the view's relabeled graph from scratch: its
+// Snapshot, then core.Apply of the ordering, two counted construction
+// passes. It is the DisableViewReuse ablation's derivation, the cost a
+// reader without reuse pays.
+func (v *View) scratchReordered(start time.Time) (*Graph, error) {
+	rg, err := core.Apply(v.Snapshot(), v.ord)
+	if err != nil {
+		return nil, err
+	}
+	v.work.graphBuilds.Add(1)
+	v.work.rebuildEdges.Add(rg.NumEdges())
+	v.work.emitGraph(v, "reorder-build", start, rg.NumEdges(), 0, nil)
+	return rg, nil
 }
 
 // dropSpentBasis drops the basis link once this view holds everything the

@@ -921,3 +921,48 @@ func TestViewDeltaTouched(t *testing.T) {
 		t.Fatal("delta without edge changes touches endpoints")
 	}
 }
+
+// TestRebuildRowFourPasses pins the ablation row the engine-reuse
+// experiments divide their work ratios by. Under DisableViewReuse every
+// epoch that builds all three engines pays two graph builds (the snapshot
+// and its relabel), three engine builds, and four counted construction
+// passes over its edges: the snapshot, the relabel, and the Polymer and
+// GraphGrind builds (a Ligra build traverses the relabeled graph as is).
+func TestRebuildRowFourPasses(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.02, 1024, 3, StreamOptions{GrowFrac: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, Engine: viewTestOpts, DisableViewReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := external(updates)
+	for lo := 0; ; lo += 64 {
+		v, before := d.View(), d.ViewWork()
+		for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+			if _, err := v.Engine(sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := d.ViewWork()
+		if got := after.GraphBuilds - before.GraphBuilds; got != 2 {
+			t.Errorf("epoch %d: %d graph builds, want 2", v.Epoch(), got)
+		}
+		if got := after.EngineBuilds - before.EngineBuilds; got != 3 {
+			t.Errorf("epoch %d: %d engine builds, want 3", v.Epoch(), got)
+		}
+		if got := after.RebuildEdges - before.RebuildEdges; got != 4*v.NumEdges() {
+			t.Errorf("epoch %d: %d rebuild edges, want 4 × %d", v.Epoch(), got, v.NumEdges())
+		}
+		if lo >= len(ext) {
+			break
+		}
+		if _, err := d.IngestBatch(ext[lo:min(lo+64, len(ext))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.NumVertices() == g.NumVertices() {
+		t.Fatal("stream admitted no vertices")
+	}
+}
