@@ -39,16 +39,20 @@ const (
 	maxChunks   = 16
 )
 
-// PatchEdgesPermN returns a new graph equal to g relabeled by perm, then
+// PatchEdgesPermN returns a graph equal to g relabeled by perm, then
 // patched with dels removed and adds inserted (both given in post-perm IDs),
-// without rebuilding untouched adjacency rows. The result has nNew ≥
-// g.NumVertices() vertices; perm (length g.NumVertices()) maps each of g's
-// vertex IDs to its new ID and must be injective into [0, nNew), and nil
-// selects the identity. An entry NoVertex drops a row that is empty on both
-// sides instead of mapping it, and is an error on any other row: a slot
-// space hole whose slot another vertex now takes has no image left. New IDs
+// without rebuilding untouched adjacency rows. The result has nNew
+// vertices; perm (length g.NumVertices()) maps each of g's vertex IDs to its
+// new ID and must be injective into [0, nNew), and nil selects the
+// identity. An entry NoVertex drops a row that is empty on both sides
+// instead of mapping it, and is an error on any other row: a slot space
+// hole whose slot another vertex now takes has no image left. New IDs
 // without a preimage under perm start with empty rows (plus whatever adds
-// reference them). The receiver is not modified.
+// reference them). Only a permutation may shrink the vertex space (nNew <
+// g.NumVertices()), since only it can drop the empty rows past the end. An
+// empty change (no adds or deletions, an identity perm, nNew equal to the
+// vertex count) returns the receiver itself; otherwise the receiver is not
+// modified.
 //
 // Each deletion removes one occurrence of exactly (Src, Dst, Weight) as
 // stored — i.e. with weights normalized the way FromEdges stores them (1 on
@@ -69,12 +73,15 @@ const (
 // exactly the rows owned by or referencing a moved vertex; a relocated row
 // whose entries did not change shares its storage too. When sharing would
 // leave too many dead edges or chunks behind (see foldDeadPct), the patch
-// folds: it writes every row into one fresh chunk, O(n + m). A pure
-// renumbering of most vertices (a fresh ordering) is two sort-free
-// O(n + m) passes instead (see renumber).
+// folds: it writes every row into one fresh chunk, O(n + m). A permutation
+// that moves most vertices (a fresh ordering) or shrinks the vertex space
+// renumbers first, in two sort-free O(n + m) passes (see renumber), and
+// then merges the adds and deletions into the renumbered graph with no
+// permutation; its stats are the renumbering's remapped and copied edges
+// and the merge's merged ones, and the edges both wrote.
 func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var st PatchStats
-	if nNew < g.n {
+	if nNew < g.n && perm == nil {
 		return nil, st, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", g.n, nNew)
 	}
 	for _, e := range adds {
@@ -109,15 +116,21 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 				moved = append(moved, VertexID(old))
 			}
 		}
-		if len(moved) == 0 {
+		if len(moved) == 0 && nNew >= g.n {
 			// Identity injection (headroom growth without relocation): every
 			// basis row keeps its index, so drop perm — no remap row class.
 			perm = nil
 		}
 	}
-	if 2*len(moved) > g.n && len(adds) == 0 && len(dels) == 0 {
-		out, st := g.renumber(nNew, perm)
-		return out, st, nil
+	if perm != nil && (2*len(moved) > g.n || nNew < g.n) {
+		rn, st := g.renumber(nNew, perm)
+		out, mst, err := rn.PatchEdgesPermN(nNew, adds, dels, nil)
+		st.EdgesMerged, st.EdgesWritten, st.Fold = mst.EdgesMerged, st.EdgesWritten+mst.EdgesWritten, mst.Fold
+		return out, st, err
+	}
+	if perm == nil && nNew == g.n && len(adds) == 0 && len(dels) == 0 {
+		st.EdgesCopied = 2 * g.NumEdges()
+		return g, st, nil
 	}
 	m := g.NumEdges() + int64(len(adds)) - int64(len(dels))
 	if m < 0 {

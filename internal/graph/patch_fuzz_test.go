@@ -26,6 +26,10 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 	// Extra-deletion seeds (length 6 or 7 mod 8), unweighted and weighted.
 	f.Add(uint8(4), uint8(1), []byte{6, 0, 1, 1, 2, 2, 3, 3, 0, 1, 5, 0, 1, 2, 3})
 	f.Add(uint8(3), uint8(0), []byte{5, 1, 0, 1, 2, 1, 1, 3, 2, 2, 1, 2, 0, 9})
+	// Lineage-break seeds: sparse graphs whose empty rows a shrinking
+	// permutation drops, one unweighted and one weighted.
+	f.Add(uint8(19), uint8(2), []byte{3, 1, 2, 5, 6, 9, 4, 1, 3, 2, 7, 0, 2, 5, 1, 1, 6, 0, 1, 3})
+	f.Add(uint8(11), uint8(5), []byte{2, 2, 4, 1, 7, 3, 1, 1, 8, 2, 3, 6, 1, 4, 0, 9, 2, 1, 1, 5, 0})
 	f.Fuzz(func(t *testing.T, nOldB, growB uint8, data []byte) {
 		next := byteStream(data)
 		nOld := 1 + int(nOldB%32)
@@ -182,6 +186,50 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			}
 		}
 
+		// The three shapes of a derivation across a lineage break, each
+		// against FromEdges: a fresh numbering that moves every row, with
+		// the churn; a permutation that shrinks the vertex space, dropping
+		// empty rows to NoVertex; and the empty change, which returns the
+		// receiver itself.
+		inv := make([]VertexID, nNew)
+		for v, s := range perm {
+			inv[s] = VertexID(v)
+		}
+		deleted := applyPermToEdges(dels, inv)
+		if nNew > 1 {
+			r := 1 + int(next())%(nNew-1)
+			fresh := make([]VertexID, nOld)
+			for v := range fresh {
+				fresh[v] = VertexID((v + r) % nNew)
+			}
+			checkPatch(t, "fresh numbering", g, nNew, adds, applyPermToEdges(deleted, fresh), fresh, live)
+		}
+		shrink, nShrink := make([]VertexID, nOld), 0
+		for v := range shrink {
+			shrink[v] = NoVertex
+			if g.OutDegree(VertexID(v))+g.InDegree(VertexID(v)) != 0 || next()%2 == 1 {
+				shrink[v] = VertexID(nShrink)
+				nShrink++
+			}
+		}
+		if nShrink > 0 && nShrink < nOld {
+			rand.New(rand.NewSource(int64(next()))).Shuffle(nOld, func(i, j int) {
+				if shrink[i] != NoVertex && shrink[j] != NoVertex {
+					shrink[i], shrink[j] = shrink[j], shrink[i]
+				}
+			})
+			var shrunkAdds []Edge
+			for _, e := range adds {
+				shrunkAdds = append(shrunkAdds, Edge{Src: e.Src % VertexID(nShrink), Dst: e.Dst % VertexID(nShrink), Weight: e.Weight})
+			}
+			checkPatch(t, "shrinking permutation", g, nShrink, shrunkAdds, applyPermToEdges(deleted, shrink), shrink, live)
+		}
+		for _, id := range [][]VertexID{nil, identityPerm(nOld)} {
+			if same, _, err := g.PatchEdgesPermN(nOld, nil, nil, id); err != nil || same != g {
+				t.Fatalf("empty change (perm %v) returned %p, %v; want the receiver %p", id, same, err, g)
+			}
+		}
+
 		// The validation surface: malformed injections must error out.
 		if _, _, err := g.PatchEdgesPermN(nOld-1, nil, nil, nil); err == nil {
 			t.Fatal("shrinking patch accepted")
@@ -198,6 +246,36 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			t.Fatal("out-of-range add accepted")
 		}
 	})
+}
+
+// checkPatch requires g.PatchEdgesPermN(nNew, adds, dels, perm) to equal
+// FromEdges over the surviving original edges live relabeled by perm, plus
+// adds, and its stats to cover every edge.
+func checkPatch(t *testing.T, what string, g *Graph, nNew int, adds, dels []Edge, perm []VertexID, live []Edge) {
+	t.Helper()
+	got, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+	if err != nil {
+		t.Fatalf("%s: valid patch rejected: %v", what, err)
+	}
+	want, err := FromEdges(nNew, append(applyPermToEdges(live, perm), adds...), g.Weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(got, want) {
+		t.Fatalf("%s: patch differs from relabel+rebuild", what)
+	}
+	if covered := st.EdgesCopied + st.EdgesMerged + st.EdgesRemapped; covered < got.NumEdges() {
+		t.Fatalf("%s: stats cover %d of %d edges", what, covered, got.NumEdges())
+	}
+}
+
+// identityPerm returns the identity permutation on n vertices.
+func identityPerm(n int) []VertexID {
+	perm := make([]VertexID, n)
+	for v := range perm {
+		perm[v] = VertexID(v)
+	}
+	return perm
 }
 
 // byteStream returns a cursor over data that yields 0 forever once
