@@ -402,8 +402,9 @@ const pendingLog64k = 64 << 10
 
 var benchFrozen dynamic.Frozen
 
-// BenchmarkFreeze captures, and separately materializes, a dynamic graph
-// holding a 64k-entry pending delta log.
+// BenchmarkFreeze captures a dynamic graph holding a 64k-entry pending
+// delta log, and separately builds the capture's snapshot in original IDs
+// (FromEdges over the base's edges and the netted log).
 func BenchmarkFreeze(b *testing.B) {
 	g := benchGraph(b)
 	d, err := dynamic.New(g, dynamic.Config{Partitions: 64, CompactEvery: 1 << 30})
@@ -421,11 +422,11 @@ func BenchmarkFreeze(b *testing.B) {
 			benchFrozen = d.Freeze()
 		}
 	})
-	b.Run("materialize", func(b *testing.B) {
+	b.Run("snapshot", func(b *testing.B) {
 		f := d.Freeze()
 		b.ReportAllocs()
 		for b.Loop() {
-			f.Materialize()
+			f.Snapshot()
 		}
 		b.ReportMetric(float64(f.NumEdges()), "edges")
 	})

@@ -79,7 +79,7 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 		t.Fatalf("patching across growth epochs saved no work: %d+%d+%d vs %d",
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
 	}
-	assertNoFallbacks(t, dp)
+	assertDerives(t, dp)
 }
 
 // TestViewSnapshotCanonicalAcrossGrowth checks view snapshots over a growing
@@ -320,8 +320,8 @@ func TestIngestBatchConcurrentResolve(t *testing.T) {
 
 // TestGrowthEpochSkipsRelabel pins the O(delta) growth regression: with
 // maintenance moves disabled, every admission after the lineage's first
-// (which converts the compact ordering to a slotted one and rebuilds from
-// scratch) lands in reserved headroom, so the old→new injection is the
+// (which converts the compact ordering to a slotted one, and whose view
+// renumbers its graph) lands in reserved headroom, so the old→new injection is the
 // identity outside grown segments and no partition may ever take the
 // relabel (remap) path — unshifted partitions are reused outright, only
 // dirty ones rebuilt.
@@ -456,12 +456,12 @@ func TestViewPatchesMoverIntoHole(t *testing.T) {
 		}
 		vp, vs := dp.View(), ds.View()
 		assertViewsAgree(t, vp, vs, VertexID(int(updates[lo].Dst)%g.NumVertices()))
-		if slices.Contains(vp.delta.seg, graph.NoVertex) {
+		if slices.Contains(vp.delta.Seg, graph.NoVertex) {
 			holes++
 		}
 	}
 	if holes == 0 {
 		t.Fatal("no swap moved a basis vertex into a basis hole; the case was not exercised")
 	}
-	assertNoFallbacks(t, dp)
+	assertDerives(t, dp)
 }

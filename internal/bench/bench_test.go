@@ -50,7 +50,7 @@ func TestGrowSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	assertConstructionEdges(t, readReport(t, cfg.JSONDir, "grow"), 4997400, 2235795, 2278640, map[string]float64{
+	assertConstructionEdges(t, readReport(t, cfg.JSONDir, "grow"), 4997400, 2186743, 2229588, map[string]float64{
 		"patched_engine_patches":          23,
 		"patched_partitions_rebuilt":      944,
 		"patched_partitions_reused":       528,
@@ -170,7 +170,7 @@ func TestViewQuickEmitsJSON(t *testing.T) {
 	if r.Modeled["work_ratio_patched"] <= 0 {
 		t.Errorf("modeled work_ratio_patched missing: %+v", r.Modeled)
 	}
-	assertConstructionEdges(t, r, 621312, 381652, 386555, map[string]float64{
+	assertConstructionEdges(t, r, 621312, 332688, 337591, map[string]float64{
 		"patched_engine_patches":          2,
 		"patched_partitions_rebuilt":      81,
 		"patched_partitions_reused":       47,

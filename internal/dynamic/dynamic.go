@@ -4,14 +4,15 @@
 //
 // The design has five parts:
 //
-//   - Delta-log storage. The last compacted graph.Graph is kept immutable;
-//     inserted edges accumulate in an append-only log and deletions, each
-//     resolved to the (src,dst,weight) occurrence that died — a pending
-//     insertion or a base edge — in a second one. Freeze captures the live
-//     state in O(1) — prefixes of the two logs — so concurrent readers can
-//     materialize a snapshot (the surviving edge set, row-patched onto the
-//     base) without touching the live structures; Compact materializes its
-//     own capture and promotes it to the new base.
+//   - Delta-log storage. The compaction base is an immutable slot graph:
+//     the live graph at the last compaction, relabeled into the slot space
+//     of the ordering then current. Inserted edges accumulate in an
+//     append-only log and deletions, each resolved to the (src,dst,weight)
+//     occurrence that died — a pending insertion or a base edge — in a
+//     second one. Freeze captures the live state in O(1) — prefixes of the
+//     two logs — so concurrent readers derive from it without touching the
+//     live structures; Compact derives the live graph in the current slot
+//     space, the way views do, and makes it the new base.
 //
 //   - Incremental balance accounting. Per-partition in-edge counts (the
 //     paper's w[p]) and vertex counts (u[p]) are updated in O(1) per edge
@@ -40,15 +41,17 @@
 //     across growth epochs is O(delta). Exhausted headroom spills to a
 //     relabeling epoch that reserves fresh slots everywhere.
 //
-//   - View deltas from log cursors. A Frozen capture pins O(1) prefixes of
-//     the two logs, so the net edge change between two captures at most
-//     one compaction apart is a pure function of the pair (Frozen.Since):
-//     the log suffix between them, netted with one sort. Nothing is
-//     accumulated on the update path. The facade reads the rest of a view's
-//     delta off the two views' orderings — the vertices whose position
-//     differs, the admission count, and whether the renumbering epoch
-//     changed — and patches engine-side structures for unchanged
-//     partitions instead of rebuilding them (see the vebo.View API).
+//   - Slot graphs derived from log cursors. A Frozen capture pins O(1)
+//     prefixes of the two logs, so the net edge change between two
+//     captures of one generation is a pure function of the pair
+//     (Frozen.Since): the log suffix between them, netted with one sort.
+//     Nothing is accumulated on the update path. ChangeSince relabels it
+//     into a target ordering's slots and reads the slot map off the two
+//     orderings — the vertices whose position differs, or the full map
+//     across a renumbering — and PatchEdgesPermN applies it to the newest
+//     slot graph of the generation, a view's or the base. The facade
+//     patches engine-side structures for unchanged partitions the same way
+//     (see the vebo.View API).
 //
 // Every work count lives once, in the metrics registry (the vebo_* series);
 // Stats reads it back.
@@ -58,6 +61,7 @@ package dynamic
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -186,20 +190,19 @@ type Graph struct {
 	n        int
 	weighted bool
 
-	// base is the last compacted immutable graph; two append-only logs are
-	// the delta on top of it, each entry carrying the resolved stored
-	// weight: pendingAdd holds every insertion in arrival order and delLog
-	// every deletion, whether it killed a pending insertion or cancelled a
-	// base occurrence. The live edge count is base + len(pendingAdd) −
-	// len(delLog). Freeze shares capped prefixes of both; only Compact
-	// starts fresh ones, moving the retired logs to the prev* fields and
-	// bumping the generation gen.
-	base        *graph.Graph
-	pendingAdd  []graph.Edge
-	delLog      []graph.Edge
-	gen         int64
-	prevPending []graph.Edge
-	prevDels    []graph.Edge
+	// base is the generation's compaction base, a slot graph; two
+	// append-only logs are the delta on top of it, in original IDs, each
+	// entry carrying the resolved stored weight: pendingAdd holds every
+	// insertion in arrival order and delLog every deletion, whether it
+	// killed a pending insertion or cancelled a base occurrence. The live
+	// edge count is base + len(pendingAdd) − len(delLog). Freeze shares
+	// capped prefixes of both; only Compact starts fresh ones, with a new
+	// base. latest is the newest slot graph of the generation a reader
+	// registered, the next compaction's starting point.
+	base       *SlotGraph
+	pendingAdd []graph.Edge
+	delLog     []graph.Edge
+	latest     atomic.Pointer[SlotGraph]
 	// The indexes below resolve deletions and never leave the writer.
 	// addAlive[k] holds the weights of the surviving pending insertions of
 	// pair k in insertion order (top = most recent). Its length is the
@@ -278,11 +281,17 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	identity := make([]graph.VertexID, g.NumVertices())
+	for v := range identity {
+		identity[v] = graph.VertexID(v)
+	}
 	d := &Graph{
-		cfg:       cfg,
-		n:         g.NumVertices(),
-		weighted:  g.Weighted(),
-		base:      g,
+		cfg:      cfg,
+		n:        g.NumVertices(),
+		weighted: g.Weighted(),
+		// The input graph is the first base, under the identity and a
+		// numbering lineage no ordering has.
+		base:      newBase(g, identity, -1, 0),
 		addAlive:  make(map[edgeKey][]int32),
 		delBase:   make(map[wkey]int64),
 		degIn:     g.InDegrees(),
@@ -308,7 +317,7 @@ func (d *Graph) NumVertices() int { return d.n }
 // NumEdges reports the number of live edges (base − pending deletions +
 // pending insertions).
 func (d *Graph) NumEdges() int64 {
-	return d.base.NumEdges() + int64(len(d.pendingAdd)-len(d.delLog))
+	return d.base.G.NumEdges() + int64(len(d.pendingAdd)-len(d.delLog))
 }
 
 // Weighted reports whether the graph carries non-unit edge weights.
@@ -365,7 +374,7 @@ func (d *Graph) Epoch() int64 { return d.epoch }
 // and headroom admissions preserve it: between two orderings of
 // equal renumbering epochs, a vertex's new ID either stayed put or moved
 // within the closed set of positions whose occupant changed, so diffing
-// the two permutations (MovedBetween) finds every move.
+// the two permutations (movedBetween) finds every move.
 func (d *Graph) RenumEpoch() int64 { return d.renumEpoch }
 
 // EffectiveRebuildThreshold returns the Δ(n) gate currently in force:

@@ -35,17 +35,21 @@ type wkey struct {
 
 // baseRun returns the weights of the base's parallel (s,dst) edges, in row
 // order: sorted by weight, so each weight's occurrences are one sub-run.
+// The base is in slot space, so both endpoints are looked up through its
+// permutation; an endpoint admitted after the compaction has no base row.
 func (d *Graph) baseRun(s, dst graph.VertexID) []int32 {
-	if int(s) >= d.base.NumVertices() {
+	b := d.base
+	if int(s) >= len(b.Perm) || int(dst) >= len(b.Perm) {
 		return nil
 	}
-	nbrs := d.base.OutNeighbors(s)
+	s, dst = b.Perm[s], b.Perm[dst]
+	nbrs := b.G.OutNeighbors(s)
 	lo := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
 	hi := lo
 	for hi < len(nbrs) && nbrs[hi] == dst {
 		hi++
 	}
-	return d.base.OutWeights(s)[lo:hi]
+	return b.G.OutWeights(s)[lo:hi]
 }
 
 // normWeight maps an input weight to its stored form.
@@ -115,7 +119,7 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 
 // killPending removes index i from pair (s,dst)'s surviving-pending weight
 // list and logs the deletion with that weight. The insertion's own log entry
-// stays; Materialize nets the deletion against it.
+// stays; Since nets the deletion against it.
 func (d *Graph) killPending(s, dst graph.VertexID, i int) {
 	k := keyOf(s, dst)
 	alive := d.addAlive[k]
@@ -174,39 +178,41 @@ func (d *Graph) touch() {
 	d.epoch++
 }
 
+// newBase returns a log generation's compaction base: g, the live graph
+// at epoch relabeled by the ordering perm of renumbering epoch renum. Its
+// capture opens the generation, and two captures share a generation iff
+// they share its base.
+func newBase(g *graph.Graph, perm []graph.VertexID, renum, epoch int64) *SlotGraph {
+	b := &SlotGraph{G: g, Perm: perm, Renum: renum}
+	b.At = Frozen{n: len(perm), epoch: epoch, base: b}
+	return b
+}
+
 // Frozen is an immutable capture of the live edge multiset at one epoch. It
-// shares the base graph and capped prefixes of the two append-only delta
-// logs with the live structure and copies nothing else, so freezing is O(1)
-// and allocation-free regardless of graph or log size. A Frozen may be
-// materialized from any goroutine, concurrently with further ApplyBatch
-// calls on the source graph: the writer only appends past the prefixes, or
-// starts fresh logs at compaction.
+// shares the base and capped prefixes of the two append-only delta logs
+// with the live structure and copies nothing else, so freezing is O(1) and
+// allocation-free regardless of graph or log size. A Frozen may be read
+// from any goroutine, concurrently with further ApplyBatch calls on the
+// source graph: the writer only appends past the prefixes, or starts fresh
+// logs at compaction.
 //
 //vebo:frozen
 type Frozen struct {
 	n       int
 	epoch   int64
-	base    *graph.Graph
-	gen     int64        // compaction generation the logs belong to
+	base    *SlotGraph
 	pending []graph.Edge // insertions, in arrival order
 	dels    []graph.Edge // deletions, of pending insertions or base edges
-	// The previous generation's full logs — the ones Compact folded into
-	// base — so Since can span one compaction. The retired base itself is
-	// not kept.
-	prevPending, prevDels []graph.Edge
 }
 
 // Freeze captures the current live edge multiset.
 func (d *Graph) Freeze() Frozen {
 	return Frozen{
-		n:           d.n,
-		epoch:       d.epoch,
-		base:        d.base,
-		gen:         d.gen,
-		pending:     d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
-		dels:        d.delLog[:len(d.delLog):len(d.delLog)],
-		prevPending: d.prevPending,
-		prevDels:    d.prevDels,
+		n:       d.n,
+		epoch:   d.epoch,
+		base:    d.base,
+		pending: d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
+		dels:    d.delLog[:len(d.delLog):len(d.delLog)],
 	}
 }
 
@@ -218,35 +224,42 @@ func (f Frozen) NumVertices() int { return f.n }
 
 // NumEdges reports the live edge count of the capture.
 func (f Frozen) NumEdges() int64 {
-	return f.base.NumEdges() + int64(len(f.pending)-len(f.dels))
+	return f.base.G.NumEdges() + int64(len(f.pending)-len(f.dels))
 }
 
-// Materialize builds the captured edge multiset as an immutable CSR+CSC
-// graph by row-patching the base with the netted logs: the surviving
-// insertions merged in, the cancelled base edges removed. Rows are sorted
-// by (neighbor, weight), so the result is byte-identical to graph.FromEdges
-// over the same multiset, and comes with the patch's stats. With nothing to
-// patch it returns the (immutable) base itself and zero stats.
-func (f Frozen) Materialize() (*graph.Graph, graph.PatchStats) {
-	adds, dels := netEdges([][]graph.Edge{f.pending}, [][]graph.Edge{f.dels})
-	if len(adds) == 0 && len(dels) == 0 && f.n == f.base.NumVertices() {
-		return f.base, graph.PatchStats{}
+// Base returns the compaction base of the capture's log generation, every
+// view's basis of last resort.
+func (f Frozen) Base() SlotGraph { return *f.base }
+
+// Snapshot builds the captured edge multiset in original vertex IDs from
+// scratch: graph.FromEdges over the base's edges mapped back through its
+// permutation, netted against the logs. It shares no code with the slot
+// derivations, which makes it their oracle.
+func (f Frozen) Snapshot() *graph.Graph {
+	b := f.base
+	orig := make([]graph.VertexID, b.G.NumVertices())
+	for v, s := range b.Perm {
+		orig[s] = graph.VertexID(v)
 	}
-	g, st, err := f.base.PatchEdgesPermN(f.n, adds, dels, nil)
+	es := b.G.Edges()
+	for i := range es {
+		es[i].Src, es[i].Dst = orig[es[i].Src], orig[es[i].Dst]
+	}
+	live, _ := netEdges(append(es, f.pending...), f.dels)
+	g, err := graph.FromEdges(f.n, live, b.G.Weighted())
 	if err != nil {
-		// Unreachable: every applied update was range-checked and every
-		// cancellation names a live base occurrence.
+		// Unreachable: every logged endpoint was range-checked.
 		panic(err)
 	}
-	return g, st
+	return g
 }
 
 // Since returns the net edge change from the earlier capture b to f, as
 // sorted insertion and deletion lists with multiplicities unrolled: the log
 // entries f holds past b (insertions minus deletions), netted per (Src,
 // Dst, Weight). The lists are freshly allocated and the caller's own to
-// rewrite. It spans at most one compaction; ok is false when b predates f's
-// previous generation or was captured after f.
+// rewrite. ok is false when b is of another generation (a compaction lies
+// between the two) or was captured after f.
 func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
 	plus, minus, ok := f.logsSince(b)
 	if !ok {
@@ -260,43 +273,26 @@ func (f Frozen) Since(b Frozen) (adds, dels []graph.Edge, ok bool) {
 // for Since.
 func (f Frozen) EntriesSince(b Frozen) (int64, bool) {
 	plus, minus, ok := f.logsSince(b)
-	return int64(entries(plus) + entries(minus)), ok
+	return int64(len(plus) + len(minus)), ok
 }
 
-// entries counts the edges in runs.
-func entries(runs [][]graph.Edge) int {
-	c := 0
-	for _, r := range runs {
-		c += len(r)
-	}
-	return c
-}
-
-// logsSince returns the log runs f holds past b: b's unseen tail of its own
-// generation's logs, followed — when f is one compaction later — by f's
-// whole logs.
-func (f Frozen) logsSince(b Frozen) (plus, minus [][]graph.Edge, ok bool) {
-	if b.epoch > f.epoch {
+// logsSince returns the log entries f holds past b, a capture of its own
+// generation.
+func (f Frozen) logsSince(b Frozen) (plus, minus []graph.Edge, ok bool) {
+	if b.base != f.base || b.epoch > f.epoch {
 		return nil, nil, false
 	}
-	switch f.gen - b.gen {
-	case 0:
-		return [][]graph.Edge{f.pending[len(b.pending):]}, [][]graph.Edge{f.dels[len(b.dels):]}, true
-	case 1:
-		return [][]graph.Edge{f.prevPending[len(b.pending):], f.pending},
-			[][]graph.Edge{f.prevDels[len(b.dels):], f.dels}, true
-	}
-	return nil, nil, false
+	return f.pending[len(b.pending):], f.dels[len(b.dels):], true
 }
 
-// netEdges nets signed edge runs into their multiset difference. The plus
+// netEdges nets signed edge lists into their multiset difference. The plus
 // and the minus entries, copied into one buffer, are each radix-sorted by
 // (Src, Dst, Weight) (graph.SortEdges, with one more buffer), and one
 // linear merge of the two sorted runs cancels equal entries pairwise: what
 // survives of the plus run, written back over its own part of the buffer,
 // is the sorted adds, and of the minus run the sorted dels.
-func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
-	np, buf := entries(plus), slices.Concat(append(slices.Clip(plus), minus...)...)
+func netEdges(plus, minus []graph.Edge) (adds, dels []graph.Edge) {
+	np, buf := len(plus), slices.Concat(plus, minus)
 	tmp := make([]graph.Edge, len(buf))
 	p, m := graph.SortEdges(buf[:np:np], tmp[:np:np]), graph.SortEdges(buf[np:], tmp[np:])
 	adds, dels = buf[:0:np], buf[np:np] // the survivors go back into buf
@@ -314,34 +310,61 @@ func netEdges(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
 	return append(adds, p[i:]...), append(dels, m[j:]...)
 }
 
-// Snapshot materializes the live graph as an immutable CSR+CSC graph.Graph
-// the processing engines can traverse: one Freeze().Materialize(). The
-// result is never mutated, so callers may keep using an old snapshot safely
-// across later batches.
-func (d *Graph) Snapshot() *graph.Graph {
-	g, _ := d.Freeze().Materialize()
-	return g
+// Snapshot builds the live graph in original vertex IDs as an immutable
+// CSR+CSC graph.Graph: Freeze().Snapshot(). The result is never mutated,
+// so callers may keep using an old snapshot safely across later batches.
+func (d *Graph) Snapshot() *graph.Graph { return d.Freeze().Snapshot() }
+
+// Register offers s, a slot graph a reader derived, as the starting point
+// of the next compaction; the newest offer wins. Safe from any goroutine.
+func (d *Graph) Register(s *SlotGraph) {
+	for {
+		cur := d.latest.Load()
+		if cur != nil && cur.At.epoch >= s.At.epoch {
+			return
+		}
+		if d.latest.CompareAndSwap(cur, s) {
+			return
+		}
+	}
 }
 
-// Compact materializes a capture of the live graph as the new base and
-// starts a new log generation, keeping the retired logs as the previous
-// generation for Frozen.Since. Engines holding older snapshots (and views
-// holding older freezes) are unaffected: the old base and log prefix stay
-// immutable. The "compact" span parents onto the batch whose log bound
-// triggered it, or onto nothing for a direct call, and carries whether the
-// materialization folded and the edges it wrote.
+// deriveBase derives the live graph in the current ordering's slot space
+// the way views derive theirs: from the newest slot graph of the
+// generation, the newest one a reader registered or else the base.
+func (d *Graph) deriveBase() (*graph.Graph, graph.PatchStats) {
+	f := d.Freeze()
+	b := f.Base()
+	if s := d.latest.Load(); s != nil && s.At.base == f.base && s.At.epoch > b.At.epoch {
+		b = *s
+	}
+	c, _ := f.ChangeSince(b, d.ordPerm, d.renumEpoch) // b is of f's generation
+	g, st, err := b.G.PatchEdgesPermN(int(d.Ordering().Slots()), c.Adds, c.Dels, c.Seg)
+	if err != nil {
+		// Unreachable: every applied update was range-checked and every
+		// cancellation names a live occurrence.
+		panic(err)
+	}
+	return g, st
+}
+
+// Compact derives the live graph in the current ordering's slot space as
+// the new base (deriveBase) and starts a new log generation. Views and
+// snapshots holding older captures are unaffected: the old base and log
+// prefix stay immutable. The "compact" span parents onto the batch whose
+// log bound triggered it, or onto nothing for a direct call, and carries
+// whether the derivation folded and the edges it wrote.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
-	var st graph.PatchStats
-	d.base, st = d.Freeze().Materialize()
+	g, st := d.deriveBase()
 	fold := int64(0)
 	if st.Fold != "" {
 		fold = 1
 	}
-	d.prevPending, d.prevDels = d.pendingAdd, d.delLog
+	d.base = newBase(g, d.ordPerm[:d.n:d.n], d.renumEpoch, d.epoch)
+	d.latest.Store(nil)
 	d.pendingAdd, d.delLog = nil, nil
-	d.gen++
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)
 	d.cancels = 0
@@ -351,7 +374,7 @@ func (d *Graph) Compact() {
 		Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
 		Cause: "log-bound", Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
 		Attrs: map[string]int64{
-			"pending_ops": pending, "base_edges": d.base.NumEdges(),
+			"pending_ops": pending, "base_edges": g.NumEdges(),
 			"fold": fold, "written_edges": st.EdgesWritten,
 		},
 	})

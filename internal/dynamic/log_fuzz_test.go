@@ -10,13 +10,16 @@ import (
 )
 
 // FuzzFrozenSince decodes bytes into programs of insertions, selector and
-// blind deletions, Grow and direct Compact calls on a small weighted
-// multigraph whose log bound also compacts automatically. Every step is
-// captured with the snapshot Materialize builds at its epoch, and
-// checkSince holds Since against those snapshots: exact for capture pairs
-// at most one compaction apart, refused beyond. After every step the live
-// edge count must agree across the graph, its capture and the snapshot, and
-// HasEdge must agree with the snapshot on the pair the step touched.
+// blind deletions, Grow, forced Rebuild and direct Compact calls on a small
+// weighted multigraph whose log bound also compacts automatically. A
+// reference multiset follows every step (a blind deletion's weight is the
+// one the graph logged), and FromEdges over it is the oracle: after every
+// step the live Snapshot must equal it, the slot graph a compaction would
+// derive must equal it relabeled by the live ordering, and HasEdge must
+// agree with it on the pair the step touched. checkSince holds Since
+// against the oracle graphs of every capture pair: exact within a
+// generation, refused across a compaction. At the end every capture's
+// Snapshot must still equal its oracle.
 func FuzzFrozenSince(f *testing.F) {
 	f.Add([]byte{6, 8, 1, 2, 1, 3, 4, 2, 0, 0, 1, 2, 3, 1, 6, 0, 0, 2, 5, 9, 3, 6, 0, 1, 1})
 	f.Add([]byte{9, 3, 0, 1, 1, 0, 1, 1, 0, 1, 2, 3, 0, 0, 3, 1, 3, 4, 0, 2, 0, 3, 1})
@@ -24,6 +27,10 @@ func FuzzFrozenSince(f *testing.F) {
 	// Three parallel (0,0) insertions compacted into the base, then one of
 	// them deleted: HasEdge must count the weight's cancellation once.
 	f.Add([]byte("0000000000000007$"))
+	// Growth, a forced rebuild and a compaction, then deletions on both
+	// sides of it: the base is in a renumbered slot space with admitted
+	// vertices past its permutation.
+	f.Add([]byte{7, 10, 0, 1, 2, 1, 2, 3, 2, 3, 1, 6, 2, 8, 7, 0, 4, 0, 5, 1, 3, 14, 5, 4, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		i := 0
 		next := func() byte {
@@ -34,14 +41,14 @@ func FuzzFrozenSince(f *testing.F) {
 			return data[i-1]
 		}
 		n := 4 + int(next()%8)
-		var edges []graph.Edge
+		var live []graph.Edge
 		for m := int(next() % 24); m > 0; m-- {
-			edges = append(edges, graph.Edge{
+			live = append(live, graph.Edge{
 				Src: graph.VertexID(int(next()) % n), Dst: graph.VertexID(int(next()) % n),
 				Weight: int32(1 + next()%3),
 			})
 		}
-		g, err := graph.FromEdges(n, edges, true)
+		g, err := graph.FromEdges(n, live, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,10 +56,10 @@ func FuzzFrozenSince(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps := []frozenCapture{{d.Freeze(), d.Snapshot()}}
+		caps := []frozenCapture{{d.Freeze(), g}}
 		for step := 0; step < 48 && i < len(data); step++ {
 			var touched *graph.EdgeUpdate
-			switch op := next() % 8; {
+			switch op := next() % 9; {
 			case op < 4:
 				u := graph.EdgeUpdate{
 					Src: graph.VertexID(int(next()) % d.n), Dst: graph.VertexID(int(next()) % d.n),
@@ -61,11 +68,12 @@ func FuzzFrozenSince(f *testing.F) {
 				if _, err := d.ApplyBatch([]graph.EdgeUpdate{u}); err != nil {
 					t.Fatal(err)
 				}
+				live = append(live, graph.Edge{Src: u.Src, Dst: u.Dst, Weight: max(u.Weight, 1)})
 				touched = &u
 			case op < 6:
 				// Delete a live edge; a zero selector lets the graph pick
-				// the occurrence.
-				live := d.Snapshot().Edges()
+				// the occurrence, and the weight that died is the one whose
+				// multiplicity on the pair dropped.
 				if len(live) == 0 {
 					continue
 				}
@@ -77,30 +85,76 @@ func FuzzFrozenSince(f *testing.F) {
 				if _, err := d.ApplyBatch([]graph.EdgeUpdate{u}); err != nil {
 					t.Fatal(err)
 				}
+				if op == 5 {
+					e.Weight = diedWeight(live, d.Snapshot(), e.Src, e.Dst)
+				}
+				j := slices.Index(live, e)
+				if j < 0 {
+					t.Fatalf("step %d: deleting (%d,%d) left its multiplicity unchanged", step, e.Src, e.Dst)
+				}
+				live = slices.Delete(live, j, j+1)
 				touched = &u
 			case op == 6:
 				d.Grow(1 + int(next()%3))
+			case op == 7:
+				d.Rebuild()
 			default:
 				d.Compact()
 			}
-			f, snap := d.Freeze(), d.Snapshot()
-			if m := d.NumEdges(); f.NumEdges() != m || snap.NumEdges() != m {
-				t.Fatalf("step %d: NumEdges graph %d, capture %d, snapshot %d", step, m, f.NumEdges(), snap.NumEdges())
+			want, err := graph.FromEdges(d.n, live, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if u := touched; u != nil && d.HasEdge(u.Src, u.Dst) != snap.HasEdge(u.Src, u.Dst) {
-				t.Fatalf("step %d: HasEdge(%d,%d) = %v, snapshot says %v",
-					step, u.Src, u.Dst, d.HasEdge(u.Src, u.Dst), snap.HasEdge(u.Src, u.Dst))
+			f := d.Freeze()
+			if m := d.NumEdges(); f.NumEdges() != m || want.NumEdges() != m {
+				t.Fatalf("step %d: NumEdges graph %d, capture %d, oracle %d", step, m, f.NumEdges(), want.NumEdges())
 			}
-			caps = append(caps, frozenCapture{f, snap})
+			if !graph.Equal(d.Snapshot(), want) {
+				t.Fatalf("step %d: snapshot differs from FromEdges over the reference multiset", step)
+			}
+			checkDerived(t, d, want)
+			if u := touched; u != nil && d.HasEdge(u.Src, u.Dst) != want.HasEdge(u.Src, u.Dst) {
+				t.Fatalf("step %d: HasEdge(%d,%d) = %v, oracle says %v",
+					step, u.Src, u.Dst, d.HasEdge(u.Src, u.Dst), want.HasEdge(u.Src, u.Dst))
+			}
+			caps = append(caps, frozenCapture{f, want})
 		}
 		checkSince(t, caps)
+		for _, c := range caps {
+			if !graph.Equal(c.f.Snapshot(), c.snap) {
+				t.Fatalf("capture of epoch %d no longer builds its oracle graph", c.f.Epoch())
+			}
+		}
 	})
 }
 
+// diedWeight returns the weight of the (s,dst) occurrence a blind deletion
+// removed: one whose multiplicity in live exceeds the snapshot's after the
+// deletion.
+func diedWeight(live []graph.Edge, after *graph.Graph, s, dst graph.VertexID) int32 {
+	count := make(map[int32]int)
+	for _, e := range live {
+		if e.Src == s && e.Dst == dst {
+			count[e.Weight]++
+		}
+	}
+	ws := after.OutWeights(s)
+	for k, nb := range after.OutNeighbors(s) {
+		if nb == dst {
+			count[ws[k]]--
+		}
+	}
+	for w, c := range count {
+		if c > 0 {
+			return w
+		}
+	}
+	return 0
+}
+
 // FuzzNetEdges holds netEdges against netEdgesOracle, the comparator sort
-// it replaced, element for element. Bytes decode into entries split over
-// two plus and two minus runs, the shape of a delta spanning one
-// compaction, on few endpoints so parallel entries and cancellations are
+// it replaced, element for element. Bytes decode into plus and minus
+// entries on few endpoints, so parallel entries and cancellations are
 // common, with weights from the full int32 range: zero, negative and both
 // extremes.
 func FuzzNetEdges(f *testing.F) {
@@ -109,7 +163,7 @@ func FuzzNetEdges(f *testing.F) {
 	f.Add([]byte{7, 200, 17, 1, 6, 200, 17, 1, 4, 9, 9, 255, 1, 9, 9, 254, 3, 1, 1, 128})
 	weights := []int32{1, 0, -1, 2, -2, 3, math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1, 1 << 16, -1 << 16}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var plus, minus [2][]graph.Edge
+		var plus, minus []graph.Edge
 		for i := 0; i+4 <= len(data); i += 4 {
 			op, b := data[i], data[i+3]
 			w := weights[int(b)%len(weights)]
@@ -121,13 +175,13 @@ func FuzzNetEdges(f *testing.F) {
 				e.Src |= graph.VertexID(data[i+2]) << 16 // a high-byte ID
 			}
 			if op&1 == 0 {
-				plus[op>>1&1] = append(plus[op>>1&1], e)
+				plus = append(plus, e)
 			} else {
-				minus[op>>1&1] = append(minus[op>>1&1], e)
+				minus = append(minus, e)
 			}
 		}
-		adds, dels := netEdges(plus[:], minus[:])
-		wantAdds, wantDels := netEdgesOracle(plus[:], minus[:])
+		adds, dels := netEdges(plus, minus)
+		wantAdds, wantDels := netEdgesOracle(plus, minus)
 		if !slices.Equal(adds, wantAdds) || !slices.Equal(dels, wantDels) {
 			t.Fatalf("netEdges(%v, %v) = %v, %v; oracle %v, %v", plus, minus, adds, dels, wantAdds, wantDels)
 		}
@@ -137,18 +191,16 @@ func FuzzNetEdges(f *testing.F) {
 // netEdgesOracle is the comparator netting netEdges replaced: one sort of
 // every signed entry by (Src, Dst, Weight), then per triple the summed
 // sign, unrolled into sorted adds (positive) and dels (negative).
-func netEdgesOracle(plus, minus [][]graph.Edge) (adds, dels []graph.Edge) {
+func netEdgesOracle(plus, minus []graph.Edge) (adds, dels []graph.Edge) {
 	type signed struct {
 		key  uint64 // Src<<32 | Dst
 		w    int32
 		sign int32
 	}
 	var es []signed
-	put := func(runs [][]graph.Edge, sign int32) {
-		for _, r := range runs {
-			for _, e := range r {
-				es = append(es, signed{uint64(e.Src)<<32 | uint64(e.Dst), e.Weight, sign})
-			}
+	put := func(edges []graph.Edge, sign int32) {
+		for _, e := range edges {
+			es = append(es, signed{uint64(e.Src)<<32 | uint64(e.Dst), e.Weight, sign})
 		}
 	}
 	put(plus, 1)

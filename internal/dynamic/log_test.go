@@ -5,10 +5,12 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
-// frozenCapture pairs a capture with the snapshot materialized at its epoch.
+// frozenCapture pairs a capture with FromEdges over the reference
+// multiset at its epoch.
 type frozenCapture struct {
 	f    Frozen
 	snap *graph.Graph
@@ -17,7 +19,7 @@ type frozenCapture struct {
 // HasEdge reports whether at least one live (s,dst) edge exists, from the
 // writer's own bookkeeping: its surviving pending insertions plus its base
 // run, less each weight's cancellations (subtracted once, where the
-// weight's sub-run starts). Tests hold it against materialized snapshots.
+// weight's sub-run starts). Tests hold it against snapshots.
 func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
 	k := keyOf(s, dst)
 	c := int64(len(d.addAlive[k]))
@@ -31,10 +33,10 @@ func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
 	return c > 0
 }
 
-// checkSince requires Since to bridge every ordered capture pair at most
-// one compaction apart — the netted lists are sorted, share no edge, and
-// patch the earlier snapshot into exactly the later one — and to refuse
-// pairs further apart. It returns how many pairs fell on each side.
+// checkSince requires Since to bridge every ordered capture pair of one
+// generation — the netted lists are sorted, share no edge, and patch the
+// earlier snapshot into exactly the later one — and to refuse pairs a
+// compaction apart. It returns how many pairs fell on each side.
 func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 	t.Helper()
 	for i, b := range caps {
@@ -43,15 +45,15 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 			if _, okE := c.f.EntriesSince(b.f); okE != ok {
 				t.Fatalf("epochs %d→%d: EntriesSince ok=%v, Since ok=%v", b.f.epoch, c.f.epoch, okE, ok)
 			}
-			if c.f.gen-b.f.gen > 1 {
+			if c.f.base != b.f.base {
 				if ok {
-					t.Fatalf("epochs %d→%d: Since bridged %d compactions", b.f.epoch, c.f.epoch, c.f.gen-b.f.gen)
+					t.Fatalf("epochs %d→%d: Since bridged a compaction", b.f.epoch, c.f.epoch)
 				}
 				refused++
 				continue
 			}
 			if !ok {
-				t.Fatalf("epochs %d→%d: Since refused a pair %d compaction(s) apart", b.f.epoch, c.f.epoch, c.f.gen-b.f.gen)
+				t.Fatalf("epochs %d→%d: Since refused a pair of one generation", b.f.epoch, c.f.epoch)
 			}
 			if !slices.IsSortedFunc(adds, graph.CompareEdges) || !slices.IsSortedFunc(dels, graph.CompareEdges) {
 				t.Fatalf("epochs %d→%d: netted lists are not sorted", b.f.epoch, c.f.epoch)
@@ -77,10 +79,11 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 // TestFrozenStaysPinned freezes a weighted multigraph at several epochs and
 // keeps mutating it — selector deletes hitting both pending insertions and
 // base edges, growth, and compactions, automatic and direct — then requires
-// every earlier capture to still materialize exactly the snapshot taken at
-// its epoch, which in turn equals FromEdges over the reference multiset.
-// Across the captures, Since must bridge every pair at most one compaction
-// apart and refuse the rest (checkSince).
+// every earlier capture's Snapshot to still equal FromEdges over the
+// reference multiset at its epoch, and each capture's slot graph, derived
+// from its base when taken, to equal that multiset relabeled by the live
+// ordering. Across the captures, Since must bridge every pair of one
+// generation and refuse the rest (checkSince).
 func TestFrozenStaysPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 40
@@ -105,8 +108,8 @@ func TestFrozenStaysPinned(t *testing.T) {
 	checkAll := func(when string) {
 		t.Helper()
 		for _, c := range caps {
-			if g, _ := c.f.Materialize(); !graph.Equal(g, c.snap) {
-				t.Fatalf("%s: capture of epoch %d no longer materializes its snapshot", when, c.f.Epoch())
+			if !graph.Equal(c.f.Snapshot(), c.snap) {
+				t.Fatalf("%s: capture of epoch %d no longer builds its snapshot", when, c.f.Epoch())
 			}
 		}
 	}
@@ -156,11 +159,11 @@ func TestFrozenStaysPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := d.Snapshot()
-			if !graph.Equal(snap, want) {
+			if !graph.Equal(d.Snapshot(), want) {
 				t.Fatalf("batch %d: snapshot differs from FromEdges over the live multiset", batch)
 			}
-			caps = append(caps, frozenCapture{d.Freeze(), snap})
+			checkDerived(t, d, want)
+			caps = append(caps, frozenCapture{d.Freeze(), want})
 		}
 		checkAll("after batch")
 	}
@@ -169,6 +172,20 @@ func TestFrozenStaysPinned(t *testing.T) {
 	}
 	if bridged, refused := checkSince(t, caps); bridged == 0 || refused == 0 {
 		t.Fatalf("Since checked on %d bridged and %d refused pairs; the test must cover both", bridged, refused)
+	}
+}
+
+// checkDerived requires the slot graph a compaction would derive now to
+// equal want, the live multiset in original IDs, relabeled by the live
+// ordering.
+func checkDerived(t *testing.T, d *Graph, want *graph.Graph) {
+	t.Helper()
+	rel, err := core.Apply(want, d.Ordering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := d.deriveBase(); !graph.Equal(g, rel) {
+		t.Fatalf("epoch %d: slot graph derived from the base differs from the relabeled live graph", d.epoch)
 	}
 }
 

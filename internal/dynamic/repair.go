@@ -94,7 +94,7 @@ func (d *Graph) ensureMembers() {
 // closest to half the gap), breaking ties toward the lowest-degree u. The
 // two vertices exchange new IDs, so the ordering permutation changes at
 // exactly the swapped positions — a segment-local permutation the view
-// layer can patch engines across (MovedBetween). The shared
+// layer can patch engines across (movedBetween). The shared
 // permutation and assignment are never mutated: a repair pass that swaps
 // clones them once (copy-on-write) so views pinned to earlier epochs keep
 // their numbering.

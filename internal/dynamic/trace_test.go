@@ -205,9 +205,9 @@ func TestTraceRepairShortfall(t *testing.T) {
 
 	pending := d.PendingOps()
 	d.Rebuild()
-	// Materialize is a pure function of the capture, so this repeat call
-	// reports the stats Compact's own materialization sees.
-	_, mst := d.Freeze().Materialize()
+	// deriveBase is a pure function of the live state, so this repeat call
+	// reports the stats Compact's own derivation sees.
+	_, mst := d.deriveBase()
 	fold := int64(0)
 	if mst.Fold != "" {
 		fold = 1

@@ -2,12 +2,102 @@ package dynamic
 
 import "repro/internal/graph"
 
-// MovedBetween returns, sorted, the vertices w < len(base) whose position
+// SlotGraph is a capture's live multiset in the slot space of one
+// ordering: G is capture At relabeled by Perm (original ID → slot), an
+// ordering of renumbering epoch Renum. A view's relabeled graph and a
+// generation's compaction base are slot graphs, and each is derived from
+// an earlier one of its generation the one way: ChangeSince, then
+// G.PatchEdgesPermN(slots, Adds, Dels, Seg).
+type SlotGraph struct {
+	G     *graph.Graph
+	At    Frozen
+	Perm  []graph.VertexID
+	Renum int64
+}
+
+// Change is the edit from a basis slot graph to a later capture of its
+// generation under another ordering.
+type Change struct {
+	// Adds and Dels are the net edge change (Frozen.Since), relabeled into
+	// the target's slots.
+	Adds, Dels []graph.Edge
+	// Moved holds, sorted, the basis vertices whose slot differs within one
+	// numbering lineage: swap repairs move vertices within a closed set of
+	// positions and leave the segment boundaries alone. Nil when Broken.
+	Moved []graph.VertexID
+	// Seg maps each basis slot to its target slot, NoVertex at a basis hole
+	// left without an image; nil when nothing moved.
+	Seg []graph.VertexID
+	// Broken reports a lineage break (full rebuild or relabeling spill):
+	// the renumbering epochs differ, and Seg is the full map.
+	Broken bool
+}
+
+// ChangeSince returns the change from slot graph b to capture f under the
+// ordering perm of renumbering epoch renum; ok is false when b's capture
+// is of another generation or was taken after f.
+//
+// Within a numbering lineage the slot space is fixed: admissions fill
+// reserved headroom slots, so an admitted slot has no basis preimage (its
+// content arrives as adds), and only swap repairs move vertices, so Seg is
+// the identity outside the moved vertices' positions. A basis hole is an
+// empty row: when a swap pairs a vertex admitted into it with a basis
+// vertex, the basis vertex takes the hole's slot and the hole has no image
+// left. Across a break every basis vertex maps through both orderings and
+// every hole to NoVertex.
+func (f Frozen) ChangeSince(b SlotGraph, perm []graph.VertexID, renum int64) (c Change, ok bool) {
+	adds, dels, ok := f.Since(b.At)
+	if !ok {
+		return c, false
+	}
+	c.Adds, c.Dels, c.Broken = relabel(adds, perm), relabel(dels, perm), renum != b.Renum
+	if !c.Broken {
+		if c.Moved = movedBetween(b.Perm, perm); len(c.Moved) == 0 {
+			return c, true
+		}
+	}
+	c.Seg = make([]graph.VertexID, b.G.NumVertices())
+	if c.Broken {
+		for s := range c.Seg {
+			c.Seg[s] = graph.NoVertex
+		}
+		for w, s := range b.Perm {
+			c.Seg[s] = perm[w]
+		}
+		return c, true
+	}
+	for s := range c.Seg {
+		c.Seg[s] = graph.VertexID(s)
+	}
+	for _, w := range c.Moved {
+		c.Seg[b.Perm[w]] = perm[w]
+	}
+	// A basis vertex at a mover's new slot moved too, so a slot there still
+	// mapping to itself held no basis vertex: it was a hole.
+	for _, w := range c.Moved {
+		if t := perm[w]; c.Seg[t] == t {
+			c.Seg[t] = graph.NoVertex
+		}
+	}
+	return c, true
+}
+
+// relabel maps a delta edge list's endpoints through a permutation, in
+// place. Frozen.Since allocates its lists for the caller, so rewriting them
+// leaves the captures' logs untouched.
+func relabel(edges []graph.Edge, perm []graph.VertexID) []graph.Edge {
+	for i := range edges {
+		edges[i].Src, edges[i].Dst = perm[edges[i].Src], perm[edges[i].Dst]
+	}
+	return edges
+}
+
+// movedBetween returns, sorted, the vertices w < len(base) whose position
 // differs between the permutations base and cur of one numbering lineage.
 // Orderings sharing their backing array are equal on that prefix — repairs
 // copy the permutation on write and admissions only append — so that check
 // answers in O(1); otherwise the prefixes are compared in O(n).
-func MovedBetween(base, cur []graph.VertexID) []graph.VertexID {
+func movedBetween(base, cur []graph.VertexID) []graph.VertexID {
 	if len(base) == 0 || &base[0] == &cur[0] {
 		return nil
 	}

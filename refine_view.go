@@ -34,7 +34,7 @@ import (
 // numbering lineage fixes the slot space — swaps permute closed position
 // sets and admissions fill headroom — so a slot-order basis capture is the
 // view's seed up to its moved and admitted slots (seedFrom), and
-// View.deltaOver(b) exactly covers the span from the basis b to the view
+// View.deltaOver exactly covers the span from the basis b to the view
 // (Frozen.Since nets the log entries between the two captures, so the edge
 // multiset is exact). The delta is shared by every consumer of the view;
 // warm steps read its edges, relabeled into the view's slots once per view,
@@ -143,10 +143,10 @@ func (c *refineCache) covers(o *refineCache) bool {
 }
 
 // basisCapture returns the basis view b and its capture for key, or nil
-// when there is no basis (scratch epochs, reuse disabled, basis more than
-// one compaction back) or the capture cannot seed this view. The epoch
+// when there is no basis view (scratch epochs, reuse disabled, the first
+// view of a log generation) or the capture cannot seed this view. The epoch
 // guard makes staleness structurally impossible: a capture seeds
-// refinement only when it is pinned to the exact view v.deltaOver(b)
+// refinement only when it is pinned to the exact view v.deltaOver
 // measures from — any rebuild-cause epoch in between published a fresh
 // view whose delta still spans basis→view, so the refinement replays it
 // rather than serving the old values.
@@ -338,9 +338,9 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 	if cap_ == nil || cap_.eps > eps {
 		return scratch(RefineScratchSeed)
 	}
-	vd := v.deltaOver(b)
+	vd := v.deltaOver()
 	// touched never exceeds the endpoint count, so a small delta skips its sort.
-	if gate := v.nverts / refineConeDenom; 2*(len(vd.adds)+len(vd.dels)) > gate && vd.touched() > gate {
+	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && vd.touched() > gate {
 		return scratch(RefineScratchFallback)
 	}
 	seed := seedFrom(v, b, cap_.vals.([]T), vd)
@@ -364,7 +364,7 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 // permutations.
 func seedFrom[T int64 | float64](v, b *View, bs []T, vd *viewDelta) []T {
 	perm, bperm := v.ord.Perm, b.ord.Perm
-	if vd.placementChanged || len(bs) != v.slots() {
+	if vd.Broken || len(bs) != v.slots() {
 		seed := make([]T, v.slots())
 		for w, s := range bperm {
 			seed[perm[w]] = bs[s]
@@ -372,7 +372,7 @@ func seedFrom[T int64 | float64](v, b *View, bs []T, vd *viewDelta) []T {
 		return seed
 	}
 	seed := slices.Clone(bs)
-	for _, w := range vd.moved {
+	for _, w := range vd.Moved {
 		seed[perm[w]] = bs[bperm[w]]
 	}
 	for _, s := range perm[v.nverts-int(vd.grown) : v.nverts] {
@@ -412,7 +412,7 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 		if m := rg.NumEdges() / 4; m > budget {
 			budget = m
 		}
-		cone, ok := invalidationCone(rg, seed, vd.dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
+		cone, ok := invalidationCone(rg, seed, vd.Dels, spec.weighted, v.nverts/refineConeDenom+1, budget)
 		if !ok {
 			return RefineStats{}, false
 		}
@@ -430,12 +430,12 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 				}
 			}
 		}
-		for _, ed := range vd.adds {
+		for _, ed := range vd.Adds {
 			if seed[ed.Src] < algorithms.RelaxInf {
 				list = append(list, ed.Src)
 			}
 		}
-		for _, w := range vd.moved {
+		for _, w := range vd.Moved {
 			if u := perm[w]; seed[u] < algorithms.RelaxInf {
 				list = append(list, u)
 			}
@@ -557,7 +557,7 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 		func(e Engine, seed []float64, vd *viewDelta) (RefineStats, bool) {
 			nOld := v.nverts - int(vd.grown)
 			algorithms.PageRankResume(e, seed, algorithms.RankDelta{
-				Adds: vd.adds, Dels: vd.dels,
+				Adds: vd.Adds, Dels: vd.Dels,
 				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
 			}, prScratchIters, eps)
 			return RefineStats{FrontierVertices: vd.touched()}, true

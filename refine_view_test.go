@@ -210,18 +210,18 @@ func TestRefineSeedFixUps(t *testing.T) {
 				if key.alg != "bfs" {
 					continue
 				}
-				vd := v.deltaOver(b)
-				if vd.placementChanged {
+				vd := v.deltaOver()
+				if vd.Broken {
 					placement++
 					continue
 				}
-				if len(vd.moved) > 0 {
+				if len(vd.Moved) > 0 {
 					swaps++
 				}
 				if vd.grown > 0 {
 					admits++
 				}
-				if slices.Contains(vd.seg, graph.NoVertex) {
+				if slices.Contains(vd.Seg, graph.NoVertex) {
 					holes++
 				}
 			}
@@ -243,13 +243,13 @@ func TestRefineSeedFixUps(t *testing.T) {
 // scattered into the view's slots, zero at vertices admitted since.
 func assertSeedIsRepermute[T int64 | float64](t *testing.T, v, b *View, key refineKey, bs []T) {
 	t.Helper()
-	got := seedFrom(v, b, bs, v.deltaOver(b))
+	got := seedFrom(v, b, bs, v.deltaOver())
 	want := permuteIn(v.ord.Perm, unpermute(b.ord.Perm, bs), v.slots())
 	for w, s := range v.ord.Perm {
 		if got[s] != want[s] {
-			vd := v.deltaOver(b)
+			vd := v.deltaOver()
 			t.Fatalf("epoch %d %s: seed at slot %d (vertex %d) = %v, want %v (basis epoch %d, %d moved, %d admitted, placement changed %v)",
-				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.moved), vd.grown, vd.placementChanged)
+				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.Moved), vd.grown, vd.Broken)
 		}
 	}
 }
@@ -588,9 +588,9 @@ func TestRefineLeavesViewDeltaIntact(t *testing.T) {
 		}
 		// deltaOver relabeled Since's lists in place; the logs behind them
 		// must still net to the original-ID lists.
-		vd := vp.deltaOver(b)
+		vd := vp.deltaOver()
 		adds, dels, _ := vp.frozen.Since(b.frozen)
-		for _, l := range [][2][]graph.Edge{{adds, vd.adds}, {dels, vd.dels}} {
+		for _, l := range [][2][]graph.Edge{{adds, vd.Adds}, {dels, vd.Dels}} {
 			orig, slot := l[0], l[1]
 			if len(orig) != len(slot) {
 				t.Fatalf("epoch %d: Since returned %d edges, the view's delta holds %d", vp.Epoch(), len(orig), len(slot))

@@ -106,7 +106,9 @@ func TestQuerySpansLinkToPublish(t *testing.T) {
 // TestSpanBuildQueryVocabulary checks that every graph/engine construction
 // cause and every refine answer path of the DESIGN.md §6 vocabulary is filed
 // as a span, and that publish spans carry their lineage attributes. The
-// maintenance causes are pinned in internal/dynamic's span tests.
+// scratch relabel (graph/reorder-build) is the DisableViewReuse ablation's,
+// so a second graph without reuse files it. The maintenance causes are
+// pinned in internal/dynamic's span tests.
 func TestSpanBuildQueryVocabulary(t *testing.T) {
 	g, updates, err := GenerateStream("powerlaw", 0.03, 3000, 23)
 	if err != nil {
@@ -116,8 +118,9 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Epoch 0 builds everything from scratch and seeds a refine capture,
-	// which a second identical query then answers from cache.
+	// Epoch 0 derives its relabeled graph from the compaction base, builds
+	// its engines and seeds a refine capture, which a second identical
+	// query then answers from cache.
 	query := func(v *View) {
 		t.Helper()
 		v.Snapshot()
@@ -144,8 +147,16 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ds, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts, DisableViewReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.View().Reordered(); err != nil {
+		t.Fatal(err)
+	}
+
 	seen := make(map[string]bool)
-	for _, sp := range d.Spans().Snapshot() {
+	for _, sp := range append(d.Spans().Snapshot(), ds.Spans().Snapshot()...) {
 		seen[sp.Name+"/"+sp.Cause] = true
 		if sp.Kind == "publish" {
 			if _, ok := sp.Attrs["renum_epoch"]; !ok {
@@ -166,8 +177,8 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	}
 }
 
-// TestGraphSpansReportFolds pins the fold attributes of the graph build
-// spans: every snapshot-build and reorder-patch span carries fold and
+// TestGraphSpansReportFolds pins the fold attributes of the graph
+// derivation spans: every reorder-patch span carries fold and
 // written_edges, each span that folded is counted by cause in
 // vebo_graph_folds_total, and a stream whose epochs rewrite many rows
 // folds at least once because of dead edges.
@@ -195,7 +206,7 @@ func TestGraphSpansReportFolds(t *testing.T) {
 	}
 	var spans, folds int64
 	for _, sp := range d.Spans().Snapshot() {
-		if sp.Name != "graph" || sp.Cause == "reorder-build" {
+		if sp.Name != "graph" || sp.Cause != "reorder-patch" {
 			continue
 		}
 		fold, ok := sp.Attrs["fold"]

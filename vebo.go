@@ -428,10 +428,10 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 	return res, err
 }
 
-// Snapshot materializes the live graph as an immutable CSR+CSC Graph any of
-// the three engines can traverse. Each call freezes the live graph and
-// materializes that capture afresh (nothing is cached); the result is
-// never mutated afterwards.
+// Snapshot builds the live graph in original vertex IDs as an immutable
+// CSR+CSC Graph any of the three engines can traverse. Each call freezes
+// the live graph and builds that capture's edge multiset from scratch
+// (nothing is cached); the result is never mutated afterwards.
 func (d *Dynamic) Snapshot() *Graph { return d.inner.Snapshot() }
 
 // NumVertices reports the current vertex count; IngestBatch admissions

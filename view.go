@@ -22,18 +22,20 @@ import (
 // keeps mutating the Dynamic underneath. All algorithm inputs and outputs use
 // original vertex IDs — the internal relabeling is invisible.
 //
-// Engine state is reused across epochs: when a new View's numbering lineage
-// is intact relative to the previous materialized View — identical
-// placement, or a placement-preserving swap repair that only permuted IDs
-// inside the affected partitions' segments (viewDelta.moved) — its
-// relabeled graph is patched row-wise from the predecessor's through the
-// segment-local permutation, and GraphGrind's per-partition COOs are
-// rebuilt only for partitions whose edge content changed or that touch a
-// moved vertex. Ligra and Polymer engines are built from scratch over the
-// relabeled graph: their scheduling state derives from the vertex count and
-// degree offsets alone. The snapshot in original vertex IDs is materialized
-// from the view's own capture. ViewWork reports the resulting
-// rebuild-versus-patch-versus-relabel work split.
+// Engine state is reused across epochs. A view's relabeled graph is derived
+// from the newest slot graph of its log generation — the relabeled graph of
+// the newest view a reader built one for, or else the compaction base —
+// through the basis-slot → view-slot map: row-wise when the numbering
+// lineage is intact (identical placement, or a placement-preserving swap
+// repair that only permuted IDs inside the affected partitions' segments,
+// viewDelta.Moved), by a renumbering across a lineage break. GraphGrind's
+// per-partition COOs are patched from the basis view's engine within a
+// lineage, rebuilt only for partitions whose edge content changed or that
+// touch a moved vertex. Ligra and Polymer engines are built from scratch
+// over the relabeled graph: their scheduling state derives from the vertex
+// count and degree offsets alone. The snapshot in original vertex IDs is
+// built from scratch from the view's own capture. ViewWork reports the
+// resulting rebuild-versus-patch-versus-relabel work split.
 //
 //vebo:frozen
 type View struct {
@@ -45,7 +47,7 @@ type View struct {
 	ord        *core.Result // shared immutable Perm/PartitionOf, counts frozen at publish
 	frozen     dynamic.Frozen
 	opts       EngineOptions
-	basis      atomic.Pointer[View] // materialized view this one patches from; nil forces scratch builds
+	basis      atomic.Pointer[View] // view of the same generation this one derives from; nil: the compaction base
 	d          *Dynamic
 	work       *viewWork
 	ref        *refineCache    // lineage-keyed Refined captures (refine_view.go)

@@ -39,12 +39,6 @@ type viewWork struct {
 	partsRebuilt  *obs.Counter
 	partsReused   *obs.Counter
 	partsRelabel  *obs.Counter
-
-	// Scratch builds taken because a patch the lineage allows failed. The
-	// dynamic subsystem never records a delta that makes one fail, so any
-	// non-zero value is a broken contract, not a slow path.
-	fallbackReorder *obs.Counter
-	fallbackEngine  *obs.Counter
 }
 
 // newViewWork wires the work counters into reg (nil-tolerant: a nil registry
@@ -68,9 +62,6 @@ func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
 		partsRebuilt:  reg.Counter("vebo_view_partitions_total", "path", "rebuilt"),
 		partsReused:   reg.Counter("vebo_view_partitions_total", "path", "reused"),
 		partsRelabel:  reg.Counter("vebo_view_partitions_total", "path", "relabeled"),
-
-		fallbackReorder: reg.Counter("vebo_view_fallbacks_total", "path", "reorder"),
-		fallbackEngine:  reg.Counter("vebo_view_fallbacks_total", "path", "engine"),
 	}
 }
 

@@ -1,67 +1,40 @@
 package vebo
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/graphgrind"
 )
 
-// Snapshot materializes (once, lazily) the view's graph in original vertex
-// IDs. Frozen.Materialize is already a row patch of the capture's
-// compaction base with the netted delta log: it shares the base's clean
-// rows and writes only the rows the log touches. The result is immutable
+// Snapshot builds (once, lazily) the view's graph in original vertex IDs:
+// graph.FromEdges over its capture's live multiset (Frozen.Snapshot), one
+// counted build. It is the first pass of the DisableViewReuse ablation,
+// and shares no code with the slot derivations. The result is immutable
 // and safe to share.
 func (v *View) Snapshot() *Graph {
 	v.snapOnce.Do(func() {
 		start := time.Now()
-		var st graph.PatchStats
-		v.snap, st = v.frozen.Materialize()
+		v.snap = v.frozen.Snapshot()
 		v.work.rebuildEdges.Add(v.frozen.NumEdges())
 		v.work.graphBuilds.Add(1)
-		v.work.emitGraph(v, "snapshot-build", start, v.frozen.NumEdges(), 0, &st)
+		v.work.emitGraph(v, "snapshot-build", start, v.frozen.NumEdges(), 0, nil)
 	})
 	return v.snap
 }
 
-// Reordered returns (building once, lazily) the view's graph relabeled with
-// its VEBO ordering — the graph the cached engines traverse. When the
-// previous materialized view shares the same numbering lineage (identical
-// placement, or placement-preserving repairs whose segment-local
-// permutation is known), the graph is patched row-wise from it instead of
-// being rebuilt from a fresh snapshot.
+// Reordered returns (deriving once, lazily) the view's graph relabeled with
+// its VEBO ordering — the graph the cached engines traverse (derive).
+// Under DisableViewReuse it is built from scratch instead
+// (scratchReordered).
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
-		start := time.Now()
+		build := v.derive
 		if !v.d.reuse {
-			rg, err := v.scratchReordered(start)
-			if err != nil {
-				v.rgErr = err
-				return
-			}
-			v.rgp.Store(rg)
-			return
+			build = v.scratchReordered
 		}
-		if b := v.basis.Load(); b != nil && !v.deltaOver(b).placementChanged {
-			if brg := b.rgp.Load(); brg != nil {
-				vd := v.deltaOver(b)
-				rg, st, err := brg.PatchEdgesPermN(v.slots(), vd.adds, vd.dels, vd.seg)
-				if err == nil {
-					v.work.graphPatches.Add(1)
-					v.work.patchedEdges.Add(st.EdgesMerged)
-					v.work.relabelEdges.Add(st.EdgesRemapped)
-					v.work.reusedEdges.Add(st.EdgesCopied)
-					v.rgp.Store(rg)
-					v.work.emitGraph(v, "reorder-patch", start, st.EdgesMerged, st.EdgesCopied, &st)
-					return
-				}
-				// Unreachable for deltas recorded by the dynamic subsystem;
-				// fall back to a scratch build if it ever happens.
-				v.work.fallbackReorder.Inc()
-			}
-		}
-		rg, err := v.scratchReordered(start)
+		rg, err := build(time.Now())
 		if err != nil {
 			v.rgErr = err
 			return
@@ -74,6 +47,34 @@ func (v *View) Reordered() (*Graph, error) {
 		return rg, nil
 	}
 	return nil, v.rgErr
+}
+
+// derive derives the view's relabeled graph from the newest slot graph of
+// its log generation, its basis view's relabeled graph or else the
+// compaction base, by the view's delta over it (deltaOver). Within a
+// numbering lineage the derivation patches the rows the delta touches;
+// across a lineage break the slot map is a full one and the derivation
+// renumbers. A derivation that fails returns its error.
+func (v *View) derive(start time.Time) (*Graph, error) {
+	// The basis link cannot drop before the view holds its relabeled graph,
+	// so basisGraph is the graph deltaOver measured from.
+	vd := v.deltaOver()
+	rg, st, err := v.basisGraph().G.PatchEdgesPermN(v.slots(), vd.Adds, vd.Dels, vd.Seg)
+	if err != nil {
+		return nil, fmt.Errorf("vebo: deriving the epoch %d graph: %w", v.epoch, err)
+	}
+	v.work.graphPatches.Add(1)
+	v.work.patchedEdges.Add(st.EdgesMerged)
+	if vd.Broken {
+		// A renumbering rewrites every edge: the relabel a scratch build
+		// pays.
+		v.work.rebuildEdges.Add(rg.NumEdges())
+	} else {
+		v.work.relabelEdges.Add(st.EdgesRemapped)
+		v.work.reusedEdges.Add(st.EdgesCopied)
+	}
+	v.work.emitGraph(v, "reorder-patch", start, st.EdgesMerged, st.EdgesCopied, &st)
+	return rg, nil
 }
 
 // scratchReordered builds the view's relabeled graph from scratch: its
@@ -127,18 +128,16 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver(b).placementChanged {
+	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver().Broken {
 		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
-			vd := v.deltaOver(b)
-			e, st, err := be.Patch(rg, vd.seg, vd.dirty)
-			if err == nil {
-				v.recordPatch(st)
-				v.work.emitEngine(v, "patch", sys, start)
-				return e, nil
+			vd := v.deltaOver()
+			e, st, err := be.Patch(rg, vd.Seg, vd.dirty)
+			if err != nil {
+				return nil, fmt.Errorf("vebo: deriving the epoch %d GraphGrind engine: %w", v.epoch, err)
 			}
-			// Unreachable for deltas recorded by the dynamic subsystem;
-			// fall back to a scratch build if it ever happens.
-			v.work.fallbackEngine.Inc()
+			v.recordPatch(st)
+			v.work.emitEngine(v, "patch", sys, start)
+			return e, nil
 		}
 	}
 	defer v.work.emitEngine(v, "build", sys, start)

@@ -43,14 +43,15 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 // end.
 //
 // Basis choice: readers register the views whose relabeled graph they
-// built in latestMat, and the new view patches from the newest of them when
-// its capture is at most one compaction back — the span Frozen.Since nets.
-// Otherwise there is no basis and the view builds from scratch. One
-// compaction generation holds at most the delta-log bound, max(8192,
-// liveEdges/8) entries, so a view never nets more than about liveEdges/4 +
-// 8192 raw log entries. The view's delta over its basis is a pure function
-// of the two views, computed on first use (deltaOver), so a publish costs
-// O(1) beyond the Freeze and epochs nobody queries never compute one.
+// built in latestMat, and the new view derives from the newest of them
+// when it is of the view's own log generation — the span Frozen.Since
+// nets. Otherwise there is no basis view, and the view derives from its
+// generation's compaction base, the basis of last resort. One generation
+// holds at most the delta-log bound, max(8192, liveEdges/8) entries, so a
+// view never nets more than that many raw log entries (the backlog). The
+// view's delta over its basis is a pure function of the two, computed on
+// first use (deltaOver), so a publish costs O(1) beyond the Freeze and
+// epochs nobody queries never compute one.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
@@ -58,15 +59,20 @@ func (d *Dynamic) publish(received time.Time) {
 	psp := d.spans.Start("publish", "publish", d.inner.Epoch(), d.inner.LastBatchSpan())
 	var basis *View
 	var backlog int64
-	if m := d.latestMat.Load(); d.reuse && m != nil {
-		if entries, ok := d.inner.Freeze().EntriesSince(m.frozen); ok {
-			basis = m
-			backlog = entries + int64(d.inner.NumVertices()-m.nverts)
-			// m patches from its own basis only while building artifacts
-			// it hasn't built yet; dropping the link bounds the retained
-			// chain.
-			m.basis.Store(nil)
+	if d.reuse {
+		f := d.inner.Freeze()
+		from := f.Base().At
+		if m := d.latestMat.Load(); m != nil {
+			if _, ok := f.EntriesSince(m.frozen); ok {
+				basis, from = m, m.frozen
+				// m derives from its own basis only while building
+				// artifacts it hasn't built yet; dropping the link bounds
+				// the retained chain.
+				m.basis.Store(nil)
+			}
 		}
+		entries, _ := f.EntriesSince(from)
+		backlog = entries + int64(f.NumVertices()-from.NumVertices())
 	}
 	v := d.buildView(basis, psp.Context())
 	d.work.epochs.Add(1)
@@ -82,35 +88,19 @@ func (d *Dynamic) publish(received time.Time) {
 		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
 }
 
-// viewDelta is a view's delta over its basis, computed once (deltaOver)
-// and read as is by every derivation: the graph patch, the GraphGrind patch
-// and the refine warm steps. seg and dirty are set only while the numbering
-// lineage is intact (!placementChanged).
+// viewDelta is a view's delta over the slot graph it derives from,
+// computed once (deltaOver) and read as is by every derivation: the graph
+// patch, the GraphGrind patch and the refine warm steps. The embedded
+// Change holds the relabeled edge change, the moved vertices, the slot map
+// and whether the numbering lineage broke.
 type viewDelta struct {
-	// adds and dels are the net edge change with multiplicities unrolled —
-	// Frozen.Since's lists, in original (Src, Dst, Weight) order — with
-	// their endpoints relabeled in place into the view's slots.
-	adds, dels []graph.Edge
-	// moved holds, sorted, the pre-existing vertices (original IDs below the
-	// basis vertex count) whose slot differs between the two orderings:
-	// repositioned by swap repairs, which move vertices within a closed set
-	// of positions and leave the segment boundaries alone. Nil when
-	// placementChanged.
-	moved []VertexID
+	dynamic.Change
 	// grown is the number of vertices admitted in between. Internal IDs are
 	// append-only, so they are exactly [nverts − grown, nverts).
 	grown int64
-	// placementChanged reports a lineage break in between (full rebuild or
-	// relabeling spill): the renumbering epochs differ.
-	placementChanged bool
-	// seg maps each basis slot to its slot in this view: C.Perm[w] at
-	// B.Perm[w] for each moved vertex w, graph.NoVertex at a basis hole a
-	// mover now occupies, and the identity elsewhere. Nil when nothing
-	// moved.
-	seg []VertexID
 	// dirty lists (unsorted, repeats allowed) the view slots whose in-edges
 	// or occupant changed: the destinations of adds and dels and the
-	// positions of the moved and admitted vertices.
+	// positions of the moved and admitted vertices. Nil when Broken.
 	dirty []VertexID
 }
 
@@ -118,7 +108,7 @@ type viewDelta struct {
 // change, no moved vertex, no admission. A placement-only delta is empty —
 // renumbering moves values between slots but changes none of them.
 func (d *viewDelta) empty() bool {
-	return len(d.adds) == 0 && len(d.dels) == 0 && len(d.moved) == 0 && d.grown == 0
+	return len(d.Adds) == 0 && len(d.Dels) == 0 && len(d.Moved) == 0 && d.grown == 0
 }
 
 // touched returns the number of distinct endpoints the edge delta touches —
@@ -126,8 +116,8 @@ func (d *viewDelta) empty() bool {
 // fraction of the graph refines slower than a cold start). The relabel is
 // injective, so counting slots counts vertices.
 func (d *viewDelta) touched() int {
-	ends := make([]VertexID, 0, 2*(len(d.adds)+len(d.dels)))
-	for _, es := range [][]graph.Edge{d.adds, d.dels} {
+	ends := make([]VertexID, 0, 2*(len(d.Adds)+len(d.Dels)))
+	for _, es := range [][]graph.Edge{d.Adds, d.Dels} {
 		for _, e := range es {
 			ends = append(ends, e.Src, e.Dst)
 		}
@@ -136,62 +126,51 @@ func (d *viewDelta) touched() int {
 	return len(slices.Compact(ends))
 }
 
-// deltaOver returns the view's delta over its basis b, computing it on
-// first use: the edge change netted from the two captures' log cursors and
-// relabeled into the view's slots, the pre-existing vertices whose position
-// differs (nil across a renumbering), the admission count, the lineage
-// break, and the slot map and dirty slots derived from them. Callers pass
-// the basis they loaded; the basis link only ever goes from one view to
-// nil, so every caller passes the same b.
-//
-// Within a numbering lineage the slot space is fixed: admissions fill
-// reserved headroom slots, so every basis position keeps its ID and an
-// admitted slot has no basis preimage (its content arrives as adds). Only
-// swap repairs move vertices, each within a closed set of positions, so
-// seg is the identity outside the moved vertices' positions. A basis hole
-// is an empty row: when a swap pairs a vertex admitted into it with a basis
-// vertex, the basis vertex takes the hole's slot and the hole has no image
-// left, which NoVertex says.
-func (v *View) deltaOver(b *View) *viewDelta {
+// slotGraph returns the view's relabeled graph as a slot graph; the view
+// has built it.
+func (v *View) slotGraph() dynamic.SlotGraph {
+	return dynamic.SlotGraph{G: v.rgp.Load(), At: v.frozen, Perm: v.ord.Perm, Renum: v.renumEpoch}
+}
+
+// basisGraph returns the slot graph the view derives from: its basis
+// view's relabeled graph, or else its generation's compaction base, the
+// basis of last resort.
+func (v *View) basisGraph() dynamic.SlotGraph {
+	if b := v.basis.Load(); b != nil {
+		return b.slotGraph()
+	}
+	return v.frozen.Base()
+}
+
+// deltaOver returns the view's delta over the slot graph it derives from
+// (basisGraph), computing it on first use: the dynamic.Change from that
+// graph to the view's capture under its ordering, the admission count,
+// and the dirty slots. Reordered is every consumer's first step and the
+// basis link only ever goes from one view to nil, never before the view
+// holds its relabeled graph, so every consumer that sees a basis view reads
+// the delta over that view.
+func (v *View) deltaOver() *viewDelta {
 	v.deltaOnce.Do(func() {
-		adds, dels, ok := v.frozen.Since(b.frozen)
+		b := v.basisGraph()
+		c, ok := v.frozen.ChangeSince(b, v.ord.Perm, v.renumEpoch)
 		if !ok {
-			// Unreachable: publish pairs a view only with a basis at most
-			// one compaction back.
-			panic("vebo: view basis is more than one compaction back")
+			// Unreachable: publish pairs a view only with a basis of its
+			// own generation.
+			panic("vebo: view basis is of another log generation")
 		}
-		perm := v.ord.Perm
 		vd := &v.delta
-		vd.adds, vd.dels = relabel(adds, perm), relabel(dels, perm)
-		vd.grown = int64(v.nverts - b.nverts)
-		vd.placementChanged = v.renumEpoch != b.renumEpoch
-		if vd.placementChanged {
+		vd.Change = c
+		vd.grown = int64(v.nverts - len(b.Perm))
+		if vd.Broken {
 			return
 		}
-		vd.moved = dynamic.MovedBetween(b.ord.Perm, perm)
-		if len(vd.moved) > 0 {
-			vd.seg = make([]VertexID, b.slots())
-			for s := range vd.seg {
-				vd.seg[s] = VertexID(s)
-			}
-			for _, w := range vd.moved {
-				vd.seg[b.ord.Perm[w]] = perm[w]
-			}
-			// A basis vertex at a mover's new slot moved too, so a slot
-			// there still mapping to itself held no basis vertex: it was a
-			// hole.
-			for _, w := range vd.moved {
-				if t := perm[w]; vd.seg[t] == t {
-					vd.seg[t] = graph.NoVertex
-				}
-			}
-		}
-		for _, es := range [][]graph.Edge{vd.adds, vd.dels} {
+		perm := v.ord.Perm
+		for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
 			for _, e := range es {
 				vd.dirty = append(vd.dirty, e.Dst)
 			}
 		}
-		for _, w := range vd.moved {
+		for _, w := range vd.Moved {
 			vd.dirty = append(vd.dirty, perm[w])
 		}
 		// Admissions are append-only in the internal space, so the vertices
@@ -201,18 +180,10 @@ func (v *View) deltaOver(b *View) *viewDelta {
 	return &v.delta
 }
 
-// relabel maps a delta edge list's endpoints through a permutation, in
-// place. Frozen.Since allocates its lists for the caller, so rewriting them
-// leaves the captures' logs untouched.
-func relabel(edges []graph.Edge, perm []VertexID) []graph.Edge {
-	for i := range edges {
-		edges[i].Src, edges[i].Dst = perm[edges[i].Src], perm[edges[i].Dst]
-	}
-	return edges
-}
-
 // registerMaterialized records that v built its relabeled graph, making it
-// a basis candidate for future epochs; the newest such view wins.
+// a basis candidate for future epochs, and hands the graph to the dynamic
+// graph as the next compaction's starting point; the newest such view
+// wins.
 func (d *Dynamic) registerMaterialized(v *View) {
 	for {
 		m := d.latestMat.Load()
@@ -220,6 +191,8 @@ func (d *Dynamic) registerMaterialized(v *View) {
 			return
 		}
 		if d.latestMat.CompareAndSwap(m, v) {
+			sg := v.slotGraph()
+			d.inner.Register(&sg)
 			return
 		}
 	}

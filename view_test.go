@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 )
 
@@ -240,11 +241,12 @@ func testPatchedMatchesScratch(t *testing.T, recipe string, stride int) {
 
 // TestViewPatchesAcrossOneCompaction deletes edges in one batch and
 // re-inserts them in the next, with no reader after the first epoch, and
-// compacts the delta log in between. A view whose basis is one compaction
-// back nets the log cursors between the two and patches its relabeled
-// graph; past a second compaction the basis is dropped and the relabeled
-// graph is a scratch build (snapshot plus relabel). Either way it must equal
-// the live graph relabeled by the view's ordering.
+// compacts the delta log once or twice in between. A basis view must be of
+// the view's own log generation, so the view after the compactions has
+// none: it derives its relabeled graph from the new compaction base, one
+// graph patch and no build, and the result must equal the live graph
+// relabeled by the view's ordering. A view published at the compaction
+// epoch itself takes the base as its graph, unchanged.
 func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
 	if err != nil {
@@ -278,17 +280,17 @@ func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 			churn(100)
 		}
 		v := d.View()
+		if v.basis.Load() != nil {
+			t.Fatalf("%d compaction(s): the view has a basis view of an older log generation", compactions)
+		}
 		before := d.ViewWork()
 		rg, err := v.Reordered()
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := d.ViewWork()
-		if compactions == 1 && after.GraphPatches != before.GraphPatches+1 {
-			t.Fatal("relabeled graph one compaction past its basis was not patched")
-		}
-		if compactions == 2 && after.GraphBuilds != before.GraphBuilds+2 {
-			t.Fatal("relabeled graph two compactions past the last materialized view was not a scratch build")
+		if after.GraphPatches != before.GraphPatches+1 || after.GraphBuilds != before.GraphBuilds {
+			t.Fatalf("%d compaction(s): relabeled graph was not derived from the base: %+v -> %+v", compactions, before, after)
 		}
 		want, err := v.Ordering().Apply(d.Snapshot())
 		if err != nil {
@@ -296,6 +298,23 @@ func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 		}
 		if !graph.Equal(rg, want) || !graph.Equal(rg.Transpose(), want.Transpose()) {
 			t.Fatalf("%d compaction(s): relabeled graph differs from the relabeled live graph", compactions)
+		}
+
+		// An empty batch publishes a view at the compaction epoch.
+		d.Compact()
+		if _, err := d.ApplyBatch(nil); err != nil {
+			t.Fatal(err)
+		}
+		v = d.View()
+		rg, err = v.Reordered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base := v.frozen.Base().G; rg != base {
+			t.Fatalf("%d compaction(s): the view at the compaction epoch did not take the base as its graph", compactions)
+		}
+		if !graph.Equal(rg, want) {
+			t.Fatalf("%d compaction(s): the compaction base differs from the relabeled live graph", compactions)
 		}
 	}
 }
@@ -525,7 +544,9 @@ func TestViewConcurrentIngestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, Engine: viewTestOpts})
+	// A small log bound compacts while readers register the graphs they
+	// derive as the next compaction's starting point.
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, Engine: viewTestOpts, CompactEvery: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,6 +609,9 @@ func TestViewConcurrentIngestQuery(t *testing.T) {
 	wg.Wait()
 	if w := d.ViewWork(); w.Epochs < 2 {
 		t.Fatalf("expected multiple published epochs, got %d", w.Epochs)
+	}
+	if c := d.Stats().Compactions; c < 2 {
+		t.Fatalf("expected compactions under concurrent queries, got %d", c)
 	}
 }
 
@@ -693,7 +717,7 @@ func TestViewPatchedAcrossRepairEpochs(t *testing.T) {
 		t.Fatalf("patching across repair epochs saved no work: %d+%d+%d vs %d",
 			work.RebuildEdges, work.PatchedEdges, work.RelabeledEdges, sw.RebuildEdges)
 	}
-	assertNoFallbacks(t, dp)
+	assertDerives(t, dp)
 }
 
 // assertViewsAgree checks that a patched view and a scratch-built view of
@@ -751,20 +775,23 @@ func assertViewsAgree(t *testing.T, vp, vs *View, root VertexID) {
 	}
 }
 
-// assertNoFallbacks checks that no patch the lineage allowed fell back to a
-// scratch build.
-func assertNoFallbacks(t *testing.T, d *Dynamic) {
+// assertDerives checks that d's current view derives its relabeled graph
+// and GraphGrind engine without error: a derivation the lineage allows
+// that fails returns its error rather than rebuilding from scratch.
+func assertDerives(t *testing.T, d *Dynamic) {
 	t.Helper()
-	for _, path := range []string{"reorder", "engine"} {
-		if n := d.Metrics().Counter("vebo_view_fallbacks_total", "path", path).Value(); n != 0 {
-			t.Errorf("vebo_view_fallbacks_total{path=%s} = %d, want 0", path, n)
-		}
+	v := d.View()
+	if _, err := v.Reordered(); err != nil {
+		t.Fatalf("epoch %d: %v", v.Epoch(), err)
+	}
+	if _, err := v.Engine(GraphGrind); err != nil {
+		t.Fatalf("epoch %d: %v", v.Epoch(), err)
 	}
 }
 
 // TestViewPatchedAfterRebuildEpoch pins the rebuild→swap accounting: a view
-// right after a full rebuild (lineage break) builds its relabeled artifacts
-// from scratch, and the swap repairs that follow must show up in the next
+// right after a full rebuild (lineage break) renumbers its relabeled graph
+// from its basis and builds its engines from scratch, and the swap repairs that follow must show up in the next
 // views' Moved sets, diffed against the post-rebuild basis. Forced rebuilds
 // every few batches break the lineage; the drifting churn between them
 // moves two in-edges per step, enough to clear the adaptive gate (twice the
@@ -878,16 +905,16 @@ func TestViewDeltaEmpty(t *testing.T) {
 	if !(&viewDelta{}).empty() {
 		t.Fatal("zero delta reports non-empty")
 	}
-	// placementChanged alone (pure renumbering) is a no-op for results: it
+	// A lineage break alone (pure renumbering) is a no-op for results: it
 	// moves values between slots but changes none of them.
-	if !(&viewDelta{placementChanged: true}).empty() {
+	if !(&viewDelta{Change: dynamic.Change{Broken: true}}).empty() {
 		t.Fatal("placement-only delta reports non-empty")
 	}
 	e := graph.Edge{Src: 1, Dst: 2, Weight: 1}
 	for _, vd := range []viewDelta{
-		{adds: []graph.Edge{e}},
-		{dels: []graph.Edge{e}},
-		{moved: []VertexID{5}},
+		{Change: dynamic.Change{Adds: []graph.Edge{e}}},
+		{Change: dynamic.Change{Dels: []graph.Edge{e}}},
+		{Change: dynamic.Change{Moved: []VertexID{5}}},
 		{grown: 1},
 	} {
 		if vd.empty() {
@@ -901,7 +928,7 @@ func TestViewDeltaTouched(t *testing.T) {
 	// both destinations count, and 2 counts once.
 	a := graph.Edge{Src: 2, Dst: 5, Weight: 1}
 	b := graph.Edge{Src: 2, Dst: 6, Weight: 1}
-	if got := (&viewDelta{adds: []graph.Edge{a}, dels: []graph.Edge{b}}).touched(); got != 3 {
+	if got := (&viewDelta{Change: dynamic.Change{Adds: []graph.Edge{a}, Dels: []graph.Edge{b}}}).touched(); got != 3 {
 		t.Fatalf("touched = %d, want 3 (vertices 2, 5, 6)", got)
 	}
 	// Unrolled multiplicities and endpoints shared across the lists count
@@ -909,15 +936,17 @@ func TestViewDeltaTouched(t *testing.T) {
 	e1 := graph.Edge{Src: 1, Dst: 2, Weight: 1}
 	e3 := graph.Edge{Src: 4, Dst: 1, Weight: 7}
 	vd := &viewDelta{
-		adds:  []graph.Edge{e1, e1},
-		dels:  []graph.Edge{e3, e3, e3},
-		moved: []VertexID{5, 9},
+		Change: dynamic.Change{
+			Adds:  []graph.Edge{e1, e1},
+			Dels:  []graph.Edge{e3, e3, e3},
+			Moved: []VertexID{5, 9},
+		},
 		grown: 3,
 	}
 	if got := vd.touched(); got != 3 {
 		t.Fatalf("touched = %d, want 3 (vertices 1, 2, 4)", got)
 	}
-	if (&viewDelta{placementChanged: true, moved: []VertexID{7}}).touched() != 0 {
+	if (&viewDelta{Change: dynamic.Change{Broken: true, Moved: []VertexID{7}}}).touched() != 0 {
 		t.Fatal("delta without edge changes touches endpoints")
 	}
 }
