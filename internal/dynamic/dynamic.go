@@ -197,8 +197,9 @@ type Graph struct {
 	// killed a pending insertion or cancelled a base occurrence. The live
 	// edge count is base + len(pendingAdd) − len(delLog). Freeze shares
 	// capped prefixes of both; only Compact starts fresh ones, with a new
-	// base. latest is the newest slot graph of the generation a reader
-	// registered, the next compaction's starting point.
+	// base. latest is the newest slot graph of the generation — the base,
+	// or a later one a reader registered — and the next compaction's
+	// starting point; never nil.
 	base       *SlotGraph
 	pendingAdd []graph.Edge
 	delLog     []graph.Edge
@@ -302,6 +303,7 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		// the first; it opens lineage 0.
 		ordPerm: r.Perm,
 	}
+	d.latest.Store(d.base)
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
 	d.m.placements.Add(int64(d.n))
 	d.sp = cfg.Spans

@@ -315,12 +315,21 @@ func netEdges(plus, minus []graph.Edge) (adds, dels []graph.Edge) {
 // so callers may keep using an old snapshot safely across later batches.
 func (d *Graph) Snapshot() *graph.Graph { return d.Freeze().Snapshot() }
 
-// Register offers s, a slot graph a reader derived, as the starting point
-// of the next compaction; the newest offer wins. Safe from any goroutine.
+// Latest returns the newest slot graph of the current log generation:
+// the base, or a later one a reader registered.
+func (d *Graph) Latest() *SlotGraph { return d.latest.Load() }
+
+// Register offers s, a slot graph a reader derived, as the newest of its
+// generation. A capture of a later epoch wins, and a tie keeps the current
+// entry unless that is the base of s's own generation: the view published
+// at the compaction epoch holds the base's graph and may carry engines. A
+// capture of an older generation is never newer than the compaction that
+// ended it, nor of the base's generation, so it never wins. Safe from any
+// goroutine.
 func (d *Graph) Register(s *SlotGraph) {
 	for {
 		cur := d.latest.Load()
-		if cur != nil && cur.At.epoch >= s.At.epoch {
+		if s.At.epoch < cur.At.epoch || s.At.epoch == cur.At.epoch && s.At.base != cur {
 			return
 		}
 		if d.latest.CompareAndSwap(cur, s) {
@@ -331,14 +340,10 @@ func (d *Graph) Register(s *SlotGraph) {
 
 // deriveBase derives the live graph in the current ordering's slot space
 // the way views derive theirs: from the newest slot graph of the
-// generation, the newest one a reader registered or else the base.
+// generation (Latest).
 func (d *Graph) deriveBase() (*graph.Graph, graph.PatchStats) {
-	f := d.Freeze()
-	b := f.Base()
-	if s := d.latest.Load(); s != nil && s.At.base == f.base && s.At.epoch > b.At.epoch {
-		b = *s
-	}
-	c, _ := f.ChangeSince(b, d.ordPerm, d.renumEpoch) // b is of f's generation
+	b := d.Latest()
+	c, _ := d.Freeze().ChangeSince(*b, d.ordPerm, d.renumEpoch) // b is of the live generation
 	g, st, err := b.G.PatchEdgesPermN(int(d.Ordering().Slots()), c.Adds, c.Dels, c.Seg)
 	if err != nil {
 		// Unreachable: every applied update was range-checked and every
@@ -363,7 +368,7 @@ func (d *Graph) Compact() {
 		fold = 1
 	}
 	d.base = newBase(g, d.ordPerm[:d.n:d.n], d.renumEpoch, d.epoch)
-	d.latest.Store(nil)
+	d.latest.Store(d.base)
 	d.pendingAdd, d.delLog = nil, nil
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)

@@ -83,7 +83,9 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 // reference multiset at its epoch, and each capture's slot graph, derived
 // from its base when taken, to equal that multiset relabeled by the live
 // ordering. Across the captures, Since must bridge every pair of one
-// generation and refuse the rest (checkSince).
+// generation and refuse the rest (checkSince). Slot graphs of an older
+// generation, registered after the direct compaction, must leave the new
+// base in the registry, so the next derivation still starts from it.
 func TestFrozenStaysPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 40
@@ -115,6 +117,7 @@ func TestFrozenStaysPinned(t *testing.T) {
 	}
 	const compactAt = 20
 	var recent []graph.Edge
+	var early *SlotGraph
 	for batch := 0; batch < 40; batch++ {
 		if batch%7 == 3 {
 			d.Grow(2)
@@ -150,8 +153,24 @@ func TestFrozenStaysPinned(t *testing.T) {
 		if _, err := d.ApplyBatch(ups); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
+		if batch == compactAt-3 {
+			early = liveSlotGraph(d)
+		}
 		if batch == compactAt {
+			// One stale offer is older than the compaction, one captured at
+			// its epoch.
+			tie := liveSlotGraph(d)
 			d.Compact()
+			d.Register(early)
+			d.Register(tie)
+			if d.Latest() != d.base {
+				t.Fatal("a slot graph of an older generation displaced the new base in the registry")
+			}
+			want, err := graph.FromEdges(n, live, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDerived(t, d, want)
 			checkAll("after direct compaction")
 		}
 		if batch%3 == 0 {
@@ -187,6 +206,13 @@ func checkDerived(t *testing.T, d *Graph, want *graph.Graph) {
 	if g, _ := d.deriveBase(); !graph.Equal(g, rel) {
 		t.Fatalf("epoch %d: slot graph derived from the base differs from the relabeled live graph", d.epoch)
 	}
+}
+
+// liveSlotGraph returns the live graph in the live ordering's slot space as
+// a reader would register it.
+func liveSlotGraph(d *Graph) *SlotGraph {
+	g, _ := d.deriveBase()
+	return &SlotGraph{G: g, At: d.Freeze(), Perm: d.ordPerm[:d.n:d.n], Renum: d.renumEpoch}
 }
 
 var frozenSink Frozen

@@ -7,12 +7,14 @@ import "repro/internal/graph"
 // ordering of renumbering epoch Renum. A view's relabeled graph and a
 // generation's compaction base are slot graphs, and each is derived from
 // an earlier one of its generation the one way: ChangeSince, then
-// G.PatchEdgesPermN(slots, Adds, Dels, Seg).
+// G.PatchEdgesPermN(slots, Adds, Dels, Seg). Owner is the reader-side
+// value that derived G (the facade's view), nil for a base.
 type SlotGraph struct {
 	G     *graph.Graph
 	At    Frozen
 	Perm  []graph.VertexID
 	Renum int64
+	Owner any
 }
 
 // Change is the edit from a basis slot graph to a later capture of its

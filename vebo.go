@@ -271,11 +271,6 @@ type Dynamic struct {
 	spans   *obs.Spans
 	cur     atomic.Pointer[View]
 
-	// latestMat is the reader-to-writer channel for basis choice (see
-	// publish in view_publish.go): the newest view that built its relabeled
-	// graph.
-	latestMat atomic.Pointer[View]
-
 	// alloc maps external vertex IDs onto the dense internal space; nil
 	// until the first IngestBatch call (dense-ID callers never pay for it).
 	// Atomic because reader goroutines resolve externals through views
@@ -457,7 +452,9 @@ func (d *Dynamic) Stats() DynamicStats { return d.inner.Stats() }
 // slotted ordering.
 func (d *Dynamic) Headroom() (free, capacity int64) { return d.inner.Headroom() }
 
-// Compact promotes the current snapshot to the new delta-log base.
+// Compact starts a new delta-log generation. Its base is the live graph in
+// the current ordering's slot space, derived from the newest slot graph of
+// the old generation: the last one a view registered, or else the old base.
 func (d *Dynamic) Compact() { d.inner.Compact() }
 
 // GenerateStream builds the named recipe graph and a derived churn stream of

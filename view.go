@@ -23,19 +23,20 @@ import (
 // original vertex IDs — the internal relabeling is invisible.
 //
 // Engine state is reused across epochs. A view's relabeled graph is derived
-// from the newest slot graph of its log generation — the relabeled graph of
-// the newest view a reader built one for, or else the compaction base —
-// through the basis-slot → view-slot map: row-wise when the numbering
-// lineage is intact (identical placement, or a placement-preserving swap
-// repair that only permuted IDs inside the affected partitions' segments,
-// viewDelta.Moved), by a renumbering across a lineage break. GraphGrind's
-// per-partition COOs are patched from the basis view's engine within a
-// lineage, rebuilt only for partitions whose edge content changed or that
-// touch a moved vertex. Ligra and Polymer engines are built from scratch
-// over the relabeled graph: their scheduling state derives from the vertex
-// count and degree offsets alone. The snapshot in original vertex IDs is
-// built from scratch from the view's own capture. ViewWork reports the
-// resulting rebuild-versus-patch-versus-relabel work split.
+// from the newest slot graph of its log generation at publish, the dynamic
+// graph's registry entry — the relabeled graph of the newest view a reader
+// built one for, or else the compaction base — through the basis-slot →
+// view-slot map: row-wise when the numbering lineage is intact (identical
+// placement, or a placement-preserving swap repair that only permuted IDs
+// inside the affected partitions' segments, viewDelta.Moved), by a
+// renumbering across a lineage break. GraphGrind's per-partition COOs are
+// patched from the basis view's engine within a lineage, rebuilt only for
+// partitions whose edge content changed or that touch a moved vertex. Ligra
+// and Polymer engines are built from scratch over the relabeled graph:
+// their scheduling state derives from the vertex count and degree offsets
+// alone. The snapshot in original vertex IDs is built from scratch from the
+// view's own capture. ViewWork reports the resulting
+// rebuild-versus-patch-versus-relabel work split.
 //
 //vebo:frozen
 type View struct {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/graphgrind"
 )
 
@@ -27,7 +28,9 @@ func (v *View) Snapshot() *Graph {
 // Reordered returns (deriving once, lazily) the view's graph relabeled with
 // its VEBO ordering — the graph the cached engines traverse (derive).
 // Under DisableViewReuse it is built from scratch instead
-// (scratchReordered).
+// (scratchReordered). Once derived, the graph is registered with the
+// dynamic graph (dynamic.Graph.Register), the next views' basis and the
+// next compaction's starting point.
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		build := v.derive
@@ -40,10 +43,11 @@ func (v *View) Reordered() (*Graph, error) {
 			return
 		}
 		v.rgp.Store(rg)
+		sg := v.slotGraph()
+		v.d.inner.Register(&sg)
+		v.dropSpentBasis()
 	})
 	if rg := v.rgp.Load(); rg != nil {
-		v.d.registerMaterialized(v)
-		v.dropSpentBasis()
 		return rg, nil
 	}
 	return nil, v.rgErr
@@ -130,8 +134,22 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	start := time.Now()
 	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver().Broken {
 		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
-			vd := v.deltaOver()
-			e, st, err := be.Patch(rg, vd.Seg, vd.dirty)
+			// The dirty slots, unsorted with repeats, are those whose
+			// in-edges or occupant changed: the delta's destinations, the
+			// moved vertices' slots and the admitted vertices' slots, the
+			// internal-ID tail.
+			vd, perm := v.deltaOver(), v.ord.Perm
+			var dirty []VertexID
+			for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
+				for _, e := range es {
+					dirty = append(dirty, e.Dst)
+				}
+			}
+			for _, w := range vd.Moved {
+				dirty = append(dirty, perm[w])
+			}
+			dirty = append(dirty, perm[v.nverts-int(vd.grown):v.nverts]...)
+			e, st, err := be.Patch(rg, vd.Seg, dirty)
 			if err != nil {
 				return nil, fmt.Errorf("vebo: deriving the epoch %d GraphGrind engine: %w", v.epoch, err)
 			}

@@ -42,16 +42,16 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 // vebo_publish_lag_ns sample — the freshness cost one batch pays end to
 // end.
 //
-// Basis choice: readers register the views whose relabeled graph they
-// built in latestMat, and the new view derives from the newest of them
-// when it is of the view's own log generation — the span Frozen.Since
-// nets. Otherwise there is no basis view, and the view derives from its
-// generation's compaction base, the basis of last resort. One generation
-// holds at most the delta-log bound, max(8192, liveEdges/8) entries, so a
-// view never nets more than that many raw log entries (the backlog). The
-// view's delta over its basis is a pure function of the two, computed on
-// first use (deltaOver), so a publish costs O(1) beyond the Freeze and
-// epochs nobody queries never compute one.
+// Basis choice: the dynamic graph's registry (dynamic.Graph.Latest) holds
+// the newest slot graph of the log generation: the relabeled graph of the
+// newest view a reader built one for, or the compaction base, which every
+// compaction puts back. The new view takes the entry's view as its basis;
+// for a base it has none and derives from its generation's compaction
+// base (Frozen.Base), the basis of last resort. One generation holds at most the delta-log bound,
+// max(8192, liveEdges/8) entries, so a view never nets more than that many
+// raw log entries (the backlog). The view's delta over its basis is a pure
+// function of the two, computed on first use (deltaOver), so a publish
+// costs O(1) beyond the Freeze and epochs nobody queries never compute one.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
@@ -60,19 +60,15 @@ func (d *Dynamic) publish(received time.Time) {
 	var basis *View
 	var backlog int64
 	if d.reuse {
-		f := d.inner.Freeze()
-		from := f.Base().At
-		if m := d.latestMat.Load(); m != nil {
-			if _, ok := f.EntriesSince(m.frozen); ok {
-				basis, from = m, m.frozen
-				// m derives from its own basis only while building
-				// artifacts it hasn't built yet; dropping the link bounds
-				// the retained chain.
-				m.basis.Store(nil)
-			}
+		f, from := d.inner.Freeze(), d.inner.Latest()
+		if basis, _ = from.Owner.(*View); basis != nil {
+			// The basis derives from its own basis only while building
+			// artifacts it hasn't built yet; dropping the link bounds the
+			// retained chain.
+			basis.basis.Store(nil)
 		}
-		entries, _ := f.EntriesSince(from)
-		backlog = entries + int64(f.NumVertices()-from.NumVertices())
+		entries, _ := f.EntriesSince(from.At)
+		backlog = entries + int64(f.NumVertices()-from.At.NumVertices())
 	}
 	v := d.buildView(basis, psp.Context())
 	d.work.epochs.Add(1)
@@ -98,10 +94,6 @@ type viewDelta struct {
 	// grown is the number of vertices admitted in between. Internal IDs are
 	// append-only, so they are exactly [nverts − grown, nverts).
 	grown int64
-	// dirty lists (unsorted, repeats allowed) the view slots whose in-edges
-	// or occupant changed: the destinations of adds and dels and the
-	// positions of the moved and admitted vertices. Nil when Broken.
-	dirty []VertexID
 }
 
 // empty reports whether the delta changes no algorithm result: no edge
@@ -126,10 +118,10 @@ func (d *viewDelta) touched() int {
 	return len(slices.Compact(ends))
 }
 
-// slotGraph returns the view's relabeled graph as a slot graph; the view
-// has built it.
+// slotGraph returns the view's relabeled graph as a slot graph it owns; the
+// view has built it.
 func (v *View) slotGraph() dynamic.SlotGraph {
-	return dynamic.SlotGraph{G: v.rgp.Load(), At: v.frozen, Perm: v.ord.Perm, Renum: v.renumEpoch}
+	return dynamic.SlotGraph{G: v.rgp.Load(), At: v.frozen, Perm: v.ord.Perm, Renum: v.renumEpoch, Owner: v}
 }
 
 // basisGraph returns the slot graph the view derives from: its basis
@@ -144,11 +136,11 @@ func (v *View) basisGraph() dynamic.SlotGraph {
 
 // deltaOver returns the view's delta over the slot graph it derives from
 // (basisGraph), computing it on first use: the dynamic.Change from that
-// graph to the view's capture under its ordering, the admission count,
-// and the dirty slots. Reordered is every consumer's first step and the
-// basis link only ever goes from one view to nil, never before the view
-// holds its relabeled graph, so every consumer that sees a basis view reads
-// the delta over that view.
+// graph to the view's capture under its ordering and the admission count.
+// Reordered is every consumer's first step and the basis link only ever
+// goes from one view to nil, never before the view holds its relabeled
+// graph, so every consumer that sees a basis view reads the delta over
+// that view.
 func (v *View) deltaOver() *viewDelta {
 	v.deltaOnce.Do(func() {
 		b := v.basisGraph()
@@ -158,42 +150,7 @@ func (v *View) deltaOver() *viewDelta {
 			// own generation.
 			panic("vebo: view basis is of another log generation")
 		}
-		vd := &v.delta
-		vd.Change = c
-		vd.grown = int64(v.nverts - len(b.Perm))
-		if vd.Broken {
-			return
-		}
-		perm := v.ord.Perm
-		for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
-			for _, e := range es {
-				vd.dirty = append(vd.dirty, e.Dst)
-			}
-		}
-		for _, w := range vd.Moved {
-			vd.dirty = append(vd.dirty, perm[w])
-		}
-		// Admissions are append-only in the internal space, so the vertices
-		// admitted since the basis are exactly the internal tail.
-		vd.dirty = append(vd.dirty, perm[v.nverts-int(vd.grown):v.nverts]...)
+		v.delta = viewDelta{Change: c, grown: int64(v.nverts - len(b.Perm))}
 	})
 	return &v.delta
-}
-
-// registerMaterialized records that v built its relabeled graph, making it
-// a basis candidate for future epochs, and hands the graph to the dynamic
-// graph as the next compaction's starting point; the newest such view
-// wins.
-func (d *Dynamic) registerMaterialized(v *View) {
-	for {
-		m := d.latestMat.Load()
-		if m != nil && m.epoch >= v.epoch {
-			return
-		}
-		if d.latestMat.CompareAndSwap(m, v) {
-			sg := v.slotGraph()
-			d.inner.Register(&sg)
-			return
-		}
-	}
 }

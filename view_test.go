@@ -241,12 +241,14 @@ func testPatchedMatchesScratch(t *testing.T, recipe string, stride int) {
 
 // TestViewPatchesAcrossOneCompaction deletes edges in one batch and
 // re-inserts them in the next, with no reader after the first epoch, and
-// compacts the delta log once or twice in between. A basis view must be of
-// the view's own log generation, so the view after the compactions has
-// none: it derives its relabeled graph from the new compaction base, one
-// graph patch and no build, and the result must equal the live graph
-// relabeled by the view's ordering. A view published at the compaction
-// epoch itself takes the base as its graph, unchanged.
+// compacts the delta log once or twice in between; right after each
+// compaction the view pinned before it is queried, so it registers its
+// graph too late. A basis view must be of the view's own log generation,
+// so the view after the compactions has none: it derives its relabeled
+// graph from the new compaction base, one graph patch and no build, and
+// the result must equal the live graph relabeled by the view's ordering. A
+// view published at the compaction epoch itself takes the base as its
+// graph, unchanged, and replaces the base as the next view's basis.
 func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 	g, _, err := GenerateStream("powerlaw", 0.02, 0, 5)
 	if err != nil {
@@ -276,7 +278,11 @@ func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 		}
 		churn(100)
 		for c := 0; c < compactions; c++ {
+			pinned := d.View()
 			d.Compact()
+			if _, err := pinned.Reordered(); err != nil {
+				t.Fatal(err)
+			}
 			churn(100)
 		}
 		v := d.View()
@@ -315,6 +321,12 @@ func TestViewPatchesAcrossOneCompaction(t *testing.T) {
 		}
 		if !graph.Equal(rg, want) {
 			t.Fatalf("%d compaction(s): the compaction base differs from the relabeled live graph", compactions)
+		}
+		if _, err := d.ApplyBatch(nil); err != nil {
+			t.Fatal(err)
+		}
+		if d.View().basis.Load() != v {
+			t.Fatalf("%d compaction(s): the view at the compaction epoch is not the next view's basis", compactions)
 		}
 	}
 }
