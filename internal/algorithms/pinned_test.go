@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -199,6 +200,56 @@ func TestModeledStepsPinned(t *testing.T) {
 	for key, h := range got {
 		if want[key] != h {
 			t.Errorf("%s: modeled steps digest %s, want %s", key, h, want[key])
+		}
+	}
+}
+
+// TestOrderDependentStepsRepeatOnOneP runs the kernels whose step costs
+// depend on goroutine order (TestModeledStepsPinned's narrow set) twice on
+// the paper's 4×12 topology under GOMAXPROCS=1, with fresh engines each
+// time. There every parallel loop runs on one goroutine, which takes its
+// units in order, so the two runs must hash alike. Under more than one P
+// they need not.
+func TestOrderDependentStepsRepeatOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := testGraph(t)
+	gt := g.Transpose()
+	n := g.NumVertices()
+	root := graph.VertexID(3)
+	labels := make([]uint32, n)
+	for i := range labels {
+		labels[i] = uint32(i)
+	}
+	adds := g.Edges()[:3]
+	kernels := []struct {
+		name string
+		run  func(e engine.Engine)
+	}{
+		{"cc", func(e engine.Engine) { CC(e) }},
+		{"bellmanford", func(e engine.Engine) { BellmanFord(e, root) }},
+		{"pagerankdelta", func(e engine.Engine) { PageRankDelta(e, 20, 1e-2) }},
+		{"bfsdepths", func(e engine.Engine) { BFSDepths(e, root) }},
+		{"ccseeded", func(e engine.Engine) { CCSeeded(e, labels) }},
+		{"pagerankresume", func(e engine.Engine) {
+			rank := PageRankDelta(e, 30, 1e-6)
+			e.Metrics().Reset()
+			PageRankResume(e, rank, RankDelta{Adds: adds, NOld: n}, 30, 1e-6)
+		}},
+	}
+	hashes := func() map[string]string {
+		out := map[string]string{}
+		for _, k := range kernels {
+			for _, pair := range pinnedEngines(t, g, gt, numa.Default()) {
+				k.run(pair[0])
+				out[pair[0].Name()+"/"+k.name] = stepsHash(pair[0].Metrics(), nil)
+			}
+		}
+		return out
+	}
+	first, second := hashes(), hashes()
+	for key, h := range first {
+		if second[key] != h {
+			t.Errorf("%s: modeled steps digest %s, then %s", key, h, second[key])
 		}
 	}
 }

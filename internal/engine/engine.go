@@ -27,9 +27,12 @@
 // weight per destination/source vertex touched), and the loop's modeled
 // time is the makespan of those units under the engine's scheduling
 // discipline — max block cost for static scheduling, greedy list-scheduling
-// makespan for dynamic scheduling. Execution itself is still genuinely
-// parallel (goroutines with atomic kernels), but reported times come from
-// the deterministic model. DESIGN.md §1 documents this substitution.
+// makespan for dynamic scheduling. Reported times come from this
+// deterministic model. Execution is still genuinely parallel (goroutines
+// with atomic kernels), but at the host's width: the engines pass the
+// model's thread count to sched.DynamicChunks, which runs the loop on at
+// most GOMAXPROCS goroutines (sched.Workers). A unit's cost does not depend
+// on which goroutine ran it. DESIGN.md §1 documents this substitution.
 package engine
 
 import (

@@ -67,8 +67,9 @@ func SubdivideByEdges(g *graph.Graph, ranges []Range, k int) []Range {
 // unit hands its in-row to the kernel's Pull, which scans it for active
 // sources. Each destination costs CostVertex plus CostEdge per edge Pull
 // reports scanned. Units own disjoint destination ranges, so Pull's stores
-// may be non-atomic. Workers execute units with real goroutines; unitCosts
-// are returned for makespan modeling.
+// may be non-atomic. workers is the model's thread count; the units run on
+// sched.Workers(workers, len(units), 1) goroutines, and unitCosts are
+// returned for makespan modeling.
 func DensePull(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, units []Range, workers int) (*frontier.Frontier, []int64) {
 	in := f.Dense()
 	out := make([]bool, g.NumVertices())
@@ -117,6 +118,7 @@ func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, w
 	srcs := f.Sparse()
 	nChunks := (len(srcs) + chunkSize - 1) / chunkSize
 	unitCosts := make([]int64, nChunks)
+	workers = sched.Workers(workers, len(srcs), chunkSize)
 	outPerWorker := make([][]graph.VertexID, workers)
 	sched.DynamicChunks(workers, len(srcs), chunkSize, func(w, lo, hi int) {
 		var cost int64

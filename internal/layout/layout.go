@@ -79,7 +79,8 @@ func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
 // ranges their destinations fall in writes every COO in (source,
 // destination, weight) order. That is one serial pass over the out-edges,
 // whatever the number of ranges. Hilbert order sorts (curve index,
-// position) pairs range by range, on up to workers goroutines.
+// position) pairs range by range, on sched.Workers(workers, len(ranges), 1)
+// goroutines, each with its own scratch.
 //
 // The COOs of an unweighted graph take their weights as prefixes of one
 // all-ones slice, which is returned so that an engine lineage derived from
@@ -107,7 +108,7 @@ func BuildRanges(g *graph.Graph, ranges []Range, o Order, workers int) ([]*COO, 
 			return nil, nil, err
 		}
 	case HilbertOrder:
-		builders := make([]builder, max(min(workers, len(ranges)), 1))
+		builders := make([]builder, sched.Workers(workers, len(ranges), 1))
 		sched.DynamicChunks(len(builders), len(ranges), 1, func(w, i, _ int) {
 			coos[i] = builders[w].build(g, ranges[i], unit)
 		})

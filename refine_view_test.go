@@ -166,6 +166,45 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestRefineVerticesCounted holds the vebo_refine_vertices_total series to
+// the RefineStats the queries returned: the reset and frontier counts of
+// every refine query, summed.
+func TestRefineVerticesCounted(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.03, 1024, 7, StreamOptions{GrowFrac: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 64, Engine: viewTestOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reset, frontier int64
+	ext := external(updates)
+	for lo := 0; lo < len(ext); lo += 256 {
+		if _, err := d.IngestBatch(ext[lo:min(lo+256, len(ext))]); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := d.View().RefineBFS(Ligra, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reset += int64(st.ResetVertices)
+		frontier += int64(st.FrontierVertices)
+	}
+	if frontier == 0 {
+		t.Fatal("no refine query touched a vertex")
+	}
+	got := map[string]int64{}
+	for _, m := range d.Metrics().Gather() {
+		if m.Name == "vebo_refine_vertices_total" {
+			got[m.Labels] = m.Value
+		}
+	}
+	if got[`kind="reset"`] != reset || got[`kind="frontier"`] != frontier {
+		t.Fatalf("vebo_refine_vertices_total = %v, want reset %d, frontier %d", got, reset, frontier)
+	}
+}
+
 // TestRefineSeedFixUps pins the seed rule: within a numbering lineage a
 // refined query copies the basis capture and rewrites only the moved and
 // admitted slots; across a placement change it gathers through both

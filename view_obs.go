@@ -39,6 +39,9 @@ type viewWork struct {
 	partsRebuilt  *obs.Counter
 	partsReused   *obs.Counter
 	partsRelabel  *obs.Counter
+
+	refineReset    *obs.Counter
+	refineFrontier *obs.Counter
 }
 
 // newViewWork wires the work counters into reg (nil-tolerant: a nil registry
@@ -62,6 +65,9 @@ func newViewWork(reg *obs.Registry, sp *obs.Spans) *viewWork {
 		partsRebuilt:  reg.Counter("vebo_view_partitions_total", "path", "rebuilt"),
 		partsReused:   reg.Counter("vebo_view_partitions_total", "path", "reused"),
 		partsRelabel:  reg.Counter("vebo_view_partitions_total", "path", "relabeled"),
+
+		refineReset:    reg.Counter("vebo_refine_vertices_total", "kind", "reset"),
+		refineFrontier: reg.Counter("vebo_refine_vertices_total", "kind", "frontier"),
 	}
 }
 
@@ -169,8 +175,8 @@ func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Tim
 	since := time.Since(start)
 	w.reg.Counter("vebo_refine_total", "alg", alg, "path", st.Path).Inc()
 	w.reg.Histogram("vebo_refine_ns", "alg", alg, "sys", sys.String()).Observe(int64(since))
-	w.reg.Counter("vebo_refine_vertices_total", "kind", "reset").Add(int64(st.ResetVertices))
-	w.reg.Counter("vebo_refine_vertices_total", "kind", "frontier").Add(int64(st.FrontierVertices))
+	w.refineReset.Add(int64(st.ResetVertices))
+	w.refineFrontier.Add(int64(st.FrontierVertices))
 	w.epochAge.Observe(int64(time.Since(v.published)))
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "query:refine-" + alg, Kind: "query", Cause: st.Path,
