@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	vebo "repro"
+	"repro/internal/algorithms"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -556,6 +557,44 @@ func BenchmarkBellmanFord(b *testing.B) {
 	g := benchGraph(b)
 	root := pickHighDegree(g)
 	benchmarkPerSystem(b, g, func(eng vebo.Engine) { vebo.BellmanFord(eng, root) })
+}
+
+// BenchmarkSparseEdgeMap times one sparse BFS-kernel EdgeMap per op from a
+// fixed frontier of every 100th vertex (1% of benchGraph's) on each
+// framework model, GraphGrind at 384 partitions. GraphGrind's step bins its
+// per-partition costs inside the push loop. The parent array and the step
+// log are reset untimed before each op, so every op activates the same
+// destinations.
+func BenchmarkSparseEdgeMap(b *testing.B) {
+	g := benchGraph(b)
+	var srcs []graph.VertexID
+	for v := 0; v < g.NumVertices(); v += 100 {
+		srcs = append(srcs, graph.VertexID(v))
+	}
+	f := frontier.FromVertices(g, srcs)
+	if f.ShouldBeDense(g.NumEdges()) {
+		b.Fatalf("frontier of %d vertices and %d out-edges is dense", f.Count(), f.OutEdges())
+	}
+	parent := make([]int32, g.NumVertices())
+	kernel := algorithms.BFSKernel(parent)
+	for _, sys := range []vebo.System{vebo.Ligra, vebo.Polymer, vebo.GraphGrind} {
+		b.Run(sys.String(), func(b *testing.B) {
+			eng, err := vebo.NewEngine(sys, g, vebo.EngineOptions{Partitions: 384})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				b.StopTimer()
+				for i := range parent {
+					parent[i] = -1
+				}
+				eng.Metrics().Reset()
+				b.StartTimer()
+				eng.EdgeMap(f, kernel)
+			}
+		})
+	}
 }
 
 // BenchmarkRefine times one refined query per op as the grow_refine

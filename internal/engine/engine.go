@@ -1,7 +1,8 @@
 // Package engine provides the shared edgemap/vertexmap machinery on which
 // the three framework models (internal/ligra, internal/polymer,
 // internal/graphgrind) are built. It mirrors the programming model common to
-// Ligra, Polymer and GraphGrind: algorithms are iterations of
+// Ligra, Polymer and GraphGrind, after Ligra's edgeMap/vertexMap (Shun and
+// Blelloch, PPoPP 2013): algorithms are iterations of
 //
 //   - EdgeMap(frontier, kernel): apply a kernel to every edge whose source
 //     is active, returning the frontier of destinations the kernel
@@ -16,6 +17,12 @@
 // (SparsePush). The dense forms take rows rather than edges because that is
 // how real Ligra gets its speed: C++ templates inline the update into
 // edgeMapDense, and handing a Go kernel the whole row is the equivalent.
+//
+// Each engine's EdgeMap and VertexMap runs one of the traversals here, then
+// hands the step's kind, its input frontier, the per-unit costs and the
+// makespan its scheduling rule gives them (and per-partition costs, if it is
+// partitioned) to Metrics.Record, the step recorder: the one place a Step is
+// built.
 //
 // # Modeled time
 //
@@ -106,6 +113,19 @@ type Engine interface {
 	Metrics() *Metrics
 }
 
+// Base is the state every engine holds: its graph and its step log. An
+// engine embeds it for the Engine interface's Graph and Metrics methods.
+type Base struct {
+	G       *graph.Graph
+	metrics Metrics
+}
+
+// Graph implements Engine.
+func (b *Base) Graph() *graph.Graph { return b.G }
+
+// Metrics implements Engine.
+func (b *Base) Metrics() *Metrics { return &b.metrics }
+
 // StepKind labels one EdgeMap or VertexMap invocation in the metrics log.
 type StepKind int
 
@@ -137,7 +157,10 @@ type Step struct {
 	Makespan       int64   // modeled loop time in cost units
 	UnitCosts      []int64 // per scheduling unit
 	// PartitionCosts holds per-graph-partition costs for partitioned
-	// engines (Polymer, GraphGrind) in dense steps; nil otherwise.
+	// engines: Polymer's dense edge maps, and GraphGrind's edge maps in
+	// both directions (in a sparse one, CostEdge per frontier out-edge,
+	// binned by destination partition). It is nil for vertex maps, for
+	// Ligra and for Polymer's sparse edge maps.
 	PartitionCosts []int64
 }
 
@@ -152,16 +175,28 @@ type Metrics struct {
 	ModelTime int64 // sum of step makespans
 }
 
-// Add appends a step and accumulates its makespan.
-func (m *Metrics) Add(s Step) {
+// Record appends the step of one parallel loop, built from its kind, its
+// input frontier f, its per-unit costs, the makespan the engine's scheduling
+// rule gives them and, for a partitioned engine, per-partition costs (nil
+// otherwise), and accumulates the makespan.
+func (m *Metrics) Record(kind StepKind, f *frontier.Frontier, costs []int64, makespan int64, partCosts []int64) {
+	s := Step{
+		Kind:           kind,
+		ActiveVertices: f.Count(),
+		ActiveEdges:    f.OutEdges(),
+		TotalCost:      sum(costs),
+		Makespan:       makespan,
+		UnitCosts:      costs,
+		PartitionCosts: partCosts,
+	}
 	m.mu.Lock()
 	m.Steps = append(m.Steps, s)
-	m.ModelTime += s.Makespan
+	m.ModelTime += makespan
 	m.mu.Unlock()
 }
 
-// Sum totals a cost slice.
-func Sum(costs []int64) int64 {
+// sum totals a cost slice.
+func sum(costs []int64) int64 {
 	var t int64
 	for _, c := range costs {
 		t += c

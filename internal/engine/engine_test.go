@@ -140,7 +140,7 @@ func TestSparsePushVisitsFrontierEdges(t *testing.T) {
 	k := countKernel(counts)
 	srcs := []graph.VertexID{1, 5, 9}
 	f := frontier.FromVertices(g, srcs)
-	out, _ := SparsePush(g, f, k, 2, 1)
+	out, _, _ := SparsePush(g, f, k, 2, 1, nil, 0)
 	want := make([]int64, g.NumVertices())
 	activeDst := map[graph.VertexID]bool{}
 	for _, s := range srcs {
@@ -220,7 +220,7 @@ func TestSparsePushDeduplicatesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := SparsePush(g, frontier.FromVertices(g, []graph.VertexID{0, 1}), countKernel(make([]int64, 3)), 1, 2)
+	out, _, _ := SparsePush(g, frontier.FromVertices(g, []graph.VertexID{0, 1}), countKernel(make([]int64, 3)), 1, 2, nil, 0)
 	if out.Count() != 1 || !out.Has(2) {
 		t.Fatalf("out frontier = %v vertices", out.Count())
 	}
@@ -241,7 +241,7 @@ func TestSparsePushDedupsEveryActivation(t *testing.T) {
 		}
 	}
 	const chunk = 4
-	out, costs := SparsePush(g, frontier.FromVertices(g, srcs), countKernel(make([]int64, g.NumVertices())), chunk, 4)
+	out, costs, _ := SparsePush(g, frontier.FromVertices(g, srcs), countKernel(make([]int64, g.NumVertices())), chunk, 4, nil, 0)
 	want := make(map[graph.VertexID]bool)
 	wantCosts := make([]int64, (len(srcs)+chunk-1)/chunk)
 	for i, s := range srcs {
@@ -295,12 +295,25 @@ func TestStepKindString(t *testing.T) {
 	}
 }
 
+// Record builds each step from its input frontier and costs, and
+// accumulates the makespans it is given.
 func TestMetricsAccumulation(t *testing.T) {
+	g := testGraph(t)
+	srcs := []graph.VertexID{1, 5, 9}
 	var m Metrics
-	m.Add(Step{Kind: StepEdgeMapDense, Makespan: 10})
-	m.Add(Step{Kind: StepVertexMap, Makespan: 5})
+	m.Record(StepEdgeMapDense, frontier.FromVertices(g, srcs), []int64{3, 4}, 10, []int64{7})
+	m.Record(StepVertexMap, frontier.FromVertices(g, srcs), []int64{2}, 5, nil)
 	if m.ModelTime != 15 {
 		t.Errorf("ModelTime = %d", m.ModelTime)
+	}
+	var outEdges int64
+	for _, s := range srcs {
+		outEdges += g.OutDegree(s)
+	}
+	want := Step{Kind: StepEdgeMapDense, ActiveVertices: 3, ActiveEdges: outEdges, TotalCost: 7,
+		Makespan: 10, UnitCosts: []int64{3, 4}, PartitionCosts: []int64{7}}
+	if !reflect.DeepEqual(m.Steps[0], want) {
+		t.Errorf("first step %+v, want %+v", m.Steps[0], want)
 	}
 	if m.LastStep().Kind != StepVertexMap {
 		t.Error("LastStep wrong")

@@ -72,7 +72,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 			fr := frontier.FromVertices(g, append([]graph.VertexID(nil), vs...))
 			switch mode {
 			case 0:
-				out, _ := SparsePush(g, fr, k, 3, 4)
+				out, _, _ := SparsePush(g, fr, k, 3, 4, nil, 0)
 				return counts, out
 			case 1:
 				out, _ := DensePull(g, fr, k, SplitRange(n, 16), 4)
@@ -118,8 +118,8 @@ func TestSparsePushParallelExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 	perDst := make([]int64, g.NumVertices())
-	SparsePush(g, frontier.All(g), countKernel(perDst), 7, 8)
-	total := Sum(perDst)
+	SparsePush(g, frontier.All(g), countKernel(perDst), 7, 8, nil, 0)
+	total := sum(perDst)
 	if total != g.NumEdges() {
 		t.Fatalf("kernel applied %d times, want %d", total, g.NumEdges())
 	}

@@ -110,35 +110,51 @@ func DenseCOO(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, coos []*layout
 
 // SparsePush performs a push-direction edgemap: active sources push along
 // their out-edges using the atomic kernel. The frontier is cut into chunks
-// of chunkSize sources; chunk costs are returned for makespan modeling.
+// of chunkSize sources; chunkCosts charge each chunk CostVertex per source
+// and CostEdge per out-edge, for makespan modeling. Given partOf
+// (destination vertex → partition index, below parts), partCosts also bins
+// CostEdge per out-edge by its destination's partition; a caller that needs
+// no bins passes nil and 0. Each worker bins into its own array and the
+// arrays are summed after the loop, so the bins do not depend on which
+// worker ran which chunk.
 // Workers append every activation, repeats included; one sort and compact
 // of their lists dedups the output, so a step allocates per edge scanned
 // (at most m/20: the sparse direction's bound) rather than per vertex.
-func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, workers int) (*frontier.Frontier, []int64) {
+func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, workers int, partOf []uint32, parts int) (*frontier.Frontier, []int64, []int64) {
 	srcs := f.Sparse()
 	nChunks := (len(srcs) + chunkSize - 1) / chunkSize
-	unitCosts := make([]int64, nChunks)
+	chunkCosts := make([]int64, nChunks)
 	workers = sched.Workers(workers, len(srcs), chunkSize)
 	outPerWorker := make([][]graph.VertexID, workers)
+	bins := make([]int64, workers*parts) // worker w's are bins[w*parts:][:parts]
 	sched.DynamicChunks(workers, len(srcs), chunkSize, func(w, lo, hi int) {
 		var cost int64
-		local := outPerWorker[w]
+		local, bin := outPerWorker[w], bins[w*parts:][:parts]
 		for _, s := range srcs[lo:hi] {
 			cost += CostVertex
 			ws := g.OutWeights(s)
 			for i, d := range g.OutNeighbors(s) {
 				cost += CostEdge
+				if partOf != nil {
+					bin[partOf[d]] += CostEdge
+				}
 				if k.UpdateAtomic(s, d, ws[i]) {
 					local = append(local, d)
 				}
 			}
 		}
 		outPerWorker[w] = local
-		unitCosts[lo/chunkSize] += cost
+		chunkCosts[lo/chunkSize] += cost
 	})
+	partCosts := bins[:parts]
+	for w := 1; w < workers; w++ {
+		for i, c := range bins[w*parts:][:parts] {
+			partCosts[i] += c
+		}
+	}
 	outs := slices.Concat(outPerWorker...)
 	slices.Sort(outs)
-	return frontier.FromVertices(g, slices.Compact(outs)), unitCosts
+	return frontier.FromVertices(g, slices.Compact(outs)), chunkCosts, partCosts
 }
 
 // VertexMapDynamic applies fn to the active vertices with dynamic chunking

@@ -43,14 +43,13 @@ type Config struct {
 
 // GraphGrind is an Engine with GraphGrind's partitioning and scheduling.
 type GraphGrind struct {
-	g       *graph.Graph
-	cfg     Config
-	parts   []partition.Partition
-	ranges  []engine.Range
-	coos    []*layout.COO
-	ones    []int32  // unweighted: all ones; the lineage's COO weights are its prefixes
-	partOf  []uint32 // destination vertex -> partition index
-	metrics engine.Metrics
+	engine.Base
+	cfg    Config
+	parts  []partition.Partition
+	ranges []engine.Range
+	coos   []*layout.COO
+	ones   []int32  // unweighted: all ones; the lineage's COO weights are its prefixes
+	partOf []uint32 // destination vertex -> partition index
 }
 
 // New builds a GraphGrind engine, materializing one COO per partition.
@@ -85,7 +84,7 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GraphGrind{g: g, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
+	return &GraphGrind{Base: engine.Base{G: g}, cfg: cfg, parts: parts, ranges: ranges, coos: coos, ones: ones, partOf: partOf}, nil
 }
 
 // PatchStats reports how much of an engine rebuild Patch avoided:
@@ -131,10 +130,10 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 		return nil, st, fmt.Errorf("graphgrind: patch needs a CSR-order engine, not %v", gg.cfg.Order)
 	}
 	n := g.NumVertices()
-	if n != gg.g.NumVertices() {
-		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", n, gg.g.NumVertices())
+	if n != gg.G.NumVertices() {
+		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", n, gg.G.NumVertices())
 	}
-	if g.Weighted() != gg.g.Weighted() {
+	if g.Weighted() != gg.G.Weighted() {
 		return nil, st, fmt.Errorf("graphgrind: patch changes weightedness to %v", g.Weighted())
 	}
 	if perm != nil {
@@ -165,14 +164,14 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 	stale := make([]int64, len(gg.parts)) // entries naming a moved source
 	for s, t := range perm {
 		if t != graph.VertexID(s) && t != graph.NoVertex {
-			for _, d := range gg.g.OutNeighbors(graph.VertexID(s)) {
+			for _, d := range gg.G.OutNeighbors(graph.VertexID(s)) {
 				stale[gg.partOf[d]]++
 			}
 		}
 	}
 	off := g.InOffsets()
 	out := &GraphGrind{
-		g:      g,
+		Base:   engine.Base{G: g},
 		cfg:    gg.cfg,
 		parts:  slices.Clone(gg.parts),
 		ranges: gg.ranges,
@@ -232,7 +231,7 @@ func (gg *GraphGrind) reach(by [][]graph.VertexID, row []graph.VertexID, s graph
 // copies every run between those change points whole; a partition that does
 // not come out with g's edge count is an error.
 func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.VertexID) error {
-	g, off := gg.g, gg.g.InOffsets()
+	g, off := gg.G, gg.G.InOffsets()
 	moved := func(v graph.VertexID) bool { return perm != nil && perm[v] != v }
 	drop := make([]bool, g.NumVertices())
 	for _, v := range dirty {
@@ -247,7 +246,7 @@ func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.
 		if t != graph.VertexID(s) {
 			drop[s] = true // a mover's new slot is an injective perm's moved one
 			if t != graph.NoVertex {
-				gg.reach(cutBy, basis.g.OutNeighbors(graph.VertexID(s)), graph.VertexID(s))
+				gg.reach(cutBy, basis.G.OutNeighbors(graph.VertexID(s)), graph.VertexID(s))
 				gg.reach(addBy, g.OutNeighbors(t), graph.VertexID(s))
 			}
 		}
@@ -290,7 +289,7 @@ func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.
 			// entry from a moved old source went with that source's run, so
 			// an entry from a mover's new ID, which matches no entry left,
 			// counts as gained.
-			olds, oldw := basis.g.InNeighbors(d), basis.g.InWeights(d)
+			olds, oldw := basis.G.InNeighbors(d), basis.G.InWeights(d)
 			news, neww := g.InNeighbors(d), g.InWeights(d)
 			gone, goneW = gone[:0], goneW[:0]
 			for i, j := 0, 0; i < len(olds) || j < len(news); {
@@ -326,12 +325,6 @@ func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.
 // Name implements Engine.
 func (gg *GraphGrind) Name() string { return "graphgrind" }
 
-// Graph implements Engine.
-func (gg *GraphGrind) Graph() *graph.Graph { return gg.g }
-
-// Metrics implements Engine.
-func (gg *GraphGrind) Metrics() *engine.Metrics { return &gg.metrics }
-
 // Partitions returns the partition list.
 func (gg *GraphGrind) Partitions() []partition.Partition { return gg.parts }
 
@@ -340,17 +333,9 @@ func (gg *GraphGrind) Partitions() []partition.Partition { return gg.parts }
 // frontiers push with intra-socket dynamic scheduling.
 func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
 	top := gg.cfg.Topology
-	if f.ShouldBeDense(gg.g.NumEdges()) {
-		out, costs := engine.DenseCOO(gg.g, f, k, gg.coos, gg.ranges, top.Threads())
-		gg.metrics.Add(engine.Step{
-			Kind:           engine.StepEdgeMapDense,
-			ActiveVertices: f.Count(),
-			ActiveEdges:    f.OutEdges(),
-			TotalCost:      engine.Sum(costs),
-			Makespan:       engine.MakespanGrouped(costs, top.Sockets, top.ThreadsPerSocket),
-			UnitCosts:      costs,
-			PartitionCosts: costs,
-		})
+	if f.ShouldBeDense(gg.G.NumEdges()) {
+		out, costs := engine.DenseCOO(gg.G, f, k, gg.coos, gg.ranges, top.Threads())
+		gg.Metrics().Record(engine.StepEdgeMapDense, f, costs, engine.MakespanGrouped(costs, top.Sockets, top.ThreadsPerSocket), costs)
 		return out
 	}
 	// Sparse traversal still pushes along the frontier's out-edges, but
@@ -359,23 +344,10 @@ func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *fronti
 	// concentrate in few partitions serializes on their sockets. This is
 	// exactly the effect the paper's Table IV measures — VEBO's uniform
 	// distribution of high- and low-degree vertices over partitions raises
-	// the per-partition minimum and cuts the spread.
-	out, _ := engine.SparsePush(gg.g, f, k, engine.SparseChunk, top.Threads())
-	partCosts := make([]int64, len(gg.parts))
-	for _, s := range f.Sparse() {
-		for _, d := range gg.g.OutNeighbors(s) {
-			partCosts[gg.partOf[d]] += engine.CostEdge
-		}
-	}
-	gg.metrics.Add(engine.Step{
-		Kind:           engine.StepEdgeMapSparse,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(partCosts),
-		Makespan:       engine.MakespanGrouped(partCosts, top.Sockets, top.ThreadsPerSocket),
-		UnitCosts:      partCosts,
-		PartitionCosts: partCosts,
-	})
+	// the per-partition minimum and cuts the spread. SparsePush bins the
+	// partition costs as it pushes.
+	out, _, partCosts := engine.SparsePush(gg.G, f, k, engine.SparseChunk, top.Threads(), gg.partOf, len(gg.parts))
+	gg.Metrics().Record(engine.StepEdgeMapSparse, f, partCosts, engine.MakespanGrouped(partCosts, top.Sockets, top.ThreadsPerSocket), partCosts)
 	return out
 }
 
@@ -383,14 +355,7 @@ func (gg *GraphGrind) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *fronti
 // threads, as in Polymer.
 func (gg *GraphGrind) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
 	threads := gg.cfg.Topology.Threads()
-	out, costs := engine.VertexMapStatic(gg.g, f, fn, threads, threads)
-	gg.metrics.Add(engine.Step{
-		Kind:           engine.StepVertexMap,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(costs),
-		Makespan:       engine.MakespanStatic(costs, threads),
-		UnitCosts:      costs,
-	})
+	out, costs := engine.VertexMapStatic(gg.G, f, fn, threads, threads)
+	gg.Metrics().Record(engine.StepVertexMap, f, costs, engine.MakespanStatic(costs, threads), nil)
 	return out
 }

@@ -1,6 +1,8 @@
 package graphgrind
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/numa"
+	"repro/internal/partition"
 )
 
 var top = numa.Topology{Sockets: 2, ThreadsPerSocket: 2}
@@ -84,6 +87,49 @@ func TestSparseEdgeMapUsed(t *testing.T) {
 	gg.EdgeMap(frontier.FromVertex(g, 5), k)
 	if got := gg.Metrics().LastStep().Kind; got != engine.StepEdgeMapSparse {
 		t.Fatalf("tiny frontier used %v", got)
+	}
+}
+
+// A sparse step charges CostEdge per frontier out-edge, binned by the
+// destination's partition, as both its unit and its partition costs, at any
+// loop width: SparsePush bins per worker and sums the bins after the loop.
+func TestSparseStepCostsPerPartition(t *testing.T) {
+	// A sparse graph fits a frontier of several chunks well inside the
+	// sparse direction's bound.
+	g, err := gen.ErdosRenyi(20_000, 40_000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gg := newEngine(t, g, 16, layout.CSROrder, nil)
+	var srcs []graph.VertexID
+	var edges int64
+	for v := graph.VertexID(0); int64(len(srcs))+edges < g.NumEdges()/40; v += 3 {
+		srcs, edges = append(srcs, v), edges+g.OutDegree(v)
+	}
+	if len(srcs) <= 2*engine.SparseChunk {
+		t.Fatalf("frontier of %d sources spans too few chunks", len(srcs))
+	}
+	want := make([]int64, len(gg.Partitions()))
+	for _, s := range srcs {
+		for _, d := range g.OutNeighbors(s) {
+			want[partition.Of(gg.Partitions(), d)] += engine.CostEdge
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		f := frontier.FromVertices(g, srcs)
+		gg.EdgeMap(f, enginetest.Const(true))
+		step := gg.Metrics().LastStep()
+		if step.Kind != engine.StepEdgeMapSparse {
+			t.Fatalf("GOMAXPROCS=%d: step kind = %v", procs, step.Kind)
+		}
+		if !slices.Equal(step.UnitCosts, want) || !slices.Equal(step.PartitionCosts, want) {
+			t.Fatalf("GOMAXPROCS=%d: unit costs %v, partition costs %v, want %v", procs, step.UnitCosts, step.PartitionCosts, want)
+		}
+		if step.TotalCost != f.OutEdges() {
+			t.Fatalf("GOMAXPROCS=%d: total cost %d, want %d", procs, step.TotalCost, f.OutEdges())
+		}
 	}
 }
 

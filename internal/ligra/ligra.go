@@ -16,10 +16,9 @@ import (
 
 // Ligra is an Engine with Ligra's scheduling policy.
 type Ligra struct {
-	g       *graph.Graph
-	top     numa.Topology
-	units   []engine.Range
-	metrics engine.Metrics
+	engine.Base
+	top   numa.Topology
+	units []engine.Range
 }
 
 // New builds a Ligra engine over g. Dense traversal splits the vertex
@@ -29,7 +28,7 @@ type Ligra struct {
 func New(g *graph.Graph, top numa.Topology) *Ligra {
 	grain := max(g.NumVertices()/384, 64)
 	return &Ligra{
-		g:     g,
+		Base:  engine.Base{G: g},
 		top:   top.OrDefault(),
 		units: engine.SplitRange(g.NumVertices(), grain),
 	}
@@ -38,50 +37,23 @@ func New(g *graph.Graph, top numa.Topology) *Ligra {
 // Name implements Engine.
 func (l *Ligra) Name() string { return "ligra" }
 
-// Graph implements Engine.
-func (l *Ligra) Graph() *graph.Graph { return l.g }
-
-// Metrics implements Engine.
-func (l *Ligra) Metrics() *engine.Metrics { return &l.metrics }
-
 // EdgeMap implements Engine with direction optimization.
 func (l *Ligra) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
 	threads := l.top.Threads()
-	if f.ShouldBeDense(l.g.NumEdges()) {
-		out, costs := engine.DensePull(l.g, f, k, l.units, threads)
-		l.metrics.Add(engine.Step{
-			Kind:           engine.StepEdgeMapDense,
-			ActiveVertices: f.Count(),
-			ActiveEdges:    f.OutEdges(),
-			TotalCost:      engine.Sum(costs),
-			Makespan:       engine.MakespanDynamic(costs, threads),
-			UnitCosts:      costs,
-		})
+	if f.ShouldBeDense(l.G.NumEdges()) {
+		out, costs := engine.DensePull(l.G, f, k, l.units, threads)
+		l.Metrics().Record(engine.StepEdgeMapDense, f, costs, engine.MakespanDynamic(costs, threads), nil)
 		return out
 	}
-	out, costs := engine.SparsePush(l.g, f, k, engine.SparseChunk, threads)
-	l.metrics.Add(engine.Step{
-		Kind:           engine.StepEdgeMapSparse,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(costs),
-		Makespan:       engine.MakespanDynamic(costs, threads),
-		UnitCosts:      costs,
-	})
+	out, costs, _ := engine.SparsePush(l.G, f, k, engine.SparseChunk, threads, nil, 0)
+	l.Metrics().Record(engine.StepEdgeMapSparse, f, costs, engine.MakespanDynamic(costs, threads), nil)
 	return out
 }
 
 // VertexMap implements Engine with dynamic chunking over active vertices.
 func (l *Ligra) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
 	threads := l.top.Threads()
-	out, costs := engine.VertexMapDynamic(l.g, f, fn, engine.SparseChunk, threads)
-	l.metrics.Add(engine.Step{
-		Kind:           engine.StepVertexMap,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(costs),
-		Makespan:       engine.MakespanDynamic(costs, threads),
-		UnitCosts:      costs,
-	})
+	out, costs := engine.VertexMapDynamic(l.G, f, fn, engine.SparseChunk, threads)
+	l.Metrics().Record(engine.StepVertexMap, f, costs, engine.MakespanDynamic(costs, threads), nil)
 	return out
 }

@@ -32,11 +32,10 @@ type Config struct {
 
 // Polymer is an Engine with Polymer's partitioning and scheduling policy.
 type Polymer struct {
-	g       *graph.Graph
-	top     numa.Topology
-	parts   []partition.Partition
-	units   []engine.Range // threads-per-socket sub-ranges per partition
-	metrics engine.Metrics
+	engine.Base
+	top   numa.Topology
+	parts []partition.Partition
+	units []engine.Range // threads-per-socket sub-ranges per partition
 }
 
 // New builds a Polymer engine over g with one partition per socket.
@@ -62,7 +61,7 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
 	return &Polymer{
-		g:     g,
+		Base:  engine.Base{G: g},
 		top:   top,
 		parts: parts,
 		units: engine.SubdivideByEdges(g, ranges, top.ThreadsPerSocket),
@@ -71,12 +70,6 @@ func New(g *graph.Graph, cfg Config) (*Polymer, error) {
 
 // Name implements Engine.
 func (p *Polymer) Name() string { return "polymer" }
-
-// Graph implements Engine.
-func (p *Polymer) Graph() *graph.Graph { return p.g }
-
-// Metrics implements Engine.
-func (p *Polymer) Metrics() *engine.Metrics { return &p.metrics }
 
 // Partitions returns the per-socket partitions.
 func (p *Polymer) Partitions() []partition.Partition { return p.parts }
@@ -95,8 +88,8 @@ func (p *Polymer) partitionCosts(unitCosts []int64) []int64 {
 // statically scheduled.
 func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.Frontier {
 	threads := p.top.Threads()
-	if f.ShouldBeDense(p.g.NumEdges()) {
-		out, costs := engine.DensePull(p.g, f, k, p.units, threads)
+	if f.ShouldBeDense(p.G.NumEdges()) {
+		out, costs := engine.DensePull(p.G, f, k, p.units, threads)
 		partCosts := p.partitionCosts(costs)
 		// Polymer statically binds one partition to each socket; the
 		// socket's threads divide the partition's work near-evenly, so the
@@ -108,26 +101,11 @@ func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.F
 				makespan = t
 			}
 		}
-		p.metrics.Add(engine.Step{
-			Kind:           engine.StepEdgeMapDense,
-			ActiveVertices: f.Count(),
-			ActiveEdges:    f.OutEdges(),
-			TotalCost:      engine.Sum(costs),
-			Makespan:       makespan,
-			UnitCosts:      costs,
-			PartitionCosts: partCosts,
-		})
+		p.Metrics().Record(engine.StepEdgeMapDense, f, costs, makespan, partCosts)
 		return out
 	}
-	out, costs := engine.SparsePush(p.g, f, k, engine.SparseChunk, threads)
-	p.metrics.Add(engine.Step{
-		Kind:           engine.StepEdgeMapSparse,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(costs),
-		Makespan:       engine.MakespanStatic(costs, threads),
-		UnitCosts:      costs,
-	})
+	out, costs, _ := engine.SparsePush(p.G, f, k, engine.SparseChunk, threads, nil, 0)
+	p.Metrics().Record(engine.StepEdgeMapSparse, f, costs, engine.MakespanStatic(costs, threads), nil)
 	return out
 }
 
@@ -135,14 +113,7 @@ func (p *Polymer) EdgeMap(f *frontier.Frontier, k engine.EdgeKernel) *frontier.F
 // over all threads.
 func (p *Polymer) VertexMap(f *frontier.Frontier, fn func(v graph.VertexID) bool) *frontier.Frontier {
 	threads := p.top.Threads()
-	out, costs := engine.VertexMapStatic(p.g, f, fn, threads, threads)
-	p.metrics.Add(engine.Step{
-		Kind:           engine.StepVertexMap,
-		ActiveVertices: f.Count(),
-		ActiveEdges:    f.OutEdges(),
-		TotalCost:      engine.Sum(costs),
-		Makespan:       engine.MakespanStatic(costs, threads),
-		UnitCosts:      costs,
-	})
+	out, costs := engine.VertexMapStatic(p.G, f, fn, threads, threads)
+	p.Metrics().Record(engine.StepVertexMap, f, costs, engine.MakespanStatic(costs, threads), nil)
 	return out
 }
