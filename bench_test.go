@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
 	"testing"
 
 	vebo "repro"
@@ -249,19 +248,17 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var dirty []graph.VertexID
-			for _, e := range append(slices.Clone(tc.adds), tc.dels...) {
-				dirty = append(dirty, e.Dst)
-			}
+			var moved []graph.VertexID
 			for v := range tc.perm {
 				if tc.perm[v] != graph.VertexID(v) {
-					dirty = append(dirty, graph.VertexID(v))
+					moved = append(moved, graph.VertexID(v))
 				}
 			}
+			d := graph.Delta{Adds: tc.adds, Dels: tc.dels, Seg: tc.perm, Moved: moved}
 			b.Run(fmt.Sprintf("p%d/%s", parts, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, _, err := gg.Patch(g2, tc.perm, dirty); err != nil {
+					if _, _, err := gg.Patch(g2, d); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -482,6 +479,66 @@ func BenchmarkFrozenSince(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(adds)), "adds")
 	b.ReportMetric(float64(len(dels)), "dels")
+}
+
+// BenchmarkChangeSince derives the slot-space delta a view's derivations
+// read (dynamic.Frozen.ChangeSince) across one epoch from a compaction base
+// in the live ordering's slot space: swaps, a 1024-insertion batch whose
+// swap repair moved vertices; growth, a batch admitting 64 vertices into
+// headroom with 1024 insertions among old and new vertices, no maintenance.
+func BenchmarkChangeSince(b *testing.B) {
+	g := benchGraph(b)
+	n := g.NumVertices()
+	// epoch compacts d, applies one batch and returns the capture after it
+	// with the base before it.
+	epoch := func(d *dynamic.Graph, admit int, ups []graph.EdgeUpdate) (dynamic.Frozen, dynamic.SlotGraph, dynamic.BatchResult) {
+		d.Compact()
+		basis := *d.Latest()
+		res, err := d.AdmitBatch(admit, ups)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d.Freeze(), basis, res
+	}
+	run := func(name string, d *dynamic.Graph, f dynamic.Frozen, basis dynamic.SlotGraph) {
+		b.Run(name, func(b *testing.B) {
+			perm, renum := d.Ordering().Perm, d.RenumEpoch()
+			delta, ok := f.ChangeSince(basis, perm, renum)
+			if !ok || delta.Broken {
+				b.Fatalf("the epoch broke its numbering lineage (ok=%v)", ok)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				f.ChangeSince(basis, perm, renum)
+			}
+			b.ReportMetric(float64(len(delta.Moved)), "moved")
+			b.ReportMetric(float64(len(delta.Grown)), "grown")
+		})
+	}
+
+	swaps, err := dynamic.New(g, dynamic.Config{Partitions: 64, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := benchInserts(n, 64, 1024, 8)
+	for i := 0; ; i++ {
+		if i == len(batches) {
+			b.Fatal("no batch was repaired by swaps alone")
+		}
+		f, basis, res := epoch(swaps, 0, batches[i])
+		if res.Repaired && !res.Rebuilt {
+			run("swaps", swaps, f, basis)
+			break
+		}
+	}
+
+	grow, err := dynamic.New(g, dynamic.Config{Partitions: 64, CompactEvery: 1 << 30, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grow.Grow(1) // the first admission makes the ordering slotted, a renumbering
+	f, basis, _ := epoch(grow, 64, benchInserts(n+65, 1, 1024, 9)[0])
+	run("growth", grow, f, basis)
 }
 
 // BenchmarkPublish times one facade ApplyBatch of 1024 insertions — delta

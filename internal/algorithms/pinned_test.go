@@ -134,7 +134,7 @@ func TestModeledStepsPinned(t *testing.T) {
 		{"pagerankresume", func(e, _ engine.Engine) []uint64 {
 			rank := PageRankDelta(e, 30, 1e-6)
 			e.Metrics().Reset()
-			PageRankResume(e, rank, RankDelta{Adds: adds, NOld: n}, 30, 1e-6)
+			PageRankResume(e, rank, graph.Delta{Adds: adds}, n, 30, 1e-6)
 			return nil
 		}},
 	}
@@ -233,7 +233,7 @@ func TestOrderDependentStepsRepeatOnOneP(t *testing.T) {
 		{"pagerankresume", func(e engine.Engine) {
 			rank := PageRankDelta(e, 30, 1e-6)
 			e.Metrics().Reset()
-			PageRankResume(e, rank, RankDelta{Adds: adds, NOld: n}, 30, 1e-6)
+			PageRankResume(e, rank, graph.Delta{Adds: adds}, n, 30, 1e-6)
 		}},
 	}
 	hashes := func() map[string]string {

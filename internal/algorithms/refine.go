@@ -167,23 +167,6 @@ func CCSeeded(e engine.Engine, init []uint32) []int64 {
 	return RelaxResume(e, state, false, frontier.All(g))
 }
 
-// RankDelta describes the perturbation between a converged basis PageRank
-// vector and the queried epoch's graph, in the queried engine's vertex
-// space: the edge changes (multiplicities unrolled; PageRankResume derives
-// each changed source's old out-degree from them), the basis and current
-// real vertex counts (for the (1-damping)/n base-term shift) and the engine
-// positions of the vertices admitted since the basis (which seed with rank
-// 0 and take the full new base term — engine orderings scatter them, so
-// they are a list, not an index range). len(Grown) must equal NNew − NOld.
-// NNew is the real vertex count, which on slotted engines is smaller than
-// the engine's ID space (reserved headroom rows are not vertices); NNew == 0
-// means the engine is compact and g.NumVertices() is the count.
-type RankDelta struct {
-	Adds, Dels []graph.Edge
-	NOld, NNew int
-	Grown      []graph.VertexID
-}
-
 // PageRankResume resumes PageRank from a converged rank vector after a graph
 // delta, GraphBolt-style: the rank recurrence rank = b + damping·Aᵀ·rank is
 // linear, so the exact correction for a changed (b, A) is the geometric
@@ -194,7 +177,14 @@ type RankDelta struct {
 // small, shrinking cone. rank is mutated in place and returned; the seed
 // must satisfy the basis graph's recurrence to within the same eps for the
 // result to match a converged cold start.
-func PageRankResume(e engine.Engine, rank []float64, d RankDelta, iters int, eps float64) []float64 {
+//
+// PageRankResume reads d's edge changes (multiplicities unrolled; each
+// changed source's old out-degree is derived from them) and its admitted
+// vertices, which seed with rank 0 and take the full new base term; the
+// seed is already in the engine's slots. nReal is the real vertex count,
+// smaller than a slotted engine's ID space, and the basis had
+// nReal − len(d.Grown): the two set the (1-damping)/n base-term shift.
+func PageRankResume(e engine.Engine, rank []float64, d graph.Delta, nReal, iters int, eps float64) []float64 {
 	g := e.Graph()
 	n := g.NumVertices()
 	if n == 0 {
@@ -217,17 +207,13 @@ func PageRankResume(e engine.Engine, rank []float64, d RankDelta, iters int, eps
 	// vertex counts, not the engine's ID-space size — on slotted engines the
 	// headroom rows swept here are inert (no out-edges, dropped on
 	// projection back to real IDs).
-	nNew := d.NNew
-	if nNew == 0 {
-		nNew = n
-	}
-	if d.NOld != nNew {
+	if len(d.Grown) > 0 {
 		grown := make([]bool, n)
 		for _, v := range d.Grown {
 			grown[v] = true
 		}
-		bNew := (1 - damping) / float64(nNew)
-		bOld := (1 - damping) / float64(d.NOld)
+		bNew := (1 - damping) / float64(nReal)
+		bOld := (1 - damping) / float64(nReal-len(d.Grown))
 		for v := 0; v < n; v++ {
 			if grown[v] {
 				touch(graph.VertexID(v), bNew)

@@ -196,10 +196,10 @@ func TestPageRankResumeMatchesCold(t *testing.T) {
 	for _, e := range engines(t, g2) {
 		rank := make([]float64, n2)
 		copy(rank, seed)
-		got := PageRankResume(e, rank, RankDelta{
-			Adds: adds, Dels: dels, NOld: n,
+		got := PageRankResume(e, rank, graph.Delta{
+			Adds: adds, Dels: dels,
 			Grown: []graph.VertexID{graph.VertexID(n), graph.VertexID(n + 1)},
-		}, 400, eps)
+		}, n2, 400, eps)
 		want := PageRankDelta(e, 400, eps)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
@@ -237,7 +237,7 @@ func TestPageRankResumeDeterministic(t *testing.T) {
 	e := ligra.New(g2, numa.Topology{Sockets: 1, ThreadsPerSocket: 1})
 	var first []float64
 	for run := 0; run < 8; run++ {
-		got := PageRankResume(e, slices.Clone(seed), RankDelta{Adds: adds, NOld: n}, 400, eps)
+		got := PageRankResume(e, slices.Clone(seed), graph.Delta{Adds: adds}, n, 400, eps)
 		if first == nil {
 			first = got
 			continue
@@ -329,6 +329,6 @@ func BenchmarkPageRankResume(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(rank, seed)
-		PageRankResume(e, rank, RankDelta{Adds: adds, Dels: dels, NOld: g.NumVertices()}, 400, eps)
+		PageRankResume(e, rank, graph.Delta{Adds: adds, Dels: dels}, g.NumVertices(), 400, eps)
 	}
 }

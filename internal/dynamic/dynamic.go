@@ -48,10 +48,11 @@
 //     Nothing is accumulated on the update path. ChangeSince relabels it
 //     into a target ordering's slots and reads the slot map off the two
 //     orderings — the vertices whose position differs, or the full map
-//     across a renumbering — and PatchEdgesPermN applies it to the newest
-//     slot graph of the generation, a view's or the base. The facade
-//     patches engine-side structures for unchanged partitions the same way
-//     (see the vebo.View API).
+//     across a renumbering — and the admitted slots, one graph.Delta, and
+//     PatchEdgesPermN applies it to the newest slot graph of the
+//     generation, a view's or the base. The facade patches engine-side
+//     structures and refines results from the same delta (see the
+//     vebo.View API).
 //
 // Every work count lives once, in the metrics registry (the vebo_* series);
 // Stats reads it back.
@@ -61,6 +62,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -275,9 +277,16 @@ type Graph struct {
 	lastBatch obs.SpanContext
 }
 
-// New wraps g in a dynamic graph, computing the initial VEBO ordering.
+// New wraps g in a dynamic graph, computing the initial VEBO ordering. A
+// weighted g holding a negative weight is an error: result refinement
+// relies on every stored weight being at least 1 (normWeight).
 func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	cfg = cfg.withDefaults()
+	for v := range graph.VertexID(g.NumVertices()) {
+		if g.Weighted() && slices.ContainsFunc(g.OutWeights(v), func(w int32) bool { return w < 0 }) {
+			return nil, fmt.Errorf("dynamic: an out-edge of vertex %d has a negative weight", v)
+		}
+	}
 	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
 	if err != nil {
 		return nil, err
@@ -395,7 +404,8 @@ func (d *Graph) PendingOps() int64 { return int64(len(d.pendingAdd)) + d.cancels
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the
 // end of the batch. An invalid update (an endpoint at or beyond the current
-// vertex count, deletion of a non-existent edge) stops processing and
+// vertex count, an insertion of a negative weight into a weighted graph,
+// deletion of a non-existent edge) stops processing and
 // returns an error; updates before it remain applied. Vertices enter only
 // through Grow, which AdmitBatch calls before the updates that name them.
 func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
@@ -417,6 +427,9 @@ func (d *Graph) AdmitBatch(admit int, updates []graph.EdgeUpdate) (BatchResult, 
 	for i, u := range updates {
 		if int(u.Src) >= d.n || int(u.Dst) >= d.n {
 			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range n=%d", i, u.Src, u.Dst, d.n)
+		}
+		if d.weighted && !u.Del && u.Weight < 0 {
+			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) weight %d is negative", i, u.Src, u.Dst, u.Weight)
 		}
 		if u.Del {
 			if err := d.deleteEdge(u.Src, u.Dst, u.Weight); err != nil {

@@ -52,7 +52,8 @@ func (d *Graph) baseRun(s, dst graph.VertexID) []int32 {
 	return b.G.OutWeights(s)[lo:hi]
 }
 
-// normWeight maps an input weight to its stored form.
+// normWeight maps an input weight to its stored form. New and AdmitBatch
+// reject negative weights, so every stored weight is at least 1.
 func (d *Graph) normWeight(w int32) int32 {
 	if !d.weighted || w == 0 {
 		return 1

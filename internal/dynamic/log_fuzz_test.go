@@ -56,7 +56,7 @@ func FuzzFrozenSince(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps := []frozenCapture{{d.Freeze(), g}}
+		caps := []frozenCapture{capture(d, g)}
 		for step := 0; step < 48 && i < len(data); step++ {
 			var touched *graph.EdgeUpdate
 			switch op := next() % 9; {
@@ -117,7 +117,7 @@ func FuzzFrozenSince(f *testing.F) {
 				t.Fatalf("step %d: HasEdge(%d,%d) = %v, oracle says %v",
 					step, u.Src, u.Dst, d.HasEdge(u.Src, u.Dst), want.HasEdge(u.Src, u.Dst))
 			}
-			caps = append(caps, frozenCapture{f, want})
+			caps = append(caps, capture(d, want))
 		}
 		checkSince(t, caps)
 		for _, c := range caps {

@@ -10,10 +10,18 @@ import (
 )
 
 // frozenCapture pairs a capture with FromEdges over the reference
-// multiset at its epoch.
+// multiset at its epoch, and records the ordering and renumbering epoch
+// in force when it was taken.
 type frozenCapture struct {
-	f    Frozen
-	snap *graph.Graph
+	f     Frozen
+	snap  *graph.Graph
+	ord   *core.Result
+	renum int64
+}
+
+// capture freezes d, whose live multiset snap is.
+func capture(d *Graph, snap *graph.Graph) frozenCapture {
+	return frozenCapture{d.Freeze(), snap, d.Ordering(), d.renumEpoch}
 }
 
 // HasEdge reports whether at least one live (s,dst) edge exists, from the
@@ -36,11 +44,20 @@ func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
 // checkSince requires Since to bridge every ordered capture pair of one
 // generation — the netted lists are sorted, share no edge, and patch the
 // earlier snapshot into exactly the later one — and to refuse pairs a
-// compaction apart. It returns how many pairs fell on each side.
+// compaction apart. Each bridged pair's slot-space delta must hold too
+// (checkChange). It returns how many pairs fell on each side.
 func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 	t.Helper()
+	slotted := make([]*graph.Graph, len(caps))
+	for i, c := range caps {
+		g, err := core.Apply(c.snap, c.ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slotted[i] = g
+	}
 	for i, b := range caps {
-		for _, c := range caps[i:] {
+		for j, c := range caps[i:] {
 			adds, dels, ok := c.f.Since(b.f)
 			if _, okE := c.f.EntriesSince(b.f); okE != ok {
 				t.Fatalf("epochs %d→%d: EntriesSince ok=%v, Since ok=%v", b.f.epoch, c.f.epoch, okE, ok)
@@ -70,10 +87,72 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 			if !graph.Equal(got, c.snap) {
 				t.Fatalf("epochs %d→%d: snapshot patched with Since differs from the later snapshot", b.f.epoch, c.f.epoch)
 			}
+			checkChange(t, b, c, slotted[i], slotted[i+j])
 			bridged++
 		}
 	}
 	return bridged, refused
+}
+
+// checkChange holds ChangeSince from capture b's slot graph bg to capture c
+// under c's ordering against a recompute from the two permutations: Broken
+// when the renumbering epochs differ; Grown the slots of the vertices past
+// b's permutation; within a lineage, Moved the sorted basis slots whose
+// vertex changed slot, and Seg nil when there are none, else mapping each
+// occupied basis slot to its vertex's slot, a hole to NoVertex when a basis
+// vertex now sits there and to itself when none does; across a break, Seg
+// maps every occupied basis slot the same way and every hole to NoVertex.
+// The delta must patch bg into cg, c's oracle relabeled by its ordering.
+func checkChange(t *testing.T, b, c frozenCapture, bg, cg *graph.Graph) {
+	t.Helper()
+	bp, cp := b.ord.Perm, c.ord.Perm
+	d, ok := c.f.ChangeSince(SlotGraph{G: bg, At: b.f, Perm: bp, Renum: b.renum}, cp, c.renum)
+	if !ok {
+		t.Fatalf("epochs %d→%d: ChangeSince refused a pair of one generation", b.f.epoch, c.f.epoch)
+	}
+	broken := b.renum != c.renum
+	var moved, seg []graph.VertexID
+	if !broken {
+		for w, s := range bp {
+			if cp[w] != s {
+				moved = append(moved, s)
+			}
+		}
+		slices.Sort(moved)
+	}
+	if broken || len(moved) > 0 {
+		seg = make([]graph.VertexID, bg.NumVertices())
+		for s := range seg {
+			seg[s] = graph.NoVertex
+			if !broken && !slices.Contains(bp, graph.VertexID(s)) && !slices.Contains(cp[:len(bp)], graph.VertexID(s)) {
+				seg[s] = graph.VertexID(s)
+			}
+		}
+		for w, s := range bp {
+			seg[s] = cp[w]
+		}
+	}
+	what := func(field string) {
+		t.Helper()
+		t.Fatalf("epochs %d→%d (renum %d→%d): ChangeSince %s differs from the recompute\n got %+v", b.f.epoch, c.f.epoch, b.renum, c.renum, field, d)
+	}
+	switch {
+	case d.Broken != broken:
+		what("Broken")
+	case !slices.Equal(d.Moved, moved):
+		what("Moved")
+	case (d.Seg == nil) != (seg == nil) || !slices.Equal(d.Seg, seg):
+		what("Seg")
+	case !slices.Equal(d.Grown, cp[len(bp):]):
+		what("Grown")
+	}
+	got, _, err := bg.PatchEdgesPermN(cg.NumVertices(), d.Adds, d.Dels, d.Seg)
+	if err != nil {
+		t.Fatalf("epochs %d→%d: patching with ChangeSince: %v", b.f.epoch, c.f.epoch, err)
+	}
+	if !graph.Equal(got, cg) {
+		t.Fatalf("epochs %d→%d: slot graph patched with ChangeSince differs from the later oracle relabeled", b.f.epoch, c.f.epoch)
+	}
 }
 
 // TestFrozenStaysPinned freezes a weighted multigraph at several epochs and
@@ -182,7 +261,7 @@ func TestFrozenStaysPinned(t *testing.T) {
 				t.Fatalf("batch %d: snapshot differs from FromEdges over the live multiset", batch)
 			}
 			checkDerived(t, d, want)
-			caps = append(caps, frozenCapture{d.Freeze(), want})
+			caps = append(caps, capture(d, want))
 		}
 		checkAll("after batch")
 	}

@@ -1,6 +1,10 @@
 package dynamic
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // SlotGraph is a capture's live multiset in the slot space of one
 // ordering: G is capture At relabeled by Perm (original ID → slot), an
@@ -17,25 +21,7 @@ type SlotGraph struct {
 	Owner any
 }
 
-// Change is the edit from a basis slot graph to a later capture of its
-// generation under another ordering.
-type Change struct {
-	// Adds and Dels are the net edge change (Frozen.Since), relabeled into
-	// the target's slots.
-	Adds, Dels []graph.Edge
-	// Moved holds, sorted, the basis vertices whose slot differs within one
-	// numbering lineage: swap repairs move vertices within a closed set of
-	// positions and leave the segment boundaries alone. Nil when Broken.
-	Moved []graph.VertexID
-	// Seg maps each basis slot to its target slot, NoVertex at a basis hole
-	// left without an image; nil when nothing moved.
-	Seg []graph.VertexID
-	// Broken reports a lineage break (full rebuild or relabeling spill):
-	// the renumbering epochs differ, and Seg is the full map.
-	Broken bool
-}
-
-// ChangeSince returns the change from slot graph b to capture f under the
+// ChangeSince returns the delta from slot graph b to capture f under the
 // ordering perm of renumbering epoch renum; ok is false when b's capture
 // is of another generation or was taken after f.
 //
@@ -46,42 +32,47 @@ type Change struct {
 // empty row: when a swap pairs a vertex admitted into it with a basis
 // vertex, the basis vertex takes the hole's slot and the hole has no image
 // left. Across a break every basis vertex maps through both orderings and
-// every hole to NoVertex.
-func (f Frozen) ChangeSince(b SlotGraph, perm []graph.VertexID, renum int64) (c Change, ok bool) {
+// every hole to NoVertex. Internal IDs are append-only, so the admitted
+// vertices are those past b's permutation.
+func (f Frozen) ChangeSince(b SlotGraph, perm []graph.VertexID, renum int64) (d graph.Delta, ok bool) {
 	adds, dels, ok := f.Since(b.At)
 	if !ok {
-		return c, false
+		return d, false
 	}
-	c.Adds, c.Dels, c.Broken = relabel(adds, perm), relabel(dels, perm), renum != b.Renum
-	if !c.Broken {
-		if c.Moved = movedBetween(b.Perm, perm); len(c.Moved) == 0 {
-			return c, true
+	d.Adds, d.Dels, d.Broken = relabel(adds, perm), relabel(dels, perm), renum != b.Renum
+	d.Grown = slices.Clip(perm[len(b.Perm):])
+	var movers []graph.VertexID
+	if !d.Broken {
+		if movers = movedBetween(b.Perm, perm); len(movers) == 0 {
+			return d, true
 		}
 	}
-	c.Seg = make([]graph.VertexID, b.G.NumVertices())
-	if c.Broken {
-		for s := range c.Seg {
-			c.Seg[s] = graph.NoVertex
+	d.Seg = make([]graph.VertexID, b.G.NumVertices())
+	if d.Broken {
+		for s := range d.Seg {
+			d.Seg[s] = graph.NoVertex
 		}
 		for w, s := range b.Perm {
-			c.Seg[s] = perm[w]
+			d.Seg[s] = perm[w]
 		}
-		return c, true
+		return d, true
 	}
-	for s := range c.Seg {
-		c.Seg[s] = graph.VertexID(s)
+	for s := range d.Seg {
+		d.Seg[s] = graph.VertexID(s)
 	}
-	for _, w := range c.Moved {
-		c.Seg[b.Perm[w]] = perm[w]
+	d.Moved = make([]graph.VertexID, len(movers))
+	for i, w := range movers {
+		d.Seg[b.Perm[w]], d.Moved[i] = perm[w], b.Perm[w]
 	}
+	slices.Sort(d.Moved)
 	// A basis vertex at a mover's new slot moved too, so a slot there still
 	// mapping to itself held no basis vertex: it was a hole.
-	for _, w := range c.Moved {
-		if t := perm[w]; c.Seg[t] == t {
-			c.Seg[t] = graph.NoVertex
+	for _, w := range movers {
+		if t := perm[w]; d.Seg[t] == t {
+			d.Seg[t] = graph.NoVertex
 		}
 	}
-	return c, true
+	return d, true
 }
 
 // relabel maps a delta edge list's endpoints through a permutation, in

@@ -102,29 +102,31 @@ type PatchStats struct {
 	EdgesRemapped             int64
 }
 
-// Patch builds a GraphGrind engine over g, a graph derived from gg's,
-// reusing gg's materialized per-partition COOs and metadata for every
+// Patch builds a GraphGrind engine over g, a graph derived from gg's by the
+// slot-space delta d within one numbering lineage, reusing gg's materialized per-partition COOs and metadata for every
 // partition whose in-edges g left alone. g has gg's vertex count,
-// weightedness and partition boundaries: either the vertex placement did not change
-// (perm == nil), or it changed by a segment-local permutation perm (old ID →
-// new ID, injective, identity outside the moved vertices) that kept every
-// partition's vertex count; an entry graph.NoVertex marks an old hole, an
-// empty row whose slot a moved vertex took. Headroom growth is the perm ==
-// nil case: admitted rows appear inside their partition's fixed slot range.
-// dirty lists, in g's IDs, every vertex whose in-edges or occupant changed:
-// the destinations of added and deleted edges and the positions of moved and
-// admitted vertices.
+// weightedness and partition boundaries: either the vertex placement did
+// not change (d.Seg == nil), or it changed by a segment-local permutation
+// d.Seg (old ID → new ID, injective, identity outside d.Moved) that kept
+// every partition's vertex count; an entry graph.NoVertex marks an old
+// hole, an empty row whose slot a moved vertex took. Headroom growth keeps
+// the placement: admitted rows (d.Grown) appear inside their partition's
+// fixed slot range.
 //
-// A partition owning a dirty vertex counts as rebuilt. A clean partition
-// whose COO names a moved source counts as remapped: its edge content is
-// unchanged, and only its entries naming a moved source count as
-// EdgesRemapped, the modeled cost of rewriting them through perm. Those
-// entries are found from gg's graph, whose out-rows of the moved sources
-// name every such entry's partition. Every other partition shares gg's COO.
-// Rebuilt and remapped partitions are merged from gg's COOs (see merge), so
-// the patched engine is byte-identical to New over g. Only CSR-order
-// engines patch; a Hilbert-order gg is an error.
-func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*GraphGrind, PatchStats, error) {
+// The dirty vertices, in g's IDs, are those whose in-edges or occupant
+// changed: the destinations of d's added and deleted edges, the moved
+// vertices' new slots and the admitted slots. A partition owning a dirty
+// vertex counts as rebuilt. A clean partition whose COO names a moved
+// source counts as remapped: its edge content is unchanged, and only its
+// entries naming a moved source count as EdgesRemapped, the modeled cost of
+// rewriting them through d.Seg. Those entries are found from gg's graph,
+// whose out-rows of the moved sources name every such entry's partition.
+// Every other partition shares gg's COO. Rebuilt and remapped partitions
+// are merged from gg's COOs (see merge), so the patched engine is
+// byte-identical to New over g. Only CSR-order engines patch; a
+// Hilbert-order gg is an error, and so is a d.Seg that is not such a
+// permutation or that moves a vertex d.Moved does not list.
+func (gg *GraphGrind) Patch(g *graph.Graph, d graph.Delta) (*GraphGrind, PatchStats, error) {
 	var st PatchStats
 	if gg.cfg.Order != layout.CSROrder {
 		return nil, st, fmt.Errorf("graphgrind: patch needs a CSR-order engine, not %v", gg.cfg.Order)
@@ -136,24 +138,42 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 	if g.Weighted() != gg.G.Weighted() {
 		return nil, st, fmt.Errorf("graphgrind: patch changes weightedness to %v", g.Weighted())
 	}
-	if perm != nil {
-		if len(perm) != n {
-			return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(perm), n)
+	unlisted := d.Moved // the movers d.Seg names, in slot order, not yet met
+	if d.Seg != nil {
+		if len(d.Seg) != n {
+			return nil, st, fmt.Errorf("graphgrind: patch permutation has %d entries, want %d", len(d.Seg), n)
 		}
 		taken := make([]bool, n)
-		for s, t := range perm {
-			if t == graph.NoVertex {
+		for s, t := range d.Seg {
+			switch {
+			case t == graph.NoVertex:
 				continue
-			}
-			if int(t) >= n {
+			case int(t) >= n:
 				return nil, st, fmt.Errorf("graphgrind: patch permutation maps %d to %d, out of range n=%d", s, t, n)
-			}
-			if taken[t] {
+			case taken[t]:
 				return nil, st, fmt.Errorf("graphgrind: patch permutation is not injective at %d -> %d", s, t)
+			case t != graph.VertexID(s):
+				if len(unlisted) == 0 || unlisted[0] != graph.VertexID(s) {
+					return nil, st, fmt.Errorf("graphgrind: patch permutation moves %d to %d, not listed as moved", s, t)
+				}
+				unlisted = unlisted[1:]
 			}
 			taken[t] = true
 		}
 	}
+	if len(unlisted) > 0 {
+		return nil, st, fmt.Errorf("graphgrind: patch lists %d as moved, and its permutation keeps it", unlisted[0])
+	}
+	dirty := make([]graph.VertexID, 0, len(d.Adds)+len(d.Dels)+len(d.Moved)+len(d.Grown))
+	for _, es := range [][]graph.Edge{d.Adds, d.Dels} {
+		for _, e := range es {
+			dirty = append(dirty, e.Dst)
+		}
+	}
+	for _, s := range d.Moved {
+		dirty = append(dirty, d.Seg[s])
+	}
+	dirty = append(dirty, d.Grown...)
 	rebuilt := make([]bool, len(gg.parts))
 	for _, v := range dirty {
 		if int(v) >= n {
@@ -162,11 +182,9 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 		rebuilt[gg.partOf[v]] = true
 	}
 	stale := make([]int64, len(gg.parts)) // entries naming a moved source
-	for s, t := range perm {
-		if t != graph.VertexID(s) && t != graph.NoVertex {
-			for _, d := range gg.G.OutNeighbors(graph.VertexID(s)) {
-				stale[gg.partOf[d]]++
-			}
+	for _, s := range d.Moved {
+		for _, v := range gg.G.OutNeighbors(s) {
+			stale[gg.partOf[v]]++
 		}
 	}
 	off := g.InOffsets()
@@ -196,7 +214,7 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm, dirty []graph.VertexID) (*Grap
 			st.EdgesReused += pt.Edges
 		}
 	}
-	if err := out.merge(gg, derive, perm, dirty); err != nil {
+	if err := out.merge(gg, derive, d, dirty); err != nil {
 		return nil, st, err
 	}
 	return out, st, nil
@@ -230,26 +248,22 @@ func (gg *GraphGrind) reach(by [][]graph.VertexID, row []graph.VertexID, s graph
 // one in both rows stands for itself. One layout.MergeCSR pass per partition
 // copies every run between those change points whole; a partition that does
 // not come out with g's edge count is an error.
-func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.VertexID) error {
+func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, d graph.Delta, dirty []graph.VertexID) error {
 	g, off := gg.G, gg.G.InOffsets()
-	moved := func(v graph.VertexID) bool { return perm != nil && perm[v] != v }
+	moved := func(v graph.VertexID) bool { return d.Seg != nil && d.Seg[v] != v }
 	drop := make([]bool, g.NumVertices())
 	for _, v := range dirty {
-		drop[v] = true
+		drop[v] = true // a hole a mover took is that mover's new slot
 	}
 	// The movers (old IDs with a new one) by the partitions their basis
 	// out-rows reach, whose Src runs are cut, and by those their new
 	// out-rows reach, whose entries are re-keyed.
 	cutBy := make([][]graph.VertexID, len(gg.parts))
 	addBy := make([][]graph.VertexID, len(gg.parts))
-	for s, t := range perm {
-		if t != graph.VertexID(s) {
-			drop[s] = true // a mover's new slot is an injective perm's moved one
-			if t != graph.NoVertex {
-				gg.reach(cutBy, basis.G.OutNeighbors(graph.VertexID(s)), graph.VertexID(s))
-				gg.reach(addBy, g.OutNeighbors(t), graph.VertexID(s))
-			}
-		}
+	for _, s := range d.Moved {
+		drop[s] = true // a mover's old slot is an injective perm's moved one
+		gg.reach(cutBy, basis.G.OutNeighbors(s), s)
+		gg.reach(addBy, g.OutNeighbors(d.Seg[s]), s)
 	}
 	var longest int64
 	for _, i := range parts {
@@ -272,7 +286,7 @@ func (gg *GraphGrind) merge(basis *GraphGrind, parts []int, perm, dirty []graph.
 			cuts = append(cuts, bc.SrcCut(s))
 		}
 		for _, s := range addBy[i] {
-			t := perm[s]
+			t := d.Seg[s]
 			row, ws := g.OutNeighbors(t), g.OutWeights(t)
 			j, _ := slices.BinarySearch(row, pt.Lo)
 			for ; j < len(row) && row[j] < pt.Hi; j++ {

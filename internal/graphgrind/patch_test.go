@@ -13,8 +13,11 @@ import (
 
 // checkPatch patches New(g, bounds) to the graph that deletes dels (named in
 // new IDs) from g relabeled through perm (nil = identity; NoVertex drops an
-// empty row) and adds adds, with the dirty vertices the facade derives plus
-// the extra ones, every one listed twice. It checks that every patched COO
+// empty row) and adds adds, by the delta whose slot map is perm and whose
+// admitted slots are the extra vertices, listed twice, and every moved
+// position (a slot a move left empty stands for one an admitted vertex
+// took, as in a swap with a hole, and the duplicates for repeats in the
+// dirty set Patch works out). It checks that every patched COO
 // equals New's over the new graph entry for entry, weights included, and
 // that the stats are exactly the classification of the range predicates
 // Patch once took: a partition is dirty when it holds a delta destination, a
@@ -83,7 +86,14 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, adds, dels []graph
 	for i, c := range gg.coos {
 		basis[i] = layout.COO{Src: slices.Clone(c.Src), Dst: slices.Clone(c.Dst), Weight: slices.Clone(c.Weight), Ordering: c.Ordering}
 	}
-	got, st, err := gg.Patch(g2, perm, append(slices.Clone(dirty), dirty...))
+	grown := append(slices.Clone(extra), extra...)
+	for v := range graph.VertexID(n) {
+		if moved(v) {
+			grown = append(grown, v)
+		}
+	}
+	d := graph.Delta{Adds: adds, Dels: dels, Seg: perm, Moved: movedOf(perm), Grown: grown}
+	got, st, err := gg.Patch(g2, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +101,10 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, adds, dels []graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gg.Patch(g2, make([]graph.VertexID, n+1), dirty); err == nil {
+	if _, _, err := gg.Patch(g2, graph.Delta{Seg: make([]graph.VertexID, n+1)}); err == nil {
 		t.Fatal("a permutation of the wrong length was accepted")
 	}
-	if _, _, err := gg.Patch(g2, perm, append(slices.Clone(dirty), graph.VertexID(n))); err == nil {
+	if _, _, err := gg.Patch(g2, graph.Delta{Adds: adds, Dels: dels, Seg: perm, Moved: d.Moved, Grown: append(slices.Clone(grown), graph.VertexID(n))}); err == nil {
 		t.Fatal("an out-of-range dirty vertex was accepted")
 	}
 
@@ -162,6 +172,18 @@ func checkPatch(t *testing.T, g *graph.Graph, bounds []int64, adds, dels []graph
 			t.Fatalf("basis partition %d changed: Patch wrote into it, or a derived COO aliases it", i)
 		}
 	}
+}
+
+// movedOf returns, in slot order, the slots perm maps to another one, the
+// delta's moved vertices.
+func movedOf(perm []graph.VertexID) []graph.VertexID {
+	var moved []graph.VertexID
+	for s, t := range perm {
+		if t != graph.VertexID(s) && t != graph.NoVertex {
+			moved = append(moved, graph.VertexID(s))
+		}
+	}
+	return moved
 }
 
 // swapPerm returns the permutation exchanging each byte-chosen pair, or nil
@@ -388,8 +410,8 @@ func FuzzGraphGrindPatch(f *testing.F) {
 }
 
 // TestPatchRejectsMalformedPermutation feeds Patch permutations that map a
-// vertex out of range or two vertices to one: each is an error, not a
-// misclassified engine.
+// vertex out of range or two vertices to one, and moved-vertex lists its
+// permutation contradicts: each is an error, not a misclassified engine.
 func TestPatchRejectsMalformedPermutation(t *testing.T) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 200, S: 1.0, MaxDegree: 20, Seed: 3})
 	if err != nil {
@@ -411,8 +433,22 @@ func TestPatchRejectsMalformedPermutation(t *testing.T) {
 			perm[v] = graph.VertexID(v)
 		}
 		bad(perm)
-		if _, _, err := gg.Patch(g, perm, []graph.VertexID{3, 7, 150}); err == nil {
+		if _, _, err := gg.Patch(g, graph.Delta{Seg: perm, Moved: movedOf(perm), Grown: []graph.VertexID{3, 7, 150}}); err == nil {
 			t.Errorf("a permutation %s was accepted", name)
+		}
+	}
+	swapped := make([]graph.VertexID, n)
+	for v := range swapped {
+		swapped[v] = graph.VertexID(v)
+	}
+	swapped[3], swapped[150] = 150, 3
+	for name, d := range map[string]graph.Delta{
+		"with an unlisted mover":   {Seg: swapped, Moved: []graph.VertexID{3}},
+		"with a mover it keeps":    {Seg: swapped, Moved: []graph.VertexID{3, 7, 150}},
+		"missing for listed moves": {Moved: []graph.VertexID{3}},
+	} {
+		if _, _, err := gg.Patch(g, d); err == nil {
+			t.Errorf("a delta %s was accepted", name)
 		}
 	}
 }
@@ -428,7 +464,7 @@ func TestPatchRejectsHilbertOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gg.Patch(g, nil, nil); err == nil {
+	if _, _, err := gg.Patch(g, graph.Delta{}); err == nil {
 		t.Error("a Hilbert-order engine was patched")
 	}
 }

@@ -30,15 +30,14 @@ import (
 // to a cold start when the delta touches more than a gated fraction of the
 // graph, where refinement would cost more than it saves.
 //
-// Soundness rests on two invariants the rest of the module maintains: a
+// Soundness rests on invariants the rest of the module maintains: a
 // numbering lineage fixes the slot space — swaps permute closed position
 // sets and admissions fill headroom — so a slot-order basis capture is the
-// view's seed up to its moved and admitted slots (seedFrom), and
-// View.deltaOver exactly covers the span from the basis b to the view
-// (Frozen.Since nets the log entries between the two captures, so the edge
-// multiset is exact). The delta is shared by every consumer of the view;
-// warm steps read its edges, relabeled into the view's slots once per view,
-// and never rewrite them.
+// view's seed up to its moved and admitted slots (seedFrom); View.deltaOver
+// exactly covers the span from the basis b to the view (Frozen.Since nets
+// the log entries between the two captures); and every stored weight is at
+// least 1 (the dynamic graph rejects negative ones). Every consumer of the
+// view reads its one graph.Delta as is and never rewrites it (frozenwrite).
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -304,7 +303,7 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 // warmStep refines an engine-space seed — the basis capture carried into
 // the view's slots, zero at admitted vertices (seedFrom) — in place by the
 // view's delta. ok=false means the step's own fallback gate tripped.
-type warmStep[T any] func(e Engine, seed []T, vd *viewDelta) (st RefineStats, ok bool)
+type warmStep[T any] func(e Engine, seed []T, vd *graph.Delta) (st RefineStats, ok bool)
 
 // refine drives every Refine* query end to end: cache hit, scratch seed,
 // unchanged delta, gated fallback or refinement. cold computes the
@@ -340,11 +339,11 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 	}
 	vd := v.deltaOver()
 	// touched never exceeds the endpoint count, so a small delta skips its sort.
-	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && vd.touched() > gate {
+	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && touched(vd) > gate {
 		return scratch(RefineScratchFallback)
 	}
 	seed := seedFrom(v, b, cap_.vals.([]T), vd)
-	if vd.empty() {
+	if unchanged(vd) {
 		return store(seed, cap_.eps, RefineStats{Path: RefineRefined, SeedEpoch: cap_.epoch})
 	}
 	st, ok := warm(e, seed, vd)
@@ -362,7 +361,7 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 // the hole it filled; a slot that stays a hole keeps its inert value.
 // Across a placement change every vertex is gathered through both
 // permutations.
-func seedFrom[T int64 | float64](v, b *View, bs []T, vd *viewDelta) []T {
+func seedFrom[T int64 | float64](v, b *View, bs []T, vd *graph.Delta) []T {
 	perm, bperm := v.ord.Perm, b.ord.Perm
 	if vd.Broken || len(bs) != v.slots() {
 		seed := make([]T, v.slots())
@@ -372,10 +371,10 @@ func seedFrom[T int64 | float64](v, b *View, bs []T, vd *viewDelta) []T {
 		return seed
 	}
 	seed := slices.Clone(bs)
-	for _, w := range vd.Moved {
-		seed[perm[w]] = bs[bperm[w]]
+	for _, s := range vd.Moved {
+		seed[vd.Seg[s]] = bs[s]
 	}
-	for _, s := range perm[v.nverts-int(vd.grown) : v.nverts] {
+	for _, s := range vd.Grown {
 		seed[s] = 0
 	}
 	return seed
@@ -401,11 +400,9 @@ type refineSpec struct {
 // and relax to fixpoint. ok=false means the fallback gate tripped and the
 // driver computes cold.
 func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
-	return func(e Engine, seed []int64, vd *viewDelta) (RefineStats, bool) {
+	return func(e Engine, seed []int64, vd *graph.Delta) (RefineStats, bool) {
 		rg := e.Graph()
-		perm := v.ord.Perm
-		grown := perm[v.nverts-int(vd.grown) : v.nverts]
-		for _, u := range grown {
+		for _, u := range vd.Grown {
 			seed[u] = spec.resetVal(u)
 		}
 		budget := int64(refineBudgetMin)
@@ -435,13 +432,13 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 				list = append(list, ed.Src)
 			}
 		}
-		for _, w := range vd.Moved {
-			if u := perm[w]; seed[u] < algorithms.RelaxInf {
+		for _, s := range vd.Moved {
+			if u := vd.Seg[s]; seed[u] < algorithms.RelaxInf {
 				list = append(list, u)
 			}
 		}
 		if spec.grownJoins {
-			list = append(list, grown...)
+			list = append(list, vd.Grown...)
 		}
 		slices.Sort(list)
 		list = slices.Compact(list)
@@ -554,13 +551,9 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	perm := v.ord.Perm
 	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
 		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
-		func(e Engine, seed []float64, vd *viewDelta) (RefineStats, bool) {
-			nOld := v.nverts - int(vd.grown)
-			algorithms.PageRankResume(e, seed, algorithms.RankDelta{
-				Adds: vd.Adds, Dels: vd.Dels,
-				NOld: nOld, NNew: v.nverts, Grown: perm[nOld:v.nverts],
-			}, prScratchIters, eps)
-			return RefineStats{FrontierVertices: vd.touched()}, true
+		func(e Engine, seed []float64, vd *graph.Delta) (RefineStats, bool) {
+			algorithms.PageRankResume(e, seed, *vd, v.nverts, prScratchIters, eps)
+			return RefineStats{FrontierVertices: touched(vd)}, true
 		},
 		func(vals []float64) []float64 { return unpermute(perm, vals) })
 }

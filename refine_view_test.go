@@ -257,7 +257,7 @@ func TestRefineSeedFixUps(t *testing.T) {
 				if len(vd.Moved) > 0 {
 					swaps++
 				}
-				if vd.grown > 0 {
+				if len(vd.Grown) > 0 {
 					admits++
 				}
 				if slices.Contains(vd.Seg, graph.NoVertex) {
@@ -288,7 +288,7 @@ func assertSeedIsRepermute[T int64 | float64](t *testing.T, v, b *View, key refi
 		if got[s] != want[s] {
 			vd := v.deltaOver()
 			t.Fatalf("epoch %d %s: seed at slot %d (vertex %d) = %v, want %v (basis epoch %d, %d moved, %d admitted, placement changed %v)",
-				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.Moved), vd.grown, vd.Broken)
+				v.Epoch(), key.alg, s, w, got[s], want[s], b.Epoch(), len(vd.Moved), len(vd.Grown), vd.Broken)
 		}
 	}
 }
@@ -653,5 +653,55 @@ func TestRefineLeavesViewDeltaIntact(t *testing.T) {
 	}
 	if dp.ViewWork().EnginePatches == 0 {
 		t.Fatal("GraphGrind was never patched; the delta's engine consumer never ran")
+	}
+}
+
+// TestDynamicRejectsNegativeWeights: refinement's deletion cone and
+// RelaxResume assume every stored weight is at least 1, so a weighted graph
+// holding a negative weight, and an insertion carrying one, are errors.
+// The graph is the case that broke that assumption: with 1→2 stored at −8,
+// deleting 0→1 left RefineSSSP's refined distances at [0 10 2 …] where
+// BellmanFord gives [0 13 5 …].
+func TestDynamicRejectsNegativeWeights(t *testing.T) {
+	build := func(w12 int32) *Graph {
+		es := []graph.Edge{{Src: 0, Dst: 1, Weight: 10}, {Src: 1, Dst: 2, Weight: w12}, {Src: 2, Dst: 1, Weight: 8}, {Src: 0, Dst: 2, Weight: 5}}
+		for v := VertexID(3); v < 100; v++ {
+			es = append(es, graph.Edge{Src: v - 1, Dst: v, Weight: 1})
+		}
+		g, err := graph.FromEdges(100, es, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	if d, err := NewDynamic(build(-8), DynamicOptions{Partitions: 4}); err == nil {
+		if _, _, err := d.View().RefineSSSP(Ligra, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ApplyBatch([]EdgeUpdate{{Src: 0, Dst: 1, Weight: 10, Del: true}}); err != nil {
+			t.Fatal(err)
+		}
+		v := d.View()
+		got, st, err := v.RefineSSSP(Ligra, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.BellmanFord(Ligra, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("a graph with a negative weight was accepted; after deleting 0→1, RefineSSSP (%s) gives %v, BellmanFord %v",
+			st.Path, got[:3], want[:3])
+	}
+	d, err := NewDynamic(build(8), DynamicOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.View().NumEdges()
+	if _, err := d.ApplyBatch([]EdgeUpdate{{Src: 1, Dst: 2, Weight: -8}}); err == nil {
+		t.Fatal("an insertion with a negative weight was accepted")
+	}
+	if got := d.View().NumEdges(); got != m {
+		t.Fatalf("the rejected insertion left %d edges, want %d", got, m)
 	}
 }

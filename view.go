@@ -11,6 +11,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -28,7 +29,7 @@ import (
 // built one for, or else the compaction base — through the basis-slot →
 // view-slot map: row-wise when the numbering lineage is intact (identical
 // placement, or a placement-preserving swap repair that only permuted IDs
-// inside the affected partitions' segments, viewDelta.Moved), by a
+// inside the affected partitions' segments, graph.Delta.Moved), by a
 // renumbering across a lineage break. GraphGrind's per-partition COOs are
 // patched from the basis view's engine within a lineage, rebuilt only for
 // partitions whose edge content changed or that touch a moved vertex. Ligra
@@ -56,7 +57,7 @@ type View struct {
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
 
 	deltaOnce sync.Once
-	delta     viewDelta // the changes since the basis, in slot space (deltaOver)
+	delta     graph.Delta // the changes since the basis, in slot space (deltaOver)
 
 	snapOnce sync.Once
 	snap     *Graph

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/graphgrind"
 )
 
@@ -134,22 +133,7 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	start := time.Now()
 	if b := v.basis.Load(); sys == GraphGrind && b != nil && !v.deltaOver().Broken {
 		if be, ok := b.eng[sys].peek().(*graphgrind.GraphGrind); ok {
-			// The dirty slots, unsorted with repeats, are those whose
-			// in-edges or occupant changed: the delta's destinations, the
-			// moved vertices' slots and the admitted vertices' slots, the
-			// internal-ID tail.
-			vd, perm := v.deltaOver(), v.ord.Perm
-			var dirty []VertexID
-			for _, es := range [][]graph.Edge{vd.Adds, vd.Dels} {
-				for _, e := range es {
-					dirty = append(dirty, e.Dst)
-				}
-			}
-			for _, w := range vd.Moved {
-				dirty = append(dirty, perm[w])
-			}
-			dirty = append(dirty, perm[v.nverts-int(vd.grown):v.nverts]...)
-			e, st, err := be.Patch(rg, vd.Seg, dirty)
+			e, st, err := be.Patch(rg, *v.deltaOver())
 			if err != nil {
 				return nil, fmt.Errorf("vebo: deriving the epoch %d GraphGrind engine: %w", v.epoch, err)
 			}

@@ -84,30 +84,18 @@ func (d *Dynamic) publish(received time.Time) {
 		Attr("delta_backlog", backlog).Attr("publish_lag_ns", int64(lag)).End()
 }
 
-// viewDelta is a view's delta over the slot graph it derives from,
-// computed once (deltaOver) and read as is by every derivation: the graph
-// patch, the GraphGrind patch and the refine warm steps. The embedded
-// Change holds the relabeled edge change, the moved vertices, the slot map
-// and whether the numbering lineage broke.
-type viewDelta struct {
-	dynamic.Change
-	// grown is the number of vertices admitted in between. Internal IDs are
-	// append-only, so they are exactly [nverts − grown, nverts).
-	grown int64
-}
-
-// empty reports whether the delta changes no algorithm result: no edge
-// change, no moved vertex, no admission. A placement-only delta is empty —
-// renumbering moves values between slots but changes none of them.
-func (d *viewDelta) empty() bool {
-	return len(d.Adds) == 0 && len(d.Dels) == 0 && len(d.Moved) == 0 && d.grown == 0
+// unchanged reports whether the delta changes no algorithm result: no edge
+// change, no moved vertex, no admission. A placement-only delta is
+// unchanged: renumbering moves values between slots, changing none.
+func unchanged(d *graph.Delta) bool {
+	return len(d.Adds) == 0 && len(d.Dels) == 0 && len(d.Moved) == 0 && len(d.Grown) == 0
 }
 
 // touched returns the number of distinct endpoints the edge delta touches —
 // the input to refinement's scratch-fallback gate (a delta touching a large
 // fraction of the graph refines slower than a cold start). The relabel is
 // injective, so counting slots counts vertices.
-func (d *viewDelta) touched() int {
+func touched(d *graph.Delta) int {
 	ends := make([]VertexID, 0, 2*(len(d.Adds)+len(d.Dels)))
 	for _, es := range [][]graph.Edge{d.Adds, d.Dels} {
 		for _, e := range es {
@@ -135,22 +123,21 @@ func (v *View) basisGraph() dynamic.SlotGraph {
 }
 
 // deltaOver returns the view's delta over the slot graph it derives from
-// (basisGraph), computing it on first use: the dynamic.Change from that
-// graph to the view's capture under its ordering and the admission count.
-// Reordered is every consumer's first step and the basis link only ever
-// goes from one view to nil, never before the view holds its relabeled
-// graph, so every consumer that sees a basis view reads the delta over
-// that view.
-func (v *View) deltaOver() *viewDelta {
+// (basisGraph), computing it on first use (Frozen.ChangeSince to the view's
+// capture under its ordering); every derivation reads it as is: the graph
+// patch, the GraphGrind patch and the refine warm steps. Reordered is every
+// consumer's first step and the basis link only ever goes from one view to
+// nil, never before the view holds its relabeled graph, so every consumer
+// that sees a basis view reads the delta over that view.
+func (v *View) deltaOver() *graph.Delta {
 	v.deltaOnce.Do(func() {
-		b := v.basisGraph()
-		c, ok := v.frozen.ChangeSince(b, v.ord.Perm, v.renumEpoch)
+		d, ok := v.frozen.ChangeSince(v.basisGraph(), v.ord.Perm, v.renumEpoch)
 		if !ok {
 			// Unreachable: publish pairs a view only with a basis of its
 			// own generation.
 			panic("vebo: view basis is of another log generation")
 		}
-		v.delta = viewDelta{Change: c, grown: int64(v.nverts - len(b.Perm))}
+		v.delta = d
 	})
 	return &v.delta
 }

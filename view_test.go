@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 )
 
@@ -914,22 +913,22 @@ func TestViewPatchedAfterRebuildEpoch(t *testing.T) {
 }
 
 func TestViewDeltaEmpty(t *testing.T) {
-	if !(&viewDelta{}).empty() {
+	if !unchanged(&graph.Delta{}) {
 		t.Fatal("zero delta reports non-empty")
 	}
 	// A lineage break alone (pure renumbering) is a no-op for results: it
 	// moves values between slots but changes none of them.
-	if !(&viewDelta{Change: dynamic.Change{Broken: true}}).empty() {
+	if !unchanged(&graph.Delta{Broken: true}) {
 		t.Fatal("placement-only delta reports non-empty")
 	}
 	e := graph.Edge{Src: 1, Dst: 2, Weight: 1}
-	for _, vd := range []viewDelta{
-		{Change: dynamic.Change{Adds: []graph.Edge{e}}},
-		{Change: dynamic.Change{Dels: []graph.Edge{e}}},
-		{Change: dynamic.Change{Moved: []VertexID{5}}},
-		{grown: 1},
+	for _, vd := range []graph.Delta{
+		{Adds: []graph.Edge{e}},
+		{Dels: []graph.Edge{e}},
+		{Moved: []VertexID{5}},
+		{Grown: []VertexID{9}},
 	} {
-		if vd.empty() {
+		if unchanged(&vd) {
 			t.Fatalf("delta %+v reports empty", vd)
 		}
 	}
@@ -940,25 +939,23 @@ func TestViewDeltaTouched(t *testing.T) {
 	// both destinations count, and 2 counts once.
 	a := graph.Edge{Src: 2, Dst: 5, Weight: 1}
 	b := graph.Edge{Src: 2, Dst: 6, Weight: 1}
-	if got := (&viewDelta{Change: dynamic.Change{Adds: []graph.Edge{a}, Dels: []graph.Edge{b}}}).touched(); got != 3 {
+	if got := touched(&graph.Delta{Adds: []graph.Edge{a}, Dels: []graph.Edge{b}}); got != 3 {
 		t.Fatalf("touched = %d, want 3 (vertices 2, 5, 6)", got)
 	}
 	// Unrolled multiplicities and endpoints shared across the lists count
 	// once; moved and admitted vertices do not count at all.
 	e1 := graph.Edge{Src: 1, Dst: 2, Weight: 1}
 	e3 := graph.Edge{Src: 4, Dst: 1, Weight: 7}
-	vd := &viewDelta{
-		Change: dynamic.Change{
-			Adds:  []graph.Edge{e1, e1},
-			Dels:  []graph.Edge{e3, e3, e3},
-			Moved: []VertexID{5, 9},
-		},
-		grown: 3,
+	vd := &graph.Delta{
+		Adds:  []graph.Edge{e1, e1},
+		Dels:  []graph.Edge{e3, e3, e3},
+		Moved: []VertexID{5, 9},
+		Grown: []VertexID{10, 11, 12},
 	}
-	if got := vd.touched(); got != 3 {
+	if got := touched(vd); got != 3 {
 		t.Fatalf("touched = %d, want 3 (vertices 1, 2, 4)", got)
 	}
-	if (&viewDelta{Change: dynamic.Change{Broken: true, Moved: []VertexID{7}}}).touched() != 0 {
+	if touched(&graph.Delta{Broken: true, Moved: []VertexID{7}}) != 0 {
 		t.Fatal("delta without edge changes touches endpoints")
 	}
 }
