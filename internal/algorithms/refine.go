@@ -36,7 +36,7 @@ const RelaxInf = math.MaxInt64 / 4
 // non-negative weights (every stored weight in this module is ≥ 1; see
 // dynamic.Graph's weight normalization).
 func RelaxResume(e engine.Engine, val []int64, weighted bool, f *frontier.Frontier) []int64 {
-	n := e.Graph().NumVertices()
+	n := e.Rows().NumVertices()
 	kernel := relaxKernel(val, weighted)
 	for round := 0; round < n && !f.IsEmpty(); round++ {
 		f = e.EdgeMap(f, kernel)

@@ -320,17 +320,18 @@ func (d *Graph) Snapshot() *graph.Graph { return d.Freeze().Snapshot() }
 // the base, or a later one a reader registered.
 func (d *Graph) Latest() *SlotGraph { return d.latest.Load() }
 
-// Register offers s, a slot graph a reader derived, as the newest of its
-// generation. A capture of a later epoch wins, and a tie keeps the current
-// entry unless that is the base of s's own generation: the view published
-// at the compaction epoch holds the base's graph and may carry engines. A
-// capture of an older generation is never newer than the compaction that
+// Register offers s, a slot graph a reader derived or reads through its
+// derived ancestor, as the newest of its generation. A capture of a later
+// epoch wins, and a tie keeps the current entry unless that is the base of
+// s's own generation (the view published at the compaction epoch holds
+// the base's graph and may carry engines), or holds no graph while s does.
+// A capture of an older generation is never newer than the compaction that
 // ended it, nor of the base's generation, so it never wins. Safe from any
 // goroutine.
 func (d *Graph) Register(s *SlotGraph) {
 	for {
 		cur := d.latest.Load()
-		if s.At.epoch < cur.At.epoch || s.At.epoch == cur.At.epoch && s.At.base != cur {
+		if s.At.epoch < cur.At.epoch || s.At.epoch == cur.At.epoch && s.At.base != cur && (cur.G != nil || s.G == nil) {
 			return
 		}
 		if d.latest.CompareAndSwap(cur, s) {
@@ -340,10 +341,10 @@ func (d *Graph) Register(s *SlotGraph) {
 }
 
 // deriveBase derives the live graph in the current ordering's slot space
-// the way views derive theirs: from the newest slot graph of the
-// generation (Latest).
+// the way views derive theirs: from the newest derived slot graph of the
+// generation (Latest, or the ancestor it reads through).
 func (d *Graph) deriveBase() (*graph.Graph, graph.PatchStats) {
-	b := d.Latest()
+	b := d.Latest().Derived()
 	c, _ := d.Freeze().ChangeSince(*b, d.ordPerm, d.renumEpoch) // b is of the live generation
 	g, st, err := b.G.PatchEdgesPermN(int(d.Ordering().Slots()), c.Adds, c.Dels, c.Seg)
 	if err != nil {

@@ -13,12 +13,27 @@ import (
 // an earlier one of its generation the one way: ChangeSince, then
 // G.PatchEdgesPermN(slots, Adds, Dels, Seg). Owner is the reader-side
 // value that derived G (the facade's view), nil for a base.
+//
+// A reader may register a slot graph it reads without deriving G (nil):
+// Anc then names its derived ancestor, the newest derived slot graph its
+// rows are read through, with the same slot count and renumbering epoch.
+// A derivation from such an entry starts at Anc (Derived).
 type SlotGraph struct {
 	G     *graph.Graph
 	At    Frozen
 	Perm  []graph.VertexID
 	Renum int64
 	Owner any
+	Anc   *SlotGraph
+}
+
+// Derived returns the slot graph a derivation from s starts at: s itself
+// when it holds a graph, else its derived ancestor.
+func (s *SlotGraph) Derived() *SlotGraph {
+	if s.G != nil {
+		return s
+	}
+	return s.Anc
 }
 
 // ChangeSince returns the delta from slot graph b to capture f under the
@@ -47,7 +62,7 @@ func (f Frozen) ChangeSince(b SlotGraph, perm []graph.VertexID, renum int64) (d 
 			return d, true
 		}
 	}
-	d.Seg = make([]graph.VertexID, b.G.NumVertices())
+	d.Seg = make([]graph.VertexID, b.Derived().G.NumVertices())
 	if d.Broken {
 		for s := range d.Seg {
 			d.Seg[s] = graph.NoVertex

@@ -103,6 +103,10 @@ type Engine interface {
 	Name() string
 	// Graph returns the processed graph.
 	Graph() *graph.Graph
+	// Rows returns what the engine's sparse steps read: the processed
+	// graph, or an overlay equal to it that an engine answering before its
+	// graph is derived reads (ligra.Lazy). Reading it never derives.
+	Rows() graph.Rows
 	// EdgeMap applies k to all edges with active sources and returns the
 	// frontier of activated destinations.
 	EdgeMap(f *frontier.Frontier, k EdgeKernel) *frontier.Frontier
@@ -114,7 +118,8 @@ type Engine interface {
 }
 
 // Base is the state every engine holds: its graph and its step log. An
-// engine embeds it for the Engine interface's Graph and Metrics methods.
+// engine embeds it for the Engine interface's Graph, Rows and Metrics
+// methods.
 type Base struct {
 	G       *graph.Graph
 	metrics Metrics
@@ -122,6 +127,9 @@ type Base struct {
 
 // Graph implements Engine.
 func (b *Base) Graph() *graph.Graph { return b.G }
+
+// Rows implements Engine: the graph itself.
+func (b *Base) Rows() graph.Rows { return b.G }
 
 // Metrics implements Engine.
 func (b *Base) Metrics() *Metrics { return &b.metrics }

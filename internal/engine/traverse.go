@@ -119,8 +119,10 @@ func DenseCOO(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, coos []*layout
 // worker ran which chunk.
 // Workers append every activation, repeats included; one sort and compact
 // of their lists dedups the output, so a step allocates per edge scanned
-// (at most m/20: the sparse direction's bound) rather than per vertex.
-func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, workers int, partOf []uint32, parts int) (*frontier.Frontier, []int64, []int64) {
+// (at most m/20: the sparse direction's bound) rather than per vertex. A
+// sparse step reads only its sources' rows, so g is any graph.Rows: a
+// graph, or an overlay of one.
+func SparsePush(g graph.Rows, f *frontier.Frontier, k EdgeKernel, chunkSize, workers int, partOf []uint32, parts int) (*frontier.Frontier, []int64, []int64) {
 	srcs := f.Sparse()
 	nChunks := (len(srcs) + chunkSize - 1) / chunkSize
 	chunkCosts := make([]int64, nChunks)
@@ -132,8 +134,8 @@ func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, w
 		local, bin := outPerWorker[w], bins[w*parts:][:parts]
 		for _, s := range srcs[lo:hi] {
 			cost += CostVertex
-			ws := g.OutWeights(s)
-			for i, d := range g.OutNeighbors(s) {
+			ids, ws := g.OutRow(s)
+			for i, d := range ids {
 				cost += CostEdge
 				if partOf != nil {
 					bin[partOf[d]] += CostEdge
@@ -158,8 +160,9 @@ func SparsePush(g *graph.Graph, f *frontier.Frontier, k EdgeKernel, chunkSize, w
 }
 
 // VertexMapDynamic applies fn to the active vertices with dynamic chunking
-// (Ligra). Returns the output frontier and per-chunk costs.
-func VertexMapDynamic(g *graph.Graph, f *frontier.Frontier, fn func(v graph.VertexID) bool, chunkSize, workers int) (*frontier.Frontier, []int64) {
+// (Ligra). Returns the output frontier and per-chunk costs. Like SparsePush
+// it reads only the active vertices' rows.
+func VertexMapDynamic(g graph.Rows, f *frontier.Frontier, fn func(v graph.VertexID) bool, chunkSize, workers int) (*frontier.Frontier, []int64) {
 	vs := f.Sparse()
 	nChunks := (len(vs) + chunkSize - 1) / chunkSize
 	unitCosts := make([]int64, nChunks)

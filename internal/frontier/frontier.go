@@ -24,8 +24,10 @@ type Frontier struct {
 	outEdges int64            // sum of out-degrees of active vertices
 }
 
-// FromVertex returns a frontier containing only v.
-func FromVertex(g *graph.Graph, v graph.VertexID) *Frontier {
+// FromVertex returns a frontier containing only v. A sparse frontier reads
+// only its vertices' rows, so it takes any graph.Rows: a graph, or an
+// overlay of one.
+func FromVertex(g graph.Rows, v graph.VertexID) *Frontier {
 	return &Frontier{
 		n:        g.NumVertices(),
 		sparse:   []graph.VertexID{v},
@@ -36,7 +38,7 @@ func FromVertex(g *graph.Graph, v graph.VertexID) *Frontier {
 
 // FromVertices builds a sparse frontier from a sorted, duplicate-free vertex
 // list.
-func FromVertices(g *graph.Graph, vs []graph.VertexID) *Frontier {
+func FromVertices(g graph.Rows, vs []graph.VertexID) *Frontier {
 	f := &Frontier{n: g.NumVertices(), sparse: vs, count: int64(len(vs))}
 	for _, v := range vs {
 		f.outEdges += g.OutDegree(v)

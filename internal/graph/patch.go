@@ -84,15 +84,8 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 	if nNew < g.n && perm == nil {
 		return nil, st, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", g.n, nNew)
 	}
-	for _, e := range adds {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return nil, st, fmt.Errorf("graph: patch add (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
-		}
-	}
-	for _, e := range dels {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return nil, st, fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
-		}
+	if err := checkRange(nNew, adds, dels); err != nil {
+		return nil, st, err
 	}
 	var moved []VertexID
 	var taken []uint64 // bit v: new ID v has a preimage
@@ -132,8 +125,7 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 		st.EdgesCopied = 2 * g.NumEdges()
 		return g, st, nil
 	}
-	m := g.NumEdges() + int64(len(adds)) - int64(len(dels))
-	if m < 0 {
+	if m := g.NumEdges() + int64(len(adds)) - int64(len(dels)); m < 0 {
 		return nil, st, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(dels), g.NumEdges(), len(adds))
 	}
 	// The slots whose basis row is not their own: each moved vertex's new
@@ -145,22 +137,13 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 			relocs = append(relocs, reloc{to: a, from: VertexID(g.n)})
 		}
 	}
-	slices.SortFunc(relocs, func(x, y reloc) int { return cmp.Compare(x.to, y.to) })
+	outSide, inSide := sides(nNew, g.weighted, adds, dels, perm, relocs)
+	outSide.g, outSide.basis = g, &g.out
+	inSide.g, inSide.basis = g, &g.in
+	outSide.remap = remapRows(outSide.relocs, moved, perm, g.InNeighbors)
+	inSide.remap = remapRows(inSide.relocs, moved, perm, g.OutNeighbors)
 
 	out := &Graph{n: nNew, weighted: g.weighted}
-	scr := &patchScratch{}
-	outSide := sidePatch{
-		g: g, basis: &g.out, n: nNew, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, g.weighted, true), dels: scr.sortDelta(dels, g.weighted, true),
-		remap: remapRows(relocs, moved, perm, g.InNeighbors), scratch: scr,
-	}
-	inSide := sidePatch{
-		g: g, basis: &g.in, n: nNew, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, g.weighted, false), dels: scr.sortDelta(dels, g.weighted, false),
-		remap: remapRows(relocs, moved, perm, g.OutNeighbors), scratch: scr,
-	}
-	scr.sort = nil // spent: let the collector have it while the rows are written
-
 	var err error
 	var outMax, inMax int64
 	out.out, outMax, err = outSide.build(&st)
@@ -175,6 +158,43 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 		out.ones = OnesFor(g.ones, max(outMax, inMax))
 	}
 	return out, st, nil
+}
+
+// checkRange checks that the adds and deletions of a change to nNew
+// vertices name vertices below nNew.
+func checkRange(nNew int, adds, dels []Edge) error {
+	for _, e := range adds {
+		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
+			return fmt.Errorf("graph: patch add (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
+		}
+	}
+	for _, e := range dels {
+		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
+			return fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
+		}
+	}
+	return nil
+}
+
+// sides returns the two sidePatches of a checked row-path change, less
+// their basis: the delta sorted into each direction's rows, and relocs,
+// the slots whose basis row is not their own, sorted. The rows a moved
+// vertex dirties are left to the caller (remapRows).
+func sides(nNew int, weighted bool, adds, dels []Edge, perm []VertexID, relocs []reloc) (out, in sidePatch) {
+	slices.SortFunc(relocs, func(x, y reloc) int { return cmp.Compare(x.to, y.to) })
+	scr := &patchScratch{}
+	out = sidePatch{
+		n: nNew, weighted: weighted, perm: perm, relocs: relocs,
+		adds: scr.sortDelta(adds, weighted, true), dels: scr.sortDelta(dels, weighted, true),
+		scratch: scr,
+	}
+	in = sidePatch{
+		n: nNew, weighted: weighted, perm: perm, relocs: relocs,
+		adds: scr.sortDelta(adds, weighted, false), dels: scr.sortDelta(dels, weighted, false),
+		scratch: scr,
+	}
+	scr.sort = nil // spent: let the collector have it while the rows are written
+	return out, in
 }
 
 // reloc names the basis row, from (g.n: none), of a new slot to that is
@@ -258,9 +278,14 @@ func scatterRows(nNew int, perm, inv []VertexID, off []int64, from *adj, ones []
 // share their basis row's storage; the rest are written into one chunk of
 // the derivation's own. adds and dels are in post-perm IDs.
 type sidePatch struct {
-	g     *Graph // the basis
-	basis *adj   // the basis's side
-	n     int    // vertex count of the result
+	g        *Graph // the basis
+	basis    *adj   // the basis's side
+	n        int    // vertex count of the result
+	weighted bool
+
+	// src reads the basis rows instead of g and basis when the basis is
+	// an overlay, which only reads rows (basisRow).
+	src basisRows
 
 	perm   []VertexID // nil when no vertex moved
 	relocs []reloc    // the slots whose basis row is not their own, by slot
@@ -362,8 +387,11 @@ func (p *sidePatch) writes(d *dirtyRow) bool {
 }
 
 // basisRow returns basis row u with its weights (ones when unweighted), or
-// nothing when u is g.n.
+// nothing when u is past the basis's rows.
 func (p *sidePatch) basisRow(u VertexID) ([]VertexID, []int32) {
+	if p.src != nil {
+		return p.src.row(u)
+	}
 	if int(u) >= p.g.n {
 		return nil, nil
 	}
@@ -435,7 +463,7 @@ func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
 			continue
 		}
 		end := pos + off[d.v+1] - off[d.v]
-		if err := p.writeRow(st, &d, ids[pos:end], sub(ws, pos, end)); err != nil {
+		if err := p.writeRow(st, &d, ids[pos:end], sub(ws, pos, end), p.scratch); err != nil {
 			return adj{}, 0, err
 		}
 		copied -= end - pos
@@ -538,7 +566,7 @@ func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
 			if p.writes(&d) {
 				flush()
 				lo, hi := off[v], off[v+1]
-				if err := p.writeRow(st, &d, ids[lo:hi], sub(ws, lo, hi)); err != nil {
+				if err := p.writeRow(st, &d, ids[lo:hi], sub(ws, lo, hi), p.scratch); err != nil {
 					return adj{}, err
 				}
 				d, ok = it.next()
@@ -561,9 +589,9 @@ func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
 }
 
 // writeRow writes dirty row d into dst, and its weights into dw unless it
-// is nil: a remap-only row through remapRow, any other through mergeRow.
-func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []int32) error {
-	scr := p.scratch
+// is nil: a remap-only row through remapRow, any other through mergeRow. A
+// remapped row works in scr; no other row touches it.
+func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []int32, scr *patchScratch) error {
 	base, bw := p.basisRow(d.old)
 	if base != nil && len(d.adds) == 0 && len(d.dels) == 0 {
 		// Remap-only row: content unchanged, stale IDs rewritten through
@@ -579,7 +607,7 @@ func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []i
 		// scratch first. An unweighted row keeps its weights, all ones.
 		scr.ids = resize(scr.ids, len(base))
 		var sw []int32
-		if p.basis.ws != nil {
+		if p.weighted {
 			scr.ws = resize(scr.ws, len(base))
 			sw = scr.ws
 		}

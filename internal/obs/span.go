@@ -30,19 +30,21 @@ type SpanContext struct {
 // acted on. Kind buckets spans onto exporter tracks ("ingest", "maintain",
 // "publish", "build", "query"); Name says what happened and Cause why
 // (rebuild causes, growth causes, refine answer paths); Attrs carries the
-// modeled work counts next to the wall-clock Dur. See DESIGN.md §6 for the
-// vocabulary.
+// modeled work counts next to the wall-clock Dur, and Labels the few
+// attributes that name rather than count (what triggered a derivation).
+// See DESIGN.md §6 for the vocabulary.
 type Span struct {
-	ID     SpanID           `json:"id"`
-	Parent SpanID           `json:"parent,omitempty"`
-	Name   string           `json:"name"`
-	Kind   string           `json:"kind"`
-	Cause  string           `json:"cause,omitempty"`
-	Sys    string           `json:"sys,omitempty"`
-	Epoch  int64            `json:"epoch"`
-	Start  time.Time        `json:"start"`
-	Dur    time.Duration    `json:"dur_ns"`
-	Attrs  map[string]int64 `json:"attrs,omitempty"`
+	ID     SpanID            `json:"id"`
+	Parent SpanID            `json:"parent,omitempty"`
+	Name   string            `json:"name"`
+	Kind   string            `json:"kind"`
+	Cause  string            `json:"cause,omitempty"`
+	Sys    string            `json:"sys,omitempty"`
+	Epoch  int64             `json:"epoch"`
+	Start  time.Time         `json:"start"`
+	Dur    time.Duration     `json:"dur_ns"`
+	Attrs  map[string]int64  `json:"attrs,omitempty"`
+	Labels map[string]string `json:"labels,omitempty"`
 }
 
 // DefaultSpanCapacity is the ring size NewSpans(0) selects.
@@ -279,6 +281,9 @@ func (s *Spans) WriteChromeTrace(w io.Writer) error {
 			args["sys"] = sp.Sys
 		}
 		for k, v := range sp.Attrs {
+			args[k] = v
+		}
+		for k, v := range sp.Labels {
 			args[k] = v
 		}
 		events = append(events, chromeEvent{

@@ -241,7 +241,7 @@ func (h *coneHeap) pop() coneItem {
 // weight here is ≥ 1; zero-weight in-edges are simply never counted as
 // supporters, which can only enlarge the cone). Aborts (ok=false) when the
 // cone outgrows limit vertices or the walk exceeds budget edge scans.
-func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, limit int, budget int64) ([]VertexID, bool) {
+func invalidationCone(rg graph.Rows, val []int64, dels []graph.Edge, weighted bool, limit int, budget int64) ([]VertexID, bool) {
 	step := func(w int32) int64 {
 		if weighted {
 			return int64(w)
@@ -266,8 +266,7 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 			continue
 		}
 		done[u] = true
-		ins := rg.InNeighbors(u)
-		ws := rg.InWeights(u)
+		ins, ws := rg.InRow(u)
 		budget -= int64(len(ins))
 		supported := false
 		for i, q := range ins {
@@ -285,8 +284,7 @@ func invalidationCone(rg *Graph, val []int64, dels []graph.Edge, weighted bool, 
 		if len(cone) > limit {
 			return nil, false
 		}
-		outs := rg.OutNeighbors(u)
-		ows := rg.OutWeights(u)
+		outs, ows := rg.OutRow(u)
 		budget -= int64(len(outs))
 		for i, t := range outs {
 			if val[t] < algorithms.RelaxInf && val[t] == val[u]+step(ows[i]) {
@@ -310,12 +308,20 @@ type warmStep[T any] func(e Engine, seed []T, vd *graph.Delta) (st RefineStats, 
 // engine-space result from scratch; warm refines a seed by the delta. A
 // capture serves or seeds the query only if it is converged at least as
 // tightly as eps. answer gathers the query's result out of the slot-order
-// values on every path, so a capture never escapes to a caller.
+// values on every path, so a capture never escapes to a caller. The scratch
+// paths derive the view's graph (cause cold); the refined path runs on
+// refineEngine's engine, which on Ligra reads rows through the view's
+// overlay.
 func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps float64,
 	cold func(e Engine) []T, warm warmStep[T], answer func(vals []T) R) (R, RefineStats, error) {
 	start := time.Now()
+	var e Engine
 	done := func(vals []T, st RefineStats) (R, RefineStats, error) {
-		v.work.observeRefine(v, key.alg, sys, start, st)
+		var ov *graph.Overlay
+		if e != nil {
+			ov, _ = e.Rows().(*graph.Overlay)
+		}
+		v.work.observeRefine(v, key.alg, sys, start, st, ov)
 		return answer(vals), st, nil
 	}
 	store := func(vals []T, valsEps float64, st RefineStats) (R, RefineStats, error) {
@@ -325,22 +331,35 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 	if r := v.ref.get(key); r != nil && r.eps <= eps {
 		return done(r.vals.([]T), RefineStats{Path: RefineCached, SeedEpoch: r.epoch})
 	}
-	e, err := v.Engine(sys)
+	cap_, b := v.basisCapture(key)
+	path := RefineScratchSeed
+	var vd *graph.Delta
+	if cap_ != nil && cap_.eps <= eps {
+		vd, path = v.deltaOver(), RefineRefined
+		// touched never exceeds the endpoint count, so a small delta skips its sort.
+		if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && touched(vd) > gate {
+			path = RefineScratchFallback
+		}
+	}
+	var err error
+	if path == RefineRefined {
+		e, err = v.refineEngine(sys)
+	} else {
+		e, err = v.engineFor(sys, deriveCold)
+	}
 	if err != nil {
 		var none R
 		return none, RefineStats{}, err
 	}
 	scratch := func(path string) (R, RefineStats, error) {
+		if _, err := v.reordered(deriveCold); err != nil {
+			var none R
+			return none, RefineStats{}, err
+		}
 		return store(cold(e), eps, RefineStats{Path: path, SeedEpoch: -1})
 	}
-	cap_, b := v.basisCapture(key)
-	if cap_ == nil || cap_.eps > eps {
-		return scratch(RefineScratchSeed)
-	}
-	vd := v.deltaOver()
-	// touched never exceeds the endpoint count, so a small delta skips its sort.
-	if gate := v.nverts / refineConeDenom; 2*(len(vd.Adds)+len(vd.Dels)) > gate && touched(vd) > gate {
-		return scratch(RefineScratchFallback)
+	if path != RefineRefined {
+		return scratch(path)
 	}
 	seed := seedFrom(v, b, cap_.vals.([]T), vd)
 	if unchanged(vd) {
@@ -401,7 +420,7 @@ type refineSpec struct {
 // driver computes cold.
 func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 	return func(e Engine, seed []int64, vd *graph.Delta) (RefineStats, bool) {
-		rg := e.Graph()
+		rg := e.Rows()
 		for _, u := range vd.Grown {
 			seed[u] = spec.resetVal(u)
 		}
@@ -421,7 +440,8 @@ func (v *View) refineRelax(spec refineSpec) warmStep[int64] {
 			if spec.resetJoins {
 				list = append(list, u)
 			}
-			for _, q := range rg.InNeighbors(u) {
+			ins, _ := rg.InRow(u)
+			for _, q := range ins {
 				if seed[q] < algorithms.RelaxInf {
 					list = append(list, q)
 				}
@@ -552,6 +572,10 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
 		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
 		func(e Engine, seed []float64, vd *graph.Delta) (RefineStats, bool) {
+			// The resume reads the whole graph, so it derives it first.
+			if _, err := v.reordered(deriveQuery); err != nil {
+				return RefineStats{}, false
+			}
 			algorithms.PageRankResume(e, seed, *vd, v.nverts, prScratchIters, eps)
 			return RefineStats{FrontierVertices: touched(vd)}, true
 		},

@@ -105,7 +105,10 @@ func TestQuerySpansLinkToPublish(t *testing.T) {
 
 // TestSpanBuildQueryVocabulary checks that every graph/engine construction
 // cause and every refine answer path of the DESIGN.md §6 vocabulary is filed
-// as a span, and that publish spans carry their lineage attributes. The
+// as a span, that a derivation's span names why it derived (its cause
+// label: a query, a scratch refine path, or a dense step through the
+// overlay) and a refinement through the overlay its overlay_rows, and that
+// publish spans carry their lineage attributes. The
 // scratch relabel (graph/reorder-build) is the DisableViewReuse ablation's,
 // so a second graph without reuse files it. The maintenance causes are
 // pinned in internal/dynamic's span tests.
@@ -141,8 +144,20 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	// refines from the capture.
 	applyStream(t, d, updates[:64], 64)
 	query(d.View())
+	// Batches refined before anything derives: the queries read rows
+	// through the views' overlays, until the larger batch's first dense
+	// step derives.
+	for _, b := range [][2]int{{64, 96}, {96, 296}} {
+		applyStream(t, d, updates[b[0]:b[1]], b[1]-b[0])
+		if _, _, err := d.View().RefineBFS(Ligra, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.View().RefineCC(Ligra); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// A huge batch: refinement falls back to scratch.
-	applyStream(t, d, updates[64:], len(updates))
+	applyStream(t, d, updates[296:], len(updates))
 	if _, _, err := d.View().RefineBFS(Ligra, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +173,12 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, sp := range append(d.Spans().Snapshot(), ds.Spans().Snapshot()...) {
 		seen[sp.Name+"/"+sp.Cause] = true
+		if why, ok := sp.Labels["cause"]; ok {
+			seen[sp.Name+"/"+sp.Cause+"/"+why] = true
+		}
+		if _, ok := sp.Attrs["overlay_rows"]; ok {
+			seen[sp.Name+"/"+sp.Cause+"/overlay_rows"] = true
+		}
 		if sp.Kind == "publish" {
 			if _, ok := sp.Attrs["renum_epoch"]; !ok {
 				t.Fatalf("publish span of epoch %d lacks renum_epoch: %+v", sp.Epoch, sp.Attrs)
@@ -170,6 +191,9 @@ func TestSpanBuildQueryVocabulary(t *testing.T) {
 		"query:bfs/full",
 		"query:refine-bfs/" + RefineScratchSeed, "query:refine-bfs/" + RefineCached,
 		"query:refine-bfs/" + RefineRefined, "query:refine-bfs/" + RefineScratchFallback,
+		"graph/reorder-patch/" + deriveQuery, "graph/reorder-patch/" + deriveCold,
+		"graph/reorder-patch/" + deriveDenseStep, "graph/reorder-build/" + deriveQuery,
+		"query:refine-bfs/" + RefineRefined + "/overlay_rows",
 	} {
 		if !seen[want] {
 			t.Errorf("no %s span filed", want)

@@ -153,13 +153,7 @@ type EngineOptions struct {
 
 // NewEngine constructs the selected framework model over g.
 func NewEngine(sys System, g *Graph, opts EngineOptions) (Engine, error) {
-	top := numa.Default()
-	if opts.Sockets > 0 {
-		top.Sockets = opts.Sockets
-	}
-	if opts.ThreadsPerSocket > 0 {
-		top.ThreadsPerSocket = opts.ThreadsPerSocket
-	}
+	top := opts.topology()
 	switch sys {
 	case Ligra:
 		return ligra.New(g, top), nil
@@ -175,6 +169,18 @@ func NewEngine(sys System, g *Graph, opts EngineOptions) (Engine, error) {
 	default:
 		return nil, fmt.Errorf("vebo: unknown system %v", sys)
 	}
+}
+
+// topology returns the virtual NUMA machine the options describe.
+func (opts EngineOptions) topology() numa.Topology {
+	top := numa.Default()
+	if opts.Sockets > 0 {
+		top.Sockets = opts.Sockets
+	}
+	if opts.ThreadsPerSocket > 0 {
+		top.ThreadsPerSocket = opts.ThreadsPerSocket
+	}
+	return top
 }
 
 // The eight benchmark algorithms of the paper's Table II, re-exported from

@@ -35,8 +35,10 @@ import (
 // partitions whose edge content changed or that touch a moved vertex. Ligra
 // and Polymer engines are built from scratch over the relabeled graph:
 // their scheduling state derives from the vertex count and degree offsets
-// alone. The snapshot in original vertex IDs is built from scratch from the
-// view's own capture. ViewWork reports the resulting
+// alone. A Ligra refinement on a view with no derived graph reads rows
+// through an overlay of its ancestor's graph instead (refineEngine). The
+// snapshot in original vertex IDs is built from scratch from the view's
+// own capture. ViewWork reports the resulting
 // rebuild-versus-patch-versus-relabel work split.
 //
 //vebo:frozen
@@ -57,7 +59,14 @@ type View struct {
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
 
 	deltaOnce sync.Once
-	delta     graph.Delta // the changes since the basis, in slot space (deltaOver)
+	delta     graph.Delta             // the changes since the basis, in slot space (deltaOver)
+	lin       atomic.Pointer[lineage] // what delta is measured from; dropped once the view derives
+
+	ancOnce  sync.Once
+	ancDelta *graph.Delta // the changes since the ancestor (ancestry): &delta, or &ancOwn
+	ancOwn   graph.Delta
+
+	ov atomic.Pointer[graph.Overlay] // what the view's Ligra engine reads until it derives
 
 	snapOnce sync.Once
 	snap     *Graph
@@ -155,8 +164,17 @@ func (v *View) Ordering() *Result { return &Result{inner: v.ord} }
 // the view's VEBO boundaries (coarsened per socket for Polymer). A
 // GraphGrind engine is patched when the basis view already built one and
 // the numbering lineage is intact: clean partitions' COOs are shared, dirty
-// ones rebuilt.
+// ones rebuilt. The view's graph is derived before Engine returns, even
+// when a refinement built the view's Ligra engine over its overlay.
 func (v *View) Engine(sys System) (Engine, error) {
+	return v.engineFor(sys, deriveQuery)
+}
+
+// engineFor is Engine, with why as the cause of a derivation it triggers.
+func (v *View) engineFor(sys System, why string) (Engine, error) {
+	if _, err := v.reordered(why); err != nil {
+		return nil, err
+	}
 	return v.engine(&v.eng, sys, v.buildEngine, v.dropSpentBasis)
 }
 

@@ -93,8 +93,10 @@ func (w *viewWork) observeQuery(v *View, alg string, sys System, start time.Time
 // the per-cause latency histogram sample and a "graph" build span
 // child-linked to v's publish span. A row patch's stats st (nil for a
 // scratch build) add whether it folded, counted by cause in
-// vebo_graph_folds_total, and the edges it wrote.
-func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, reused int64, st *graph.PatchStats) {
+// vebo_graph_folds_total, and the edges it wrote. A relabeled graph's span
+// carries why it was derived (why, one of the derive* causes) as its cause
+// label; a snapshot's passes "".
+func (w *viewWork) emitGraph(v *View, cause, why string, start time.Time, touched, reused int64, st *graph.PatchStats) {
 	w.reg.Histogram("vebo_graph_build_ns", "cause", cause).ObserveSince(start)
 	attrs := map[string]int64{"edges_touched": touched, "edges_reused": reused}
 	if st != nil {
@@ -104,10 +106,14 @@ func (w *viewWork) emitGraph(v *View, cause string, start time.Time, touched, re
 			w.reg.Counter("vebo_graph_folds_total", "cause", st.Fold).Inc()
 		}
 	}
-	w.sp.Record(obs.Span{
+	sp := obs.Span{
 		Parent: v.pubSpan.ID, Name: "graph", Kind: "build", Cause: cause,
 		Epoch: v.epoch, Start: start, Dur: time.Since(start), Attrs: attrs,
-	})
+	}
+	if why != "" {
+		sp.Labels = map[string]string{"cause": why}
+	}
+	w.sp.Record(sp)
 }
 
 // emitEngine records one engine construction decision ("patch" versus
@@ -170,19 +176,24 @@ func (d *Dynamic) ViewWork() ViewWork { return d.work.snapshot() }
 // observeRefine records one Refine* query: per-(alg, path) counters, a
 // per-(alg, sys) latency histogram, a staleness sample, and a "query" span
 // child-linked to the publish span of v's epoch whose cause names the
-// answer path (cached/scratch-seed/refined/scratch-fallback).
-func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Time, st RefineStats) {
+// answer path (cached/scratch-seed/refined/scratch-fallback). A query
+// answered through an overlay (ov, nil otherwise) adds the overlay's dirty
+// row count as overlay_rows.
+func (w *viewWork) observeRefine(v *View, alg string, sys System, start time.Time, st RefineStats, ov *graph.Overlay) {
 	since := time.Since(start)
 	w.reg.Counter("vebo_refine_total", "alg", alg, "path", st.Path).Inc()
 	w.reg.Histogram("vebo_refine_ns", "alg", alg, "sys", sys.String()).Observe(int64(since))
 	w.refineReset.Add(int64(st.ResetVertices))
 	w.refineFrontier.Add(int64(st.FrontierVertices))
 	w.epochAge.Observe(int64(time.Since(v.published)))
+	attrs := map[string]int64{"reset": int64(st.ResetVertices),
+		"frontier": int64(st.FrontierVertices), "seed_epoch": st.SeedEpoch}
+	if ov != nil {
+		attrs["overlay_rows"] = int64(ov.DirtyRows())
+	}
 	w.sp.Record(obs.Span{
 		Parent: v.pubSpan.ID, Name: "query:refine-" + alg, Kind: "query", Cause: st.Path,
-		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since,
-		Attrs: map[string]int64{"reset": int64(st.ResetVertices),
-			"frontier": int64(st.FrontierVertices), "seed_epoch": st.SeedEpoch},
+		Sys: sys.String(), Epoch: v.epoch, Start: start, Dur: since, Attrs: attrs,
 	})
 }
 

@@ -106,14 +106,21 @@ func touched(d *graph.Delta) int {
 	return len(slices.Compact(ends))
 }
 
-// slotGraph returns the view's relabeled graph as a slot graph it owns; the
-// view has built it.
+// slotGraph returns the view's slot graph as the view registers it: its
+// relabeled graph once derived, else the derived ancestor its overlay
+// reads through, which it names instead. The lineage is read first: it is
+// dropped only after the graph is stored.
 func (v *View) slotGraph() dynamic.SlotGraph {
-	return dynamic.SlotGraph{G: v.rgp.Load(), At: v.frozen, Perm: v.ord.Perm, Renum: v.renumEpoch, Owner: v}
+	lin := v.lin.Load()
+	sg := dynamic.SlotGraph{G: v.rgp.Load(), At: v.frozen, Perm: v.ord.Perm, Renum: v.renumEpoch, Owner: v}
+	if sg.G == nil && lin != nil {
+		sg.Anc = lin.anc
+	}
+	return sg
 }
 
-// basisGraph returns the slot graph the view derives from: its basis
-// view's relabeled graph, or else its generation's compaction base, the
+// basisGraph returns the slot graph the view's delta is measured from: its
+// basis view's slot graph, or else its generation's compaction base, the
 // basis of last resort.
 func (v *View) basisGraph() dynamic.SlotGraph {
 	if b := v.basis.Load(); b != nil {
@@ -122,22 +129,71 @@ func (v *View) basisGraph() dynamic.SlotGraph {
 	return v.frozen.Base()
 }
 
-// deltaOver returns the view's delta over the slot graph it derives from
-// (basisGraph), computing it on first use (Frozen.ChangeSince to the view's
-// capture under its ordering); every derivation reads it as is: the graph
-// patch, the GraphGrind patch and the refine warm steps. Reordered is every
-// consumer's first step and the basis link only ever goes from one view to
-// nil, never before the view holds its relabeled graph, so every consumer
+// lineage is what a view's delta is measured from, and what the view
+// reads its rows through until it derives its graph: the slot graph
+// deltaOver measured from (without its owner, so a view never holds its
+// basis view), the overlay of a basis without a graph, and the newest
+// derived slot graph either leads back to. The view drops it once it
+// derives, so a derived view holds no older graph.
+type lineage struct {
+	from  dynamic.SlotGraph
+	below *graph.Overlay
+	anc   *dynamic.SlotGraph
+}
+
+// deltaOver returns the view's delta over its basis (basisGraph),
+// computing it on first use (Frozen.ChangeSince to the view's capture
+// under its ordering) with the view's lineage. Every derivation reads the
+// delta as is: the overlay and the graph patch (through ancestry), the
+// GraphGrind patch and the refine seeds and warm steps. The basis link
+// only ever goes from one view to nil, and only once the view has
+// registered a slot graph, after it computed the delta, so every consumer
 // that sees a basis view reads the delta over that view.
 func (v *View) deltaOver() *graph.Delta {
 	v.deltaOnce.Do(func() {
-		d, ok := v.frozen.ChangeSince(v.basisGraph(), v.ord.Perm, v.renumEpoch)
+		from := v.basisGraph()
+		d, ok := v.frozen.ChangeSince(from, v.ord.Perm, v.renumEpoch)
 		if !ok {
 			// Unreachable: publish pairs a view only with a basis of its
 			// own generation.
 			panic("vebo: view basis is of another log generation")
 		}
+		owner := from.Owner
+		from.Owner = nil
+		lin := &lineage{from: from, anc: from.Anc}
+		if from.G != nil {
+			lin.anc = &lin.from
+		} else {
+			// A basis registered without a graph built its overlay first.
+			lin.below = owner.(*View).ov.Load()
+		}
 		v.delta = d
+		v.lin.Store(lin)
 	})
 	return &v.delta
+}
+
+// ancestry returns the newest derived slot graph the view's rows lead back
+// to and the view's delta over it, computing the delta on first use: the
+// basis's graph and deltaOver when the basis holds one (a derived basis
+// view, or the compaction base), else the basis's derived ancestor and the
+// change since it. The view derives its graph from the ancestor, so only
+// a derivation calls it, before the view drops its lineage.
+func (v *View) ancestry() (*dynamic.SlotGraph, *graph.Delta) {
+	vd := v.deltaOver()
+	lin := v.lin.Load()
+	v.ancOnce.Do(func() {
+		if lin.from.G != nil {
+			v.ancDelta = vd
+			return
+		}
+		d, ok := v.frozen.ChangeSince(*lin.anc, v.ord.Perm, v.renumEpoch)
+		if !ok {
+			// Unreachable: an ancestor is of its reader's generation.
+			panic("vebo: view ancestor is of another log generation")
+		}
+		v.ancOwn = d
+		v.ancDelta = &v.ancOwn
+	})
+	return lin.anc, v.ancDelta
 }
