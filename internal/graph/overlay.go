@@ -371,9 +371,11 @@ func (s *overlaySide) clean(v VertexID) bool { return s.dirty[v/64]&(1<<(v%64)) 
 // overlay of the stack makes it dirty.
 func (s *overlaySide) untouched(v VertexID) bool { return s.stack[v/64]&(1<<(v%64)) == 0 }
 
-// deg returns row v's degree.
+// deg returns row v's degree, 0 past the overlay's rows, as graphRows's.
 func (s *overlaySide) deg(v VertexID) int64 {
 	switch {
+	case int(v) >= s.p.n:
+		return 0
 	case s.untouched(v):
 		return s.root.deg(v)
 	case s.clean(v):
@@ -385,10 +387,15 @@ func (s *overlaySide) deg(v VertexID) int64 {
 
 // row returns row v and its weights, ones when unweighted: a clean row
 // (and a relocated one whose entries did not change) as its basis row, a
-// dirty one written on its first read and kept. A deletion that matches no occurrence in the
-// row, which the derivation would report as an error, panics.
+// dirty one written on its first read and kept, and none past the
+// overlay's rows, as graphRows's: a stacked overlay reads its basis's
+// vertex count as the basis row of a slot without one. A deletion that
+// matches no occurrence in the row, which the derivation would report as
+// an error, panics.
 func (s *overlaySide) row(v VertexID) ([]VertexID, []int32) {
 	switch {
+	case int(v) >= s.p.n:
+		return nil, nil
 	case s.untouched(v):
 		return s.root.row(v)
 	case s.clean(v):

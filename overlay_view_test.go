@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // refineAnswer is one Refine* query's answer and how it was reached.
@@ -149,5 +151,81 @@ func TestOverlayMatchesDerivedChain(t *testing.T) {
 	}
 	if got := derived.ViewWork().GraphPatches; got != epochs+1 {
 		t.Errorf("the deriving graph derived %d times over %d views", got, epochs+1)
+	}
+}
+
+// TestOverlayEngineBindsDerivedGraph pins what a view's Ligra engine reads
+// once the view derives: a refinement builds the engine over the view's
+// overlay, and Engine derives the graph and returns that engine reading
+// the derived graph. RefinePageRank, whose resume reads the whole graph,
+// builds no overlay and derives with cause query.
+func TestOverlayEngineBindsDerivedGraph(t *testing.T) {
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.03, 144, 7, StreamOptions{GrowFrac: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts, SpanCapacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := external(updates)
+	next := func(k int) *View {
+		if _, err := d.IngestBatch(ext[k*48 : (k+1)*48]); err != nil {
+			t.Fatal(err)
+		}
+		return d.View()
+	}
+	// The first growth spills into a larger slot space, which derives.
+	for k, v := range []*View{d.View(), next(0)} {
+		if _, _, err := v.RefineBFS(Ligra, 0); err != nil {
+			t.Fatal(k, err)
+		}
+		if _, _, err := v.RefinePageRank(Ligra, 0); err != nil {
+			t.Fatal(k, err)
+		}
+	}
+
+	v := next(1)
+	if _, st, err := v.RefineBFS(Ligra, 0); err != nil || st.Path != RefineRefined {
+		t.Fatalf("RefineBFS: %v, path %q", err, st.Path)
+	}
+	lazy, err := v.refineEngine(Ligra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := lazy.Rows().(*graph.Overlay); !ok {
+		t.Fatalf("a refined view's Ligra engine reads %T, not its overlay", lazy.Rows())
+	}
+	e, err := v.Engine(Ligra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := v.Reordered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e != lazy || e.Rows() != graph.Rows(rg) {
+		t.Errorf("Engine returned %p reading %T, want the overlay engine %p bound to the derived graph", e, e.Rows(), lazy)
+	}
+
+	if _, _, err := v.RefinePageRank(Ligra, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	v = next(2)
+	if _, st, err := v.RefinePageRank(Ligra, 0); err != nil || st.Path != RefineRefined {
+		t.Fatalf("RefinePageRank: %v, path %q", err, st.Path)
+	}
+	if v.ov.Load() != nil {
+		t.Error("RefinePageRank built an overlay")
+	}
+	var last string
+	for _, sp := range d.Spans().Snapshot() {
+		if sp.Name == "graph" && sp.Cause == "reorder-patch" {
+			last = sp.Labels["cause"]
+		}
+	}
+	if last != deriveQuery {
+		t.Errorf("RefinePageRank derived with cause %q, want %q", last, deriveQuery)
 	}
 }

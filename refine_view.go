@@ -309,11 +309,11 @@ type warmStep[T any] func(e Engine, seed []T, vd *graph.Delta) (st RefineStats, 
 // capture serves or seeds the query only if it is converged at least as
 // tightly as eps. answer gathers the query's result out of the slot-order
 // values on every path, so a capture never escapes to a caller. The scratch
-// paths derive the view's graph (cause cold); the refined path runs on
-// refineEngine's engine, which on Ligra reads rows through the view's
-// overlay.
+// paths derive the view's graph (cause cold); the refined path runs on the
+// engine warmEngine returns for what warm reads: refineEngine's, which on
+// Ligra reads rows through the view's overlay, or the derived graph's.
 func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps float64,
-	cold func(e Engine) []T, warm warmStep[T], answer func(vals []T) R) (R, RefineStats, error) {
+	cold func(e Engine) []T, warmEngine func(System) (Engine, error), warm warmStep[T], answer func(vals []T) R) (R, RefineStats, error) {
 	start := time.Now()
 	var e Engine
 	done := func(vals []T, st RefineStats) (R, RefineStats, error) {
@@ -341,18 +341,9 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 			path = RefineScratchFallback
 		}
 	}
-	var err error
-	if path == RefineRefined {
-		e, err = v.refineEngine(sys)
-	} else {
-		e, err = v.engineFor(sys, deriveCold)
-	}
-	if err != nil {
-		var none R
-		return none, RefineStats{}, err
-	}
 	scratch := func(path string) (R, RefineStats, error) {
-		if _, err := v.reordered(deriveCold); err != nil {
+		var err error
+		if e, err = v.engineFor(sys, deriveCold); err != nil {
 			var none R
 			return none, RefineStats{}, err
 		}
@@ -360,6 +351,11 @@ func refine[T int64 | float64, R any](v *View, sys System, key refineKey, eps fl
 	}
 	if path != RefineRefined {
 		return scratch(path)
+	}
+	var err error
+	if e, err = warmEngine(sys); err != nil {
+		var none R
+		return none, RefineStats{}, err
 	}
 	seed := seedFrom(v, b, cap_.vals.([]T), vd)
 	if unchanged(vd) {
@@ -479,7 +475,7 @@ func (v *View) RefineBFS(sys System, root VertexID) ([]int32, RefineStats, error
 	}
 	return refine(v, sys, refineKey{alg: "bfs", root: root}, 0,
 		func(e Engine) []int64 { return algorithms.BFSDepths(e, v.ord.Perm[root]) },
-		v.refineRelax(refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
+		v.refineEngine, v.refineRelax(refineSpec{resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
 		func(vals []int64) []int32 {
 			out := make([]int32, v.nverts)
 			for w, s := range v.ord.Perm {
@@ -509,7 +505,7 @@ func (v *View) RefineCC(sys System) ([]uint32, RefineStats, error) {
 			}
 			return algorithms.CCSeeded(e, init)
 		},
-		v.refineRelax(refineSpec{
+		v.refineEngine, v.refineRelax(refineSpec{
 			resetVal:   func(u VertexID) int64 { return algorithms.PackCC(uint32(inv[u]), 0) },
 			resetJoins: true,
 			grownJoins: true,
@@ -540,7 +536,7 @@ func (v *View) RefineSSSP(sys System, root VertexID) ([]int64, RefineStats, erro
 			dist[v.ord.Perm[root]] = 0
 			return algorithms.RelaxResume(e, dist, true, frontier.FromVertex(e.Graph(), v.ord.Perm[root]))
 		},
-		v.refineRelax(refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
+		v.refineEngine, v.refineRelax(refineSpec{weighted: true, resetVal: func(VertexID) int64 { return algorithms.RelaxInf }}),
 		func(vals []int64) []int64 {
 			out := make([]int64, v.nverts)
 			for w, s := range v.ord.Perm {
@@ -571,11 +567,9 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 	perm := v.ord.Perm
 	return refine(v, sys, refineKey{alg: "pagerank"}, eps,
 		func(e Engine) []float64 { return algorithms.PageRankDeltaN(e, prScratchIters, eps, v.nverts) },
+		// The resume reads the whole graph, so it runs on the derived one.
+		func(sys System) (Engine, error) { return v.engineFor(sys, deriveQuery) },
 		func(e Engine, seed []float64, vd *graph.Delta) (RefineStats, bool) {
-			// The resume reads the whole graph, so it derives it first.
-			if _, err := v.reordered(deriveQuery); err != nil {
-				return RefineStats{}, false
-			}
 			algorithms.PageRankResume(e, seed, *vd, v.nverts, prScratchIters, eps)
 			return RefineStats{FrontierVertices: touched(vd)}, true
 		},

@@ -171,11 +171,18 @@ func (v *View) Engine(sys System) (Engine, error) {
 }
 
 // engineFor is Engine, with why as the cause of a derivation it triggers.
+// A Ligra engine a refinement built over the view's overlay is bound to the
+// derived graph here, so its sparse steps read the graph from then on.
 func (v *View) engineFor(sys System, why string) (Engine, error) {
 	if _, err := v.reordered(why); err != nil {
 		return nil, err
 	}
-	return v.engine(&v.eng, sys, v.buildEngine, v.dropSpentBasis)
+	e, err := v.engine(&v.eng, sys, v.buildEngine, v.dropSpentBasis)
+	if err != nil {
+		return nil, err
+	}
+	e.Graph()
+	return e, nil
 }
 
 // TransposeEngine returns (building once, lazily) the cached engine over the
