@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
+	"sync/atomic"
 )
 
 // Rows is the row-read interface of a graph: the vertex and edge counts,
@@ -39,12 +39,14 @@ func (g *Graph) InRow(v VertexID) ([]VertexID, []int32) {
 // d.Dels, d.Seg), and Extend for the derivation that patches the graph an
 // overlay stands for by a further delta. A row no change touches is read
 // from the basis in place, and a dirty row (one with adds or deletions, a
-// relocated one, or one that mentions a moved vertex) is written on each
-// read by the derivation's own row code (remapRow, mergeRow), so it comes
+// relocated one, or one that mentions a moved vertex) is written on its
+// first read by the derivation's own row code (remapRow, mergeRow), so it comes
 // out equal to the derived row, sorted by (neighbor, weight). Building an
 // overlay costs its delta's sort, the rows of its moved vertices and a few
-// bitmaps, and no O(n) degree prefix or extent copy; a read costs the row
-// it reads, at each overlay of a stack whose delta touches it. Like a
+// bitmaps, and no O(n) degree prefix or extent copy. A read tests one bit
+// for a row no overlay of the stack touches, and otherwise walks the
+// stack's dirty bitmaps to the overlay that last made the row dirty, which
+// works out its degree and writes its row once and keeps them. Like a
 // Graph, an Overlay is immutable and safe for concurrent readers.
 //
 //vebo:frozen
@@ -90,7 +92,10 @@ func (s graphRows) deg(v VertexID) int64 {
 // reading its basis through p.src, the bitmaps of its dirty rows and of
 // those that relocated or mention a moved vertex, where the runs of the
 // rows with adds or deletions start and their degrees, and what a read of
-// a row no overlay of the stack touches goes to.
+// a row no overlay of the stack touches goes to. A dirty row's degree and
+// row are kept in memo at the row's rank among the dirty rows (prefix), so
+// an overlay works each out once however often it and the overlays stacked
+// on it read the row.
 type overlaySide struct {
 	p            sidePatch
 	nb           int        // the basis's vertex count
@@ -100,36 +105,24 @@ type overlaySide struct {
 	rows         []VertexID // the rows with adds or deletions, sorted
 	runs         []runAt    // parallel to rows
 	count        int        // dirty rows
-	written      *rowCache
+	prefix       []int32    // the dirty rows before each word of dirty
+	memo         []rowMemo  // per dirty row, by rank
+	below        *overlaySide
 	root         graphRows // the graph at the bottom of the stack
 	stack        []uint64  // bit v: row v is dirty in this overlay or one below
 }
 
-// rowCache holds the rows an overlay side has written, so a row is merged
-// once per overlay however often it and the overlays stacked on it read
-// it.
-type rowCache struct {
-	mu sync.Mutex
-	//vebo:guardedby mu
-	m map[VertexID]cachedRow
+// rowMemo keeps what reads of one dirty row worked out: its degree plus
+// one (0: not yet) and its row. Concurrent first reads may both work a
+// row out; they store equal values.
+type rowMemo struct {
+	deg atomic.Int64
+	row atomic.Pointer[cachedRow]
 }
 
 type cachedRow struct {
 	ids []VertexID
 	ws  []int32
-}
-
-func (c *rowCache) get(v VertexID) (cachedRow, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[v]
-	return r, ok
-}
-
-func (c *rowCache) put(v VertexID, r cachedRow) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[v] = r
 }
 
 // runAt locates a row's runs in its side's rowDeltas, the index of the
@@ -276,7 +269,8 @@ func relocsOf(nb, nNew int, d Delta, edges func(VertexID) int64) ([]reloc, error
 func index(p sidePatch, nb int, moved []VertexID, b basisSide, other basisRows) (overlaySide, int64, error) {
 	words := (p.n + 63) / 64
 	p.src = b.rows
-	s := overlaySide{p: p, nb: nb, dirty: make([]uint64, words), written: &rowCache{m: make(map[VertexID]cachedRow)}, root: b.root}
+	s := overlaySide{p: p, nb: nb, dirty: make([]uint64, words), root: b.root}
+	s.below, _ = b.rows.(*overlaySide)
 	mark := func(bits []uint64, v VertexID) { bits[v/64] |= 1 << (v % 64) }
 	if len(p.relocs) > 0 {
 		s.moved, s.remap = make([]uint64, words), make([]uint64, words)
@@ -328,9 +322,12 @@ func index(p sidePatch, nb int, moved []VertexID, b basisSide, other basisRows) 
 			s.stack[i] |= w
 		}
 	}
-	for _, w := range s.dirty {
+	s.prefix = make([]int32, words)
+	for i, w := range s.dirty {
+		s.prefix[i] = int32(s.count)
 		s.count += bits.OnesCount64(w)
 	}
+	s.memo = make([]rowMemo, s.count)
 	return s, maxRow, nil
 }
 
@@ -364,46 +361,68 @@ func (s *overlaySide) find(v VertexID) (d dirtyRow, deg int64) {
 	return d, p.src.deg(d.old)
 }
 
-// clean reports whether row v is its basis row at its own index.
-func (s *overlaySide) clean(v VertexID) bool { return s.dirty[v/64]&(1<<(v%64)) == 0 }
+// owner returns the overlay side whose delta last made row v dirty, s or
+// one below it, or nil when none did: the row is then the stack's graph's,
+// or none past the overlay's rows (a stacked overlay reads its basis's
+// vertex count as the basis row of a slot without one). A row clean in an
+// overlay is its basis row at its own index, so the walk goes down the
+// stack's dirty bitmaps without reading any row.
+func (s *overlaySide) owner(v VertexID) *overlaySide {
+	w, bit := v/64, uint64(1)<<(v%64)
+	if int(v) >= s.p.n || s.stack[w]&bit == 0 {
+		return nil
+	}
+	for l := s; l != nil && int(v) < l.p.n; l = l.below {
+		if l.dirty[w]&bit != 0 {
+			return l
+		}
+	}
+	return nil
+}
 
-// untouched reports whether row v is the stack's graph's row v: no
-// overlay of the stack makes it dirty.
-func (s *overlaySide) untouched(v VertexID) bool { return s.stack[v/64]&(1<<(v%64)) == 0 }
+// memoOf returns the memo of dirty row v.
+func (s *overlaySide) memoOf(v VertexID) *rowMemo {
+	w := v / 64
+	return &s.memo[int(s.prefix[w])+bits.OnesCount64(s.dirty[w]&(1<<(v%64)-1))]
+}
 
 // deg returns row v's degree, 0 past the overlay's rows, as graphRows's.
 func (s *overlaySide) deg(v VertexID) int64 {
-	switch {
-	case int(v) >= s.p.n:
-		return 0
-	case s.untouched(v):
+	l := s.owner(v)
+	if l == nil {
 		return s.root.deg(v)
-	case s.clean(v):
-		return s.p.src.deg(v)
 	}
-	_, deg := s.find(v)
+	m := l.memoOf(v)
+	if d := m.deg.Load(); d > 0 {
+		return d - 1
+	}
+	_, deg := l.find(v)
+	m.deg.Store(deg + 1)
 	return deg
 }
 
-// row returns row v and its weights, ones when unweighted: a clean row
-// (and a relocated one whose entries did not change) as its basis row, a
-// dirty one written on its first read and kept, and none past the
-// overlay's rows, as graphRows's: a stacked overlay reads its basis's
-// vertex count as the basis row of a slot without one. A deletion that
-// matches no occurrence in the row, which the derivation would report as
-// an error, panics.
+// row returns row v and its weights, ones when unweighted: a row no
+// overlay makes dirty as the graph's, and a dirty one as the overlay that
+// last made it dirty writes it on its first read and keeps it (a relocated
+// row whose entries did not change is its basis row).
 func (s *overlaySide) row(v VertexID) ([]VertexID, []int32) {
-	switch {
-	case int(v) >= s.p.n:
-		return nil, nil
-	case s.untouched(v):
+	l := s.owner(v)
+	if l == nil {
 		return s.root.row(v)
-	case s.clean(v):
-		return s.p.src.row(v)
 	}
-	if r, ok := s.written.get(v); ok {
+	m := l.memoOf(v)
+	if r := m.row.Load(); r != nil {
 		return r.ids, r.ws
 	}
+	ids, ws := l.write(v)
+	m.row.Store(&cachedRow{ids, ws})
+	return ids, ws
+}
+
+// write returns dirty row v as the derivation writes it. A deletion that
+// matches no occurrence in the row, which the derivation would report as
+// an error, panics.
+func (s *overlaySide) write(v VertexID) ([]VertexID, []int32) {
 	p := &s.p
 	d, deg := s.find(v)
 	if !p.writes(&d) {
@@ -424,7 +443,6 @@ func (s *overlaySide) row(v VertexID) ([]VertexID, []int32) {
 	if err := p.writeRow(&PatchStats{}, &d, ids, dw, scr); err != nil {
 		panic(fmt.Sprintf("graph: overlay row %d: %v", v, err))
 	}
-	s.written.put(v, cachedRow{ids, ws})
 	return ids, ws
 }
 
