@@ -40,14 +40,15 @@ func (g *Graph) InRow(v VertexID) ([]VertexID, []int32) {
 // overlay stands for by a further delta. A row no change touches is read
 // from the basis in place, and a dirty row (one with adds or deletions, a
 // relocated one, or one that mentions a moved vertex) is written on its
-// first read by the derivation's own row code (remapRow, mergeRow), so it comes
-// out equal to the derived row, sorted by (neighbor, weight). Building an
-// overlay costs its delta's sort, the rows of its moved vertices and a few
-// bitmaps, and no O(n) degree prefix or extent copy. A read tests one bit
-// for a row no overlay of the stack touches, and otherwise walks the
-// stack's dirty bitmaps to the overlay that last made the row dirty, which
-// works out its degree and writes its row once and keeps them. Like a
-// Graph, an Overlay is immutable and safe for concurrent readers.
+// first read by the derivation's own row code (remapRow, mergeRow), so it
+// comes out equal to the derived row, sorted by (neighbor, weight).
+// Building an overlay costs its delta's sort, the rows of its moved
+// vertices and a few bitmaps, and no O(n) degree prefix or extent copy. A
+// read tests one bit for a row no overlay of the stack touches, and
+// otherwise walks the stack's dirty bitmaps to the overlay that last made
+// the row dirty, which works out its degree and writes its row once and
+// keeps them. Like a Graph, an Overlay is immutable and safe for
+// concurrent readers.
 //
 //vebo:frozen
 type Overlay struct {
