@@ -207,15 +207,22 @@ type Graph struct {
 	delLog     []graph.Edge
 	latest     atomic.Pointer[SlotGraph]
 	// The indexes below resolve deletions and never leave the writer.
-	// addAlive[k] holds the weights of the surviving pending insertions of
-	// pair k in insertion order (top = most recent). Its length is the
-	// surviving pending multiplicity of the pair.
-	addAlive map[edgeKey][]int32
-	// delBase[{k,w}] counts pending deletions cancelling base occurrences of
-	// (k, weight w), earliest-in-CSR-order first; cancels is their total,
-	// the deletion half of PendingOps.
-	delBase map[wkey]int64
-	cancels int64
+	// Each pair's surviving pending insertions form a stack threaded
+	// through one slab parallel to pendingAdd: addAlive[k] is the log index
+	// of pair k's most recent survivor (no key: none survives), and
+	// addPrev[i] the index of the survivor below insertion i (-1 at the
+	// bottom). A killed insertion is unlinked; its slab entry stays until
+	// Compact.
+	addAlive map[edgeKey]int32
+	addPrev  []int32
+	// cancelled has one bit per base out-edge position (the base's
+	// OutOffsets numbering), set when a pending deletion cancelled that
+	// occurrence; nil until the first. Each weight's cancellations are a
+	// prefix of its sub-run of the pair's parallel-edge run (earliest in
+	// CSR order first). cancels is their total, the deletion half of
+	// PendingOps.
+	cancelled []uint64
+	cancels   int64
 
 	// Live per-vertex in-degrees and the current placement. assign is
 	// copy-on-write — swap repairs write a per-pass clone, rebuilds replace
@@ -256,13 +263,21 @@ type Graph struct {
 	adaptGran int64
 	adaptNext int64
 
-	// members holds the per-partition member lists the swap repair picks
-	// exchange pairs from, maintained incrementally across repair passes
-	// (swaps move entries between lists in place); nil when stale — any
-	// placement change outside the swap path invalidates it. Avoids an
-	// O(n) re-bucketing per pass in the serving regime, where repairs fire
-	// almost every batch.
-	members [][]graph.VertexID
+	// members[q] lists partition q's members as packed degree<<32|ID keys
+	// (in-degrees fit in 32 bits) in ascending order, the (degree, ID)
+	// order the swap repair's pair search reads, kept across passes: a
+	// swap moves its two keys between the lists by one shifted insertion
+	// each. A member whose degree changed since its key was written, or
+	// that Grow admitted, is stale instead: its staleBits bit is set and it
+	// waits in stale[q] until fixList re-places it, when a pass next reads
+	// q's list. All three are nil when stale as a whole — any placement
+	// change outside the swap path (a rebuild) invalidates them — and
+	// ensureMembers rebuilds them with every vertex stale. keyBuf is
+	// fixList's scratch.
+	members   [][]uint64
+	stale     [][]graph.VertexID
+	staleBits []uint64
+	keyBuf    []uint64
 
 	// m holds the metric handles; their counters are the work counts Stats
 	// reports.
@@ -302,8 +317,6 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		// The input graph is the first base, under the identity and a
 		// numbering lineage no ordering has.
 		base:      newBase(g, identity, -1, 0),
-		addAlive:  make(map[edgeKey][]int32),
-		delBase:   make(map[wkey]int64),
 		degIn:     g.InDegrees(),
 		assign:    r.PartitionOf,
 		partEdges: r.EdgeCounts,
@@ -313,6 +326,7 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		ordPerm: r.Perm,
 	}
 	d.latest.Store(d.base)
+	d.startLog()
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
 	d.m.placements.Add(int64(d.n))
 	d.sp = cfg.Spans
@@ -424,35 +438,41 @@ func (d *Graph) AdmitBatch(admit int, updates []graph.EdgeUpdate) (BatchResult, 
 	d.curBatch = d.sp.Start("batch", "ingest", d.epoch, obs.SpanContext{})
 	d.Grow(admit)
 	res := BatchResult{Admitted: admit}
+	ins := 0
 	for i, u := range updates {
 		if int(u.Src) >= d.n || int(u.Dst) >= d.n {
-			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range n=%d", i, u.Src, u.Dst, d.n)
+			return d.finishBatch(res, ins, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range n=%d", i, u.Src, u.Dst, d.n)
 		}
 		if d.weighted && !u.Del && u.Weight < 0 {
-			return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) weight %d is negative", i, u.Src, u.Dst, u.Weight)
+			return d.finishBatch(res, ins, start), fmt.Errorf("dynamic: update %d: edge (%d,%d) weight %d is negative", i, u.Src, u.Dst, u.Weight)
 		}
 		if u.Del {
 			if err := d.deleteEdge(u.Src, u.Dst, u.Weight); err != nil {
-				return d.finishBatch(res, start), fmt.Errorf("dynamic: update %d: %w", i, err)
+				return d.finishBatch(res, ins, start), fmt.Errorf("dynamic: update %d: %w", i, err)
 			}
 		} else {
 			d.insertEdge(u.Src, u.Dst, u.Weight)
+			ins++
 		}
 		res.Applied++
 	}
-	return d.finishBatch(res, start), nil
+	return d.finishBatch(res, ins, start), nil
 }
 
-// finishBatch runs the end-of-batch maintenance and fills the result, filing
-// the spans that answer "what did this epoch do, and why": a "repair" span
-// (cause "threshold-trip") when a gate fired, a "rebuild" span whose cause
-// names which escape hatch forced it, and the "batch" span summarizing the
-// epoch.
-func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
+// finishBatch counts the batch's applied updates into the registry — ins
+// insertions, the rest of res.Applied deletions — once per batch rather
+// than once per update, then runs the end-of-batch maintenance and fills
+// the result, filing the spans that answer "what did this epoch do, and
+// why": a "repair" span (cause "threshold-trip") when a gate fired, a
+// "rebuild" span whose cause names which escape hatch forced it, and the
+// "batch" span summarizing the epoch.
+func (d *Graph) finishBatch(res BatchResult, ins int, start time.Time) BatchResult {
+	d.m.inserts.Add(int64(ins))
+	d.m.deletes.Add(int64(res.Applied - ins))
 	if d.overThreshold() {
 		preDelta, preVert := d.EdgeImbalance(), d.VertexImbalance()
 		rstart := time.Now()
-		swaps := d.swapRepair()
+		swaps, scanned := d.swapRepair()
 		rdur := time.Since(rstart)
 		d.m.repairs.Inc()
 		d.m.repairNS.Observe(int64(rdur))
@@ -463,7 +483,7 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			Attrs: map[string]int64{
 				"delta_before": preDelta, "delta_after": d.EdgeImbalance(),
 				"vertex_before": preVert, "vertex_after": d.VertexImbalance(),
-				"threshold": d.effEdgeThreshold(), "swaps": swaps,
+				"threshold": d.effEdgeThreshold(), "swaps": swaps, "scanned": scanned,
 			},
 		})
 		if d.overThreshold() {

@@ -627,3 +627,34 @@ func TestAdaptiveThresholdUniformDegrees(t *testing.T) {
 		t.Fatalf("powerlaw effective threshold = %d, want the configured 2", got)
 	}
 }
+
+// BenchmarkAdmitBatch times one AdmitBatch of 1024 updates from an
+// ingest_heavy-shaped stream — powerlaw at scale 0.2, P=64, the stream's
+// deletions included — through delta apply with deletion resolution, the
+// balance accounting and the end-of-batch swap repair. Sixteen untimed
+// batches fill the pending log first, and compaction is off, so every
+// timed batch resolves its deletions over a log of at least 16 batches.
+func BenchmarkAdmitBatch(b *testing.B) {
+	const p, batch, warm = 64, 1024, 16
+	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.2, (warm+b.N)*batch, 1, gen.RecipeStreamOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := New(g, Config{Partitions: p, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < warm*batch; lo += batch {
+		if _, err := d.ApplyBatch(updates[lo : lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		lo := (warm + i) * batch
+		if _, err := d.AdmitBatch(0, updates[lo:lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -55,9 +55,7 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		d.ordPerm = append(d.ordPerm, slot)
 		d.assign = append(d.assign, uint32(q))
 		d.degIn = append(d.degIn, 0)
-		if d.members != nil {
-			d.members[q] = append(d.members[q], graph.VertexID(d.n))
-		}
+		d.markStale(graph.VertexID(d.n))
 		d.partVerts[q]++
 		d.n++
 	}

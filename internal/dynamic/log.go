@@ -3,7 +3,6 @@ package dynamic
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -26,30 +25,44 @@ type edgeKey uint64
 
 func keyOf(s, d graph.VertexID) edgeKey { return edgeKey(s)<<32 | edgeKey(d) }
 
-// wkey addresses one (src,dst,weight) edge class; weights are stored
-// normalized (1 on unweighted graphs and for zero input weights).
-type wkey struct {
-	k edgeKey
-	w int32
+// startLog opens an empty log generation over the current base: no pending
+// insertions or deletions, and writer indexes to match. The pair index
+// does not rehash as the log fills: New sizes it for the log bound (capped
+// at the adaptive bound, so an explicit huge CompactEvery preallocates
+// nothing extra), and Compact clears it, keeping the capacity the last
+// generation grew, rather than allocating a new table beside the old one.
+// The cancellation bitset is sized for the new base on first use.
+func (d *Graph) startLog() {
+	// Captures share the logs' prefixes, so they start afresh; the slab and
+	// the pair index are the writer's own and keep their capacity.
+	d.pendingAdd, d.delLog, d.addPrev = nil, nil, d.addPrev[:0]
+	if d.addAlive == nil {
+		d.addAlive = make(map[edgeKey]int32, min(d.compactBound(), max(8192, d.NumEdges()/8)))
+	} else {
+		clear(d.addAlive)
+	}
+	d.cancelled = nil
+	d.cancels = 0
 }
 
-// baseRun returns the weights of the base's parallel (s,dst) edges, in row
-// order: sorted by weight, so each weight's occurrences are one sub-run.
-// The base is in slot space, so both endpoints are looked up through its
+// baseRun locates the base's parallel (s,dst) edges: the position of the
+// first in the base's out-edge numbering (OutOffsets), and their weights in
+// row order — sorted, so each weight's occurrences are one sub-run. The base
+// is in slot space, so both endpoints are looked up through its
 // permutation; an endpoint admitted after the compaction has no base row.
-func (d *Graph) baseRun(s, dst graph.VertexID) []int32 {
+func (d *Graph) baseRun(s, dst graph.VertexID) (lo int64, ws []int32) {
 	b := d.base
 	if int(s) >= len(b.Perm) || int(dst) >= len(b.Perm) {
-		return nil
+		return 0, nil
 	}
 	s, dst = b.Perm[s], b.Perm[dst]
 	nbrs := b.G.OutNeighbors(s)
-	lo := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= dst })
-	hi := lo
-	for hi < len(nbrs) && nbrs[hi] == dst {
-		hi++
+	i, _ := slices.BinarySearch(nbrs, dst)
+	j := i
+	for j < len(nbrs) && nbrs[j] == dst {
+		j++
 	}
-	return b.G.OutWeights(s)[lo:hi]
+	return b.G.OutOffsets()[s] + int64(i), b.G.OutWeights(s)[i:j]
 }
 
 // normWeight maps an input weight to its stored form. New and AdmitBatch
@@ -64,12 +77,17 @@ func (d *Graph) normWeight(w int32) int32 {
 func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 	w = d.normWeight(w)
 	k := keyOf(s, dst)
+	prev, ok := d.addAlive[k]
+	if !ok {
+		prev = -1
+	}
+	d.addAlive[k] = int32(len(d.pendingAdd))
+	d.addPrev = append(d.addPrev, prev)
 	d.pendingAdd = append(d.pendingAdd, graph.Edge{Src: s, Dst: dst, Weight: w})
-	d.addAlive[k] = append(d.addAlive[k], w)
 	d.degIn[dst]++
 	d.partEdges[d.assign[dst]]++
+	d.markStale(dst)
 	d.touch()
-	d.m.inserts.Inc()
 }
 
 // deleteEdge cancels one live (s,dst) occurrence. A non-zero wSel on a
@@ -78,101 +96,82 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 // unweighted graphs) the most recent pending log insertion dies first, else
 // the earliest surviving base occurrence — deterministic either way, and the
 // resolved weight is logged so snapshots and view deltas agree
-// edge-for-edge.
+// edge-for-edge. A selector picks the most recent surviving pending
+// insertion of its weight, else the weight's earliest surviving base
+// occurrence.
 func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
-	k := keyOf(s, dst)
 	if !d.weighted {
 		wSel = 0
 	}
-	if wSel == 0 {
-		if alive := d.addAlive[k]; len(alive) > 0 {
-			d.killPending(s, dst, len(alive)-1)
-		} else {
-			w, ok := d.earliestLiveBase(s, dst)
-			if !ok {
-				return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
-			}
-			d.cancelBase(s, dst, w)
+	if !d.killPending(s, dst, wSel) && !d.cancelBase(s, dst, wSel) {
+		if wSel == 0 {
+			return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
 		}
-	} else {
-		alive := d.addAlive[k]
-		i := len(alive) - 1
-		for ; i >= 0; i-- {
-			if alive[i] == wSel {
-				break
-			}
-		}
-		switch {
-		case i >= 0:
-			d.killPending(s, dst, i)
-		case int64(countWeight(d.baseRun(s, dst), wSel)) > d.delBase[wkey{k, wSel}]:
-			d.cancelBase(s, dst, wSel)
-		default:
-			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
-		}
+		return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
 	}
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
+	d.markStale(dst)
 	d.touch()
-	d.m.deletes.Inc()
 	return nil
 }
 
-// killPending removes index i from pair (s,dst)'s surviving-pending weight
-// list and logs the deletion with that weight. The insertion's own log entry
-// stays; Since nets the deletion against it.
-func (d *Graph) killPending(s, dst graph.VertexID, i int) {
+// killPending kills the most recent surviving pending (s,dst) insertion
+// carrying wSel (any weight when wSel is 0): it unlinks the insertion from
+// the pair's stack and logs the deletion with its weight. The insertion's
+// own log entry stays; Since nets the deletion against it. It reports
+// whether one was found.
+func (d *Graph) killPending(s, dst graph.VertexID, wSel int32) bool {
 	k := keyOf(s, dst)
-	alive := d.addAlive[k]
-	w := alive[i]
-	alive = append(alive[:i], alive[i+1:]...)
-	if len(alive) == 0 {
-		delete(d.addAlive, k)
-	} else {
-		d.addAlive[k] = alive
+	i, ok := d.addAlive[k]
+	if !ok {
+		return false
 	}
-	d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
+	for above := int32(-1); i >= 0; above, i = i, d.addPrev[i] {
+		w := d.pendingAdd[i].Weight
+		if wSel != 0 && w != wSel {
+			continue
+		}
+		switch below := d.addPrev[i]; {
+		case above >= 0:
+			d.addPrev[above] = below
+		case below >= 0:
+			d.addAlive[k] = below
+		default:
+			delete(d.addAlive, k)
+		}
+		d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
+		return true
+	}
+	return false
 }
 
-// cancelBase records a deletion against a base occurrence of (s,dst,w).
-func (d *Graph) cancelBase(s, dst graph.VertexID, w int32) {
-	d.delBase[wkey{keyOf(s, dst), w}]++
-	d.cancels++
-	d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
+// cancelBase cancels the earliest uncancelled base (s,dst) occurrence
+// carrying wSel (any weight when wSel is 0) and logs the deletion with its
+// weight, reporting whether one was found. Cancellations of one weight are
+// a prefix of its sub-run of the parallel-edge run, so the earliest
+// uncancelled position is the one a per-weight cancellation count names.
+func (d *Graph) cancelBase(s, dst graph.VertexID, wSel int32) bool {
+	lo, ws := d.baseRun(s, dst)
+	for j, w := range ws {
+		pos := lo + int64(j)
+		if wSel != 0 && w != wSel || d.isCancelled(pos) {
+			continue
+		}
+		if d.cancelled == nil {
+			d.cancelled = make([]uint64, (d.base.G.NumEdges()+63)/64)
+		}
+		d.cancelled[pos/64] |= 1 << (pos % 64)
+		d.cancels++
+		d.delLog = append(d.delLog, graph.Edge{Src: s, Dst: dst, Weight: w})
+		return true
+	}
+	return false
 }
 
-// earliestLiveBase locates the earliest base occurrence of (s,dst) not yet
-// cancelled and returns its weight. Cancellations are per-weight prefixes of
-// the parallel-edge run, so an occurrence is live iff the number of
-// same-weight occurrences before it covers the weight's cancellation count.
-func (d *Graph) earliestLiveBase(s, dst graph.VertexID) (int32, bool) {
-	k := keyOf(s, dst)
-	var seen map[int32]int64
-	for _, w := range d.baseRun(s, dst) {
-		cancelled := d.delBase[wkey{k, w}]
-		if cancelled == 0 {
-			return w, true
-		}
-		if seen == nil {
-			seen = make(map[int32]int64, 4)
-		}
-		if seen[w] >= cancelled {
-			return w, true
-		}
-		seen[w]++
-	}
-	return 0, false
-}
-
-// countWeight counts the occurrences of w in ws.
-func countWeight(ws []int32, w int32) int {
-	c := 0
-	for _, x := range ws {
-		if x == w {
-			c++
-		}
-	}
-	return c
+// isCancelled reports whether base out-edge position pos was cancelled.
+func (d *Graph) isCancelled(pos int64) bool {
+	return d.cancelled != nil && d.cancelled[pos/64]&(1<<(pos%64)) != 0
 }
 
 func (d *Graph) touch() {
@@ -371,10 +370,7 @@ func (d *Graph) Compact() {
 	}
 	d.base = newBase(g, d.ordPerm[:d.n:d.n], d.renumEpoch, d.epoch)
 	d.latest.Store(d.base)
-	d.pendingAdd, d.delLog = nil, nil
-	d.addAlive = make(map[edgeKey][]int32)
-	d.delBase = make(map[wkey]int64)
-	d.cancels = 0
+	d.startLog()
 	d.m.compactions.Inc()
 	d.m.compactNS.ObserveSince(cstart)
 	d.sp.Record(obs.Span{

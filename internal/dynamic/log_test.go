@@ -25,20 +25,19 @@ func capture(d *Graph, snap *graph.Graph) frozenCapture {
 }
 
 // HasEdge reports whether at least one live (s,dst) edge exists, from the
-// writer's own bookkeeping: its surviving pending insertions plus its base
-// run, less each weight's cancellations (subtracted once, where the
-// weight's sub-run starts). Tests hold it against snapshots.
+// writer's own bookkeeping: a surviving pending insertion of the pair, or
+// an uncancelled position in its base run. Tests hold it against snapshots.
 func (d *Graph) HasEdge(s, dst graph.VertexID) bool {
-	k := keyOf(s, dst)
-	c := int64(len(d.addAlive[k]))
-	ws := d.baseRun(s, dst)
-	for i, w := range ws {
-		c++
-		if i == 0 || w != ws[i-1] {
-			c -= d.delBase[wkey{k, w}]
+	if _, ok := d.addAlive[keyOf(s, dst)]; ok {
+		return true
+	}
+	lo, ws := d.baseRun(s, dst)
+	for j := range ws {
+		if !d.isCancelled(lo + int64(j)) {
+			return true
 		}
 	}
-	return c > 0
+	return false
 }
 
 // checkSince requires Since to bridge every ordered capture pair of one

@@ -1,8 +1,8 @@
 package dynamic
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -74,16 +74,71 @@ func (d *Graph) refreshGranularity() {
 	d.adaptNext = d.updates() + step
 }
 
-// ensureMembers (re)builds the per-partition member lists when stale.
+// ensureMembers (re)builds the per-partition member lists when stale, with
+// every vertex stale: each list is sorted on its first read by a pass.
 func (d *Graph) ensureMembers() {
 	if d.members != nil {
 		return
 	}
-	d.members = make([][]graph.VertexID, d.cfg.Partitions)
-	for v := 0; v < d.n; v++ {
-		q := d.assign[v]
-		d.members[q] = append(d.members[q], graph.VertexID(v))
+	d.members = make([][]uint64, d.cfg.Partitions)
+	d.stale = make([][]graph.VertexID, d.cfg.Partitions)
+	d.staleBits = make([]uint64, (d.n+63)/64)
+	for v := range graph.VertexID(d.n) {
+		d.markStale(v)
 	}
+}
+
+// markStale records that v's member key is out of date — its degree
+// changed, or Grow just admitted it — unless the member lists are stale as
+// a whole. O(1); fixList re-places v when a pass next reads its list.
+func (d *Graph) markStale(v graph.VertexID) {
+	if d.members == nil {
+		return
+	}
+	w, bit := int(v/64), uint64(1)<<(v%64)
+	for w >= len(d.staleBits) {
+		d.staleBits = append(d.staleBits, 0) // Grow admits IDs in order
+	}
+	if d.staleBits[w]&bit != 0 {
+		return
+	}
+	d.staleBits[w] |= bit
+	q := d.assign[v]
+	d.stale[q] = append(d.stale[q], v)
+}
+
+// fixList re-places partition q's stale members, so the list is in
+// (degree, ID) order again: one pass drops their old keys, their current
+// keys are sorted, and one backward merge puts them in place. For k stale
+// members that is O(|list| + k log k), in place.
+func (d *Graph) fixList(q int) {
+	st := d.stale[q]
+	if len(st) == 0 {
+		return
+	}
+	kept := d.members[q][:0]
+	for _, key := range d.members[q] {
+		if v := uint32(key); d.staleBits[v/64]&(1<<(v%64)) == 0 {
+			kept = append(kept, key)
+		}
+	}
+	fresh := d.keyBuf[:0]
+	for _, v := range st {
+		d.staleBits[v/64] &^= 1 << (v % 64)
+		fresh = append(fresh, uint64(d.degIn[v])<<32|uint64(v))
+	}
+	slices.Sort(fresh)
+	// Merge from the back, so each kept key moves once.
+	i, j := len(kept)-1, len(fresh)-1
+	l := slices.Grow(kept, len(fresh))[:len(kept)+len(fresh)]
+	for w := len(l) - 1; j >= 0; w-- {
+		if i >= 0 && l[i] > fresh[j] {
+			l[w], i = l[i], i-1
+		} else {
+			l[w], j = fresh[j], j-1
+		}
+	}
+	d.members[q], d.stale[q], d.keyBuf = l, st[:0], fresh
 }
 
 // swapRepair pulls Δ(n) back under the effective threshold without moving
@@ -91,60 +146,31 @@ func (d *Graph) ensureMembers() {
 // most-loaded partition with a lower-degree vertex u of the least-loaded
 // one, transferring deg(v)−deg(u) edges while both vertex counts stay
 // fixed. The pair is chosen to maximize the edge-balance gain (transfer
-// closest to half the gap), breaking ties toward the lowest-degree u. The
-// two vertices exchange new IDs, so the ordering permutation changes at
-// exactly the swapped positions — a segment-local permutation the view
-// layer can patch engines across (movedBetween). The shared
-// permutation and assignment are never mutated: a repair pass that swaps
-// clones them once (copy-on-write) so views pinned to earlier epochs keep
-// their numbering.
+// closest to half the gap), breaking ties toward the lowest-degree u (then
+// the lowest ID). The two vertices exchange new IDs, so the ordering
+// permutation changes at exactly the swapped positions — a segment-local
+// permutation the view layer can patch engines across (movedBetween). The
+// shared permutation and assignment are never mutated: a repair pass that
+// swaps clones them once (copy-on-write) so views pinned to earlier epochs
+// keep their numbering.
+//
+// The member lists stay in (degree, ID) order across passes; a pass
+// re-places only the stale members of the lists it reads (fixList), and
+// each step moves the two swapped keys to their sorted places in the other
+// list. The pair search (bestPair) visits each degree class of the
+// receiving list at most once.
 //
 // The pass ends when the gap is under threshold or no improving pair is
 // left; the caller then falls back to a full rebuild if Δ(n) is still over
-// its gate. Returns the number of swaps.
-func (d *Graph) swapRepair() (swaps int64) {
+// its gate. Returns the number of swaps and of receiver degree classes the
+// pair searches examined.
+func (d *Graph) swapRepair() (swaps, scanned int64) {
 	th := d.effEdgeThreshold()
 	if core.Spread(d.partEdges) <= th {
-		return 0
+		return 0, 0
 	}
 	d.ensureMembers()
 	lists := d.members
-	// Partition member lists are sorted by ascending live degree lazily, on
-	// first use as a donor or receiver in this pass (degrees drift between
-	// passes, so sortedness never carries over); a typical pass touches a
-	// handful of partitions, not all P.
-	sorted := make([]bool, d.cfg.Partitions)
-	var keys []uint64
-	sortList := func(q int) {
-		if sorted[q] {
-			return
-		}
-		// One packed degree<<32|ID key per member (in-degrees fit in 32
-		// bits): uint64 order is degree-ascending, ID-ascending order.
-		keys = keys[:0]
-		for _, v := range lists[q] {
-			keys = append(keys, uint64(d.degIn[v])<<32|uint64(v))
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			lists[q][i] = graph.VertexID(uint32(k))
-		}
-		sorted[q] = true
-	}
-	// insertSorted keeps a sorted list sorted after adding w.
-	insertSorted := func(q int, w graph.VertexID) {
-		l := lists[q]
-		i := sort.Search(len(l), func(i int) bool {
-			if d.degIn[l[i]] != d.degIn[w] {
-				return d.degIn[l[i]] > d.degIn[w]
-			}
-			return l[i] >= w
-		})
-		l = append(l, 0)
-		copy(l[i+1:], l[i:])
-		l[i] = w
-		lists[q] = l
-	}
 	var perm []graph.VertexID
 	var partOf []uint32
 	for iter := 0; iter < d.n; iter++ {
@@ -154,41 +180,16 @@ func (d *Graph) swapRepair() (swaps int64) {
 		if gap <= th {
 			break
 		}
-		sortList(pmax)
-		sortList(pmin)
-		lmax, lmin := lists[pmax], lists[pmin]
-		// Best pair: minimize |transfer − gap/2| over transfers in (0, gap),
-		// which strictly shrinks this pair's imbalance (and the sum of
-		// squared loads, so the loop terminates). For each candidate u the
-		// two donors bracketing the ideal degree suffice, since degrees are
-		// sorted.
-		bestV, bestU := -1, -1
-		var bestScore int64
-		for ui, u := range lmin {
-			target := d.degIn[u] + (gap+1)/2
-			i := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-			for _, j := range [2]int{i - 1, i} {
-				if j < 0 || j >= len(lmax) {
-					continue
-				}
-				t := d.degIn[lmax[j]] - d.degIn[u]
-				if t <= 0 || t >= gap {
-					continue
-				}
-				score := gap - 2*t
-				if score < 0 {
-					score = -score
-				}
-				if bestV < 0 || score < bestScore {
-					bestV, bestU, bestScore = j, ui, score
-				}
-			}
-		}
+		d.fixList(pmax)
+		d.fixList(pmin)
+		bestV, bestU, classes := bestPair(lists[pmax], lists[pmin], gap)
+		scanned += classes
 		if bestV < 0 {
 			// No improving pair exchange exists.
 			break
 		}
-		v, u := lmax[bestV], lmin[bestU]
+		kv, ku := lists[pmax][bestV], lists[pmin][bestU]
+		v, u := graph.VertexID(kv), graph.VertexID(ku)
 		if perm == nil {
 			// Clone the shared permutation and assignment once per pass, so
 			// views pinned to earlier epochs keep their numbering.
@@ -201,17 +202,84 @@ func (d *Graph) swapRepair() (swaps int64) {
 		d.partEdges[pmin] += dv - du
 		perm[v], perm[u] = perm[u], perm[v]
 		swaps++
-		lists[pmax] = append(lmax[:bestV], lmax[bestV+1:]...)
-		lists[pmin] = append(lmin[:bestU], lmin[bestU+1:]...)
-		insertSorted(pmax, u)
-		insertSorted(pmin, v)
+		replaceKey(lists[pmax], bestV, ku)
+		replaceKey(lists[pmin], bestU, kv)
 	}
 	if swaps > 0 {
 		d.ordPerm, d.assign = perm, partOf
 		d.m.swaps.Add(swaps)
 		d.m.placements.Add(2 * swaps)
 	}
-	return swaps
+	return swaps, scanned
+}
+
+// bestPair finds the exchange of a donor lmax[bestV] for a receiver
+// lmin[bestU], both lists of (degree, ID) keys in ascending order, whose
+// transfer t = deg(v) − deg(u) minimizes |gap − 2t| over 0 < t < gap, ties
+// to the earlier receiver, then to the lower donor; bestV is -1 when no
+// transfer qualifies. Any such transfer strictly shrinks the pair's
+// imbalance and the sum of squared loads, so the pass terminates. It also returns the receiver degree classes it
+// examined. Every receiver of one degree sees the same donors, so only the
+// first of each class can win a strict comparison, and for it the two
+// donors bracketing the ideal degree deg(u) + ⌈gap/2⌉ suffice; the bracket
+// only moves right as the receiver's degree grows, so one monotone sweep of
+// both lists finds the pair.
+func bestPair(lmax, lmin []uint64, gap int64) (bestV, bestU int, classes int64) {
+	bestV, bestU = -1, -1
+	var bestScore int64
+	i := 0
+	for a := 0; a < len(lmin); {
+		du := int64(lmin[a] >> 32)
+		classes++
+		off, _ := slices.BinarySearch(lmax[i:], degKey(du+(gap+1)/2))
+		i += off
+		for _, j := range [2]int{i - 1, i} {
+			if j < 0 || j >= len(lmax) {
+				continue
+			}
+			t := int64(lmax[j]>>32) - du
+			if t <= 0 || t >= gap {
+				continue
+			}
+			score := gap - 2*t
+			if score < 0 {
+				score = -score
+			}
+			if bestV < 0 || score < bestScore {
+				bestV, bestU, bestScore = j, a, score
+			}
+		}
+		if bestV >= 0 && bestScore == gap&1 {
+			// |gap − 2t| has gap's parity: nothing later can beat this.
+			break
+		}
+		off, _ = slices.BinarySearch(lmin[a:], degKey(du+1))
+		a += off
+	}
+	return bestV, bestU, classes
+}
+
+// degKey is the smallest member key of degree deg: keys of lower degrees
+// sort before it, keys of deg or more at or after it.
+func degKey(deg int64) uint64 {
+	if deg > math.MaxUint32 {
+		return math.MaxUint64
+	}
+	return uint64(deg) << 32
+}
+
+// replaceKey replaces l[i] with key, keeping the sorted list l sorted, by
+// shifting the entries between the two positions one step toward i.
+func replaceKey(l []uint64, i int, key uint64) {
+	if key > l[i] {
+		p, _ := slices.BinarySearch(l[i+1:], key)
+		copy(l[i:i+p], l[i+1:i+1+p])
+		l[i+p] = key
+		return
+	}
+	p, _ := slices.BinarySearch(l[:i], key)
+	copy(l[p+1:i+1], l[p:i])
+	l[p] = key
 }
 
 // argMin2Neg returns the index of the maximum value (lowest index wins ties).
@@ -239,7 +307,7 @@ func (d *Graph) rebuild() {
 	d.renumEpoch++
 	d.number(d.slotBase != nil)
 	// The swap repair's member lists no longer match the assignment.
-	d.members = nil
+	d.members, d.stale, d.staleBits = nil, nil, nil
 }
 
 // Rebuild forces a full reorder regardless of the thresholds. It runs

@@ -52,7 +52,8 @@ func epochStory(sp *obs.Spans, epoch int64) []obs.Span {
 // TestTraceThresholdTrip pins the first required cause annotation: a
 // Δ(n)-gated repair must leave a "repair" span with cause "threshold-trip"
 // carrying the before/after imbalances, so the epoch's story is readable
-// from the span ring alone. Swaps are the whole repair: the batch files no
+// from the span ring alone, and its pair search's work count (scanned)
+// next to its wall time. Swaps are the whole repair: the batch files no
 // follow-up "resort" span.
 func TestTraceThresholdTrip(t *testing.T) {
 	const D = 10
@@ -114,6 +115,10 @@ func TestTraceThresholdTrip(t *testing.T) {
 	}
 	if rep.Attrs["swaps"] == 0 || rep.Attrs["delta_after"] > rep.Attrs["threshold"] {
 		t.Fatalf("repair should swap Δ(n) back under the gate: %+v", rep.Attrs)
+	}
+	// Each swap's pair search examined at least one receiver degree class.
+	if sc, ok := rep.Attrs["scanned"]; !ok || sc < rep.Attrs["swaps"] {
+		t.Fatalf("repair span work count scanned missing or below its swaps: %+v", rep.Attrs)
 	}
 	if rep.Dur <= 0 {
 		t.Fatalf("repair span missing wall-clock duration")
@@ -191,6 +196,10 @@ func TestTraceRepairShortfall(t *testing.T) {
 	rep := findSpan(story, "repair", "threshold-trip")
 	if rep == nil || rep.Attrs["swaps"] != 0 || rep.Attrs["delta_after"] <= rep.Attrs["threshold"] {
 		t.Fatalf("epoch %d story lacks a repair that fell short: %+v", reb.Epoch, story)
+	}
+	// The search that found no pair still examined the receiver's classes.
+	if rep.Attrs["scanned"] == 0 {
+		t.Fatalf("repair that fell short reports no pair-search work: %+v", rep.Attrs)
 	}
 	if rep.ID >= reb.ID {
 		t.Fatalf("repair (span %d) not ordered before rebuild (span %d)", rep.ID, reb.ID)

@@ -164,6 +164,11 @@ func (g *Graph) InWeights(v VertexID) []int32 { return g.in.weights(v, g.ones) }
 // has InOffsets()[hi]-InOffsets()[lo]. Read-only.
 func (g *Graph) InOffsets() []int64 { return g.in.off }
 
+// OutOffsets exposes the CSR degree prefix (length n+1): out-edge k of
+// vertex v, in row order, has position OutOffsets()[v]+k, so positions
+// number the graph's edges densely. Read-only.
+func (g *Graph) OutOffsets() []int64 { return g.out.off }
+
 // MaxInDegree returns the largest in-degree in the graph.
 func (g *Graph) MaxInDegree() int64 {
 	var m int64
