@@ -244,17 +244,11 @@ func BenchmarkGraphGrindPatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, tc := range cases {
-			g2, _, err := g.PatchEdgesPermN(n, tc.adds, tc.dels, tc.perm)
+			d := swapDelta(tc.adds, tc.dels, tc.perm)
+			g2, _, err := g.Patch(n, d)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var moved []graph.VertexID
-			for v := range tc.perm {
-				if tc.perm[v] != graph.VertexID(v) {
-					moved = append(moved, graph.VertexID(v))
-				}
-			}
-			d := graph.Delta{Adds: tc.adds, Dels: tc.dels, Seg: tc.perm, Moved: moved}
 			b.Run(fmt.Sprintf("p%d/%s", parts, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
@@ -291,16 +285,31 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkPatchEdgesPermN patches a graph with a 128-update delta, on the
-// identity numbering and under eight swapped vertex pairs (the shape a swap
-// repair leaves); with a 16k-update delta, the write-heavy shape in which
-// most rows merge; and with that dense delta on a weighted copy of the
-// graph. near-total applies the netted delta of one ingest_heavy queried
-// epoch (ingestEpoch) to its 20k-vertex base, the write-heavy shape in
-// which about 70% of rows merge. lineage derives 64 graphs in a chain, each from the last by a
-// 128-update delta on the identity numbering, the shape of an ingest
-// stream's epochs, so the cost of the folds a chain takes is amortised in.
-func BenchmarkPatchEdgesPermN(b *testing.B) {
+// swapDelta is the within-lineage Delta of the change adds, dels under the
+// slot map perm (nil: nothing moves), with perm's non-fixed slots as Moved.
+func swapDelta(adds, dels []graph.Edge, perm []graph.VertexID) graph.Delta {
+	d := graph.Delta{Adds: adds, Dels: dels, Seg: perm}
+	for v, s := range perm {
+		if s != graph.VertexID(v) {
+			d.Moved = append(d.Moved, graph.VertexID(v))
+		}
+	}
+	return d
+}
+
+// BenchmarkPatch derives a graph by a 128-update delta, on the identity
+// numbering, under eight swapped vertex pairs (the shape a swap repair
+// leaves), and into 32 appended headroom slots half its adds reach (growth);
+// with a 16k-update delta, the write-heavy shape in which most rows merge;
+// with that dense delta on a weighted copy of the graph; and across a
+// lineage break (broken), a fresh numbering of every vertex with the
+// 128-update delta in its slots, which renumbers. near-total applies the
+// netted delta of one ingest_heavy queried epoch (ingestEpoch) to its
+// 20k-vertex base, the write-heavy shape in which about 70% of rows merge.
+// lineage derives 64 graphs in a chain, each from the last by a 128-update
+// delta on the identity numbering, the shape of an ingest stream's epochs,
+// so the cost of the folds a chain takes is amortised in.
+func BenchmarkPatch(b *testing.B) {
 	g := benchGraph(b)
 	n := g.NumVertices()
 	swaps := make([]graph.VertexID, n)
@@ -320,22 +329,37 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fresh := make([]graph.VertexID, n)
+	for v, s := range rand.New(rand.NewSource(4)).Perm(n) {
+		fresh[v] = graph.VertexID(s)
+	}
 	for _, tc := range []struct {
 		name    string
 		g       *graph.Graph
 		updates int
-		perm    []graph.VertexID
+		perm    []graph.VertexID // the slot map; nil: the identity
+		broken  bool
+		grow    int // appended slots, each the source of one of the adds
 	}{
-		{"identity", g, 128, nil},
-		{"swaps", g, 128, swaps},
-		{"dense", g, 16 << 10, nil},
-		{"weighted", wg, 16 << 10, nil},
+		{"identity", g, 128, nil, false, 0},
+		{"swaps", g, 128, swaps, false, 0},
+		{"growth", g, 128, nil, false, 32},
+		{"broken", g, 128, fresh, true, 0},
+		{"dense", g, 16 << 10, nil, false, 0},
+		{"weighted", wg, 16 << 10, nil, false, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			adds, dels := benchDelta(tc.g, tc.updates, tc.perm, 3)
+			for i := range tc.grow {
+				adds[i].Src = graph.VertexID(n + i)
+			}
+			d := swapDelta(adds, dels, tc.perm)
+			if tc.broken {
+				d = graph.Delta{Adds: adds, Dels: dels, Seg: tc.perm, Broken: true}
+			}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := tc.g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
+				if _, _, err := tc.g.Patch(n+tc.grow, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,9 +368,10 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 	b.Run("near-total", func(b *testing.B) {
 		base, before, after := ingestEpoch(b)
 		adds, dels, _ := after.Since(before)
+		d := graph.Delta{Adds: adds, Dels: dels}
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, _, err := base.PatchEdgesPermN(base.NumVertices(), adds, dels, nil); err != nil {
+			if _, _, err := base.Patch(base.NumVertices(), d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -372,7 +397,7 @@ func BenchmarkPatchEdgesPermN(b *testing.B) {
 		for b.Loop() {
 			h := g
 			for i := range steps {
-				if h, _, err = h.PatchEdgesPermN(n, adds[i], dels[i], nil); err != nil {
+				if h, _, err = h.Patch(n, graph.Delta{Adds: adds[i], Dels: dels[i]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -658,7 +683,7 @@ func BenchmarkSparseEdgeMap(b *testing.B) {
 // workload answers them: powerlaw 0.1 at P=64 with 5% vertex arrivals, a
 // 128-update IngestBatch publishing a fresh view before each query, which
 // refines the previous view's capture on Ligra. The ingest and the view's
-// Ligra engine derivation (BenchmarkPatchEdgesPermN, BenchmarkNewEngine)
+// Ligra engine derivation (BenchmarkPatch, BenchmarkNewEngine)
 // are untimed and their allocations excluded, so an op is the refine
 // driver alone. refined/op is the share of queries the refine path
 // answered rather than a scratch fallback.

@@ -41,7 +41,7 @@ func origVariant(g *graph.Graph, label string) variant {
 // relabeled is g relabeled by a baseline order: RCM, Gorder, a random
 // permutation or a degree sort.
 func relabeled(g *graph.Graph, label string, perm []graph.VertexID) (variant, error) {
-	rg, err := g.Relabel(perm)
+	rg, err := g.Relabel(g.NumVertices(), perm)
 	if err != nil {
 		return variant{}, err
 	}

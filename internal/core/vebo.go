@@ -251,8 +251,7 @@ func number(order []int, partOf []uint32, counts []int64) []graph.VertexID {
 // (isomorphic) graph. For slotted orderings the result spans the slot space:
 // reserved headroom positions become empty rows.
 func Apply(g *graph.Graph, r *Result) (*graph.Graph, error) {
-	rg, _, err := g.PatchEdgesPermN(int(r.Slots()), nil, nil, r.Perm)
-	return rg, err
+	return g.Relabel(int(r.Slots()), r.Perm)
 }
 
 // sortByDegreeDesc returns the vertex IDs sorted by decreasing degree using

@@ -49,7 +49,7 @@
 //     into a target ordering's slots and reads the slot map off the two
 //     orderings — the vertices whose position differs, or the full map
 //     across a renumbering — and the admitted slots, one graph.Delta, and
-//     PatchEdgesPermN applies it to the newest slot graph of the
+//     graph.Patch applies it to the newest slot graph of the
 //     generation, a view's or the base. The facade patches engine-side
 //     structures and refines results from the same delta (see the
 //     vebo.View API).

@@ -182,7 +182,7 @@ func TestOrderingIsValid(t *testing.T) {
 		}
 	}
 	snap := d.Snapshot()
-	rg, err := snap.Relabel(r.Perm)
+	rg, err := snap.Relabel(snap.NumVertices(), r.Perm)
 	if err != nil {
 		t.Fatal(err)
 	}

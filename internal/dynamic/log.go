@@ -345,7 +345,7 @@ func (d *Graph) Register(s *SlotGraph) {
 func (d *Graph) deriveBase() (*graph.Graph, graph.PatchStats) {
 	b := d.Latest().Derived()
 	c, _ := d.Freeze().ChangeSince(*b, d.ordPerm, d.renumEpoch) // b is of the live generation
-	g, st, err := b.G.PatchEdgesPermN(int(d.Ordering().Slots()), c.Adds, c.Dels, c.Seg)
+	g, st, err := b.G.Patch(int(d.Ordering().Slots()), c)
 	if err != nil {
 		// Unreachable: every applied update was range-checked and every
 		// cancellation names a live occurrence.

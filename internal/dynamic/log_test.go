@@ -79,7 +79,7 @@ func checkSince(t *testing.T, caps []frozenCapture) (bridged, refused int) {
 					t.Fatalf("epochs %d→%d: %v both added and deleted", b.f.epoch, c.f.epoch, e)
 				}
 			}
-			got, _, err := b.snap.PatchEdgesPermN(c.f.n, adds, dels, nil)
+			got, _, err := b.snap.Patch(c.f.n, graph.Delta{Adds: adds, Dels: dels})
 			if err != nil {
 				t.Fatalf("epochs %d→%d: patching with Since: %v", b.f.epoch, c.f.epoch, err)
 			}
@@ -145,7 +145,7 @@ func checkChange(t *testing.T, b, c frozenCapture, bg, cg *graph.Graph) {
 	case !slices.Equal(d.Grown, cp[len(bp):]):
 		what("Grown")
 	}
-	got, _, err := bg.PatchEdgesPermN(cg.NumVertices(), d.Adds, d.Dels, d.Seg)
+	got, _, err := bg.Patch(cg.NumVertices(), d)
 	if err != nil {
 		t.Fatalf("epochs %d→%d: patching with ChangeSince: %v", b.f.epoch, c.f.epoch, err)
 	}

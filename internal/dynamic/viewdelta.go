@@ -11,7 +11,7 @@ import (
 // ordering of renumbering epoch Renum. A view's relabeled graph and a
 // generation's compaction base are slot graphs, and each is derived from
 // an earlier one of its generation the one way: ChangeSince, then
-// G.PatchEdgesPermN(slots, Adds, Dels, Seg). Owner is the reader-side
+// G.Patch(slots, delta). Owner is the reader-side
 // value that derived G (the facade's view), nil for a base.
 //
 // A reader may register a slot graph it reads without deriving G (nil):

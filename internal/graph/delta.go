@@ -2,8 +2,10 @@ package graph
 
 // Delta is the edit from a basis slot graph to a later graph of its log
 // generation, every field in slot space. dynamic.Frozen.ChangeSince builds
-// it once, and every derivation reads it as is: PatchEdgesPermN takes
-// (Adds, Dels, Seg), the GraphGrind engine patch works out its dirty
+// it once, and every derivation reads it as is: Patch derives the graph
+// from it (renumbering by Seg when Broken, else relocating the Moved rows
+// and merging Adds and Dels), NewOverlay reads that graph's rows without
+// deriving it, the GraphGrind engine patch works out its dirty
 // destinations from it, and result refinement seeds and resumes from it.
 //
 //vebo:frozen

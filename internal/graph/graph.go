@@ -3,10 +3,13 @@
 // sparse column (CSC, in-edges) and coordinate (COO) forms, together with
 // construction, transposition, relabelling and characterization utilities.
 //
-// A Graph is immutable once built. PatchEdgesPermN derives a new graph from
-// an old one at the cost of what changed: the two share every unchanged
-// adjacency row, and the derivation writes its changed rows into storage
-// of its own, so older graphs stay valid while newer ones are derived.
+// A Graph is immutable once built. Patch derives a new graph from an old
+// one by a slot-space Delta. Within one numbering lineage it costs what
+// changed: the two share every unchanged adjacency row, and the derivation
+// writes its changed rows into storage of its own, so older graphs stay
+// valid while newer ones are derived. Across a lineage break (Delta.Broken)
+// it renumbers every row, as Relabel does. An Overlay reads the rows of a
+// derivation without deriving it, through the same checked delta.
 //
 // Vertex identifiers are dense uint32 values in [0, NumVertices). Edge counts
 // use int64 so that graphs larger than 2^31 edges remain representable even
@@ -24,7 +27,8 @@ import (
 type VertexID = uint32
 
 // NoVertex is the largest VertexID, read as "no vertex" where a slot may be
-// empty: a PatchEdgesPermN permutation maps a dropped row to it.
+// empty: a Delta's slot map and a Relabel permutation map a dropped row to
+// it.
 const NoVertex = ^VertexID(0)
 
 // Edge is a single directed edge with an optional weight. Unweighted graphs
@@ -42,9 +46,9 @@ type Edge struct {
 // constructor leaves each row sorted by (neighbor, weight).
 //
 // Each side stores its rows as extents into immutable edge chunks (see
-// adj), so a graph derived by PatchEdgesPermN shares every row it did not
-// change with its basis and writes only its changed rows. FromEdges, a
-// renumbering and a fold write one chunk in row order.
+// adj), so a graph derived by Patch within a lineage shares every row it
+// did not change with its basis and writes only its changed rows.
+// FromEdges, a renumbering and a fold write one chunk in row order.
 //
 // Unweighted graphs store no weight chunks, and the weight accessors return
 // a prefix of ones, one all-ones slice as long as the largest row and
@@ -291,8 +295,8 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	// Keep neighbour lists sorted by (neighbor, weight) for deterministic
 	// traversal and binary searchability. Ordering parallel edges by weight
 	// too makes row content a pure function of the edge multiset, so graphs
-	// built here and graphs patched row-wise by PatchEdgesPermN are equal
-	// for identical multisets.
+	// built here and graphs patched row-wise by Patch are equal for
+	// identical multisets.
 	var rs rowSorter
 	for v := 0; v < n; v++ {
 		lo, hi := outOff[v], outOff[v+1]
@@ -371,12 +375,14 @@ func (g *Graph) Transpose() *Graph {
 	return &Graph{n: g.n, weighted: g.weighted, out: g.in, in: g.out, ones: g.ones}
 }
 
-// Relabel returns a new graph in which every vertex v of g becomes perm[v].
-// perm must be a permutation of [0, n). Edge (u,v) becomes
-// (perm[u], perm[v]); the result is isomorphic to g. It is the pure
-// renumbering case of PatchEdgesPermN.
-func (g *Graph) Relabel(perm []VertexID) (*Graph, error) {
-	h, _, err := g.PatchEdgesPermN(g.n, nil, nil, perm)
+// Relabel returns a new graph of nNew vertices in which every vertex v of g
+// becomes perm[v], so edge (u,v) becomes (perm[u], perm[v]). perm (length
+// g.NumVertices()) must be injective into [0, nNew); an entry NoVertex
+// drops a row that is empty on both sides and is an error on any other,
+// and a new ID without a preimage starts empty. It renumbers in two
+// sort-free O(n + m) passes, as Patch does across a lineage break.
+func (g *Graph) Relabel(nNew int, perm []VertexID) (*Graph, error) {
+	h, _, err := g.renumber(nNew, perm)
 	return h, err
 }
 

@@ -138,7 +138,7 @@ func TestRelabelIdentity(t *testing.T) {
 	for i := range perm {
 		perm[i] = VertexID(i)
 	}
-	h, err := g.Relabel(perm)
+	h, err := g.Relabel(g.NumVertices(), perm)
 	if err != nil {
 		t.Fatalf("Relabel: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestRelabelIdentity(t *testing.T) {
 func TestRelabelIsomorphism(t *testing.T) {
 	g := fig3Graph(t)
 	perm := []VertexID{3, 0, 5, 1, 2, 4}
-	h, err := g.Relabel(perm)
+	h, err := g.Relabel(g.NumVertices(), perm)
 	if err != nil {
 		t.Fatalf("Relabel: %v", err)
 	}
@@ -170,16 +170,35 @@ func TestRelabelIsomorphism(t *testing.T) {
 	}
 }
 
+// TestRelabelRejectsBadPerm checks Relabel's perm checks, which Patch runs
+// across a lineage break: a repeated or out-of-range image, a perm of the
+// wrong length and a dropped non-empty row are errors, and an injection
+// into a larger space that drops an empty row is not.
 func TestRelabelRejectsBadPerm(t *testing.T) {
 	g := fig3Graph(t)
-	if _, err := g.Relabel([]VertexID{0, 0, 1, 2, 3, 4}); err == nil {
+	if _, err := g.Relabel(g.NumVertices(), []VertexID{0, 0, 1, 2, 3, 4}); err == nil {
 		t.Error("expected error for duplicate mapping")
 	}
-	if _, err := g.Relabel([]VertexID{0, 1, 2}); err == nil {
+	if _, err := g.Relabel(g.NumVertices(), []VertexID{0, 1, 2}); err == nil {
 		t.Error("expected error for short permutation")
 	}
-	if _, err := g.Relabel([]VertexID{0, 1, 2, 3, 4, 99}); err == nil {
+	if _, err := g.Relabel(g.NumVertices(), []VertexID{0, 1, 2, 3, 4, 99}); err == nil {
 		t.Error("expected error for out-of-range mapping")
+	}
+	// Row 2 is empty.
+	sg, err := FromEdges(3, []Edge{{0, 1, 1}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perm := range [][]VertexID{{0, 1, 1}, {0, 1, 4}, {0, NoVertex, 3}} {
+		if _, err := sg.Relabel(4, perm); err == nil {
+			t.Errorf("perm %v into 4 accepted", perm)
+		}
+	}
+	for _, perm := range [][]VertexID{{0, 1, 3}, {1, 0, NoVertex}} {
+		if _, err := sg.Relabel(4, perm); err != nil {
+			t.Errorf("perm %v into 4 rejected: %v", perm, err)
+		}
 	}
 }
 
@@ -285,7 +304,7 @@ func TestUnweightedStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := randomPerm(rng, n)
-	relabeled, err := g.Relabel(perm)
+	relabeled, err := g.Relabel(n, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +312,7 @@ func TestUnweightedStorage(t *testing.T) {
 	for v := range into {
 		into[v] = VertexID(2 * v)
 	}
-	grown, _, err := g.PatchEdgesPermN(2*n, nil, nil, into)
+	grown, _, err := g.Patch(2*n, permDelta(n, nil, nil, into, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +330,7 @@ func TestUnweightedStorage(t *testing.T) {
 		}
 	}
 	adds := []Edge{{n, 3, 1}, {2, n + 1, 1}, {n + 1, n, 1}, {1, 1, 1}}
-	patched, _, err := g.PatchEdgesPermN(n+2, adds, dels, swaps)
+	patched, _, err := g.Patch(n+2, permDelta(n, adds, dels, swaps, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +338,8 @@ func TestUnweightedStorage(t *testing.T) {
 		name string
 		g    *Graph
 	}{
-		{"FromEdges", g}, {"Relabel", relabeled}, {"PatchEdgesPermN into 2n", grown},
-		{"PatchEdgesPermN", patched}, {"Transpose", patched.Transpose()},
+		{"FromEdges", g}, {"Relabel", relabeled}, {"Patch into 2n", grown},
+		{"Patch", patched}, {"Transpose", patched.Transpose()},
 	} {
 		h := tc.g
 		if h.out.ws != nil || h.in.ws != nil {
@@ -398,7 +417,7 @@ func TestRelabelPropertyQuick(t *testing.T) {
 			return false
 		}
 		perm := randomPerm(rng, n)
-		h, err := g.Relabel(perm)
+		h, err := g.Relabel(g.NumVertices(), perm)
 		if err != nil {
 			return false
 		}

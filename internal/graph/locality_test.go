@@ -61,7 +61,7 @@ func TestChunkedRowLocality(t *testing.T) {
 					dels = append(dels, e)
 				}
 			}
-			next, _, err := at.PatchEdgesPermN(at.NumVertices(), adds, dels, nil)
+			next, _, err := at.Patch(at.NumVertices(), graph.Delta{Adds: adds, Dels: dels})
 			if err != nil {
 				t.Fatal(err)
 			}

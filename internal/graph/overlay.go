@@ -35,20 +35,21 @@ func (g *Graph) InRow(v VertexID) ([]VertexID, []int32) {
 }
 
 // Overlay reads the rows of the graph a derivation would write, without
-// deriving it: NewOverlay stands for base.PatchEdgesPermN(nNew, d.Adds,
-// d.Dels, d.Seg), and Extend for the derivation that patches the graph an
-// overlay stands for by a further delta. A row no change touches is read
-// from the basis in place, and a dirty row (one with adds or deletions, a
-// relocated one, or one that mentions a moved vertex) is written on its
-// first read by the derivation's own row code (remapRow, mergeRow), so it
-// comes out equal to the derived row, sorted by (neighbor, weight).
-// Building an overlay costs its delta's sort, the rows of its moved
-// vertices and a few bitmaps, and no O(n) degree prefix or extent copy. A
-// read tests one bit for a row no overlay of the stack touches, and
-// otherwise walks the stack's dirty bitmaps to the overlay that last made
-// the row dirty, which works out its degree and writes its row once and
-// keeps them. Like a Graph, an Overlay is immutable and safe for
-// concurrent readers.
+// deriving it: NewOverlay stands for base.Patch(nNew, d) within one
+// numbering lineage, and Extend for the derivation that patches the graph
+// an overlay stands for by a further delta. Both check and index the delta
+// through Patch's own constructor (sides), so they reject what Patch
+// rejects. A row no change touches is read from the basis in place, and a
+// dirty row (one with adds or deletions, a relocated one, or one that
+// mentions a moved vertex) is written on its first read by the
+// derivation's own row code (writeRow), so it comes out equal to the
+// derived row, sorted by (neighbor, weight). Building an overlay costs its
+// delta's sort, the rows of its moved vertices and a few bitmaps, and no
+// O(n) degree prefix or extent copy. A read tests one bit for a row no
+// overlay of the stack touches, and otherwise walks the stack's dirty
+// bitmaps to the overlay that last made the row dirty, which works out its
+// degree and writes its row once and keeps them. Like a Graph, an Overlay
+// is immutable and safe for concurrent readers.
 //
 //vebo:frozen
 type Overlay struct {
@@ -60,19 +61,24 @@ type Overlay struct {
 	out, in  overlaySide
 }
 
-// basisRows reads one direction of an overlay's basis, a graph or another
-// overlay: a row with its weights (ones when unweighted), and a degree;
-// nothing past the basis's rows.
+// basisRows reads one direction of a delta's basis, a graph or an overlay:
+// a row with its weights (ones when unweighted), and a degree; nothing past
+// the basis's rows.
 type basisRows interface {
 	row(v VertexID) ([]VertexID, []int32)
 	deg(v VertexID) int64
 }
 
-// graphRows is one direction of a Graph as an overlay's basis.
+// graphRows is one direction of a Graph as a delta's basis.
 type graphRows struct {
 	a    *adj
 	n    int
 	ones []int32
+}
+
+// rows returns g's two directions as a delta's basis.
+func (g *Graph) rows() (out, in graphRows) {
+	return graphRows{&g.out, g.n, g.ones}, graphRows{&g.in, g.n, g.ones}
 }
 
 func (s graphRows) row(v VertexID) ([]VertexID, []int32) {
@@ -89,28 +95,21 @@ func (s graphRows) deg(v VertexID) int64 {
 	return s.a.deg(v)
 }
 
-// overlaySide is one direction of an Overlay: the derivation's sidePatch,
-// reading its basis through p.src, the bitmaps of its dirty rows and of
-// those that relocated or mention a moved vertex, where the runs of the
-// rows with adds or deletions start and their degrees, and what a read of
+// overlaySide is one direction of an Overlay: the delta's side patch, with
+// its dirty-row index, reading its basis through p.src, and what a read of
 // a row no overlay of the stack touches goes to. A dirty row's degree and
 // row are kept in memo at the row's rank among the dirty rows (prefix), so
 // an overlay works each out once however often it and the overlays stacked
 // on it read the row.
 type overlaySide struct {
-	p            sidePatch
-	nb           int        // the basis's vertex count
-	ones         []int32    // the overlay's
-	dirty        []uint64   // bit v: row v is dirty
-	moved, remap []uint64   // bit v: a row relocated to v; v is remap-dirty (nil: nothing moved)
-	rows         []VertexID // the rows with adds or deletions, sorted
-	runs         []runAt    // parallel to rows
-	count        int        // dirty rows
-	prefix       []int32    // the dirty rows before each word of dirty
-	memo         []rowMemo  // per dirty row, by rank
-	below        *overlaySide
-	root         graphRows // the graph at the bottom of the stack
-	stack        []uint64  // bit v: row v is dirty in this overlay or one below
+	p      sidePatch
+	ones   []int32   // the overlay's
+	count  int       // dirty rows
+	prefix []int32   // the dirty rows before each word of p.dirty
+	memo   []rowMemo // per dirty row, by rank
+	below  *overlaySide
+	root   graphRows // the graph at the bottom of the stack
+	stack  []uint64  // bit v: row v is dirty in this overlay or one below
 }
 
 // rowMemo keeps what reads of one dirty row worked out: its degree plus
@@ -126,26 +125,14 @@ type cachedRow struct {
 	ws  []int32
 }
 
-// runAt locates a row's runs in its side's rowDeltas, the index of the
-// header of its adds and of its deletions (-1 for none), and keeps the
-// row's degree.
-type runAt struct {
-	add, del int
-	deg      int64
-}
-
-// NewOverlay returns the overlay of base patched by the slot-space delta d
-// within one numbering lineage: the change
-// base.PatchEdgesPermN(nNew, d.Adds, d.Dels, d.Seg) takes, for nNew at
-// least base's vertex count. It reads d.Seg only at the moved slots
-// (d.Moved) and their images, as Delta documents it: every other basis
-// slot keeps its index. It checks what the derivation would, except a
-// deletion that matches no occurrence in its row, which panics the read of
-// that row. A broken lineage (d.Broken) renumbers every row and has no
-// overlay.
+// NewOverlay returns the overlay of base patched by the slot-space delta d:
+// the graph base.Patch(nNew, d) derives, read without deriving it. It
+// checks what Patch does, except a deletion that matches no occurrence in
+// its row, which panics the read of that row. A broken lineage (d.Broken)
+// renumbers every row and has no overlay.
 func NewOverlay(base *Graph, nNew int, d Delta) (*Overlay, error) {
 	b := &Overlay{n: base.n, m: base.NumEdges(), weighted: base.weighted}
-	out, in := graphRows{&base.out, base.n, base.ones}, graphRows{&base.in, base.n, base.ones}
+	out, in := base.rows()
 	return b.extend(basisSide{rows: out, root: out}, basisSide{rows: in, root: in}, base.ones, nNew, d)
 }
 
@@ -181,185 +168,59 @@ func (o *Overlay) Depth() int { return o.depth }
 // extend builds the overlay of the graph b stands for, whose sides read
 // through out and in, patched by d; ones is b's ones.
 func (b *Overlay) extend(out, in basisSide, ones []int32, nNew int, d Delta) (*Overlay, error) {
-	if nNew < b.n {
-		return nil, fmt.Errorf("graph: overlay shrinks vertex space %d -> %d", b.n, nNew)
-	}
 	if d.Broken {
 		return nil, fmt.Errorf("graph: overlay across a lineage break")
 	}
-	if err := checkRange(nNew, d.Adds, d.Dels); err != nil {
-		return nil, err
-	}
-	relocs, err := relocsOf(b.n, nNew, d, func(t VertexID) int64 { return out.rows.deg(t) + in.rows.deg(t) })
+	po, pi, maxRow, err := sides(b.n, b.m, b.weighted, out.rows, in.rows, nNew, d)
 	if err != nil {
 		return nil, err
 	}
-	o := &Overlay{n: nNew, m: b.m + int64(len(d.Adds)-len(d.Dels)), weighted: b.weighted, depth: 1}
-	if o.m < 0 {
-		return nil, fmt.Errorf("graph: overlay deletes %d edges from a graph with %d + %d added", len(d.Dels), b.m, len(d.Adds))
-	}
-	perm := d.Seg
-	if len(d.Moved) == 0 {
-		perm = nil
-	}
-	po, pi := sides(nNew, b.weighted, d.Adds, d.Dels, perm, relocs)
-	var outMax, inMax int64
-	if o.out, outMax, err = index(po, b.n, d.Moved, out, in.rows); err != nil {
-		return nil, fmt.Errorf("graph: overlay out-edges: %w", err)
-	}
-	if o.in, inMax, err = index(pi, b.n, d.Moved, in, out.rows); err != nil {
-		return nil, fmt.Errorf("graph: overlay in-edges: %w", err)
+	o := &Overlay{
+		n: nNew, m: b.m + int64(len(d.Adds)-len(d.Dels)), weighted: b.weighted, depth: 1,
+		out: stacked(po, out), in: stacked(pi, in),
 	}
 	if !b.weighted {
-		o.ones = OnesFor(ones, max(outMax, inMax))
+		o.ones = OnesFor(ones, maxRow)
 		o.out.ones, o.in.ones = o.ones, o.ones
 	}
 	return o, nil
 }
 
-// relocsOf returns the relocations of d's moves over a basis of nb
-// vertices, in O(moves): each moved vertex's new slot, and the slot it
-// left when no other moved vertex took it. It checks that the moves are
-// injective: each image is a slot below nNew that another moved vertex
-// left, an appended one, or a hole without an image (a row d.Seg maps to
-// NoVertex, whose edges, counted by edges, must be none).
-func relocsOf(nb, nNew int, d Delta, edges func(VertexID) int64) ([]reloc, error) {
-	if len(d.Moved) == 0 {
-		return nil, nil
-	}
-	if len(d.Seg) != nb {
-		return nil, fmt.Errorf("graph: overlay perm length %d != n %d", len(d.Seg), nb)
-	}
-	images := make([]VertexID, 0, len(d.Moved))
-	for _, a := range d.Moved {
-		if int(a) >= nb {
-			return nil, fmt.Errorf("graph: overlay moves vertex %d of %d", a, nb)
-		}
-		images = append(images, d.Seg[a])
-	}
-	slices.Sort(images)
-	for i, t := range images {
-		_, left := slices.BinarySearch(d.Moved, t)
-		switch {
-		case int(t) >= nNew || i > 0 && images[i-1] == t:
-			return nil, fmt.Errorf("graph: overlay perm is not injective at -> %d", t)
-		case left || int(t) >= nb:
-		case d.Seg[t] != NoVertex:
-			return nil, fmt.Errorf("graph: overlay perm moves a vertex onto kept slot %d", t)
-		case edges(t) != 0:
-			return nil, fmt.Errorf("graph: overlay perm drops non-empty row %d", t)
-		}
-	}
-	relocs := make([]reloc, 0, 2*len(d.Moved))
-	for _, a := range d.Moved {
-		relocs = append(relocs, reloc{to: d.Seg[a], from: a})
-		if _, taken := slices.BinarySearch(images, a); !taken {
-			relocs = append(relocs, reloc{to: a, from: VertexID(nb)})
-		}
-	}
-	return relocs, nil
-}
-
-// index returns the overlay side of p over the basis side b of nb
-// vertices, whose moved vertices are moved and whose other side reads
-// through other, and the largest of its rows with adds or deletions. It
-// marks the rows remapRows would list — the relocated ones, and those that
-// mention a moved vertex, found through the moved vertices' other-side
-// rows — and the rows with adds or deletions, checking each of those for a
-// degree below zero.
-func index(p sidePatch, nb int, moved []VertexID, b basisSide, other basisRows) (overlaySide, int64, error) {
-	words := (p.n + 63) / 64
-	p.src = b.rows
-	s := overlaySide{p: p, nb: nb, dirty: make([]uint64, words), root: b.root}
+// stacked returns the overlay side of p over the basis side b: the ranks
+// and memos of p's dirty rows, and the dirty bitmap of the stack.
+func stacked(p sidePatch, b basisSide) overlaySide {
+	s := overlaySide{p: p, root: b.root, stack: p.dirty}
 	s.below, _ = b.rows.(*overlaySide)
-	mark := func(bits []uint64, v VertexID) { bits[v/64] |= 1 << (v % 64) }
-	if len(p.relocs) > 0 {
-		s.moved, s.remap = make([]uint64, words), make([]uint64, words)
-		for _, r := range p.relocs {
-			mark(s.moved, r.to)
-			mark(s.remap, r.to)
-		}
-		for _, a := range moved {
-			refs, _ := other.row(a)
-			for _, r := range refs {
-				mark(s.remap, p.perm[r])
-			}
-		}
-		copy(s.dirty, s.remap)
-	}
-	var maxRow int64
-	for a, d := 0, 0; a < len(p.adds) || d < len(p.dels); {
-		v := VertexID(p.n)
-		if a < len(p.adds) {
-			v = p.adds.row(a)
-		}
-		if d < len(p.dels) {
-			v = min(v, p.dels.row(d))
-		}
-		at := runAt{add: -1, del: -1}
-		var adds, dels []uint64
-		if adds, a = p.adds.run(a, v); adds != nil {
-			at.add = a - len(adds) - 1
-		}
-		if dels, d = p.dels.run(d, v); dels != nil {
-			at.del = d - len(dels) - 1
-		}
-		deg := int64(len(adds)-len(dels)) + p.src.deg(s.old(v))
-		if deg < 0 {
-			return s, 0, fmt.Errorf("row %d: more deletions than edges", v)
-		}
-		maxRow = max(maxRow, deg)
-		mark(s.dirty, v)
-		at.deg = deg
-		s.rows, s.runs = append(s.rows, v), append(s.runs, at)
-	}
-	s.stack = s.dirty
 	if b.stack != nil {
-		s.stack = make([]uint64, words)
-		for i, w := range b.stack {
-			s.stack[i] = w
-		}
-		for i, w := range s.dirty {
+		s.stack = make([]uint64, len(p.dirty))
+		copy(s.stack, b.stack)
+		for i, w := range p.dirty {
 			s.stack[i] |= w
 		}
 	}
-	s.prefix = make([]int32, words)
-	for i, w := range s.dirty {
+	s.prefix = make([]int32, len(p.dirty))
+	for i, w := range p.dirty {
 		s.prefix[i] = int32(s.count)
 		s.count += bits.OnesCount64(w)
 	}
 	s.memo = make([]rowMemo, s.count)
-	return s, maxRow, nil
+	return s
 }
 
-// old returns the basis row of row v: the one relocated to it, else its
-// own, or the basis's vertex count for none.
-func (s *overlaySide) old(v VertexID) VertexID {
-	if s.moved != nil && s.moved[v/64]&(1<<(v%64)) != 0 {
-		rs := s.p.relocs
-		i, _ := slices.BinarySearchFunc(rs, v, func(x reloc, v VertexID) int { return cmp.Compare(x.to, v) })
-		return rs[i].from
-	}
-	return min(v, VertexID(s.nb))
+// old returns the basis row of row v, as oldAt, for a row read out of
+// order.
+func (p *sidePatch) old(v VertexID) VertexID {
+	k, _ := slices.BinarySearchFunc(p.relocs, v, func(x reloc, v VertexID) int { return cmp.Compare(x.to, v) })
+	return p.oldAt(&k, v)
 }
 
-// find returns dirty row v as the derivation's dirty-row walk would
-// (dirtyRows.next), and its degree.
-func (s *overlaySide) find(v VertexID) (d dirtyRow, deg int64) {
+// find returns dirty row v as the derivation's walk reads it.
+func (s *overlaySide) find(v VertexID) dirtyRow {
 	p := &s.p
-	d = dirtyRow{v: v, old: s.old(v)}
-	d.remap = s.remap != nil && s.remap[v/64]&(1<<(v%64)) != 0
-	if i, ok := slices.BinarySearch(s.rows, v); ok {
-		at := s.runs[i]
-		if at.add >= 0 {
-			d.adds, _ = p.adds.run(at.add, v)
-		}
-		if at.del >= 0 {
-			d.dels, _ = p.dels.run(at.del, v)
-		}
-		return d, at.deg
-	}
-	return d, p.src.deg(d.old)
+	k, has := slices.BinarySearch(p.rows, v)
+	d := dirtyRow{v: v, old: p.old(v)}
+	p.fill(&d, k, has)
+	return d
 }
 
 // owner returns the overlay side whose delta last made row v dirty, s or
@@ -369,12 +230,11 @@ func (s *overlaySide) find(v VertexID) (d dirtyRow, deg int64) {
 // overlay is its basis row at its own index, so the walk goes down the
 // stack's dirty bitmaps without reading any row.
 func (s *overlaySide) owner(v VertexID) *overlaySide {
-	w, bit := v/64, uint64(1)<<(v%64)
-	if int(v) >= s.p.n || s.stack[w]&bit == 0 {
+	if int(v) >= s.p.n || !marked(s.stack, v) {
 		return nil
 	}
 	for l := s; l != nil && int(v) < l.p.n; l = l.below {
-		if l.dirty[w]&bit != 0 {
+		if marked(l.p.dirty, v) {
 			return l
 		}
 	}
@@ -384,7 +244,7 @@ func (s *overlaySide) owner(v VertexID) *overlaySide {
 // memoOf returns the memo of dirty row v.
 func (s *overlaySide) memoOf(v VertexID) *rowMemo {
 	w := v / 64
-	return &s.memo[int(s.prefix[w])+bits.OnesCount64(s.dirty[w]&(1<<(v%64)-1))]
+	return &s.memo[int(s.prefix[w])+bits.OnesCount64(s.p.dirty[w]&(1<<(v%64)-1))]
 }
 
 // deg returns row v's degree, 0 past the overlay's rows, as graphRows's.
@@ -397,7 +257,7 @@ func (s *overlaySide) deg(v VertexID) int64 {
 	if d := m.deg.Load(); d > 0 {
 		return d - 1
 	}
-	_, deg := l.find(v)
+	deg := l.find(v).deg
 	m.deg.Store(deg + 1)
 	return deg
 }
@@ -425,17 +285,17 @@ func (s *overlaySide) row(v VertexID) ([]VertexID, []int32) {
 // an error, panics.
 func (s *overlaySide) write(v VertexID) ([]VertexID, []int32) {
 	p := &s.p
-	d, deg := s.find(v)
+	d := s.find(v)
 	if !p.writes(&d) {
 		return p.src.row(d.old)
 	}
-	ids := make([]VertexID, deg)
+	ids := make([]VertexID, d.deg)
 	var ws, dw []int32
 	if p.weighted {
-		ws = make([]int32, deg)
+		ws = make([]int32, d.deg)
 		dw = ws
 	} else {
-		ws = s.ones[:deg:deg]
+		ws = s.ones[:d.deg:d.deg]
 	}
 	var scr *patchScratch
 	if d.remap {

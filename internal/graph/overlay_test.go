@@ -14,7 +14,7 @@ import (
 // image), adds that reach admitted slots (a vacated slot, a hole, appended
 // rows), deletions of live occurrences and parallel adds — every row,
 // weight run and degree in both directions, and the edge count, must
-// equal those of PatchEdgesPermN's result, for an overlay of the basis and
+// equal those of Patch's result, for an overlay of the basis and
 // for one stacked on it by Extend. A basis of 64 or 128 vertices (nB ≥
 // 240) fills its bitmaps' last word exactly, so a stacked overlay's reads
 // of the rows its basis does not have reach past that word.
@@ -59,7 +59,7 @@ func FuzzOverlayRows(f *testing.F) {
 			t.Fatal(err)
 		}
 		nNew, d := randomDelta(rng, g, int(shapeB), int(next()), weight)
-		want, _, err := g.PatchEdgesPermN(nNew, d.Adds, d.Dels, d.Seg)
+		want, _, err := g.Patch(nNew, d)
 		if err != nil {
 			t.Fatalf("valid patch rejected: %v", err)
 		}
@@ -70,7 +70,7 @@ func FuzzOverlayRows(f *testing.F) {
 		checkOverlay(t, ov, want)
 
 		nNew, d = randomDelta(rng, want, int(next()), int(next()), weight)
-		want2, _, err := want.PatchEdgesPermN(nNew, d.Adds, d.Dels, d.Seg)
+		want2, _, err := want.Patch(nNew, d)
 		if err != nil {
 			t.Fatalf("valid patch of the patch rejected: %v", err)
 		}
@@ -174,32 +174,42 @@ func checkOverlay(t *testing.T, ov *Overlay, want *Graph) {
 	}
 }
 
-// TestOverlayRejects pins the overlay's argument checks: those of
-// PatchEdgesPermN on the delta, a lineage break, and no shrinking of the
-// vertex space.
+// TestOverlayRejects pins the checks an overlay adds to the delta checks
+// it shares with Patch (TestDeltaRejects): a lineage break, which Patch
+// renumbers, has no overlay, whether built on a graph or stacked on
+// another overlay by Extend; and Extend runs the shared checks against
+// the graph its basis stands for, not the graph under it.
 func TestOverlayRejects(t *testing.T) {
 	g, err := FromEdges(4, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]struct {
-		n int
-		d Delta
-	}{
-		"shrink":          {n: 3},
-		"broken":          {n: 4, d: Delta{Broken: true}},
-		"add range":       {n: 4, d: Delta{Adds: []Edge{{Src: 4, Dst: 0}}}},
-		"not injective":   {n: 4, d: Delta{Seg: []VertexID{1, 0, 0, 3}, Moved: []VertexID{0, 1, 2}}},
-		"onto kept slot":  {n: 4, d: Delta{Seg: []VertexID{0, 3, 2, 3}, Moved: []VertexID{1}}},
-		"drops non-empty": {n: 4, d: Delta{Seg: []VertexID{0, 1, NoVertex, 2}, Moved: []VertexID{3}}},
-		"over-delete":     {n: 4, d: Delta{Dels: []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 1, Weight: 1}}}},
-	} {
-		if _, err := NewOverlay(g, c.n, c.d); err == nil {
-			t.Errorf("%s: overlay accepted", name)
-		}
+	broken := Delta{Seg: identityPerm(4), Broken: true}
+	if _, _, err := g.Patch(4, broken); err != nil {
+		t.Errorf("lineage break rejected by the patch: %v", err)
 	}
-	// A vertex moved into a hole, which keeps no image.
-	if _, err := NewOverlay(g, 4, Delta{Seg: []VertexID{0, 1, 3, NoVertex}, Moved: []VertexID{2}}); err != nil {
-		t.Errorf("move into a hole rejected: %v", err)
+	if _, err := NewOverlay(g, 4, broken); err == nil {
+		t.Error("overlay across a lineage break accepted")
+	}
+	ov, err := NewOverlay(g, 5, Delta{Adds: []Edge{{Src: 4, Dst: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.Extend(5, Delta{Seg: identityPerm(5), Broken: true}); err == nil {
+		t.Error("extension across a lineage break accepted")
+	}
+	// Row 4 and its edge exist in the overlay, not in g.
+	if _, err := ov.Extend(4, Delta{}); err == nil {
+		t.Error("extension shrinking the overlay's vertex space accepted")
+	}
+	if _, err := ov.Extend(5, Delta{Dels: []Edge{{Src: 4, Dst: 0, Weight: 1}, {Src: 4, Dst: 0, Weight: 1}}}); err == nil {
+		t.Error("extension over-deleting the overlay's row accepted")
+	}
+	e, err := ov.Extend(5, Delta{Dels: []Edge{{Src: 4, Dst: 0, Weight: 1}}})
+	if err != nil {
+		t.Fatalf("deletion of the overlay's own edge rejected: %v", err)
+	}
+	if e.NumEdges() != g.NumEdges() || e.OutDegree(4) != 0 {
+		t.Errorf("extension has %d edges and out-degree %d at row 4, want %d and 0", e.NumEdges(), e.OutDegree(4), g.NumEdges())
 	}
 }

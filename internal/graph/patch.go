@@ -3,23 +3,23 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
-// PatchStats reports how much construction work a PatchEdgesPermN call did,
-// in edges. Merged edges are written by a row's copy-run merge of its
-// sorted basis row with its sorted adds and deletions; remapped edges are entries
-// whose stored neighbor ID was rewritten through the permutation (and
-// merged back into their row's order); copied
-// edges are carried over unchanged — untouched rows, and the unchanged
-// entries of remap-only rows, including rows that merely relocated to a new
-// index — whether the result shares them with its basis or a fold rewrites
-// them. Both are an order of magnitude cheaper per edge than building a
-// graph from scratch (which counting-sorts and scatters every edge twice,
-// then sorts every row).
+// PatchStats reports how much construction work a Patch call did, in
+// edges. Merged edges are written by a row's copy-run merge of its sorted
+// basis row with its sorted adds and deletions; remapped edges are entries
+// whose stored neighbor ID was rewritten through the slot map (and merged
+// back into their row's order); copied edges are carried over unchanged —
+// untouched rows, and the unchanged entries of remap-only rows, including
+// rows that merely relocated to a new index — whether the result shares
+// them with its basis or a fold rewrites them. Both are an order of
+// magnitude cheaper per edge than building a graph from scratch (which
+// counting-sorts and scatters every edge twice, then sorts every row).
 type PatchStats struct {
 	EdgesMerged   int64 // edges written through row merges (both directions)
-	EdgesRemapped int64 // entries rewritten through the permutation (both directions)
+	EdgesRemapped int64 // entries rewritten through the slot map (both directions)
 	EdgesCopied   int64 // edges carried over unchanged (both directions)
 	EdgesWritten  int64 // edges stored into the result's own chunks (both directions)
 	// Fold is why the first side that folded did (see foldDeadPct): "dead"
@@ -39,199 +39,218 @@ const (
 	maxChunks   = 16
 )
 
-// PatchEdgesPermN returns a graph equal to g relabeled by perm, then
-// patched with dels removed and adds inserted (both given in post-perm IDs),
-// without rebuilding untouched adjacency rows. The result has nNew
-// vertices; perm (length g.NumVertices()) maps each of g's vertex IDs to its
-// new ID and must be injective into [0, nNew), and nil selects the
-// identity. An entry NoVertex drops a row that is empty on both sides
-// instead of mapping it, and is an error on any other row: a slot space
-// hole whose slot another vertex now takes has no image left. New IDs
-// without a preimage under perm start with empty rows (plus whatever adds
-// reference them). Only a permutation may shrink the vertex space (nNew <
-// g.NumVertices()), since only it can drop the empty rows past the end. An
-// empty change (no adds or deletions, an identity perm, nNew equal to the
+// Patch returns the graph of nNew vertices the slot-space delta d derives
+// from g, without rebuilding untouched adjacency rows; NewOverlay reads the
+// same graph's rows without deriving it. It routes on d.Broken alone. A
+// lineage break renumbers every row by the full slot map d.Seg (Relabel's
+// check and renumbering), then merges the adds and deletions; its stats
+// are the renumbering's remapped and copied edges, the merge's merged
+// ones, and the edges both wrote. Every other delta takes the row path,
+// which reads d.Seg only at the moved slots (d.Moved) and their images, as
+// Delta documents it (an empty Moved moves nothing), and may not shrink the
+// vertex space. An empty change (no moves, adds or deletions, and nNew the
 // vertex count) returns the receiver itself; otherwise the receiver is not
 // modified.
 //
 // Each deletion removes one occurrence of exactly (Src, Dst, Weight) as
-// stored — i.e. with weights normalized the way FromEdges stores them (1 on
-// unweighted graphs and for zero input weights); it is an error if no such
-// occurrence exists. Every row of the result is sorted by (neighbor,
-// weight), as FromEdges leaves it, so a patch is Equal to a scratch build of
-// the same edge multiset.
+// stored — i.e. with weights normalized the way FromEdges stores them (1
+// on unweighted graphs and for zero input weights); it is an error if no
+// such occurrence exists. Every row of the result is sorted by (neighbor,
+// weight), as FromEdges leaves it, so a patch is Equal to a scratch build
+// of the same edge multiset.
 //
-// The cost scales with the change, not the graph: only rows owned by or
-// referencing a moved vertex (perm[v] != v), plus rows incident to an
-// explicit add or delete, are merged or remapped, into one new chunk; every
-// other row shares its basis's storage, so beyond the change a patch costs
-// a new degree prefix and extent array per side. An identity injection
-// (nil, or no vertex moved — headroom admissions fill reserved slots, so
-// pre-existing vertices keep theirs) is detected and takes the nil-perm
-// path: no remap row class at all. Only maintenance that actually relocates
-// vertices (swap repair) produces non-identity injections, and those remap
-// exactly the rows owned by or referencing a moved vertex; a relocated row
-// whose entries did not change shares its storage too. When sharing would
-// leave too many dead edges or chunks behind (see foldDeadPct), the patch
-// folds: it writes every row into one fresh chunk, O(n + m). A permutation
-// that moves most vertices (a fresh ordering) or shrinks the vertex space
-// renumbers first, in two sort-free O(n + m) passes (see renumber), and
-// then merges the adds and deletions into the renumbered graph with no
-// permutation; its stats are the renumbering's remapped and copied edges
-// and the merge's merged ones, and the edges both wrote.
-func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
-	var st PatchStats
-	if nNew < g.n && perm == nil {
-		return nil, st, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", g.n, nNew)
-	}
-	if err := checkRange(nNew, adds, dels); err != nil {
-		return nil, st, err
-	}
-	var moved []VertexID
-	var taken []uint64 // bit v: new ID v has a preimage
-	if perm != nil {
-		if len(perm) != g.n {
-			return nil, st, fmt.Errorf("graph: patch perm length %d != n %d", len(perm), g.n)
+// The row path's cost scales with the change, not the graph: only rows
+// relocated by a move or mentioning a moved vertex (swap repairs move
+// vertices; headroom admissions fill reserved slots), plus rows incident
+// to an add or deletion, are remapped or merged, into one new chunk; every
+// other row, and a relocated row whose entries did not change, shares its
+// basis's storage, so beyond the change a patch costs a new degree prefix
+// and extent array per side. When sharing would leave too many dead edges
+// or chunks behind (see foldDeadPct), the patch folds: it writes every row
+// into one fresh chunk, O(n + m).
+func (g *Graph) Patch(nNew int, d Delta) (*Graph, PatchStats, error) {
+	if d.Broken {
+		rn, st, err := g.renumber(nNew, d.Seg)
+		if err != nil {
+			return nil, st, err
 		}
-		taken = make([]uint64, (nNew+63)/64)
-		for old, nw := range perm {
-			if nw == NoVertex {
-				if g.OutDegree(VertexID(old))+g.InDegree(VertexID(old)) != 0 {
-					return nil, st, fmt.Errorf("graph: patch perm drops non-empty row %d", old)
-				}
-				continue
-			}
-			if int(nw) >= nNew || taken[nw/64]&(1<<(nw%64)) != 0 {
-				return nil, st, fmt.Errorf("graph: patch perm is not injective at %d -> %d", old, nw)
-			}
-			taken[nw/64] |= 1 << (nw % 64)
-			if VertexID(old) != nw {
-				moved = append(moved, VertexID(old))
-			}
-		}
-		if len(moved) == 0 && nNew >= g.n {
-			// Identity injection (headroom growth without relocation): every
-			// basis row keeps its index, so drop perm — no remap row class.
-			perm = nil
-		}
-	}
-	if perm != nil && (2*len(moved) > g.n || nNew < g.n) {
-		rn, st := g.renumber(nNew, perm)
-		out, mst, err := rn.PatchEdgesPermN(nNew, adds, dels, nil)
+		out, mst, err := rn.Patch(nNew, Delta{Adds: d.Adds, Dels: d.Dels})
 		st.EdgesMerged, st.EdgesWritten, st.Fold = mst.EdgesMerged, st.EdgesWritten+mst.EdgesWritten, mst.Fold
 		return out, st, err
 	}
-	if perm == nil && nNew == g.n && len(adds) == 0 && len(dels) == 0 {
+	var st PatchStats
+	if nNew == g.n && len(d.Moved)+len(d.Adds)+len(d.Dels) == 0 {
 		st.EdgesCopied = 2 * g.NumEdges()
 		return g, st, nil
 	}
-	if m := g.NumEdges() + int64(len(adds)) - int64(len(dels)); m < 0 {
-		return nil, st, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(dels), g.NumEdges(), len(adds))
-	}
-	// The slots whose basis row is not their own: each moved vertex's new
-	// slot, and the slot it left when no other vertex took it.
-	var relocs []reloc
-	for _, a := range moved {
-		relocs = append(relocs, reloc{to: perm[a], from: a})
-		if taken[a/64]&(1<<(a%64)) == 0 {
-			relocs = append(relocs, reloc{to: a, from: VertexID(g.n)})
-		}
-	}
-	outSide, inSide := sides(nNew, g.weighted, adds, dels, perm, relocs)
-	outSide.g, outSide.basis = g, &g.out
-	inSide.g, inSide.basis = g, &g.in
-	outSide.remap = remapRows(outSide.relocs, moved, perm, g.InNeighbors)
-	inSide.remap = remapRows(inSide.relocs, moved, perm, g.OutNeighbors)
-
-	out := &Graph{n: nNew, weighted: g.weighted}
-	var err error
-	var outMax, inMax int64
-	out.out, outMax, err = outSide.build(&st)
+	out, in := g.rows()
+	po, pi, maxRow, err := sides(g.n, g.NumEdges(), g.weighted, out, in, nNew, d)
 	if err != nil {
+		return nil, st, err
+	}
+	h := &Graph{n: nNew, weighted: g.weighted}
+	if h.out, err = po.build(&st, &g.out); err != nil {
 		return nil, st, fmt.Errorf("graph: patch out-edges: %w", err)
 	}
-	out.in, inMax, err = inSide.build(&st)
-	if err != nil {
+	if h.in, err = pi.build(&st, &g.in); err != nil {
 		return nil, st, fmt.Errorf("graph: patch in-edges: %w", err)
 	}
 	if !g.weighted {
-		out.ones = OnesFor(g.ones, max(outMax, inMax))
+		h.ones = OnesFor(g.ones, maxRow)
 	}
-	return out, st, nil
+	return h, st, nil
+}
+
+// sides checks the within-lineage delta d to nNew vertices over a basis of
+// nb vertices and m edges, whose two directions read through out and in,
+// and returns its two side patches with their dirty-row indexes, and the
+// largest row with adds or deletions. It is the one check and indexing of
+// a delta, for Patch and for the overlays alike.
+func sides(nb int, m int64, weighted bool, out, in basisRows, nNew int, d Delta) (po, pi sidePatch, maxRow int64, err error) {
+	if nNew < nb {
+		return po, pi, 0, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", nb, nNew)
+	}
+	if err := checkRange(nNew, d.Adds, d.Dels); err != nil {
+		return po, pi, 0, err
+	}
+	relocs, err := relocsOf(nb, nNew, d, func(t VertexID) int64 { return out.deg(t) + in.deg(t) })
+	if err != nil {
+		return po, pi, 0, err
+	}
+	if m+int64(len(d.Adds)-len(d.Dels)) < 0 {
+		return po, pi, 0, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(d.Dels), m, len(d.Adds))
+	}
+	var movers []uint64
+	if len(d.Moved) > 0 {
+		movers = make([]uint64, (nb+63)/64)
+		for _, a := range d.Moved {
+			mark(movers, a)
+		}
+	}
+	scr := &patchScratch{}
+	side := func(src basisRows, outRows bool) sidePatch {
+		return sidePatch{
+			n: nNew, nb: nb, weighted: weighted, src: src, perm: d.Seg, movers: movers, relocs: relocs,
+			adds: scr.sortDelta(d.Adds, weighted, outRows), dels: scr.sortDelta(d.Dels, weighted, outRows),
+			scratch: scr,
+		}
+	}
+	po, pi = side(out, true), side(in, false)
+	scr.sort = nil // spent: let the collector have it while the rows are written
+	outMax, err := po.index(d.Moved, in)
+	if err != nil {
+		return po, pi, 0, fmt.Errorf("graph: patch out-edges: %w", err)
+	}
+	inMax, err := pi.index(d.Moved, out)
+	if err != nil {
+		return po, pi, 0, fmt.Errorf("graph: patch in-edges: %w", err)
+	}
+	return po, pi, max(outMax, inMax), nil
 }
 
 // checkRange checks that the adds and deletions of a change to nNew
 // vertices name vertices below nNew.
 func checkRange(nNew int, adds, dels []Edge) error {
-	for _, e := range adds {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return fmt.Errorf("graph: patch add (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
-		}
-	}
-	for _, e := range dels {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
+	for i, es := range [][]Edge{adds, dels} {
+		for _, e := range es {
+			if int(e.Src) >= nNew || int(e.Dst) >= nNew {
+				return fmt.Errorf("graph: patch %s (%d,%d) out of range n=%d", [2]string{"add", "delete"}[i], e.Src, e.Dst, nNew)
+			}
 		}
 	}
 	return nil
 }
 
-// sides returns the two sidePatches of a checked row-path change, less
-// their basis: the delta sorted into each direction's rows, and relocs,
-// the slots whose basis row is not their own, sorted. The rows a moved
-// vertex dirties are left to the caller (remapRows).
-func sides(nNew int, weighted bool, adds, dels []Edge, perm []VertexID, relocs []reloc) (out, in sidePatch) {
-	slices.SortFunc(relocs, func(x, y reloc) int { return cmp.Compare(x.to, y.to) })
-	scr := &patchScratch{}
-	out = sidePatch{
-		n: nNew, weighted: weighted, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, weighted, true), dels: scr.sortDelta(dels, weighted, true),
-		scratch: scr,
-	}
-	in = sidePatch{
-		n: nNew, weighted: weighted, perm: perm, relocs: relocs,
-		adds: scr.sortDelta(adds, weighted, false), dels: scr.sortDelta(dels, weighted, false),
-		scratch: scr,
-	}
-	scr.sort = nil // spent: let the collector have it while the rows are written
-	return out, in
-}
-
-// reloc names the basis row, from (g.n: none), of a new slot to that is
-// not its own.
+// reloc names the basis row, from (the basis's vertex count: none), of a
+// new slot to that is not its own.
 type reloc struct {
 	to, from VertexID
 }
 
-// renumber is PatchEdgesPermN's pure renumbering of most vertices (a fresh
-// ordering), where the row path would re-sort nearly every row. Each side
-// is filled by visiting the new IDs in increasing order and appending each
-// to the rows of its other-side neighbors' images, so rows come out in
-// (neighbor, weight) order unsorted: entries arrive by increasing neighbor,
-// parallel ones in their basis row's weight order. An entry counts as
-// remapped when its neighbor moved, as on the row path.
-func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats) {
+// relocsOf returns the relocations of d's moves over a basis of nb
+// vertices, sorted by slot, in O(moves log moves): each moved vertex's new
+// slot, and the slot it left when no other moved vertex took it. It checks
+// that the moves are injective: each image is a slot below nNew that
+// another moved vertex left, an appended one, or a hole without an image
+// (a row d.Seg maps to NoVertex, whose edges, counted by edges, must be
+// none).
+func relocsOf(nb, nNew int, d Delta, edges func(VertexID) int64) ([]reloc, error) {
+	if len(d.Moved) == 0 {
+		return nil, nil
+	}
+	if len(d.Seg) != nb {
+		return nil, fmt.Errorf("graph: patch perm length %d != n %d", len(d.Seg), nb)
+	}
+	images := make([]VertexID, 0, len(d.Moved))
+	for _, a := range d.Moved {
+		if int(a) >= nb {
+			return nil, fmt.Errorf("graph: patch moves vertex %d of %d", a, nb)
+		}
+		images = append(images, d.Seg[a])
+	}
+	slices.Sort(images)
+	for i, t := range images {
+		_, left := slices.BinarySearch(d.Moved, t)
+		switch {
+		case int(t) >= nNew || i > 0 && images[i-1] == t:
+			return nil, fmt.Errorf("graph: patch perm is not injective at -> %d", t)
+		case left || int(t) >= nb:
+		case d.Seg[t] != NoVertex:
+			return nil, fmt.Errorf("graph: patch perm moves a vertex onto kept slot %d", t)
+		case edges(t) != 0:
+			return nil, fmt.Errorf("graph: patch perm drops non-empty row %d", t)
+		}
+	}
+	relocs := make([]reloc, 0, 2*len(d.Moved))
+	for _, a := range d.Moved {
+		relocs = append(relocs, reloc{to: d.Seg[a], from: a})
+		if _, taken := slices.BinarySearch(images, a); !taken {
+			relocs = append(relocs, reloc{to: a, from: VertexID(nb)})
+		}
+	}
+	slices.SortFunc(relocs, func(x, y reloc) int { return cmp.Compare(x.to, y.to) })
+	return relocs, nil
+}
+
+// renumber is Relabel, with its stats: the pure renumbering of every row a
+// lineage break takes, where the row path would re-sort nearly every row.
+// It checks perm as Relabel documents, building the inverse map as it
+// goes. Each side is filled by visiting the new IDs in increasing order
+// and appending each to the rows of its other-side neighbors' images, so
+// rows come out in (neighbor, weight) order unsorted: entries arrive by
+// increasing neighbor, parallel ones in their basis row's weight order. An
+// entry counts as remapped when its neighbor moved, as on the row path.
+func (g *Graph) renumber(nNew int, perm []VertexID) (*Graph, PatchStats, error) {
+	var st PatchStats
+	if len(perm) != g.n {
+		return nil, st, fmt.Errorf("graph: relabel perm length %d != n %d", len(perm), g.n)
+	}
 	inv := make([]VertexID, nNew)
 	for i := range inv {
 		inv[i] = VertexID(g.n) // no preimage
 	}
 	for u, v := range perm {
-		if v != NoVertex {
+		deg := g.InDegree(VertexID(u)) + g.OutDegree(VertexID(u))
+		switch {
+		case v == NoVertex:
+			if deg != 0 {
+				return nil, st, fmt.Errorf("graph: relabel perm drops non-empty row %d", u)
+			}
+		case int(v) >= nNew || int(inv[v]) != g.n:
+			return nil, st, fmt.Errorf("graph: relabel perm is not injective at %d -> %d", u, v)
+		default:
 			inv[v] = VertexID(u)
+		}
+		if VertexID(u) != v {
+			st.EdgesRemapped += deg
 		}
 	}
 	out := &Graph{n: nNew, weighted: g.weighted, ones: g.ones}
 	out.out = scatterRows(nNew, perm, inv, g.out.off, &g.in, g.ones)
 	out.in = scatterRows(nNew, perm, inv, g.in.off, &g.out, g.ones)
-	var st PatchStats
-	for u, v := range perm {
-		if VertexID(u) != v {
-			st.EdgesRemapped += g.InDegree(VertexID(u)) + g.OutDegree(VertexID(u))
-		}
-	}
 	st.EdgesCopied = 2*g.NumEdges() - st.EdgesRemapped
 	st.EdgesWritten = 2 * g.NumEdges()
-	return out, st
+	return out, st, nil
 }
 
 // scatterRows builds one side of a renumbered graph, as one chunk, from the
@@ -270,31 +289,39 @@ func scatterRows(nNew int, perm, inv []VertexID, off []int64, from *adj, ones []
 	return flatAdj(newOff, newIDs, newWs)
 }
 
-// sidePatch derives one adjacency direction of a patch. Rows fall into
-// three classes: rows with explicit adds or deletions are merged, rows
-// merely owned by or referencing a moved vertex are remapped (see
+// sidePatch is one adjacency direction of a within-lineage delta, the side
+// a derivation writes (build) and an overlay reads (overlaySide). Rows fall
+// into three classes: rows with explicit adds or deletions are merged, rows
+// merely relocated by a move or mentioning a moved vertex are remapped (see
 // remapRow), and every other row is clean: it is its basis row at its own
-// index. Clean rows, and remapped rows none of whose entries changed,
-// share their basis row's storage; the rest are written into one chunk of
-// the derivation's own. adds and dels are in post-perm IDs.
+// index. The dirty-row index (index) marks the first two classes; a
+// derivation walks it in row order (walk), and an overlay reads one of its
+// rows at a time (overlaySide.find). Clean rows, and remapped rows none of
+// whose entries changed, are their basis rows; the derivation writes the
+// rest into one chunk of its own. adds and dels are in the target's slots.
 type sidePatch struct {
-	g        *Graph // the basis
-	basis    *adj   // the basis's side
-	n        int    // vertex count of the result
+	n, nb    int // vertex counts of the result and of the basis
 	weighted bool
+	src      basisRows // the basis's rows on this side
 
-	// src reads the basis rows instead of g and basis when the basis is
-	// an overlay, which only reads rows (basisRow).
-	src basisRows
-
-	perm   []VertexID // nil when no vertex moved
+	perm   []VertexID // the slot map, read only at the movers
+	movers []uint64   // bit v: basis slot v moved (nil: none did)
 	relocs []reloc    // the slots whose basis row is not their own, by slot
-
-	remap []VertexID // remap-dirty rows, in post-perm IDs, sorted
 
 	adds, dels rowDelta
 
+	dirty []uint64   // bit v: row v is dirty
+	remap []uint64   // bit v: row v is remap-dirty (nil: nothing moved)
+	rows  []VertexID // the rows with adds or deletions, sorted
+	runs  []runAt    // parallel to rows
+
 	scratch *patchScratch
+}
+
+// runAt locates a row's runs in its side's rowDeltas: the index of the
+// header of its adds and of its deletions (-1 for none).
+type runAt struct {
+	add, del int
 }
 
 // patchScratch is the per-patch reusable scratch: the delta sort's two
@@ -307,75 +334,149 @@ type patchScratch struct {
 	ws   []int32
 }
 
-// remapRows returns, sorted and without repeats, the new IDs of the rows
-// whose basis row is not their own (relocs: a moved vertex's row relocates
-// and may self-reference, and a slot it left may be empty) and of the rows
-// whose lists mention a moved vertex (their stored neighbor IDs went
-// stale). refRows returns the rows (in pre-perm IDs) whose lists mention a
-// given pre-perm vertex, so they are found without scanning the graph.
-func remapRows(relocs []reloc, moved, perm []VertexID, refRows func(VertexID) []VertexID) []VertexID {
-	var rows []VertexID
-	for _, r := range relocs {
-		rows = append(rows, r.to)
-	}
-	for _, a := range moved {
-		for _, r := range refRows(a) {
-			rows = append(rows, perm[r])
+// index builds p's dirty-row index and returns the largest degree of its
+// rows with adds or deletions. It marks the rows relocated by a move and
+// those that mention a moved vertex, found through the moved vertices'
+// rows on the other side (other), and the rows with adds or deletions,
+// whose runs and degrees it keeps, checking each degree for one below
+// zero.
+func (p *sidePatch) index(moved []VertexID, other basisRows) (int64, error) {
+	words := (p.n + 63) / 64
+	p.dirty = make([]uint64, words)
+	if len(p.relocs) > 0 {
+		p.remap = make([]uint64, words)
+		for _, r := range p.relocs {
+			mark(p.remap, r.to)
 		}
+		for _, a := range moved {
+			refs, _ := other.row(a)
+			for _, r := range refs {
+				mark(p.remap, p.image(r))
+			}
+		}
+		copy(p.dirty, p.remap)
 	}
-	slices.Sort(rows)
-	return slices.Compact(rows)
+	rows := (len(p.adds) + len(p.dels)) / 2 // each row's run is a header and an entry or more
+	p.rows, p.runs = make([]VertexID, 0, rows), make([]runAt, 0, rows)
+	var maxRow int64
+	k := 0 // the next relocation
+	for a, d := 0, 0; a < len(p.adds) || d < len(p.dels); {
+		v := VertexID(p.n)
+		if a < len(p.adds) {
+			v = p.adds.row(a)
+		}
+		if d < len(p.dels) {
+			v = min(v, p.dels.row(d))
+		}
+		at := runAt{add: -1, del: -1}
+		var adds, dels []uint64
+		if adds, a = p.adds.run(a, v); adds != nil {
+			at.add = a - len(adds) - 1
+		}
+		if dels, d = p.dels.run(d, v); dels != nil {
+			at.del = d - len(dels) - 1
+		}
+		deg := int64(len(adds)-len(dels)) + p.src.deg(p.oldAt(&k, v))
+		if deg < 0 {
+			return 0, fmt.Errorf("row %d: more deletions than edges", v)
+		}
+		maxRow = max(maxRow, deg)
+		mark(p.dirty, v)
+		p.rows, p.runs = append(p.rows, v), append(p.runs, at)
+	}
+	return maxRow, nil
+}
+
+// image returns basis slot v's slot in the result: its slot map entry when
+// it moved, else v. The slot map is read nowhere else but at the images
+// relocsOf checks, so its entries at other slots cannot corrupt a row.
+func (p *sidePatch) image(v VertexID) VertexID {
+	if marked(p.movers, v) {
+		return p.perm[v]
+	}
+	return v
+}
+
+// mark sets bit v of a bitmap.
+func mark(bits []uint64, v VertexID) { bits[v/64] |= 1 << (v % 64) }
+
+// marked reports bit v of a bitmap, false for a nil one.
+func marked(bits []uint64, v VertexID) bool {
+	return bits != nil && bits[v/64]&(1<<(v%64)) != 0
+}
+
+// oldAt returns the basis row of row v: the one relocated to it, else its
+// own, or the basis's vertex count for none. k is a cursor into relocs,
+// which successive calls for increasing rows advance.
+func (p *sidePatch) oldAt(k *int, v VertexID) VertexID {
+	rs := p.relocs
+	for *k < len(rs) && rs[*k].to < v {
+		*k++
+	}
+	if *k < len(rs) && rs[*k].to == v {
+		return rs[*k].from
+	}
+	return min(v, VertexID(p.nb))
 }
 
 // dirtyRow is a row of the result that need not be its basis row at its own
-// index: its basis row (g.n: none), its adds and deletions, and whether it
-// is remap-dirty.
+// index: its basis row (the basis's vertex count: none), its adds and
+// deletions, whether it is remap-dirty, and its degree.
 type dirtyRow struct {
 	v, old     VertexID
 	adds, dels []uint64
 	remap      bool
+	deg        int64
 }
 
-// dirtyRows walks a side's dirty rows in increasing order — the rows of its
-// adds, deletions and remaps, merged — without storing them, so a delta
-// that dirties most rows costs no list.
-type dirtyRows struct {
-	p          *sidePatch
-	a, d, r, k int // the next add, deletion, remap and relocation
+// fill fills in dirty row d.v, whose basis row is d.old: whether it is
+// remap-dirty, its adds and deletions, those of rows[k] when has, and its
+// degree.
+func (p *sidePatch) fill(d *dirtyRow, k int, has bool) {
+	d.remap, d.adds, d.dels = marked(p.remap, d.v), nil, nil
+	if has {
+		at := p.runs[k]
+		if at.add >= 0 {
+			d.adds, _ = p.adds.run(at.add, d.v)
+		}
+		if at.del >= 0 {
+			d.dels, _ = p.dels.run(at.del, d.v)
+		}
+	}
+	d.deg = p.src.deg(d.old) + int64(len(d.adds)-len(d.dels))
 }
 
-func (p *sidePatch) dirty() *dirtyRows { return &dirtyRows{p: p} }
+// walk is a cursor over a side's dirty rows in increasing order: the set
+// bits of its dirty bitmap, each read through cursors into relocs and rows,
+// so a walk costs one pass over the bitmap's words and no search.
+type walk struct {
+	dirtyRow // the row visited
+	p        *sidePatch
+	w        int    // the word of the bitmap being read
+	left     uint64 // its bits not yet visited
+	k, r     int    // the next entry of relocs and of rows
+}
 
-// next returns the next dirty row, or false after the last.
-func (it *dirtyRows) next() (dirtyRow, bool) {
-	p := it.p
-	if it.a == len(p.adds) && it.d == len(p.dels) && it.r == len(p.remap) {
-		return dirtyRow{}, false
+func (p *sidePatch) walk() *walk { return &walk{p: p, w: -1} }
+
+// next moves to the next dirty row, and reports false after the last.
+func (c *walk) next() bool {
+	p := c.p
+	for c.left == 0 {
+		if c.w++; c.w >= len(p.dirty) {
+			return false
+		}
+		c.left = p.dirty[c.w]
 	}
-	v := VertexID(p.n)
-	if it.a < len(p.adds) {
-		v = p.adds.row(it.a)
+	c.v = VertexID(64*c.w + bits.TrailingZeros64(c.left))
+	c.left &= c.left - 1
+	c.old = p.oldAt(&c.k, c.v)
+	has := c.r < len(p.rows) && p.rows[c.r] == c.v
+	p.fill(&c.dirtyRow, c.r, has)
+	if has {
+		c.r++
 	}
-	if it.d < len(p.dels) {
-		v = min(v, p.dels.row(it.d))
-	}
-	if it.r < len(p.remap) {
-		v = min(v, p.remap[it.r])
-	}
-	row := dirtyRow{v: v, old: min(v, VertexID(p.g.n))}
-	for it.k < len(p.relocs) && p.relocs[it.k].to < v {
-		it.k++
-	}
-	if it.k < len(p.relocs) && p.relocs[it.k].to == v {
-		row.old = p.relocs[it.k].from
-	}
-	row.adds, it.a = p.adds.run(it.a, v)
-	row.dels, it.d = p.dels.run(it.d, v)
-	if it.r < len(p.remap) && p.remap[it.r] == v {
-		row.remap = true
-		it.r++
-	}
-	return row, true
+	return true
 }
 
 // writes reports whether the derivation writes dirty row d: every row with
@@ -386,41 +487,25 @@ func (p *sidePatch) writes(d *dirtyRow) bool {
 	return len(d.adds)+len(d.dels) > 0 || d.remap && (d.old == d.v || p.rewrites(d.old))
 }
 
-// basisRow returns basis row u with its weights (ones when unweighted), or
-// nothing when u is past the basis's rows.
-func (p *sidePatch) basisRow(u VertexID) ([]VertexID, []int32) {
-	if p.src != nil {
-		return p.src.row(u)
-	}
-	if int(u) >= p.g.n {
-		return nil, nil
-	}
-	return p.basis.row(u), p.basis.weights(u, p.g.ones)
-}
-
 // rewrites reports whether remapping basis row u changes any of its
 // entries.
 func (p *sidePatch) rewrites(u VertexID) bool {
-	ids, _ := p.basisRow(u)
+	ids, _ := p.src.row(u)
 	for _, id := range ids {
-		if p.perm[id] != id {
+		if p.image(id) != id {
 			return true
 		}
 	}
 	return false
 }
 
-// build derives the side and returns it with its largest written row; every
-// other row is a basis row, no longer than the basis's ones. Its only O(n)
-// work is the degree prefix and the extent array, each a copy of the
-// basis's adjusted at the dirty rows; the rows it writes go into one new
-// chunk, unless the fold rule sends every row there.
-func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
-	b := p.basis
-	off, maxRow, fresh, err := p.prefix()
-	if err != nil {
-		return adj{}, 0, err
-	}
+// build derives the side over its basis side b and returns it; every row
+// it does not write is a basis row. Its only O(n) work is the degree prefix
+// and the extent array, each a copy of the basis's adjusted at the dirty
+// rows; the rows it writes go into one new chunk, unless the fold rule
+// sends every row there.
+func (p *sidePatch) build(st *PatchStats, b *adj) (adj, error) {
+	off, fresh := p.prefix(b)
 	live, held := off[p.n], fresh
 	for _, c := range b.ids {
 		held += int64(len(c))
@@ -434,8 +519,7 @@ func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
 	}
 	if fold != "" {
 		st.Fold, st.EdgesWritten = cmp.Or(st.Fold, fold), st.EdgesWritten+live
-		a, err := p.fold(st, off)
-		return a, maxRow, err
+		return p.fold(st, off, b)
 	}
 	st.EdgesWritten += fresh
 
@@ -448,23 +532,20 @@ func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
 	c := int64(len(b.ids))
 	copied := live
 	var pos int64
-	for it := p.dirty(); ; {
-		d, ok := it.next()
-		if !ok {
-			break
-		}
-		if !p.writes(&d) {
+	for it := p.walk(); it.next(); {
+		d := &it.dirtyRow
+		if !p.writes(d) {
 			if d.old != d.v {
 				ext[d.v] = 0 // an empty row: any valid extent
-				if int(d.old) < p.g.n {
+				if int(d.old) < p.nb {
 					ext[d.v] = b.ext[d.old]
 				}
 			}
 			continue
 		}
-		end := pos + off[d.v+1] - off[d.v]
-		if err := p.writeRow(st, &d, ids[pos:end], sub(ws, pos, end), p.scratch); err != nil {
-			return adj{}, 0, err
+		end := pos + d.deg
+		if err := p.writeRow(st, d, ids[pos:end], sub(ws, pos, end), p.scratch); err != nil {
+			return adj{}, err
 		}
 		copied -= end - pos
 		ext[d.v] = 0
@@ -481,46 +562,33 @@ func (p *sidePatch) build(st *PatchStats) (adj, int64, error) {
 			a.ws = append(b.ws[:c:c], ws)
 		}
 	}
-	return a, maxRow, nil
+	return a, nil
 }
 
-// prefix returns the side's degree prefix, its largest dirty row and the
+// prefix returns the side's degree prefix over its basis side b, and the
 // edges of the rows the derivation writes. It starts from the basis's
 // prefix, extended flat over appended rows: every row that is not dirty is
 // its basis row at its own index, or an empty appended row, so only the
 // dirty rows change a degree, and each change shifts every later entry.
-func (p *sidePatch) prefix() (off []int64, maxRow, fresh int64, err error) {
-	b, gn := p.basis, p.g.n
+func (p *sidePatch) prefix(b *adj) (off []int64, fresh int64) {
 	off = grown(b.off, p.n+1)
-	for v := gn + 1; v <= p.n; v++ {
-		off[v] = b.off[gn]
+	for v := p.nb + 1; v <= p.n; v++ {
+		off[v] = b.off[p.nb]
 	}
 	var shift int64
 	next := 1 // the first entry not yet shifted
-	for it := p.dirty(); ; {
-		d, ok := it.next()
-		if !ok {
-			break
-		}
+	for it := p.walk(); it.next(); {
+		d := &it.dirtyRow
 		addTo(off[next:d.v+1], shift)
-		var deg int64
-		if int(d.old) < gn {
-			deg = b.deg(d.old)
+		if p.writes(d) {
+			fresh += d.deg
 		}
-		deg += int64(len(d.adds) - len(d.dels))
-		if deg < 0 {
-			return nil, 0, 0, fmt.Errorf("row %d: more deletions than edges", d.v)
-		}
-		maxRow = max(maxRow, deg)
-		if p.writes(&d) {
-			fresh += deg
-		}
-		shift = off[d.v] + deg - off[d.v+1]
+		shift = off[d.v] + d.deg - off[d.v+1]
 		off[d.v+1] += shift
 		next = int(d.v) + 2
 	}
 	addTo(off[min(next, p.n+1):], shift)
-	return off, maxRow, fresh, nil
+	return off, fresh
 }
 
 // grown returns a copy of s extended with zeros to length n ≥ len(s).
@@ -538,11 +606,11 @@ func addTo(s []int64, x int64) {
 	}
 }
 
-// fold writes every row of the side, in order, into one fresh chunk: the
-// dirty rows through writeRow, and each maximal run of the other rows that
-// lie back to back in one basis chunk as one copy.
-func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
-	b, live := p.basis, off[p.n]
+// fold writes every row of the side over its basis side b, in order, into
+// one fresh chunk: the dirty rows through writeRow, and each maximal run of
+// the other rows that lie back to back in one basis chunk as one copy.
+func (p *sidePatch) fold(st *PatchStats, off []int64, b *adj) (adj, error) {
+	live := off[p.n]
 	ids := make([]VertexID, live)
 	var ws []int32
 	if b.ws != nil {
@@ -558,24 +626,24 @@ func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
 		st.EdgesCopied += size
 		size = 0
 	}
-	it := p.dirty()
-	d, ok := it.next()
+	it := p.walk()
+	ok := it.next()
 	for v := range VertexID(p.n) {
-		u := min(v, VertexID(p.g.n))
-		if ok && d.v == v {
-			if p.writes(&d) {
+		u := min(v, VertexID(p.nb))
+		if ok && it.v == v {
+			if p.writes(&it.dirtyRow) {
 				flush()
 				lo, hi := off[v], off[v+1]
-				if err := p.writeRow(st, &d, ids[lo:hi], sub(ws, lo, hi), p.scratch); err != nil {
+				if err := p.writeRow(st, &it.dirtyRow, ids[lo:hi], sub(ws, lo, hi), p.scratch); err != nil {
 					return adj{}, err
 				}
-				d, ok = it.next()
+				ok = it.next()
 				continue
 			}
-			u = d.old
-			d, ok = it.next()
+			u = it.old
+			ok = it.next()
 		}
-		if int(u) >= p.g.n || b.deg(u) == 0 {
+		if int(u) >= p.nb || b.deg(u) == 0 {
 			continue
 		}
 		if e := b.ext[u]; size == 0 || e != from+size || to+size != off[v] {
@@ -592,12 +660,12 @@ func (p *sidePatch) fold(st *PatchStats, off []int64) (adj, error) {
 // is nil: a remap-only row through remapRow, any other through mergeRow. A
 // remapped row works in scr; no other row touches it.
 func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []int32, scr *patchScratch) error {
-	base, bw := p.basisRow(d.old)
+	base, bw := p.src.row(d.old)
 	if base != nil && len(d.adds) == 0 && len(d.dels) == 0 {
-		// Remap-only row: content unchanged, stale IDs rewritten through
-		// perm. Entries whose neighbor did not move carry over unchanged,
+		// Remap-only row: content unchanged, stale IDs rewritten to their
+		// images. Entries whose neighbor did not move carry over unchanged,
 		// so only rewritten entries count as remap work.
-		rewritten := scr.remapRow(dst, dw, base, bw, p.perm)
+		rewritten := p.remapRow(scr, dst, dw, base, bw)
 		st.EdgesRemapped += rewritten
 		st.EdgesCopied += int64(len(base)) - rewritten
 		return nil
@@ -611,7 +679,7 @@ func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []i
 			scr.ws = resize(scr.ws, len(base))
 			sw = scr.ws
 		}
-		scr.remapRow(scr.ids, sw, base, bw, p.perm)
+		p.remapRow(scr, scr.ids, sw, base, bw)
 		base = scr.ids
 		if sw != nil {
 			bw = sw
@@ -625,17 +693,17 @@ func (p *sidePatch) writeRow(st *PatchStats, d *dirtyRow, dst []VertexID, dw []i
 	return nil
 }
 
-// remapRow writes the row (src, ws) with its IDs mapped through perm into
-// dst, and its weights into dw unless it is nil, in (neighbor, weight)
-// order, and returns how many IDs changed. The runs of entries whose
-// neighbor did not move are copied in order; the rewritten entries are
-// sorted apart and merged in from the back, so a row with k rewritten
-// entries costs one scan, k+1 copies and O(k log k).
-func (s *patchScratch) remapRow(dst []VertexID, dw []int32, src []VertexID, ws []int32, perm []VertexID) int64 {
+// remapRow writes the row (src, ws) with its IDs mapped to their images
+// into dst, and its weights into dw unless it is nil, in (neighbor,
+// weight) order, working in s, and returns how many IDs changed. The runs
+// of entries whose neighbor did not move are copied in order; the
+// rewritten entries are sorted apart and merged in from the back, so a row
+// with k rewritten entries costs one scan, k+1 copies and O(k log k).
+func (p *sidePatch) remapRow(s *patchScratch, dst []VertexID, dw []int32, src []VertexID, ws []int32) int64 {
 	s.keys = s.keys[:0]
 	keep, from := 0, 0
 	for k, id := range src {
-		if nid := perm[id]; nid != id {
+		if nid := p.image(id); nid != id {
 			keep += copyRun(dst[keep:], dw, keep, src[from:k], ws[from:k])
 			s.keys = append(s.keys, rowKey(nid, ws[k]))
 			from = k + 1

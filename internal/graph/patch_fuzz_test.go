@@ -8,13 +8,16 @@ import (
 	"testing"
 )
 
-// FuzzPatchEdgesPermN drives the grown-injection contract with fuzzed
-// graphs, injections, swaps and edge churn, using relabel+rebuild over the
-// grown space as the oracle. Invalid shapes the fuzzer produces must be
-// rejected with an error, never a panic or a silently wrong graph. One
-// input in four (by length) also retries its patch with one extra deletion
-// of an edge that is not live, which must fail.
-func FuzzPatchEdgesPermN(f *testing.F) {
+// FuzzPatch drives Patch with fuzzed graphs, slot maps, swaps and edge
+// churn, using relabel+rebuild over the grown space as the oracle, on both
+// routes: the input draws whether a delta breaks its lineage apart from how
+// many vertices its slot map moves, so a break that moves a few vertices
+// and a lineage delta that moves every one are both reached. Invalid shapes
+// the fuzzer produces must be rejected with an error, never a panic or a
+// silently wrong graph. One input in four (by length) also retries its
+// patch with one extra deletion of an edge that is not live, which must
+// fail.
+func FuzzPatch(f *testing.F) {
 	f.Add(uint8(8), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(1), uint8(1), []byte{0, 0, 0})
 	f.Add(uint8(31), uint8(7), []byte{0xff, 0x80, 0x40, 0x20, 0x10, 8, 4, 2, 1, 0})
@@ -56,22 +59,21 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			t.Fatalf("FromEdges on in-range inputs: %v", err)
 		}
 
-		// Injection shape: one in four inputs takes the headroom-growth form
+		// Slot map shape: one in four inputs takes the headroom-growth form
 		// — old IDs untouched (identity prefix), admitted rows in reserved
-		// tail slots — which must hit the no-remap fast path. The rest is a
-		// growth shift with byte-chosen holes plus a few swaps, the shape
-		// pre-headroom repair + admission epochs produce.
-		identity := next()%4 == 0
+		// tail slots — which must remap nothing. The rest is a growth shift
+		// with byte-chosen holes plus a few swaps, which moves most
+		// vertices. Bit 2 of the same byte, independent of both, breaks the
+		// lineage.
+		mode := next()
+		identity, broken := mode%4 == 0, mode&4 != 0
 		var holes []VertexID
 		var perm []VertexID
 		if identity {
 			for h := nOld; h < nNew; h++ {
 				holes = append(holes, VertexID(h))
 			}
-			perm = make([]VertexID, nOld)
-			for v := range perm {
-				perm[v] = VertexID(v)
-			}
+			perm = identityPerm(nOld)
 		} else {
 			used := make(map[VertexID]bool)
 			for len(holes) < growth {
@@ -113,22 +115,22 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			adds = append(adds, Edge{Src: src, Dst: VertexID(int(next()) % nNew), Weight: w})
 		}
 
-		patched, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+		patched, st, err := g.Patch(nNew, permDelta(nOld, adds, dels, perm, broken))
 		if err != nil {
-			t.Fatalf("valid grown patch rejected: %v", err)
+			t.Fatalf("valid grown patch rejected (broken=%v): %v", broken, err)
 		}
 		want, err := FromEdges(nNew, append(applyPermToEdges(live, perm), adds...), weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !Equal(patched, want) {
-			t.Fatalf("nOld=%d nNew=%d: grown perm patch differs from relabel+rebuild", nOld, nNew)
+			t.Fatalf("nOld=%d nNew=%d broken=%v: grown perm patch differs from relabel+rebuild", nOld, nNew, broken)
 		}
 		if covered := st.EdgesCopied + st.EdgesMerged + st.EdgesRemapped; covered < patched.NumEdges() {
 			t.Fatalf("stats cover %d of %d edges", covered, patched.NumEdges())
 		}
 		if identity && st.EdgesRemapped != 0 {
-			t.Fatalf("identity injection remapped %d edges; the O(delta) fast path was skipped", st.EdgesRemapped)
+			t.Fatalf("identity slot map remapped %d edges", st.EdgesRemapped)
 		}
 
 		// An extra deletion of an edge with no live occurrence: the first
@@ -151,7 +153,7 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 					continue
 				}
 				extra := append(append([]Edge(nil), dels...), ghost)
-				if _, _, err := g.PatchEdgesPermN(nNew, adds, extra, perm); err == nil {
+				if _, _, err := g.Patch(nNew, permDelta(nOld, adds, extra, perm, broken)); err == nil {
 					t.Fatalf("deletion of non-live edge %+v accepted", ghost)
 				}
 				break
@@ -160,10 +162,22 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 
 		// A dropped row: NoVertex is accepted for a row empty on both sides,
 		// whose slot then starts empty like any slot without a preimage,
-		// and is an error on any other row. Without the churn, a shift that
-		// moves most vertices takes the sort-free renumbering path.
-		drop := slices.Clone(perm)
+		// and is an error on any other row. A lineage delta reads its slot
+		// map only at the moved slots and their images, so there the
+		// dropped row is one a move fills: a hole with an image.
 		v := VertexID(int(next()) % nOld)
+		if !broken {
+			var images []VertexID
+			for u, s := range perm {
+				if s != VertexID(u) && int(s) < nOld {
+					images = append(images, s)
+				}
+			}
+			if len(images) > 0 {
+				v = images[int(v)%len(images)]
+			}
+		}
+		drop := slices.Clone(perm)
 		drop[v] = NoVertex
 		relabeled, err := FromEdges(nNew, applyPermToEdges(g.Edges(), perm), weighted)
 		if err != nil {
@@ -173,10 +187,12 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			adds, dels []Edge
 			want       *Graph
 		}{{adds, dels, want}, {nil, nil, relabeled}} {
-			dropped, _, err := g.PatchEdgesPermN(nNew, c.adds, c.dels, drop)
+			dropped, _, err := g.Patch(nNew, permDelta(nOld, c.adds, c.dels, drop, broken))
 			switch {
 			case g.OutDegree(v)+g.InDegree(v) != 0:
-				if err == nil {
+				// A lineage delta whose moves leave v unfilled reads no
+				// slot map entry at v, so only a filled v is checked.
+				if err == nil && (broken || slices.Contains(drop, v)) {
 					t.Fatalf("dropping non-empty row %d accepted", v)
 				}
 			case err != nil:
@@ -186,11 +202,11 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			}
 		}
 
-		// The three shapes of a derivation across a lineage break, each
-		// against FromEdges: a fresh numbering that moves every row, with
-		// the churn; a permutation that shrinks the vertex space, dropping
-		// empty rows to NoVertex; and the empty change, which returns the
-		// receiver itself.
+		// A fresh numbering that moves every row, with the churn, on the
+		// route the input drew; a permutation that shrinks the vertex
+		// space, dropping empty rows to NoVertex, which only a lineage
+		// break may; and the empty change, which returns the receiver
+		// itself. Each against FromEdges.
 		inv := make([]VertexID, nNew)
 		for v, s := range perm {
 			inv[s] = VertexID(v)
@@ -202,7 +218,7 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			for v := range fresh {
 				fresh[v] = VertexID((v + r) % nNew)
 			}
-			checkPatch(t, "fresh numbering", g, nNew, adds, applyPermToEdges(deleted, fresh), fresh, live)
+			checkPatch(t, "fresh numbering", g, nNew, adds, applyPermToEdges(deleted, fresh), fresh, broken, live)
 		}
 		shrink, nShrink := make([]VertexID, nOld), 0
 		for v := range shrink {
@@ -222,51 +238,75 @@ func FuzzPatchEdgesPermN(f *testing.F) {
 			for _, e := range adds {
 				shrunkAdds = append(shrunkAdds, Edge{Src: e.Src % VertexID(nShrink), Dst: e.Dst % VertexID(nShrink), Weight: e.Weight})
 			}
-			checkPatch(t, "shrinking permutation", g, nShrink, shrunkAdds, applyPermToEdges(deleted, shrink), shrink, live)
+			checkPatch(t, "shrinking permutation", g, nShrink, shrunkAdds, applyPermToEdges(deleted, shrink), shrink, true, live)
+			if _, _, err := g.Patch(nShrink, permDelta(nOld, nil, nil, shrink, false)); err == nil {
+				t.Fatal("shrinking lineage delta accepted")
+			}
 		}
 		for _, id := range [][]VertexID{nil, identityPerm(nOld)} {
-			if same, _, err := g.PatchEdgesPermN(nOld, nil, nil, id); err != nil || same != g {
+			if same, _, err := g.Patch(nOld, permDelta(nOld, nil, nil, id, false)); err != nil || same != g {
 				t.Fatalf("empty change (perm %v) returned %p, %v; want the receiver %p", id, same, err, g)
 			}
 		}
 
-		// The validation surface: malformed injections must error out.
-		if _, _, err := g.PatchEdgesPermN(nOld-1, nil, nil, nil); err == nil {
+		// The validation surface: malformed deltas must error out.
+		if _, _, err := g.Patch(nOld-1, Delta{}); err == nil {
 			t.Fatal("shrinking patch accepted")
 		}
 		if nOld >= 2 {
-			bad := make([]VertexID, nOld)
-			copy(bad, perm[:nOld])
+			bad := slices.Clone(perm)
 			bad[1] = bad[0] // collide: no longer injective
-			if _, _, err := g.PatchEdgesPermN(nNew, nil, nil, bad); err == nil {
+			if _, _, err := g.Patch(nNew, permDelta(nOld, nil, nil, bad, broken)); err == nil {
 				t.Fatal("non-injective perm accepted")
 			}
 		}
-		if _, _, err := g.PatchEdgesPermN(nNew, []Edge{{Src: VertexID(nNew), Dst: 0, Weight: 1}}, nil, perm); err == nil {
+		if _, _, err := g.Patch(nNew, permDelta(nOld, []Edge{{Src: VertexID(nNew), Dst: 0, Weight: 1}}, nil, perm, broken)); err == nil {
 			t.Fatal("out-of-range add accepted")
 		}
 	})
 }
 
-// checkPatch requires g.PatchEdgesPermN(nNew, adds, dels, perm) to equal
-// FromEdges over the surviving original edges live relabeled by perm, plus
-// adds, and its stats to cover every edge.
-func checkPatch(t *testing.T, what string, g *Graph, nNew int, adds, dels []Edge, perm []VertexID, live []Edge) {
+// checkPatch requires g's patch by the delta of (adds, dels, perm) to nNew
+// vertices, on the route broken selects, to equal FromEdges over the
+// surviving original edges live relabeled by perm, plus adds, and its stats
+// to cover every edge.
+func checkPatch(t *testing.T, what string, g *Graph, nNew int, adds, dels []Edge, perm []VertexID, broken bool, live []Edge) {
 	t.Helper()
-	got, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+	got, st, err := g.Patch(nNew, permDelta(g.NumVertices(), adds, dels, perm, broken))
 	if err != nil {
-		t.Fatalf("%s: valid patch rejected: %v", what, err)
+		t.Fatalf("%s (broken=%v): valid patch rejected: %v", what, broken, err)
 	}
 	want, err := FromEdges(nNew, append(applyPermToEdges(live, perm), adds...), g.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(got, want) {
-		t.Fatalf("%s: patch differs from relabel+rebuild", what)
+		t.Fatalf("%s (broken=%v): patch differs from relabel+rebuild", what, broken)
 	}
 	if covered := st.EdgesCopied + st.EdgesMerged + st.EdgesRemapped; covered < got.NumEdges() {
 		t.Fatalf("%s: stats cover %d of %d edges", what, covered, got.NumEdges())
 	}
+}
+
+// permDelta returns the slot-space Delta of the change adds, dels under the
+// slot map perm over n basis vertices (nil: the identity): a lineage break
+// with perm as its full map when broken, and otherwise a delta whose Moved
+// lists perm's slots that map elsewhere than themselves or NoVertex. The
+// caller draws broken apart from how many vertices perm moves.
+func permDelta(n int, adds, dels []Edge, perm []VertexID, broken bool) Delta {
+	d := Delta{Adds: adds, Dels: dels, Seg: perm, Broken: broken}
+	if broken {
+		if perm == nil {
+			d.Seg = identityPerm(n)
+		}
+		return d
+	}
+	for v, s := range perm {
+		if s != NoVertex && s != VertexID(v) {
+			d.Moved = append(d.Moved, VertexID(v))
+		}
+	}
+	return d
 }
 
 // identityPerm returns the identity permutation on n vertices.
@@ -362,7 +402,7 @@ func FuzzPatchLineage(f *testing.F) {
 			for i := 0; i < churn; i++ {
 				adds = append(adds, randEdge(nNew))
 			}
-			h, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+			h, st, err := g.Patch(nNew, permDelta(n, adds, dels, perm, false))
 			if err != nil {
 				t.Fatalf("step %d: valid patch rejected: %v", step, err)
 			}

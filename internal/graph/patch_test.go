@@ -71,7 +71,7 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 					Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w,
 				})
 			}
-			patched, st, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, nil)
+			patched, st, err := g.Patch(g.NumVertices(), Delta{Adds: adds, Dels: dels})
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -155,7 +155,7 @@ func TestPatchEdgesByteIdentical(t *testing.T) {
 				for v := nOld; v < nNew; v++ {
 					adds = append(adds, Edge{Src: VertexID(v), Dst: 0, Weight: 2}, Edge{Src: VertexID(nNew - 1), Dst: VertexID(v), Weight: 1})
 				}
-				patched, _, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+				patched, _, err := g.Patch(nNew, permDelta(nOld, adds, dels, perm, false))
 				if err != nil {
 					t.Fatalf("weighted=%v swap=%v trial %d: %v", weighted, swapEnds, trial, err)
 				}
@@ -179,7 +179,7 @@ func TestPatchEdgesSortedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := g.PatchEdgesPermN(g.NumVertices(), []Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, []Edge{{0, 4, 1}}, nil)
+	p, _, err := g.Patch(g.NumVertices(), Delta{Adds: []Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, Dels: []Edge{{0, 4, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +204,20 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), []Edge{{0, 9, 1}}, nil, nil); err == nil {
+	if _, _, err := g.Patch(g.NumVertices(), Delta{Adds: []Edge{{0, 9, 1}}}); err == nil {
 		t.Error("expected range error for add")
 	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{9, 0, 1}}, nil); err == nil {
+	if _, _, err := g.Patch(g.NumVertices(), Delta{Dels: []Edge{{9, 0, 1}}}); err == nil {
 		t.Error("expected range error for delete")
 	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 2, 1}}, nil); err == nil {
+	if _, _, err := g.Patch(g.NumVertices(), Delta{Dels: []Edge{{0, 2, 1}}}); err == nil {
 		t.Error("expected missing-edge error")
 	}
 	// Weight must match exactly as stored.
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 1, 4}}, nil); err == nil {
+	if _, _, err := g.Patch(g.NumVertices(), Delta{Dels: []Edge{{0, 1, 4}}}); err == nil {
 		t.Error("expected weight-mismatch error")
 	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, []Edge{{0, 1, 5}}, nil); err != nil {
+	if _, _, err := g.Patch(g.NumVertices(), Delta{Dels: []Edge{{0, 1, 5}}}); err != nil {
 		t.Errorf("exact-weight delete failed: %v", err)
 	}
 	// Unweighted graphs normalize all weights to 1.
@@ -225,7 +225,7 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ug.PatchEdgesPermN(ug.NumVertices(), nil, []Edge{{0, 1, 9}}, nil); err != nil {
+	if _, _, err := ug.Patch(ug.NumVertices(), Delta{Dels: []Edge{{0, 1, 9}}}); err != nil {
 		t.Errorf("unweighted delete should ignore weights: %v", err)
 	}
 
@@ -259,7 +259,7 @@ func TestPatchEdgesErrors(t *testing.T) {
 		{"weight mismatch in a remapped row with adds",
 			[]Edge{{1, 0, 1}}, []Edge{{1, 1, 5}}, swap12},
 	} {
-		if _, _, err := mg.PatchEdgesPermN(mg.NumVertices(), tc.adds, tc.dels, tc.perm); err == nil {
+		if _, _, err := mg.Patch(mg.NumVertices(), permDelta(mg.NumVertices(), tc.adds, tc.dels, tc.perm, false)); err == nil {
 			t.Errorf("%s: expected missing-edge error", tc.name)
 		}
 	}
@@ -274,7 +274,7 @@ func applyPermToEdges(edges []Edge, perm []VertexID) []Edge {
 	return out
 }
 
-// TestPatchEdgesPermMatchesRelabel drives PatchEdgesPermN with random
+// TestPatchEdgesPermMatchesRelabel drives Patch with random
 // swap-product permutations (the shape placement-preserving repair emits)
 // combined with random adds and deletes, and checks the result is
 // byte-identical to relabeling from scratch and rebuilding: same offsets,
@@ -328,7 +328,7 @@ func TestPatchEdgesPermMatchesRelabel(t *testing.T) {
 					Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w,
 				})
 			}
-			patched, st, err := g.PatchEdgesPermN(g.NumVertices(), adds, dels, perm)
+			patched, st, err := g.Patch(g.NumVertices(), permDelta(n, adds, dels, perm, false))
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -357,7 +357,7 @@ func TestPatchEdgesPermPure(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := []VertexID{0, 1, 2, 4, 3, 5} // swap 3 and 4
-	patched, st, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, perm)
+	patched, st, err := g.Patch(g.NumVertices(), permDelta(g.NumVertices(), nil, nil, perm, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,13 +378,13 @@ func TestPatchEdgesPermPure(t *testing.T) {
 	}
 }
 
-// TestPatchEdgesPermNRenumber checks the pure-renumbering path (no adds or
-// deletes, most vertices moved: what core.Apply and Relabel run) against a
+// TestPatchRenumber checks the pure renumbering of a lineage break (no adds
+// or deletes: what core.Apply and Relabel run) against a
 // scratch build of the mapped edge list, on multigraphs with self-loops and
 // parallel edges of distinct weights, for permutations and for injections
 // into a larger space with holes; and its stats against the row path's
 // accounting, where an entry counts as remapped when its neighbor moved.
-func TestPatchEdgesPermNRenumber(t *testing.T) {
+func TestPatchRenumber(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(60)
@@ -401,7 +401,7 @@ func TestPatchEdgesPermNRenumber(t *testing.T) {
 			t.Fatal(err)
 		}
 		perm := randomPerm(rng, nNew)[:n]
-		got, st, err := g.PatchEdgesPermN(nNew, nil, nil, perm)
+		got, st, err := g.Patch(nNew, permDelta(n, nil, nil, perm, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestPatchEdgesIdentityGrowth(t *testing.T) {
 	}
 	adds := []Edge{{Src: 41, Dst: 3, Weight: 1}, {Src: 2, Dst: 50, Weight: 1}, {Src: 54, Dst: 54, Weight: 1}}
 	dels := []Edge{g.Edges()[0]}
-	patched, st, err := g.PatchEdgesPermN(nNew, adds, dels, nil)
+	patched, st, err := g.Patch(nNew, Delta{Adds: adds, Dels: dels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,11 +468,11 @@ func TestPatchEdgesIdentityGrowth(t *testing.T) {
 		t.Fatal("appended vertex without adds should have empty rows")
 	}
 	// Deleting from an appended (empty) row must fail.
-	if _, _, err := g.PatchEdgesPermN(nNew, nil, []Edge{{Src: 50, Dst: 0, Weight: 1}}, nil); err == nil {
+	if _, _, err := g.Patch(nNew, Delta{Dels: []Edge{{Src: 50, Dst: 0, Weight: 1}}}); err == nil {
 		t.Error("expected missing-edge error for appended-row delete")
 	}
 	// Shrinking is rejected.
-	if _, _, err := g.PatchEdgesPermN(n-1, nil, nil, nil); err == nil {
+	if _, _, err := g.Patch(n-1, Delta{}); err == nil {
 		t.Error("expected shrink error")
 	}
 }
@@ -493,11 +493,11 @@ func growthInjection(n, nNew int, holes []VertexID) []VertexID {
 	return perm
 }
 
-// TestPatchEdgesPermNGrowth drives the segment-growth contract: an injective
+// TestPatchGrowth drives the segment-growth contract: an injective
 // shift map with interior holes for admitted vertices, combined with swaps
 // and edge churn, equals relabel+rebuild over the grown space, and the
 // shifted rows go through the cheap remap path rather than merges.
-func TestPatchEdgesPermNGrowth(t *testing.T) {
+func TestPatchGrowth(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(23))
 		const n = 60
@@ -556,7 +556,7 @@ func TestPatchEdgesPermNGrowth(t *testing.T) {
 				}
 				adds = append(adds, e)
 			}
-			patched, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+			patched, st, err := g.Patch(nNew, permDelta(nOld, adds, dels, perm, false))
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -575,37 +575,99 @@ func TestPatchEdgesPermNGrowth(t *testing.T) {
 	}
 }
 
-// TestPatchEdgesPermNErrors validates the injection argument.
+// TestDeltaRejects pins the one check of a within-lineage delta, which
+// Patch and NewOverlay share: each malformed delta must be rejected by
+// both. A vertex moved into a hole, which keeps no image, is accepted by
+// both. The checks only an overlay makes are TestOverlayRejects'.
+func TestDeltaRejects(t *testing.T) {
+	g, err := FromEdges(4, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		n int
+		d Delta
+	}{
+		"repeated image":       {n: 4, d: Delta{Seg: []VertexID{1, 0, 0, 3}, Moved: []VertexID{0, 1, 2}}},
+		"image past the slots": {n: 4, d: Delta{Seg: []VertexID{0, 1, 2, 4}, Moved: []VertexID{3}}},
+		"onto kept slot":       {n: 4, d: Delta{Seg: []VertexID{0, 3, 2, 3}, Moved: []VertexID{1}}},
+		"hole image has edges": {n: 4, d: Delta{Seg: []VertexID{0, 1, NoVertex, 2}, Moved: []VertexID{3}}},
+		"shrink":               {n: 3},
+		"add out of range":     {n: 4, d: Delta{Adds: []Edge{{Src: 4, Dst: 0}}}},
+		"delete out of range":  {n: 4, d: Delta{Dels: []Edge{{Src: 0, Dst: 4, Weight: 1}}}},
+		"row over-delete":      {n: 4, d: Delta{Dels: []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 1, Weight: 1}}}},
+		"graph over-delete":    {n: 4, d: Delta{Dels: slices.Repeat([]Edge{{Src: 0, Dst: 1, Weight: 1}}, 3)}},
+	} {
+		if _, _, err := g.Patch(c.n, c.d); err == nil {
+			t.Errorf("%s: patch accepted", name)
+		}
+		if _, err := NewOverlay(g, c.n, c.d); err == nil {
+			t.Errorf("%s: overlay accepted", name)
+		}
+	}
+	hole := Delta{Seg: []VertexID{0, 1, 3, NoVertex}, Moved: []VertexID{2}}
+	if _, _, err := g.Patch(4, hole); err != nil {
+		t.Errorf("move into a hole rejected by the patch: %v", err)
+	}
+	if _, err := NewOverlay(g, 4, hole); err != nil {
+		t.Errorf("move into a hole rejected by the overlay: %v", err)
+	}
+	// The slot map is read only at the moved slots and their images, so
+	// stray entries at rows 2 and 3, which no move reads (row 2 mentions
+	// mover 1), are not read.
+	want, _, err := g.Patch(4, Delta{Seg: []VertexID{1, 0, 2, 3}, Moved: []VertexID{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range [][]VertexID{{1, 0, NoVertex, 3}, {1, 0, 3, 2}} {
+		stray := Delta{Seg: seg, Moved: []VertexID{0, 1}}
+		if got, _, err := g.Patch(4, stray); err != nil || !Equal(got, want) {
+			t.Errorf("stray slot map entries %v changed the patch (error %v)", seg, err)
+		}
+		ov, err := NewOverlay(g, 4, stray)
+		if err != nil {
+			t.Fatalf("stray slot map entries %v rejected by the overlay: %v", seg, err)
+		}
+		checkOverlay(t, ov, want)
+	}
+}
+
+// TestPatchEdgesPermNErrors checks Patch's injection argument into a
+// grown vertex space, on both routes: a repeated or out-of-range image is
+// an error, and an injection whose image holes are empty rows is not.
 func TestPatchEdgesPermNErrors(t *testing.T) {
 	g, err := FromEdges(3, []Edge{{0, 1, 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 1}); err == nil {
-		t.Error("expected non-injective error")
-	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 4}); err == nil {
-		t.Error("expected out-of-range error")
-	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 3}); err != nil {
-		t.Errorf("injection into grown space should be accepted: %v", err)
+	for _, broken := range []bool{true, false} {
+		if _, _, err := g.Patch(4, permDelta(3, nil, nil, []VertexID{0, 1, 1}, broken)); err == nil {
+			t.Errorf("broken=%v: non-injective perm accepted", broken)
+		}
+		if _, _, err := g.Patch(4, permDelta(3, nil, nil, []VertexID{0, 1, 4}, broken)); err == nil {
+			t.Errorf("broken=%v: out-of-range perm accepted", broken)
+		}
+		if _, _, err := g.Patch(4, permDelta(3, nil, nil, []VertexID{0, 1, 3}, broken)); err != nil {
+			t.Errorf("broken=%v: injection into grown space rejected: %v", broken, err)
+		}
 	}
 }
 
-// TestPatchEdgesPermErrors validates the permutation argument.
+// TestPatchEdgesPermErrors checks the permutation a lineage break
+// renumbers by, which Patch reads in full: a short, repeating or
+// out-of-range slot map is an error, with or without adds to merge.
 func TestPatchEdgesPermErrors(t *testing.T) {
 	g, err := FromEdges(3, []Edge{{0, 1, 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1}); err == nil {
-		t.Error("expected length error")
-	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1, 1}); err == nil {
-		t.Error("expected non-permutation error")
-	}
-	if _, _, err := g.PatchEdgesPermN(g.NumVertices(), nil, nil, []VertexID{0, 1, 3}); err == nil {
-		t.Error("expected out-of-range error")
+	adds := []Edge{{Src: 2, Dst: 0, Weight: 1}}
+	for _, a := range [][]Edge{nil, adds} {
+		for _, perm := range [][]VertexID{{0, 1}, {0, 1, 1}, {0, 1, 3}} {
+			if _, _, err := g.Patch(g.NumVertices(), permDelta(3, a, nil, perm, true)); err == nil {
+				t.Errorf("perm %v (adds %v) accepted", perm, a)
+			}
+		}
 	}
 }
 
@@ -647,6 +709,7 @@ func TestPatchAllocatesPerDelta(t *testing.T) {
 			dels = append(dels, e)
 			adds = append(adds, Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: 1})
 		}
+		d := permDelta(n, adds, dels, tc.perm, false)
 		limit := uint64(6*8*(n+1) + 1024*(len(adds)+len(dels)))
 		// The least of a few runs: a concurrent allocation elsewhere in the
 		// test binary can only add to one run's count.
@@ -654,7 +717,7 @@ func TestPatchAllocatesPerDelta(t *testing.T) {
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, _, err := g.PatchEdgesPermN(n, adds, dels, tc.perm); err != nil {
+			if _, _, err := g.Patch(n, d); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)

@@ -116,7 +116,7 @@ func TestRCMReducesBandwidthOnShuffledPath(t *testing.T) {
 	// A path has optimal bandwidth 1. Shuffle it, then RCM must restore a
 	// near-optimal bandwidth, far below the shuffled one.
 	g := pathGraph(t, 300)
-	shuffled, err := g.Relabel(Random(g, 7))
+	shuffled, err := g.Relabel(g.NumVertices(), Random(g, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAllOrderingsValidQuick(t *testing.T) {
 			if !IsPermutation(p) {
 				return false
 			}
-			h, err := g.Relabel(p)
+			h, err := g.Relabel(g.NumVertices(), p)
 			if err != nil {
 				return false
 			}

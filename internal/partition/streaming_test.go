@@ -134,7 +134,7 @@ func TestAssignmentRelabel(t *testing.T) {
 		}
 	}
 	// the relabelled graph is isomorphic
-	h, err := g.Relabel(perm)
+	h, err := g.Relabel(g.NumVertices(), perm)
 	if err != nil {
 		t.Fatal(err)
 	}

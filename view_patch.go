@@ -86,7 +86,7 @@ func (v *View) reordered(why string) (*Graph, error) {
 // derivation that fails returns its error.
 func (v *View) derive(start time.Time, why string) (*Graph, error) {
 	anc, vd := v.ancestry()
-	rg, st, err := anc.G.PatchEdgesPermN(v.slots(), vd.Adds, vd.Dels, vd.Seg)
+	rg, st, err := anc.G.Patch(v.slots(), *vd)
 	if err != nil {
 		return nil, fmt.Errorf("vebo: deriving the epoch %d graph: %w", v.epoch, err)
 	}
